@@ -193,8 +193,12 @@ class SpatialNetwork:
         """Weight of the directed edge ``u -> v``.
 
         Raises :class:`EdgeNotFound` if the edge does not exist.
+        One frame: every refinement step pays for this call.
         """
-        for t, w in self.neighbors(u):
+        adj = self._adj
+        if not (0 <= u < len(adj)):
+            raise VertexNotFound(u, len(adj))
+        for t, w in adj[u]:
             if t == v:
                 return w
         raise EdgeNotFound(u, v)

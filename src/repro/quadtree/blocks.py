@@ -40,6 +40,11 @@ class MortonBlock:
         return self.code + self.cells
 
 
+#: The plain-list mirror of a table's columns, in this order:
+#: codes, exclusive end codes, colors, lam_min, lam_max.
+Mirror = tuple[list[int], list[int], list[int], list[float], list[float]]
+
+
 def compute_ends(codes: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Exclusive end code of each block: ``code + 4**level``."""
     return codes + (np.int64(1) << (2 * levels.astype(np.int64)))
@@ -66,11 +71,7 @@ class BlockTable:
         "lam_min",
         "lam_max",
         "_ends",
-        "_codes_list",
-        "_ends_list",
-        "_colors_list",
-        "_lam_min_list",
-        "_lam_max_list",
+        "mirror",
     )
 
     def __init__(
@@ -100,15 +101,13 @@ class BlockTable:
                 raise ValueError("block codes must be strictly increasing")
             if not np.all(self._ends[:-1] <= self.codes[1:]):
                 raise ValueError("blocks must be disjoint")
-        # Lazily built plain-list mirrors: bisect on a Python list is
-        # several times faster than np.searchsorted on the tiny arrays
-        # involved, and locate() is the hottest operation in the
-        # library (one call per refinement step).
-        self._codes_list: list[int] | None = None
-        self._ends_list: list[int] | None = None
-        self._colors_list: list[int] | None = None
-        self._lam_min_list: list[float] | None = None
-        self._lam_max_list: list[float] | None = None
+        #: Lazily built plain-list mirror ``(codes, ends, colors,
+        #: lam_min, lam_max)``, or ``None`` before the first probe.
+        #: Bisect on a Python list is several times faster than
+        #: np.searchsorted on the tiny arrays involved, and point
+        #: location is the hottest operation in the library (one per
+        #: refinement step) -- the index's probe reads this directly.
+        self.mirror: Mirror | None = None
 
     @classmethod
     def view(
@@ -136,11 +135,7 @@ class BlockTable:
         self.lam_min = lam_min
         self.lam_max = lam_max
         self._ends = ends
-        self._codes_list = None
-        self._ends_list = None
-        self._colors_list = None
-        self._lam_min_list = None
-        self._lam_max_list = None
+        self.mirror = None
         return self
 
     @property
@@ -150,37 +145,34 @@ class BlockTable:
             self._ends = compute_ends(self.codes, self.levels)
         return self._ends
 
-    def _lists(self) -> tuple[list[int], list[int]]:
-        if self._codes_list is None:
-            # Build every mirror into locals first and publish
-            # ``_codes_list`` last: concurrent query workers may race
-            # into this lazy initialization, and the guard must not
-            # become true while sibling mirrors are still ``None``.
-            codes_list = self.codes.tolist()
-            ends_list = self.ends.tolist()
-            self._colors_list = self.colors.tolist()
-            self._lam_min_list = self.lam_min.tolist()
-            self._lam_max_list = self.lam_max.tolist()
-            self._ends_list = ends_list
-            self._codes_list = codes_list
-        return self._codes_list, self._ends_list
+    def build_mirror(self) -> Mirror:
+        """Build (once) and return the list mirror of the columns.
+
+        Published with a single assignment: concurrent query workers
+        may race into this lazy initialization, and none may see a
+        partly built mirror.
+        """
+        mirror = self.mirror
+        if mirror is None:
+            mirror = self.mirror = (
+                self.codes.tolist(),
+                self.ends.tolist(),
+                self.colors.tolist(),
+                self.lam_min.tolist(),
+                self.lam_max.tolist(),
+            )
+        return mirror
 
     def lookup(self, cell_code: int) -> tuple[int, float, float, int] | None:
         """Fused point location: ``(color, lam_min, lam_max, row)``.
 
-        The single-call form of :meth:`locate` used on the query hot
-        path; returns plain Python scalars, or ``None`` when no block
+        Returns plain Python scalars, or ``None`` when no block
         contains the cell.
         """
-        codes, ends = self._lists()
+        codes, ends, colors, lam_min, lam_max = self.mirror or self.build_mirror()
         i = bisect_right(codes, cell_code) - 1
         if i >= 0 and cell_code < ends[i]:
-            return (
-                self._colors_list[i],
-                self._lam_min_list[i],
-                self._lam_max_list[i],
-                i,
-            )
+            return colors[i], lam_min[i], lam_max[i], i
         return None
 
     def __len__(self) -> int:
@@ -210,7 +202,7 @@ class BlockTable:
         Binary search over the sorted starts; the disjointness
         invariant makes the candidate unique.
         """
-        codes, ends = self._lists()
+        codes, ends, _, _, _ = self.mirror or self.build_mirror()
         i = bisect_right(codes, cell_code) - 1
         if i >= 0 and cell_code < ends[i]:
             return i
@@ -224,7 +216,7 @@ class BlockTable:
         """
         if hi <= lo:
             return range(0)
-        codes, ends = self._lists()
+        codes, ends, _, _, _ = self.mirror or self.build_mirror()
         start = bisect_right(codes, lo) - 1
         if start < 0 or ends[start] <= lo:
             start += 1

@@ -279,31 +279,29 @@ def best_first_knn(
                     stats.objects_seen += 1
                     states[oid] = state
                     fresh.append(state)
-                    interval = state.interval
                     if use_d0k and len(first_k_his) < k:
-                        first_k_his.append(interval.hi)
+                        first_k_his.append(state.hi)
                         if len(first_k_his) == k:
                             d0k = max(first_k_his)
                             stats.d0k = d0k
                     if use_dk:
-                        result_queue.add(oid, interval.hi)
+                        result_queue.add(oid, state.hi)
                     if kmin_tracker is not None:
-                        kmin_tracker.add(interval.lo)
+                        kmin_tracker.add(state.lo)
                 # Second pass: accept certain members outright (kNN-M)
                 # or enqueue survivors of the pruning bound.
                 for state in fresh:
-                    interval = state.interval
                     if (
                         kmin_tracker is not None
                         and len(confirmed) < k
-                        and interval.hi <= kmin_tracker.value()
+                        and state.hi <= kmin_tracker.value()
                     ):
                         stats.kmindist_accepts += 1
                         stats.confirmations += 1
                         confirmed.append(state)
                         continue
-                    if interval.lo < bound:
-                        push(interval.lo, _OBJECT, state)
+                    if state.lo < bound:
+                        push(state.lo, _OBJECT, state)
             else:
                 stats.nonleaf_expansions += 1
                 bound = prune_bound()
@@ -316,9 +314,8 @@ def best_first_knn(
             continue
 
         state: ObjectDistanceState = payload
-        interval = state.interval
         top_lo = heap[0][0] if heap else math.inf
-        if interval.hi <= top_lo:
+        if state.hi <= top_lo:
             # No collision: reporting is safe (Theorem 1).
             stats.confirmations += 1
             confirmed.append(state)
@@ -326,21 +323,20 @@ def best_first_knn(
         stats.collisions += 1
         if kmin_tracker is not None:
             kmindist = kmin_tracker.value()
-            if interval.hi <= kmindist:
+            if state.hi <= kmindist:
                 # Certain member of the k nearest: accept unrefined.
                 stats.kmindist_accepts += 1
                 stats.confirmations += 1
                 confirmed.append(state)
                 continue
-        old_lo = interval.lo
+        old_lo = state.lo
         state.refine()
-        new_interval = state.interval
         if use_dk:
-            result_queue.update(state.oid, new_interval.hi)
+            result_queue.update(state.oid, state.hi)
         if kmin_tracker is not None:
-            kmin_tracker.replace(old_lo, new_interval.lo)
-        if new_interval.lo < prune_bound():
-            push(new_interval.lo, _OBJECT, state)
+            kmin_tracker.replace(old_lo, state.lo)
+        if state.lo < prune_bound():
+            push(state.lo, _OBJECT, state)
 
     stats.refinements = counter.count
 
@@ -357,14 +353,14 @@ def best_first_knn(
         remaining = [
             s
             for s in states.values()
-            if s.oid not in confirmed_oids and s.interval.lo <= max_distance
+            if s.oid not in confirmed_oids and s.lo <= max_distance
         ]
-        remaining.sort(key=lambda s: s.interval.lo)
+        remaining.sort(key=lambda s: s.lo)
         fill = remaining[: k - len(result_states)]
         for s in fill:
             check_deadline(len(result_states))
             s.refine_fully()
-        fill.sort(key=lambda s: s.interval.lo)
+        fill.sort(key=lambda s: s.lo)
         result_states.extend(fill)
         stats.extras["fallback_fill"] = len(fill)
 
@@ -378,16 +374,9 @@ def best_first_knn(
         stats.extras["post_refinements"] = post_refinements
         stats.refinements = counter.count - post_refinements
         if variant != "knn_m":
-            result_states.sort(key=lambda s: s.interval.lo)
+            result_states.sort(key=lambda s: s.lo)
 
-    neighbors = [
-        Neighbor(
-            oid=s.oid,
-            interval=s.interval,
-            distance=s.interval.lo if s.interval.is_exact else None,
-        )
-        for s in result_states
-    ]
+    neighbors = [Neighbor.from_state(s) for s in result_states]
 
     if neighbors:
         his = sorted(n.interval.hi for n in neighbors)

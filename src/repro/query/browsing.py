@@ -34,7 +34,7 @@ from repro.query.location import resolve_location
 from repro.query.results import KNNResult, Neighbor
 from repro.query.stats import QueryStats, counted_clock
 from repro.silc.index import SILCIndex
-from repro.silc.intervals import DistanceInterval
+from repro.silc.intervals import DistanceInterval, invalid_bounds
 from repro.silc.refinement import RefinementCounter
 
 _NODE = 0
@@ -89,8 +89,8 @@ class _Frontier:
                     self.combine,
                 )
                 self.stats.objects_seen += 1
-                if state.interval.lo < bound:
-                    self.push(state.interval.lo, _OBJECT, state)
+                if state.lo < bound:
+                    self.push(state.lo, _OBJECT, state)
         else:
             self.stats.nonleaf_expansions += 1
             for child in node.children:
@@ -105,56 +105,58 @@ class _MultiState:
     """Aggregate distance state over one object and several handles.
 
     For a single handle this is a thin wrapper; for aggregate queries
-    ``combine`` folds the per-source intervals (sum or max) and
-    :meth:`refine` advances the loosest component.
+    ``combine`` folds the per-source bounds (sum or max) and
+    :meth:`refine` advances the loosest component.  Same scalar
+    ``lo``/``hi`` representation as :class:`ObjectDistanceState`.
     """
 
-    __slots__ = ("oid", "parts", "combine", "_interval")
+    __slots__ = ("oid", "parts", "combine", "lo", "hi")
 
     def __init__(self, oid: int, parts: list[ObjectDistanceState], combine) -> None:
         self.oid = oid
         self.parts = parts
         self.combine = combine
-        self._interval = self._fold()
+        self.lo, self.hi = self._fold()
 
-    def _fold(self) -> DistanceInterval:
-        lo = self.combine([p.interval.lo for p in self.parts])
-        hi = self.combine([p.interval.hi for p in self.parts])
-        return DistanceInterval(lo, hi)
+    def _fold(self) -> tuple[float, float]:
+        lo = self.combine([p.lo for p in self.parts])
+        hi = self.combine([p.hi for p in self.parts])
+        if not (0.0 <= lo <= hi):
+            raise invalid_bounds(lo, hi)
+        return lo, hi
 
     @property
     def interval(self) -> DistanceInterval:
-        return self._interval
-
-    @property
-    def is_exact(self) -> bool:
-        return self._interval.is_exact
+        return DistanceInterval(self.lo, self.hi)
 
     def refine(self) -> bool:
         widest = None
         width = 0.0
         for p in self.parts:
-            w = p.interval.width
+            w = p.hi - p.lo
             if w > width:
                 width = w
                 widest = p
         if widest is None:
             return False
+        # Refold even when the widest alternative only resolved
+        # internally (refine() returned False).
         progressed = widest.refine()
-        if not progressed:
-            # The widest alternative resolved internally; refold anyway.
-            pass
-        fresh = self._fold()
-        self._interval = (
-            fresh if fresh.is_exact else fresh.intersection(self._interval)
-        )
+        lo, hi = self._fold()
+        if lo != hi:
+            lo = max(lo, self.lo)
+            hi = min(hi, self.hi)
+            if lo > hi:
+                lo = hi = (lo + hi) / 2.0
+        self.lo = lo
+        self.hi = hi
         return progressed
 
     def refine_fully(self) -> float:
         for p in self.parts:
             p.refine_fully()
-        self._interval = self._fold()
-        return self._interval.lo
+        self.lo, self.hi = self._fold()
+        return self.lo
 
 
 def _single(values: list[float]) -> float:
@@ -184,18 +186,13 @@ def browse(
             frontier.expand_node(payload, math.inf)
             continue
         state: _MultiState = payload
-        interval = state.interval
-        if interval.hi <= frontier.top_lo():
+        if state.hi <= frontier.top_lo():
             stats.confirmations += 1
-            yield Neighbor(
-                oid=state.oid,
-                interval=interval,
-                distance=interval.lo if interval.is_exact else None,
-            )
+            yield Neighbor.from_state(state)
             continue
         stats.collisions += 1
         state.refine()
-        frontier.push(state.interval.lo, _OBJECT, state)
+        frontier.push(state.lo, _OBJECT, state)
 
 
 def range_query(
@@ -227,26 +224,18 @@ def range_query(
             frontier.expand_node(payload, radius + _radius_pad(radius))
             continue
         state: _MultiState = payload
-        interval = state.interval
-        if interval.hi <= radius:
+        if state.hi <= radius:
             stats.confirmations += 1
             hits.append(state)
-        elif interval.lo <= radius:
+        elif state.lo <= radius:
             stats.collisions += 1
             state.refine()
-            frontier.push(state.interval.lo, _OBJECT, state)
+            frontier.push(state.lo, _OBJECT, state)
         # else: certainly outside; drop.
 
     stats.refinements = counter.count
-    hits.sort(key=lambda s: s.interval.lo)
-    neighbors = [
-        Neighbor(
-            oid=s.oid,
-            interval=s.interval,
-            distance=s.interval.lo if s.interval.is_exact else None,
-        )
-        for s in hits
-    ]
+    hits.sort(key=lambda s: s.lo)
+    neighbors = [Neighbor.from_state(s) for s in hits]
     stats.elapsed = counted_clock() - t_start
     return KNNResult(neighbors=neighbors, stats=stats, ordered=True)
 
@@ -289,24 +278,16 @@ def approximate_knn(
             frontier.expand_node(payload, math.inf)
             continue
         state: _MultiState = payload
-        interval = state.interval
-        if interval.hi <= frontier.top_lo() * (1.0 + epsilon):
+        if state.hi <= frontier.top_lo() * (1.0 + epsilon):
             stats.confirmations += 1
             confirmed.append(state)
             continue
         stats.collisions += 1
         state.refine()
-        frontier.push(state.interval.lo, _OBJECT, state)
+        frontier.push(state.lo, _OBJECT, state)
 
     stats.refinements = counter.count
-    neighbors = [
-        Neighbor(
-            oid=s.oid,
-            interval=s.interval,
-            distance=s.interval.lo if s.interval.is_exact else None,
-        )
-        for s in confirmed
-    ]
+    neighbors = [Neighbor.from_state(s) for s in confirmed]
     stats.elapsed = counted_clock() - t_start
     return KNNResult(neighbors=neighbors, stats=stats, ordered=True)
 
@@ -347,21 +328,18 @@ def aggregate_nn(
             frontier.expand_node(payload, math.inf)
             continue
         state: _MultiState = payload
-        if state.interval.hi <= frontier.top_lo():
+        if state.hi <= frontier.top_lo():
             stats.confirmations += 1
             confirmed.append(state)
             continue
         stats.collisions += 1
         state.refine()
-        frontier.push(state.interval.lo, _OBJECT, state)
+        frontier.push(state.lo, _OBJECT, state)
 
     stats.refinements = counter.count
     for s in confirmed:
         s.refine_fully()
-    neighbors = [
-        Neighbor(oid=s.oid, interval=s.interval, distance=s.interval.lo)
-        for s in confirmed
-    ]
+    neighbors = [Neighbor.from_state(s) for s in confirmed]
     stats.elapsed = counted_clock() - t_start
     return KNNResult(neighbors=neighbors, stats=stats, ordered=True)
 

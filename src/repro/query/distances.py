@@ -10,6 +10,7 @@ best-first engine needs.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 from repro.objects.index import ObjectIndex
 from repro.objects.model import NetworkPosition, SpatialObject
@@ -21,7 +22,7 @@ from repro.query.location import (
 )
 from repro.quadtree.pmr import PMRNode
 from repro.silc.index import SILCIndex
-from repro.silc.intervals import DistanceInterval
+from repro.silc.intervals import DistanceInterval, invalid_bounds
 from repro.silc.refinement import RefinableDistance, RefinementCounter
 
 
@@ -30,13 +31,14 @@ class ObjectDistanceState:
 
     The true distance is the minimum over the anchor-pair components
     (each a :class:`RefinableDistance`) and the optional direct
-    same-edge segment.  ``interval`` is the interval of that minimum;
-    :meth:`refine` advances the component currently defining the lower
-    bound, so the interval tightens as fast as one refinement per call
-    can manage.
+    same-edge segment.  ``lo``/``hi`` bound that minimum as plain
+    floats -- the search loop reads them directly; :attr:`interval`
+    wraps them for reporting.  :meth:`refine` advances the component
+    currently defining the lower bound, so the bounds tighten as fast
+    as one refinement per call can manage.
     """
 
-    __slots__ = ("oid", "components", "direct", "_interval")
+    __slots__ = ("oid", "components", "direct", "lo", "hi")
 
     def __init__(
         self,
@@ -49,61 +51,71 @@ class ObjectDistanceState:
         self.oid = oid
         self.components = components
         self.direct = direct
-        self._interval = self._combine()
-
-    def _combine(self) -> DistanceInterval:
-        lo = math.inf
-        hi = math.inf
-        for comp in self.components:
-            ci = comp.interval
-            lo = min(lo, ci.lo)
-            hi = min(hi, ci.hi)
-        if self.direct is not None:
-            lo = min(lo, self.direct)
-            hi = min(hi, self.direct)
-        return DistanceInterval(lo, hi)
+        lo = hi = math.inf if direct is None else direct
+        for comp in components:
+            if comp.lo < lo:
+                lo = comp.lo
+            if comp.hi < hi:
+                hi = comp.hi
+        if not (0.0 <= lo <= hi):
+            raise invalid_bounds(lo, hi)
+        self.lo = lo
+        self.hi = hi
 
     @property
     def interval(self) -> DistanceInterval:
-        return self._interval
+        return DistanceInterval(self.lo, self.hi)
 
     @property
     def is_exact(self) -> bool:
-        return self._interval.is_exact
+        return self.lo == self.hi
 
     def refine(self) -> bool:
         """One refinement step on the component defining the lower bound.
 
-        Returns False when the interval can no longer improve (the
+        Returns False when the bounds can no longer improve (the
         minimum is resolved).
         """
-        hi = self._interval.hi
+        old_hi = self.hi
         best: RefinableDistance | None = None
         best_lo = math.inf
         for comp in self.components:
-            if comp.is_exact:
-                continue
-            ci = comp.interval
-            if ci.lo <= hi and ci.lo < best_lo:
+            if comp.via != comp.target and comp.lo <= old_hi and comp.lo < best_lo:
                 best = comp
-                best_lo = ci.lo
+                best_lo = comp.lo
         if best is None:
             # Every alternative cheaper than the current upper bound is
             # exact: the minimum is decided.
-            self._interval = DistanceInterval.exact(self._interval.lo)
+            self.hi = self.lo
             return False
         best.refine()
-        combined = self._combine()
-        self._interval = (
-            combined if combined.is_exact else combined.intersection(self._interval)
-        )
+        # The same fold as __init__, kept inline: this is the search
+        # loop's hot path and a helper would cost a frame per step.
+        direct = self.direct
+        lo = hi = math.inf if direct is None else direct
+        for comp in self.components:
+            if comp.lo < lo:
+                lo = comp.lo
+            if comp.hi < hi:
+                hi = comp.hi
+        if not (0.0 <= lo <= hi):
+            raise invalid_bounds(lo, hi)
+        if lo != hi:
+            if self.lo > lo:
+                lo = self.lo
+            if old_hi < hi:
+                hi = old_hi
+            if lo > hi:
+                lo = hi = (lo + hi) / 2.0
+        self.lo = lo
+        self.hi = hi
         return True
 
     def refine_fully(self) -> float:
-        while not self.is_exact:
+        while self.lo != self.hi:
             if not self.refine():
                 break
-        return self._interval.lo
+        return self.lo
 
 
 class QueryHandle:
@@ -127,7 +139,16 @@ class QueryHandle:
         # Global lower-bound slope for the Euclidean fallback bound:
         # any network path is at least this multiple of straight-line
         # distance (see SpatialNetwork.min_euclidean_ratio).
-        self._euclid_slope = min(network.min_euclidean_ratio(), float("inf"))
+        self._euclid_slope = network.min_euclidean_ratio()
+
+    @cached_property
+    def _anchor_columns(self) -> list[tuple[int, float, list[float]]]:
+        """``(anchor, offset, bound column)``: one column per anchor,
+        computed on the first block bound and shared by every PMR node
+        this query bounds (see :meth:`SILCIndex.bound_column`)."""
+        return [
+            (av, a_off, self.index.bound_column(av)) for av, a_off in self.anchors
+        ]
 
     # ------------------------------------------------------------------
     # Distances
@@ -159,8 +180,10 @@ class QueryHandle:
         rect = self.object_index.node_rect(node)
         euclid = self._euclid_slope * rect.min_distance_to_point(self.point)
         lam = math.inf
-        for av, a_off in self.anchors:
-            bound = self.index.block_lower_bound(av, node.code, node.level)
+        for av, a_off, column in self._anchor_columns:
+            bound = self.index.block_lower_bound(
+                av, node.code, node.level, column=column
+            )
             lam = min(lam, a_off + bound)
         if self.object_index.has_edge_objects(node):
             return min(lam, euclid)

@@ -22,6 +22,20 @@ class Neighbor:
     interval: DistanceInterval
     distance: float | None = None
 
+    @classmethod
+    def from_state(cls, state) -> Neighbor:
+        """Report a search state (anything with ``oid``/``lo``/``hi``).
+
+        The output boundary of the SILC kernels: their states carry
+        plain float bounds, and the one :class:`DistanceInterval` per
+        reported neighbor is built here.
+        """
+        return cls(
+            state.oid,
+            DistanceInterval(state.lo, state.hi),
+            state.lo if state.lo == state.hi else None,
+        )
+
     @property
     def best_estimate(self) -> float:
         """The exact distance if known, else the interval midpoint."""

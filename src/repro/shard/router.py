@@ -162,7 +162,7 @@ class PartitionRouter:
         self.has_edge = list(has_edge)
         self.object_counts = list(object_counts)
         #: Global lower-bound slope: network distance >= slope * Euclidean.
-        self._slope = min(self.network.min_euclidean_ratio(), float("inf"))
+        self._slope = self.network.min_euclidean_ratio()
         #: The populated shard ids -- fixed at construction; respawns
         #: swap worker *handles*, never the shard set.
         self.shards = sorted(supervisor.workers)
@@ -207,7 +207,9 @@ class PartitionRouter:
         common case for nearby shards).  Returns ``(prunable,
         quadtree_probes)``.  Sound only for shards whose objects are
         all vertex-positioned -- the lambda term bounds distances to
-        *vertices*.
+        *vertices*.  ``anchors`` holds ``(vertex, offset, column)``
+        triples, the column being ``index.bound_column(vertex)``
+        computed once per query.
         """
         probes = 0
         for (code, level), rect in zip(
@@ -216,12 +218,12 @@ class PartitionRouter:
             if self._slope * rect.min_distance_to_point(point) > bound:
                 continue
             lam = math.inf
-            for anchor, offset in anchors:
+            for anchor, offset, column in anchors:
                 lam = min(
                     lam,
                     offset
                     + self.index.block_lower_bound(
-                        anchor, code, level, account=False
+                        anchor, code, level, account=False, column=column
                     ),
                 )
                 probes += 1
@@ -278,6 +280,7 @@ class PartitionRouter:
                 (self.euclid_bound(shard, point), shard) for shard in self.shards
             )
         candidates: dict[int, float] = {}
+        anchor_columns = None  # built on the first lambda bound
         worker_stats: list[QueryStats] = []
         degraded_shards: list[int] = []
         visited = pruned_e = pruned_l = probes = duplicates = 0
@@ -306,7 +309,13 @@ class PartitionRouter:
                 pruned_e += len(order) - i
                 break
             if not math.isinf(bound) and not self.has_edge[shard]:
-                prunable, n = self.lambda_prunable(shard, anchors, point, bound)
+                if anchor_columns is None:
+                    anchor_columns = [
+                        (a, off, self.index.bound_column(a)) for a, off in anchors
+                    ]
+                prunable, n = self.lambda_prunable(
+                    shard, anchor_columns, point, bound
+                )
                 probes += n
                 if prunable:
                     pruned_l += 1

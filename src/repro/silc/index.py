@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import zipfile
+from bisect import bisect_right
 from pathlib import Path
 from collections.abc import Callable, Iterator, Sequence
 
@@ -199,42 +200,39 @@ class SILCIndex:
     # ------------------------------------------------------------------
     # Core probes
     # ------------------------------------------------------------------
-    def _lookup(self, source: int, target: int) -> tuple[int, float, float]:
-        """Fused probe: (first_hop, lam_min, lam_max) with page accounting."""
-        hit = self.tables[source].lookup(self._vcodes[target])
-        if hit is None:
-            raise PathNotFound(source, target)
-        color, lam_lo, lam_hi, row = hit
-        if self.storage is not None:
-            self.storage.touch(source, row)
-        return color, lam_lo, lam_hi
-
     def next_hop(self, source: int, target: int) -> int:
         """First vertex after ``source`` on the shortest path to target."""
         self.network.check_vertex(source)
         self.network.check_vertex(target)
-        if source == target:
-            return source
-        return self._lookup(source, target)[0]
+        return self.hop_and_interval(source, target)[0]
 
     def hop_and_interval(
         self, source: int, target: int
     ) -> tuple[int, float, float]:
         """One probe returning the next hop and the raw interval bounds.
 
-        The refinement engine's hot path: a single binary search yields
-        both the first hop and the ``[lo, hi]`` distance bounds.
+        The refinement engine's hot path, kept to a single frame: one
+        binary search over the source table's list mirror yields the
+        first hop and the ``[lo, hi]`` distance bounds, and the probed
+        row is accounted as a page access when storage is attached.
         """
         if source == target:
             return source, 0.0, 0.0
-        color, lam_lo, lam_hi = self._lookup(source, target)
+        table = self.tables[source]
+        codes, ends, colors, lam_min, lam_max = table.mirror or table.build_mirror()
+        cell = self._vcodes[target]
+        row = bisect_right(codes, cell) - 1
+        if row < 0 or cell >= ends[row]:
+            raise PathNotFound(source, target)
+        if self.storage is not None:
+            self.storage.touch(source, row)
         d_e = math.hypot(
             self._xf[source] - self._xf[target], self._yf[source] - self._yf[target]
         )
         return (
-            color,
-            lam_lo * d_e * (1.0 - _REL_PAD),
-            lam_hi * d_e * (1.0 + _REL_PAD),
+            colors[row],
+            lam_min[row] * d_e * (1.0 - _REL_PAD),
+            lam_max[row] * d_e * (1.0 + _REL_PAD),
         )
 
     def interval_from(self, source: int, target: int) -> DistanceInterval:
@@ -283,8 +281,32 @@ class SILCIndex:
     # ------------------------------------------------------------------
     # Block-level lower bounds (for the object-index traversal)
     # ------------------------------------------------------------------
+    def bound_column(self, source: int) -> list[float]:
+        """``lam_min[i] * MINDIST(source, block_i)`` for every row of
+        ``source``'s table -- the per-row term of
+        :meth:`block_lower_bound`, computed in one vectorised pass.
+
+        A query computes it once per anchor and hands it to every
+        :meth:`block_lower_bound` call it makes for that anchor.
+        """
+        self.network.check_vertex(source)
+        table = self.tables[source]
+        px = self._xf[source]
+        py = self._yf[source]
+        xmin, ymin, xmax, ymax = self.embedding.block_world_bounds_array(
+            table.codes, table.levels
+        )
+        dx = np.maximum(np.maximum(xmin - px, 0.0), px - xmax)
+        dy = np.maximum(np.maximum(ymin - py, 0.0), py - ymax)
+        return (table.lam_min * np.hypot(dx, dy)).tolist()
+
     def block_lower_bound(
-        self, source: int, code: int, level: int, account: bool = True
+        self,
+        source: int,
+        code: int,
+        level: int,
+        account: bool = True,
+        column: list[float] | None = None,
     ) -> float:
         """Lower bound on the network distance from ``source`` to any
         *vertex* inside the Morton block ``(code, level)``.
@@ -296,12 +318,18 @@ class SILCIndex:
         units as edge weights).  Returns ``inf`` when the block
         contains no network vertex at all.
 
-        ``account=False`` skips the storage-simulator page accounting:
-        the partition router computes shard bounds from serving
-        threads that must not touch a non-concurrent simulator, and
-        its probes are counted separately in its own stats.
+        ``column`` is ``bound_column(source)``; callers bounding many
+        blocks from one source pass it so the vectorised part runs
+        once, not per block.  ``account=False`` skips the
+        storage-simulator page accounting: the partition router
+        computes shard bounds from serving threads that must not touch
+        a non-concurrent simulator, and its probes are counted
+        separately in its own stats.
         """
-        self.network.check_vertex(source)
+        if column is None:
+            column = self.bound_column(source)
+        else:
+            self.network.check_vertex(source)
         table = self.tables[source]
         lo_code = code
         hi_code = code + block_cells(level)
@@ -310,30 +338,27 @@ class SILCIndex:
             return float("inf")
         if self.storage is not None and account:
             self.storage.touch_range(source, rows.start, rows.stop)
-        px = self._xf[source]
-        py = self._yf[source]
-        query_rect = self.embedding.block_world_rect(code, level)
-        sl = slice(rows.start, rows.stop)
-        b_codes = table.codes[sl]
-        b_levels = table.levels[sl].astype(np.int64)
+        codes, ends, _, lam_min, _ = table.mirror
         # Aligned Morton blocks either nest or are disjoint, so the
         # intersection of each overlapping block with the query block
         # is simply the smaller of the two: the table block when it is
-        # nested inside the query range, the query block otherwise.
-        nested = (b_codes >= lo_code) & (
-            b_codes + (np.int64(1) << (2 * b_levels)) <= hi_code
-        )
-        dist = np.full(
-            b_codes.size, query_rect.min_distance_to_point_xy(px, py)
-        )
-        if nested.any():
-            xmin, ymin, xmax, ymax = self.embedding.block_world_bounds_array(
-                b_codes[nested], b_levels[nested]
+        # nested inside the query range (its column entry applies), the
+        # query block otherwise.  Rows are sorted and disjoint, so the
+        # whole run is nested when its two ends are.
+        if codes[rows.start] >= lo_code and ends[rows.stop - 1] <= hi_code:
+            best = min(column[rows.start : rows.stop])
+        else:
+            px = self._xf[source]
+            py = self._yf[source]
+            query_dist = self.embedding.block_world_rect(
+                code, level
+            ).min_distance_to_point_xy(px, py)
+            best = min(
+                column[i]
+                if codes[i] >= lo_code and ends[i] <= hi_code
+                else lam_min[i] * query_dist
+                for i in rows
             )
-            dx = np.maximum(np.maximum(xmin - px, 0.0), px - xmax)
-            dy = np.maximum(np.maximum(ymin - py, 0.0), py - ymax)
-            dist[nested] = np.hypot(dx, dy)
-        best = float(np.min(table.lam_min[sl] * dist))
         return best * (1.0 - _REL_PAD)
 
     # ------------------------------------------------------------------

@@ -14,6 +14,21 @@ import math
 from dataclasses import dataclass
 
 
+def invalid_bounds(lo: float, hi: float) -> ValueError:
+    """The error for bounds failing ``0.0 <= lo <= hi``.
+
+    That one chained comparison is the whole validity check (it is
+    false for NaN, inverted and negative bounds alike); the refinement
+    states apply it inline to their scalar bounds and come here only
+    to name the failure.
+    """
+    if math.isnan(lo) or math.isnan(hi):
+        return ValueError("interval bounds must not be NaN")
+    if lo > hi:
+        return ValueError(f"inverted interval [{lo}, {hi}]")
+    return ValueError(f"negative distance bound {lo}")
+
+
 @dataclass(frozen=True, slots=True)
 class DistanceInterval:
     """A closed interval certain to contain a network distance."""
@@ -22,12 +37,8 @@ class DistanceInterval:
     hi: float
 
     def __post_init__(self) -> None:
-        if math.isnan(self.lo) or math.isnan(self.hi):
-            raise ValueError("interval bounds must not be NaN")
-        if self.lo > self.hi:
-            raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
-        if self.lo < 0:
-            raise ValueError(f"negative distance bound {self.lo}")
+        if not (0.0 <= self.lo <= self.hi):
+            raise invalid_bounds(self.lo, self.hi)
 
     # ------------------------------------------------------------------
     # Predicates

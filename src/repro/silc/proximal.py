@@ -17,7 +17,7 @@ fast as the full index.  The ablation benchmark
 
 from __future__ import annotations
 
-from repro.network.errors import NetworkError, PathNotFound
+from repro.network.errors import NetworkError
 from repro.network.graph import SpatialNetwork
 from repro.quadtree.blocks import BlockTable
 from repro.silc.coloring import shortest_path_maps
@@ -106,16 +106,15 @@ class ProximalSILCIndex(SILCIndex):
                 tables[spm.source] = builder.build(spm.colors, spm.ratios)
         return cls(network, embedding, codes, tables, radius)
 
-    def _lookup(self, source: int, target: int) -> tuple[int, float, float]:
-        hit = self.tables[source].lookup(self._vcodes[target])
-        if hit is None:
-            raise PathNotFound(source, target)
-        color, lam_lo, lam_hi, row = hit
-        if color == BEYOND:
+    def hop_and_interval(
+        self, source: int, target: int
+    ) -> tuple[int, float, float]:
+        # The probed record counts as a page access either way: it had
+        # to be read to learn that the target is beyond the horizon.
+        hop, lo, hi = super().hop_and_interval(source, target)
+        if hop == BEYOND:
             raise BeyondHorizonError(source, target, self.radius)
-        if self.storage is not None:
-            self.storage.touch(source, row)
-        return color, lam_lo, lam_hi
+        return hop, lo, hi
 
     def within_horizon(self, source: int, target: int) -> bool:
         """Whether a direct probe from ``source`` can answer ``target``."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.silc.intervals import DistanceInterval
+from repro.silc.intervals import DistanceInterval, invalid_bounds
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.silc.index import SILCIndex
@@ -38,10 +38,10 @@ class RefinableDistance:
 
     State is exactly what the paper stores per enqueued object (p.22):
     the intermediate vertex ``via`` reached so far and the exact
-    network distance ``acc`` from the source to it.  ``interval``
-    always contains the true distance and is monotone under
-    :meth:`refine` -- the lower bound never decreases, the upper bound
-    never increases.
+    network distance ``acc`` from the source to it.  The bounds
+    ``lo``/``hi`` are plain floats that always contain the true
+    distance and are monotone under :meth:`refine` -- the lower bound
+    never decreases, the upper bound never increases.
     """
 
     __slots__ = (
@@ -50,7 +50,8 @@ class RefinableDistance:
         "target",
         "via",
         "acc",
-        "_interval",
+        "lo",
+        "hi",
         "_counter",
         "_next_hop",
     )
@@ -71,29 +72,28 @@ class RefinableDistance:
         self.via = source
         self.acc = offset
         self._counter = counter
-        self._next_hop = -1
-        self._interval = self._estimate()
+        if source == target:
+            self._next_hop = target
+            lo = hi = offset
+        else:
+            self._next_hop, lo, hi = index.hop_and_interval(source, target)
+            lo += offset
+            hi += offset
+        if not (0.0 <= lo <= hi):
+            raise invalid_bounds(lo, hi)
+        self.lo = lo
+        self.hi = hi
 
     # ------------------------------------------------------------------
     # Interval access
     # ------------------------------------------------------------------
     @property
     def interval(self) -> DistanceInterval:
-        return self._interval
+        return DistanceInterval(self.lo, self.hi)
 
     @property
     def is_exact(self) -> bool:
         return self.via == self.target
-
-    def _estimate(self) -> DistanceInterval:
-        """One fused probe: refreshes the interval and caches the hop."""
-        if self.via == self.target:
-            self._next_hop = self.target
-            return DistanceInterval.exact(self.acc)
-        hop, lo, hi = self._index.hop_and_interval(self.via, self.target)
-        self._next_hop = hop
-        acc = self.acc
-        return DistanceInterval(acc + lo, acc + hi)
 
     # ------------------------------------------------------------------
     # Refinement
@@ -103,21 +103,39 @@ class RefinableDistance:
 
         Returns False (and does nothing) when the distance is already
         exact.  Costs exactly one quadtree probe: the next hop was
-        cached by the previous probe.  The resulting interval is
-        clamped to the previous one, so bounds are monotone even under
-        floating-point jitter.
+        cached by the previous probe.  The resulting bounds are
+        clamped to the previous ones (collapsing to the midpoint if
+        float error made them disjoint), so they are monotone even
+        under floating-point jitter.
         """
-        if self.via == self.target:
+        via = self.via
+        target = self.target
+        if via == target:
             return False
+        index = self._index
         nxt = self._next_hop
-        self.acc += self._index.network.edge_weight(self.via, nxt)
+        acc = self.acc + index.network.edge_weight(via, nxt)
+        self.acc = acc
         self.via = nxt
         if self._counter is not None:
             self._counter.count += 1
-        fresh = self._estimate()
-        self._interval = (
-            fresh if fresh.is_exact else fresh.intersection(self._interval)
-        )
+        if nxt == target:
+            lo = hi = acc
+        else:
+            self._next_hop, lo, hi = index.hop_and_interval(nxt, target)
+            lo += acc
+            hi += acc
+        if not (0.0 <= lo <= hi):
+            raise invalid_bounds(lo, hi)
+        if lo != hi:
+            if self.lo > lo:
+                lo = self.lo
+            if self.hi < hi:
+                hi = self.hi
+            if lo > hi:
+                lo = hi = (lo + hi) / 2.0
+        self.lo = lo
+        self.hi = hi
         return True
 
     def refine_fully(self, max_steps: int | None = None) -> float:
@@ -136,9 +154,3 @@ class RefinableDistance:
                     f"{limit} steps; the index next-hop data is inconsistent"
                 )
         return self.acc
-
-    def refine_until_below(self, width: float) -> DistanceInterval:
-        """Refine until the interval width drops to ``width`` or exact."""
-        while self._interval.width > width and self.refine():
-            pass
-        return self._interval

@@ -10,9 +10,8 @@ probe at query time touches the page holding the probed record.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -49,14 +48,16 @@ class StorageLayout:
     def __init__(self, table_sizes: list[int], layout: PageLayout | None = None) -> None:
         self.layout = layout or PageLayout()
         self.table_sizes = list(table_sizes)
-        rpp = self.layout.records_per_page
+        rpp = self.records_per_page = self.layout.records_per_page
         pages = [max(1, -(-size // rpp)) for size in self.table_sizes]
         self.pages_per_table = pages
-        self.page_offsets = np.concatenate([[0], np.cumsum(pages)])
+        #: First global page id of each table (plus the total as a
+        #: sentinel): a plain list, indexed once per probe.
+        self.page_offsets: list[int] = [0, *itertools.accumulate(pages)]
 
     @property
     def total_pages(self) -> int:
-        return int(self.page_offsets[-1])
+        return self.page_offsets[-1]
 
     @property
     def total_bytes(self) -> int:
@@ -71,7 +72,7 @@ class StorageLayout:
                 f"record {record} out of range for table {table} "
                 f"(size {self.table_sizes[table]})"
             )
-        return int(self.page_offsets[table]) + record // self.layout.records_per_page
+        return self.page_offsets[table] + record // self.records_per_page
 
     def pages_of_range(self, table: int, lo_record: int, hi_record: int) -> range:
         """Global page ids covering records ``[lo_record, hi_record)``."""

@@ -54,7 +54,18 @@ class StorageSimulator:
     # Access interface used by SILCIndex
     # ------------------------------------------------------------------
     def touch(self, table: int, record: int) -> None:
-        self.cache.access(self.layout.page_of(table, record))
+        """Account one probe of ``record`` (once per refinement step).
+
+        ``page_of``'s arithmetic inline; anything out of range goes to
+        ``page_of`` itself, which raises the ``IndexError``.
+        """
+        layout = self.layout
+        sizes = layout.table_sizes
+        if 0 <= table < len(sizes) and 0 <= record < (sizes[table] or 1):
+            page = layout.page_offsets[table] + record // layout.records_per_page
+        else:
+            page = layout.page_of(table, record)
+        self.cache.access(page)
 
     def touch_range(self, table: int, lo_record: int, hi_record: int) -> None:
         for page in self.layout.pages_of_range(table, lo_record, hi_record):

@@ -84,11 +84,10 @@ class TestFailureInjection:
             nbr_colors[:] = 0
             index.tables[nbr].colors.setflags(write=True)
             index.tables[nbr].colors[:] = nbr_colors
-            index.tables[nbr]._lists()  # rebuild list mirrors
-            index.tables[nbr]._colors_list = nbr_colors.tolist()
+            index.tables[nbr].mirror = None  # rebuilt from the columns
             table.colors.setflags(write=True)
             table.colors[:] = colors
-            table._colors_list = colors.tolist()
+            table.mirror = None
             far = max(
                 range(small_net.num_vertices),
                 key=lambda v: small_net.euclidean(0, v),

@@ -73,11 +73,6 @@ class TestRefinableDistance:
         with pytest.raises(ValueError):
             small_index.refinable(0, 1, offset=-1.0)
 
-    def test_refine_until_below(self, small_index):
-        r = small_index.refinable(0, 120)
-        iv = r.refine_until_below(0.05)
-        assert iv.width <= 0.05 or r.is_exact
-
     def test_via_walks_the_shortest_path(self, small_index):
         u, v = 5, 110
         path = small_index.path(u, v)
