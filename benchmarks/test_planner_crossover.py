@@ -5,7 +5,8 @@ boundary the :class:`~repro.oracle.QueryPlanner` has to navigate.
 Each backend's work is measured in its own counted unit (SILC:
 refinements; labels: label-entry scans; INE: settled vertices) and
 converted to comparable seconds through the planner's *own*
-calibrated per-op constants, alongside raw wall clock.  The
+calibrated constants (``CostConstants.seconds_for``: the per-query
+term plus ops x per-op seconds), alongside raw wall clock.  The
 assertions pin the planner contract:
 
 * the planner's per-query choice matches the measured
@@ -17,12 +18,7 @@ assertions pin the planner contract:
   side of a tie is not a planning mistake;
 * on the small-k repeated-pair workload -- the labelling family's
   home turf (Akiba et al., SIGMOD 2013) -- labels beat SILC browsing
-  on wall clock.  (They used to win on calibrated counted-op cost
-  too; since the kernel was flattened a SILC refinement is calibrated
-  at ~19 us instead of ~65 us, and the planner's per-refinement model
-  -- which has no per-query term -- prices a k=1 search of two or
-  three refinements below the label merges.  Both costs stay in the
-  table; only the measured comparison is asserted.)
+  on counted-op cost.
 
 Results persist to ``results/planner_crossover.txt``.
 """
@@ -94,12 +90,13 @@ def test_planner_crossover(capsys, bench_net, bench_index, bench_queries,
         )
         engines[density] = engine
         planner = engine.ensure_planner()
-        op_seconds = planner.constants.op_seconds
+        constants = planner.constants
+        op_seconds = constants.op_seconds
         for k in KS:
             measured = _measure(engine, queries, k)
             # calibrated counted-op cost per query per backend
             costs = {
-                b: [ops * op_seconds[b] for ops, _ in rows]
+                b: [constants.seconds_for(b, ops) for ops, _ in rows]
                 for b, rows in measured.items()
             }
             wins = {b: 0 for b in PLANNABLE}
@@ -130,14 +127,16 @@ def test_planner_crossover(capsys, bench_net, bench_index, bench_queries,
     # family's home turf (point lookups, no browsing).  Run it on the
     # denser object set, where IER's Euclidean cutoff bites early and
     # each repetition costs a handful of label merges; labels must
-    # beat SILC browsing on wall clock.
+    # beat SILC browsing on calibrated counted-op cost *and* on wall
+    # clock.
     repeat_density = DENSITIES[-1]
     engine = engines[repeat_density]
-    op_seconds = engine.ensure_planner().constants.op_seconds
+    constants = engine.ensure_planner().constants
+    op_seconds = constants.op_seconds
     repeated = [q for q in bench_queries[:3] for _ in range(4)]
     rep = _measure(engine, repeated, k=1)
     rep_cost = {
-        b: sum(ops for ops, _ in rows) * op_seconds[b] / len(repeated)
+        b: sum(constants.seconds_for(b, ops) for ops, _ in rows) / len(repeated)
         for b, rows in rep.items()
     }
     rep_wall = {
@@ -155,6 +154,11 @@ def test_planner_crossover(capsys, bench_net, bench_index, bench_queries,
 
     agreement = agree / total
     recorder.emit(capsys)
+    assert rep_cost["labels"] < rep_cost["silc"], (
+        f"labels must win the repeated-pair k=1 workload on counted-op "
+        f"cost: labels {rep_cost['labels']:.2e}s vs "
+        f"silc {rep_cost['silc']:.2e}s per query"
+    )
     assert rep_wall["labels"] < rep_wall["silc"], (
         f"labels must win the repeated-pair k=1 workload on wall clock: "
         f"labels {rep_wall['labels']:.2e}s vs "

@@ -4,11 +4,13 @@ Per query, the planner picks the backend expected to answer cheapest.
 The model is the classic "measured constants x analytical shape"
 split (a database optimizer in miniature):
 
-* **Measured per-op constants** -- seconds per counted unit of work
-  (SILC: one refinement; labels: one label-entry scan; INE: one
-  settled vertex), recorded by :meth:`QueryPlanner.calibrate` from
-  real sample queries against the live index, object set and storage
-  simulator, persistable as JSON alongside the labelling columns.
+* **Measured constants** -- seconds per counted unit of work (SILC:
+  one refinement; labels: one label-entry scan; INE: one settled
+  vertex) plus a fixed per-query term (set-up, block bounds, result
+  assembly -- what a two-refinement k=1 search mostly pays for),
+  fitted by :meth:`QueryPlanner.calibrate` from real sample queries
+  against the live index, object set and storage simulator,
+  persistable as JSON alongside the labelling columns.
 * **Analytical query-shape terms** -- a per-backend linear counted-op
   model ``ops(k) = base + per_k * k`` fitted at calibration time.
   Object density enters through the fit (calibration runs against the
@@ -27,6 +29,7 @@ methodology as the rest of the benchmark suite.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
@@ -68,21 +71,28 @@ class CostConstants:
     """The calibrated model: per-backend op counts and op seconds.
 
     ``op_model[b] = (base, per_k)`` predicts counted ops for one
-    query at ``k``; ``op_seconds[b]`` is the measured wall-clock
+    query at ``k``; a query doing ``ops`` of them costs
+    ``query_seconds[b] + ops * op_seconds[b]`` of measured wall-clock
     (including simulated I/O time, when a storage simulator was
-    attached during calibration) per counted op.
+    attached during calibration).  ``query_seconds`` is absent (zero)
+    in cost models saved before the per-query term existed.
     """
 
     op_model: dict[str, tuple[float, float]]
     op_seconds: dict[str, float]
     miss_rate: float = 0.0
+    query_seconds: dict[str, float] = field(default_factory=dict)
 
     def predicted_ops(self, backend: str, k: int) -> float:
         base, per_k = self.op_model[backend]
         return base + per_k * k
 
+    def seconds_for(self, backend: str, ops: float) -> float:
+        """Modelled seconds of one query doing ``ops`` counted ops."""
+        return self.query_seconds.get(backend, 0.0) + ops * self.op_seconds[backend]
+
     def predicted_cost(self, backend: str, k: int) -> float:
-        return self.predicted_ops(backend, k) * self.op_seconds[backend]
+        return self.seconds_for(backend, self.predicted_ops(backend, k))
 
     # ------------------------------------------------------------------
     # Persistence
@@ -91,6 +101,7 @@ class CostConstants:
         payload = {
             "op_model": {b: list(v) for b, v in self.op_model.items()},
             "op_seconds": self.op_seconds,
+            "query_seconds": self.query_seconds,
             "miss_rate": self.miss_rate,
         }
         path = Path(directory) / COST_MODEL_FILE
@@ -108,7 +119,23 @@ class CostConstants:
             op_model={b: tuple(v) for b, v in payload["op_model"].items()},
             op_seconds=dict(payload["op_seconds"]),
             miss_rate=float(payload.get("miss_rate", 0.0)),
+            query_seconds=dict(payload.get("query_seconds", {})),
         )
+
+
+def fit_line(points: list[tuple[float, float]]) -> tuple[float, float]:
+    """Least-squares ``y = base + slope * x`` as ``(base, slope)``.
+
+    Both terms are clamped non-negative (a cost model must not predict
+    negative work), and points that all share one ``x`` give a flat line.
+    """
+    n = len(points)
+    mean_x = sum(x for x, _ in points) / n
+    mean_y = sum(y for _, y in points) / n
+    spread = sum((x - mean_x) ** 2 for x, _ in points)
+    covar = sum((x - mean_x) * (y - mean_y) for x, y in points)
+    slope = max(0.0, covar / spread) if spread else 0.0
+    return max(0.0, mean_y - slope * mean_x), slope
 
 
 @dataclass
@@ -198,50 +225,48 @@ class QueryPlanner:
     def calibrate(self, queries=None, ks=CALIBRATION_KS) -> CostConstants:
         """Measure per-op constants and fit the ops(k) model.
 
-        Runs ``len(queries) * len(ks)`` real queries per backend
-        against the live index/object set (exact answers, so every
-        backend does comparable work) and records, per backend, the
-        mean counted ops at each ``k`` (fitting the linear model) and
-        the mean seconds per op.  The calibration queries warm the
-        storage simulator exactly as real traffic would; the observed
-        miss rate is recorded for the cache-state term.
+        Runs ``len(queries) * len(ks)`` real queries per backend, twice
+        each, against the live index/object set (exact answers, so every
+        backend does comparable work) and fits, per backend, one
+        :func:`fit_line` through the (k, counted ops) samples and one
+        through the (counted ops, seconds) samples.  The calibration
+        queries warm the storage simulator exactly as real traffic
+        would; the observed miss rate is recorded for the cache-state
+        term.
         """
         if queries is None:
             queries = self._calibration_queries or self._default_queries()
         queries = list(queries)
         op_model: dict[str, tuple[float, float]] = {}
         op_seconds: dict[str, float] = {}
+        query_seconds: dict[str, float] = {}
         for backend, oracle in self.oracles.items():
-            mean_ops: list[float] = []
-            total_ops = 0
-            total_seconds = 0.0
+            ops_at_k: list[tuple[float, float]] = []
+            seconds_at_ops: list[tuple[float, float]] = []
             for k in ks:
-                ops_at_k = 0
                 for q in queries:
-                    t0 = perf_counter()
-                    result = oracle.knn(q, k, exact=True)
-                    elapsed = perf_counter() - t0
+                    # Best of two: the first run pays one-off warm-up
+                    # (lazy list mirrors, cold pages) steady traffic won't.
+                    seconds = math.inf
+                    for _ in range(2):
+                        t0 = perf_counter()
+                        result = oracle.knn(q, k, exact=True)
+                        elapsed = perf_counter() - t0 + result.stats.io_time
+                        seconds = min(seconds, elapsed)
                     ops = counted_ops(backend, result.stats)
-                    ops_at_k += ops
-                    total_ops += ops
-                    total_seconds += elapsed + result.stats.io_time
-                mean_ops.append(ops_at_k / len(queries))
-            k1, k2 = ks[0], ks[-1]
-            if k2 > k1:
-                per_k = max(0.0, (mean_ops[-1] - mean_ops[0]) / (k2 - k1))
-            else:
-                per_k = 0.0
-            base = max(0.0, mean_ops[0] - per_k * k1)
-            op_model[backend] = (base, per_k)
-            op_seconds[backend] = total_seconds / max(1, total_ops)
+                    ops_at_k.append((k, ops))
+                    seconds_at_ops.append((ops, seconds))
+            op_model[backend] = fit_line(ops_at_k)
+            query_seconds[backend], op_seconds[backend] = fit_line(seconds_at_ops)
         self.constants = CostConstants(
             op_model=op_model,
             op_seconds=op_seconds,
             miss_rate=self._miss_rate(),
+            query_seconds=query_seconds,
         )
         self.stats.calibrations += 1
         self.stats.calibration_queries += (
-            len(queries) * len(ks) * len(self.oracles)
+            2 * len(queries) * len(ks) * len(self.oracles)
         )
         return self.constants
 

@@ -202,11 +202,8 @@ class BlockTable:
         Binary search over the sorted starts; the disjointness
         invariant makes the candidate unique.
         """
-        codes, ends, _, _, _ = self.mirror or self.build_mirror()
-        i = bisect_right(codes, cell_code) - 1
-        if i >= 0 and cell_code < ends[i]:
-            return i
-        return -1
+        hit = self.lookup(cell_code)
+        return -1 if hit is None else hit[3]
 
     def overlapping(self, lo: int, hi: int) -> range:
         """Row indices of blocks intersecting the code range ``[lo, hi)``.

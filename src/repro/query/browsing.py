@@ -34,27 +34,37 @@ from repro.query.location import resolve_location
 from repro.query.results import KNNResult, Neighbor
 from repro.query.stats import QueryStats, counted_clock
 from repro.silc.index import SILCIndex
-from repro.silc.intervals import DistanceInterval, invalid_bounds
+from repro.silc.intervals import checked_bounds
 from repro.silc.refinement import RefinementCounter
 
 _NODE = 0
 _OBJECT = 1
 
 
+def _single(values: list[float]) -> float:
+    return values[0]
+
+
 class _Frontier:
-    """A best-first frontier over the object index (shared machinery)."""
+    """A best-first frontier over the object index (shared machinery).
+
+    Owns the per-operator state: one :class:`QueryHandle` per query
+    location (sharing one refinement counter), the counted stats and
+    the priority queue.
+    """
 
     def __init__(
-        self,
-        index: SILCIndex,
-        object_index: ObjectIndex,
-        handles: list[QueryHandle],
-        stats: QueryStats,
-        combine,
+        self, index: SILCIndex, object_index: ObjectIndex, queries: Sequence, combine=_single
     ) -> None:
         self.object_index = object_index
-        self.handles = handles
-        self.stats = stats
+        self.stats = QueryStats()
+        self.counter = RefinementCounter()
+        self.handles = [
+            QueryHandle(
+                index, object_index, resolve_location(index.network, q), self.counter
+            )
+            for q in queries
+        ]
         self.combine = combine
         self._seq = itertools.count()
         self.heap: list[tuple[float, int, int, object]] = []
@@ -100,6 +110,30 @@ class _Frontier:
                 if child_bound < bound:
                     self.push(child_bound, _NODE, child)
 
+    def confirmed(self, slack: float = 1.0) -> Iterator[_MultiState]:
+        """Object states in confirmation order, refining on collisions.
+
+        A popped state is confirmed once its upper bound is within
+        ``slack`` times the best lower bound still queued (``1.0``:
+        certainly no farther than anything remaining).
+        """
+        while self.heap:
+            _, _, kind, payload = heapq.heappop(self.heap)
+            if kind == _NODE:
+                self.expand_node(payload, math.inf)
+            elif payload.hi <= self.top_lo() * slack:
+                self.stats.confirmations += 1
+                yield payload
+            else:
+                self.stats.collisions += 1
+                payload.refine()
+                self.push(payload.lo, _OBJECT, payload)
+
+    def result(self, states: list[_MultiState], t_start: float) -> KNNResult:
+        neighbors = [Neighbor.from_state(s) for s in states]
+        self.stats.elapsed = counted_clock() - t_start
+        return KNNResult(neighbors=neighbors, stats=self.stats, ordered=True)
+
 
 class _MultiState:
     """Aggregate distance state over one object and several handles.
@@ -118,16 +152,10 @@ class _MultiState:
         self.combine = combine
         self.lo, self.hi = self._fold()
 
-    def _fold(self) -> tuple[float, float]:
+    def _fold(self, prev_lo=0.0, prev_hi=math.inf) -> tuple[float, float]:
         lo = self.combine([p.lo for p in self.parts])
         hi = self.combine([p.hi for p in self.parts])
-        if not (0.0 <= lo <= hi):
-            raise invalid_bounds(lo, hi)
-        return lo, hi
-
-    @property
-    def interval(self) -> DistanceInterval:
-        return DistanceInterval(self.lo, self.hi)
+        return checked_bounds(lo, hi, prev_lo, prev_hi)
 
     def refine(self) -> bool:
         widest = None
@@ -142,14 +170,7 @@ class _MultiState:
         # Refold even when the widest alternative only resolved
         # internally (refine() returned False).
         progressed = widest.refine()
-        lo, hi = self._fold()
-        if lo != hi:
-            lo = max(lo, self.lo)
-            hi = min(hi, self.hi)
-            if lo > hi:
-                lo = hi = (lo + hi) / 2.0
-        self.lo = lo
-        self.hi = hi
+        self.lo, self.hi = self._fold(self.lo, self.hi)
         return progressed
 
     def refine_fully(self) -> float:
@@ -157,10 +178,6 @@ class _MultiState:
             p.refine_fully()
         self.lo, self.hi = self._fold()
         return self.lo
-
-
-def _single(values: list[float]) -> float:
-    return values[0]
 
 
 def browse(
@@ -174,25 +191,8 @@ def browse(
     Emitted ``Neighbor.interval`` values are certified not to overlap
     any later emission's lower bound.
     """
-    stats = QueryStats()
-    counter = RefinementCounter()
-    position = resolve_location(index.network, query)
-    handle = QueryHandle(index, object_index, position, counter)
-    frontier = _Frontier(index, object_index, [handle], stats, _single)
-
-    while frontier.heap:
-        lo, _, kind, payload = heapq.heappop(frontier.heap)
-        if kind == _NODE:
-            frontier.expand_node(payload, math.inf)
-            continue
-        state: _MultiState = payload
-        if state.hi <= frontier.top_lo():
-            stats.confirmations += 1
-            yield Neighbor.from_state(state)
-            continue
-        stats.collisions += 1
-        state.refine()
-        frontier.push(state.lo, _OBJECT, state)
+    for state in _Frontier(index, object_index, [query]).confirmed():
+        yield Neighbor.from_state(state)
 
 
 def range_query(
@@ -208,11 +208,8 @@ def range_query(
     if radius < 0:
         raise ValueError("radius must be non-negative")
     t_start = counted_clock()
-    stats = QueryStats()
-    counter = RefinementCounter()
-    position = resolve_location(index.network, query)
-    handle = QueryHandle(index, object_index, position, counter)
-    frontier = _Frontier(index, object_index, [handle], stats, _single)
+    frontier = _Frontier(index, object_index, [query])
+    stats = frontier.stats
 
     hits: list[_MultiState] = []
     while frontier.heap:
@@ -233,11 +230,9 @@ def range_query(
             frontier.push(state.lo, _OBJECT, state)
         # else: certainly outside; drop.
 
-    stats.refinements = counter.count
+    stats.refinements = frontier.counter.count
     hits.sort(key=lambda s: s.lo)
-    neighbors = [Neighbor.from_state(s) for s in hits]
-    stats.elapsed = counted_clock() - t_start
-    return KNNResult(neighbors=neighbors, stats=stats, ordered=True)
+    return frontier.result(hits, t_start)
 
 
 def _radius_pad(radius: float) -> float:
@@ -265,31 +260,10 @@ def approximate_knn(
     if k < 1:
         raise ValueError("k must be at least 1")
     t_start = counted_clock()
-    stats = QueryStats()
-    counter = RefinementCounter()
-    position = resolve_location(index.network, query)
-    handle = QueryHandle(index, object_index, position, counter)
-    frontier = _Frontier(index, object_index, [handle], stats, _single)
-
-    confirmed: list[_MultiState] = []
-    while frontier.heap and len(confirmed) < k:
-        lo, _, kind, payload = heapq.heappop(frontier.heap)
-        if kind == _NODE:
-            frontier.expand_node(payload, math.inf)
-            continue
-        state: _MultiState = payload
-        if state.hi <= frontier.top_lo() * (1.0 + epsilon):
-            stats.confirmations += 1
-            confirmed.append(state)
-            continue
-        stats.collisions += 1
-        state.refine()
-        frontier.push(state.lo, _OBJECT, state)
-
-    stats.refinements = counter.count
-    neighbors = [Neighbor.from_state(s) for s in confirmed]
-    stats.elapsed = counted_clock() - t_start
-    return KNNResult(neighbors=neighbors, stats=stats, ordered=True)
+    frontier = _Frontier(index, object_index, [query])
+    confirmed = list(itertools.islice(frontier.confirmed(1.0 + epsilon), k))
+    frontier.stats.refinements = frontier.counter.count
+    return frontier.result(confirmed, t_start)
 
 
 def aggregate_nn(
@@ -311,37 +285,15 @@ def aggregate_nn(
         raise ValueError(f"unknown aggregate {agg!r}")
     if not queries:
         raise ValueError("at least one query location required")
-    combine = sum if agg == "sum" else max
     t_start = counted_clock()
-    stats = QueryStats()
-    counter = RefinementCounter()
-    handles = [
-        QueryHandle(index, object_index, resolve_location(index.network, q), counter)
-        for q in queries
-    ]
-    frontier = _Frontier(index, object_index, handles, stats, combine)
-
-    confirmed: list[_MultiState] = []
-    while frontier.heap and len(confirmed) < k:
-        lo, _, kind, payload = heapq.heappop(frontier.heap)
-        if kind == _NODE:
-            frontier.expand_node(payload, math.inf)
-            continue
-        state: _MultiState = payload
-        if state.hi <= frontier.top_lo():
-            stats.confirmations += 1
-            confirmed.append(state)
-            continue
-        stats.collisions += 1
-        state.refine()
-        frontier.push(state.lo, _OBJECT, state)
-
-    stats.refinements = counter.count
+    frontier = _Frontier(
+        index, object_index, queries, sum if agg == "sum" else max
+    )
+    confirmed = list(itertools.islice(frontier.confirmed(), k))
+    frontier.stats.refinements = frontier.counter.count
     for s in confirmed:
         s.refine_fully()
-    neighbors = [Neighbor.from_state(s) for s in confirmed]
-    stats.elapsed = counted_clock() - t_start
-    return KNNResult(neighbors=neighbors, stats=stats, ordered=True)
+    return frontier.result(confirmed, t_start)
 
 
 def distance_join(

@@ -10,7 +10,6 @@ best-first engine needs.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 from repro.objects.index import ObjectIndex
 from repro.objects.model import NetworkPosition, SpatialObject
@@ -22,7 +21,7 @@ from repro.query.location import (
 )
 from repro.quadtree.pmr import PMRNode
 from repro.silc.index import SILCIndex
-from repro.silc.intervals import DistanceInterval, invalid_bounds
+from repro.silc.intervals import DistanceInterval, checked_bounds, invalid_bounds
 from repro.silc.refinement import RefinableDistance, RefinementCounter
 
 
@@ -50,25 +49,15 @@ class ObjectDistanceState:
             raise ValueError("an object distance needs at least one alternative")
         self.oid = oid
         self.components = components
-        self.direct = direct
-        lo = hi = math.inf if direct is None else direct
-        for comp in components:
-            if comp.lo < lo:
-                lo = comp.lo
-            if comp.hi < hi:
-                hi = comp.hi
-        if not (0.0 <= lo <= hi):
-            raise invalid_bounds(lo, hi)
-        self.lo = lo
-        self.hi = hi
+        self.direct = math.inf if direct is None else direct
+        self.lo, self.hi = checked_bounds(
+            min([self.direct, *(c.lo for c in components)]),
+            min([self.direct, *(c.hi for c in components)]),
+        )
 
     @property
     def interval(self) -> DistanceInterval:
         return DistanceInterval(self.lo, self.hi)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.lo == self.hi
 
     def refine(self) -> bool:
         """One refinement step on the component defining the lower bound.
@@ -89,10 +78,9 @@ class ObjectDistanceState:
             self.hi = self.lo
             return False
         best.refine()
-        # The same fold as __init__, kept inline: this is the search
-        # loop's hot path and a helper would cost a frame per step.
-        direct = self.direct
-        lo = hi = math.inf if direct is None else direct
+        # The min-fold of __init__ as a loop: this is the search loop's
+        # hot path, and a helper would cost a frame per step.
+        lo = hi = self.direct
         for comp in self.components:
             if comp.lo < lo:
                 lo = comp.lo
@@ -140,15 +128,7 @@ class QueryHandle:
         # any network path is at least this multiple of straight-line
         # distance (see SpatialNetwork.min_euclidean_ratio).
         self._euclid_slope = network.min_euclidean_ratio()
-
-    @cached_property
-    def _anchor_columns(self) -> list[tuple[int, float, list[float]]]:
-        """``(anchor, offset, bound column)``: one column per anchor,
-        computed on the first block bound and shared by every PMR node
-        this query bounds (see :meth:`SILCIndex.bound_column`)."""
-        return [
-            (av, a_off, self.index.bound_column(av)) for av, a_off in self.anchors
-        ]
+        self._anchor_columns: list[tuple[int, float, list[float]]] | None = None
 
     # ------------------------------------------------------------------
     # Distances
@@ -180,6 +160,11 @@ class QueryHandle:
         rect = self.object_index.node_rect(node)
         euclid = self._euclid_slope * rect.min_distance_to_point(self.point)
         lam = math.inf
+        if self._anchor_columns is None:
+            # One bound column per anchor, shared by every node bounded.
+            self._anchor_columns = [
+                (av, off, self.index.bound_column(av)) for av, off in self.anchors
+            ]
         for av, a_off, column in self._anchor_columns:
             bound = self.index.block_lower_bound(
                 av, node.code, node.level, column=column

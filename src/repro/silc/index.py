@@ -239,8 +239,6 @@ class SILCIndex:
         """Distance interval from the lambda annotations (one probe)."""
         self.network.check_vertex(source)
         self.network.check_vertex(target)
-        if source == target:
-            return DistanceInterval.exact(0.0)
         _, lo, hi = self.hop_and_interval(source, target)
         return DistanceInterval(lo, hi)
 
@@ -326,10 +324,7 @@ class SILCIndex:
         a non-concurrent simulator, and its probes are counted
         separately in its own stats.
         """
-        if column is None:
-            column = self.bound_column(source)
-        else:
-            self.network.check_vertex(source)
+        self.network.check_vertex(source)
         table = self.tables[source]
         lo_code = code
         hi_code = code + block_cells(level)
@@ -338,6 +333,8 @@ class SILCIndex:
             return float("inf")
         if self.storage is not None and account:
             self.storage.touch_range(source, rows.start, rows.stop)
+        if column is None:
+            column = self.bound_column(source)
         codes, ends, _, lam_min, _ = table.mirror
         # Aligned Morton blocks either nest or are disjoint, so the
         # intersection of each overlapping block with the query block
@@ -348,11 +345,9 @@ class SILCIndex:
         if codes[rows.start] >= lo_code and ends[rows.stop - 1] <= hi_code:
             best = min(column[rows.start : rows.stop])
         else:
-            px = self._xf[source]
-            py = self._yf[source]
             query_dist = self.embedding.block_world_rect(
                 code, level
-            ).min_distance_to_point_xy(px, py)
+            ).min_distance_to_point_xy(self._xf[source], self._yf[source])
             best = min(
                 column[i]
                 if codes[i] >= lo_code and ends[i] <= hi_code

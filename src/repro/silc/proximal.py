@@ -109,12 +109,13 @@ class ProximalSILCIndex(SILCIndex):
     def hop_and_interval(
         self, source: int, target: int
     ) -> tuple[int, float, float]:
-        # The probed record counts as a page access either way: it had
-        # to be read to learn that the target is beyond the horizon.
-        hop, lo, hi = super().hop_and_interval(source, target)
-        if hop == BEYOND:
-            raise BeyondHorizonError(source, target, self.radius)
-        return hop, lo, hi
+        # Horizon check first, on an unaccounted lookup: a probe that
+        # raises BeyondHorizonError counts no page access.
+        if source != target:
+            hit = self.tables[source].lookup(self._vcodes[target])
+            if hit is not None and hit[0] == BEYOND:
+                raise BeyondHorizonError(source, target, self.radius)
+        return super().hop_and_interval(source, target)
 
     def within_horizon(self, source: int, target: int) -> bool:
         """Whether a direct probe from ``source`` can answer ``target``."""

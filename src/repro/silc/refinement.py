@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.silc.intervals import DistanceInterval, invalid_bounds
+from repro.silc.intervals import DistanceInterval, checked_bounds, invalid_bounds
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.silc.index import SILCIndex
@@ -72,17 +72,8 @@ class RefinableDistance:
         self.via = source
         self.acc = offset
         self._counter = counter
-        if source == target:
-            self._next_hop = target
-            lo = hi = offset
-        else:
-            self._next_hop, lo, hi = index.hop_and_interval(source, target)
-            lo += offset
-            hi += offset
-        if not (0.0 <= lo <= hi):
-            raise invalid_bounds(lo, hi)
-        self.lo = lo
-        self.hi = hi
+        self._next_hop, lo, hi = index.hop_and_interval(source, target)
+        self.lo, self.hi = checked_bounds(lo + offset, hi + offset)
 
     # ------------------------------------------------------------------
     # Interval access

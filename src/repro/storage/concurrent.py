@@ -129,14 +129,7 @@ class ShardedStorageSimulator:
     # Access interface used by SILCIndex
     # ------------------------------------------------------------------
     def touch(self, table: int, record: int) -> None:
-        # Same inline page arithmetic as StorageSimulator.touch.
-        layout = self.layout
-        sizes = layout.table_sizes
-        if 0 <= table < len(sizes) and 0 <= record < (sizes[table] or 1):
-            page = layout.page_offsets[table] + record // layout.records_per_page
-        else:
-            page = layout.page_of(table, record)
-        hit = self._shard().access(page)
+        hit = self._shard().access(self.layout.page_of(table, record))
         if not hit and self.sleep_per_miss:
             time.sleep(self.sleep_per_miss)
 

@@ -69,6 +69,23 @@ class TestQueries:
         with pytest.raises(BeyondHorizonError):
             prox.interval_from(u, v)
 
+    def test_beyond_horizon_probe_counts_no_page_access(self, proximal_setup):
+        """Only answered probes are accounted; one that raises is not."""
+        net, D, radius, prox = proximal_setup
+        u = 0
+        far = int(np.argmax(D[u]))
+        near = int(np.argsort(D[u])[1])
+        storage = prox.make_storage()
+        prox.attach_storage(storage)
+        try:
+            with pytest.raises(BeyondHorizonError):
+                prox.hop_and_interval(u, far)
+            assert storage.stats.accesses == 0
+            prox.hop_and_interval(u, near)
+            assert storage.stats.accesses == 1
+        finally:
+            prox.detach_storage()
+
     def test_within_horizon_predicate(self, proximal_setup):
         net, D, radius, prox = proximal_setup
         for u in range(0, net.num_vertices, 13):
