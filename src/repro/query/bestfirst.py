@@ -335,7 +335,9 @@ def best_first_knn(
             result_queue.update(state.oid, state.hi)
         if kmin_tracker is not None:
             kmin_tracker.replace(old_lo, state.lo)
-        if state.lo < prune_bound():
+        # ``<=``: an object that is itself the k-th entry of L and just
+        # became exact has lo == Dk; dropping it confirms a farther one.
+        if state.lo <= prune_bound():
             push(state.lo, _OBJECT, state)
 
     stats.refinements = counter.count

@@ -6,7 +6,9 @@ import pytest
 from repro.datasets import random_edge_objects, random_vertex_objects
 from repro.objects import EdgePosition, ObjectIndex
 from repro.query import SILC_ALGORITHMS, inn, knn, knn_i, knn_m
+from repro.network import road_like_network
 from repro.query.bestfirst import best_first_knn
+from repro.silc import SILCIndex
 
 ALGORITHMS = list(SILC_ALGORITHMS.items())
 
@@ -220,3 +222,23 @@ class TestVariantRelationships:
             total_knn += knn(small_index, oi, q, 3).stats.queue_pushes
             total_inn += inn(small_index, oi, q, 3).stats.queue_pushes
         assert total_knn <= total_inn
+
+
+class TestKthEntryTie:
+    def test_knn_keeps_its_own_kth_entry_when_it_becomes_exact(self):
+        """When the object that is currently k-th in ``L`` becomes
+        exact, ``Dk`` equals its distance; a strict re-enqueue test
+        dropped it and confirmed a farther object (61 @ 4.7798 here)."""
+        net = road_like_network(1000, seed=204)
+        index = SILCIndex.build(net)
+        objects = random_vertex_objects(net, count=100, seed=204)
+        object_index = ObjectIndex(net, objects, index.embedding)
+        for exact in (True, False):
+            got = best_first_knn(index, object_index, 732, 5, variant="knn", exact=exact)
+            want = best_first_knn(index, object_index, 732, 5, variant="inn", exact=exact)
+            assert got.ids() == want.ids()
+            assert got.ids()[-1] == 14
+        assert got.stats.extras["fallback_fill"] == 1
+        exact_knn = best_first_knn(index, object_index, 732, 5, variant="knn", exact=True)
+        assert exact_knn.neighbors[-1].distance == pytest.approx(4.1232, abs=5e-5)
+
