@@ -386,7 +386,7 @@ class QueryEngine:
                 results.append(result)
         finally:
             self._restore(attached, previous)
-        stats = reduce(QueryStats.merge, (r.stats for r in results), QueryStats())
+        stats = reduce(QueryStats.add, (r.stats for r in results), QueryStats())
         return BatchResult(
             results=results, stats=stats, elapsed=perf_counter() - t_start
         )

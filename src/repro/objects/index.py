@@ -4,7 +4,9 @@ Wraps the PMR quadtree with the lookups the query algorithms need:
 
 * best-first traversal metadata (per-node rectangles, edge-object
   flags for sound block bounds),
-* the vertex -> objects map INE uses when it settles a vertex,
+* the vertex -> objects map INE uses when it settles a vertex, and
+  the tail-vertex -> edge-object map next to it (both query-independent,
+  so built once here rather than per query),
 * Euclidean best-first scans for the IER baseline.
 
 The index shares its grid embedding with the SILC index so that
@@ -22,7 +24,6 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.network.graph import SpatialNetwork
 from repro.objects.model import (
-    EdgePosition,
     ObjectSet,
     SpatialObject,
     VertexPosition,
@@ -46,6 +47,13 @@ class ObjectIndex:
         self.objects = objects
         self.tree = PMRQuadtree(embedding, capacity=bucket_capacity)
         self._vertex_objects: dict[int, list[int]] = defaultdict(list)
+        #: Tail vertex -> ``(oid, remaining)`` for every edge part: the
+        #: object lies ``remaining`` past the vertex along the part's
+        #: edge, in either direction the edge can be travelled (INE
+        #: reaches edge objects through these when it settles a vertex).
+        self.edge_candidates: dict[int, list[tuple[int, float]]] = defaultdict(list)
+        #: Objects with at least one edge part, in object order.
+        self.edge_objects: list[SpatialObject] = []
         self._edge_flags: dict[tuple[int, int], bool] = {}
         for obj in objects:
             # Extents are indexed once per part so that every part's
@@ -53,10 +61,19 @@ class ObjectIndex:
             # deduplicate by object id.
             for part in position_parts(obj.position):
                 self.tree.insert(obj.oid, position_point(network, part))
-                if isinstance(part, VertexPosition) and (
-                    obj.oid not in self._vertex_objects[part.vertex]
-                ):
-                    self._vertex_objects[part.vertex].append(obj.oid)
+                if isinstance(part, VertexPosition):
+                    if obj.oid not in self._vertex_objects[part.vertex]:
+                        self._vertex_objects[part.vertex].append(obj.oid)
+                    continue
+                if not self.edge_objects or self.edge_objects[-1] is not obj:
+                    self.edge_objects.append(obj)
+                self.edge_candidates[part.a].append(
+                    (obj.oid, part.fraction * network.edge_weight(part.a, part.b))
+                )
+                if network.has_edge(part.b, part.a):
+                    self.edge_candidates[part.b].append(
+                        (obj.oid, (1.0 - part.fraction) * network.edge_weight(part.b, part.a))
+                    )
         self._compute_edge_flags()
 
     # ------------------------------------------------------------------
@@ -69,14 +86,7 @@ class ObjectIndex:
         nodes flagged here additionally take the (weaker but sound)
         Euclidean bound at query time.
         """
-        edge_ids = {
-            o.oid
-            for o in self.objects
-            if any(
-                isinstance(part, EdgePosition)
-                for part in position_parts(o.position)
-            )
-        }
+        edge_ids = {o.oid for o in self.edge_objects}
 
         def walk(node: PMRNode) -> bool:
             if node.is_leaf:

@@ -17,7 +17,7 @@ import math
 
 from repro.network.dijkstra import IncrementalDijkstra
 from repro.objects.index import ObjectIndex
-from repro.objects.model import EdgePosition, position_parts
+from repro.objects.model import VertexPosition
 from repro.query.location import resolve_location, same_edge_direct, source_anchors
 from repro.query.results import KNNResult, Neighbor
 from repro.query.stats import QueryStats, counted_clock
@@ -43,26 +43,19 @@ def ine_knn(object_index: ObjectIndex, query, k: int, storage=None) -> KNNResult
     io_before = storage.snapshot() if storage is not None else None
 
     # Edge(-part) objects become reachable when either endpoint settles.
-    edge_candidates: dict[int, list[tuple[int, float]]] = {}
-    for obj in object_index.objects:
-        for pos in position_parts(obj.position):
-            if not isinstance(pos, EdgePosition):
-                continue
-            w_fwd = network.edge_weight(pos.a, pos.b)
-            edge_candidates.setdefault(pos.a, []).append(
-                (obj.oid, pos.fraction * w_fwd)
-            )
-            if network.has_edge(pos.b, pos.a):
-                w_rev = network.edge_weight(pos.b, pos.a)
-                edge_candidates.setdefault(pos.b, []).append(
-                    (obj.oid, (1.0 - pos.fraction) * w_rev)
-                )
+    edge_candidates = object_index.edge_candidates
 
-    best: dict[int, float] = {}
-    for obj in object_index.objects:
-        direct = same_edge_direct(network, position, obj.position)
-        if direct is not None:
-            best[obj.oid] = min(best.get(obj.oid, math.inf), direct)
+    # Objects reachable without passing through a vertex: those at a
+    # vertex query itself, or downstream on an edge query's own edge.
+    best: dict[int, float]
+    if isinstance(position, VertexPosition):
+        best = dict.fromkeys(object_index.objects_at_vertex(position.vertex), 0.0)
+    else:
+        best = {
+            obj.oid: direct
+            for obj in object_index.edge_objects
+            if (direct := same_edge_direct(network, position, obj.position)) is not None
+        }
 
     def kth_best() -> float:
         if len(best) < k:

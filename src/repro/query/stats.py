@@ -86,30 +86,38 @@ class QueryStats:
 
     extras: dict = field(default_factory=dict)
 
+    def add(self, other: QueryStats) -> QueryStats:
+        """Sum ``other``'s counters into this one, in place; returns self."""
+        for name in _SUMMED:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        return self
+
     def merge(self, other: QueryStats) -> QueryStats:
         """Sum counters across queries (for workload averages)."""
-        merged = QueryStats()
-        for name in (
-            "refinements",
-            "max_queue",
-            "queue_pushes",
-            "objects_seen",
-            "leaf_expansions",
-            "nonleaf_expansions",
-            "collisions",
-            "confirmations",
-            "kmindist_accepts",
-            "l_ops",
-            "settled",
-            "relaxed",
-            "index_probes",
-            "nd_computations",
-            "label_scans",
-            "io_accesses",
-            "io_misses",
-        ):
-            setattr(merged, name, getattr(self, name) + getattr(other, name))
-        merged.l_time = self.l_time + other.l_time
-        merged.io_time = self.io_time + other.io_time
-        merged.elapsed = self.elapsed + other.elapsed
-        return merged
+        return QueryStats().add(self).add(other)
+
+
+#: The fields :meth:`QueryStats.add` sums (estimator values and extras
+#: describe one query and have no sum).
+_SUMMED = (
+    "refinements",
+    "max_queue",
+    "queue_pushes",
+    "objects_seen",
+    "leaf_expansions",
+    "nonleaf_expansions",
+    "collisions",
+    "confirmations",
+    "kmindist_accepts",
+    "l_ops",
+    "settled",
+    "relaxed",
+    "index_probes",
+    "nd_computations",
+    "label_scans",
+    "io_accesses",
+    "io_misses",
+    "l_time",
+    "io_time",
+    "elapsed",
+)

@@ -43,6 +43,7 @@ from __future__ import annotations
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Iterable
+from functools import partial
 
 from repro.engine import BatchResult, QueryEngine
 from repro.query.results import KNNResult
@@ -159,7 +160,7 @@ class AsyncEngine:
         if self._closed:
             raise RuntimeError("AsyncEngine is closed")
         return await asyncio.get_running_loop().run_in_executor(
-            self._executor, lambda: fn(*args, **kwargs)
+            self._executor, partial(fn, *args, **kwargs)
         )
 
     def _effective_oracle(self, oracle: str | None) -> str:
@@ -224,6 +225,10 @@ class AsyncEngine:
 
     async def distance(self, source: int, target: int) -> float:
         return await self._run(self.engine.index.distance, source, target)
+
+    async def route(self, source: int, target: int) -> tuple[list[int], float]:
+        """Path and distance in one executor trip (one index walk)."""
+        return await self._run(self.engine.index.route, source, target)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -19,7 +19,7 @@ forgetting the delay history of clients idle past the cap.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.obs.registry import percentiles
 from repro.query.stats import QueryStats
@@ -114,7 +114,8 @@ class ServerMetrics:
         self.latencies = deque(self.latencies, maxlen=self.window)
         self.sched_delays = OrderedDict(self.sched_delays)
 
-    def record_completed(self, client: str, latency: float, sched_delay: int, stats: QueryStats | None = None) -> None:
+    def record_completed(self, client: str, latency: float, sched_delay: int, *stats: QueryStats) -> None:
+        """One completed response; ``stats`` are its chunks' counters."""
         self.served += 1
         self.latencies.append(latency)
         delays = self.sched_delays.get(client)
@@ -125,8 +126,8 @@ class ServerMetrics:
         delays.append(sched_delay)
         while len(self.sched_delays) > self.max_clients:
             self.sched_delays.popitem(last=False)
-        if stats is not None:
-            self.stats = self.stats.merge(stats)
+        for chunk_stats in stats:
+            self.stats.add(chunk_stats)
 
     def record_shed(self) -> None:
         self.shed += 1
@@ -162,7 +163,7 @@ class ServerMetrics:
             p99=p99,
             queue_depths=dict(queue_depths or {}),
             in_flight=in_flight,
-            stats=self.stats,
+            stats=replace(self.stats),  # the accumulator keeps counting
             deadline_aborts=self.deadline_aborts,
             degraded=self.degraded,
         )

@@ -25,15 +25,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 import time
 from dataclasses import dataclass, field
-from functools import reduce
 from collections.abc import Callable
 from typing import TextIO
 
 from repro.errors import DeadlineExceeded
 from repro.obs.trace import NullTracer
-from repro.query.stats import QueryStats
 from repro.serve.admission import AdmissionController
 from repro.serve.engine import AsyncEngine
 from repro.serve.metrics import MetricsSnapshot, ServerMetrics
@@ -104,7 +103,10 @@ class SILCServer:
         self.metrics = metrics if metrics is not None else ServerMetrics()
         self.tracer = tracer if tracer is not None else NullTracer()
         self.clock = clock
-        self._cond: asyncio.Condition | None = None
+        # Pending while the dispatcher sleeps on an empty scheduler.
+        # Everything that touches the scheduler runs on the loop
+        # thread, so a bare future is all the wake-up needs.
+        self._wake: asyncio.Future | None = None
         self._dispatcher: asyncio.Task | None = None
         self._stopping = False
         # id(request) -> _Pending, for chunks to find their assembly state.
@@ -117,7 +119,6 @@ class SILCServer:
         if self._dispatcher is not None:
             raise RuntimeError("server already started")
         self._stopping = False
-        self._cond = asyncio.Condition()
         self._dispatcher = asyncio.create_task(self._dispatch_loop())
 
     async def stop(self) -> None:
@@ -125,10 +126,13 @@ class SILCServer:
         if self._dispatcher is None:
             return
         self._stopping = True
-        async with self._cond:
-            self._cond.notify_all()
+        self._wake_dispatcher()
         await self._dispatcher
         self._dispatcher = None
+
+    def _wake_dispatcher(self) -> None:
+        if self._wake is not None and not self._wake.done():
+            self._wake.set_result(None)
 
     async def __aenter__(self) -> SILCServer:
         await self.start()
@@ -168,10 +172,9 @@ class SILCServer:
             trace=trace,
             wait_span=trace.begin("sched_wait"),
         )
-        async with self._cond:
-            self.scheduler.submit(request)
-            self._pending_by_request[id(request)] = pending
-            self._cond.notify_all()
+        self.scheduler.submit(request)
+        self._pending_by_request[id(request)] = pending
+        self._wake_dispatcher()
         try:
             return await pending.future
         finally:
@@ -226,16 +229,16 @@ class SILCServer:
     # Dispatch
     # ------------------------------------------------------------------
     async def _dispatch_loop(self) -> None:
+        loop = asyncio.get_running_loop()
         while True:
-            async with self._cond:
-                while not self._stopping and len(self.scheduler) == 0:
-                    await self._cond.wait()
-                chunk = self.scheduler.next_chunk()
-            if chunk is None:
-                if self._stopping:
-                    return
-                continue
-            await self._execute(chunk)
+            chunk = self.scheduler.next_chunk()
+            if chunk is not None:
+                await self._execute(chunk)
+            elif self._stopping:
+                return
+            else:
+                self._wake = loop.create_future()
+                await self._wake
 
     async def _execute(self, chunk: Chunk) -> None:
         pending = self._pending_by_request.get(id(chunk.request))
@@ -273,10 +276,8 @@ class SILCServer:
         try:
             with pending.trace.span("execute", kind=request.kind):
                 if request.kind == "path":
-                    source, target = chunk.queries
-                    path = await self.engine.path(source, target)
-                    distance = await self.engine.distance(source, target)
-                    result = {"path": list(path), "distance": distance}
+                    path, distance = await self.engine.route(*chunk.queries)
+                    result = {"path": path, "distance": distance}
                 elif request.kind == "distance":
                     source, target = chunk.queries
                     result = {"distance": await self.engine.distance(source, target)}
@@ -329,13 +330,14 @@ class SILCServer:
             return
         latency = self.clock() - pending.submitted
         sched_delay = self.scheduler.sched_delay(request)
-        # QueryStats.merge drops extras, so the degraded marker must be
-        # read off the per-chunk stats before the reduce.
+        # Summing QueryStats drops extras, so the degraded marker is
+        # read off the per-chunk stats.
         degraded = any(
             s.extras.get("degraded_shards") for s in pending.stats
         )
-        stats = reduce(QueryStats.merge, pending.stats, QueryStats())
-        self.metrics.record_completed(request.client, latency, sched_delay, stats)
+        self.metrics.record_completed(
+            request.client, latency, sched_delay, *pending.stats
+        )
         if degraded:
             self.metrics.record_degraded()
         self._finish(
@@ -368,35 +370,64 @@ async def serve_jsonl(
     One JSON object per input line (see
     :func:`~repro.serve.protocol.request_from_dict` for the shape);
     responses are written in *completion* order, each echoing the
-    request ``id``.  Reading happens on a worker thread so slow
-    producers never stall queries already in the pipeline.  Returns
-    the final metrics snapshot at EOF.
+    request ``id``.  One reader thread (the same for a pipe and a file)
+    hands each line to the loop, so slow producers never stall queries
+    already in the pipeline.  Returns the final metrics snapshot at
+    EOF; a failure of the reader or of a request handler (a closed
+    ``out_stream``, say) is raised when it happens, not at EOF.
     """
     loop = asyncio.get_running_loop()
+    finished = loop.create_future()  # None at EOF, or the first failure
+    live: set[asyncio.Task] = set()  # requests not yet answered
 
     def emit(record: dict) -> None:
         out_stream.write(json.dumps(record) + "\n")
         out_stream.flush()
 
-    async def handle(request: Request) -> None:
-        response = await server.submit(request)
-        emit(response_to_dict(response))
+    async def handle(line: str) -> None:
+        try:
+            request = request_from_dict(json.loads(line))
+        except (ValueError, KeyError, TypeError) as exc:
+            emit({"status": "error", "error": f"bad request: {exc}"})
+            return
+        emit(response_to_dict(await server.submit(request)))
 
+    def finish(error: BaseException | None) -> None:
+        if not finished.done():
+            finished.set_result(error)
+
+    def retire(task: asyncio.Task) -> None:
+        live.discard(task)
+        if not task.cancelled() and task.exception() is not None:
+            finish(task.exception())
+
+    def accept(line: str) -> None:
+        task = loop.create_task(handle(line))
+        live.add(task)
+        task.add_done_callback(retire)
+
+    def read_lines() -> None:
+        error = None
+        try:
+            for line in iter(in_stream.readline, ""):
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    loop.call_soon_threadsafe(accept, line)
+        except Exception as exc:  # noqa: BLE001 - handed to the loop below
+            error = exc
+        try:
+            loop.call_soon_threadsafe(finish, error)
+        except RuntimeError:
+            pass  # loop already closed: serve_jsonl gave up before EOF
+
+    # Not a daemon: one killed inside readline() at interpreter exit
+    # takes the process down with it (the stream's buffer lock).  After
+    # a failure the thread therefore lives until ``in_stream`` ends.
+    reader = threading.Thread(target=read_lines, name="repro-serve-reader")
     async with server:
-        tasks: list[asyncio.Task] = []
-        while True:
-            line = await loop.run_in_executor(None, in_stream.readline)
-            if not line:
-                break
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                request = request_from_dict(json.loads(line))
-            except (ValueError, KeyError, TypeError) as exc:
-                emit({"status": "error", "error": f"bad request: {exc}"})
-                continue
-            tasks.append(asyncio.create_task(handle(request)))
-        if tasks:
-            await asyncio.gather(*tasks)
+        reader.start()
+        if (error := await finished) is not None:
+            raise error
+        reader.join()
+        await asyncio.gather(*live)
     return server.snapshot()

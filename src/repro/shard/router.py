@@ -371,7 +371,7 @@ class PartitionRouter:
             Neighbor(oid, DistanceInterval.exact(d), distance=d)
             for oid, d in top
         ]
-        merged = reduce(QueryStats.merge, worker_stats, QueryStats())
+        merged = reduce(QueryStats.add, worker_stats, QueryStats())
         merged.extras["shards_considered"] = len(order)
         merged.extras["shards_visited"] = visited
         merged.extras["shards_pruned"] = pruned_e + pruned_l
@@ -441,7 +441,7 @@ class PartitionRouter:
             results.append(
                 self.knn(query, k, variant=variant, trace=trace, time_cap=budget)
             )
-        stats = reduce(QueryStats.merge, (r.stats for r in results), QueryStats())
+        stats = reduce(QueryStats.add, (r.stats for r in results), QueryStats())
         return BatchResult(
             results=results, stats=stats, elapsed=perf_counter() - t_start
         )

@@ -8,6 +8,7 @@ precompute); querying it answers, in far less than a Dijkstra search:
   block-table point location),
 * ``path(u, v)``            -- the whole path in size-of-path steps,
 * ``distance(u, v)``        -- exact network distance,
+* ``route(u, v)``           -- both of the above from one walk,
 * ``interval_from(u, v)``   -- a ``[lambda_min*d_E, lambda_max*d_E]``
   distance interval without touching the path,
 * ``refinable(u, v)``       -- a progressively refinable distance,
@@ -275,6 +276,26 @@ class SILCIndex:
     def distance(self, source: int, target: int) -> float:
         """Exact network distance (full refinement of the path)."""
         return self.refinable(source, target).refine_fully()
+
+    def route(self, source: int, target: int) -> tuple[list[int], float]:
+        """``(path(s, t), distance(s, t))`` from one refinement walk.
+
+        The vias a full refinement passes through *are* the path, so
+        one walk yields both, bit for bit, at half the probes.  Keeps
+        :meth:`~RefinableDistance.refine`'s bound checks and
+        :meth:`path`'s guard against a next-hop cycle.
+        """
+        state = self.refinable(source, target)
+        path = [source]
+        guard = self.network.num_vertices
+        while state.refine():
+            path.append(state.via)
+            if len(path) > guard:
+                raise RuntimeError(
+                    f"path {source}->{target} exceeded {guard} vertices; "
+                    "the index next-hop data is inconsistent"
+                )
+        return path, state.acc
 
     # ------------------------------------------------------------------
     # Block-level lower bounds (for the object-index traversal)

@@ -5,9 +5,10 @@ CI's planner-parity smoke runs the same request file through
 Responses arrive in completion order and carry timing fields, so a
 textual diff cannot work; this script pairs responses by request id
 and compares the answers themselves: every response must be
-``status: ok``, neighbor ids must match exactly, and distances must
-agree to within floating-point tolerance (backends sum the same
-shortest path in different association orders).
+``status: ok``, neighbor ids (``knn`` / ``knn_batch``) and paths
+(``path``) must match exactly, and distances must agree to within
+floating-point tolerance (backends sum the same shortest path in
+different association orders).
 
 Usage: compare_serve_outputs.py A.out B.out [--expect N]
 """
@@ -34,7 +35,11 @@ def load(path: str) -> dict[int, dict]:
 
 
 def answer(record: dict) -> tuple[list, list]:
-    return record["ids"], record["distances"]
+    """``(exact fields, float fields)`` of any request kind's reply."""
+    return (
+        [record.get(k) for k in ("ids", "path")],
+        [record.get(k, 0.0) for k in ("distances", "distance")],
+    )
 
 
 def close(a, b) -> bool:
@@ -64,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
         ids_b, dists_b = answer(cand[rid])
         if ids_a != ids_b:
             raise SystemExit(
-                f"request {rid}: neighbor ids differ: {ids_a} vs {ids_b}"
+                f"request {rid}: ids/path differ: {ids_a} vs {ids_b}"
             )
         if not close(dists_a, dists_b):
             raise SystemExit(
