@@ -1,9 +1,8 @@
 """Persistent benchmark trajectories behind ``repro bench-report``.
 
-Two append-only history files under ``benchmarks/results/``:
-
-**Build times** (``build_times.txt``): every fresh benchmark index
-build appends one line (see :func:`append_build_time`)::
+One append-only history file under ``benchmarks/results/``,
+``build_times.txt``: every fresh benchmark index build appends one
+line (see :func:`append_build_time`)::
 
     2026-07-29T14:30:10 n=3000 seed=42 workers=1 chunk_size=256 shards=1 oracle=silc seconds=5.162
 
@@ -16,17 +15,8 @@ rows instead of overwriting the ``workers`` history.  This module
 parses the accumulated history and renders the per-configuration
 trajectory table behind the ``repro bench-report`` CLI subcommand --
 the ROADMAP's "track the precompute cost from PR to PR without
-re-running old revisions" item.
-
-**Serve latencies** (``serve_latency.txt``): ``repro trace-report
---record`` appends the request-level percentiles of a traced serving
-run (see :func:`append_serve_latency`)::
-
-    2026-08-07T09:12:44 requests=64 shards=2 p50=0.0021 p95=0.0054 p99=0.0080
-
-Percentiles are in seconds.  This is the trajectory the CI
-p95-regression gate (``tools/check_serve_regression.py``) compares
-fresh runs against.
+re-running old revisions" item.  (Serving latency is measured by the
+closed-loop benchmark, ``python3 bench/run.py --compare``.)
 """
 
 from __future__ import annotations
@@ -43,11 +33,6 @@ from repro.integrity import append_record
 #: finds it from any working directory.
 DEFAULT_PATH = (
     Path(__file__).resolve().parents[2] / "benchmarks" / "results" / "build_times.txt"
-)
-
-#: Default serving-latency trajectory (same anchoring as DEFAULT_PATH).
-SERVE_LATENCY_PATH = (
-    Path(__file__).resolve().parents[2] / "benchmarks" / "results" / "serve_latency.txt"
 )
 
 
@@ -191,110 +176,3 @@ def report_file(path: str | Path) -> str:
     if not path.exists():
         return f"no build-times history at {path}"
     return format_report(parse_build_times(path.read_text()))
-
-
-# ----------------------------------------------------------------------
-# The serving-latency trajectory (fed by `repro trace-report --record`)
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ServeLatencyRecord:
-    """One recorded serving run's request-latency percentiles (seconds)."""
-
-    stamp: str
-    requests: int
-    shards: int
-    p50: float
-    p95: float
-    p99: float
-
-
-def append_serve_latency(
-    requests: int,
-    shards: int,
-    p50: float,
-    p95: float,
-    p99: float,
-    path: str | Path = SERVE_LATENCY_PATH,
-) -> None:
-    """Append one serving run's percentiles to the latency trajectory."""
-    stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
-    append_record(
-        path,
-        f"{stamp} requests={requests} shards={shards} "
-        f"p50={p50:.6f} p95={p95:.6f} p99={p99:.6f}",
-    )
-
-
-def parse_serve_latency(text: str) -> list[ServeLatencyRecord]:
-    """Parse the latency trajectory; malformed lines raise, named."""
-    records: list[ServeLatencyRecord] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        try:
-            stamp = parts[0]
-            fields = dict(p.split("=", 1) for p in parts[1:])
-            records.append(
-                ServeLatencyRecord(
-                    stamp=stamp,
-                    requests=int(fields["requests"]),
-                    shards=int(fields["shards"]),
-                    p50=float(fields["p50"]),
-                    p95=float(fields["p95"]),
-                    p99=float(fields["p99"]),
-                )
-            )
-        except (IndexError, KeyError, ValueError) as exc:
-            raise ValueError(
-                f"bad serve-latency line {lineno}: {line!r}"
-            ) from exc
-    return records
-
-
-def format_serve_report(records: list[ServeLatencyRecord]) -> str:
-    """The latency trajectory, grouped by shard count, milliseconds."""
-    if not records:
-        return "no serve latencies recorded yet"
-    groups: dict[int, list[ServeLatencyRecord]] = {}
-    for r in records:
-        groups.setdefault(r.shards, []).append(r)
-    header = (
-        "shards", "runs", "first_p95_ms", "latest_p95_ms",
-        "best_p95_ms", "median_p95_ms", "latest_p50_ms", "latest_p99_ms",
-    )
-    rows = []
-    for shards, rs in sorted(groups.items()):
-        p95s = [r.p95 for r in rs]
-        rows.append(
-            (
-                str(shards),
-                str(len(rs)),
-                f"{p95s[0] * 1e3:.2f}",
-                f"{p95s[-1] * 1e3:.2f}",
-                f"{min(p95s) * 1e3:.2f}",
-                f"{median(p95s) * 1e3:.2f}",
-                f"{rs[-1].p50 * 1e3:.2f}",
-                f"{rs[-1].p99 * 1e3:.2f}",
-            )
-        )
-    widths = [
-        max(len(header[i]), max(len(row[i]) for row in rows))
-        for i in range(len(header))
-    ]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths, strict=True))]
-    for row in rows:
-        lines.append("  ".join(v.rjust(w) for v, w in zip(row, widths, strict=True)))
-    span = f"{records[0].stamp} .. {records[-1].stamp}"
-    lines.append(f"({len(records)} runs, {span})")
-    return "\n".join(lines)
-
-
-def serve_report_file(path: str | Path) -> str:
-    """Parse + format one latency trajectory file."""
-    path = Path(path)
-    if not path.exists():
-        return f"no serve-latency history at {path}"
-    return format_serve_report(parse_serve_latency(path.read_text()))

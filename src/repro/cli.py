@@ -27,9 +27,7 @@ one JSON-lines trace per request (``--slow-log`` tees the span trees
 of requests over ``--slow-threshold-ms`` to their own file), and a
 ``{"kind": "stats"}`` request answers with the unified metrics
 registry; ``trace-report`` aggregates a trace file into the per-stage
-latency/counted-op breakdown (``--record`` appends the run's request
-percentiles to the serving-latency trajectory ``bench-report`` prints
-and CI regression-gates).
+latency/counted-op breakdown.
 
 Index paths ending in ``.npz`` use the compressed archive layout; any
 other path is a *directory* of raw ``.npy`` columns, which the query
@@ -46,7 +44,7 @@ import time
 from pathlib import Path
 
 from repro.benchreport import DEFAULT_PATH as BUILD_TIMES_PATH
-from repro.benchreport import SERVE_LATENCY_PATH, append_build_time, report_file
+from repro.benchreport import append_build_time, report_file
 from repro.datasets import random_vertex_objects
 from repro.engine import QueryEngine
 from repro.network import (
@@ -83,21 +81,26 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_build(args: argparse.Namespace) -> int:
-    net = load_text(args.network)
-    t0 = time.perf_counter()
+def _progress_printer(unit: str):
+    """A build progress callback: a stderr line every 2 s and at the end."""
     last_report = [0.0]
 
     def progress(done: int, total: int) -> None:
         now = time.perf_counter()
         if now - last_report[0] >= 2.0 or done == total:
             last_report[0] = now
-            print(f"  {done}/{total} sources", file=sys.stderr)
+            print(f"  {done}/{total} {unit}", file=sys.stderr)
 
+    return progress
+
+
+def _cmd_build(args: argparse.Namespace) -> int:
+    net = load_text(args.network)
+    t0 = time.perf_counter()
     index = SILCIndex.build(
         net,
         chunk_size=args.chunk_size,
-        progress=progress,
+        progress=_progress_printer("sources"),
         workers=args.workers,
         transport=args.transport,
     )
@@ -162,6 +165,30 @@ def _load_labelling(args, net):
     return None, None
 
 
+def _make_engine(args, net, labelling=None, **engine_options) -> QueryEngine:
+    """The engine a command queries: index, random objects, labelling, planner.
+
+    Given a ``labelling`` (``build-labels``, about to calibrate one) it
+    is used as is; otherwise ``--oracle`` resolves one via
+    :func:`_load_labelling` and persisted cost constants, if any,
+    become the planner.
+    """
+    index = SILCIndex.load(args.index, net, mmap=args.mmap)
+    objects = random_vertex_objects(net, count=args.objects, seed=args.seed)
+    object_index = ObjectIndex(net, objects, index.embedding)
+    constants = None
+    if labelling is None:
+        labelling, constants = _load_labelling(args, net)
+    engine = QueryEngine(
+        index, object_index, labelling=labelling, **engine_options
+    )
+    if constants is not None:
+        engine.planner = QueryPlanner(
+            engine.oracles, constants=constants, storage=engine.storage
+        )
+    return engine
+
+
 def _cmd_build_labels(args: argparse.Namespace) -> int:
     net = load_text(args.network)
     labels_dir = _labels_dir(args.index)
@@ -173,15 +200,9 @@ def _cmd_build_labels(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    last_report = [0.0]
-
-    def progress(done: int, total: int) -> None:
-        now = time.perf_counter()
-        if now - last_report[0] >= 2.0 or done == total:
-            last_report[0] = now
-            print(f"  {done}/{total} hubs", file=sys.stderr)
-
-    labelling = PrunedLabellingOracle.build(net, progress=progress)
+    labelling = PrunedLabellingOracle.build(
+        net, progress=_progress_printer("hubs")
+    )
     labelling.save(labels_dir)
     bs = labelling.build_stats
     print(
@@ -191,13 +212,8 @@ def _cmd_build_labels(args: argparse.Namespace) -> int:
     )
     if args.skip_calibration:
         return 0
-    index = SILCIndex.load(args.index, net, mmap=args.mmap)
-    objects = random_vertex_objects(net, count=args.objects, seed=args.seed)
-    object_index = ObjectIndex(net, objects, index.embedding)
-    engine = QueryEngine(
-        index, object_index,
-        cache_fraction=args.cache_fraction,
-        labelling=labelling,
+    engine = _make_engine(
+        args, net, labelling, cache_fraction=args.cache_fraction
     )
     planner = engine.ensure_planner()
     planner.constants.save(labels_dir)
@@ -235,17 +251,8 @@ def _cmd_path(args: argparse.Namespace) -> int:
 
 def _cmd_knn(args: argparse.Namespace) -> int:
     net = load_text(args.network)
-    index = SILCIndex.load(args.index, net, mmap=args.mmap)
-    objects = random_vertex_objects(net, count=args.objects, seed=args.seed)
-    object_index = ObjectIndex(net, objects, index.embedding)
-    labelling, constants = _load_labelling(args, net)
-    engine = QueryEngine(
-        index, object_index, labelling=labelling, oracle=args.oracle
-    )
-    if constants is not None:
-        engine.planner = QueryPlanner(
-            engine.oracles, constants=constants, storage=engine.storage
-        )
+    engine = _make_engine(args, net, oracle=args.oracle)
+    objects = engine.object_index.objects
     batch = engine.knn_batch(
         args.query, args.k, exact=True, epsilon=args.epsilon
     )
@@ -281,22 +288,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     net = load_text(args.network)
-    index = SILCIndex.load(args.index, net, mmap=args.mmap)
-    objects = random_vertex_objects(net, count=args.objects, seed=args.seed)
-    object_index = ObjectIndex(net, objects, index.embedding)
-    labelling, constants = _load_labelling(args, net)
-    engine = QueryEngine(
-        index,
-        object_index,
+    engine = _make_engine(
+        args, net,
         cache_fraction=args.cache_fraction,
         max_locations=args.max_locations,
-        labelling=labelling,
         oracle=args.oracle,
     )
-    if constants is not None:
-        engine.planner = QueryPlanner(
-            engine.oracles, constants=constants, storage=engine.storage
-        )
 
     tracer = None
     sinks = []
@@ -386,7 +383,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_report(args: argparse.Namespace) -> int:
-    from repro.obs import format_trace_report, load_trace_file, request_percentiles
+    from repro.obs import format_trace_report, load_trace_file
 
     try:
         traces = load_trace_file(args.trace_file)
@@ -394,27 +391,11 @@ def _cmd_trace_report(args: argparse.Namespace) -> int:
         print(f"bad trace file: {exc}", file=sys.stderr)
         return 1
     print(format_trace_report(traces))
-    if args.record:
-        if not traces:
-            print("nothing to record: no traces", file=sys.stderr)
-            return 1
-        from repro.benchreport import append_serve_latency
-
-        p50, p95, p99 = request_percentiles(traces)
-        append_serve_latency(
-            len(traces), args.shards, p50, p95, p99, path=args.record_path
-        )
-        print(f"recorded serve latency -> {args.record_path}", file=sys.stderr)
     return 0
 
 
 def _cmd_bench_report(args: argparse.Namespace) -> int:
-    from repro.benchreport import serve_report_file
-
     print(report_file(args.results))
-    print()
-    print("serve latency trajectory:")
-    print(serve_report_file(args.serve_results))
     return 0
 
 
@@ -653,28 +634,15 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("trace_file",
                    help="JSON-lines trace file written by "
                    "`repro serve --trace-file` (or --slow-log)")
-    p.add_argument("--record", action="store_true",
-                   help="append the run's request-latency percentiles "
-                   "to the serving-latency trajectory")
-    p.add_argument("--record-path", default=str(SERVE_LATENCY_PATH),
-                   help="trajectory file --record appends to "
-                   f"(default: {SERVE_LATENCY_PATH})")
-    p.add_argument("--shards", type=int, default=1,
-                   help="shard count tag for --record lines (the trace "
-                   "file does not carry the serve configuration)")
     p.set_defaults(func=_cmd_trace_report)
 
     p = sub.add_parser(
         "bench-report",
-        help="print the build-time and serve-latency trajectories "
-        "recorded by the benchmarks",
+        help="print the build-time trajectory recorded by the benchmarks",
     )
     p.add_argument("results", nargs="?", default=str(BUILD_TIMES_PATH),
                    help="path to build_times.txt "
                    f"(default: {BUILD_TIMES_PATH})")
-    p.add_argument("--serve-results", default=str(SERVE_LATENCY_PATH),
-                   help="path to serve_latency.txt "
-                   f"(default: {SERVE_LATENCY_PATH})")
     p.set_defaults(func=_cmd_bench_report)
 
     p = sub.add_parser(

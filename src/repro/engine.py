@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import reduce
 from time import perf_counter
@@ -41,7 +42,7 @@ from repro.oracle.base import ORACLE_CHOICES
 from repro.oracle.labelling import PrunedLabellingOracle
 from repro.oracle.planner import QueryPlanner
 from repro.oracle.silc import INEOracle, SILCOracle
-from repro.query.bestfirst import VARIANTS, best_first_knn
+from repro.query.bestfirst import VARIANTS
 from repro.query.browsing import approximate_knn
 from repro.query.location import resolve_location
 from repro.query.results import KNNResult
@@ -76,6 +77,32 @@ class BatchResult:
     def ids(self) -> list[list[int]]:
         """Per-query neighbor oids, in query order."""
         return [r.ids() for r in self.results]
+
+
+def run_batch(queries: Iterable, answer, time_cap: float | None = None) -> BatchResult:
+    """Answer ``queries`` one at a time inside one whole-batch budget.
+
+    ``answer(query, budget)`` returns one :class:`KNNResult`; ``budget``
+    is what remains of ``time_cap`` (seconds) when the query starts,
+    ``None`` without a cap.  The one place a batch counts its budget
+    down, shared by the engine and the shard router.
+    """
+    t_start = perf_counter()
+    results: list[KNNResult] = []
+    for query in queries:
+        budget = None
+        if time_cap is not None:
+            budget = time_cap - (perf_counter() - t_start)
+            if budget <= 0:
+                raise DeadlineExceeded(
+                    f"batch exceeded its {time_cap:.4f}s budget "
+                    f"after {len(results)} of its queries"
+                )
+        results.append(answer(query, budget))
+    stats = reduce(QueryStats.add, (r.stats for r in results), QueryStats())
+    return BatchResult(
+        results=results, stats=stats, elapsed=perf_counter() - t_start
+    )
 
 
 class QueryEngine:
@@ -212,12 +239,9 @@ class QueryEngine:
         the simulated I/O each backend would actually pay.
         """
         if self.planner is None:
-            attached, previous = self._attach()
-            try:
+            with self._attached():
                 planner = QueryPlanner(self.oracles, storage=self.storage)
                 planner.calibrate()
-            finally:
-                self._restore(attached, previous)
             self.planner = planner
         return self.planner
 
@@ -270,32 +294,49 @@ class QueryEngine:
         The non-SILC backends answer in near-constant time per query
         and are checked once, up front.
         """
-        if trace is None:
-            trace = NULL_TRACE
         if time_cap is not None and time_cap <= 0:
             raise DeadlineExceeded(
                 f"query dispatched with no remaining budget ({time_cap:.4f}s)"
             )
+        with self._attached():
+            return self._answer(
+                query, k, variant, exact, oracle, trace,
+                max_distance=max_distance, epsilon=0.0, time_budget=time_cap,
+            )
+
+    def _answer(
+        self, query, k: int, variant: str, exact: bool, oracle: str | None,
+        trace, *, max_distance: float, epsilon: float, time_budget: float | None,
+    ) -> KNNResult:
+        """One query, the body :meth:`knn` and :meth:`knn_batch` share:
+        resolve, then plan and dispatch, each under its span.
+
+        Every backend takes the same keywords; the non-SILC ones ignore
+        the SILC knobs (see their ``knn``).
+        """
+        if trace is None:
+            trace = NULL_TRACE
         position = self.resolve(query)
+        if epsilon > 0:  # SILC-only (checked by knn_batch): nothing to plan
+            with trace.span(
+                "oracle:silc", oracle="silc", epsilon=epsilon
+            ) as oracle_span:
+                result = approximate_knn(
+                    self.index, self.object_index, position, k,
+                    epsilon=epsilon,
+                )
+                oracle_span.add_stats(result.stats)
+            return result
         with trace.span("plan") as plan_span:
             backend = self._resolve_backend(oracle, position, k)
             plan_span.annotate(oracle=backend)
-        attached, previous = self._attach()
-        try:
-            with trace.span(f"oracle:{backend}", oracle=backend) as oracle_span:
-                if backend == "silc":
-                    result = best_first_knn(
-                        self.index, self.object_index, position, k,
-                        variant=variant, exact=exact, max_distance=max_distance,
-                        time_budget=time_cap,
-                    )
-                else:
-                    # repro: ignore[RPR007] non-SILC oracles answer from precomputed tables in near-constant time; the planner bounds them up front, so there is no budget to forward
-                    result = self.oracles[backend].knn(position, k)
-                oracle_span.add_stats(result.stats)
-            return result
-        finally:
-            self._restore(attached, previous)
+        with trace.span(f"oracle:{backend}", oracle=backend) as oracle_span:
+            result = self.oracles[backend].knn(
+                position, k, variant=variant, exact=exact,
+                max_distance=max_distance, time_budget=time_budget,
+            )
+            oracle_span.add_stats(result.stats)
+        return result
 
     def knn_batch(
         self,
@@ -333,8 +374,6 @@ class QueryEngine:
         :class:`~repro.errors.DeadlineExceeded` aborts the batch when
         it runs out.
         """
-        if trace is None:
-            trace = NULL_TRACE
         if variant not in VARIANTS:
             raise ValueError(
                 f"unknown variant {variant!r}; expected one of {VARIANTS}"
@@ -345,73 +384,35 @@ class QueryEngine:
             raise ValueError(
                 "epsilon-approximate search runs on the SILC backend only"
             )
-        t_start = perf_counter()
-        results: list[KNNResult] = []
-        attached, previous = self._attach()
-        try:
-            for query in queries:
-                budget = None
-                if time_cap is not None:
-                    budget = time_cap - (perf_counter() - t_start)
-                    if budget <= 0:
-                        raise DeadlineExceeded(
-                            f"batch exceeded its {time_cap:.4f}s budget "
-                            f"after {len(results)} of its queries"
-                        )
-                position = self.resolve(query)
-                if epsilon > 0:
-                    with trace.span(
-                        "oracle:silc", oracle="silc", epsilon=epsilon
-                    ) as oracle_span:
-                        result = approximate_knn(
-                            self.index, self.object_index, position, k,
-                            epsilon=epsilon,
-                        )
-                        oracle_span.add_stats(result.stats)
-                    results.append(result)
-                    continue
-                with trace.span("plan") as plan_span:
-                    backend = self._resolve_backend(oracle, position, k)
-                    plan_span.annotate(oracle=backend)
-                with trace.span(f"oracle:{backend}", oracle=backend) as oracle_span:
-                    if backend == "silc":
-                        result = best_first_knn(
-                            self.index, self.object_index, position, k,
-                            variant=variant, exact=exact, time_budget=budget,
-                        )
-                    else:
-                        # repro: ignore[RPR007] non-SILC oracles answer from precomputed tables in near-constant time; the per-query budget only gates the SILC search arm
-                        result = self.oracles[backend].knn(position, k)
-                    oracle_span.add_stats(result.stats)
-                results.append(result)
-        finally:
-            self._restore(attached, previous)
-        stats = reduce(QueryStats.add, (r.stats for r in results), QueryStats())
-        return BatchResult(
-            results=results, stats=stats, elapsed=perf_counter() - t_start
-        )
+        with self._attached():
+            return run_batch(
+                queries,
+                lambda query, budget: self._answer(
+                    query, k, variant, exact, oracle, trace,
+                    max_distance=math.inf, epsilon=epsilon, time_budget=budget,
+                ),
+                time_cap=time_cap,
+            )
 
     # ------------------------------------------------------------------
     # Storage plumbing
     # ------------------------------------------------------------------
-    def _attach(self) -> tuple[bool, StorageSimulator | None]:
-        """Attach the engine's simulator to the index.
+    @contextmanager
+    def _attached(self) -> Iterator[None]:
+        """Attach the engine's simulator to the index for the block.
 
-        Returns ``(attached, previous)``: whether a restore is owed and
-        the simulator that was attached before (so a caller-attached
-        simulator survives the engine's queries instead of being
-        silently detached).
+        A simulator the caller had attached comes back afterwards
+        instead of being silently detached.
         """
-        if self.storage is None or self.index.storage is self.storage:
-            return False, None
         previous = self.index.storage
-        self.index.attach_storage(self.storage)
-        return True, previous
-
-    def _restore(self, attached: bool, previous: StorageSimulator | None) -> None:
-        if not attached:
+        if self.storage is None or previous is self.storage:
+            yield
             return
-        if previous is None:
-            self.index.detach_storage()
-        else:
-            self.index.attach_storage(previous)
+        self.index.attach_storage(self.storage)
+        try:
+            yield
+        finally:
+            if previous is None:
+                self.index.detach_storage()
+            else:
+                self.index.attach_storage(previous)

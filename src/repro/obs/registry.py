@@ -5,8 +5,8 @@ accumulators -- :class:`~repro.serve.metrics.ServerMetrics` (latency
 windows + outcome counters), :class:`~repro.oracle.planner.PlannerStats`
 (per-backend decisions), :class:`~repro.shard.router.RouterStats`
 (shard prune accounting) and
-:class:`~repro.silc.parallel.BuildTransferStats` (build transport
-bytes).  :class:`MetricsRegistry` is the single pane of glass over all
+:class:`~repro.shard.supervisor.SupervisorStats` (fault events).
+:class:`MetricsRegistry` is the single pane of glass over all
 of them: every reading becomes a *sample* -- a metric name plus a
 small label set (``{"stage": ..., "oracle": ..., "shard": ...}``) --
 and :meth:`MetricsRegistry.snapshot` renders one JSON-serializable
@@ -171,7 +171,13 @@ class MetricsRegistry:
                 self.set_counter(
                     "engine_ops_total", value, stage="engine", op=op
                 )
-        self.absorb_server_aborts(snapshot)
+        for event, value in (
+            ("deadline_abort", snapshot.deadline_aborts),
+            ("degraded_response", snapshot.degraded),
+        ):
+            self.set_counter(
+                "fault_events_total", value, stage="serve", event=event
+            )
 
     def absorb_planner(self, stats: Any) -> None:
         """Mirror a :class:`~repro.oracle.planner.PlannerStats`."""
@@ -212,22 +218,6 @@ class MetricsRegistry:
             stage="route",
         )
 
-    def absorb_server_aborts(self, snapshot: Any) -> None:
-        """Mirror the fault-path counters of a
-        :class:`~repro.serve.metrics.MetricsSnapshot` (deadline aborts
-        and degraded completions); split out so legacy snapshots
-        without the fields absorb cleanly."""
-        self.set_counter(
-            "fault_events_total",
-            getattr(snapshot, "deadline_aborts", 0),
-            stage="serve", event="deadline_abort",
-        )
-        self.set_counter(
-            "fault_events_total",
-            getattr(snapshot, "degraded", 0),
-            stage="serve", event="degraded_response",
-        )
-
     def absorb_supervisor(self, stats: Any) -> None:
         """Mirror a :class:`~repro.shard.supervisor.SupervisorStats`.
 
@@ -246,21 +236,6 @@ class MetricsRegistry:
             self.set_counter(
                 "fault_events_total", value, stage="shard", event=event
             )
-
-    def absorb_build(self, stats: Any) -> None:
-        """Mirror a :class:`~repro.silc.parallel.BuildTransferStats`."""
-        self.set_counter(
-            "build_chunks_total", stats.chunks,
-            stage="build", transport=stats.transport,
-        )
-        self.set_counter(
-            "build_bytes_total", stats.result_pickle_bytes,
-            stage="build", channel="pickle",
-        )
-        self.set_counter(
-            "build_bytes_total", stats.shared_bytes,
-            stage="build", channel="shm",
-        )
 
     # ------------------------------------------------------------------
     # Reading

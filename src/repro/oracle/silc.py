@@ -10,8 +10,6 @@ growing Dijkstra ball, distances by point-to-point Dijkstra.
 
 from __future__ import annotations
 
-import math
-
 from repro.objects.index import ObjectIndex
 from repro.oracle.base import DijkstraOracle, DistanceOracle, OracleInfo
 from repro.query.bestfirst import best_first_knn
@@ -25,9 +23,9 @@ class SILCOracle(DistanceOracle):
 
     Behavior-preserving extraction of the historical
     ``best_first_knn``/``SILCIndex.distance`` path: every parameter
-    (``variant``, ``exact``, ``max_distance``) threads through
-    untouched, and the attached storage simulator keeps accounting
-    page traffic exactly as before.
+    (``variant``, ``exact``, ``max_distance``, ``time_budget``) threads
+    through untouched, and the attached storage simulator keeps
+    accounting page traffic exactly as before.
     """
 
     info = OracleInfo(
@@ -45,18 +43,8 @@ class SILCOracle(DistanceOracle):
     def distance(self, source: int, target: int) -> float:
         return self.index.distance(source, target)
 
-    def knn(
-        self,
-        query,
-        k: int,
-        variant: str = "knn",
-        exact: bool = False,
-        max_distance: float = math.inf,
-    ) -> KNNResult:
-        return best_first_knn(
-            self.index, self.object_index, query, k,
-            variant=variant, exact=exact, max_distance=max_distance,
-        )
+    def knn(self, query, k: int, **kwargs) -> KNNResult:
+        return best_first_knn(self.index, self.object_index, query, k, **kwargs)
 
     def save(self, path) -> None:
         self.index.save(path)
@@ -91,6 +79,7 @@ class INEOracle(DistanceOracle):
         return self._p2p.anchored_distance(*args, **kwargs)
 
     def knn(self, query, k: int, **kwargs) -> KNNResult:
-        # ``variant``/``exact`` are SILC knobs; INE is always exact and
-        # has no variants, so they are accepted and ignored.
+        # ``variant``/``exact``/``max_distance``/``time_budget`` are SILC
+        # knobs: INE is always exact, has no variants and stops at the
+        # k-th neighbor's ball, so they are accepted and ignored.
         return ine_knn(self.object_index, query, k, storage=self.storage)

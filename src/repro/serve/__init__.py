@@ -10,7 +10,7 @@ engine facade, and latency/shed metrics.  See
 
 from repro.serve.admission import AdmissionController, TokenBucket
 from repro.serve.engine import AsyncEngine
-from repro.serve.metrics import MetricsSnapshot, ServerMetrics, percentile
+from repro.serve.metrics import MetricsSnapshot, ServerMetrics
 from repro.serve.protocol import (
     KINDS,
     Completed,
@@ -42,7 +42,6 @@ __all__ = [
     "AsyncEngine",
     "ServerMetrics",
     "MetricsSnapshot",
-    "percentile",
     "SILCServer",
     "serve_jsonl",
 ]

@@ -137,7 +137,7 @@ class AsyncEngine:
             engine.storage = ShardedStorageSimulator.from_simulator(engine.storage)
         index = engine.index
         if engine.storage is not None:
-            # Pre-attach for the facade's lifetime: QueryEngine._attach
+            # Pre-attach for the facade's lifetime: QueryEngine._attached
             # then sees ``index.storage is self.storage`` on every query
             # and never mutates shared state mid-flight.
             self._previous_storage = index.storage
@@ -163,14 +163,22 @@ class AsyncEngine:
             self._executor, partial(fn, *args, **kwargs)
         )
 
-    def _effective_oracle(self, oracle: str | None) -> str:
-        """The backend a request would run on before planning.
+    def _knn_target(self, exact: bool, oracle: str | None):
+        """Where a kNN request runs, and the keywords only that target takes.
 
-        ``None`` falls back to the engine's default, so a shard-tier
-        deployment started with ``--oracle labels`` does not silently
-        route unlabelled requests back to SILC shards.
+        ``oracle=None`` falls back to the engine's default, so a
+        shard-tier deployment started with ``--oracle labels`` does not
+        silently route unlabelled requests back to SILC shards.
         """
-        return oracle if oracle is not None else getattr(self.engine, "oracle", "silc")
+        effective = oracle if oracle is not None else getattr(self.engine, "oracle", "silc")
+        if self.shard_group is not None and effective == "silc":
+            # The sharded tier always refines to exact distances (the
+            # router merges candidates by comparing them), so `exact`
+            # is subsumed rather than forwarded.  Its router prunes by
+            # SILC block bounds, so a non-SILC oracle request bypasses
+            # the shard tier and runs on the local engine instead.
+            return self.shard_group, {}
+        return self.engine, {"exact": exact, "oracle": oracle}
 
     # ------------------------------------------------------------------
     # Queries (mirror QueryEngine's surface)
@@ -185,19 +193,10 @@ class AsyncEngine:
         trace=None,
         time_cap: float | None = None,
     ) -> KNNResult:
-        if self.shard_group is not None and self._effective_oracle(oracle) == "silc":
-            # The sharded tier always refines to exact distances (the
-            # router merges candidates by comparing them), so `exact`
-            # is subsumed rather than forwarded.  Its router prunes by
-            # SILC block bounds, so a non-SILC oracle request bypasses
-            # the shard tier and runs on the local engine instead.
-            return await self._run(
-                self.shard_group.knn, query, k, variant=variant, trace=trace,
-                time_cap=time_cap,
-            )
+        target, only = self._knn_target(exact, oracle)
         return await self._run(
-            self.engine.knn, query, k, variant=variant, exact=exact, oracle=oracle,
-            trace=trace, time_cap=time_cap,
+            target.knn, query, k, variant=variant, trace=trace,
+            time_cap=time_cap, **only,
         )
 
     async def knn_batch(
@@ -210,14 +209,10 @@ class AsyncEngine:
         trace=None,
         time_cap: float | None = None,
     ) -> BatchResult:
-        if self.shard_group is not None and self._effective_oracle(oracle) == "silc":
-            return await self._run(
-                self.shard_group.knn_batch, queries, k, variant=variant,
-                trace=trace, time_cap=time_cap,
-            )
+        target, only = self._knn_target(exact, oracle)
         return await self._run(
-            self.engine.knn_batch, queries, k, variant=variant, exact=exact,
-            oracle=oracle, trace=trace, time_cap=time_cap,
+            target.knn_batch, queries, k, variant=variant, trace=trace,
+            time_cap=time_cap, **only,
         )
 
     async def path(self, source: int, target: int) -> list[int]:

@@ -31,16 +31,6 @@ DEFAULT_WINDOW = 4096
 DEFAULT_MAX_CLIENTS = 256
 
 
-def percentile(values, q: float) -> float:
-    """Linear-interpolated percentile (``q`` in [0, 100]) of a sample.
-
-    One-point convenience over :func:`repro.obs.registry.percentiles`;
-    callers needing several points of the same sample should call that
-    directly -- it sorts once for all of them.
-    """
-    return percentiles(list(values), (q,))[0]
-
-
 @dataclass(frozen=True)
 class MetricsSnapshot:
     """One immutable reading of the server's counters.
@@ -148,7 +138,7 @@ class ServerMetrics:
 
     def delay_percentile(self, client: str, q: float) -> float:
         """Percentile of one client's counted scheduling delays."""
-        return percentile([float(d) for d in self.sched_delays.get(client, [])], q)
+        return percentiles(self.sched_delays.get(client, ()), (q,))[0]
 
     def snapshot(self, queue_depths: dict[str, int] | None = None, in_flight: int = 0) -> MetricsSnapshot:
         # One sort yields all three latency percentiles.

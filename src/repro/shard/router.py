@@ -65,7 +65,7 @@ from functools import reduce
 from time import perf_counter
 from collections.abc import Iterable
 
-from repro.engine import BatchResult
+from repro.engine import BatchResult, run_batch
 from repro.errors import DeadlineExceeded, ShardUnavailable
 from repro.obs.trace import NULL_TRACE
 from repro.query.location import (
@@ -427,21 +427,10 @@ class PartitionRouter:
         ``time_cap`` bounds the *whole batch*: each query receives the
         budget that remains when it starts.
         """
-        t_start = perf_counter()
-        results = []
-        for query in queries:
-            budget = None
-            if time_cap is not None:
-                budget = time_cap - (perf_counter() - t_start)
-                if budget <= 0:
-                    raise DeadlineExceeded(
-                        f"batch exceeded its {time_cap:.3f}s budget after "
-                        f"{len(results)} of its queries"
-                    )
-            results.append(
-                self.knn(query, k, variant=variant, trace=trace, time_cap=budget)
-            )
-        stats = reduce(QueryStats.add, (r.stats for r in results), QueryStats())
-        return BatchResult(
-            results=results, stats=stats, elapsed=perf_counter() - t_start
+        return run_batch(
+            queries,
+            lambda query, budget: self.knn(
+                query, k, variant=variant, trace=trace, time_cap=budget
+            ),
+            time_cap=time_cap,
         )

@@ -221,16 +221,10 @@ class ShardSupervisor:
                     )
                 if self.fault_injector is not None:
                     self.fault_injector.before_request(shard, worker)
-                if trace.enabled:
-                    pairs, stats, wspans = worker.knn(
-                        position, k, variant, cap, trace=True,
-                        time_cap=time_cap,
-                    )
-                    return pairs, stats, wspans
-                pairs, stats = worker.knn(
-                    position, k, variant, cap, time_cap=time_cap
+                return worker.knn(
+                    position, k, variant, cap, trace=trace.enabled,
+                    time_cap=time_cap,
                 )
-                return pairs, stats, None
             except DeadlineExceeded:
                 raise
             except WorkerDied as died:

@@ -13,14 +13,12 @@ overlaps (threads cannot do that; they share one GIL).  A worker
   distances (the router merges candidates by comparing them).
 
 Pipe protocol (one pickled tuple per message, strictly
-request/response)::
+request/response; each kind has exactly one shape)::
 
     ("ping",)                           -> ("pong", shard_id)
-    ("knn", position, k, variant, cap)  -> ("ok", [(oid, distance), ...], QueryStats)
-    ("knn", position, k, variant, cap, True)
-        -> ("ok", [(oid, distance), ...], QueryStats, [span dict, ...])
-    ("knn", position, k, variant, cap, trace?, time_budget)
-        -> as above, or ("expired", message) when the budget runs out
+    ("knn", position, k, variant, cap, want_trace, time_budget)
+        -> ("ok", [(oid, distance), ...], QueryStats, spans_or_None)
+        or ("expired", message) when the budget runs out
     ("stop",)                           -> worker exits (no response)
     any failure                         -> ("error", "ExcType: message")
 
@@ -28,16 +26,17 @@ request/response)::
 candidates exist): the worker may omit anything farther, which makes
 visits to shards that cannot improve the answer nearly free.
 
-The optional sixth ``knn`` element asks the worker to *trace* the
-query: it runs a local :class:`~repro.obs.trace.Tracer` and ships the
-resulting spans back (absolute ``perf_counter`` times -- the same
-system-wide monotonic clock the parent reads) so the router can graft
-them into the request's trace with :meth:`~repro.obs.trace.Trace.adopt`.
-The optional seventh element is the query's *remaining deadline
-budget* in seconds; the worker passes it into the engine as a time
-cap and answers ``("expired", message)`` if the search overruns it
-(the parent raises :class:`~repro.errors.DeadlineExceeded`).
-Untraced, un-budgeted requests keep the exact legacy exchange.
+``want_trace`` asks the worker to *trace* the query: it runs a local
+:class:`~repro.obs.trace.Tracer` and ships the resulting spans back
+(absolute ``perf_counter`` times -- the same system-wide monotonic
+clock the parent reads) so the router can graft them into the
+request's trace with :meth:`~repro.obs.trace.Trace.adopt`; untraced,
+the engine gets the shared no-op trace and the reply's last element
+is ``None``.  ``time_budget`` is the query's *remaining deadline
+budget* in seconds (``None``: unbounded); the worker passes it into
+the engine as a time cap and answers ``("expired", message)`` if the
+search overruns it (the parent raises
+:class:`~repro.errors.DeadlineExceeded`).
 
 **Crash safety** (this is the serving tier's availability story): the
 parent-side :class:`ShardWorker` never blocks forever on a dead
@@ -72,6 +71,7 @@ from collections.abc import Iterable
 from repro.errors import DeadlineExceeded, WorkerDied
 from repro.objects.index import ObjectIndex
 from repro.objects.model import ObjectSet, SpatialObject
+from repro.obs.trace import NULL_TRACE, Tracer
 from repro.shard.partitioner import ShardMap, split_objects
 from repro.shard.router import PartitionRouter
 from repro.shard.supervisor import ShardSupervisor, SupervisionPolicy
@@ -131,44 +131,22 @@ def _shard_worker_main(
             if kind == "ping":
                 conn.send(("pong", shard_id))
             elif kind == "knn":
-                _, position, k, variant, cap = msg[:5]
-                want_trace = len(msg) > 5 and msg[5]
-                time_budget = msg[6] if len(msg) > 6 else None
+                _, position, k, variant, cap, want_trace, time_budget = msg
+                trace = NULL_TRACE
                 if want_trace:
-                    from repro.obs.trace import Tracer
-
-                    tracer = Tracer()
-                    trace = tracer.start_trace(shard=shard_id)
+                    trace = Tracer().start_trace(shard=shard_id)
                     # Rename the root so adopted spans read as
                     # worker-side work, not a nested request.
                     trace.spans[0].name = "worker"
                     trace.spans[0].labels["shard"] = str(shard_id)
-                    result = engine.knn(
-                        position, k, variant=variant, exact=True,
-                        max_distance=cap, trace=trace,
-                        time_cap=time_budget,
-                    )
-                    trace.finish("ok")
-                    conn.send(
-                        (
-                            "ok",
-                            [(n.oid, n.distance) for n in result.neighbors],
-                            result.stats,
-                            trace.spans_absolute(),
-                        )
-                    )
-                else:
-                    result = engine.knn(
-                        position, k, variant=variant, exact=True,
-                        max_distance=cap, time_cap=time_budget,
-                    )
-                    conn.send(
-                        (
-                            "ok",
-                            [(n.oid, n.distance) for n in result.neighbors],
-                            result.stats,
-                        )
-                    )
+                result = engine.knn(
+                    position, k, variant=variant, exact=True,
+                    max_distance=cap, trace=trace, time_cap=time_budget,
+                )
+                trace.finish("ok")
+                pairs = [(n.oid, n.distance) for n in result.neighbors]
+                spans = trace.spans_absolute() if want_trace else None
+                conn.send(("ok", pairs, result.stats, spans))
             else:
                 conn.send(("error", f"unknown request kind: {kind!r}"))
         except DeadlineExceeded as exc:
@@ -325,21 +303,14 @@ class ShardWorker:
         current global bound.  ``time_cap`` is the query's remaining
         deadline budget in seconds; the worker aborts the search and
         this raises :class:`DeadlineExceeded` if it runs out.  Returns
-        ``([(oid, distance), ...], QueryStats)``; with ``trace=True``
-        the worker traces the query and a third element carries its
-        span dicts (absolute times, ready for
-        :meth:`~repro.obs.trace.Trace.adopt`).
+        ``([(oid, distance), ...], QueryStats, spans)``: with
+        ``trace=True`` the worker traces the query and ``spans`` holds
+        its span dicts (absolute times, ready for
+        :meth:`~repro.obs.trace.Trace.adopt`); otherwise ``None``.
         """
-        if time_cap is not None:
-            message = ("knn", position, k, variant, cap, trace, time_cap)
-        elif trace:
-            message = ("knn", position, k, variant, cap, True)
-        else:
-            message = ("knn", position, k, variant, cap)
-        response = self.request(message)
-        if trace:
-            return response[1], response[2], response[3]
-        return response[1], response[2]
+        message = ("knn", position, k, variant, cap, trace, time_cap)
+        _, pairs, stats, spans = self.request(message)
+        return pairs, stats, spans
 
     def kill(self) -> None:
         """Hard-kill the worker process (fault injection / cleanup).

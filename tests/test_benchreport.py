@@ -1,19 +1,13 @@
-"""bench-report: parsing and rendering the build-time and
-serving-latency trajectories."""
+"""bench-report: parsing and rendering the build-time trajectory."""
 
 import pytest
 
 from repro.benchreport import (
     BuildRecord,
-    ServeLatencyRecord,
     append_build_time,
-    append_serve_latency,
     format_report,
-    format_serve_report,
     parse_build_times,
-    parse_serve_latency,
     report_file,
-    serve_report_file,
 )
 from repro.cli import main
 
@@ -125,54 +119,6 @@ class TestReportFile:
         assert "no build-times history" in text
 
 
-SERVE_FIXTURE = """\
-2026-08-01T10:00:00 requests=50 shards=1 p50=0.004000 p95=0.009000 p99=0.012000
-2026-08-02T10:00:00 requests=50 shards=1 p50=0.003000 p95=0.008000 p99=0.011000
-
-# comment lines are skipped
-2026-08-02T11:00:00 requests=50 shards=2 p50=0.006000 p95=0.015000 p99=0.020000
-"""
-
-
-class TestServeLatency:
-    def test_parses_fields(self):
-        records = parse_serve_latency(SERVE_FIXTURE)
-        assert len(records) == 3
-        assert records[0] == ServeLatencyRecord(
-            stamp="2026-08-01T10:00:00", requests=50, shards=1,
-            p50=0.004, p95=0.009, p99=0.012,
-        )
-        assert records[2].shards == 2
-
-    def test_malformed_line_is_loud(self):
-        with pytest.raises(ValueError, match="line 1"):
-            parse_serve_latency("2026-08-01T10:00:00 requests=x shards=1\n")
-
-    def test_append_round_trips(self, tmp_path):
-        path = tmp_path / "serve_latency.txt"
-        append_serve_latency(25, 2, 0.001, 0.002, 0.003, path=path)
-        append_serve_latency(30, 1, 0.004, 0.005, 0.006, path=path)
-        records = parse_serve_latency(path.read_text())
-        assert [(r.requests, r.shards) for r in records] == [(25, 2), (30, 1)]
-        assert records[0].p95 == pytest.approx(0.002)
-
-    def test_report_groups_by_shards(self):
-        text = format_serve_report(parse_serve_latency(SERVE_FIXTURE))
-        lines = text.splitlines()
-        assert "latest_p95_ms" in lines[0]
-        row_1 = next(l for l in lines[1:] if l.split()[0] == "1")
-        assert row_1.split()[1] == "2"  # two runs in the shards=1 group
-        assert "9.00" in row_1 and "8.00" in row_1
-        row_2 = next(l for l in lines[1:] if l.split()[0] == "2")
-        assert row_2.split()[1] == "1"
-
-    def test_empty_and_missing_history(self, tmp_path):
-        assert "no serve latencies" in format_serve_report([])
-        assert "no serve-latency history" in serve_report_file(
-            tmp_path / "nope"
-        )
-
-
 class TestCli:
     def test_bench_report_subcommand(self, tmp_path, capsys):
         path = tmp_path / "build_times.txt"
@@ -181,17 +127,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "median_s" in out
         assert "5.125" in out
-
-    def test_bench_report_includes_serve_trajectory(self, tmp_path, capsys):
-        build = tmp_path / "build_times.txt"
-        build.write_text(FIXTURE)
-        serve = tmp_path / "serve_latency.txt"
-        serve.write_text(SERVE_FIXTURE)
-        assert main(["bench-report", str(build),
-                     "--serve-results", str(serve)]) == 0
-        out = capsys.readouterr().out
-        assert "serve latency trajectory:" in out
-        assert "latest_p95_ms" in out
 
     def test_bench_report_missing_file(self, tmp_path, capsys):
         assert main(["bench-report", str(tmp_path / "absent.txt")]) == 0

@@ -393,8 +393,7 @@ class TestObservability:
         # threshold 0 sends every trace to the slow log too
         assert len(slow_path.read_text().splitlines()) == 3
 
-    def test_trace_report_renders_and_records(self, built, tmp_path,
-                                              capsys):
+    def test_trace_report_renders(self, built, tmp_path, capsys):
         net_path, idx_path = built
         trace_path = tmp_path / "trace.jsonl"
         main(["serve", str(net_path), str(idx_path),
@@ -402,18 +401,10 @@ class TestObservability:
               "--input", str(self._request_file(tmp_path, with_stats=False)),
               "--trace-file", str(trace_path)])
         capsys.readouterr()
-        lat_path = tmp_path / "serve_latency.txt"
-        assert main(["trace-report", str(trace_path),
-                     "--record", "--record-path", str(lat_path),
-                     "--shards", "1"]) == 0
+        assert main(["trace-report", str(trace_path)]) == 0
         out = capsys.readouterr().out
         assert "traces: 3" in out
         assert "p95_ms" in out
-        from repro.benchreport import parse_serve_latency
-
-        [row] = parse_serve_latency(lat_path.read_text())
-        assert (row.requests, row.shards) == (3, 1)
-        assert row.p95 >= row.p50 >= 0.0
 
     def test_trace_report_fails_loudly_on_bad_input(self, tmp_path, capsys):
         bad = tmp_path / "trace.jsonl"

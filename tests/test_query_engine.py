@@ -1,5 +1,7 @@
 """QueryEngine: batched queries must match per-query calls exactly."""
 
+import math
+
 import pytest
 
 from repro import QueryEngine
@@ -69,6 +71,43 @@ class TestKnnBatch:
         batch = engine.knn_batch(QUERIES[:2], k=2)
         assert batch[0].ids() == batch.ids()[0]
         assert [r.ids() for r in batch] == batch.ids()
+
+
+class RecordingOracle:
+    """Stands in for a backend: records each call's keywords, then
+    answers through the real one."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.calls: list[dict] = []
+
+    def knn(self, position, k, **kwargs):
+        self.calls.append(kwargs)
+        return self.inner.knn(position, k, **kwargs)
+
+
+class TestOneDispatch:
+    def test_knn_and_batch_reach_the_oracle_with_the_same_keywords(self, engine):
+        real = engine.oracles["silc"]
+        fake = engine.oracles["silc"] = RecordingOracle(real)
+        one = engine.knn(
+            17, 3, variant="knn_m", exact=True, max_distance=1e9, time_cap=60.0
+        )
+        batch = engine.knn_batch(
+            [17, 42], 3, variant="knn_m", exact=True, time_cap=60.0
+        )
+        assert fake.calls[0] == {
+            "variant": "knn_m", "exact": True,
+            "max_distance": 1e9, "time_budget": 60.0,
+        }
+        assert len(fake.calls) == 3
+        for call in fake.calls[1:]:
+            budget = call.pop("time_budget")
+            assert 0.0 < budget <= 60.0  # what is left of the batch's cap
+            assert call == {
+                "variant": "knn_m", "exact": True, "max_distance": math.inf,
+            }
+        assert one.ids() == batch[0].ids() == real.knn(17, 3, exact=True).ids()
 
 
 class TestLocationSharing:

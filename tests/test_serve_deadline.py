@@ -162,7 +162,9 @@ class TestProtocolFlags:
 
 
 class TestShardTierDeadline:
-    def test_router_budget_expires_and_never_returns_late(self, engine):
+    def test_router_budget_expires_and_never_returns_late(
+        self, engine, monkeypatch
+    ):
         from repro.shard import ShardGroup
 
         group = ShardGroup.from_engine(engine, 2)
@@ -173,5 +175,22 @@ class TestShardTierDeadline:
             assert generous.ids() == group.knn(0, 3).ids()
             with pytest.raises(DeadlineExceeded):
                 group.knn_batch(range(5), 3, time_cap=1e-9)
+            # A budget that dies *inside* a batch: both tiers count it
+            # down in the one loop, so they fail with the same words.
+            assert self.expire_in_batch(monkeypatch, group) == (
+                self.expire_in_batch(monkeypatch, engine)
+            ) == "batch exceeded its 100.0000s budget after 2 of its queries"
         finally:
             group.close()
+
+    @staticmethod
+    def expire_in_batch(monkeypatch, target) -> str:
+        """Run a 5-query batch under a 100 s cap on a clock that jumps
+        40 s per reading: the third query finds the budget spent."""
+        import repro.engine
+
+        readings = iter(range(0, 4000, 40))
+        monkeypatch.setattr(repro.engine, "perf_counter", lambda: next(readings))
+        with pytest.raises(DeadlineExceeded) as caught:
+            target.knn_batch(range(5), 3, time_cap=100.0)
+        return str(caught.value)

@@ -2,27 +2,28 @@
 
 import pytest
 
+from repro.obs import percentiles
 from repro.query.stats import QueryStats
-from repro.serve import ServerMetrics, percentile
+from repro.serve import ServerMetrics
 
 
 class TestPercentile:
     def test_empty_is_zero(self):
-        assert percentile([], 95) == 0.0
+        assert percentiles([], (95,)) == [0.0]
 
     def test_single_value(self):
-        assert percentile([7.0], 50) == 7.0
+        assert percentiles([7.0], (50,)) == [7.0]
 
     def test_interpolates(self):
-        assert percentile([0.0, 10.0], 50) == pytest.approx(5.0)
-        assert percentile(list(range(101)), 95) == pytest.approx(95.0)
+        assert percentiles([0.0, 10.0], (50,)) == pytest.approx([5.0])
+        assert percentiles(list(range(101)), (95,)) == pytest.approx([95.0])
 
     def test_accepts_any_iterable(self):
-        assert percentile((x for x in (3.0, 1.0, 2.0)), 100) == 3.0
+        assert percentiles((x for x in (3.0, 1.0, 2.0)), (100,)) == [3.0]
 
     def test_validates_q(self):
         with pytest.raises(ValueError):
-            percentile([1.0], 101)
+            percentiles([1.0], (101,))
 
 
 class TestServerMetrics:
@@ -91,6 +92,5 @@ class TestServerMetrics:
         for i in range(17):
             m.record_completed("web", float((i * 7) % 17), 0)
         snap = m.snapshot()
-        assert snap.p50 == pytest.approx(percentile(m.latencies, 50))
-        assert snap.p95 == pytest.approx(percentile(m.latencies, 95))
-        assert snap.p99 == pytest.approx(percentile(m.latencies, 99))
+        for got, q in ((snap.p50, 50), (snap.p95, 95), (snap.p99, 99)):
+            assert [got] == pytest.approx(percentiles(m.latencies, (q,)))

@@ -149,6 +149,40 @@ class TestPureVertexLambdaPruning:
             assert group.stats.bound_probes > 0
 
 
+class TestPipeShape:
+    def test_one_request_arity_and_one_reply_arity(self, groups, monkeypatch):
+        """Untraced, traced and deadline-carrying queries cross the pipe
+        in the same request shape and come back in the same reply shape."""
+        from repro.obs import Tracer
+        from repro.shard.worker import ShardWorker
+
+        crossed = []
+        real_request = ShardWorker.request
+
+        def recording(worker, message, timeout=None):
+            response = real_request(worker, message, timeout)
+            crossed.append((message, response))
+            return response
+
+        monkeypatch.setattr(ShardWorker, "request", recording)
+        group = groups[2]
+        answers = [
+            ranked(group.knn(33, 5)),
+            ranked(group.knn(33, 5, trace=Tracer().start_trace())),
+            ranked(group.knn(33, 5, time_cap=60.0)),
+        ]
+        assert answers[0] == answers[1] == answers[2]
+        assert len(crossed) >= 3 and all(m[0] == "knn" for m, _ in crossed)
+        assert {len(message) for message, _ in crossed} == {7}
+        assert {len(response) for _, response in crossed} == {4}
+        for message, response in crossed:
+            want_trace = message[5]
+            assert response[0] == "ok"
+            assert (response[3] is not None) == want_trace
+        assert {m[5] for m, _ in crossed} == {False, True}
+        assert {m[6] is None for m, _ in crossed} == {False, True}
+
+
 class TestWorkerLifecycle:
     def test_ping_and_close_idempotent(self, setup):
         _, _, engine = setup
