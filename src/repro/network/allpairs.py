@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from repro.network.graph import SpatialNetwork
 
@@ -113,27 +112,25 @@ def single_source_row(
     (the proximal-index strategy of the paper's p.27): vertices beyond
     it report distance ``inf`` and first hop ``-1``.
     """
-    network.check_vertex(source)
-    dist, pred = csgraph.dijkstra(
-        network.to_csr(), indices=[source], return_predecessors=True, limit=limit
-    )
-    first = first_hops_from_predecessors(pred, [source])
+    ((_, dist, first),) = all_pairs_chunks(network, 1, [source], limit)
     return dist[0], first[0]
 
 
-def all_pairs_rows(
+def all_pairs_chunks(
     network: SpatialNetwork,
     chunk_size: int = 128,
     sources: Sequence[int] | None = None,
     limit: float = np.inf,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Stream ``(source, dist_row, first_hop_row)`` for many sources.
+) -> Iterator[tuple[list[int], np.ndarray, np.ndarray]]:
+    """Stream ``(sources, dist, first_hop)`` matrices, a chunk at a time.
 
-    Memory stays bounded at ``O(chunk_size * n)`` regardless of network
-    size, so the SILC build can consume one source at a time, build its
-    shortest-path quadtree, and discard the rows.  ``limit`` bounds the
-    per-source horizon as in :func:`single_source_row`.
+    One SciPy Dijkstra call per ``chunk_size`` sources; row ``i`` of
+    the two ``(len(sources), n)`` matrices belongs to ``sources[i]``.
+    Memory stays at ``O(chunk_size * n)`` whatever the network size.
+    ``limit`` bounds the horizon as in :func:`single_source_row`.
     """
+    from scipy.sparse import csgraph
+
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
     all_sources = materialize_sources(network, sources)
@@ -145,11 +142,22 @@ def all_pairs_rows(
         dist, pred = csgraph.dijkstra(
             csr, indices=chunk, return_predecessors=True, limit=limit
         )
-        first = first_hops_from_predecessors(pred, chunk)
-        for i, s in enumerate(chunk):
-            yield (s, dist[i], first[i])
+        yield chunk, dist, first_hops_from_predecessors(pred, chunk)
+
+
+def all_pairs_rows(
+    network: SpatialNetwork,
+    chunk_size: int = 128,
+    sources: Sequence[int] | None = None,
+    limit: float = np.inf,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """:func:`all_pairs_chunks`, one ``(source, dist_row, first_hop_row)`` at a time."""
+    for chunk, dist, first in all_pairs_chunks(network, chunk_size, sources, limit):
+        yield from zip(chunk, dist, first, strict=True)
 
 
 def distance_matrix(network: SpatialNetwork) -> np.ndarray:
     """Dense all-pairs distance matrix (test/verification sizes only)."""
+    from scipy.sparse import csgraph
+
     return csgraph.dijkstra(network.to_csr())

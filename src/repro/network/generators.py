@@ -29,9 +29,6 @@ deterministic under a seed:
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
-from scipy.spatial import Delaunay
 
 from repro.network.errors import GraphConstructionError
 from repro.network.graph import SpatialNetwork
@@ -101,6 +98,8 @@ def grid_network(
 
 def _delaunay_edges(xs: np.ndarray, ys: np.ndarray) -> set[tuple[int, int]]:
     """Undirected edge set of the Delaunay triangulation of the points."""
+    from scipy.spatial import Delaunay
+
     tri = Delaunay(np.column_stack([xs, ys]))
     edges: set[tuple[int, int]] = set()
     for simplex in tri.simplices:
@@ -184,6 +183,9 @@ def road_like_network(
     # Euclidean MST over the Delaunay edges guarantees connectivity.
     row = np.array([e[0] for e in dedges])
     col = np.array([e[1] for e in dedges])
+    from scipy import sparse
+    from scipy.sparse import csgraph
+
     graph = sparse.csr_matrix((lengths, (row, col)), shape=(n, n))
     mst = csgraph.minimum_spanning_tree(graph).tocoo()
     mst_edges = {

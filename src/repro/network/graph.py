@@ -15,10 +15,9 @@ reproduction needs:
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -28,6 +27,9 @@ from repro.network.errors import (
     GraphConstructionError,
     VertexNotFound,
 )
+
+if TYPE_CHECKING:  # loaded by the first to_csr(); serving never pays
+    from scipy import sparse
 
 
 class SpatialNetwork:
@@ -226,6 +228,8 @@ class SpatialNetwork:
         :func:`scipy.sparse.csgraph.dijkstra`.
         """
         if self._csr_cache is None:
+            from scipy import sparse
+
             rows: list[int] = []
             cols: list[int] = []
             vals: list[float] = []
@@ -251,6 +255,8 @@ class SpatialNetwork:
     # Validation
     # ------------------------------------------------------------------
     def num_strongly_connected_components(self) -> int:
+        from scipy.sparse import csgraph
+
         n_comp, _ = csgraph.connected_components(self.to_csr(), connection="strong")
         return int(n_comp)
 

@@ -7,14 +7,13 @@
 """
 
 from repro.quadtree.blocks import BlockTable, MortonBlock
-from repro.quadtree.region import build_region_blocks, next_different
+from repro.quadtree.region import build_region_blocks
 from repro.quadtree.pmr import PMRNode, PMRQuadtree
 
 __all__ = [
     "BlockTable",
     "MortonBlock",
     "build_region_blocks",
-    "next_different",
     "PMRQuadtree",
     "PMRNode",
 ]

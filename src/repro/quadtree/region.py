@@ -6,11 +6,17 @@ cell, a *color* per vertex (its first hop from some source) and a
 maximal aligned Morton blocks in which all vertices share one color --
 the shortest-path quadtree, annotated with min/max values per block.
 
-The builder never materializes a pointer tree.  Vertices are presorted
-by Morton code once per network; each per-source build walks an
-explicit stack of (block, slice) pairs, splitting only blocks whose
-slice is color-mixed.  Splits locate child slices with binary search,
-so the per-source cost is ``O(B log N + N)`` for ``B`` output blocks.
+The builder never materializes a tree and never visits a block.
+Points are presorted by Morton code once per network, and so are the
+*split levels*: the level of the smallest aligned block holding both
+point ``j - 1`` and point ``j``.  The smallest block holding any two
+points is the maximum of the split levels between them, so the largest
+single-color block around point ``j`` is one level below the smaller of
+two running maxima of split levels: back to the nearest differently
+colored point, and forward to the next one.  Both are segmented array
+scans over a whole chunk of sources: ``O(m * n)`` for ``m`` sources,
+whatever the number of blocks ("Build path" in docs/ARCHITECTURE.md
+has the argument in full).
 """
 
 from __future__ import annotations
@@ -20,26 +26,103 @@ import numpy as np
 from repro.geometry.morton import MAX_ORDER, block_cells
 from repro.quadtree.blocks import BlockTable
 
+#: Segment keys are ``segment * _KEY + level``: levels (at most
+#: ``MAX_ORDER + 1``) stay below it, int32 keys hold 2**26 segments.
+_KEY = 32
 
-def next_different(labels: np.ndarray) -> np.ndarray:
-    """For each index, the next index whose label differs.
 
-    ``nd[i] = min{j > i : labels[j] != labels[i]}`` (or ``len(labels)``
-    when no such ``j``).  A slice ``[i, j)`` is single-colored iff
-    ``nd[i] >= j`` -- the O(1) purity test that makes the quadtree
-    build linear.
+def split_levels(sorted_codes: np.ndarray, grid_order: int) -> np.ndarray:
+    """Per-network half of the build: split level before each point.
+
+    ``out[j]`` is the level of the smallest aligned block containing
+    ``sorted_codes[j - 1]`` and ``sorted_codes[j]``, ``ceil(bit_length(a
+    ^ b) / 2)``; ``out[0]`` is ``grid_order + 1``, the "split" between
+    the first point and everything outside the root.  The bit length is
+    the float64 exponent, exact while codes stay below ``4**MAX_ORDER =
+    2**32 < 2**53``.  Validates what every source shares: codes
+    **strictly increasing** (one point per cell) and inside the root.
     """
-    labels = np.asarray(labels)
-    n = labels.size
-    nd = np.empty(n, dtype=np.int64)
-    if n == 0:
-        return nd
-    change = np.flatnonzero(labels[1:] != labels[:-1]) + 1
-    boundaries = np.concatenate([change, [n]])
-    starts = np.concatenate([[0], change])
-    for s, b in zip(starts, boundaries, strict=True):
-        nd[s:b] = b
-    return nd
+    codes = np.asarray(sorted_codes, dtype=np.int64)
+    if not (0 < grid_order <= MAX_ORDER):
+        raise ValueError(f"grid_order must be in (0, {MAX_ORDER}]")
+    out = np.empty(codes.size, dtype=np.int8)
+    if codes.size == 0:
+        return out
+    if codes.size > 1 and not np.all(np.diff(codes) > 0):
+        raise ValueError("codes must be strictly increasing (one point per cell)")
+    if int(codes[-1]) >= block_cells(grid_order):
+        raise ValueError("a code lies outside the root block")
+    out[0] = grid_order + 1
+    bit_length = np.frexp((codes[1:] ^ codes[:-1]).astype(np.float64))[1]
+    out[1:] = (bit_length + 1) >> 1
+    return out
+
+
+def _running_max(levels: np.ndarray, restart: np.ndarray) -> np.ndarray:
+    """Row-wise running max of ``levels``, restarted where ``restart``.
+
+    ``levels`` is ``(n,)`` int8, ``restart`` ``(m, n)`` bool, column 0
+    all true.  A cumsum numbers the segments; ``maximum.accumulate``
+    over ``segment * _KEY + level`` carries the max (a later segment's
+    keys exceed every earlier one's); the low bits are the answer.
+    """
+    keys = np.cumsum(restart, axis=1, dtype=np.int32)
+    keys *= _KEY
+    keys += levels
+    np.maximum.accumulate(keys, axis=1, out=keys)
+    keys &= _KEY - 1
+    return keys.astype(np.int8)
+
+
+def region_block_columns(
+    sorted_codes: np.ndarray,
+    splits: np.ndarray,
+    colors: np.ndarray,
+    values: np.ndarray,
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The maximal single-color Morton blocks of ``m`` colorings at once.
+
+    ``sorted_codes`` (int64) and their :func:`split_levels` describe
+    the ``n`` points; ``colors`` and ``values`` (float64) are ``(m, n)``,
+    one row per source, C-contiguous or copied.  Returns ``(sizes, columns)``:
+    blocks per row, and the five block columns (canonical dtypes) of
+    all rows back to back -- the :class:`~repro.silc.store.FlatStore`
+    layout.  Row ``i``'s blocks are ``build_region_blocks`` of row
+    ``i``: disjoint, sorted, covering every point, and *maximal*.
+
+    Peak memory beyond inputs and output is ``8 * m * n`` bytes: one
+    int32 key matrix at a time (segments fit int32), two int8 level
+    matrices (levels fit int8) and two bool masks.
+    """
+    if colors.shape != values.shape or colors.shape[1:] != splits.shape:
+        raise ValueError("codes, colors and values must be aligned")
+    # change[:, j]: point j starts a color run (column 0 always does).
+    change = np.ones(colors.shape, dtype=bool)
+    np.not_equal(colors[:, 1:], colors[:, :-1], out=change[:, 1:])
+    # Smallest block reaching a differently colored point (or leaving
+    # the root) on the left of j, then on the right: the same scan over
+    # the mirrored arrays, where the split *after* j is splits[j + 1]
+    # and a run ends where the next one starts.
+    level = _running_max(splits, change)
+    right = _running_max(
+        np.roll(splits, -1)[::-1], np.roll(change, -1, axis=1)[:, ::-1]
+    )
+    np.minimum(level, right[:, ::-1], out=level)
+    level -= 1
+    # Point j opens a block unless its left neighbor shares it, which
+    # is when their split level fits inside j's block.
+    opens = splits > level
+    first = np.flatnonzero(opens)
+    levels = level.ravel()[first]
+    shift = 2 * levels.astype(np.int64)
+    codes = sorted_codes[first % splits.size]
+    return np.count_nonzero(opens, axis=1), {
+        "codes": codes >> shift << shift,
+        "levels": levels,
+        "colors": colors.ravel()[first].astype(np.int32, copy=False),
+        "lam_min": np.minimum.reduceat(values.ravel(), first),
+        "lam_max": np.maximum.reduceat(values.ravel(), first),
+    }
 
 
 def build_region_blocks(
@@ -48,13 +131,14 @@ def build_region_blocks(
     values: np.ndarray,
     grid_order: int,
 ) -> BlockTable:
-    """Build the maximal single-color Morton blocks.
+    """Build the maximal single-color Morton blocks of one coloring.
+
+    The ``m = 1`` case of :func:`region_block_columns`.
 
     Parameters
     ----------
     sorted_codes:
-        Morton codes of the points, **strictly increasing** (each point
-        in its own grid cell -- the SILC index enforces this).
+        Morton codes of the points, **strictly increasing**.
     colors:
         Integer color per point, aligned with ``sorted_codes``.
     values:
@@ -72,60 +156,12 @@ def build_region_blocks(
     codes = np.asarray(sorted_codes, dtype=np.int64)
     colors = np.asarray(colors)
     values = np.asarray(values, dtype=np.float64)
-    n = codes.size
-    if colors.size != n or values.size != n:
+    if colors.size != codes.size or values.size != codes.size:
         raise ValueError("codes, colors and values must be aligned")
-    if not (0 < grid_order <= MAX_ORDER):
-        raise ValueError(f"grid_order must be in (0, {MAX_ORDER}]")
-    if n == 0:
-        empty = np.empty(0)
-        return BlockTable(empty, empty, empty, empty, empty)
-    if n > 1 and not np.all(np.diff(codes) > 0):
-        raise ValueError("codes must be strictly increasing (one point per cell)")
-    root_cells = block_cells(grid_order)
-    if int(codes[-1]) >= root_cells:
-        raise ValueError("a code lies outside the root block")
-
-    nd = next_different(colors)
-
-    out_codes: list[int] = []
-    out_levels: list[int] = []
-    out_colors: list[int] = []
-    out_lmin: list[float] = []
-    out_lmax: list[float] = []
-
-    # Stack entries: (block_code, level, lo, hi) with points[lo:hi]
-    # inside the block.  Children are pushed in reverse Z order so the
-    # emitted blocks come out already sorted by code.
-    stack: list[tuple[int, int, int, int]] = [(0, grid_order, 0, n)]
-    while stack:
-        code, level, lo, hi = stack.pop()
-        if hi <= lo:
-            continue
-        if nd[lo] >= hi:
-            seg = values[lo:hi]
-            out_codes.append(code)
-            out_levels.append(level)
-            out_colors.append(int(colors[lo]))
-            out_lmin.append(float(seg.min()))
-            out_lmax.append(float(seg.max()))
-            continue
-        # Mixed colors: split.  level > 0 is guaranteed because a
-        # single cell holds exactly one point (strictly increasing
-        # codes), which is trivially pure.
-        step = block_cells(level - 1)
-        cut1 = lo + int(np.searchsorted(codes[lo:hi], code + step))
-        cut2 = lo + int(np.searchsorted(codes[lo:hi], code + 2 * step))
-        cut3 = lo + int(np.searchsorted(codes[lo:hi], code + 3 * step))
-        stack.append((code + 3 * step, level - 1, cut3, hi))
-        stack.append((code + 2 * step, level - 1, cut2, cut3))
-        stack.append((code + step, level - 1, cut1, cut2))
-        stack.append((code, level - 1, lo, cut1))
-
-    return BlockTable(
-        np.array(out_codes, dtype=np.int64),
-        np.array(out_levels, dtype=np.int8),
-        np.array(out_colors, dtype=np.int32),
-        np.array(out_lmin),
-        np.array(out_lmax),
+    _, columns = region_block_columns(
+        codes,
+        split_levels(codes, grid_order),
+        colors.reshape(1, -1),
+        values.reshape(1, -1),
     )
+    return BlockTable(**columns)

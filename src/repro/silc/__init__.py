@@ -10,7 +10,7 @@ from repro.silc.intervals import DistanceInterval
 from repro.silc.parallel import (
     BuildTransferStats,
     available_workers,
-    parallel_block_tables,
+    parallel_block_columns,
     resolve_workers,
     shared_memory_available,
 )
@@ -35,7 +35,7 @@ __all__ = [
     "choose_grid_order",
     "available_workers",
     "BuildTransferStats",
-    "parallel_block_tables",
+    "parallel_block_columns",
     "resolve_workers",
     "shared_memory_available",
     "update_index",

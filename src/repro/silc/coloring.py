@@ -19,7 +19,7 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from repro.network.allpairs import all_pairs_rows, single_source_row
+from repro.network.allpairs import all_pairs_chunks
 from repro.network.graph import SpatialNetwork
 
 
@@ -51,26 +51,36 @@ class ShortestPathMap:
         return int(np.unique(self.colors[self.colors >= 0]).size)
 
 
-def _ratios(network: SpatialNetwork, source: int, dist: np.ndarray) -> np.ndarray:
-    """Network/Euclidean ratio per vertex, with the source fixed to 1."""
-    d_e = np.hypot(
-        network.xs - network.xs[source], network.ys - network.ys[source]
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = dist / d_e
-    ratios[source] = 1.0
-    return ratios
+def coloring_chunks(
+    network: SpatialNetwork,
+    sources: Sequence[int] | None = None,
+    chunk_size: int = 128,
+    limit: float = np.inf,
+) -> Iterator[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]:
+    """Stream ``(sources, colors, ratios, dist)`` matrices per chunk.
 
-
-def shortest_path_map(network: SpatialNetwork, source: int) -> ShortestPathMap:
-    """Compute the shortest-path map of a single source vertex."""
-    dist, first = single_source_row(network, source)
-    return ShortestPathMap(
-        source=source,
-        colors=first,
-        ratios=_ratios(network, source, dist),
-        dist=dist,
-    )
+    This is the producer side of the SILC build: row ``i`` of each
+    ``(len(sources), n)`` matrix is the shortest-path map of
+    ``sources[i]``; a chunk is compressed into quadtrees and dropped,
+    so memory stays at ``O(chunk_size * n)``.  With a finite ``limit``
+    (the proximal strategy, p.27) vertices beyond the horizon keep
+    color ``-1`` and ratio 1.0 -- the quadtree then encodes the horizon
+    boundary explicitly.
+    """
+    for chunk, dist, first in all_pairs_chunks(
+        network, chunk_size=chunk_size, sources=sources, limit=limit
+    ):
+        src = np.asarray(chunk, dtype=np.int64)
+        d_e = np.hypot(
+            network.xs - network.xs[src, np.newaxis],
+            network.ys - network.ys[src, np.newaxis],
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = dist / d_e
+        ratios[np.arange(src.size), src] = 1.0
+        if np.isfinite(limit):
+            ratios = np.where(np.isfinite(dist), ratios, 1.0)
+        yield chunk, first, ratios, dist
 
 
 def shortest_path_maps(
@@ -79,23 +89,12 @@ def shortest_path_maps(
     chunk_size: int = 128,
     limit: float = np.inf,
 ) -> Iterator[ShortestPathMap]:
-    """Stream shortest-path maps for many sources at bounded memory.
+    """:func:`coloring_chunks`, one :class:`ShortestPathMap` at a time."""
+    for chunk in coloring_chunks(network, sources, chunk_size, limit):
+        for spm in zip(*chunk, strict=True):
+            yield ShortestPathMap(*spm)
 
-    This is the producer side of the SILC build: maps are consumed one
-    at a time, compressed into a quadtree, and dropped.  With a finite
-    ``limit`` (the proximal strategy, p.27) vertices beyond the horizon
-    keep color ``-1`` and ratio 1.0 -- the quadtree then encodes the
-    horizon boundary explicitly.
-    """
-    for source, dist, first in all_pairs_rows(
-        network, chunk_size=chunk_size, sources=sources, limit=limit
-    ):
-        ratios = _ratios(network, source, dist)
-        if np.isfinite(limit):
-            ratios = np.where(np.isfinite(dist), ratios, 1.0)
-        yield ShortestPathMap(
-            source=source,
-            colors=first,
-            ratios=ratios,
-            dist=dist,
-        )
+
+def shortest_path_map(network: SpatialNetwork, source: int) -> ShortestPathMap:
+    """Compute the shortest-path map of a single source vertex."""
+    return next(shortest_path_maps(network, [source]))

@@ -46,17 +46,59 @@ from repro.network.allpairs import materialize_sources
 from repro.network.errors import PathNotFound
 from repro.network.graph import SpatialNetwork
 from repro.quadtree.blocks import BlockTable
-from repro.silc.coloring import shortest_path_maps
-from repro.silc.parallel import parallel_block_tables, resolve_workers
+from repro.silc.parallel import parallel_block_columns, resolve_workers
 from repro.silc.intervals import DistanceInterval
 from repro.silc.refinement import RefinableDistance, RefinementCounter
 from repro.silc.sp_quadtree import SPQuadtreeBuilder, choose_grid_order
-from repro.silc.store import COLUMNS, FlatStore, ShardedFlatStore
+from repro.silc.store import COLUMNS, Chunk, FlatStore, ShardedFlatStore
 from repro.storage.simulator import StorageSimulator
 
 #: Relative padding applied to interval bounds so that float round-off
 #: in the ratio arithmetic can never expel the true distance.
 _REL_PAD = 1e-11
+
+
+def build_store(
+    network: SpatialNetwork,
+    sources: Sequence[int] | None,
+    limit: float,
+    chunk_size: int,
+    progress: Callable[[int, int], None] | None,
+    workers: int | None,
+    transport: str | None,
+) -> tuple[GridEmbedding, np.ndarray, FlatStore]:
+    """The one build loop: ``(embedding, vertex codes, store)``.
+
+    Feeds Dijkstra chunks -- serially or from the process pool --
+    through the region kernel and assembles their columns; a full
+    index and a proximal one differ only in ``limit``.  ``progress``
+    is called once per source, after its chunk has arrived.
+    """
+    network.require_strongly_connected()
+    embedding, codes = choose_grid_order(network)
+    source_list = materialize_sources(network, sources)
+    total = network.num_vertices if source_list is None else len(source_list)
+    n_workers = resolve_workers(workers)
+    if n_workers > 1 and total > 1:
+        chunks = parallel_block_columns(
+            network, embedding, codes, source_list, n_workers, chunk_size, limit, transport
+        )
+    else:
+        chunks = SPQuadtreeBuilder(network, embedding, codes).chunks(
+            source_list, chunk_size, limit
+        )
+
+    def ticking() -> Iterator[Chunk]:
+        done = 0
+        for chunk in chunks:
+            yield chunk
+            if progress is not None:
+                for _ in chunk[0]:
+                    done += 1
+                    progress(done, total)
+
+    store = FlatStore.from_chunks(network.num_vertices, ticking()).validate()
+    return embedding, codes, store
 
 
 class SILCIndex:
@@ -114,8 +156,8 @@ class SILCIndex:
         ``sources`` restricts the build to a subset of vertices (used
         by the localized-rebuild example) and may be any iterable,
         including a generator; queries may then only start from built
-        vertices.  ``progress`` receives ``(done, total)`` after each
-        source (after each chunk in parallel mode).  ``workers`` fans
+        vertices.  ``progress`` receives ``(done, total)`` once per
+        source, as its chunk completes.  ``workers`` fans
         the per-source builds across a process pool: ``None``/``1``
         builds serially, ``0`` uses every available CPU, and any other
         value is the pool size.  ``transport`` picks how a parallel
@@ -123,43 +165,9 @@ class SILCIndex:
         default: shared memory when available).  The parallel result
         is byte-identical to the serial one either way.
         """
-        network.require_strongly_connected()
-        embedding, codes = choose_grid_order(network)
-        source_list = materialize_sources(network, sources)
-        total = network.num_vertices if source_list is None else len(source_list)
-        tables: list[BlockTable | None] = [None] * network.num_vertices
-        n_workers = resolve_workers(workers)
-        if n_workers > 1 and total > 1:
-            built = parallel_block_tables(
-                network,
-                embedding,
-                codes,
-                source_list,
-                workers=n_workers,
-                chunk_size=chunk_size,
-                progress=progress,
-                transport=transport,
-            )
-            for source, table in built.items():
-                tables[source] = table
-        else:
-            builder = SPQuadtreeBuilder(network, embedding, codes)
-            done = 0
-            for spm in shortest_path_maps(
-                network, sources=source_list, chunk_size=chunk_size
-            ):
-                tables[spm.source] = builder.build(spm.colors, spm.ratios)
-                done += 1
-                if progress is not None:
-                    progress(done, total)
-        empty = BlockTable(
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int8),
-            np.empty(0, dtype=np.int32),
-            np.empty(0),
-            np.empty(0),
-        )
-        return cls(network, embedding, codes, [t if t is not None else empty for t in tables])
+        return cls(network, *build_store(
+            network, sources, np.inf, chunk_size, progress, workers, transport
+        ))
 
     # ------------------------------------------------------------------
     # Storage attachment

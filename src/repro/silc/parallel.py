@@ -6,10 +6,11 @@ quadtree depend only on the network, the shared grid embedding, and
 that one source.  This module exploits exactly that independence.  A
 ``multiprocessing`` pool is primed once per worker with the network
 and the embedding; each task is a *chunk* of source vertices, for
-which the worker runs the chunked scipy Dijkstra and compresses each
-coloring into Morton blocks.  The parent slots the resulting tables
-by source id, so the assembled index is **byte-identical** to a
-serial build no matter in which order chunks complete.
+which the worker runs the chunked scipy Dijkstra and compresses the
+colorings into Morton block columns.  The parent slots the resulting
+tables by source id (:meth:`FlatStore.from_chunks`), so the assembled
+index is **byte-identical** to a serial build no matter in which order
+chunks complete.
 
 Two transports move the data:
 
@@ -24,14 +25,14 @@ Two transports move the data:
     hundred bytes regardless of ``chunk_size``.
 
 ``pickle`` (fallback, and the pre-flat-store behavior)
-    Workers ship the five serialized column arrays back through the
+    Workers ship the chunk's five column arrays back through the
     result pickle.
 
 :class:`BuildTransferStats` counts both channels so benchmarks can
 assert that the shm transport moves ~zero bytes through pickle.
 
-Used by :meth:`repro.silc.index.SILCIndex.build` and
-:meth:`repro.silc.proximal.ProximalSILCIndex.build` whenever
+Used by :func:`repro.silc.index.build_store` (behind both
+``SILCIndex.build`` and ``ProximalSILCIndex.build``) whenever
 ``workers`` asks for more than one process.
 """
 
@@ -43,17 +44,14 @@ import pickle
 from dataclasses import dataclass, field
 from multiprocessing import resource_tracker, shared_memory
 import os
-from collections.abc import Callable, Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from repro.geometry.grid import GridEmbedding
 from repro.network.graph import SpatialNetwork
-from repro.quadtree.blocks import BlockTable
-from repro.silc.coloring import shortest_path_maps
 from repro.silc.sp_quadtree import SPQuadtreeBuilder
-from repro.silc.store import COLUMNS
+from repro.silc.store import COLUMNS, Chunk
 
 #: Per-worker state installed by the pool initializers.  Module-level
 #: so it survives between tasks without re-pickling per chunk.
@@ -68,11 +66,14 @@ TRANSPORTS = ("shm", "pickle")
 class BuildTransferStats:
     """Bytes moved per transport channel during one parallel build.
 
-    ``result_pickle_bytes`` re-measures each chunk's return value with
-    ``pickle.dumps`` -- the same serialization the pool applies -- so
-    the two transports are directly comparable.  ``shared_bytes``
-    counts column bytes written to (input segment) and read from
-    (per-chunk result segments) shared memory.
+    ``result_pickle_bytes`` is what came back through the pool's
+    result pickle: a shm chunk's ``(descriptor, sources, sizes)`` is
+    re-measured with ``pickle.dumps`` (the pool's own serialization);
+    a pickle chunk is counted by its arrays' ``nbytes``, since
+    re-pickling full columns would double the cost of exactly the
+    transport where it is the bottleneck.  ``shared_bytes`` counts
+    column bytes written to (input segment) and read from (per-chunk
+    result segments) shared memory.
     """
 
     transport: str = "pickle"
@@ -81,29 +82,8 @@ class BuildTransferStats:
     shared_bytes: int = 0
     extras: dict = field(default_factory=dict)
 
-    def record_result(self, payload: object) -> None:
-        """Measure a (small) shm-transport return by re-pickling it."""
-        self.chunks += 1
-        self.result_pickle_bytes += len(
-            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        )
 
-    def record_result_estimate(self, payload: list) -> None:
-        """Estimate a pickle-transport return from its array bytes.
-
-        Re-pickling the full columns just to count them would double
-        the serialization cost of exactly the transport where it is
-        already the bottleneck; the column ``nbytes`` (plus a small
-        per-array envelope) is accurate to within pickle framing.
-        """
-        self.chunks += 1
-        for entry in payload:
-            self.result_pickle_bytes += 64  # tuple + source envelope
-            for arr in entry[1:]:
-                self.result_pickle_bytes += arr.nbytes + 128
-
-
-#: Transfer accounting of the most recent :func:`parallel_block_tables`
+#: Transfer accounting of the most recent :func:`parallel_block_columns`
 #: call in this process (diagnostics and benchmark assertions).
 last_build_stats: BuildTransferStats | None = None
 
@@ -219,10 +199,10 @@ def _unpack_arrays(
 
 def _network_descriptor(
     network: SpatialNetwork, codes: np.ndarray
-) -> tuple[shared_memory.SharedMemory, tuple, int]:
+) -> tuple[shared_memory.SharedMemory, tuple]:
     """Publish the network CSR, coordinates and vertex codes once."""
     csr = network.to_csr()
-    seg, descriptor = _pack_arrays(
+    return _pack_arrays(
         {
             "xs": network.xs,
             "ys": network.ys,
@@ -232,7 +212,6 @@ def _network_descriptor(
             "codes": np.asarray(codes, dtype=np.int64),
         }
     )
-    return seg, descriptor, seg.size
 
 
 # ----------------------------------------------------------------------
@@ -255,6 +234,8 @@ def _init_worker_shm(
     embedding: GridEmbedding,
     limit: float,
 ) -> None:
+    from scipy import sparse
+
     global _BUILDER, _LIMIT, _SHM_IN
     seg, arrays = _unpack_arrays(descriptor)
     # The worker never unlinks or unregisters the input segment (the
@@ -272,104 +253,61 @@ def _init_worker_shm(
     _LIMIT = limit
 
 
-def _chunk_tables(chunk: list[int]) -> list[tuple[int, BlockTable]]:
+def _build_chunk(chunk: list[int]) -> Chunk:
+    """One pool task; as is, the pickle transport's return value."""
     builder = _BUILDER
     assert builder is not None, "worker used before initialization"
-    out = []
-    for spm in shortest_path_maps(
-        builder.network, sources=chunk, chunk_size=len(chunk), limit=_LIMIT
-    ):
-        out.append((spm.source, builder.build(spm.colors, spm.ratios)))
-    return out
-
-
-def _build_chunk_pickle(
-    chunk: list[int],
-) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Legacy transport: ship every column back through pickle."""
-    return [
-        (source, t.codes, t.levels, t.colors, t.lam_min, t.lam_max)
-        for source, t in _chunk_tables(chunk)
-    ]
+    (built,) = builder.chunks(chunk, chunk_size=len(chunk), limit=_LIMIT)
+    return built
 
 
 def _build_chunk_shm(chunk: list[int]) -> tuple:
     """Shm transport: columns into a fresh segment, names back.
 
-    Returns ``(descriptor, sources, sizes)`` where ``descriptor`` is
-    ``None`` for an all-empty chunk.  The worker closes its handle
-    right away (the data survives until the parent unlinks); the
-    parent owns the unlink.
+    Returns ``(descriptor, sources, sizes)``.  The worker closes its
+    handle right away but leaves the segment linked (and registered --
+    the parent unregisters once when it unlinks): the data must
+    survive until the parent has copied it out.
     """
-    built = _chunk_tables(chunk)
-    sources = [source for source, _ in built]
-    sizes = [len(t) for _, t in built]
-    if sum(sizes) == 0:
-        return None, sources, sizes
-    columns = {
-        name: np.concatenate([getattr(t, name) for _, t in built])
-        for name in COLUMNS
-    }
-    # Close the handle but leave the segment linked (and registered --
-    # the parent unregisters once when it unlinks): the data must
-    # survive until the parent has copied it out.
+    sources, sizes, columns = _build_chunk(chunk)
     seg, descriptor = _pack_arrays(columns)
     seg.close()
-    return descriptor, sources, sizes
+    return descriptor, sources, sizes.tolist()
 
 
-def _receive_chunk_shm(
-    payload: tuple,
-) -> list[tuple[int, BlockTable]]:
+def _receive_chunk_shm(payload: tuple) -> Chunk:
     """Parent side: copy a chunk's columns out of shared memory."""
     descriptor, sources, sizes = payload
-    if descriptor is None:
-        return [
-            (source, BlockTable(*(np.empty(0) for _ in COLUMNS)))
-            for source in sources
-        ]
     seg, arrays = _unpack_arrays(descriptor)
     try:
         columns = {name: np.array(arrays[name], copy=True) for name in COLUMNS}
     finally:
         _close_shm(seg, unlink=True)
-    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-    out = []
-    for i, source in enumerate(sources):
-        lo, hi = int(offsets[i]), int(offsets[i + 1])
-        out.append(
-            (
-                source,
-                BlockTable.view(*(columns[name][lo:hi] for name in COLUMNS)),
-            )
-        )
-    return out
+    return sources, np.asarray(sizes, dtype=np.int64), columns
 
 
 # ----------------------------------------------------------------------
 # Parent orchestration
 # ----------------------------------------------------------------------
 
-def parallel_block_tables(
+def parallel_block_columns(
     network: SpatialNetwork,
     embedding: GridEmbedding,
     codes: np.ndarray,
     sources: Sequence[int] | None,
     workers: int,
     chunk_size: int = 128,
-    progress: Callable[[int, int], None] | None = None,
     limit: float = np.inf,
     transport: str | None = None,
-) -> dict[int, BlockTable]:
+) -> Iterator[Chunk]:
     """Build the shortest-path quadtrees of many sources in parallel.
 
-    Returns ``{source: BlockTable}`` for every requested source; the
-    caller assembles them into the flat store.  ``progress`` receives
-    ``(done, total)`` as chunks complete (sources may finish out of
-    order; counts are monotone).  ``transport`` picks how results (and
-    in shm mode, the network) move between processes: ``"shm"``,
-    ``"pickle"``, or ``None`` for shm-when-available.  Transfer
-    accounting for the call lands in :data:`last_build_stats`.
+    Yields one ``(sources, sizes, columns)`` chunk per pool task, in
+    completion order; the caller assembles them into the flat store.
+    ``transport`` picks how results (and in shm mode, the network)
+    move between processes: ``"shm"``, ``"pickle"``, or ``None`` for
+    shm-when-available.  Transfer accounting for the call lands in
+    :data:`last_build_stats`.
 
     If the pool iteration aborts mid-build (worker crash, interrupt),
     result segments of chunks that finished but were never consumed
@@ -392,11 +330,10 @@ def parallel_block_tables(
         list(range(network.num_vertices)) if sources is None else list(sources)
     )
     total = len(source_list)
-    tables: dict[int, BlockTable] = {}
     stats = BuildTransferStats(transport=transport)
     last_build_stats = stats
     if total == 0:
-        return tables
+        return
     # Shrink oversized chunks so every worker gets at least one task.
     chunk_size = min(chunk_size, max(1, -(-total // workers)))
     chunks = [
@@ -408,45 +345,33 @@ def parallel_block_tables(
 
     seg_in: shared_memory.SharedMemory | None = None
     if transport == "shm":
-        seg_in, descriptor, in_bytes = _network_descriptor(network, codes)
-        stats.shared_bytes += in_bytes
-        stats.extras["network_shared_bytes"] = in_bytes
+        seg_in, descriptor = _network_descriptor(network, codes)
+        stats.shared_bytes += seg_in.size
+        stats.extras["network_shared_bytes"] = seg_in.size
         initializer, initargs = _init_worker_shm, (descriptor, embedding, limit)
         task = _build_chunk_shm
     else:
         initializer = _init_worker_pickle
         initargs = (network, embedding, codes, limit)
-        task = _build_chunk_pickle
+        task = _build_chunk
 
-    done = 0
     try:
         with ctx.Pool(
             processes=workers, initializer=initializer, initargs=initargs
         ) as pool:
             for payload in pool.imap_unordered(task, chunks):
+                stats.chunks += 1
                 if transport == "shm":
-                    stats.record_result(payload)
-                    received = _receive_chunk_shm(payload)
-                    stats.shared_bytes += sum(
-                        t.codes.nbytes
-                        + t.levels.nbytes
-                        + t.colors.nbytes
-                        + t.lam_min.nbytes
-                        + t.lam_max.nbytes
-                        for _, t in received
+                    stats.result_pickle_bytes += len(
+                        pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
                     )
+                    payload = _receive_chunk_shm(payload)
+                    stats.shared_bytes += sum(c.nbytes for c in payload[2].values())
                 else:
-                    stats.record_result_estimate(payload)
-                    received = [
-                        (source, BlockTable(bcodes, levels, colors, lam_min, lam_max))
-                        for source, bcodes, levels, colors, lam_min, lam_max in payload
-                    ]
-                for source, table in received:
-                    tables[source] = table
-                done += len(received)
-                if progress is not None:
-                    progress(done, total)
+                    stats.result_pickle_bytes += payload[1].nbytes + sum(
+                        c.nbytes for c in payload[2].values()
+                    )
+                yield payload
     finally:
         if seg_in is not None:
             _close_shm(seg_in, unlink=True)
-    return tables

@@ -17,13 +17,13 @@ fast as the full index.  The ablation benchmark
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from repro.network.errors import NetworkError
 from repro.network.graph import SpatialNetwork
 from repro.quadtree.blocks import BlockTable
-from repro.silc.coloring import shortest_path_maps
-from repro.silc.index import SILCIndex
-from repro.silc.parallel import parallel_block_tables, resolve_workers
-from repro.silc.sp_quadtree import SPQuadtreeBuilder, choose_grid_order
+from repro.silc.index import SILCIndex, build_store
+from repro.silc.store import FlatStore
 
 #: Sentinel color for destinations beyond the horizon.
 BEYOND = -1
@@ -64,7 +64,7 @@ class ProximalSILCIndex(SILCIndex):
         network: SpatialNetwork,
         embedding,
         vertex_codes,
-        tables: list[BlockTable],
+        tables: list[BlockTable] | FlatStore,
         radius: float,
     ) -> None:
         super().__init__(network, embedding, vertex_codes, tables)
@@ -78,33 +78,14 @@ class ProximalSILCIndex(SILCIndex):
         chunk_size: int = 128,
         workers: int | None = None,
         transport: str | None = None,
+        progress: Callable[[int, int], None] | None = None,
     ) -> ProximalSILCIndex:
         if radius <= 0:
             raise ValueError("radius must be positive")
-        network.require_strongly_connected()
-        embedding, codes = choose_grid_order(network)
-        tables: list[BlockTable | None] = [None] * network.num_vertices
-        n_workers = resolve_workers(workers)
-        if n_workers > 1 and network.num_vertices > 1:
-            built = parallel_block_tables(
-                network,
-                embedding,
-                codes,
-                None,
-                workers=n_workers,
-                chunk_size=chunk_size,
-                limit=radius,
-                transport=transport,
-            )
-            for source, table in built.items():
-                tables[source] = table
-        else:
-            builder = SPQuadtreeBuilder(network, embedding, codes)
-            for spm in shortest_path_maps(
-                network, chunk_size=chunk_size, limit=radius
-            ):
-                tables[spm.source] = builder.build(spm.colors, spm.ratios)
-        return cls(network, embedding, codes, tables, radius)
+        parts = build_store(
+            network, None, radius, chunk_size, progress, workers, transport
+        )
+        return cls(network, *parts, radius)
 
     def hop_and_interval(
         self, source: int, target: int

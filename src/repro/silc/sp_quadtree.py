@@ -1,13 +1,16 @@
 """Shortest-path quadtree construction.
 
 Couples the coloring of :mod:`repro.silc.coloring` to the region
-builder of :mod:`repro.quadtree.region`: for each source, sort the
-per-vertex colors/ratios into Morton order (the permutation is shared
-across all sources, so it is computed once per network) and emit the
-maximal single-color Morton blocks with their lambda intervals.
+builder of :mod:`repro.quadtree.region`: for each chunk of sources,
+sort the per-vertex colors/ratios into Morton order (the permutation
+and the split levels are shared across all sources, so they are
+computed once per network) and emit the maximal single-color Morton
+blocks with their lambda intervals.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -15,8 +18,9 @@ from repro.geometry.grid import GridEmbedding
 from repro.geometry.morton import MAX_ORDER
 from repro.network.errors import GraphConstructionError
 from repro.network.graph import SpatialNetwork
-from repro.quadtree.blocks import BlockTable
-from repro.quadtree.region import build_region_blocks
+from repro.quadtree.region import region_block_columns, split_levels
+from repro.silc.coloring import coloring_chunks
+from repro.silc.store import Chunk
 
 
 def choose_grid_order(network: SpatialNetwork, minimum: int = 4) -> tuple[GridEmbedding, np.ndarray]:
@@ -45,32 +49,36 @@ def choose_grid_order(network: SpatialNetwork, minimum: int = 4) -> tuple[GridEm
 
 
 class SPQuadtreeBuilder:
-    """Reusable per-network state for building shortest-path quadtrees.
-
-    Instantiating the builder performs the network-wide work (cell
-    assignment, Morton sort); :meth:`build` then compresses one
-    source's coloring in ``O(B log N + N)``.
-    """
+    """Per-network build state (Morton sort, split levels); :meth:`chunks`
+    compresses each Dijkstra chunk's colorings in a few array passes."""
 
     def __init__(
         self,
         network: SpatialNetwork,
-        embedding: GridEmbedding | None = None,
-        codes: np.ndarray | None = None,
+        embedding: GridEmbedding,
+        codes: np.ndarray,
     ) -> None:
         self.network = network
-        if embedding is None or codes is None:
-            embedding, codes = choose_grid_order(network)
         self.embedding = embedding
         self.codes = np.asarray(codes, dtype=np.int64)
         self.order = np.argsort(self.codes)
         self.sorted_codes = self.codes[self.order]
+        self.splits = split_levels(self.sorted_codes, embedding.order)
 
-    def build(self, colors: np.ndarray, ratios: np.ndarray) -> BlockTable:
-        """The shortest-path quadtree for one source's coloring."""
-        return build_region_blocks(
-            self.sorted_codes,
-            np.asarray(colors)[self.order],
-            np.asarray(ratios)[self.order],
-            self.embedding.order,
-        )
+    def chunks(
+        self,
+        sources: Sequence[int] | None = None,
+        chunk_size: int = 128,
+        limit: float = np.inf,
+    ) -> Iterator[Chunk]:
+        """The shortest-path quadtrees of ``sources``, a chunk at a time."""
+        for chunk, colors, ratios, _ in coloring_chunks(
+            self.network, sources, chunk_size, limit
+        ):
+            sizes, columns = region_block_columns(
+                self.sorted_codes,
+                self.splits,
+                np.take(colors, self.order, axis=1),
+                np.take(ratios, self.order, axis=1),
+            )
+            yield chunk, sizes, columns

@@ -25,7 +25,7 @@ The layout is what makes the rest of the zero-copy pipeline possible:
 from __future__ import annotations
 
 from pathlib import Path
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,6 +44,17 @@ COLUMN_DTYPES = {
     "lam_min": np.float64,
     "lam_max": np.float64,
 }
+
+
+#: A batch of finished tables: their vertices, their block counts, and
+#: their five columns back to back.
+Chunk = tuple[Sequence[int], np.ndarray, dict[str, np.ndarray]]
+
+
+def table_rows(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Row numbers of tables ``starts[i] .. starts[i] + sizes[i]``, back to back."""
+    shift = starts - (np.cumsum(sizes) - sizes)
+    return np.repeat(shift, sizes) + np.arange(sizes.sum())
 
 
 def empty_columns() -> dict[str, np.ndarray]:
@@ -109,18 +120,13 @@ class FlatStore:
     def from_tables(cls, tables: Iterable[BlockTable]) -> FlatStore:
         """Concatenate a sequence of per-vertex tables into one store."""
         tables = list(tables)
-        sizes = np.array([len(t) for t in tables], dtype=np.int64)
-        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-        if int(sizes.sum()) == 0:
-            cols = empty_columns()
-        else:
-            cols = {
-                name: np.concatenate(
-                    [np.asarray(getattr(t, name), dtype=COLUMN_DTYPES[name]) for t in tables]
-                )
-                for name in COLUMNS
-            }
-        return cls(offsets, **cols)
+        columns = {
+            name: np.concatenate(
+                [empty, *(np.asarray(getattr(t, name), dtype=empty.dtype) for t in tables)]
+            )
+            for name, empty in empty_columns().items()
+        }
+        return cls.from_columns(np.array([len(t) for t in tables], dtype=np.int64), columns)
 
     @classmethod
     def from_columns(
@@ -129,6 +135,33 @@ class FlatStore:
         """Build from per-vertex sizes plus already-concatenated columns."""
         offsets = np.concatenate([[0], np.cumsum(np.asarray(sizes, dtype=np.int64))])
         return cls(offsets.astype(np.int64), **{n: columns[n] for n in COLUMNS})
+
+    @classmethod
+    def from_chunks(cls, num_tables: int, chunks: Iterable[Chunk]) -> FlatStore:
+        """Assemble ``(vertices, sizes, columns)`` chunks arriving in any order.
+
+        Each chunk carries the tables of ``vertices`` back to back (the
+        build kernel's output).  A vertex no chunk names gets an empty
+        table; one named twice keeps its last table, so a localized
+        update passes the old store first and the rebuilt chunks after.
+        One gather per column puts the rows in vertex order.
+        """
+        none = np.empty(0, dtype=np.int64)
+        parts = [(none, none, empty_columns()), *chunks]
+        arrived = np.concatenate([np.asarray(v, dtype=np.int64) for v, _, _ in parts])
+        arrived_sizes = np.concatenate([sizes for _, sizes, _ in parts])
+        size_of = np.zeros(num_tables, dtype=np.int64)
+        start_of = np.zeros(num_tables, dtype=np.int64)
+        size_of[arrived] = arrived_sizes
+        start_of[arrived] = np.cumsum(arrived_sizes) - arrived_sizes
+        rows = table_rows(start_of, size_of)
+        return cls.from_columns(
+            size_of,
+            {
+                name: np.concatenate([columns[name] for _, _, columns in parts])[rows]
+                for name in COLUMNS
+            },
+        )
 
     @classmethod
     def empty(cls, num_vertices: int) -> FlatStore:
@@ -263,18 +296,12 @@ class FlatStore:
         vertices = np.asarray(vertices, dtype=np.int64)
         sub = Path(directory) / shard_dirname(shard)
         sizes = self.sizes[vertices]
-        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-        starts = self.offsets[vertices]
+        rows = table_rows(self.offsets[vertices], sizes)
         with atomic_directory(sub) as tmp:
             np.save(tmp / "vertices.npy", vertices)
-            np.save(tmp / "offsets.npy", offsets)
+            np.save(tmp / "offsets.npy", np.concatenate([[0], np.cumsum(sizes)]))
             for name in COLUMNS:
-                col = getattr(self, name)
-                out = np.empty(int(offsets[-1]), dtype=COLUMN_DTYPES[name])
-                for i in range(vertices.size):
-                    lo = int(starts[i])
-                    out[offsets[i] : offsets[i + 1]] = col[lo : lo + int(sizes[i])]
-                np.save(tmp / f"{name}.npy", out)
+                np.save(tmp / f"{name}.npy", np.asarray(getattr(self, name))[rows])
         return sub
 
     @classmethod
@@ -389,19 +416,12 @@ class ShardedFlatStore:
         live scattered across shard fragments); it exists so a
         shard-loaded index can still be re-saved in the plain layouts.
         """
-        out = {
-            name: np.empty(self.total_blocks, dtype=COLUMN_DTYPES[name])
-            for name in COLUMNS
-        }
-        offsets = np.concatenate([[0], np.cumsum(self._sizes)]).astype(np.int64)
-        for v in range(self.num_tables):
-            fragment = self.shards[self.shard_of[v]]
-            li = int(self.local_index[v])
-            lo, hi = int(offsets[v]), int(offsets[v + 1])
-            flo = int(fragment.offsets[li])
-            for name in COLUMNS:
-                out[name][lo:hi] = getattr(fragment, name)[flo : flo + hi - lo]
-        return out
+        chunks = []
+        for s, fragment in enumerate(self.shards):
+            members = np.flatnonzero(self.shard_of == s)
+            by_local = members[np.argsort(self.local_index[members])]
+            chunks.append((by_local, fragment.sizes, fragment.column_arrays()))
+        return FlatStore.from_chunks(self.num_tables, chunks).column_arrays()
 
     def validate(self) -> ShardedFlatStore:
         """Per-fragment invariant check (see :meth:`FlatStore.validate`)."""

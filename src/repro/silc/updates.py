@@ -31,13 +31,12 @@ implements that strategy exactly:
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from repro.network.errors import GraphConstructionError
 from repro.network.graph import SpatialNetwork
-from repro.silc.coloring import shortest_path_maps
 from repro.silc.index import SILCIndex
 from repro.silc.sp_quadtree import SPQuadtreeBuilder
+from repro.silc.store import FlatStore
 
 #: Relative slack for the "edge on a shortest path" predicate; float
 #: ties must land on the affected side (rebuilding extra sources is
@@ -76,6 +75,8 @@ def diff_edges(
 
 def _distances_to(network: SpatialNetwork, target: int) -> np.ndarray:
     """``d(s, target)`` for every source ``s`` (one reverse Dijkstra)."""
+    from scipy.sparse import csgraph
+
     return csgraph.dijkstra(network.to_csr().T, indices=[target])[0]
 
 
@@ -119,7 +120,7 @@ def update_index(
     """Derive an index for ``new_network`` by localized recomputation.
 
     Rebuilds only the shortest-path quadtrees of the affected sources;
-    all other tables are shared (by reference) with the old index.
+    all other tables' rows are copied over from the old index.
     Returns ``(new_index, rebuilt_sources)``.
 
     The new index answers queries over ``new_network`` exactly as a
@@ -142,11 +143,15 @@ def update_index(
     builder = SPQuadtreeBuilder(
         new_network, index.embedding, index.vertex_codes
     )
-    tables = list(index.tables)
-    order = sorted(affected)
-    for spm in shortest_path_maps(new_network, sources=order):
-        tables[spm.source] = builder.build(spm.colors, spm.ratios)
+    old = index.store
+    store = FlatStore.from_chunks(
+        old.num_tables,
+        [
+            (range(old.num_tables), old.sizes, old.column_arrays()),
+            *builder.chunks(sorted(affected)),
+        ],
+    ).validate()
     return (
-        SILCIndex(new_network, index.embedding, index.vertex_codes, tables),
+        SILCIndex(new_network, index.embedding, index.vertex_codes, store),
         affected,
     )

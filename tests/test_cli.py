@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import filecmp
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.silc import shared_memory_available
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -68,6 +70,25 @@ class TestBuildAndStats:
     def test_index_file_exists(self, built):
         _, idx_path = built
         assert idx_path.exists() and idx_path.stat().st_size > 0
+
+
+    @pytest.mark.parametrize("transport", [
+        pytest.param("shm", marks=pytest.mark.skipif(
+            not shared_memory_available(), reason="no shared memory on this system")),
+        "pickle",
+    ])
+    def test_build_files_identical_across_transports(
+        self, built_dir, transport, tmp_path, capsys
+    ):
+        """What CI's smoke step checks with ``cmp``: a pooled build
+        writes the serial build's bytes, file by file."""
+        net_path, serial = built_dir
+        pooled = tmp_path / f"index.{transport}"
+        assert main(["build", str(net_path), str(pooled), "--workers", "2",
+                     "--chunk-size", "32", "--transport", transport]) == 0
+        names = sorted(p.name for p in serial.iterdir())
+        assert names == sorted(p.name for p in pooled.iterdir())
+        assert filecmp.cmpfiles(serial, pooled, names, shallow=False)[1:] == ([], [])
 
 
 class TestPath:

@@ -5,35 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry.morton import block_cells, morton_encode
-from repro.quadtree import build_region_blocks, next_different
-
-
-class TestNextDifferent:
-    def test_empty(self):
-        assert next_different(np.array([])).size == 0
-
-    def test_all_same(self):
-        np.testing.assert_array_equal(
-            next_different(np.array([7, 7, 7])), [3, 3, 3]
-        )
-
-    def test_alternating(self):
-        np.testing.assert_array_equal(
-            next_different(np.array([1, 2, 1])), [1, 2, 3]
-        )
-
-    def test_runs(self):
-        np.testing.assert_array_equal(
-            next_different(np.array([5, 5, 9, 9, 9, 2])), [2, 2, 5, 5, 5, 6]
-        )
-
-    def test_purity_check_semantics(self):
-        labels = np.array([1, 1, 2, 2])
-        nd = next_different(labels)
-        # slice [0,2) pure, [0,3) not
-        assert nd[0] >= 2
-        assert nd[0] < 3
+from repro.geometry.morton import MAX_ORDER, block_cells, morton_encode
+from repro.quadtree import BlockTable, build_region_blocks
+from repro.quadtree.region import region_block_columns, split_levels
+from repro.silc import (
+    ProximalSILCIndex,
+    SILCIndex,
+    shared_memory_available,
+    shortest_path_maps,
+)
 
 
 def build_from_cells(cells, colors, values, order=3):
@@ -91,23 +71,31 @@ class TestBuilder:
 
     def test_rejects_duplicate_codes(self):
         codes = np.array([3, 3])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^codes must be strictly increasing \(one point per cell\)$"):
             build_region_blocks(codes, np.array([1, 2]), np.array([1.0, 1.0]), 2)
 
     def test_rejects_code_outside_grid(self):
         codes = np.array([block_cells(2)])  # = 16, outside a 4x4 grid
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^a code lies outside the root block$"):
             build_region_blocks(codes, np.array([1]), np.array([1.0]), 2)
 
     def test_rejects_misaligned_inputs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^codes, colors and values must be aligned$"):
             build_region_blocks(
                 np.array([0, 1]), np.array([1]), np.array([1.0, 2.0]), 2
             )
 
+    @pytest.mark.parametrize("order", [0, MAX_ORDER + 1])
+    def test_rejects_grid_order(self, order):
+        with pytest.raises(ValueError, match=rf"^grid_order must be in \(0, {MAX_ORDER}\]$"):
+            build_region_blocks(np.array([0]), np.array([1]), np.array([1.0]), order)
+
     def test_empty_input(self):
         t = build_region_blocks(np.empty(0), np.empty(0), np.empty(0), 3)
         assert len(t) == 0
+        assert column_bytes(t) == column_bytes(
+            stack_walk_blocks(np.empty(0), np.empty(0), np.empty(0), 3)
+        )
 
 
 @st.composite
@@ -165,3 +153,221 @@ class TestBuilderProperties:
             assert any(b.code <= c < b.code_end for c in code_set)
             covered += 1
         assert covered == len(table)
+
+
+def _next_different(labels):
+    labels = np.asarray(labels)
+    n = labels.size
+    nd = np.empty(n, dtype=np.int64)
+    if n == 0:
+        return nd
+    change = np.flatnonzero(labels[1:] != labels[:-1]) + 1
+    boundaries = np.concatenate([change, [n]])
+    starts = np.concatenate([[0], change])
+    for s, b in zip(starts, boundaries, strict=True):
+        nd[s:b] = b
+    return nd
+
+
+def stack_walk_blocks(sorted_codes, colors, values, grid_order):
+    """The per-block stack walk this kernel replaced (PR 4 .. PR 15),
+    kept verbatim as the parity reference."""
+    codes = np.asarray(sorted_codes, dtype=np.int64)
+    colors = np.asarray(colors)
+    values = np.asarray(values, dtype=np.float64)
+    n = codes.size
+    if colors.size != n or values.size != n:
+        raise ValueError("codes, colors and values must be aligned")
+    if not (0 < grid_order <= MAX_ORDER):
+        raise ValueError(f"grid_order must be in (0, {MAX_ORDER}]")
+    if n == 0:
+        empty = np.empty(0)
+        return BlockTable(empty, empty, empty, empty, empty)
+    if n > 1 and not np.all(np.diff(codes) > 0):
+        raise ValueError("codes must be strictly increasing (one point per cell)")
+    root_cells = block_cells(grid_order)
+    if int(codes[-1]) >= root_cells:
+        raise ValueError("a code lies outside the root block")
+
+    nd = _next_different(colors)
+
+    out_codes: list[int] = []
+    out_levels: list[int] = []
+    out_colors: list[int] = []
+    out_lmin: list[float] = []
+    out_lmax: list[float] = []
+
+    # Stack entries: (block_code, level, lo, hi) with points[lo:hi]
+    # inside the block.  Children are pushed in reverse Z order so the
+    # emitted blocks come out already sorted by code.
+    stack: list[tuple[int, int, int, int]] = [(0, grid_order, 0, n)]
+    while stack:
+        code, level, lo, hi = stack.pop()
+        if hi <= lo:
+            continue
+        if nd[lo] >= hi:
+            seg = values[lo:hi]
+            out_codes.append(code)
+            out_levels.append(level)
+            out_colors.append(int(colors[lo]))
+            out_lmin.append(float(seg.min()))
+            out_lmax.append(float(seg.max()))
+            continue
+        # Mixed colors: split.  level > 0 is guaranteed because a
+        # single cell holds exactly one point (strictly increasing
+        # codes), which is trivially pure.
+        step = block_cells(level - 1)
+        cut1 = lo + int(np.searchsorted(codes[lo:hi], code + step))
+        cut2 = lo + int(np.searchsorted(codes[lo:hi], code + 2 * step))
+        cut3 = lo + int(np.searchsorted(codes[lo:hi], code + 3 * step))
+        stack.append((code + 3 * step, level - 1, cut3, hi))
+        stack.append((code + 2 * step, level - 1, cut2, cut3))
+        stack.append((code + step, level - 1, cut1, cut2))
+        stack.append((code, level - 1, lo, cut1))
+
+    return BlockTable(
+        np.array(out_codes, dtype=np.int64),
+        np.array(out_levels, dtype=np.int8),
+        np.array(out_colors, dtype=np.int32),
+        np.array(out_lmin),
+        np.array(out_lmax),
+    )
+
+
+COLUMNS = ("codes", "levels", "colors", "lam_min", "lam_max")
+
+
+def column_bytes(table):
+    return [(c, getattr(table, c).dtype.str, getattr(table, c).tobytes()) for c in COLUMNS]
+
+
+def random_codes(rng, order, n):
+    """``n`` distinct sorted codes, half the time packed at the top of
+    the root (long common prefixes, high bits set)."""
+    cells = block_cells(order)
+    span = min(cells, 4096)
+    codes = np.sort(rng.choice(span, size=min(n, span), replace=False)).astype(np.int64)
+    mode = rng.integers(3)
+    if mode == 0:
+        return codes + (cells - span)
+    if mode == 1:
+        return np.unique(rng.integers(0, cells, n)).astype(np.int64)
+    return codes
+
+
+def random_coloring(rng, n):
+    colors = rng.integers(-1, rng.integers(1, 6), n).astype(np.int32)
+    mode = rng.integers(6)
+    if mode == 0:
+        colors[:] = 3  # one color: the root block
+    elif mode == 1:
+        colors = np.arange(n, dtype=np.int32)  # all distinct
+    elif mode == 2:
+        colors = np.sort(colors)  # long runs, -1 (horizon) first
+    values = rng.uniform(0.5, 3.0, n)
+    for special in (np.nan, np.inf):
+        if rng.random() < 0.2:
+            values[rng.integers(0, n)] = special
+    return colors, values
+
+
+class TestKernelParity:
+    """The array-pass kernel emits the stack walk's columns, to the byte."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_single_row_matches_stack_walk(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(150):
+            order = int(rng.integers(1, MAX_ORDER + 1))
+            codes = random_codes(rng, order, int(rng.integers(1, 60)))
+            colors, values = random_coloring(rng, codes.size)
+            assert column_bytes(
+                build_region_blocks(codes, colors, values, order)
+            ) == column_bytes(stack_walk_blocks(codes, colors, values, order))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tiny_inputs_every_coloring(self, n):
+        top = block_cells(MAX_ORDER) - 1
+        for codes in ([0, 1, 2][:n], [top - 2, top - 1, top][-n:], [0, 5, top][:n]):
+            codes = np.array(codes, dtype=np.int64)
+            for pattern in np.ndindex(*(2,) * n):
+                colors = np.array(pattern, dtype=np.int32) - 1
+                values = np.arange(n, 0, -1, dtype=float)
+                assert column_bytes(
+                    build_region_blocks(codes, colors, values, MAX_ORDER)
+                ) == column_bytes(stack_walk_blocks(codes, colors, values, MAX_ORDER))
+
+    def test_bit_length_exact_at_top_of_range(self):
+        # Neighbors whose xor is 2**k - 1 or 2**k for every k up to 32:
+        # a float exponent off by one would shift a split level.
+        top = block_cells(MAX_ORDER) - 1
+        for k in range(1, 2 * MAX_ORDER + 1):
+            for a, b in ((top - (1 << k) + 1, top), (top - (1 << (k - 1)), top)):
+                a = max(a, 0)
+                expected = -(-(int(a ^ b).bit_length()) // 2)
+                assert split_levels(np.array([a, b]), MAX_ORDER).tolist() == [
+                    MAX_ORDER + 1, expected,
+                ]
+
+    @pytest.mark.parametrize("m", [1, 7, 128])
+    def test_chunk_rows_equal_their_own_single_call(self, m):
+        rng = np.random.default_rng(m)
+        order = 6
+        codes = random_codes(rng, order, 300)
+        rows = [random_coloring(rng, codes.size) for _ in range(m)]
+        colors = np.stack([c for c, _ in rows])
+        values = np.stack([v for _, v in rows])
+        sizes, columns = region_block_columns(
+            codes, split_levels(codes, order), colors, values
+        )
+        assert sizes.shape == (m,)
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        for i in range(m):
+            single = build_region_blocks(codes, colors[i], values[i], order)
+            chunk_row = BlockTable.view(
+                *(columns[c][offsets[i] : offsets[i + 1]] for c in COLUMNS)
+            )
+            assert column_bytes(chunk_row) == column_bytes(single)
+            assert column_bytes(single) == column_bytes(
+                stack_walk_blocks(codes, colors[i], values[i], order)
+            )
+
+    def test_chunk_rejects_misaligned_matrices(self):
+        codes = np.array([0, 1, 2])
+        splits = split_levels(codes, 2)
+        with pytest.raises(ValueError, match="^codes, colors and values must be aligned$"):
+            region_block_columns(codes, splits, np.zeros((2, 3), int), np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="^codes, colors and values must be aligned$"):
+            region_block_columns(codes, splits, np.zeros((2, 4), int), np.zeros((2, 4)))
+
+
+class TestIndexParity:
+    """Whole indexes, every build route: each table is the stack walk's."""
+
+    @pytest.mark.parametrize("workers, transport", [
+        (1, None),
+        pytest.param(2, "shm", marks=pytest.mark.skipif(
+            not shared_memory_available(), reason="no shared memory on this system")),
+        (2, "pickle"),
+    ])
+    @pytest.mark.parametrize("radius", [np.inf, 4.0], ids=["full", "proximal"])
+    def test_every_table_matches_stack_walk(self, small_net, radius, workers, transport):
+        if np.isfinite(radius):
+            index = ProximalSILCIndex.build(
+                small_net, radius, chunk_size=40, workers=workers, transport=transport
+            )
+            assert (index.store.colors == -1).any()  # the horizon is in there
+        else:
+            index = SILCIndex.build(
+                small_net, chunk_size=40, workers=workers, transport=transport
+            )
+        order = np.argsort(index.vertex_codes)
+        for spm in shortest_path_maps(small_net, limit=radius):
+            assert column_bytes(index.tables[spm.source]) == column_bytes(
+                stack_walk_blocks(
+                    index.vertex_codes[order],
+                    spm.colors[order],
+                    spm.ratios[order],
+                    index.embedding.order,
+                )
+            )
