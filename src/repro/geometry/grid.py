@@ -88,11 +88,13 @@ class GridEmbedding:
     def block_world_rect(self, code: int, level: int) -> Rect:
         """World-space rectangle covered by a Morton block."""
         cells = block_rect(code, level)
+        cw = self.cell_width
+        ch = self.cell_height
         return Rect(
-            self.bounds.xmin + cells.xmin * self.cell_width,
-            self.bounds.ymin + cells.ymin * self.cell_height,
-            self.bounds.xmin + cells.xmax * self.cell_width,
-            self.bounds.ymin + cells.ymax * self.cell_height,
+            self.bounds.xmin + cells.xmin * cw,
+            self.bounds.ymin + cells.ymin * ch,
+            self.bounds.xmin + cells.xmax * cw,
+            self.bounds.ymin + cells.ymax * ch,
         )
 
     def block_world_bounds_array(

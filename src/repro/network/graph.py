@@ -52,7 +52,9 @@ class SpatialNetwork:
     networks (e.g. for the road-closure example).
     """
 
-    __slots__ = ("xs", "ys", "_adj", "_radj", "_edge_count", "_csr_cache", "_ratio_cache")
+    __slots__ = (
+        "xs", "ys", "_adj", "_radj", "out_weights", "_edge_count", "_csr_cache", "_ratio_cache",
+    )
 
     def __init__(
         self,
@@ -94,6 +96,10 @@ class SpatialNetwork:
         self._adj: list[tuple[tuple[int, float], ...]] = [
             tuple(sorted(d.items())) for d in best
         ]
+        #: Per vertex, ``{target: weight}`` over its outgoing edges
+        #: (read-only): the O(1) form of :meth:`edge_weight` that the
+        #: refinement step reads directly.
+        self.out_weights: list[dict[int, float]] = best
         radj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
         for u, d in enumerate(best):
             for v, w in d.items():
@@ -140,6 +146,7 @@ class SpatialNetwork:
             for v, w in row:
                 radj_lists[v].append((u, w))
         self._adj = adj
+        self.out_weights = [dict(row) for row in adj]
         self._radj = [tuple(sorted(r)) for r in radj_lists]
         self._edge_count = len(targets)
         self._csr_cache = csr
@@ -170,7 +177,7 @@ class SpatialNetwork:
     # Vertex / edge access
     # ------------------------------------------------------------------
     def check_vertex(self, u: int) -> int:
-        if not (0 <= u < self.num_vertices):
+        if not (0 <= u < len(self._adj)):
             raise VertexNotFound(u, self.num_vertices)
         return u
 
@@ -194,16 +201,18 @@ class SpatialNetwork:
     def edge_weight(self, u: int, v: int) -> float:
         """Weight of the directed edge ``u -> v``.
 
-        Raises :class:`EdgeNotFound` if the edge does not exist.
-        One frame: every refinement step pays for this call.
+        Raises :class:`VertexNotFound` for a source outside the
+        network and :class:`EdgeNotFound` if the edge does not exist.
+        One dict read (parallel edges collapsed to their minimum at
+        construction, so one entry per target is exact).
         """
-        adj = self._adj
-        if not (0 <= u < len(adj)):
-            raise VertexNotFound(u, len(adj))
-        for t, w in adj[u]:
-            if t == v:
-                return w
-        raise EdgeNotFound(u, v)
+        weights = self.out_weights
+        if not (0 <= u < len(weights)):
+            raise VertexNotFound(u, len(weights))
+        w = weights[u].get(v)
+        if w is None:
+            raise EdgeNotFound(u, v)
+        return w
 
     def has_edge(self, u: int, v: int) -> bool:
         try:

@@ -3,9 +3,9 @@
 Wraps the PMR quadtree with the lookups the query algorithms need:
 
 * best-first traversal metadata (per-node rectangles, edge-object
-  flags for sound block bounds),
+  flags for sound block bounds) and every object's target anchors,
 * the vertex -> objects map INE uses when it settles a vertex, and
-  the tail-vertex -> edge-object map next to it (both query-independent,
+  the tail-vertex -> edge-object map next to it (all query-independent,
   so built once here rather than per query),
 * Euclidean best-first scans for the IER baseline.
 
@@ -29,6 +29,7 @@ from repro.objects.model import (
     VertexPosition,
     position_parts,
     position_point,
+    target_anchors,
 )
 from repro.quadtree.pmr import PMRNode, PMRQuadtree
 
@@ -54,33 +55,40 @@ class ObjectIndex:
         self.edge_candidates: dict[int, list[tuple[int, float]]] = defaultdict(list)
         #: Objects with at least one edge part, in object order.
         self.edge_objects: list[SpatialObject] = []
-        self._edge_flags: dict[tuple[int, int], bool] = {}
+        #: ``(code, level)`` of every PMR node -> ``(world rect, subtree
+        #: holds an edge object)``: the query-independent half of a
+        #: block bound.
+        self.node_info: dict[tuple[int, int], tuple[Rect, bool]] = {}
+        #: oid -> ``(vertex, offset)`` anchors every path into the
+        #: object passes through.  Vertex ids and edges are checked here
+        #: (``position_point`` / ``edge_weight`` raise on a bad one), so
+        #: a search builds its refinable distances without re-checking.
+        self.target_anchors: dict[int, list[tuple[int, float]]] = {}
         for obj in objects:
             # Extents are indexed once per part so that every part's
             # neighborhood can discover the object; query engines
             # deduplicate by object id.
+            anchors = self.target_anchors[obj.oid] = []
             for part in position_parts(obj.position):
                 self.tree.insert(obj.oid, position_point(network, part))
+                part_anchors = target_anchors(network, part)
+                anchors.extend(part_anchors)
                 if isinstance(part, VertexPosition):
                     if obj.oid not in self._vertex_objects[part.vertex]:
                         self._vertex_objects[part.vertex].append(obj.oid)
                     continue
                 if not self.edge_objects or self.edge_objects[-1] is not obj:
                     self.edge_objects.append(obj)
-                self.edge_candidates[part.a].append(
-                    (obj.oid, part.fraction * network.edge_weight(part.a, part.b))
-                )
-                if network.has_edge(part.b, part.a):
-                    self.edge_candidates[part.b].append(
-                        (obj.oid, (1.0 - part.fraction) * network.edge_weight(part.b, part.a))
-                    )
-        self._compute_edge_flags()
+                for vertex, remaining in part_anchors:
+                    self.edge_candidates[vertex].append((obj.oid, remaining))
+        self._compute_node_info()
 
     # ------------------------------------------------------------------
     # Structure metadata
     # ------------------------------------------------------------------
-    def _compute_edge_flags(self) -> None:
-        """Mark every node whose subtree contains an edge object.
+    def _compute_node_info(self) -> None:
+        """Record every node's rectangle and whether its subtree
+        contains an edge object.
 
         Block-level lambda bounds are only sound for vertex objects;
         nodes flagged here additionally take the (weaker but sound)
@@ -95,16 +103,16 @@ class ObjectIndex:
                 # Evaluate all children: every node needs its flag.
                 flags = [walk(child) for child in node.children]
                 flag = any(flags)
-            self._edge_flags[(node.code, node.level)] = flag
+            self.node_info[(node.code, node.level)] = (self.tree.node_rect(node), flag)
             return flag
 
         walk(self.tree.root)
 
     def has_edge_objects(self, node: PMRNode) -> bool:
-        return self._edge_flags[(node.code, node.level)]
+        return self.node_info[(node.code, node.level)][1]
 
     def node_rect(self, node: PMRNode) -> Rect:
-        return self.tree.node_rect(node)
+        return self.node_info[(node.code, node.level)][0]
 
     @property
     def root(self) -> PMRNode:

@@ -109,6 +109,29 @@ def position_point(network: SpatialNetwork, position: NetworkPosition) -> Point:
     return pa.lerp(pb, position.fraction)
 
 
+def target_anchors(
+    network: SpatialNetwork, position: NetworkPosition
+) -> list[tuple[int, float]]:
+    """``(vertex, offset)`` pairs through which every incoming path passes.
+
+    For extents: the union over parts (reaching any part reaches the
+    object).
+    """
+    if isinstance(position, ExtentPosition):
+        anchors: list[tuple[int, float]] = []
+        for part in position.parts:
+            anchors.extend(target_anchors(network, part))
+        return anchors
+    if isinstance(position, VertexPosition):
+        return [(position.vertex, 0.0)]
+    anchors = [(position.a, position.fraction * network.edge_weight(position.a, position.b))]
+    if network.has_edge(position.b, position.a):
+        anchors.append(
+            (position.b, (1.0 - position.fraction) * network.edge_weight(position.b, position.a))
+        )
+    return anchors
+
+
 class ObjectSet:
     """An immutable collection of spatial objects with id lookup."""
 

@@ -10,6 +10,7 @@ Public entry points (all return a :class:`KNNResult`):
 * :func:`ier_knn` -- Incremental Euclidean Restriction baseline.
 """
 
+from repro.objects.model import target_anchors
 from repro.query.bestfirst import VARIANTS, best_first_knn
 from repro.query.browsing import (
     aggregate_nn,
@@ -25,7 +26,6 @@ from repro.query.location import (
     resolve_location,
     same_edge_direct,
     source_anchors,
-    target_anchors,
 )
 from repro.query.results import KNNResult, Neighbor
 from repro.query.stats import QueryStats

@@ -28,10 +28,10 @@ it.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from bisect import bisect_left, insort
+from heapq import heappop, heappush
 
 from repro.errors import DeadlineExceeded
 from repro.objects.index import ObjectIndex
@@ -52,9 +52,10 @@ VARIANTS = ("knn", "inn", "knn_i", "knn_m")
 class _ResultQueue:
     """The paper's ``L``: candidates ordered by distance upper bound.
 
-    ``dk(k)`` is the k-th smallest upper bound -- the pruning distance.
-    Every operation is counted and timed so the kNN-PQ overhead series
-    of fig p.38 can be reported.
+    The k-th smallest upper bound is the pruning distance ``Dk``; the
+    search loop indexes ``entries`` for it (counting the read).  The
+    operations that do work, ``add`` and ``update``, are counted and
+    timed so the kNN-PQ overhead series of fig p.38 can be reported.
     """
 
     __slots__ = ("entries", "_where", "_seq", "stats")
@@ -88,13 +89,6 @@ class _ResultQueue:
         self._where[oid] = entry
         self.stats.l_ops += 1
         self.stats.l_time += counted_clock() - start
-
-    def dk(self, k: int) -> float:
-        start = counted_clock()
-        value = self.entries[k - 1][0] if len(self.entries) >= k else math.inf
-        self.stats.l_ops += 1
-        self.stats.l_time += counted_clock() - start
-        return value
 
 
 class _KMinDistTracker:
@@ -138,6 +132,13 @@ class _KMinDistTracker:
         if len(self.lows) < self.k:
             return min_block
         return min(self.lows[self.k - 1], min_block)
+
+
+def _deadline_exceeded(budget: float, confirmed: int, k: int) -> DeadlineExceeded:
+    return DeadlineExceeded(
+        f"kNN search exceeded its {budget:.4f}s budget "
+        f"({confirmed} of {k} neighbors confirmed)"
+    )
 
 
 def best_first_knn(
@@ -196,20 +197,12 @@ def best_first_knn(
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if k < 1:
         raise ValueError("k must be at least 1")
-    # The loop breaks at ``lo >= prune_bound()``; nudging the cap one
-    # ulp up keeps objects at exactly max_distance reportable.
+    # The loop breaks at ``lo >= bound``; nudging the cap one ulp up
+    # keeps objects at exactly max_distance reportable.
     cap = math.nextafter(max_distance, math.inf)
 
     t_start = counted_clock()
     deadline = None if time_budget is None else t_start + time_budget
-
-    def check_deadline(confirmed_count: int) -> None:
-        if deadline is not None and counted_clock() > deadline:
-            raise DeadlineExceeded(
-                f"kNN search exceeded its {time_budget:.4f}s budget "
-                f"({confirmed_count} of {k} neighbors confirmed)"
-            )
-
     if time_budget is not None and time_budget <= 0:
         raise DeadlineExceeded(
             f"kNN search started with no remaining budget "
@@ -221,50 +214,66 @@ def best_first_knn(
     handle = QueryHandle(index, object_index, position, counter)
     io_before = index.storage.snapshot() if index.storage is not None else None
 
-    seq = itertools.count()
-    heap: list[tuple[float, int, int, object]] = []
-
     use_dk = variant == "knn"
     use_d0k = variant in ("knn_i", "knn_m")
     result_queue = _ResultQueue(stats) if use_dk else None
     kmin_tracker = _KMinDistTracker(k) if variant == "knn_m" else None
 
-    d0k = math.inf
+    # The pruning distance: ``Dk`` for ``knn`` -- the k-th smallest
+    # upper bound in L, re-read (and counted as an L operation) at every
+    # use --, ``D0k`` once the first k objects are in for ``knn_i`` /
+    # ``knn_m``, and the external cap throughout.
+    bound = cap
+    l_entries = result_queue.entries if use_dk else []
+    dk_reads = 0
     first_k_his: list[float] = []
     states: dict[int, ObjectDistanceState] = {}
     confirmed: list[ObjectDistanceState] = []
 
-    def prune_bound() -> float:
-        if use_dk:
-            return min(result_queue.dk(k), cap)
-        if use_d0k:
-            return min(d0k, cap)
-        return cap
-
-    def push(lo: float, kind: int, payload: object) -> None:
-        heapq.heappush(heap, (lo, next(seq), kind, payload))
-        stats.queue_pushes += 1
-        if kind == _NODE and kmin_tracker is not None:
-            kmin_tracker.block_pushed(lo)
-        if len(heap) > stats.max_queue:
-            stats.max_queue = len(heap)
-
+    # Q holds ``(lo, seq, kind, payload)``; ``seq`` counts pushes, so it
+    # breaks ties first-in-first-out and is ``queue_pushes`` at the end.
+    heap: list[tuple[float, int, int, object]] = []
+    seq = max_queue = collisions = 0
+    objects = object_index.objects
     root = object_index.root
-    if not (root.is_leaf and not root.entries):
-        push(handle.block_bound(root), _NODE, root)
+    if root.children is not None or root.entries:
+        lo = handle.block_bound(root)
+        heap.append((lo, 1, _NODE, root))
+        seq = max_queue = 1
+        if kmin_tracker is not None:
+            kmin_tracker.block_pushed(lo)
 
-    while heap and len(confirmed) < k:
-        check_deadline(len(confirmed))
-        lo, _, kind, payload = heapq.heappop(heap)
-        if kind == _NODE and kmin_tracker is not None:
-            kmin_tracker.block_popped(lo)
-        if lo >= prune_bound():
+    # A refined object whose new lower bound is still strictly below
+    # everything queued would be pushed and popped straight back (a tie
+    # would not: the new sequence number is the largest).  ``held``
+    # keeps it in hand for the next iteration instead, which makes every
+    # per-pop check on it exactly as the round trip would.
+    held: ObjectDistanceState | None = None
+    while held is not None or (heap and len(confirmed) < k):
+        if deadline is not None and counted_clock() > deadline:
+            raise _deadline_exceeded(time_budget, len(confirmed), k)
+        if held is None:
+            lo, _, kind, payload = heappop(heap)
+            if kind == _NODE and kmin_tracker is not None:
+                kmin_tracker.block_popped(lo)
+        else:
+            lo, kind, payload, held = held.lo, _OBJECT, held, None
+        if use_dk:
+            dk_reads += 1
+            bound = l_entries[k - 1][0] if len(l_entries) >= k else cap
+            if cap < bound:
+                bound = cap
+        if lo >= bound:
             break  # nothing remaining can enter the k nearest
         if kind == _NODE:
             node = payload
-            if node.is_leaf:
+            if use_dk:
+                dk_reads += 1  # the expansion reads Dk too; L has not moved
+            # Objects and children are tested against the bound as it
+            # stood when the node was popped.
+            popped_bound = bound
+            if node.children is None:
                 stats.leaf_expansions += 1
-                bound = prune_bound()
                 # First pass: register every object of the leaf, so the
                 # KMINDIST tracker sees all siblings before any accept
                 # decision (accepting against a partially registered
@@ -275,19 +284,19 @@ def best_first_knn(
                         # Extent objects are indexed once per part;
                         # only the first encounter creates a state.
                         continue
-                    state = handle.object_state(object_index.get(oid))
-                    stats.objects_seen += 1
+                    state = handle.object_state(objects[oid])
                     states[oid] = state
                     fresh.append(state)
                     if use_d0k and len(first_k_his) < k:
                         first_k_his.append(state.hi)
                         if len(first_k_his) == k:
-                            d0k = max(first_k_his)
-                            stats.d0k = d0k
+                            stats.d0k = max(first_k_his)
+                            bound = min(stats.d0k, cap)
                     if use_dk:
                         result_queue.add(oid, state.hi)
                     if kmin_tracker is not None:
                         kmin_tracker.add(state.lo)
+                stats.objects_seen += len(fresh)
                 # Second pass: accept certain members outright (kNN-M)
                 # or enqueue survivors of the pruning bound.
                 for state in fresh:
@@ -297,50 +306,66 @@ def best_first_knn(
                         and state.hi <= kmin_tracker.value()
                     ):
                         stats.kmindist_accepts += 1
-                        stats.confirmations += 1
                         confirmed.append(state)
-                        continue
-                    if state.lo < bound:
-                        push(state.lo, _OBJECT, state)
+                    elif state.lo < popped_bound:
+                        seq += 1
+                        heappush(heap, (state.lo, seq, _OBJECT, state))
             else:
                 stats.nonleaf_expansions += 1
-                bound = prune_bound()
                 for child in node.children:
-                    if child.is_leaf and not child.entries:
-                        continue
+                    if child.children is None and not child.entries:
+                        continue  # an empty leaf
                     child_bound = handle.block_bound(child)
-                    if child_bound < bound:
-                        push(child_bound, _NODE, child)
+                    if child_bound < popped_bound:
+                        seq += 1
+                        heappush(heap, (child_bound, seq, _NODE, child))
+                        if kmin_tracker is not None:
+                            kmin_tracker.block_pushed(child_bound)
+            if len(heap) > max_queue:
+                max_queue = len(heap)
             continue
 
         state: ObjectDistanceState = payload
-        top_lo = heap[0][0] if heap else math.inf
-        if state.hi <= top_lo:
+        if state.hi <= (heap[0][0] if heap else math.inf):
             # No collision: reporting is safe (Theorem 1).
-            stats.confirmations += 1
             confirmed.append(state)
             continue
-        stats.collisions += 1
-        if kmin_tracker is not None:
-            kmindist = kmin_tracker.value()
-            if state.hi <= kmindist:
-                # Certain member of the k nearest: accept unrefined.
-                stats.kmindist_accepts += 1
-                stats.confirmations += 1
-                confirmed.append(state)
-                continue
+        collisions += 1
+        if kmin_tracker is not None and state.hi <= kmin_tracker.value():
+            # Certain member of the k nearest: accept unrefined.
+            stats.kmindist_accepts += 1
+            confirmed.append(state)
+            continue
         old_lo = state.lo
         state.refine()
+        lo = state.lo
         if use_dk:
             result_queue.update(state.oid, state.hi)
+            dk_reads += 1
+            bound = l_entries[k - 1][0] if len(l_entries) >= k else cap
+            if cap < bound:
+                bound = cap
         if kmin_tracker is not None:
-            kmin_tracker.replace(old_lo, state.lo)
+            kmin_tracker.replace(old_lo, lo)
         # ``<=``: an object that is itself the k-th entry of L and just
         # became exact has lo == Dk; dropping it confirms a farther one.
-        if state.lo <= prune_bound():
-            push(state.lo, _OBJECT, state)
+        if lo <= bound:
+            seq += 1
+            if heap and lo >= heap[0][0]:
+                heappush(heap, (lo, seq, _OBJECT, state))
+                if len(heap) > max_queue:
+                    max_queue = len(heap)
+            else:
+                held = state
+                if len(heap) >= max_queue:
+                    max_queue = len(heap) + 1
 
     stats.refinements = counter.count
+    stats.queue_pushes = seq
+    stats.max_queue = max_queue
+    stats.collisions = collisions
+    stats.confirmations = len(confirmed)
+    stats.l_ops += dk_reads
 
     # ------------------------------------------------------------------
     # Assembly
@@ -360,7 +385,8 @@ def best_first_knn(
         remaining.sort(key=lambda s: s.lo)
         fill = remaining[: k - len(result_states)]
         for s in fill:
-            check_deadline(len(result_states))
+            if deadline is not None and counted_clock() > deadline:
+                raise _deadline_exceeded(time_budget, len(result_states), k)
             s.refine_fully()
         fill.sort(key=lambda s: s.lo)
         result_states.extend(fill)
@@ -370,7 +396,8 @@ def best_first_knn(
     if exact:
         before = counter.count
         for s in result_states:
-            check_deadline(len(result_states))
+            if deadline is not None and counted_clock() > deadline:
+                raise _deadline_exceeded(time_budget, len(result_states), k)
             s.refine_fully()
         post_refinements = counter.count - before
         stats.extras["post_refinements"] = post_refinements

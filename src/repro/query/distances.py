@@ -13,12 +13,7 @@ import math
 
 from repro.objects.index import ObjectIndex
 from repro.objects.model import NetworkPosition, SpatialObject
-from repro.query.location import (
-    location_point,
-    same_edge_direct,
-    source_anchors,
-    target_anchors,
-)
+from repro.query.location import location_point, same_edge_direct, source_anchors
 from repro.quadtree.pmr import PMRNode
 from repro.silc.index import SILCIndex
 from repro.silc.intervals import DistanceInterval, checked_bounds, invalid_bounds
@@ -50,10 +45,13 @@ class ObjectDistanceState:
         self.oid = oid
         self.components = components
         self.direct = math.inf if direct is None else direct
-        self.lo, self.hi = checked_bounds(
-            min([self.direct, *(c.lo for c in components)]),
-            min([self.direct, *(c.hi for c in components)]),
-        )
+        lo = hi = self.direct
+        for comp in components:
+            if comp.lo < lo:
+                lo = comp.lo
+            if comp.hi < hi:
+                hi = comp.hi
+        self.lo, self.hi = checked_bounds(lo, hi)
 
     @property
     def interval(self) -> DistanceInterval:
@@ -78,8 +76,8 @@ class ObjectDistanceState:
             self.hi = self.lo
             return False
         best.refine()
-        # The min-fold of __init__ as a loop: this is the search loop's
-        # hot path, and a helper would cost a frame per step.
+        # __init__'s min-fold again: this is the search loop's hot
+        # path, and a shared helper would cost a frame per step.
         lo = hi = self.direct
         for comp in self.components:
             if comp.lo < lo:
@@ -134,14 +132,21 @@ class QueryHandle:
     # Distances
     # ------------------------------------------------------------------
     def object_state(self, obj: SpatialObject) -> ObjectDistanceState:
-        """The refinable distance from the query to ``obj``."""
+        """The refinable distance from the query to ``obj``, an object
+        of this handle's object index.
+
+        Both ends' vertex ids were checked where they entered -- the
+        query's when it was resolved and reduced to anchors, the
+        object's when the object index was built.
+        """
+        index = self.index
+        counter = self.counter
+        targets = self.object_index.target_anchors[obj.oid]
         components = []
         for sv, s_off in self.anchors:
-            for tv, t_off in target_anchors(self.network, obj.position):
+            for tv, t_off in targets:
                 components.append(
-                    self.index.refinable(
-                        sv, tv, counter=self.counter, offset=s_off + t_off
-                    )
+                    RefinableDistance(index, sv, tv, counter, s_off + t_off)
                 )
         direct = same_edge_direct(self.network, self.position, obj.position)
         return ObjectDistanceState(obj.oid, components, direct)
@@ -157,8 +162,9 @@ class QueryHandle:
         global-slope Euclidean bound, and pure-vertex subtrees use the
         better of the two.
         """
-        rect = self.object_index.node_rect(node)
-        euclid = self._euclid_slope * rect.min_distance_to_point(self.point)
+        rect, has_edge_objects = self.object_index.node_info[node.code, node.level]
+        point = self.point
+        euclid = self._euclid_slope * rect.min_distance_to_point_xy(point.x, point.y)
         lam = math.inf
         if self._anchor_columns is None:
             # One bound column per anchor, shared by every node bounded.
@@ -170,7 +176,7 @@ class QueryHandle:
                 av, node.code, node.level, column=column
             )
             lam = min(lam, a_off + bound)
-        if self.object_index.has_edge_objects(node):
+        if has_edge_objects:
             return min(lam, euclid)
         if math.isinf(lam):
             # No network vertex in the block: with only vertex objects

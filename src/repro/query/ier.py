@@ -26,12 +26,12 @@ import math
 
 from repro.network.astar import astar_path
 from repro.objects.index import ObjectIndex
+from repro.objects.model import target_anchors
 from repro.query.location import (
     location_point,
     resolve_location,
     same_edge_direct,
     source_anchors,
-    target_anchors,
 )
 from repro.query.results import KNNResult, Neighbor
 from repro.query.stats import QueryStats, counted_clock

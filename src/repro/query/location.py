@@ -6,11 +6,12 @@ algorithms reduce the location to *anchors*: pairs ``(vertex,
 offset)`` such that every path out of the location passes through one
 of the anchor vertices after traveling ``offset``.
 
-Objects reduce symmetrically to *target anchors*: every path into the
-object passes through an anchor vertex and then travels ``offset``
-more.  Distances between a location and an object are minima over
-anchor pairs (plus the degenerate same-edge segment, handled by
-:func:`same_edge_direct`).
+Objects reduce symmetrically to *target anchors*
+(:func:`repro.objects.model.target_anchors`, computed once per object
+by the object index): every path into the object passes through an
+anchor vertex and then travels ``offset`` more.  Distances between a
+location and an object are minima over anchor pairs (plus the
+degenerate same-edge segment, handled by :func:`same_edge_direct`).
 """
 
 from __future__ import annotations
@@ -58,29 +59,6 @@ def source_anchors(
     if network.has_edge(position.b, position.a):
         anchors.append(
             (position.a, position.fraction * network.edge_weight(position.b, position.a))
-        )
-    return anchors
-
-
-def target_anchors(
-    network: SpatialNetwork, position: NetworkPosition
-) -> list[tuple[int, float]]:
-    """``(vertex, offset)`` pairs through which every incoming path passes.
-
-    For extents: the union over parts (reaching any part reaches the
-    object).
-    """
-    if isinstance(position, ExtentPosition):
-        anchors: list[tuple[int, float]] = []
-        for part in position.parts:
-            anchors.extend(target_anchors(network, part))
-        return anchors
-    if isinstance(position, VertexPosition):
-        return [(position.vertex, 0.0)]
-    anchors = [(position.a, position.fraction * network.edge_weight(position.a, position.b))]
-    if network.has_edge(position.b, position.a):
-        anchors.append(
-            (position.b, (1.0 - position.fraction) * network.edge_weight(position.b, position.a))
         )
     return anchors
 

@@ -32,9 +32,10 @@ class QueryStats:
     max_queue:
         Peak size of the main priority queue ``Q`` (fig p.34's unit).
     l_ops / l_time:
-        Operations on (and seconds spent in) the result queue ``L``
-        and its ``Dk`` bookkeeping -- the paper's "kNN-PQ" series
-        (fig p.38).
+        Operations on the result queue ``L`` -- every insertion, every
+        update and every read of ``Dk`` -- and the seconds spent in the
+        insertions and updates (a read is a list index, counted but not
+        timed): the paper's "kNN-PQ" series (fig p.38).
     kmindist_accepts:
         Objects accepted directly against KMINDIST without further
         refinement (fig p.36's unit; kNN-M only).

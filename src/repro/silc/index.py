@@ -233,8 +233,17 @@ class SILCIndex:
         row = bisect_right(codes, cell) - 1
         if row < 0 or cell >= ends[row]:
             raise PathNotFound(source, target)
-        if self.storage is not None:
-            self.storage.touch(source, row)
+        storage = self.storage
+        if storage is not None:
+            # attach_storage matched the layout to these tables and
+            # ``row`` was just located in one; only a negative source
+            # (it indexes from the end) is left for page_of to refuse.
+            layout = storage.layout
+            storage.access(
+                layout.page_offsets[source] + row // layout.records_per_page
+                if source >= 0
+                else layout.page_of(source, row)
+            )
         d_e = math.hypot(
             self._xf[source] - self._xf[target], self._yf[source] - self._yf[target]
         )

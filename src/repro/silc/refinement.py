@@ -105,7 +105,11 @@ class RefinableDistance:
             return False
         index = self._index
         nxt = self._next_hop
-        acc = self.acc + index.network.edge_weight(via, nxt)
+        network = index.network
+        weight = network.out_weights[via].get(nxt)
+        if weight is None:  # corrupt next hop: edge_weight names the failure
+            weight = network.edge_weight(via, nxt)
+        acc = self.acc + weight
         self.acc = acc
         self.via = nxt
         if self._counter is not None:

@@ -12,7 +12,7 @@ execution entirely.
 worker thread its own LRU shard and counter set**, created lazily on
 the thread's first touch:
 
-* ``touch``/``touch_range``/``snapshot`` operate purely on
+* ``access``/``touch_range``/``snapshot`` operate purely on
   thread-local state -- no synchronization on the query hot path;
 * ``stats`` merges every shard's counters on read (the engine-level
   totals used by metrics and benchmarks);
@@ -128,9 +128,8 @@ class ShardedStorageSimulator:
     # ------------------------------------------------------------------
     # Access interface used by SILCIndex
     # ------------------------------------------------------------------
-    def touch(self, table: int, record: int) -> None:
-        hit = self._shard().access(self.layout.page_of(table, record))
-        if not hit and self.sleep_per_miss:
+    def access(self, page: int) -> None:
+        if not self._shard().access(page) and self.sleep_per_miss:
             time.sleep(self.sleep_per_miss)
 
     def touch_range(self, table: int, lo_record: int, hi_record: int) -> None:

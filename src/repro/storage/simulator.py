@@ -1,8 +1,9 @@
 """The storage simulator a SILC index can be attached to.
 
 Glues :class:`StorageLayout` and :class:`LRUCache` together behind the
-one-method interface the index needs (``touch(table, record)``), and
-owns the experiment knobs: cache fraction and per-fault latency.
+interface the index needs (``layout`` to turn a probed record into a
+page, ``access(page)`` / ``touch_range`` to account it), and owns the
+experiment knobs: cache fraction and per-fault latency.
 """
 
 from __future__ import annotations
@@ -50,23 +51,14 @@ class StorageSimulator:
         capacity = max(1, int(layout.total_pages * cache_fraction))
         return cls(layout=layout, cache=LRUCache(capacity), miss_latency=miss_latency)
 
+    def __post_init__(self) -> None:
+        #: ``access(page)`` accounts one page (once per refinement
+        #: step): the cache's own method, so a probe pays one frame.
+        self.access = self.cache.access
+
     # ------------------------------------------------------------------
     # Access interface used by SILCIndex
     # ------------------------------------------------------------------
-    def touch(self, table: int, record: int) -> None:
-        """Account one probe of ``record`` (once per refinement step).
-
-        ``page_of``'s arithmetic inline; anything out of range goes to
-        ``page_of`` itself, which raises the ``IndexError``.
-        """
-        layout = self.layout
-        sizes = layout.table_sizes
-        if 0 <= table < len(sizes) and 0 <= record < (sizes[table] or 1):
-            page = layout.page_offsets[table] + record // layout.records_per_page
-        else:
-            page = layout.page_of(table, record)
-        self.cache.access(page)
-
     def touch_range(self, table: int, lo_record: int, hi_record: int) -> None:
         for page in self.layout.pages_of_range(table, lo_record, hi_record):
             self.cache.access(page)

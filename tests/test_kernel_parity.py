@@ -24,10 +24,18 @@ import pytest
 
 from repro.datasets import random_edge_objects, random_vertex_objects
 from repro.geometry.morton import block_cells
-from repro.network import EdgeNotFound, VertexNotFound, road_like_network
+from repro.network import (
+    EdgeNotFound,
+    SpatialNetwork,
+    VertexNotFound,
+    road_like_network,
+)
+from repro.errors import DeadlineExceeded
 from repro.objects import EdgePosition, ObjectIndex, ObjectSet, VertexPosition
+from repro.query import bestfirst
 from repro.query.bestfirst import VARIANTS, best_first_knn
-from repro.silc import SILCIndex
+from repro.query.distances import ObjectDistanceState
+from repro.silc import ProximalSILCIndex, SILCIndex
 from repro.silc.index import _REL_PAD
 
 KS = (1, 5, 25)
@@ -114,7 +122,11 @@ def _record(result) -> tuple:
     )
 
 
-def compute_digests(net, index) -> dict[str, str]:
+def _digest(records) -> str:
+    return hashlib.sha256(repr(records).encode()).hexdigest()[:16]
+
+
+def compute_digests(net, index, **knn_kwargs) -> dict[str, str]:
     """One digest per (scenario, storage, variant) over k and queries."""
     digests = {}
     for name, (objects, queries) in _scenarios(net).items():
@@ -131,6 +143,7 @@ def compute_digests(net, index) -> dict[str, str]:
                             best_first_knn(
                                 index, object_index, q, k,
                                 variant=variant, exact=bool(i % 2),
+                                **knn_kwargs,
                             )
                         )
                         for k in KS
@@ -138,9 +151,7 @@ def compute_digests(net, index) -> dict[str, str]:
                     ]
                 finally:
                     index.detach_storage()
-                digests[f"{name}/{storage}/{variant}"] = hashlib.sha256(
-                    repr(records).encode()
-                ).hexdigest()[:16]
+                digests[f"{name}/{storage}/{variant}"] = _digest(records)
     return digests
 
 
@@ -157,6 +168,253 @@ def parity_index(parity_net):
 def test_answers_and_counted_ops_match_golden(parity_net, parity_index):
     got = compute_digests(parity_net, parity_index)
     assert got == GOLDEN
+
+
+def test_generous_time_budget_changes_nothing(parity_net, parity_index):
+    """The deadline is only ever checked, never used to steer."""
+    got = compute_digests(parity_net, parity_index, time_budget=3600.0)
+    assert got == GOLDEN
+
+
+# ----------------------------------------------------------------------
+# Control flow the 24 digests above do not reach
+# ----------------------------------------------------------------------
+#: Recorded at the commit before the pop loop kept a refined queue head
+#: in hand instead of re-inserting and re-popping it: same record
+#: format, one digest per (scenario, variant), storage attached.
+GOLDEN_CONTROL_FLOW: dict[str, str] = {
+    "cap/knn": "cde092fb5a59a961",
+    "k_ge_s/knn": "5c1cfd5d3dc6d855",
+    "ties/knn": "b34539b9208b8ce1",
+    "proximal/knn": "dcb543daf9624570",
+    "cap/inn": "b6e33a9606f2a19c",
+    "k_ge_s/inn": "62e865d02b36b47b",
+    "ties/inn": "1b1b13e5c558d3d1",
+    "proximal/inn": "72ae5f8767318e49",
+    "cap/knn_i": "fba8dbdf7b74a190",
+    "k_ge_s/knn_i": "62e865d02b36b47b",
+    "ties/knn_i": "0f603f109f56d9e5",
+    "proximal/knn_i": "2031b0b78bad7ebd",
+    "cap/knn_m": "0abadf59d5f3c9b4",
+    "k_ge_s/knn_m": "882a96d786a92155",
+    "ties/knn_m": "62949f74c607a6d4",
+    "proximal/knn_m": "7660a60351dae59c",
+}
+
+
+def tie_grid_network(side=7, seed=11) -> SpatialNetwork:
+    """A perfect lattice with integer weights in {1, 2, 3}: many pairs
+    of vertices at exactly equal network distance."""
+    rng = np.random.default_rng(seed)
+    xs = [float(c) for _ in range(side) for c in range(side)]
+    ys = [float(r) for r in range(side) for _ in range(side)]
+    edges = []
+    for r in range(side):
+        for c in range(side):
+            for r2, c2 in ((r, c + 1), (r + 1, c)):
+                if r2 < side and c2 < side:
+                    w = float(rng.integers(1, 4))
+                    u, v = r * side + c, r2 * side + c2
+                    edges += [(u, v, w), (v, u, w)]
+    return SpatialNetwork(xs, ys, edges)
+
+
+def tie_grid_setup():
+    """``(index, object index)`` over the tie grid: two objects on some
+    corners, and symmetric placements, so exact distances tie and L / Q
+    order them by sequence number alone."""
+    grid = tie_grid_network()
+    index = SILCIndex.build(grid)
+    objects = ObjectSet.at_vertices(
+        grid, [0, 6, 42, 48, 24, 24, 10, 10, 38, 3, 21, 27, 45, 17, 31, 8]
+    )
+    return index, ObjectIndex(grid, objects, index.embedding)
+
+
+def _run_cell(index, object_index, calls) -> str:
+    """Digest of ``best_first_knn(index, object_index, *args, **kw)``
+    over ``calls`` against a fresh simulator."""
+    index.attach_storage(index.make_storage(cache_fraction=0.05))
+    try:
+        return _digest(
+            [
+                _record(best_first_knn(index, object_index, *args, **kwargs))
+                for args, kwargs in calls
+            ]
+        )
+    finally:
+        index.detach_storage()
+
+
+def compute_control_flow_digests(net, index) -> dict[str, str]:
+    digests = {}
+    objects, queries = _scenarios(net)["vertex"]
+    object_index = ObjectIndex(net, objects, index.embedding)
+    few = ObjectIndex(
+        net, random_vertex_objects(net, count=12, seed=8), index.embedding
+    )
+    few_edges = ObjectIndex(
+        net, random_edge_objects(net, count=9, seed=8), index.embedding
+    )
+    # A horizon past the network's diameter: every probe answers, all
+    # of them through the proximal override.
+    proximal = ProximalSILCIndex.build(net, radius=1e9)
+    proximal_objects = ObjectIndex(net, objects, proximal.embedding)
+    grid_index, grid_objects = tie_grid_setup()
+    for variant in VARIANTS:
+        # max_distance below, at and above the k-th distance.
+        calls = []
+        for k in (5, 25):
+            for i, q in enumerate(queries):
+                kth = best_first_knn(
+                    index, object_index, q, k, variant="inn", exact=True
+                ).neighbors[-1].distance
+                for cap in (0.5 * kth, kth, 1.5 * kth):
+                    calls.append(
+                        ((q, k), dict(variant=variant, exact=bool(i % 2), max_distance=cap))
+                    )
+        digests[f"cap/{variant}"] = _run_cell(index, object_index, calls)
+        # k >= |S|: the loop drains Q and the fallback fill tops up.
+        digests[f"k_ge_s/{variant}"] = _digest(
+            [
+                _run_cell(
+                    index, small, [((q, k), dict(variant=variant, exact=bool(i % 2)))
+                                   for k in ks for i, q in enumerate(queries)],
+                )
+                for small, ks in ((few, (12, 19)), (few_edges, (9, 14)))
+            ]
+        )
+        digests[f"ties/{variant}"] = _run_cell(
+            grid_index, grid_objects,
+            [((q, k), dict(variant=variant, exact=bool((q + k) % 2)))
+             for k in (1, 4, 9, 16) for q in range(0, 49, 3)],
+        )
+        digests[f"proximal/{variant}"] = _run_cell(
+            proximal, proximal_objects,
+            [((q, k), dict(variant=variant, exact=bool(i % 2)))
+             for k in KS for i, q in enumerate(queries)],
+        )
+    return digests
+
+
+def test_control_flow_digests_match_golden(parity_net, parity_index):
+    got = compute_control_flow_digests(parity_net, parity_index)
+    assert got == GOLDEN_CONTROL_FLOW
+
+
+# ----------------------------------------------------------------------
+# Head runs: a refined object still strictly ahead of everything queued
+# is kept in hand instead of being pushed and popped straight back
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def loop_events(monkeypatch):
+    """What the searches run under this fixture did, in order:
+    ``("refine", oid)`` per refinement call and ``("push", oid, tie)``
+    per object that went onto the heap, ``tie`` when its bound equalled
+    the head's.  Two refinements of one object with no push between
+    them are a head run."""
+    events: list[tuple] = []
+    real_push, real_refine = bestfirst.heappush, ObjectDistanceState.refine
+
+    def heappush(heap, entry):
+        if isinstance(entry[3], ObjectDistanceState):
+            events.append(
+                ("push", entry[3].oid, bool(heap) and entry[0] == heap[0][0])
+            )
+        real_push(heap, entry)
+
+    def refine(state):
+        events.append(("refine", state.oid))
+        return real_refine(state)
+
+    monkeypatch.setattr(bestfirst, "heappush", heappush)
+    monkeypatch.setattr(ObjectDistanceState, "refine", refine)
+    return events
+
+
+def test_an_exact_tie_with_the_queue_head_goes_through_the_heap(loop_events):
+    """Objects 6 and 7 share a corner, one link from vertex 3.  When 7
+    is refined to its exact 1.0, object 6 -- queued earlier at the same
+    1.0 -- is the head: 7 takes the larger sequence number and waits
+    its turn, so the order of confirmation is the one recorded before
+    head runs existed."""
+    grid_index, object_index = tie_grid_setup()
+    result = best_first_knn(grid_index, object_index, 3, 4, variant="inn")
+    assert ("push", 7, True) in loop_events
+    assert result.ids() == [9, 6, 7, 13]
+    assert [n.interval.lo for n in result.neighbors[1:3]] == [1.0, 1.0]
+
+
+#: ``deadline_reports`` of the two variants below, recorded at the
+#: commit before head runs: the confirmed count each DeadlineExceeded
+#: names when the clock jumps right after the R-th refinement,
+#: R = 1, 2, ... ("-": the search finished without another check).
+GOLDEN_DEADLINE_REPORTS: dict[str, str] = dict.fromkeys(
+    ("knn", "inn"),  # the two agree on this query
+    "0,0,1,1,1,2,2,2,4,4,6,6,6,6,6,6,6,6,6,6,7,7,7,7,7,7,7,7,7,7,7,8,8,8,8,"
+    "9,9,9,9,9,9,9,9,9,9,9,10,10,10,10,10,10,10,10,10,10,10,10,10,10,10,10,"
+    "10,10,10,10,-",
+)
+
+
+def deadline_reports(index, object_index, query, k, variant) -> str:
+    """One entry per refinement R of the search: what its
+    DeadlineExceeded reports when the clock jumps past the deadline
+    right after that refinement."""
+    real_refine = ObjectDistanceState.refine
+    real_clock = bestfirst.counted_clock
+    refinements = 0
+
+    def refine(state):
+        nonlocal refinements
+        refinements += 1
+        return real_refine(state)
+
+    ObjectDistanceState.refine = refine
+    try:
+        best_first_knn(index, object_index, query, k, variant=variant, exact=True)
+        total, reports = refinements, []
+        for jump_after in range(1, total + 1):
+            refinements = 0
+            bestfirst.counted_clock = (
+                lambda: 1e9 if refinements >= jump_after else 0.0
+            )
+            try:
+                best_first_knn(
+                    index, object_index, query, k,
+                    variant=variant, exact=True, time_budget=1.0,
+                )
+                reports.append("-")
+            except DeadlineExceeded as exc:
+                confirmed = str(exc).split("(")[1].split(" ")[0]
+                assert str(exc) == (
+                    "kNN search exceeded its 1.0000s budget "
+                    f"({confirmed} of {k} neighbors confirmed)"
+                )
+                reports.append(confirmed)
+    finally:
+        ObjectDistanceState.refine = real_refine
+        bestfirst.counted_clock = real_clock
+    return ",".join(reports)
+
+
+@pytest.mark.parametrize("variant", ["knn", "inn"])
+def test_deadline_passing_inside_a_head_run(
+    parity_net, parity_index, loop_events, variant
+):
+    objects, queries = _scenarios(parity_net)["vertex"]
+    object_index = ObjectIndex(parity_net, objects, parity_index.embedding)
+    assert (
+        deadline_reports(parity_index, object_index, queries[1], 10, variant)
+        == GOLDEN_DEADLINE_REPORTS[variant]
+    )
+    # ... and some of those jumps did land between two refinements of
+    # one run: the deadline is read before every step of it.
+    del loop_events[:]
+    best_first_knn(parity_index, object_index, queries[1], 10, variant=variant)
+    assert any(
+        a == b and a[0] == "refine" for a, b in zip(loop_events, loop_events[1:])
+    )
 
 
 def _reference_block_lower_bound(index, source, code, level) -> float:
@@ -299,6 +557,33 @@ class TestChecksKept:
         with pytest.raises(VertexNotFound):
             index.path(source, target)
 
+    def test_corrupted_color_inside_a_head_run_raises_edge_not_found(
+        self, grid_net, index, loop_events
+    ):
+        """Vertex 4 is four links from vertex 0 and, with the only other
+        object on vertex 12, is refined all the way in one head run; a
+        bad next hop read by its first step fails its second."""
+        object_index = ObjectIndex(
+            grid_net, ObjectSet.at_vertices(grid_net, [4, 12]), index.embedding
+        )
+        run = [("push", 0, False), ("push", 1, False), ("refine", 0), ("refine", 0)]
+        best_first_knn(index, object_index, 0, 1, variant="inn")
+        assert loop_events[:4] == run
+        self._corrupt(index, index.path(0, 4)[1], 4, "colors", 10_000)
+        for variant in VARIANTS:
+            del loop_events[:]
+            with pytest.raises(EdgeNotFound):
+                best_first_knn(index, object_index, 0, 1, variant=variant)
+            assert loop_events == run
+
+    def test_page_layout_refuses_a_probe_from_a_negative_source(self, index):
+        index.attach_storage(index.make_storage())
+        try:
+            with pytest.raises(IndexError, match="table -1 out of range"):
+                index.hop_and_interval(-1, 5)
+        finally:
+            index.detach_storage()
+
     def test_refine_fully_guard_trips_on_next_hop_cycle(self, grid_net, index):
         source, hop, target = self._far_pair(index)
         assert grid_net.has_edge(hop, source)
@@ -309,5 +594,8 @@ class TestChecksKept:
 
 if __name__ == "__main__":
     net = road_like_network(150, seed=9)
-    for key, value in compute_digests(net, SILCIndex.build(net)).items():
-        print(f'    "{key}": "{value}",')
+    built = SILCIndex.build(net)
+    for compute in (compute_digests, compute_control_flow_digests):
+        print(compute.__name__)
+        for key, value in compute(net, built).items():
+            print(f'    "{key}": "{value}",')

@@ -93,6 +93,25 @@ class TestAccess:
         with pytest.raises(EdgeNotFound):
             triangle().edge_weight(1, 0)
 
+    def test_edge_weight_reads_the_per_vertex_dicts(self):
+        """One ``{target: weight}`` per vertex, built with the adjacency
+        (by ``from_csr`` too): a parallel edge is already its minimum,
+        and a miss raises what the adjacency scan raised."""
+        net = SpatialNetwork(
+            [0.0, 1.0, 2.0],
+            [0.0, 0.0, 0.0],
+            [(0, 1, 5.0), (0, 1, 2.0), (0, 2, 4.0), (1, 0, 1.0), (2, 0, 1.0)],
+        )
+        for built in (net, SpatialNetwork.from_csr(net.xs, net.ys, net.to_csr())):
+            assert built.out_weights == [dict(net.neighbors(u)) for u in net.vertices()]
+            assert built.edge_weight(0, 1) == 2.0
+            for u in (-1, 3):
+                with pytest.raises(VertexNotFound):
+                    built.edge_weight(u, 0)
+            for v in (-1, 2, 3):
+                with pytest.raises(EdgeNotFound):
+                    built.edge_weight(1, v)
+
     def test_has_edge(self):
         net = triangle()
         assert net.has_edge(0, 1)
