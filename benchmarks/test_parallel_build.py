@@ -2,8 +2,9 @@
 
 The paper's p.27 "Musings" argue the SILC precompute is embarrassingly
 parallel across sources; ``repro.silc.parallel`` implements that claim
-with a process pool.  This benchmark builds the same 1000-vertex
-road-like network serially and with ``workers=4`` and checks:
+with a process pool.  This benchmark builds the same road-like network
+serially and pooled -- 1000 vertices with ``workers=4``, and the
+evaluation-scale 3000 with ``workers=2`` -- and checks:
 
 * the two indexes are **byte-identical** (same embedding, same vertex
   codes, same block-table columns, bit for bit) -- parallelism must
@@ -12,9 +13,8 @@ road-like network serially and with ``workers=4`` and checks:
   asserted**: the old ``>= 2x`` floor was calibrated against a serial
   build that walked a Python stack per block; with the array-pass
   kernel the serial build of this network takes ~0.3 s and the pool's
-  fixed cost (fork, network hand-off, result copies) dominates at this
-  size.  What is asserted is counted: byte-identity here, transport
-  bytes in :func:`test_shm_transport_n3000`.
+  fixed cost (fork, result pickles) dominates at this size.  What is
+  asserted is byte-identity.
 """
 
 import time
@@ -22,20 +22,9 @@ import time
 import numpy as np
 import pytest
 
-from bench_lib import (
-    BENCH_CHUNK_SIZE,
-    BENCH_N,
-    BENCH_SEED,
-    SeriesRecorder,
-    cached_network,
-    record_build_time,
-)
-from repro.silc import SILCIndex, available_workers, shared_memory_available
-from repro.silc import parallel as parallel_mod
+from bench_lib import BENCH_CHUNK_SIZE, BENCH_N, SeriesRecorder, cached_network
+from repro.silc import SILCIndex, available_workers
 
-N = 1000
-WORKERS = 4
-CHUNK_SIZE = 64
 TABLE_COLUMNS = ("codes", "levels", "colors", "lam_min", "lam_max")
 
 
@@ -53,20 +42,23 @@ def _identical(a: SILCIndex, b: SILCIndex) -> bool:
 
 
 @pytest.mark.slowbench
-def test_parallel_build_speedup(benchmark, capsys):
+@pytest.mark.parametrize(
+    "n, workers, chunk_size", [(1000, 4, 64), (BENCH_N, 2, BENCH_CHUNK_SIZE)]
+)
+def test_parallel_build_speedup(benchmark, capsys, n, workers, chunk_size):
     recorder = SeriesRecorder(
-        "parallel_build",
+        f"parallel_build_n{n}",
         ["mode", "workers", "build_seconds", "speedup", "cpus"],
     )
-    net = cached_network(N)
+    net = cached_network(n)
     cpus = available_workers()
 
     def build_both():
         t0 = time.perf_counter()
-        serial = SILCIndex.build(net, chunk_size=CHUNK_SIZE)
+        serial = SILCIndex.build(net, chunk_size=chunk_size)
         t_serial = time.perf_counter() - t0
         t0 = time.perf_counter()
-        parallel = SILCIndex.build(net, chunk_size=CHUNK_SIZE, workers=WORKERS)
+        parallel = SILCIndex.build(net, chunk_size=chunk_size, workers=workers)
         t_parallel = time.perf_counter() - t0
         return serial, parallel, t_serial, t_parallel
 
@@ -75,59 +67,12 @@ def test_parallel_build_speedup(benchmark, capsys):
     )
     speedup = t_serial / t_parallel
     recorder.add("serial", 1, t_serial, 1.0, cpus)
-    recorder.add("parallel", WORKERS, t_parallel, speedup, cpus)
+    recorder.add("parallel", workers, t_parallel, speedup, cpus)
     recorder.emit(capsys)
-    # Feed both timings into the bench-report trajectory so the
-    # history finally accumulates workers>1 rows alongside the serial
-    # builds of cached_index.
-    record_build_time(N, BENCH_SEED, 1, CHUNK_SIZE, t_serial)
-    record_build_time(N, BENCH_SEED, WORKERS, CHUNK_SIZE, t_parallel)
     benchmark.extra_info["speedup"] = speedup
     benchmark.extra_info["cpus"] = cpus
 
     # Bit-identity is the non-negotiable invariant, on any hardware.
     assert _identical(serial, parallel), (
         "parallel build produced a different index than the serial build"
-    )
-
-
-@pytest.mark.slowbench
-@pytest.mark.skipif(
-    not shared_memory_available(), reason="no shared memory on this system"
-)
-def test_shm_transport_n3000(capsys):
-    """Shared-memory transport at evaluation scale (n = 3000).
-
-    Byte-identity with the serial build plus the counted-bytes claim:
-    the per-chunk payload shipped through the pool's result pickle
-    stays at name-and-sizes scale (~hundreds of bytes per chunk) while
-    the actual block columns -- hundreds of KB -- travel exclusively
-    through shared memory.
-    """
-    net = cached_network(BENCH_N)
-    serial = SILCIndex.build(net, chunk_size=BENCH_CHUNK_SIZE)
-    parallel = SILCIndex.build(
-        net, chunk_size=BENCH_CHUNK_SIZE, workers=2, transport="shm"
-    )
-    stats = parallel_mod.last_build_stats
-    assert stats is not None and stats.transport == "shm"
-
-    recorder = SeriesRecorder(
-        "parallel_build_transport",
-        ["n", "workers", "chunks", "pickle_bytes", "shared_bytes"],
-    )
-    recorder.add(
-        BENCH_N, 2, stats.chunks, stats.result_pickle_bytes, stats.shared_bytes
-    )
-    recorder.emit(capsys)
-
-    assert _identical(serial, parallel), (
-        "shm-transport build produced a different index than serial"
-    )
-    assert stats.result_pickle_bytes < 2048 * stats.chunks, (
-        f"per-chunk pickle payload too large: {stats.result_pickle_bytes} B "
-        f"over {stats.chunks} chunks"
-    )
-    assert stats.shared_bytes > 100 * stats.result_pickle_bytes, (
-        "column data must travel through shared memory, not pickle"
     )

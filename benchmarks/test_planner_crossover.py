@@ -20,20 +20,12 @@ assertions pin the planner contract:
   home turf (Akiba et al., SIGMOD 2013) -- labels beat SILC browsing
   on counted-op cost.
 
-Results persist to ``results/planner_crossover.txt``.
+The table lands in ``benchmarks/out/planner_crossover.txt``.
 """
 
 from __future__ import annotations
 
-import time
-
-from bench_lib import (
-    BENCH_N,
-    BENCH_SEED,
-    SeriesRecorder,
-    make_objects,
-    record_build_time,
-)
+from bench_lib import SeriesRecorder, make_objects
 import pytest
 
 from repro.engine import QueryEngine
@@ -47,12 +39,7 @@ TIE_FACTOR = 2.0
 
 @pytest.fixture(scope="module")
 def bench_labelling(bench_net):
-    t0 = time.perf_counter()
-    labelling = PrunedLabellingOracle.build(bench_net)
-    record_build_time(
-        BENCH_N, BENCH_SEED, 1, 0, time.perf_counter() - t0, oracle="labels"
-    )
-    return labelling
+    return PrunedLabellingOracle.build(bench_net)
 
 
 def _measure(engine, queries, k):

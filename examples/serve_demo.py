@@ -11,9 +11,9 @@ explicit retry-after instead of letting the queue grow without bound.
 The same server is scriptable from a shell via the JSON-lines CLI::
 
     python -m repro generate --size 500 net.txt
-    python -m repro build net.txt index.npz
+    python -m repro build net.txt index.silc
     echo '{"id": 1, "kind": "knn", "query": 0, "k": 5}' \
-        | python -m repro serve net.txt index.npz --objects 40
+        | python -m repro serve net.txt index.silc --objects 40
 
 Run:  python examples/serve_demo.py
 """

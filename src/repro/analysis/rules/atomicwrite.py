@@ -2,7 +2,7 @@
 
 Invariant 5 (ARCHITECTURE.md): an interrupted save never leaves a
 silently-corrupt index.  That only holds if every byte of index /
-label / shard / trajectory persistence flows through
+label / shard persistence flows through
 ``repro.integrity`` -- either inside a ``with atomic_directory(...)
 as tmp:`` staging block, or via one of its atomic single-file
 helpers.  A bare ``open(..., "w")``, ``np.save`` or ``json.dump``

@@ -11,11 +11,10 @@ index, and answer queries from the shell::
     python -m repro path net.txt index.dir 0 250
     python -m repro knn net.txt index.dir --query 0 --k 5 --objects 40
     python -m repro serve net.txt index.dir --objects 40 < requests.jsonl
-    python -m repro bench-report
 
 ``build --workers`` fans the per-source precompute across a process
-pool (0 = one worker per CPU; chunk results travel through shared
-memory, not pickle); ``build-labels`` adds the pruned-landmark
+pool (0 = one worker per CPU; the result is byte-identical to a serial
+build); ``build-labels`` adds the pruned-landmark
 labelling backend (columns in ``<index>/labels/``, plus a calibrated
 planner cost model); ``knn`` accepts ``--query`` repeatedly and
 answers the whole batch through one :class:`~repro.engine.QueryEngine`
@@ -29,10 +28,10 @@ of requests over ``--slow-threshold-ms`` to their own file), and a
 registry; ``trace-report`` aggregates a trace file into the per-stage
 latency/counted-op breakdown.
 
-Index paths ending in ``.npz`` use the compressed archive layout; any
-other path is a *directory* of raw ``.npy`` columns, which the query
-commands can open zero-copy with ``--mmap`` (and which is the layout
-that can carry the labelling columns alongside the quadtree store).
+An index is a *directory* of raw ``.npy`` columns with a checksum
+``MANIFEST.json``; the query commands can open it zero-copy with
+``--mmap``, and ``build-labels`` puts the labelling columns in its
+``labels/`` subdirectory, next to the quadtree store.
 """
 
 from __future__ import annotations
@@ -43,8 +42,6 @@ import sys
 import time
 from pathlib import Path
 
-from repro.benchreport import DEFAULT_PATH as BUILD_TIMES_PATH
-from repro.benchreport import append_build_time, report_file
 from repro.datasets import random_vertex_objects
 from repro.engine import QueryEngine
 from repro.network import (
@@ -102,7 +99,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         chunk_size=args.chunk_size,
         progress=_progress_printer("sources"),
         workers=args.workers,
-        transport=args.transport,
     )
     dt = time.perf_counter() - t0
     t_save = time.perf_counter()
@@ -113,31 +109,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         f"{index.total_blocks()} Morton blocks "
         f"({index.storage_bytes() / 1024:.0f} KiB) -> {args.index}"
     )
-    from repro.silc import parallel as _parallel
-
-    stats = _parallel.last_build_stats
-    if stats is not None and stats.chunks:
-        print(
-            f"  transport={stats.transport}: "
-            f"{stats.result_pickle_bytes} B through pickle, "
-            f"{stats.shared_bytes} B through shared memory "
-            f"({stats.chunks} chunks)"
-        )
-    if args.record:
-        append_build_time(
-            net.num_vertices, args.record_seed, args.workers,
-            args.chunk_size, dt, path=args.record_path,
-        )
-        print(f"  recorded build time -> {args.record_path}")
     return 0
-
-
-def _labels_dir(index_path) -> Path | None:
-    """Where a directory-layout index keeps its labelling (None for .npz)."""
-    path = Path(index_path)
-    if path.suffix == ".npz":
-        return None
-    return path / LABELS_SUBDIR
 
 
 def _load_labelling(args, net):
@@ -151,8 +123,8 @@ def _load_labelling(args, net):
     * otherwise -> nothing to load; ``auto`` without a labelling
       plans over the remaining backends.
     """
-    labels_dir = _labels_dir(args.index)
-    if labels_dir is not None and PrunedLabellingOracle.saved_at(labels_dir):
+    labels_dir = Path(args.index) / LABELS_SUBDIR
+    if PrunedLabellingOracle.saved_at(labels_dir):
         labelling = PrunedLabellingOracle.load(labels_dir, net, mmap=args.mmap)
         return labelling, CostConstants.load(labels_dir)
     if args.oracle == "labels":
@@ -191,15 +163,15 @@ def _make_engine(args, net, labelling=None, **engine_options) -> QueryEngine:
 
 def _cmd_build_labels(args: argparse.Namespace) -> int:
     net = load_text(args.network)
-    labels_dir = _labels_dir(args.index)
-    if labels_dir is None:
+    index_dir = Path(args.index)
+    if not index_dir.is_dir():
         print(
-            "build-labels needs a directory-layout index: .npz archives "
-            "cannot carry the labelling columns (rebuild the index with a "
-            "non-.npz path)",
+            f"build-labels needs a built index: {args.index} is not an "
+            "index directory (run `repro build` first)",
             file=sys.stderr,
         )
         return 2
+    labels_dir = index_dir / LABELS_SUBDIR
     labelling = PrunedLabellingOracle.build(
         net, progress=_progress_printer("hubs")
     )
@@ -394,11 +366,6 @@ def _cmd_trace_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_report(args: argparse.Namespace) -> int:
-    print(report_file(args.results))
-    return 0
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.analysis.runner import run_check
 
@@ -429,9 +396,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("network")
     p.add_argument(
         "index",
-        help="output index path: *.npz for a compressed archive, "
-        "anything else for a directory of raw .npy columns "
-        "(loadable with --mmap)",
+        help="output index directory (raw .npy columns plus a checksum "
+        "manifest; loadable with --mmap)",
     )
     p.add_argument(
         "--workers",
@@ -447,33 +413,6 @@ def make_parser() -> argparse.ArgumentParser:
         default=128,
         help="sources per shortest-path batch (memory/throughput knob)",
     )
-    p.add_argument(
-        "--transport",
-        choices=["shm", "pickle"],
-        default=None,
-        help="how parallel chunk results move between processes "
-        "(default: shared memory when available)",
-    )
-    p.add_argument(
-        "--record",
-        action="store_true",
-        help="append this build's timing to the bench-report "
-        "trajectory file",
-    )
-    p.add_argument(
-        "--record-seed",
-        type=int,
-        default=-1,
-        help="seed tag for --record lines (the CLI does not know how "
-        "the network file was generated)",
-    )
-    p.add_argument(
-        "--record-path",
-        default=str(BUILD_TIMES_PATH),
-        help="trajectory file --record appends to (the default is "
-        "anchored to the source tree; pass an explicit path for "
-        "installed deployments)",
-    )
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser(
@@ -483,7 +422,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("network")
     p.add_argument(
         "index",
-        help="existing directory-layout index; the labelling columns "
+        help="existing index directory; the labelling columns "
         "and calibrated cost model land in its labels/ subdirectory",
     )
     p.add_argument(
@@ -506,7 +445,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("network")
     p.add_argument("index")
     p.add_argument("--mmap", action="store_true",
-                   help="memory-map a directory-layout index")
+                   help="memory-map the index columns")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("path", help="retrieve a shortest path")
@@ -515,7 +454,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("source", type=int)
     p.add_argument("target", type=int)
     p.add_argument("--mmap", action="store_true",
-                   help="memory-map a directory-layout index")
+                   help="memory-map the index columns")
     p.set_defaults(func=_cmd_path)
 
     p = sub.add_parser("knn", help="k nearest random objects to a vertex")
@@ -548,7 +487,7 @@ def make_parser() -> argparse.ArgumentParser:
         "(0 = exact, the default)",
     )
     p.add_argument("--mmap", action="store_true",
-                   help="memory-map a directory-layout index")
+                   help="memory-map the index columns")
     p.set_defaults(func=_cmd_knn)
 
     p = sub.add_parser(
@@ -612,7 +551,7 @@ def make_parser() -> argparse.ArgumentParser:
         "(a request's own \"oracle\" field overrides per query)",
     )
     p.add_argument("--mmap", action="store_true",
-                   help="memory-map a directory-layout index")
+                   help="memory-map the index columns")
     p.add_argument("--trace-file", default=None,
                    help="append one JSON-lines trace per request "
                    "(timed spans: admission, sched_wait, plan, "
@@ -635,15 +574,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="JSON-lines trace file written by "
                    "`repro serve --trace-file` (or --slow-log)")
     p.set_defaults(func=_cmd_trace_report)
-
-    p = sub.add_parser(
-        "bench-report",
-        help="print the build-time trajectory recorded by the benchmarks",
-    )
-    p.add_argument("results", nargs="?", default=str(BUILD_TIMES_PATH),
-                   help="path to build_times.txt "
-                   f"(default: {BUILD_TIMES_PATH})")
-    p.set_defaults(func=_cmd_bench_report)
 
     p = sub.add_parser(
         "check",

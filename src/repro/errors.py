@@ -3,7 +3,8 @@
 These live at the package root because they cross layer boundaries:
 :class:`CorruptIndexError` is raised by every persistence reader
 (:mod:`repro.silc.store`, :mod:`repro.silc.index`,
-:mod:`repro.oracle.labelling`) and handled by the CLI and tests;
+:mod:`repro.oracle.labelling`, :mod:`repro.oracle.planner`) and
+handled by the CLI and tests;
 :class:`DeadlineExceeded` travels from the innermost search loop
 (:func:`repro.query.bestfirst.best_first_knn`) through the shard pipe
 protocol up to the serving layer, which turns it into an
@@ -18,8 +19,9 @@ class CorruptIndexError(RuntimeError):
 
     Raised *at load time* -- before any query can run against the bad
     data -- when a column file is missing, truncated, fails its
-    manifest checksum, or cannot be parsed.  ``column`` names the
-    offending file (without the ``.npy`` suffix) when known.
+    manifest checksum, or cannot be parsed, or when the manifest
+    itself is.  ``column`` names the offending column file (without
+    the ``.npy`` suffix) when there is one.
     """
 
     def __init__(self, message: str, column: str | None = None) -> None:

@@ -3,7 +3,7 @@
 An interrupted ``SILCIndex.save`` or ``repro build-labels`` used to
 leave a silently-corrupt directory: half-written ``.npy`` columns that
 load fine until a query walks off the truncated end.  This module
-gives every directory-layout writer the same two defenses:
+gives every persistence writer the same two defenses:
 
 * **Atomicity** -- :func:`atomic_directory` stages the write in a
   sibling temporary directory and publishes it with ``os.replace``,
@@ -16,12 +16,13 @@ gives every directory-layout writer the same two defenses:
   *before* any query runs.  ``deep=False`` checks sizes only (an
   O(1) ``stat`` per file -- the mmap cold-start path keeps its O(1)
   contract and still catches truncation); ``deep=True`` streams every
-  byte through the checksum.
+  byte through the checksum.  A directory without a readable manifest
+  is corrupt, not unverified: the manifest is the one file whose
+  presence says the save completed.
 
-Directories written before manifests existed verify trivially (no
-manifest, nothing to check) but still get :func:`checked_load`'s
-parse-error wrapping, so a truncated legacy column fails with a named
-:class:`CorruptIndexError` rather than a bare numpy ``ValueError``.
+:func:`checked_load` wraps what is left -- a column numpy cannot parse
+fails with a named :class:`CorruptIndexError` rather than a bare
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -86,11 +87,9 @@ def write_manifest(directory: str | Path) -> Path:
     return target
 
 
-def read_manifest(directory: str | Path) -> dict | None:
-    """The parsed manifest of ``directory``, or None when absent."""
+def read_manifest(directory: str | Path) -> dict:
+    """The parsed manifest of ``directory``; absent counts as corrupt."""
     path = Path(directory) / MANIFEST_NAME
-    if not path.exists():
-        return None
     try:
         manifest = json.loads(path.read_text())
     except (OSError, ValueError) as exc:
@@ -102,21 +101,17 @@ def read_manifest(directory: str | Path) -> dict | None:
     return manifest
 
 
-def verify_manifest(directory: str | Path, deep: bool = False) -> bool:
+def verify_manifest(directory: str | Path, deep: bool = False) -> None:
     """Check ``directory`` against its manifest; raise on mismatch.
 
-    Returns True when a manifest was present and every listed file
-    matched, False when no manifest exists (legacy save -- nothing to
-    verify).  ``deep=True`` additionally re-computes each file's
-    CRC-32; the default checks existence + size only, which is what
-    catches the common failure (a truncated write) at O(1) cost per
-    file.  Raises :class:`CorruptIndexError` naming the first bad
-    column.
+    ``deep=True`` additionally re-computes each file's CRC-32; the
+    default checks existence + size only, which is what catches the
+    common failure (a truncated write) at O(1) cost per file.  Raises
+    :class:`CorruptIndexError` naming the first bad column, or the
+    manifest itself when it is missing or unreadable.
     """
     directory = Path(directory)
     manifest = read_manifest(directory)
-    if manifest is None:
-        return False
     for name, expected in sorted(manifest["files"].items()):
         column = name.removesuffix(".npy")
         path = directory / name
@@ -140,7 +135,6 @@ def verify_manifest(directory: str | Path, deep: bool = False) -> bool:
                 "checksum (bytes changed since the save)",
                 column=column,
             )
-    return True
 
 
 def checked_load(
@@ -205,21 +199,6 @@ def atomic_directory(path: str | Path) -> Iterator[Path]:
         os.replace(tmp, path)
 
 
-def atomic_save_npz(path: str | Path, **arrays: np.ndarray) -> None:
-    """``np.savez_compressed`` through a tmp file + ``os.replace``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # The tmp name keeps the .npz suffix so np.savez does not append
-    # another one.
-    tmp = path.with_name(f".{path.stem}.tmp-{os.getpid()}.npz")
-    try:
-        np.savez_compressed(tmp, **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def atomic_save_npy(path: str | Path, array: np.ndarray) -> None:
     """``np.save`` through a tmp file + ``os.replace``.
 
@@ -252,21 +231,3 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def append_record(path: str | Path, line: str) -> None:
-    """Append one record line to a trajectory file, crash-safely.
-
-    The line (newline added if missing) goes out in a single
-    ``write`` on an ``O_APPEND`` descriptor and is flushed before
-    close, so concurrent benchmark runs interleave whole records and a
-    crash can only lose the final line, never tear one.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if not line.endswith("\n"):
-        line += "\n"
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(line)
-        handle.flush()
-        os.fsync(handle.fileno())

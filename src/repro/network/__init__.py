@@ -40,7 +40,7 @@ from repro.network.generators import (
     random_planar_network,
     road_like_network,
 )
-from repro.network.io import load_npz, load_text, save_npz, save_text
+from repro.network.io import load_text, save_text
 
 __all__ = [
     "NetworkError",
@@ -64,8 +64,6 @@ __all__ = [
     "grid_network",
     "random_planar_network",
     "road_like_network",
-    "save_npz",
-    "load_npz",
     "save_text",
     "load_text",
 ]

@@ -1,15 +1,14 @@
 """Reading and writing spatial networks.
 
-Two formats:
+One human-readable text format, close to the edge lists that road
+datasets (TIGER/Line extracts, the 9th DIMACS challenge files) ship
+in, so real data can be dropped in when available::
 
-* a compact ``.npz`` binary (coordinate arrays + edge arrays) for
-  round-tripping generated networks between benchmark runs, and
-* a human-readable text format close to the edge lists that road
-  datasets (TIGER/Line extracts, the 9th DIMACS challenge files) ship
-  in, so real data can be dropped in when available::
+    v <id> <x> <y>
+    e <source> <target> <weight>
 
-      v <id> <x> <y>
-      e <source> <target> <weight>
+Coordinates and weights are written with ``repr``, so a round trip is
+bit-exact.
 """
 
 from __future__ import annotations
@@ -20,34 +19,6 @@ import numpy as np
 
 from repro.network.errors import GraphConstructionError
 from repro.network.graph import SpatialNetwork
-
-
-def save_npz(network: SpatialNetwork, path: str | Path) -> None:
-    """Write the network to a ``.npz`` archive."""
-    edges = list(network.iter_edges())
-    np.savez_compressed(
-        Path(path),
-        xs=network.xs,
-        ys=network.ys,
-        edge_src=np.array([e[0] for e in edges], dtype=np.int64),
-        edge_dst=np.array([e[1] for e in edges], dtype=np.int64),
-        edge_w=np.array([e[2] for e in edges], dtype=np.float64),
-    )
-
-
-def load_npz(path: str | Path) -> SpatialNetwork:
-    """Read a network previously written by :func:`save_npz`."""
-    with np.load(Path(path)) as data:
-        return SpatialNetwork(
-            data["xs"],
-            data["ys"],
-            zip(
-                data["edge_src"].tolist(),
-                data["edge_dst"].tolist(),
-                data["edge_w"].tolist(),
-                strict=True,
-            ),
-        )
 
 
 def save_text(network: SpatialNetwork, path: str | Path) -> None:

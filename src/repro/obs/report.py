@@ -5,9 +5,9 @@ run: per span stage (``admission``, ``sched_wait``, ``plan``,
 ``oracle``, ``shard``, ``execute``, ``worker``) it renders count,
 total/mean time and latency percentiles, plus the counted operations
 accumulated on those spans -- the same units the paper's figures and
-the repo's benchmarks use.  The request-level percentiles feed the
-persistent serving-latency trajectory in ``bench-report`` (the
-regression gate CI checks).
+the repo's benchmarks use.  Whether a change moved serving latency is
+``python3 bench/run.py --compare``'s call; this report only explains a
+run.
 
 Loading is strict: every line is validated (span ids unique and
 resolvable, times sane, names non-empty) and a malformed line raises

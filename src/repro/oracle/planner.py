@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
 
+from repro.errors import CorruptIndexError
 from repro.integrity import atomic_write_text
 from repro.oracle.base import DistanceOracle
 from repro.query.stats import QueryStats
@@ -74,8 +75,7 @@ class CostConstants:
     query at ``k``; a query doing ``ops`` of them costs
     ``query_seconds[b] + ops * op_seconds[b]`` of measured wall-clock
     (including simulated I/O time, when a storage simulator was
-    attached during calibration).  ``query_seconds`` is absent (zero)
-    in cost models saved before the per-query term existed.
+    attached during calibration).
     """
 
     op_model: dict[str, tuple[float, float]]
@@ -111,16 +111,28 @@ class CostConstants:
 
     @classmethod
     def load(cls, directory) -> CostConstants | None:
+        """The cost model :meth:`save` wrote there, or None without one.
+
+        A file that exists but cannot be read back whole -- truncated,
+        not JSON, a key :meth:`save` writes missing -- raises
+        :class:`~repro.errors.CorruptIndexError` naming it, like every
+        other persisted artifact (``repro build-labels`` rewrites it).
+        """
         path = Path(directory) / COST_MODEL_FILE
         if not path.exists():
             return None
-        payload = json.loads(path.read_text())
-        return cls(
-            op_model={b: tuple(v) for b, v in payload["op_model"].items()},
-            op_seconds=dict(payload["op_seconds"]),
-            miss_rate=float(payload.get("miss_rate", 0.0)),
-            query_seconds=dict(payload.get("query_seconds", {})),
-        )
+        try:
+            payload = json.loads(path.read_text())
+            return cls(
+                op_model={b: tuple(v) for b, v in payload["op_model"].items()},
+                op_seconds=dict(payload["op_seconds"]),
+                miss_rate=float(payload["miss_rate"]),
+                query_seconds=dict(payload["query_seconds"]),
+            )
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise CorruptIndexError(
+                f"corrupt cost model {path}: {exc!r}"
+            ) from exc
 
 
 def fit_line(points: list[tuple[float, float]]) -> tuple[float, float]:

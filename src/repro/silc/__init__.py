@@ -8,11 +8,9 @@ from repro.silc.coloring import ShortestPathMap, shortest_path_map, shortest_pat
 from repro.silc.index import SILCIndex
 from repro.silc.intervals import DistanceInterval
 from repro.silc.parallel import (
-    BuildTransferStats,
     available_workers,
     parallel_block_columns,
     resolve_workers,
-    shared_memory_available,
 )
 from repro.silc.proximal import BeyondHorizonError, ProximalSILCIndex
 from repro.silc.refinement import RefinableDistance, RefinementCounter
@@ -34,10 +32,8 @@ __all__ = [
     "SPQuadtreeBuilder",
     "choose_grid_order",
     "available_workers",
-    "BuildTransferStats",
     "parallel_block_columns",
     "resolve_workers",
-    "shared_memory_available",
     "update_index",
     "affected_sources",
     "diff_edges",

@@ -23,7 +23,6 @@ through the simulated LRU buffer -- the paper's I/O cost model.
 from __future__ import annotations
 
 import math
-import zipfile
 from bisect import bisect_right
 from pathlib import Path
 from collections.abc import Callable, Iterator, Sequence
@@ -37,7 +36,6 @@ from repro.geometry.rect import Rect
 from repro.integrity import (
     atomic_directory,
     atomic_save_npy,
-    atomic_save_npz,
     checked_load,
     verify_manifest,
     write_manifest,
@@ -65,7 +63,6 @@ def build_store(
     chunk_size: int,
     progress: Callable[[int, int], None] | None,
     workers: int | None,
-    transport: str | None,
 ) -> tuple[GridEmbedding, np.ndarray, FlatStore]:
     """The one build loop: ``(embedding, vertex codes, store)``.
 
@@ -81,7 +78,7 @@ def build_store(
     n_workers = resolve_workers(workers)
     if n_workers > 1 and total > 1:
         chunks = parallel_block_columns(
-            network, embedding, codes, source_list, n_workers, chunk_size, limit, transport
+            network, embedding, codes, source_list, n_workers, chunk_size, limit
         )
     else:
         chunks = SPQuadtreeBuilder(network, embedding, codes).chunks(
@@ -109,15 +106,8 @@ class SILCIndex:
         network: SpatialNetwork,
         embedding: GridEmbedding,
         vertex_codes: np.ndarray,
-        tables: list[BlockTable] | FlatStore | ShardedFlatStore,
+        store: FlatStore | ShardedFlatStore,
     ) -> None:
-        if isinstance(tables, list):
-            store = FlatStore.from_tables(tables)
-        else:
-            # Any object with the FlatStore read surface works here:
-            # the plain store, or a ShardedFlatStore stitched from
-            # per-shard slices by load_sharded.
-            store = tables
         if store.num_tables != network.num_vertices:
             raise ValueError(
                 f"{store.num_tables} tables for {network.num_vertices} vertices"
@@ -149,7 +139,6 @@ class SILCIndex:
         sources: Sequence[int] | None = None,
         progress: Callable[[int, int], None] | None = None,
         workers: int | None = None,
-        transport: str | None = None,
     ) -> SILCIndex:
         """Run the full SILC precompute for a network.
 
@@ -160,13 +149,11 @@ class SILCIndex:
         source, as its chunk completes.  ``workers`` fans
         the per-source builds across a process pool: ``None``/``1``
         builds serially, ``0`` uses every available CPU, and any other
-        value is the pool size.  ``transport`` picks how a parallel
-        build moves data between processes (``"shm"``/``"pickle"``;
-        default: shared memory when available).  The parallel result
-        is byte-identical to the serial one either way.
+        value is the pool size.  The parallel result is byte-identical
+        to the serial one.
         """
         return cls(network, *build_store(
-            network, sources, np.inf, chunk_size, progress, workers, transport
+            network, sources, np.inf, chunk_size, progress, workers
         ))
 
     # ------------------------------------------------------------------
@@ -410,43 +397,30 @@ class SILCIndex:
     def iter_tables(self) -> Iterator[tuple[int, BlockTable]]:
         yield from enumerate(self.tables)
 
-    def _save_payload(self) -> dict[str, np.ndarray]:
-        payload = dict(
+    def _save_metadata(self) -> dict[str, np.ndarray]:
+        """What both saved layouts hold next to the block columns."""
+        bounds = self.embedding.bounds
+        return dict(
             sizes=self.store.sizes.astype(np.int64),
             vertex_codes=self.vertex_codes,
             embedding_bounds=np.array(
-                [
-                    self.embedding.bounds.xmin,
-                    self.embedding.bounds.ymin,
-                    self.embedding.bounds.xmax,
-                    self.embedding.bounds.ymax,
-                ]
+                [bounds.xmin, bounds.ymin, bounds.xmax, bounds.ymax]
             ),
             embedding_order=np.array([self.embedding.order]),
         )
-        payload.update(self.store.column_arrays())
-        return payload
 
     def save(self, path) -> None:
-        """Serialize the index (and embedding) to disk.
+        """Serialize the index (and embedding) to the directory ``path``.
 
-        Two layouts, chosen by the path: a ``.npz`` suffix writes the
-        historical compressed archive; any other path is treated as a
-        *directory* and the same arrays land as one ``.npy`` file each.
-        Only the directory layout supports ``load(..., mmap=True)``
-        (``.npz`` members cannot be memory-mapped).
-
-        Both layouts are crash-safe: the write is staged (tmp file /
-        tmp sibling directory) and published with ``os.replace``, and
-        the directory layout additionally records a checksum
-        ``MANIFEST.json`` (written last) that :meth:`load` verifies --
-        an interrupted save can never leave a silently-corrupt index
-        in place.
+        Every array lands as one ``.npy`` file, which is what lets
+        ``load(..., mmap=True)`` map the block columns instead of
+        reading them.  The write is crash-safe: it is staged in a tmp
+        sibling directory together with a checksum ``MANIFEST.json``
+        (written last) that :meth:`load` verifies, and published with
+        ``os.replace`` -- an interrupted save can never leave a
+        silently-corrupt index in place.
         """
-        payload = self._save_payload()
-        if str(path).endswith(".npz"):
-            atomic_save_npz(path, **payload)
-            return
+        payload = {**self._save_metadata(), **self.store.column_arrays()}
         with atomic_directory(path) as tmp:
             for name, array in payload.items():
                 np.save(tmp / f"{name}.npy", array)
@@ -455,65 +429,42 @@ class SILCIndex:
     def load(cls, path, network: SpatialNetwork, mmap: bool = False) -> SILCIndex:
         """Restore an index saved by :meth:`save` for the same network.
 
-        ``mmap=True`` memory-maps the block columns of a
-        directory-layout save instead of reading them: cold start then
-        touches O(num_vertices) bytes (sizes and vertex codes) and the
-        OS pages column data in on demand as queries probe it.  The
-        mmap path skips the store-wide invariant validation an
-        in-memory load performs (validating would fault in every
-        column page, defeating the point); trust it only with files
-        this package wrote.
+        ``mmap=True`` memory-maps the block columns instead of reading
+        them: cold start then touches O(num_vertices) bytes (sizes and
+        vertex codes) and the OS pages column data in on demand as
+        queries probe it.  The mmap path skips the store-wide invariant
+        validation an in-memory load performs (validating would fault
+        in every column page, defeating the point); trust it only with
+        files this package wrote.
 
-        Integrity is verified *before any query can run*: a
-        directory-layout save's ``MANIFEST.json`` is checked against
-        the files on disk -- sizes always (an O(1) stat per file, so
-        the mmap cold-start contract holds while still catching
-        truncation), checksums too on eager loads -- and any
+        Integrity is verified *before any query can run*: the
+        directory's ``MANIFEST.json`` is checked against the files on
+        disk -- sizes always (an O(1) stat per file, so the mmap
+        cold-start contract holds while still catching truncation),
+        checksums too on eager loads -- and a missing manifest or any
         missing/truncated/unparseable column raises
         :class:`~repro.errors.CorruptIndexError` naming the column.
-        Directories saved before manifests existed load as before.
+        A ``path`` that is not there at all is a ``FileNotFoundError``.
         """
         directory = Path(path)
-        if directory.is_dir():
-            mode = "r" if mmap else None
-            verify_manifest(directory, deep=not mmap)
-
-            def get(name: str) -> np.ndarray:
-                return checked_load(directory, f"{name}.npy", mmap_mode=mode)
-
-            return cls._from_arrays(network, get, validate=not mmap)
-        if mmap:
-            raise ValueError(
-                "mmap=True requires a directory-layout save "
-                "(save to a path without the .npz suffix); "
-                f"{path!r} is a .npz archive"
-            )
-        try:
-            data = np.load(path)
-        except FileNotFoundError:
-            raise
-        except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
+        if not directory.is_dir():
+            if not directory.exists():
+                raise FileNotFoundError(f"no index at {directory}")
             raise CorruptIndexError(
-                f"corrupt index archive {path}: {exc}"
-            ) from exc
-        with data:
-            try:
-                return cls._from_arrays(network, data.__getitem__, validate=True)
-            except KeyError as exc:
-                raise CorruptIndexError(
-                    f"corrupt index archive {path}: missing member {exc}",
-                    column=str(exc).strip("'\""),
-                ) from exc
+                f"{directory} is not an index directory: single-file index "
+                "archives are no longer read (rebuild it with `repro build`)"
+            )
+        mode = "r" if mmap else None
+        verify_manifest(directory, deep=not mmap)
 
-    @classmethod
-    def _from_arrays(
-        cls, network: SpatialNetwork, get, validate: bool
-    ) -> SILCIndex:
+        def get(name: str) -> np.ndarray:
+            return checked_load(directory, f"{name}.npy", mmap_mode=mode)
+
         store = FlatStore.from_columns(
             np.asarray(get("sizes"), dtype=np.int64),
             {name: get(name) for name in COLUMNS},
         )
-        if validate:
+        if not mmap:
             store.validate()
         b = get("embedding_bounds")
         embedding = GridEmbedding(
@@ -546,24 +497,13 @@ class SILCIndex:
         """
         directory = Path(path)
         directory.mkdir(parents=True, exist_ok=True)
-        atomic_save_npy(directory / "vertex_codes.npy", self.vertex_codes)
-        atomic_save_npy(
-            directory / "embedding_bounds.npy",
-            np.array(
-                [
-                    self.embedding.bounds.xmin,
-                    self.embedding.bounds.ymin,
-                    self.embedding.bounds.xmax,
-                    self.embedding.bounds.ymax,
-                ]
-            ),
+        metadata = dict(
+            self._save_metadata(),
+            shard_boundaries=shard_map.boundaries,
+            shard_assign=shard_map.assign,
         )
-        atomic_save_npy(
-            directory / "embedding_order.npy", np.array([self.embedding.order])
-        )
-        atomic_save_npy(directory / "sizes.npy", self.store.sizes.astype(np.int64))
-        atomic_save_npy(directory / "shard_boundaries.npy", shard_map.boundaries)
-        atomic_save_npy(directory / "shard_assign.npy", shard_map.assign)
+        for name, array in metadata.items():
+            atomic_save_npy(directory / f"{name}.npy", array)
         for shard in range(shard_map.num_shards):
             self.store.save_shard(directory, shard, shard_map.vertices(shard))
         # The top-level manifest (metadata files only; each shard

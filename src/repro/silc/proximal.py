@@ -21,7 +21,6 @@ from collections.abc import Callable
 
 from repro.network.errors import NetworkError
 from repro.network.graph import SpatialNetwork
-from repro.quadtree.blocks import BlockTable
 from repro.silc.index import SILCIndex, build_store
 from repro.silc.store import FlatStore
 
@@ -64,10 +63,10 @@ class ProximalSILCIndex(SILCIndex):
         network: SpatialNetwork,
         embedding,
         vertex_codes,
-        tables: list[BlockTable] | FlatStore,
+        store: FlatStore,
         radius: float,
     ) -> None:
-        super().__init__(network, embedding, vertex_codes, tables)
+        super().__init__(network, embedding, vertex_codes, store)
         self.radius = radius
 
     @classmethod
@@ -77,14 +76,11 @@ class ProximalSILCIndex(SILCIndex):
         radius: float,
         chunk_size: int = 128,
         workers: int | None = None,
-        transport: str | None = None,
         progress: Callable[[int, int], None] | None = None,
     ) -> ProximalSILCIndex:
         if radius <= 0:
             raise ValueError("radius must be positive")
-        parts = build_store(
-            network, None, radius, chunk_size, progress, workers, transport
-        )
+        parts = build_store(network, None, radius, chunk_size, progress, workers)
         return cls(network, *parts, radius)
 
     def hop_and_interval(

@@ -13,11 +13,11 @@ shared columns.
 
 The layout is what makes the rest of the zero-copy pipeline possible:
 
-* a parallel build writes each chunk's columns into shared memory and
-  the parent assembles them by slicing, never pickling block data;
-* ``save`` is a plain dump of the columns, and a directory-layout save
-  can be loaded with ``mmap_mode="r"`` so cold start touches O(1)
-  bytes instead of O(total blocks);
+* a build (serial or pooled) hands over whole chunks of columns and
+  the store assembles them with one gather per column;
+* ``save`` is a plain dump of the columns, one ``.npy`` file each,
+  which ``load`` can open with ``mmap_mode="r"`` so cold start touches
+  O(1) bytes instead of O(total blocks);
 * every view is backed by the same memory, so the resident footprint
   is the column bytes, once.
 """
@@ -32,8 +32,8 @@ import numpy as np
 from repro.integrity import atomic_directory, checked_load, verify_manifest
 from repro.quadtree.blocks import BlockTable, compute_ends
 
-#: Column names in canonical order, shared by save/load and the
-#: shared-memory build transport.
+#: Column names in canonical order, shared by the build kernel's
+#: chunks and by save/load.
 COLUMNS = ("codes", "levels", "colors", "lam_min", "lam_max")
 
 #: Canonical dtype per column.
@@ -116,18 +116,6 @@ class FlatStore:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    @classmethod
-    def from_tables(cls, tables: Iterable[BlockTable]) -> FlatStore:
-        """Concatenate a sequence of per-vertex tables into one store."""
-        tables = list(tables)
-        columns = {
-            name: np.concatenate(
-                [empty, *(np.asarray(getattr(t, name), dtype=empty.dtype) for t in tables)]
-            )
-            for name, empty in empty_columns().items()
-        }
-        return cls.from_columns(np.array([len(t) for t in tables], dtype=np.int64), columns)
-
     @classmethod
     def from_columns(
         cls, sizes: np.ndarray, columns: dict[str, np.ndarray]
@@ -414,7 +402,7 @@ class ShardedFlatStore:
 
         Unlike :meth:`FlatStore.column_arrays` this *copies* (the rows
         live scattered across shard fragments); it exists so a
-        shard-loaded index can still be re-saved in the plain layouts.
+        shard-loaded index can still be re-saved unsharded.
         """
         chunks = []
         for s, fragment in enumerate(self.shards):

@@ -10,24 +10,12 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.silc import shared_memory_available
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
 @pytest.fixture()
 def built(tmp_path, capsys):
-    net_path = tmp_path / "net.txt"
-    idx_path = tmp_path / "index.npz"
-    assert main(["generate", str(net_path), "--size", "120", "--seed", "3"]) == 0
-    assert main(["build", str(net_path), str(idx_path)]) == 0
-    capsys.readouterr()
-    return net_path, idx_path
-
-
-@pytest.fixture()
-def built_dir(tmp_path, capsys):
-    """A directory-layout index (the layout that can carry labels)."""
     net_path = tmp_path / "net.txt"
     idx_path = tmp_path / "index.silc"
     assert main(["generate", str(net_path), "--size", "120", "--seed", "3"]) == 0
@@ -69,23 +57,16 @@ class TestBuildAndStats:
 
     def test_index_file_exists(self, built):
         _, idx_path = built
-        assert idx_path.exists() and idx_path.stat().st_size > 0
+        assert (idx_path / "codes.npy").stat().st_size > 0
+        assert (idx_path / "MANIFEST.json").exists()
 
-
-    @pytest.mark.parametrize("transport", [
-        pytest.param("shm", marks=pytest.mark.skipif(
-            not shared_memory_available(), reason="no shared memory on this system")),
-        "pickle",
-    ])
-    def test_build_files_identical_across_transports(
-        self, built_dir, transport, tmp_path, capsys
-    ):
+    def test_pooled_build_files_identical_to_serial(self, built, tmp_path, capsys):
         """What CI's smoke step checks with ``cmp``: a pooled build
         writes the serial build's bytes, file by file."""
-        net_path, serial = built_dir
-        pooled = tmp_path / f"index.{transport}"
+        net_path, serial = built
+        pooled = tmp_path / "index.pooled"
         assert main(["build", str(net_path), str(pooled), "--workers", "2",
-                     "--chunk-size", "32", "--transport", transport]) == 0
+                     "--chunk-size", "32"]) == 0
         names = sorted(p.name for p in serial.iterdir())
         assert names == sorted(p.name for p in pooled.iterdir())
         assert filecmp.cmpfiles(serial, pooled, names, shallow=False)[1:] == ([], [])
@@ -154,8 +135,8 @@ class TestKnn:
 
 
 class TestOracles:
-    def test_build_labels_persists_columns(self, built_dir, capsys):
-        net_path, idx_path = built_dir
+    def test_build_labels_persists_columns(self, built, capsys):
+        net_path, idx_path = built
         rc = main(["build-labels", str(net_path), str(idx_path)])
         assert rc == 0
         out = capsys.readouterr().out
@@ -167,15 +148,16 @@ class TestOracles:
         assert PrunedLabellingOracle.saved_at(labels_dir)
         assert (labels_dir / "cost_model.json").exists()
 
-    def test_build_labels_rejects_npz(self, built, capsys):
-        net_path, idx_path = built
-        rc = main(["build-labels", str(net_path), str(idx_path)])
-        assert rc == 2
-        assert "directory-layout" in capsys.readouterr().err
+    def test_build_labels_needs_an_index_directory(self, built, tmp_path, capsys):
+        net_path, _ = built
+        for not_an_index in (tmp_path / "absent", net_path):
+            rc = main(["build-labels", str(net_path), str(not_an_index)])
+            assert rc == 2
+            assert "not an index directory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("oracle", ["labels", "ine", "auto"])
-    def test_oracle_backends_match_silc(self, oracle, built_dir, capsys):
-        net_path, idx_path = built_dir
+    def test_oracle_backends_match_silc(self, oracle, built, capsys):
+        net_path, idx_path = built
         main(["build-labels", str(net_path), str(idx_path)])
         capsys.readouterr()
         base_args = ["knn", str(net_path), str(idx_path),
@@ -212,9 +194,9 @@ class TestOracles:
 
 
 class TestServe:
-    def test_serve_oracle_auto_matches_silc(self, built_dir, tmp_path,
+    def test_serve_oracle_auto_matches_silc(self, built, tmp_path,
                                             capsys):
-        net_path, idx_path = built_dir
+        net_path, idx_path = built
         main(["build-labels", str(net_path), str(idx_path)])
         capsys.readouterr()
         infile = tmp_path / "requests.jsonl"

@@ -63,7 +63,7 @@ class TestNetworkUpdates:
 
 class TestPersistenceWorkflow:
     def test_save_load_then_query(self, tmp_path, small_net, small_index, small_objects, small_dist):
-        path = tmp_path / "silc.npz"
+        path = tmp_path / "silc"
         small_index.save(path)
         loaded = SILCIndex.load(path, small_net)
         oi = ObjectIndex(small_net, small_objects, loaded.embedding)

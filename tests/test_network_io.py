@@ -5,10 +5,8 @@ import pytest
 
 from repro.network import (
     GraphConstructionError,
-    load_npz,
     load_text,
     road_like_network,
-    save_npz,
     save_text,
 )
 
@@ -19,29 +17,23 @@ def assert_networks_equal(a, b):
     assert sorted(a.iter_edges()) == sorted(b.iter_edges())
 
 
-class TestNpzRoundTrip:
-    def test_round_trip(self, tmp_path, small_net):
-        path = tmp_path / "net.npz"
-        save_npz(small_net, path)
-        assert_networks_equal(small_net, load_npz(path))
-
-    def test_preserves_exact_weights(self, tmp_path):
-        net = road_like_network(50, seed=1)
-        path = tmp_path / "net.npz"
-        save_npz(net, path)
-        loaded = load_npz(path)
-        for (u1, v1, w1), (u2, v2, w2) in zip(
-            sorted(net.iter_edges()), sorted(loaded.iter_edges())
-        ):
-            assert (u1, v1) == (u2, v2)
-            assert w1 == w2  # bit-exact
-
-
 class TestTextRoundTrip:
     def test_round_trip(self, tmp_path, small_net):
         path = tmp_path / "net.txt"
         save_text(small_net, path)
         assert_networks_equal(small_net, load_text(path))
+
+    def test_preserves_exact_weights(self, tmp_path):
+        net = road_like_network(50, seed=1)
+        path = tmp_path / "net.txt"
+        save_text(net, path)
+        loaded = load_text(path)
+        assert np.array_equal(net.xs, loaded.xs) and np.array_equal(net.ys, loaded.ys)
+        for (u1, v1, w1), (u2, v2, w2) in zip(
+            sorted(net.iter_edges()), sorted(loaded.iter_edges())
+        ):
+            assert (u1, v1) == (u2, v2)
+            assert w1 == w2  # bit-exact
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "net.txt"

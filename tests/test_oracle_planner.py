@@ -7,10 +7,15 @@ performance decision, never a correctness one.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.engine import QueryEngine
+from repro.errors import CorruptIndexError
+from repro.faults import truncate_file
 from repro.oracle import (
+    COST_MODEL_FILE,
     CostConstants,
     PrunedLabellingOracle,
     QueryPlanner,
@@ -114,6 +119,30 @@ class TestCostModel:
         loaded = CostConstants.load(tmp_path)
         assert loaded == constants
         assert CostConstants.load(tmp_path / "nope") is None
+
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "not_json", "missing_key", "wrong_shape"]
+    )
+    def test_damaged_cost_model_fails_typed(self, tmp_path, damage):
+        """Outside input: like every other persisted artifact it fails
+        as CorruptIndexError naming the file, never a bare traceback."""
+        CostConstants(
+            op_model={"silc": (3.0, 1.5)}, op_seconds={"silc": 2e-5}
+        ).save(tmp_path)
+        path = tmp_path / COST_MODEL_FILE
+        if damage == "truncated":
+            truncate_file(path)
+        elif damage == "not_json":
+            path.write_bytes(b"\x93NUMPY\x01\x00\xff\xfe")
+        else:
+            payload = json.loads(path.read_text())
+            if damage == "missing_key":
+                del payload["query_seconds"]  # every key save writes is required
+            else:
+                payload["op_model"] = [1.0, 2.0]
+            path.write_text(json.dumps(payload))
+        with pytest.raises(CorruptIndexError, match=COST_MODEL_FILE):
+            CostConstants.load(tmp_path)
 
     def test_predicted_cost_linear_in_k(self):
         constants = CostConstants(

@@ -7,44 +7,90 @@ evidence in the suite.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro import ObjectIndex, SILCIndex, ine_knn, knn, knn_m, road_like_network
+from repro import ObjectIndex, SILCIndex, ine_knn, knn, knn_m
 from repro.datasets import random_vertex_objects
-from repro.network import distance_matrix
+from repro.network import (
+    distance_matrix,
+    grid_network,
+    random_planar_network,
+    road_like_network,
+)
+from repro.query.bestfirst import VARIANTS, best_first_knn
 
-# Cache of built indexes, keyed by seed: hypothesis re-runs bodies many
-# times and SILC builds are the expensive part.
-_CACHE: dict[int, tuple] = {}
+#: 60-vertex networks by kind; ``seed`` is 0..3.
+KINDS = {
+    "road": lambda seed: road_like_network(60, seed=seed),
+    "planar": lambda seed: random_planar_network(60, seed=seed),
+    # Unit weights on a lattice (the seed picks its shape): exact
+    # distance ties, the class the PR-12 k-th-neighbour bug lived in.
+    "grid": lambda seed: grid_network((6, 5, 4, 3)[seed], (10, 12, 15, 20)[seed]),
+}
+
+#: The ways an index comes to be; every one must answer like Dijkstra.
+OBTAINED = ("serial", "pooled", "eager", "mmap")
+
+# Cache of indexes by (kind, seed, how obtained): hypothesis re-runs
+# bodies many times and SILC builds are the expensive part.
+_CACHE: dict[tuple, tuple] = {}
 
 
-def setup(seed: int):
-    if seed not in _CACHE:
-        net = road_like_network(60, seed=seed)
-        _CACHE[seed] = (net, SILCIndex.build(net), distance_matrix(net))
-        if len(_CACHE) > 8:
-            _CACHE.pop(next(iter(_CACHE)))
-    return _CACHE[seed]
+def setup(seed: int, kind: str = "road", obtained: str = "serial", scratch=None):
+    """``(network, index, all-pairs Dijkstra distances)``; ``scratch`` is
+    pytest's ``tmp_path_factory``, for the two saved-then-loaded forms."""
+    key = (kind, seed, obtained)
+    if key not in _CACHE:
+        if obtained == "serial":
+            net = KINDS[kind](seed)
+            _CACHE[key] = (net, SILCIndex.build(net), distance_matrix(net))
+        else:
+            net, serial, D = setup(seed, kind)
+            if obtained == "pooled":
+                index = SILCIndex.build(net, workers=2, chunk_size=16)
+            else:
+                path = scratch.mktemp("properties") / "index"
+                serial.save(path)
+                index = SILCIndex.load(path, net, mmap=obtained == "mmap")
+            _CACHE[key] = (net, index, D)
+    return _CACHE[key]
 
 
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.data_too_large])
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.data_too_large])
 @given(
+    kind=st.sampled_from(sorted(KINDS)),
     seed=st.integers(0, 3),
+    obtained=st.sampled_from(OBTAINED),
+    variant=st.sampled_from(VARIANTS),
     query=st.integers(0, 59),
-    k=st.integers(1, 12),
+    k=st.integers(1, 35),  # past obj_count: k >= |S| returns all of S
     obj_seed=st.integers(0, 5),
     obj_count=st.integers(5, 30),
 )
-def test_knn_matches_brute_force_everywhere(seed, query, k, obj_seed, obj_count):
-    net, index, D = setup(seed)
+# Wrong under a strict ``<`` on re-enqueue (the k-th entry of L turning
+# exact at lo == Dk): the PR-12 bug, which random draws rarely reach.
+@example(kind="road", seed=0, obtained="serial", variant="knn", query=44, k=5,
+         obj_seed=1, obj_count=12)
+def test_knn_matches_brute_force_everywhere(
+    tmp_path_factory, kind, seed, obtained, variant, query, k, obj_seed, obj_count
+):
+    net, index, D = setup(seed, kind, obtained, tmp_path_factory)
     objects = random_vertex_objects(net, count=obj_count, seed=obj_seed)
     oi = ObjectIndex(net, objects, index.embedding)
-    truth = sorted(float(D[query, o.position.vertex]) for o in objects)
-    expected = truth[: min(k, len(objects))]
-    result = knn(index, oi, query, k, exact=True)
-    got = sorted(n.distance for n in result.neighbors)
-    np.testing.assert_allclose(got, expected, rtol=1e-6)
+    want = sorted(float(D[query, o.position.vertex]) for o in objects)[:k]
+    result = best_first_knn(index, oi, query, k, variant=variant, exact=True)
+    got = [n.distance for n in result.neighbors]
+    assert len(set(result.ids())) == len(got) == len(want)
+    for n in result.neighbors:
+        np.testing.assert_allclose(
+            n.distance, D[query, objects[n.oid].position.vertex], rtol=1e-9
+        )
+    # kNN-M accepts objects against KMINDIST without ranking them, so
+    # its answer is a set; the other variants must come back ranked.
+    np.testing.assert_allclose(
+        sorted(got) if variant == "knn_m" else got, want, rtol=1e-9
+    )
 
 
 @settings(max_examples=25, deadline=None)

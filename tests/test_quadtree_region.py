@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 from repro.geometry.morton import MAX_ORDER, block_cells, morton_encode
 from repro.quadtree import BlockTable, build_region_blocks
 from repro.quadtree.region import region_block_columns, split_levels
-from repro.silc import (
-    ProximalSILCIndex,
-    SILCIndex,
-    shared_memory_available,
-    shortest_path_maps,
-)
+from repro.silc import ProximalSILCIndex, SILCIndex, shortest_path_maps
 
 
 def build_from_cells(cells, colors, values, order=3):
@@ -344,23 +339,16 @@ class TestKernelParity:
 class TestIndexParity:
     """Whole indexes, every build route: each table is the stack walk's."""
 
-    @pytest.mark.parametrize("workers, transport", [
-        (1, None),
-        pytest.param(2, "shm", marks=pytest.mark.skipif(
-            not shared_memory_available(), reason="no shared memory on this system")),
-        (2, "pickle"),
-    ])
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("radius", [np.inf, 4.0], ids=["full", "proximal"])
-    def test_every_table_matches_stack_walk(self, small_net, radius, workers, transport):
+    def test_every_table_matches_stack_walk(self, small_net, radius, workers):
         if np.isfinite(radius):
             index = ProximalSILCIndex.build(
-                small_net, radius, chunk_size=40, workers=workers, transport=transport
+                small_net, radius, chunk_size=40, workers=workers
             )
             assert (index.store.colors == -1).any()  # the horizon is in there
         else:
-            index = SILCIndex.build(
-                small_net, chunk_size=40, workers=workers, transport=transport
-            )
+            index = SILCIndex.build(small_net, chunk_size=40, workers=workers)
         order = np.argsort(index.vertex_codes)
         for spm in shortest_path_maps(small_net, limit=radius):
             assert column_bytes(index.tables[spm.source]) == column_bytes(

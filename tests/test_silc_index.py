@@ -7,7 +7,7 @@ import pytest
 
 from repro.geometry.morton import block_cells, morton_encode
 from repro.network import DisconnectedNetwork, SpatialNetwork, VertexNotFound
-from repro.silc import SILCIndex
+from repro.silc import FlatStore, SILCIndex
 
 
 class TestBuild:
@@ -40,7 +40,7 @@ class TestBuild:
                 small_net,
                 small_index.embedding,
                 small_index.vertex_codes,
-                small_index.tables[:-1],
+                FlatStore.empty(small_net.num_vertices - 1),
             )
 
 
@@ -170,7 +170,7 @@ class TestStorageStats:
 
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path, small_net, small_index, rng):
-        path = tmp_path / "index.npz"
+        path = tmp_path / "index"
         small_index.save(path)
         loaded = SILCIndex.load(path, small_net)
         assert loaded.total_blocks() == small_index.total_blocks()
@@ -183,7 +183,7 @@ class TestPersistence:
             )
 
     def test_loaded_embedding_identical(self, tmp_path, small_net, small_index):
-        path = tmp_path / "index.npz"
+        path = tmp_path / "index"
         small_index.save(path)
         loaded = SILCIndex.load(path, small_net)
         assert loaded.embedding.order == small_index.embedding.order

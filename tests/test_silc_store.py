@@ -1,17 +1,13 @@
-"""The flat columnar store: views, transports, persistence, mmap."""
+"""The flat columnar store: views, the pooled build, persistence, mmap."""
 
 import numpy as np
 import pytest
 
+from repro.errors import CorruptIndexError
 from repro.quadtree import BlockTable
-from repro.silc import FlatStore, SILCIndex, shared_memory_available
-from repro.silc import parallel as parallel_mod
+from repro.silc import FlatStore, SILCIndex
 
 TABLE_COLUMNS = ("codes", "levels", "colors", "lam_min", "lam_max")
-
-needs_shm = pytest.mark.skipif(
-    not shared_memory_available(), reason="no shared memory on this system"
-)
 
 
 def assert_identical(a: SILCIndex, b: SILCIndex) -> None:
@@ -41,28 +37,11 @@ class TestFlatStore:
         assert store.total_blocks == small_index.total_blocks()
         assert store.num_tables == small_index.network.num_vertices
 
-    def test_from_tables_round_trip(self, small_index):
-        rebuilt = FlatStore.from_tables(small_index.tables)
-        assert np.array_equal(rebuilt.offsets, small_index.store.offsets)
-        for col in TABLE_COLUMNS:
-            assert np.array_equal(
-                getattr(rebuilt, col), getattr(small_index.store, col)
-            )
-
     def test_empty_store(self):
         store = FlatStore.empty(5)
         assert store.num_tables == 5
         assert store.total_blocks == 0
         assert all(len(t) == 0 for t in store.views())
-
-    def test_index_accepts_table_list(self, small_net, small_index):
-        clone = SILCIndex(
-            small_net,
-            small_index.embedding,
-            small_index.vertex_codes,
-            list(small_index.tables),
-        )
-        assert_identical(small_index, clone)
 
     def test_view_tables_answer_like_owned_tables(self, small_index):
         table = small_index.tables[3]
@@ -75,51 +54,15 @@ class TestFlatStore:
         assert table.total_cells() == owned.total_cells()
 
 
-class TestBuildTransports:
-    def test_pickle_pool_matches_serial(self, small_net):
-        serial = SILCIndex.build(small_net)
-        pooled = SILCIndex.build(small_net, workers=2, transport="pickle")
-        assert_identical(serial, pooled)
-        stats = parallel_mod.last_build_stats
-        assert stats.transport == "pickle"
-        assert stats.shared_bytes == 0
-        assert stats.result_pickle_bytes > 0
-
-    @needs_shm
-    def test_shm_matches_serial(self, small_net):
-        serial = SILCIndex.build(small_net)
-        shm = SILCIndex.build(small_net, workers=2, transport="shm")
-        assert_identical(serial, shm)
-
-    @needs_shm
-    def test_shm_ships_no_columns_through_pickle(self, small_net):
-        SILCIndex.build(small_net, workers=2, chunk_size=32, transport="shm")
-        stats = parallel_mod.last_build_stats
-        assert stats.transport == "shm"
-        # Column data (tens of KB per chunk) must travel through
-        # shared memory; the pickled return value is names and sizes
-        # only -- a few hundred bytes per chunk.
-        assert stats.shared_bytes > 10 * stats.result_pickle_bytes
-        assert stats.result_pickle_bytes < 2048 * stats.chunks
-        assert stats.extras["network_shared_bytes"] > 0
-
-    @needs_shm
-    def test_shm_and_pickle_transports_identical(self, small_net):
-        shm = SILCIndex.build(small_net, workers=2, transport="shm")
-        pooled = SILCIndex.build(small_net, workers=2, transport="pickle")
-        assert_identical(shm, pooled)
-
-    def test_unknown_transport_rejected(self, small_net):
-        with pytest.raises(ValueError):
-            SILCIndex.build(small_net, workers=2, transport="carrier-pigeon")
+class TestPooledBuild:
+    def test_pool_matches_serial(self, small_net, small_index):
+        """Same columns, dtypes included, whatever order chunks finish
+        in (``tests/test_cli.py`` checks the saved bytes, file by file)."""
+        pooled = SILCIndex.build(small_net, workers=2, chunk_size=32)
+        assert_identical(small_index, pooled)
 
 
 class TestPersistenceLayouts:
-    def test_npz_round_trip_identical(self, tmp_path, small_net, small_index):
-        path = tmp_path / "index.npz"
-        small_index.save(path)
-        assert_identical(small_index, SILCIndex.load(path, small_net))
-
     def test_directory_round_trip_identical(self, tmp_path, small_net, small_index):
         path = tmp_path / "index.silc"
         small_index.save(path)
@@ -132,11 +75,16 @@ class TestPersistenceLayouts:
         assert isinstance(loaded.store.codes, np.memmap)
         assert_identical(small_index, loaded)
 
-    def test_mmap_on_npz_rejected(self, tmp_path, small_net, small_index):
-        path = tmp_path / "index.npz"
-        small_index.save(path)
-        with pytest.raises(ValueError, match="directory-layout"):
-            SILCIndex.load(path, small_net, mmap=True)
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_a_file_is_not_an_index(self, tmp_path, small_net, mmap):
+        """One error for anything that is not a directory, whatever its
+        name; a path that is not there stays FileNotFoundError."""
+        path = tmp_path / "index"
+        with pytest.raises(FileNotFoundError):
+            SILCIndex.load(path, small_net, mmap=mmap)
+        path.write_bytes(b"PK\x03\x04 once an archive")
+        with pytest.raises(CorruptIndexError, match="no longer read"):
+            SILCIndex.load(path, small_net, mmap=mmap)
 
     def test_mmap_queries_with_storage(self, tmp_path, small_net, small_index, small_dist, rng):
         path = tmp_path / "index.silc"
@@ -159,8 +107,6 @@ class TestPersistenceLayouts:
         """A scrambled column must fail loudly.  The checksum manifest
         now catches it before the per-table validating constructors
         even see the bytes, and names the bad column."""
-        from repro.errors import CorruptIndexError
-
         path = tmp_path / "index.silc"
         small_index.save(path)
         codes = np.load(path / "codes.npy")
