@@ -311,7 +311,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def run() -> int:
         async with AsyncEngine(
-            engine, max_workers=args.workers, shards=args.shards,
+            engine, shards=args.shards,
             on_shard_failure=args.on_shard_failure,
             max_retries=args.max_retries,
             fault_injector=fault_injector,
@@ -516,9 +516,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="per-client token-bucket burst (defaults to --rate)")
     p.add_argument("--input", default=None,
                    help="read requests from a file instead of stdin")
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallel query worker threads (storage "
-                   "accounting shards per worker past 1)")
     p.add_argument("--shards", type=int, default=1,
                    help="spatial shard worker *processes* for kNN "
                    "queries: the index is partitioned by Morton-key "

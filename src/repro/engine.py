@@ -163,6 +163,10 @@ class QueryEngine:
             raise ValueError("pass either storage or cache_fraction, not both")
         if cache_fraction is not None:
             storage = index.make_storage(cache_fraction=cache_fraction)
+        elif storage is not None:
+            # Checked here, once: the per-query swap in _attached()
+            # trusts it.
+            index.check_storage(storage)
         if max_locations is not None and max_locations < 1:
             raise ValueError("max_locations must be at least 1 (or None)")
         if oracle not in ORACLE_CHOICES:
@@ -183,20 +187,17 @@ class QueryEngine:
         self.oracles = {
             "silc": SILCOracle(index, object_index),
             # The engine's simulator models SILC *index* pages, which
-            # INE never reads; it only charges storage when handed a
-            # vertex-page model (NetworkStorageModel) explicitly.
-            "ine": INEOracle(
-                object_index,
-                storage=storage if hasattr(storage, "touch_vertex") else None,
-            ),
+            # INE never reads, so INE runs unaccounted here.
+            "ine": INEOracle(object_index),
         }
         if self.labelling is not None:
             self.oracles["labels"] = self.labelling
         self.planner = planner
         self._positions: OrderedDict = OrderedDict()
-        # Guards the location cache's read-reorder-evict sequence so
-        # parallel query workers (AsyncEngine max_workers > 1) can
-        # share the engine; resolution itself runs outside the lock.
+        # Guards the location cache's read-reorder-evict sequence: with
+        # a shard tier the executor has several threads, and failover
+        # or a non-SILC request runs this engine on any of them;
+        # resolution itself runs outside the lock.
         self._positions_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -401,18 +402,18 @@ class QueryEngine:
     def _attached(self) -> Iterator[None]:
         """Attach the engine's simulator to the index for the block.
 
-        A simulator the caller had attached comes back afterwards
+        A plain swap of ``index.storage``: the constructor matched the
+        simulator to the index, so no query pays for that again.  A
+        simulator the caller had attached comes back afterwards
         instead of being silently detached.
         """
-        previous = self.index.storage
+        index = self.index
+        previous = index.storage
         if self.storage is None or previous is self.storage:
             yield
             return
-        self.index.attach_storage(self.storage)
+        index.storage = self.storage
         try:
             yield
         finally:
-            if previous is None:
-                self.index.detach_storage()
-            else:
-                self.index.attach_storage(previous)
+            index.storage = previous

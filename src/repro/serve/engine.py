@@ -5,37 +5,24 @@ synchronous query engine: every call runs on a bounded
 ``ThreadPoolExecutor`` so the asyncio event loop keeps accepting and
 scheduling requests while a query grinds through refinement steps.
 
-With ``max_workers == 1`` (the default) the engine behaves as before:
-one warm thread, queries strictly serialized.
+An engine runs one query at a time: without a shard tier the executor
+has a single warm thread and calls are strictly serialized (the search
+is pure Python and GIL-bound, and the engine's
+:class:`~repro.storage.StorageSimulator` is one LRU that must not be
+interleaved).  Parallelism is processes:
 
-With ``max_workers > 1`` queries genuinely execute in parallel.  The
-historical blocker was the shared
-:class:`~repro.storage.StorageSimulator`: its single LRU is not safe
-to interleave and the per-query attach/restore handshake mutates
-``index.storage``.  The facade therefore
-
-* upgrades the engine's simulator to a
-  :class:`~repro.storage.ShardedStorageSimulator` (per-thread LRU
-  shards and counters, merged on read) unless it already is one, and
-* attaches it to the index for the facade's lifetime, so the
-  per-query attach handshake becomes a no-op read instead of a
-  mutation.
-
-After that, no lock guards query execution at all: per-query state is
-local, the location cache locks internally, and storage accounting is
-thread-sharded.  True CPU parallelism is still GIL-bound for the
-pure-Python search, but everything that *releases* the GIL -- numpy
-column scans and, in the I/O-simulating benchmark regime, real
-per-fault latency -- now overlaps across workers.
-
-With ``shards > 1`` the facade goes one step further and runs kNN
-queries on the spatially-sharded *process* tier
-(:class:`~repro.shard.ShardGroup`): the index is partitioned by
-Morton-key ranges, one worker process serves each shard's slice of
-the store and objects, and a partition router prunes shards by
-distance bound before scatter-gathering candidates.  kNN answers are
-then always exact; ``path``/``distance`` requests keep running on the
-local engine (they are single index walks with nothing to shard).
+With ``shards > 1`` the facade runs kNN queries on the
+spatially-sharded *process* tier (:class:`~repro.shard.ShardGroup`):
+the index is partitioned by Morton-key ranges, one worker process
+serves each shard's slice of the store and objects, and a partition
+router prunes shards by distance bound before scatter-gathering
+candidates.  kNN answers are then always exact; ``path``/``distance``
+requests keep running on the local engine (they are single index
+walks with nothing to shard).  The executor then has ``shards``
+threads, whose job is to wait on worker pipes; calls that land on the
+local engine (``path``/``distance``, a non-SILC oracle, failover) are
+still one-at-a-time work, which :class:`~repro.serve.SILCServer`
+guarantees by awaiting one chunk at a time.
 """
 
 from __future__ import annotations
@@ -47,7 +34,6 @@ from functools import partial
 
 from repro.engine import BatchResult, QueryEngine
 from repro.query.results import KNNResult
-from repro.storage.concurrent import ShardedStorageSimulator
 
 
 class AsyncEngine:
@@ -57,27 +43,16 @@ class AsyncEngine:
     ----------
     engine:
         The synchronous engine whose caches and storage are shared.
-    max_workers:
-        Executor threads.  With more than one, the engine's storage is
-        upgraded to per-thread shards (see module docstring) and
-        queries run without any global lock.
-
-        The upgrade **rebinds** ``engine.storage`` when it was a plain
-        serial simulator: a reference you held to the original object
-        stops seeing traffic, and its accumulated counters and cache
-        warmth are not carried over (shards start cold).  Read
-        ``engine.storage`` after construction for the live simulator,
-        or pass a :class:`ShardedStorageSimulator` yourself to keep
-        control of the object.
     shards:
         Spatial shard *processes* for kNN execution.  ``1`` (the
         default) keeps everything in-process; with more, construction
         partitions the engine's index and objects, writes the sharded
         store layout, and spawns one worker process per populated
-        shard (see :class:`~repro.shard.ShardGroup`).  The executor is
-        widened to at least ``shards`` threads so that many sharded
-        queries can be in flight at once -- that concurrency is what
-        the worker processes turn into parallelism.
+        shard (see :class:`~repro.shard.ShardGroup`).  The executor
+        has ``shards`` threads, so that many sharded queries can be in
+        flight at once -- each thread mostly waits on a worker's pipe,
+        and that concurrency is what the worker processes turn into
+        parallelism.
     shard_dir:
         Directory for the sharded store layout (default: a private
         temporary directory, removed on :meth:`close`).
@@ -95,28 +70,19 @@ class AsyncEngine:
     def __init__(
         self,
         engine: QueryEngine,
-        max_workers: int = 1,
         shards: int = 1,
         shard_dir=None,
         on_shard_failure: str = "respawn",
         max_retries: int = 2,
         fault_injector=None,
     ) -> None:
-        if max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
         if shards < 1:
             raise ValueError("shards must be at least 1")
         self.engine = engine
-        self.max_workers = max_workers
         self.shards = shards
         self._executor = ThreadPoolExecutor(
-            max_workers=max(max_workers, shards),
-            thread_name_prefix="repro-serve",
+            max_workers=shards, thread_name_prefix="repro-serve"
         )
-        self._attached = False
-        self._previous_storage = None
-        if max_workers > 1:
-            self._prepare_parallel()
         self.shard_group = None
         if shards > 1:
             from repro.shard import ShardGroup
@@ -128,35 +94,7 @@ class AsyncEngine:
             )
         self._closed = False
 
-    def _prepare_parallel(self) -> None:
-        """Make shared state safe for lock-free parallel queries."""
-        engine = self.engine
-        if engine.storage is not None and not getattr(
-            engine.storage, "concurrent_safe", False
-        ):
-            engine.storage = ShardedStorageSimulator.from_simulator(engine.storage)
-        index = engine.index
-        if engine.storage is not None:
-            # Pre-attach for the facade's lifetime: QueryEngine._attached
-            # then sees ``index.storage is self.storage`` on every query
-            # and never mutates shared state mid-flight.
-            self._previous_storage = index.storage
-            index.attach_storage(engine.storage)
-            self._attached = True
-        elif index.storage is not None and not getattr(
-            index.storage, "concurrent_safe", False
-        ):
-            raise ValueError(
-                "AsyncEngine(max_workers > 1) needs a concurrency-safe "
-                "storage simulator; the index has a serial StorageSimulator "
-                "attached directly. Attach a ShardedStorageSimulator (or "
-                "give the engine its own storage) instead."
-            )
-
     async def _run(self, fn, *args, **kwargs):
-        # No lock in either mode: a single-worker executor serializes
-        # inherently, and the parallel mode's shared state was made
-        # safe up front by _prepare_parallel.
         if self._closed:
             raise RuntimeError("AsyncEngine is closed")
         return await asyncio.get_running_loop().run_in_executor(
@@ -235,13 +173,6 @@ class AsyncEngine:
             self._executor.shutdown(wait=True)
             if self.shard_group is not None:
                 self.shard_group.close()
-            if self._attached:
-                self._attached = False
-                index = self.engine.index
-                if self._previous_storage is None:
-                    index.detach_storage()
-                else:
-                    index.attach_storage(self._previous_storage)
 
     async def __aenter__(self) -> AsyncEngine:
         return self

@@ -113,7 +113,9 @@ class Request:
             raise ValueError(f"{self.kind} requests need (source, target), got {self.queries!r}")
         if self.kind in ("knn", "knn_batch") and not self.queries:
             raise ValueError(f"{self.kind} requests need at least one query location")
-        if self.deadline is not None and self.deadline <= 0:
+        # ``not >`` rather than ``<=``: NaN compares false both ways and
+        # would otherwise run with no deadline at all.
+        if self.deadline is not None and not self.deadline > 0:
             raise ValueError("deadline must be a positive budget in seconds")
 
     @property

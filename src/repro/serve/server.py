@@ -385,10 +385,18 @@ async def serve_jsonl(
         out_stream.flush()
 
     async def handle(line: str) -> None:
+        obj = None
         try:
-            request = request_from_dict(json.loads(line))
+            obj = json.loads(line)
+            request = request_from_dict(obj)
         except (ValueError, KeyError, TypeError) as exc:
-            emit({"status": "error", "error": f"bad request: {exc}"})
+            # A closed-loop client waits on its id: echo what
+            # correlates the reply whenever the line carried it.
+            echo = (
+                {key: obj[key] for key in ("id", "client") if key in obj}
+                if isinstance(obj, dict) else {}
+            )
+            emit({**echo, "status": "error", "error": f"bad request: {exc}"})
             return
         emit(response_to_dict(await server.submit(request)))
 

@@ -1,9 +1,9 @@
 """Spatially-sharded process-parallel serving.
 
-The pure-Python best-first search is GIL-bound: thread workers
-(:class:`~repro.serve.engine.AsyncEngine` with ``max_workers > 1``)
-overlap simulated I/O but never the search itself.  This package
-breaks past that with worker *processes* over spatial shards:
+The pure-Python best-first search is GIL-bound, so threads cannot
+overlap it and an engine runs one query at a time.  This package is
+the system's one form of query parallelism: worker *processes* over
+spatial shards:
 
 * :mod:`repro.shard.partitioner` splits the network into contiguous
   Morton-key ranges and assigns every object to the shard(s) its

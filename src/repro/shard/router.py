@@ -68,6 +68,7 @@ from collections.abc import Iterable
 from repro.engine import BatchResult, run_batch
 from repro.errors import DeadlineExceeded, ShardUnavailable
 from repro.obs.trace import NULL_TRACE
+from repro.query.bestfirst import VARIANTS
 from repro.query.location import (
     location_point,
     resolve_location,
@@ -268,6 +269,12 @@ class PartitionRouter:
         module docstring); only the ``error`` policy lets
         :class:`ShardUnavailable` escape.
         """
+        # The kernel's own checks and texts, made before anything is
+        # sent: a bad request fails the same way sharded or local.
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        if k < 1:
+            raise ValueError("k must be at least 1")
         if trace is None:
             trace = NULL_TRACE
         t_start = perf_counter()

@@ -99,13 +99,7 @@ def _shard_worker_main(
             directory, network, primary=shard_id, mmap=True
         )
         object_index = ObjectIndex(network, ObjectSet(objects), index.embedding)
-        storage = None
-        if storage_options:
-            from repro.storage.concurrent import ShardedStorageSimulator
-
-            storage = ShardedStorageSimulator.for_table_sizes(
-                index.store.sizes.tolist(), **storage_options
-            )
+        storage = index.make_storage(**storage_options) if storage_options else None
         engine = QueryEngine(index, object_index, storage=storage)
     except Exception as exc:  # noqa: BLE001 - surfaced to the parent
         try:
@@ -399,9 +393,10 @@ class ShardGroup:
         :class:`~repro.shard.router.PartitionRouter` that prunes with
         the parent's own index.
 
-        ``worker_storage`` (e.g. ``{"cache_fraction": 0.05,
-        "sleep_per_miss": 8e-4}``) gives every worker its own storage
-        simulator -- the benchmark's disk-resident regime.
+        ``worker_storage`` (:meth:`~repro.silc.SILCIndex.make_storage`
+        keywords, e.g. ``{"cache_fraction": 0.05}``) gives every worker
+        its own storage simulator -- the benchmark's disk-resident
+        regime.
 
         ``on_failure`` picks the supervision policy (``respawn`` /
         ``failover`` / ``degrade`` / ``error`` -- see

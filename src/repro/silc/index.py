@@ -159,11 +159,14 @@ class SILCIndex:
     # ------------------------------------------------------------------
     # Storage attachment
     # ------------------------------------------------------------------
+    def check_storage(self, simulator: StorageSimulator) -> None:
+        """Raise ``ValueError`` unless ``simulator`` was sized for this index."""
+        if simulator.layout.table_sizes != self.store.sizes.tolist():
+            raise ValueError("simulator layout does not match the index tables")
+
     def attach_storage(self, simulator: StorageSimulator) -> None:
         """Route every block-table probe through a page-cache simulator."""
-        expected = self.store.sizes.tolist()
-        if simulator.layout.table_sizes != expected:
-            raise ValueError("simulator layout does not match the index tables")
+        self.check_storage(simulator)
         self.storage = simulator
 
     def detach_storage(self) -> None:
@@ -173,24 +176,11 @@ class SILCIndex:
         self,
         cache_fraction: float = 0.05,
         miss_latency: float | None = None,
-        concurrent: bool = False,
     ) -> StorageSimulator:
-        """A simulator sized for this index (paper default: 5% cache).
-
-        ``concurrent=True`` returns a
-        :class:`~repro.storage.ShardedStorageSimulator` whose LRU state
-        and counters are per-thread, safe for parallel query workers.
-        """
+        """A simulator sized for this index (paper default: 5% cache)."""
         kwargs = {} if miss_latency is None else {"miss_latency": miss_latency}
-        sizes = self.store.sizes.tolist()
-        if concurrent:
-            from repro.storage.concurrent import ShardedStorageSimulator
-
-            return ShardedStorageSimulator.for_table_sizes(
-                sizes, cache_fraction=cache_fraction, **kwargs
-            )
         return StorageSimulator.for_table_sizes(
-            sizes, cache_fraction=cache_fraction, **kwargs
+            self.store.sizes.tolist(), cache_fraction=cache_fraction, **kwargs
         )
 
     # ------------------------------------------------------------------
@@ -346,8 +336,8 @@ class SILCIndex:
         once, not per block.  ``account=False`` skips the
         storage-simulator page accounting: the partition router
         computes shard bounds from serving threads that must not touch
-        a non-concurrent simulator, and its probes are counted
-        separately in its own stats.
+        the simulator (one LRU, unsafe to interleave), and its probes
+        are counted separately in its own stats.
         """
         self.network.check_vertex(source)
         table = self.tables[source]

@@ -5,7 +5,6 @@ LRU buffer holding 5% of the pages) so the I/O-time series of the
 evaluation can be regenerated deterministically.
 """
 
-from repro.storage.concurrent import ShardedStorageSimulator
 from repro.storage.lru import CacheStats, LRUCache
 from repro.storage.network_pages import NetworkStorageModel
 from repro.storage.pages import PageLayout, StorageLayout
@@ -17,7 +16,6 @@ __all__ = [
     "PageLayout",
     "StorageLayout",
     "StorageSimulator",
-    "ShardedStorageSimulator",
     "NetworkStorageModel",
     "DEFAULT_MISS_LATENCY",
 ]

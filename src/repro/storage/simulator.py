@@ -24,10 +24,6 @@ DEFAULT_MISS_LATENCY = 5e-3
 class StorageSimulator:
     """Page-level access simulation for one SILC index."""
 
-    #: Serial simulator: one shared LRU, unsafe to interleave across
-    #: query threads (see repro.storage.concurrent for the sharded one).
-    concurrent_safe = False
-
     layout: StorageLayout
     cache: LRUCache
     miss_latency: float = DEFAULT_MISS_LATENCY

@@ -82,6 +82,23 @@ class TestImportHygiene:
         done = _run(["-c", _RUN_CLI, "build", built[0], str(tmp_path / "again.silc")])
         assert "LOADED ['scipy']" in done.stderr
 
+    def test_no_unused_imports_under_src(self, tmp_path):
+        """ruff's F401 gate, runnable where ruff is not installed -- and
+        not vacuous: the same tool flags an orphan it is shown."""
+        tool = str(TOOLS / "check_unused_imports.py")
+        done = _run([tool])
+        assert done.returncode == 0, done.stdout + done.stderr
+        orphan = tmp_path / "orphan.py"
+        orphan.write_text(
+            "import os\nimport sys  # noqa: F401\nfrom m import kept, gone\n"
+            "__all__ = ['kept']\n"
+        )
+        done = _run([tool, str(orphan)])
+        assert done.returncode == 1
+        assert [line.split(": ")[1] for line in done.stdout.splitlines()] == [
+            "F401 `os` imported but unused", "F401 `gone` imported but unused",
+        ]
+
 
 def _frames_during(fn):
     frames = 0

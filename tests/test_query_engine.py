@@ -1,6 +1,7 @@
 """QueryEngine: batched queries must match per-query calls exactly."""
 
 import math
+import sys
 
 import pytest
 
@@ -253,6 +254,34 @@ class TestStorageReuse:
             assert small_index.storage is theirs
         finally:
             small_index.detach_storage()
+
+    def test_simulator_matched_to_the_index_once(self, small_index, grid_index,
+                                                 small_object_index):
+        """A wrong simulator fails at construction, with attach_storage's
+        error; after that no query re-derives the per-vertex table sizes
+        (an O(num_vertices) comparison, too dear for every call)."""
+        with pytest.raises(ValueError, match="does not match the index tables"):
+            QueryEngine(
+                small_index, small_object_index, storage=grid_index.make_storage()
+            )
+        engine = QueryEngine(small_index, small_object_index, cache_fraction=0.05)
+        sizes_code = type(small_index.store).sizes.fget.__code__
+        entered = 0
+
+        def profiler(frame, event, arg):
+            nonlocal entered
+            if event == "call" and frame.f_code is sizes_code:
+                entered += 1
+
+        sys.setprofile(profiler)
+        try:
+            for q in range(10):
+                engine.knn(q, k=2)
+        finally:
+            sys.setprofile(None)
+        assert entered == 0
+        assert engine.storage.stats.accesses > 0
+        assert small_index.storage is None
 
     def test_storage_and_fraction_exclusive(self, small_index, small_object_index):
         with pytest.raises(ValueError):

@@ -92,6 +92,28 @@ class TestLines:
         snapshot = piped.close()
         assert snapshot.served == 1 and snapshot.failed == 0
 
+    def test_bad_request_reply_carries_the_id_it_was_sent_with(
+        self, engine, piped_serve
+    ):
+        """A line that parsed as an object but is no valid request is
+        answered under its own id and client, so a closed-loop client
+        waiting on that id gets its reply (NaN is what ``json`` reads
+        ``NaN`` as; it is no budget)."""
+        piped = piped_serve(AsyncEngine(engine))
+        assert piped.ask({"id": 7, "client": "web", "kind": "knn"}) == {
+            "id": 7, "client": "web", "status": "error",
+            "error": "bad request: 'query'",
+        }
+        assert piped.ask('{"id": "x-9", "kind": "knn", "query": 0, "deadline": NaN}') == {
+            "id": "x-9", "status": "error",
+            "error": "bad request: deadline must be a positive budget in seconds",
+        }
+        # nothing to echo: not an object, or an object without an id
+        assert set(piped.ask("[1, 2]")) == {"status", "error"}
+        assert set(piped.ask({"kind": "nope"})) == {"status", "error"}
+        snapshot = piped.close()
+        assert snapshot.served == 0 and snapshot.failed == 0
+
     def test_four_kinds_closed_loop_equal_a_request_file(
         self, engine, piped_serve, tmp_path
     ):
@@ -171,9 +193,13 @@ class TestPolicies:
         bulk = batch("bulk", range(16 * CHUNK))
         web = [knn(f"web-{i}", 10 * i) for i in range(3)]
         # The bulk request's first chunk sits in the executor until all
-        # three web requests are queued behind its other fifteen.
+        # three web requests are queued behind its other fifteen.  The
+        # web lines go out only once that chunk is dispatched: one of
+        # them queued before it and the rest after reads [4, 5, 10].
         release = hold(engine, "knn_batch")
-        piped.send(bulk, *web)
+        piped.send(bulk)
+        wait_until(lambda: piped.server.scheduler.dispatched == CHUNK)
+        piped.send(*web)
         wait_until(lambda: piped.server.admission.in_flight == 16 * CHUNK + 3)
         release.set()
         order = [piped.recv() for _ in range(4)]

@@ -31,8 +31,10 @@ class TestRequestValidation:
             Request(id=1, client="a", kind="knn", queries=())
 
     def test_deadline_must_be_positive(self):
-        with pytest.raises(ValueError, match="deadline"):
-            Request(id=1, client="a", kind="knn", queries=(0,), deadline=0.0)
+        """NaN included: it is neither <= 0 nor > 0, and is not a budget."""
+        for deadline in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="deadline must be a positive budget"):
+                Request(id=1, client="a", kind="knn", queries=(0,), deadline=deadline)
 
     def test_cost_counts_engine_queries(self):
         assert Request(id=1, client="a", kind="knn", queries=(7,)).cost == 1

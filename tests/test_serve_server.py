@@ -60,11 +60,11 @@ class TestAsyncEngine:
         assert dist == pytest.approx(small_index.distance(0, 140))
 
     def test_many_concurrent_tasks(self, engine, small_index):
-        """Satellite: concurrent use from many tasks is safe and exact."""
+        """Many gathered tasks on the one executor thread: safe and exact."""
         queries = [(q, 1 + q % 4) for q in range(0, 120, 3)]
 
         async def go():
-            async with AsyncEngine(engine, max_workers=4) as ae:
+            async with AsyncEngine(engine) as ae:
                 return await asyncio.gather(
                     *(ae.knn(q, k, exact=True) for q, k in queries)
                 )
@@ -85,10 +85,6 @@ class TestAsyncEngine:
                 await ae.knn(0, 2)
 
         asyncio.run(go())
-
-    def test_validates_workers(self, engine):
-        with pytest.raises(ValueError):
-            AsyncEngine(engine, max_workers=0)
 
 
 def serve(requests, engine, **server_kwargs):
@@ -247,6 +243,41 @@ class TestSILCServer:
                     await server.submit(knn_req(0))
 
         asyncio.run(go())
+
+
+class TestBadRequestParity:
+    def test_shard_tier_fails_like_the_local_engine(self, engine, monkeypatch):
+        """k < 1 and an unknown variant are refused with the kernel's own
+        words on both tiers, and the shard tier says so before anything
+        crosses a pipe."""
+        from repro.shard.worker import ShardWorker
+
+        bad = [
+            Request(id=1, client="a", kind="knn", queries=(0,), k=0),
+            Request(id=2, client="a", kind="knn", queries=(0,), k=-3),
+            Request(id=3, client="a", kind="knn", queries=(0,), variant="bogus"),
+            Request(id=4, client="a", kind="knn_batch", queries=(0, 5), k=0),
+        ]
+        sent = []
+        real_request = ShardWorker.request
+
+        def recording(worker, message, timeout=None):
+            sent.append(message[0])
+            return real_request(worker, message, timeout)
+
+        monkeypatch.setattr(ShardWorker, "request", recording)
+
+        async def go(shards):
+            async with AsyncEngine(engine, shards=shards) as ae:
+                async with SILCServer(ae) as server:
+                    return [await server.submit(r) for r in bad]
+
+        local, sharded = asyncio.run(go(1)), asyncio.run(go(2))
+        assert [r.status for r in local] == ["error"] * len(bad)
+        assert [r.error for r in sharded] == [r.error for r in local]
+        assert local[0].error == "ValueError: k must be at least 1"
+        assert local[2].error.startswith("ValueError: unknown variant 'bogus'")
+        assert "knn" not in sent  # spawn-time pings only
 
 
 class TestServeJsonl:
