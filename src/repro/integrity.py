@@ -165,6 +165,23 @@ def checked_load(
         ) from exc
 
 
+def check_dtypes(columns: dict[str, np.ndarray], dtypes: dict[str, type]) -> None:
+    """Raise :class:`CorruptIndexError` naming the first column whose
+    dtype is not its canonical one (O(1), no mapped page touched).
+
+    Queries read columns through the buffer protocol, which goes by the
+    item format: a byte-swapped column would fail mid-query and a
+    same-width one of another type would be served as garbage.
+    """
+    for name, dtype in dtypes.items():
+        if columns[name].dtype != dtype:
+            raise CorruptIndexError(
+                f"corrupt index: column {name!r} holds "
+                f"{columns[name].dtype.str} items, expected {np.dtype(dtype).str}",
+                column=name,
+            )
+
+
 @contextmanager
 def atomic_directory(path: str | Path) -> Iterator[Path]:
     """Stage a directory write, then publish it atomically.

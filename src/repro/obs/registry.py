@@ -34,6 +34,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from collections.abc import Iterable, Sequence
+from pathlib import Path
 from typing import Any
 
 #: Samples kept per histogram window (percentiles reflect recent load).
@@ -82,6 +83,20 @@ def percentiles(values: Iterable[float], qs: Sequence[float]) -> list[float]:
         frac = pos - lo
         out.append(float(ordered[lo] * (1.0 - frac) + ordered[hi] * frac))
     return out
+
+
+def process_memory(pid: int | str = "self") -> dict[str, int]:
+    """The kB-valued fields of ``/proc/<pid>/status`` in bytes: ``VmRSS``
+    (resident), ``VmHWM`` (its peak), ``RssAnon`` (heap), ``RssFile``
+    (mapped file pages, the index among them).  Empty where there is no
+    ``/proc`` or the process is gone, so callers omit the reading.
+    """
+    try:
+        lines = Path(f"/proc/{pid}/status").read_text().splitlines()
+    except OSError:
+        return {}
+    fields = (line.replace(":", " ").split() for line in lines)
+    return {f[0]: int(f[1]) * 1024 for f in fields if len(f) == 3 and f[2] == "kB"}
 
 
 def _key(name: str, labels: dict) -> tuple:

@@ -37,7 +37,12 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from repro.integrity import atomic_directory, checked_load, verify_manifest
+from repro.integrity import (
+    atomic_directory,
+    check_dtypes,
+    checked_load,
+    verify_manifest,
+)
 from repro.network.graph import SpatialNetwork
 from repro.oracle.base import DistanceOracle, OracleInfo
 from repro.query.results import KNNResult
@@ -112,6 +117,7 @@ class PrunedLabellingOracle(DistanceOracle):
                 f"labelling offsets do not match the network "
                 f"({n} vertices)"
             )
+        check_dtypes(columns, LABEL_DTYPES)
         self.network = network
         self.out_offsets = columns["out_offsets"]
         self.out_hubs = columns["out_hubs"]
@@ -119,6 +125,9 @@ class PrunedLabellingOracle(DistanceOracle):
         self.in_offsets = columns["in_offsets"]
         self.in_hubs = columns["in_hubs"]
         self.in_dists = columns["in_dists"]
+        #: The columns as memoryviews, in ``LABEL_COLUMNS`` order: what
+        #: ``_merge`` reads (native scalars per entry, nothing copied).
+        self._views = tuple(memoryview(columns[name]) for name in LABEL_COLUMNS)
         self.object_index = object_index
         self.build_stats = build_stats
 
@@ -242,12 +251,11 @@ class PrunedLabellingOracle(DistanceOracle):
     # ------------------------------------------------------------------
     def _merge(self, source: int, target: int) -> tuple[float, int]:
         """Label intersection: ``(distance, entries scanned)``."""
-        i = int(self.out_offsets[source])
-        i_end = int(self.out_offsets[source + 1])
-        j = int(self.in_offsets[target])
-        j_end = int(self.in_offsets[target + 1])
-        out_hubs, out_dists = self.out_hubs, self.out_dists
-        in_hubs, in_dists = self.in_hubs, self.in_dists
+        out_offsets, out_hubs, out_dists, in_offsets, in_hubs, in_dists = self._views
+        i = out_offsets[source]
+        i_end = out_offsets[source + 1]
+        j = in_offsets[target]
+        j_end = in_offsets[target + 1]
         best = math.inf
         scanned = 0
         while i < i_end and j < j_end:

@@ -258,7 +258,7 @@ class QueryPlanner:
             for k in ks:
                 for q in queries:
                     # Best of two: the first run pays one-off warm-up
-                    # (lazy list mirrors, cold pages) steady traffic won't.
+                    # (cold pages, the location cache) steady traffic won't.
                     seconds = math.inf
                     for _ in range(2):
                         t0 = perf_counter()

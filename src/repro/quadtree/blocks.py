@@ -6,7 +6,7 @@ vertex shared by every vertex in the block) and the ``[lambda_min,
 lambda_max]`` interval of network/Euclidean distance ratios the paper
 attaches to every block for progressive refinement.
 
-The table is columnar (parallel numpy arrays) because a SILC index
+The table is columnar (five parallel buffers) because a SILC index
 holds one table per vertex -- tens of thousands of tables -- and
 Python object overhead per block would dwarf the actual data.
 """
@@ -40,11 +40,6 @@ class MortonBlock:
         return self.code + self.cells
 
 
-#: The plain-list mirror of a table's columns, in this order:
-#: codes, exclusive end codes, colors, lam_min, lam_max.
-Mirror = tuple[list[int], list[int], list[int], list[float], list[float]]
-
-
 def compute_ends(codes: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Exclusive end code of each block: ``code + 4**level``."""
     return codes + (np.int64(1) << (2 * levels.astype(np.int64)))
@@ -58,21 +53,19 @@ class BlockTable:
     retrieval of every block overlapping a code range (for bounding
     object-index blocks).
 
-    A table either owns its five columns (the validating constructor)
-    or is a zero-copy *view* over slices of a shared columnar store
-    (:meth:`view`, used by :class:`repro.silc.store.FlatStore` so tens
-    of thousands of per-vertex tables share one set of arrays).
+    A table is five ``memoryview``s, :attr:`columns`, over arrays it
+    owns (the validating constructor) or over slices of a shared,
+    possibly mapped, columnar store (:meth:`view`, what
+    :class:`repro.silc.store.FlatStore` hands out).  The views *are*
+    the probe structure: C ``bisect`` and indexing on a ``memoryview``
+    return native ``int`` / ``float`` without copying a row, so there
+    is no per-block Python object, nothing is built on first touch and
+    a write to a column is what the next probe reads.  A block's end
+    code is ``codes[row] + (1 << 2 * levels[row])``, taken at the one
+    or two rows a probe inspects.
     """
 
-    __slots__ = (
-        "codes",
-        "levels",
-        "colors",
-        "lam_min",
-        "lam_max",
-        "_ends",
-        "mirror",
-    )
+    __slots__ = ("columns",)
 
     def __init__(
         self,
@@ -82,86 +75,51 @@ class BlockTable:
         lam_min: np.ndarray,
         lam_max: np.ndarray,
     ) -> None:
-        self.codes = np.asarray(codes, dtype=np.int64)
-        self.levels = np.asarray(levels, dtype=np.int8)
-        self.colors = np.asarray(colors, dtype=np.int32)
-        self.lam_min = np.asarray(lam_min, dtype=np.float64)
-        self.lam_max = np.asarray(lam_max, dtype=np.float64)
-        n = self.codes.size
-        if not (
-            self.levels.size == n
-            and self.colors.size == n
-            and self.lam_min.size == n
-            and self.lam_max.size == n
-        ):
+        codes = np.asarray(codes, dtype=np.int64)
+        levels = np.asarray(levels, dtype=np.int8)
+        arrays = (
+            codes,
+            levels,
+            np.asarray(colors, dtype=np.int32),
+            np.asarray(lam_min, dtype=np.float64),
+            np.asarray(lam_max, dtype=np.float64),
+        )
+        if any(a.shape != codes.shape for a in arrays):
             raise ValueError("block table columns must have equal length")
-        self._ends = compute_ends(self.codes, self.levels)
-        if n > 1:
-            if not np.all(np.diff(self.codes) > 0):
+        if codes.size > 1:
+            if not np.all(np.diff(codes) > 0):
                 raise ValueError("block codes must be strictly increasing")
-            if not np.all(self._ends[:-1] <= self.codes[1:]):
+            if not np.all(compute_ends(codes, levels)[:-1] <= codes[1:]):
                 raise ValueError("blocks must be disjoint")
-        #: Lazily built plain-list mirror ``(codes, ends, colors,
-        #: lam_min, lam_max)``, or ``None`` before the first probe.
-        #: Bisect on a Python list is several times faster than
-        #: np.searchsorted on the tiny arrays involved, and point
-        #: location is the hottest operation in the library (one per
-        #: refinement step) -- the index's probe reads this directly.
-        self.mirror: Mirror | None = None
+        #: ``(codes, levels, colors, lam_min, lam_max)`` as memoryviews.
+        self.columns = tuple(map(memoryview, arrays))
 
     @classmethod
-    def view(
-        cls,
-        codes: np.ndarray,
-        levels: np.ndarray,
-        colors: np.ndarray,
-        lam_min: np.ndarray,
-        lam_max: np.ndarray,
-        ends: np.ndarray | None = None,
-    ) -> BlockTable:
+    def view(cls, codes, levels, colors, lam_min, lam_max) -> BlockTable:
         """Trusted zero-copy construction over pre-validated columns.
 
-        Skips dtype coercion and the sortedness/disjointness checks --
-        the columns must already satisfy the invariants (they come out
-        of :func:`repro.quadtree.region.build_region_blocks` or a
-        round-tripped save).  ``ends`` may pass a precomputed end-code
-        slice; when omitted it is derived lazily on first probe, which
-        keeps mmap-backed loads from faulting in every column page.
+        Takes the columns as buffers of the canonical item types (a
+        store's ``memoryview`` slices, or arrays) and skips coercion
+        and the sortedness/disjointness checks -- they must already
+        hold (the columns come out of
+        :func:`repro.quadtree.region.build_region_blocks` or a
+        round-tripped save).  No page of a mapped column is touched.
         """
         self = object.__new__(cls)
-        self.codes = codes
-        self.levels = levels
-        self.colors = colors
-        self.lam_min = lam_min
-        self.lam_max = lam_max
-        self._ends = ends
-        self.mirror = None
+        self.columns = tuple(map(memoryview, (codes, levels, colors, lam_min, lam_max)))
         return self
+
+    # The columns as numpy arrays over the same memory (no copy).
+    codes = property(lambda self: np.asarray(self.columns[0]))
+    levels = property(lambda self: np.asarray(self.columns[1]))
+    colors = property(lambda self: np.asarray(self.columns[2]))
+    lam_min = property(lambda self: np.asarray(self.columns[3]))
+    lam_max = property(lambda self: np.asarray(self.columns[4]))
 
     @property
     def ends(self) -> np.ndarray:
-        """Exclusive end codes, derived lazily for view tables."""
-        if self._ends is None:
-            self._ends = compute_ends(self.codes, self.levels)
-        return self._ends
-
-    def build_mirror(self) -> Mirror:
-        """Build (once) and return the list mirror of the columns.
-
-        Published with a single assignment: concurrent query workers
-        may race into this lazy initialization, and none may see a
-        partly built mirror.
-        """
-        mirror = self.mirror
-        if mirror is None:
-            mirror = self.mirror = (
-                self.codes.tolist(),
-                self.ends.tolist(),
-                self.colors.tolist(),
-                self.lam_min.tolist(),
-                self.lam_max.tolist(),
-            )
-        return mirror
+        """Exclusive end codes (derived on every call; probes do not use it)."""
+        return compute_ends(self.codes, self.levels)
 
     def lookup(self, cell_code: int) -> tuple[int, float, float, int] | None:
         """Fused point location: ``(color, lam_min, lam_max, row)``.
@@ -169,24 +127,18 @@ class BlockTable:
         Returns plain Python scalars, or ``None`` when no block
         contains the cell.
         """
-        codes, ends, colors, lam_min, lam_max = self.mirror or self.build_mirror()
+        codes, levels, colors, lam_min, lam_max = self.columns
         i = bisect_right(codes, cell_code) - 1
-        if i >= 0 and cell_code < ends[i]:
+        if i >= 0 and cell_code < codes[i] + (1 << 2 * levels[i]):
             return colors[i], lam_min[i], lam_max[i], i
         return None
 
     def __len__(self) -> int:
-        return int(self.codes.size)
+        return len(self.columns[0])
 
     def block(self, index: int) -> MortonBlock:
         """Decode row ``index`` into a :class:`MortonBlock`."""
-        return MortonBlock(
-            code=int(self.codes[index]),
-            level=int(self.levels[index]),
-            color=int(self.colors[index]),
-            lam_min=float(self.lam_min[index]),
-            lam_max=float(self.lam_max[index]),
-        )
+        return MortonBlock(*(column[index] for column in self.columns))
 
     def iter_blocks(self):
         """Yield every row as a :class:`MortonBlock`."""
@@ -213,9 +165,9 @@ class BlockTable:
         """
         if hi <= lo:
             return range(0)
-        codes, ends, _, _, _ = self.mirror or self.build_mirror()
+        codes, levels = self.columns[:2]
         start = bisect_right(codes, lo) - 1
-        if start < 0 or ends[start] <= lo:
+        if start < 0 or codes[start] + (1 << 2 * levels[start]) <= lo:
             start += 1
         end = bisect_left(codes, hi)
         return range(start, end)

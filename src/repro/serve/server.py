@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -32,6 +33,7 @@ from collections.abc import Callable
 from typing import TextIO
 
 from repro.errors import DeadlineExceeded
+from repro.obs.registry import process_memory
 from repro.obs.trace import NullTracer
 from repro.serve.admission import AdmissionController
 from repro.serve.engine import AsyncEngine
@@ -207,10 +209,17 @@ class SILCServer:
         shard router's prune accounting (when sharded) -- into the
         tracer's registry, then snapshots it.  Absorption assigns
         absolutely, so polling any number of times never double
-        counts.
+        counts.  Memory sits next to latency, as gauges: the index's
+        column bytes and, read from ``/proc`` at poll time, the resident
+        set and its peak of the server and of each shard worker's
+        current pid.
         """
         registry = self.tracer.registry
         registry.absorb_server(self.snapshot())
+        registry.set_gauge(
+            "index_mapped_bytes", self.engine.engine.index.store.nbytes(), stage="serve"
+        )
+        processes = {"server": os.getpid()}
         planner = getattr(self.engine.engine, "planner", None)
         if planner is not None:
             registry.absorb_planner(planner.stats)
@@ -220,6 +229,13 @@ class SILCServer:
             supervisor = getattr(shard_group, "supervisor", None)
             if supervisor is not None:
                 registry.absorb_supervisor(supervisor.stats)
+            for shard, worker in shard_group.workers.items():
+                processes[f"shard-{shard}"] = worker.process.pid
+        for process, pid in processes.items():
+            memory = process_memory(pid)
+            if "VmRSS" in memory:  # not without /proc, nor for a dead worker
+                registry.set_gauge("process_rss_bytes", memory["VmRSS"], process=process)
+                registry.set_gauge("process_peak_rss_bytes", memory["VmHWM"], process=process)
         slow_log = getattr(self.tracer, "slow_log", None)
         if slow_log is not None:
             registry.set_gauge("slow_queries_captured", slow_log.captured, stage="serve")

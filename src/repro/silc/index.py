@@ -198,17 +198,18 @@ class SILCIndex:
         """One probe returning the next hop and the raw interval bounds.
 
         The refinement engine's hot path, kept to a single frame: one
-        binary search over the source table's list mirror yields the
-        first hop and the ``[lo, hi]`` distance bounds, and the probed
-        row is accounted as a page access when storage is attached.
+        C ``bisect`` over the source table's ``codes`` -- a view of the
+        store's own, possibly mapped, column: nothing is copied or kept
+        -- yields the first hop and the ``[lo, hi]`` distance bounds,
+        and the probed row is accounted as a page access when storage
+        is attached.
         """
         if source == target:
             return source, 0.0, 0.0
-        table = self.tables[source]
-        codes, ends, colors, lam_min, lam_max = table.mirror or table.build_mirror()
+        codes, levels, colors, lam_min, lam_max = self.tables[source].columns
         cell = self._vcodes[target]
         row = bisect_right(codes, cell) - 1
-        if row < 0 or cell >= ends[row]:
+        if row < 0 or cell >= codes[row] + (1 << 2 * levels[row]):
             raise PathNotFound(source, target)
         storage = self.storage
         if storage is not None:
@@ -303,15 +304,15 @@ class SILCIndex:
         :meth:`block_lower_bound` call it makes for that anchor.
         """
         self.network.check_vertex(source)
-        table = self.tables[source]
+        codes, levels, _, lam_min, _ = self.tables[source].columns
         px = self._xf[source]
         py = self._yf[source]
         xmin, ymin, xmax, ymax = self.embedding.block_world_bounds_array(
-            table.codes, table.levels
+            np.asarray(codes), np.asarray(levels)
         )
         dx = np.maximum(np.maximum(xmin - px, 0.0), px - xmax)
         dy = np.maximum(np.maximum(ymin - py, 0.0), py - ymax)
-        return (table.lam_min * np.hypot(dx, dy)).tolist()
+        return (np.asarray(lam_min) * np.hypot(dx, dy)).tolist()
 
     def block_lower_bound(
         self,
@@ -350,14 +351,16 @@ class SILCIndex:
             self.storage.touch_range(source, rows.start, rows.stop)
         if column is None:
             column = self.bound_column(source)
-        codes, ends, _, lam_min, _ = table.mirror
+        codes, levels, _, lam_min, _ = table.columns
         # Aligned Morton blocks either nest or are disjoint, so the
         # intersection of each overlapping block with the query block
         # is simply the smaller of the two: the table block when it is
         # nested inside the query range (its column entry applies), the
         # query block otherwise.  Rows are sorted and disjoint, so the
         # whole run is nested when its two ends are.
-        if codes[rows.start] >= lo_code and ends[rows.stop - 1] <= hi_code:
+        last = rows.stop - 1
+        last_end = codes[last] + (1 << 2 * levels[last])
+        if codes[rows.start] >= lo_code and last_end <= hi_code:
             best = min(column[rows.start : rows.stop])
         else:
             query_dist = self.embedding.block_world_rect(
@@ -365,7 +368,7 @@ class SILCIndex:
             ).min_distance_to_point_xy(self._xf[source], self._yf[source])
             best = min(
                 column[i]
-                if codes[i] >= lo_code and ends[i] <= hi_code
+                if lo_code <= codes[i] <= hi_code - (1 << 2 * levels[i])
                 else lam_min[i] * query_dist
                 for i in rows
             )

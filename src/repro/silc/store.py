@@ -19,17 +19,25 @@ The layout is what makes the rest of the zero-copy pipeline possible:
   which ``load`` can open with ``mmap_mode="r"`` so cold start touches
   O(1) bytes instead of O(total blocks);
 * every view is backed by the same memory, so the resident footprint
-  is the column bytes, once.
+  is the column bytes, once -- and stays that: a probe bisects and
+  indexes a ``memoryview`` of the column itself, so querying keeps no
+  Python object per block.
 """
 
 from __future__ import annotations
 
+from itertools import pairwise
 from pathlib import Path
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from repro.integrity import atomic_directory, checked_load, verify_manifest
+from repro.integrity import (
+    atomic_directory,
+    check_dtypes,
+    checked_load,
+    verify_manifest,
+)
 from repro.quadtree.blocks import BlockTable, compute_ends
 
 #: Column names in canonical order, shared by the build kernel's
@@ -72,7 +80,13 @@ class FlatStore:
         in rows ``offsets[v]:offsets[v + 1]`` of every column.
     codes, levels, colors, lam_min, lam_max:
         The concatenated columns.  Arrays are taken as-is (they may be
-        memory-mapped); dtypes must already be canonical.
+        memory-mapped); a non-canonical dtype is a
+        :class:`~repro.errors.CorruptIndexError` naming the column.
+
+    The store keeps one ``memoryview`` per column (O(1), read-only over
+    a mapped file) and every table it hands out is five slices of
+    those.  Views do not pickle and nothing pickles a store: the build
+    pool ships numpy chunks and shard workers load by path.
     """
 
     __slots__ = (
@@ -82,7 +96,7 @@ class FlatStore:
         "colors",
         "lam_min",
         "lam_max",
-        "_ends",
+        "_views",
     )
 
     def __init__(
@@ -103,15 +117,14 @@ class FlatStore:
         self.colors = colors
         self.lam_min = lam_min
         self.lam_max = lam_max
-        for name in COLUMNS:
-            col = getattr(self, name)
+        columns = self.column_arrays()
+        for name, col in columns.items():
             if col.shape != (total,):
                 raise ValueError(
                     f"column {name!r} has shape {col.shape}, expected ({total},)"
                 )
-        # End codes are derived lazily: computing them eagerly would
-        # fault in the codes/levels columns of an mmap-backed store.
-        self._ends: np.ndarray | None = None
+        check_dtypes(columns, COLUMN_DTYPES)
+        self._views = tuple(map(memoryview, columns.values()))
 
     # ------------------------------------------------------------------
     # Construction
@@ -177,12 +190,8 @@ class FlatStore:
 
     @property
     def ends(self) -> np.ndarray:
-        """Concatenated exclusive end codes, computed on first use."""
-        if self._ends is None:
-            self._ends = compute_ends(
-                np.asarray(self.codes, dtype=np.int64), np.asarray(self.levels)
-            )
-        return self._ends
+        """Concatenated exclusive end codes, for :meth:`validate`."""
+        return compute_ends(np.asarray(self.codes), np.asarray(self.levels))
 
     # ------------------------------------------------------------------
     # Validation
@@ -222,35 +231,16 @@ class FlatStore:
         """A zero-copy :class:`BlockTable` view of vertex ``v``'s rows."""
         lo = int(self.offsets[v])
         hi = int(self.offsets[v + 1])
-        return BlockTable.view(
-            self.codes[lo:hi],
-            self.levels[lo:hi],
-            self.colors[lo:hi],
-            self.lam_min[lo:hi],
-            self.lam_max[lo:hi],
-            ends=None if self._ends is None else self._ends[lo:hi],
-        )
+        return BlockTable.view(*[view[lo:hi] for view in self._views])
 
     def views(self) -> list[BlockTable]:
-        """Per-vertex view tables; O(num_vertices), no column copies."""
-        offsets = self.offsets.tolist()
-        out = []
-        for v in range(self.num_tables):
-            lo, hi = offsets[v], offsets[v + 1]
-            out.append(
-                BlockTable.view(
-                    self.codes[lo:hi],
-                    self.levels[lo:hi],
-                    self.colors[lo:hi],
-                    self.lam_min[lo:hi],
-                    self.lam_max[lo:hi],
-                )
-            )
-        return out
-
-    def iter_tables(self) -> Iterator[BlockTable]:
-        for v in range(self.num_tables):
-            yield self.table(v)
+        """Per-vertex view tables; O(num_vertices), no column page read."""
+        codes, levels, colors, lam_min, lam_max = self._views
+        view = BlockTable.view
+        return [
+            view(codes[a:b], levels[a:b], colors[a:b], lam_min[a:b], lam_max[a:b])
+            for a, b in pairwise(self.offsets.tolist())
+        ]
 
     # ------------------------------------------------------------------
     # Serialization payload
@@ -391,11 +381,9 @@ class ShardedFlatStore:
         return fragment.table(int(self.local_index[v]))
 
     def views(self) -> list[BlockTable]:
-        return [self.table(v) for v in range(self.num_tables)]
-
-    def iter_tables(self) -> Iterator[BlockTable]:
-        for v in range(self.num_tables):
-            yield self.table(v)
+        per_shard = [fragment.views() for fragment in self.shards]
+        where = zip(self.shard_of.tolist(), self.local_index.tolist(), strict=True)
+        return [per_shard[s][i] for s, i in where]
 
     def column_arrays(self) -> dict[str, np.ndarray]:
         """The five columns re-concatenated in global vertex order.

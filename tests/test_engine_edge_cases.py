@@ -84,10 +84,8 @@ class TestFailureInjection:
             nbr_colors[:] = 0
             index.tables[nbr].colors.setflags(write=True)
             index.tables[nbr].colors[:] = nbr_colors
-            index.tables[nbr].mirror = None  # rebuilt from the columns
             table.colors.setflags(write=True)
             table.colors[:] = colors
-            table.mirror = None
             far = max(
                 range(small_net.num_vertices),
                 key=lambda v: small_net.euclidean(0, v),

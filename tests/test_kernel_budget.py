@@ -103,8 +103,8 @@ def test_frames_per_refinement_and_no_interval_allocations(
     # The shared index is only read; the simulator is detached again.
     small_index.attach_storage(small_index.make_storage())
     try:
-        # Warm the list mirrors: building one is a first-touch cost,
-        # not a per-refinement one.
+        # Once unobserved: the resolved-location cache is a first-touch
+        # cost, not a per-refinement one.
         best_first_knn(small_index, small_object_index, 31, 10, exact=True)
         result, counts = _count_calls(
             lambda: best_first_knn(
@@ -137,7 +137,7 @@ def test_whole_query_frames_within_budget(small_net, small_index, variant):
                 return best_first_knn(
                     small_index, object_index, query, k, variant=variant, exact=True
                 )
-            run()  # list mirrors
+            run()  # first touch: the resolved-location cache
             result, counts = _count_calls(run)
             s = result.stats
             refinements = s.refinements + s.extras["post_refinements"]

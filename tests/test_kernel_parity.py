@@ -524,7 +524,6 @@ class TestChecksKept:
         array = getattr(table, column)
         array.setflags(write=True)
         array[table.locate(int(index.vertex_codes[target]))] = value
-        table.mirror = None
 
     @pytest.mark.parametrize("bad", [float("nan"), -1e9])
     def test_bad_lam_min_raises_before_any_neighbor(self, grid_net, index, bad):

@@ -14,6 +14,7 @@ import pytest
 
 from repro.engine import QueryEngine
 from repro.obs import Tracer
+from repro.obs.registry import process_memory
 from repro.serve import AsyncEngine, Request, SILCServer
 
 
@@ -234,3 +235,62 @@ class TestStatsRequestKind:
         [resp] = responses
         assert resp.status == "ok"
         assert "gauges" in resp.result["metrics"]
+
+
+def memory_gauges(metrics):
+    """``{gauge name: {process: value}}`` for the per-process gauges."""
+    out = {"process_rss_bytes": {}, "process_peak_rss_bytes": {}}
+    for sample in metrics["gauges"]:
+        if sample["name"] in out:
+            out[sample["name"]][sample["labels"]["process"]] = sample["value"]
+    return out
+
+
+@pytest.mark.skipif(not process_memory(), reason="no /proc/<pid>/status here")
+class TestMemoryGauges:
+    """Memory sits next to latency in the ``stats`` reply -- as gauges:
+    the ``counters`` section is what ``bench/run.py --compare`` diffs."""
+
+    def test_local_stats_carry_the_server_and_the_index(self, engine):
+        [resp], _ = serve([Request(id=1, client="ops", kind="stats")], engine)
+        metrics = resp.result["metrics"]
+        for by_process in memory_gauges(metrics).values():
+            assert set(by_process) == {"server"}
+            assert by_process["server"] > 0
+        [mapped] = [g for g in metrics["gauges"] if g["name"] == "index_mapped_bytes"]
+        assert mapped["value"] == engine.index.store.nbytes() > 0
+        assert not any("rss" in c["name"] or "mapped" in c["name"]
+                       for c in metrics["counters"])
+
+    def test_sharded_stats_follow_each_worker_through_a_respawn(
+        self, small_index, small_object_index
+    ):
+        eng = QueryEngine(small_index, small_object_index)
+        stats = Request(id=9, client="ops", kind="stats")
+
+        async def go():
+            async with AsyncEngine(eng, shards=2) as ae, SILCServer(ae) as server:
+                workers = ae.shard_group.workers
+                first = (await server.submit(stats)).result["metrics"]
+                pids = {shard: w.process.pid for shard, w in workers.items()}
+                victim = min(workers)
+                workers[victim].process.kill()
+                workers[victim].process.join(5.0)
+                # The next query through the dead shard respawns it.
+                query = int(ae.shard_group.shard_map.vertices(victim)[0])
+                assert (await server.submit(knn_req(query, rid=1))).status == "ok"
+                second = (await server.submit(stats)).result["metrics"]
+                new_pid = workers[victim].process.pid
+                # Idle since the poll, so its peak has not moved.
+                return first, second, pids, victim, new_pid, process_memory(new_pid)
+
+        first, second, pids, victim, new_pid, direct = asyncio.run(go())
+        expected = {"server"} | {f"shard-{shard}" for shard in pids}
+        for metrics in (first, second):
+            for by_process in memory_gauges(metrics).values():
+                assert set(by_process) == expected
+                assert all(value > 0 for value in by_process.values())
+        # The sample is the replacement's: the old pid has no reading left.
+        assert new_pid != pids[victim] and not process_memory(pids[victim])
+        peak = memory_gauges(second)["process_peak_rss_bytes"][f"shard-{victim}"]
+        assert peak == direct["VmHWM"]

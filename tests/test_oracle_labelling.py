@@ -9,6 +9,7 @@ byte-identically, memory-mapped or not.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -60,6 +61,31 @@ class TestExactness:
 
     def test_self_distance_zero(self, small_labelling):
         assert small_labelling.distance(42, 42) == 0.0
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_merge_equals_an_array_intersection_bit_for_bit(
+        self, tmp_path, small_net, small_labelling, rng, mmap
+    ):
+        """The merge reads the columns through memoryviews; the answer
+        is the one ``np.intersect1d`` over the same columns gives, as a
+        native float (what the serve protocol's JSON encoder is fed),
+        and a scan is still one step of the two-pointer walk."""
+        small_labelling.save(tmp_path / "labels")
+        labels = PrunedLabellingOracle.load(tmp_path / "labels", small_net, mmap=mmap)
+        cols = labels.column_arrays()
+        for u, v in rng.integers(0, small_net.num_vertices, size=(200, 2)):
+            u, v = int(u), int(v)
+            out = slice(cols["out_offsets"][u], cols["out_offsets"][u + 1])
+            inn = slice(cols["in_offsets"][v], cols["in_offsets"][v + 1])
+            _, i, j = np.intersect1d(
+                cols["out_hubs"][out], cols["in_hubs"][inn], return_indices=True
+            )
+            expected = float(np.min(cols["out_dists"][out][i] + cols["in_dists"][inn][j]))
+            got, scanned = labels._merge(u, v)
+            assert type(got) is float and got == expected
+            assert json.loads(json.dumps(got)) == got
+            union = np.union1d(cols["out_hubs"][out], cols["in_hubs"][inn]).size
+            assert len(i) <= scanned <= union
 
     def test_vertex_validation(self, small_net, small_labelling):
         with pytest.raises(Exception):

@@ -5,6 +5,8 @@ import pytest
 
 from repro.quadtree import BlockTable
 
+COLUMNS = ("codes", "levels", "colors", "lam_min", "lam_max")
+
 
 def make_table():
     """Blocks: [0,4) level1, [4,5) level0, [8,12) level1 -- gap at [5,8)."""
@@ -117,3 +119,36 @@ class TestInspection:
 
     def test_storage_bytes(self):
         assert make_table().storage_bytes(record_bytes=16) == 48
+
+
+class TestColumnsAreRead:
+    """A table is views of its columns: probes read them, no copy is kept."""
+
+    def test_probes_return_native_scalars_from_any_buffer(self):
+        owned = make_table()
+        viewed = BlockTable.view(*(getattr(owned, c).copy() for c in COLUMNS))
+        for table in (owned, viewed):
+            hit = table.lookup(9)
+            assert hit == (30, 1.2, 1.9, 2)
+            assert [type(x) for x in hit] == [int, float, float, int]
+            block = table.block(1)
+            assert (block.code, block.level, block.code_end) == (4, 0, 5)
+            assert type(block.code) is int and type(block.lam_min) is float
+            assert table.ends.tolist() == [4, 5, 12]
+
+    def test_column_arrays_share_the_views_memory(self):
+        table = make_table()
+        for name, view in zip(COLUMNS, table.columns):
+            assert np.shares_memory(getattr(table, name), np.asarray(view))
+
+    def test_a_write_is_seen_by_the_next_probe(self):
+        table = make_table()
+        assert table.lookup(9) == (30, 1.2, 1.9, 2)  # probed once already
+        table.colors[2] = 77
+        table.lam_min[2] = 0.5
+        assert table.lookup(9) == (77, 0.5, 1.9, 2)
+        # Shrinking a block moves its end code with it.
+        table.levels[2] = 0
+        assert table.lookup(9) is None
+        assert list(table.overlapping(9, 12)) == []
+        assert list(table.overlapping(8, 9)) == [2]

@@ -77,6 +77,11 @@ class TestShardedIndex:
         assert not isinstance(fragments[1].codes, np.memmap)
         assert isinstance(fragments[0].codes, np.memmap)
         assert isinstance(fragments[2].codes, np.memmap)
+        # ... asserted on the fragment's attribute; what a probe reads
+        # is a view of that same buffer, mapped or resident.
+        for v in range(net.num_vertices):
+            owner = fragments[loaded.store.shard_of[v]]
+            assert loaded.tables[v].columns[0].obj is owner.codes
 
     def test_column_arrays_reconstruct_global_order(self, built, tmp_path):
         net, index = built

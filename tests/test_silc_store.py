@@ -1,11 +1,19 @@
 """The flat columnar store: views, the pooled build, persistence, mmap."""
 
+import gc
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro import road_like_network
 from repro.errors import CorruptIndexError
+from repro.network.errors import PathNotFound
 from repro.quadtree import BlockTable
-from repro.silc import FlatStore, SILCIndex
+from repro.shard import ShardMap
+from repro.silc import FlatStore, ProximalSILCIndex, SILCIndex, update_index
+from repro.silc.index import _REL_PAD
 
 TABLE_COLUMNS = ("codes", "levels", "colors", "lam_min", "lam_max")
 
@@ -125,3 +133,175 @@ class TestPersistenceLayouts:
             a = knn(small_index, small_object_index, q, 5, exact=True)
             b = knn(loaded, small_object_index, q, 5, exact=True)
             assert a.ids() == b.ids()
+
+
+# ----------------------------------------------------------------------
+# The columns are the probe structure: nothing is copied out of them,
+# whichever way the index was obtained.
+# ----------------------------------------------------------------------
+
+def reference_probe(columns, offsets, source, cell):
+    """``BlockTable.lookup`` by ``np.searchsorted`` on the store's arrays."""
+    lo, hi = offsets[source], offsets[source + 1]
+    codes = columns["codes"][lo:hi]
+    row = int(np.searchsorted(codes, cell, side="right")) - 1
+    if row < 0 or cell >= int(codes[row]) + 4 ** int(columns["levels"][lo + row]):
+        return None
+    return (
+        int(columns["colors"][lo + row]),
+        float(columns["lam_min"][lo + row]),
+        float(columns["lam_max"][lo + row]),
+        row,
+    )
+
+
+def trimmed(index):
+    """``index`` with table 0 missing its first and last block and
+    table 1 empty: cells before the first block, past the last one and
+    in no table at all."""
+    store = index.store
+    sizes = store.sizes.copy()
+    keep = np.ones(store.total_blocks, dtype=bool)
+    keep[[0, sizes[0] - 1]] = False
+    keep[sizes[0] : sizes[0] + sizes[1]] = False
+    sizes[0] -= 2
+    sizes[1] = 0
+    columns = {name: col[keep] for name, col in store.column_arrays().items()}
+    return SILCIndex(
+        index.network, index.embedding, index.vertex_codes,
+        FlatStore.from_columns(sizes, columns),
+    )
+
+
+def obtain(kind, net, index, tmp_path):
+    if kind == "built":
+        return index
+    if kind == "trimmed":
+        return trimmed(index)
+    if kind == "proximal":
+        return ProximalSILCIndex.build(net, radius=1e9)  # past the diameter
+    if kind == "updated":
+        closures = (
+            net.without_edges([(a, b), (b, a)])
+            for a in net.vertices() for b, _ in net.neighbors(a)
+        )
+        closed = next(
+            c for c in closures if c.num_strongly_connected_components() == 1
+        )
+        patched, rebuilt = update_index(index, closed)
+        assert rebuilt
+        return patched
+    if kind == "sharded":
+        index.save_sharded(tmp_path, ShardMap.from_index(index, 3))
+        return SILCIndex.load_sharded(tmp_path, net, primary=0)
+    index.save(tmp_path / "index")
+    return SILCIndex.load(tmp_path / "index", net, mmap=kind == "mmap")
+
+
+class TestColumnsAreTheProbeStructure:
+    @pytest.mark.parametrize(
+        "kind", ["built", "eager", "mmap", "sharded", "proximal", "updated", "trimmed"]
+    )
+    def test_probes_agree_with_searchsorted(self, kind, small_net, small_index, tmp_path):
+        index = obtain(kind, small_net, small_index, tmp_path)
+        net = index.network
+        columns = index.store.column_arrays()
+        offsets = np.concatenate([[0], np.cumsum(index.store.sizes)]).tolist()
+        cells = index.vertex_codes.tolist()
+        xs, ys = net.xs.tolist(), net.ys.tolist()
+        misses = 0
+        for s in range(net.num_vertices):
+            table = index.tables[s]
+            for t in range(net.num_vertices):
+                expected = reference_probe(columns, offsets, s, cells[t])
+                hit = table.lookup(cells[t])
+                assert hit == expected
+                if s == t:
+                    continue
+                if expected is None:
+                    misses += 1
+                    with pytest.raises(PathNotFound):
+                        index.hop_and_interval(s, t)
+                    continue
+                assert all(type(x) is y for x, y in zip(hit, (int, float, float, int)))
+                d_e = math.hypot(xs[s] - xs[t], ys[s] - ys[t])
+                assert index.hop_and_interval(s, t) == (
+                    expected[0],
+                    expected[1] * d_e * (1.0 - _REL_PAD),
+                    expected[2] * d_e * (1.0 + _REL_PAD),
+                )
+        if kind == "trimmed":
+            # Before the first block, past the last one, an empty table.
+            first, last = index.tables[0].block(0), index.tables[0].block(-1)
+            assert any(c < first.code for c in cells)
+            assert any(c >= last.code_end for c in cells)
+            assert len(index.tables[1]) == 0
+            assert misses >= 2 + (net.num_vertices - 1)
+        else:
+            assert misses == 0
+
+    def test_a_mapped_table_reads_the_mapped_file(self, tmp_path, small_net, small_index):
+        small_index.save(tmp_path / "index")
+        loaded = SILCIndex.load(tmp_path / "index", small_net, mmap=True)
+        # ``store.codes`` is the np.memmap (asserted on the attribute
+        # above); a table's view is a slice of that very buffer.
+        for name, view in zip(TABLE_COLUMNS, loaded.tables[7].columns):
+            assert view.obj is getattr(loaded.store, name)
+            assert view.readonly
+
+    @pytest.mark.parametrize("column, value", [("colors", 123456), ("lam_min", 0.03125)])
+    def test_a_written_row_is_what_the_next_probe_reads(
+        self, tmp_path, small_net, small_index, column, value
+    ):
+        small_index.save(tmp_path / "index")
+        index = SILCIndex.load(tmp_path / "index", small_net)  # eager, private
+        source, target = 3, 120
+        before = index.hop_and_interval(source, target)
+        row = int(index.store.offsets[source]) + index.tables[source].locate(
+            int(index.vertex_codes[target])
+        )
+        array = getattr(index.store, column)
+        array.setflags(write=True)
+        array[row] = value
+        after = index.hop_and_interval(source, target)  # no invalidation call
+        d_e = math.hypot(
+            small_net.xs[source] - small_net.xs[target],
+            small_net.ys[source] - small_net.ys[target],
+        )
+        if column == "colors":
+            assert after == (value, *before[1:])
+        else:
+            assert after == (before[0], value * d_e * (1.0 - _REL_PAD), before[2])
+        assert index.tables[source].lookup(int(index.vertex_codes[target]))[
+            TABLE_COLUMNS.index(column) - 2
+        ] == value
+
+    def test_probing_every_pair_keeps_no_object_per_block(self, tmp_path):
+        """Heap growth over all-pairs probes plus a bound from every
+        vertex is a constant per table, whatever the rows per table:
+        no boxed copy of a row outlives its probe."""
+        per_table = {}
+        for size in (60, 240):
+            net = road_like_network(size, seed=5)
+            path = tmp_path / f"index-{size}"
+            SILCIndex.build(net).save(path)
+            index = SILCIndex.load(path, net, mmap=True)
+            n = net.num_vertices
+            gc.collect()
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                for s in range(n):
+                    for t in range(n):
+                        index.hop_and_interval(s, t)
+                    index.block_lower_bound(s, 0, index.embedding.order)
+                gc.collect()
+                grown = tracemalloc.get_traced_memory()[0] - start
+            finally:
+                tracemalloc.stop()
+            per_table[size] = (grown / n, index.total_blocks())
+        (small, small_blocks), (large, large_blocks) = per_table[60], per_table[240]
+        assert large_blocks >= 3 * small_blocks
+        # Row lists kept per probed vertex read ~170 B per block: 3.6
+        # and 8.5 KB per table here.  What is left is one-off, ~3 KB.
+        assert small <= 256 and large <= 256, per_table

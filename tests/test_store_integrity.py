@@ -189,6 +189,34 @@ def test_damage_fails_load(pristine, tmp_path, small_net, layout, column, damage
         assert exc.value.column == column
 
 
+#: One column per layout re-saved with a wrong dtype of the *same*
+#: item size, manifest rewritten to match: sizes and checksums agree,
+#: so only the dtype check stands between the bytes and a query.
+WRONG_DTYPES = {
+    "index": ("lam_min", ">f8"),
+    "shard": ("codes", "<u8"),
+    "labels": ("out_hubs", "<u4"),
+}
+
+
+@pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+@pytest.mark.parametrize("layout", WRONG_DTYPES)
+def test_wrong_dtype_fails_load(pristine, tmp_path, small_net, layout, mmap):
+    save, sub, _ = LAYOUTS[layout]
+    column, dtype = WRONG_DTYPES[layout]
+    shutil.copytree(pristine / save, tmp_path / save)
+    path = tmp_path / save / sub / file_name(column)
+    good = np.load(path)
+    np.save(path, good.astype(dtype))
+    assert path.stat().st_size == (pristine / save / sub / file_name(column)).stat().st_size
+    write_manifest(path.parent)
+    verify_manifest(path.parent, deep=True)
+    with pytest.raises(CorruptIndexError, match=column) as exc:
+        load(save, tmp_path / save, small_net, mmap)
+    assert exc.value.column == column
+    assert np.dtype(dtype).str in str(exc.value)
+
+
 class TestIndexLoadRejectsCorruption:
     def test_clean_roundtrip_still_works(self, pristine, small_net, small_index):
         loaded = load("index", pristine / "index", small_net, mmap=True)
