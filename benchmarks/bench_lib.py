@@ -1,11 +1,11 @@
 """Shared benchmark fixtures: cached networks, indexes and helpers.
 
 Every benchmark regenerates one table or figure of the paper's
-evaluation (see DESIGN.md's per-experiment index).  The substrate is a
-synthetic road-like network (substitution documented in DESIGN.md);
-absolute numbers therefore differ from the paper, but each benchmark
-asserts the *shape* the paper reports and prints the measured series
-for EXPERIMENTS.md.
+evaluation (each file's docstring names which).  The substrate is a
+synthetic road-like network, not the paper's road map; absolute
+numbers therefore differ from the paper, but each benchmark asserts
+the *shape* the paper reports and prints the measured series, which
+``SeriesRecorder`` also writes to the ignored ``benchmarks/out/``.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ BENCH_SEED = 42
 
 #: Size of the main evaluation network.  The paper uses the US eastern
 #: seaboard (91,113 vertices); a pure-Python precompute caps us at a
-#: few thousand (see DESIGN.md) -- every experiment sweeps parameters
-#: so shapes, not absolutes, carry the comparison.
+#: few thousand -- every experiment sweeps parameters so shapes, not
+#: absolutes, carry the comparison.
 BENCH_N = 3000
 
 #: Worker processes for every benchmark index build.  Defaults to one

@@ -8,8 +8,7 @@ Paper claims reproduced here:
 * IER is always slowest.
 
 The paper sweeps k to 300 on 91k vertices (|S| = 6.4k); our 3k-vertex
-substrate caps |S| = 210, so the sweep stops at 100 (documented in
-EXPERIMENTS.md).
+substrate caps |S| = 210, so the sweep stops at 100.
 """
 
 from bench_lib import ALL_ALGOS, SeriesRecorder, make_objects, run_workload

@@ -195,9 +195,9 @@ class QueryEngine:
         self.planner = planner
         self._positions: OrderedDict = OrderedDict()
         # Guards the location cache's read-reorder-evict sequence: with
-        # a shard tier the executor has several threads, and failover
-        # or a non-SILC request runs this engine on any of them;
-        # resolution itself runs outside the lock.
+        # a shard tier AsyncEngine has several worker threads, and
+        # failover or a non-SILC request runs this engine on any of
+        # them; resolution itself runs outside the lock.
         self._positions_lock = threading.Lock()
 
     # ------------------------------------------------------------------

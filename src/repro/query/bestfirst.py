@@ -414,9 +414,8 @@ def best_first_knn(
         stats.kmindist_final = kmin_tracker.value()
 
     if io_before is not None and index.storage is not None:
-        # stats_since reads the calling thread's counters on sharded
-        # simulators, so concurrent queries never pollute each other's
-        # per-query I/O accounting.
+        # One simulator, one query at a time: what it counted since
+        # io_before is this query's I/O.
         delta = index.storage.stats_since(io_before)
         stats.io_accesses = delta.accesses
         stats.io_misses = delta.misses

@@ -1,39 +1,51 @@
 """Awaitable facade over :class:`~repro.engine.QueryEngine`.
 
 ``AsyncEngine`` gives the serving layer non-blocking access to the
-synchronous query engine: every call runs on a bounded
-``ThreadPoolExecutor`` so the asyncio event loop keeps accepting and
-scheduling requests while a query grinds through refinement steps.
+synchronous query engine through one hand-off: a call is queued as
+``(loop, functools.partial, done)``, a plain worker thread runs it,
+and the outcome comes back as ``loop.call_soon_threadsafe(done, value,
+exc)`` -- one thread wake-up out, one loop turn back, while the event
+loop keeps accepting and scheduling requests.
+:class:`~repro.serve.SILCServer` passes its completion callback as
+``done``; without one the query methods return a future resolved by
+that same path, so ``await engine.knn(...)`` works.  The loop is taken
+per call (engines are built before one runs).
 
-An engine runs one query at a time: without a shard tier the executor
-has a single warm thread and calls are strictly serialized (the search
-is pure Python and GIL-bound, and the engine's
+An engine runs one query at a time: there is one worker thread per
+shard, so without a shard tier calls are strictly serialized (the
+search is pure Python and GIL-bound, and the engine's
 :class:`~repro.storage.StorageSimulator` is one LRU that must not be
-interleaved).  Parallelism is processes:
-
-With ``shards > 1`` the facade runs kNN queries on the
-spatially-sharded *process* tier (:class:`~repro.shard.ShardGroup`):
-the index is partitioned by Morton-key ranges, one worker process
-serves each shard's slice of the store and objects, and a partition
-router prunes shards by distance bound before scatter-gathering
-candidates.  kNN answers are then always exact; ``path``/``distance``
-requests keep running on the local engine (they are single index
-walks with nothing to shard).  The executor then has ``shards``
-threads, whose job is to wait on worker pipes; calls that land on the
-local engine (``path``/``distance``, a non-SILC oracle, failover) are
-still one-at-a-time work, which :class:`~repro.serve.SILCServer`
-guarantees by awaiting one chunk at a time.
+interleaved).  Parallelism is processes: with ``shards > 1`` kNN
+queries run on :class:`~repro.shard.ShardGroup` (always exact there)
+and a worker thread's job is to wait on worker pipes.  Calls that land
+on the local engine all the same (``path``/``distance``, a non-SILC
+oracle, failover) are still one-at-a-time work, which
+:class:`~repro.serve.SILCServer` guarantees by keeping one chunk in
+flight.
 """
 
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
-from collections.abc import Iterable
+import threading
+from collections.abc import Callable, Iterable
 from functools import partial
+from queue import SimpleQueue
 
-from repro.engine import BatchResult, QueryEngine
-from repro.query.results import KNNResult
+from repro.engine import QueryEngine
+
+#: ``done(value, exc)``: how a call's outcome reaches the caller's loop.
+Done = Callable[[object, BaseException | None], None]
+
+
+def _resolve(future: asyncio.Future, value, exc: BaseException | None) -> None:
+    """The ``done`` of a caller that awaits instead of passing its own."""
+    if future.done():
+        return  # the awaiting caller was cancelled meanwhile
+    if exc is None:
+        future.set_result(value)
+    else:
+        future.set_exception(exc)
 
 
 class AsyncEngine:
@@ -48,11 +60,11 @@ class AsyncEngine:
         default) keeps everything in-process; with more, construction
         partitions the engine's index and objects, writes the sharded
         store layout, and spawns one worker process per populated
-        shard (see :class:`~repro.shard.ShardGroup`).  The executor
-        has ``shards`` threads, so that many sharded queries can be in
-        flight at once -- each thread mostly waits on a worker's pipe,
-        and that concurrency is what the worker processes turn into
-        parallelism.
+        shard (see :class:`~repro.shard.ShardGroup`).  There are
+        ``shards`` worker threads, so that many sharded queries can be
+        in flight at once -- each thread mostly waits on a worker's
+        pipe, and that concurrency is what the worker processes turn
+        into parallelism.
     shard_dir:
         Directory for the sharded store layout (default: a private
         temporary directory, removed on :meth:`close`).
@@ -80,9 +92,6 @@ class AsyncEngine:
             raise ValueError("shards must be at least 1")
         self.engine = engine
         self.shards = shards
-        self._executor = ThreadPoolExecutor(
-            max_workers=shards, thread_name_prefix="repro-serve"
-        )
         self.shard_group = None
         if shards > 1:
             from repro.shard import ShardGroup
@@ -93,13 +102,42 @@ class AsyncEngine:
                 fault_injector=fault_injector,
             )
         self._closed = False
+        self._calls: SimpleQueue = SimpleQueue()
+        # Started last, so the shard processes fork from one thread;
+        # daemons, so an engine nobody closed does not hold up exit.
+        self._workers = [
+            threading.Thread(target=self._work, name=f"repro-serve_{i}", daemon=True)
+            for i in range(shards)
+        ]
+        for worker in self._workers:
+            worker.start()
 
-    async def _run(self, fn, *args, **kwargs):
+    def _work(self) -> None:
+        """A worker thread: run calls until :meth:`close`'s ``None``."""
+        while (call := self._calls.get()) is not None:
+            loop, fn, done = call
+            try:
+                outcome = fn(), None
+            except BaseException as exc:  # noqa: BLE001 - raised again by whoever reads `done`
+                outcome = None, exc
+            try:
+                loop.call_soon_threadsafe(done, *outcome)
+            except RuntimeError:
+                pass  # that loop closed while the call ran: nobody waits
+
+    def _run(self, done: Done | None, fn, *args, **kwargs) -> asyncio.Future | None:
+        """Hand ``fn(*args, **kwargs)`` to a worker; its outcome goes to
+        ``done(value, exc)`` on the calling loop (``None``: to the
+        future this returns)."""
         if self._closed:
             raise RuntimeError("AsyncEngine is closed")
-        return await asyncio.get_running_loop().run_in_executor(
-            self._executor, partial(fn, *args, **kwargs)
-        )
+        loop = asyncio.get_running_loop()
+        future = None
+        if done is None:
+            future = loop.create_future()
+            done = partial(_resolve, future)
+        self._calls.put((loop, partial(fn, *args, **kwargs), done))
+        return future
 
     def _knn_target(self, exact: bool, oracle: str | None):
         """Where a kNN request runs, and the keywords only that target takes.
@@ -121,56 +159,49 @@ class AsyncEngine:
     # ------------------------------------------------------------------
     # Queries (mirror QueryEngine's surface)
     # ------------------------------------------------------------------
-    async def knn(
-        self,
-        query,
-        k: int,
-        variant: str = "knn",
-        exact: bool = False,
-        oracle: str | None = None,
-        trace=None,
-        time_cap: float | None = None,
-    ) -> KNNResult:
+    def knn(
+        self, query, k: int, variant: str = "knn", exact: bool = False,
+        oracle: str | None = None, trace=None, time_cap: float | None = None,
+        done: Done | None = None,
+    ) -> asyncio.Future | None:
         target, only = self._knn_target(exact, oracle)
-        return await self._run(
-            target.knn, query, k, variant=variant, trace=trace,
+        return self._run(
+            done, target.knn, query, k, variant=variant, trace=trace,
             time_cap=time_cap, **only,
         )
 
-    async def knn_batch(
-        self,
-        queries: Iterable,
-        k: int,
-        variant: str = "knn",
-        exact: bool = False,
-        oracle: str | None = None,
-        trace=None,
-        time_cap: float | None = None,
-    ) -> BatchResult:
+    def knn_batch(
+        self, queries: Iterable, k: int, variant: str = "knn", exact: bool = False,
+        oracle: str | None = None, trace=None, time_cap: float | None = None,
+        done: Done | None = None,
+    ) -> asyncio.Future | None:
         target, only = self._knn_target(exact, oracle)
-        return await self._run(
-            target.knn_batch, queries, k, variant=variant, trace=trace,
+        return self._run(
+            done, target.knn_batch, queries, k, variant=variant, trace=trace,
             time_cap=time_cap, **only,
         )
 
-    async def path(self, source: int, target: int) -> list[int]:
-        return await self._run(self.engine.index.path, source, target)
+    def path(self, source: int, target: int, done: Done | None = None) -> asyncio.Future | None:
+        return self._run(done, self.engine.index.path, source, target)
 
-    async def distance(self, source: int, target: int) -> float:
-        return await self._run(self.engine.index.distance, source, target)
+    def distance(self, source: int, target: int, done: Done | None = None) -> asyncio.Future | None:
+        return self._run(done, self.engine.index.distance, source, target)
 
-    async def route(self, source: int, target: int) -> tuple[list[int], float]:
-        """Path and distance in one executor trip (one index walk)."""
-        return await self._run(self.engine.index.route, source, target)
+    def route(self, source: int, target: int, done: Done | None = None) -> asyncio.Future | None:
+        """``(path, distance)`` in one hand-off (one index walk)."""
+        return self._run(done, self.engine.index.route, source, target)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut the executor down; pending calls finish first."""
+        """Retire the worker threads; calls already handed off finish first."""
         if not self._closed:
             self._closed = True
-            self._executor.shutdown(wait=True)
+            for _ in self._workers:
+                self._calls.put(None)
+            for worker in self._workers:
+                worker.join()
             if self.shard_group is not None:
                 self.shard_group.close()
 

@@ -203,7 +203,10 @@ class Failed(Response):
 # ----------------------------------------------------------------------
 
 def request_from_dict(obj: dict) -> Request:
-    """Build a :class:`Request` from one decoded JSON-lines record."""
+    """Build a :class:`Request` from one decoded JSON-lines record.
+
+    Numbers are validated, not coerced (and ``true`` is a ``bool``).
+    """
     if not isinstance(obj, dict):
         raise ValueError(f"request must be an object, got {type(obj).__name__}")
     kind = obj.get("kind")
@@ -217,16 +220,24 @@ def request_from_dict(obj: dict) -> Request:
         queries = ()
     else:
         queries = (obj["query"],)
+    k = obj.get("k", 1)
+    if isinstance(k, float) and k.is_integer():
+        k = int(k)
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {obj['k']!r}")
+    deadline = obj.get("deadline")
+    if deadline is not None and type(deadline) not in (int, float):
+        raise ValueError("deadline must be a positive budget in seconds")
     return Request(
         id=obj.get("id", 0),
         client=str(obj.get("client", "default")),
         kind=kind,
         queries=queries,
-        k=int(obj.get("k", 1)),
+        k=k,
         variant=obj.get("variant", "knn"),
         exact=bool(obj.get("exact", True)),
         oracle=obj.get("oracle"),
-        deadline=obj.get("deadline"),
+        deadline=deadline,
     )
 
 

@@ -11,14 +11,18 @@ request submitted with :meth:`SILCServer.submit` flows through
 2. the :class:`~repro.serve.scheduler.FairScheduler` -- batches are
    split into chunks and lanes are served weighted round-robin, so a
    bulk client cannot starve interactive ones;
-3. the dispatcher task, which pulls chunks in fair order, honours
-   per-request deadlines (:class:`~repro.serve.protocol.Expired`), and
-   executes on the :class:`~repro.serve.engine.AsyncEngine`.
+3. the pump, which takes chunks in fair order while none is in
+   flight, honours per-request deadlines
+   (:class:`~repro.serve.protocol.Expired`), and starts each on the
+   :class:`~repro.serve.engine.AsyncEngine`, whose completion callback
+   settles the chunk and pumps again.
 
-The caller simply awaits ``submit``; the response arrives when every
-chunk of the request has run (or the request was shed/expired/failed).
-:func:`serve_jsonl` wraps a server in the stdin/stdout JSON-lines
-loop behind the ``repro serve`` CLI subcommand.
+All of it is plain callbacks on the loop thread (no dispatcher task, no
+task per request): :meth:`SILCServer.submit_nowait` takes the callback
+the response is handed to once every chunk of the request has run (or
+it was shed/expired/failed), and ``await server.submit(request)`` is a
+future over that same path.  :func:`serve_jsonl` wraps a server in the
+stdin/stdout JSON-lines loop behind the ``repro serve`` CLI subcommand.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from collections.abc import Callable
+from functools import partial
 from typing import TextIO
 
 from repro.errors import DeadlineExceeded
@@ -57,17 +62,14 @@ class _Pending:
 
     request: Request
     submitted: float
-    future: asyncio.Future
+    deliver: Callable[[Response], None]  # called once, on the loop thread
+    done: bool = False  # set by _finish, whatever ended the request
     ids: list = field(default_factory=list)
     distances: list = field(default_factory=list)
     stats: list = field(default_factory=list)
     # Tracing state (no-op objects when tracing is off).
     trace: object = None
     wait_span: object = None
-
-    @property
-    def done(self) -> bool:
-        return self.future.done()
 
 
 class SILCServer:
@@ -105,12 +107,10 @@ class SILCServer:
         self.metrics = metrics if metrics is not None else ServerMetrics()
         self.tracer = tracer if tracer is not None else NullTracer()
         self.clock = clock
-        # Pending while the dispatcher sleeps on an empty scheduler.
-        # Everything that touches the scheduler runs on the loop
-        # thread, so a bare future is all the wake-up needs.
-        self._wake: asyncio.Future | None = None
-        self._dispatcher: asyncio.Task | None = None
-        self._stopping = False
+        # None while stopped; else clear while a pump is scheduled or a
+        # chunk is in flight.  Everything that touches the scheduler
+        # runs on the loop thread, so there is no lock to take.
+        self._idle: asyncio.Event | None = None
         # id(request) -> _Pending, for chunks to find their assembly state.
         self._pending_by_request: dict = {}
 
@@ -118,23 +118,17 @@ class SILCServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        if self._dispatcher is not None:
+        if self._idle is not None:
             raise RuntimeError("server already started")
-        self._stopping = False
-        self._dispatcher = asyncio.create_task(self._dispatch_loop())
+        self._idle = asyncio.Event()
+        self._idle.set()
 
     async def stop(self) -> None:
-        """Drain every queued chunk, then retire the dispatcher."""
-        if self._dispatcher is None:
-            return
-        self._stopping = True
-        self._wake_dispatcher()
-        await self._dispatcher
-        self._dispatcher = None
-
-    def _wake_dispatcher(self) -> None:
-        if self._wake is not None and not self._wake.done():
-            self._wake.set_result(None)
+        """Wait until every admitted request is answered, then stop."""
+        if self._idle is not None:
+            while not self._idle.is_set():
+                await self._idle.wait()
+            self._idle = None
 
     async def __aenter__(self) -> SILCServer:
         await self.start()
@@ -146,54 +140,59 @@ class SILCServer:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    async def submit(self, request: Request) -> Response:
-        """Run one request through the full pipeline; await its response."""
-        if self._dispatcher is None:
+    def submit_nowait(
+        self, request: Request, deliver: Callable[[Response], None]
+    ) -> _Pending | None:
+        """Run one request through the full pipeline (loop thread only).
+
+        ``deliver(response)`` is called exactly once: before this
+        returns for ``stats`` and shed requests, otherwise when the
+        last chunk has run or the request expired or failed.  What
+        comes back then is what ``_finish(pending, None)`` abandons.
+        """
+        if self._idle is None:
             raise RuntimeError("server not started (use `async with server:`)")
         if request.kind == "stats":
             # Monitoring must answer even (especially) when the server
             # is saturated: bypass admission and scheduling entirely.
-            return Completed(
-                id=request.id, client=request.client,
-                result={"metrics": self.registry_snapshot()},
-            )
+            metrics = {"metrics": self.registry_snapshot()}
+            deliver(Completed(id=request.id, client=request.client, result=metrics))
+            return None
         trace = self.tracer.trace_request(request)
         with trace.span("admission"):
             admitted, retry_after, reason = self.admission.admit(request)
         if not admitted:
             self.metrics.record_shed()
             trace.finish("rejected")
-            return Rejected(
-                id=request.id, client=request.client,
-                retry_after=retry_after, reason=reason,
-            )
+            deliver(Rejected(request.id, request.client, retry_after=retry_after, reason=reason))
+            return None
         pending = _Pending(
-            request=request,
-            submitted=self.clock(),
-            future=asyncio.get_running_loop().create_future(),
-            trace=trace,
-            wait_span=trace.begin("sched_wait"),
+            request, self.clock(), deliver, trace=trace, wait_span=trace.begin("sched_wait")
         )
         self.scheduler.submit(request)
         self._pending_by_request[id(request)] = pending
-        self._wake_dispatcher()
+        if self._idle.is_set():
+            # Dispatch at the next loop turn, not in this one: requests
+            # that arrive together (a burst of lines, gathered submits)
+            # are all queued before the scheduler picks among them.
+            self._idle.clear()
+            asyncio.get_running_loop().call_soon(self._pump)
+        return pending
+
+    async def submit(self, request: Request) -> Response:
+        """:meth:`submit_nowait` for a caller that awaits the response."""
+        future = asyncio.get_running_loop().create_future()
+        pending = self.submit_nowait(
+            request, lambda response: future.done() or future.set_result(response)
+        )
         try:
-            return await pending.future
+            return await future
         finally:
-            self._pending_by_request.pop(id(request), None)
-            # The response consumed the recorded delay (if any); drop it
-            # so a long-lived server's bookkeeping stays flat.
-            self.scheduler.sched_delays.pop(id(request), None)
-            if not pending.future.done() or pending.future.cancelled():
-                # The caller was cancelled while chunks were still
-                # queued: _finish will never run for this request, so
-                # return its admission budget here.  (Undispatched
-                # chunks are dropped by _execute once it sees the
-                # pending entry is gone.)
-                pending.future.cancel()
-                self.admission.release(request)
-            # No-op when _finish already sealed the trace.
-            trace.finish("cancelled")
+            if pending is not None:
+                # A no-op once answered; else the caller was cancelled:
+                # return the admission budget here (the pump drops the
+                # queued chunks once it sees the pending entry gone).
+                self._finish(pending, None)
 
     def snapshot(self) -> MetricsSnapshot:
         return self.metrics.snapshot(
@@ -244,132 +243,139 @@ class SILCServer:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    async def _dispatch_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            chunk = self.scheduler.next_chunk()
-            if chunk is not None:
-                await self._execute(chunk)
-            elif self._stopping:
-                return
-            else:
-                self._wake = loop.create_future()
-                await self._wake
+    def _pump(self) -> None:
+        """Start the next chunk that still has a request to serve.
 
-    async def _execute(self, chunk: Chunk) -> None:
-        pending = self._pending_by_request.get(id(chunk.request))
-        if pending is None or pending.done:
-            # Request already expired/failed/cancelled: drop its tail,
-            # and with the final chunk drop its delay record too (it
-            # was written at first dispatch and has no reader left).
-            if chunk.last:
-                self.scheduler.sched_delays.pop(id(chunk.request), None)
-            return
-        request = chunk.request
-        now = self.clock()
-        waited = now - pending.submitted
-        if pending.wait_span is not None:
-            # First dispatch of this request: the queueing stage ends
-            # here (later chunks of a batch re-enter the scheduler but
-            # the fairness contract is counted, not timed).
-            pending.wait_span.count(sched_delay=self.scheduler.sched_delay(request))
-            pending.wait_span.close()
-            pending.wait_span = None
-        if request.deadline is not None and waited > request.deadline:
-            self._finish(
-                pending,
-                Expired(id=request.id, client=request.client, waited=waited),
-            )
-            self.metrics.record_expired()
-            return
-        # What is left of the deadline after queueing becomes the
-        # execution-time cap: it rides through AsyncEngine into the
-        # engine/router/worker search loops, so a request that expires
-        # mid-execution is aborted instead of finishing late.
-        budget = None
-        if request.deadline is not None:
-            budget = request.deadline - waited
-        try:
-            with pending.trace.span("execute", kind=request.kind):
+        Runs one loop turn after a submission that found the server
+        idle, and from every chunk completion; one chunk is in flight
+        at a time.  A loop, not recursion: chunks of expired, cancelled
+        and failed requests are passed over without a hand-off.
+        """
+        while (chunk := self.scheduler.next_chunk()) is not None:
+            request = chunk.request
+            pending = self._pending_by_request.get(id(request))
+            if pending is None:
+                # Request already expired/failed/cancelled: drop its tail,
+                # and with the final chunk drop its delay record too (it
+                # was written at first dispatch and has no reader left).
+                if chunk.last:
+                    self.scheduler.sched_delays.pop(id(request), None)
+                continue
+            waited = self.clock() - pending.submitted
+            if pending.wait_span is not None:
+                # First dispatch of this request: the queueing stage ends
+                # here (later chunks of a batch re-enter the scheduler but
+                # the fairness contract is counted, not timed).
+                pending.wait_span.count(sched_delay=self.scheduler.sched_delay(request))
+                pending.wait_span.close()
+                pending.wait_span = None
+            if request.deadline is not None and waited > request.deadline:
+                self._finish(pending, Expired(request.id, request.client, waited=waited))
+                self.metrics.record_expired()
+                continue
+            # What is left of the deadline after queueing becomes the
+            # execution-time cap: it rides through AsyncEngine into the
+            # engine/router/worker search loops, so a request that expires
+            # mid-execution is aborted instead of finishing late.
+            budget = None if request.deadline is None else request.deadline - waited
+            # Open across the hand-off, so the spans the worker thread
+            # opens parent under it; _settle closes it.
+            span = pending.trace.span("execute", kind=request.kind)
+            done = partial(self._settle, pending, chunk, span)
+            try:
                 if request.kind == "path":
-                    path, distance = await self.engine.route(*chunk.queries)
-                    result = {"path": path, "distance": distance}
+                    self.engine.route(*chunk.queries, done=done)
                 elif request.kind == "distance":
-                    source, target = chunk.queries
-                    result = {"distance": await self.engine.distance(source, target)}
+                    self.engine.distance(*chunk.queries, done=done)
                 elif request.kind == "knn":
-                    r = await self.engine.knn(
-                        chunk.queries[0], request.k,
-                        variant=request.variant, exact=request.exact,
-                        oracle=request.oracle, trace=pending.trace,
-                        time_cap=budget,
+                    self.engine.knn(
+                        chunk.queries[0], request.k, variant=request.variant, exact=request.exact,
+                        oracle=request.oracle, trace=pending.trace, time_cap=budget, done=done,
                     )
-                    pending.stats.append(r.stats)
-                    result = {"ids": r.ids(), "distances": r.distances()}
                 elif request.kind == "knn_batch":
-                    batch = await self.engine.knn_batch(
-                        chunk.queries, request.k,
-                        variant=request.variant, exact=request.exact,
-                        oracle=request.oracle, trace=pending.trace,
-                        time_cap=budget,
+                    self.engine.knn_batch(
+                        chunk.queries, request.k, variant=request.variant, exact=request.exact,
+                        oracle=request.oracle, trace=pending.trace, time_cap=budget, done=done,
                     )
-                    pending.ids.extend(batch.ids())
-                    pending.distances.extend(r.distances() for r in batch.results)
-                    pending.stats.append(batch.stats)
-                    if not chunk.last:
-                        return  # more chunks of this batch still queued
-                    result = {"ids": pending.ids, "distances": pending.distances}
                 else:
                     # Request validation keeps kind within KINDS; a
                     # kind added there without an arm here fails loudly
                     # (and repro check RPR002 catches it statically).
-                    raise ValueError(
-                        f"unhandled request kind {request.kind!r}"
-                    )
-        except DeadlineExceeded:
-            waited = self.clock() - pending.submitted
-            self.metrics.record_expired(aborted=True)
-            self._finish(
-                pending,
-                Expired(
-                    id=request.id, client=request.client,
-                    waited=waited, aborted=True,
-                ),
-            )
+                    raise ValueError(f"unhandled request kind {request.kind!r}")
+            except Exception as exc:  # noqa: BLE001 - nothing was handed off: Failed, a turn later
+                asyncio.get_running_loop().call_soon(done, None, exc)
             return
-        except Exception as exc:  # noqa: BLE001 - queries surface as Failed
-            self.metrics.record_failed()
-            self._finish(
-                pending,
-                Failed(id=request.id, client=request.client, error=f"{type(exc).__name__}: {exc}"),
-            )
-            return
-        latency = self.clock() - pending.submitted
-        sched_delay = self.scheduler.sched_delay(request)
-        # Summing QueryStats drops extras, so the degraded marker is
-        # read off the per-chunk stats.
-        degraded = any(
-            s.extras.get("degraded_shards") for s in pending.stats
-        )
-        self.metrics.record_completed(
-            request.client, latency, sched_delay, *pending.stats
-        )
-        if degraded:
-            self.metrics.record_degraded()
-        self._finish(
-            pending,
-            Completed(
-                id=request.id, client=request.client,
-                result=result, latency=latency, sched_delay=sched_delay,
-                degraded=degraded,
-            ),
-        )
+        self._idle.set()
 
-    def _finish(self, pending: _Pending, response: Response) -> None:
-        if not pending.done:
-            self.admission.release(pending.request)
-            pending.trace.finish(response.status)
-            pending.future.set_result(response)
+    def _settle(self, pending: _Pending, chunk: Chunk, span, value, exc) -> None:
+        """The engine's ``done``: the chunk in flight came back."""
+        try:
+            if exc is not None:
+                span.annotate(error=type(exc).__name__)
+            span.close()
+            request = pending.request
+            if pending.done:
+                return  # cancelled while the chunk ran
+            if isinstance(exc, DeadlineExceeded):
+                waited = self.clock() - pending.submitted
+                self.metrics.record_expired(aborted=True)
+                expired = Expired(request.id, request.client, waited=waited, aborted=True)
+                return self._finish(pending, expired)
+            if exc is not None:  # queries surface as Failed
+                self.metrics.record_failed()
+                error = f"{type(exc).__name__}: {exc}"
+                return self._finish(pending, Failed(request.id, request.client, error=error))
+            if request.kind == "path":
+                result = {"path": value[0], "distance": value[1]}
+            elif request.kind == "distance":
+                result = {"distance": value}
+            elif request.kind == "knn":
+                pending.stats.append(value.stats)
+                result = {"ids": value.ids(), "distances": value.distances()}
+            else:
+                pending.ids.extend(value.ids())
+                pending.distances.extend(r.distances() for r in value.results)
+                pending.stats.append(value.stats)
+                if not chunk.last:
+                    return  # more chunks of this batch still queued
+                result = {"ids": pending.ids, "distances": pending.distances}
+            latency = self.clock() - pending.submitted
+            sched_delay = self.scheduler.sched_delay(request)
+            # Summing QueryStats drops extras, so the degraded marker is
+            # read off the per-chunk stats.
+            degraded = any(s.extras.get("degraded_shards") for s in pending.stats)
+            self.metrics.record_completed(request.client, latency, sched_delay, *pending.stats)
+            if degraded:
+                self.metrics.record_degraded()
+            self._finish(pending, Completed(
+                request.id, request.client, result=result,
+                latency=latency, sched_delay=sched_delay, degraded=degraded,
+            ))
+        finally:
+            self._pump()
+
+    def _finish(self, pending: _Pending, response: Response | None) -> None:
+        """Seal a request once, whatever ended it (None: its caller left)."""
+        if pending.done:
+            return
+        pending.done = True
+        request = pending.request
+        del self._pending_by_request[id(request)]
+        # The response consumed the recorded delay (if any); drop it
+        # so a long-lived server's bookkeeping stays flat.
+        self.scheduler.sched_delays.pop(id(request), None)
+        self.admission.release(request)
+        pending.trace.finish(response.status if response is not None else "cancelled")
+        if response is not None:
+            try:
+                pending.deliver(response)
+            except Exception as exc:  # noqa: BLE001 - the caller's callback, not the request
+                # Reported like any failing loop callback (logged by
+                # default, raised by serve_jsonl); the pump goes on.
+                asyncio.get_running_loop().call_exception_handler({
+                    "message": f"delivering the response to request {request.id!r} failed",
+                    "exception": exc,
+                })
 
 
 # ----------------------------------------------------------------------
@@ -377,9 +383,7 @@ class SILCServer:
 # ----------------------------------------------------------------------
 
 async def serve_jsonl(
-    server: SILCServer,
-    in_stream: TextIO,
-    out_stream: TextIO,
+    server: SILCServer, in_stream: TextIO, out_stream: TextIO
 ) -> MetricsSnapshot:
     """Read request records line by line, write responses as they finish.
 
@@ -387,25 +391,36 @@ async def serve_jsonl(
     :func:`~repro.serve.protocol.request_from_dict` for the shape);
     responses are written in *completion* order, each echoing the
     request ``id``.  One reader thread (the same for a pipe and a file)
-    hands each line to the loop, so slow producers never stall queries
-    already in the pipeline.  Returns the final metrics snapshot at
-    EOF; a failure of the reader or of a request handler (a closed
-    ``out_stream``, say) is raised when it happens, not at EOF.
+    hands each line to the loop, which decodes and submits it in that
+    turn and writes the reply from the request's completion callback,
+    so slow producers never stall queries already in the pipeline.
+    Returns the final metrics snapshot at EOF; a failure of the reader
+    or inside a loop callback (a closed ``out_stream``, say) is raised
+    when it happens, not at EOF.
     """
     loop = asyncio.get_running_loop()
-    finished = loop.create_future()  # None at EOF, or the first failure
-    live: set[asyncio.Task] = set()  # requests not yet answered
+    ended = loop.create_future()  # resolved at EOF, and by the first failure
+    failures: list[BaseException] = []
+
+    def finish(error: BaseException | None) -> None:
+        if error is not None:
+            failures.append(error)
+        if not ended.done():
+            ended.set_result(None)
 
     def emit(record: dict) -> None:
         out_stream.write(json.dumps(record) + "\n")
         out_stream.flush()
 
-    async def handle(line: str) -> None:
+    def reply(response: Response) -> None:
+        emit(response_to_dict(response))
+
+    def accept(line: str) -> None:
         obj = None
         try:
             obj = json.loads(line)
             request = request_from_dict(obj)
-        except (ValueError, KeyError, TypeError) as exc:
+        except Exception as exc:  # noqa: BLE001 - whatever the line made them raise is the client's error
             # A closed-loop client waits on its id: echo what
             # correlates the reply whenever the line carried it.
             echo = (
@@ -414,21 +429,7 @@ async def serve_jsonl(
             )
             emit({**echo, "status": "error", "error": f"bad request: {exc}"})
             return
-        emit(response_to_dict(await server.submit(request)))
-
-    def finish(error: BaseException | None) -> None:
-        if not finished.done():
-            finished.set_result(error)
-
-    def retire(task: asyncio.Task) -> None:
-        live.discard(task)
-        if not task.cancelled() and task.exception() is not None:
-            finish(task.exception())
-
-    def accept(line: str) -> None:
-        task = loop.create_task(handle(line))
-        live.add(task)
-        task.add_done_callback(retire)
+        server.submit_nowait(request, reply)
 
     def read_lines() -> None:
         error = None
@@ -448,10 +449,21 @@ async def serve_jsonl(
     # takes the process down with it (the stream's buffer lock).  After
     # a failure the thread therefore lives until ``in_stream`` ends.
     reader = threading.Thread(target=read_lines, name="repro-serve-reader")
-    async with server:
-        reader.start()
-        if (error := await finished) is not None:
-            raise error
-        reader.join()
-        await asyncio.gather(*live)
+    # What a loop callback raises (accept, a reply that cannot be
+    # written) ends the wait below instead of only being logged.
+    logged = loop.get_exception_handler()
+    loop.set_exception_handler(
+        lambda _, context: finish(context.get("exception") or RuntimeError(context["message"]))
+    )
+    try:
+        async with server:
+            reader.start()
+            await ended
+            if not failures:
+                reader.join()
+                await server.stop()  # every admitted line is answered
+            if failures:
+                raise failures[0]
+    finally:
+        loop.set_exception_handler(logged)
     return server.snapshot()

@@ -3,10 +3,10 @@
 Sibling of ``tests/test_kernel_budget.py``: wall-clock says nothing
 reliable in a unit test, counts do.  Three things are pinned here:
 
-* **hops** -- one ``AsyncEngine`` executor submission per ``knn`` /
-  ``distance`` / ``path`` request and one per ``knn_batch`` chunk, no
-  thread of the loop's default executor at all, and no reader thread
-  left after EOF;
+* **hops** -- one ``AsyncEngine`` hand-off per ``knn`` / ``distance`` /
+  ``path`` request and one per ``knn_batch`` chunk, three event-loop
+  turns and no task per closed-loop request, no executor thread at
+  all, and no reader or worker thread left after EOF;
 * **``SILCIndex.route``** -- bitwise ``(path(), distance())`` from one
   walk, with the checks of both kept;
 * **INE** -- golden digests of answers and every counted operation,
@@ -17,6 +17,7 @@ reliable in a unit test, counts do.  Three things are pinned here:
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 import threading
 
@@ -42,25 +43,40 @@ from repro.storage import NetworkStorageModel
 CHUNK = 4
 
 
-def _count_submissions(async_engine) -> list:
-    """Wrap the engine's executor so every submission is recorded."""
-    submitted = []
-    submit = async_engine._executor.submit
+def _count_hand_offs(async_engine) -> list:
+    """Wrap the engine's one hand-off so every call is recorded."""
+    handed = []
+    run = async_engine._run
 
-    def counting_submit(fn, *args, **kwargs):
-        submitted.append(fn)
-        return submit(fn, *args, **kwargs)
+    def counting_run(done, fn, *args, **kwargs):
+        handed.append(fn)
+        return run(done, fn, *args, **kwargs)
 
-    async_engine._executor.submit = counting_submit
-    return submitted
+    async_engine._run = counting_run
+    return handed
+
+
+def _count_calls(monkeypatch, name) -> list:
+    """Count calls of ``asyncio.BaseEventLoop.<name>`` on any loop."""
+    calls = []
+    real = getattr(asyncio.BaseEventLoop, name)
+
+    def counting(self, *args, **kwargs):
+        calls.append(name)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(asyncio.BaseEventLoop, name, counting)
+    return calls
 
 
 def test_one_executor_trip_per_request_and_per_batch_chunk(
-    small_index, small_object_index, piped_serve
+    small_index, small_object_index, piped_serve, monkeypatch
 ):
+    """(The id dates from when the hand-off was an executor submission;
+    a trip is now one ``AsyncEngine._run``: queue out, callback back.)"""
     engine = QueryEngine(small_index, small_object_index, cache_fraction=0.05)
     async_engine = AsyncEngine(engine)
-    submitted = _count_submissions(async_engine)
+    handed = _count_hand_offs(async_engine)
     piped = piped_serve(async_engine, scheduler=FairScheduler(chunk_size=CHUNK))
     requests = [
         ({"id": 1, "kind": "knn", "query": 7, "k": 3}, 1),
@@ -70,16 +86,31 @@ def test_one_executor_trip_per_request_and_per_batch_chunk(
         ({"id": 5, "kind": "stats"}, 0),
     ]
     for request, trips in requests:
-        before = len(submitted)
+        before = len(handed)
         assert piped.ask(request)["status"] == "ok"
-        assert len(submitted) - before == trips, request["kind"]
-    # Nothing went through the loop's default executor: its threads
-    # would be alive (and named asyncio_N) until the loop closes.
+        assert len(handed) - before == trips, request["kind"]
+    # Loop turns per closed-loop request: the line comes in, the pump
+    # dispatches, the reply goes out (3.0 measured; 6.9 with a task per
+    # request and a dispatcher task).  The loop may or may not have
+    # entered the next turn's select() when a reply is read, hence a
+    # mean over a run and not a count per request.
+    turns = _count_calls(monkeypatch, "_run_once")
+    tasks = _count_calls(monkeypatch, "create_task")
+    rounds = 20
+    for request, _ in requests[:3]:
+        before = len(turns)
+        for _ in range(rounds):
+            assert piped.ask(request)["status"] == "ok"
+        assert (len(turns) - before) / rounds < 3.5, request["kind"]
+    assert not tasks  # no task per request (nor a dispatcher's)
+    # Workers are plain threads, one per shard; nothing went through an
+    # executor (the loop's default one names its threads asyncio_N).
     names = [t.name for t in threading.enumerate()]
-    assert not [n for n in names if n.startswith("asyncio_")]
+    assert not [n for n in names if n.startswith(("asyncio_", "ThreadPoolExecutor"))]
     assert names.count("repro-serve-reader") == 1
+    assert [n for n in names if n.startswith("repro-serve_")] == ["repro-serve_0"]
     piped.close()
-    assert "repro-serve-reader" not in [t.name for t in threading.enumerate()]
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("repro-serve")]
 
 
 # ----------------------------------------------------------------------

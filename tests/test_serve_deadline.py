@@ -17,10 +17,11 @@ import pytest
 from repro.engine import QueryEngine
 from repro.errors import DeadlineExceeded
 from repro.query import best_first_knn
-from repro.serve import AsyncEngine, Request, SILCServer
+from repro.serve import AsyncEngine, FairScheduler, Request, SILCServer
 from repro.serve.protocol import (
     Completed,
     Expired,
+    Failed,
     response_to_dict,
 )
 
@@ -137,6 +138,44 @@ class TestServerDeadline:
         response = asyncio.run(go())
         assert isinstance(response, Expired)
         assert response.aborted is False
+
+
+    def test_a_budget_that_dies_in_a_later_chunk_aborts_the_batch(self, engine):
+        """Each chunk's cap is what the chunks before it left; the chunk
+        that overruns it ends the request and the rest never run."""
+        slow = StallingEngine(engine, delay=0.06)
+        calls = []
+        stalling = slow.knn_batch
+        slow.knn_batch = lambda queries, k, **kw: calls.append(queries) or stalling(queries, k, **kw)
+
+        async def go():
+            async with AsyncEngine(slow) as ae:
+                server = SILCServer(ae, scheduler=FairScheduler(chunk_size=2))
+                async with server:
+                    response = await server.submit(Request(
+                        id=4, client="bulk", kind="knn_batch",
+                        queries=tuple(range(6)), k=2, deadline=0.1,
+                    ))
+                return response, server.snapshot()
+
+        response, snapshot = asyncio.run(go())
+        assert isinstance(response, Expired) and response.aborted is True
+        assert calls == [(0, 1), (2, 3)]
+        assert (snapshot.deadline_aborts, snapshot.in_flight, snapshot.queue_depths) == (1, 0, {})
+
+    def test_a_query_error_comes_back_in_the_engines_own_words(self, engine):
+        for request, call in (
+            (Request(id=5, client="web", kind="knn", queries=(10**9,), k=3),
+             lambda: engine.knn(10**9, 3, exact=True)),
+            (Request(id=6, client="web", kind="path", queries=(0, 10**9)),
+             lambda: engine.index.route(0, 10**9)),
+        ):
+            with pytest.raises(Exception) as raised:  # noqa: PT011 - whatever it is, verbatim
+                call()
+            response, snapshot = serve_one(request, engine)
+            assert isinstance(response, Failed)
+            assert response.error == f"{type(raised.value).__name__}: {raised.value}"
+            assert (snapshot.failed, snapshot.in_flight) == (1, 0)
 
 
 class TestProtocolFlags:

@@ -8,6 +8,10 @@ relative to the first query.
 
 import asyncio
 import gc
+import io
+import itertools
+import json
+import random
 import sys
 import threading
 import time
@@ -22,6 +26,9 @@ from repro.serve import (
     FairScheduler,
     Request,
     SILCServer,
+    request_from_dict,
+    response_to_dict,
+    serve_jsonl,
 )
 
 CHUNK = 4
@@ -113,6 +120,30 @@ class TestLines:
         assert set(piped.ask({"kind": "nope"})) == {"status", "error"}
         snapshot = piped.close()
         assert snapshot.served == 0 and snapshot.failed == 0
+
+    def test_a_line_the_decoder_chokes_on_is_one_bad_request_not_a_crash(
+        self, engine, piped_serve
+    ):
+        """``int(Infinity)`` is an ``OverflowError`` and a very deep line
+        a ``RecursionError``: neither is a ``ValueError``, and either
+        used to end the process, and every other client's requests."""
+        piped = piped_serve(AsyncEngine(engine))
+        for number in ("Infinity", "1e400", "2.7", "true"):
+            assert piped.ask(
+                '{"id": 1, "client": "web", "kind": "knn", "query": 0, "k": %s}' % number
+            ) == {
+                "id": 1, "client": "web", "status": "error",
+                "error": "bad request: k must be an integer >= 1, got %s"
+                         % {"Infinity": "inf", "1e400": "inf", "true": "True"}.get(number, number),
+            }
+        deep = piped.ask("[" * 100_000)
+        assert deep["status"] == "error" and deep["error"].startswith("bad request: ")
+        assert piped.ask(
+            '{"id": 2, "kind": "knn", "query": 0, "deadline": true}'
+        )["error"] == "bad request: deadline must be a positive budget in seconds"
+        assert piped.ask(knn(3, 0))["status"] == "ok"  # ... and the loop carried on
+        snapshot = piped.close()
+        assert (snapshot.served, snapshot.failed) == (1, 0)
 
     def test_four_kinds_closed_loop_equal_a_request_file(
         self, engine, piped_serve, tmp_path
@@ -279,6 +310,52 @@ class TestLifecycle:
         piped.close()  # the request pipe was open all along
 
 
+    def test_a_reply_that_fails_after_eof_still_surfaces(self, engine):
+        """EOF has been read, the last request is still running, and its
+        reply cannot be written: ``serve_jsonl`` raises, it does not
+        return a snapshot as if the client had been answered."""
+        class FullAfterOne(io.StringIO):
+            def write(self, text):
+                if self.getvalue():
+                    raise OSError(28, "No space left on device")
+                return super().write(text)
+
+        lines = "".join(json.dumps(knn(i, i)) + "\n" for i in range(3))
+
+        async def go():
+            async with AsyncEngine(engine) as ae:
+                await serve_jsonl(SILCServer(ae), io.StringIO(lines), FullAfterOne())
+
+        with pytest.raises(OSError, match="No space left"):
+            asyncio.run(go())
+
+    def test_a_failing_completion_callback_is_logged_once_and_the_pump_goes_on(
+        self, engine
+    ):
+        """The callback is the caller's; the next request is not."""
+        reported = []
+
+        def broken(response):
+            raise LookupError(f"cannot deliver {response.id}")
+
+        async def go():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: reported.append(context)
+            )
+            async with AsyncEngine(engine) as ae, SILCServer(ae) as server:
+                server.submit_nowait(Request(id=1, client="a", kind="knn", queries=(0,)), broken)
+                answered = await server.submit(
+                    Request(id=2, client="a", kind="knn", queries=(5,))
+                )
+                return answered, server.snapshot()
+
+        answered, snapshot = asyncio.run(go())
+        assert answered.status == "ok"
+        assert [str(c["exception"]) for c in reported] == ["cannot deliver 1"]
+        # request 1 ran and was accounted for; only its hand-over failed
+        assert (snapshot.served, snapshot.in_flight) == (2, 0)
+
+
 class TestTracing:
     def test_traced_and_untraced_replies_equal(self, engine, piped_serve):
         plain = piped_serve(AsyncEngine(engine))
@@ -309,3 +386,183 @@ class TestTracing:
         assert sum(traces) == 3
         assert any(name == "requests_total" for name, _ in counters)
         piped.close()
+
+
+# ----------------------------------------------------------------------
+# Generated parity: two entry points, one path, Dijkstra's answers
+# ----------------------------------------------------------------------
+
+BURST = 8
+CAP = 64  # admission's in-flight cap for the generated run
+
+
+def generated_bursts(seed, num_vertices):
+    """200 seeded requests in bursts of ``BURST``: the four kinds, two
+    clients, every variant, and planted among them a batch that spans
+    three chunks, a deadline that is spent at dispatch (the run's clock
+    jumps a second per reading), generous ones, and a batch the
+    admission cap can never fit."""
+    rng = random.Random(seed)
+
+    def vertex():
+        return rng.randrange(num_vertices)
+
+    requests = []
+    for rid in range(200):
+        base = {"id": rid, "client": rng.choice(("web", "bulk"))}
+        kind = rng.choice(("knn", "knn", "knn_batch", "path", "distance"))
+        if kind == "knn":
+            base |= {"kind": kind, "query": vertex(), "k": rng.randint(1, 6),
+                     "variant": rng.choice(("knn", "inn", "knn_i", "knn_m"))}
+        elif kind == "knn_batch":
+            base |= {"kind": kind, "k": rng.randint(1, 4),
+                     "queries": [vertex() for _ in range(rng.randint(1, 6))]}
+        else:
+            base |= {"kind": kind, "source": vertex(), "target": vertex()}
+        if rng.random() < 0.1:
+            base["deadline"] = 1e6
+        requests.append(base)
+    planted = rng.sample(range(200), 3)
+    requests[planted[0]] = batch(planted[0], [vertex() for _ in range(2 * CHUNK + 2)])
+    requests[planted[1]] = knn(planted[1], vertex(), deadline=0.5)
+    requests[planted[2]] = batch(planted[2], [vertex() for _ in range(CAP + 6)])
+    return [requests[i:i + BURST] for i in range(0, 200, BURST)]
+
+
+class Gate:
+    """Counts an engine's hand-offs and holds each call in its worker
+    thread while ``event`` is clear, so a test decides what has queued
+    up behind the call in flight."""
+
+    def __init__(self, async_engine):
+        self.handed = 0
+        self.event = threading.Event()
+        run = async_engine._run
+
+        def gated(done, fn, *args, **kwargs):
+            self.handed += 1
+            return run(done, self.held, fn, *args, **kwargs)
+
+        async_engine._run = gated
+
+    def held(self, fn, *args, **kwargs):
+        assert self.event.wait(TIMEOUT)
+        return fn(*args, **kwargs)
+
+
+def opener(j):
+    """Sent ahead of burst ``j`` and held in the engine while the burst
+    queues up behind it: what the scheduler then picks among is the
+    whole burst, whichever way and however fast it arrived."""
+    return {"id": f"open-{j}", "client": "web", "kind": "distance", "source": 0, "target": 1}
+
+
+def server_options(traced):
+    ticks = itertools.count()
+    return {
+        "scheduler": FairScheduler(chunk_size=CHUNK),
+        "admission": AdmissionController(max_in_flight=CAP),
+        "clock": lambda: float(next(ticks)),
+        "tracer": Tracer() if traced else None,
+    }
+
+
+def through_submit(engine, shards, traced, bursts):
+    """Every burst through ``await server.submit``; replies by id."""
+    async def go():
+        replies = {}
+        async with AsyncEngine(engine, shards=shards) as ae:
+            gate = Gate(ae)
+            async with SILCServer(ae, **server_options(traced)) as server:
+                for j, burst in enumerate(bursts):
+                    gate.event.clear()
+                    before = gate.handed
+                    tasks = [asyncio.create_task(server.submit(request_from_dict(opener(j))))]
+                    while gate.handed == before:
+                        await asyncio.sleep(0)
+                    tasks += [
+                        asyncio.create_task(server.submit(request_from_dict(r))) for r in burst
+                    ]
+                    await asyncio.sleep(0)  # every one of them submitted
+                    gate.event.set()
+                    for response in await asyncio.wait_for(asyncio.gather(*tasks), TIMEOUT):
+                        replies[response.id] = json.loads(json.dumps(response_to_dict(response)))
+        return replies
+
+    return asyncio.run(go())
+
+
+def through_pipes(piped_serve, engine, shards, traced, bursts):
+    """The same bursts as lines through ``serve_jsonl``; replies by id."""
+    ae = AsyncEngine(engine, shards=shards)
+    gate = Gate(ae)
+    piped = piped_serve(ae, **server_options(traced))
+    accepted = []
+    submit_nowait = piped.server.submit_nowait
+    piped.server.submit_nowait = lambda request, deliver: (
+        accepted.append(request.id), submit_nowait(request, deliver)
+    )[1]
+    replies = {}
+    for j, burst in enumerate(bursts):
+        gate.event.clear()
+        before = gate.handed
+        piped.send(opener(j))
+        wait_until(lambda: gate.handed > before)
+        piped.send(*burst)
+        wait_until(lambda: accepted[-1] == burst[-1]["id"])
+        gate.event.set()
+        for _ in range(len(burst) + 1):
+            reply = piped.recv()
+            replies[reply["id"]] = reply
+    piped.close()
+    return replies
+
+
+def assert_dijkstra(net, dist, objects, request, reply):
+    """An ``ok`` reply carries the answer plain Dijkstra gives."""
+    def neighbours(query, ids, distances):
+        want = sorted(float(dist[query, o.position.vertex]) for o in objects)[:request["k"]]
+        assert len(set(ids)) == len(ids) == len(want)
+        for oid, distance in zip(ids, distances):
+            assert distance == pytest.approx(dist[query, objects[oid].position.vertex], rel=1e-9)
+        assert sorted(distances) == pytest.approx(want, rel=1e-9)
+
+    if request["kind"] == "knn":
+        neighbours(request["query"], reply["ids"], reply["distances"])
+    elif request["kind"] == "knn_batch":
+        assert len(reply["ids"]) == len(reply["distances"]) == len(request["queries"])
+        for query, ids, distances in zip(request["queries"], reply["ids"], reply["distances"]):
+            neighbours(query, ids, distances)
+    else:
+        source, target = request["source"], request["target"]
+        assert reply["distance"] == pytest.approx(dist[source, target], rel=1e-9, abs=1e-12)
+        if request["kind"] == "path":
+            path = reply["path"]
+            assert (path[0], path[-1]) == (source, target)
+            assert sum(net.edge_weight(a, b) for a, b in zip(path, path[1:])) == pytest.approx(
+                dist[source, target], rel=1e-9, abs=1e-12
+            )
+
+
+@pytest.mark.parametrize("shards", [1, 2], ids=["unsharded", "shards-2"])
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_submit_and_serve_jsonl_are_one_path(
+    engine, piped_serve, small_net, small_dist, small_objects, shards, traced
+):
+    bursts = generated_bursts(21, small_net.num_vertices)
+    awaited = through_submit(engine, shards, traced, bursts)
+    piped = through_pipes(piped_serve, engine, shards, traced, bursts)
+    assert awaited.keys() == piped.keys() and len(awaited) == 200 + len(bursts)
+    for rid, reply in piped.items():
+        assert answer(reply) == answer(awaited[rid])
+        assert reply.get("sched_delay") == awaited[rid].get("sched_delay")
+    requests = {r["id"]: r for burst in bursts for r in burst}
+    for rid, request in requests.items():
+        if piped[rid]["status"] == "ok":
+            assert_dijkstra(small_net, small_dist, small_objects, request, piped[rid])
+    # the planted cases met their fate, and the rest was answered
+    statuses = [piped[rid]["status"] for rid in requests]
+    assert statuses.count("expired") == 1 and "error" not in statuses
+    assert "request_too_large" in {r.get("reason") for r in piped.values()}
+    assert statuses.count("ok") >= 190
+    assert len({piped[rid]["sched_delay"] for rid in requests if "sched_delay" in piped[rid]}) > 3

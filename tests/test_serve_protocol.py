@@ -86,6 +86,25 @@ class TestWireFormat:
             request_from_dict({"kind": "teleport", "query": 0})
 
     @pytest.mark.parametrize(
+        "k", [float("inf"), 1e400, float("nan"), 2.7, True, "3", None, 0, -2]
+    )
+    def test_k_is_validated_not_coerced(self, k):
+        """``int(k)`` served 2.7 as 2 and ``true`` as 1, and raised
+        ``OverflowError`` -- which nothing caught -- on ``Infinity``."""
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            request_from_dict({"kind": "knn", "query": 0, "k": k})
+
+    def test_an_integral_float_is_an_integer_k(self):
+        assert request_from_dict({"kind": "knn", "query": 0, "k": 2.0}).k == 2
+        assert request_from_dict({"kind": "knn", "query": 0, "k": 10**30}).k == 10**30
+
+    @pytest.mark.parametrize("deadline", [True, "1.5", [1]])
+    def test_deadline_must_be_a_number(self, deadline):
+        """``true`` was a one-second deadline."""
+        with pytest.raises(ValueError, match="deadline must be a positive budget"):
+            request_from_dict({"kind": "knn", "query": 0, "deadline": deadline})
+
+    @pytest.mark.parametrize(
         "response,expected",
         [
             (

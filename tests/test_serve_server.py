@@ -7,6 +7,7 @@ suite has no plugin dependency.
 import asyncio
 import io
 import json
+import threading
 
 import pytest
 
@@ -20,6 +21,9 @@ from repro.serve import (
     SILCServer,
     serve_jsonl,
 )
+
+
+TIMEOUT = 30.0  # every wait in this file is bounded
 
 
 @pytest.fixture()
@@ -37,6 +41,21 @@ def knn_req(query, client="web", rid=0, k=3, deadline=None):
 def batch_req(queries, client="bulk", rid=0, k=2):
     return Request(id=rid, client=client, kind="knn_batch",
                    queries=tuple(queries), k=k, exact=False)
+
+
+def hold_knn(engine):
+    """Make ``engine.knn`` announce itself and wait in its worker thread;
+    returns ``(the real knn, started, released)``."""
+    started, released = threading.Event(), threading.Event()
+    real = engine.knn
+
+    def held(*args, **kwargs):
+        started.set()
+        assert released.wait(TIMEOUT)
+        return real(*args, **kwargs)
+
+    engine.knn = held
+    return real, started, released
 
 
 class TestAsyncEngine:
@@ -85,6 +104,71 @@ class TestAsyncEngine:
                 await ae.knn(0, 2)
 
         asyncio.run(go())
+
+
+    def test_close_delivers_the_call_in_flight_then_joins_the_workers(self, engine):
+        real, started, released = hold_knn(engine)
+
+        async def go():
+            ae = AsyncEngine(engine)
+            in_flight = ae.knn(0, 3)
+            assert started.wait(TIMEOUT)
+            threading.Timer(0.05, released.set).start()
+            ae.close()  # returns once the held call has run
+            assert released.is_set()
+            assert not [w for w in ae._workers if w.is_alive()]
+            with pytest.raises(RuntimeError, match="^AsyncEngine is closed$"):
+                ae.knn(0, 3)
+            return await in_flight
+
+        assert asyncio.run(go()).ids() == real(0, 3).ids()
+
+    def test_a_result_for_a_loop_that_closed_is_dropped(self, engine, monkeypatch):
+        """The caller's loop is gone (its ``asyncio.run`` returned) when
+        the worker finishes: nothing is raised in the worker thread, and
+        the engine goes on serving other loops."""
+        died = []
+        monkeypatch.setattr(threading, "excepthook", died.append)
+        ae = AsyncEngine(engine)
+        try:
+            real, started, released = hold_knn(engine)
+
+            async def abandon():
+                ae.knn(0, 3)  # handed off, never awaited
+
+            asyncio.run(abandon())
+            assert started.wait(TIMEOUT)
+            engine.knn = real
+            released.set()
+
+            async def again():
+                return await ae.knn(5, 2)
+
+            assert asyncio.run(again()).ids() == real(5, 2).ids()
+        finally:
+            released.set()
+            ae.close()
+        assert not died
+
+    def test_direct_callers_overlap_on_a_two_shard_engine(self, engine):
+        """One worker thread per shard: two calls are inside the shard
+        tier at once (each would otherwise wait out the barrier)."""
+        both_inside = threading.Barrier(2, timeout=TIMEOUT)
+
+        async def go():
+            async with AsyncEngine(engine, shards=2) as ae:
+                real = ae.shard_group.knn
+
+                def meet(*args, **kwargs):
+                    both_inside.wait()
+                    return real(*args, **kwargs)
+
+                ae.shard_group.knn = meet
+                return await asyncio.gather(ae.knn(0, 3, exact=True), ae.knn(9, 3, exact=True))
+
+        first, second = asyncio.run(go())
+        assert first.ids() == engine.knn(0, 3, exact=True).ids()
+        assert second.ids() == engine.knn(9, 3, exact=True).ids()
 
 
 def serve(requests, engine, **server_kwargs):
@@ -206,6 +290,34 @@ class TestSILCServer:
         assert responses[0].waited > 0.5
         assert responses[1].status == "ok"
         assert snapshot.expired == 1 and snapshot.served == 1
+
+    def test_a_backlog_of_expired_requests_is_settled_without_a_hand_off(self, engine):
+        """The pump walks the backlog in a loop: 5 000 spent deadlines
+        are neither 5 000 stack frames nor a single engine call."""
+        ticks = iter(range(100_000))
+        handed = []
+
+        async def go():
+            async with AsyncEngine(engine) as ae:
+                run = ae._run
+                ae._run = lambda *a, **kw: handed.append(a) or run(*a, **kw)
+                server = SILCServer(
+                    ae, clock=lambda: float(next(ticks)),
+                    admission=AdmissionController(max_in_flight=None),
+                )
+                async with server:
+                    responses = await asyncio.gather(*(
+                        server.submit(knn_req(0, client=f"c{i % 5}", rid=i, deadline=0.5))
+                        for i in range(5000)
+                    ))
+                return responses, server.snapshot()
+
+        responses, snapshot = asyncio.run(go())
+        assert [r.id for r in responses] == list(range(5000))
+        assert {r.status for r in responses} == {"expired"}
+        assert not any(r.aborted for r in responses)
+        assert not handed
+        assert (snapshot.expired, snapshot.in_flight, snapshot.queue_depths) == (5000, 0, {})
 
     def test_query_error_surfaces_as_failed(self, engine):
         bad = knn_req(10**9, rid=3)  # vertex far out of range

@@ -3,7 +3,7 @@
 Wall clock cannot resolve a frame or two per request; a count can, and
 it repeats exactly.  This script is a serving process without the
 server (``serving_mix.py``: the engine ``repro serve`` builds and one
-seeded mix of the calls the server's executor makes).  The mix runs
+seeded mix of the calls the server's worker thread makes).  The mix runs
 once unobserved (the resolved-location cache and the first read of each
 mapped page are first-touch costs), then once under ``sys.setprofile``
 counting every Python frame entered.  Run it before and after a change
