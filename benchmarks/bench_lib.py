@@ -142,7 +142,6 @@ class AlgoMetrics:
     settled: float = 0.0
     kmindist_accepts: float = 0.0
     l_ops: float = 0.0
-    l_time: float = 0.0
     d0k: list = field(default_factory=list)
     kmindist_final: list = field(default_factory=list)
     exact_dk: list = field(default_factory=list)
@@ -198,7 +197,6 @@ def run_workload(
                 metrics.settled += s.settled / nq
                 metrics.kmindist_accepts += s.kmindist_accepts / nq
                 metrics.l_ops += s.l_ops / nq
-                metrics.l_time += s.l_time / nq
                 if s.d0k is not None:
                     metrics.d0k.append(s.d0k)
                 if s.kmindist_final is not None:

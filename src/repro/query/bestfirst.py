@@ -28,7 +28,6 @@ it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_left, insort
 from heapq import heappop, heappush
@@ -36,7 +35,7 @@ from heapq import heappop, heappush
 from repro.errors import DeadlineExceeded
 from repro.objects.index import ObjectIndex
 from repro.objects.model import NetworkPosition
-from repro.query.distances import ObjectDistanceState, QueryHandle
+from repro.query.distances import DistanceState, QueryHandle
 from repro.query.location import resolve_location
 from repro.query.results import KNNResult, Neighbor
 from repro.query.stats import QueryStats, counted_clock
@@ -47,48 +46,6 @@ _NODE = 0
 _OBJECT = 1
 
 VARIANTS = ("knn", "inn", "knn_i", "knn_m")
-
-
-class _ResultQueue:
-    """The paper's ``L``: candidates ordered by distance upper bound.
-
-    The k-th smallest upper bound is the pruning distance ``Dk``; the
-    search loop indexes ``entries`` for it (counting the read).  The
-    operations that do work, ``add`` and ``update``, are counted and
-    timed so the kNN-PQ overhead series of fig p.38 can be reported.
-    """
-
-    __slots__ = ("entries", "_where", "_seq", "stats")
-
-    def __init__(self, stats: QueryStats) -> None:
-        self.entries: list[tuple[float, int, int]] = []  # (hi, seq, oid)
-        self._where: dict[int, tuple[float, int, int]] = {}  # oid -> entry
-        self._seq = itertools.count()
-        self.stats = stats
-
-    def add(self, oid: int, hi: float) -> None:
-        start = counted_clock()
-        entry = (hi, next(self._seq), oid)
-        insort(self.entries, entry)
-        self._where[oid] = entry
-        self.stats.l_ops += 1
-        self.stats.l_time += counted_clock() - start
-
-    def update(self, oid: int, hi: float) -> None:
-        start = counted_clock()
-        # The oid -> entry map turns the former linear scan into one
-        # binary search (entries are unique tuples, so bisect lands
-        # exactly on the stale entry).
-        old = self._where.get(oid)
-        if old is not None:
-            i = bisect_left(self.entries, old)
-            if i < len(self.entries) and self.entries[i] is old:
-                del self.entries[i]
-        entry = (hi, next(self._seq), oid)
-        insort(self.entries, entry)
-        self._where[oid] = entry
-        self.stats.l_ops += 1
-        self.stats.l_time += counted_clock() - start
 
 
 class _KMinDistTracker:
@@ -216,7 +173,6 @@ def best_first_knn(
 
     use_dk = variant == "knn"
     use_d0k = variant in ("knn_i", "knn_m")
-    result_queue = _ResultQueue(stats) if use_dk else None
     kmin_tracker = _KMinDistTracker(k) if variant == "knn_m" else None
 
     # The pruning distance: ``Dk`` for ``knn`` -- the k-th smallest
@@ -224,11 +180,15 @@ def best_first_knn(
     # use --, ``D0k`` once the first k objects are in for ``knn_i`` /
     # ``knn_m``, and the external cap throughout.
     bound = cap
-    l_entries = result_queue.entries if use_dk else []
-    dk_reads = 0
+    # The paper's ``L`` (``knn`` only): candidates ``(hi, seq, oid)`` sorted
+    # by upper bound, and each object's current entry.  ``l_seq`` numbers
+    # the writes, so ``l_ops`` (fig p.38's kNN-PQ) is that plus the Dk reads.
+    l_entries: list[tuple[float, int, int]] = []
+    l_where: dict[int, tuple[float, int, int]] = {}
+    l_seq = dk_reads = 0
     first_k_his: list[float] = []
-    states: dict[int, ObjectDistanceState] = {}
-    confirmed: list[ObjectDistanceState] = []
+    states: dict[int, DistanceState] = {}
+    confirmed: list[DistanceState] = []
 
     # Q holds ``(lo, seq, kind, payload)``; ``seq`` counts pushes, so it
     # breaks ties first-in-first-out and is ``queue_pushes`` at the end.
@@ -248,7 +208,7 @@ def best_first_knn(
     # would not: the new sequence number is the largest).  ``held``
     # keeps it in hand for the next iteration instead, which makes every
     # per-pop check on it exactly as the round trip would.
-    held: ObjectDistanceState | None = None
+    held: DistanceState | None = None
     while held is not None or (heap and len(confirmed) < k):
         if deadline is not None and counted_clock() > deadline:
             raise _deadline_exceeded(time_budget, len(confirmed), k)
@@ -278,7 +238,7 @@ def best_first_knn(
                 # KMINDIST tracker sees all siblings before any accept
                 # decision (accepting against a partially registered
                 # leaf would overestimate the k-th neighbor bound).
-                fresh: list[ObjectDistanceState] = []
+                fresh: list[DistanceState] = []
                 for oid, _, _ in node.entries:
                     if oid in states:
                         # Extent objects are indexed once per part;
@@ -293,7 +253,9 @@ def best_first_knn(
                             stats.d0k = max(first_k_his)
                             bound = min(stats.d0k, cap)
                     if use_dk:
-                        result_queue.add(oid, state.hi)
+                        entry = l_where[oid] = (state.hi, l_seq, oid)
+                        insort(l_entries, entry)
+                        l_seq += 1
                     if kmin_tracker is not None:
                         kmin_tracker.add(state.lo)
                 stats.objects_seen += len(fresh)
@@ -325,7 +287,7 @@ def best_first_knn(
                 max_queue = len(heap)
             continue
 
-        state: ObjectDistanceState = payload
+        state: DistanceState = payload
         if state.hi <= (heap[0][0] if heap else math.inf):
             # No collision: reporting is safe (Theorem 1).
             confirmed.append(state)
@@ -340,7 +302,12 @@ def best_first_knn(
         state.refine()
         lo = state.lo
         if use_dk:
-            result_queue.update(state.oid, state.hi)
+            # Entries are unique tuples: bisect lands on the stale one.
+            oid = state.oid
+            del l_entries[bisect_left(l_entries, l_where[oid])]
+            entry = l_where[oid] = (state.hi, l_seq, oid)
+            insort(l_entries, entry)
+            l_seq += 1
             dk_reads += 1
             bound = l_entries[k - 1][0] if len(l_entries) >= k else cap
             if cap < bound:
@@ -365,7 +332,7 @@ def best_first_knn(
     stats.max_queue = max_queue
     stats.collisions = collisions
     stats.confirmations = len(confirmed)
-    stats.l_ops += dk_reads
+    stats.l_ops = l_seq + dk_reads
 
     # ------------------------------------------------------------------
     # Assembly

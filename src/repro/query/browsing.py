@@ -29,7 +29,7 @@ import math
 from collections.abc import Iterator, Sequence
 
 from repro.objects.index import ObjectIndex
-from repro.query.distances import ObjectDistanceState, QueryHandle
+from repro.query.distances import DistanceState, QueryHandle
 from repro.query.location import resolve_location
 from repro.query.results import KNNResult, Neighbor
 from repro.query.stats import QueryStats, counted_clock
@@ -141,12 +141,12 @@ class _MultiState:
     For a single handle this is a thin wrapper; for aggregate queries
     ``combine`` folds the per-source bounds (sum or max) and
     :meth:`refine` advances the loosest component.  Same scalar
-    ``lo``/``hi`` representation as :class:`ObjectDistanceState`.
+    ``lo``/``hi`` representation as the per-handle states.
     """
 
     __slots__ = ("oid", "parts", "combine", "lo", "hi")
 
-    def __init__(self, oid: int, parts: list[ObjectDistanceState], combine) -> None:
+    def __init__(self, oid: int, parts: list[DistanceState], combine) -> None:
         self.oid = oid
         self.parts = parts
         self.combine = combine

@@ -1,10 +1,11 @@
 """Query-to-object distance machinery built on SILC refinement.
 
-:class:`ObjectDistanceState` is what the kNN priority queues actually
-hold for an object: the combined, progressively refinable distance
-interval from the query location to the object over all anchor pairs.
-:class:`QueryHandle` bundles the per-query state (anchors, bounds) the
-best-first engine needs.
+What the kNN priority queues hold for an object has ``oid``, scalar
+``lo``/``hi`` bounds, ``refine()`` and ``refine_fully()``: the one
+anchor pair's :class:`~repro.silc.refinement.RefinableDistance` itself,
+or an :class:`ObjectDistanceState`, the minimum over several (edge
+positions, extents, a same-edge segment).  :class:`QueryHandle` bundles
+the per-query state (anchors, bounds) the best-first engine needs.
 """
 
 from __future__ import annotations
@@ -12,16 +13,17 @@ from __future__ import annotations
 import math
 
 from repro.objects.index import ObjectIndex
-from repro.objects.model import NetworkPosition, SpatialObject
+from repro.objects.model import NetworkPosition, SpatialObject, VertexPosition
 from repro.query.location import location_point, same_edge_direct, source_anchors
 from repro.quadtree.pmr import PMRNode
 from repro.silc.index import SILCIndex
-from repro.silc.intervals import DistanceInterval, checked_bounds, invalid_bounds
+from repro.silc.intervals import MAX_REL_GAP, DistanceInterval, checked_bounds, invalid_bounds
 from repro.silc.refinement import RefinableDistance, RefinementCounter
 
 
 class ObjectDistanceState:
-    """Refinable network distance from a query location to one object.
+    """Refinable network distance from a query location to one object
+    that can be reached more than one way.
 
     The true distance is the minimum over the anchor-pair components
     (each a :class:`RefinableDistance`) and the optional direct
@@ -92,16 +94,23 @@ class ObjectDistanceState:
             if old_hi < hi:
                 hi = old_hi
             if lo > hi:
+                if lo - hi > MAX_REL_GAP * lo:
+                    raise invalid_bounds(lo, hi)
                 lo = hi = (lo + hi) / 2.0
         self.lo = lo
         self.hi = hi
         return True
 
     def refine_fully(self) -> float:
+        """Stepwise: abandoning an alternative needs its interval."""
         while self.lo != self.hi:
             if not self.refine():
                 break
         return self.lo
+
+
+#: What the priority queues hold for an object.
+DistanceState = RefinableDistance | ObjectDistanceState
 
 
 class QueryHandle:
@@ -121,6 +130,9 @@ class QueryHandle:
         network = index.network
         self.network = network
         self.anchors = source_anchors(network, position)
+        # From a vertex the only same-edge segment is the 0.0 to an
+        # object on that vertex, which the anchor pair gives exactly.
+        self._at_vertex = isinstance(position, VertexPosition)
         self.point = location_point(network, position)
         # Global lower-bound slope for the Euclidean fallback bound:
         # any network path is at least this multiple of straight-line
@@ -131,7 +143,7 @@ class QueryHandle:
     # ------------------------------------------------------------------
     # Distances
     # ------------------------------------------------------------------
-    def object_state(self, obj: SpatialObject) -> ObjectDistanceState:
+    def object_state(self, obj: SpatialObject) -> DistanceState:
         """The refinable distance from the query to ``obj``, an object
         of this handle's object index.
 
@@ -141,14 +153,22 @@ class QueryHandle:
         """
         index = self.index
         counter = self.counter
+        anchors = self.anchors
         targets = self.object_index.target_anchors[obj.oid]
+        direct = None if self._at_vertex else same_edge_direct(
+            self.network, self.position, obj.position
+        )
+        if direct is None and len(targets) == 1 and len(anchors) == 1:
+            (sv, s_off), (tv, t_off) = anchors[0], targets[0]
+            state = RefinableDistance(index, sv, tv, counter, s_off + t_off)
+            state.oid = obj.oid
+            return state
         components = []
-        for sv, s_off in self.anchors:
+        for sv, s_off in anchors:
             for tv, t_off in targets:
                 components.append(
                     RefinableDistance(index, sv, tv, counter, s_off + t_off)
                 )
-        direct = same_edge_direct(self.network, self.position, obj.position)
         return ObjectDistanceState(obj.oid, components, direct)
 
     # ------------------------------------------------------------------

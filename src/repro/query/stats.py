@@ -7,14 +7,14 @@ everything the benchmark harness needs in a single dataclass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from time import perf_counter
 
 #: The single sanctioned wall-clock hook for the counted kernels.
 #:
 #: The reproduction measures query work in *counted operations*
 #: (machine-independent); the kernels still need a clock for deadline
-#: checks and the supplementary ``*_time`` stats.  They must take it
+#: checks and the supplementary ``elapsed`` stat.  They must take it
 #: from here -- ``repro check`` (rule RPR004) flags any direct
 #: ``time``/``datetime`` use inside a kernel module, so this alias is
 #: the one auditable place where wall-clock enters the hot path.
@@ -31,11 +31,10 @@ class QueryStats:
         Progressive-refinement steps (fig p.35's unit).
     max_queue:
         Peak size of the main priority queue ``Q`` (fig p.34's unit).
-    l_ops / l_time:
+    l_ops:
         Operations on the result queue ``L`` -- every insertion, every
-        update and every read of ``Dk`` -- and the seconds spent in the
-        insertions and updates (a read is a list index, counted but not
-        timed): the paper's "kNN-PQ" series (fig p.38).
+        update and every read of ``Dk``: the paper's "kNN-PQ" series
+        (fig p.38), as a count.
     kmindist_accepts:
         Objects accepted directly against KMINDIST without further
         refinement (fig p.36's unit; kNN-M only).
@@ -68,7 +67,6 @@ class QueryStats:
     confirmations: int = 0
     kmindist_accepts: int = 0
     l_ops: int = 0
-    l_time: float = 0.0
     d0k: float | None = None
     kmindist_final: float | None = None
     dk_final: float | None = None
@@ -98,27 +96,6 @@ class QueryStats:
         return QueryStats().add(self).add(other)
 
 
-#: The fields :meth:`QueryStats.add` sums (estimator values and extras
-#: describe one query and have no sum).
-_SUMMED = (
-    "refinements",
-    "max_queue",
-    "queue_pushes",
-    "objects_seen",
-    "leaf_expansions",
-    "nonleaf_expansions",
-    "collisions",
-    "confirmations",
-    "kmindist_accepts",
-    "l_ops",
-    "settled",
-    "relaxed",
-    "index_probes",
-    "nd_computations",
-    "label_scans",
-    "io_accesses",
-    "io_misses",
-    "l_time",
-    "io_time",
-    "elapsed",
-)
+#: The fields :meth:`QueryStats.add` sums: every plain counter and time
+#: (estimator values and extras describe one query and have no sum).
+_SUMMED = tuple(f.name for f in fields(QueryStats) if f.type in ("int", "float"))

@@ -43,17 +43,12 @@ from repro.integrity import (
 from repro.network.allpairs import materialize_sources
 from repro.network.errors import PathNotFound
 from repro.network.graph import SpatialNetwork
-from repro.quadtree.blocks import BlockTable
 from repro.silc.parallel import parallel_block_columns, resolve_workers
-from repro.silc.intervals import DistanceInterval
-from repro.silc.refinement import RefinableDistance, RefinementCounter
+from repro.silc.intervals import REL_PAD as _REL_PAD, DistanceInterval
+from repro.silc.refinement import RefinableDistance, RefinementCounter, next_hop_cycle
 from repro.silc.sp_quadtree import SPQuadtreeBuilder, choose_grid_order
 from repro.silc.store import COLUMNS, Chunk, FlatStore, ShardedFlatStore
 from repro.storage.simulator import StorageSimulator
-
-#: Relative padding applied to interval bounds so that float round-off
-#: in the ratio arithmetic can never expel the true distance.
-_REL_PAD = 1e-11
 
 
 def build_store(
@@ -262,35 +257,22 @@ class SILCIndex:
         while path[-1] != target:
             path.append(self.next_hop(path[-1], target))
             if len(path) > guard:
-                raise RuntimeError(
-                    f"path {source}->{target} exceeded {guard} vertices; "
-                    "the index next-hop data is inconsistent"
-                )
+                raise next_hop_cycle(source, target, guard)
         return path
 
     def distance(self, source: int, target: int) -> float:
-        """Exact network distance (full refinement of the path)."""
+        """Exact network distance (one walk of the path)."""
         return self.refinable(source, target).refine_fully()
 
     def route(self, source: int, target: int) -> tuple[list[int], float]:
-        """``(path(s, t), distance(s, t))`` from one refinement walk.
+        """``(path(s, t), distance(s, t))`` from one walk.
 
-        The vias a full refinement passes through *are* the path, so
-        one walk yields both, bit for bit, at half the probes.  Keeps
-        :meth:`~RefinableDistance.refine`'s bound checks and
-        :meth:`path`'s guard against a next-hop cycle.
+        The vias :meth:`~RefinableDistance.refine_fully` passes through
+        *are* the path, so :meth:`distance`'s walk yields both, bit for
+        bit, at half the probes -- and raises what it raises.
         """
-        state = self.refinable(source, target)
         path = [source]
-        guard = self.network.num_vertices
-        while state.refine():
-            path.append(state.via)
-            if len(path) > guard:
-                raise RuntimeError(
-                    f"path {source}->{target} exceeded {guard} vertices; "
-                    "the index next-hop data is inconsistent"
-                )
-        return path, state.acc
+        return path, self.refinable(source, target).refine_fully(trail=path)
 
     # ------------------------------------------------------------------
     # Block-level lower bounds (for the object-index traversal)
@@ -348,7 +330,12 @@ class SILCIndex:
         if len(rows) == 0:
             return float("inf")
         if self.storage is not None and account:
-            self.storage.touch_range(source, rows.start, rows.stop)
+            # ``rows`` is a non-empty run of a table check_vertex just
+            # admitted: its pages need no range check.
+            layout = self.storage.layout
+            base, per_page = layout.page_offsets[source], layout.records_per_page
+            for page in range(rows.start // per_page, (rows.stop - 1) // per_page + 1):
+                self.storage.access(base + page)
         if column is None:
             column = self.bound_column(source)
         codes, levels, _, lam_min, _ = table.columns
@@ -386,9 +373,6 @@ class SILCIndex:
 
     def storage_bytes(self, record_bytes: int = 16) -> int:
         return self.total_blocks() * record_bytes
-
-    def iter_tables(self) -> Iterator[tuple[int, BlockTable]]:
-        yield from enumerate(self.tables)
 
     def _save_metadata(self) -> dict[str, np.ndarray]:
         """What both saved layouts hold next to the block columns."""

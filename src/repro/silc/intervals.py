@@ -13,6 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+#: Relative padding applied to interval bounds so that float round-off
+#: in the ratio arithmetic can never expel the true distance.
+REL_PAD = 1e-11
+
+#: Two bounds that both contain the true distance miss each other only
+#: by round-off (ulps per link); a wider relative gap is a corrupt index.
+MAX_REL_GAP = 1e3 * REL_PAD
+
 
 def invalid_bounds(lo: float, hi: float) -> ValueError:
     """The error for bounds failing ``0.0 <= lo <= hi``.
@@ -20,7 +28,8 @@ def invalid_bounds(lo: float, hi: float) -> ValueError:
     That one chained comparison is the whole validity check (it is
     false for NaN, inverted and negative bounds alike); the refinement
     states apply it inline to their scalar bounds and come here only
-    to name the failure.
+    to name the failure -- also when clamping to the previous bounds
+    left ``lo`` above ``hi`` by more than :data:`MAX_REL_GAP`.
     """
     if math.isnan(lo) or math.isnan(hi):
         return ValueError("interval bounds must not be NaN")
@@ -35,8 +44,10 @@ def checked_bounds(
     """Validate fresh scalar bounds and, unless exact, clamp them to the
     previous ones (:meth:`DistanceInterval.intersection` on floats).
 
-    For the once-per-object paths; the two per-step ``refine`` methods
-    carry the same lines inline to stay within the frame budget.
+    Disjoint by rounding, they collapse to the midpoint; by more, one
+    of them excluded the true distance: ``ValueError``.  For the
+    once-per-object paths; the two per-step ``refine`` methods carry
+    the same lines inline to stay within the frame budget.
     """
     if not (0.0 <= lo <= hi):
         raise invalid_bounds(lo, hi)
@@ -44,6 +55,8 @@ def checked_bounds(
         lo = max(lo, prev_lo)
         hi = min(hi, prev_hi)
         if lo > hi:
+            if lo - hi > MAX_REL_GAP * lo:
+                raise invalid_bounds(lo, hi)
             lo = hi = (lo + hi) / 2.0
     return lo, hi
 

@@ -5,8 +5,9 @@ known only as ``[lambda_min * d_E, lambda_max * d_E]``; each
 *refinement* advances one link along the (implicitly stored) shortest
 path, replacing the estimate with ``exact prefix + interval from the
 intermediate vertex``.  After at most path-length refinements the
-interval collapses to the exact network distance, but queries stop as
-soon as their comparison is decided.
+interval collapses to the exact network distance; queries stop as soon
+as their comparison is decided, and what they report exactly is then a
+plain walk of the rest of the path (``refine_fully``), no intervals.
 
 The quality claim the paper leans on (p.30): at every stage the
 estimate is "exact network distance from source to some intermediate
@@ -16,9 +17,11 @@ tighter than oracle schemes that compose two intervals.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import TYPE_CHECKING
 
-from repro.silc.intervals import DistanceInterval, checked_bounds, invalid_bounds
+from repro.network.errors import PathNotFound
+from repro.silc.intervals import MAX_REL_GAP, DistanceInterval, checked_bounds, invalid_bounds
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.silc.index import SILCIndex
@@ -33,6 +36,14 @@ class RefinementCounter:
         self.count = 0
 
 
+def next_hop_cycle(source: int, target: int, limit: int) -> RuntimeError:
+    """The error for a walk that did not reach ``target`` in ``limit`` links."""
+    return RuntimeError(
+        f"refinement of {source}->{target} exceeded {limit} steps; "
+        "the index next-hop data is inconsistent"
+    )
+
+
 class RefinableDistance:
     """The progressively refinable distance from a source to a target.
 
@@ -42,6 +53,9 @@ class RefinableDistance:
     ``lo``/``hi`` are plain floats that always contain the true
     distance and are monotone under :meth:`refine` -- the lower bound
     never decreases, the upper bound never increases.
+
+    A query with this one way to an object queues the instance itself,
+    and ``oid`` then names the object.
     """
 
     __slots__ = (
@@ -52,6 +66,7 @@ class RefinableDistance:
         "acc",
         "lo",
         "hi",
+        "oid",
         "_counter",
         "_next_hop",
     )
@@ -71,6 +86,7 @@ class RefinableDistance:
         self.target = target
         self.via = source
         self.acc = offset
+        self.oid: int | None = None
         self._counter = counter
         self._next_hop, lo, hi = index.hop_and_interval(source, target)
         self.lo, self.hi = checked_bounds(lo + offset, hi + offset)
@@ -96,8 +112,9 @@ class RefinableDistance:
         exact.  Costs exactly one quadtree probe: the next hop was
         cached by the previous probe.  The resulting bounds are
         clamped to the previous ones (collapsing to the midpoint if
-        float error made them disjoint), so they are monotone even
-        under floating-point jitter.
+        float error made them disjoint; disjoint by more than that is
+        a ``ValueError``), so they are monotone even under
+        floating-point jitter.
         """
         via = self.via
         target = self.target
@@ -128,24 +145,66 @@ class RefinableDistance:
             if self.hi < hi:
                 hi = self.hi
             if lo > hi:
+                if lo - hi > MAX_REL_GAP * lo:
+                    raise invalid_bounds(lo, hi)
                 lo = hi = (lo + hi) / 2.0
         self.lo = lo
         self.hi = hi
         return True
 
-    def refine_fully(self, max_steps: int | None = None) -> float:
-        """Refine to exactness and return the network distance.
+    def refine_fully(
+        self, max_steps: int | None = None, trail: list[int] | None = None
+    ) -> float:
+        """Walk the rest of the path and return the exact distance.
+
+        The paper's path retrieval "in size-of-path steps" (p.17), in
+        this one frame: per link one edge weight and, short of the
+        target, one probe that keeps :meth:`refine`'s checks (block
+        containment, a valid lambda row, the page access) and computes
+        no interval.  ``trail`` collects the vertices reached.
 
         ``max_steps`` guards against corrupted indexes; it defaults to
         the number of network vertices (no simple path is longer).
         """
-        limit = max_steps if max_steps is not None else self._index.network.num_vertices
+        index = self._index
+        network = index.network
+        out_weights = network.out_weights  # one dict per vertex
+        limit = max_steps if max_steps is not None else len(out_weights)
+        target, via, acc, nxt = self.target, self.via, self.acc, self._next_hop
+        tables = index.tables
+        cell = index._vcodes[target]
+        storage = index.storage
+        if storage is not None:
+            access = storage.access
+            page_offsets = storage.layout.page_offsets
+            per_page = storage.layout.records_per_page
         steps = 0
-        while self.refine():
+        while via != target:
+            weight = out_weights[via].get(nxt)
+            if weight is None:  # corrupt next hop: edge_weight names the failure
+                weight = network.edge_weight(via, nxt)
+            acc += weight
+            via = nxt
             steps += 1
             if steps > limit:
-                raise RuntimeError(
-                    f"refinement of {self.source}->{self.target} exceeded "
-                    f"{limit} steps; the index next-hop data is inconsistent"
-                )
-        return self.acc
+                raise next_hop_cycle(self.source, target, limit)
+            if trail is not None:
+                trail.append(via)
+            if via == target:
+                break
+            codes, levels, colors, lam_min, lam_max = tables[via].columns
+            row = bisect_right(codes, cell) - 1
+            if row < 0 or cell >= codes[row] + (1 << 2 * levels[row]):
+                raise PathNotFound(via, target)
+            if not (0.0 <= lam_min[row] <= lam_max[row]):
+                raise invalid_bounds(lam_min[row], lam_max[row])
+            nxt = colors[row]
+            if nxt < 0:  # no vertex: the index's own probe says what it means
+                nxt = index.hop_and_interval(via, target)[0]
+            elif storage is not None:
+                access(page_offsets[via] + row // per_page)
+        if self._counter is not None:
+            self._counter.count += steps
+        self.via = via
+        self.acc = self.lo = self.hi = acc
+        return acc

@@ -73,11 +73,3 @@ class StorageLayout:
                 f"(size {self.table_sizes[table]})"
             )
         return self.page_offsets[table] + record // self.records_per_page
-
-    def pages_of_range(self, table: int, lo_record: int, hi_record: int) -> range:
-        """Global page ids covering records ``[lo_record, hi_record)``."""
-        if hi_record <= lo_record:
-            return range(0)
-        first = self.page_of(table, lo_record)
-        last = self.page_of(table, hi_record - 1)
-        return range(first, last + 1)

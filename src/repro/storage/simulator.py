@@ -1,9 +1,9 @@
 """The storage simulator a SILC index can be attached to.
 
 Glues :class:`StorageLayout` and :class:`LRUCache` together behind the
-interface the index needs (``layout`` to turn a probed record into a
-page, ``access(page)`` / ``touch_range`` to account it), and owns the
-experiment knobs: cache fraction and per-fault latency.
+interface the index needs (``layout`` to turn probed records into
+pages, ``access(page)`` to account each), and owns the experiment
+knobs: cache fraction and per-fault latency.
 """
 
 from __future__ import annotations
@@ -49,15 +49,9 @@ class StorageSimulator:
 
     def __post_init__(self) -> None:
         #: ``access(page)`` accounts one page (once per refinement
-        #: step): the cache's own method, so a probe pays one frame.
+        #: step or link walked, once per page of a bounded node's
+        #: rows): the cache's own method, so a probe pays one frame.
         self.access = self.cache.access
-
-    # ------------------------------------------------------------------
-    # Access interface used by SILCIndex
-    # ------------------------------------------------------------------
-    def touch_range(self, table: int, lo_record: int, hi_record: int) -> None:
-        for page in self.layout.pages_of_range(table, lo_record, hi_record):
-            self.cache.access(page)
 
     # ------------------------------------------------------------------
     # Accounting
@@ -73,9 +67,3 @@ class StorageSimulator:
         """Counter delta since a :meth:`snapshot` (per-query stats)."""
         return self.stats.delta_since(earlier)
 
-    def io_time_since(self, earlier: CacheStats) -> float:
-        return self.stats.delta_since(earlier).io_time(self.miss_latency)
-
-    def warm_up(self) -> None:
-        """Reset residency to a cold cache (statistics preserved)."""
-        self.cache.clear()

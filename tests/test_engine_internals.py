@@ -6,64 +6,108 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.query.bestfirst import _KMinDistTracker, _ResultQueue
+from repro.query import bestfirst
+from repro.query.bestfirst import _KMinDistTracker, best_first_knn
 from repro.query.stats import QueryStats
 
 
-def dk(q: _ResultQueue, k: int) -> float:
-    """The pruning distance, read off ``L`` the way the search loop does."""
-    return q.entries[k - 1][0] if len(q.entries) >= k else math.inf
+@pytest.fixture()
+def knn_and_l(monkeypatch, small_index, small_object_index):
+    """``run(query, k) -> (result, L, writes)`` for the ``knn`` variant.
+
+    ``L`` -- the paper's result queue, ``(hi, seq, oid)`` sorted by
+    upper bound -- is two locals of ``best_first_knn``; the only list
+    that variant hands to ``insort`` is ``L``, so a recording ``insort``
+    sees it, and every write to it.
+    """
+    real_insort = bestfirst.insort
+
+    def run(query, k, **kwargs):
+        seen = []
+
+        def insort(entries, entry):
+            seen.append(entries)
+            real_insort(entries, entry)
+
+        monkeypatch.setattr(bestfirst, "insort", insort)
+        result = best_first_knn(
+            small_index, small_object_index, query, k, variant="knn", **kwargs
+        )
+        assert all(entries is seen[0] for entries in seen)
+        return result, seen[0], len(seen)
+
+    return run
 
 
 class TestResultQueue:
-    def test_dk_before_k_candidates_is_inf(self):
-        q = _ResultQueue(QueryStats())
-        q.add(1, 5.0)
-        assert dk(q, 2) == math.inf
+    def test_dk_before_k_candidates_is_inf(
+        self, knn_and_l, small_index, small_object_index
+    ):
+        """Fewer than k candidates: Dk is infinite and prunes nothing,
+        so ``knn`` pushes exactly what ``inn`` pushes and reports all."""
+        total = len(small_object_index.objects)
+        result, entries, _ = knn_and_l(12, total + 5)
+        assert len(result.neighbors) == len(entries) == total
+        unpruned = best_first_knn(
+            small_index, small_object_index, 12, total + 5, variant="inn"
+        )
+        assert result.stats.queue_pushes == unpruned.stats.queue_pushes
 
-    def test_dk_is_kth_smallest_upper_bound(self):
-        q = _ResultQueue(QueryStats())
-        for oid, hi in enumerate([7.0, 3.0, 9.0, 5.0]):
-            q.add(oid, hi)
-        assert dk(q, 1) == 3.0
-        assert dk(q, 2) == 5.0
-        assert dk(q, 3) == 7.0
+    def test_dk_is_kth_smallest_upper_bound(self, knn_and_l):
+        """At termination the k reported objects hold the k smallest
+        upper bounds in L: ``dk_final`` is L's k-th entry."""
+        for k in (1, 2, 3, 10):
+            result, entries, _ = knn_and_l(31, k)
+            assert entries == sorted(entries)
+            assert result.stats.dk_final == entries[k - 1][0]
 
-    def test_update_moves_entry(self):
-        q = _ResultQueue(QueryStats())
-        q.add(0, 10.0)
-        q.add(1, 20.0)
-        q.update(0, 30.0)
-        assert dk(q, 1) == 20.0
-        assert dk(q, 2) == 30.0
+    def test_update_moves_entry(self, knn_and_l):
+        """A refined object's entry is replaced, not duplicated, and
+        carries the refined upper bound."""
+        result, entries, _ = knn_and_l(31, 10)
+        assert result.stats.refinements > 0
+        assert len({oid for _, _, oid in entries}) == len(entries)
+        assert len(entries) == result.stats.objects_seen
+        his = {oid: hi for hi, _, oid in entries}
+        assert all(his[n.oid] == n.interval.hi for n in result.neighbors)
 
-    def test_update_many_entries_moves_the_right_one(self):
-        q = _ResultQueue(QueryStats())
-        for oid, hi in enumerate([7.0, 3.0, 9.0, 5.0]):
-            q.add(oid, hi)
-        q.update(1, 8.0)  # 3.0 -> 8.0
-        assert dk(q, 1) == 5.0
-        assert dk(q, 3) == 8.0
-        assert dk(q, 4) == 9.0
-        assert len(q.entries) == 4
+    def test_update_many_entries_moves_the_right_one(self, knn_and_l):
+        """Sequence numbers are unique and the last one written is the
+        number of writes: no stale entry survived an update."""
+        result, entries, writes = knn_and_l(77, 25)
+        seqs = sorted(seq for _, seq, _ in entries)
+        assert len(set(seqs)) == len(seqs) and seqs[-1] == writes - 1
+        assert writes == result.stats.objects_seen + result.stats.refinements
 
-    def test_operations_are_counted_and_timed(self):
-        stats = QueryStats()
-        q = _ResultQueue(stats)
-        q.add(0, 1.0)
-        q.update(0, 2.0)
-        assert stats.l_ops == 2  # the loop counts its own reads of Dk
-        assert stats.l_time >= 0.0
+    def test_operations_are_counted(
+        self, knn_and_l, small_index, small_object_index
+    ):
+        """``l_ops`` is every write to L plus every read of Dk -- one
+        per pop, per expansion and per refinement -- and zero for the
+        variants that keep no L."""
+        result, _, writes = knn_and_l(31, 10)
+        s = result.stats
+        reads = s.l_ops - writes
+        assert reads >= (
+            s.leaf_expansions + s.nonleaf_expansions + s.refinements
+            + s.confirmations
+        )
+        for variant in ("inn", "knn_i", "knn_m"):
+            other = best_first_knn(
+                small_index, small_object_index, 31, 10, variant=variant
+            )
+            assert other.stats.l_ops == 0
 
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=30),
-           st.integers(1, 10))
-    def test_dk_matches_sorted_reference(self, his, k):
-        q = _ResultQueue(QueryStats())
-        for oid, hi in enumerate(his):
-            q.add(oid, hi)
-        expected = sorted(his)[k - 1] if len(his) >= k else math.inf
-        assert dk(q, k) == expected
+    @given(st.integers(0, 149), st.integers(1, 10))
+    def test_dk_matches_sorted_reference(
+        self, small_dist, small_objects, small_index, small_object_index, query, k
+    ):
+        result = best_first_knn(
+            small_index, small_object_index, query, k, variant="knn", exact=True
+        )
+        truth = sorted(small_dist[query, o.position.vertex] for o in small_objects)
+        assert result.stats.dk_final == pytest.approx(truth[k - 1], rel=1e-9)
 
 
 class TestKMinDistTracker:
@@ -128,12 +172,12 @@ class TestKMinDistTracker:
 
 class TestQueryStatsMerge:
     def test_merge_sums_counters(self):
-        a = QueryStats(refinements=3, max_queue=5, l_time=0.1, elapsed=1.0)
-        b = QueryStats(refinements=4, max_queue=2, l_time=0.2, elapsed=2.0)
+        a = QueryStats(refinements=3, max_queue=5, io_time=0.1, elapsed=1.0)
+        b = QueryStats(refinements=4, max_queue=2, io_time=0.2, elapsed=2.0)
         m = a.merge(b)
         assert m.refinements == 7
         assert m.max_queue == 7  # summed (callers divide for averages)
-        assert m.l_time == pytest.approx(0.3)
+        assert m.io_time == pytest.approx(0.3)
         assert m.elapsed == pytest.approx(3.0)
 
     def test_merge_does_not_mutate_operands(self):

@@ -2,13 +2,17 @@
 
 Wall-clock says nothing reliable in a unit test; Python-level call
 counts do.  Fixed queries run under ``sys.setprofile`` and the tests
-count (a) the Python frames entered per refinement step -- from
-``ObjectDistanceState.refine`` down through the probe and the page
-accounting --, (b) ``DistanceInterval`` constructions, which belong to
-the output boundary only, and (c) every frame of the whole query
-against a budget in the query's own counted operations.  Before the
-kernel was flattened the first query cost 29 frames and four validated
-interval allocations per refinement.
+count (a) the Python frames entered per refinement step of the search
+-- from the queued state's ``refine`` down through the probe and the
+page accounting --, (b) the frames entered per link of the exact
+finish, below the state's ``refine_fully``, (c) ``DistanceInterval``
+constructions, which belong to the output boundary only, and (d) every
+frame of the whole query against a budget in the query's own counted
+operations.  Before the kernel was flattened the first query cost 29
+frames and four validated interval allocations per refinement.
+
+The two methods are found on whatever class a vertex query queues for a
+vertex object, so the tripwire outlives a renaming.
 """
 
 from __future__ import annotations
@@ -21,26 +25,28 @@ from repro.datasets import random_vertex_objects
 from repro.geometry.grid import GridEmbedding
 from repro.objects import ObjectIndex
 from repro.query.bestfirst import best_first_knn
-from repro.query.distances import ObjectDistanceState, QueryHandle
+from repro.query.distances import QueryHandle
+from repro.query.location import resolve_location
 from repro.silc.intervals import DistanceInterval
 
-#: ObjectDistanceState.refine, RefinableDistance.refine,
-#: hop_and_interval, LRUCache.access (the simulator's ``access``).
-FRAMES_PER_REFINEMENT = 4
+#: The state's ``refine``, ``hop_and_interval``, ``LRUCache.access``
+#: (the simulator's ``access``).
+FRAMES_PER_REFINEMENT = 3
+
+#: Below ``refine_fully``: the page access of the link's probe.
+FRAMES_PER_FINISH_LINK = 1
 
 #: The whole-query budget, as counted at the commit that set it (vertex
 #: queries over vertex objects, storage attached, ``exact=True``).  The
-#: pop loop itself enters no frame; everything else is per
+#: pop loop itself enters no frame, and neither does a change to ``L``;
+#: everything else is per
 #:
-#: * object seen: ``objects[oid]``, ``object_state``,
-#:   ``RefinableDistance.__init__``, ``hop_and_interval``, ``access``,
-#:   ``checked_bounds`` twice, ``same_edge_direct``,
-#:   ``ObjectDistanceState.__init__``;
+#: * object seen: ``objects[oid]``, ``object_state``, the state's
+#:   ``__init__``, ``hop_and_interval``, ``access``, ``checked_bounds``;
 #: * node bounded: ``block_bound``, ``min_distance_to_point_xy``,
 #:   ``block_lower_bound``, ``check_vertex``, ``block_cells``,
-#:   ``overlapping``, ``touch_range``, ``pages_of_range``, ``page_of``
-#:   twice, ``access`` (one page on this index); a node lying inside a
-#:   single table block also pays ``block_lower_bound``'s own
+#:   ``overlapping``, ``access`` (one page on this index); a node lying
+#:   inside a single table block also pays ``block_lower_bound``'s own
 #:   ``block_world_rect`` (9 frames of Morton decoding and ``Rect``
 #:   construction, 6 of grid properties, one MINDIST) and a generator
 #:   entered and resumed;
@@ -50,44 +56,53 @@ FRAMES_PER_REFINEMENT = 4
 #: * query: set-up (location, anchors, one bound column), the I/O
 #:   snapshot and delta, result assembly.
 #:
-#: The only slack left is a refinement step that reaches its target: it
-#: needs no probe, so it costs 2 of its 4 frames.
+#: The only slack left is a step or link that reaches its target: it
+#: needs no probe, so a refinement costs 1 of its 3 frames and a
+#: finish link none.
 #:
-#: ``knn`` adds one frame per operation that changes ``L`` (an ``add``
-#: per object seen, an ``update`` per collision) and its constructor.
 #: A search bounds the root and at most four children per non-leaf
 #: expansion, which ties ``nodes_bounded`` to the reported counters.
-FRAMES_PER_OBJECT = 9
-FRAMES_PER_NODE_BOUNDED = 11
+FRAMES_PER_OBJECT = 6
+FRAMES_PER_NODE_BOUNDED = 7
 FRAMES_PER_NODE_INSIDE_ONE_BLOCK = 18
 FRAMES_PER_NEIGHBOR = 7
 FRAMES_PER_QUERY = 40
 
 
-def _count_calls(fn):
-    """Run ``fn`` counting Python calls: all of them, those under
-    ``ObjectDistanceState.refine``, and calls of the three functions
-    in ``named``."""
-    refine_code = ObjectDistanceState.refine.__code__
+def _count_calls(index, object_index, fn):
+    """Run ``fn`` counting Python calls: all of them, those at or under
+    a queued state's ``refine``, those under its ``refine_fully``, and
+    calls of the three functions in ``named``."""
+    state = QueryHandle(
+        index, object_index, resolve_location(index.network, 0)
+    ).object_state(object_index.objects[0])
+    refine_code = type(state).refine.__code__
+    finish_code = type(state).refine_fully.__code__
     named = {
         QueryHandle.block_bound.__code__: "nodes_bounded",
         GridEmbedding.block_world_rect.__code__: "nodes_inside_one_block",
         DistanceInterval.__post_init__.__code__: "intervals",
     }
-    counts = dict.fromkeys(named.values(), 0) | {"frames": -1, "under_refine": 0}
-    depth = 0  # > 0 while a state.refine() frame is on the stack
+    counts = dict.fromkeys(named.values(), 0) | {
+        "frames": -1, "under_refine": 0, "under_finish": 0,
+    }
+    stack = []  # what each frame under a refine / refine_fully counts as
 
     def profiler(frame, event, arg):
-        nonlocal depth
         if event == "call":
             counts["frames"] += 1  # starts at -1: ``fn`` itself
-            if depth or frame.f_code is refine_code:
-                depth += 1
+            if stack:
+                stack.append(stack[-1])
+                counts[stack[-1]] += 1
+            elif frame.f_code is refine_code:
+                stack.append("under_refine")
                 counts["under_refine"] += 1
+            elif frame.f_code is finish_code:
+                stack.append("under_finish")  # the walk's own frame: per neighbor
             if frame.f_code in named:
                 counts[named[frame.f_code]] += 1
-        elif event == "return" and depth:
-            depth -= 1
+        elif event == "return" and stack:
+            stack.pop()
 
     sys.setprofile(profiler)
     try:
@@ -107,17 +122,18 @@ def test_frames_per_refinement_and_no_interval_allocations(
         # cost, not a per-refinement one.
         best_first_knn(small_index, small_object_index, 31, 10, exact=True)
         result, counts = _count_calls(
+            small_index, small_object_index,
             lambda: best_first_knn(
                 small_index, small_object_index, 31, 10, exact=True
             )
         )
     finally:
         small_index.detach_storage()
-    refinements = (
-        result.stats.refinements + result.stats.extras["post_refinements"]
-    )
-    assert refinements > 50  # the query does real work
+    refinements = result.stats.refinements
+    links = result.stats.extras["post_refinements"]
+    assert refinements > 50 and links > 10  # the query does real work
     assert counts["under_refine"] <= FRAMES_PER_REFINEMENT * refinements
+    assert counts["under_finish"] <= FRAMES_PER_FINISH_LINK * links
     # One interval per reported neighbor, built at the output boundary;
     # none inside the search loop.
     assert counts["intervals"] == len(result.neighbors) == 10
@@ -138,19 +154,17 @@ def test_whole_query_frames_within_budget(small_net, small_index, variant):
                     small_index, object_index, query, k, variant=variant, exact=True
                 )
             run()  # first touch: the resolved-location cache
-            result, counts = _count_calls(run)
+            result, counts = _count_calls(small_index, object_index, run)
             s = result.stats
-            refinements = s.refinements + s.extras["post_refinements"]
             budget = (
-                FRAMES_PER_REFINEMENT * refinements
+                FRAMES_PER_REFINEMENT * s.refinements
+                + FRAMES_PER_FINISH_LINK * s.extras["post_refinements"]
                 + FRAMES_PER_OBJECT * s.objects_seen
                 + FRAMES_PER_NODE_BOUNDED * counts["nodes_bounded"]
                 + FRAMES_PER_NODE_INSIDE_ONE_BLOCK * counts["nodes_inside_one_block"]
                 + FRAMES_PER_NEIGHBOR * len(result.neighbors)
                 + FRAMES_PER_QUERY
             )
-            if variant == "knn":
-                budget += s.objects_seen + s.collisions + 1
             assert counts["frames"] <= budget, (query, k, counts, s)
             assert s.nonleaf_expansions >= 1
             assert counts["nodes_bounded"] <= 1 + 4 * s.nonleaf_expansions

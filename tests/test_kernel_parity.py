@@ -28,15 +28,16 @@ from repro.network import (
     EdgeNotFound,
     SpatialNetwork,
     VertexNotFound,
+    grid_network,
     road_like_network,
 )
 from repro.errors import DeadlineExceeded
 from repro.objects import EdgePosition, ObjectIndex, ObjectSet, VertexPosition
 from repro.query import bestfirst
 from repro.query.bestfirst import VARIANTS, best_first_knn
-from repro.query.distances import ObjectDistanceState
 from repro.silc import ProximalSILCIndex, SILCIndex
 from repro.silc.index import _REL_PAD
+from repro.silc.refinement import RefinementCounter
 
 KS = (1, 5, 25)
 
@@ -306,29 +307,59 @@ def test_control_flow_digests_match_golden(parity_net, parity_index):
 # Head runs: a refined object still strictly ahead of everything queued
 # is kept in hand instead of being pushed and popped straight back
 # ----------------------------------------------------------------------
+class _WatchedCounter(RefinementCounter):
+    """A ``RefinementCounter`` whose every bump calls ``on_bump``: the
+    kernel is observed through the counter it shares with its states,
+    whatever classes those states are."""
+
+    __slots__ = ("_count", "on_bump")
+
+    def __init__(self, on_bump) -> None:
+        self._count = 0
+        self.on_bump = on_bump
+
+    @property
+    def count(self) -> int:
+        return self._count
+
+    @count.setter
+    def count(self, value: int) -> None:
+        self._count = value
+        self.on_bump(value)
+
+
 @pytest.fixture()
 def loop_events(monkeypatch):
-    """What the searches run under this fixture did, in order:
-    ``("refine", oid)`` per refinement call and ``("push", oid, tie)``
+    """What the search loops run under this fixture did, in order:
+    ``("refine", oid)`` per refinement step and ``("push", oid, tie)``
     per object that went onto the heap, ``tie`` when its bound equalled
     the head's.  Two refinements of one object with no push between
-    them are a head run."""
+    them are a head run.  A step is seen when it bumps the query's
+    refinement counter; the object refined is the one popped last (a
+    head run pops nothing).  Only the search loop is told apart this
+    way: the exact pass bumps the counter once per neighbour."""
     events: list[tuple] = []
-    real_push, real_refine = bestfirst.heappush, ObjectDistanceState.refine
+    popped = []
+    real_push, real_pop = bestfirst.heappush, bestfirst.heappop
 
     def heappush(heap, entry):
-        if isinstance(entry[3], ObjectDistanceState):
+        if entry[2] == bestfirst._OBJECT:
             events.append(
                 ("push", entry[3].oid, bool(heap) and entry[0] == heap[0][0])
             )
         real_push(heap, entry)
 
-    def refine(state):
-        events.append(("refine", state.oid))
-        return real_refine(state)
+    def heappop(heap):
+        entry = real_pop(heap)
+        popped[:] = [entry[3]]
+        return entry
 
     monkeypatch.setattr(bestfirst, "heappush", heappush)
-    monkeypatch.setattr(ObjectDistanceState, "refine", refine)
+    monkeypatch.setattr(bestfirst, "heappop", heappop)
+    monkeypatch.setattr(
+        bestfirst, "RefinementCounter",
+        lambda: _WatchedCounter(lambda _: events.append(("refine", popped[0].oid))),
+    )
     return events
 
 
@@ -349,6 +380,11 @@ def test_an_exact_tie_with_the_queue_head_goes_through_the_heap(loop_events):
 #: commit before head runs: the confirmed count each DeadlineExceeded
 #: names when the clock jumps right after the R-th refinement,
 #: R = 1, 2, ... ("-": the search finished without another check).
+#: The run of 10s is the exact pass: the deadline is read between
+#: neighbours there, and a neighbour's finish is one walk that bumps the
+#: counter once, so a jump "inside" a walk is seen before the next
+#: neighbour -- which is when the stepwise finish saw it too (the last
+#: neighbour is one link from exact: a single "-").  Not re-recorded.
 GOLDEN_DEADLINE_REPORTS: dict[str, str] = dict.fromkeys(
     ("knn", "inn"),  # the two agree on this query
     "0,0,1,1,1,2,2,2,4,4,6,6,6,6,6,6,6,6,6,6,7,7,7,7,7,7,7,7,7,7,7,8,8,8,8,"
@@ -360,17 +396,16 @@ GOLDEN_DEADLINE_REPORTS: dict[str, str] = dict.fromkeys(
 def deadline_reports(index, object_index, query, k, variant) -> str:
     """One entry per refinement R of the search: what its
     DeadlineExceeded reports when the clock jumps past the deadline
-    right after that refinement."""
-    real_refine = ObjectDistanceState.refine
+    right after that refinement (as the query's counter shows it)."""
+    real_counter = bestfirst.RefinementCounter
     real_clock = bestfirst.counted_clock
     refinements = 0
 
-    def refine(state):
+    def bumped(count):
         nonlocal refinements
-        refinements += 1
-        return real_refine(state)
+        refinements = count
 
-    ObjectDistanceState.refine = refine
+    bestfirst.RefinementCounter = lambda: _WatchedCounter(bumped)
     try:
         best_first_knn(index, object_index, query, k, variant=variant, exact=True)
         total, reports = refinements, []
@@ -393,7 +428,7 @@ def deadline_reports(index, object_index, query, k, variant) -> str:
                 )
                 reports.append(confirmed)
     finally:
-        ObjectDistanceState.refine = real_refine
+        bestfirst.RefinementCounter = real_counter
         bestfirst.counted_clock = real_clock
     return ",".join(reports)
 
@@ -573,7 +608,8 @@ class TestChecksKept:
             del loop_events[:]
             with pytest.raises(EdgeNotFound):
                 best_first_knn(index, object_index, 0, 1, variant=variant)
-            assert loop_events == run
+            # the second step raised before it counted
+            assert loop_events == run[:3]
 
     def test_page_layout_refuses_a_probe_from_a_negative_source(self, index):
         index.attach_storage(index.make_storage())
@@ -589,6 +625,52 @@ class TestChecksKept:
         self._corrupt(index, hop, target, "colors", source)  # source<->hop
         with pytest.raises(RuntimeError, match="inconsistent"):
             index.refinable(source, target).refine_fully()
+
+    # ------------------------------------------------------------------
+    # Bounds disjoint by more than rounding are an error, not a midpoint
+    # ------------------------------------------------------------------
+    @pytest.fixture()
+    def lattice(self):
+        """The 7 x 7 unit lattice (every distance an integer) and a
+        private index over it: the tests corrupt it."""
+        net = grid_network(7, 7)
+        return net, SILCIndex.build(net)
+
+    def _cycle(self, index, source, target):
+        """Point the first hop's row for ``target`` back at ``source``."""
+        hop = index.path(source, target)[1]
+        assert index.network.has_edge(hop, source)
+        self._corrupt(index, hop, target, "colors", source)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_next_hop_cycle_is_not_served_as_an_exact_distance(
+        self, lattice, variant
+    ):
+        """The only object is confirmed unrefined and the exact pass
+        meets the cycle: it used to go round until the accumulated
+        prefix passed the first upper bound, collapse the two to their
+        midpoint and report 12.692... as the exact distance (true: 12)."""
+        net, index = lattice
+        self._cycle(index, 0, 48)
+        object_index = ObjectIndex(
+            net, ObjectSet.at_vertices(net, [48]), index.embedding
+        )
+        with pytest.raises(RuntimeError, match="inconsistent"):
+            best_first_knn(index, object_index, 0, 1, variant=variant, exact=True)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_disjoint_bounds_inside_the_search_loop_raise(self, lattice, variant):
+        """Objects at distance 4 (vertex 22, behind the cycle) and 5
+        collide, so the search loop itself steps round the cycle; the
+        midpoint collapse used to end that with a wrong neighbour or a
+        wrong "exact" 4.66..."""
+        net, index = lattice
+        self._cycle(index, 0, 22)
+        object_index = ObjectIndex(
+            net, ObjectSet.at_vertices(net, [22, 23]), index.embedding
+        )
+        with pytest.raises(ValueError, match="inverted interval"):
+            best_first_knn(index, object_index, 0, 1, variant=variant)
 
 
 if __name__ == "__main__":

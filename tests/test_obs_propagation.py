@@ -65,7 +65,7 @@ def span_names(record):
     return [s["name"] for s in record["spans"]]
 
 
-_WALL_CLOCK = {"l_time", "io_time", "elapsed"}
+_WALL_CLOCK = {"io_time", "elapsed"}
 
 
 def counted_ops(stats):

@@ -10,16 +10,40 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro import ObjectIndex, QueryEngine, SILCIndex, ine_knn, knn, knn_m
+import repro.silc.index as silc_index
+from repro import ObjectIndex, ObjectSet, QueryEngine, SILCIndex, ine_knn, knn, knn_m
 from repro.datasets import random_vertex_objects
+from repro.geometry.grid import GridEmbedding
+from repro.geometry.rect import Rect
 from repro.network import (
+    EdgeNotFound,
+    PathNotFound,
     distance_matrix,
     grid_network,
     random_planar_network,
     road_like_network,
 )
 from repro.oracle import PrunedLabellingOracle
+from repro.query import bestfirst
 from repro.query.bestfirst import VARIANTS, best_first_knn
+from repro.query.distances import ObjectDistanceState
+from repro.silc.refinement import RefinementCounter
+from repro.silc.sp_quadtree import SPQuadtreeBuilder, choose_grid_order
+from repro.silc.store import FlatStore
+
+
+def one_way(net, seed):
+    """``net`` with a seeded quarter of its streets made one-way,
+    skipping any that would leave the network no longer one strongly
+    connected component (the generators emit both directions)."""
+    rng = np.random.default_rng(seed)
+    streets = [(u, v) for u, v, _ in net.iter_edges() if u < v]
+    for i in rng.permutation(len(streets))[: len(streets) // 4].tolist():
+        trial = net.without_edges([streets[i]])
+        if trial.num_strongly_connected_components() == 1:
+            net = trial
+    return net
+
 
 #: 60-vertex networks by kind; ``seed`` is 0..3.
 KINDS = {
@@ -28,6 +52,8 @@ KINDS = {
     # Unit weights on a lattice (the seed picks its shape): exact
     # distance ties, the class the PR-12 k-th-neighbour bug lived in.
     "grid": lambda seed: grid_network((6, 5, 4, 3)[seed], (10, 12, 15, 20)[seed]),
+    # Directed: d(u, v) != d(v, u) and the two paths differ.
+    "oneway": lambda seed: one_way(road_like_network(60, seed=seed), seed),
 }
 
 #: The ways an index comes to be; every one must answer like Dijkstra.
@@ -200,3 +226,194 @@ def test_neighbor_intervals_always_contain_truth(seed, query, k, obj_seed):
     lookup = {o.oid: float(D[query, o.position.vertex]) for o in objects}
     for n in result.neighbors:
         assert n.interval.lo - 1e-9 <= lookup[n.oid] <= n.interval.hi + 1e-9
+
+
+# ----------------------------------------------------------------------
+# The exact finish is the stepwise refinement, minus the intervals
+# ----------------------------------------------------------------------
+def assembled(net, embedding, codes) -> SILCIndex:
+    """An index put together from the builder's chunks directly: what
+    ``SILCIndex.build`` does, minus its choice of grid and its refusal
+    of a network that is not strongly connected."""
+    store = FlatStore.from_chunks(
+        net.num_vertices, SPQuadtreeBuilder(net, embedding, codes).chunks()
+    )
+    return SILCIndex(net, embedding, codes, store.validate())
+
+
+def cut_in_two(seed: int):
+    """``(network, index, distances)`` for road network ``seed`` with
+    every street crossing its median x removed: two components, an
+    unreachable vertex coloured -1."""
+    key = ("cut", seed)
+    if key not in _CACHE:
+        whole = road_like_network(60, seed=seed)
+        median = float(np.median(whole.xs))
+        net = whole.without_edges(
+            (u, v) for u, v, _ in whole.iter_edges()
+            if (whole.xs[u] < median) != (whole.xs[v] < median)
+        )
+        index = assembled(net, *choose_grid_order(net))
+        _CACHE[key] = (net, index, distance_matrix(net))
+    return _CACHE[key]
+
+
+def walked(index, s, t, prefix):
+    """``prefix`` stepwise refinements of ``s -> t``, then
+    ``refine_fully``: ``(distance, counter total, vias, pages accessed)``."""
+    simulator = index.make_storage()
+    pages, real_access = [], simulator.access
+    simulator.access = lambda page: pages.append(page) or real_access(page)
+    index.attach_storage(simulator)
+    try:
+        counter = RefinementCounter()
+        state = index.refinable(s, t, counter)
+        trail = [s]
+        for _ in range(prefix):
+            assert state.refine()
+            trail.append(state.via)
+        distance = state.refine_fully(trail=trail)
+        assert state.via == t and state.lo == state.hi == state.acc == distance
+        assert not state.refine()
+    finally:
+        index.detach_storage()
+    return distance, counter.count, trail, pages
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(KINDS) + ["cut"]),
+    seed=st.integers(0, 3),
+    s=st.integers(0, 59),
+    t=st.integers(0, 59),
+)
+def test_exact_finish_from_any_prefix_is_the_stepwise_refinement(kind, seed, s, t):
+    net, index, D = cut_in_two(seed) if kind == "cut" else setup(seed, kind)
+    if np.isinf(D[s, t]):
+        # The other component: the first hop is -1, and the walk names
+        # the failure exactly as a refinement step does.
+        with pytest.raises(EdgeNotFound) as stepwise:
+            index.refinable(s, t).refine()
+        with pytest.raises(EdgeNotFound) as walk:
+            index.refinable(s, t).refine_fully()
+        assert str(walk.value) == str(stepwise.value) == f"'no edge {s} -> -1'"
+        return
+    links = len(index.path(s, t)) - 1
+    stepwise = walked(index, s, t, links)  # refine_fully has nothing left
+    assert stepwise[0] == pytest.approx(float(D[s, t]), rel=1e-9, abs=1e-12)
+    assert stepwise[1] == links and stepwise[2] == index.path(s, t)
+    assert len(stepwise[3]) == links  # one page per probe, none for the last link
+    for prefix in range(links):
+        assert walked(index, s, t, prefix) == stepwise, prefix
+    assert index.route(s, t) == (stepwise[2], stepwise[0])
+    assert index.distance(s, t) == stepwise[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(KINDS)),
+    seed=st.integers(0, 3),
+    s=st.integers(0, 59),
+    t=st.integers(0, 59),
+)
+def test_a_single_alternative_is_its_own_state(kind, seed, s, t):
+    """What a vertex query queues for a vertex object -- the bare
+    component -- and the min-of-alternatives wrapper over that one
+    component agree on the bounds after every step."""
+    net, index, D = setup(seed, kind)
+    bare = index.refinable(s, t)
+    wrapped = ObjectDistanceState(7, [index.refinable(s, t)])
+    assert (wrapped.lo, wrapped.hi) == (bare.lo, bare.hi)
+    while bare.refine():
+        wrapped.refine()
+        assert (wrapped.lo, wrapped.hi) == (bare.lo, bare.hi)
+    assert wrapped.refine() is False
+    assert wrapped.refine_fully() == bare.refine_fully() == bare.acc
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_leaving_the_built_sources_is_path_not_found_either_way(seed):
+    """An index built for the western half only: a path that leaves it
+    meets an empty table, and both finishes say so in the same words."""
+    net = setup(seed)[0]
+    west = np.flatnonzero(net.xs < np.median(net.xs)).tolist()
+    index = SILCIndex.build(net, sources=west)
+    full = setup(seed)[1]
+    raised = 0
+    for s in west[:10]:
+        for t in range(net.num_vertices):
+            path = full.path(s, t)
+            if set(path[:-1]) <= set(west):
+                assert index.distance(s, t) == full.distance(s, t)
+                continue
+            state = index.refinable(s, t)
+            with pytest.raises(PathNotFound) as stepwise:
+                while state.refine():
+                    pass
+            with pytest.raises(PathNotFound) as walk:
+                index.refinable(s, t).refine_fully()
+            assert str(walk.value) == str(stepwise.value)
+            raised += 1
+    assert raised
+
+
+# ----------------------------------------------------------------------
+# Margins: each is removed in-test to show what it is holding
+# ----------------------------------------------------------------------
+def test_rel_pad_is_what_keeps_the_truth_inside(monkeypatch):
+    """On the 9 x 9 unit lattice under a grid aligned to it (every
+    vertex on its cell's corner, so MINDIST to a vertex's cell can equal
+    the Euclidean distance) ``lambda * d_E`` overshoots the integer
+    distance by an ulp for some pairs: only the pad keeps intervals and
+    block bounds sound."""
+    net = grid_network(9, 9)
+    embedding = GridEmbedding(Rect(0.0, 0.0, 16.0, 16.0), 4)
+    codes = embedding.morton_of_array(net.xs, net.ys).astype(np.int64)
+    index = assembled(net, embedding, codes)
+    D = distance_matrix(net)
+
+    def expelled():
+        intervals = blocks = 0
+        for s in range(net.num_vertices):
+            column = index.bound_column(s)
+            for t in range(net.num_vertices):
+                if s == t:
+                    continue
+                _, lo, hi = index.hop_and_interval(s, t)
+                intervals += not (lo <= D[s, t] <= hi)
+                bound = index.block_lower_bound(s, int(codes[t]), 0, column=column)
+                blocks += bound > D[s, t]
+        return intervals, blocks
+
+    assert expelled() == (0, 0)
+    monkeypatch.setattr(silc_index, "_REL_PAD", 0.0)
+    intervals, blocks = expelled()
+    assert intervals > 0 and blocks > 0
+
+
+def test_an_object_at_exactly_max_distance_is_reported(monkeypatch):
+    """Two objects sit on vertex 24 of a lattice: at ``max_distance=0.0``
+    they are the answer, and it is the one-ulp nudge of the cap that
+    keeps the loop from stopping at ``lo >= bound`` before seeing them."""
+    net = grid_network(7, 7)
+    index = SILCIndex.build(net)
+    object_index = ObjectIndex(
+        net, ObjectSet.at_vertices(net, [0, 24, 24, 48]), index.embedding
+    )
+
+    def at_the_cap(variant):
+        result = best_first_knn(
+            index, object_index, 24, 2, variant=variant, exact=True, max_distance=0.0
+        )
+        return sorted(result.ids()), [n.distance for n in result.neighbors]
+
+    for variant in VARIANTS:
+        assert at_the_cap(variant) == ([1, 2], [0.0, 0.0])
+        # ... and at a positive cap equal to the k-th distance
+        result = best_first_knn(
+            index, object_index, 24, 4, variant=variant, exact=True, max_distance=6.0
+        )
+        assert sorted(n.distance for n in result.neighbors) == [0.0, 0.0, 6.0, 6.0]
+    monkeypatch.setattr(bestfirst.math, "nextafter", lambda x, towards: x)
+    for variant in VARIANTS:
+        assert at_the_cap(variant) == ([], [])

@@ -161,7 +161,6 @@ class TestStatsContracts:
     def test_knn_tracks_l_ops(self, small_index, small_object_index):
         result = knn(small_index, small_object_index, 0, 5)
         assert result.stats.l_ops > 0
-        assert result.stats.l_time >= 0.0
 
     def test_inn_has_no_l_ops(self, small_index, small_object_index):
         result = inn(small_index, small_object_index, 0, 5)

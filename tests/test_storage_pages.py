@@ -49,12 +49,6 @@ class TestStorageLayout:
         with pytest.raises(IndexError):
             layout.page_of(0, -1)
 
-    def test_pages_of_range(self):
-        layout = StorageLayout([600], PageLayout(4096, 16))
-        assert list(layout.pages_of_range(0, 0, 256)) == [0]
-        assert list(layout.pages_of_range(0, 250, 300)) == [0, 1]
-        assert list(layout.pages_of_range(0, 5, 5)) == []
-
     def test_layout_is_contiguous(self):
         sizes = [100, 256, 1, 700]
         layout = StorageLayout(sizes, PageLayout(4096, 16))
