@@ -1,7 +1,7 @@
 """T1 (paper p.11): the space / query-time trade-off table.
 
 Measures, on one moderate network, every storage scheme the paper
-tabulates (plus the PCP oracle of the "beyond SILC" section):
+tabulates:
 
 ==================  =========  ==============  ================
 scheme              space      path retrieval  distance query
@@ -10,7 +10,6 @@ explicit paths      O(N^3)     O(1)            O(1)
 next-hop matrix     O(N^2)     O(k)            O(1)
 Dijkstra            O(M + N)   O(M + N log N)  O(M + N log N)
 SILC                O(N^1.5)   O(k log N)      approx/refined
-PCP distance oracle O(eps^-2 N)  --            eps-approx O(log N)
 ==================  =========  ==============  ================
 """
 
@@ -22,7 +21,6 @@ from bench_lib import SeriesRecorder, cached_network
 from repro.baselines import ExplicitPathStorage, NextHopMatrix
 from repro.network import shortest_path
 from repro.silc import SILCIndex
-from repro.silc.pcp import PCPOracle
 
 N = 400
 QUERY_PAIRS = 40
@@ -49,10 +47,9 @@ def test_storage_tradeoffs(benchmark, capsys):
             SILCIndex.build(net),
             NextHopMatrix.build(net),
             ExplicitPathStorage.build(net),
-            PCPOracle.build(net, epsilon=0.25),
         )
 
-    silc, nexthop, explicit, pcp = benchmark.pedantic(
+    silc, nexthop, explicit = benchmark.pedantic(
         build_all, rounds=1, iterations=1
     )
 
@@ -90,12 +87,6 @@ def test_storage_tradeoffs(benchmark, capsys):
             timed(silc.distance),
             "O(N^1.5) space",
         ),
-        "pcp_oracle": (
-            pcp.storage_bytes(32),
-            float("nan"),
-            timed(pcp.distance),
-            f"eps={pcp.epsilon} approx",
-        ),
     }
     for scheme, (bytes_, path_us, dist_us, notes) in rows.items():
         recorder.add(scheme, bytes_, path_us, dist_us, notes)
@@ -120,9 +111,6 @@ def test_storage_tradeoffs(benchmark, capsys):
     # Path retrieval from any precomputed scheme crushes Dijkstra.
     assert rows["silc"][1] < rows["dijkstra"][1]
     assert rows["next_hop"][1] < rows["dijkstra"][1]
-    # The PCP oracle's approximate distance beats running Dijkstra.
-    assert rows["pcp_oracle"][2] < rows["dijkstra"][2]
     benchmark.extra_info["silc_bytes"] = rows["silc"][0]
     benchmark.extra_info["next_hop_bytes"] = rows["next_hop"][0]
-    benchmark.extra_info["pcp_distance_us"] = rows["pcp_oracle"][2]
     benchmark.extra_info["silc_distance_us"] = rows["silc"][2]

@@ -64,11 +64,10 @@ def write_manifest(directory: str | Path) -> Path:
     """Record size + CRC-32 of every payload file under ``directory``.
 
     Covers regular files in the directory itself (not subdirectories:
-    a sharded save gives each ``shard_NNNN/`` its own manifest so
-    workers verify only the slice they load).  The manifest itself is
-    written atomically (tmp + ``os.replace``) and *last*, so a crash
-    mid-save leaves a directory whose missing/stale manifest is
-    detectable rather than a silently inconsistent one.
+    an index's ``labels/`` is saved, and verified, on its own).  The
+    manifest itself is written atomically (tmp + ``os.replace``) and
+    *last*, so a crash mid-save leaves a directory whose missing/stale
+    manifest is detectable rather than a silently inconsistent one.
     """
     directory = Path(directory)
     files = {}
@@ -214,24 +213,6 @@ def atomic_directory(path: str | Path) -> Iterator[Path]:
         shutil.rmtree(old, ignore_errors=True)
     else:
         os.replace(tmp, path)
-
-
-def atomic_save_npy(path: str | Path, array: np.ndarray) -> None:
-    """``np.save`` through a tmp file + ``os.replace``.
-
-    For single ``.npy`` columns written next to already-published data
-    (e.g. the sharded save's top-level metadata): readers see the old
-    file or the complete new file, never a truncated one.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.stem}.tmp-{os.getpid()}.npy")
-    try:
-        np.save(tmp, array)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

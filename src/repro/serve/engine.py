@@ -58,16 +58,19 @@ class AsyncEngine:
     shards:
         Spatial shard *processes* for kNN execution.  ``1`` (the
         default) keeps everything in-process; with more, construction
-        partitions the engine's index and objects, writes the sharded
-        store layout, and spawns one worker process per populated
-        shard (see :class:`~repro.shard.ShardGroup`).  There are
+        partitions the engine's index and objects, deep-verifies the
+        index directory once, and spawns one worker process per
+        populated shard to map it (see
+        :class:`~repro.shard.ShardGroup`).  There are
         ``shards`` worker threads, so that many sharded queries can be
         in flight at once -- each thread mostly waits on a worker's
         pipe, and that concurrency is what the worker processes turn
         into parallelism.
     shard_dir:
-        Directory for the sharded store layout (default: a private
-        temporary directory, removed on :meth:`close`).
+        Directory the index is saved to for the workers to map
+        (default: the directory a mapped index was loaded from, served
+        in place; for an index in memory, a private temporary
+        directory removed on :meth:`close`).
     on_shard_failure / max_retries / fault_injector:
         Shard-tier fault handling, forwarded to
         :meth:`~repro.shard.ShardGroup.from_engine`:

@@ -8,12 +8,11 @@ spatial shards:
 * :mod:`repro.shard.partitioner` splits the network into contiguous
   Morton-key ranges and assigns every object to the shard(s) its
   part points fall in;
-* :meth:`~repro.silc.SILCIndex.save_sharded` writes per-shard slices
-  of the flat columnar store, which each worker process mmap-loads
-  (its own slice resident, every other shard's pages shared through
-  the OS page cache);
 * :mod:`repro.shard.worker` runs one long-lived process per shard,
-  speaking a request/response pipe protocol;
+  speaking a request/response pipe protocol; every worker maps the one
+  saved index directory (``SILCIndex.load(..., mmap=True)``, the
+  server's own when it mapped one), deep-verified once before the
+  first worker starts, so the OS page cache holds the index once;
 * :mod:`repro.shard.router` fronts them with a
   :class:`~repro.shard.router.PartitionRouter` that prunes shards
   whose Morton range provably lies beyond the query's current kNN

@@ -27,7 +27,8 @@ shows exactly what recovery cost.
 
 Invariant (docs/ARCHITECTURE.md): supervision never changes answers.
 A replayed request re-runs the identical search against the identical
-on-disk slice; failover runs the same exact query unsharded.  Only
+index files (a respawned worker refuses a directory whose manifest
+changed); failover runs the same exact query unsharded.  Only
 availability and latency move.
 """
 

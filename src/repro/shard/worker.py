@@ -4,9 +4,11 @@ Each shard is served by one worker *process* -- its own interpreter,
 so the pure-Python best-first search of different shards genuinely
 overlaps (threads cannot do that; they share one GIL).  A worker
 
-* loads the sharded index with its shard as ``primary`` (resident)
-  and every other shard memory-mapped -- cross-shard probes fault in
-  pages the OS page cache shares with the worker owning them;
+* maps the index directory the group serves from with
+  ``SILCIndex.load(directory, network, mmap=True)`` -- the load
+  ``repro serve --mmap`` itself performs, every check of it included --
+  so every process maps the same files and the OS page cache holds the
+  index once;
 * indexes only *its* objects, so its search space is the shard's
   slice of the object set;
 * answers a tiny request/response pipe protocol, always with exact
@@ -49,9 +51,16 @@ respawn/backoff/replay -- lives one level up in
 :class:`~repro.shard.supervisor.ShardSupervisor`, which rebuilds
 workers from their :class:`WorkerSpec` via :func:`spawn_worker`.
 
-:class:`ShardGroup` bundles partitioning, the sharded save, worker
-spawning, supervision and the
-:class:`~repro.shard.router.PartitionRouter` behind the
+**Integrity**: a mapped load checks sizes, dtypes and shapes, not
+checksums, so :meth:`ShardGroup.from_engine` runs one deep
+``verify_manifest`` over the directory in the parent before any worker
+exists, and every :class:`WorkerSpec` carries the manifest bytes that
+pass verified.  A worker -- first spawn or respawn -- that finds another
+manifest in the directory refuses to start: a directory republished
+under a running tier is never served by half of it.
+
+:class:`ShardGroup` bundles partitioning, worker spawning, supervision
+and the :class:`~repro.shard.router.PartitionRouter` behind the
 ``knn``/``knn_batch`` surface the serving layer calls.
 """
 
@@ -68,9 +77,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Iterable
 
-from repro.errors import DeadlineExceeded, WorkerDied
+from repro.errors import CorruptIndexError, DeadlineExceeded, WorkerDied
+from repro.integrity import MANIFEST_NAME, verify_manifest
 from repro.objects.index import ObjectIndex
-from repro.objects.model import ObjectSet, SpatialObject
+from repro.objects.model import ObjectSet
 from repro.obs.trace import NULL_TRACE, Tracer
 from repro.shard.partitioner import ShardMap, split_objects
 from repro.shard.router import PartitionRouter
@@ -82,24 +92,25 @@ from repro.shard.supervisor import ShardSupervisor, SupervisionPolicy
 _START_METHOD = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
-def _shard_worker_main(
-    conn,
-    directory: str,
-    network,
-    shard_id: int,
-    objects: list[SpatialObject],
-    storage_options: dict | None,
-) -> None:
+def _shard_worker_main(conn, spec: WorkerSpec) -> None:
     """Entry point of one shard worker process."""
     from repro.engine import QueryEngine
     from repro.silc.index import SILCIndex
 
+    shard_id = spec.shard_id
     try:
-        index = SILCIndex.load_sharded(
-            directory, network, primary=shard_id, mmap=True
+        index = SILCIndex.load(spec.directory, spec.network, mmap=True)
+        # Read after the columns are mapped: a directory published
+        # while they were being opened shows its own manifest here.
+        if (Path(spec.directory) / MANIFEST_NAME).read_bytes() != spec.manifest:
+            raise CorruptIndexError(
+                "index directory changed since the shard tier started"
+            )
+        object_index = ObjectIndex(
+            spec.network, ObjectSet(spec.objects), index.embedding
         )
-        object_index = ObjectIndex(network, ObjectSet(objects), index.embedding)
-        storage = index.make_storage(**storage_options) if storage_options else None
+        options = spec.storage_options
+        storage = index.make_storage(**options) if options else None
         engine = QueryEngine(index, object_index, storage=storage)
     except Exception as exc:  # noqa: BLE001 - surfaced to the parent
         try:
@@ -155,12 +166,16 @@ class WorkerSpec:
     """Everything needed to (re)spawn one shard's worker process.
 
     The supervisor keeps these around so a crashed worker can be
-    rebuilt identically: same saved directory, same network, same
+    rebuilt identically: same index directory, same network, same
     object slice, same storage simulation.  That identity is what
-    makes replay-after-respawn answer-preserving.
+    makes replay-after-respawn answer-preserving, so it is checked:
+    ``manifest`` is the directory's ``MANIFEST.json`` as the parent
+    read it after its deep verify, and a worker that finds other bytes
+    there does not start.
     """
 
     directory: str
+    manifest: bytes = field(repr=False)
     network: object = field(repr=False)
     shard_id: int = 0
     objects: tuple = field(default=(), repr=False)
@@ -173,14 +188,7 @@ def spawn_worker(spec: WorkerSpec) -> ShardWorker:
     parent_conn, child_conn = ctx.Pipe()
     process = ctx.Process(
         target=_shard_worker_main,
-        args=(
-            child_conn,
-            spec.directory,
-            spec.network,
-            spec.shard_id,
-            list(spec.objects),
-            spec.storage_options,
-        ),
+        args=(child_conn, spec),
         daemon=True,
         name=f"repro-shard-{spec.shard_id}",
     )
@@ -340,7 +348,7 @@ class ShardWorker:
 
 
 class ShardGroup:
-    """The sharded serving tier: partition, save, spawn, route, supervise.
+    """The sharded serving tier: partition, verify, spawn, route, supervise.
 
     Build one with :meth:`from_engine`; then :meth:`knn` and
     :meth:`knn_batch` answer queries through the partition router and
@@ -385,13 +393,23 @@ class ShardGroup:
         """Shard a :class:`~repro.engine.QueryEngine`'s index and objects.
 
         Partitions the network into ``num_shards`` Morton ranges,
-        writes the sharded store layout under ``directory`` (a private
-        temporary directory by default, removed on :meth:`close`),
-        spawns one worker process per shard that holds objects, pings
-        each (so construction only returns once every worker has its
-        slice mapped), and fronts them with a
-        :class:`~repro.shard.router.PartitionRouter` that prunes with
-        the parent's own index.
+        settles the index directory the workers map, deep-verifies it
+        (every byte against its manifest checksum, once, before any
+        worker exists: a :class:`~repro.errors.CorruptIndexError`
+        names the bad column), spawns one worker process per shard
+        that holds objects, pings each (so construction only returns
+        once every worker has the index mapped), and fronts them with
+        a :class:`~repro.shard.router.PartitionRouter` that prunes
+        with the parent's own index.
+
+        The directory follows from what is there to see: an explicit
+        ``directory`` gets ``index.save`` (which replaces it wholesale,
+        like any save); otherwise an index that is itself a view of
+        files (``index.directory``, set by ``SILCIndex.load(...,
+        mmap=True)``) is served in place and nothing is written;
+        otherwise the index only exists in memory and ``index.save``
+        goes to a private temporary directory, removed on
+        :meth:`close`.
 
         ``worker_storage`` (:meth:`~repro.silc.SILCIndex.make_storage`
         keywords, e.g. ``{"cache_fraction": 0.05}``) gives every worker
@@ -412,28 +430,33 @@ class ShardGroup:
         network = index.network
         objects = engine.object_index.objects
         shard_map = ShardMap.from_index(index, num_shards)
-        owns_directory = directory is None
-        if owns_directory:
-            directory = Path(tempfile.mkdtemp(prefix="repro-shards-"))
-        else:
-            directory = Path(directory)
-        index.save_sharded(directory, shard_map)
         per_shard, has_edge = split_objects(
             network, objects, index.embedding, shard_map
         )
-        specs = {
-            shard: WorkerSpec(
-                directory=str(directory),
-                network=network,
-                shard_id=shard,
-                objects=tuple(per_shard[shard]),
-                storage_options=worker_storage,
-            )
-            for shard in range(num_shards)
-            if per_shard[shard]
-        }
+        owns_directory = directory is None and index.directory is None
+        if owns_directory:
+            directory = tempfile.mkdtemp(prefix="repro-shards-")
         workers: dict[int, ShardWorker] = {}
         try:
+            if directory is None:
+                directory = index.directory  # served in place: nothing written
+            else:
+                directory = Path(directory)
+                index.save(directory)
+            verify_manifest(directory, deep=True)
+            manifest = (directory / MANIFEST_NAME).read_bytes()
+            specs = {
+                shard: WorkerSpec(
+                    directory=str(directory),
+                    manifest=manifest,
+                    network=network,
+                    shard_id=shard,
+                    objects=tuple(per_shard[shard]),
+                    storage_options=worker_storage,
+                )
+                for shard in range(num_shards)
+                if per_shard[shard]
+            }
             for shard, spec in specs.items():
                 workers[shard] = spawn_worker(spec)
             for worker in workers.values():

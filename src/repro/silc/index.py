@@ -33,13 +33,7 @@ from repro.errors import CorruptIndexError
 from repro.geometry.grid import GridEmbedding
 from repro.geometry.morton import block_cells
 from repro.geometry.rect import Rect
-from repro.integrity import (
-    atomic_directory,
-    atomic_save_npy,
-    checked_load,
-    verify_manifest,
-    write_manifest,
-)
+from repro.integrity import atomic_directory, checked_load, verify_manifest
 from repro.network.allpairs import materialize_sources
 from repro.network.errors import PathNotFound
 from repro.network.graph import SpatialNetwork
@@ -47,7 +41,7 @@ from repro.silc.parallel import parallel_block_columns, resolve_workers
 from repro.silc.intervals import REL_PAD as _REL_PAD, DistanceInterval
 from repro.silc.refinement import RefinableDistance, RefinementCounter, next_hop_cycle
 from repro.silc.sp_quadtree import SPQuadtreeBuilder, choose_grid_order
-from repro.silc.store import COLUMNS, Chunk, FlatStore, ShardedFlatStore
+from repro.silc.store import COLUMNS, Chunk, FlatStore
 from repro.storage.simulator import StorageSimulator
 
 
@@ -101,7 +95,7 @@ class SILCIndex:
         network: SpatialNetwork,
         embedding: GridEmbedding,
         vertex_codes: np.ndarray,
-        store: FlatStore | ShardedFlatStore,
+        store: FlatStore,
     ) -> None:
         if store.num_tables != network.num_vertices:
             raise ValueError(
@@ -115,6 +109,10 @@ class SILCIndex:
         #: Per-vertex zero-copy views over ``store`` (the historical
         #: query interface; no column data is duplicated).
         self.tables = store.views()
+        #: The saved directory whose files ``store`` maps, set by
+        #: ``load(..., mmap=True)``; ``None`` for a built or eagerly
+        #: loaded index, which is a copy in memory, not a view of files.
+        self.directory: Path | None = None
         self.storage: StorageSimulator | None = None
         # Native-type mirrors for the query hot path: indexing numpy
         # scalars costs ~10x a list lookup, and interval_from runs once
@@ -374,18 +372,6 @@ class SILCIndex:
     def storage_bytes(self, record_bytes: int = 16) -> int:
         return self.total_blocks() * record_bytes
 
-    def _save_metadata(self) -> dict[str, np.ndarray]:
-        """What both saved layouts hold next to the block columns."""
-        bounds = self.embedding.bounds
-        return dict(
-            sizes=self.store.sizes.astype(np.int64),
-            vertex_codes=self.vertex_codes,
-            embedding_bounds=np.array(
-                [bounds.xmin, bounds.ymin, bounds.xmax, bounds.ymax]
-            ),
-            embedding_order=np.array([self.embedding.order]),
-        )
-
     def save(self, path) -> None:
         """Serialize the index (and embedding) to the directory ``path``.
 
@@ -397,10 +383,28 @@ class SILCIndex:
         ``os.replace`` -- an interrupted save can never leave a
         silently-corrupt index in place.
         """
-        payload = {**self._save_metadata(), **self.store.column_arrays()}
+        bounds = self.embedding.bounds
+        payload = dict(
+            sizes=self.store.sizes.astype(np.int64),
+            vertex_codes=self.vertex_codes,
+            embedding_bounds=np.array(
+                [bounds.xmin, bounds.ymin, bounds.xmax, bounds.ymax]
+            ),
+            embedding_order=np.array([self.embedding.order]),
+            **self.store.column_arrays(),
+        )
         with atomic_directory(path) as tmp:
             for name, array in payload.items():
                 np.save(tmp / f"{name}.npy", array)
+
+    def save_sharded(self, path, shard_map) -> None:
+        """:meth:`save`: there is one layout and shard workers map it.
+
+        Kept only because ``bench/silcbench/ladder.py`` times this call
+        and ``bench/`` is frozen; nothing under ``src/`` calls it
+        (ROADMAP 2(a) deletes it together with the ladder's row).
+        """
+        self.save(path)
 
     @classmethod
     def load(cls, path, network: SpatialNetwork, mmap: bool = False) -> SILCIndex:
@@ -448,100 +452,7 @@ class SILCIndex:
             Rect(float(b[0]), float(b[1]), float(b[2]), float(b[3])),
             int(get("embedding_order")[0]),
         )
-        return cls(network, embedding, np.asarray(get("vertex_codes")), store)
-
-    # ------------------------------------------------------------------
-    # Sharded serialization (the process-parallel serving layout)
-    # ------------------------------------------------------------------
-    def save_sharded(self, path, shard_map) -> None:
-        """Write the index as per-shard slices of the flat store.
-
-        The directory gets the shared metadata (vertex codes,
-        embedding, global per-vertex sizes, and the shard map's
-        boundaries/assignment) plus one ``shard_NNNN/`` subdirectory
-        per shard (see :meth:`FlatStore.save_shard`).  Shard worker
-        processes each :meth:`load_sharded` the *same* directory with
-        a different ``primary``, so every column page on disk is
-        mapped -- and cached by the OS -- once, no matter how many
-        workers serve it.
-
-        Crash safety is per layer: every ``shard_NNNN/`` slice is
-        staged and published atomically with its own manifest (see
-        :meth:`FlatStore.save_shard`), and the shared metadata files
-        get the directory's top-level manifest, written last -- so a
-        save interrupted at any point is detectable at load time
-        rather than silently inconsistent.
-        """
-        directory = Path(path)
-        directory.mkdir(parents=True, exist_ok=True)
-        metadata = dict(
-            self._save_metadata(),
-            shard_boundaries=shard_map.boundaries,
-            shard_assign=shard_map.assign,
-        )
-        for name, array in metadata.items():
-            atomic_save_npy(directory / f"{name}.npy", array)
-        for shard in range(shard_map.num_shards):
-            self.store.save_shard(directory, shard, shard_map.vertices(shard))
-        # The top-level manifest (metadata files only; each shard
-        # subdirectory carries its own) goes last: its presence means
-        # the whole sharded save completed.
-        write_manifest(directory)
-
-    @classmethod
-    def load_sharded(
-        cls,
-        path,
-        network: SpatialNetwork,
-        primary: int | None = None,
-        mmap: bool = True,
-    ) -> SILCIndex:
-        """Restore a :meth:`save_sharded` index with full coverage.
-
-        Every shard's tables are available (queries routinely walk
-        shortest paths across shard boundaries), stitched into a
-        :class:`~repro.silc.store.ShardedFlatStore`.  ``primary``
-        names the one shard loaded eagerly into private memory -- the
-        calling worker's resident hot set; all other shards are
-        memory-mapped (``mmap=True``, the default) so their pages
-        fault in on demand and are shared across worker processes by
-        the OS page cache.  ``mmap=False`` loads everything eagerly
-        and validates the store invariants, like a plain
-        :meth:`load`.
-
-        The top-level manifest (shared metadata) and each shard's own
-        manifest are verified before anything is served -- sizes
-        always, checksums on eager loads -- so a truncated or
-        corrupted slice raises
-        :class:`~repro.errors.CorruptIndexError` naming the column
-        instead of failing mid-query.
-        """
-        directory = Path(path)
-        verify_manifest(directory, deep=not mmap)
-        assign = checked_load(directory, "shard_assign.npy")
-        num_shards = int(
-            checked_load(directory, "shard_boundaries.npy").size - 1
-        )
-        if primary is not None and not (0 <= primary < num_shards):
-            raise ValueError(
-                f"primary shard {primary} out of range ({num_shards} shards)"
-            )
-        shards: list[FlatStore] = []
-        local_index = np.zeros(assign.size, dtype=np.int64)
-        for shard in range(num_shards):
-            vertices, fragment = FlatStore.load_shard(
-                directory, shard, mmap=mmap and shard != primary
-            )
-            local_index[vertices] = np.arange(vertices.size, dtype=np.int64)
-            shards.append(fragment)
-        store = ShardedFlatStore(shards, assign, local_index)
-        if not mmap:
-            store.validate()
-        b = checked_load(directory, "embedding_bounds.npy")
-        embedding = GridEmbedding(
-            Rect(float(b[0]), float(b[1]), float(b[2]), float(b[3])),
-            int(checked_load(directory, "embedding_order.npy")[0]),
-        )
-        return cls(
-            network, embedding, checked_load(directory, "vertex_codes.npy"), store
-        )
+        index = cls(network, embedding, np.asarray(get("vertex_codes")), store)
+        if mmap:
+            index.directory = directory
+        return index

@@ -17,7 +17,9 @@ The layout is what makes the rest of the zero-copy pipeline possible:
   the store assembles them with one gather per column;
 * ``save`` is a plain dump of the columns, one ``.npy`` file each,
   which ``load`` can open with ``mmap_mode="r"`` so cold start touches
-  O(1) bytes instead of O(total blocks);
+  O(1) bytes instead of O(total blocks) -- the one layout on disk: a
+  shard tier is N more processes mapping these same files, so the OS
+  page cache holds the index once however many serve it;
 * every view is backed by the same memory, so the resident footprint
   is the column bytes, once -- and stays that: a probe bisects and
   indexes a ``memoryview`` of the column itself, so querying keeps no
@@ -27,17 +29,11 @@ The layout is what makes the rest of the zero-copy pipeline possible:
 from __future__ import annotations
 
 from itertools import pairwise
-from pathlib import Path
 from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from repro.integrity import (
-    atomic_directory,
-    check_dtypes,
-    checked_load,
-    verify_manifest,
-)
+from repro.integrity import check_dtypes
 from repro.quadtree.blocks import BlockTable, compute_ends
 
 #: Column names in canonical order, shared by the build kernel's
@@ -86,7 +82,7 @@ class FlatStore:
     The store keeps one ``memoryview`` per column (O(1), read-only over
     a mapped file) and every table it hands out is five slices of
     those.  Views do not pickle and nothing pickles a store: the build
-    pool ships numpy chunks and shard workers load by path.
+    pool ships numpy chunks and shard workers map the index directory.
     """
 
     __slots__ = (
@@ -248,159 +244,3 @@ class FlatStore:
     def column_arrays(self) -> dict[str, np.ndarray]:
         """The five columns keyed by canonical name (no copies)."""
         return {name: getattr(self, name) for name in COLUMNS}
-
-    # ------------------------------------------------------------------
-    # Per-shard slices
-    # ------------------------------------------------------------------
-    def save_shard(
-        self, directory: str | Path, shard: int, vertices: np.ndarray
-    ) -> Path:
-        """Write the given vertices' rows as one shard subdirectory.
-
-        The slice lands in ``<directory>/<shard_dirname(shard)>/`` as
-        the shard's global vertex ids (``vertices.npy``), its *local*
-        offset array, and the five column files -- the same raw-``.npy``
-        layout as a full directory save, so :meth:`load_shard` can
-        memory-map it.  A shard worker process then faults in only its
-        own slice's pages; slices of other shards mapped from the same
-        files are shared across processes through the OS page cache.
-
-        The write is crash-safe: files are staged in a temporary
-        sibling, a checksum ``MANIFEST.json`` is written last, and the
-        directory is published with ``os.replace`` -- an interrupted
-        save leaves either the previous shard state or nothing, never
-        a half-written slice.
-        """
-        vertices = np.asarray(vertices, dtype=np.int64)
-        sub = Path(directory) / shard_dirname(shard)
-        sizes = self.sizes[vertices]
-        rows = table_rows(self.offsets[vertices], sizes)
-        with atomic_directory(sub) as tmp:
-            np.save(tmp / "vertices.npy", vertices)
-            np.save(tmp / "offsets.npy", np.concatenate([[0], np.cumsum(sizes)]))
-            for name in COLUMNS:
-                np.save(tmp / f"{name}.npy", np.asarray(getattr(self, name))[rows])
-        return sub
-
-    @classmethod
-    def load_shard(
-        cls, directory: str | Path, shard: int, mmap: bool = False
-    ) -> tuple[np.ndarray, "FlatStore"]:
-        """Load one shard subdirectory written by :meth:`save_shard`.
-
-        Returns ``(vertices, store)``: the shard's global vertex ids
-        and a :class:`FlatStore` over its *local* tables (table ``i``
-        belongs to global vertex ``vertices[i]``).  With ``mmap=True``
-        the column files are memory-mapped read-only, so loading costs
-        O(vertices-in-shard) bytes and column pages fault in on demand
-        -- and are shared with every other process mapping the same
-        files.
-
-        Integrity is checked *before* any table is served: the shard's
-        ``MANIFEST.json`` sizes are verified always (O(1) stat per
-        file, catching truncation even on the mmap path), checksums
-        too on eager loads; a mismatch or unparseable column raises
-        :class:`~repro.errors.CorruptIndexError` naming the column.
-        """
-        sub = Path(directory) / shard_dirname(shard)
-        mode = "r" if mmap else None
-        verify_manifest(sub, deep=not mmap)
-        vertices = checked_load(sub, "vertices.npy")
-        offsets = checked_load(sub, "offsets.npy")
-        columns = {
-            name: checked_load(sub, f"{name}.npy", mmap_mode=mode)
-            for name in COLUMNS
-        }
-        return vertices, cls(offsets, **columns)
-
-
-def shard_dirname(shard: int) -> str:
-    """Subdirectory name of one shard inside a sharded index save."""
-    if shard < 0:
-        raise ValueError(f"shard id must be non-negative: {shard}")
-    return f"shard_{shard:04d}"
-
-
-class ShardedFlatStore:
-    """A full-coverage store stitched from per-shard slices.
-
-    Implements the read surface of :class:`FlatStore` (``num_tables``,
-    ``sizes``, ``table``, ``views``, ``column_arrays``, ...) over N
-    per-shard :class:`FlatStore` fragments plus a global vertex ->
-    (shard, local index) mapping.  A shard worker loads its *primary*
-    shard eagerly (its resident hot set) and every other shard
-    memory-mapped: queries overwhelmingly probe primary-shard tables,
-    and the occasional cross-shard probe faults pages that the OS page
-    cache shares with the workers owning them.
-    """
-
-    __slots__ = ("shards", "shard_of", "local_index", "_sizes")
-
-    def __init__(
-        self,
-        shards: list[FlatStore],
-        shard_of: np.ndarray,
-        local_index: np.ndarray,
-    ) -> None:
-        self.shards = list(shards)
-        self.shard_of = np.asarray(shard_of, dtype=np.int64)
-        self.local_index = np.asarray(local_index, dtype=np.int64)
-        if self.shard_of.shape != self.local_index.shape:
-            raise ValueError("shard_of and local_index must align")
-        sizes = np.empty(self.shard_of.size, dtype=np.int64)
-        for s, fragment in enumerate(self.shards):
-            members = np.flatnonzero(self.shard_of == s)
-            if members.size != fragment.num_tables:
-                raise ValueError(
-                    f"shard {s} holds {fragment.num_tables} tables for "
-                    f"{members.size} assigned vertices"
-                )
-            sizes[members] = fragment.sizes[self.local_index[members]]
-        self._sizes = sizes
-
-    # ------------------------------------------------------------------
-    # FlatStore read surface
-    # ------------------------------------------------------------------
-    @property
-    def num_tables(self) -> int:
-        return int(self.shard_of.size)
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return self._sizes
-
-    @property
-    def total_blocks(self) -> int:
-        return int(self._sizes.sum())
-
-    def nbytes(self) -> int:
-        return sum(fragment.nbytes() for fragment in self.shards)
-
-    def table(self, v: int) -> BlockTable:
-        fragment = self.shards[self.shard_of[v]]
-        return fragment.table(int(self.local_index[v]))
-
-    def views(self) -> list[BlockTable]:
-        per_shard = [fragment.views() for fragment in self.shards]
-        where = zip(self.shard_of.tolist(), self.local_index.tolist(), strict=True)
-        return [per_shard[s][i] for s, i in where]
-
-    def column_arrays(self) -> dict[str, np.ndarray]:
-        """The five columns re-concatenated in global vertex order.
-
-        Unlike :meth:`FlatStore.column_arrays` this *copies* (the rows
-        live scattered across shard fragments); it exists so a
-        shard-loaded index can still be re-saved unsharded.
-        """
-        chunks = []
-        for s, fragment in enumerate(self.shards):
-            members = np.flatnonzero(self.shard_of == s)
-            by_local = members[np.argsort(self.local_index[members])]
-            chunks.append((by_local, fragment.sizes, fragment.column_arrays()))
-        return FlatStore.from_chunks(self.num_tables, chunks).column_arrays()
-
-    def validate(self) -> ShardedFlatStore:
-        """Per-fragment invariant check (see :meth:`FlatStore.validate`)."""
-        for fragment in self.shards:
-            fragment.validate()
-        return self

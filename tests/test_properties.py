@@ -5,6 +5,8 @@ networks, object sets, queries and k -- the strongest correctness
 evidence in the suite.
 """
 
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -27,6 +29,7 @@ from repro.oracle import PrunedLabellingOracle
 from repro.query import bestfirst
 from repro.query.bestfirst import VARIANTS, best_first_knn
 from repro.query.distances import ObjectDistanceState
+from repro.shard import ShardGroup
 from repro.silc.refinement import RefinementCounter
 from repro.silc.sp_quadtree import SPQuadtreeBuilder, choose_grid_order
 from repro.silc.store import FlatStore
@@ -147,6 +150,66 @@ def test_knn_matches_brute_force_everywhere(
     unranked = variant == "knn_m" and via in ("kernel", "paged")
     np.testing.assert_allclose(sorted(got) if unranked else got, want, rtol=1e-9)
     assert index.storage is None  # the engine's simulator went back
+
+
+#: Shard groups kept open at once by the test below (each is up to
+#: four processes); the oldest is closed to make room.
+OPEN_GROUPS = 3
+
+
+@pytest.mark.parametrize("shards", [1, 2, 4])
+@pytest.mark.parametrize("obtained", ["serial", "eager", "mmap"])
+def test_shard_group_matches_brute_force(tmp_path_factory, monkeypatch, obtained, shards):
+    """The shard tier as the answerer.  An index that maps a saved
+    directory is served in place -- the workers map the same files and
+    nothing is written; one that lives in memory (built, or read
+    eagerly) is saved once to a private directory that goes on close."""
+    tmp = tmp_path_factory.mktemp("tmpdir")
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    groups: dict[tuple, tuple] = {}
+
+    def group_for(kind, seed):
+        if (kind, seed) not in groups:
+            if len(groups) == OPEN_GROUPS:
+                groups.pop(next(iter(groups)))[0].close()
+            net, index, D = setup(seed, kind, obtained, tmp_path_factory)
+            objects = random_vertex_objects(net, count=20, seed=seed)
+            engine = QueryEngine(index, ObjectIndex(net, objects, index.embedding))
+            group = ShardGroup.from_engine(engine, shards)
+            if obtained == "mmap":
+                assert group.directory == index.directory
+            else:
+                assert index.directory is None and group.directory.parent == tmp
+            groups[kind, seed] = (group, objects, D)
+        return groups[kind, seed]
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(KINDS)),
+        seed=st.integers(0, 3),
+        variant=st.sampled_from(VARIANTS),
+        query=st.integers(0, 59),
+        k=st.integers(1, 25),  # past the 20 objects
+    )
+    def check(kind, seed, variant, query, k):
+        group, objects, D = group_for(kind, seed)
+        truth = {o.oid: float(D[query, o.position.vertex]) for o in objects}
+        want = sorted((d, oid) for oid, d in truth.items())[:k]
+        result = group.knn(query, k, variant=variant)
+        got = sorted((n.distance, n.oid) for n in result.neighbors)
+        assert len({oid for _, oid in got}) == len(got) == len(want)
+        for distance, oid in got:
+            np.testing.assert_allclose(distance, truth[oid], rtol=1e-9)
+        np.testing.assert_allclose([d for d, _ in got], [d for d, _ in want], rtol=1e-9)
+
+    try:
+        check()
+        if obtained == "mmap":
+            assert list(tmp.iterdir()) == []
+    finally:
+        for group, _, _ in groups.values():
+            group.close()
+    assert list(tmp.iterdir()) == []
 
 
 @settings(max_examples=25, deadline=None)

@@ -107,6 +107,41 @@ class TestRespawnPolicy:
             group.close()
 
 
+    def test_respawn_refuses_a_directory_published_under_the_tier(
+        self, setup, tmp_path
+    ):
+        """Workers map the directory the server mapped; another
+        network's index published there (same vertex count, so every
+        shape check passes) must not be served by a replacement."""
+        net, engine = setup
+        engine.index.save(tmp_path / "index")
+        mapped = QueryEngine(
+            SILCIndex.load(tmp_path / "index", net, mmap=True), engine.object_index
+        )
+        group = ShardGroup.from_engine(mapped, 2, max_retries=1)
+        try:
+            assert group.directory == tmp_path / "index"
+            other = road_like_network(net.num_vertices, seed=6)
+            SILCIndex.build(other).save(tmp_path / "index")
+            shard = group.router.shards[0]
+            group.workers[shard].kill()
+            for query in queries_hitting(group, shard, 3):
+                # The parent still maps the files it loaded: the
+                # failover answer is the original network's.
+                result = group.knn(query, K)
+                assert ranked(result) == ranked(engine.knn(query, K, exact=True))
+                assert result.stats.extras.get("failover") is True
+            assert group.supervisor.stats.respawn_failures >= 1
+            assert group.supervisor.stats.respawns == 0
+            replacement = group.supervisor.spawner(shard)
+            with pytest.raises(RuntimeError, match="failed to start: CorruptIndexError: "
+                               "index directory changed since the shard tier started"):
+                replacement.ping()
+            replacement.stop()
+        finally:
+            group.close()
+
+
 class TestFailoverPolicy:
     def test_immediate_failover_identical_answers(self, setup):
         _, engine = setup

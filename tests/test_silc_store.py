@@ -11,7 +11,6 @@ from repro import road_like_network
 from repro.errors import CorruptIndexError
 from repro.network.errors import PathNotFound
 from repro.quadtree import BlockTable
-from repro.shard import ShardMap
 from repro.silc import FlatStore, ProximalSILCIndex, SILCIndex, update_index
 from repro.silc.index import _REL_PAD
 
@@ -50,6 +49,26 @@ class TestFlatStore:
         assert store.num_tables == 5
         assert store.total_blocks == 0
         assert all(len(t) == 0 for t in store.views())
+
+    def test_scattered_chunks_gather_into_vertex_order(self, small_index):
+        """Tables dealt out by interleaved vertex sets, handed back last
+        set first: one gather per column restores the store."""
+        store = small_index.store
+        columns = store.column_arrays()
+        chunks = []
+        for part in (2, 0, 1):
+            vertices = np.arange(part, store.num_tables, 3)
+            rows = np.concatenate(
+                [np.arange(store.offsets[v], store.offsets[v + 1]) for v in vertices]
+            )
+            chunks.append(
+                (vertices, store.sizes[vertices], {n: c[rows] for n, c in columns.items()})
+            )
+        gathered = FlatStore.from_chunks(store.num_tables, chunks).validate()
+        assert np.array_equal(gathered.offsets, store.offsets)
+        for name, column in gathered.column_arrays().items():
+            assert column.dtype == columns[name].dtype
+            assert np.array_equal(column, columns[name])
 
     def test_view_tables_answer_like_owned_tables(self, small_index):
         table = small_index.tables[3]
@@ -191,16 +210,13 @@ def obtain(kind, net, index, tmp_path):
         patched, rebuilt = update_index(index, closed)
         assert rebuilt
         return patched
-    if kind == "sharded":
-        index.save_sharded(tmp_path, ShardMap.from_index(index, 3))
-        return SILCIndex.load_sharded(tmp_path, net, primary=0)
     index.save(tmp_path / "index")
     return SILCIndex.load(tmp_path / "index", net, mmap=kind == "mmap")
 
 
 class TestColumnsAreTheProbeStructure:
     @pytest.mark.parametrize(
-        "kind", ["built", "eager", "mmap", "sharded", "proximal", "updated", "trimmed"]
+        "kind", ["built", "eager", "mmap", "proximal", "updated", "trimmed"]
     )
     def test_probes_agree_with_searchsorted(self, kind, small_net, small_index, tmp_path):
         index = obtain(kind, small_net, small_index, tmp_path)

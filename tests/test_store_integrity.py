@@ -9,16 +9,21 @@ docs/OPERATIONS.md "Failure modes"):
 * a deleted, truncated or byte-flipped file -- ``MANIFEST.json``
   included -- fails the *load* with
   :class:`~repro.errors.CorruptIndexError`, before any query can run
-  on garbage.  One gap, pinned below: an mmap load checks sizes, not
-  checksums, so a flipped byte is served.
+  on garbage.  One gap, pinned below as 15 strict xfails (9 index
+  files + 6 label files): an mmap load checks sizes, not checksums, so
+  a flipped byte is served.  The shard tier closes it for what it
+  serves (the last class here): one deep pass before a worker exists.
 """
 
 import json
 import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.engine import QueryEngine
 from repro.errors import CorruptIndexError
 from repro.faults import corrupt_file, truncate_file
 from repro.integrity import (
@@ -29,9 +34,9 @@ from repro.integrity import (
     write_manifest,
 )
 from repro.oracle.labelling import LABEL_COLUMNS, PrunedLabellingOracle
-from repro.shard import ShardMap
+from repro.shard import ShardGroup
 from repro.silc import SILCIndex
-from repro.silc.store import COLUMNS, shard_dirname
+from repro.silc.store import COLUMNS
 
 
 @pytest.fixture()
@@ -101,18 +106,12 @@ class TestAtomicDirectory:
 # every file in it x every kind of damage x both load modes.
 # ----------------------------------------------------------------------
 
-NUM_SHARDS = 2
-SHARD = shard_dirname(1)
 INDEX_META = ("sizes", "vertex_codes", "embedding_bounds", "embedding_order")
 
-#: Verified directory -> (the save it sits in, where inside it, its files).
+#: Verified directory (by its name under ``pristine``) -> its files.
 LAYOUTS = {
-    "index": ("index", "", INDEX_META + COLUMNS),
-    "sharded": (
-        "sharded", "", INDEX_META + ("shard_boundaries", "shard_assign")
-    ),
-    "shard": ("sharded", SHARD, ("vertices", "offsets") + COLUMNS),
-    "labels": ("labels", "", LABEL_COLUMNS),
+    "index": INDEX_META + COLUMNS,
+    "labels": LABEL_COLUMNS,
 }
 
 DAMAGE = {
@@ -131,9 +130,6 @@ def pristine(tmp_path_factory, small_net, small_index):
     """One clean save of everything; each case damages a copy."""
     root = tmp_path_factory.mktemp("pristine")
     small_index.save(root / "index")
-    small_index.save_sharded(
-        root / "sharded", ShardMap.from_index(small_index, NUM_SHARDS)
-    )
     PrunedLabellingOracle.build(small_net).save(root / "labels")
     return root
 
@@ -141,23 +137,18 @@ def pristine(tmp_path_factory, small_net, small_index):
 def load(save: str, path, network, mmap: bool):
     if save == "index":
         return SILCIndex.load(path, network, mmap=mmap)
-    if save == "sharded":
-        # No eager primary: under mmap every slice is mapped.
-        return SILCIndex.load_sharded(path, network, primary=None, mmap=mmap)
     return PrunedLabellingOracle.load(path, network, mmap=mmap)
 
 
 def test_the_sweep_names_every_file_of_every_layout(pristine):
-    for save, sub, columns in LAYOUTS.values():
-        on_disk = {p.name for p in (pristine / save / sub).iterdir() if p.is_file()}
-        assert on_disk == {file_name(c) for c in (*columns, "MANIFEST")}
-    assert {p.name for p in (pristine / "sharded").iterdir() if p.is_dir()} == {
-        shard_dirname(s) for s in range(NUM_SHARDS)
-    }
+    for save, columns in LAYOUTS.items():
+        on_disk = list((pristine / save).iterdir())
+        assert {p.name for p in on_disk} == {file_name(c) for c in (*columns, "MANIFEST")}
+        assert all(p.is_file() for p in on_disk)
 
 
 def damage_cases():
-    for layout, (_, _, columns) in LAYOUTS.items():
+    for layout, columns in LAYOUTS.items():
         for column in (*columns, "MANIFEST"):
             for damage in DAMAGE:
                 for mode in ("eager", "mmap"):
@@ -179,11 +170,10 @@ def damage_cases():
 
 @pytest.mark.parametrize("layout, column, damage, mmap", damage_cases())
 def test_damage_fails_load(pristine, tmp_path, small_net, layout, column, damage, mmap):
-    save, sub, _ = LAYOUTS[layout]
-    shutil.copytree(pristine / save, tmp_path / save)
-    DAMAGE[damage](tmp_path / save / sub / file_name(column))
+    shutil.copytree(pristine / layout, tmp_path / layout)
+    DAMAGE[damage](tmp_path / layout / file_name(column))
     with pytest.raises(CorruptIndexError) as exc:
-        load(save, tmp_path / save, small_net, mmap)
+        load(layout, tmp_path / layout, small_net, mmap)
     assert column in str(exc.value)  # the error names the file
     if column != "MANIFEST":
         assert exc.value.column == column
@@ -194,7 +184,6 @@ def test_damage_fails_load(pristine, tmp_path, small_net, layout, column, damage
 #: so only the dtype check stands between the bytes and a query.
 WRONG_DTYPES = {
     "index": ("lam_min", ">f8"),
-    "shard": ("codes", "<u8"),
     "labels": ("out_hubs", "<u4"),
 }
 
@@ -202,17 +191,16 @@ WRONG_DTYPES = {
 @pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
 @pytest.mark.parametrize("layout", WRONG_DTYPES)
 def test_wrong_dtype_fails_load(pristine, tmp_path, small_net, layout, mmap):
-    save, sub, _ = LAYOUTS[layout]
     column, dtype = WRONG_DTYPES[layout]
-    shutil.copytree(pristine / save, tmp_path / save)
-    path = tmp_path / save / sub / file_name(column)
+    shutil.copytree(pristine / layout, tmp_path / layout)
+    path = tmp_path / layout / file_name(column)
     good = np.load(path)
     np.save(path, good.astype(dtype))
-    assert path.stat().st_size == (pristine / save / sub / file_name(column)).stat().st_size
+    assert path.stat().st_size == (pristine / layout / file_name(column)).stat().st_size
     write_manifest(path.parent)
     verify_manifest(path.parent, deep=True)
     with pytest.raises(CorruptIndexError, match=column) as exc:
-        load(save, tmp_path / save, small_net, mmap)
+        load(layout, tmp_path / layout, small_net, mmap)
     assert exc.value.column == column
     assert np.dtype(dtype).str in str(exc.value)
 
@@ -221,20 +209,6 @@ class TestIndexLoadRejectsCorruption:
     def test_clean_roundtrip_still_works(self, pristine, small_net, small_index):
         loaded = load("index", pristine / "index", small_net, mmap=True)
         assert np.array_equal(loaded.vertex_codes, small_index.vertex_codes)
-
-
-class TestShardedLoadRejectsCorruption:
-    def test_clean_sharded_roundtrip(self, pristine, small_net, small_index):
-        loaded = SILCIndex.load_sharded(
-            pristine / "sharded", small_net, primary=0, mmap=True
-        )
-        assert np.array_equal(loaded.vertex_codes, small_index.vertex_codes)
-
-    def test_every_layer_has_a_manifest(self, pristine):
-        sharded = pristine / "sharded"
-        assert (sharded / MANIFEST_NAME).exists()
-        for sub in sorted(p for p in sharded.iterdir() if p.is_dir()):
-            assert (sub / MANIFEST_NAME).exists()
 
 
 class TestLabellingPersistence:
@@ -254,3 +228,51 @@ class TestManifestFormat:
     def test_write_manifest_is_rerunnable(self, saved):
         write_manifest(saved)
         verify_manifest(saved, deep=True)
+
+
+class TestTheShardTierVerifiesWhatItServes:
+    """A mapped load trusts the bytes (the xfails above) and N workers
+    would map them too, so ``ShardGroup.from_engine`` streams the
+    directory through its checksums once, in the parent, first."""
+
+    @pytest.fixture(autouse=True)
+    def no_worker_may_start(self, monkeypatch, tmp_path):
+        def spawned(spec):
+            raise AssertionError(f"a worker was spawned on {spec.directory}")
+
+        monkeypatch.setattr("repro.shard.worker.spawn_worker", spawned)
+        (tmp_path / "tmp").mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+
+    @pytest.mark.parametrize("column", COLUMNS)
+    def test_a_flipped_byte_in_the_mapped_directory(
+        self, pristine, tmp_path, small_net, small_object_index, column
+    ):
+        shutil.copytree(pristine / "index", tmp_path / "index")
+        corrupt_file(tmp_path / "index" / file_name(column))
+        index = SILCIndex.load(tmp_path / "index", small_net, mmap=True)  # the gap
+        with pytest.raises(CorruptIndexError, match=column) as exc:
+            ShardGroup.from_engine(QueryEngine(index, small_object_index), 2)
+        assert exc.value.column == column
+        assert str(tmp_path / "index") in str(exc.value)
+        assert list((tmp_path / "tmp").iterdir()) == []  # served in place
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["temp-copy", "shard-dir"])
+    def test_a_copy_that_landed_wrong(
+        self, monkeypatch, tmp_path, small_index, small_object_index, explicit
+    ):
+        """The tier checks the bytes it wrote, not the bytes it meant to."""
+        save = SILCIndex.save
+
+        def lossy_save(index, path):
+            save(index, path)
+            corrupt_file(Path(path) / "codes.npy")
+
+        monkeypatch.setattr(SILCIndex, "save", lossy_save)
+        with pytest.raises(CorruptIndexError, match="codes"):
+            ShardGroup.from_engine(
+                QueryEngine(small_index, small_object_index), 2,
+                directory=tmp_path / "shards" if explicit else None,
+            )
+        assert list((tmp_path / "tmp").iterdir()) == []  # a private copy is removed
+        assert (tmp_path / "shards").exists() == explicit

@@ -14,12 +14,21 @@ kept per probed vertex read 7 x; probing the columns in place reads
 smaller index), nearly all of it in round 1 -- or when it still grows by
 more than ``DRIFT_LIMIT`` from round 2 to the last round.
 
+It then starts the 2-shard tier on that engine and sends it 40 kNN
+queries: the workers must map the very files this process
+mapped (``/proc/<pid>/maps`` of each names ``INDEX/codes.npy``) and
+nothing may be written under ``TMPDIR`` -- a mapped index is served in
+place, so N workers cost the page cache one index.
+
 Usage: check_memory.py NETWORK INDEX
 """
 
 from __future__ import annotations
 
+import os
 import sys
+import tempfile
+from pathlib import Path
 
 from serving_mix import SEED, seeded_mix, serving_engine
 
@@ -56,7 +65,39 @@ def main(network_path: str, index_path: str) -> int:
     print(f"anonymous growth since load: {growth:.2f} x the index columns "
           f"(limit {GROWTH_LIMIT:.1f} x); round 2 -> {ROUNDS}: {drift:+.1%} "
           f"(limit +{DRIFT_LIMIT:.0%})")
-    return int(growth > GROWTH_LIMIT or drift > DRIFT_LIMIT)
+    return int(growth > GROWTH_LIMIT or drift > DRIFT_LIMIT or sharded(engine))
+
+
+def sharded(engine) -> int:
+    """Two shard workers on ``engine``; 1 if they copied the index."""
+    from repro.obs.registry import process_memory
+    from repro.shard import ShardGroup
+
+    codes = os.path.realpath(engine.index.directory / "codes.npy")
+    n = engine.index.network.num_vertices
+    with tempfile.TemporaryDirectory(prefix="check-memory-") as tmpdir:
+        tempfile.tempdir = tmpdir
+        try:
+            with ShardGroup.from_engine(engine, 2) as group:
+                for query in range(0, n, max(1, n // 40)):
+                    group.knn(query, 10)
+                pids = {"server": "self"} | {
+                    f"shard {s}": w.process.pid for s, w in group.workers.items()
+                }
+                print(f"{'process':<10}{'RssAnon MB':>12}{'RssFile MB':>12}  maps {codes}")
+                unmapped = []
+                for name, pid in pids.items():
+                    memory = process_memory(pid)
+                    mapped = codes in Path(f"/proc/{pid}/maps").read_text()
+                    print(f"{name:<10}{memory['RssAnon'] / MB:>12.2f}"
+                          f"{memory['RssFile'] / MB:>12.2f}  {mapped}")
+                    if not mapped:
+                        unmapped.append(name)
+        finally:
+            tempfile.tempdir = None
+        written = sorted(os.listdir(tmpdir))
+    print(f"written under TMPDIR by the shard tier: {written or 'nothing'}")
+    return int(bool(written or unmapped))
 
 
 if __name__ == "__main__":
