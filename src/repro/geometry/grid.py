@@ -10,6 +10,7 @@ to world-space rectangles for distance bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,11 +51,12 @@ class GridEmbedding:
     def cells_per_side(self) -> int:
         return 1 << self.order
 
-    @property
+    # Computed once: every bound column and block rectangle reads them.
+    @cached_property
     def cell_width(self) -> float:
         return self.bounds.width / self.cells_per_side
 
-    @property
+    @cached_property
     def cell_height(self) -> float:
         return self.bounds.height / self.cells_per_side
 

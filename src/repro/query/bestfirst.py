@@ -169,7 +169,7 @@ def best_first_knn(
     counter = RefinementCounter()
     position: NetworkPosition = resolve_location(index.network, query)
     handle = QueryHandle(index, object_index, position, counter)
-    io_before = index.storage.snapshot() if index.storage is not None else None
+    io_before = index.storage.stats if index.storage is not None else None
 
     use_dk = variant == "knn"
     use_d0k = variant in ("knn_i", "knn_m")
@@ -194,7 +194,6 @@ def best_first_knn(
     # breaks ties first-in-first-out and is ``queue_pushes`` at the end.
     heap: list[tuple[float, int, int, object]] = []
     seq = max_queue = collisions = 0
-    objects = object_index.objects
     root = object_index.root
     if root.children is not None or root.entries:
         lo = handle.block_bound(root)
@@ -244,7 +243,7 @@ def best_first_knn(
                         # Extent objects are indexed once per part;
                         # only the first encounter creates a state.
                         continue
-                    state = handle.object_state(objects[oid])
+                    state = handle.object_state(oid)
                     states[oid] = state
                     fresh.append(state)
                     if use_d0k and len(first_k_his) < k:
@@ -383,7 +382,7 @@ def best_first_knn(
     if io_before is not None and index.storage is not None:
         # One simulator, one query at a time: what it counted since
         # io_before is this query's I/O.
-        delta = index.storage.stats_since(io_before)
+        delta = index.storage.stats.delta_since(io_before)
         stats.io_accesses = delta.accesses
         stats.io_misses = delta.misses
         stats.io_time = delta.io_time(index.storage.miss_latency)

@@ -56,7 +56,6 @@ class _Frontier:
     def __init__(
         self, index: SILCIndex, object_index: ObjectIndex, queries: Sequence, combine=_single
     ) -> None:
-        self.object_index = object_index
         self.stats = QueryStats()
         self.counter = RefinementCounter()
         self.handles = [
@@ -95,7 +94,7 @@ class _Frontier:
                 self.seen.add(oid)
                 state = _MultiState(
                     oid,
-                    [h.object_state(self.object_index.get(oid)) for h in self.handles],
+                    [h.object_state(oid) for h in self.handles],
                     self.combine,
                 )
                 self.stats.objects_seen += 1
@@ -329,7 +328,7 @@ def distance_join(
             resolve_location(index.network, left_index.get(left_oid).position),
             counter,
         )
-        return handle.object_state(right_index.get(right_oid)).refine_fully()
+        return handle.object_state(right_oid).refine_fully()
 
     def push_head(left_oid: int, stream: Iterator[Neighbor]) -> None:
         head = next(stream, None)

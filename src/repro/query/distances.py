@@ -11,13 +11,15 @@ the per-query state (anchors, bounds) the best-first engine needs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 
 from repro.objects.index import ObjectIndex
-from repro.objects.model import NetworkPosition, SpatialObject, VertexPosition
+from repro.objects.model import NetworkPosition, VertexPosition
 from repro.query.location import location_point, same_edge_direct, source_anchors
 from repro.quadtree.pmr import PMRNode
 from repro.silc.index import SILCIndex
 from repro.silc.intervals import MAX_REL_GAP, DistanceInterval, checked_bounds, invalid_bounds
+from repro.silc.intervals import REL_PAD
 from repro.silc.refinement import RefinableDistance, RefinementCounter
 
 
@@ -143,25 +145,26 @@ class QueryHandle:
     # ------------------------------------------------------------------
     # Distances
     # ------------------------------------------------------------------
-    def object_state(self, obj: SpatialObject) -> DistanceState:
-        """The refinable distance from the query to ``obj``, an object
-        of this handle's object index.
+    def object_state(self, oid: int) -> DistanceState:
+        """The refinable distance from the query to object ``oid`` of
+        this handle's object index.
 
         Both ends' vertex ids were checked where they entered -- the
         query's when it was resolved and reduced to anchors, the
-        object's when the object index was built.
+        object's when the object index was built.  The object itself is
+        read only for a same-edge segment, which a vertex query has not.
         """
         index = self.index
         counter = self.counter
         anchors = self.anchors
-        targets = self.object_index.target_anchors[obj.oid]
+        targets = self.object_index.target_anchors[oid]
         direct = None if self._at_vertex else same_edge_direct(
-            self.network, self.position, obj.position
+            self.network, self.position, self.object_index.objects[oid].position
         )
         if direct is None and len(targets) == 1 and len(anchors) == 1:
             (sv, s_off), (tv, t_off) = anchors[0], targets[0]
             state = RefinableDistance(index, sv, tv, counter, s_off + t_off)
-            state.oid = obj.oid
+            state.oid = oid
             return state
         components = []
         for sv, s_off in anchors:
@@ -169,7 +172,7 @@ class QueryHandle:
                 components.append(
                     RefinableDistance(index, sv, tv, counter, s_off + t_off)
                 )
-        return ObjectDistanceState(obj.oid, components, direct)
+        return ObjectDistanceState(oid, components, direct)
 
     # ------------------------------------------------------------------
     # Block bounds
@@ -180,22 +183,41 @@ class QueryHandle:
         Vertex objects get the tight lambda bound through the SILC
         quadtrees; subtrees containing edge objects fall back to the
         global-slope Euclidean bound, and pure-vertex subtrees use the
-        better of the two.
+        better of the two.  Per anchor, :meth:`SILCIndex.block_lower_bound`
+        inline (a node bounded is this frame and its MINDIST), with the
+        node's own rectangle as the query block's.
         """
-        rect, has_edge_objects = self.object_index.node_info[node.code, node.level]
+        code = node.code
+        rect, has_edge_objects = self.object_index.node_info[code, node.level]
         point = self.point
         euclid = self._euclid_slope * rect.min_distance_to_point_xy(point.x, point.y)
-        lam = math.inf
+        index = self.index
         if self._anchor_columns is None:
             # One bound column per anchor, shared by every node bounded.
             self._anchor_columns = [
-                (av, off, self.index.bound_column(av)) for av, off in self.anchors
+                (av, off, index.bound_column(av)) for av, off in self.anchors
             ]
+        end = code + (1 << 2 * node.level)
+        storage = index.storage
+        lam = math.inf
         for av, a_off, column in self._anchor_columns:
-            bound = self.index.block_lower_bound(
-                av, node.code, node.level, column=column
-            )
-            lam = min(lam, a_off + bound)
+            codes, levels, _, lam_min, _ = index.tables[av].columns
+            start = bisect_right(codes, code) - 1
+            if start < 0 or codes[start] + (1 << 2 * levels[start]) <= code:
+                start += 1
+            stop = bisect_left(codes, end)
+            if start >= stop:
+                continue  # no network vertex of the node in this table
+            if storage is not None:
+                layout = storage.layout
+                base, per_page = layout.page_offsets[av], layout.records_per_page
+                for page in range(start // per_page, (stop - 1) // per_page + 1):
+                    storage.access(base + page)
+            if codes[start] >= code and codes[stop - 1] + (1 << 2 * levels[stop - 1]) <= end:
+                best = min(column[start:stop])
+            else:  # one table block contains the node
+                best = lam_min[start] * rect.min_distance_to_point_xy(index._xf[av], index._yf[av])
+            lam = min(lam, a_off + best * (1.0 - REL_PAD))
         if has_edge_objects:
             return min(lam, euclid)
         if math.isinf(lam):

@@ -109,7 +109,7 @@ def ier_knn(
     t_start = counted_clock()
     stats = QueryStats()
     network = object_index.network
-    io_before = storage.snapshot() if storage is not None else None
+    io_before = storage.stats if storage is not None else None
     if network.min_euclidean_ratio() < 1.0 - 1e-12:
         raise ValueError(
             "IER requires edge weights >= Euclidean edge lengths; this "

@@ -40,7 +40,7 @@ def ine_knn(object_index: ObjectIndex, query, k: int, storage=None) -> KNNResult
     stats = QueryStats()
     network = object_index.network
     position = resolve_location(network, query)
-    io_before = storage.snapshot() if storage is not None else None
+    io_before = storage.stats if storage is not None else None
 
     # Edge(-part) objects become reachable when either endpoint settles.
     edge_candidates = object_index.edge_candidates

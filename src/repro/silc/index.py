@@ -181,8 +181,6 @@ class SILCIndex:
     # ------------------------------------------------------------------
     def next_hop(self, source: int, target: int) -> int:
         """First vertex after ``source`` on the shortest path to target."""
-        self.network.check_vertex(source)
-        self.network.check_vertex(target)
         return self.hop_and_interval(source, target)[0]
 
     def hop_and_interval(
@@ -190,13 +188,16 @@ class SILCIndex:
     ) -> tuple[int, float, float]:
         """One probe returning the next hop and the raw interval bounds.
 
-        The refinement engine's hot path, kept to a single frame: one
-        C ``bisect`` over the source table's ``codes`` -- a view of the
-        store's own, possibly mapped, column: nothing is copied or kept
-        -- yields the first hop and the ``[lo, hi]`` distance bounds,
-        and the probed row is accounted as a page access when storage
-        is attached.
+        The reference probe: one C ``bisect`` over the source table's
+        ``codes`` -- a view of the store's own, possibly mapped, column:
+        nothing is copied or kept -- yields the first hop and the
+        ``[lo, hi]`` distance bounds, and the probed row is accounted as
+        a page access when storage is attached.  A search's refinement
+        states carry these lines inline (:class:`RefinableDistance`);
+        they come here only for a colour that names no vertex.
         """
+        self.network.check_vertex(source)
+        self.network.check_vertex(target)
         if source == target:
             return source, 0.0, 0.0
         codes, levels, colors, lam_min, lam_max = self.tables[source].columns
@@ -207,14 +208,9 @@ class SILCIndex:
         storage = self.storage
         if storage is not None:
             # attach_storage matched the layout to these tables and
-            # ``row`` was just located in one; only a negative source
-            # (it indexes from the end) is left for page_of to refuse.
+            # ``row`` was just located in one: nothing is left to check.
             layout = storage.layout
-            storage.access(
-                layout.page_offsets[source] + row // layout.records_per_page
-                if source >= 0
-                else layout.page_of(source, row)
-            )
+            storage.access(layout.page_offsets[source] + row // layout.records_per_page)
         d_e = math.hypot(
             self._xf[source] - self._xf[target], self._yf[source] - self._yf[target]
         )
@@ -226,8 +222,6 @@ class SILCIndex:
 
     def interval_from(self, source: int, target: int) -> DistanceInterval:
         """Distance interval from the lambda annotations (one probe)."""
-        self.network.check_vertex(source)
-        self.network.check_vertex(target)
         _, lo, hi = self.hop_and_interval(source, target)
         return DistanceInterval(lo, hi)
 
@@ -334,29 +328,23 @@ class SILCIndex:
             base, per_page = layout.page_offsets[source], layout.records_per_page
             for page in range(rows.start // per_page, (rows.stop - 1) // per_page + 1):
                 self.storage.access(base + page)
-        if column is None:
-            column = self.bound_column(source)
         codes, levels, _, lam_min, _ = table.columns
         # Aligned Morton blocks either nest or are disjoint, so the
         # intersection of each overlapping block with the query block
-        # is simply the smaller of the two: the table block when it is
-        # nested inside the query range (its column entry applies), the
-        # query block otherwise.  Rows are sorted and disjoint, so the
-        # whole run is nested when its two ends are.
+        # is simply the smaller of the two.  Rows are sorted and
+        # disjoint, so the whole run is nested in the query range when
+        # its two ends are (each row's column entry applies); otherwise
+        # the run is the one table block that contains the query block.
         last = rows.stop - 1
         last_end = codes[last] + (1 << 2 * levels[last])
         if codes[rows.start] >= lo_code and last_end <= hi_code:
+            if column is None:
+                column = self.bound_column(source)
             best = min(column[rows.start : rows.stop])
         else:
-            query_dist = self.embedding.block_world_rect(
+            best = lam_min[rows.start] * self.embedding.block_world_rect(
                 code, level
             ).min_distance_to_point_xy(self._xf[source], self._yf[source])
-            best = min(
-                column[i]
-                if lo_code <= codes[i] <= hi_code - (1 << 2 * levels[i])
-                else lam_min[i] * query_dist
-                for i in rows
-            )
         return best * (1.0 - _REL_PAD)
 
     # ------------------------------------------------------------------

@@ -88,6 +88,8 @@ class ProximalSILCIndex(SILCIndex):
     ) -> tuple[int, float, float]:
         # Horizon check first, on an unaccounted lookup: a probe that
         # raises BeyondHorizonError counts no page access.
+        self.network.check_vertex(source)
+        self.network.check_vertex(target)
         if source != target:
             hit = self.tables[source].lookup(self._vcodes[target])
             if hit is not None and hit[0] == BEYOND:

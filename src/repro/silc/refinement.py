@@ -17,11 +17,12 @@ tighter than oracle schemes that compose two intervals.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from typing import TYPE_CHECKING
 
 from repro.network.errors import PathNotFound
-from repro.silc.intervals import MAX_REL_GAP, DistanceInterval, checked_bounds, invalid_bounds
+from repro.silc.intervals import MAX_REL_GAP, REL_PAD, DistanceInterval, invalid_bounds
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.silc.index import SILCIndex
@@ -56,6 +57,11 @@ class RefinableDistance:
 
     A query with this one way to an object queues the instance itself,
     and ``oid`` then names the object.
+
+    ``__init__`` and :meth:`refine` each carry the lines of
+    :meth:`SILCIndex.hop_and_interval` (same arithmetic, same order:
+    bit-identical bounds), so a state built or refined is one frame; a
+    negative colour goes to ``index.hop_and_interval`` for its meaning.
     """
 
     __slots__ = (
@@ -69,6 +75,7 @@ class RefinableDistance:
         "oid",
         "_counter",
         "_next_hop",
+        "_cell",
     )
 
     def __init__(
@@ -88,8 +95,33 @@ class RefinableDistance:
         self.acc = offset
         self.oid: int | None = None
         self._counter = counter
-        self._next_hop, lo, hi = index.hop_and_interval(source, target)
-        self.lo, self.hi = checked_bounds(lo + offset, hi + offset)
+        cell = self._cell = index._vcodes[target]
+        if source == target:
+            hop, lo, hi = source, 0.0, 0.0
+        else:
+            codes, levels, colors, lam_min, lam_max = index.tables[source].columns
+            row = bisect_right(codes, cell) - 1
+            if row < 0 or cell >= codes[row] + (1 << 2 * levels[row]):
+                raise PathNotFound(source, target)
+            hop = colors[row]
+            if hop < 0:
+                hop, lo, hi = index.hop_and_interval(source, target)
+            else:
+                storage = index.storage
+                if storage is not None:
+                    layout = storage.layout
+                    storage.access(layout.page_offsets[source] + row // layout.records_per_page)
+                xf, yf = index._xf, index._yf
+                d_e = math.hypot(xf[source] - xf[target], yf[source] - yf[target])
+                lo = lam_min[row] * d_e * (1.0 - REL_PAD)
+                hi = lam_max[row] * d_e * (1.0 + REL_PAD)
+        self._next_hop = hop
+        lo += offset
+        hi += offset
+        if not (0.0 <= lo <= hi):
+            raise invalid_bounds(lo, hi)
+        self.lo = lo
+        self.hi = hi
 
     # ------------------------------------------------------------------
     # Interval access
@@ -134,7 +166,24 @@ class RefinableDistance:
         if nxt == target:
             lo = hi = acc
         else:
-            self._next_hop, lo, hi = index.hop_and_interval(nxt, target)
+            codes, levels, colors, lam_min, lam_max = index.tables[nxt].columns
+            cell = self._cell
+            row = bisect_right(codes, cell) - 1
+            if row < 0 or cell >= codes[row] + (1 << 2 * levels[row]):
+                raise PathNotFound(nxt, target)
+            hop = colors[row]
+            if hop < 0:
+                hop, lo, hi = index.hop_and_interval(nxt, target)
+            else:
+                storage = index.storage
+                if storage is not None:
+                    layout = storage.layout
+                    storage.access(layout.page_offsets[nxt] + row // layout.records_per_page)
+                xf, yf = index._xf, index._yf
+                d_e = math.hypot(xf[nxt] - xf[target], yf[nxt] - yf[target])
+                lo = lam_min[row] * d_e * (1.0 - REL_PAD)
+                hi = lam_max[row] * d_e * (1.0 + REL_PAD)
+            self._next_hop = hop
             lo += acc
             hi += acc
         if not (0.0 <= lo <= hi):
@@ -172,7 +221,7 @@ class RefinableDistance:
         limit = max_steps if max_steps is not None else len(out_weights)
         target, via, acc, nxt = self.target, self.via, self.acc, self._next_hop
         tables = index.tables
-        cell = index._vcodes[target]
+        cell = self._cell
         storage = index.storage
         if storage is not None:
             access = storage.access

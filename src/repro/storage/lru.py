@@ -2,13 +2,15 @@
 
 Models the paper's experimental setup: "LRU based cache that can hold
 5% of the disk pages in main memory" (p.32).  Only metadata is cached
--- the simulator tracks *which* pages are resident, not their bytes.
+-- the simulator tracks *which* pages are resident, not their bytes --
+and the resident set is CPython's C LRU, ``functools.lru_cache`` over
+``int``: accounting a page enters no Python frame.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 
 @dataclass
@@ -28,9 +30,6 @@ class CacheStats:
         """Simulated I/O time: one ``miss_latency`` per page fault."""
         return self.misses * miss_latency
 
-    def snapshot(self) -> CacheStats:
-        return CacheStats(self.accesses, self.hits, self.misses, self.evictions)
-
     def delta_since(self, earlier: CacheStats) -> CacheStats:
         """Counter difference, for per-query accounting."""
         return CacheStats(
@@ -41,38 +40,34 @@ class CacheStats:
         )
 
 
-@dataclass
 class LRUCache:
-    """Fixed-capacity LRU set of page ids."""
+    """Fixed-capacity LRU set of page ids (``int``); ``access(page)``
+    touches one, and *is* the C cache."""
 
-    capacity: int
-    stats: CacheStats = field(default_factory=CacheStats)
-
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
             raise ValueError("cache capacity must be at least one page")
-        self._resident: OrderedDict[int, None] = OrderedDict()
+        self.capacity = capacity
+        self.access = functools.lru_cache(maxsize=capacity)(int)
+        self._cleared = CacheStats()  # what clear() dropped had counted
+
+    @property
+    def stats(self) -> CacheStats:
+        """The counters so far, as a fresh value: every access hit or
+        missed, and every page a miss inserted is resident or evicted."""
+        hits, misses, _, resident = self.access.cache_info()
+        done = self._cleared
+        return CacheStats(
+            done.accesses + hits + misses,
+            done.hits + hits,
+            done.misses + misses,
+            done.evictions + misses - resident,
+        )
 
     def __len__(self) -> int:
-        return len(self._resident)
-
-    def __contains__(self, page: int) -> bool:
-        return page in self._resident
-
-    def access(self, page: int) -> bool:
-        """Touch a page; returns True on hit, False on fault."""
-        self.stats.accesses += 1
-        if page in self._resident:
-            self._resident.move_to_end(page)
-            self.stats.hits += 1
-            return True
-        self.stats.misses += 1
-        self._resident[page] = None
-        if len(self._resident) > self.capacity:
-            self._resident.popitem(last=False)
-            self.stats.evictions += 1
-        return False
+        return self.access.cache_info().currsize
 
     def clear(self) -> None:
         """Drop residency but keep the accumulated statistics."""
-        self._resident.clear()
+        self._cleared = self.stats
+        self.access.cache_clear()

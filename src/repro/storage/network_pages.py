@@ -76,9 +76,6 @@ class NetworkStorageModel:
     def stats(self) -> CacheStats:
         return self.cache.stats
 
-    def snapshot(self) -> CacheStats:
-        return self.stats.snapshot()
-
     def io_time_since(self, earlier: CacheStats) -> float:
         return self.stats.delta_since(earlier).io_time(self.miss_latency)
 

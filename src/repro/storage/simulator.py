@@ -50,7 +50,7 @@ class StorageSimulator:
     def __post_init__(self) -> None:
         #: ``access(page)`` accounts one page (once per refinement
         #: step or link walked, once per page of a bounded node's
-        #: rows): the cache's own method, so a probe pays one frame.
+        #: rows): the cache's C ``lru_cache``, so a probe pays no frame.
         self.access = self.cache.access
 
     # ------------------------------------------------------------------
@@ -58,12 +58,7 @@ class StorageSimulator:
     # ------------------------------------------------------------------
     @property
     def stats(self) -> CacheStats:
+        """The counters so far, a fresh value: per-query I/O is
+        ``stats.delta_since(stats_before)``."""
         return self.cache.stats
-
-    def snapshot(self) -> CacheStats:
-        return self.stats.snapshot()
-
-    def stats_since(self, earlier: CacheStats) -> CacheStats:
-        """Counter delta since a :meth:`snapshot` (per-query stats)."""
-        return self.stats.delta_since(earlier)
 

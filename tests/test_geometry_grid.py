@@ -86,3 +86,20 @@ class TestBlockRects:
         p = Point(cx + 0.5, cy + 0.5)
         code = morton_encode(*emb.cell_of(p))
         assert emb.block_world_rect(code, 0).contains_point(p)
+
+    def test_bounds_array_is_the_scalar_rect_bit_for_bit(self):
+        """Aligned blocks at every level of a full-order grid over
+        awkward world bounds: the vectorised bounds (what a query's
+        bound column is built from) equal ``block_world_rect`` row for
+        row."""
+        emb = GridEmbedding(Rect(-3.7, 1.3e-3, 911.1, 914.5), MAX_ORDER)
+        rng = np.random.default_rng(25)
+        levels = rng.integers(0, MAX_ORDER + 1, size=5000)
+        cells = rng.integers(0, 1 << (2 * MAX_ORDER), size=5000, dtype=np.int64)
+        codes = cells >> (2 * levels) << (2 * levels)
+        arrays = emb.block_world_bounds_array(codes, levels.astype(np.int8))
+        for i, (code, level) in enumerate(zip(codes.tolist(), levels.tolist())):
+            rect = emb.block_world_rect(code, level)
+            assert [float(a[i]).hex() for a in arrays] == [
+                v.hex() for v in (rect.xmin, rect.ymin, rect.xmax, rect.ymax)
+            ], (code, level)

@@ -1,5 +1,7 @@
 """Unit tests for repro.geometry.morton."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,7 +18,13 @@ from repro.geometry import (
     morton_encode,
     parent_block,
 )
-from repro.geometry.morton import common_block, is_aligned, morton_encode_array
+from repro.geometry.morton import (
+    _decode_table,
+    common_block,
+    is_aligned,
+    morton_decode_array,
+    morton_encode_array,
+)
 
 coords = st.integers(min_value=0, max_value=(1 << MAX_ORDER) - 1)
 levels = st.integers(min_value=0, max_value=MAX_ORDER)
@@ -71,6 +79,46 @@ class TestEncoding:
     def test_array_encoding_range_check(self):
         with pytest.raises(ValueError):
             morton_encode_array(np.array([1 << MAX_ORDER]), np.array([0]))
+
+
+class TestTableDecoding:
+    """``morton_decode_array`` reads two 16-bit halves through two
+    ``uint8`` tables per coordinate; the scalar bit-compaction is the
+    reference."""
+
+    @staticmethod
+    def _assert_matches_scalar(codes, column=None):
+        xs, ys = morton_decode_array(codes if column is None else column)
+        assert xs.dtype == ys.dtype == np.int64
+        assert list(zip(xs.tolist(), ys.tolist())) == [
+            morton_decode(c) for c in codes.tolist()
+        ]
+
+    def test_every_16_bit_code(self):
+        self._assert_matches_scalar(np.arange(1 << 16, dtype=np.int64))
+
+    def test_seeded_32_bit_codes(self):
+        rng = np.random.default_rng(25)
+        codes = rng.integers(0, 1 << (2 * MAX_ORDER), size=100_000, dtype=np.int64)
+        codes[:2] = 0, (1 << (2 * MAX_ORDER)) - 1  # both ends of the range
+        self._assert_matches_scalar(codes)
+
+    def test_decodes_a_column_view_and_unsigned_codes(self):
+        codes = np.array([0, 3, 1 << 20, (1 << 32) - 1], dtype=np.int64)
+        for column in (memoryview(codes), codes.astype(np.uint64)):
+            self._assert_matches_scalar(codes, column)
+
+    def test_tables_are_built_without_wide_temporaries(self):
+        """Building both tables allocates little beyond their 128 KiB:
+        no 64-bit (512 KiB) intermediate over all 2**16 entries."""
+        tracemalloc.start()
+        try:
+            tables = _decode_table(0), _decode_table(1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(t.dtype == np.uint8 and t.shape == (1 << 16,) for t in tables)
+        assert peak <= 256 * 1024
 
 
 class TestBlockAlgebra:

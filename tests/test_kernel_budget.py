@@ -17,74 +17,86 @@ vertex object, so the tripwire outlives a renaming.
 
 from __future__ import annotations
 
+import gc
 import sys
 
 import pytest
 
 from repro.datasets import random_vertex_objects
-from repro.geometry.grid import GridEmbedding
+from repro.geometry.morton import block_cells
 from repro.objects import ObjectIndex
 from repro.query.bestfirst import best_first_knn
 from repro.query.distances import QueryHandle
 from repro.query.location import resolve_location
 from repro.silc.intervals import DistanceInterval
 
-#: The state's ``refine``, ``hop_and_interval``, ``LRUCache.access``
-#: (the simulator's ``access``).
-FRAMES_PER_REFINEMENT = 3
+#: The state's ``refine``: the probe and the page access are inline, and
+#: the simulator's ``access`` is the C ``functools.lru_cache``.
+FRAMES_PER_REFINEMENT = 1
 
-#: Below ``refine_fully``: the page access of the link's probe.
-FRAMES_PER_FINISH_LINK = 1
+#: Below ``refine_fully``: nothing (its probes and pages are inline too).
+FRAMES_PER_FINISH_LINK = 0
 
 #: The whole-query budget, as counted at the commit that set it (vertex
 #: queries over vertex objects, storage attached, ``exact=True``).  The
-#: pop loop itself enters no frame, and neither does a change to ``L``;
-#: everything else is per
+#: pop loop itself enters no frame, and neither does a change to ``L``
+#: or a page access; everything else is per
 #:
-#: * object seen: ``objects[oid]``, ``object_state``, the state's
-#:   ``__init__``, ``hop_and_interval``, ``access``, ``checked_bounds``;
-#: * node bounded: ``block_bound``, ``min_distance_to_point_xy``,
-#:   ``block_lower_bound``, ``check_vertex``, ``block_cells``,
-#:   ``overlapping``, ``access`` (one page on this index); a node lying
-#:   inside a single table block also pays ``block_lower_bound``'s own
-#:   ``block_world_rect`` (9 frames of Morton decoding and ``Rect``
-#:   construction, 6 of grid properties, one MINDIST) and a generator
-#:   entered and resumed;
+#: * object seen: ``object_state`` and the state's ``__init__`` (which
+#:   probes);
+#: * node bounded: ``block_bound`` (row run, pages and minimum inline per
+#:   anchor) and the query point's MINDIST to the node; an anchor whose
+#:   run is one table block containing the node adds that anchor's
+#:   MINDIST to the node's rectangle;
 #: * neighbor reported: ``refine_fully``, a sort key, ``from_state``,
 #:   the ``Neighbor`` and ``DistanceInterval`` constructors and
 #:   ``__post_init__``, one ``dk_final`` generator step;
 #: * query: set-up (location, anchors, one bound column), the I/O
 #:   snapshot and delta, result assembly.
 #:
-#: The only slack left is a step or link that reaches its target: it
-#: needs no probe, so a refinement costs 1 of its 3 frames and a
-#: finish link none.
+#: There is no slack left: a step or link that reaches its target costs
+#: what any other does.
 #:
 #: A search bounds the root and at most four children per non-leaf
 #: expansion, which ties ``nodes_bounded`` to the reported counters.
-FRAMES_PER_OBJECT = 6
-FRAMES_PER_NODE_BOUNDED = 7
-FRAMES_PER_NODE_INSIDE_ONE_BLOCK = 18
+FRAMES_PER_OBJECT = 2
+FRAMES_PER_NODE_BOUNDED = 2
+FRAMES_PER_NODE_INSIDE_ONE_BLOCK = 1
 FRAMES_PER_NEIGHBOR = 7
-FRAMES_PER_QUERY = 40
+FRAMES_PER_QUERY = 34
+
+
+def _anchors_inside_one_block(handle, node) -> int:
+    """Anchors of ``handle`` whose table has one block containing, and
+    larger than, ``node``'s (counted from the tables, not the kernel)."""
+    end = node.code + block_cells(node.level)
+    inside = 0
+    for anchor, _ in handle.anchors:
+        table = handle.index.tables[anchor]
+        rows = table.overlapping(node.code, end)
+        inside += len(rows) == 1 and (
+            table.codes[rows.start] < node.code or table.ends[rows.start] > end
+        )
+    return inside
 
 
 def _count_calls(index, object_index, fn):
     """Run ``fn`` counting Python calls: all of them, those at or under
     a queued state's ``refine``, those under its ``refine_fully``, and
-    calls of the three functions in ``named``."""
+    calls of the two functions in ``named`` -- plus, per node bounded,
+    the anchors whose table block contains the node."""
     state = QueryHandle(
         index, object_index, resolve_location(index.network, 0)
-    ).object_state(object_index.objects[0])
+    ).object_state(0)
     refine_code = type(state).refine.__code__
     finish_code = type(state).refine_fully.__code__
     named = {
         QueryHandle.block_bound.__code__: "nodes_bounded",
-        GridEmbedding.block_world_rect.__code__: "nodes_inside_one_block",
         DistanceInterval.__post_init__.__code__: "intervals",
     }
     counts = dict.fromkeys(named.values(), 0) | {
         "frames": -1, "under_refine": 0, "under_finish": 0,
+        "nodes_inside_one_block": 0,
     }
     stack = []  # what each frame under a refine / refine_fully counts as
 
@@ -101,14 +113,24 @@ def _count_calls(index, object_index, fn):
                 stack.append("under_finish")  # the walk's own frame: per neighbor
             if frame.f_code in named:
                 counts[named[frame.f_code]] += 1
+            if frame.f_code is QueryHandle.block_bound.__code__:
+                counts["nodes_inside_one_block"] += _anchors_inside_one_block(
+                    frame.f_locals["self"], frame.f_locals["node"]
+                )
         elif event == "return" and stack:
             stack.pop()
 
+    # A collection during ``fn`` would run whatever ``gc.callbacks``
+    # other libraries registered (Hypothesis times its collections) as
+    # frames of the query.
+    gc.collect()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         result = fn()
     finally:
         sys.setprofile(None)
+        gc.enable()
     return result, counts
 
 

@@ -18,6 +18,7 @@ edge-scenario and one extent-scenario query -- the four
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -35,9 +36,14 @@ from repro.errors import DeadlineExceeded
 from repro.objects import EdgePosition, ObjectIndex, ObjectSet, VertexPosition
 from repro.query import bestfirst
 from repro.query.bestfirst import VARIANTS, best_first_knn
+from repro.query.distances import QueryHandle
+from repro.query.location import resolve_location
 from repro.silc import ProximalSILCIndex, SILCIndex
 from repro.silc.index import _REL_PAD
-from repro.silc.refinement import RefinementCounter
+from repro.silc.intervals import checked_bounds
+from repro.silc.proximal import BEYOND, BeyondHorizonError
+from repro.silc.refinement import RefinableDistance, RefinementCounter
+from test_properties import one_way
 
 KS = (1, 5, 25)
 
@@ -535,6 +541,184 @@ def test_column_block_bound_is_bit_equal_to_reference(parity_net, parity_index):
     assert contained > 100
 
 
+# ----------------------------------------------------------------------
+# The fused probe copies against the reference probe they copy
+# ----------------------------------------------------------------------
+def _recording_storage(index) -> list[int]:
+    """Attach a simulator whose ``access`` only records the page ids."""
+    pages: list[int] = []
+    storage = index.make_storage()
+    storage.access = pages.append
+    index.attach_storage(storage)
+    return pages
+
+
+def _pin_state_to_composition(index, source, target, offset, pages) -> int:
+    """Walk ``RefinableDistance(index, source, target)`` to exact and
+    hold its next hop, bounds (bit for bit) and pages, after
+    ``__init__`` and after every ``refine``, to ``hop_and_interval`` +
+    the clamp; returns the refinements taken."""
+    mark = len(pages)
+    state = RefinableDistance(index, source, target, offset=offset)
+    fused = pages[mark:]
+    hop, lo, hi = index.hop_and_interval(source, target)
+    want = (hop, *checked_bounds(lo + offset, hi + offset))
+    assert pages[mark + len(fused):] == fused
+    assert (state._next_hop, state.lo.hex(), state.hi.hex()) == (
+        want[0], want[1].hex(), want[2].hex()
+    ), (source, target)
+    steps = 0
+    while state.via != target:
+        via, hop, acc = state.via, state._next_hop, state.acc
+        prev = state.lo, state.hi
+        mark = len(pages)
+        state.refine()
+        fused = pages[mark:]
+        acc += index.network.edge_weight(via, hop)
+        if hop == target:
+            lo = hi = acc
+        else:
+            hop, lo, hi = index.hop_and_interval(hop, target)
+            lo += acc
+            hi += acc
+        assert pages[mark + len(fused):] == fused
+        want = (hop, *checked_bounds(lo, hi, *prev))
+        assert (state._next_hop, state.lo.hex(), state.hi.hex()) == (
+            want[0], want[1].hex(), want[2].hex()
+        ), (source, target, state.via)
+        steps += 1
+    return steps
+
+
+@pytest.mark.parametrize("kind", ["road", "oneway"])
+def test_fused_probe_is_the_composition_for_every_pair(parity_net, kind):
+    """Every ordered pair of a 150-vertex network, undirected and with a
+    quarter of its streets one-way."""
+    net = parity_net if kind == "road" else one_way(parity_net, seed=9)
+    index = SILCIndex.build(net)
+    pages = _recording_storage(index)
+    steps = 0
+    for source in range(net.num_vertices):
+        for target in range(net.num_vertices):
+            steps += _pin_state_to_composition(
+                index, source, target, 0.25 * (target % 3), pages
+            )
+    assert steps > 2 * net.num_vertices**2  # paths of real length
+    assert pages  # and they were accounted
+
+
+def test_fused_probe_hands_a_missing_vertex_to_the_index(parity_net):
+    """A negative colour goes to ``index.hop_and_interval``: beyond a
+    proximal horizon that raises before any page is counted, from
+    ``__init__`` and from ``refine``; a full index's corrupt colour
+    fails as the composition fails."""
+    proximal = ProximalSILCIndex.build(parity_net, radius=12.0)
+    pages = _recording_storage(proximal)
+    beyond = within = 0
+    for source in range(0, parity_net.num_vertices, 7):
+        for target in range(parity_net.num_vertices):
+            if proximal.within_horizon(source, target):
+                within += 1
+                _pin_state_to_composition(proximal, source, target, 0.0, pages)
+                continue
+            beyond += 1
+            mark = len(pages)
+            with pytest.raises(BeyondHorizonError) as fused:
+                RefinableDistance(proximal, source, target)
+            with pytest.raises(BeyondHorizonError) as reference:
+                proximal.hop_and_interval(source, target)
+            assert str(fused.value) == str(reference.value)
+            assert len(pages) == mark
+    assert beyond > 100 and within > 100
+
+    # Inside the horizon, a row recoloured to BEYOND on the path: the
+    # step that probes it raises, and counts no page.
+    source, target = 0, max(
+        range(parity_net.num_vertices),
+        key=lambda t: len(proximal.path(0, t)) if proximal.within_horizon(0, t) else 0,
+    )
+    hop = proximal.path(source, target)[1]
+    TestChecksKept._corrupt(proximal, hop, target, "colors", BEYOND)
+    state = RefinableDistance(proximal, source, target)
+    mark = len(pages)
+    with pytest.raises(BeyondHorizonError, match=f"of vertex {hop};"):
+        state.refine()
+    assert len(pages) == mark
+
+    # A full index with the same corrupt colour: the state takes the
+    # index's answer and fails at the next link, as the composition does.
+    index = SILCIndex.build(parity_net)
+    TestChecksKept._corrupt(index, hop, target, "colors", -1)
+    state = index.refinable(source, target)
+    state.refine()
+    assert state._next_hop == index.hop_and_interval(hop, target)[0] == -1
+    with pytest.raises(EdgeNotFound) as reference:
+        parity_net.edge_weight(hop, -1)
+    for fail in (state.refine, index.refinable(source, target).refine_fully):
+        with pytest.raises(EdgeNotFound) as fused:
+            fail()
+        assert str(fused.value) == str(reference.value)
+
+
+def _reference_block_bound(handle, node) -> float:
+    """``QueryHandle.block_bound`` as composed before it went inline."""
+    index = handle.index
+    rect, has_edge_objects = handle.object_index.node_info[node.code, node.level]
+    euclid = handle._euclid_slope * rect.min_distance_to_point_xy(
+        handle.point.x, handle.point.y
+    )
+    lam = math.inf
+    for av, a_off in handle.anchors:
+        bound = index.block_lower_bound(
+            av, node.code, node.level, column=index.bound_column(av)
+        )
+        lam = min(lam, a_off + bound)
+    if has_edge_objects:
+        return min(lam, euclid)
+    if math.isinf(lam):
+        return math.inf
+    return max(lam, euclid)
+
+
+def test_block_bound_is_block_lower_bound_plus_euclid(parity_net, parity_index):
+    """Every PMR node of a vertex- and an edge-object index x 20 query
+    vertices x {the vertex, a position on one of its edges}: the same
+    bound bit for bit and the same pages, straddled nodes included."""
+    index = parity_index
+    rng = np.random.default_rng(25)
+    queries = []
+    for u in rng.choice(parity_net.num_vertices, size=20, replace=False).tolist():
+        v, _ = parity_net.neighbors(u)[0]
+        queries += [u, EdgePosition(u, v, float(rng.uniform(0.1, 0.9)))]
+    straddled = 0
+    pages = _recording_storage(index)
+    try:
+        for objects in (
+            random_vertex_objects(parity_net, count=40, seed=5),
+            random_edge_objects(parity_net, count=30, seed=6),
+        ):
+            object_index = ObjectIndex(parity_net, objects, index.embedding)
+            for query in queries:
+                handle = QueryHandle(
+                    index, object_index, resolve_location(parity_net, query)
+                )
+                for node in _pmr_nodes(object_index):
+                    mark = len(pages)
+                    got = handle.block_bound(node)
+                    fused = pages[mark:]
+                    want = _reference_block_bound(handle, node)
+                    assert pages[mark + len(fused):] == fused
+                    assert got.hex() == want.hex(), (query, node.code, node.level)
+                    for av, _ in handle.anchors:
+                        table = index.tables[av]
+                        end = node.code + block_cells(node.level)
+                        rows = table.overlapping(node.code, end)
+                        straddled += len(rows) == 1 and table.ends[rows.start] > end
+    finally:
+        index.detach_storage()
+    assert straddled > 100
+
+
 class TestChecksKept:
     """The flat path still refuses what the layered one refused."""
 
@@ -611,13 +795,19 @@ class TestChecksKept:
             # the second step raised before it counted
             assert loop_events == run[:3]
 
-    def test_page_layout_refuses_a_probe_from_a_negative_source(self, index):
-        index.attach_storage(index.make_storage())
-        try:
-            with pytest.raises(IndexError, match="table -1 out of range"):
-                index.hop_and_interval(-1, 5)
-        finally:
-            index.detach_storage()
+    def test_a_negative_vertex_id_is_refused(self, grid_net, index):
+        """A negative id used to index from the end: a probe from -1 was
+        answered for the last vertex (with storage: the page layout's
+        ``IndexError``), and one *to* -1 always was."""
+        proximal = ProximalSILCIndex.build(grid_net, radius=1e9)
+        for probed in (index, proximal):
+            for storage in (None, probed.make_storage()):
+                probed.storage = storage
+                for source, target in ((-1, 5), (5, -1)):
+                    with pytest.raises(VertexNotFound, match="vertex -1 not in"):
+                        probed.hop_and_interval(source, target)
+                if storage is not None:
+                    assert storage.stats.accesses == 0
 
     def test_refine_fully_guard_trips_on_next_hop_cycle(self, grid_net, index):
         source, hop, target = self._far_pair(index)

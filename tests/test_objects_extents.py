@@ -109,7 +109,7 @@ class TestDistances:
                 part_distance(small_net, small_dist, 4, part)
                 for part in position_parts(o.position)
             )
-            state = handle.object_state(o)
+            state = handle.object_state(o.oid)
             assert state.interval.lo - 1e-9 <= truth <= state.interval.hi + 1e-9
             assert state.refine_fully() == pytest.approx(truth, rel=1e-9)
 

@@ -33,7 +33,7 @@ class TestVertexObjectDistances:
         net, idx, oi = handle_setup
         handle = QueryHandle(idx, oi, resolve_location(net, 0))
         for obj in oi.objects:
-            state = handle.object_state(obj)
+            state = handle.object_state(obj.oid)
             truth = small_dist[0, obj.position.vertex]
             assert state.interval.lo - 1e-9 <= truth <= state.interval.hi + 1e-9
 
@@ -41,7 +41,7 @@ class TestVertexObjectDistances:
         net, idx, oi = handle_setup
         handle = QueryHandle(idx, oi, resolve_location(net, 3))
         for obj in list(oi.objects)[:8]:
-            state = handle.object_state(obj)
+            state = handle.object_state(obj.oid)
             d = state.refine_fully()
             assert d == pytest.approx(
                 small_dist[3, obj.position.vertex], rel=1e-9, abs=1e-12
@@ -50,7 +50,7 @@ class TestVertexObjectDistances:
     def test_refinement_monotone(self, handle_setup):
         net, idx, oi = handle_setup
         handle = QueryHandle(idx, oi, resolve_location(net, 7))
-        state = handle.object_state(oi.get(0))
+        state = handle.object_state(0)
         prev = state.interval
         while state.refine():
             assert state.interval.lo >= prev.lo - 1e-12
@@ -64,7 +64,7 @@ class TestEdgeObjectDistances:
         oi = ObjectIndex(small_net, objs, small_index.embedding)
         handle = QueryHandle(small_index, oi, resolve_location(small_net, 0))
         for obj in objs:
-            state = handle.object_state(obj)
+            state = handle.object_state(obj.oid)
             truth = truth_to_edge_object(small_net, small_dist, 0, obj.position)
             assert state.interval.lo - 1e-9 <= truth <= state.interval.hi + 1e-9
             assert state.refine_fully() == pytest.approx(truth, rel=1e-9)
@@ -82,7 +82,7 @@ class TestEdgeObjectDistances:
             truth = 0.6 * w + small_dist[b, t]
             if w_rev is not None:
                 truth = min(truth, 0.4 * w_rev + small_dist[a, t])
-            state = handle.object_state(obj)
+            state = handle.object_state(obj.oid)
             assert state.refine_fully() == pytest.approx(truth, rel=1e-9)
 
 

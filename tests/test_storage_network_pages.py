@@ -39,7 +39,7 @@ class TestNetworkStorageModel:
 
     def test_io_accounting(self, small_net):
         model = NetworkStorageModel(small_net, cache_fraction=0.05)
-        snap = model.snapshot()
+        snap = model.stats
         for v in range(small_net.num_vertices):
             model.touch_vertex(v)
         assert model.io_time_since(snap) > 0
