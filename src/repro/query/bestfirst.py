@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from heapq import heappop, heappush
+from operator import attrgetter
 
 from repro.errors import DeadlineExceeded
 from repro.objects.index import ObjectIndex
@@ -46,6 +47,9 @@ _NODE = 0
 _OBJECT = 1
 
 VARIANTS = ("knn", "inn", "knn_i", "knn_m")
+
+#: Sort key of the fill and the exact pass: C, so no frame per state.
+_by_lo = attrgetter("lo")
 
 
 class _KMinDistTracker:
@@ -129,7 +133,10 @@ def best_first_knn(
         When True, fully refine the reported neighbors so that
         ``Neighbor.distance`` is the exact network distance.  The
         extra refinements are recorded separately in
-        ``stats.extras['post_refinements']``.
+        ``stats.extras['post_refinements']``.  An exact ``knn`` also
+        walks a colliding object whose upper bound is within ``Dk`` to
+        exact inside the search (reporting still waits for Theorem 1);
+        those links count in ``stats.refinements``.
     max_distance:
         External pruning cap in network-weight units: the search may
         omit any object whose network distance strictly exceeds it, and
@@ -172,6 +179,9 @@ def best_first_knn(
     io_before = index.storage.stats if index.storage is not None else None
 
     use_dk = variant == "knn"
+    # An exact ``knn`` walks a colliding object already inside ``Dk`` to
+    # exact in one call; every other search steps (see ARCHITECTURE.md).
+    walk = use_dk and exact
     use_d0k = variant in ("knn_i", "knn_m")
     kmin_tracker = _KMinDistTracker(k) if variant == "knn_m" else None
 
@@ -297,11 +307,18 @@ def best_first_knn(
             stats.kmindist_accepts += 1
             confirmed.append(state)
             continue
-        old_lo = state.lo
-        state.refine()
+        old_lo, old_hi = state.lo, state.hi
+        if walk and old_hi <= bound:
+            # Inside Dk: most such objects are answers the exact pass
+            # walks anyway, so walk it now, not one heap cycle per link.
+            state.refine_fully()
+        else:
+            state.refine()
         lo = state.lo
-        if use_dk:
-            # Entries are unique tuples: bisect lands on the stale one.
+        if use_dk and state.hi != old_hi:
+            # L is keyed on ``hi``: an unmoved one leaves L and Dk as
+            # they are.  Entries are unique tuples: bisect lands on the
+            # stale one.
             oid = state.oid
             del l_entries[bisect_left(l_entries, l_where[oid])]
             entry = l_where[oid] = (state.hi, l_seq, oid)
@@ -348,13 +365,13 @@ def best_first_knn(
             for s in states.values()
             if s.oid not in confirmed_oids and s.lo <= max_distance
         ]
-        remaining.sort(key=lambda s: s.lo)
+        remaining.sort(key=_by_lo)
         fill = remaining[: k - len(result_states)]
         for s in fill:
             if deadline is not None and counted_clock() > deadline:
                 raise _deadline_exceeded(time_budget, len(result_states), k)
             s.refine_fully()
-        fill.sort(key=lambda s: s.lo)
+        fill.sort(key=_by_lo)
         result_states.extend(fill)
         stats.extras["fallback_fill"] = len(fill)
 
@@ -369,7 +386,7 @@ def best_first_knn(
         stats.extras["post_refinements"] = post_refinements
         stats.refinements = counter.count - post_refinements
         if variant != "knn_m":
-            result_states.sort(key=lambda s: s.lo)
+            result_states.sort(key=_by_lo)
 
     neighbors = [Neighbor.from_state(s) for s in result_states]
 

@@ -69,9 +69,9 @@ def same_edge_direct(
     """Length of the direct along-edge segment, when one exists.
 
     Covers the cases anchor decomposition misses: source and target on
-    the same directed edge with the target downstream, or a vertex
-    source at the tail of the target's edge (that one is also covered
-    by anchors, but the direct value is exact and free).
+    one segment, either orientation, with the target downstream along
+    the source's edge or -- when the reverse edge exists -- along it.
+    A vertex source at the same vertex as a vertex target is 0.
     """
     if isinstance(target, ExtentPosition):
         candidates = [
@@ -85,19 +85,22 @@ def same_edge_direct(
             return 0.0
         return None
     if isinstance(source, EdgePosition) and isinstance(target, EdgePosition):
-        if (source.a, source.b) == (target.a, target.b) and (
-            target.fraction >= source.fraction
-        ):
-            w = network.edge_weight(source.a, source.b)
-            return (target.fraction - source.fraction) * w
-        if (source.b, source.a) == (target.a, target.b) and network.has_edge(
-            target.a, target.b
-        ):
-            # Opposite orientations of the same undirected segment.
-            sf = 1.0 - source.fraction  # source's fraction along (b, a)
-            if target.fraction >= sf:
-                w = network.edge_weight(target.a, target.b)
-                return (target.fraction - sf) * w
+        f, g = source.fraction, target.fraction
+        if (source.a, source.b) == (target.a, target.b):
+            if g >= f:
+                return (g - f) * network.edge_weight(source.a, source.b)
+            if network.has_edge(source.b, source.a):
+                # Upstream: back along the reverse edge, where the
+                # source sits 1 - f and the target 1 - g of the way.
+                return (f - g) * network.edge_weight(source.b, source.a)
+            return None
+        if (source.b, source.a) == (target.a, target.b):
+            # Opposite orientations of the same undirected segment: the
+            # target sits 1 - g of the way along the source's edge, the
+            # source 1 - f of the way along the target's.
+            if 1.0 - g >= f:
+                return (1.0 - g - f) * network.edge_weight(source.a, source.b)
+            return (g - (1.0 - f)) * network.edge_weight(target.a, target.b)
         return None
     return None
 

@@ -28,7 +28,13 @@ class QueryStats:
     SILC-family counters
     --------------------
     refinements:
-        Progressive-refinement steps (fig p.35's unit).
+        Links advanced inside the search (fig p.35's unit): one per
+        progressive-refinement step, and one per link of a walk to
+        exact -- an exact ``knn`` walks a colliding object already
+        inside ``Dk`` instead of stepping it.  The exact pass after the
+        search is not in here: its links are
+        ``extras["post_refinements"]``, so the two together are every
+        link a query walked.
     max_queue:
         Peak size of the main priority queue ``Q`` (fig p.34's unit).
     l_ops:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.query import bestfirst
 from repro.query.bestfirst import _KMinDistTracker, best_first_knn
 from repro.query.stats import QueryStats
+from repro.silc.refinement import RefinableDistance
 
 
 @pytest.fixture()
@@ -71,13 +72,27 @@ class TestResultQueue:
         his = {oid: hi for hi, _, oid in entries}
         assert all(his[n.oid] == n.interval.hi for n in result.neighbors)
 
-    def test_update_many_entries_moves_the_right_one(self, knn_and_l):
+    def test_update_many_entries_moves_the_right_one(self, knn_and_l, monkeypatch):
         """Sequence numbers are unique and the last one written is the
-        number of writes: no stale entry survived an update."""
+        number of writes: no stale entry survived an update.  L is keyed
+        on the upper bound, so it is written once per object seen and
+        once per refinement step that moved that bound -- no more."""
+        steps = moved = 0
+        real_refine = RefinableDistance.refine
+
+        def refine(state):
+            nonlocal steps, moved
+            hi = state.hi
+            real_refine(state)
+            steps += 1
+            moved += state.hi != hi
+
+        monkeypatch.setattr(RefinableDistance, "refine", refine)
         result, entries, writes = knn_and_l(77, 25)
         seqs = sorted(seq for _, seq, _ in entries)
         assert len(set(seqs)) == len(seqs) and seqs[-1] == writes - 1
-        assert writes == result.stats.objects_seen + result.stats.refinements
+        assert steps == result.stats.refinements and 0 < moved < steps
+        assert writes == result.stats.objects_seen + moved
 
     def test_operations_are_counted(
         self, knn_and_l, small_index, small_object_index

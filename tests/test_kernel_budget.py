@@ -4,8 +4,10 @@ Wall-clock says nothing reliable in a unit test; Python-level call
 counts do.  Fixed queries run under ``sys.setprofile`` and the tests
 count (a) the Python frames entered per refinement step of the search
 -- from the queued state's ``refine`` down through the probe and the
-page accounting --, (b) the frames entered per link of the exact
-finish, below the state's ``refine_fully``, (c) ``DistanceInterval``
+page accounting --, (b) the frames entered per link walked, below the
+state's ``refine_fully``: in the exact finish, and inside an exact
+``knn`` search, which walks a colliding object already inside ``Dk``
+instead of stepping it, (c) ``DistanceInterval``
 constructions, which belong to the output boundary only, and (d) every
 frame of the whole query against a budget in the query's own counted
 operations.  Before the kernel was flattened the first query cost 29
@@ -48,9 +50,13 @@ FRAMES_PER_FINISH_LINK = 0
 #:   anchor) and the query point's MINDIST to the node; an anchor whose
 #:   run is one table block containing the node adds that anchor's
 #:   MINDIST to the node's rectangle;
-#: * neighbor reported: ``refine_fully``, a sort key, ``from_state``,
-#:   the ``Neighbor`` and ``DistanceInterval`` constructors and
-#:   ``__post_init__``, one ``dk_final`` generator step;
+#: * neighbor reported: ``refine_fully``, ``from_state``, the
+#:   ``Neighbor`` and ``DistanceInterval`` constructors and
+#:   ``__post_init__``, one ``dk_final`` generator step (the sort keys
+#:   are ``attrgetter``: no frame);
+#: * fallback fill, when the search ends short of k (an exact ``knn``
+#:   whose k-th candidate was walked to ``lo == Dk`` ends that way): its
+#:   two comprehensions, and one ``refine_fully`` per state it fills;
 #: * query: set-up (location, anchors, one bound column), the I/O
 #:   snapshot and delta, result assembly.
 #:
@@ -62,7 +68,8 @@ FRAMES_PER_FINISH_LINK = 0
 FRAMES_PER_OBJECT = 2
 FRAMES_PER_NODE_BOUNDED = 2
 FRAMES_PER_NODE_INSIDE_ONE_BLOCK = 1
-FRAMES_PER_NEIGHBOR = 7
+FRAMES_PER_NEIGHBOR = 6
+FRAMES_PER_FALLBACK_FILL = 2
 FRAMES_PER_QUERY = 34
 
 
@@ -93,6 +100,8 @@ def _count_calls(index, object_index, fn):
     named = {
         QueryHandle.block_bound.__code__: "nodes_bounded",
         DistanceInterval.__post_init__.__code__: "intervals",
+        refine_code: "refines",
+        finish_code: "finishes",
     }
     counts = dict.fromkeys(named.values(), 0) | {
         "frames": -1, "under_refine": 0, "under_finish": 0,
@@ -140,25 +149,37 @@ def test_frames_per_refinement_and_no_interval_allocations(
     # The shared index is only read; the simulator is detached again.
     small_index.attach_storage(small_index.make_storage())
     try:
-        # Once unobserved: the resolved-location cache is a first-touch
-        # cost, not a per-refinement one.
-        best_first_knn(small_index, small_object_index, 31, 10, exact=True)
-        result, counts = _count_calls(
-            small_index, small_object_index,
-            lambda: best_first_knn(
-                small_index, small_object_index, 31, 10, exact=True
-            )
-        )
+        for variant in ("inn", "knn"):
+            # Once unobserved: the resolved-location cache is a
+            # first-touch cost, not a per-refinement one.
+            def run():
+                return best_first_knn(
+                    small_index, small_object_index, 31, 10,
+                    variant=variant, exact=True,
+                )
+            run()
+            result, counts = _count_calls(small_index, small_object_index, run)
+            s = result.stats
+            steps = counts["refines"]
+            # ``inn`` steps every collision and leaves the rest of the
+            # walk to the exact pass; ``knn`` walks a colliding object
+            # inside ``Dk`` in one ``refine_fully`` call.  Either way one
+            # collision is one call.
+            walks = counts["finishes"] - len(result.neighbors)
+            assert steps + walks == s.collisions
+            if variant == "inn":
+                assert walks == 0 and steps == s.refinements > 50
+                assert s.extras["post_refinements"] > 10
+            else:
+                assert walks > 5 and s.refinements - steps > 50  # links walked
+            links = s.refinements - steps + s.extras["post_refinements"]
+            assert counts["under_refine"] <= FRAMES_PER_REFINEMENT * steps
+            assert counts["under_finish"] <= FRAMES_PER_FINISH_LINK * links
+            # One interval per reported neighbor, built at the output
+            # boundary; none inside the search loop.
+            assert counts["intervals"] == len(result.neighbors) == 10
     finally:
         small_index.detach_storage()
-    refinements = result.stats.refinements
-    links = result.stats.extras["post_refinements"]
-    assert refinements > 50 and links > 10  # the query does real work
-    assert counts["under_refine"] <= FRAMES_PER_REFINEMENT * refinements
-    assert counts["under_finish"] <= FRAMES_PER_FINISH_LINK * links
-    # One interval per reported neighbor, built at the output boundary;
-    # none inside the search loop.
-    assert counts["intervals"] == len(result.neighbors) == 10
 
 
 @pytest.mark.parametrize("variant", ["knn", "inn"])
@@ -178,8 +199,10 @@ def test_whole_query_frames_within_budget(small_net, small_index, variant):
             run()  # first touch: the resolved-location cache
             result, counts = _count_calls(small_index, object_index, run)
             s = result.stats
+            # A collision is one frame, a step or a walk; the links a
+            # walk takes cost nothing more (FRAMES_PER_FINISH_LINK).
             budget = (
-                FRAMES_PER_REFINEMENT * s.refinements
+                FRAMES_PER_REFINEMENT * s.collisions
                 + FRAMES_PER_FINISH_LINK * s.extras["post_refinements"]
                 + FRAMES_PER_OBJECT * s.objects_seen
                 + FRAMES_PER_NODE_BOUNDED * counts["nodes_bounded"]
@@ -187,6 +210,9 @@ def test_whole_query_frames_within_budget(small_net, small_index, variant):
                 + FRAMES_PER_NEIGHBOR * len(result.neighbors)
                 + FRAMES_PER_QUERY
             )
+            filled = s.extras.get("fallback_fill")
+            if filled is not None:
+                budget += FRAMES_PER_FALLBACK_FILL + filled
             assert counts["frames"] <= budget, (query, k, counts, s)
             assert s.nonleaf_expansions >= 1
             assert counts["nodes_bounded"] <= 1 + 4 * s.nonleaf_expansions

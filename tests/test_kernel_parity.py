@@ -9,10 +9,24 @@ is *meant* to move them (``PYTHONPATH=src python
 tests/test_kernel_parity.py`` prints the table) and say so in
 CHANGES.md.
 
-Re-recorded once since: the ``knn`` re-enqueue test became ``<=`` (the
-k-th-entry tie fix), which moved ``queue_pushes`` by +1 on one
-edge-scenario and one extent-scenario query -- the four
-``edge|extent/*/knn`` digests -- and nothing else.
+Re-recorded since:
+
+1. The ``knn`` re-enqueue test became ``<=`` (the k-th-entry tie fix),
+   which moved ``queue_pushes`` by +1 on one edge-scenario and one
+   extent-scenario query -- the four ``edge|extent/*/knn`` digests --
+   and nothing else.
+2. Each cell was split into ``.../exact`` and ``.../bounds``
+   (``exact=False``), every query run both ways against its own fresh
+   simulator; the split digests were recorded on the search as it then
+   stood.  Then an exact ``knn`` began walking a colliding object inside
+   ``Dk`` to exact in one call: the six ``*/knn/exact`` digests and the
+   four ``knn`` control-flow cells moved, every ``bounds`` digest and
+   every ``inn`` / ``knn_i`` / ``knn_m`` digest stayed.  Answers stayed
+   too, ids and distance bits, except the order among exactly equal
+   distances in ``ties/knn`` (same objects, same distances).  Last,
+   ``L`` was no longer rewritten when a step left an upper bound where
+   it was: that moved ``l_ops`` alone, in every ``knn`` digest
+   (``bounds`` included), and no other field of any record.
 """
 
 from __future__ import annotations
@@ -48,30 +62,54 @@ from test_properties import one_way
 KS = (1, 5, 25)
 
 GOLDEN: dict[str, str] = {
-    "vertex/attached/knn": "dcb543daf9624570",
-    "vertex/attached/inn": "72ae5f8767318e49",
-    "vertex/attached/knn_i": "2031b0b78bad7ebd",
-    "vertex/attached/knn_m": "7660a60351dae59c",
-    "vertex/detached/knn": "e527d1b9b46061ed",
-    "vertex/detached/inn": "db7bd11a54d5c643",
-    "vertex/detached/knn_i": "e7e1c5a88e73f966",
-    "vertex/detached/knn_m": "d5ed3566c96dcb76",
-    "edge/attached/knn": "44da9f3abe946687",
-    "edge/attached/inn": "f80dfb269dfe0e56",
-    "edge/attached/knn_i": "776dbe6c17b7a91b",
-    "edge/attached/knn_m": "21ff48a8f173ae15",
-    "edge/detached/knn": "db3fc696e63efc29",
-    "edge/detached/inn": "6eafcedfdd03a5cd",
-    "edge/detached/knn_i": "3dd70ef68883e14d",
-    "edge/detached/knn_m": "9bdca6a72f0ba56c",
-    "extent/attached/knn": "aa6ea7dc42886d13",
-    "extent/attached/inn": "8bbefec0ad7de52e",
-    "extent/attached/knn_i": "cf83fc0e5d45575e",
-    "extent/attached/knn_m": "b97ba47c03747a70",
-    "extent/detached/knn": "4b14454e1f218c61",
-    "extent/detached/inn": "7b01f396cee1e909",
-    "extent/detached/knn_i": "c125c6f5dff1220e",
-    "extent/detached/knn_m": "d28b782ddeccf6e9",
+    "vertex/attached/knn/exact": "957ebfe908c25a94",
+    "vertex/attached/knn/bounds": "7f54b93074c1a73d",
+    "vertex/attached/inn/exact": "c8eda3fe002ab375",
+    "vertex/attached/inn/bounds": "f586fd660ed94638",
+    "vertex/attached/knn_i/exact": "2b0463dabe67e5f6",
+    "vertex/attached/knn_i/bounds": "0b1e9b789d02125e",
+    "vertex/attached/knn_m/exact": "38451d7bb14a737e",
+    "vertex/attached/knn_m/bounds": "f971ebbf7c90ef25",
+    "vertex/detached/knn/exact": "ae17172859781a8c",
+    "vertex/detached/knn/bounds": "4014a32f19a1f4b9",
+    "vertex/detached/inn/exact": "819f40ce34bb7f06",
+    "vertex/detached/inn/bounds": "8797bcae899dd1c8",
+    "vertex/detached/knn_i/exact": "9ef52e8f27a515ea",
+    "vertex/detached/knn_i/bounds": "03abb6fe3f589388",
+    "vertex/detached/knn_m/exact": "6f77d9462c87260c",
+    "vertex/detached/knn_m/bounds": "c2d7908028cbabb7",
+    "edge/attached/knn/exact": "968ba04f16501875",
+    "edge/attached/knn/bounds": "8c33bba13a5de008",
+    "edge/attached/inn/exact": "5f1b5ca23d059295",
+    "edge/attached/inn/bounds": "fdeba76a97f1fa9e",
+    "edge/attached/knn_i/exact": "4b4ee2a4fc39f6c3",
+    "edge/attached/knn_i/bounds": "31b67f352e8e2990",
+    "edge/attached/knn_m/exact": "dd0f77fbe23bb2e7",
+    "edge/attached/knn_m/bounds": "c35839fb8043a8f8",
+    "edge/detached/knn/exact": "69c620edb9c905f9",
+    "edge/detached/knn/bounds": "0f5a422f163be266",
+    "edge/detached/inn/exact": "a9df8e74c709973b",
+    "edge/detached/inn/bounds": "3cc2ee59cf008fc2",
+    "edge/detached/knn_i/exact": "e3f99ed67a577f0c",
+    "edge/detached/knn_i/bounds": "2b3abb5afe08870f",
+    "edge/detached/knn_m/exact": "593d57e10ca5f4e3",
+    "edge/detached/knn_m/bounds": "0af941a9887252d0",
+    "extent/attached/knn/exact": "3f8666a2f2c2742b",
+    "extent/attached/knn/bounds": "ea8c5b1adb85367b",
+    "extent/attached/inn/exact": "525b251d7d680ec2",
+    "extent/attached/inn/bounds": "f91dfdbe5331c2e6",
+    "extent/attached/knn_i/exact": "c3a070b140a94829",
+    "extent/attached/knn_i/bounds": "01efef4992502e85",
+    "extent/attached/knn_m/exact": "bd232d7b5a151c08",
+    "extent/attached/knn_m/bounds": "b0111126d233337b",
+    "extent/detached/knn/exact": "fafa3a04bb274ab6",
+    "extent/detached/knn/bounds": "12f1d42c70fab16d",
+    "extent/detached/inn/exact": "6cf2d4a5e76ce065",
+    "extent/detached/inn/bounds": "ed9c1bbe8f82bb3a",
+    "extent/detached/knn_i/exact": "77eb87bf7de01c41",
+    "extent/detached/knn_i/bounds": "d0327ecbc920aacf",
+    "extent/detached/knn_m/exact": "02c5773d3ddbeb1b",
+    "extent/detached/knn_m/bounds": "1a4bd385e7b65c85",
 }
 
 
@@ -134,31 +172,32 @@ def _digest(records) -> str:
 
 
 def compute_digests(net, index, **knn_kwargs) -> dict[str, str]:
-    """One digest per (scenario, storage, variant) over k and queries."""
+    """One digest per (scenario, storage, variant, exact) over k and
+    queries: ``exact`` answers and ``bounds`` (``exact=False``) ones."""
     digests = {}
     for name, (objects, queries) in _scenarios(net).items():
         object_index = ObjectIndex(net, objects, index.embedding)
         for storage in ("attached", "detached"):
             for variant in VARIANTS:
-                # A fresh simulator per cell: the LRU state a query
-                # meets depends only on the queries before it here.
-                if storage == "attached":
-                    index.attach_storage(index.make_storage(cache_fraction=0.05))
-                try:
-                    records = [
-                        _record(
-                            best_first_knn(
-                                index, object_index, q, k,
-                                variant=variant, exact=bool(i % 2),
-                                **knn_kwargs,
+                for mode, exact in (("exact", True), ("bounds", False)):
+                    # A fresh simulator per cell: the LRU state a query
+                    # meets depends only on the queries before it here.
+                    if storage == "attached":
+                        index.attach_storage(index.make_storage(cache_fraction=0.05))
+                    try:
+                        records = [
+                            _record(
+                                best_first_knn(
+                                    index, object_index, q, k,
+                                    variant=variant, exact=exact, **knn_kwargs,
+                                )
                             )
-                        )
-                        for k in KS
-                        for i, q in enumerate(queries)
-                    ]
-                finally:
-                    index.detach_storage()
-                digests[f"{name}/{storage}/{variant}"] = _digest(records)
+                            for k in KS
+                            for q in queries
+                        ]
+                    finally:
+                        index.detach_storage()
+                    digests[f"{name}/{storage}/{variant}/{mode}"] = _digest(records)
     return digests
 
 
@@ -184,16 +223,18 @@ def test_generous_time_budget_changes_nothing(parity_net, parity_index):
 
 
 # ----------------------------------------------------------------------
-# Control flow the 24 digests above do not reach
+# Control flow the 48 digests above do not reach
 # ----------------------------------------------------------------------
 #: Recorded at the commit before the pop loop kept a refined queue head
 #: in hand instead of re-inserting and re-popping it: same record
-#: format, one digest per (scenario, variant), storage attached.
+#: format, one digest per (scenario, variant), storage attached.  The
+#: four ``knn`` cells were re-recorded with the walk and the unmoved-``L``
+#: skip (see the module docstring).
 GOLDEN_CONTROL_FLOW: dict[str, str] = {
-    "cap/knn": "cde092fb5a59a961",
-    "k_ge_s/knn": "5c1cfd5d3dc6d855",
-    "ties/knn": "b34539b9208b8ce1",
-    "proximal/knn": "dcb543daf9624570",
+    "cap/knn": "df00b281679c0816",
+    "k_ge_s/knn": "f2af993be1dfdbc4",
+    "ties/knn": "fabeabae65b985c7",
+    "proximal/knn": "3c23517a2b44fdef",
     "cap/inn": "b6e33a9606f2a19c",
     "k_ge_s/inn": "62e865d02b36b47b",
     "ties/inn": "1b1b13e5c558d3d1",
@@ -390,13 +431,19 @@ def test_an_exact_tie_with_the_queue_head_goes_through_the_heap(loop_events):
 #: neighbours there, and a neighbour's finish is one walk that bumps the
 #: counter once, so a jump "inside" a walk is seen before the next
 #: neighbour -- which is when the stepwise finish saw it too (the last
-#: neighbour is one link from exact: a single "-").  Not re-recorded.
-GOLDEN_DEADLINE_REPORTS: dict[str, str] = dict.fromkeys(
-    ("knn", "inn"),  # the two agree on this query
-    "0,0,1,1,1,2,2,2,4,4,6,6,6,6,6,6,6,6,6,6,7,7,7,7,7,7,7,7,7,7,7,8,8,8,8,"
-    "9,9,9,9,9,9,9,9,9,9,9,10,10,10,10,10,10,10,10,10,10,10,10,10,10,10,10,"
-    "10,10,10,10,-",
-)
+#: neighbour is one link from exact: a single "-").  ``inn`` is not
+#: re-recorded.  ``knn`` agreed with it until an exact ``knn`` began
+#: walking a colliding object inside ``Dk``: a walk inside the search is
+#: one call too, so a jump inside it is seen at the next pop (the runs
+#: of equal reports), and the same 67 links now all fall inside the
+#: search -- the exact pass has nothing left to walk.
+GOLDEN_DEADLINE_REPORTS: dict[str, str] = {
+    "knn": "0,0,0,1,1,1,1,1,1,1,1,1,1,1,2,2,2,2,4,4,4,4,4,6,6,6,6,6,6,6,6,6,"
+    "6,6,6,6,6,6,6,6,6,6,6,6,6,6,6,7,7,7,7,7,7,7,7,9,9,9,9,9,9,9,9,9,9,9,9",
+    "inn": "0,0,1,1,1,2,2,2,4,4,6,6,6,6,6,6,6,6,6,6,7,7,7,7,7,7,7,7,7,7,7,8,8,"
+    "8,8,9,9,9,9,9,9,9,9,9,9,9,10,10,10,10,10,10,10,10,10,10,10,10,10,10,10,"
+    "10,10,10,10,10,-",
+}
 
 
 def deadline_reports(index, object_index, query, k, variant) -> str:
@@ -456,6 +503,86 @@ def test_deadline_passing_inside_a_head_run(
     assert any(
         a == b and a[0] == "refine" for a, b in zip(loop_events, loop_events[1:])
     )
+
+
+# ----------------------------------------------------------------------
+# Walks: an exact ``knn`` walks a colliding object inside ``Dk`` to exact
+# in one call; Theorem 1 and the deadline still decide what is reported
+# ----------------------------------------------------------------------
+def test_a_walked_state_above_the_queue_head_is_pushed_not_confirmed(
+    parity_net, parity_index, monkeypatch
+):
+    """A walk makes a state exact, not reportable: one whose distance is
+    not below the queue head goes back on the heap and is confirmed only
+    when it pops with nothing queued below it."""
+    events: list[tuple] = []
+    real_walk, real_push = RefinableDistance.refine_fully, bestfirst.heappush
+
+    def walk(self, *args, **kwargs):
+        events.append(("walk", self.oid))
+        return real_walk(self, *args, **kwargs)
+
+    def heappush(heap, entry):
+        if entry[2] == bestfirst._OBJECT:
+            events.append(("push", entry[3].oid, entry[0], heap[0][0]))
+        real_push(heap, entry)
+
+    monkeypatch.setattr(RefinableDistance, "refine_fully", walk)
+    monkeypatch.setattr(bestfirst, "heappush", heappush)
+    objects, queries = _scenarios(parity_net)["vertex"]
+    object_index = ObjectIndex(parity_net, objects, parity_index.embedding)
+    result = best_first_knn(
+        parity_index, object_index, queries[1], 10, variant="knn", exact=True
+    )
+    pushed = [
+        push for step, push in zip(events, events[1:])
+        if step[0] == "walk" and push[0] == "push" and push[1] == step[1]
+    ]
+    assert pushed
+    distances = dict(zip(result.ids(), result.distances()))
+    for _, oid, lo, head in pushed:
+        assert lo > head
+        assert distances[oid] == lo  # reported later, at its exact distance
+    # ... and the answer is the one a stepping search gives.
+    stepped = best_first_knn(
+        parity_index, object_index, queries[1], 10, variant="inn", exact=True
+    )
+    assert result.distances() == stepped.distances()
+
+
+def test_a_deadline_passing_during_a_walk_raises(parity_net, parity_index):
+    """A walk is one call with no deadline check inside it; a clock that
+    jumps during any walk of the search is seen at the next pop, and the
+    search raises instead of answering late."""
+    objects, queries = _scenarios(parity_net)["vertex"]
+    object_index = ObjectIndex(parity_net, objects, parity_index.embedding)
+    real_counter, real_clock = bestfirst.RefinementCounter, bestfirst.counted_clock
+    walks: list[int] = []  # the counter right after each walk
+    count = [0]
+
+    def bumped(value):
+        if value - count[0] > 1:
+            walks.append(value)
+        count[0] = value
+
+    bestfirst.RefinementCounter = lambda: _WatchedCounter(bumped)
+    try:
+        result = best_first_knn(
+            parity_index, object_index, queries[1], 10, variant="knn", exact=True
+        )
+        in_search = [w for w in walks if w <= result.stats.refinements]
+        assert len(in_search) > 3
+        for jump_at in in_search:
+            count[0] = 0
+            bestfirst.counted_clock = lambda: 1e9 if count[0] >= jump_at else 0.0
+            with pytest.raises(DeadlineExceeded, match=r"\(\d of 10 neighbors"):
+                best_first_knn(
+                    parity_index, object_index, queries[1], 10,
+                    variant="knn", exact=True, time_budget=1.0,
+                )
+    finally:
+        bestfirst.RefinementCounter = real_counter
+        bestfirst.counted_clock = real_clock
 
 
 def _reference_block_lower_bound(index, source, code, level) -> float:

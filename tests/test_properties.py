@@ -5,7 +5,9 @@ networks, object sets, queries and k -- the strongest correctness
 evidence in the suite.
 """
 
+import heapq
 import tempfile
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from repro import ObjectIndex, ObjectSet, QueryEngine, SILCIndex, ine_knn, knn, 
 from repro.datasets import random_vertex_objects
 from repro.geometry.grid import GridEmbedding
 from repro.geometry.rect import Rect
+from repro.objects import EdgePosition, ExtentPosition, SpatialObject, VertexPosition
+from repro.objects.model import position_point
 from repro.network import (
     EdgeNotFound,
     PathNotFound,
@@ -29,6 +33,7 @@ from repro.oracle import PrunedLabellingOracle
 from repro.query import bestfirst
 from repro.query.bestfirst import VARIANTS, best_first_knn
 from repro.query.distances import ObjectDistanceState
+from repro.query.location import resolve_location
 from repro.shard import ShardGroup
 from repro.silc.refinement import RefinementCounter
 from repro.silc.sp_quadtree import SPQuadtreeBuilder, choose_grid_order
@@ -150,6 +155,125 @@ def test_knn_matches_brute_force_everywhere(
     unranked = variant == "knn_m" and via in ("kernel", "paged")
     np.testing.assert_allclose(sorted(got) if unranked else got, want, rtol=1e-9)
     assert index.storage is None  # the engine's simulator went back
+
+
+def true_distances(net, source, objects) -> dict[int, float]:
+    """Network distance from the position ``source`` to every object, by
+    plain Dijkstra over ``net`` with every directed edge cut at the
+    points that lie on it: a point ``f`` of the way along ``a -> b`` is
+    also ``1 - f`` of the way along ``b -> a`` when that edge exists.
+    An extent is as near as its nearest part."""
+    cuts = defaultdict(list)
+
+    def node(position):
+        if isinstance(position, VertexPosition):
+            return position.vertex
+        key = ("point", position)
+        a, b, f = position.a, position.b, position.fraction
+        cuts[a, b].append((f * net.edge_weight(a, b), key))
+        if net.has_edge(b, a):
+            cuts[b, a].append(((1.0 - f) * net.edge_weight(b, a), key))
+        return key
+
+    start = node(source)
+    parts = {
+        o.oid: [node(p) for p in getattr(o.position, "parts", (o.position,))]
+        for o in objects
+    }
+    arcs = defaultdict(list)
+    for u, row in enumerate(net.out_weights):
+        for v, w in row.items():
+            at, offset = u, 0.0
+            for cut, key in sorted(cuts[u, v], key=lambda c: c[0]):
+                arcs[at].append((key, cut - offset))
+                at, offset = key, cut
+            arcs[at].append((v, w - offset))
+    dist, heap, seq = {start: 0.0}, [(0.0, 0, start)], 1
+    while heap:
+        d, _, x = heapq.heappop(heap)
+        if d > dist[x]:
+            continue
+        for y, w in arcs[x]:
+            if d + w < dist.get(y, np.inf):
+                dist[y] = d + w
+                heapq.heappush(heap, (d + w, seq, y))
+                seq += 1
+    return {oid: min(dist.get(n, np.inf) for n in ns) for oid, ns in parts.items()}
+
+
+def _edge_position(net, rng) -> EdgePosition:
+    a, b, _ = list(net.iter_edges())[int(rng.integers(net.num_edges))]
+    return EdgePosition(a, b, float(rng.choice([0.0, rng.uniform(0.05, 0.95), 1.0], p=[0.1, 0.8, 0.1])))
+
+
+def edge_and_extent_objects(net, rng, count=24) -> ObjectSet:
+    """Edge objects and extents (one to three vertex / edge parts) in
+    about equal numbers: almost every object is reached more than one
+    way, so its state is the multi-alternative one."""
+    positions = []
+    for _ in range(count):
+        if rng.random() < 0.5:
+            positions.append(_edge_position(net, rng))
+        else:
+            positions.append(ExtentPosition(tuple(
+                VertexPosition(int(rng.integers(net.num_vertices)))
+                if rng.random() < 0.3 else _edge_position(net, rng)
+                for _ in range(int(rng.integers(1, 4)))
+            )))
+    return ObjectSet(
+        SpatialObject(oid, p, position_point(net, p)) for oid, p in enumerate(positions)
+    )
+
+
+@pytest.mark.parametrize("via", ["kernel", "paged"])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_edge_queries_and_extent_objects_match_dijkstra(kind, via):
+    """The sibling above draws vertex objects and vertex queries only.
+    Here the queries sit on edges (a few on vertices) and the objects
+    are edge positions and extents, so the states an exact ``knn`` walks
+    to exact inside the search are the multi-alternative ones.  Exact
+    answers must be Dijkstra's; an ``exact=False`` answer must name the
+    same distances, and every interval it reports must hold the truth."""
+    walked = stepped = 0  # knn collisions, exact and bounds, summed
+    for seed in (0, 1):
+        net, index, _ = setup(seed, kind)
+        rng = np.random.default_rng([seed, len(kind)])
+        objects = edge_and_extent_objects(net, rng)
+        oi = ObjectIndex(net, objects, index.embedding)
+        engine = QueryEngine(index, oi, cache_fraction=0.05) if via == "paged" else None
+        queries = [_edge_position(net, rng) for _ in range(5)]
+        queries.append(int(rng.integers(net.num_vertices)))
+        for query in queries:
+            truth = true_distances(net, resolve_location(net, query), objects)
+            for k in (1, 6, 15, 30):
+                want = sorted(truth.values())[:k]
+                for variant in VARIANTS:
+                    for exact in (True, False):
+                        if engine is None:
+                            result = best_first_knn(
+                                index, oi, query, k, variant=variant, exact=exact
+                            )
+                        else:
+                            result = engine.knn(query, k, variant=variant, exact=exact)
+                        assert len(set(result.ids())) == len(result.neighbors) == len(want)
+                        for n in result.neighbors:
+                            d = truth[n.oid]
+                            lo, hi = n.interval.lo, n.interval.hi
+                            assert lo - 1e-9 * d <= d <= hi + 1e-9 * d, (query, k, n)
+                            if exact:
+                                np.testing.assert_allclose(n.distance, d, rtol=1e-9)
+                        got = [truth[n.oid] for n in result.neighbors]
+                        if variant == "knn_m" or not exact:
+                            got.sort()
+                        np.testing.assert_allclose(got, want, rtol=1e-9)
+                        if variant == "knn":
+                            if exact:
+                                walked += result.stats.collisions
+                            else:
+                                stepped += result.stats.collisions
+    # The walk resolved collisions in one call each that stepping took
+    # one heap cycle per link for.
+    assert walked < stepped
 
 
 #: Shard groups kept open at once by the test below (each is up to

@@ -12,6 +12,16 @@ def first_edge(net, u=0):
     return u, v, w
 
 
+def one_way_triangle():
+    from repro.network import SpatialNetwork
+
+    return SpatialNetwork(
+        [0.0, 1.0, 0.5],
+        [0.0, 0.0, 1.0],
+        [(0, 1, 1.0), (1, 2, 1.2), (2, 0, 1.2)],
+    )
+
+
 class TestResolveLocation:
     def test_int_becomes_vertex_position(self, small_net):
         assert resolve_location(small_net, 5) == VertexPosition(5)
@@ -60,13 +70,7 @@ class TestAnchors:
             )
 
     def test_one_way_edge_has_single_anchor(self):
-        from repro.network import SpatialNetwork
-
-        net = SpatialNetwork(
-            [0.0, 1.0, 0.5],
-            [0.0, 0.0, 1.0],
-            [(0, 1, 1.0), (1, 2, 1.2), (2, 0, 1.2)],  # one-way triangle
-        )
+        net = one_way_triangle()
         pos = EdgePosition(0, 1, 0.5)
         assert source_anchors(net, pos) == [(1, pytest.approx(0.5))]
         assert target_anchors(net, pos) == [(0, pytest.approx(0.5))]
@@ -86,14 +90,31 @@ class TestSameEdgeDirect:
         )
         assert d == pytest.approx(0.5 * w)
 
-    def test_upstream_object_is_none(self, small_net):
-        a, b, _ = first_edge(small_net)
+    def test_no_upstream_segment_on_a_one_way_edge(self):
+        net = one_way_triangle()
         assert (
-            same_edge_direct(
-                small_net, EdgePosition(a, b, 0.7), EdgePosition(a, b, 0.2)
-            )
+            same_edge_direct(net, EdgePosition(0, 1, 0.7), EdgePosition(0, 1, 0.2))
             is None
         )
+
+    def test_upstream_object_goes_back_along_the_reverse_edge(self, small_net):
+        a, b, _ = first_edge(small_net)
+        assert small_net.has_edge(b, a)
+        w_rev = small_net.edge_weight(b, a)
+        d = same_edge_direct(
+            small_net, EdgePosition(a, b, 0.7), EdgePosition(a, b, 0.2)
+        )
+        assert d == pytest.approx(0.5 * w_rev)
+
+    def test_opposite_orientation_downstream_along_the_source_edge(self, small_net):
+        a, b, w = first_edge(small_net)
+        assert small_net.has_edge(b, a)
+        # target at 0.6 along (b,a) == 0.4 along (a,b): 0.2 ahead of a
+        # source at 0.2 along (a,b), travelling the source's own edge.
+        d = same_edge_direct(
+            small_net, EdgePosition(a, b, 0.2), EdgePosition(b, a, 0.6)
+        )
+        assert d == pytest.approx(0.2 * w)
 
     def test_opposite_orientation_segment(self, small_net):
         a, b, _ = first_edge(small_net)

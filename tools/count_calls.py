@@ -6,8 +6,11 @@ server (``serving_mix.py``: the engine ``repro serve`` builds and one
 seeded mix of the calls the server's worker thread makes).  The mix runs
 once unobserved (the resolved-location cache and the first read of each
 mapped page are first-touch costs), then once under ``sys.setprofile``
-counting every Python frame entered.  Run it before and after a change
-to the path and quote both tables.
+counting every Python frame entered.  Beside the frames, each kNN row
+carries the counted ops its answers' ``stats`` record, per request:
+links walked (``refinements`` + the exact pass's ``post_refinements``),
+queue pushes and simulated page misses; ``-`` for path and distance.
+Run it before and after a change to the path and quote both tables.
 
 Usage: count_calls.py NETWORK INDEX
 """
@@ -19,8 +22,13 @@ import sys
 from serving_mix import seeded_mix, serving_engine
 
 
-def frames_entered(call) -> int:
-    """Python frames entered while ``call()`` runs (``call``'s own excluded)."""
+#: Counted ops per kNN row, summed from each answer's stats.
+OPS = ("links", "pushes", "io_misses")
+
+
+def frames_entered(call) -> tuple[int, object]:
+    """Python frames entered while ``call()`` runs (``call``'s own
+    excluded), and what it returned."""
     frames = -1
 
     def profiler(frame, event, arg):
@@ -30,24 +38,47 @@ def frames_entered(call) -> int:
 
     sys.setprofile(profiler)
     try:
-        call()
+        result = call()
     finally:
         sys.setprofile(None)
-    return frames
+    return frames, result
+
+
+def counted_ops(result) -> tuple[int, ...] | None:
+    """``OPS`` of a ``knn`` / ``knn_batch`` answer; None for anything else."""
+    answers = getattr(result, "results", [result])  # a batch holds its answers
+    stats = [a.stats for a in answers if hasattr(a, "stats")]
+    if not stats:
+        return None
+    return (
+        sum(s.refinements + s.extras.get("post_refinements", 0) for s in stats),
+        sum(s.queue_pushes for s in stats),
+        sum(s.io_misses for s in stats),
+    )
 
 
 def main(network_path: str, index_path: str) -> int:
     mix = seeded_mix(serving_engine(network_path, index_path))
     for _, call in mix:
         call()
-    rows: dict[str, list[int]] = {}
+    rows: dict[str, list[tuple[int, tuple[int, ...] | None]]] = {}
     for label, call in mix:
-        rows.setdefault(label, []).append(frames_entered(call))
-    print(f"{'request':<18}{'requests':>9}{'frames':>10}{'frames/request':>16}")
+        frames, result = frames_entered(call)
+        rows.setdefault(label, []).append((frames, counted_ops(result)))
+    print(
+        f"{'request':<18}{'requests':>9}{'frames':>10}{'frames/request':>16}"
+        + "".join(f"{op + '/request':>20}" for op in OPS)
+    )
     for label in sorted(rows):
-        counts = rows[label]
-        print(f"{label:<18}{len(counts):>9}{sum(counts):>10}{sum(counts) / len(counts):>16.1f}")
-    total = sum(map(sum, rows.values()))
+        row = rows[label]
+        frames = sum(f for f, _ in row)
+        ops = [o for _, o in row if o is not None]
+        cells = [
+            f"{sum(o[i] for o in ops) / len(ops):>20.1f}" if ops else f"{'-':>20}"
+            for i in range(len(OPS))
+        ]
+        print(f"{label:<18}{len(row):>9}{frames:>10}{frames / len(row):>16.1f}" + "".join(cells))
+    total = sum(f for row in rows.values() for f, _ in row)
     print(f"{'all':<18}{len(mix):>9}{total:>10}{total / len(mix):>16.1f}")
     return 0
 
