@@ -4,9 +4,10 @@ The fault-tolerance acceptance bar, run as a counted benchmark so it
 executes on every push:
 
 * **Exactness under faults** -- a 4-shard workload with two injected
-  worker kills must return answers *identical* to the unfaulted
-  unsharded baseline (the supervisor respawns, backs off, and replays
-  the in-flight request; the caller never sees the crash).
+  kills of the worker serving it must return answers *identical* to
+  the unfaulted unsharded baseline (the supervisor respawns, backs
+  off, and replays the in-flight request; the caller never sees the
+  crash).
 * **Self-healing** -- after the workload every shard answers pings
   again, with no operator action.
 * **Observability** -- the crashes, respawns and retries appear in the
@@ -33,8 +34,12 @@ from repro.shard import ShardGroup
 N = 1200
 NUM_SHARDS = 4
 K = 5
-QUERIES_PER_SHARD = 13  # 4 shards -> 52 queries
-KILL_POINTS = (5, 10)  # per-shard request ordinals of the two kills
+NUM_QUERIES = 52
+#: One sequential client is served by slot 0 (the dispatcher lends the
+#: worker returned last, and slot 0 first); the two kills hit it at
+#: these request ordinals.
+SERVING = 0
+KILL_POINTS = (5, 10)
 P95_CEILING_S = 5.0  # generous: includes respawn backoff + replay
 
 
@@ -52,25 +57,18 @@ def ranked(result):
 
 
 def test_fault_recovery(benchmark, capsys, setup):
-    _, _, engine = setup
+    net, _, engine = setup
     injector = FaultInjector()
     group = ShardGroup.from_engine(
         engine, NUM_SHARDS, on_failure="respawn", max_retries=2,
         fault_injector=injector,
     )
     try:
-        shards = group.router.shards
-        assert len(shards) == NUM_SHARDS
-        # Round-robin queries drawn from each shard's own vertices, so
-        # every shard is visited a predictable number of times and the
-        # scripted kill ordinals are guaranteed to fire.
-        queries = []
-        for i in range(QUERIES_PER_SHARD):
-            for shard in shards:
-                queries.append(int(group.shard_map.vertices(shard)[i]))
-        victims = (shards[0], shards[1])
-        injector.kill_worker_at(victims[0], KILL_POINTS[0])
-        injector.kill_worker_at(victims[1], KILL_POINTS[1])
+        assert sorted(group.workers) == list(range(NUM_SHARDS))
+        step = net.num_vertices // NUM_QUERIES
+        queries = list(range(0, step * NUM_QUERIES, step))
+        for ordinal in KILL_POINTS:
+            injector.kill_worker_at(SERVING, ordinal)
 
         baseline = [ranked(engine.knn(q, K, exact=True)) for q in queries]
 
@@ -89,7 +87,7 @@ def test_fault_recovery(benchmark, capsys, setup):
         # Exactness under faults: every answer identical to the
         # unfaulted baseline, including the two killed-mid-request ones.
         assert answers == baseline
-        assert injector.fired("worker_kill") == 2
+        assert injector.fired("worker_kill") == len(KILL_POINTS)
 
         # Self-healing, no operator action.
         health = group.health_check()

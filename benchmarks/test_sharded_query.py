@@ -1,21 +1,18 @@
-"""Sharded serving tier: pruning effectiveness and process speedup.
+"""Sharded serving tier: exactness and process speedup.
 
-The spatially-sharded tier must earn its complexity three ways, in the
-paper's disk-resident regime (p.38: "I/O time dominates... each
-refinement may lead to a disk access"):
+The shard tier must earn its complexity two ways, in the paper's
+disk-resident regime (p.38: "I/O time dominates... each refinement may
+lead to a disk access"):
 
-* **Exactness** -- scatter-gathered answers identical to the
-  unsharded exact engine over a mixed workload (counted, not timed).
-* **Pruning** -- on a spatially clustered workload, the partition
-  router must skip at least half the shard workers per query using
-  only its distance bounds (a counted rate, deterministic).
+* **Exactness** -- each worker's answer identical to the unsharded
+  exact engine over a mixed workload (counted, not timed).
 * **Spread** -- a concurrent query mix over four worker processes,
   each behind its own 5 % page buffer, returns the sequential unsharded
-  engine's answers, and every worker takes page faults doing so
-  (counted from the ``shard:<id>`` spans).  The wall clock of both
-  sides and their ratio are recorded, not asserted: faults are counted,
-  never slept, so the ratio is what this host's CPUs give the worker
-  processes.
+  engine's answers, and more than one worker takes page faults doing
+  so (counted from the ``shard:<id>`` spans; LIFO dispatch may leave a
+  worker idle).  The wall clock of both sides and their ratio are
+  recorded, not asserted: faults are counted, never slept, so the
+  ratio is what this host's CPUs give the worker processes.
 """
 
 import time
@@ -34,7 +31,6 @@ NUM_SHARDS = 4
 K = 5
 NUM_QUERIES = 32
 CACHE_FRACTION = 0.05
-PRUNE_FLOOR = 0.5
 
 
 @pytest.fixture(scope="module")
@@ -54,29 +50,14 @@ def setup():
 
 
 def mixed_workload(net):
-    """Queries spread uniformly over the network (hits every shard),
-    shuffled so consecutive queries land on different shard workers --
-    sequential vertex ids are spatially correlated, and an unshuffled
-    stream would serialize on one worker's pipe at a time."""
+    """Queries spread uniformly over the network, shuffled (sequential
+    vertex ids are spatially correlated)."""
     step = max(1, net.num_vertices // NUM_QUERIES)
     queries = list(range(0, net.num_vertices, step))[:NUM_QUERIES]
     import random
 
     random.Random(BENCH_SEED).shuffle(queries)
     return queries
-
-
-def clustered_workload(group):
-    """Queries drawn from one shard's vertices (the commuter pattern:
-    most traffic concentrated in one region)."""
-    home = max(group.workers, key=lambda s: group.shard_map.vertices(s).size)
-    vertices = group.shard_map.vertices(home)
-    step = max(1, vertices.size // NUM_QUERIES)
-    return [int(v) for v in vertices[::step][:NUM_QUERIES]]
-
-
-def snapshot(stats):
-    return (stats.shards_considered, stats.shards_pruned, stats.shards_visited)
 
 
 def test_sharded_results_identical(setup):
@@ -95,37 +76,10 @@ def test_sharded_results_identical(setup):
         assert got == expected, f"sharded answer diverged at query {q}"
 
 
-def test_prune_rate_on_clustered_workload(setup, capsys):
-    """Counted: distance bounds must prune >= half the shards when the
-    workload clusters in one region."""
-    _, _, _, _, group = setup
-    queries = clustered_workload(group)
-    before = snapshot(group.stats)
-    for q in queries:
-        group.knn(q, K)
-    considered, pruned, visited = (
-        after - b for after, b in zip(snapshot(group.stats), before)
-    )
-    assert considered == len(queries) * len(group.workers)
-    assert visited + pruned == considered
-    rate = pruned / considered
-
-    recorder = SeriesRecorder(
-        "sharded_prune", ["queries", "shards", "considered", "pruned", "rate"]
-    )
-    recorder.add(len(queries), NUM_SHARDS, considered, pruned, rate)
-    recorder.emit(capsys)
-
-    assert rate >= PRUNE_FLOOR, (
-        f"expected >= {PRUNE_FLOOR:.0%} of shards pruned on the clustered "
-        f"workload, measured {rate:.0%}"
-    )
-
-
 def test_sharded_process_speedup(setup, capsys):
     """Four shard processes against the sequential unsharded engine,
     every engine behind a 5 % page buffer: same answers, page faults on
-    every worker; both wall clocks recorded."""
+    more than one worker; both wall clocks recorded."""
     net, index, object_index, _, group = setup
     queries = mixed_workload(net)
 
@@ -144,9 +98,9 @@ def test_sharded_process_speedup(setup, capsys):
     t_seq = time.perf_counter() - t0
 
     # Sharded: the same queries in flight across NUM_SHARDS dispatch
-    # threads, the searches running in the worker processes.  Traced,
-    # so each visit's page faults can be attributed to its worker
-    # afterwards.
+    # threads, each search running on whichever worker was idle.
+    # Traced, so each visit's page faults can be attributed to its
+    # worker afterwards.
     tracer = Tracer()
     traces = [tracer.start_trace() for _ in queries]
     with ThreadPoolExecutor(max_workers=NUM_SHARDS) as pool:
@@ -174,7 +128,8 @@ def test_sharded_process_speedup(setup, capsys):
         for span in trace.spans:
             if span.name.startswith("shard:"):
                 misses[span.name] += span.counters.get("io_misses", 0)
-    assert len(misses) == NUM_SHARDS and all(misses.values()), (
+    faulted = [name for name, count in misses.items() if count]
+    assert len(faulted) > 1, (
         f"page faults per shard worker {dict(misses)}: the work was not "
-        f"spread over all {NUM_SHARDS} of them"
+        "spread over more than one of them"
     )

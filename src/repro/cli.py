@@ -326,14 +326,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 ),
                 tracer=tracer,
             )
-            # noqa'd: closed in the finally below; a context manager
-            # cannot wrap the conditional stdin case.
-            in_stream = open(args.input) if args.input else sys.stdin  # noqa: SIM115
-            try:
+            # Stdin is read through a reader of its own, never sys.stdin:
+            # a shard worker respawned while the reader thread blocks in
+            # readline() is forked, and its first act (multiprocessing
+            # closing the child's sys.stdin) would wait forever on the
+            # lock that thread holds.
+            with open(args.input or sys.stdin.fileno(), closefd=bool(args.input)) as in_stream:
                 snapshot = await serve_jsonl(server, in_stream, sys.stdout)
-            finally:
-                if args.input:
-                    in_stream.close()
         print(snapshot.format(), file=sys.stderr)
         if tracer is not None:
             extras = [f"{tracer.finished} traces"]
@@ -517,20 +516,19 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default=None,
                    help="read requests from a file instead of stdin")
     p.add_argument("--shards", type=int, default=1,
-                   help="spatial shard worker *processes* for kNN "
-                   "queries: the index is partitioned by Morton-key "
-                   "ranges and a router prunes shards by distance "
-                   "bound (1 = in-process, no sharding; the shard "
-                   "tier serves the silc backend only)")
+                   help="shard worker *processes* for kNN queries: each "
+                   "maps the whole index and holds every object, and "
+                   "each query goes to one idle worker, so N buys N "
+                   "queries in flight, not a partition (1 = in-process; "
+                   "the shard tier serves the silc backend only)")
     p.add_argument("--on-shard-failure",
-                   choices=["respawn", "failover", "degrade", "error"],
+                   choices=["respawn", "failover", "error"],
                    default="respawn",
                    help="policy when a shard worker dies: respawn "
                    "(backoff, respawn, replay the request), failover "
                    "(answer on the unsharded engine while the worker "
-                   "respawns in the background), degrade (answer from "
-                   "the surviving shards, response flagged degraded), "
-                   "or error (surface the failure)")
+                   "respawns in the background), or error (surface the "
+                   "failure)")
     p.add_argument("--max-retries", type=int, default=2,
                    help="respawn+replay attempts per request before "
                    "the shard is declared unavailable")

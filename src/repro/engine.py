@@ -25,7 +25,6 @@ Example::
 
 from __future__ import annotations
 
-import math
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -271,20 +270,16 @@ class QueryEngine:
         k: int,
         variant: str = "knn",
         exact: bool = False,
-        max_distance: float = math.inf,
         oracle: str | None = None,
         trace=None,
         time_cap: float | None = None,
     ) -> KNNResult:
         """One k-nearest-neighbor query through the engine's shared state.
 
-        ``max_distance`` (network-weight units) is an external pruning
-        cap: objects farther than it may be omitted and the search
-        stops early (see :func:`repro.query.bestfirst.best_first_knn`).
         ``oracle`` overrides the engine's default backend for this
         query (``"auto"``/``"silc"``/``"labels"``/``"ine"``; the
         non-SILC backends always answer exact sorted distances, and
-        ``variant``/``max_distance`` apply to the SILC path only).
+        ``variant`` applies to the SILC path only).
         ``trace`` is a :class:`~repro.obs.trace.Trace` to record
         ``plan`` / ``oracle:<backend>`` spans on; the default no-op
         trace keeps the query path observation-free.
@@ -302,12 +297,12 @@ class QueryEngine:
         with self._attached():
             return self._answer(
                 query, k, variant, exact, oracle, trace,
-                max_distance=max_distance, epsilon=0.0, time_budget=time_cap,
+                epsilon=0.0, time_budget=time_cap,
             )
 
     def _answer(
         self, query, k: int, variant: str, exact: bool, oracle: str | None,
-        trace, *, max_distance: float, epsilon: float, time_budget: float | None,
+        trace, *, epsilon: float, time_budget: float | None,
     ) -> KNNResult:
         """One query, the body :meth:`knn` and :meth:`knn_batch` share:
         resolve, then plan and dispatch, each under its span.
@@ -333,8 +328,7 @@ class QueryEngine:
             plan_span.annotate(oracle=backend)
         with trace.span(f"oracle:{backend}", oracle=backend) as oracle_span:
             result = self.oracles[backend].knn(
-                position, k, variant=variant, exact=exact,
-                max_distance=max_distance, time_budget=time_budget,
+                position, k, variant=variant, exact=exact, time_budget=time_budget,
             )
             oracle_span.add_stats(result.stats)
         return result
@@ -390,7 +384,7 @@ class QueryEngine:
                 queries,
                 lambda query, budget: self._answer(
                     query, k, variant, exact, oracle, trace,
-                    max_distance=math.inf, epsilon=epsilon, time_budget=budget,
+                    epsilon=epsilon, time_budget=budget,
                 ),
                 time_cap=time_cap,
             )

@@ -61,9 +61,8 @@ class WorkerDied(RuntimeError):
 class ShardUnavailable(RuntimeError):
     """A shard stayed down after the supervision policy was exhausted.
 
-    Raised to the router, which then degrades per policy: fail over to
-    the unsharded engine, answer from the surviving shards with the
-    response flagged ``degraded``, or surface the error.
+    Raised to the router, which then acts per policy: fail over to the
+    unsharded engine, or surface the error.
     """
 
     def __init__(self, message: str, shard: int | None = None) -> None:

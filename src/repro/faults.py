@@ -9,7 +9,7 @@ three failures the stack defends against *reproducible*:
   supervisor's crash-detection/respawn/replay path is exercised at a
   deterministic point of the workload;
 * **Slow pipes** -- :meth:`delay_pipe` sleeps before each request to a
-  shard, simulating a degraded host without changing any answer;
+  shard, simulating a slow host without changing any answer;
 * **Corrupt files** -- :func:`truncate_file` / :func:`corrupt_file`
   damage persisted index columns the way a crashed save or a bad disk
   would, driving the :class:`~repro.errors.CorruptIndexError`

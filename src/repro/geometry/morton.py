@@ -189,36 +189,6 @@ def block_rect(code: int, level: int) -> Rect:
     return Rect(float(x), float(y), float(x + side), float(y + side))
 
 
-def range_blocks(lo: int, hi: int) -> list[tuple[int, int]]:
-    """Greedy decomposition of a Morton-code range into aligned blocks.
-
-    Returns the minimal list of ``(code, level)`` blocks that exactly
-    tile the half-open code range ``[lo, hi)``: each block is the
-    largest aligned block that starts at the current position and does
-    not overrun ``hi``.  A range of ``4**q`` codes decomposes into at
-    most ``~4 * q`` blocks, so a shard's Morton-key range can always be
-    summarized by a handful of quadtree blocks -- the cover the
-    partition router intersects with shortest-path quadtrees when it
-    prunes shards by distance bound.
-    """
-    if lo < 0 or hi > (1 << (2 * MAX_ORDER)):
-        raise ValueError(f"code range out of grid: [{lo}, {hi})")
-    if lo > hi:
-        raise ValueError(f"empty-range bounds reversed: [{lo}, {hi})")
-    out: list[tuple[int, int]] = []
-    code = lo
-    while code < hi:
-        level = 0
-        while level < MAX_ORDER:
-            cells = block_cells(level + 1)
-            if code % cells or code + cells > hi:
-                break
-            level += 1
-        out.append((code, level))
-        code += block_cells(level)
-    return out
-
-
 def common_block(code_a: int, code_b: int) -> tuple[int, int]:
     """The smallest aligned block containing both cells.
 

@@ -4,7 +4,7 @@ The serving stack accumulates telemetry in several purpose-built
 accumulators -- :class:`~repro.serve.metrics.ServerMetrics` (latency
 windows + outcome counters), :class:`~repro.oracle.planner.PlannerStats`
 (per-backend decisions), :class:`~repro.shard.router.RouterStats`
-(shard prune accounting) and
+(shard worker visits) and
 :class:`~repro.shard.supervisor.SupervisorStats` (fault events).
 :class:`MetricsRegistry` is the single pane of glass over all
 of them: every reading becomes a *sample* -- a metric name plus a
@@ -186,13 +186,10 @@ class MetricsRegistry:
                 self.set_counter(
                     "engine_ops_total", value, stage="engine", op=op
                 )
-        for event, value in (
-            ("deadline_abort", snapshot.deadline_aborts),
-            ("degraded_response", snapshot.degraded),
-        ):
-            self.set_counter(
-                "fault_events_total", value, stage="serve", event=event
-            )
+        self.set_counter(
+            "fault_events_total", snapshot.deadline_aborts,
+            stage="serve", event="deadline_abort",
+        )
 
     def absorb_planner(self, stats: Any) -> None:
         """Mirror a :class:`~repro.oracle.planner.PlannerStats`."""
@@ -213,24 +210,11 @@ class MetricsRegistry:
     def absorb_router(self, stats: Any) -> None:
         """Mirror a :class:`~repro.shard.router.RouterStats`."""
         self.set_counter("router_queries_total", stats.queries, stage="route")
-        for event, value in (
-            ("visited", stats.shards_visited),
-            ("pruned_euclid", stats.shards_pruned_euclid),
-            ("pruned_lambda", stats.shards_pruned_lambda),
-        ):
-            self.set_counter(
-                "router_shards_total", value, stage="route", event=event
-            )
         self.set_counter(
-            "router_bound_probes_total", stats.bound_probes, stage="route"
+            "router_shards_total", stats.shards_visited, stage="route", event="visited"
         )
         self.set_counter(
             "router_candidates_total", stats.candidates, stage="route"
-        )
-        self.set_counter(
-            "router_duplicates_merged_total",
-            stats.duplicates_merged,
-            stage="route",
         )
 
     def absorb_supervisor(self, stats: Any) -> None:
@@ -246,7 +230,6 @@ class MetricsRegistry:
             ("respawn_failure", stats.respawn_failures),
             ("retry", stats.retries),
             ("failover", stats.failovers),
-            ("degraded_response", stats.degraded_responses),
         ):
             self.set_counter(
                 "fault_events_total", value, stage="shard", event=event

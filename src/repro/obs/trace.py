@@ -8,7 +8,7 @@ operations of the work it wraps (the same
 :class:`~repro.query.stats.QueryStats` units every benchmark figure is
 plotted in).  Spans form a tree via parent ids, so a finished trace
 shows exactly where a request's latency went: queueing vs planning vs
-oracle work vs shard scatter-gather.
+oracle work vs the shard worker's round trip.
 
 Two invariants the serving layer asserts on:
 

@@ -307,8 +307,8 @@ class PrunedLabellingOracle(DistanceOracle):
 
     def knn(self, query, k: int, **kwargs) -> KNNResult:
         """Labelling-backed IER (the SILC knobs ``variant``/``exact``/
-        ``max_distance``/``time_budget`` are ignored: the answer is
-        always exact and sorted, from a bounded number of label scans)."""
+        ``time_budget`` are ignored: the answer is always exact and
+        sorted, from a bounded number of label scans)."""
         if self.object_index is None:
             raise RuntimeError(
                 "PrunedLabellingOracle.knn needs an object index; call "

@@ -23,9 +23,9 @@ class SILCOracle(DistanceOracle):
 
     Behavior-preserving extraction of the historical
     ``best_first_knn``/``SILCIndex.distance`` path: every parameter
-    (``variant``, ``exact``, ``max_distance``, ``time_budget``) threads
-    through untouched, and the attached storage simulator keeps
-    accounting page traffic exactly as before.
+    (``variant``, ``exact``, ``time_budget``) threads through
+    untouched, and the attached storage simulator keeps accounting page
+    traffic exactly as before.
     """
 
     info = OracleInfo(
@@ -79,7 +79,7 @@ class INEOracle(DistanceOracle):
         return self._p2p.anchored_distance(*args, **kwargs)
 
     def knn(self, query, k: int, **kwargs) -> KNNResult:
-        # ``variant``/``exact``/``max_distance``/``time_budget`` are SILC
-        # knobs: INE is always exact, has no variants and stops at the
-        # k-th neighbor's ball, so they are accepted and ignored.
+        # ``variant``/``exact``/``time_budget`` are SILC knobs: INE is
+        # always exact, has no variants and stops at the k-th
+        # neighbor's ball, so they are accepted and ignored.
         return ine_knn(self.object_index, query, k, storage=self.storage)

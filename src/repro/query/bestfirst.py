@@ -94,6 +94,26 @@ class _KMinDistTracker:
             return min_block
         return min(self.lows[self.k - 1], min_block)
 
+    def certain(self, state: DistanceState, confirmed: list[DistanceState]) -> bool:
+        """Whether ``state`` is certainly one of the k nearest.
+
+        Below the bound nothing can displace it.  At the bound it may
+        tie the k-th neighbor, so it counts only while there is a slot
+        for it beside every object that may still be closer (a lower
+        bound below the bound) and every one accepted at or past it:
+        two objects tied at the k-th distance must not crowd out a
+        closer one.
+        """
+        # value(), inline: one frame per check, as the comparison took.
+        lows, k = self.lows, self.k
+        bound = self.blocks[0] if self.blocks else math.inf
+        if len(lows) >= k and lows[k - 1] < bound:
+            bound = lows[k - 1]
+        if state.hi != bound:
+            return state.hi < bound
+        closer = bisect_left(lows, bound) - (state.lo < bound)
+        return closer + len([s for s in confirmed if s.lo >= bound]) < k
+
 
 def _deadline_exceeded(budget: float, confirmed: int, k: int) -> DeadlineExceeded:
     return DeadlineExceeded(
@@ -109,7 +129,6 @@ def best_first_knn(
     k: int,
     variant: str = "knn",
     exact: bool = False,
-    max_distance: float = math.inf,
     time_budget: float | None = None,
 ) -> KNNResult:
     """Find the ``k`` network-nearest objects to ``query``.
@@ -137,15 +156,6 @@ def best_first_knn(
         walks a colliding object whose upper bound is within ``Dk`` to
         exact inside the search (reporting still waits for Theorem 1);
         those links count in ``stats.refinements``.
-    max_distance:
-        External pruning cap in network-weight units: the search may
-        omit any object whose network distance strictly exceeds it, and
-        stops as soon as nothing closer remains -- so a cap far below
-        the local Dk makes the query cheap.  Objects at exactly
-        ``max_distance`` are still reported.  The sharded partition
-        router passes its current global k-th distance here, turning
-        visits to far shards into near no-ops.  ``inf`` (the default)
-        disables the cap.
     time_budget:
         Remaining wall-clock budget in seconds for this search.  When
         it runs out -- in the main loop, the exact-refinement pass, or
@@ -161,9 +171,7 @@ def best_first_knn(
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if k < 1:
         raise ValueError("k must be at least 1")
-    # The loop breaks at ``lo >= bound``; nudging the cap one ulp up
-    # keeps objects at exactly max_distance reportable.
-    cap = math.nextafter(max_distance, math.inf)
+    inf = math.inf
 
     t_start = counted_clock()
     deadline = None if time_budget is None else t_start + time_budget
@@ -187,9 +195,9 @@ def best_first_knn(
 
     # The pruning distance: ``Dk`` for ``knn`` -- the k-th smallest
     # upper bound in L, re-read (and counted as an L operation) at every
-    # use --, ``D0k`` once the first k objects are in for ``knn_i`` /
-    # ``knn_m``, and the external cap throughout.
-    bound = cap
+    # use --, and ``D0k`` once the first k objects are in for ``knn_i`` /
+    # ``knn_m``.
+    bound = inf
     # The paper's ``L`` (``knn`` only): candidates ``(hi, seq, oid)`` sorted
     # by upper bound, and each object's current entry.  ``l_seq`` numbers
     # the writes, so ``l_ops`` (fig p.38's kNN-PQ) is that plus the Dk reads.
@@ -229,9 +237,7 @@ def best_first_knn(
             lo, kind, payload, held = held.lo, _OBJECT, held, None
         if use_dk:
             dk_reads += 1
-            bound = l_entries[k - 1][0] if len(l_entries) >= k else cap
-            if cap < bound:
-                bound = cap
+            bound = l_entries[k - 1][0] if len(l_entries) >= k else inf
         if lo >= bound:
             break  # nothing remaining can enter the k nearest
         if kind == _NODE:
@@ -260,7 +266,7 @@ def best_first_knn(
                         first_k_his.append(state.hi)
                         if len(first_k_his) == k:
                             stats.d0k = max(first_k_his)
-                            bound = min(stats.d0k, cap)
+                            bound = stats.d0k
                     if use_dk:
                         entry = l_where[oid] = (state.hi, l_seq, oid)
                         insort(l_entries, entry)
@@ -274,7 +280,7 @@ def best_first_knn(
                     if (
                         kmin_tracker is not None
                         and len(confirmed) < k
-                        and state.hi <= kmin_tracker.value()
+                        and kmin_tracker.certain(state, confirmed)
                     ):
                         stats.kmindist_accepts += 1
                         confirmed.append(state)
@@ -297,12 +303,12 @@ def best_first_knn(
             continue
 
         state: DistanceState = payload
-        if state.hi <= (heap[0][0] if heap else math.inf):
+        if state.hi <= (heap[0][0] if heap else inf):
             # No collision: reporting is safe (Theorem 1).
             confirmed.append(state)
             continue
         collisions += 1
-        if kmin_tracker is not None and state.hi <= kmin_tracker.value():
+        if kmin_tracker is not None and kmin_tracker.certain(state, confirmed):
             # Certain member of the k nearest: accept unrefined.
             stats.kmindist_accepts += 1
             confirmed.append(state)
@@ -325,9 +331,7 @@ def best_first_knn(
             insort(l_entries, entry)
             l_seq += 1
             dk_reads += 1
-            bound = l_entries[k - 1][0] if len(l_entries) >= k else cap
-            if cap < bound:
-                bound = cap
+            bound = l_entries[k - 1][0] if len(l_entries) >= k else inf
         if kmin_tracker is not None:
             kmin_tracker.replace(old_lo, lo)
         # ``<=``: an object that is itself the k-th entry of L and just
@@ -358,13 +362,7 @@ def best_first_knn(
         # Boundary ties (or k > |S|): fall back to the tightest
         # remaining candidates, resolved exactly for safety.
         confirmed_oids = {s.oid for s in result_states}
-        # Candidates past the external cap are omittable by contract
-        # (their distance exceeds every answer the caller can use).
-        remaining = [
-            s
-            for s in states.values()
-            if s.oid not in confirmed_oids and s.lo <= max_distance
-        ]
+        remaining = [s for s in states.values() if s.oid not in confirmed_oids]
         remaining.sort(key=_by_lo)
         fill = remaining[: k - len(result_states)]
         for s in fill:

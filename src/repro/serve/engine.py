@@ -16,12 +16,12 @@ shard, so without a shard tier calls are strictly serialized (the
 search is pure Python and GIL-bound, and the engine's
 :class:`~repro.storage.StorageSimulator` is one LRU that must not be
 interleaved).  Parallelism is processes: with ``shards > 1`` kNN
-queries run on :class:`~repro.shard.ShardGroup` (always exact there)
-and a worker thread's job is to wait on worker pipes.  Calls that land
-on the local engine all the same (``path``/``distance``, a non-SILC
-oracle, failover) are still one-at-a-time work, which
-:class:`~repro.serve.SILCServer` guarantees by keeping one chunk in
-flight.
+queries run on :class:`~repro.shard.ShardGroup` (always exact there),
+one query per worker process, and a worker thread's job is to wait on
+that worker's pipe.  Calls that land on the local engine all the same
+(``path``/``distance``, a non-SILC oracle, failover) are still
+one-at-a-time work, which :class:`~repro.serve.SILCServer` guarantees
+by keeping one chunk in flight.
 """
 
 from __future__ import annotations
@@ -56,16 +56,15 @@ class AsyncEngine:
     engine:
         The synchronous engine whose caches and storage are shared.
     shards:
-        Spatial shard *processes* for kNN execution.  ``1`` (the
+        Shard worker *processes* for kNN execution.  ``1`` (the
         default) keeps everything in-process; with more, construction
-        partitions the engine's index and objects, deep-verifies the
-        index directory once, and spawns one worker process per
-        populated shard to map it (see
-        :class:`~repro.shard.ShardGroup`).  There are
-        ``shards`` worker threads, so that many sharded queries can be
-        in flight at once -- each thread mostly waits on a worker's
-        pipe, and that concurrency is what the worker processes turn
-        into parallelism.
+        deep-verifies the index directory once and spawns ``shards``
+        worker processes that each map it and hold every object (see
+        :class:`~repro.shard.ShardGroup`).  There are ``shards``
+        worker threads, so that many sharded queries can be in flight
+        at once, each on its own worker process -- each thread mostly
+        waits on a worker's pipe, and that concurrency is what the
+        worker processes turn into parallelism.
     shard_dir:
         Directory the index is saved to for the workers to map
         (default: the directory a mapped index was loaded from, served
@@ -75,7 +74,7 @@ class AsyncEngine:
         Shard-tier fault handling, forwarded to
         :meth:`~repro.shard.ShardGroup.from_engine`:
         ``on_shard_failure`` picks the supervision policy (``respawn``
-        / ``failover`` / ``degrade`` / ``error``), ``max_retries``
+        / ``failover`` / ``error``), ``max_retries``
         bounds respawn+replay attempts per request, and
         ``fault_injector`` plugs a deterministic
         :class:`~repro.faults.FaultInjector` into the worker request
@@ -151,10 +150,9 @@ class AsyncEngine:
         """
         effective = oracle if oracle is not None else getattr(self.engine, "oracle", "silc")
         if self.shard_group is not None and effective == "silc":
-            # The sharded tier always refines to exact distances (the
-            # router merges candidates by comparing them), so `exact`
-            # is subsumed rather than forwarded.  Its router prunes by
-            # SILC block bounds, so a non-SILC oracle request bypasses
+            # The sharded tier always refines to exact distances, so
+            # `exact` is subsumed rather than forwarded.  Its workers
+            # run the SILC search, so a non-SILC oracle request bypasses
             # the shard tier and runs on the local engine instead.
             return self.shard_group, {}
         return self.engine, {"exact": exact, "oracle": oracle}

@@ -37,8 +37,7 @@ class MetricsSnapshot:
 
     ``deadline_aborts`` counts the subset of ``expired`` whose budget
     ran out *mid-execution* (the engine's time cap stopped the
-    search); ``degraded`` counts completed responses answered around a
-    down shard under the ``degrade`` fault policy.
+    search).
     """
 
     served: int
@@ -52,13 +51,12 @@ class MetricsSnapshot:
     in_flight: int
     stats: QueryStats
     deadline_aborts: int = 0
-    degraded: int = 0
 
     def format(self) -> str:
         lines = [
             f"served {self.served}  shed {self.shed}  expired {self.expired}  "
             f"(aborted {self.deadline_aborts})  failed {self.failed}  "
-            f"degraded {self.degraded}  in-flight {self.in_flight}",
+            f"in-flight {self.in_flight}",
             f"latency p50 {self.p50 * 1e3:.2f} ms  p95 {self.p95 * 1e3:.2f} ms  "
             f"p99 {self.p99 * 1e3:.2f} ms",
             f"engine work: {self.stats.refinements} refinements, "
@@ -86,7 +84,6 @@ class ServerMetrics:
     expired: int = 0
     failed: int = 0
     deadline_aborts: int = 0
-    degraded: int = 0
     window: int = DEFAULT_WINDOW
     max_clients: int = DEFAULT_MAX_CLIENTS
     latencies: deque = field(default_factory=deque)
@@ -129,10 +126,6 @@ class ServerMetrics:
         if aborted:
             self.deadline_aborts += 1
 
-    def record_degraded(self) -> None:
-        """A completed response was answered around a down shard."""
-        self.degraded += 1
-
     def record_failed(self) -> None:
         self.failed += 1
 
@@ -155,5 +148,4 @@ class ServerMetrics:
             in_flight=in_flight,
             stats=replace(self.stats),  # the accumulator keeps counting
             deadline_aborts=self.deadline_aborts,
-            degraded=self.degraded,
         )

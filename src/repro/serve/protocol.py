@@ -38,13 +38,6 @@ partial result is returned); ``aborted=False`` means it ran out while
 the request was still queued.  :class:`Failed` responses are not
 retried -- the query itself raised and will raise again.
 ``examples/serve_demo.py`` implements this contract.
-
-A :class:`Completed` response with ``degraded=True`` is a *partial*
-answer: one or more shards were down and skipped under the
-``degrade`` fault policy, so neighbors owned solely by those shards
-may be missing.  Clients that need completeness should retry after
-the shard tier heals (the stats probe exposes respawn progress);
-clients that prefer availability use the answer as-is.
 """
 
 from __future__ import annotations
@@ -147,16 +140,11 @@ class Completed(Response):
     ``path``: ``{"path": [...], "distance": float}``;
     ``distance``: ``{"distance": float}``;
     ``stats``: ``{"metrics": <registry snapshot>}``.
-
-    ``degraded=True`` flags a partial kNN answer: a shard was down
-    (``degrade`` fault policy) and its objects are missing from the
-    result.  See the module docstring's retry contract.
     """
 
     result: dict = field(default_factory=dict)
     latency: float = 0.0
     sched_delay: int = 0
-    degraded: bool = False
 
     status = "ok"
 
@@ -256,10 +244,6 @@ def response_to_dict(response: Response) -> dict:
         # measured in; scripted clients need it as much as in-process
         # ones.
         out["sched_delay"] = response.sched_delay
-        # Fault-path flags ride the wire only when set, so the happy
-        # path's records are byte-identical to the pre-fault protocol.
-        if response.degraded:
-            out["degraded"] = True
     elif isinstance(response, Rejected):
         out["retry_after"] = round(response.retry_after, 6)
         out["reason"] = response.reason

@@ -205,7 +205,7 @@ class SILCServer:
 
         Absorbs every live accumulator -- server metrics, the
         planner's decision counts (when a planner exists) and the
-        shard router's prune accounting (when sharded) -- into the
+        shard dispatcher's visit counts (when sharded) -- into the
         tracer's registry, then snapshots it.  Absorption assigns
         absolutely, so polling any number of times never double
         counts.  Memory sits next to latency, as gauges: the index's
@@ -341,15 +341,10 @@ class SILCServer:
                 result = {"ids": pending.ids, "distances": pending.distances}
             latency = self.clock() - pending.submitted
             sched_delay = self.scheduler.sched_delay(request)
-            # Summing QueryStats drops extras, so the degraded marker is
-            # read off the per-chunk stats.
-            degraded = any(s.extras.get("degraded_shards") for s in pending.stats)
             self.metrics.record_completed(request.client, latency, sched_delay, *pending.stats)
-            if degraded:
-                self.metrics.record_degraded()
             self._finish(pending, Completed(
                 request.id, request.client, result=result,
-                latency=latency, sched_delay=sched_delay, degraded=degraded,
+                latency=latency, sched_delay=sched_delay,
             ))
         finally:
             self._pump()

@@ -1,19 +1,4 @@
-"""Partitioning a network into contiguous Morton-key ranges.
-
-A shard is a half-open range of Z-order codes.  Cutting the sorted
-vertex codes at ``i * n / N`` yields N ranges with near-equal vertex
-counts whose cells are spatially contiguous along the Z curve -- the
-classic space-filling-curve declustering.  :class:`ShardMap` owns the
-boundaries plus the vertex -> shard assignment, and can summarize any
-shard's range as a handful of aligned quadtree blocks
-(:meth:`ShardMap.cover_blocks`) so the partition router can intersect
-it with shortest-path quadtrees when pruning.
-
-Objects are assigned by :func:`split_objects`: one shard per *part
-point* (an extent straddling a boundary lands in every shard it
-touches), so whichever shards survive pruning can each answer for the
-whole object.
-"""
+"""What is left of the Morton-range partition (see :class:`ShardMap`)."""
 
 from __future__ import annotations
 
@@ -21,172 +6,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.geometry.grid import GridEmbedding
-from repro.geometry.morton import morton_encode, range_blocks
-from repro.network.graph import SpatialNetwork
-from repro.objects.model import (
-    EdgePosition,
-    ObjectSet,
-    SpatialObject,
-    position_parts,
-    position_point,
-)
-
 
 @dataclass(frozen=True)
 class ShardMap:
-    """N contiguous Morton-code ranges covering the whole grid.
-
-    Parameters
-    ----------
-    boundaries:
-        ``(num_shards + 1,)`` strictly increasing int64 codes with
-        ``boundaries[0] == 0`` and ``boundaries[-1] == 4**order``;
-        shard ``s`` owns the half-open code range
-        ``[boundaries[s], boundaries[s + 1])``.
-    assign:
-        ``(num_vertices,)`` int64 array mapping each network vertex to
-        the shard owning its cell code.
-    order:
-        Grid order of the embedding the codes live in.
-    """
+    """Equal-population cuts of the sorted vertex Morton codes.  Every
+    shard worker holds every object, so nothing is partitioned: the only
+    caller is bench/'s layer ladder, and ROADMAP 1(a) deletes it."""
 
     boundaries: np.ndarray
-    assign: np.ndarray
     order: int
 
     def __post_init__(self) -> None:
-        b = np.asarray(self.boundaries, dtype=np.int64)
-        object.__setattr__(self, "boundaries", b)
-        object.__setattr__(
-            self, "assign", np.asarray(self.assign, dtype=np.int64)
-        )
-        if b.size < 2 or int(b[0]) != 0 or int(b[-1]) != 4**self.order:
-            raise ValueError(
-                f"boundaries must span [0, 4**{self.order}]: {b.tolist()}"
-            )
-        if not (np.diff(b) > 0).all():
-            raise ValueError("shard boundaries must be strictly increasing")
-        object.__setattr__(self, "_cover_cache", {})
+        b = self.boundaries
+        if b.size < 2 or b[0] != 0 or b[-1] != 4**self.order or (np.diff(b) <= 0).any():
+            raise ValueError(f"boundaries must span [0, 4**{self.order}], strictly increasing")
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
     @classmethod
-    def from_codes(
-        cls, codes: np.ndarray, num_shards: int, order: int
-    ) -> ShardMap:
-        """Equal-population cuts of the sorted vertex Morton codes.
-
-        Boundaries are forced strictly increasing, so degenerate inputs
-        (many duplicate codes, more shards than distinct codes) produce
-        thin -- possibly vertex-empty -- shards rather than failing.
-        """
-        codes = np.asarray(codes, dtype=np.int64)
-        if num_shards < 1:
-            raise ValueError("num_shards must be at least 1")
-        total = 4**order
-        if num_shards > total:
-            raise ValueError(f"more shards ({num_shards}) than grid cells")
-        ordered = np.sort(codes)
-        bounds = [0]
+    def from_codes(cls, codes, num_shards: int, order: int) -> ShardMap:
+        ordered, total, bounds = np.sort(codes), 4**order, [0]
         for i in range(1, num_shards):
-            cut = int(ordered[(i * codes.size) // num_shards]) if codes.size else 0
-            cut = max(cut, bounds[-1] + 1)
-            cut = min(cut, total - (num_shards - i))
-            bounds.append(cut)
-        bounds.append(total)
-        boundaries = np.array(bounds, dtype=np.int64)
-        assign = np.searchsorted(boundaries, codes, side="right") - 1
-        return cls(boundaries, assign.astype(np.int64), order)
+            cut = int(ordered[i * ordered.size // num_shards]) if ordered.size else 0
+            bounds.append(min(max(cut, bounds[-1] + 1), total - (num_shards - i)))
+        return cls(np.array([*bounds, total], dtype=np.int64), order)
 
     @classmethod
     def from_index(cls, index, num_shards: int) -> ShardMap:
-        """Partition a built :class:`~repro.silc.SILCIndex`'s network."""
-        return cls.from_codes(
-            index.vertex_codes, num_shards, index.embedding.order
-        )
-
-    # ------------------------------------------------------------------
-    # Lookups
-    # ------------------------------------------------------------------
-    @property
-    def num_shards(self) -> int:
-        return int(self.boundaries.size - 1)
-
-    @property
-    def num_vertices(self) -> int:
-        return int(self.assign.size)
+        return cls.from_codes(index.vertex_codes, num_shards, index.embedding.order)
 
     def shard_of_code(self, code: int) -> int:
-        """The shard owning one Morton cell code."""
-        if not (0 <= code < 4**self.order):
-            raise ValueError(f"code out of grid: {code}")
         return int(np.searchsorted(self.boundaries, code, side="right")) - 1
-
-    def shard_of_point(self, embedding: GridEmbedding, x: float, y: float) -> int:
-        """The shard owning the cell a world point falls in."""
-        from repro.geometry.point import Point
-
-        cx, cy = embedding.cell_of(Point(x, y))
-        return self.shard_of_code(morton_encode(cx, cy))
-
-    def vertices(self, shard: int) -> np.ndarray:
-        """Sorted global vertex ids assigned to one shard."""
-        return np.flatnonzero(self.assign == shard)
-
-    def cover_blocks(self, shard: int) -> list[tuple[int, int]]:
-        """Aligned Morton blocks exactly tiling one shard's code range.
-
-        At most ``~4 * order`` blocks, cached per shard: this is the
-        quadtree summary of the shard the router probes shortest-path
-        quadtrees with.
-        """
-        if not (0 <= shard < self.num_shards):
-            raise ValueError(f"shard out of range: {shard}")
-        cached = self._cover_cache.get(shard)
-        if cached is None:
-            lo = int(self.boundaries[shard])
-            hi = int(self.boundaries[shard + 1])
-            cached = range_blocks(lo, hi)
-            self._cover_cache[shard] = cached
-        return cached
-
-
-def split_objects(
-    network: SpatialNetwork,
-    objects: ObjectSet,
-    embedding: GridEmbedding,
-    shard_map: ShardMap,
-) -> tuple[list[list[SpatialObject]], list[bool]]:
-    """Assign every object to the shard of each of its part points.
-
-    Returns ``(per_shard_objects, per_shard_has_edge)``.  An object
-    whose parts straddle a shard boundary is replicated into every
-    shard one of its parts falls in; the router deduplicates by object
-    id at merge time, and each replica answers with the object's full
-    (all-parts) distance, so results never depend on which replica
-    survives pruning.
-
-    ``per_shard_has_edge[s]`` is True when any part assigned to shard
-    ``s`` is an edge position -- those shards must be pruned with the
-    Euclidean bound only (the quadtree lambda bound is a bound to
-    *vertices*, and an edge object can sit closer than any vertex of
-    the shard's range).
-    """
-    per_shard: list[list[SpatialObject]] = [
-        [] for _ in range(shard_map.num_shards)
-    ]
-    has_edge = [False] * shard_map.num_shards
-    for obj in objects:
-        seen: set[int] = set()
-        for part in position_parts(obj.position):
-            p = position_point(network, part)
-            cx, cy = embedding.cell_of(p)
-            shard = shard_map.shard_of_code(morton_encode(cx, cy))
-            if isinstance(part, EdgePosition):
-                has_edge[shard] = True
-            if shard not in seen:
-                seen.add(shard)
-                per_shard[shard].append(obj)
-    return per_shard, has_edge

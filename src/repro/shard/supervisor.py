@@ -1,40 +1,31 @@
 """Shard worker supervision: crash detection, respawn, replay.
 
-The shard tier's workers are real OS processes; real processes die.
-Before this module, a worker crash hung the router forever (a
-blocking ``conn.recv()`` with nobody on the other end) and the only
-recovery was restarting the whole server.  :class:`ShardSupervisor`
-makes worker failure a handled event:
+The shard tier's workers are real OS processes, and they die.  Every
+pipe round trip goes through the poll-with-liveness receive of
+:meth:`~repro.shard.worker.ShardWorker.request`, so a dead worker
+raises :class:`~repro.errors.WorkerDied` instead of hanging, and
+:class:`ShardSupervisor` handles it per policy:
 
-* every pipe round trip goes through the poll-with-liveness receive
-  of :meth:`~repro.shard.worker.ShardWorker.request`, so a dead
-  worker raises :class:`~repro.errors.WorkerDied` instead of hanging;
-* under the default ``respawn`` policy the supervisor re-spawns the
-  dead worker (exponential backoff + deterministic jitter), pings it,
-  and **replays the in-flight request** -- the caller sees a slower
-  answer, never a wrong or missing one;
-* under ``failover``/``degrade`` the supervisor kicks off the respawn
-  in the background and immediately raises
-  :class:`~repro.errors.ShardUnavailable`, letting the router answer
-  *now* from the unsharded engine or the surviving shards;
-* under ``error`` the failure surfaces to the caller unchanged.
+* ``respawn`` (the default) re-spawns the worker (exponential backoff,
+  deterministic jitter), pings it, and **replays the in-flight
+  request** -- the caller sees a slower answer, never a wrong one;
+* ``failover`` respawns in the background and raises
+  :class:`~repro.errors.ShardUnavailable` at once, so the router
+  answers *now* on the unsharded engine;
+* ``error`` surfaces the failure unchanged.
 
-Every fault event is counted in :class:`SupervisorStats` (absorbed
-into the unified :class:`~repro.obs.registry.MetricsRegistry` by the
-serving layer) and -- when the request is traced -- recorded as a
-``respawn`` span under the failing shard's span, so ``trace-report``
-shows exactly what recovery cost.
+Every fault event is counted in :class:`SupervisorStats` (absorbed into
+the :class:`~repro.obs.registry.MetricsRegistry` by the serving layer)
+and, traced, recorded as a ``respawn`` span under the shard's span.
 
 Invariant (docs/ARCHITECTURE.md): supervision never changes answers.
-A replayed request re-runs the identical search against the identical
-index files (a respawned worker refuses a directory whose manifest
-changed); failover runs the same exact query unsharded.  Only
-availability and latency move.
+A replay re-runs the identical search on the identical index files (a
+respawned worker refuses a directory whose manifest changed); failover
+runs the same exact query unsharded.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from dataclasses import dataclass
@@ -45,33 +36,20 @@ from repro.obs.trace import NULL_TRACE
 
 #: Recovery policies, in decreasing order of how hard they try to
 #: keep serving exact answers from the shard tier itself.
-FAILURE_POLICIES = ("respawn", "failover", "degrade", "error")
+FAILURE_POLICIES = ("respawn", "failover", "error")
 
 
 @dataclass(frozen=True)
 class SupervisionPolicy:
     """How the supervisor reacts when a shard worker dies.
 
-    Parameters
-    ----------
-    on_failure:
-        ``respawn`` -- back off, respawn the worker in-line, replay
-        the request (bounded by ``max_retries``); ``failover`` --
-        respawn in the background, let the router answer via the
-        unsharded engine meanwhile; ``degrade`` -- respawn in the
-        background, let the router answer from the surviving shards
-        with the response flagged degraded; ``error`` -- surface
-        :class:`ShardUnavailable` immediately.
-    max_retries:
-        In-line respawn+replay attempts per request (``respawn``
-        policy), and the background respawner's attempt budget.
-    backoff_base / backoff_cap:
-        Exponential backoff: attempt ``n`` sleeps
-        ``min(cap, base * 2**(n-1))`` seconds before respawning.
-    jitter:
-        Fractional jitter added to each backoff, derived
-        *deterministically* from ``(shard, attempt)`` so chaos tests
-        replay identically while concurrent respawns still de-sync.
+    ``on_failure`` is one of :data:`FAILURE_POLICIES` (see the module
+    docstring).  ``max_retries`` bounds in-line respawn+replay attempts
+    per request, and the background respawner's attempts.  Attempt
+    ``n`` sleeps ``min(backoff_cap, backoff_base * 2**(n-1))`` seconds
+    plus a ``jitter`` fraction derived *deterministically* from
+    ``(shard, attempt)``: chaos tests replay identically while
+    concurrent respawns still de-sync.
     """
 
     on_failure: str = "respawn"
@@ -101,42 +79,25 @@ class SupervisionPolicy:
 
 @dataclass
 class SupervisorStats:
-    """Counted fault events, accumulated across the supervisor's life.
-
-    ``worker_crashes`` counts detected deaths; ``respawns`` successful
-    replacements; ``retries`` in-line request replays; ``failovers``
-    and ``degraded_responses`` are incremented by the router when it
-    answers around a down shard.  All monotone, so the registry's
-    absolute-assignment absorption stays idempotent.
-    """
+    """Counted fault events (monotone, so the registry's absorption
+    stays idempotent).  ``failovers`` is counted by the router."""
 
     worker_crashes: int = 0
     respawns: int = 0
     respawn_failures: int = 0
     retries: int = 0
     failovers: int = 0
-    degraded_responses: int = 0
 
 
 class ShardSupervisor:
     """Owns the live worker handles and the recovery machinery.
 
-    Parameters
-    ----------
-    spawner:
-        ``shard_id -> ShardWorker``: spawns a fresh worker process for
-        one shard (closes over the saved directory, network and object
-        slices -- see :func:`repro.shard.worker.spawn_worker`).
-    workers:
-        The initially spawned handles.  The supervisor owns this dict
-        from here on: respawns swap replacements in, and the router
-        reads it live.
-    policy / fault_injector:
-        Recovery policy and the optional deterministic
-        :class:`~repro.faults.FaultInjector` chaos hook (called before
-        every pipe send).
-    sleep:
-        Injectable for tests; backoff sleeps go through it.
+    ``spawner(shard)`` starts a fresh worker for a slot (see
+    :func:`repro.shard.worker.spawn_worker`).  The supervisor owns the
+    ``workers`` dict: respawns swap replacements in under the same slot.
+    ``fault_injector`` is the optional :class:`~repro.faults.FaultInjector`
+    chaos hook, called before every pipe send; backoff sleeps go through
+    the injectable ``sleep``.
     """
 
     def __init__(
@@ -154,8 +115,8 @@ class ShardSupervisor:
         self._sleep = sleep
         self.stats = SupervisorStats()
         self._stats_lock = threading.Lock()
-        #: Per-shard respawn locks: concurrent callers hitting the same
-        #: dead worker serialize here and the late ones find it healed.
+        #: Per-slot respawn locks: a background respawn, a caller and
+        #: close() never replace one worker at once.
         self._respawn_locks = {shard: threading.Lock() for shard in workers}
         self._respawning: set[int] = set()
         self._state_lock = threading.Lock()
@@ -174,16 +135,11 @@ class ShardSupervisor:
                 out[shard] = False
         return out
 
-    def _count(self, **deltas: int) -> None:
+    def record(self, **deltas: int) -> None:
+        """Count fault events (the router records its failovers here)."""
         with self._stats_lock:
             for name, delta in deltas.items():
                 setattr(self.stats, name, getattr(self.stats, name) + delta)
-
-    def record(self, **deltas: int) -> None:
-        """Public counter hook: the router records failovers and
-        degraded responses here so every fault event lives in one
-        :class:`SupervisorStats` (and one registry absorption)."""
-        self._count(**deltas)
 
     # ------------------------------------------------------------------
     # The supervised request path
@@ -194,7 +150,6 @@ class ShardSupervisor:
         position,
         k: int,
         variant: str,
-        cap: float = math.inf,
         trace=None,
         time_cap: float | None = None,
     ):
@@ -202,41 +157,32 @@ class ShardSupervisor:
 
         Returns ``(pairs, stats, worker_spans_or_None)``.  Raises
         :class:`ShardUnavailable` when the policy gives up (the router
-        then degrades), :class:`DeadlineExceeded` when the worker's
-        time budget ran out (never retried -- the deadline is global).
+        then fails over or surfaces it), :class:`DeadlineExceeded`
+        when the worker's time budget ran out (never retried -- the
+        deadline is global).
         """
         if trace is None:
             trace = NULL_TRACE
         attempt = 0
         while True:
-            worker = self.workers.get(shard)
-            if worker is None:
-                raise ShardUnavailable(
-                    f"shard {shard} has no worker", shard=shard
-                )
+            worker = self.workers[shard]
             try:
                 if not worker.alive:
-                    raise WorkerDied(
-                        f"shard worker {shard} found dead before send",
-                        shard=shard,
-                    )
+                    raise WorkerDied(f"shard worker {shard} found dead before send", shard=shard)
                 if self.fault_injector is not None:
                     self.fault_injector.before_request(shard, worker)
                 return worker.knn(
-                    position, k, variant, cap, trace=trace.enabled,
-                    time_cap=time_cap,
+                    position, k, variant, trace=trace.enabled, time_cap=time_cap,
                 )
             except DeadlineExceeded:
                 raise
             except WorkerDied as died:
-                self._count(worker_crashes=1)
+                self.record(worker_crashes=1)
                 if self.policy.on_failure == "error":
                     raise ShardUnavailable(
-                        f"shard {shard} worker died ({died}); policy is "
-                        "'error'",
-                        shard=shard,
+                        f"shard {shard} worker died ({died}); policy is 'error'", shard=shard
                     ) from died
-                if self.policy.on_failure in ("failover", "degrade"):
+                if self.policy.on_failure == "failover":
                     self.respawn_async(shard)
                     raise ShardUnavailable(
                         f"shard {shard} worker died ({died}); respawning "
@@ -261,32 +207,23 @@ class ShardSupervisor:
                         # bug of any other type propagates.
                         continue
                     span.count(respawn_attempt=attempt)
-                self._count(retries=1)
+                self.record(retries=1)
                 # Loop replays the identical request on the new worker.
 
     # ------------------------------------------------------------------
     # Respawning
     # ------------------------------------------------------------------
     def _respawn(self, shard: int, dead_worker, attempt: int) -> None:
-        """Replace a dead worker (serialized per shard)."""
-        lock = self._respawn_locks.setdefault(shard, threading.Lock())
-        with lock:
-            current = self.workers.get(shard)
-            if (
-                current is not None
-                and current is not dead_worker
-                and current.alive
-            ):
-                return  # another caller already healed this shard
+        """Replace a dead worker (serialized per slot)."""
+        with self._respawn_locks[shard]:
+            current = self.workers[shard]
+            if current is not dead_worker and current.alive:
+                return  # already healed
             if self._closed:
-                raise ShardUnavailable(
-                    f"supervisor closed while shard {shard} was down",
-                    shard=shard,
-                )
-            if current is not None:
-                # Make sure the old process is fully gone before its
-                # replacement maps the same files.
-                current.kill()
+                raise ShardUnavailable(f"supervisor closed with shard {shard} down", shard=shard)
+            # The old process is fully gone before its replacement maps
+            # the same files.
+            current.kill()
             delay = self.policy.backoff(attempt, shard)
             if delay > 0:
                 self._sleep(delay)
@@ -294,33 +231,29 @@ class ShardSupervisor:
                 replacement = self.spawner(shard)
                 replacement.ping()
             except Exception:
-                self._count(respawn_failures=1)
+                self.record(respawn_failures=1)
                 raise
             self.workers[shard] = replacement
-            self._count(respawns=1)
+            self.record(respawns=1)
 
     def respawn_async(self, shard: int) -> None:
-        """Heal a shard in the background (failover/degrade policies)."""
+        """Heal a shard in the background (failover policy)."""
         with self._state_lock:
             if self._closed or shard in self._respawning:
                 return
             self._respawning.add(shard)
-        thread = threading.Thread(
-            target=self._respawn_background,
-            args=(shard,),
-            daemon=True,
+        threading.Thread(
+            target=self._respawn_background, args=(shard,), daemon=True,
             name=f"repro-respawn-{shard}",
-        )
-        thread.start()
+        ).start()
 
     def _respawn_background(self, shard: int) -> None:
         try:
             for attempt in range(1, max(self.policy.max_retries, 1) + 1):
                 if self._closed:
                     return
-                dead = self.workers.get(shard)
                 try:
-                    self._respawn(shard, dead, attempt)
+                    self._respawn(shard, self.workers[shard], attempt)
                     return
                 except (ShardUnavailable, WorkerDied, OSError, EOFError,
                         RuntimeError, ValueError):
@@ -340,12 +273,8 @@ class ShardSupervisor:
             if self._closed:
                 return
             self._closed = True
-        # Respawn threads observe _closed and bail; per-shard locks
+        # Respawn threads observe _closed and bail; per-slot locks
         # keep a racing respawn from resurrecting a worker mid-close.
-        for shard in list(self.workers):
-            lock = self._respawn_locks.get(shard)
-            if lock is None:
-                self.workers[shard].stop()
-                continue
+        for shard, lock in self._respawn_locks.items():
             with lock:
                 self.workers[shard].stop()

@@ -1,79 +1,52 @@
 """Long-lived shard worker processes and the group that runs them.
 
-Each shard is served by one worker *process* -- its own interpreter,
-so the pure-Python best-first search of different shards genuinely
-overlaps (threads cannot do that; they share one GIL).  A worker
-
-* maps the index directory the group serves from with
-  ``SILCIndex.load(directory, network, mmap=True)`` -- the load
-  ``repro serve --mmap`` itself performs, every check of it included --
-  so every process maps the same files and the OS page cache holds the
-  index once;
-* indexes only *its* objects, so its search space is the shard's
-  slice of the object set;
-* answers a tiny request/response pipe protocol, always with exact
-  distances (the router merges candidates by comparing them).
+Each slot is served by one worker *process* -- its own interpreter, so
+the pure-Python searches of different workers genuinely overlap
+(threads share one GIL).  A worker maps the index directory the group
+serves from with ``SILCIndex.load(directory, network, mmap=True)`` --
+the load ``repro serve --mmap`` performs, every check included -- so
+the OS page cache holds the index once; it indexes *every* object, so
+it answers any kNN query alone, always with exact distances.
 
 Pipe protocol (one pickled tuple per message, strictly
 request/response; each kind has exactly one shape)::
 
     ("ping",)                           -> ("pong", shard_id)
-    ("knn", position, k, variant, cap, want_trace, time_budget)
+    ("knn", position, k, variant, want_trace, time_budget)
         -> ("ok", [(oid, distance), ...], QueryStats, spans_or_None)
         or ("expired", message) when the budget runs out
     ("stop",)                           -> worker exits (no response)
     any failure                         -> ("error", "ExcType: message")
 
-``cap`` is the router's current global k-th distance (``inf`` until k
-candidates exist): the worker may omit anything farther, which makes
-visits to shards that cannot improve the answer nearly free.
+``want_trace`` has the worker trace the query and ship its spans back
+(absolute ``perf_counter`` times, the clock the parent reads) for
+:meth:`~repro.obs.trace.Trace.adopt`.  ``time_budget`` is the query's
+remaining deadline budget in seconds (``None``: unbounded), passed to
+the engine as its time cap.
 
-``want_trace`` asks the worker to *trace* the query: it runs a local
-:class:`~repro.obs.trace.Tracer` and ships the resulting spans back
-(absolute ``perf_counter`` times -- the same system-wide monotonic
-clock the parent reads) so the router can graft them into the
-request's trace with :meth:`~repro.obs.trace.Trace.adopt`; untraced,
-the engine gets the shared no-op trace and the reply's last element
-is ``None``.  ``time_budget`` is the query's *remaining deadline
-budget* in seconds (``None``: unbounded); the worker passes it into
-the engine as a time cap and answers ``("expired", message)`` if the
-search overruns it (the parent raises
-:class:`~repro.errors.DeadlineExceeded`).
-
-**Crash safety** (this is the serving tier's availability story): the
-parent-side :class:`ShardWorker` never blocks forever on a dead
-process.  Receives go through ``poll()`` with a short interval and a
-process-liveness check, so a crashed worker surfaces as
-:class:`~repro.errors.WorkerDied` within ~one poll interval instead
-of hanging the router; ``stop()`` escalates join -> terminate -> kill
-so a wedged worker can never zombie the shutdown path.  Recovery --
-respawn/backoff/replay -- lives one level up in
-:class:`~repro.shard.supervisor.ShardSupervisor`, which rebuilds
-workers from their :class:`WorkerSpec` via :func:`spawn_worker`.
+**Crash safety**: the parent-side :class:`ShardWorker` never blocks
+forever on a dead process -- receives poll with a liveness check, so a
+crash surfaces as :class:`~repro.errors.WorkerDied` within about one
+poll interval, and ``stop()`` escalates join -> terminate -> kill.
+Respawn, backoff and replay live in
+:class:`~repro.shard.supervisor.ShardSupervisor`.
 
 **Integrity**: a mapped load checks sizes, dtypes and shapes, not
-checksums, so :meth:`ShardGroup.from_engine` runs one deep
-``verify_manifest`` over the directory in the parent before any worker
-exists, and every :class:`WorkerSpec` carries the manifest bytes that
-pass verified.  A worker -- first spawn or respawn -- that finds another
-manifest in the directory refuses to start: a directory republished
-under a running tier is never served by half of it.
-
-:class:`ShardGroup` bundles partitioning, worker spawning, supervision
-and the :class:`~repro.shard.router.PartitionRouter` behind the
-``knn``/``knn_batch`` surface the serving layer calls.
+checksums, so :meth:`ShardGroup.from_engine` deep-verifies the
+directory once before any worker exists, and every :class:`WorkerSpec`
+carries the manifest bytes that passed.  A worker (first spawn or
+respawn) that finds another manifest there refuses to start.
 """
 
 from __future__ import annotations
 
 import contextlib
-import math
 import multiprocessing as mp
 import shutil
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from collections.abc import Iterable
 
@@ -82,8 +55,8 @@ from repro.integrity import MANIFEST_NAME, verify_manifest
 from repro.objects.index import ObjectIndex
 from repro.objects.model import ObjectSet
 from repro.obs.trace import NULL_TRACE, Tracer
-from repro.shard.partitioner import ShardMap, split_objects
-from repro.shard.router import PartitionRouter
+from repro.shard.partitioner import ShardMap
+from repro.shard.router import Dispatcher
 from repro.shard.supervisor import ShardSupervisor, SupervisionPolicy
 
 #: Fork keeps the already-parsed network and object payloads shared
@@ -114,13 +87,7 @@ def _shard_worker_main(conn, spec: WorkerSpec) -> None:
         engine = QueryEngine(index, object_index, storage=storage)
     except Exception as exc:  # noqa: BLE001 - surfaced to the parent
         try:
-            conn.send(
-                (
-                    "error",
-                    f"shard {shard_id} failed to start: "
-                    f"{type(exc).__name__}: {exc}",
-                )
-            )
+            conn.send(("error", f"shard {shard_id} failed to start: {type(exc).__name__}: {exc}"))
         finally:
             conn.close()
         return
@@ -136,7 +103,7 @@ def _shard_worker_main(conn, spec: WorkerSpec) -> None:
             if kind == "ping":
                 conn.send(("pong", shard_id))
             elif kind == "knn":
-                _, position, k, variant, cap, want_trace, time_budget = msg
+                _, position, k, variant, want_trace, time_budget = msg
                 trace = NULL_TRACE
                 if want_trace:
                     trace = Tracer().start_trace(shard=shard_id)
@@ -146,7 +113,7 @@ def _shard_worker_main(conn, spec: WorkerSpec) -> None:
                     trace.spans[0].labels["shard"] = str(shard_id)
                 result = engine.knn(
                     position, k, variant=variant, exact=True,
-                    max_distance=cap, trace=trace, time_cap=time_budget,
+                    trace=trace, time_cap=time_budget,
                 )
                 trace.finish("ok")
                 pairs = [(n.oid, n.distance) for n in result.neighbors]
@@ -163,15 +130,12 @@ def _shard_worker_main(conn, spec: WorkerSpec) -> None:
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """Everything needed to (re)spawn one shard's worker process.
+    """Everything needed to (re)spawn one slot's worker process.
 
-    The supervisor keeps these around so a crashed worker can be
-    rebuilt identically: same index directory, same network, same
-    object slice, same storage simulation.  That identity is what
-    makes replay-after-respawn answer-preserving, so it is checked:
-    ``manifest`` is the directory's ``MANIFEST.json`` as the parent
-    read it after its deep verify, and a worker that finds other bytes
-    there does not start.
+    A crashed worker is rebuilt identically -- same directory, network,
+    objects and storage simulation -- which is what makes a replay
+    answer-preserving, so it is checked: ``manifest`` is the directory's
+    ``MANIFEST.json`` as the parent read it after its deep verify.
     """
 
     directory: str
@@ -200,17 +164,11 @@ def spawn_worker(spec: WorkerSpec) -> ShardWorker:
 class ShardWorker:
     """Parent-side handle of one shard worker process.
 
-    A lock serializes the send/receive pair, so any number of serving
-    threads can share the handle; different workers have independent
-    locks (and pipes), which is exactly where the parallelism comes
-    from.
-
-    The receive side never blocks indefinitely: it polls the pipe at
-    :attr:`poll_interval` and re-checks process liveness between
-    polls, so a worker that dies mid-request raises
-    :class:`~repro.errors.WorkerDied` promptly instead of hanging the
-    caller forever (which is what a bare ``conn.recv()`` on a dead
-    pipe's parent end does when the child end leaked into siblings).
+    A lock serializes the send/receive pair, so threads can share the
+    handle.  The receive side polls the pipe at :attr:`poll_interval`
+    and re-checks process liveness between polls, so a worker that dies
+    mid-request raises :class:`~repro.errors.WorkerDied` promptly (a
+    bare ``conn.recv()`` hangs when the child end leaked into siblings).
     """
 
     #: Seconds between liveness checks while awaiting a response.
@@ -231,11 +189,10 @@ class ShardWorker:
         """One request/response round trip (thread-safe, hang-proof).
 
         Raises :class:`WorkerDied` when the process is dead, dies
-        mid-request, or fails to answer within ``timeout`` seconds
-        (unbounded by default -- liveness, not latency, is what the
-        poll loop enforces).  A worker-reported ``("expired", ...)``
-        raises :class:`DeadlineExceeded`; ``("error", ...)`` keeps its
-        historical ``RuntimeError``.
+        mid-request, or does not answer within ``timeout`` seconds
+        (unbounded by default).  A worker's ``("expired", ...)`` raises
+        :class:`DeadlineExceeded`, its ``("error", ...)``
+        ``RuntimeError``.
         """
         with self._lock:
             if not self.process.is_alive():
@@ -295,31 +252,21 @@ class ShardWorker:
         position,
         k: int,
         variant: str,
-        cap: float = math.inf,
         trace: bool = False,
         time_cap: float | None = None,
     ):
-        """The shard's k nearest of its own objects, with exact distances.
-
-        ``cap`` lets the worker omit objects farther than the caller's
-        current global bound.  ``time_cap`` is the query's remaining
-        deadline budget in seconds; the worker aborts the search and
-        this raises :class:`DeadlineExceeded` if it runs out.  Returns
-        ``([(oid, distance), ...], QueryStats, spans)``: with
-        ``trace=True`` the worker traces the query and ``spans`` holds
-        its span dicts (absolute times, ready for
-        :meth:`~repro.obs.trace.Trace.adopt`); otherwise ``None``.
+        """The k nearest objects: ``([(oid, distance), ...], QueryStats,
+        spans)``, exact distances; ``spans`` is ``None`` unless
+        ``trace``.  :class:`DeadlineExceeded` when ``time_cap`` (the
+        remaining deadline budget, seconds) runs out in the worker.
         """
-        message = ("knn", position, k, variant, cap, trace, time_cap)
+        message = ("knn", position, k, variant, trace, time_cap)
         _, pairs, stats, spans = self.request(message)
         return pairs, stats, spans
 
     def kill(self) -> None:
-        """Hard-kill the worker process (fault injection / cleanup).
-
-        SIGKILL, then reap: after this returns the process is gone and
-        a replacement can safely map the same files.
-        """
+        """SIGKILL, then reap: after this returns the process is gone and
+        a replacement can safely map the same files."""
         with contextlib.suppress(OSError, ValueError, AttributeError):
             self.process.kill()
         self.process.join(5.0)
@@ -327,13 +274,9 @@ class ShardWorker:
             self.conn.close()
 
     def stop(self, timeout: float = 5.0) -> None:
-        """Ask the process to exit; escalate join -> terminate -> kill.
-
-        A wedged or already-dead worker can never hang shutdown: if the
-        polite stop does not land within ``timeout`` the process is
-        terminated (SIGTERM), and if *that* does not land, killed
-        (SIGKILL) -- each stage followed by a bounded join.
-        """
+        """Ask the process to exit; escalate join -> terminate -> kill,
+        each stage a bounded join, so a wedged worker never hangs
+        shutdown."""
         with contextlib.suppress(OSError, ValueError), self._lock:
             self.conn.send(("stop",))
         with contextlib.suppress(OSError):
@@ -348,22 +291,20 @@ class ShardWorker:
 
 
 class ShardGroup:
-    """The sharded serving tier: partition, verify, spawn, route, supervise.
+    """The sharded serving tier: verify, spawn, dispatch, supervise.
 
-    Build one with :meth:`from_engine`; then :meth:`knn` and
-    :meth:`knn_batch` answer queries through the partition router and
-    the worker processes, with results identical to the unsharded
-    engine's exact path.  Worker crashes are handled by the embedded
-    :class:`~repro.shard.supervisor.ShardSupervisor` per the
-    ``on_failure`` policy.  Always close (or use as a context
-    manager): the workers are real processes.
+    Build one with :meth:`from_engine`; :meth:`knn` and
+    :meth:`knn_batch` then answer exactly as the unsharded engine's
+    exact path does.  Always close it (or use it as a context manager):
+    the workers are real processes.  ``shard_map`` is kept only for
+    bench/'s layer ladder (see :class:`~repro.shard.partitioner.ShardMap`).
     """
 
     def __init__(
         self,
         shard_map: ShardMap,
         supervisor: ShardSupervisor,
-        router: PartitionRouter,
+        router: Dispatcher,
         directory: Path,
         owns_directory: bool,
     ) -> None:
@@ -390,49 +331,28 @@ class ShardGroup:
         max_retries: int = 2,
         fault_injector=None,
     ) -> ShardGroup:
-        """Shard a :class:`~repro.engine.QueryEngine`'s index and objects.
+        """Serve ``engine``'s index and objects from ``num_shards``
+        worker processes, each holding every object.
 
-        Partitions the network into ``num_shards`` Morton ranges,
-        settles the index directory the workers map, deep-verifies it
-        (every byte against its manifest checksum, once, before any
-        worker exists: a :class:`~repro.errors.CorruptIndexError`
-        names the bad column), spawns one worker process per shard
-        that holds objects, pings each (so construction only returns
-        once every worker has the index mapped), and fronts them with
-        a :class:`~repro.shard.router.PartitionRouter` that prunes
-        with the parent's own index.
-
-        The directory follows from what is there to see: an explicit
-        ``directory`` gets ``index.save`` (which replaces it wholesale,
-        like any save); otherwise an index that is itself a view of
-        files (``index.directory``, set by ``SILCIndex.load(...,
-        mmap=True)``) is served in place and nothing is written;
-        otherwise the index only exists in memory and ``index.save``
-        goes to a private temporary directory, removed on
-        :meth:`close`.
+        Settles the directory the workers map, deep-verifies it once (a
+        :class:`~repro.errors.CorruptIndexError` names the bad column
+        before any worker exists), spawns and pings every worker, and
+        fronts them with a :class:`~repro.shard.router.Dispatcher`.  An
+        explicit ``directory`` gets ``index.save``; otherwise a mapped
+        index (``index.directory``) is served in place and nothing is
+        written; otherwise the in-memory index is saved to a private
+        temporary directory, removed on :meth:`close`.
 
         ``worker_storage`` (:meth:`~repro.silc.SILCIndex.make_storage`
-        keywords, e.g. ``{"cache_fraction": 0.05}``) gives every worker
-        its own storage simulator -- the benchmark's disk-resident
-        regime.
-
-        ``on_failure`` picks the supervision policy (``respawn`` /
-        ``failover`` / ``degrade`` / ``error`` -- see
-        :class:`~repro.shard.supervisor.SupervisionPolicy`),
-        ``max_retries`` bounds respawn+replay attempts per request,
-        and ``fault_injector`` plugs a deterministic
-        :class:`~repro.faults.FaultInjector` into the request path for
-        chaos tests.
+        keywords) gives every worker its own storage simulator.
+        ``on_failure`` / ``max_retries`` set the
+        :class:`~repro.shard.supervisor.SupervisionPolicy`, and
+        ``fault_injector`` plugs a :class:`~repro.faults.FaultInjector`
+        into the request path.
         """
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
         index = engine.index
-        network = index.network
-        objects = engine.object_index.objects
-        shard_map = ShardMap.from_index(index, num_shards)
-        per_shard, has_edge = split_objects(
-            network, objects, index.embedding, shard_map
-        )
         owns_directory = directory is None and index.directory is None
         if owns_directory:
             directory = tempfile.mkdtemp(prefix="repro-shards-")
@@ -444,21 +364,15 @@ class ShardGroup:
                 directory = Path(directory)
                 index.save(directory)
             verify_manifest(directory, deep=True)
-            manifest = (directory / MANIFEST_NAME).read_bytes()
-            specs = {
-                shard: WorkerSpec(
-                    directory=str(directory),
-                    manifest=manifest,
-                    network=network,
-                    shard_id=shard,
-                    objects=tuple(per_shard[shard]),
-                    storage_options=worker_storage,
-                )
-                for shard in range(num_shards)
-                if per_shard[shard]
-            }
-            for shard, spec in specs.items():
-                workers[shard] = spawn_worker(spec)
+            spec = WorkerSpec(
+                directory=str(directory),
+                manifest=(directory / MANIFEST_NAME).read_bytes(),
+                network=index.network,
+                objects=tuple(engine.object_index.objects),
+                storage_options=worker_storage,
+            )
+            for shard in range(num_shards):
+                workers[shard] = spawn_worker(replace(spec, shard_id=shard))
             for worker in workers.values():
                 worker.ping()
         except BaseException:
@@ -468,30 +382,20 @@ class ShardGroup:
                 shutil.rmtree(directory, ignore_errors=True)
             raise
         supervisor = ShardSupervisor(
-            spawner=lambda shard: spawn_worker(specs[shard]),
+            spawner=lambda shard: spawn_worker(replace(spec, shard_id=shard)),
             workers=workers,
             policy=SupervisionPolicy(
                 on_failure=on_failure, max_retries=max_retries
             ),
             fault_injector=fault_injector,
         )
-        router = PartitionRouter(
-            index,
-            shard_map,
-            supervisor,
-            has_edge=has_edge,
-            object_counts=[len(objs) for objs in per_shard],
-            fallback=engine,
-        )
+        router = Dispatcher(index.network, supervisor, fallback=engine)
+        shard_map = ShardMap.from_index(index, num_shards)
         return cls(shard_map, supervisor, router, directory, owns_directory)
 
     # ------------------------------------------------------------------
     # Query surface (mirrors QueryEngine's)
     # ------------------------------------------------------------------
-    @property
-    def num_shards(self) -> int:
-        return self.shard_map.num_shards
-
     @property
     def stats(self):
         """The router's accumulated :class:`RouterStats`."""
@@ -499,7 +403,7 @@ class ShardGroup:
 
     def knn(self, query, k: int, variant: str = "knn", trace=None,
             time_cap: float | None = None):
-        """One kNN query, scatter-gathered across the shard workers."""
+        """One kNN query, answered by one idle shard worker."""
         return self.router.knn(
             query, k, variant=variant, trace=trace, time_cap=time_cap
         )

@@ -309,10 +309,8 @@ class SILCIndex:
         ``column`` is ``bound_column(source)``; callers bounding many
         blocks from one source pass it so the vectorised part runs
         once, not per block.  ``account=False`` skips the
-        storage-simulator page accounting: the partition router
-        computes shard bounds from serving threads that must not touch
-        the simulator (one LRU, unsafe to interleave), and its probes
-        are counted separately in its own stats.
+        storage-simulator page accounting, for a caller that must not
+        touch the simulator (one LRU, unsafe to interleave).
         """
         self.network.check_vertex(source)
         table = self.tables[source]

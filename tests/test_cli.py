@@ -354,6 +354,36 @@ class TestServeOverStdin:
             )
             assert done.returncode == 0, done.stdout + done.stderr
 
+    def test_a_worker_respawned_under_the_stdin_reader_answers(self, built, tmp_path):
+        """A respawn forks while the reader thread blocks in readline()
+        on the stdin pipe; the child must not wait on that thread's lock
+        when it closes its stdin.  Two kills of the serving worker (slot
+        0 serves one client), both recovered, counted by a last stats
+        line that the closed loop sends after the answers are in."""
+        net_path, idx_path = built
+        infile = tmp_path / "requests.jsonl"
+        infile.write_text("\n".join(json.dumps(r) for r in [
+            {"id": 1, "kind": "knn", "query": 0, "k": 5},
+            {"id": 2, "kind": "knn", "query": 17, "k": 3},
+            {"id": 3, "kind": "stats"},
+        ]) + "\n")
+        out = tmp_path / "piped.out"
+        done = subprocess.run(
+            [sys.executable, str(TOOLS / "serve_closed_loop.py"), str(infile), str(out),
+             "--", str(net_path), str(idx_path), "--objects", "20", "--shards", "2",
+             "--inject-kill", "0:1", "--inject-kill", "0:3"],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        replies = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["status"] for r in replies] == ["ok"] * 3
+        events = {
+            c["labels"]["event"]: c["value"] for c in replies[2]["metrics"]["counters"]
+            if c["name"] == "fault_events_total" and c["labels"]["stage"] == "shard"
+        }
+        assert events["worker_crash"] == events["respawn"] == 2
+
 
 class TestObservability:
     def _request_file(self, tmp_path, with_stats=True):

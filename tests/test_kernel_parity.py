@@ -27,6 +27,9 @@ Re-recorded since:
    ``L`` was no longer rewritten when a step left an upper bound where
    it was: that moved ``l_ops`` alone, in every ``knn`` digest
    (``bounds`` included), and no other field of any record.
+3. The four ``cap/*`` control-flow cells went with the kernel's
+   ``max_distance`` cap, whose only caller was the partitioned shard
+   router; no other digest moved.
 """
 
 from __future__ import annotations
@@ -231,19 +234,15 @@ def test_generous_time_budget_changes_nothing(parity_net, parity_index):
 #: four ``knn`` cells were re-recorded with the walk and the unmoved-``L``
 #: skip (see the module docstring).
 GOLDEN_CONTROL_FLOW: dict[str, str] = {
-    "cap/knn": "df00b281679c0816",
     "k_ge_s/knn": "f2af993be1dfdbc4",
     "ties/knn": "fabeabae65b985c7",
     "proximal/knn": "3c23517a2b44fdef",
-    "cap/inn": "b6e33a9606f2a19c",
     "k_ge_s/inn": "62e865d02b36b47b",
     "ties/inn": "1b1b13e5c558d3d1",
     "proximal/inn": "72ae5f8767318e49",
-    "cap/knn_i": "fba8dbdf7b74a190",
     "k_ge_s/knn_i": "62e865d02b36b47b",
     "ties/knn_i": "0f603f109f56d9e5",
     "proximal/knn_i": "2031b0b78bad7ebd",
-    "cap/knn_m": "0abadf59d5f3c9b4",
     "k_ge_s/knn_m": "882a96d786a92155",
     "ties/knn_m": "62949f74c607a6d4",
     "proximal/knn_m": "7660a60351dae59c",
@@ -297,7 +296,6 @@ def _run_cell(index, object_index, calls) -> str:
 def compute_control_flow_digests(net, index) -> dict[str, str]:
     digests = {}
     objects, queries = _scenarios(net)["vertex"]
-    object_index = ObjectIndex(net, objects, index.embedding)
     few = ObjectIndex(
         net, random_vertex_objects(net, count=12, seed=8), index.embedding
     )
@@ -310,18 +308,6 @@ def compute_control_flow_digests(net, index) -> dict[str, str]:
     proximal_objects = ObjectIndex(net, objects, proximal.embedding)
     grid_index, grid_objects = tie_grid_setup()
     for variant in VARIANTS:
-        # max_distance below, at and above the k-th distance.
-        calls = []
-        for k in (5, 25):
-            for i, q in enumerate(queries):
-                kth = best_first_knn(
-                    index, object_index, q, k, variant="inn", exact=True
-                ).neighbors[-1].distance
-                for cap in (0.5 * kth, kth, 1.5 * kth):
-                    calls.append(
-                        ((q, k), dict(variant=variant, exact=bool(i % 2), max_distance=cap))
-                    )
-        digests[f"cap/{variant}"] = _run_cell(index, object_index, calls)
         # k >= |S|: the loop drains Q and the fallback fill tops up.
         digests[f"k_ge_s/{variant}"] = _digest(
             [

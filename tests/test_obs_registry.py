@@ -117,26 +117,16 @@ class TestAbsorption:
         planner.decisions["silc"] = 4
         planner.forced = 1
         reg.absorb_planner(planner)
-        reg.absorb_router(
-            RouterStats(
-                queries=2, shards_considered=4, shards_visited=3,
-                shards_pruned_euclid=1, bound_probes=6, candidates=5,
-                duplicates_merged=1,
-            )
-        )
+        reg.absorb_router(RouterStats(queries=3, shards_visited=2, candidates=5))
         assert (
             reg.counter_value(
                 "planner_decisions_total", stage="plan", oracle="silc"
             )
             == 4
         )
+        assert reg.counter_value("router_queries_total", stage="route") == 3
         assert (
             reg.counter_value("router_shards_total", stage="route", event="visited")
-            == 3
+            == 2
         )
-        assert (
-            reg.counter_value(
-                "router_shards_total", stage="route", event="pruned_euclid"
-            )
-            == 1
-        )
+        assert reg.counter_value("router_candidates_total", stage="route") == 5

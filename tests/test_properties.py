@@ -5,6 +5,7 @@ networks, object sets, queries and k -- the strongest correctness
 evidence in the suite.
 """
 
+import dataclasses
 import heapq
 import tempfile
 from collections import defaultdict
@@ -30,7 +31,6 @@ from repro.network import (
     road_like_network,
 )
 from repro.oracle import PrunedLabellingOracle
-from repro.query import bestfirst
 from repro.query.bestfirst import VARIANTS, best_first_knn
 from repro.query.distances import ObjectDistanceState
 from repro.query.location import resolve_location
@@ -276,6 +276,27 @@ def test_edge_queries_and_extent_objects_match_dijkstra(kind, via):
     assert walked < stepped
 
 
+def test_knn_m_lets_no_tie_at_the_bound_crowd_out_a_closer_object():
+    """KMINDIST accepts an object whose upper bound reaches the bound on
+    the k-th distance.  Two objects tied exactly there (a vertex object
+    and an extent through the same vertex) used to be accepted both,
+    filling k = 3 before the object at 19.77 was confirmed.  Found by
+    the shard-group draw below: planar seed 3, an edge query."""
+    net, index, _ = setup(3, "planar")
+    mixed = edge_and_extent_objects(net, np.random.default_rng([3, 7]), count=12)
+    objects = ObjectSet([
+        *random_vertex_objects(net, count=12, seed=3),
+        *(dataclasses.replace(o, oid=o.oid + 100) for o in mixed),
+    ])
+    oi = ObjectIndex(net, objects, index.embedding)
+    query = _edge_position(net, np.random.default_rng(8))
+    truth = true_distances(net, resolve_location(net, query), objects)
+    for exact in (True, False):
+        result = best_first_knn(index, oi, query, 3, variant="knn_m", exact=exact)
+        got = sorted(truth[n.oid] for n in result.neighbors)
+        np.testing.assert_allclose(got, sorted(truth.values())[:3], rtol=1e-9)
+
+
 #: Shard groups kept open at once by the test below (each is up to
 #: four processes); the oldest is closed to make room.
 OPEN_GROUPS = 3
@@ -287,7 +308,10 @@ def test_shard_group_matches_brute_force(tmp_path_factory, monkeypatch, obtained
     """The shard tier as the answerer.  An index that maps a saved
     directory is served in place -- the workers map the same files and
     nothing is written; one that lives in memory (built, or read
-    eagerly) is saved once to a private directory that goes on close."""
+    eagerly) is saved once to a private directory that goes on close.
+    Queries sit on vertices and on edges; objects are vertex, edge and
+    extent positions -- the classes a partitioned tier used to assign
+    to several shards at once."""
     tmp = tmp_path_factory.mktemp("tmpdir")
     monkeypatch.setattr(tempfile, "tempdir", str(tmp))
     groups: dict[tuple, tuple] = {}
@@ -296,15 +320,19 @@ def test_shard_group_matches_brute_force(tmp_path_factory, monkeypatch, obtained
         if (kind, seed) not in groups:
             if len(groups) == OPEN_GROUPS:
                 groups.pop(next(iter(groups)))[0].close()
-            net, index, D = setup(seed, kind, obtained, tmp_path_factory)
-            objects = random_vertex_objects(net, count=20, seed=seed)
+            net, index, _ = setup(seed, kind, obtained, tmp_path_factory)
+            mixed = edge_and_extent_objects(net, np.random.default_rng([seed, 7]), count=12)
+            objects = ObjectSet([
+                *random_vertex_objects(net, count=12, seed=seed),
+                *(dataclasses.replace(o, oid=o.oid + 100) for o in mixed),
+            ])
             engine = QueryEngine(index, ObjectIndex(net, objects, index.embedding))
             group = ShardGroup.from_engine(engine, shards)
             if obtained == "mmap":
                 assert group.directory == index.directory
             else:
                 assert index.directory is None and group.directory.parent == tmp
-            groups[kind, seed] = (group, objects, D)
+            groups[kind, seed] = (group, net, objects)
         return groups[kind, seed]
 
     @settings(max_examples=20, deadline=None)
@@ -313,18 +341,21 @@ def test_shard_group_matches_brute_force(tmp_path_factory, monkeypatch, obtained
         seed=st.integers(0, 3),
         variant=st.sampled_from(VARIANTS),
         query=st.integers(0, 59),
-        k=st.integers(1, 25),  # past the 20 objects
+        on_edge=st.booleans(),
+        k=st.integers(1, 30),  # past the 24 objects
     )
-    def check(kind, seed, variant, query, k):
-        group, objects, D = group_for(kind, seed)
-        truth = {o.oid: float(D[query, o.position.vertex]) for o in objects}
-        want = sorted((d, oid) for oid, d in truth.items())[:k]
+    def check(kind, seed, variant, query, on_edge, k):
+        group, net, objects = group_for(kind, seed)
+        if on_edge:
+            query = _edge_position(net, np.random.default_rng(query))
+        truth = true_distances(net, resolve_location(net, query), objects)
+        want = sorted(truth.values())[:k]
         result = group.knn(query, k, variant=variant)
         got = sorted((n.distance, n.oid) for n in result.neighbors)
         assert len({oid for _, oid in got}) == len(got) == len(want)
         for distance, oid in got:
             np.testing.assert_allclose(distance, truth[oid], rtol=1e-9)
-        np.testing.assert_allclose([d for d, _ in got], [d for d, _ in want], rtol=1e-9)
+        np.testing.assert_allclose([d for d, _ in got], want, rtol=1e-9)
 
     try:
         check()
@@ -576,31 +607,3 @@ def test_rel_pad_is_what_keeps_the_truth_inside(monkeypatch):
     monkeypatch.setattr(silc_index, "_REL_PAD", 0.0)
     intervals, blocks = expelled()
     assert intervals > 0 and blocks > 0
-
-
-def test_an_object_at_exactly_max_distance_is_reported(monkeypatch):
-    """Two objects sit on vertex 24 of a lattice: at ``max_distance=0.0``
-    they are the answer, and it is the one-ulp nudge of the cap that
-    keeps the loop from stopping at ``lo >= bound`` before seeing them."""
-    net = grid_network(7, 7)
-    index = SILCIndex.build(net)
-    object_index = ObjectIndex(
-        net, ObjectSet.at_vertices(net, [0, 24, 24, 48]), index.embedding
-    )
-
-    def at_the_cap(variant):
-        result = best_first_knn(
-            index, object_index, 24, 2, variant=variant, exact=True, max_distance=0.0
-        )
-        return sorted(result.ids()), [n.distance for n in result.neighbors]
-
-    for variant in VARIANTS:
-        assert at_the_cap(variant) == ([1, 2], [0.0, 0.0])
-        # ... and at a positive cap equal to the k-th distance
-        result = best_first_knn(
-            index, object_index, 24, 4, variant=variant, exact=True, max_distance=6.0
-        )
-        assert sorted(n.distance for n in result.neighbors) == [0.0, 0.0, 6.0, 6.0]
-    monkeypatch.setattr(bestfirst.math, "nextafter", lambda x, towards: x)
-    for variant in VARIANTS:
-        assert at_the_cap(variant) == ([], [])

@@ -1,6 +1,5 @@
 """QueryEngine: batched queries must match per-query calls exactly."""
 
-import math
 import sys
 
 import pytest
@@ -92,22 +91,19 @@ class TestOneDispatch:
         real = engine.oracles["silc"]
         fake = engine.oracles["silc"] = RecordingOracle(real)
         one = engine.knn(
-            17, 3, variant="knn_m", exact=True, max_distance=1e9, time_cap=60.0
+            17, 3, variant="knn_m", exact=True, time_cap=60.0
         )
         batch = engine.knn_batch(
             [17, 42], 3, variant="knn_m", exact=True, time_cap=60.0
         )
         assert fake.calls[0] == {
-            "variant": "knn_m", "exact": True,
-            "max_distance": 1e9, "time_budget": 60.0,
+            "variant": "knn_m", "exact": True, "time_budget": 60.0,
         }
         assert len(fake.calls) == 3
         for call in fake.calls[1:]:
             budget = call.pop("time_budget")
             assert 0.0 < budget <= 60.0  # what is left of the batch's cap
-            assert call == {
-                "variant": "knn_m", "exact": True, "max_distance": math.inf,
-            }
+            assert call == {"variant": "knn_m", "exact": True}
         assert one.ids() == batch[0].ids() == real.knn(17, 3, exact=True).ids()
 
 

@@ -118,7 +118,6 @@ class TestServerDeadline:
         )
         response, snapshot = serve_one(request, slow)
         assert isinstance(response, Completed)
-        assert response.degraded is False
         assert snapshot.deadline_aborts == 0
 
     def test_queue_expiry_is_not_flagged_aborted(self, engine):
@@ -179,7 +178,7 @@ class TestServerDeadline:
 
 
 class TestProtocolFlags:
-    def test_aborted_and_degraded_serialize_only_when_set(self):
+    def test_aborted_serializes_only_when_set(self):
         plain = response_to_dict(Expired(id=1, client="c", waited=0.5))
         assert "aborted" not in plain
         aborted = response_to_dict(
@@ -190,14 +189,7 @@ class TestProtocolFlags:
         ok = response_to_dict(
             Completed(id=2, client="c", result={}, latency=0.1, sched_delay=0)
         )
-        assert "degraded" not in ok
-        degraded = response_to_dict(
-            Completed(
-                id=2, client="c", result={}, latency=0.1, sched_delay=0,
-                degraded=True,
-            )
-        )
-        assert degraded["degraded"] is True
+        assert set(ok) == {"id", "client", "status", "latency", "sched_delay"}
 
 
 class TestShardTierDeadline:

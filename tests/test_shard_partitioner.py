@@ -1,20 +1,10 @@
-"""Morton-range partitioning: boundaries, covers, object splitting."""
+"""The Morton-range shard map kept for bench/'s layer ladder."""
 
 import numpy as np
 import pytest
 
 from repro import SILCIndex, road_like_network
-from repro.datasets import random_vertex_objects
-from repro.geometry.morton import block_cells, range_blocks
-from repro.objects.model import (
-    EdgePosition,
-    ExtentPosition,
-    ObjectSet,
-    SpatialObject,
-    position_parts,
-    position_point,
-)
-from repro.shard import ShardMap, split_objects
+from repro.shard import ShardMap
 
 
 @pytest.fixture(scope="module")
@@ -24,33 +14,8 @@ def built():
     return net, index
 
 
-class TestRangeBlocks:
-    def test_full_grid_is_one_block(self):
-        assert range_blocks(0, 16) == [(0, 2)]
-
-    def test_unaligned_range_decomposes(self):
-        # [3, 9): cell 3, block [4, 8) at level 1, cell 8.
-        assert range_blocks(3, 9) == [(3, 0), (4, 1), (8, 0)]
-
-    def test_blocks_tile_the_range_exactly(self):
-        for lo, hi in [(0, 7), (5, 64), (13, 57), (100, 101)]:
-            blocks = range_blocks(lo, hi)
-            covered = []
-            for code, level in blocks:
-                assert code % block_cells(level) == 0, "blocks must be aligned"
-                covered.extend(range(code, code + block_cells(level)))
-            assert covered == list(range(lo, hi))
-
-    def test_empty_range(self):
-        assert range_blocks(5, 5) == []
-
-    def test_reversed_bounds_raise(self):
-        with pytest.raises(ValueError, match="reversed"):
-            range_blocks(9, 3)
-
-    def test_out_of_grid_raises(self):
-        with pytest.raises(ValueError, match="out of grid"):
-            range_blocks(-1, 4)
+def shards_of_vertices(smap, index):
+    return np.array([smap.shard_of_code(int(code)) for code in index.vertex_codes])
 
 
 class TestShardMap:
@@ -61,123 +26,37 @@ class TestShardMap:
         b = smap.boundaries
         assert b[0] == 0 and b[-1] == 4**smap.order
         assert (np.diff(b) > 0).all()
-        assert smap.num_shards == num_shards
-
-    def test_vertices_partition_the_network(self, built):
-        net, index = built
-        smap = ShardMap.from_index(index, 4)
-        union = np.concatenate([smap.vertices(s) for s in range(4)])
-        assert sorted(union.tolist()) == list(range(net.num_vertices))
+        assert b.size == num_shards + 1
 
     def test_assignment_matches_code_ranges(self, built):
         _, index = built
         smap = ShardMap.from_index(index, 4)
-        for v, code in enumerate(index.vertex_codes):
-            s = int(smap.assign[v])
+        for code, s in zip(index.vertex_codes, shards_of_vertices(smap, index)):
+            assert 0 <= s < 4
             assert smap.boundaries[s] <= code < smap.boundaries[s + 1]
-            assert smap.shard_of_code(int(code)) == s
 
     def test_near_equal_population(self, built):
         net, index = built
         smap = ShardMap.from_index(index, 4)
-        sizes = [smap.vertices(s).size for s in range(4)]
+        sizes = np.bincount(shards_of_vertices(smap, index), minlength=4)
         # Equal-population cuts: no shard dominated by duplicates here,
         # so every shard lands within a loose factor of the mean.
-        assert min(sizes) >= 1
-        assert max(sizes) <= 2 * net.num_vertices / 4 + 1
-
-    def test_cover_blocks_tile_each_range(self, built):
-        _, index = built
-        smap = ShardMap.from_index(index, 4)
-        for s in range(4):
-            lo, hi = int(smap.boundaries[s]), int(smap.boundaries[s + 1])
-            blocks = smap.cover_blocks(s)
-            assert sum(block_cells(level) for _, level in blocks) == hi - lo
-            code = lo
-            for block_code, level in blocks:
-                assert block_code == code, "blocks must be contiguous"
-                assert block_code % block_cells(level) == 0
-                code += block_cells(level)
-            assert code == hi
-
-    def test_cover_blocks_cached(self, built):
-        _, index = built
-        smap = ShardMap.from_index(index, 2)
-        assert smap.cover_blocks(0) is smap.cover_blocks(0)
-
-    def test_shard_of_point_agrees_with_vertex_assignment(self, built):
-        net, index = built
-        smap = ShardMap.from_index(index, 4)
-        for v in range(0, net.num_vertices, 17):
-            p = net.vertex_point(v)
-            assert smap.shard_of_point(index.embedding, p.x, p.y) == int(
-                smap.assign[v]
-            )
+        assert sizes.min() >= 1
+        assert sizes.max() <= 2 * net.num_vertices / 4 + 1
 
     def test_single_shard_owns_everything(self, built):
         _, index = built
         smap = ShardMap.from_index(index, 1)
-        assert (smap.assign == 0).all()
+        assert (shards_of_vertices(smap, index) == 0).all()
 
     def test_more_shards_than_distinct_codes_degrades_gracefully(self):
         codes = np.array([5, 5, 5, 5], dtype=np.int64)
         smap = ShardMap.from_codes(codes, 3, order=2)
-        assert smap.num_shards == 3
+        assert smap.boundaries.size == 4
         assert (np.diff(smap.boundaries) > 0).all()
 
     def test_bad_boundaries_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            ShardMap(np.array([0, 8, 8, 16]), np.zeros(1), order=2)
+            ShardMap(np.array([0, 8, 8, 16]), order=2)
         with pytest.raises(ValueError, match="span"):
-            ShardMap(np.array([1, 16]), np.zeros(1), order=2)
-
-
-class TestSplitObjects:
-    def test_vertex_objects_follow_their_vertex(self, built):
-        net, index = built
-        smap = ShardMap.from_index(index, 4)
-        objects = random_vertex_objects(net, count=30, seed=11)
-        per_shard, has_edge = split_objects(net, objects, index.embedding, smap)
-        assert sum(len(objs) for objs in per_shard) == len(objects)
-        assert not any(has_edge)
-        for s, objs in enumerate(per_shard):
-            for obj in objs:
-                assert int(smap.assign[obj.position.vertex]) == s
-
-    def test_edge_parts_set_the_edge_flag(self, built):
-        net, index = built
-        smap = ShardMap.from_index(index, 4)
-        a, b, _ = next(net.iter_edges())
-        obj = SpatialObject(
-            oid=0,
-            position=EdgePosition(a, b, 0.5),
-            point=position_point(net, EdgePosition(a, b, 0.5)),
-        )
-        per_shard, has_edge = split_objects(
-            net, ObjectSet([obj]), index.embedding, smap
-        )
-        populated = [s for s, objs in enumerate(per_shard) if objs]
-        assert len(populated) == 1
-        assert has_edge[populated[0]]
-
-    def test_boundary_straddling_extent_is_replicated(self, built):
-        net, index = built
-        smap = ShardMap.from_index(index, 4)
-        # Pick two vertices assigned to different shards and build one
-        # extent spanning both.
-        v_a = int(smap.vertices(0)[0])
-        v_b = int(smap.vertices(3)[0])
-        from repro.objects.model import VertexPosition
-
-        position = ExtentPosition((VertexPosition(v_a), VertexPosition(v_b)))
-        obj = SpatialObject(
-            oid=7, position=position, point=position_point(net, position)
-        )
-        per_shard, _ = split_objects(
-            net, ObjectSet([obj]), index.embedding, smap
-        )
-        holders = [s for s, objs in enumerate(per_shard) if objs]
-        assert holders == [0, 3]
-        for s in holders:
-            # The replica is the *whole* object, not a cropped part.
-            assert len(position_parts(per_shard[s][0].position)) == 2
+            ShardMap(np.array([1, 16]), order=2)

@@ -3,9 +3,8 @@
 The acceptance bar (docs/ARCHITECTURE.md invariant): fault handling
 never changes answers, only availability and latency.  A worker killed
 mid-workload must yield, per policy, either the identical exact answer
-(``respawn``/``failover``), a flagged partial answer (``degrade``), or
-a typed error (``error``) -- never a hang, never a silently wrong
-result.
+(``respawn``/``failover``) or a typed error (``error``) -- never a
+hang, never a partial or silently wrong result.
 """
 
 import time
@@ -13,6 +12,7 @@ import time
 import pytest
 
 from repro import ObjectIndex, SILCIndex, road_like_network
+from repro.cli import main
 from repro.datasets import random_vertex_objects
 from repro.engine import QueryEngine
 from repro.errors import ShardUnavailable, WorkerDied
@@ -21,6 +21,11 @@ from repro.shard import ShardGroup, SupervisionPolicy
 
 NUM_SHARDS = 4
 K = 3
+#: The slot one sequential client is always served by (the dispatcher
+#: lends the worker returned last, and slot 0 first).
+SERVING = 0
+#: Queries spread over the network; any of them goes to ``SERVING``.
+QUERIES = (0, 17, 42, 99, 133)
 
 
 def ranked(result):
@@ -44,22 +49,15 @@ def make_group(engine, policy, injector=None, max_retries=2):
     )
 
 
-def queries_hitting(group, shard, count):
-    """Vertices inside ``shard``: their queries visit it first
-    (Euclidean bound zero), making kill ordinals deterministic."""
-    vertices = group.shard_map.vertices(shard)
-    return [int(v) for v in vertices[:count]]
-
-
 class TestRespawnPolicy:
     def test_kill_mid_workload_recovers_identical_answers(self, setup):
         _, engine = setup
         injector = FaultInjector()
         group = make_group(engine, "respawn", injector)
         try:
-            shard = group.router.shards[0]
+            shard = SERVING
             injector.kill_worker_at(shard, 2)
-            queries = queries_hitting(group, shard, 5)
+            queries = list(QUERIES)
             expected = [ranked(engine.knn(q, K, exact=True)) for q in queries]
             got = [ranked(group.knn(q, K)) for q in queries]
             assert got == expected
@@ -77,11 +75,11 @@ class TestRespawnPolicy:
         _, engine = setup
         group = make_group(engine, "respawn")
         try:
-            shard = group.router.shards[0]
+            shard = SERVING
             group.workers[shard].process.kill()
             group.workers[shard].process.join(5.0)
             assert group.health_check()[shard] is False
-            query = queries_hitting(group, shard, 1)[0]
+            query = QUERIES[0]
             expected = ranked(engine.knn(query, K, exact=True))
             assert ranked(group.knn(query, K)) == expected
             assert group.health_check()[shard] is True
@@ -95,10 +93,10 @@ class TestRespawnPolicy:
         injector = FaultInjector()
         group = make_group(engine, "respawn", injector, max_retries=1)
         try:
-            shard = group.router.shards[0]
+            shard = SERVING
             # Kill the original send AND the post-respawn replay.
             injector.kill_worker_at(shard, 1).kill_worker_at(shard, 2)
-            query = queries_hitting(group, shard, 1)[0]
+            query = QUERIES[0]
             result = group.knn(query, K)
             assert ranked(result) == ranked(engine.knn(query, K, exact=True))
             assert result.stats.extras.get("failover") is True
@@ -123,9 +121,9 @@ class TestRespawnPolicy:
             assert group.directory == tmp_path / "index"
             other = road_like_network(net.num_vertices, seed=6)
             SILCIndex.build(other).save(tmp_path / "index")
-            shard = group.router.shards[0]
+            shard = SERVING
             group.workers[shard].kill()
-            for query in queries_hitting(group, shard, 3):
+            for query in QUERIES[:3]:
                 # The parent still maps the files it loaded: the
                 # failover answer is the original network's.
                 result = group.knn(query, K)
@@ -148,9 +146,9 @@ class TestFailoverPolicy:
         injector = FaultInjector()
         group = make_group(engine, "failover", injector)
         try:
-            shard = group.router.shards[0]
+            shard = SERVING
             injector.kill_worker_at(shard, 1)
-            query = queries_hitting(group, shard, 1)[0]
+            query = QUERIES[0]
             result = group.knn(query, K)
             assert ranked(result) == ranked(engine.knn(query, K, exact=True))
             assert result.stats.extras.get("failover") is True
@@ -160,37 +158,15 @@ class TestFailoverPolicy:
 
 
 class TestDegradePolicy:
-    def test_degraded_answer_is_flagged_and_never_wrong(self, setup):
-        _, engine = setup
-        injector = FaultInjector()
-        group = make_group(engine, "degrade", injector)
-        try:
-            shard = group.router.shards[0]
-            injector.kill_worker_at(shard, 1)
-            query = queries_hitting(group, shard, 1)[0]
-            result = group.knn(query, K)
-            assert result.stats.extras.get("degraded_shards") == [shard]
-            assert group.supervisor.stats.degraded_responses == 1
-            # Partial, never wrong: every neighbor it did return carries
-            # the object's true exact distance (it appears in the full
-            # exact ranking over the complete object set).
-            everything = ranked(
-                engine.knn(query, len(engine.object_index.objects), exact=True)
-            )
-            assert set(ranked(result)) <= set(everything)
-            # The background respawn heals the shard; answers return to
-            # the full exact top k without operator action.
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                if group.health_check().get(shard):
-                    break
-                time.sleep(0.05)
-            assert group.health_check()[shard] is True
-            assert ranked(group.knn(query, K)) == ranked(
-                engine.knn(query, K, exact=True)
-            )
-        finally:
-            group.close()
+    def test_serve_refuses_the_retired_degrade_policy(self, capsys):
+        """A live worker holds every object, so there is no partial
+        answer left to serve: ``degrade`` is not a policy any more."""
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "net.txt", "index", "--on-shard-failure", "degrade"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'degrade'" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="on_failure"):
+            SupervisionPolicy(on_failure="degrade")
 
 
 class TestErrorPolicy:
@@ -199,9 +175,9 @@ class TestErrorPolicy:
         injector = FaultInjector()
         group = make_group(engine, "error", injector)
         try:
-            shard = group.router.shards[0]
+            shard = SERVING
             injector.kill_worker_at(shard, 1)
-            query = queries_hitting(group, shard, 1)[0]
+            query = QUERIES[0]
             with pytest.raises(ShardUnavailable):
                 group.knn(query, K)
         finally:
@@ -213,7 +189,7 @@ class TestHangProofing:
         _, engine = setup
         group = make_group(engine, "error")
         try:
-            shard = group.router.shards[0]
+            shard = SERVING
             worker = group.workers[shard]
             worker.process.kill()
             worker.process.join(5.0)
