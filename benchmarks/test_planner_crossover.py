@@ -94,9 +94,13 @@ def test_planner_crossover(capsys, bench_net, bench_index, bench_queries,
                 total += 1
                 if costs[choice][i] <= TIE_FACTOR * costs[winner][i]:
                     agree += 1
-            pick = max(
-                planner.stats.decisions, key=planner.stats.decisions.get
-            )
+            decisions = {
+                b: planner.registry.counter_value(
+                    "planner_decisions_total", stage="plan", oracle=b
+                )
+                for b in PLANNABLE
+            }
+            pick = max(decisions, key=decisions.get)
             nq = len(queries)
             for b in PLANNABLE:
                 mean_ops = sum(ops for ops, _ in measured[b]) / nq

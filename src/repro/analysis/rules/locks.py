@@ -12,7 +12,8 @@ that unit tests only catch probabilistically.
 The dataflow is deliberately shallow but matches the codebase's
 idioms:
 
-* ``with self._lock:`` and ``with self._stats_lock:`` directly;
+* ``with self._lock:`` and ``with self.<name>_lock:`` (a ``_stats_lock``,
+  say) directly;
 * lock handles bound first (``lock = self._respawn_locks.setdefault(
   shard, threading.Lock())`` ... ``with lock:``);
 * attribute aliases (``s = self.stats`` ... ``s.queries += 1`` counts

@@ -6,7 +6,7 @@ registry can be threaded through every layer -- server, scheduler,
 engine, planner, shard router and worker processes -- without cycles.
 """
 
-from repro.obs.registry import DEFAULT_WINDOW, ENGINE_OPS, MetricsRegistry, percentiles
+from repro.obs.registry import ENGINE_OPS, WINDOW, MetricsRegistry, percentiles
 from repro.obs.report import (
     aggregate_stages,
     format_trace_report,
@@ -27,8 +27,8 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "DEFAULT_WINDOW",
     "ENGINE_OPS",
+    "WINDOW",
     "MetricsRegistry",
     "percentiles",
     "aggregate_stages",

@@ -1,32 +1,23 @@
-"""A unified metrics registry: named, labelled counters/gauges/histograms.
+"""The one metrics model: named, labelled counters/gauges/histograms.
 
-The serving stack accumulates telemetry in several purpose-built
-accumulators -- :class:`~repro.serve.metrics.ServerMetrics` (latency
-windows + outcome counters), :class:`~repro.oracle.planner.PlannerStats`
-(per-backend decisions), :class:`~repro.shard.router.RouterStats`
-(shard worker visits) and
-:class:`~repro.shard.supervisor.SupervisorStats` (fault events).
-:class:`MetricsRegistry` is the single pane of glass over all
-of them: every reading becomes a *sample* -- a metric name plus a
-small label set (``{"stage": ..., "oracle": ..., "shard": ...}``) --
-and :meth:`MetricsRegistry.snapshot` renders one JSON-serializable
-dict the serve protocol can ship over the wire (the ``stats`` request
-kind).
+Every component that counts owns a :class:`MetricsRegistry` and counts
+into it when the event happens: the server (its tracer's registry:
+request outcomes, latency, span timings), the
+:class:`~repro.oracle.planner.QueryPlanner` (per-backend decisions) and
+the :class:`~repro.shard.supervisor.ShardSupervisor` (fault events, and
+the dispatcher's worker visits).  Every reading is a *sample* -- a
+metric name plus a small label set (``{"stage": ..., "oracle": ...,
+"event": ...}``) -- and :meth:`MetricsRegistry.snapshot` renders one
+JSON-serializable dict, with the counters of any other registries
+passed to it summed in by key: that merge is the reply to the serve
+protocol's ``stats`` request kind.
 
-Two feeding styles, deliberately distinct:
-
-* ``inc``/``observe`` -- event-sourced metrics (the
-  :class:`~repro.obs.trace.Tracer` feeds span timings and counted ops
-  as traces finish);
-* ``set_counter``/``set_gauge`` -- *absolute* assignment, used by the
-  ``absorb_*`` methods to mirror the existing accumulators.  Those
-  accumulators are themselves cumulative, so assignment keeps
-  repeated absorption idempotent (a ``stats`` request may poll the
-  registry any number of times without double counting).
+Counters only grow, so polling never double counts, and a counter
+whose event has not happened yet is absent.  Gauges are point-in-time
+readings, set when polled.
 
 This module is the bottom of the observability layer: it imports
-nothing from :mod:`repro.serve` (which imports *it*), and the
-``absorb_*`` methods are duck-typed for the same reason.
+nothing from the rest of :mod:`repro`.
 """
 
 from __future__ import annotations
@@ -34,13 +25,14 @@ from __future__ import annotations
 import threading
 from collections import deque
 from collections.abc import Iterable, Sequence
+from functools import lru_cache
 from pathlib import Path
 from typing import Any
 
 #: Samples kept per histogram window (percentiles reflect recent load).
-DEFAULT_WINDOW = 4096
+WINDOW = 4096
 
-#: The QueryStats counters mirrored into ``engine_ops_total`` samples.
+#: The QueryStats counters rendered as ``engine_ops_total`` samples.
 ENGINE_OPS = (
     "refinements",
     "queue_pushes",
@@ -99,8 +91,28 @@ def process_memory(pid: int | str = "self") -> dict[str, int]:
     return {f[0]: int(f[1]) * 1024 for f in fields if len(f) == 3 and f[2] == "kB"}
 
 
+@lru_cache(maxsize=1024)
+def _key_of(name: str, items: tuple) -> tuple:
+    return (name, tuple(sorted((str(k), str(v)) for k, v in items)))
+
+
 def _key(name: str, labels: dict) -> tuple:
-    return (name, tuple(sorted((str(k), str(v)) for k, v in labels.items())))
+    """A sample's address.  Memoised: requests count into the same few
+    label sets over and over, and this runs on every one of them."""
+    return _key_of(name, tuple(labels.items()))
+
+
+def _summary(window: Sequence[float], count: int) -> dict:
+    """A histogram's reading: lifetime count, window mean/max/p50/p95/p99."""
+    p50, p95, p99 = percentiles(window, (50.0, 95.0, 99.0))
+    return {
+        "count": count,
+        "mean": sum(window) / len(window) if window else 0.0,
+        "max": max(window, default=0.0),
+        "p50": p50,
+        "p95": p95,
+        "p99": p99,
+    }
 
 
 class MetricsRegistry:
@@ -108,15 +120,12 @@ class MetricsRegistry:
 
     Every sample is addressed by ``(name, labels)``; label keys and
     values are coerced to strings so snapshots serialize cleanly.
-    Histograms keep a sliding window of the most recent ``window``
+    Histograms keep a sliding window of the most recent :data:`WINDOW`
     observations (flat memory on a long-lived server) next to an exact
     lifetime observation count.
     """
 
-    def __init__(self, window: int = DEFAULT_WINDOW) -> None:
-        if window < 1:
-            raise ValueError("window must be at least 1 sample")
-        self.window = window
+    def __init__(self) -> None:
         self._counters: dict[tuple, float] = {}
         self._gauges: dict[tuple, float] = {}
         self._hists: dict[tuple, deque] = {}
@@ -127,15 +136,10 @@ class MetricsRegistry:
     # Feeding
     # ------------------------------------------------------------------
     def inc(self, name: str, value: float = 1, **labels: Any) -> None:
-        """Add ``value`` to a counter sample (event-sourced feeding)."""
+        """Add ``value`` to a counter sample."""
         key = _key(name, labels)
         with self._lock:
             self._counters[key] = self._counters.get(key, 0) + value
-
-    def set_counter(self, name: str, value: float, **labels: Any) -> None:
-        """Assign a counter sample absolutely (idempotent absorption)."""
-        with self._lock:
-            self._counters[_key(name, labels)] = value
 
     def set_gauge(self, name: str, value: float, **labels: Any) -> None:
         with self._lock:
@@ -147,127 +151,51 @@ class MetricsRegistry:
         with self._lock:
             window = self._hists.get(key)
             if window is None:
-                window = deque(maxlen=self.window)
-                self._hists[key] = window
+                window = self._hists[key] = deque(maxlen=WINDOW)
             window.append(float(value))
             self._hist_counts[key] = self._hist_counts.get(key, 0) + 1
-
-    def counter_value(self, name: str, **labels: Any) -> float:
-        with self._lock:
-            return self._counters.get(_key(name, labels), 0)
-
-    # ------------------------------------------------------------------
-    # Absorption of the purpose-built accumulators (duck-typed, so the
-    # registry never imports the layers that import it)
-    # ------------------------------------------------------------------
-    def absorb_server(self, snapshot: Any) -> None:
-        """Mirror a :class:`~repro.serve.metrics.MetricsSnapshot`."""
-        for outcome, value in (
-            ("completed", snapshot.served),
-            ("shed", snapshot.shed),
-            ("expired", snapshot.expired),
-            ("failed", snapshot.failed),
-        ):
-            self.set_counter(
-                "requests_total", value, stage="serve", outcome=outcome
-            )
-        self.set_gauge("in_flight", snapshot.in_flight, stage="serve")
-        for quantile, value in (
-            ("p50", snapshot.p50), ("p95", snapshot.p95), ("p99", snapshot.p99)
-        ):
-            self.set_gauge(
-                "latency_seconds", value, stage="serve", quantile=quantile
-            )
-        for client, depth in snapshot.queue_depths.items():
-            self.set_gauge("queue_depth", depth, stage="sched", client=client)
-        for op in ENGINE_OPS:
-            value = getattr(snapshot.stats, op, 0)
-            if value:
-                self.set_counter(
-                    "engine_ops_total", value, stage="engine", op=op
-                )
-        self.set_counter(
-            "fault_events_total", snapshot.deadline_aborts,
-            stage="serve", event="deadline_abort",
-        )
-
-    def absorb_planner(self, stats: Any) -> None:
-        """Mirror a :class:`~repro.oracle.planner.PlannerStats`."""
-        for backend, value in stats.decisions.items():
-            self.set_counter(
-                "planner_decisions_total", value, stage="plan", oracle=backend
-            )
-        self.set_counter("planner_forced_total", stats.forced, stage="plan")
-        self.set_counter(
-            "planner_calibrations_total", stats.calibrations, stage="plan"
-        )
-        self.set_counter(
-            "planner_calibration_queries_total",
-            stats.calibration_queries,
-            stage="plan",
-        )
-
-    def absorb_router(self, stats: Any) -> None:
-        """Mirror a :class:`~repro.shard.router.RouterStats`."""
-        self.set_counter("router_queries_total", stats.queries, stage="route")
-        self.set_counter(
-            "router_shards_total", stats.shards_visited, stage="route", event="visited"
-        )
-        self.set_counter(
-            "router_candidates_total", stats.candidates, stage="route"
-        )
-
-    def absorb_supervisor(self, stats: Any) -> None:
-        """Mirror a :class:`~repro.shard.supervisor.SupervisorStats`.
-
-        Every fault event lands in one ``fault_events_total`` family
-        (labelled by event), so a dashboard -- or the chaos benchmark
-        -- reads the whole recovery story from one counter name.
-        """
-        for event, value in (
-            ("worker_crash", stats.worker_crashes),
-            ("respawn", stats.respawns),
-            ("respawn_failure", stats.respawn_failures),
-            ("retry", stats.retries),
-            ("failover", stats.failovers),
-        ):
-            self.set_counter(
-                "fault_events_total", value, stage="shard", event=event
-            )
 
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """One JSON-serializable reading of every sample, sorted stably."""
+    def counter_value(self, name: str, **labels: Any) -> float:
         with self._lock:
-            counters = [
-                {"name": name, "labels": dict(labels), "value": value}
-                for (name, labels), value in sorted(self._counters.items())
-            ]
-            gauges = [
-                {"name": name, "labels": dict(labels), "value": value}
-                for (name, labels), value in sorted(self._gauges.items())
-            ]
-            histograms = []
-            for key in sorted(self._hists):
-                name, labels = key
-                window = list(self._hists[key])
-                p50, p95, p99 = percentiles(window, (50.0, 95.0, 99.0))
-                histograms.append(
-                    {
-                        "name": name,
-                        "labels": dict(labels),
-                        "count": self._hist_counts[key],
-                        "mean": sum(window) / len(window),
-                        "max": max(window),
-                        "p50": p50,
-                        "p95": p95,
-                        "p99": p99,
-                    }
-                )
+            return self._counters.get(_key(name, labels), 0)
+
+    def histogram(self, name: str, **labels: Any) -> dict:
+        """One histogram's reading, as :meth:`snapshot` renders it
+        (zeros before its first observation)."""
+        key = _key(name, labels)
+        with self._lock:
+            return _summary(list(self._hists.get(key, ())), self._hist_counts.get(key, 0))
+
+    def snapshot(self, *others: MetricsRegistry) -> dict:
+        """One JSON-serializable reading of every sample, sorted stably.
+
+        The counters of ``others`` are summed in by key; their gauges
+        and histograms are listed alongside.
+        """
+        counters: dict[tuple, float] = {}
+        gauges: dict[tuple, float] = {}
+        hists: dict[tuple, tuple[list, int]] = {}
+        for registry in (self, *others):
+            with registry._lock:
+                for key, value in registry._counters.items():
+                    counters[key] = counters.get(key, 0) + value
+                gauges.update(registry._gauges)
+                for key, window in registry._hists.items():
+                    hists[key] = (list(window), registry._hist_counts[key])
         return {
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
+            "counters": [
+                {"name": name, "labels": dict(labels), "value": value}
+                for (name, labels), value in sorted(counters.items())
+            ],
+            "gauges": [
+                {"name": name, "labels": dict(labels), "value": value}
+                for (name, labels), value in sorted(gauges.items())
+            ],
+            "histograms": [
+                {"name": name, "labels": dict(labels), **_summary(*hists[name, labels])}
+                for name, labels in sorted(hists)
+            ],
         }

@@ -394,12 +394,12 @@ NULL_TRACE = NullTrace()
 
 
 class NullTracer:
-    """Default tracer: no traces, but still a live (absorb-only) registry.
+    """Default tracer: no traces, but still a live registry.
 
-    The ``stats`` request kind returns the unified registry snapshot
-    whether or not tracing is on, so the null tracer owns a registry
-    the server's absorb pass can populate; it just never receives
-    span-sourced samples.
+    The ``stats`` request kind returns the registry snapshot whether or
+    not tracing is on, so the null tracer owns the registry the server
+    counts its requests into; it just never receives span-sourced
+    samples.
     """
 
     enabled = False

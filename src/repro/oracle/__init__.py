@@ -15,7 +15,8 @@ hard-wired choice into a per-query decision:
   compare against, and the default engine of IER refinement;
 * :class:`QueryPlanner` -- routes each query to the backend the
   calibrated cost model expects to answer cheapest, with a
-  forced-backend override and counted :class:`PlannerStats`.
+  forced-backend override and its decisions counted in a metrics
+  registry.
 """
 
 from repro.oracle.base import (
@@ -34,7 +35,6 @@ from repro.oracle.planner import (
     COST_MODEL_FILE,
     PLANNABLE,
     CostConstants,
-    PlannerStats,
     QueryPlanner,
     counted_ops,
 )
@@ -54,7 +54,6 @@ __all__ = [
     "PrunedLabellingOracle",
     "LabellingBuildStats",
     "QueryPlanner",
-    "PlannerStats",
     "CostConstants",
     "counted_ops",
 ]

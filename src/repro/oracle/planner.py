@@ -21,9 +21,10 @@ split (a database optimizer in miniature):
   rate over the calibration-time miss rate, so a cold page cache
   pushes the planner toward the backends that never touch index pages.
 
-Every decision is counted in :class:`PlannerStats` (per-backend picks,
-forced overrides, calibration cost), the same counted-first
-methodology as the rest of the benchmark suite.
+Every decision is counted in the planner's
+:class:`~repro.obs.registry.MetricsRegistry` (per-backend picks, forced
+overrides, calibration cost), the same counted-first methodology as
+the rest of the benchmark suite.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from time import perf_counter
 
 from repro.errors import CorruptIndexError
 from repro.integrity import atomic_write_text
+from repro.obs.registry import MetricsRegistry
 from repro.oracle.base import DistanceOracle
 from repro.query.stats import QueryStats
 
@@ -150,29 +152,6 @@ def fit_line(points: list[tuple[float, float]]) -> tuple[float, float]:
     return max(0.0, mean_y - slope * mean_x), slope
 
 
-@dataclass
-class PlannerStats:
-    """Counted per-decision accounting of one planner."""
-
-    #: backend name -> queries routed to it by the cost model.
-    decisions: dict[str, int] = field(default_factory=dict)
-    #: Queries answered under a forced-backend override.
-    forced: int = 0
-    #: Calibration runs and the queries they spent.
-    calibrations: int = 0
-    calibration_queries: int = 0
-
-    def record(self, backend: str, forced: bool = False) -> None:
-        if forced:
-            self.forced += 1
-        else:
-            self.decisions[backend] = self.decisions.get(backend, 0) + 1
-
-    @property
-    def planned(self) -> int:
-        return sum(self.decisions.values())
-
-
 class QueryPlanner:
     """Pick a kNN backend per query from the calibrated cost model.
 
@@ -187,8 +166,8 @@ class QueryPlanner:
         calibrates itself lazily on the first ``choose`` call.
     force:
         Forced-backend override: every ``choose`` returns this name
-        and only :attr:`PlannerStats.forced` is incremented.  The
-        operational escape hatch when the model misjudges a workload.
+        and counts ``planner_forced_total`` only.  The operational
+        escape hatch when the model misjudges a workload.
     storage:
         The engine's storage simulator, read for the cache-state term.
     calibration_queries:
@@ -219,7 +198,7 @@ class QueryPlanner:
         self.constants = constants
         self.force = force
         self.storage = storage
-        self.stats = PlannerStats()
+        self.registry = MetricsRegistry()
         self._calibration_queries = calibration_queries
 
     # ------------------------------------------------------------------
@@ -276,9 +255,11 @@ class QueryPlanner:
             miss_rate=self._miss_rate(),
             query_seconds=query_seconds,
         )
-        self.stats.calibrations += 1
-        self.stats.calibration_queries += (
-            2 * len(queries) * len(ks) * len(self.oracles)
+        self.registry.inc("planner_calibrations_total", stage="plan")
+        self.registry.inc(
+            "planner_calibration_queries_total",
+            2 * len(queries) * len(ks) * len(self.oracles),
+            stage="plan",
         )
         return self.constants
 
@@ -312,11 +293,11 @@ class QueryPlanner:
     def choose(self, query, k: int) -> str:
         """The backend name this query should run on."""
         if self.force is not None:
-            self.stats.record(self.force, forced=True)
+            self.registry.inc("planner_forced_total", stage="plan")
             return self.force
         costs = self.predicted_costs(k)
         best = min(costs, key=lambda b: (costs[b], PLANNABLE.index(b)))
-        self.stats.record(best)
+        self.registry.inc("planner_decisions_total", stage="plan", oracle=best)
         return best
 
     def explain(self, k: int) -> str:

@@ -10,7 +10,6 @@ engine facade, and latency/shed metrics.  See
 
 from repro.serve.admission import AdmissionController, TokenBucket
 from repro.serve.engine import AsyncEngine
-from repro.serve.metrics import MetricsSnapshot, ServerMetrics
 from repro.serve.protocol import (
     KINDS,
     Completed,
@@ -23,7 +22,7 @@ from repro.serve.protocol import (
     response_to_dict,
 )
 from repro.serve.scheduler import Chunk, FairScheduler
-from repro.serve.server import SILCServer, serve_jsonl
+from repro.serve.server import MetricsSnapshot, SILCServer, serve_jsonl
 
 __all__ = [
     "KINDS",
@@ -40,7 +39,6 @@ __all__ = [
     "AdmissionController",
     "TokenBucket",
     "AsyncEngine",
-    "ServerMetrics",
     "MetricsSnapshot",
     "SILCServer",
     "serve_jsonl",

@@ -32,17 +32,17 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from collections.abc import Callable
 from functools import partial
 from typing import TextIO
 
 from repro.errors import DeadlineExceeded
-from repro.obs.registry import process_memory
+from repro.obs.registry import ENGINE_OPS, MetricsRegistry, process_memory
 from repro.obs.trace import NullTracer
+from repro.query.stats import QueryStats
 from repro.serve.admission import AdmissionController
 from repro.serve.engine import AsyncEngine
-from repro.serve.metrics import MetricsSnapshot, ServerMetrics
 from repro.serve.protocol import (
     Completed,
     Expired,
@@ -72,6 +72,43 @@ class _Pending:
     wait_span: object = None
 
 
+@dataclass(frozen=True)
+class MetricsSnapshot:
+    """The server's typed reading of its registry (:meth:`SILCServer.snapshot`).
+
+    ``deadline_aborts`` counts the subset of ``expired`` whose budget
+    ran out *mid-execution* (the engine's time cap stopped the
+    search).
+    """
+
+    served: int
+    shed: int
+    expired: int
+    failed: int
+    p50: float
+    p95: float
+    p99: float
+    queue_depths: dict[str, int]
+    in_flight: int
+    stats: QueryStats
+    deadline_aborts: int = 0
+
+    def format(self) -> str:
+        lines = [
+            f"served {self.served}  shed {self.shed}  expired {self.expired}  "
+            f"(aborted {self.deadline_aborts})  failed {self.failed}  "
+            f"in-flight {self.in_flight}",
+            f"latency p50 {self.p50 * 1e3:.2f} ms  p95 {self.p95 * 1e3:.2f} ms  "
+            f"p99 {self.p99 * 1e3:.2f} ms",
+            f"engine work: {self.stats.refinements} refinements, "
+            f"{self.stats.io_misses} page faults",
+        ]
+        if self.queue_depths:
+            depths = "  ".join(f"{c}={d}" for c, d in sorted(self.queue_depths.items()))
+            lines.append(f"queue depth: {depths}")
+        return "\n".join(lines)
+
+
 class SILCServer:
     """Fairly scheduled, admission-controlled serving of one engine.
 
@@ -79,15 +116,15 @@ class SILCServer:
     ----------
     engine:
         The :class:`AsyncEngine` queries execute on.
-    scheduler / admission / metrics:
+    scheduler / admission:
         Injectable policy objects; defaults are a chunk-32 fair
-        scheduler, a 1024-query in-flight cap with no per-client rate
-        limit, and a fresh metrics accumulator.
+        scheduler and a 1024-query in-flight cap with no per-client
+        rate limit.
     tracer:
         A :class:`~repro.obs.trace.Tracer` to produce per-request span
         traces; the default :class:`~repro.obs.trace.NullTracer` makes
-        every tracing call a no-op (but still owns the metrics
-        registry the ``stats`` request kind snapshots).
+        every tracing call a no-op.  Either way the server counts its
+        requests into the tracer's registry as they end.
     clock:
         Time source for deadlines and latency (injectable for tests).
     """
@@ -97,16 +134,18 @@ class SILCServer:
         engine: AsyncEngine,
         scheduler: FairScheduler | None = None,
         admission: AdmissionController | None = None,
-        metrics: ServerMetrics | None = None,
         tracer=None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.engine = engine
         self.scheduler = scheduler if scheduler is not None else FairScheduler()
         self.admission = admission if admission is not None else AdmissionController()
-        self.metrics = metrics if metrics is not None else ServerMetrics()
         self.tracer = tracer if tracer is not None else NullTracer()
         self.clock = clock
+        # Counted engine work of every completed request, rendered as
+        # ``engine_ops_total`` only when polled: counting it per event
+        # would take a dozen locked increments per request.
+        self._ops = QueryStats()
         # None while stopped; else clear while a pump is scheduled or a
         # chunk is in flight.  Everything that touches the scheduler
         # runs on the loop thread, so there is no lock to take.
@@ -162,7 +201,7 @@ class SILCServer:
         with trace.span("admission"):
             admitted, retry_after, reason = self.admission.admit(request)
         if not admitted:
-            self.metrics.record_shed()
+            self._count("shed")
             trace.finish("rejected")
             deliver(Rejected(request.id, request.client, retry_after=retry_after, reason=reason))
             return None
@@ -195,39 +234,61 @@ class SILCServer:
                 self._finish(pending, None)
 
     def snapshot(self) -> MetricsSnapshot:
-        return self.metrics.snapshot(
+        """The server's typed reading of its registry."""
+        registry = self.tracer.registry
+        served, shed, expired, failed = (
+            int(registry.counter_value("requests_total", stage="serve", outcome=outcome))
+            for outcome in ("completed", "shed", "expired", "failed")
+        )
+        latency = registry.histogram("latency_seconds", stage="serve")
+        return MetricsSnapshot(
+            served=served,
+            shed=shed,
+            expired=expired,
+            failed=failed,
+            p50=latency["p50"],
+            p95=latency["p95"],
+            p99=latency["p99"],
             queue_depths=self.scheduler.depths(),
             in_flight=self.admission.in_flight,
+            stats=replace(self._ops),  # the server keeps counting
+            deadline_aborts=int(registry.counter_value(
+                "fault_events_total", stage="serve", event="deadline_abort"
+            )),
         )
 
     def registry_snapshot(self) -> dict:
-        """The unified metrics registry reading the ``stats`` kind ships.
+        """The ``stats`` reply: one merge of every registry in reach.
 
-        Absorbs every live accumulator -- server metrics, the
-        planner's decision counts (when a planner exists) and the
-        shard dispatcher's visit counts (when sharded) -- into the
-        tracer's registry, then snapshots it.  Absorption assigns
-        absolutely, so polling any number of times never double
-        counts.  Memory sits next to latency, as gauges: the index's
-        column bytes and, read from ``/proc`` at poll time, the resident
-        set and its peak of the server and of each shard worker's
-        current pid.
+        Counters are summed by key across the server's registry
+        (request outcomes, latency, traced spans), the planner's (when
+        a planner exists) and the shard supervisor's (fault events and
+        worker visits, when sharded), plus the engine work of every
+        completed request as ``engine_ops_total``.  Gauges are set at
+        poll time: in-flight work, queue depths, the index's column
+        bytes and, read from ``/proc``, the resident set and its peak
+        of the server and of each shard worker's current pid.
         """
         registry = self.tracer.registry
-        registry.absorb_server(self.snapshot())
+        registry.set_gauge("in_flight", self.admission.in_flight, stage="serve")
+        for client, depth in self.scheduler.depths().items():
+            registry.set_gauge("queue_depth", depth, stage="sched", client=client)
         registry.set_gauge(
             "index_mapped_bytes", self.engine.engine.index.store.nbytes(), stage="serve"
         )
+        ops = MetricsRegistry()
+        for op in ENGINE_OPS:
+            value = getattr(self._ops, op, 0)
+            if value:
+                ops.inc("engine_ops_total", value, stage="engine", op=op)
+        others = [ops]
         processes = {"server": os.getpid()}
         planner = getattr(self.engine.engine, "planner", None)
         if planner is not None:
-            registry.absorb_planner(planner.stats)
+            others.append(planner.registry)
         shard_group = getattr(self.engine, "shard_group", None)
         if shard_group is not None:
-            registry.absorb_router(shard_group.router.stats)
-            supervisor = getattr(shard_group, "supervisor", None)
-            if supervisor is not None:
-                registry.absorb_supervisor(supervisor.stats)
+            others.append(shard_group.supervisor.registry)
             for shard, worker in shard_group.workers.items():
                 processes[f"shard-{shard}"] = worker.process.pid
         for process, pid in processes.items():
@@ -238,7 +299,10 @@ class SILCServer:
         slow_log = getattr(self.tracer, "slow_log", None)
         if slow_log is not None:
             registry.set_gauge("slow_queries_captured", slow_log.captured, stage="serve")
-        return registry.snapshot()
+        return registry.snapshot(*others)
+
+    def _count(self, outcome: str) -> None:
+        self.tracer.registry.inc("requests_total", stage="serve", outcome=outcome)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -271,7 +335,7 @@ class SILCServer:
                 pending.wait_span = None
             if request.deadline is not None and waited > request.deadline:
                 self._finish(pending, Expired(request.id, request.client, waited=waited))
-                self.metrics.record_expired()
+                self._count("expired")
                 continue
             # What is left of the deadline after queueing becomes the
             # execution-time cap: it rides through AsyncEngine into the
@@ -318,11 +382,14 @@ class SILCServer:
                 return  # cancelled while the chunk ran
             if isinstance(exc, DeadlineExceeded):
                 waited = self.clock() - pending.submitted
-                self.metrics.record_expired(aborted=True)
+                self._count("expired")
+                self.tracer.registry.inc(
+                    "fault_events_total", stage="serve", event="deadline_abort"
+                )
                 expired = Expired(request.id, request.client, waited=waited, aborted=True)
                 return self._finish(pending, expired)
             if exc is not None:  # queries surface as Failed
-                self.metrics.record_failed()
+                self._count("failed")
                 error = f"{type(exc).__name__}: {exc}"
                 return self._finish(pending, Failed(request.id, request.client, error=error))
             if request.kind == "path":
@@ -341,7 +408,10 @@ class SILCServer:
                 result = {"ids": pending.ids, "distances": pending.distances}
             latency = self.clock() - pending.submitted
             sched_delay = self.scheduler.sched_delay(request)
-            self.metrics.record_completed(request.client, latency, sched_delay, *pending.stats)
+            self._count("completed")
+            self.tracer.registry.observe("latency_seconds", latency, stage="serve")
+            for chunk_stats in pending.stats:
+                self._ops.add(chunk_stats)
             self._finish(pending, Completed(
                 request.id, request.client, result=result,
                 latency=latency, sched_delay=sched_delay,

@@ -20,23 +20,16 @@ query never visits more than one worker.
 """
 
 from repro.shard.partitioner import ShardMap
-from repro.shard.router import Dispatcher, RouterStats
-from repro.shard.supervisor import (
-    FAILURE_POLICIES,
-    ShardSupervisor,
-    SupervisionPolicy,
-    SupervisorStats,
-)
+from repro.shard.router import Dispatcher
+from repro.shard.supervisor import FAILURE_POLICIES, ShardSupervisor, SupervisionPolicy
 from repro.shard.worker import ShardGroup, ShardWorker
 
 __all__ = [
     "FAILURE_POLICIES",
     "Dispatcher",
-    "RouterStats",
     "ShardGroup",
     "ShardMap",
     "ShardSupervisor",
     "ShardWorker",
     "SupervisionPolicy",
-    "SupervisorStats",
 ]

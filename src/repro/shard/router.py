@@ -8,6 +8,8 @@ out first, so a single client always lands on the same worker: dispatch
 is deterministic (counted metrics repeat round after round) and that
 worker's caches stay warm.  Concurrent callers each get a worker of
 their own, waiting when all are lent; none is ever lent twice at once.
+A slot whose worker is down goes back to the *bottom* of the stack, so
+the next query takes a healthy worker while that one heals.
 
 The visit goes through the :class:`~repro.shard.supervisor.ShardSupervisor`.
 When the worker stays down past its policy's retries, ``respawn`` and
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Iterable
-from dataclasses import dataclass
 from operator import itemgetter
 from time import perf_counter
 
@@ -52,22 +53,14 @@ def _remaining(t_start: float, time_cap: float | None) -> float | None:
     return left
 
 
-@dataclass
-class RouterStats:
-    """Counted dispatch: one worker visit per query a worker answered
-    (a failed-over query counts in ``queries`` only)."""
-
-    queries: int = 0
-    shards_visited: int = 0
-    candidates: int = 0
-
-
 class Dispatcher:
     """Hands each kNN query to one idle shard worker.
 
     Queries resolve against ``network`` in the parent, so a bad request
     fails with the kernel's own text before anything is sent; visits go
-    through ``supervisor``; ``fallback`` is the unsharded
+    through ``supervisor``, whose registry also counts them (one worker
+    visit per query a worker answered; a failed-over query counts in
+    ``router_queries_total`` only); ``fallback`` is the unsharded
     :class:`~repro.engine.QueryEngine` of a failover (None: none).  Any
     number of threads may call :meth:`knn` at once.
     """
@@ -76,8 +69,6 @@ class Dispatcher:
         self.network = network
         self.supervisor = supervisor
         self.fallback = fallback
-        self.stats = RouterStats()
-        self._stats_lock = threading.Lock()
         #: Idle worker slots, the next one to lend last: slot 0 first.
         #: Respawns swap the handle behind a slot, never the slots.
         self._idle = sorted(supervisor.workers, reverse=True)
@@ -89,9 +80,14 @@ class Dispatcher:
                 self._returned.wait()
             return self._idle.pop()
 
-    def _take_back(self, shard: int) -> None:
+    def _take_back(self, shard: int, down: bool) -> None:
+        """Return a slot: on top of the stack, or at the bottom when its
+        worker is ``down`` (the visit raised :class:`ShardUnavailable`)."""
         with self._returned:
-            self._idle.append(shard)
+            if down:
+                self._idle.insert(0, shard)
+            else:
+                self._idle.append(shard)
             self._returned.notify()
 
     def knn(
@@ -121,6 +117,7 @@ class Dispatcher:
         t_start = perf_counter()
         position = resolve_location(self.network, query)
         pairs = None
+        down = False
         shard = self._lend()
         try:
             budget = _remaining(t_start, time_cap=time_cap)
@@ -132,10 +129,11 @@ class Dispatcher:
                     trace.adopt(spans, parent=span)
                 span.add_stats(stats)
         except ShardUnavailable:
+            down = True
             if self.supervisor.policy.on_failure == "error" or self.fallback is None:
                 raise
         finally:
-            self._take_back(shard)
+            self._take_back(shard, down)
         if pairs is None:
             return self._failover(
                 query, k, variant, trace, time_cap=_remaining(t_start, time_cap=time_cap)
@@ -144,10 +142,10 @@ class Dispatcher:
         neighbors = [
             Neighbor(oid, DistanceInterval.exact(d), distance=d) for oid, d in pairs
         ]
-        with self._stats_lock:
-            self.stats.queries += 1
-            self.stats.shards_visited += 1
-            self.stats.candidates += len(neighbors)
+        registry = self.supervisor.registry
+        registry.inc("router_queries_total", stage="route")
+        registry.inc("router_shards_total", stage="route", event="visited")
+        registry.inc("router_candidates_total", len(neighbors), stage="route")
         return KNNResult(neighbors=neighbors, stats=stats, ordered=True)
 
     def _failover(
@@ -155,15 +153,15 @@ class Dispatcher:
     ) -> KNNResult:
         """Answer on the unsharded fallback engine: the identical exact
         search over the same objects, so only latency moves."""
-        self.supervisor.record(failovers=1)
+        self.supervisor.count_fault("failover")
         with trace.span("failover", oracle="silc"):
             result = self.fallback.knn(
                 query, k, variant=variant, exact=True, trace=trace, time_cap=time_cap,
             )
         result.stats.extras["failover"] = True
-        with self._stats_lock:
-            self.stats.queries += 1
-            self.stats.candidates += len(result.neighbors)
+        registry = self.supervisor.registry
+        registry.inc("router_queries_total", stage="route")
+        registry.inc("router_candidates_total", len(result.neighbors), stage="route")
         return result
 
     def knn_batch(

@@ -14,9 +14,11 @@ raises :class:`~repro.errors.WorkerDied` instead of hanging, and
   answers *now* on the unsharded engine;
 * ``error`` surfaces the failure unchanged.
 
-Every fault event is counted in :class:`SupervisorStats` (absorbed into
-the :class:`~repro.obs.registry.MetricsRegistry` by the serving layer)
-and, traced, recorded as a ``respawn`` span under the shard's span.
+Every fault event is counted in the supervisor's
+:class:`~repro.obs.registry.MetricsRegistry` as
+``fault_events_total{stage=shard,event=...}`` (the dispatcher counts its
+worker visits and failovers there too) and, traced, recorded as a
+``respawn`` span under the shard's span.
 
 Invariant (docs/ARCHITECTURE.md): supervision never changes answers.
 A replay re-runs the identical search on the identical index files (a
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 from collections.abc import Callable
 
 from repro.errors import DeadlineExceeded, ShardUnavailable, WorkerDied
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACE
 
 #: Recovery policies, in decreasing order of how hard they try to
@@ -77,18 +80,6 @@ class SupervisionPolicy:
         return base * (1.0 + self.jitter * frac)
 
 
-@dataclass
-class SupervisorStats:
-    """Counted fault events (monotone, so the registry's absorption
-    stays idempotent).  ``failovers`` is counted by the router."""
-
-    worker_crashes: int = 0
-    respawns: int = 0
-    respawn_failures: int = 0
-    retries: int = 0
-    failovers: int = 0
-
-
 class ShardSupervisor:
     """Owns the live worker handles and the recovery machinery.
 
@@ -113,8 +104,7 @@ class ShardSupervisor:
         self.policy = policy if policy is not None else SupervisionPolicy()
         self.fault_injector = fault_injector
         self._sleep = sleep
-        self.stats = SupervisorStats()
-        self._stats_lock = threading.Lock()
+        self.registry = MetricsRegistry()
         #: Per-slot respawn locks: a background respawn, a caller and
         #: close() never replace one worker at once.
         self._respawn_locks = {shard: threading.Lock() for shard in workers}
@@ -135,11 +125,9 @@ class ShardSupervisor:
                 out[shard] = False
         return out
 
-    def record(self, **deltas: int) -> None:
-        """Count fault events (the router records its failovers here)."""
-        with self._stats_lock:
-            for name, delta in deltas.items():
-                setattr(self.stats, name, getattr(self.stats, name) + delta)
+    def count_fault(self, event: str) -> None:
+        """Count one fault event (the dispatcher counts its failovers here)."""
+        self.registry.inc("fault_events_total", stage="shard", event=event)
 
     # ------------------------------------------------------------------
     # The supervised request path
@@ -177,7 +165,7 @@ class ShardSupervisor:
             except DeadlineExceeded:
                 raise
             except WorkerDied as died:
-                self.record(worker_crashes=1)
+                self.count_fault("worker_crash")
                 if self.policy.on_failure == "error":
                     raise ShardUnavailable(
                         f"shard {shard} worker died ({died}); policy is 'error'", shard=shard
@@ -207,7 +195,7 @@ class ShardSupervisor:
                         # bug of any other type propagates.
                         continue
                     span.count(respawn_attempt=attempt)
-                self.record(retries=1)
+                self.count_fault("retry")
                 # Loop replays the identical request on the new worker.
 
     # ------------------------------------------------------------------
@@ -231,10 +219,10 @@ class ShardSupervisor:
                 replacement = self.spawner(shard)
                 replacement.ping()
             except Exception:
-                self.record(respawn_failures=1)
+                self.count_fault("respawn_failure")
                 raise
             self.workers[shard] = replacement
-            self.record(respawns=1)
+            self.count_fault("respawn")
 
     def respawn_async(self, shard: int) -> None:
         """Heal a shard in the background (failover policy)."""

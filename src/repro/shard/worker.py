@@ -396,11 +396,6 @@ class ShardGroup:
     # ------------------------------------------------------------------
     # Query surface (mirrors QueryEngine's)
     # ------------------------------------------------------------------
-    @property
-    def stats(self):
-        """The router's accumulated :class:`RouterStats`."""
-        return self.router.stats
-
     def knn(self, query, k: int, variant: str = "knn", trace=None,
             time_cap: float | None = None):
         """One kNN query, answered by one idle shard worker."""

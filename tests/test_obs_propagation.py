@@ -206,12 +206,16 @@ class TestShardedSkeleton:
 
 class TestStatsRequestKind:
     def test_stats_returns_the_registry_snapshot_over_the_wire(self, engine):
-        requests = [
-            knn_req(7, rid=1),
-            Request(id=2, client="ops", kind="stats"),
-        ]
-        responses, _, _ = traced(requests, engine)
-        stats_resp = next(r for r in responses if r.id == 2)
+        """Asked after the reply is in (a counter is absent until its
+        first event), ``stats`` ships the registry's counters."""
+
+        async def go():
+            async with AsyncEngine(engine) as ae:
+                async with SILCServer(ae, tracer=Tracer(sink=ListSink())) as server:
+                    await server.submit(knn_req(7, rid=1))
+                    return await server.submit(Request(id=2, client="ops", kind="stats"))
+
+        stats_resp = asyncio.run(go())
         assert stats_resp.status == "ok"
         metrics = stats_resp.result["metrics"]
         assert set(metrics) == {"counters", "gauges", "histograms"}

@@ -1,12 +1,14 @@
-"""MetricsRegistry: feeding semantics, labels, absorption, snapshots."""
+"""MetricsRegistry: feeding, labels, merged snapshots -- and the
+``stats`` reply of a served stack, into which every layer counts."""
+
+import asyncio
 
 import pytest
 
-from repro.obs import MetricsRegistry, percentiles
-from repro.oracle.planner import PlannerStats
-from repro.query.stats import QueryStats
-from repro.serve.metrics import ServerMetrics
-from repro.shard.router import RouterStats
+from repro.engine import QueryEngine
+from repro.faults import FaultInjector
+from repro.obs import WINDOW, MetricsRegistry, percentiles
+from repro.serve import AsyncEngine, Request, SILCServer
 
 
 class TestPercentiles:
@@ -42,13 +44,6 @@ class TestFeeding:
         reg.inc("hits", 3, stage="serve")
         assert reg.counter_value("hits", stage="serve") == 5
 
-    def test_set_counter_assigns_absolutely(self):
-        """Absorption may poll any number of times without double count."""
-        reg = MetricsRegistry()
-        for _ in range(3):
-            reg.set_counter("requests_total", 7, stage="serve")
-        assert reg.counter_value("requests_total", stage="serve") == 7
-
     def test_labels_distinguish_samples_order_insensitively(self):
         reg = MetricsRegistry()
         reg.inc("ops", 1, stage="plan", oracle="silc")
@@ -58,16 +53,13 @@ class TestFeeding:
         assert reg.counter_value("ops", stage="plan", oracle="labels") == 1
 
     def test_histogram_window_is_bounded_but_count_exact(self):
-        reg = MetricsRegistry(window=8)
-        for i in range(100):
+        reg = MetricsRegistry()
+        for i in range(WINDOW + 100):
             reg.observe("lat", float(i), stage="serve")
         snap = reg.snapshot()["histograms"][0]
-        assert snap["count"] == 100
-        assert snap["p50"] == pytest.approx(95.5)  # window = last 8
-
-    def test_window_validated(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry(window=0)
+        assert snap["count"] == WINDOW + 100
+        assert snap["p50"] == pytest.approx(100 + (WINDOW - 1) / 2)  # the last WINDOW
+        assert reg.histogram("lat", stage="serve")["p50"] == snap["p50"]
 
 
 class TestSnapshotShape:
@@ -83,50 +75,65 @@ class TestSnapshotShape:
         hist = snap["histograms"][0]
         assert hist["mean"] == hist["max"] == hist["p99"] == 0.5
 
+    def test_merged_snapshot_sums_counters_by_key_and_polls_idempotently(self):
+        """The ``stats`` reply is one merge: the counters of several
+        registries summed by key; reading it again changes nothing."""
+        server, shard = MetricsRegistry(), MetricsRegistry()
+        server.inc("requests_total", 2, stage="serve", outcome="completed")
+        shard.inc("requests_total", 3, outcome="completed", stage="serve")
+        shard.inc("fault_events_total", 1, stage="shard", event="retry")
+        merged = server.snapshot(shard)
+        assert server.snapshot(shard) == merged
+        assert [(c["name"], c["value"]) for c in merged["counters"]] == [
+            ("fault_events_total", 1), ("requests_total", 5),
+        ]
+        assert server.counter_value("requests_total", stage="serve", outcome="completed") == 2
 
-class TestAbsorption:
-    def test_absorb_server_snapshot(self):
-        metrics = ServerMetrics()
-        metrics.record_completed("web", 0.010, 2, QueryStats(refinements=5))
-        metrics.record_shed()
-        reg = MetricsRegistry()
-        reg.absorb_server(metrics.snapshot(queue_depths={"web": 3}, in_flight=1))
-        assert (
-            reg.counter_value("requests_total", stage="serve", outcome="completed")
-            == 1
-        )
-        assert (
-            reg.counter_value("requests_total", stage="serve", outcome="shed") == 1
-        )
-        assert (
-            reg.counter_value("engine_ops_total", stage="engine", op="refinements")
-            == 5
-        )
-        gauges = {
-            (g["name"], tuple(sorted(g["labels"].items()))): g["value"]
-            for g in reg.snapshot()["gauges"]
-        }
-        assert gauges[("in_flight", (("stage", "serve"),))] == 1
-        assert (
-            gauges[("queue_depth", (("client", "web"), ("stage", "sched")))] == 3
-        )
 
-    def test_absorb_planner_and_router(self):
-        reg = MetricsRegistry()
-        planner = PlannerStats()
-        planner.decisions["silc"] = 4
-        planner.forced = 1
-        reg.absorb_planner(planner)
-        reg.absorb_router(RouterStats(queries=3, shards_visited=2, candidates=5))
-        assert (
-            reg.counter_value(
-                "planner_decisions_total", stage="plan", oracle="silc"
+class TestStatsWire:
+    def test_every_layer_counts_into_the_stats_reply(self, small_index, small_object_index):
+        """Two shard workers under ``failover``, the serving one killed
+        before its first request, SILC and planned requests: the reply
+        carries what each layer counted, exactly."""
+        injector = FaultInjector().kill_worker_at(0, 1)
+        requests = [
+            Request(id=1, client="web", kind="knn", queries=(0,), k=3, oracle="silc"),
+            Request(id=2, client="web", kind="knn", queries=(17,), k=3, oracle="silc"),
+            Request(id=3, client="bulk", kind="knn_batch", queries=(5, 9, 23), k=2,
+                    oracle="silc"),
+            Request(id=4, client="web", kind="knn", queries=(42,), k=3, oracle="auto"),
+            Request(id=5, client="bulk", kind="knn_batch", queries=(5, 9), k=2, oracle="auto"),
+        ]
+
+        async def go():
+            engine = AsyncEngine(
+                QueryEngine(small_index, small_object_index), shards=2,
+                on_shard_failure="failover", fault_injector=injector,
             )
-            == 4
-        )
-        assert reg.counter_value("router_queries_total", stage="route") == 3
-        assert (
-            reg.counter_value("router_shards_total", stage="route", event="visited")
-            == 2
-        )
-        assert reg.counter_value("router_candidates_total", stage="route") == 5
+            async with engine, SILCServer(engine) as server:
+                replies = [await server.submit(r) for r in requests]
+                stats = await server.submit(Request(id=6, client="ops", kind="stats"))
+            return replies, stats.result["metrics"]
+
+        replies, metrics = asyncio.run(go())
+        assert [r.status for r in replies] == ["ok"] * len(requests)
+        got = {
+            (c["name"], frozenset(c["labels"].items())): c["value"]
+            for c in metrics["counters"]
+        }
+
+        def counted(name, **labels):
+            return got.get((name, frozenset(labels.items())), 0)
+
+        assert counted("requests_total", stage="serve", outcome="completed") == 5
+        # Five SILC queries reach the dispatcher: the first meets the
+        # killed worker and fails over, the other four are one visit each.
+        assert counted("router_queries_total", stage="route") == 5
+        assert counted("router_shards_total", stage="route", event="visited") == 4
+        assert counted("router_candidates_total", stage="route") == 3 + 3 + 3 * 2
+        assert counted("fault_events_total", stage="shard", event="worker_crash") == 1
+        assert counted("fault_events_total", stage="shard", event="failover") == 1
+        planned = sum(v for (name, _), v in got.items() if name == "planner_decisions_total")
+        assert planned == 1 + 2
+        [latency] = [h for h in metrics["histograms"] if h["name"] == "latency_seconds"]
+        assert (latency["labels"], latency["count"]) == ({"stage": "serve"}, 5)

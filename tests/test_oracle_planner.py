@@ -16,12 +16,28 @@ from repro.errors import CorruptIndexError
 from repro.faults import truncate_file
 from repro.oracle import (
     COST_MODEL_FILE,
+    PLANNABLE,
     CostConstants,
     PrunedLabellingOracle,
     QueryPlanner,
     counted_ops,
 )
 from repro.query.stats import QueryStats
+
+
+def decisions(planner):
+    """Per-backend planned picks, as the planner's registry counted them."""
+    counted = {
+        backend: planner.registry.counter_value(
+            "planner_decisions_total", stage="plan", oracle=backend
+        )
+        for backend in PLANNABLE
+    }
+    return {backend: n for backend, n in counted.items() if n}
+
+
+def counted(planner, name):
+    return planner.registry.counter_value(name, stage="plan")
 
 
 @pytest.fixture(scope="module")
@@ -59,12 +75,9 @@ class TestPlannerParity:
     def test_planner_decisions_counted(self, engine):
         queries = [0, 23, 77, 130]
         engine.knn_batch(queries, 3, oracle="auto")
-        stats = engine.planner.stats
-        assert stats.planned == len(queries)
-        assert stats.calibrations == 1
-        assert stats.calibration_queries > 0
-        assert sum(stats.decisions.values()) == len(queries)
-        assert set(stats.decisions) <= {"silc", "labels", "ine"}
+        assert sum(decisions(engine.planner).values()) == len(queries)
+        assert counted(engine.planner, "planner_calibrations_total") == 1
+        assert counted(engine.planner, "planner_calibration_queries_total") > 0
 
 
 class TestForcedBackend:
@@ -76,8 +89,8 @@ class TestForcedBackend:
         engine.planner = QueryPlanner(engine.oracles, force="labels")
         result = engine.knn(23, 5, oracle="auto")
         assert result.stats.label_scans > 0
-        assert engine.planner.stats.forced == 1
-        assert engine.planner.stats.planned == 0
+        assert counted(engine.planner, "planner_forced_total") == 1
+        assert decisions(engine.planner) == {}
 
     def test_force_unavailable_backend_rejected(self, small_index,
                                                 small_object_index):
@@ -168,8 +181,8 @@ class TestCostModel:
         )
         engine.planner = QueryPlanner(engine.oracles, constants=constants)
         result = engine.knn(23, 3, oracle="auto")
-        assert engine.planner.stats.calibrations == 0
-        assert engine.planner.stats.decisions == {"labels": 1}
+        assert counted(engine.planner, "planner_calibrations_total") == 0
+        assert decisions(engine.planner) == {"labels": 1}
         assert result.stats.label_scans > 0
 
     def test_explain_names_winner(self, engine):

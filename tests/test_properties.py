@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import repro.silc.index as silc_index
-from repro import ObjectIndex, ObjectSet, QueryEngine, SILCIndex, ine_knn, knn, knn_m
+from repro import ObjectIndex, ObjectSet, QueryEngine, SILCIndex, ier_knn, ine_knn, knn, knn_m
 from repro.datasets import random_vertex_objects
 from repro.geometry.grid import GridEmbedding
 from repro.geometry.rect import Rect
@@ -225,7 +225,7 @@ def edge_and_extent_objects(net, rng, count=24) -> ObjectSet:
     )
 
 
-@pytest.mark.parametrize("via", ["kernel", "paged"])
+@pytest.mark.parametrize("via", ["kernel", "paged", "ier"])
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_edge_queries_and_extent_objects_match_dijkstra(kind, via):
     """The sibling above draws vertex objects and vertex queries only.
@@ -233,7 +233,9 @@ def test_edge_queries_and_extent_objects_match_dijkstra(kind, via):
     are edge positions and extents, so the states an exact ``knn`` walks
     to exact inside the search are the multi-alternative ones.  Exact
     answers must be Dijkstra's; an ``exact=False`` answer must name the
-    same distances, and every interval it reports must hold the truth."""
+    same distances, and every interval it reports must hold the truth.
+    IER has no variants and always answers exactly; it shares
+    ``same_edge_direct`` with the kernel and INE."""
     walked = stepped = 0  # knn collisions, exact and bounds, summed
     for seed in (0, 1):
         net, index, _ = setup(seed, kind)
@@ -247,6 +249,13 @@ def test_edge_queries_and_extent_objects_match_dijkstra(kind, via):
             truth = true_distances(net, resolve_location(net, query), objects)
             for k in (1, 6, 15, 30):
                 want = sorted(truth.values())[:k]
+                if via == "ier":
+                    result = ier_knn(oi, query, k)
+                    assert len(set(result.ids())) == len(result.neighbors) == len(want)
+                    for n in result.neighbors:
+                        np.testing.assert_allclose(n.distance, truth[n.oid], rtol=1e-9)
+                    np.testing.assert_allclose(result.distances(), want, rtol=1e-9)
+                    continue
                 for variant in VARIANTS:
                     for exact in (True, False):
                         if engine is None:
@@ -273,7 +282,8 @@ def test_edge_queries_and_extent_objects_match_dijkstra(kind, via):
                                 stepped += result.stats.collisions
     # The walk resolved collisions in one call each that stepping took
     # one heap cycle per link for.
-    assert walked < stepped
+    if via != "ier":
+        assert walked < stepped
 
 
 def test_knn_m_lets_no_tie_at_the_bound_crowd_out_a_closer_object():

@@ -1,10 +1,17 @@
-"""ServerMetrics: percentiles, counters, and the bounded sample window."""
+"""The server's metrics: percentiles, and its typed reading of the
+registry it counts requests into as they end."""
+
+import asyncio
 
 import pytest
 
-from repro.obs import percentiles
-from repro.query.stats import QueryStats
-from repro.serve import ServerMetrics
+from repro.engine import QueryEngine
+from repro.obs import WINDOW, percentiles
+from repro.serve import AdmissionController, AsyncEngine, Request, SILCServer
+
+
+def knn(rid, query, deadline=None):
+    return Request(id=rid, client="web", kind="knn", queries=(query,), k=3, deadline=deadline)
 
 
 class TestPercentile:
@@ -27,70 +34,55 @@ class TestPercentile:
 
 
 class TestServerMetrics:
-    def test_counters_and_snapshot(self):
-        m = ServerMetrics()
-        m.record_completed("web", 0.010, 3, QueryStats(refinements=5))
-        m.record_completed("web", 0.030, 0, QueryStats(refinements=2))
-        m.record_shed()
-        m.record_expired()
-        m.record_failed()
-        snap = m.snapshot(queue_depths={"web": 4}, in_flight=2)
+    def test_counters_and_snapshot(self, small_index, small_object_index):
+        """Each outcome is counted once, as it happens, and read back
+        typed."""
+        ticks = iter(range(10_000))  # every clock read is a second later
+        requests = [
+            knn(1, 0),
+            knn(2, 5),
+            # costs more than the whole in-flight cap: shed
+            Request(id=3, client="bulk", kind="knn_batch", queries=tuple(range(20)), k=2),
+            knn(4, 9, deadline=0.5),  # past its deadline at first dispatch
+            knn(5, 10**9),  # no such vertex
+        ]
+
+        async def go():
+            async with AsyncEngine(QueryEngine(small_index, small_object_index)) as ae:
+                server = SILCServer(
+                    ae, admission=AdmissionController(max_in_flight=10),
+                    clock=lambda: float(next(ticks)),
+                )
+                async with server:
+                    responses = [await server.submit(r) for r in requests]
+                return responses, server.snapshot()
+
+        responses, snap = asyncio.run(go())
+        assert [r.status for r in responses] == ["ok", "ok", "rejected", "expired", "error"]
         assert (snap.served, snap.shed, snap.expired, snap.failed) == (2, 1, 1, 1)
-        assert snap.p50 == pytest.approx(0.020)
-        assert snap.stats.refinements == 7
-        assert snap.queue_depths == {"web": 4}
-        assert snap.in_flight == 2
+        assert snap.p50 > 0 and snap.stats.refinements > 0
+        assert (snap.queue_depths, snap.in_flight) == ({}, 0)
         assert "latency p50" in snap.format()
 
-    def test_delay_percentile_per_client(self):
-        m = ServerMetrics()
-        for d in (0, 0, 32):
-            m.record_completed("web", 0.001, d)
-        m.record_completed("bulk", 0.5, 5000)
-        assert m.delay_percentile("web", 50) == 0
-        assert m.delay_percentile("bulk", 50) == 5000
-        assert m.delay_percentile("absent", 95) == 0.0
-
     def test_sample_windows_are_bounded(self):
-        """Flat memory over a long-lived server's lifetime."""
-        m = ServerMetrics(window=10)
-        for i in range(1000):
-            m.record_completed("web", float(i), i)
-        assert len(m.latencies) == 10
-        assert len(m.sched_delays["web"]) == 10
-        # exact lifetime counter, window-local percentiles
-        assert m.served == 1000
-        assert m.snapshot().p50 == pytest.approx(994.5)
-
-    def test_window_validated(self):
-        with pytest.raises(ValueError):
-            ServerMetrics(window=0)
-
-    def test_client_set_is_lru_bounded(self):
-        """Satellite: ever-fresh client ids cannot grow memory."""
-        m = ServerMetrics(max_clients=3)
-        for i in range(10):
-            m.record_completed(f"c{i}", 0.001, i)
-        assert set(m.sched_delays) == {"c7", "c8", "c9"}
-        # activity refreshes recency: touching the oldest keeps it
-        m.record_completed("c7", 0.001, 1)
-        m.record_completed("c10", 0.001, 1)
-        assert set(m.sched_delays) == {"c9", "c7", "c10"}
-        # lifetime counters are exact regardless of eviction
-        assert m.served == 12
-        # an evicted client reads like an absent one
-        assert m.delay_percentile("c0", 50) == 0.0
-
-    def test_max_clients_validated(self):
-        with pytest.raises(ValueError):
-            ServerMetrics(max_clients=0)
+        """Flat memory over a long-lived server's lifetime: latency
+        percentiles read the last WINDOW requests, the count stays exact."""
+        server = SILCServer(engine=None)  # the typed reading needs no engine
+        registry = server.tracer.registry
+        for i in range(WINDOW + 1000):
+            registry.inc("requests_total", stage="serve", outcome="completed")
+            registry.observe("latency_seconds", float(i), stage="serve")
+        snap = server.snapshot()
+        assert snap.served == WINDOW + 1000
+        assert snap.p50 == pytest.approx(1000 + (WINDOW - 1) / 2)
 
     def test_snapshot_percentiles_agree_with_single_calls(self):
-        """Satellite micro-test: the one-sort snapshot matches the
-        per-point reference for every quantile."""
-        m = ServerMetrics()
-        for i in range(17):
-            m.record_completed("web", float((i * 7) % 17), 0)
-        snap = m.snapshot()
+        """The one-sort snapshot matches the per-point reference for
+        every quantile."""
+        server = SILCServer(engine=None)
+        latencies = [float((i * 7) % 17) for i in range(17)]
+        for latency in latencies:
+            server.tracer.registry.observe("latency_seconds", latency, stage="serve")
+        snap = server.snapshot()
         for got, q in ((snap.p50, 50), (snap.p95, 95), (snap.p99, 99)):
-            assert [got] == pytest.approx(percentiles(m.latencies, (q,)))
+            assert [got] == pytest.approx(percentiles(latencies, (q,)))

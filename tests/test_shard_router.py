@@ -129,11 +129,12 @@ class TestShardedEqualsUnsharded:
             assert ranked(result) == ranked(engine.knn(q, 3, exact=True))
 
     def test_stats_accounting_consistent(self, groups):
-        stats = groups[4].stats
-        assert stats.queries > 0
+        counted = groups[4].supervisor.registry.counter_value
+        queries = counted("router_queries_total", stage="route")
+        assert queries > 0
         # One worker visit per query: none of them failed over.
-        assert stats.shards_visited == stats.queries
-        assert stats.candidates > 0
+        assert counted("router_shards_total", stage="route", event="visited") == queries
+        assert counted("router_candidates_total", stage="route") > 0
 
 
 def shard_spans(trace):
@@ -237,7 +238,10 @@ class TestDispatch:
             assert not any(thread.is_alive() for thread in threads)
             assert wrong == []
             assert set(most.values()) == {1}
-            assert group.stats.shards_visited == 8 * len(queries)
+            visited = group.supervisor.registry.counter_value(
+                "router_shards_total", stage="route", event="visited"
+            )
+            assert visited == 8 * len(queries)
             assert sorted(group.router._idle) == [0, 1]
 
 

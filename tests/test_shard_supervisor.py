@@ -32,6 +32,13 @@ def ranked(result):
     return [(round(n.distance, 9), n.oid) for n in result.neighbors]
 
 
+def faults(group, event):
+    """``fault_events_total{event}`` as the supervisor's registry counted it."""
+    return group.supervisor.registry.counter_value(
+        "fault_events_total", stage="shard", event=event
+    )
+
+
 @pytest.fixture(scope="module")
 def setup():
     net = road_like_network(150, seed=5)
@@ -62,10 +69,9 @@ class TestRespawnPolicy:
             got = [ranked(group.knn(q, K)) for q in queries]
             assert got == expected
             assert injector.fired("worker_kill") == 1
-            stats = group.supervisor.stats
-            assert stats.worker_crashes >= 1
-            assert stats.respawns >= 1
-            assert stats.retries >= 1
+            assert faults(group, "worker_crash") >= 1
+            assert faults(group, "respawn") >= 1
+            assert faults(group, "retry") >= 1
             # The shard healed: a fresh worker answers its pings.
             assert group.health_check()[shard] is True
         finally:
@@ -100,7 +106,7 @@ class TestRespawnPolicy:
             result = group.knn(query, K)
             assert ranked(result) == ranked(engine.knn(query, K, exact=True))
             assert result.stats.extras.get("failover") is True
-            assert group.supervisor.stats.failovers == 1
+            assert faults(group, "failover") == 1
         finally:
             group.close()
 
@@ -123,14 +129,16 @@ class TestRespawnPolicy:
             SILCIndex.build(other).save(tmp_path / "index")
             shard = SERVING
             group.workers[shard].kill()
-            for query in QUERIES[:3]:
-                # The parent still maps the files it loaded: the
-                # failover answer is the original network's.
-                result = group.knn(query, K)
+            results = [group.knn(query, K) for query in QUERIES[:3]]
+            # The parent and slot 1 still map the files they loaded:
+            # every answer is the original network's.
+            for query, result in zip(QUERIES[:3], results):
                 assert ranked(result) == ranked(engine.knn(query, K, exact=True))
-                assert result.stats.extras.get("failover") is True
-            assert group.supervisor.stats.respawn_failures >= 1
-            assert group.supervisor.stats.respawns == 0
+            # Only the first query met the dead slot, which then went to
+            # the bottom of the stack: slot 1 served the other two.
+            assert [r.stats.extras.get("failover") for r in results] == [True, None, None]
+            assert faults(group, "respawn_failure") >= 1
+            assert faults(group, "respawn") == 0
             replacement = group.supervisor.spawner(shard)
             with pytest.raises(RuntimeError, match="failed to start: CorruptIndexError: "
                                "index directory changed since the shard tier started"):
@@ -152,7 +160,35 @@ class TestFailoverPolicy:
             result = group.knn(query, K)
             assert ranked(result) == ranked(engine.knn(query, K, exact=True))
             assert result.stats.extras.get("failover") is True
-            assert group.supervisor.stats.failovers == 1
+            assert faults(group, "failover") == 1
+        finally:
+            group.close()
+
+    def test_a_dead_slot_goes_to_the_bottom_of_the_stack(self, setup):
+        """One kill is one crash and one failover: the queries after it
+        take a healthy slot instead of meeting the dead worker again
+        while it respawns in the background."""
+        _, engine = setup
+        injector = FaultInjector()
+        group = make_group(engine, "failover", injector)
+        try:
+            injector.kill_worker_at(SERVING, 1)
+            visited = []
+            supervised = group.supervisor.knn
+
+            def watched(shard, *args, **kwargs):
+                visited.append(shard)
+                return supervised(shard, *args, **kwargs)
+
+            group.supervisor.knn = watched
+            results = [group.knn(query, K) for query in QUERIES]
+            assert [ranked(r) for r in results] == [
+                ranked(engine.knn(query, K, exact=True)) for query in QUERIES
+            ]
+            later = len(QUERIES) - 1
+            assert [r.stats.extras.get("failover") for r in results] == [True] + [None] * later
+            assert visited == [SERVING] + [1] * later
+            assert (faults(group, "worker_crash"), faults(group, "failover")) == (1, 1)
         finally:
             group.close()
 
