@@ -8,7 +8,13 @@ import pytest
 from repro.engine import QueryEngine
 from repro.faults import FaultInjector
 from repro.obs import WINDOW, MetricsRegistry, percentiles
-from repro.serve import AsyncEngine, Request, SILCServer
+from repro.oracle import CostConstants, QueryPlanner
+from repro.serve import AdmissionController, AsyncEngine, Request, SILCServer
+
+
+def by_key(samples):
+    """``{(name, labels): value}`` of a snapshot's counters or gauges."""
+    return {(s["name"], frozenset(s["labels"].items())): s["value"] for s in samples}
 
 
 class TestPercentiles:
@@ -88,6 +94,94 @@ class TestSnapshotShape:
             ("fault_events_total", 1), ("requests_total", 5),
         ]
         assert server.counter_value("requests_total", stage="serve", outcome="completed") == 2
+
+
+class TestAbsorption:
+    """What each layer counts as it happens reaches the one merged
+    snapshot the ``stats`` reply carries."""
+
+    def test_absorb_server_snapshot(self, small_index, small_object_index):
+        """Request outcomes, engine work and the poll-time gauges: three
+        requests queued and one shed, polled before the first dispatch
+        and again after the replies."""
+        requests = [
+            Request(id=i, client="web", kind="knn", queries=(q,), k=3)
+            for i, q in enumerate((0, 5, 9), start=1)
+        ]
+        # costs more than the whole in-flight cap: shed
+        requests.append(
+            Request(id=4, client="bulk", kind="knn_batch", queries=tuple(range(20)), k=2)
+        )
+
+        async def go():
+            async with AsyncEngine(QueryEngine(small_index, small_object_index)) as ae:
+                server = SILCServer(ae, admission=AdmissionController(max_in_flight=10))
+                async with server:
+                    loop = asyncio.get_running_loop()
+                    futures = [loop.create_future() for _ in requests]
+                    for request, future in zip(requests, futures):
+                        server.submit_nowait(request, future.set_result)
+                    queued = server.registry_snapshot()  # before the pump's loop turn
+                    replies = [await future for future in futures]
+                    done = server.registry_snapshot()
+                return replies, queued, done, server.snapshot().stats
+
+        replies, queued, done, ops = asyncio.run(go())
+        assert [r.status for r in replies] == ["ok", "ok", "ok", "rejected"]
+        gauges = by_key(queued["gauges"])
+        assert gauges[("in_flight", frozenset({("stage", "serve")}))] == 3
+        assert gauges[("queue_depth", frozenset({("stage", "sched"), ("client", "web")}))] == 3
+        counters = by_key(queued["counters"])
+        assert counters[("requests_total", frozenset({("stage", "serve"), ("outcome", "shed")}))] == 1
+        assert ("requests_total", frozenset({("stage", "serve"), ("outcome", "completed")})) not in counters
+
+        counters = by_key(done["counters"])
+        assert counters[("requests_total", frozenset({("stage", "serve"), ("outcome", "completed")}))] == 3
+        assert counters[("requests_total", frozenset({("stage", "serve"), ("outcome", "shed")}))] == 1
+        assert ops.refinements > 0
+        assert (
+            counters[("engine_ops_total", frozenset({("stage", "engine"), ("op", "refinements")}))]
+            == ops.refinements
+        )
+        assert by_key(done["gauges"])[("in_flight", frozenset({("stage", "serve")}))] == 0
+        [latency] = [h for h in done["histograms"] if h["name"] == "latency_seconds"]
+        assert latency["count"] == 3
+
+    def test_absorb_planner_and_router(self, small_index, small_object_index):
+        """Planned picks (the planner's registry) and worker visits (the
+        shard supervisor's, which the dispatcher counts into) in one
+        snapshot: SILC requests go to a shard worker, ``auto`` ones to
+        the planner, whose preloaded model always picks ``ine``."""
+        engine = QueryEngine(small_index, small_object_index)
+        engine.planner = QueryPlanner(engine.oracles, constants=CostConstants(
+            op_model={"silc": (50.0, 5.0), "ine": (1.0, 1.0)},
+            op_seconds={"silc": 1e-5, "ine": 1e-7},
+        ))
+        requests = [
+            Request(id=1, client="web", kind="knn", queries=(0,), k=3, oracle="silc"),
+            Request(id=2, client="bulk", kind="knn_batch", queries=(5, 9), k=2, oracle="silc"),
+            Request(id=3, client="web", kind="knn_batch", queries=(17, 42, 101, 130), k=3,
+                    oracle="auto"),
+        ]
+
+        async def go():
+            async with AsyncEngine(engine, shards=2) as ae, SILCServer(ae) as server:
+                replies = [await server.submit(r) for r in requests]
+                return replies, server.registry_snapshot()
+
+        replies, snap = asyncio.run(go())
+        assert [r.status for r in replies] == ["ok"] * len(requests)
+        counters = by_key(snap["counters"])
+
+        def counted(name, **labels):
+            return counters.get((name, frozenset(labels.items())), 0)
+
+        assert counted("planner_decisions_total", stage="plan", oracle="ine") == 4
+        assert counted("planner_decisions_total", stage="plan", oracle="silc") == 0
+        assert counted("planner_calibrations_total", stage="plan") == 0
+        assert counted("router_queries_total", stage="route") == 3
+        assert counted("router_shards_total", stage="route", event="visited") == 3
+        assert counted("router_candidates_total", stage="route") == 3 + 2 * 2
 
 
 class TestStatsWire:

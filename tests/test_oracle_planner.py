@@ -56,7 +56,10 @@ class TestPlannerParity:
     @pytest.mark.parametrize("k", [1, 5, 20])
     def test_auto_matches_forced_silc(self, engine, k):
         queries = [0, 23, 77, 130, 23]
-        auto = engine.knn_batch(queries, k, oracle="auto")
+        # exact=True on both sides: the SILC backend answers bounds by
+        # default, so a timing-calibrated pick of SILC would otherwise
+        # compare bounds against exact distances.
+        auto = engine.knn_batch(queries, k, exact=True, oracle="auto")
         silc = engine.knn_batch(queries, k, exact=True, oracle="silc")
         assert auto.ids() == silc.ids()
         for a, s in zip(auto.results, silc.results):
