@@ -164,19 +164,24 @@ def checked_load(
         ) from exc
 
 
-def check_dtypes(columns: dict[str, np.ndarray], dtypes: dict[str, type]) -> None:
+def check_dtypes(
+    columns: dict[str, np.ndarray], dtypes: dict[str, type], rebuild: str
+) -> None:
     """Raise :class:`CorruptIndexError` naming the first column whose
     dtype is not its canonical one (O(1), no mapped page touched).
 
     Queries read columns through the buffer protocol, which goes by the
     item format: a byte-swapped column would fail mid-query and a
-    same-width one of another type would be served as garbage.
+    same-width one of another type would be served as garbage.  A
+    directory written in an older layout fails here too, and the
+    message names ``rebuild``, the command that writes the current one.
     """
     for name, dtype in dtypes.items():
         if columns[name].dtype != dtype:
             raise CorruptIndexError(
                 f"corrupt index: column {name!r} holds "
-                f"{columns[name].dtype.str} items, expected {np.dtype(dtype).str}",
+                f"{columns[name].dtype.str} items, expected {np.dtype(dtype).str} "
+                f"(rebuild it with `{rebuild}`)",
                 column=name,
             )
 

@@ -117,7 +117,7 @@ class PrunedLabellingOracle(DistanceOracle):
                 f"labelling offsets do not match the network "
                 f"({n} vertices)"
             )
-        check_dtypes(columns, LABEL_DTYPES)
+        check_dtypes(columns, LABEL_DTYPES, rebuild="repro build-labels")
         self.network = network
         self.out_offsets = columns["out_offsets"]
         self.out_hubs = columns["out_hubs"]

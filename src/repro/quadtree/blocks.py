@@ -18,7 +18,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.geometry.morton import block_cells
+from repro.geometry.morton import MAX_ORDER, block_cells
+
+#: Column names in canonical order, shared by the build kernel's
+#: chunks, :class:`BlockTable` and save/load.
+COLUMNS = ("codes", "levels", "colors", "lam_min", "lam_max")
+
+#: Canonical dtype per column.  ``MAX_ORDER`` 16 keeps every code below
+#: 2**32, and the lambdas are float32 rounded outward by
+#: :func:`narrow_lambda`.
+COLUMN_DTYPES = {
+    "codes": np.uint32,
+    "levels": np.int8,
+    "colors": np.int32,
+    "lam_min": np.float32,
+    "lam_max": np.float32,
+}
+
+
+def narrow_lambda(
+    lam_min: np.ndarray, lam_max: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """float32 copies of lambda bounds: ``lam_min`` rounded toward -inf,
+    ``lam_max`` toward +inf.
+
+    The cast rounds to nearest; every element it rounded the wrong way
+    steps back one float32 ulp with ``nextafter``.  The stored interval
+    therefore contains the float64 one, at most one ulp (2**-23
+    relative) wider on each side, so every bound drawn from it stays
+    sound.  A value exact in float32 comes back unchanged; one beyond
+    float32's range becomes ``inf`` on the outer side and the largest
+    finite float32 on the inner side.
+    """
+    lo = np.asarray(lam_min, dtype=np.float64)
+    hi = np.asarray(lam_max, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        lo32 = lo.astype(np.float32)
+        hi32 = hi.astype(np.float32)
+    down = lo32 > lo
+    lo32[down] = np.nextafter(lo32[down], np.float32(-np.inf))
+    up = hi32 < hi
+    hi32[up] = np.nextafter(hi32[up], np.float32(np.inf))
+    return lo32, hi32
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,7 +97,9 @@ class BlockTable:
     A table is five ``memoryview``s, :attr:`columns`, over arrays it
     owns (the validating constructor) or over slices of a shared,
     possibly mapped, columnar store (:meth:`view`, what
-    :class:`repro.silc.store.FlatStore` hands out).  The views *are*
+    :class:`repro.silc.store.FlatStore` hands out).  The validating
+    constructor coerces to :data:`COLUMN_DTYPES`, the lambdas through
+    :func:`narrow_lambda`.  The views *are*
     the probe structure: C ``bisect`` and indexing on a ``memoryview``
     return native ``int`` / ``float`` without copying a row, so there
     is no per-block Python object, nothing is built on first touch and
@@ -77,15 +120,18 @@ class BlockTable:
     ) -> None:
         codes = np.asarray(codes, dtype=np.int64)
         levels = np.asarray(levels, dtype=np.int8)
-        arrays = (
-            codes,
-            levels,
-            np.asarray(colors, dtype=np.int32),
-            np.asarray(lam_min, dtype=np.float64),
-            np.asarray(lam_max, dtype=np.float64),
+        if codes.size and not (0 <= codes.min() and codes.max() < block_cells(MAX_ORDER)):
+            raise ValueError("block codes must lie inside the largest grid")
+        arrays = tuple(
+            np.asarray(column, dtype=COLUMN_DTYPES[name])
+            for name, column in zip(
+                COLUMNS, (codes, levels, colors, *narrow_lambda(lam_min, lam_max))
+            )
         )
         if any(a.shape != codes.shape for a in arrays):
             raise ValueError("block table columns must have equal length")
+        # Order and disjointness are checked on the int64 codes: a
+        # uint32 difference would wrap instead of going negative.
         if codes.size > 1:
             if not np.all(np.diff(codes) > 0):
                 raise ValueError("block codes must be strictly increasing")

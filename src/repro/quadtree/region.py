@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.morton import MAX_ORDER, block_cells
-from repro.quadtree.blocks import BlockTable
+from repro.quadtree.blocks import BlockTable, narrow_lambda
 
 #: Segment keys are ``segment * _KEY + level``: levels (at most
 #: ``MAX_ORDER + 1``) stay below it, int32 keys hold 2**26 segments.
@@ -85,9 +85,9 @@ def region_block_columns(
     ``sorted_codes`` (int64) and their :func:`split_levels` describe
     the ``n`` points; ``colors`` and ``values`` (float64) are ``(m, n)``,
     one row per source, C-contiguous or copied.  Returns ``(sizes, columns)``:
-    blocks per row, and the five block columns (canonical dtypes) of
-    all rows back to back -- the :class:`~repro.silc.store.FlatStore`
-    layout.  Row ``i``'s blocks are ``build_region_blocks`` of row
+    blocks per row, and the five block columns (canonical dtypes, the
+    lambdas rounded outward by :func:`narrow_lambda`) of all rows back
+    to back -- the :class:`~repro.silc.store.FlatStore` layout.  Row ``i``'s blocks are ``build_region_blocks`` of row
     ``i``: disjoint, sorted, covering every point, and *maximal*.
 
     Peak memory beyond inputs and output is ``8 * m * n`` bytes: one
@@ -116,12 +116,16 @@ def region_block_columns(
     levels = level.ravel()[first]
     shift = 2 * levels.astype(np.int64)
     codes = sorted_codes[first % splits.size]
+    lam_min, lam_max = narrow_lambda(
+        np.minimum.reduceat(values.ravel(), first),
+        np.maximum.reduceat(values.ravel(), first),
+    )
     return np.count_nonzero(opens, axis=1), {
-        "codes": codes >> shift << shift,
+        "codes": (codes >> shift << shift).astype(np.uint32),
         "levels": levels,
         "colors": colors.ravel()[first].astype(np.int32, copy=False),
-        "lam_min": np.minimum.reduceat(values.ravel(), first),
-        "lam_max": np.maximum.reduceat(values.ravel(), first),
+        "lam_min": lam_min,
+        "lam_max": lam_max,
     }
 
 

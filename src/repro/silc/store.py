@@ -34,20 +34,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.integrity import check_dtypes
-from repro.quadtree.blocks import BlockTable, compute_ends
-
-#: Column names in canonical order, shared by the build kernel's
-#: chunks and by save/load.
-COLUMNS = ("codes", "levels", "colors", "lam_min", "lam_max")
-
-#: Canonical dtype per column.
-COLUMN_DTYPES = {
-    "codes": np.int64,
-    "levels": np.int8,
-    "colors": np.int32,
-    "lam_min": np.float64,
-    "lam_max": np.float64,
-}
+from repro.quadtree.blocks import COLUMN_DTYPES, COLUMNS, BlockTable, compute_ends
 
 
 #: A batch of finished tables: their vertices, their block counts, and
@@ -119,7 +106,7 @@ class FlatStore:
                 raise ValueError(
                     f"column {name!r} has shape {col.shape}, expected ({total},)"
                 )
-        check_dtypes(columns, COLUMN_DTYPES)
+        check_dtypes(columns, COLUMN_DTYPES, rebuild="repro build")
         self._views = tuple(map(memoryview, columns.values()))
 
     # ------------------------------------------------------------------

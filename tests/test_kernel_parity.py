@@ -30,6 +30,19 @@ Re-recorded since:
 3. The four ``cap/*`` control-flow cells went with the kernel's
    ``max_distance`` cap, whose only caller was the partitioned shard
    router; no other digest moved.
+4. The lambda columns became float32 rounded outward (the codes
+   uint32): every bound widens by at most one float32 ulp of lambda.
+   Of the 48 cells, the 24 ``bounds`` cells moved in their intervals
+   and the 12 ``*/knn/*`` cells in ``l_ops``; no other field of any
+   record moved, so every ``exact`` answer (ids and distance bits),
+   refinement, collision, queue push and page count held.  All twelve
+   control-flow cells moved in their ``exact=False`` intervals, and
+   ``k_ge_s/knn`` / ``proximal/knn`` in ``l_ops``.  On the tie grid the
+   wider bounds change which of two objects at an equal bound is queued
+   first: the order among exactly equal distances moved, and with it,
+   where the k-th distance is tied, which of the tied objects is
+   reported (the distances reported are the same lists, bit for bit),
+   plus a few refinements, pushes and page misses.
 """
 
 from __future__ import annotations
@@ -65,54 +78,54 @@ from test_properties import one_way
 KS = (1, 5, 25)
 
 GOLDEN: dict[str, str] = {
-    "vertex/attached/knn/exact": "957ebfe908c25a94",
-    "vertex/attached/knn/bounds": "7f54b93074c1a73d",
+    "vertex/attached/knn/exact": "55718396dcaf1bed",
+    "vertex/attached/knn/bounds": "449e8049cbae628f",
     "vertex/attached/inn/exact": "c8eda3fe002ab375",
-    "vertex/attached/inn/bounds": "f586fd660ed94638",
+    "vertex/attached/inn/bounds": "6c6196850a4a8486",
     "vertex/attached/knn_i/exact": "2b0463dabe67e5f6",
-    "vertex/attached/knn_i/bounds": "0b1e9b789d02125e",
+    "vertex/attached/knn_i/bounds": "b661a167ef645208",
     "vertex/attached/knn_m/exact": "38451d7bb14a737e",
-    "vertex/attached/knn_m/bounds": "f971ebbf7c90ef25",
-    "vertex/detached/knn/exact": "ae17172859781a8c",
-    "vertex/detached/knn/bounds": "4014a32f19a1f4b9",
+    "vertex/attached/knn_m/bounds": "9530e176f986f868",
+    "vertex/detached/knn/exact": "294149334595c965",
+    "vertex/detached/knn/bounds": "1834a3b0bbed8b5b",
     "vertex/detached/inn/exact": "819f40ce34bb7f06",
-    "vertex/detached/inn/bounds": "8797bcae899dd1c8",
+    "vertex/detached/inn/bounds": "451bf3f9d571329d",
     "vertex/detached/knn_i/exact": "9ef52e8f27a515ea",
-    "vertex/detached/knn_i/bounds": "03abb6fe3f589388",
+    "vertex/detached/knn_i/bounds": "20e9b8478b87b192",
     "vertex/detached/knn_m/exact": "6f77d9462c87260c",
-    "vertex/detached/knn_m/bounds": "c2d7908028cbabb7",
-    "edge/attached/knn/exact": "968ba04f16501875",
-    "edge/attached/knn/bounds": "8c33bba13a5de008",
+    "vertex/detached/knn_m/bounds": "6ada63a703331c27",
+    "edge/attached/knn/exact": "7dcd3e7b0d5de160",
+    "edge/attached/knn/bounds": "dbb489f9a52c6989",
     "edge/attached/inn/exact": "5f1b5ca23d059295",
-    "edge/attached/inn/bounds": "fdeba76a97f1fa9e",
+    "edge/attached/inn/bounds": "5ea352d9d683fd91",
     "edge/attached/knn_i/exact": "4b4ee2a4fc39f6c3",
-    "edge/attached/knn_i/bounds": "31b67f352e8e2990",
+    "edge/attached/knn_i/bounds": "dbe413d235973173",
     "edge/attached/knn_m/exact": "dd0f77fbe23bb2e7",
-    "edge/attached/knn_m/bounds": "c35839fb8043a8f8",
-    "edge/detached/knn/exact": "69c620edb9c905f9",
-    "edge/detached/knn/bounds": "0f5a422f163be266",
+    "edge/attached/knn_m/bounds": "88a602f4f72713b7",
+    "edge/detached/knn/exact": "20c9640f816b253c",
+    "edge/detached/knn/bounds": "d5c6382548d5b3df",
     "edge/detached/inn/exact": "a9df8e74c709973b",
-    "edge/detached/inn/bounds": "3cc2ee59cf008fc2",
+    "edge/detached/inn/bounds": "0552636141aa310d",
     "edge/detached/knn_i/exact": "e3f99ed67a577f0c",
-    "edge/detached/knn_i/bounds": "2b3abb5afe08870f",
+    "edge/detached/knn_i/bounds": "e5da742f21f32838",
     "edge/detached/knn_m/exact": "593d57e10ca5f4e3",
-    "edge/detached/knn_m/bounds": "0af941a9887252d0",
-    "extent/attached/knn/exact": "3f8666a2f2c2742b",
-    "extent/attached/knn/bounds": "ea8c5b1adb85367b",
+    "edge/detached/knn_m/bounds": "667579b772d32b34",
+    "extent/attached/knn/exact": "8b577c8526c8ee2b",
+    "extent/attached/knn/bounds": "fc1d8d057bd8d8bd",
     "extent/attached/inn/exact": "525b251d7d680ec2",
-    "extent/attached/inn/bounds": "f91dfdbe5331c2e6",
+    "extent/attached/inn/bounds": "5285de8f0298066d",
     "extent/attached/knn_i/exact": "c3a070b140a94829",
-    "extent/attached/knn_i/bounds": "01efef4992502e85",
+    "extent/attached/knn_i/bounds": "e3b92c4efb3497d0",
     "extent/attached/knn_m/exact": "bd232d7b5a151c08",
-    "extent/attached/knn_m/bounds": "b0111126d233337b",
-    "extent/detached/knn/exact": "fafa3a04bb274ab6",
-    "extent/detached/knn/bounds": "12f1d42c70fab16d",
+    "extent/attached/knn_m/bounds": "e03febeca045108c",
+    "extent/detached/knn/exact": "c066f5ca33d46870",
+    "extent/detached/knn/bounds": "fa5c12025f95a67b",
     "extent/detached/inn/exact": "6cf2d4a5e76ce065",
-    "extent/detached/inn/bounds": "ed9c1bbe8f82bb3a",
+    "extent/detached/inn/bounds": "4b2c040ac8f8440d",
     "extent/detached/knn_i/exact": "77eb87bf7de01c41",
-    "extent/detached/knn_i/bounds": "d0327ecbc920aacf",
+    "extent/detached/knn_i/bounds": "b491648ed0dcdad9",
     "extent/detached/knn_m/exact": "02c5773d3ddbeb1b",
-    "extent/detached/knn_m/bounds": "1a4bd385e7b65c85",
+    "extent/detached/knn_m/bounds": "6a3eec7cc71beed2",
 }
 
 
@@ -234,18 +247,18 @@ def test_generous_time_budget_changes_nothing(parity_net, parity_index):
 #: four ``knn`` cells were re-recorded with the walk and the unmoved-``L``
 #: skip (see the module docstring).
 GOLDEN_CONTROL_FLOW: dict[str, str] = {
-    "k_ge_s/knn": "f2af993be1dfdbc4",
-    "ties/knn": "fabeabae65b985c7",
-    "proximal/knn": "3c23517a2b44fdef",
-    "k_ge_s/inn": "62e865d02b36b47b",
-    "ties/inn": "1b1b13e5c558d3d1",
-    "proximal/inn": "72ae5f8767318e49",
-    "k_ge_s/knn_i": "62e865d02b36b47b",
-    "ties/knn_i": "0f603f109f56d9e5",
-    "proximal/knn_i": "2031b0b78bad7ebd",
-    "k_ge_s/knn_m": "882a96d786a92155",
-    "ties/knn_m": "62949f74c607a6d4",
-    "proximal/knn_m": "7660a60351dae59c",
+    "k_ge_s/knn": "c7ba3731d64618e3",
+    "ties/knn": "8707150ee32096db",
+    "proximal/knn": "8a8660b0a47ea0ce",
+    "k_ge_s/inn": "6272e4ea9bf754a2",
+    "ties/inn": "890cd12ac2641d92",
+    "proximal/inn": "753a66d7fcc28458",
+    "k_ge_s/knn_i": "6272e4ea9bf754a2",
+    "ties/knn_i": "0f1ea1f788801379",
+    "proximal/knn_i": "eb1b038bbc80b8af",
+    "k_ge_s/knn_m": "2cab457c72cbd509",
+    "ties/knn_m": "b7a6bc6b62299972",
+    "proximal/knn_m": "c6616fcb5bc535b3",
 }
 
 

@@ -7,6 +7,7 @@ evidence in the suite.
 
 import dataclasses
 import heapq
+import math
 import tempfile
 from collections import defaultdict
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import repro.quadtree.region as region
 import repro.silc.index as silc_index
 from repro import ObjectIndex, ObjectSet, QueryEngine, SILCIndex, ier_knn, ine_knn, knn, knn_m
 from repro.datasets import random_vertex_objects
@@ -25,6 +27,7 @@ from repro.objects.model import position_point
 from repro.network import (
     EdgeNotFound,
     PathNotFound,
+    SpatialNetwork,
     distance_matrix,
     grid_network,
     random_planar_network,
@@ -588,32 +591,65 @@ def test_leaving_the_built_sources_is_path_not_found_either_way(seed):
 # ----------------------------------------------------------------------
 # Margins: each is removed in-test to show what it is holding
 # ----------------------------------------------------------------------
-def test_rel_pad_is_what_keeps_the_truth_inside(monkeypatch):
-    """On the 9 x 9 unit lattice under a grid aligned to it (every
-    vertex on its cell's corner, so MINDIST to a vertex's cell can equal
-    the Euclidean distance) ``lambda * d_E`` overshoots the integer
-    distance by an ulp for some pairs: only the pad keeps intervals and
-    block bounds sound."""
-    net = grid_network(9, 9)
-    embedding = GridEmbedding(Rect(0.0, 0.0, 16.0, 16.0), 4)
-    codes = embedding.morton_of_array(net.xs, net.ys).astype(np.int64)
-    index = assembled(net, embedding, codes)
+#: A grid aligned to integer coordinates: every vertex sits on its
+#: cell's lower-left corner, so MINDIST from a vertex below and to the
+#: left of it to that cell is the Euclidean distance.
+ALIGNED = GridEmbedding(Rect(0.0, 0.0, 16.0, 16.0), 4)
+
+
+def aligned_index(net) -> SILCIndex:
+    return assembled(net, ALIGNED, ALIGNED.morton_of_array(net.xs, net.ys).astype(np.int64))
+
+
+def expelled(index) -> tuple[int, int]:
+    """``(intervals, block bounds)`` over every ordered pair that do not
+    contain the true distance."""
+    net = index.network
     D = distance_matrix(net)
+    intervals = blocks = 0
+    for s in range(net.num_vertices):
+        column = index.bound_column(s)
+        for t in range(net.num_vertices):
+            if s == t:
+                continue
+            _, lo, hi = index.hop_and_interval(s, t)
+            intervals += not (lo <= D[s, t] <= hi)
+            bound = index.block_lower_bound(
+                s, int(index.vertex_codes[t]), 0, column=column
+            )
+            blocks += bound > D[s, t]
+    return intervals, blocks
 
-    def expelled():
-        intervals = blocks = 0
-        for s in range(net.num_vertices):
-            column = index.bound_column(s)
-            for t in range(net.num_vertices):
-                if s == t:
-                    continue
-                _, lo, hi = index.hop_and_interval(s, t)
-                intervals += not (lo <= D[s, t] <= hi)
-                bound = index.block_lower_bound(s, int(codes[t]), 0, column=column)
-                blocks += bound > D[s, t]
-        return intervals, blocks
 
-    assert expelled() == (0, 0)
-    monkeypatch.setattr(silc_index, "_REL_PAD", 0.0)
-    intervals, blocks = expelled()
+def test_outward_rounding_is_what_keeps_float32_lambdas_sound(monkeypatch):
+    """On the 9 x 9 unit lattice the lambdas cast to the *nearest*
+    float32 put ``lambda * d_E`` up to half an ulp of float32 on the
+    wrong side of the integer distance: far more than the pad covers.
+    Rounding ``lam_min`` down and ``lam_max`` up keeps every interval
+    and block bound sound with the pad as it is."""
+    net = grid_network(9, 9)
+    assert expelled(aligned_index(net)) == (0, 0)
+    monkeypatch.setattr(
+        region, "narrow_lambda",
+        lambda lo, hi: (np.asarray(lo).astype(np.float32), np.asarray(hi).astype(np.float32)),
+    )
+    intervals, blocks = expelled(aligned_index(net))
     assert intervals > 0 and blocks > 0
+
+
+def test_rel_pad_is_what_keeps_the_truth_inside(monkeypatch):
+    """One street from (0, 0) to (1, 3) whose length makes its ratio to
+    the Euclidean distance exactly 1.25 in float64 -- exact in float32,
+    so narrowing leaves it alone -- while ``1.25 * d_E`` rounds one ulp
+    above the length: only the pad keeps the interval and the block
+    bound, both ways along the street, sound."""
+    d_e = math.hypot(1.0, 3.0)
+    length = math.nextafter(1.25 * d_e, 0.0)
+    assert length / d_e == 1.25 and 1.25 * d_e > length
+    net = SpatialNetwork([0.0, 1.0], [0.0, 3.0], [(0, 1, length), (1, 0, length)])
+    index = aligned_index(net)
+    assert [index.tables[s].lookup(int(index.vertex_codes[1 - s]))[1:3]
+            for s in (0, 1)] == [(1.25, 1.25)] * 2
+    assert expelled(index) == (0, 0)
+    monkeypatch.setattr(silc_index, "_REL_PAD", 0.0)
+    assert expelled(index) == (2, 1)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.geometry.morton import MAX_ORDER, block_cells, morton_encode
 from repro.quadtree import BlockTable, build_region_blocks
+from repro.quadtree.blocks import narrow_lambda
 from repro.quadtree.region import region_block_columns, split_levels
 from repro.silc import ProximalSILCIndex, SILCIndex, shortest_path_maps
 
@@ -220,12 +221,13 @@ def stack_walk_blocks(sorted_codes, colors, values, grid_order):
         stack.append((code + step, level - 1, cut1, cut2))
         stack.append((code, level - 1, lo, cut1))
 
-    return BlockTable(
-        np.array(out_codes, dtype=np.int64),
+    # The one change since: the lambdas go through the same outward
+    # narrowing as the kernel's, and the codes are stored as uint32.
+    return BlockTable.view(
+        np.array(out_codes, dtype=np.uint32),
         np.array(out_levels, dtype=np.int8),
         np.array(out_colors, dtype=np.int32),
-        np.array(out_lmin),
-        np.array(out_lmax),
+        *narrow_lambda(np.array(out_lmin), np.array(out_lmax)),
     )
 
 

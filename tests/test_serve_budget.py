@@ -177,7 +177,10 @@ KS = (1, 4, 25)
 #: cells over edge and extent objects moved, paged and unpaged; before,
 #: 36 of the 168 (query, k) answers behind all twelve cells named a
 #: farther object, and after, none does (checked against Dijkstra over
-#: the network cut at every object and query point).
+#: the network cut at every object and query point).  Narrowing the
+#: block columns to uint32 codes and outward-rounded float32 lambdas
+#: moved no field of any cell: INE reads adjacency lists and pages of
+#: the network, never a lambda.
 GOLDEN: dict[str, str] = {
     "vertex-objects/vertex-query/paged": "708ace8381174a4c",
     "vertex-objects/vertex-query/unpaged": "48611403774ca8f9",

@@ -16,6 +16,7 @@ docs/OPERATIONS.md "Failure modes"):
 """
 
 import json
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.engine import QueryEngine
 from repro.errors import CorruptIndexError
 from repro.faults import corrupt_file, truncate_file
@@ -33,6 +35,7 @@ from repro.integrity import (
     verify_manifest,
     write_manifest,
 )
+from repro.network.io import save_text
 from repro.oracle.labelling import LABEL_COLUMNS, PrunedLabellingOracle
 from repro.shard import ShardGroup
 from repro.silc import SILCIndex
@@ -183,7 +186,7 @@ def test_damage_fails_load(pristine, tmp_path, small_net, layout, column, damage
 #: item size, manifest rewritten to match: sizes and checksums agree,
 #: so only the dtype check stands between the bytes and a query.
 WRONG_DTYPES = {
-    "index": ("lam_min", ">f8"),
+    "index": ("lam_min", ">f4"),
     "labels": ("out_hubs", "<u4"),
 }
 
@@ -203,6 +206,47 @@ def test_wrong_dtype_fails_load(pristine, tmp_path, small_net, layout, mmap):
         load(layout, tmp_path / layout, small_net, mmap)
     assert exc.value.column == column
     assert np.dtype(dtype).str in str(exc.value)
+
+
+@pytest.fixture()
+def old_layout(pristine, tmp_path, small_net):
+    """The index re-saved in the 29-byte layout the 17-byte one replaced
+    (int64 codes, float64 lambdas) with a manifest that matches it: every
+    size and checksum agrees, so only the dtype check can refuse it."""
+    path = tmp_path / "index"
+    shutil.copytree(pristine / "index", path)
+    for column, dtype in (("codes", "<i8"), ("lam_min", "<f8"), ("lam_max", "<f8")):
+        np.save(path / file_name(column), np.load(path / file_name(column)).astype(dtype))
+    write_manifest(path)
+    verify_manifest(path, deep=True)
+    save_text(small_net, tmp_path / "net.txt")
+    return path
+
+
+def assert_refused_for_a_rebuild(exc):
+    assert exc.value.column == "codes"
+    assert "column 'codes' holds <i8 items, expected <u4" in str(exc.value)
+    assert "rebuild it with `repro build`" in str(exc.value)
+
+
+@pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+def test_an_index_in_the_old_layout_is_refused_by_name(old_layout, small_net, mmap):
+    with pytest.raises(CorruptIndexError) as exc:
+        SILCIndex.load(old_layout, small_net, mmap=mmap)
+    assert_refused_for_a_rebuild(exc)
+
+
+def test_a_sharded_mapped_server_refuses_the_old_layout(old_layout, monkeypatch):
+    def spawned(spec):
+        raise AssertionError(f"a worker was spawned on {spec.directory}")
+
+    monkeypatch.setattr("repro.shard.worker.spawn_worker", spawned)
+    with pytest.raises(CorruptIndexError) as exc:
+        main([
+            "serve", str(old_layout.parent / "net.txt"), str(old_layout),
+            "--shards", "2", "--mmap", "--input", os.devnull,
+        ])
+    assert_refused_for_a_rebuild(exc)
 
 
 class TestIndexLoadRejectsCorruption:
