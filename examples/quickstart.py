@@ -11,6 +11,7 @@ Run:  python examples/quickstart.py
 
 from repro import ObjectIndex, QueryEngine, SILCIndex, knn, road_like_network
 from repro.datasets import random_vertex_objects
+from repro.quadtree.blocks import RECORD_BYTES
 
 
 def main() -> None:
@@ -28,7 +29,7 @@ def main() -> None:
     print(
         f"SILC index: {blocks} Morton blocks "
         f"({blocks / net.num_vertices:.1f} per vertex, "
-        f"{index.storage_bytes() / 1024:.0f} KiB at 16 B/block)"
+        f"{index.storage_bytes() / 1024:.0f} KiB at {RECORD_BYTES} B/block)"
     )
 
     # 3. A decoupled object set: 40 restaurants on random corners.

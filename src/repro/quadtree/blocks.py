@@ -35,6 +35,10 @@ COLUMN_DTYPES = {
     "lam_max": np.float32,
 }
 
+#: Bytes of one Morton block, 17: what the columns take on disk and what
+#: the page simulator packs into a page.
+RECORD_BYTES = sum(np.dtype(dtype).itemsize for dtype in COLUMN_DTYPES.values())
+
 
 def narrow_lambda(
     lam_min: np.ndarray, lam_max: np.ndarray
@@ -125,7 +129,7 @@ class BlockTable:
         arrays = tuple(
             np.asarray(column, dtype=COLUMN_DTYPES[name])
             for name, column in zip(
-                COLUMNS, (codes, levels, colors, *narrow_lambda(lam_min, lam_max))
+                COLUMNS, (codes, levels, colors, *narrow_lambda(lam_min, lam_max)), strict=True
             )
         )
         if any(a.shape != codes.shape for a in arrays):
@@ -222,6 +226,6 @@ class BlockTable:
         """Grid cells covered by all blocks (coverage diagnostics)."""
         return int((self.ends - self.codes).sum())
 
-    def storage_bytes(self, record_bytes: int = 16) -> int:
+    def storage_bytes(self, record_bytes: int = RECORD_BYTES) -> int:
         """Simulated on-disk footprint of the table."""
         return len(self) * record_bytes

@@ -37,6 +37,7 @@ from repro.integrity import atomic_directory, checked_load, verify_manifest
 from repro.network.allpairs import materialize_sources
 from repro.network.errors import PathNotFound
 from repro.network.graph import SpatialNetwork
+from repro.quadtree.blocks import RECORD_BYTES
 from repro.silc.parallel import parallel_block_columns, resolve_workers
 from repro.silc.intervals import REL_PAD as _REL_PAD, DistanceInterval
 from repro.silc.refinement import RefinableDistance, RefinementCounter, next_hop_cycle
@@ -355,7 +356,7 @@ class SILCIndex:
     def blocks_per_vertex(self) -> np.ndarray:
         return self.store.sizes
 
-    def storage_bytes(self, record_bytes: int = 16) -> int:
+    def storage_bytes(self, record_bytes: int = RECORD_BYTES) -> int:
         return self.total_blocks() * record_bytes
 
     def save(self, path) -> None:

@@ -18,7 +18,7 @@ from repro.storage.lru import CacheStats, LRUCache
 from repro.storage.simulator import DEFAULT_MISS_LATENCY
 
 #: Serialized bytes per vertex record header and per outgoing edge
-#: (id + weight).  Matches the 16-byte quadtree record for symmetry.
+#: (id + weight).
 _VERTEX_HEADER_BYTES = 16
 _EDGE_BYTES = 16
 

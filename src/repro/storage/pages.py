@@ -13,18 +13,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from repro.quadtree.blocks import RECORD_BYTES
+
 
 @dataclass(frozen=True)
 class PageLayout:
     """Physical parameters of the simulated disk layout.
 
     ``record_bytes`` is the serialized size of one Morton block (code +
-    level + color + two lambdas; the paper quotes 8 bytes for the
-    code-only layout, 16 with the lambda annotations).
+    level + color + two lambdas): by default the bytes the saved columns
+    take per block, 17, so simulated pages and mapped bytes describe one
+    record.  The paper quotes 8 bytes for the code-only layout, 16 with
+    the lambda annotations.
     """
 
     page_size: int = 4096
-    record_bytes: int = 16
+    record_bytes: int = RECORD_BYTES
 
     def __post_init__(self) -> None:
         if self.page_size <= 0 or self.record_bytes <= 0:

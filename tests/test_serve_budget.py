@@ -180,7 +180,8 @@ KS = (1, 4, 25)
 #: the network cut at every object and query point).  Narrowing the
 #: block columns to uint32 codes and outward-rounded float32 lambdas
 #: moved no field of any cell: INE reads adjacency lists and pages of
-#: the network, never a lambda.
+#: the network, never a lambda.  Nor did the 17-byte block record: the
+#: network's pages keep their own record sizes.
 GOLDEN: dict[str, str] = {
     "vertex-objects/vertex-query/paged": "708ace8381174a4c",
     "vertex-objects/vertex-query/unpaged": "48611403774ca8f9",

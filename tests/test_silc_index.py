@@ -144,6 +144,11 @@ class TestStorageStats:
     def test_storage_bytes(self, small_index):
         assert small_index.storage_bytes(16) == small_index.total_blocks() * 16
 
+    def test_storage_bytes_are_the_column_bytes(self, small_index):
+        """One record size: the default is what the columns hold, 17 B."""
+        assert small_index.storage_bytes() == small_index.store.nbytes()
+        assert small_index.store.nbytes() == 17 * small_index.total_blocks()
+
     def test_attach_storage_validates_layout(self, small_index, grid_index):
         sim = grid_index.make_storage()
         with pytest.raises(ValueError):

@@ -2,12 +2,18 @@
 
 import pytest
 
+from repro.quadtree.blocks import RECORD_BYTES
 from repro.storage import PageLayout, StorageLayout
 
 
 class TestPageLayout:
     def test_records_per_page(self):
         assert PageLayout(page_size=4096, record_bytes=16).records_per_page == 256
+
+    def test_the_default_record_is_the_saved_block(self):
+        """Simulated pages hold the 17 bytes a block takes in the columns."""
+        assert PageLayout().record_bytes == RECORD_BYTES == 17
+        assert PageLayout().records_per_page == 240
 
     def test_validation(self):
         with pytest.raises(ValueError):
