@@ -10,9 +10,10 @@ set after the load and after each round, split into anonymous memory
 among them).  It fails when the heap has grown by more than
 ``GROWTH_LIMIT`` x the index's column bytes since the load -- row lists
 kept per probed vertex read 7 x; probing the columns in place reads
-0.2 x at 1000 vertices and 0.7 x at 400 (fixed first-touch costs over a
-smaller index), nearly all of it in round 1 -- or when it still grows by
-more than ``DRIFT_LIMIT`` from round 2 to the last round.
+0.45 x at 1000 vertices and 1.3 x at 400 (fixed first-touch costs over a
+smaller index; 17-byte blocks halved the divisor, from 0.26 x and
+0.65 x at 29 bytes), nearly all of it in round 1 -- or when it still
+grows by more than ``DRIFT_LIMIT`` from round 2 to the last round.
 
 It then starts the 2-shard tier on that engine and sends it 40 kNN
 queries: the workers must map the very files this process
