@@ -513,7 +513,8 @@ def make_parser() -> argparse.ArgumentParser:
                    help="per-client token-bucket rate (queries/second; "
                    "omit for unlimited)")
     p.add_argument("--burst", type=float, default=None,
-                   help="per-client token-bucket burst (defaults to --rate)")
+                   help="per-client token-bucket burst (defaults to --rate, "
+                   "and to at least 1)")
     p.add_argument("--input", default=None,
                    help="read requests from a file instead of stdin")
     p.add_argument("--shards", type=int, default=1,

@@ -5,7 +5,7 @@ into it when the event happens: the server (its tracer's registry:
 request outcomes, latency, span timings), the
 :class:`~repro.oracle.planner.QueryPlanner` (per-backend decisions) and
 the :class:`~repro.shard.supervisor.ShardSupervisor` (fault events, and
-the dispatcher's worker visits).  Every reading is a *sample* -- a
+the shard group's worker visits).  Every reading is a *sample* -- a
 metric name plus a small label set (``{"stage": ..., "oracle": ...,
 "event": ...}``) -- and :meth:`MetricsRegistry.snapshot` renders one
 JSON-serializable dict, with the counters of any other registries

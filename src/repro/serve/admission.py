@@ -67,8 +67,10 @@ class AdmissionController:
         Engine queries admitted but not yet released; a knn_batch of
         500 queries counts as 500.  ``None`` disables the cap.
     rate / burst:
-        Default per-client token bucket (one token per engine query).
-        ``rate=None`` disables rate limiting for unconfigured clients.
+        Per-client token bucket (one token per engine query); ``burst``
+        defaults to ``max(rate, 1)``, so a rate below one query per
+        second still admits single queries.  ``rate=None`` disables
+        rate limiting and keeps no per-client state.
     clock:
         Injected time source shared by every bucket.
     """
@@ -87,34 +89,23 @@ class AdmissionController:
         if rate is not None and rate <= 0:
             raise ValueError("rate must be positive (or None for unlimited)")
         if burst is not None and burst <= 0:
-            raise ValueError("burst must be positive (or None to default to rate)")
+            raise ValueError("burst must be positive (or None to default to max(rate, 1))")
         self.max_in_flight = max_in_flight
-        self._default_rate = rate
-        self._default_burst = burst if burst is not None else (rate if rate else None)
+        self._rate = rate
+        self._burst = burst if burst is not None else (max(rate, 1.0) if rate else None)
         self.clock = clock
-        self._buckets: dict[str, TokenBucket | None] = {}
+        #: One bucket per client seen, and none at all without a rate.
+        self._buckets: dict[str, TokenBucket] = {}
         self.in_flight = 0
         self.shed_count = 0
 
-    # ------------------------------------------------------------------
-    # Per-client configuration
-    # ------------------------------------------------------------------
-    def configure_client(self, client: str, rate: float | None, burst: float | None = None) -> None:
-        """Give one client its own bucket (``rate=None``: unlimited)."""
-        if rate is None:
-            self._buckets[client] = None
-        else:
-            self._buckets[client] = TokenBucket(rate, burst if burst is not None else rate, self.clock)
-
     def _bucket(self, client: str) -> TokenBucket | None:
-        if client not in self._buckets:
-            if self._default_rate is None:
-                self._buckets[client] = None
-            else:
-                self._buckets[client] = TokenBucket(
-                    self._default_rate, self._default_burst, self.clock
-                )
-        return self._buckets[client]
+        if self._rate is None:
+            return None
+        bucket = self._buckets.get(client)
+        if bucket is None:
+            bucket = self._buckets[client] = TokenBucket(self._rate, self._burst, self.clock)
+        return bucket
 
     # ------------------------------------------------------------------
     # The gate

@@ -1,10 +1,9 @@
-"""Per-client fair scheduling: FIFO lanes served deficit-round-robin.
+"""Per-client fair scheduling: FIFO lanes served round-robin.
 
 A synchronous queue discipline (the asyncio server wraps it): each
 client gets one FIFO *lane*, and :meth:`FairScheduler.next_chunk`
-sweeps the lanes round-robin, letting each lane dispatch up to
-``weight`` chunks per sweep (deficit round-robin with a per-sweep
-quantum).  Large batch requests are transparently split into
+sweeps the lanes round-robin, one chunk per occupied lane per sweep.
+Large batch requests are transparently split into
 scheduler-sized :class:`Chunk`\\ s on submit, so a 10k-query batch
 occupies its lane one chunk at a time instead of monopolizing the
 server -- the head-of-line-blocking fix the ROADMAP asks for.
@@ -20,7 +19,7 @@ on (wall-clock-free, per the repo's flakiness lessons).
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Iterator
 
 from repro.serve.protocol import Request
@@ -53,42 +52,27 @@ class Chunk:
         return len(self.queries)
 
 
-@dataclass
-class _Lane:
-    """One client's FIFO of pending chunks plus its DRR state."""
-
-    client: str
-    weight: int = 1
-    chunks: deque = field(default_factory=deque)
-    credit: int = 0
-
-    @property
-    def depth(self) -> int:
-        """Pending engine queries in this lane (counted, not chunks)."""
-        return sum(c.cost for c in self.chunks)
+def _depth(lane: deque) -> int:
+    """Pending engine queries in a lane (counted, not chunks)."""
+    return sum(c.cost for c in lane)
 
 
 class FairScheduler:
-    """Weighted deficit-round-robin over per-client FIFO lanes.
+    """Round-robin over per-client FIFO lanes.
 
     Parameters
     ----------
     chunk_size:
         Maximum queries per dispatched chunk; batch requests are split
         into ceil(n / chunk_size) chunks at submit time.
-    default_weight:
-        Chunks a lane may dispatch per sweep when the client was never
-        :meth:`register`\\ ed explicitly.
     """
 
-    def __init__(self, chunk_size: int = DEFAULT_CHUNK_SIZE, default_weight: int = 1) -> None:
+    def __init__(self, chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
         if chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
-        if default_weight < 1:
-            raise ValueError("default_weight must be at least 1")
         self.chunk_size = chunk_size
-        self.default_weight = default_weight
-        self._lanes: OrderedDict[str, _Lane] = OrderedDict()
+        #: One FIFO of pending chunks per client, in first-seen order.
+        self._lanes: OrderedDict[str, deque] = OrderedDict()
         self._cursor: int = 0
         #: Monotone count of engine queries handed out by next_chunk().
         self.dispatched: int = 0
@@ -100,37 +84,25 @@ class FairScheduler:
     # ------------------------------------------------------------------
     # Lanes
     # ------------------------------------------------------------------
-    def register(self, client: str, weight: int = 1) -> None:
-        """Declare a client's priority weight (chunks per DRR sweep)."""
-        if weight < 1:
-            raise ValueError("weight must be at least 1")
-        lane = self._lane(client)
-        lane.weight = weight
-
-    def _lane(self, client: str) -> _Lane:
-        lane = self._lanes.get(client)
-        if lane is None:
-            lane = _Lane(client, weight=self.default_weight)
-            self._lanes[client] = lane
-        return lane
-
     def depths(self) -> dict[str, int]:
         """Pending engine queries per lane (the metrics queue depth)."""
-        return {c: lane.depth for c, lane in self._lanes.items() if lane.chunks}
+        return {c: _depth(lane) for c, lane in self._lanes.items() if lane}
 
     def pending(self) -> int:
         """Total engine queries waiting across every lane."""
-        return sum(lane.depth for lane in self._lanes.values())
+        return sum(_depth(lane) for lane in self._lanes.values())
 
     def __len__(self) -> int:
-        return sum(len(lane.chunks) for lane in self._lanes.values())
+        return sum(len(lane) for lane in self._lanes.values())
 
     # ------------------------------------------------------------------
     # Submit / dispatch
     # ------------------------------------------------------------------
     def submit(self, request: Request) -> int:
         """Enqueue a request, splitting batches; returns the chunk count."""
-        lane = self._lane(request.client)
+        lane = self._lanes.get(request.client)
+        if lane is None:
+            lane = self._lanes[request.client] = deque()
         queries = request.queries
         if request.kind in ("path", "distance"):
             pieces = [queries]  # (source, target) is one unit of work
@@ -140,7 +112,7 @@ class FairScheduler:
                 for i in range(0, len(queries), self.chunk_size)
             ]
         for i, piece in enumerate(pieces):
-            lane.chunks.append(
+            lane.append(
                 Chunk(
                     request=request,
                     queries=piece,
@@ -152,26 +124,18 @@ class FairScheduler:
         return len(pieces)
 
     def next_chunk(self) -> Chunk | None:
-        """Dispatch the next chunk under deficit round-robin, or None.
+        """Dispatch the next chunk round-robin, or None.
 
-        Each occupied lane is granted ``weight`` chunk credits when the
-        sweep reaches it; the cursor only advances once the lane's
-        credits are spent or the lane drains, so one sweep serves every
-        waiting client proportionally to its weight.
+        The cursor indexes the occupied lanes and moves on after every
+        chunk, so one sweep serves each waiting client one chunk.
         """
-        lanes = [lane for lane in self._lanes.values() if lane.chunks]
+        lanes = [lane for lane in self._lanes.values() if lane]
         if not lanes:
             self._cursor = 0
             return None
         self._cursor %= len(lanes)
-        lane = lanes[self._cursor]
-        if lane.credit <= 0:
-            lane.credit = lane.weight
-        chunk = lane.chunks.popleft()
-        lane.credit -= 1
-        if lane.credit <= 0 or not lane.chunks:
-            lane.credit = 0
-            self._cursor = (self._cursor + 1) % len(lanes)
+        chunk = lanes[self._cursor].popleft()
+        self._cursor = (self._cursor + 1) % len(lanes)
         self.dispatched += chunk.cost
         key = id(chunk.request)
         if key in self._submit_serial:

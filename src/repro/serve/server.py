@@ -9,7 +9,7 @@ request submitted with :meth:`SILCServer.submit` flows through
    :class:`~repro.serve.protocol.Rejected` (bounded queues, explicit
    backpressure);
 2. the :class:`~repro.serve.scheduler.FairScheduler` -- batches are
-   split into chunks and lanes are served weighted round-robin, so a
+   split into chunks and lanes are served round-robin, so a
    bulk client cannot starve interactive ones;
 3. the pump, which takes chunks in fair order while none is in
    flight, honours per-request deadlines

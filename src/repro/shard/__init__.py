@@ -6,27 +6,25 @@ package is the system's one form of query parallelism, worker
 
 * :mod:`repro.shard.worker` runs them.  Every worker maps the one
   saved index directory (deep-verified once before the first starts,
-  so the OS page cache holds the index once) and holds every object;
-* :mod:`repro.shard.router` is the :class:`~repro.shard.router.Dispatcher`:
-  each kNN query goes to one idle worker, taken from a LIFO stack;
+  so the OS page cache holds the index once) and holds every object.
+  Its :class:`~repro.shard.worker.ShardGroup` is the pool behind
+  ``knn`` / ``knn_batch``: each kNN query goes to one idle worker,
+  taken from a LIFO stack;
 * :mod:`repro.shard.supervisor` survives worker crashes: it respawns
   with backoff and replays, fails over to the unsharded engine, or
   surfaces the error, per :class:`~repro.shard.supervisor.SupervisionPolicy`.
 
-:class:`~repro.shard.worker.ShardGroup` bundles them behind ``knn`` /
-``knn_batch``; ``AsyncEngine(shards=N)`` and ``repro serve --shards N``
-wire it in.  N workers buy N queries in flight, not a partition: one
+``AsyncEngine(shards=N)`` and ``repro serve --shards N`` wire the
+group in.  N workers buy N queries in flight, not a partition: one
 query never visits more than one worker.
 """
 
 from repro.shard.partitioner import ShardMap
-from repro.shard.router import Dispatcher
 from repro.shard.supervisor import FAILURE_POLICIES, ShardSupervisor, SupervisionPolicy
 from repro.shard.worker import ShardGroup, ShardWorker
 
 __all__ = [
     "FAILURE_POLICIES",
-    "Dispatcher",
     "ShardGroup",
     "ShardMap",
     "ShardSupervisor",

@@ -10,14 +10,15 @@ raises :class:`~repro.errors.WorkerDied` instead of hanging, and
   deterministic jitter), pings it, and **replays the in-flight
   request** -- the caller sees a slower answer, never a wrong one;
 * ``failover`` respawns in the background and raises
-  :class:`~repro.errors.ShardUnavailable` at once, so the router
+  :class:`~repro.errors.ShardUnavailable` at once, so the shard group
   answers *now* on the unsharded engine;
 * ``error`` surfaces the failure unchanged.
 
 Every fault event is counted in the supervisor's
 :class:`~repro.obs.registry.MetricsRegistry` as
-``fault_events_total{stage=shard,event=...}`` (the dispatcher counts its
-worker visits and failovers there too) and, traced, recorded as a
+``fault_events_total{stage=shard,event=...}`` (the
+:class:`~repro.shard.worker.ShardGroup` counts its worker visits and
+failovers there too) and, traced, recorded as a
 ``respawn`` span under the shard's span.
 
 Invariant (docs/ARCHITECTURE.md): supervision never changes answers.
@@ -41,6 +42,14 @@ from repro.obs.trace import NULL_TRACE
 #: keep serving exact answers from the shard tier itself.
 FAILURE_POLICIES = ("respawn", "failover", "error")
 
+#: Respawn backoff: attempt ``n`` sleeps ``min(BACKOFF_CAP, BACKOFF_BASE
+#: * 2**(n-1))`` seconds, stretched by up to a ``BACKOFF_JITTER``
+#: fraction derived *deterministically* from ``(shard, attempt)``:
+#: chaos tests replay identically while concurrent respawns de-sync.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
+BACKOFF_JITTER = 0.25
+
 
 @dataclass(frozen=True)
 class SupervisionPolicy:
@@ -48,18 +57,11 @@ class SupervisionPolicy:
 
     ``on_failure`` is one of :data:`FAILURE_POLICIES` (see the module
     docstring).  ``max_retries`` bounds in-line respawn+replay attempts
-    per request, and the background respawner's attempts.  Attempt
-    ``n`` sleeps ``min(backoff_cap, backoff_base * 2**(n-1))`` seconds
-    plus a ``jitter`` fraction derived *deterministically* from
-    ``(shard, attempt)``: chaos tests replay identically while
-    concurrent respawns still de-sync.
+    per request, and the background respawner's attempts.
     """
 
     on_failure: str = "respawn"
     max_retries: int = 2
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
-    jitter: float = 0.25
 
     def __post_init__(self) -> None:
         if self.on_failure not in FAILURE_POLICIES:
@@ -69,15 +71,13 @@ class SupervisionPolicy:
             )
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.backoff_base < 0 or self.backoff_cap < 0:
-            raise ValueError("backoff must be non-negative")
 
     def backoff(self, attempt: int, shard: int) -> float:
         """Backoff before respawn ``attempt`` (1-based) of ``shard``."""
-        base = min(self.backoff_cap, self.backoff_base * 2 ** (attempt - 1))
+        base = min(BACKOFF_CAP, BACKOFF_BASE * 2 ** (attempt - 1))
         # Deterministic jitter: a hash of (shard, attempt) in [0, 1).
         frac = ((shard * 2654435761 + attempt * 40503) % 9973) / 9973.0
-        return base * (1.0 + self.jitter * frac)
+        return base * (1.0 + BACKOFF_JITTER * frac)
 
 
 class ShardSupervisor:
@@ -87,8 +87,7 @@ class ShardSupervisor:
     :func:`repro.shard.worker.spawn_worker`).  The supervisor owns the
     ``workers`` dict: respawns swap replacements in under the same slot.
     ``fault_injector`` is the optional :class:`~repro.faults.FaultInjector`
-    chaos hook, called before every pipe send; backoff sleeps go through
-    the injectable ``sleep``.
+    chaos hook, called before every pipe send.
     """
 
     def __init__(
@@ -97,13 +96,11 @@ class ShardSupervisor:
         workers: dict[int, object],
         policy: SupervisionPolicy | None = None,
         fault_injector=None,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.spawner = spawner
         self.workers = workers
         self.policy = policy if policy is not None else SupervisionPolicy()
         self.fault_injector = fault_injector
-        self._sleep = sleep
         self.registry = MetricsRegistry()
         #: Per-slot respawn locks: a background respawn, a caller and
         #: close() never replace one worker at once.
@@ -126,7 +123,7 @@ class ShardSupervisor:
         return out
 
     def count_fault(self, event: str) -> None:
-        """Count one fault event (the dispatcher counts its failovers here)."""
+        """Count one fault event (the shard group counts its failovers here)."""
         self.registry.inc("fault_events_total", stage="shard", event=event)
 
     # ------------------------------------------------------------------
@@ -144,8 +141,8 @@ class ShardSupervisor:
         """One shard kNN with crash recovery per the policy.
 
         Returns ``(pairs, stats, worker_spans_or_None)``.  Raises
-        :class:`ShardUnavailable` when the policy gives up (the router
-        then fails over or surfaces it), :class:`DeadlineExceeded`
+        :class:`ShardUnavailable` when the policy gives up (the shard
+        group then fails over or surfaces it), :class:`DeadlineExceeded`
         when the worker's time budget ran out (never retried -- the
         deadline is global).
         """
@@ -212,9 +209,7 @@ class ShardSupervisor:
             # The old process is fully gone before its replacement maps
             # the same files.
             current.kill()
-            delay = self.policy.backoff(attempt, shard)
-            if delay > 0:
-                self._sleep(delay)
+            time.sleep(self.policy.backoff(attempt, shard))
             try:
                 replacement = self.spawner(shard)
                 replacement.ping()

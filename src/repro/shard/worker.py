@@ -31,6 +31,16 @@ poll interval, and ``stop()`` escalates join -> terminate -> kill.
 Respawn, backoff and replay live in
 :class:`~repro.shard.supervisor.ShardSupervisor`.
 
+**Dispatch**: :class:`ShardGroup` lends each kNN query one idle worker
+slot from a LIFO stack and takes it back once the reply is in.  The
+slot returned last goes out first, so a single client always lands on
+the same worker: dispatch is deterministic (counted metrics repeat
+round after round) and that worker's caches stay warm.  Concurrent
+callers each get a slot of their own, waiting when all are lent; none
+is ever lent twice at once.  A slot whose worker is down goes back to
+the *bottom* of the stack, so the next query takes a healthy worker
+while that one heals.
+
 **Integrity**: a mapped load checks sizes, dtypes and shapes, not
 checksums, so :meth:`ShardGroup.from_engine` deep-verifies the
 directory once before any worker exists, and every :class:`WorkerSpec`
@@ -47,22 +57,43 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from pathlib import Path
 from collections.abc import Iterable
 
-from repro.errors import CorruptIndexError, DeadlineExceeded, WorkerDied
+from repro.engine import BatchResult, run_batch
+from repro.errors import CorruptIndexError, DeadlineExceeded, ShardUnavailable, WorkerDied
 from repro.integrity import MANIFEST_NAME, verify_manifest
 from repro.objects.index import ObjectIndex
 from repro.objects.model import ObjectSet
 from repro.obs.trace import NULL_TRACE, Tracer
+from repro.query.bestfirst import VARIANTS
+from repro.query.location import resolve_location
+from repro.query.results import KNNResult, Neighbor
 from repro.shard.partitioner import ShardMap
-from repro.shard.router import Dispatcher
 from repro.shard.supervisor import ShardSupervisor, SupervisionPolicy
+from repro.silc.intervals import DistanceInterval
 
 #: Fork keeps the already-parsed network and object payloads shared
 #: with the parent; spawn re-pickles them (both work -- the payloads
 #: are plain dataclasses).
 _START_METHOD = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+
+#: A worker's ``(oid, distance)`` pairs, ranked as every tier ranks.
+_by_distance_then_oid = itemgetter(1, 0)
+
+
+def _remaining(t_start: float, time_cap: float | None) -> float | None:
+    """What is left of ``time_cap`` (None: unbounded); raises once spent."""
+    if time_cap is None:
+        return None
+    left = time_cap - (time.perf_counter() - t_start)
+    if left <= 0:
+        raise DeadlineExceeded(
+            f"query exceeded its {time_cap:.3f}s execution budget "
+            "before a shard worker answered"
+        )
+    return left
 
 
 def _shard_worker_main(conn, spec: WorkerSpec) -> None:
@@ -295,25 +326,32 @@ class ShardGroup:
 
     Build one with :meth:`from_engine`; :meth:`knn` and
     :meth:`knn_batch` then answer exactly as the unsharded engine's
-    exact path does.  Always close it (or use it as a context manager):
-    the workers are real processes.  ``shard_map`` is kept only for
-    bench/'s layer ladder (see :class:`~repro.shard.partitioner.ShardMap`).
+    exact path does, and any number of threads may call them at once.
+    Always close it (or use it as a context manager): the workers are
+    real processes.  ``shard_map`` is kept only for bench/'s layer
+    ladder (see :class:`~repro.shard.partitioner.ShardMap`).
     """
 
     def __init__(
         self,
+        engine,
         shard_map: ShardMap,
         supervisor: ShardSupervisor,
-        router: Dispatcher,
         directory: Path,
         owns_directory: bool,
     ) -> None:
+        #: The unsharded engine: queries resolve against its network,
+        #: and a failover answers on it.
+        self.engine = engine
         self.shard_map = shard_map
         self.supervisor = supervisor
-        self.router = router
         self.directory = directory
         self._owns_directory = owns_directory
         self._closed = False
+        #: Idle worker slots, the next one to lend last: slot 0 first.
+        #: Respawns swap the handle behind a slot, never the slots.
+        self._idle = sorted(supervisor.workers, reverse=True)
+        self._returned = threading.Condition()
 
     @property
     def workers(self) -> dict[int, ShardWorker]:
@@ -336,8 +374,7 @@ class ShardGroup:
 
         Settles the directory the workers map, deep-verifies it once (a
         :class:`~repro.errors.CorruptIndexError` names the bad column
-        before any worker exists), spawns and pings every worker, and
-        fronts them with a :class:`~repro.shard.router.Dispatcher`.  An
+        before any worker exists) and spawns and pings every worker.  An
         explicit ``directory`` gets ``index.save``; otherwise a mapped
         index (``index.directory``) is served in place and nothing is
         written; otherwise the in-memory index is saved to a private
@@ -389,31 +426,127 @@ class ShardGroup:
             ),
             fault_injector=fault_injector,
         )
-        router = Dispatcher(index.network, supervisor, fallback=engine)
         shard_map = ShardMap.from_index(index, num_shards)
-        return cls(shard_map, supervisor, router, directory, owns_directory)
+        return cls(engine, shard_map, supervisor, directory, owns_directory)
 
     # ------------------------------------------------------------------
-    # Query surface (mirrors QueryEngine's)
+    # Dispatch: one kNN query, one worker slot
     # ------------------------------------------------------------------
-    def knn(self, query, k: int, variant: str = "knn", trace=None,
-            time_cap: float | None = None):
-        """One kNN query, answered by one idle shard worker."""
-        return self.router.knn(
-            query, k, variant=variant, trace=trace, time_cap=time_cap
-        )
+    def _lend(self) -> int:
+        with self._returned:
+            while not self._idle:
+                self._returned.wait()
+            return self._idle.pop()
 
-    def knn_batch(self, queries: Iterable, k: int, variant: str = "knn",
-                  trace=None, time_cap: float | None = None):
-        """A batch of kNN queries (sequential; parallelism comes from
-        concurrent callers, e.g. the serving layer's dispatch threads)."""
-        return self.router.knn_batch(
-            queries, k, variant=variant, trace=trace, time_cap=time_cap
-        )
+    def _take_back(self, shard: int, down: bool) -> None:
+        """Return a slot: on top of the stack, or at the bottom when its
+        worker is ``down`` (the visit raised :class:`ShardUnavailable`)."""
+        with self._returned:
+            if down:
+                self._idle.insert(0, shard)
+            else:
+                self._idle.append(shard)
+            self._returned.notify()
 
-    def ping(self) -> list[int]:
-        """Round trip every worker; returns the live shard ids."""
-        return [worker.ping() for worker in self.workers.values()]
+    def knn(
+        self,
+        query,
+        k: int,
+        variant: str = "knn",
+        trace=None,
+        time_cap: float | None = None,
+    ) -> KNNResult:
+        """One exact kNN query, answered by one idle shard worker.
+
+        ``query`` takes the forms :meth:`repro.engine.QueryEngine.knn`
+        takes; ``variant`` never changes the answer (workers refine to
+        exact distances).  The result is sorted by ``(distance, oid)``.
+        ``trace`` records one ``shard:<id>`` span with the worker's own
+        spans grafted underneath; it never changes the worker chosen.
+        What is left of ``time_cap`` (seconds) once a worker is in hand
+        goes down the pipe, so the worker's search stops at the deadline
+        with :class:`~repro.errors.DeadlineExceeded`, never a late
+        result.  A worker that stays down past the policy's retries
+        fails over to the unsharded engine (``respawn``, ``failover``)
+        or raises :class:`ShardUnavailable` (``error``).
+        """
+        # The kernel's own checks and texts, made before anything is
+        # sent: a bad request fails the same way sharded or local.
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        if k < 1:
+            raise ValueError("k must be at least 1")
+        if trace is None:
+            trace = NULL_TRACE
+        t_start = time.perf_counter()
+        position = resolve_location(self.engine.index.network, query)
+        pairs = None
+        down = False
+        shard = self._lend()
+        try:
+            budget = _remaining(t_start, time_cap=time_cap)
+            with trace.span(f"shard:{shard}", shard=shard) as span:
+                pairs, stats, spans = self.supervisor.knn(
+                    shard, position, k, variant, trace=trace, time_cap=budget,
+                )
+                if spans is not None:
+                    trace.adopt(spans, parent=span)
+                span.add_stats(stats)
+        except ShardUnavailable:
+            down = True
+            if self.supervisor.policy.on_failure == "error":
+                raise
+        finally:
+            self._take_back(shard, down)
+        if pairs is None:
+            return self._failover(
+                query, k, variant, trace, time_cap=_remaining(t_start, time_cap=time_cap)
+            )
+        pairs.sort(key=_by_distance_then_oid)
+        neighbors = [
+            Neighbor(oid, DistanceInterval.exact(d), distance=d) for oid, d in pairs
+        ]
+        registry = self.supervisor.registry
+        registry.inc("router_queries_total", stage="route")
+        registry.inc("router_shards_total", stage="route", event="visited")
+        registry.inc("router_candidates_total", len(neighbors), stage="route")
+        return KNNResult(neighbors=neighbors, stats=stats, ordered=True)
+
+    def _failover(
+        self, query, k: int, variant: str, trace, time_cap: float | None
+    ) -> KNNResult:
+        """Answer on the unsharded engine: the identical exact search
+        over the same objects, so only latency moves."""
+        self.supervisor.count_fault("failover")
+        with trace.span("failover", oracle="silc"):
+            result = self.engine.knn(
+                query, k, variant=variant, exact=True, trace=trace, time_cap=time_cap,
+            )
+        result.stats.extras["failover"] = True
+        registry = self.supervisor.registry
+        registry.inc("router_queries_total", stage="route")
+        registry.inc("router_candidates_total", len(result.neighbors), stage="route")
+        return result
+
+    def knn_batch(
+        self,
+        queries: Iterable,
+        k: int,
+        variant: str = "knn",
+        trace=None,
+        time_cap: float | None = None,
+    ) -> BatchResult:
+        """A batch through :meth:`knn`, one query at a time (parallelism
+        comes from concurrent callers, e.g. the serving layer's threads);
+        ``time_cap`` bounds the whole batch (each query gets what
+        remains when it starts)."""
+        return run_batch(
+            queries,
+            lambda query, budget: self.knn(
+                query, k, variant=variant, trace=trace, time_cap=budget
+            ),
+            time_cap=time_cap,
+        )
 
     def health_check(self) -> dict[int, bool]:
         """Per-shard liveness, via the supervisor (never raises)."""

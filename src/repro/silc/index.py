@@ -389,7 +389,7 @@ class SILCIndex:
 
         Kept only because ``bench/silcbench/ladder.py`` times this call
         and ``bench/`` is frozen; nothing under ``src/`` calls it
-        (ROADMAP 2(a) deletes it together with the ladder's row).
+        (ROADMAP 1(a) deletes it together with the ladder's row).
         """
         self.save(path)
 

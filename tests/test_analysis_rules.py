@@ -9,8 +9,10 @@ surface and the CLI exit codes are covered at the end.
 """
 
 import json
+import shutil
 import textwrap
 from io import StringIO
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,8 @@ from repro.analysis.rules.protocol import ProtocolExhaustivenessRule
 from repro.analysis.rules.purity import CountedOpPurityRule
 from repro.analysis.rules.tracing import TracingNoOpRule
 from repro.analysis.runner import run_check
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def run_rules(tmp_path, files, rule_cls, rule_config=None, raw=None):
@@ -421,6 +425,50 @@ class TestDeadlinePropagation:
                 return []
             """
         assert run_rules(tmp_path, {"m.py": source}, DeadlinePropagationRule) == []
+
+
+class TestRulesOnTheShardTier:
+    """RPR002 and RPR007 against the shard tier as it is shipped: a copy
+    of the real ``src/repro/shard`` and ``analysis.toml``, clean as
+    copied, must fail once the bug class each rule exists for is put
+    back into it."""
+
+    def _check(self, tmp_path, rule, path, old, new):
+        shutil.copy(REPO / "analysis.toml", tmp_path / "analysis.toml")
+        shard = tmp_path / "src" / "repro" / "shard"
+        shutil.copytree(REPO / "src" / "repro" / "shard", shard,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+
+        def findings():
+            out = StringIO()
+            run_check(rule_ids=[rule], as_json=True,
+                      config_path=tmp_path / "analysis.toml", out=out)
+            return [f["message"] for f in json.loads(out.getvalue())["findings"]
+                    if not f["suppressed"]]
+
+        assert findings() == []
+        source = (shard / path).read_text()
+        assert source.count(old) == 1
+        (shard / path).write_text(source.replace(old, new))
+        return findings()
+
+    def test_rpr007_catches_a_dropped_budget_on_the_worker_visit(self, tmp_path):
+        messages = self._check(
+            tmp_path, "RPR007", "worker.py",
+            "shard, position, k, variant, trace=trace, time_cap=budget,",
+            "shard, position, k, variant, trace=trace,",
+        )
+        assert len(messages) == 1 and "knn" in messages[0], messages
+
+    def test_rpr002_catches_a_deleted_ping_arm(self, tmp_path):
+        messages = self._check(
+            tmp_path, "RPR002", "worker.py",
+            'if kind == "ping":\n'
+            '                conn.send(("pong", shard_id))\n'
+            '            elif kind == "knn":',
+            'if kind == "knn":',
+        )
+        assert len(messages) == 1 and "'ping'" in messages[0], messages
 
 
 class TestSuppressions:

@@ -143,15 +143,25 @@ class TestPerClientRate:
         clock.advance(1.0)  # 2 tokens back
         assert ctl.admit(req("a"))[0]
 
-    def test_configure_client_overrides_default(self):
+    def test_rate_below_one_still_admits_single_queries(self):
+        """--rate 0.5 without --burst: one query every two seconds, not
+        ``request_too_large`` on every request forever."""
         clock = FakeClock()
-        ctl = AdmissionController(max_in_flight=None, rate=1.0, clock=clock)
-        ctl.configure_client("vip", rate=None)  # unlimited
-        for i in range(50):
-            assert ctl.admit(req("vip", rid=i))[0]
-        ctl.configure_client("slow", rate=1.0, burst=1.0)
-        assert ctl.admit(req("slow"))[0]
-        assert not ctl.admit(req("slow"))[0]
+        ctl = AdmissionController(max_in_flight=None, rate=0.5, clock=clock)
+        assert ctl.admit(req("a")) == (True, 0.0, "")
+        admitted, retry_after, reason = ctl.admit(req("a"))
+        assert (admitted, reason) == (False, "rate_limited")
+        assert retry_after == pytest.approx(2.0)
+        clock.advance(2.0)
+        assert ctl.admit(req("a"))[0]
+        # a batch above the one-query burst is still terminal
+        assert ctl.admit(req("b", cost=2))[2] == "request_too_large"
+
+    def test_unlimited_keeps_no_per_client_state(self):
+        ctl = AdmissionController(max_in_flight=None)
+        for i in range(1000):
+            assert ctl.admit(req(f"client-{i}", rid=i))[0]
+        assert ctl._buckets == {}
 
     def test_rejected_requests_do_not_consume_budget(self):
         ctl = AdmissionController(max_in_flight=3)

@@ -69,15 +69,19 @@ class TestFairness:
             s.submit(knn("a", i, rid=i))
         assert [c.request.id for c in s.drain()] == [0, 1, 2, 3]
 
-    def test_weighted_lane_gets_proportional_service(self):
+    def test_uneven_backlogs_alternate_until_one_drains(self):
+        """One chunk per occupied lane per sweep.  When a lane drains,
+        the cursor indexes the shorter list of occupied lanes: the
+        order deficit round-robin gave with every weight at 1."""
         s = FairScheduler(chunk_size=2)
-        s.register("heavy", weight=3)
         s.submit(batch("heavy", 12))
         s.submit(batch("light", 4))
+        s.submit(batch("mid", 6))
         order = [c.request.client for c in s.drain()]
-        # per sweep: three heavy chunks, then one light chunk
-        assert order[:4] == ["heavy", "heavy", "heavy", "light"]
-        assert order[4:8] == ["heavy", "heavy", "heavy", "light"]
+        assert order == [
+            "heavy", "light", "mid", "heavy", "light", "heavy",
+            "mid", "heavy", "mid", "heavy", "heavy",
+        ]
 
     def test_interactive_not_starved_by_bulk_backlog(self):
         """The head-of-line invariant, in counted operations."""
@@ -126,7 +130,3 @@ class TestAccounting:
         while s.next_chunk():
             serials.append(s.dispatched)
         assert serials == [4, 8, 10]
-
-    def test_register_rejects_bad_weight(self):
-        with pytest.raises(ValueError):
-            FairScheduler().register("a", weight=0)

@@ -242,7 +242,7 @@ class TestDispatch:
                 "router_shards_total", stage="route", event="visited"
             )
             assert visited == 8 * len(queries)
-            assert sorted(group.router._idle) == [0, 1]
+            assert sorted(group._idle) == [0, 1]
 
 
 class TestPipeShape:
@@ -283,7 +283,7 @@ class TestWorkerLifecycle:
     def test_ping_and_close_idempotent(self, setup):
         _, _, engine = setup
         group = ShardGroup.from_engine(engine, 2)
-        assert sorted(group.ping()) == sorted(group.workers)
+        assert group.health_check() == {shard: True for shard in group.workers}
         group.close()
         group.close()
         for worker in group.workers.values():

@@ -18,6 +18,7 @@ from repro.engine import QueryEngine
 from repro.errors import ShardUnavailable, WorkerDied
 from repro.faults import FaultInjector
 from repro.shard import ShardGroup, SupervisionPolicy
+from repro.shard.supervisor import BACKOFF_BASE, BACKOFF_CAP, BACKOFF_JITTER
 
 NUM_SHARDS = 4
 K = 3
@@ -267,14 +268,14 @@ class TestSupervisionPolicy:
             SupervisionPolicy(max_retries=-1)
 
     def test_backoff_is_deterministic_exponential_and_capped(self):
-        policy = SupervisionPolicy(
-            backoff_base=0.1, backoff_cap=1.0, jitter=0.25
-        )
+        assert (BACKOFF_BASE, BACKOFF_CAP, BACKOFF_JITTER) == (0.05, 2.0, 0.25)
+        policy = SupervisionPolicy()
         assert policy.backoff(1, 0) == policy.backoff(1, 0)
         for shard in range(4):
-            delays = [policy.backoff(n, shard) for n in range(1, 8)]
+            delays = [policy.backoff(n, shard) for n in range(1, 10)]
             # Grows until the cap, never past cap * (1 + jitter).
-            assert all(d <= 1.0 * 1.25 + 1e-12 for d in delays)
+            assert all(d <= 2.0 * 1.25 + 1e-12 for d in delays)
             assert delays[1] > delays[0]
+            assert 2.0 <= delays[-1]  # 0.05 * 2**8 is past the cap
         # Jitter de-syncs concurrent respawns of different shards.
         assert policy.backoff(1, 0) != policy.backoff(1, 1)
