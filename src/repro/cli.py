@@ -327,12 +327,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 ),
                 tracer=tracer,
             )
-            # Stdin is read through a reader of its own, never sys.stdin:
-            # a shard worker respawned while the reader thread blocks in
-            # readline() is forked, and its first act (multiprocessing
-            # closing the child's sys.stdin) would wait forever on the
-            # lock that thread holds.
-            with open(args.input or sys.stdin.fileno(), closefd=bool(args.input)) as in_stream:
+            # A stream of its own, never sys.stdin: failover's background
+            # respawn forks from another thread, and the child closing its
+            # sys.stdin would wait forever on a lock held by a read in
+            # progress.  Binary: a pipe and a file share one UTF-8 decoder.
+            with open(args.input or sys.stdin.fileno(), "rb", closefd=bool(args.input)) as in_stream:
                 snapshot = await serve_jsonl(server, in_stream, sys.stdout)
         print(snapshot.format(), file=sys.stderr)
         if tracer is not None:

@@ -25,7 +25,6 @@ Example::
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -193,11 +192,6 @@ class QueryEngine:
             self.oracles["labels"] = self.labelling
         self.planner = planner
         self._positions: OrderedDict = OrderedDict()
-        # Guards the location cache's read-reorder-evict sequence: with
-        # a shard tier AsyncEngine has several worker threads, and
-        # failover or a non-SILC request runs this engine on any of
-        # them; resolution itself runs outside the lock.
-        self._positions_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Locations
@@ -211,21 +205,15 @@ class QueryEngine:
         last use.
         """
         try:
-            with self._positions_lock:
-                cached = self._positions.get(query)
-                if cached is not None:
-                    self._positions.move_to_end(query)
+            cached = self._positions.get(query)
         except TypeError:  # unhashable query form: resolve every time
             return resolve_location(self.index.network, query)
-        if cached is None:
-            cached = resolve_location(self.index.network, query)
-            with self._positions_lock:
-                self._positions[query] = cached
-                if (
-                    self.max_locations is not None
-                    and len(self._positions) > self.max_locations
-                ):
-                    self._positions.popitem(last=False)
+        if cached is not None:
+            self._positions.move_to_end(query)
+            return cached
+        cached = self._positions[query] = resolve_location(self.index.network, query)
+        if self.max_locations is not None and len(self._positions) > self.max_locations:
+            self._positions.popitem(last=False)
         return cached
 
     # ------------------------------------------------------------------

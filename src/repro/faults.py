@@ -33,9 +33,9 @@ from pathlib import Path
 class FaultInjector:
     """Scripted, deterministic faults against the shard tier.
 
-    Thread-safe: the serving layer may drive many shards concurrently;
-    per-shard request counters and the event log are guarded by one
-    lock (sleeps happen outside it).
+    Thread-safe: concurrent callers of a shard group drive many shards
+    at once; per-shard request counters and the event log are guarded
+    by one lock (sleeps happen outside it).
     """
 
     def __init__(self) -> None:

@@ -1,44 +1,36 @@
 """Awaitable facade over :class:`~repro.engine.QueryEngine`.
 
-``AsyncEngine`` gives the serving layer non-blocking access to the
-synchronous query engine through one hand-off: a call is queued as
-``(loop, functools.partial, done)``, a plain worker thread runs it,
-and the outcome comes back as ``loop.call_soon_threadsafe(done, value,
-exc)`` -- one thread wake-up out, one loop turn back, while the event
-loop keeps accepting and scheduling requests.
-:class:`~repro.serve.SILCServer` passes its completion callback as
-``done``; without one the query methods return a future resolved by
-that same path, so ``await engine.knn(...)`` works.  The loop is taken
-per call (engines are built before one runs).
+``AsyncEngine`` gives the serving layer the synchronous engine behind
+one hand-off: a call runs inline on the event loop's thread and its
+outcome goes to ``done(value, exc)`` with ``loop.call_soon``, a turn
+later, so a completion callback that starts the next call never
+recurses.  :class:`~repro.serve.SILCServer` passes its completion
+callback as ``done``; without one a query method returns a future
+resolved by that same path, so ``await engine.knn(...)`` works.
 
-An engine runs one query at a time: there is one worker thread per
-shard, so without a shard tier calls are strictly serialized (the
-search is pure Python and GIL-bound, and the engine's
+There is no thread: the search is GIL-bound, the engine's
 :class:`~repro.storage.StorageSimulator` is one LRU that must not be
-interleaved).  Parallelism is processes: with ``shards > 1`` kNN
-queries run on :class:`~repro.shard.ShardGroup` (always exact there),
-one query per worker process, and a worker thread's job is to wait on
-that worker's pipe.  Calls that land on the local engine all the same
-(``path``/``distance``, a non-SILC oracle, failover) are still
-one-at-a-time work, which :class:`~repro.serve.SILCServer` guarantees
-by keeping one chunk in flight.
+interleaved, and the server keeps one chunk in flight, so a worker
+thread would overlap nothing and cost two context switches per
+request.  Parallelism is processes: with ``shards > 1`` kNN queries
+run on :class:`~repro.shard.ShardGroup` (always exact there), and the
+loop thread waits on the worker's pipe, so callers that ``gather``
+sharded queries get them one after another.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
 from collections.abc import Callable, Iterable
 from functools import partial
-from queue import SimpleQueue
 
 from repro.engine import QueryEngine
 
-#: ``done(value, exc)``: how a call's outcome reaches the caller's loop.
-Done = Callable[[object, BaseException | None], None]
+#: ``done(value, exc)``: how a call's outcome reaches the caller.
+Done = Callable[[object, Exception | None], None]
 
 
-def _resolve(future: asyncio.Future, value, exc: BaseException | None) -> None:
+def _resolve(future: asyncio.Future, value, exc: Exception | None) -> None:
     """The ``done`` of a caller that awaits instead of passing its own."""
     if future.done():
         return  # the awaiting caller was cancelled meanwhile
@@ -60,11 +52,8 @@ class AsyncEngine:
         default) keeps everything in-process; with more, construction
         deep-verifies the index directory once and spawns ``shards``
         worker processes that each map it and hold every object (see
-        :class:`~repro.shard.ShardGroup`).  There are ``shards``
-        worker threads, so that many sharded queries can be in flight
-        at once, each on its own worker process -- each thread mostly
-        waits on a worker's pipe, and that concurrency is what the
-        worker processes turn into parallelism.
+        :class:`~repro.shard.ShardGroup`).  A sharded query runs on
+        the loop thread, which waits on its worker's pipe.
     shard_dir:
         Directory the index is saved to for the workers to map
         (default: the directory a mapped index was loaded from, served
@@ -93,7 +82,6 @@ class AsyncEngine:
         if shards < 1:
             raise ValueError("shards must be at least 1")
         self.engine = engine
-        self.shards = shards
         self.shard_group = None
         if shards > 1:
             from repro.shard import ShardGroup
@@ -104,32 +92,10 @@ class AsyncEngine:
                 fault_injector=fault_injector,
             )
         self._closed = False
-        self._calls: SimpleQueue = SimpleQueue()
-        # Started last, so the shard processes fork from one thread;
-        # daemons, so an engine nobody closed does not hold up exit.
-        self._workers = [
-            threading.Thread(target=self._work, name=f"repro-serve_{i}", daemon=True)
-            for i in range(shards)
-        ]
-        for worker in self._workers:
-            worker.start()
-
-    def _work(self) -> None:
-        """A worker thread: run calls until :meth:`close`'s ``None``."""
-        while (call := self._calls.get()) is not None:
-            loop, fn, done = call
-            try:
-                outcome = fn(), None
-            except BaseException as exc:  # noqa: BLE001 - raised again by whoever reads `done`
-                outcome = None, exc
-            try:
-                loop.call_soon_threadsafe(done, *outcome)
-            except RuntimeError:
-                pass  # that loop closed while the call ran: nobody waits
 
     def _run(self, done: Done | None, fn, *args, **kwargs) -> asyncio.Future | None:
-        """Hand ``fn(*args, **kwargs)`` to a worker; its outcome goes to
-        ``done(value, exc)`` on the calling loop (``None``: to the
+        """Run ``fn(*args, **kwargs)`` here; its outcome goes to
+        ``done(value, exc)`` one loop turn later (``None``: to the
         future this returns)."""
         if self._closed:
             raise RuntimeError("AsyncEngine is closed")
@@ -138,7 +104,11 @@ class AsyncEngine:
         if done is None:
             future = loop.create_future()
             done = partial(_resolve, future)
-        self._calls.put((loop, partial(fn, *args, **kwargs), done))
+        try:
+            outcome = fn(*args, **kwargs), None
+        except Exception as exc:  # noqa: BLE001 - raised again by whoever reads `done`
+            outcome = None, exc
+        loop.call_soon(done, *outcome)
         return future
 
     def _knn_target(self, exact: bool, oracle: str | None):
@@ -196,13 +166,10 @@ class AsyncEngine:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Retire the worker threads; calls already handed off finish first."""
+        """Refuse further calls and stop the shard tier (outcomes already
+        handed over are still delivered)."""
         if not self._closed:
             self._closed = True
-            for _ in self._workers:
-                self._calls.put(None)
-            for worker in self._workers:
-                worker.join()
             if self.shard_group is not None:
                 self.shard_group.close()
 

@@ -15,8 +15,8 @@ package is the system's one form of query parallelism, worker
   surfaces the error, per :class:`~repro.shard.supervisor.SupervisionPolicy`.
 
 ``AsyncEngine(shards=N)`` and ``repro serve --shards N`` wire the
-group in.  N workers buy N queries in flight, not a partition: one
-query never visits more than one worker.
+group in, one query in flight; N concurrent callers of the group get
+N in flight.  One query never visits more than one worker.
 """
 
 from repro.shard.partitioner import ShardMap

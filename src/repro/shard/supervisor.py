@@ -1,9 +1,9 @@
 """Shard worker supervision: crash detection, respawn, replay.
 
 The shard tier's workers are real OS processes, and they die.  Every
-pipe round trip goes through the poll-with-liveness receive of
-:meth:`~repro.shard.worker.ShardWorker.request`, so a dead worker
-raises :class:`~repro.errors.WorkerDied` instead of hanging, and
+pipe round trip goes through
+:meth:`~repro.shard.worker.ShardWorker.request`, which waits on the
+pipe and the process together, so a dead worker raises :class:`~repro.errors.WorkerDied` instead of hanging, and
 :class:`ShardSupervisor` handles it per policy:
 
 * ``respawn`` (the default) re-spawns the worker (exponential backoff,

@@ -25,9 +25,10 @@ remaining deadline budget in seconds (``None``: unbounded), passed to
 the engine as its time cap.
 
 **Crash safety**: the parent-side :class:`ShardWorker` never blocks
-forever on a dead process -- receives poll with a liveness check, so a
-crash surfaces as :class:`~repro.errors.WorkerDied` within about one
-poll interval, and ``stop()`` escalates join -> terminate -> kill.
+forever on a dead process -- a receive waits on the pipe and the
+process sentinel together, so a crash surfaces as
+:class:`~repro.errors.WorkerDied` the moment it happens, and ``stop()``
+escalates join -> terminate -> kill.
 Respawn, backoff and replay live in
 :class:`~repro.shard.supervisor.ShardSupervisor`.
 
@@ -50,15 +51,17 @@ respawn) that finds another manifest there refuses to start.
 
 from __future__ import annotations
 
+import _thread
 import contextlib
 import multiprocessing as mp
 import shutil
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field, replace
+from multiprocessing.connection import wait
 from operator import itemgetter
 from pathlib import Path
+from queue import LifoQueue
 from collections.abc import Iterable
 
 from repro.engine import BatchResult, run_batch
@@ -196,20 +199,17 @@ class ShardWorker:
     """Parent-side handle of one shard worker process.
 
     A lock serializes the send/receive pair, so threads can share the
-    handle.  The receive side polls the pipe at :attr:`poll_interval`
-    and re-checks process liveness between polls, so a worker that dies
-    mid-request raises :class:`~repro.errors.WorkerDied` promptly (a
-    bare ``conn.recv()`` hangs when the child end leaked into siblings).
+    handle.  The receive side waits on the pipe and the process
+    sentinel at once, so a worker that dies mid-request raises
+    :class:`~repro.errors.WorkerDied` when it dies (a bare
+    ``conn.recv()`` hangs when the child end leaked into siblings).
     """
-
-    #: Seconds between liveness checks while awaiting a response.
-    poll_interval = 0.05
 
     def __init__(self, shard_id: int, process, conn) -> None:
         self.shard_id = shard_id
         self.process = process
         self.conn = conn
-        self._lock = threading.Lock()
+        self._lock = _thread.allocate_lock()
 
     @property
     def alive(self) -> bool:
@@ -239,33 +239,32 @@ class ShardWorker:
                     f"shard worker {self.shard_id} pipe broke on send: {exc}",
                     shard=self.shard_id,
                 ) from exc
-            deadline = None if timeout is None else time.monotonic() + timeout
-            while True:
+            ready = wait([self.conn, self.process.sentinel], timeout)
+            if not ready:
+                raise WorkerDied(
+                    f"shard worker {self.shard_id} unresponsive for "
+                    f"{timeout:.3f}s",
+                    shard=self.shard_id,
+                )
+            response = None
+            if self.conn in ready:
                 try:
-                    if self.conn.poll(self.poll_interval):
-                        response = self.conn.recv()
-                        break
+                    response = self.conn.recv()
                 except (EOFError, OSError) as exc:
                     raise WorkerDied(
                         f"shard worker {self.shard_id} died mid-request",
                         shard=self.shard_id,
                     ) from exc
-                if not self.process.is_alive():
-                    # Drain any response that raced the process exit
-                    # (suppressed errors mean there was none to drain).
-                    with contextlib.suppress(EOFError, OSError):
-                        if self.conn.poll(0):
-                            response = self.conn.recv()
-                            break
+            else:
+                # The process exited.  Drain any response that raced
+                # the exit (suppressed errors mean there was none).
+                with contextlib.suppress(EOFError, OSError):
+                    if self.conn.poll(0):
+                        response = self.conn.recv()
+                if response is None:
                     raise WorkerDied(
                         f"shard worker {self.shard_id} died mid-request "
                         f"(exitcode {self.process.exitcode})",
-                        shard=self.shard_id,
-                    )
-                if deadline is not None and time.monotonic() > deadline:
-                    raise WorkerDied(
-                        f"shard worker {self.shard_id} unresponsive for "
-                        f"{timeout:.3f}s",
                         shard=self.shard_id,
                     )
         if response[0] == "expired":
@@ -321,6 +320,18 @@ class ShardWorker:
             self.process.join(timeout)
 
 
+class _IdleSlots(LifoQueue):
+    """Idle worker slots, lent from the top: ``put((slot, down))``
+    returns a slot on top, or at the bottom when its worker is down."""
+
+    def _put(self, item: tuple[int, bool]) -> None:
+        shard, down = item
+        if down:
+            self.queue.insert(0, shard)
+        else:
+            self.queue.append(shard)
+
+
 class ShardGroup:
     """The sharded serving tier: verify, spawn, dispatch, supervise.
 
@@ -348,10 +359,11 @@ class ShardGroup:
         self.directory = directory
         self._owns_directory = owns_directory
         self._closed = False
-        #: Idle worker slots, the next one to lend last: slot 0 first.
-        #: Respawns swap the handle behind a slot, never the slots.
-        self._idle = sorted(supervisor.workers, reverse=True)
-        self._returned = threading.Condition()
+        #: Slot 0 is lent first.  Respawns swap the handle behind a
+        #: slot, never the slots.
+        self._idle = _IdleSlots()
+        for shard in sorted(supervisor.workers, reverse=True):
+            self._idle.put((shard, False))
 
     @property
     def workers(self) -> dict[int, ShardWorker]:
@@ -432,22 +444,6 @@ class ShardGroup:
     # ------------------------------------------------------------------
     # Dispatch: one kNN query, one worker slot
     # ------------------------------------------------------------------
-    def _lend(self) -> int:
-        with self._returned:
-            while not self._idle:
-                self._returned.wait()
-            return self._idle.pop()
-
-    def _take_back(self, shard: int, down: bool) -> None:
-        """Return a slot: on top of the stack, or at the bottom when its
-        worker is ``down`` (the visit raised :class:`ShardUnavailable`)."""
-        with self._returned:
-            if down:
-                self._idle.insert(0, shard)
-            else:
-                self._idle.append(shard)
-            self._returned.notify()
-
     def knn(
         self,
         query,
@@ -482,7 +478,7 @@ class ShardGroup:
         position = resolve_location(self.engine.index.network, query)
         pairs = None
         down = False
-        shard = self._lend()
+        shard = self._idle.get()  # waits while every slot is lent
         try:
             budget = _remaining(t_start, time_cap=time_cap)
             with trace.span(f"shard:{shard}", shard=shard) as span:
@@ -497,7 +493,7 @@ class ShardGroup:
             if self.supervisor.policy.on_failure == "error":
                 raise
         finally:
-            self._take_back(shard, down)
+            self._idle.put((shard, down))
         if pairs is None:
             return self._failover(
                 query, k, variant, trace, time_cap=_remaining(t_start, time_cap=time_cap)
@@ -537,7 +533,7 @@ class ShardGroup:
         time_cap: float | None = None,
     ) -> BatchResult:
         """A batch through :meth:`knn`, one query at a time (parallelism
-        comes from concurrent callers, e.g. the serving layer's threads);
+        comes from concurrent callers, each on a thread of its own);
         ``time_cap`` bounds the whole batch (each query gets what
         remains when it starts)."""
         return run_batch(

@@ -117,8 +117,6 @@ class PipedServe:
             except Exception as exc:  # noqa: BLE001 - the test inspects it
                 self.error = exc
             self.returned.set()
-            # Closing `source` waits for a reader still inside
-            # readline(), so it comes after the event.
             for stream in (source, sink):
                 try:
                     stream.close()
@@ -134,6 +132,15 @@ class PipedServe:
             (r if isinstance(r, str) else json.dumps(r)) + "\n" for r in records
         ))
         self._requests.flush()
+
+    def send_bytes(self, data: bytes):
+        """Write raw bytes in one ``write``, framed as they are."""
+        self._requests.flush()
+        os.write(self._requests.fileno(), data)
+
+    def end_input(self):
+        """EOF on the request pipe, the reply pipe left open."""
+        self._requests.close()
 
     def recv(self):
         ready, _, _ = select.select([self._replies], [], [], self.TIMEOUT)

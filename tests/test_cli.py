@@ -356,11 +356,11 @@ class TestServeOverStdin:
             assert done.returncode == 0, done.stdout + done.stderr
 
     def test_a_worker_respawned_under_the_stdin_reader_answers(self, built, tmp_path):
-        """A respawn forks while the reader thread blocks in readline()
-        on the stdin pipe; the child must not wait on that thread's lock
-        when it closes its stdin.  Two kills of the serving worker (slot
-        0 serves one client), both recovered, counted by a last stats
-        line that the closed loop sends after the answers are in."""
+        """A respawn forks while the server is reading the stdin pipe;
+        the child must not wait on a lock of that read when it closes
+        its stdin.  Two kills of the serving worker (slot 0 serves one
+        client), both recovered, counted by a last stats line that the
+        closed loop sends after the answers are in."""
         net_path, idx_path = built
         infile = tmp_path / "requests.jsonl"
         infile.write_text("\n".join(json.dumps(r) for r in [
@@ -384,6 +384,36 @@ class TestServeOverStdin:
             if c["name"] == "fault_events_total" and c["labels"]["stage"] == "shard"
         }
         assert events["worker_crash"] == events["respawn"] == 2
+
+
+    def test_a_broken_reply_pipe_ends_the_server_with_stdin_still_open(self, built):
+        """The client reads one reply, closes its end of the reply pipe
+        and sends a second line, but keeps stdin open: the reply that
+        cannot be written ends the server (status 1) there and then,
+        not when stdin closes."""
+        net_path, idx_path = built
+        line = (json.dumps({"id": 1, "kind": "knn", "query": 0, "k": 3}) + "\n").encode()
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", str(net_path), str(idx_path),
+             "--objects", "20"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        try:
+            server.stdin.write(line)
+            server.stdin.flush()
+            assert json.loads(server.stdout.readline())["status"] == "ok"
+            server.stdout.close()
+            server.stdin.write(line)  # its reply has nowhere to go
+            server.stdin.flush()
+            returncode = server.wait(timeout=30)
+        finally:
+            server.kill()
+            server.wait()
+            server.stdin.close()
+        assert returncode == 1
+        assert b"BrokenPipeError" in server.stderr.read()
+        server.stderr.close()
 
 
 class TestObservability:

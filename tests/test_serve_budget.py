@@ -5,8 +5,8 @@ reliable in a unit test, counts do.  Three things are pinned here:
 
 * **hops** -- one ``AsyncEngine`` hand-off per ``knn`` / ``distance`` /
   ``path`` request and one per ``knn_batch`` chunk, three event-loop
-  turns and no task per closed-loop request, no executor thread at
-  all, and no reader or worker thread left after EOF;
+  turns and no task per closed-loop request, and no serving thread at
+  all: no executor, reader or worker thread while serving or after EOF;
 * **``SILCIndex.route``** -- bitwise ``(path(), distance())`` from one
   walk, with the checks of both kept;
 * **INE** -- golden digests of answers and every counted operation,
@@ -73,7 +73,8 @@ def test_one_executor_trip_per_request_and_per_batch_chunk(
     small_index, small_object_index, piped_serve, monkeypatch
 ):
     """(The id dates from when the hand-off was an executor submission;
-    a trip is now one ``AsyncEngine._run``: queue out, callback back.)"""
+    a trip is now one ``AsyncEngine._run``: the call inline, its
+    outcome delivered a loop turn later.)"""
     engine = QueryEngine(small_index, small_object_index, cache_fraction=0.05)
     async_engine = AsyncEngine(engine)
     handed = _count_hand_offs(async_engine)
@@ -103,12 +104,12 @@ def test_one_executor_trip_per_request_and_per_batch_chunk(
             assert piped.ask(request)["status"] == "ok"
         assert (len(turns) - before) / rounds < 3.5, request["kind"]
     assert not tasks  # no task per request (nor a dispatcher's)
-    # Workers are plain threads, one per shard; nothing went through an
-    # executor (the loop's default one names its threads asyncio_N).
+    # The loop reads, queries and writes on its own thread: there is no
+    # reader or worker thread, and nothing went through an executor (the
+    # loop's default one names its threads asyncio_N).
     names = [t.name for t in threading.enumerate()]
     assert not [n for n in names if n.startswith(("asyncio_", "ThreadPoolExecutor"))]
-    assert names.count("repro-serve-reader") == 1
-    assert [n for n in names if n.startswith("repro-serve_")] == ["repro-serve_0"]
+    assert not [n for n in names if n.startswith("repro-serve")]
     piped.close()
     assert not [t.name for t in threading.enumerate() if t.name.startswith("repro-serve")]
 

@@ -2,7 +2,7 @@
 
 The client is the test thread (see ``conftest.PipedServe``): it can
 wait for a reply before it sends the next line, which a request file
-cannot, so nothing here depends on how fast the reader thread is
+cannot, so nothing here depends on how fast the server reads its input
 relative to the first query.
 """
 
@@ -13,8 +13,8 @@ import itertools
 import json
 import random
 import sys
-import threading
 import time
+from functools import partial
 
 import pytest
 
@@ -49,18 +49,39 @@ def batch(rid, queries, client="bulk"):
             "queries": list(queries), "k": 2}
 
 
-def hold(engine, method):
-    """Make ``engine.method`` wait in the executor until the returned
-    event is set, so a test decides what is queued behind the call."""
-    released = threading.Event()
-    real = getattr(engine, method)
+class Gate:
+    """Counts an engine's hand-offs and, while closed, parks each call
+    at the hand-off, so a test decides what queues up behind the chunk
+    the server has in flight.  :meth:`open` runs what was parked on the
+    loop's thread, whichever thread opens.  (The server always passes
+    ``done``: a parked call returns no future.)"""
 
-    def held(*args, **kwargs):
-        assert released.wait(TIMEOUT)
-        return real(*args, **kwargs)
+    def __init__(self, async_engine):
+        self.handed = 0
+        self.closed = False
+        self._parked = []
+        self._loop = None
+        run = async_engine._run
 
-    setattr(engine, method, held)
-    return released
+        def gated(done, fn, *args, **kwargs):
+            try:
+                if not self.closed:
+                    return run(done, fn, *args, **kwargs)
+                self._loop = asyncio.get_running_loop()
+                self._parked.append(partial(run, done, fn, *args, **kwargs))
+            finally:
+                self.handed += 1  # counted once the call is run or parked
+
+        async_engine._run = gated
+
+    def close(self):
+        self.closed = True
+
+    def open(self):
+        self.closed = False
+        parked, self._parked = self._parked, []
+        for call in parked:
+            self._loop.call_soon_threadsafe(call)
 
 
 def wait_until(condition):
@@ -164,9 +185,9 @@ class TestLines:
     def test_burst_under_a_short_switch_interval_answers_each_once(
         self, engine, piped_serve
     ):
-        """The reader thread and the loop share nothing but
-        ``call_soon_threadsafe``; a lost or doubled hand-off would show
-        as a missing or repeated id."""
+        """Lines split across reads of the pipe at whatever points the
+        writes and the scheduler left them; a lost or doubled line would
+        show as a missing or repeated id."""
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -183,23 +204,85 @@ class TestLines:
         assert (snapshot.served, snapshot.in_flight) == (300, 0)
 
 
+def request_line(rid, client="web"):
+    return json.dumps(knn(rid, 5 * rid, client=client), ensure_ascii=False).encode()
+
+
+#: Input bytes as the pipe delivers them, one write each; a write after
+#: the first goes out once the replies to the lines complete before it
+#: are read, so the server has read the first write on its own.
+FRAMINGS = {
+    "line-split-across-writes": [
+        request_line(1) + b"\n" + request_line(2)[:20],
+        request_line(2)[20:] + b"\n",
+    ],
+    "utf8-character-split-across-reads": [
+        request_line(1) + b"\n" + request_line(2, client="w\u00e9b").partition(b"\xa9")[0],
+        b"\xa9" + request_line(2, client="w\u00e9b").partition(b"\xa9")[2] + b"\n",
+    ],
+    "last-line-without-newline": [request_line(1) + b"\n" + request_line(2)],
+    "crlf": [request_line(1) + b"\r\n" + request_line(2) + b"\r\n"],
+    "blank-and-comment-lines": [
+        b"\n   \r\n# a comment\n" + request_line(1) + b"\n\n\t\n#"
+        + request_line(9) + b"\n" + request_line(2) + b"\n# the end",
+    ],
+}
+
+
+class TestFraming:
+    """The pipe reader splits lines as the ``--input FILE`` reader does,
+    wherever the writes cut them."""
+
+    @pytest.mark.parametrize("framing", sorted(FRAMINGS))
+    def test_pipe_replies_equal_the_input_file_replies(
+        self, engine, piped_serve, tmp_path, framing
+    ):
+        writes = FRAMINGS[framing]
+        piped = piped_serve(AsyncEngine(engine))
+        replies = []
+        for data in writes[:-1]:
+            piped.send_bytes(data)
+            replies.append(piped.recv())
+        piped.send_bytes(writes[-1])
+        piped.end_input()
+        replies += [piped.recv() for _ in range(2 - len(replies))]
+        assert piped.close().served == 2
+
+        path = tmp_path / "requests.jsonl"
+        path.write_bytes(b"".join(writes))
+        out_stream = io.StringIO()
+
+        async def from_file():
+            async with AsyncEngine(engine) as ae:
+                with open(path, "rb") as in_stream:
+                    return await serve_jsonl(SILCServer(ae), in_stream, out_stream)
+
+        assert asyncio.run(from_file()).served == 2
+        from_file_replies = [json.loads(line) for line in out_stream.getvalue().splitlines()]
+        assert [answer(r) for r in replies] == [answer(r) for r in from_file_replies]
+        assert [r["id"] for r in replies] == [1, 2]
+        assert all(r["status"] == "ok" for r in replies)
+        if framing.startswith("utf8"):
+            assert replies[1]["client"] == "w\u00e9b"
+
+
 class TestPolicies:
     def test_rejected_under_the_in_flight_cap(self, engine, piped_serve):
-        piped = piped_serve(
-            AsyncEngine(engine), admission=AdmissionController(max_in_flight=10)
-        )
+        async_engine = AsyncEngine(engine)
+        gate = Gate(async_engine)
+        piped = piped_serve(async_engine, admission=AdmissionController(max_in_flight=10))
         too_large = piped.ask(batch(1, range(50)))
         assert too_large["status"] == "rejected"
         assert too_large["reason"] == "request_too_large"
-        # Each fits alone, not both at once: the first is held in the
-        # executor until the second has been turned away.
-        release = hold(engine, "knn_batch")
+        # Each fits alone, not both at once: the first is parked at the
+        # hand-off until the second has been turned away.
+        gate.close()
         piped.send(batch(2, range(8)), batch(3, range(8)))
         rejected = piped.recv()
         assert (rejected["id"], rejected["status"]) == (3, "rejected")
         assert rejected["reason"] == "in_flight_cap"
         assert rejected["retry_after"] > 0
-        release.set()
+        gate.open()
         assert piped.recv()["status"] == "ok"
         snapshot = piped.close()
         assert (snapshot.shed, snapshot.served, snapshot.in_flight) == (2, 1, 0)
@@ -218,21 +301,21 @@ class TestPolicies:
     def test_interactive_client_overtakes_a_bulk_backlog(self, engine, piped_serve):
         """DRR by counted delay (the load-sized version with its own
         assertions is ``benchmarks/test_serve_fairness.py``)."""
-        piped = piped_serve(
-            AsyncEngine(engine), scheduler=FairScheduler(chunk_size=CHUNK)
-        )
+        async_engine = AsyncEngine(engine)
+        gate = Gate(async_engine)
+        piped = piped_serve(async_engine, scheduler=FairScheduler(chunk_size=CHUNK))
         bulk = batch("bulk", range(16 * CHUNK))
         web = [knn(f"web-{i}", 10 * i) for i in range(3)]
-        # The bulk request's first chunk sits in the executor until all
-        # three web requests are queued behind its other fifteen.  The
-        # web lines go out only once that chunk is dispatched: one of
-        # them queued before it and the rest after reads [4, 5, 10].
-        release = hold(engine, "knn_batch")
+        # The bulk request's first chunk is parked at the hand-off until
+        # all three web requests are queued behind its other fifteen.
+        # The web lines go out only once that chunk is dispatched: one
+        # of them queued before it and the rest after reads [4, 5, 10].
+        gate.close()
         piped.send(bulk)
         wait_until(lambda: piped.server.scheduler.dispatched == CHUNK)
         piped.send(*web)
         wait_until(lambda: piped.server.admission.in_flight == 16 * CHUNK + 3)
-        release.set()
+        gate.open()
         order = [piped.recv() for _ in range(4)]
         assert all(r["status"] == "ok" for r in order)
         assert [r["id"] for r in order] == ["web-0", "web-1", "web-2", "bulk"]
@@ -429,29 +512,8 @@ def generated_bursts(seed, num_vertices):
     return [requests[i:i + BURST] for i in range(0, 200, BURST)]
 
 
-class Gate:
-    """Counts an engine's hand-offs and holds each call in its worker
-    thread while ``event`` is clear, so a test decides what has queued
-    up behind the call in flight."""
-
-    def __init__(self, async_engine):
-        self.handed = 0
-        self.event = threading.Event()
-        run = async_engine._run
-
-        def gated(done, fn, *args, **kwargs):
-            self.handed += 1
-            return run(done, self.held, fn, *args, **kwargs)
-
-        async_engine._run = gated
-
-    def held(self, fn, *args, **kwargs):
-        assert self.event.wait(TIMEOUT)
-        return fn(*args, **kwargs)
-
-
 def opener(j):
-    """Sent ahead of burst ``j`` and held in the engine while the burst
+    """Sent ahead of burst ``j`` and parked at the hand-off while the burst
     queues up behind it: what the scheduler then picks among is the
     whole burst, whichever way and however fast it arrived."""
     return {"id": f"open-{j}", "client": "web", "kind": "distance", "source": 0, "target": 1}
@@ -475,7 +537,7 @@ def through_submit(engine, shards, traced, bursts):
             gate = Gate(ae)
             async with SILCServer(ae, **server_options(traced)) as server:
                 for j, burst in enumerate(bursts):
-                    gate.event.clear()
+                    gate.close()
                     before = gate.handed
                     tasks = [asyncio.create_task(server.submit(request_from_dict(opener(j))))]
                     while gate.handed == before:
@@ -484,7 +546,7 @@ def through_submit(engine, shards, traced, bursts):
                         asyncio.create_task(server.submit(request_from_dict(r))) for r in burst
                     ]
                     await asyncio.sleep(0)  # every one of them submitted
-                    gate.event.set()
+                    gate.open()
                     for response in await asyncio.wait_for(asyncio.gather(*tasks), TIMEOUT):
                         replies[response.id] = json.loads(json.dumps(response_to_dict(response)))
         return replies
@@ -504,13 +566,13 @@ def through_pipes(piped_serve, engine, shards, traced, bursts):
     )[1]
     replies = {}
     for j, burst in enumerate(bursts):
-        gate.event.clear()
+        gate.close()
         before = gate.handed
         piped.send(opener(j))
         wait_until(lambda: gate.handed > before)
         piped.send(*burst)
         wait_until(lambda: accepted[-1] == burst[-1]["id"])
-        gate.event.set()
+        gate.open()
         for _ in range(len(burst) + 1):
             reply = piped.recv()
             replies[reply["id"]] = reply

@@ -43,21 +43,6 @@ def batch_req(queries, client="bulk", rid=0, k=2):
                    queries=tuple(queries), k=k, exact=False)
 
 
-def hold_knn(engine):
-    """Make ``engine.knn`` announce itself and wait in its worker thread;
-    returns ``(the real knn, started, released)``."""
-    started, released = threading.Event(), threading.Event()
-    real = engine.knn
-
-    def held(*args, **kwargs):
-        started.set()
-        assert released.wait(TIMEOUT)
-        return real(*args, **kwargs)
-
-    engine.knn = held
-    return real, started, released
-
-
 class TestAsyncEngine:
     def test_matches_sync_engine(self, engine, small_index, small_object_index):
         async def go():
@@ -79,7 +64,8 @@ class TestAsyncEngine:
         assert dist == pytest.approx(small_index.distance(0, 140))
 
     def test_many_concurrent_tasks(self, engine, small_index):
-        """Many gathered tasks on the one executor thread: safe and exact."""
+        """Many gathered calls, one after another on the loop thread:
+        safe and exact."""
         queries = [(q, 1 + q % 4) for q in range(0, 120, 3)]
 
         async def go():
@@ -106,69 +92,70 @@ class TestAsyncEngine:
         asyncio.run(go())
 
 
-    def test_close_delivers_the_call_in_flight_then_joins_the_workers(self, engine):
-        real, started, released = hold_knn(engine)
-
+    def test_close_still_delivers_an_outcome_already_handed_over(self, engine):
+        """A call has run when it returns; ``close()`` right after it
+        refuses the next call but does not drop that outcome."""
         async def go():
             ae = AsyncEngine(engine)
-            in_flight = ae.knn(0, 3)
-            assert started.wait(TIMEOUT)
-            threading.Timer(0.05, released.set).start()
-            ae.close()  # returns once the held call has run
-            assert released.is_set()
-            assert not [w for w in ae._workers if w.is_alive()]
+            made = ae.knn(0, 3)
+            ae.close()
             with pytest.raises(RuntimeError, match="^AsyncEngine is closed$"):
                 ae.knn(0, 3)
-            return await in_flight
+            return await made
 
-        assert asyncio.run(go()).ids() == real(0, 3).ids()
+        assert asyncio.run(go()).ids() == engine.knn(0, 3).ids()
 
-    def test_a_result_for_a_loop_that_closed_is_dropped(self, engine, monkeypatch):
-        """The caller's loop is gone (its ``asyncio.run`` returned) when
-        the worker finishes: nothing is raised in the worker thread, and
-        the engine goes on serving other loops."""
-        died = []
-        monkeypatch.setattr(threading, "excepthook", died.append)
+    def test_a_result_for_a_loop_that_closed_is_dropped(self, engine):
+        """A call made on a loop that closes without reading its outcome
+        reports nothing there, and the engine goes on serving other
+        loops."""
+        reported = []
         ae = AsyncEngine(engine)
         try:
-            real, started, released = hold_knn(engine)
-
             async def abandon():
-                ae.knn(0, 3)  # handed off, never awaited
+                asyncio.get_running_loop().set_exception_handler(
+                    lambda loop, context: reported.append(context)
+                )
+                ae.knn(0, 3)  # made, never awaited
 
             asyncio.run(abandon())
-            assert started.wait(TIMEOUT)
-            engine.knn = real
-            released.set()
 
             async def again():
                 return await ae.knn(5, 2)
 
-            assert asyncio.run(again()).ids() == real(5, 2).ids()
+            assert asyncio.run(again()).ids() == engine.knn(5, 2).ids()
         finally:
-            released.set()
             ae.close()
-        assert not died
+        assert not reported
 
-    def test_direct_callers_overlap_on_a_two_shard_engine(self, engine):
-        """One worker thread per shard: two calls are inside the shard
-        tier at once (each would otherwise wait out the barrier)."""
-        both_inside = threading.Barrier(2, timeout=TIMEOUT)
+    def test_sharded_calls_run_in_call_order_on_the_loop_thread(self, engine):
+        """Each sharded call has visited its worker, on the loop's own
+        thread, by the time it returns; gathered calls therefore run one
+        after another and are delivered in the order they were made."""
+        queries = (0, 9, 17)
+        visits, delivered = [], []
 
         async def go():
             async with AsyncEngine(engine, shards=2) as ae:
                 real = ae.shard_group.knn
 
-                def meet(*args, **kwargs):
-                    both_inside.wait()
-                    return real(*args, **kwargs)
+                def visit(query, *args, **kwargs):
+                    visits.append((query, threading.get_ident()))
+                    return real(query, *args, **kwargs)
 
-                ae.shard_group.knn = meet
-                return await asyncio.gather(ae.knn(0, 3, exact=True), ae.knn(9, 3, exact=True))
+                ae.shard_group.knn = visit
+                made = []
+                for i, query in enumerate(queries):
+                    made.append(ae.knn(query, 3, exact=True))
+                    assert len(visits) == i + 1  # ran before knn() returned
+                    made[-1].add_done_callback(lambda _, q=query: delivered.append(q))
+                return threading.get_ident(), await asyncio.gather(*made)
 
-        first, second = asyncio.run(go())
-        assert first.ids() == engine.knn(0, 3, exact=True).ids()
-        assert second.ids() == engine.knn(9, 3, exact=True).ids()
+        loop_thread, results = asyncio.run(go())
+        assert visits == [(query, loop_thread) for query in queries]
+        assert delivered == list(queries)
+        for query, result in zip(queries, results):
+            assert result.ids() == engine.knn(query, 3, exact=True).ids()
 
 
 def serve(requests, engine, **server_kwargs):

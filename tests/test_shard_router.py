@@ -242,7 +242,7 @@ class TestDispatch:
                 "router_shards_total", stage="route", event="visited"
             )
             assert visited == 8 * len(queries)
-            assert sorted(group._idle) == [0, 1]
+            assert sorted(group._idle.queue) == [0, 1]
 
 
 class TestPipeShape:

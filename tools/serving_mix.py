@@ -2,7 +2,7 @@
 
 ``serving_engine`` maps the index and builds the engine ``repro serve``
 builds (100 seeded vertex objects, the 5 % page simulator);
-``seeded_mix`` is one shuffled list of the calls the server's worker
+``seeded_mix`` is one shuffled list of the calls the server's loop
 thread makes -- the four request kinds (``QueryEngine.knn`` / ``knn_batch``,
 ``SILCIndex.route`` for ``path``, ``SILCIndex.distance``), the four kNN
 variants, k in {1, 10, 50}.  ``count_calls.py`` prices it in Python
