@@ -25,30 +25,23 @@ RPR007    deadline propagation: deadline-accepting functions forward
           the budget to deadline-accepting callees
 ========  ==========================================================
 
-A finding is silenced inline with ``# repro: ignore[RPRxxx] reason``
-on the offending line (or the line above); the justification text is
-mandatory -- an ignore without one does not suppress.  Repository-wide
-configuration lives in ``analysis.toml``; the CLI surface is
-``repro check [--json] [--rule ID] [paths]``.
+The rule set is code, not configuration: each rule's scope is a
+constant in the rule (the counted kernels are the one
+:data:`~repro.analysis.core.KERNELS` tuple), the checked tree is
+always the whole package ``repro check`` was imported from, and no
+finding can be silenced -- it is fixed in the code or in the rule.
+The CLI surface is ``repro check [--json]``.
 """
 
-from repro.analysis.core import (
-    AnalysisConfig,
-    Analyzer,
-    Finding,
-    Module,
-    Rule,
-)
-from repro.analysis.rules import ALL_RULES, make_rules
+from repro.analysis.core import Analyzer, Finding, Module, Rule
+from repro.analysis.rules import ALL_RULES
 from repro.analysis.runner import run_check
 
 __all__ = [
     "ALL_RULES",
-    "AnalysisConfig",
     "Analyzer",
     "Finding",
     "Module",
     "Rule",
-    "make_rules",
     "run_check",
 ]

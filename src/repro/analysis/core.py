@@ -8,108 +8,93 @@ Three pieces:
   :meth:`Rule.check_module` plus a cross-module :meth:`Rule.finalize`
   pass for rules that relate *files to each other* (protocol
   exhaustiveness, deadline propagation);
-* :class:`Analyzer` -- parses every file once, runs the rules, then
-  applies inline suppressions.
+* :class:`Analyzer` -- parses every file of the package once and runs
+  the rules over it.
 
-Suppressions are ``# repro: ignore[RPRxxx] justification`` comments on
-the finding's line or the line directly above.  The justification text
-is **required**: an ignore with an empty tail keeps the finding alive
-(annotated, so the author knows why).  This mirrors how production
-lint gates stay honest -- every silenced diagnostic documents the
-reason it is safe.
-
-The engine is stdlib-only (``ast`` + ``tomllib``) so it runs in any
-environment the package itself runs in, including CI images without
-third-party lint tooling.
+There is no configuration and no way to silence a finding: each
+rule's scope is a constant in the rule, written relative to the
+package directory (``query/bestfirst.py``), and a false positive is
+fixed in the rule.  The engine is stdlib-only (``ast``) so it runs in
+any environment the package itself runs in, including CI images
+without third-party lint tooling.
 """
 
 from __future__ import annotations
 
 import ast
-import re
-import tomllib
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-#: Inline suppression syntax; group 1 = comma-separated rule ids,
-#: group 2 = the (mandatory) justification text.
-SUPPRESSION_RE = re.compile(
-    r"#\s*repro:\s*ignore\[([A-Z0-9,\s]+)\]\s*(.*?)\s*$"
+#: The counted search kernels: no wall clock (RPR004) and no
+#: ``repro.obs`` import (RPR006).  A new kernel module is added here.
+KERNELS = (
+    "query/bestfirst.py",
+    "query/ine.py",
+    "query/ier.py",
+    "query/browsing.py",
+    "query/distances.py",
+    "oracle/labelling.py",
+    "silc/refinement.py",
+    "silc/index.py",
+    "silc/intervals.py",
+    "quadtree/blocks.py",
+    "geometry/morton.py",
 )
-
-#: Rule-id shape; ``repro check --rule`` validates against this.
-RULE_ID_RE = re.compile(r"^RPR\d{3}$")
 
 
 @dataclass(frozen=True)
 class Finding:
-    """One diagnostic: rule id, location, message, suppression state."""
+    """One diagnostic: rule id, location, message."""
 
     rule: str
     path: str
     line: int
     message: str
-    suppressed: bool = False
-    justification: str = ""
 
     @property
     def location(self) -> str:
         return f"{self.path}:{self.line}"
 
     def to_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "message": self.message,
-            "suppressed": self.suppressed,
-            "justification": self.justification,
-        }
+        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> Finding:
-        return cls(
-            rule=str(obj["rule"]),
-            path=str(obj["path"]),
-            line=int(obj["line"]),
-            message=str(obj["message"]),
-            suppressed=bool(obj.get("suppressed", False)),
-            justification=str(obj.get("justification", "")),
-        )
+
+def display_path(path: Path) -> str:
+    """``path`` relative to the working directory when it lies below it
+    (``src/repro/query/ine.py`` from the repository root), else absolute."""
+    cwd = Path.cwd()
+    return (path.relative_to(cwd) if path.is_relative_to(cwd) else path).as_posix()
 
 
 @dataclass
 class Module:
-    """One parsed source file, shared by every rule."""
+    """One parsed source file, shared by every rule.
 
-    path: Path
+    ``rel`` is the path below the package directory, the form every
+    rule scope is written in; ``path`` is what a finding prints.
+    """
+
+    path: str
     rel: str
-    source: str
     tree: ast.Module
-    lines: list[str] = field(default_factory=list)
 
     @classmethod
     def parse(cls, path: Path, root: Path) -> Module:
-        source = path.read_text(encoding="utf-8")
-        try:
-            rel = path.resolve().relative_to(root.resolve()).as_posix()
-        except ValueError:
-            rel = path.as_posix()
+        # ``path`` comes from ``root.rglob``, so it is lexically below
+        # ``root`` even when either reaches the files through a symlink.
         return cls(
-            path=path,
-            rel=rel,
-            source=source,
-            tree=ast.parse(source, filename=str(path)),
-            lines=source.splitlines(),
+            path=display_path(path),
+            rel=path.relative_to(root).as_posix(),
+            tree=ast.parse(path.read_text(encoding="utf-8"), filename=str(path)),
         )
 
 
 def path_matches(rel: str, patterns: Iterable[str]) -> bool:
     """True when ``rel`` is one of ``patterns`` or inside one of them.
 
-    Patterns are repository-relative POSIX paths; a pattern names
-    either a file (exact match) or a directory prefix.
+    Patterns are package-relative POSIX paths; a pattern names either
+    a file (exact match) or a directory prefix.
     """
     for pattern in patterns:
         pattern = pattern.rstrip("/")
@@ -153,27 +138,20 @@ def scope_nodes(
 class Rule:
     """Base class every ``RPRxxx`` rule subclasses.
 
-    Subclasses set :attr:`rule_id`/:attr:`title`, may declare
-    :attr:`default_config` (overridden by the matching
-    ``[rules.RPRxxx]`` table of ``analysis.toml``), and implement
-    :meth:`check_module` (per file) and/or :meth:`finalize` (once,
-    after every file has been offered -- the hook for cross-file
-    rules).
+    Subclasses set :attr:`rule_id`, may narrow :attr:`scope`, and
+    implement :meth:`check_module` (per file) and/or :meth:`finalize`
+    (once, after every file has been offered -- the hook for
+    cross-file rules).
     """
 
     rule_id = "RPR000"
-    title = "unnamed rule"
-    default_config: dict = {}
 
-    def __init__(self, config: dict | None = None) -> None:
-        merged = dict(self.default_config)
-        merged.update(config or {})
-        self.config = merged
+    #: Package-relative files or directories the rule checks; empty
+    #: means the whole package.
+    scope: tuple[str, ...] = ()
 
     def applies(self, module: Module) -> bool:
-        """Module filter; default honours a ``modules`` config list."""
-        patterns = self.config.get("modules") or []
-        return not patterns or path_matches(module.rel, patterns)
+        return not self.scope or path_matches(module.rel, self.scope)
 
     def check_module(self, module: Module) -> Iterable[Finding]:
         return ()
@@ -184,158 +162,44 @@ class Rule:
     # Convenience for subclasses -------------------------------------
     def finding(self, module: Module, line: int, message: str) -> Finding:
         return Finding(
-            rule=self.rule_id, path=module.rel, line=line, message=message
+            rule=self.rule_id, path=module.path, line=line, message=message
         )
-
-
-@dataclass
-class AnalysisConfig:
-    """Parsed ``analysis.toml`` plus the root all paths resolve against."""
-
-    root: Path
-    raw: dict = field(default_factory=dict)
-
-    @classmethod
-    def load(cls, path: str | Path) -> AnalysisConfig:
-        path = Path(path)
-        with open(path, "rb") as handle:
-            raw = tomllib.load(handle)
-        return cls(root=path.resolve().parent, raw=raw)
-
-    @classmethod
-    def discover(cls, start: str | Path = ".") -> AnalysisConfig:
-        """Find ``analysis.toml`` in ``start`` or any parent directory."""
-        directory = Path(start).resolve()
-        for candidate in (directory, *directory.parents):
-            config = candidate / "analysis.toml"
-            if config.is_file():
-                return cls.load(config)
-        return cls(root=directory)
-
-    @property
-    def default_paths(self) -> list[str]:
-        return list(
-            self.raw.get("analysis", {}).get("paths", ["src/repro"])
-        )
-
-    @property
-    def exclude(self) -> list[str]:
-        return list(self.raw.get("analysis", {}).get("exclude", []))
-
-    def rule_config(self, rule_id: str) -> dict:
-        return dict(self.raw.get("rules", {}).get(rule_id, {}))
-
-
-def _suppression_on(line: str) -> tuple[set[str], str] | None:
-    match = SUPPRESSION_RE.search(line)
-    if match is None:
-        return None
-    ids = {part.strip() for part in match.group(1).split(",") if part.strip()}
-    return ids, match.group(2).strip()
 
 
 class Analyzer:
-    """Drive a rule set over a file set and apply suppressions."""
+    """Drive a rule set over every module of one package directory."""
 
-    def __init__(
-        self, config: AnalysisConfig, rules: Sequence[Rule]
-    ) -> None:
-        self.config = config
+    def __init__(self, rules: Sequence[Rule]) -> None:
         self.rules = list(rules)
 
-    # -- discovery ----------------------------------------------------
-    def discover_files(self, paths: Sequence[str | Path]) -> list[Path]:
-        files: list[Path] = []
-        for entry in paths:
-            path = Path(entry)
-            if not path.is_absolute():
-                path = self.config.root / path
-            if path.is_dir():
-                files.extend(sorted(path.rglob("*.py")))
-            elif path.suffix == ".py":
-                files.append(path)
-        unique: dict[Path, None] = {}
-        for path in files:
-            unique.setdefault(path.resolve())
-        return list(unique)
+    def run(self, root: Path) -> tuple[int, list[Finding]]:
+        """Parse every module below ``root`` once and run the rules.
 
-    def load_modules(
-        self, paths: Sequence[str | Path]
-    ) -> tuple[list[Module], list[Finding]]:
-        """Parse the file set; unparseable files become findings."""
+        Returns the number of modules found and the sorted findings; an
+        unparseable file is an ``RPR000`` finding.
+        """
+        files = sorted(root.rglob("*.py"))
         modules: list[Module] = []
-        errors: list[Finding] = []
-        for path in self.discover_files(paths):
+        findings: list[Finding] = []
+        for path in files:
             try:
-                module = Module.parse(path, self.config.root)
+                modules.append(Module.parse(path, root))
             except SyntaxError as exc:
-                rel = path.as_posix()
-                errors.append(
+                findings.append(
                     Finding(
                         rule="RPR000",
-                        path=rel,
+                        path=display_path(path),
                         line=exc.lineno or 1,
                         message=f"syntax error: {exc.msg}",
                     )
                 )
-                continue
-            if path_matches(module.rel, self.config.exclude):
-                continue
-            modules.append(module)
-        return modules, errors
-
-    # -- running ------------------------------------------------------
-    def run(
-        self,
-        paths: Sequence[str | Path] | None = None,
-        rule_ids: Sequence[str] | None = None,
-    ) -> list[Finding]:
-        modules, findings = self.load_modules(
-            paths or self.config.default_paths
-        )
-        wanted = set(rule_ids) if rule_ids else None
         for rule in self.rules:
-            if wanted is not None and rule.rule_id not in wanted:
-                continue
             applicable = [m for m in modules if rule.applies(m)]
             for module in applicable:
                 findings.extend(rule.check_module(module))
             findings.extend(rule.finalize(applicable))
-        findings = [self._apply_suppression(f, modules) for f in findings]
         findings.sort(key=lambda f: (f.path, f.line, f.rule))
-        return findings
-
-    def _apply_suppression(
-        self, finding: Finding, modules: Sequence[Module]
-    ) -> Finding:
-        module = next(
-            (m for m in modules if m.rel == finding.path), None
-        )
-        if module is None or not (1 <= finding.line <= len(module.lines)):
-            return finding
-        candidates = [module.lines[finding.line - 1]]
-        if finding.line >= 2:
-            above = module.lines[finding.line - 2].strip()
-            if above.startswith("#"):
-                candidates.append(above)
-        for text in candidates:
-            parsed = _suppression_on(text)
-            if parsed is None:
-                continue
-            ids, justification = parsed
-            if finding.rule not in ids:
-                continue
-            if not justification:
-                return replace(
-                    finding,
-                    message=finding.message
-                    + " (ignore comment present but a justification is"
-                    " required)",
-                )
-            return replace(
-                finding, suppressed=True, justification=justification
-            )
-        return finding
+        return len(files), findings
 
 
 def iter_functions(

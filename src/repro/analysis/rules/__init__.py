@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
-from repro.analysis.core import AnalysisConfig, Rule
+from repro.analysis.core import Rule
 from repro.analysis.rules.atomicwrite import AtomicWriteRule
 from repro.analysis.rules.deadline import DeadlinePropagationRule
 from repro.analysis.rules.exceptions import ExceptionDisciplineRule
@@ -23,15 +21,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     DeadlinePropagationRule,
 )
 
-
-def make_rules(
-    config: AnalysisConfig,
-    rule_classes: Sequence[type[Rule]] = ALL_RULES,
-) -> list[Rule]:
-    """Instantiate the rule set with each rule's config table."""
-    return [cls(config.rule_config(cls.rule_id)) for cls in rule_classes]
-
-
 __all__ = [
     "ALL_RULES",
     "AtomicWriteRule",
@@ -41,5 +30,4 @@ __all__ = [
     "LockDisciplineRule",
     "ProtocolExhaustivenessRule",
     "TracingNoOpRule",
-    "make_rules",
 ]

@@ -9,13 +9,14 @@ helpers.  A bare ``open(..., "w")``, ``np.save`` or ``json.dump``
 against a real destination path re-introduces the torn-write window
 the helpers exist to close.
 
-Within the configured persistence modules this rule flags any write
-primitive (``open`` with a writing mode, ``Path.open`` with a writing
-mode, ``write_text``/``write_bytes``, ``np.save*``, ``json.dump``,
-``pickle.dump``) whose destination does not mention a staging name --
-a variable bound by ``with atomic_directory(...) as tmp:``.  The
-integrity module itself is exempt: it is where the unsafe primitives
-are allowed to live, wrapped in the publish-by-rename dance.
+Within the persistence packages (``silc/``, ``oracle/``, ``shard/``)
+this rule flags any write primitive (``open`` with a writing mode,
+``Path.open`` with a writing mode, ``write_text``/``write_bytes``,
+``np.save*``, ``json.dump``, ``pickle.dump``) whose destination does
+not mention a staging name -- a variable bound by ``with
+atomic_directory(...) as tmp:``.  The
+integrity module itself is outside that scope: it is where the unsafe
+primitives are allowed to live, wrapped in the publish-by-rename dance.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterable, Iterator
 
-from repro.analysis.core import Finding, Module, Rule, path_matches
+from repro.analysis.core import Finding, Module, Rule, terminal_name
 
 WRITE_MODES = ("w", "a", "x", "+")
 
@@ -50,17 +51,7 @@ def _writing_mode(call: ast.Call, mode_index: int) -> bool:
 
 class AtomicWriteRule(Rule):
     rule_id = "RPR003"
-    title = "atomic-write enforcement"
-    default_config: dict = {
-        "modules": [],
-        "allow": ["src/repro/integrity.py"],
-        "staging_calls": ["atomic_directory"],
-    }
-
-    def applies(self, module: Module) -> bool:
-        if path_matches(module.rel, self.config.get("allow", [])):
-            return False
-        return super().applies(module)
+    scope = ("silc", "oracle", "shard")
 
     def check_module(self, module: Module) -> Iterable[Finding]:
         return list(self._walk_body(module, module.tree.body, set()))
@@ -127,14 +118,9 @@ class AtomicWriteRule(Rule):
             )
 
     # ------------------------------------------------------------------
-    def _is_staging_call(self, call: ast.Call) -> bool:
-        names = set(self.config.get("staging_calls", []))
-        func = call.func
-        if isinstance(func, ast.Name):
-            return func.id in names
-        if isinstance(func, ast.Attribute):
-            return func.attr in names
-        return False
+    @staticmethod
+    def _is_staging_call(call: ast.Call) -> bool:
+        return terminal_name(call.func) == "atomic_directory"
 
     @staticmethod
     def _write_primitive(call: ast.Call) -> str | None:

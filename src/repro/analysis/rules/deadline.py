@@ -18,9 +18,7 @@ The rule runs in two passes over the whole file set:
 Matching is by terminal callee name (``self.router.knn(...)`` matches
 a deadline-aware ``knn``), which is deliberately conservative: a
 dynamic-dispatch call that might reach a deadline-aware implementation
-must forward the budget.  Sites where dropping the budget is the
-design (e.g. bounded O(1) backends probed up front) carry a
-``# repro: ignore[RPR007]`` with the reason.
+must forward the budget.
 """
 
 from __future__ import annotations
@@ -42,11 +40,9 @@ DEADLINE_PARAMS = ("time_cap", "time_budget", "deadline")
 
 class DeadlinePropagationRule(Rule):
     rule_id = "RPR007"
-    title = "deadline propagation"
-    default_config: dict = {"modules": [], "params": list(DEADLINE_PARAMS)}
 
     def finalize(self, modules: Sequence[Module]) -> Iterable[Finding]:
-        params = tuple(self.config.get("params", DEADLINE_PARAMS))
+        params = DEADLINE_PARAMS
         aware: set[str] = set()
         for module in modules:
             for function in iter_functions(module.tree):

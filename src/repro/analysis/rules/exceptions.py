@@ -9,11 +9,11 @@ Three checks:
   (bind it with ``as exc`` and actually use it).  ``except Exception:
   pass`` turns crashes into wrong answers; a broad catch that records
   what it caught is a deliberate fault boundary and passes;
-* **pipe errors are protocol types**: inside the configured pipe
-  modules, every ``raise SomeError(...)`` must name a class defined in
-  ``repro/errors.py`` (or an explicitly allowed builtin) -- the worker
-  protocol maps those to wire tags; anything else arrives at the
-  parent as an opaque string.
+* **pipe errors are protocol types**: inside the shard worker
+  (``shard/worker.py``), every ``raise SomeError(...)`` must name a
+  class defined in ``errors.py`` (or one of :data:`ALLOWED_RAISES`)
+  -- the worker protocol maps those to wire tags; anything else
+  arrives at the parent as an opaque string.
 """
 
 from __future__ import annotations
@@ -24,6 +24,15 @@ from collections.abc import Iterable, Sequence
 from repro.analysis.core import Finding, Module, Rule, path_matches
 
 BROAD = {"Exception", "BaseException"}
+
+#: Modules whose raises cross the shard pipe.
+PIPE_MODULES = ("shard/worker.py",)
+
+#: The module whose classes are the pipe's error types.
+ERRORS_MODULE = "errors.py"
+
+#: Builtins the worker protocol maps as they are.
+ALLOWED_RAISES = ("RuntimeError", "ValueError", "TimeoutError")
 
 
 def _handler_types(handler: ast.ExceptHandler) -> set[str]:
@@ -42,13 +51,6 @@ def _handler_types(handler: ast.ExceptHandler) -> set[str]:
 
 class ExceptionDisciplineRule(Rule):
     rule_id = "RPR005"
-    title = "exception discipline"
-    default_config: dict = {
-        "modules": [],
-        "pipe_modules": [],
-        "errors_module": "src/repro/errors.py",
-        "allowed_raises": ["RuntimeError", "ValueError"],
-    }
 
     def check_module(self, module: Module) -> Iterable[Finding]:
         findings: list[Finding] = []
@@ -94,13 +96,9 @@ class ExceptionDisciplineRule(Rule):
 
     # ------------------------------------------------------------------
     def finalize(self, modules: Sequence[Module]) -> Iterable[Finding]:
-        pipe_modules = self.config.get("pipe_modules", [])
-        if not pipe_modules:
-            return ()
-        allowed = set(self.config.get("allowed_raises", []))
-        errors_rel = self.config.get("errors_module", "")
+        allowed = set(ALLOWED_RAISES)
         for module in modules:
-            if module.rel == errors_rel:
+            if module.rel == ERRORS_MODULE:
                 allowed.update(
                     node.name
                     for node in module.tree.body
@@ -108,7 +106,7 @@ class ExceptionDisciplineRule(Rule):
                 )
         findings: list[Finding] = []
         for module in modules:
-            if not path_matches(module.rel, pipe_modules):
+            if not path_matches(module.rel, PIPE_MODULES):
                 continue
             for node in ast.walk(module.tree):
                 if not isinstance(node, ast.Raise) or node.exc is None:

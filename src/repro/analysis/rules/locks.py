@@ -79,8 +79,6 @@ def _self_attr(expr: ast.expr, aliases: dict[str, str]) -> str | None:
 
 class LockDisciplineRule(Rule):
     rule_id = "RPR001"
-    title = "lock discipline"
-    default_config: dict = {"modules": []}
 
     def check_module(self, module: Module) -> Iterable[Finding]:
         findings: list[Finding] = []

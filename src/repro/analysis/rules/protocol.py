@@ -7,8 +7,8 @@ kind of drift that ships green (nothing statically connects the two
 files) and then fails in production the first time the new tag crosses
 the boundary.
 
-The rule is configured as *channels* in ``analysis.toml``.  Each
-channel names sender scopes and handler scopes (``path`` or
+The rule checks the :data:`CHANNELS` below.  Each channel names
+sender scopes and handler scopes (package-relative ``path`` or
 ``path::qualname`` selectors):
 
 * **sent tags** are the first-element string constants of tuple
@@ -20,16 +20,14 @@ channel names sender scopes and handler scopes (``path`` or
   the tag universe from a module-level tuple of strings (the serve
   protocol's ``KINDS``).
 
-Every sent tag (or declared kind) must be handled or listed in the
-channel's ``data_tags`` (tags consumed generically, e.g. the ``ok``
-payload arm).  With ``strict = true`` the reverse also holds: a
-handler arm for a tag nobody sends is dead code or a typo.
+Every sent tag (or declared kind) must be handled.
 """
 
 from __future__ import annotations
 
 import ast
 from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 
 from repro.analysis.core import (
     Finding,
@@ -41,6 +39,29 @@ from repro.analysis.core import (
 
 #: Call names that move a message across a channel.
 SEND_CALLS = {"send", "request", "submit"}
+
+
+@dataclass(frozen=True)
+class Channel:
+    name: str
+    handlers: tuple[str, ...]
+    senders: tuple[str, ...] = ()
+    kinds_from: str | None = None
+
+
+#: Every channel the package speaks.
+CHANNELS = (
+    Channel(
+        "shard-pipe-requests",
+        senders=("shard/worker.py::ShardWorker", "shard/supervisor.py"),
+        handlers=("shard/worker.py::_shard_worker_main",),
+    ),
+    Channel(
+        "serve-kinds",
+        kinds_from="serve/protocol.py::KINDS",
+        handlers=("serve/server.py",),
+    ),
+)
 
 
 def _split_selector(selector: str) -> tuple[str, str | None]:
@@ -76,52 +97,38 @@ def _tuple_tag(expr: ast.expr) -> str | None:
 
 class ProtocolExhaustivenessRule(Rule):
     rule_id = "RPR002"
-    title = "protocol exhaustiveness"
-    default_config: dict = {"channels": []}
 
     def finalize(self, modules: Sequence[Module]) -> Iterable[Finding]:
         findings: list[Finding] = []
-        for channel in self.config.get("channels", []):
+        for channel in CHANNELS:
             findings.extend(self._check_channel(modules, channel))
         return findings
 
     # ------------------------------------------------------------------
     def _check_channel(
-        self, modules: Sequence[Module], channel: dict
+        self, modules: Sequence[Module], channel: Channel
     ) -> Iterable[Finding]:
-        name = channel.get("name", "channel")
-        data_tags = set(channel.get("data_tags", []))
         sent: dict[str, tuple[Module, int]] = {}
-        if "kinds_from" in channel:
-            sent.update(self._declared_kinds(modules, channel["kinds_from"]))
-        for selector in channel.get("senders", []):
+        if channel.kinds_from is not None:
+            sent.update(self._declared_kinds(modules, channel.kinds_from))
+        for selector in channel.senders:
             for module, scope in _select(modules, selector):
                 for tag, line in self._sent_tags(scope):
                     sent.setdefault(tag, (module, line))
-        handled: dict[str, tuple[Module, int]] = {}
-        for selector in channel.get("handlers", []):
-            for module, scope in _select(modules, selector):
-                for tag, line in self._handled_tags(scope):
-                    handled.setdefault(tag, (module, line))
-        if not sent and not handled:
-            return
-        for tag in sorted(set(sent) - set(handled) - data_tags):
+        handled = {
+            tag
+            for selector in channel.handlers
+            for _module, scope in _select(modules, selector)
+            for tag, _line in self._handled_tags(scope)
+        }
+        for tag in sorted(set(sent) - handled):
             module, line = sent[tag]
             yield self.finding(
                 module,
                 line,
-                f"{name}: tag {tag!r} is sent but no handler arm "
+                f"{channel.name}: tag {tag!r} is sent but no handler arm "
                 f"matches it on the receiving side",
             )
-        if channel.get("strict", False):
-            for tag in sorted(set(handled) - set(sent) - data_tags):
-                module, line = handled[tag]
-                yield self.finding(
-                    module,
-                    line,
-                    f"{name}: handler arm for {tag!r} matches a tag "
-                    f"nobody sends (dead arm or typo)",
-                )
 
     def _declared_kinds(
         self, modules: Sequence[Module], selector: str

@@ -7,11 +7,12 @@ hooks.  A stray ``time.time()`` / ``perf_counter()`` inside a kernel
 is how "counted ops" quietly turns back into "seconds on my laptop" --
 and how a kernel picks up syscall overhead per queue operation.
 
-Inside the configured kernel modules this rule flags any import of
-``time`` / ``datetime`` and any use of their members.  Kernels that
-legitimately need a clock (deadline checks, the ``elapsed`` stat)
-import the sanctioned alias -- ``repro.query.stats.counted_clock`` --
-whose single definition site keeps the exception auditable.
+Inside the kernel modules (:data:`~repro.analysis.core.KERNELS`) this
+rule flags any import of ``time`` / ``datetime`` and any use of their
+members.  Kernels that legitimately need a clock (deadline checks, the
+``elapsed`` stat) import the sanctioned alias --
+``repro.query.stats.counted_clock`` -- whose single definition site
+keeps the exception auditable.
 """
 
 from __future__ import annotations
@@ -19,28 +20,18 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterable
 
-from repro.analysis.core import Finding, Module, Rule, path_matches
+from repro.analysis.core import KERNELS, Finding, Module, Rule
 
 BANNED_MODULES = {"time", "datetime"}
 
 
 class CountedOpPurityRule(Rule):
     rule_id = "RPR004"
-    title = "counted-op purity"
-    default_config: dict = {
-        "kernels": [],
-        "sanctioned": ["counted_clock"],
-    }
-
-    def applies(self, module: Module) -> bool:
-        # Inert unless kernels are configured: this rule is a
-        # whitelist of hot-path modules, not a repo-wide ban.
-        return path_matches(module.rel, self.config.get("kernels", []))
+    scope = KERNELS
 
     def check_module(self, module: Module) -> Iterable[Finding]:
         findings: list[Finding] = []
         clock_names: set[str] = set()
-        sanctioned = set(self.config.get("sanctioned", []))
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -61,8 +52,6 @@ class CountedOpPurityRule(Rule):
             ):
                 for alias in node.names:
                     name = alias.asname or alias.name
-                    if name in sanctioned:
-                        continue
                     findings.append(
                         self.finding(
                             module,

@@ -11,10 +11,10 @@ facts:
   from ``trace.span(...)`` / ``trace.begin(...)``) must exist on the
   null classes -- otherwise the first untraced request raises
   ``AttributeError`` in production while every traced test passes;
-* the inner-loop modules (search kernels) must not import
-  ``repro.obs`` at all -- the hot path's observability rides on the
-  stats objects, keeping the kernels import-light and the no-op cost
-  literally zero.
+* the inner-loop modules (:data:`~repro.analysis.core.KERNELS`) must
+  not import ``repro.obs`` at all -- the hot path's observability
+  rides on the stats objects, keeping the kernels import-light and
+  the no-op cost literally zero.
 
 The null API is parsed from ``repro/obs/trace.py`` itself (methods
 plus class-level attributes of ``NullTrace``/``NullSpan``), so the
@@ -27,6 +27,7 @@ import ast
 from collections.abc import Iterable, Sequence
 
 from repro.analysis.core import (
+    KERNELS,
     Finding,
     Module,
     Rule,
@@ -35,14 +36,12 @@ from repro.analysis.core import (
     path_matches,
 )
 
-#: Fallback API surfaces, used only if the trace module is not part of
-#: the analyzed file set (e.g. fixture runs in the rule tests).
-FALLBACK_TRACE_API = {
-    "span", "begin", "adopt", "finish", "enabled", "trace_id", "labels",
-}
-FALLBACK_SPAN_API = {
-    "close", "count", "add_stats", "annotate", "name",
-}
+#: The module defining ``NullTrace`` / ``NullSpan``.
+TRACE_MODULE = "obs/trace.py"
+
+#: The observability package, by import name and by path.
+OBS_PACKAGE = "repro.obs"
+OBS_PATH = "obs"
 
 SPAN_FACTORIES = ("span", "begin")
 
@@ -65,21 +64,12 @@ def _class_api(cls: ast.ClassDef) -> set[str]:
 
 class TracingNoOpRule(Rule):
     rule_id = "RPR006"
-    title = "tracing no-op safety"
-    default_config: dict = {
-        "modules": [],
-        "inner_loop": [],
-        "trace_module": "src/repro/obs/trace.py",
-        "obs_package": "repro.obs",
-        "obs_paths": ["src/repro/obs"],
-    }
 
     def finalize(self, modules: Sequence[Module]) -> Iterable[Finding]:
-        trace_api = set(FALLBACK_TRACE_API)
-        span_api = set(FALLBACK_SPAN_API)
-        trace_rel = self.config.get("trace_module", "")
+        trace_api: set[str] = set()
+        span_api: set[str] = set()
         for module in modules:
-            if module.rel != trace_rel:
+            if module.rel != TRACE_MODULE:
                 continue
             for node in module.tree.body:
                 if isinstance(node, ast.ClassDef):
@@ -88,12 +78,10 @@ class TracingNoOpRule(Rule):
                     elif node.name == "NullSpan":
                         span_api = _class_api(node)
         findings: list[Finding] = []
-        obs_paths = self.config.get("obs_paths", [])
-        inner = self.config.get("inner_loop", [])
         for module in modules:
-            if path_matches(module.rel, obs_paths):
+            if path_matches(module.rel, (OBS_PATH,)):
                 continue
-            if path_matches(module.rel, inner):
+            if path_matches(module.rel, KERNELS):
                 findings.extend(self._check_imports(module))
             findings.extend(
                 self._check_call_sites(module, trace_api, span_api)
@@ -102,7 +90,6 @@ class TracingNoOpRule(Rule):
 
     # ------------------------------------------------------------------
     def _check_imports(self, module: Module) -> Iterable[Finding]:
-        obs = self.config.get("obs_package", "repro.obs")
         for node in ast.walk(module.tree):
             targets: list[str] = []
             if isinstance(node, ast.Import):
@@ -110,7 +97,9 @@ class TracingNoOpRule(Rule):
             elif isinstance(node, ast.ImportFrom):
                 targets = [node.module or ""]
             for target in targets:
-                if target == obs or target.startswith(obs + "."):
+                if target == OBS_PACKAGE or target.startswith(
+                    OBS_PACKAGE + "."
+                ):
                     yield self.finding(
                         module,
                         node.lineno,

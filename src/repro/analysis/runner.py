@@ -1,75 +1,51 @@
-"""The ``repro check`` entry point: discover config, run rules, render.
+"""The ``repro check`` entry point: run every rule over the package, render.
 
-Exit status is the contract CI relies on: 0 when every finding is
-suppressed (with justification) or there are none; 1 the moment one
-unsuppressed finding exists.  ``--json`` emits a machine-readable
-report (``{"findings": [...], "summary": {...}}``) for the
-static-analysis CI job and for tooling that wants to diff runs.
+The checked tree is always the whole ``repro`` package this module was
+imported from, so the result does not depend on the working directory.
+Exit status is the contract CI relies on: 0 when there is no finding,
+1 the moment one exists, 2 when the package holds no module at all.
+``--json`` emits a machine-readable report (``{"findings": [...],
+"summary": {...}}``) for the static-analysis CI job and for tooling
+that wants to diff runs.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from collections.abc import Sequence
+from pathlib import Path
 from typing import TextIO
 
-from repro.analysis.core import RULE_ID_RE, AnalysisConfig, Analyzer, Finding
-from repro.analysis.rules import ALL_RULES, make_rules
+from repro.analysis.core import Analyzer
+from repro.analysis.rules import ALL_RULES
 
-
-def _render_text(findings: list[Finding], out: TextIO) -> None:
-    unsuppressed = [f for f in findings if not f.suppressed]
-    suppressed = [f for f in findings if f.suppressed]
-    for finding in unsuppressed:
-        out.write(f"{finding.location}: {finding.rule} {finding.message}\n")
-    if unsuppressed:
-        out.write("\n")
-    out.write(
-        f"repro check: {len(unsuppressed)} finding(s), "
-        f"{len(suppressed)} suppressed\n"
-    )
-
-
-def _render_json(findings: list[Finding], out: TextIO) -> None:
-    unsuppressed = sum(1 for f in findings if not f.suppressed)
-    report = {
-        "findings": [f.to_dict() for f in findings],
-        "summary": {
-            "total": len(findings),
-            "suppressed": len(findings) - unsuppressed,
-            "unsuppressed": unsuppressed,
-        },
-    }
-    out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+#: The package directory of the imported ``repro``.
+PACKAGE = Path(__file__).parents[1]
 
 
 def run_check(
-    paths: Sequence[str] | None = None,
-    rule_ids: Sequence[str] | None = None,
     as_json: bool = False,
-    config_path: str | None = None,
-    list_rules: bool = False,
     out: TextIO | None = None,
+    root: Path = PACKAGE,
 ) -> int:
-    """Run the analyzer; returns the process exit status."""
+    """Run the analyzer over ``root``; returns the process exit status."""
     out = out or sys.stdout
-    if list_rules:
-        for cls in ALL_RULES:
-            out.write(f"{cls.rule_id}  {cls.title}\n")
-        return 0
-    for rule_id in rule_ids or ():
-        if not RULE_ID_RE.match(rule_id):
-            out.write(f"repro check: unknown rule id {rule_id!r}\n")
-            return 2
-    if config_path is not None:
-        config = AnalysisConfig.load(config_path)
-    else:
-        config = AnalysisConfig.discover()
-    analyzer = Analyzer(config, make_rules(config))
-    findings = analyzer.run(paths=paths or None, rule_ids=rule_ids)
+    modules, findings = Analyzer([cls() for cls in ALL_RULES]).run(root)
+    if not modules:
+        out.write(f"repro check: no Python modules under {root}\n")
+        return 2
     if as_json:
-        _render_json(findings, out)
+        report = {
+            "findings": [f.to_dict() for f in findings],
+            "summary": {"findings": len(findings), "modules": modules},
+        }
+        out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     else:
-        _render_text(findings, out)
-    return 1 if any(not f.suppressed for f in findings) else 0
+        for finding in findings:
+            out.write(f"{finding.location}: {finding.rule} {finding.message}\n")
+        if findings:
+            out.write("\n")
+        out.write(
+            f"repro check: {len(findings)} finding(s) in {modules} modules\n"
+        )
+    return 1 if findings else 0

@@ -368,13 +368,7 @@ def _cmd_trace_report(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.analysis.runner import run_check
 
-    return run_check(
-        paths=args.paths or None,
-        rule_ids=args.rules,
-        as_json=args.as_json,
-        config_path=args.config,
-        list_rules=args.list_rules,
-    )
+    return run_check(as_json=args.as_json)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -573,20 +567,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "check",
-        help="run the project's static-analysis rules (RPR001+)",
+        help="run the project's static-analysis rules (RPR001+) over "
+        "the whole installed repro package",
     )
-    p.add_argument("paths", nargs="*",
-                   help="files or directories to check "
-                   "(default: the paths listed in analysis.toml)")
     p.add_argument("--json", action="store_true", dest="as_json",
                    help="emit a machine-readable JSON report")
-    p.add_argument("--rule", action="append", dest="rules", metavar="ID",
-                   help="run only this rule id (repeatable)")
-    p.add_argument("--config", default=None,
-                   help="path to analysis.toml (default: discovered "
-                   "by walking up from the checked paths)")
-    p.add_argument("--list-rules", action="store_true",
-                   help="list the available rule ids and exit")
     p.set_defaults(func=_cmd_check)
 
     return parser

@@ -1,23 +1,29 @@
-"""The static-analysis framework: every rule proven live by fixture.
+"""The static-analysis framework: every rule proven live.
 
 Each rule class gets (at least) one failing and one passing fixture --
-tiny source snippets written into a temp tree and run through the
-real :class:`~repro.analysis.core.Analyzer` -- so a rule that silently
-stops matching (an ast refactor, a config typo) fails here before it
-ships a green-but-dead gate.  Suppression semantics, the ``--json``
-surface and the CLI exit codes are covered at the end.
+tiny source snippets written at the package-relative paths the rule
+patrols and run through the real :class:`~repro.analysis.core.Analyzer`
+-- so a rule that silently stops matching (an ast refactor, a scope
+typo) fails here before it ships a green-but-dead gate.  Every rule is
+then proven on a copy of the real package: clean as copied, exactly
+one finding after one realistic edit.  The ``--json`` surface, the CLI
+exit codes and runs from outside the checkout or through a symlink are
+covered at the end.
 """
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import textwrap
 from io import StringIO
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.core import AnalysisConfig, Analyzer, Finding
-from repro.analysis.rules import ALL_RULES, make_rules
+from repro.analysis.core import Analyzer
+from repro.analysis.rules import ALL_RULES
 from repro.analysis.rules.atomicwrite import AtomicWriteRule
 from repro.analysis.rules.deadline import DeadlinePropagationRule
 from repro.analysis.rules.exceptions import ExceptionDisciplineRule
@@ -28,20 +34,30 @@ from repro.analysis.rules.tracing import TracingNoOpRule
 from repro.analysis.runner import run_check
 
 REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "repro"
+TRACE_SOURCE = (PACKAGE / "obs" / "trace.py").read_text()
 
 
-def run_rules(tmp_path, files, rule_cls, rule_config=None, raw=None):
-    """Write ``files`` under ``tmp_path`` and run one rule over them."""
+def write_tree(root, files):
+    """Write ``files`` (package-relative path -> source) under ``root``."""
     for rel, source in files.items():
-        path = tmp_path / rel
+        path = root / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source))
-    raw = dict(raw or {})
-    if rule_config is not None:
-        raw.setdefault("rules", {})[rule_cls.rule_id] = rule_config
-    config = AnalysisConfig(root=tmp_path, raw=raw)
-    analyzer = Analyzer(config, [rule_cls(config.rule_config(rule_cls.rule_id))])
-    return analyzer.run(paths=["."])
+    return root
+
+
+def run_rules(tmp_path, files, rule_cls):
+    """Write ``files`` as a package under ``tmp_path`` and run one rule."""
+    _modules, findings = Analyzer([rule_cls()]).run(write_tree(tmp_path, files))
+    return findings
+
+
+def check_json(root):
+    """``repro check --json`` over the package at ``root``: (status, report)."""
+    out = StringIO()
+    status = run_check(as_json=True, out=out, root=root)
+    return status, json.loads(out.getvalue())
 
 
 class TestLockDiscipline:
@@ -112,83 +128,50 @@ class TestLockDiscipline:
 
 
 class TestProtocolExhaustiveness:
-    CONFIG = {
-        "channels": [
-            {
-                "name": "pipe",
-                "senders": ["client.py"],
-                "handlers": ["server.py::handle"],
-            }
-        ]
-    }
+    # The shard-pipe channel: the supervisor sends, the worker's main
+    # loop handles.
     CLIENT = """
         def call(conn):
             conn.send(("knn", 1, 2))
             conn.send(("ping",))
         """
     SERVER = """
-        def handle(msg):
+        def _shard_worker_main(msg):
             if msg[0] == "knn":
                 return 1
             if msg[0] == "ping":
                 return 2
         """
 
+    def files(self, client):
+        return {"shard/supervisor.py": client, "shard/worker.py": self.SERVER}
+
     def test_passes_when_every_tag_has_an_arm(self, tmp_path):
-        files = {"client.py": self.CLIENT, "server.py": self.SERVER}
         assert run_rules(
-            tmp_path, files, ProtocolExhaustivenessRule, self.CONFIG
+            tmp_path, self.files(self.CLIENT), ProtocolExhaustivenessRule
         ) == []
 
     def test_flags_sent_tag_without_handler(self, tmp_path):
         client = self.CLIENT + '    conn.send(("stop",))\n'
-        files = {"client.py": client, "server.py": self.SERVER}
         findings = run_rules(
-            tmp_path, files, ProtocolExhaustivenessRule, self.CONFIG
+            tmp_path, self.files(client), ProtocolExhaustivenessRule
         )
         assert [f.rule for f in findings] == ["RPR002"]
         assert "'stop'" in findings[0].message
 
     def test_kinds_from_reads_declared_tuple(self, tmp_path):
-        config = {
-            "channels": [
-                {
-                    "name": "kinds",
-                    "kinds_from": "proto.py::KINDS",
-                    "handlers": ["server.py::handle"],
-                }
-            ]
-        }
         files = {
-            "proto.py": 'KINDS = ("knn", "extra")\n',
-            "server.py": self.SERVER,
+            "serve/protocol.py": 'KINDS = ("knn", "extra")\n',
+            "serve/server.py": self.SERVER,
         }
-        findings = run_rules(
-            tmp_path, files, ProtocolExhaustivenessRule, config
-        )
+        findings = run_rules(tmp_path, files, ProtocolExhaustivenessRule)
         assert [f.message for f in findings] == [
-            "kinds: tag 'extra' is sent but no handler arm matches it "
-            "on the receiving side"
+            "serve-kinds: tag 'extra' is sent but no handler arm matches "
+            "it on the receiving side"
         ]
-
-    def test_strict_flags_dead_handler_arm(self, tmp_path):
-        config = {"channels": [dict(self.CONFIG["channels"][0], strict=True)]}
-        # SERVER ends with the closing-quote line's 8-space indent, so
-        # the first appended line supplies only the remaining 4.
-        server = self.SERVER + (
-            '    if msg[0] == "ghost":\n'
-            "                return 3\n"
-        )
-        files = {"client.py": self.CLIENT, "server.py": server}
-        findings = run_rules(
-            tmp_path, files, ProtocolExhaustivenessRule, config
-        )
-        assert ["ghost" in f.message for f in findings] == [True]
 
 
 class TestAtomicWrite:
-    CONFIG = {"modules": ["store.py"], "allow": ["integrity.py"]}
-
     def test_flags_bare_numpy_save(self, tmp_path):
         source = """
             import numpy as np
@@ -197,7 +180,7 @@ class TestAtomicWrite:
                 np.save(path / "col.npy", arr)
             """
         findings = run_rules(
-            tmp_path, {"store.py": source}, AtomicWriteRule, self.CONFIG
+            tmp_path, {"silc/store.py": source}, AtomicWriteRule
         )
         assert [f.rule for f in findings] == ["RPR003"]
 
@@ -213,7 +196,7 @@ class TestAtomicWrite:
                         f.write("{}")
             """
         assert run_rules(
-            tmp_path, {"store.py": source}, AtomicWriteRule, self.CONFIG
+            tmp_path, {"silc/store.py": source}, AtomicWriteRule
         ) == []
 
     def test_flags_append_mode_open_and_write_text(self, tmp_path):
@@ -224,7 +207,7 @@ class TestAtomicWrite:
                 path.write_text(line)
             """
         findings = run_rules(
-            tmp_path, {"store.py": source}, AtomicWriteRule, self.CONFIG
+            tmp_path, {"oracle/store.py": source}, AtomicWriteRule
         )
         assert [f.rule for f in findings] == ["RPR003", "RPR003"]
 
@@ -234,15 +217,12 @@ class TestAtomicWrite:
                 with open(path, "w") as f:
                     f.write(text)
             """
-        config = dict(self.CONFIG, modules=["integrity.py"])
         assert run_rules(
-            tmp_path, {"integrity.py": source}, AtomicWriteRule, config
+            tmp_path, {"integrity.py": source}, AtomicWriteRule
         ) == []
 
 
 class TestCountedOpPurity:
-    CONFIG = {"kernels": ["kernel.py"]}
-
     def test_flags_wall_clock_in_kernel(self, tmp_path):
         source = """
             from time import perf_counter
@@ -251,7 +231,7 @@ class TestCountedOpPurity:
                 return perf_counter()
             """
         findings = run_rules(
-            tmp_path, {"kernel.py": source}, CountedOpPurityRule, self.CONFIG
+            tmp_path, {"query/bestfirst.py": source}, CountedOpPurityRule
         )
         assert {f.rule for f in findings} == {"RPR004"}
         assert len(findings) == 2  # the import and the use
@@ -264,13 +244,13 @@ class TestCountedOpPurity:
                 return counted_clock()
             """
         assert run_rules(
-            tmp_path, {"kernel.py": source}, CountedOpPurityRule, self.CONFIG
+            tmp_path, {"query/bestfirst.py": source}, CountedOpPurityRule
         ) == []
 
     def test_non_kernel_modules_are_out_of_scope(self, tmp_path):
         source = "import time\n\n\ndef now():\n    return time.time()\n"
         assert run_rules(
-            tmp_path, {"other.py": source}, CountedOpPurityRule, self.CONFIG
+            tmp_path, {"other.py": source}, CountedOpPurityRule
         ) == []
 
 
@@ -313,14 +293,9 @@ class TestExceptionDiscipline:
         assert run_rules(tmp_path, {"m.py": source}, ExceptionDisciplineRule) == []
 
     def test_pipe_modules_must_raise_protocol_types(self, tmp_path):
-        config = {
-            "pipe_modules": ["worker.py"],
-            "errors_module": "errors.py",
-            "allowed_raises": ["ValueError"],
-        }
         files = {
             "errors.py": "class WorkerDied(Exception):\n    pass\n",
-            "worker.py": (
+            "shard/worker.py": (
                 "def f():\n"
                 "    raise WorkerDied('ok')\n"
                 "\n"
@@ -328,15 +303,11 @@ class TestExceptionDiscipline:
                 "    raise KeyError('not a wire type')\n"
             ),
         }
-        findings = run_rules(
-            tmp_path, files, ExceptionDisciplineRule, config
-        )
+        findings = run_rules(tmp_path, files, ExceptionDisciplineRule)
         assert ["KeyError" in f.message for f in findings] == [True]
 
 
 class TestTracingNoOp:
-    CONFIG = {"inner_loop": ["kernel.py"]}
-
     def test_flags_unknown_span_method(self, tmp_path):
         source = """
             def serve(trace):
@@ -344,9 +315,8 @@ class TestTracingNoOp:
                     s.close()
                     s.explode()
             """
-        findings = run_rules(
-            tmp_path, {"serve.py": source}, TracingNoOpRule, self.CONFIG
-        )
+        files = {"obs/trace.py": TRACE_SOURCE, "serve.py": source}
+        findings = run_rules(tmp_path, files, TracingNoOpRule)
         assert [f.rule for f in findings] == ["RPR006"]
         assert "s.explode" in findings[0].message
 
@@ -359,14 +329,13 @@ class TestTracingNoOp:
                 span = trace.begin("y")
                 span.close()
             """
-        assert run_rules(
-            tmp_path, {"serve.py": source}, TracingNoOpRule, self.CONFIG
-        ) == []
+        files = {"obs/trace.py": TRACE_SOURCE, "serve.py": source}
+        assert run_rules(tmp_path, files, TracingNoOpRule) == []
 
     def test_flags_obs_import_in_inner_loop(self, tmp_path):
         source = "from repro.obs.trace import NULL_TRACE\n"
         findings = run_rules(
-            tmp_path, {"kernel.py": source}, TracingNoOpRule, self.CONFIG
+            tmp_path, {"query/bestfirst.py": source}, TracingNoOpRule
         )
         assert [f.rule for f in findings] == ["RPR006"]
         assert "inner-loop" in findings[0].message
@@ -374,7 +343,7 @@ class TestTracingNoOp:
     def test_api_parsed_from_trace_module(self, tmp_path):
         # A NullSpan that really has .explode() makes the call legal.
         files = {
-            "trace.py": (
+            "obs/trace.py": (
                 "class NullTrace:\n"
                 "    def span(self, name, **labels):\n"
                 "        return NullSpan()\n"
@@ -389,8 +358,7 @@ class TestTracingNoOp:
                 "        s.explode()\n"
             ),
         }
-        config = dict(self.CONFIG, trace_module="trace.py")
-        assert run_rules(tmp_path, files, TracingNoOpRule, config) == []
+        assert run_rules(tmp_path, files, TracingNoOpRule) == []
 
 
 class TestDeadlinePropagation:
@@ -427,102 +395,139 @@ class TestDeadlinePropagation:
         assert run_rules(tmp_path, {"m.py": source}, DeadlinePropagationRule) == []
 
 
+
+def copy_package(dest):
+    shutil.copytree(PACKAGE, dest, ignore=shutil.ignore_patterns("__pycache__"))
+    return dest
+
+
+def seed(root, rel, old, new):
+    """Apply one edit to the package at ``root``; ``old`` must occur once."""
+    source = (root / rel).read_text()
+    assert source.count(old) == 1, rel
+    (root / rel).write_text(source.replace(old, new))
+
+
+#: ``except Exception: pass`` around the shard worker's start-up close.
+SILENT_CATCH = (
+    "shard/worker.py",
+    "        finally:\n"
+    "            conn.close()\n"
+    "        return\n",
+    "        finally:\n"
+    "            try:\n"
+    "                conn.close()\n"
+    "            except Exception:\n"
+    "                pass\n"
+    "        return\n",
+)
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """A copy of the real package, checked clean as copied."""
+    root = copy_package(tmp_path_factory.mktemp("pristine") / "repro")
+    status, report = check_json(root)
+    assert (status, report["findings"]) == (0, [])
+    return root
+
+
+def findings_after(pristine, tmp_path, rel, old, new):
+    """The findings of ``repro check`` on a copy with one edit applied."""
+    root = tmp_path / "repro"
+    shutil.copytree(pristine, root)
+    seed(root, rel, old, new)
+    status, report = check_json(root)
+    assert status == 1
+    return [(f["rule"], f["message"]) for f in report["findings"]]
+
+
 class TestRulesOnTheShardTier:
     """RPR002 and RPR007 against the shard tier as it is shipped: a copy
-    of the real ``src/repro/shard`` and ``analysis.toml``, clean as
-    copied, must fail once the bug class each rule exists for is put
-    back into it."""
+    of the real package, clean as copied, must fail once the bug class
+    each rule exists for is put back into it."""
 
-    def _check(self, tmp_path, rule, path, old, new):
-        shutil.copy(REPO / "analysis.toml", tmp_path / "analysis.toml")
-        shard = tmp_path / "src" / "repro" / "shard"
-        shutil.copytree(REPO / "src" / "repro" / "shard", shard,
-                        ignore=shutil.ignore_patterns("__pycache__"))
-
-        def findings():
-            out = StringIO()
-            run_check(rule_ids=[rule], as_json=True,
-                      config_path=tmp_path / "analysis.toml", out=out)
-            return [f["message"] for f in json.loads(out.getvalue())["findings"]
-                    if not f["suppressed"]]
-
-        assert findings() == []
-        source = (shard / path).read_text()
-        assert source.count(old) == 1
-        (shard / path).write_text(source.replace(old, new))
-        return findings()
-
-    def test_rpr007_catches_a_dropped_budget_on_the_worker_visit(self, tmp_path):
-        messages = self._check(
-            tmp_path, "RPR007", "worker.py",
+    def test_rpr007_catches_a_dropped_budget_on_the_worker_visit(
+        self, pristine, tmp_path
+    ):
+        found = findings_after(
+            pristine, tmp_path, "shard/worker.py",
             "shard, position, k, variant, trace=trace, time_cap=budget,",
             "shard, position, k, variant, trace=trace,",
         )
-        assert len(messages) == 1 and "knn" in messages[0], messages
+        assert len(found) == 1 and found[0][0] == "RPR007", found
+        assert "knn" in found[0][1]
 
-    def test_rpr002_catches_a_deleted_ping_arm(self, tmp_path):
-        messages = self._check(
-            tmp_path, "RPR002", "worker.py",
+    def test_rpr002_catches_a_deleted_ping_arm(self, pristine, tmp_path):
+        found = findings_after(
+            pristine, tmp_path, "shard/worker.py",
             'if kind == "ping":\n'
             '                conn.send(("pong", shard_id))\n'
             '            elif kind == "knn":',
             'if kind == "knn":',
         )
-        assert len(messages) == 1 and "'ping'" in messages[0], messages
+        assert len(found) == 1 and found[0][0] == "RPR002", found
+        assert "'ping'" in found[0][1]
 
 
-class TestSuppressions:
-    SOURCE = """
-        def f():
-            try:
-                return 1
-            except Exception:{comment}
-                pass
-        """
+class TestRulesOnTheRealTree:
+    """RPR001 and RPR003-RPR006 the same way: one realistic edit to a
+    clean copy of the package, exactly one finding of that rule."""
 
-    def _run(self, tmp_path, comment):
-        source = self.SOURCE.format(comment=comment)
-        return run_rules(tmp_path, {"m.py": source}, ExceptionDisciplineRule)
-
-    def test_justified_ignore_suppresses(self, tmp_path):
-        findings = self._run(
-            tmp_path, "  # repro: ignore[RPR005] demo boundary, errors logged upstream"
+    def test_rpr001_catches_an_event_logged_outside_the_lock(
+        self, pristine, tmp_path
+    ):
+        found = findings_after(
+            pristine, tmp_path, "faults.py",
+            "            worker.kill()\n"
+            "            with self._lock:\n"
+            '                self.events.append(("worker_kill", shard, n))\n',
+            "            worker.kill()\n"
+            '            self.events.append(("worker_kill", shard, n))\n',
         )
-        assert [f.suppressed for f in findings] == [True]
-        assert findings[0].justification == "demo boundary, errors logged upstream"
+        assert len(found) == 1 and found[0][0] == "RPR001", found
+        assert "FaultInjector.events" in found[0][1]
 
-    def test_ignore_without_justification_stays_alive(self, tmp_path):
-        findings = self._run(tmp_path, "  # repro: ignore[RPR005]")
-        assert [f.suppressed for f in findings] == [False]
-        assert "justification is required" in findings[0].message
+    def test_rpr003_catches_a_save_straight_into_the_index(
+        self, pristine, tmp_path
+    ):
+        found = findings_after(
+            pristine, tmp_path, "silc/index.py",
+            'np.save(tmp / f"{name}.npy", array)',
+            'np.save(path / f"{name}.npy", array)',
+        )
+        assert len(found) == 1 and found[0][0] == "RPR003", found
+        assert "np.save()" in found[0][1]
 
-    def test_ignore_for_other_rule_does_not_suppress(self, tmp_path):
-        findings = self._run(tmp_path, "  # repro: ignore[RPR001] wrong rule")
-        assert [f.suppressed for f in findings] == [False]
+    def test_rpr004_catches_a_wall_clock_in_ine(self, pristine, tmp_path):
+        found = findings_after(
+            pristine, tmp_path, "query/ine.py",
+            "import math\n",
+            "import math\nfrom time import perf_counter\n",
+        )
+        assert len(found) == 1 and found[0][0] == "RPR004", found
+        assert "'perf_counter'" in found[0][1]
 
-    def test_comment_line_above_suppresses(self, tmp_path):
-        source = """
-            def f():
-                try:
-                    return 1
-                # repro: ignore[RPR005] demo boundary
-                except Exception:
-                    pass
-            """
-        findings = run_rules(tmp_path, {"m.py": source}, ExceptionDisciplineRule)
-        assert [f.suppressed for f in findings] == [True]
+    def test_rpr005_catches_a_silent_catch_in_the_worker(
+        self, pristine, tmp_path
+    ):
+        found = findings_after(pristine, tmp_path, *SILENT_CATCH)
+        assert len(found) == 1 and found[0][0] == "RPR005", found
+        assert "except Exception swallows" in found[0][1]
+
+    def test_rpr006_catches_a_trace_call_off_the_null_surface(
+        self, pristine, tmp_path
+    ):
+        found = findings_after(
+            pristine, tmp_path, "engine.py",
+            "plan_span.annotate(oracle=backend)",
+            "trace.annotate(oracle=backend)",
+        )
+        assert len(found) == 1 and found[0][0] == "RPR006", found
+        assert "trace.annotate" in found[0][1]
 
 
 class TestRunner:
-    def _write_tree(self, tmp_path, source):
-        (tmp_path / "analysis.toml").write_text(
-            '[analysis]\npaths = ["pkg"]\n'
-        )
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "m.py").write_text(textwrap.dedent(source))
-        return tmp_path
-
     BAD = """
         def f():
             try:
@@ -532,77 +537,83 @@ class TestRunner:
         """
 
     def test_exit_one_and_json_round_trip_on_findings(self, tmp_path):
-        root = self._write_tree(tmp_path, self.BAD)
-        out = StringIO()
-        status = run_check(
-            as_json=True, config_path=root / "analysis.toml", out=out
-        )
+        root = write_tree(tmp_path, {"m.py": self.BAD})
+        status, report = check_json(root)
         assert status == 1
-        report = json.loads(out.getvalue())
-        assert report["summary"]["unsuppressed"] == 1
-        round_tripped = [Finding.from_dict(f) for f in report["findings"]]
-        assert [f.rule for f in round_tripped] == ["RPR005"]
-        assert round_tripped[0].location.endswith("m.py:5")
+        assert report["summary"] == {"findings": 1, "modules": 1}
+        assert [f["rule"] for f in report["findings"]] == ["RPR005"]
+        assert report["findings"][0]["path"].endswith("m.py")
+        assert report["findings"][0]["line"] == 5
 
     def test_exit_zero_on_clean_tree(self, tmp_path):
-        root = self._write_tree(tmp_path, "def f():\n    return 1\n")
+        root = write_tree(tmp_path, {"m.py": "def f():\n    return 1\n"})
         out = StringIO()
-        status = run_check(config_path=root / "analysis.toml", out=out)
+        status = run_check(out=out, root=root)
         assert status == 0
-        assert "0 finding(s)" in out.getvalue()
-
-    def test_exit_zero_when_every_finding_is_suppressed(self, tmp_path):
-        source = self.BAD.replace(
-            "except Exception:",
-            "except Exception:  # repro: ignore[RPR005] fixture boundary",
-        )
-        root = self._write_tree(tmp_path, source)
-        out = StringIO()
-        status = run_check(config_path=root / "analysis.toml", out=out)
-        assert status == 0
-        assert "1 suppressed" in out.getvalue()
-
-    def test_unknown_rule_id_exits_two(self, tmp_path):
-        root = self._write_tree(tmp_path, "x = 1\n")
-        out = StringIO()
-        status = run_check(
-            rule_ids=["RPRXYZ"], config_path=root / "analysis.toml", out=out
-        )
-        assert status == 2
-
-    def test_rule_filter_limits_the_run(self, tmp_path):
-        root = self._write_tree(tmp_path, self.BAD)
-        out = StringIO()
-        status = run_check(
-            rule_ids=["RPR001"], config_path=root / "analysis.toml", out=out
-        )
-        assert status == 0  # the RPR005 finding is filtered out
-
-    def test_list_rules_names_every_rule(self, tmp_path):
-        out = StringIO()
-        assert run_check(list_rules=True, out=out) == 0
-        listed = out.getvalue()
-        for cls in ALL_RULES:
-            assert cls.rule_id in listed
+        assert "0 finding(s) in 1 modules" in out.getvalue()
 
     def test_syntax_errors_surface_as_findings(self, tmp_path):
-        root = self._write_tree(tmp_path, "def f(:\n")
+        root = write_tree(tmp_path, {"m.py": "def f(:\n"})
         out = StringIO()
-        status = run_check(config_path=root / "analysis.toml", out=out)
+        status = run_check(out=out, root=root)
         assert status == 1
         assert "RPR000" in out.getvalue()
+
+    def test_a_tree_without_modules_is_an_error(self, tmp_path):
+        out = StringIO()
+        assert run_check(out=out, root=tmp_path) == 2
+        assert "no Python modules" in out.getvalue()
+
+    def test_a_symlinked_tree_reports_what_the_tree_reports(self, tmp_path):
+        copy = copy_package(tmp_path / "real" / "repro")
+        seed(copy, "query/bestfirst.py", "from __future__ import annotations\n",
+             "from __future__ import annotations\n\nimport time\n")
+        (tmp_path / "link").symlink_to(tmp_path / "real")
+
+        def located(root):
+            _status, report = check_json(root)
+            return [(f["rule"], Path(f["path"]).relative_to(root).as_posix(),
+                     f["line"], f["message"]) for f in report["findings"]]
+
+        found = located(copy)
+        assert [(rule, rel) for rule, rel, _, _ in found] == [
+            ("RPR004", "query/bestfirst.py")
+        ]
+        assert located(tmp_path / "link" / "repro") == found
+
+
+class TestOutsideTheCheckout:
+    """``python -m repro check`` checks the package it was imported
+    from, whatever the working directory."""
+
+    def _check(self, tmp_path, src):
+        env = dict(os.environ, PYTHONPATH=str(src))
+        return subprocess.run(
+            [sys.executable, "-m", "repro", "check"], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+
+    def test_reports_the_package_module_count(self, tmp_path):
+        done = self._check(tmp_path, REPO / "src")
+        count = sum(1 for _ in PACKAGE.rglob("*.py"))
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert f"0 finding(s) in {count} modules" in done.stdout
+
+    def test_fails_on_a_copy_with_a_silent_catch(self, tmp_path):
+        copy = copy_package(tmp_path / "src" / "repro")
+        seed(copy, *SILENT_CATCH)
+        done = self._check(tmp_path, tmp_path / "src")
+        assert done.returncode == 1, done.stdout + done.stderr
+        assert "RPR005" in done.stdout
 
 
 class TestRepositoryIsClean:
     def test_repro_check_is_green_on_the_repo(self):
-        """The gate CI enforces: the shipped tree has no unsuppressed findings."""
+        """The gate CI enforces: the shipped tree has no finding."""
         out = StringIO()
         assert run_check(out=out) == 0, out.getvalue()
 
-    def test_every_rule_has_default_config_and_unique_id(self):
+    def test_every_rule_has_a_unique_id(self):
         ids = [cls.rule_id for cls in ALL_RULES]
         assert len(ids) == len(set(ids))
         assert ids == sorted(ids)
-        config = AnalysisConfig.discover()
-        rules = make_rules(config)
-        assert [r.rule_id for r in rules] == ids
