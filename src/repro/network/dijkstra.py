@@ -4,8 +4,7 @@ The paper's central motivation is that Dijkstra's algorithm "visits too
 many vertices" (3191 of 4233 in their example) and therefore cannot
 serve real-time queries.  To reproduce that argument we need a Dijkstra
 that *counts what it touches*: settled vertices, relaxed edges and
-priority-queue traffic.  The same machinery doubles as the INE baseline
-(Dijkstra run incrementally over the network, Papadias et al. 2003).
+priority-queue traffic.
 
 Three entry points:
 
@@ -13,8 +12,8 @@ Three entry points:
   early-exit target set, returning distances + predecessors + counters,
 * :func:`shortest_path` -- point-to-point convenience wrapper,
 * :class:`IncrementalDijkstra` -- a resumable expansion that yields
-  vertices in increasing distance order, which is exactly the engine
-  INE needs.
+  vertices in increasing distance order, with state sized by the
+  ball it has grown (IER refinement runs one per candidate).
 """
 
 from __future__ import annotations
@@ -137,14 +136,37 @@ def shortest_path(
     return path, tree.dist[target], tree.stats
 
 
+class Reached:
+    """A length-``n`` sequence over the vertices a search has reached:
+    ``view[v]`` is ``values[v]``, and ``unreached`` for every other
+    vertex, so the state behind it grows with the search, not with
+    the network."""
+
+    __slots__ = ("values", "unreached", "_n")
+
+    def __init__(self, n: int, unreached) -> None:
+        self.values: dict = {}
+        self.unreached = unreached
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, v: int):
+        if not 0 <= v < self._n:
+            raise IndexError(v)
+        return self.values.get(v, self.unreached)
+
+
 class IncrementalDijkstra:
     """Resumable Dijkstra expansion in increasing distance order.
 
     ``expand_until(limit)`` settles vertices until the next candidate
     lies beyond ``limit``; calling it again with a larger limit resumes
-    where the previous call stopped.  INE uses this to grow its search
-    ball exactly as far as the current k-th neighbor requires and no
-    farther.
+    where the previous call stopped.  IER refinement uses it to grow a
+    ball just far enough to settle its targets.  Its state is sized by
+    that ball: ``dist`` / ``pred`` read ``inf`` / ``-1`` for a vertex
+    not reached, and constructing one costs O(seeds).
     """
 
     def __init__(
@@ -162,20 +184,18 @@ class IncrementalDijkstra:
         if (source is None) == (seeds is None):
             raise ValueError("provide exactly one of source or seeds")
         self._network = network
-        n = network.num_vertices
-        self.dist: list[float] = [math.inf] * n
-        self.pred: list[int] = [-1] * n
-        self._done = [False] * n
+        self.dist = Reached(network.num_vertices, math.inf)
+        self.pred = Reached(network.num_vertices, -1)
+        self._done: set[int] = set()
         self._heap: list[tuple[float, int]] = []
         self.stats = DijkstraStats()
-        start = [(source, 0.0)] if seeds is None else list(seeds)
-        self.source = start[0][0]
-        for v, d in start:
+        dist = self.dist.values
+        for v, d in [(source, 0.0)] if seeds is None else seeds:
             network.check_vertex(v)
             if d < 0:
                 raise ValueError("seed distances must be non-negative")
-            if d < self.dist[v]:
-                self.dist[v] = d
+            if d < dist.get(v, math.inf):
+                dist[v] = d
                 heapq.heappush(self._heap, (d, v))
                 self.stats.pushes += 1
 
@@ -189,24 +209,25 @@ class IncrementalDijkstra:
 
         Skips stale heap entries without settling anything.
         """
-        while self._heap and self._done[self._heap[0][1]]:
+        while self._heap and self._heap[0][1] in self._done:
             heapq.heappop(self._heap)
         return self._heap[0][0] if self._heap else math.inf
 
     def settle_next(self) -> tuple[int, float] | None:
         """Settle and return the next nearest vertex, or ``None``."""
+        dist, pred, done = self.dist.values, self.pred.values, self._done
         while self._heap:
             d, u = heapq.heappop(self._heap)
-            if self._done[u]:
+            if u in done:
                 continue
-            self._done[u] = True
+            done.add(u)
             self.stats.settled += 1
             for v, w in self._network.neighbors(u):
                 self.stats.relaxed += 1
                 nd = d + w
-                if nd < self.dist[v]:
-                    self.dist[v] = nd
-                    self.pred[v] = u
+                if nd < dist.get(v, math.inf):
+                    dist[v] = nd
+                    pred[v] = u
                     heapq.heappush(self._heap, (nd, v))
                     self.stats.pushes += 1
             return (u, d)
@@ -221,4 +242,4 @@ class IncrementalDijkstra:
             yield settled
 
     def is_settled(self, u: int) -> bool:
-        return self._done[u]
+        return u in self._done

@@ -47,7 +47,9 @@ class ObjectIndex:
         self.network = network
         self.objects = objects
         self.tree = PMRQuadtree(embedding, capacity=bucket_capacity)
-        self._vertex_objects: dict[int, list[int]] = defaultdict(list)
+        #: Vertex -> ids of the objects sitting exactly on it (INE reads
+        #: it at every vertex it settles).
+        self.vertex_objects: dict[int, list[int]] = defaultdict(list)
         #: Tail vertex -> ``(oid, remaining)`` for every edge part: the
         #: object lies ``remaining`` past the vertex along the part's
         #: edge, in either direction the edge can be travelled (INE
@@ -74,8 +76,8 @@ class ObjectIndex:
                 part_anchors = target_anchors(network, part)
                 anchors.extend(part_anchors)
                 if isinstance(part, VertexPosition):
-                    if obj.oid not in self._vertex_objects[part.vertex]:
-                        self._vertex_objects[part.vertex].append(obj.oid)
+                    if obj.oid not in self.vertex_objects[part.vertex]:
+                        self.vertex_objects[part.vertex].append(obj.oid)
                     continue
                 if not self.edge_objects or self.edge_objects[-1] is not obj:
                     self.edge_objects.append(obj)
@@ -121,13 +123,6 @@ class ObjectIndex:
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
-    def objects_at_vertex(self, vertex: int) -> list[int]:
-        """Object ids sitting exactly on ``vertex`` (INE's probe)."""
-        return list(self._vertex_objects.get(vertex, ()))
-
-    def vertices_with_objects(self) -> list[int]:
-        return sorted(self._vertex_objects)
-
     def get(self, oid: int) -> SpatialObject:
         return self.objects[oid]
 

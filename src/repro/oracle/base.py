@@ -155,11 +155,7 @@ class DijkstraOracle(DistanceOracle):
     def distance(self, source: int, target: int) -> float:
         if source == target:
             return 0.0
-        expansion = IncrementalDijkstra(self.network, source=source)
-        while not expansion.is_settled(target):
-            if expansion.settle_next() is None:
-                return math.inf
-        return expansion.dist[target]
+        return self.anchored_distance([(source, 0.0)], [(target, 0.0)])
 
     def anchored_distance(
         self,

@@ -50,13 +50,14 @@ class SILCOracle(DistanceOracle):
         self.index.save(path)
 
 
-class INEOracle(DistanceOracle):
+class INEOracle(DijkstraOracle):
     """Incremental Network Expansion: Dijkstra as a kNN backend.
 
     No precomputed state -- its selling point (always available,
     always exact) and its per-query cost (visits every edge closer
     than the k-th neighbor).  The planner picks it when the expected
-    Dijkstra ball is small: high object density, small k.
+    Dijkstra ball is small: high object density, small k.  Distances
+    are :class:`DijkstraOracle`'s.
     """
 
     info = OracleInfo(
@@ -68,15 +69,9 @@ class INEOracle(DistanceOracle):
     )
 
     def __init__(self, object_index: ObjectIndex, storage=None) -> None:
+        super().__init__(object_index.network)
         self.object_index = object_index
         self.storage = storage
-        self._p2p = DijkstraOracle(object_index.network)
-
-    def distance(self, source: int, target: int) -> float:
-        return self._p2p.distance(source, target)
-
-    def anchored_distance(self, *args, **kwargs) -> float:
-        return self._p2p.anchored_distance(*args, **kwargs)
 
     def knn(self, query, k: int, **kwargs) -> KNNResult:
         # ``variant``/``exact``/``time_budget`` are SILC knobs: INE is

@@ -36,9 +36,6 @@ class PMRNode:
     def is_leaf(self) -> bool:
         return self.children is None
 
-    def object_ids(self) -> list[int]:
-        return [oid for oid, _, _ in self.entries]
-
 
 class PMRQuadtree:
     """Quadtree index over identified points.

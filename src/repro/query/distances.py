@@ -14,8 +14,8 @@ import math
 from bisect import bisect_left, bisect_right
 
 from repro.objects.index import ObjectIndex
-from repro.objects.model import NetworkPosition, VertexPosition
-from repro.query.location import location_point, same_edge_direct, source_anchors
+from repro.objects.model import NetworkPosition, VertexPosition, position_point
+from repro.query.location import same_edge_direct, source_anchors
 from repro.quadtree.pmr import PMRNode
 from repro.silc.index import SILCIndex
 from repro.silc.intervals import MAX_REL_GAP, DistanceInterval, checked_bounds, invalid_bounds
@@ -135,7 +135,7 @@ class QueryHandle:
         # From a vertex the only same-edge segment is the 0.0 to an
         # object on that vertex, which the anchor pair gives exactly.
         self._at_vertex = isinstance(position, VertexPosition)
-        self.point = location_point(network, position)
+        self.point = position_point(network, position)
         # Global lower-bound slope for the Euclidean fallback bound:
         # any network path is at least this multiple of straight-line
         # distance (see SpatialNetwork.min_euclidean_ratio).

@@ -26,16 +26,10 @@ import math
 
 from repro.network.astar import astar_path
 from repro.objects.index import ObjectIndex
-from repro.objects.model import target_anchors
-from repro.query.location import (
-    location_point,
-    resolve_location,
-    same_edge_direct,
-    source_anchors,
-)
-from repro.query.results import KNNResult, Neighbor
+from repro.objects.model import position_point, target_anchors
+from repro.query.location import resolve_location, same_edge_direct, source_anchors
+from repro.query.results import KNNResult, exact_result
 from repro.query.stats import QueryStats, counted_clock
-from repro.silc.intervals import DistanceInterval
 
 
 def _network_distance(
@@ -117,7 +111,7 @@ def ier_knn(
         )
     position = resolve_location(network, query)
     src_anchors = source_anchors(network, position)
-    origin = location_point(network, position)
+    origin = position_point(network, position)
 
     results: list[tuple[float, int]] = []
 
@@ -140,16 +134,4 @@ def ier_knn(
         results.sort()
         del results[k:]
 
-    neighbors = [
-        Neighbor(oid=oid, interval=DistanceInterval.exact(d), distance=d)
-        for d, oid in results
-    ]
-    if io_before is not None:
-        delta = storage.stats.delta_since(io_before)
-        stats.io_accesses = delta.accesses
-        stats.io_misses = delta.misses
-        stats.io_time = delta.io_time(storage.miss_latency)
-    stats.elapsed = counted_clock() - t_start
-    if neighbors:
-        stats.dk_final = neighbors[-1].distance
-    return KNNResult(neighbors=neighbors, stats=stats, ordered=True)
+    return exact_result(results, stats, t_start, storage, io_before)

@@ -8,20 +8,21 @@ neighbor, at which point the buffer is provably complete.
 
 Its worst case -- and the reason SILC wins -- is that it must visit
 *every edge closer to the query than the k-th neighbor* (p.26), and
-probes the object index at each settled vertex.
+probes the object index at each settled vertex.  That ball is all it
+costs: the expansion runs in one frame over the network's adjacency,
+and its state (distances, heap, buffer) holds only what the ball reached.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 
-from repro.network.dijkstra import IncrementalDijkstra
 from repro.objects.index import ObjectIndex
 from repro.objects.model import VertexPosition
 from repro.query.location import resolve_location, same_edge_direct, source_anchors
-from repro.query.results import KNNResult, Neighbor
+from repro.query.results import KNNResult, exact_result
 from repro.query.stats import QueryStats, counted_clock
-from repro.silc.intervals import DistanceInterval
 
 
 def ine_knn(object_index: ObjectIndex, query, k: int, storage=None) -> KNNResult:
@@ -37,65 +38,71 @@ def ine_knn(object_index: ObjectIndex, query, k: int, storage=None) -> KNNResult
     if k < 1:
         raise ValueError("k must be at least 1")
     t_start = counted_clock()
-    stats = QueryStats()
     network = object_index.network
     position = resolve_location(network, query)
     io_before = storage.stats if storage is not None else None
+    touch = storage.touch_vertex if storage is not None else None
+    adj, inf = network._adj, math.inf
+    # Read at each settled vertex: the objects on it, and the edge(-part)
+    # objects reached through it.
+    vertex_objects, edge_candidates = object_index.vertex_objects, object_index.edge_candidates
 
-    # Edge(-part) objects become reachable when either endpoint settles.
-    edge_candidates = object_index.edge_candidates
-
-    # Objects reachable without passing through a vertex: those at a
-    # vertex query itself, or downstream on an edge query's own edge.
-    best: dict[int, float]
+    # Objects reachable without passing through a vertex: downstream on
+    # an edge query's own edge.  (A vertex query settles its vertex
+    # first, at 0, and meets the objects on it there.)
+    best: dict[int, float] = {}
     if isinstance(position, VertexPosition):
-        best = dict.fromkeys(object_index.objects_at_vertex(position.vertex), 0.0)
+        network.check_vertex(position.vertex)
     else:
         best = {
             obj.oid: direct
             for obj in object_index.edge_objects
             if (direct := same_edge_direct(network, position, obj.position)) is not None
         }
+    kth = sorted(best.values())[k - 1] if len(best) >= k else inf
 
-    def kth_best() -> float:
-        if len(best) < k:
-            return math.inf
-        return sorted(best.values())[k - 1]
-
-    expansion = IncrementalDijkstra(network, seeds=source_anchors(network, position))
-    while True:
-        frontier = expansion.next_frontier_distance()
-        if frontier > kth_best() or math.isinf(frontier):
+    # Tentative distances of the vertices reached.  Pushes only lower a
+    # distance and weights are positive: an entry popped above its
+    # vertex's distance is stale, and no vertex settles twice.
+    dist: dict[int, float] = {}
+    heap: list[tuple[float, int]] = []
+    heappop, heappush = heapq.heappop, heapq.heappush
+    for v, offset in source_anchors(network, position):
+        if offset < dist.get(v, inf):
+            dist[v] = offset
+            heappush(heap, (offset, v))
+    settled = relaxed = 0
+    # Settle while the frontier is within the k-th best: a tie at the
+    # k-th distance is still expanded.
+    while heap:
+        d, u = heappop(heap)
+        if d > dist[u]:
+            continue
+        if d > kth:
             break
-        settled = expansion.settle_next()
-        if settled is None:
-            break
-        vertex, dist = settled
-        if storage is not None:
-            storage.touch_vertex(vertex)
-        stats.index_probes += 1
-        for oid in object_index.objects_at_vertex(vertex):
-            if dist < best.get(oid, math.inf):
-                best[oid] = dist
-        for oid, extra in edge_candidates.get(vertex, ()):
-            if dist + extra < best.get(oid, math.inf):
-                best[oid] = dist + extra
+        settled += 1
+        if touch is not None:
+            touch(u)
+        improved = False
+        for oid in vertex_objects.get(u, ()):
+            if d < best.get(oid, inf):
+                best[oid] = d
+                improved = True
+        for oid, extra in edge_candidates.get(u, ()):
+            if d + extra < best.get(oid, inf):
+                best[oid] = d + extra
+                improved = True
+        if improved and len(best) >= k:
+            kth = sorted(best.values())[k - 1]
+        nbrs = adj[u]
+        relaxed += len(nbrs)
+        for v, w in nbrs:
+            nd = d + w
+            if nd < dist.get(v, inf):
+                dist[v] = nd
+                heappush(heap, (nd, v))
 
-    stats.settled = expansion.stats.settled
-    stats.relaxed = expansion.stats.relaxed
-    stats.max_queue = stats.settled  # frontier heap scales with the ball
-
-    ranked = sorted(best.items(), key=lambda item: (item[1], item[0]))[:k]
-    neighbors = [
-        Neighbor(oid=oid, interval=DistanceInterval.exact(d), distance=d)
-        for oid, d in ranked
-    ]
-    if io_before is not None:
-        delta = storage.stats.delta_since(io_before)
-        stats.io_accesses = delta.accesses
-        stats.io_misses = delta.misses
-        stats.io_time = delta.io_time(storage.miss_latency)
-    stats.elapsed = counted_clock() - t_start
-    if neighbors:
-        stats.dk_final = neighbors[-1].distance
-    return KNNResult(neighbors=neighbors, stats=stats, ordered=True)
+    # One object-index probe per settled vertex; the heap scales with the ball.
+    stats = QueryStats(settled=settled, relaxed=relaxed, index_probes=settled, max_queue=settled)
+    ranked = sorted(zip(best.values(), best.keys()))[:k]
+    return exact_result(ranked, stats, t_start, storage, io_before)

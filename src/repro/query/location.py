@@ -18,13 +18,7 @@ from __future__ import annotations
 
 from repro.geometry.point import Point
 from repro.network.graph import SpatialNetwork
-from repro.objects.model import (
-    EdgePosition,
-    ExtentPosition,
-    NetworkPosition,
-    VertexPosition,
-    position_point,
-)
+from repro.objects.model import EdgePosition, ExtentPosition, NetworkPosition, VertexPosition
 
 QueryLocation = "int | NetworkPosition | Point"
 
@@ -103,8 +97,3 @@ def same_edge_direct(
             return (g - (1.0 - f)) * network.edge_weight(target.a, target.b)
         return None
     return None
-
-
-def location_point(network: SpatialNetwork, position: NetworkPosition) -> Point:
-    """Spatial point of a location (delegates to the object model)."""
-    return position_point(network, position)

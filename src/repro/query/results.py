@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.query.stats import QueryStats
+from repro.query.stats import QueryStats, counted_clock
 from repro.silc.intervals import DistanceInterval
 
 
@@ -65,3 +65,21 @@ class KNNResult:
     def distances(self) -> list[float]:
         """Best-estimate distances, in reported order."""
         return [n.best_estimate for n in self.neighbors]
+
+
+def exact_result(
+    ranked, stats: QueryStats, t_start: float, storage=None, io_before=None
+) -> KNNResult:
+    """A baseline's answer from its ``(distance, oid)`` ranking, every
+    distance exact; ``stats`` gets the page traffic since ``io_before``
+    (when ``storage`` counted it), the elapsed time and ``dk_final``."""
+    neighbors = [Neighbor(oid, DistanceInterval(d, d), d) for d, oid in ranked]
+    if io_before is not None:
+        delta = storage.stats.delta_since(io_before)
+        stats.io_accesses = delta.accesses
+        stats.io_misses = delta.misses
+        stats.io_time = delta.io_time(storage.miss_latency)
+    stats.elapsed = counted_clock() - t_start
+    if neighbors:
+        stats.dk_final = neighbors[-1].distance
+    return KNNResult(neighbors=neighbors, stats=stats, ordered=True)

@@ -71,6 +71,7 @@ from repro.errors import DeadlineExceeded
 from repro.objects import EdgePosition, ObjectIndex, ObjectSet, VertexPosition
 from repro.query import bestfirst
 from repro.query.bestfirst import VARIANTS, best_first_knn
+from repro.query.ine import ine_knn
 from repro.query.distances import QueryHandle
 from repro.query.location import resolve_location
 from repro.silc import ProximalSILCIndex, SILCIndex
@@ -78,6 +79,7 @@ from repro.silc.index import _REL_PAD
 from repro.silc.intervals import checked_bounds
 from repro.silc.proximal import BEYOND, BeyondHorizonError
 from repro.silc.refinement import RefinableDistance, RefinementCounter
+from repro.storage import NetworkStorageModel
 from test_properties import one_way
 
 KS = (1, 5, 25)
@@ -352,6 +354,96 @@ def compute_control_flow_digests(net, index) -> dict[str, str]:
 def test_control_flow_digests_match_golden(parity_net, parity_index):
     got = compute_control_flow_digests(parity_net, parity_index)
     assert got == GOLDEN_CONTROL_FLOW
+
+
+# ----------------------------------------------------------------------
+# INE: answers and counted ops of the Dijkstra-ball baseline
+# ----------------------------------------------------------------------
+#: Recorded at the commit before INE became one frame per query over
+#: ball-sized state (it ran on ``IncrementalDijkstra`` then).  One
+#: digest per (cell, storage) over ``KS`` and the cell's queries:
+#: ``none`` runs without a simulator, ``network`` against a fresh
+#: ``NetworkStorageModel`` per cell.
+GOLDEN_INE: dict[str, str] = {
+    "vertex/none": "341ddd0b1c7c8719",
+    "vertex/network": "43aa4a627b49d850",
+    "edge/none": "c8865e5f545f74ec",
+    "edge/network": "73b68cccc70964d1",
+    "extent/none": "94d2770fb0648aa4",
+    "extent/network": "de6f14df2b059e3e",
+    "vertex_from_edges/none": "a87fe800fcbe58b9",
+    "vertex_from_edges/network": "891b656bc89783b3",
+    "extent_from_edges/none": "4600010f894d64b4",
+    "extent_from_edges/network": "fb1d4de98bc77d79",
+    "ties/none": "459706c88b4eed15",
+    "ties/network": "9d19555896251652",
+    "k_ge_s/vertex/none": "bf381efc09dd32a4",
+    "k_ge_s/vertex/network": "4791d0dd55f97500",
+    "k_ge_s/edge/none": "962c5719764c2f65",
+    "k_ge_s/edge/network": "9a63c305eeb65093",
+}
+
+
+def _ine_record(result) -> tuple:
+    s = result.stats
+    return (
+        tuple(n.oid for n in result.neighbors),
+        tuple(n.distance.hex() for n in result.neighbors),
+        s.settled,
+        s.relaxed,
+        s.index_probes,
+        s.io_accesses,
+        s.io_misses,
+    )
+
+
+def _ine_cells(net, embedding):
+    """``name -> (object index, [(query, k), ...])``."""
+    scenarios = _scenarios(net)
+    vertex_objects, vertices = scenarios["vertex"]
+    edge_queries = scenarios["edge"][1]
+    grid_index, grid_objects = tie_grid_setup()
+    cells = {
+        name: (ObjectIndex(net, objects, embedding), [(q, k) for k in KS for q in queries])
+        for name, (objects, queries) in scenarios.items()
+    }
+    # Edge-position queries against vertex objects and extents too.
+    cells["vertex_from_edges"] = (
+        ObjectIndex(net, vertex_objects, embedding),
+        [(q, k) for k in KS for q in edge_queries],
+    )
+    cells["extent_from_edges"] = (
+        ObjectIndex(net, scenarios["extent"][0], embedding),
+        [(q, k) for k in KS for q in edge_queries],
+    )
+    cells["ties"] = (grid_objects, [(q, k) for k in KS for q in range(0, 49, 3)])
+    # k >= |S|: the expansion drains the component.
+    for name, objects, size in (
+        ("k_ge_s/vertex", random_vertex_objects(net, count=12, seed=8), 12),
+        ("k_ge_s/edge", random_edge_objects(net, count=9, seed=8), 9),
+    ):
+        cells[name] = (
+            ObjectIndex(net, objects, embedding),
+            [(q, k) for k in (size, size + 7) for q in vertices],
+        )
+    return cells
+
+
+def compute_ine_digests(net, index) -> dict[str, str]:
+    digests = {}
+    for name, (object_index, calls) in _ine_cells(net, index.embedding).items():
+        for storage in ("none", "network"):
+            model = (
+                NetworkStorageModel(object_index.network) if storage == "network" else None
+            )
+            digests[f"{name}/{storage}"] = _digest(
+                [_ine_record(ine_knn(object_index, q, k, storage=model)) for q, k in calls]
+            )
+    return digests
+
+
+def test_ine_answers_and_counted_ops_match_golden(parity_net, parity_index):
+    assert compute_ine_digests(parity_net, parity_index) == GOLDEN_INE
 
 
 # ----------------------------------------------------------------------
@@ -997,7 +1089,7 @@ class TestChecksKept:
 if __name__ == "__main__":
     net = road_like_network(150, seed=9)
     built = SILCIndex.build(net)
-    for compute in (compute_digests, compute_control_flow_digests):
+    for compute in (compute_digests, compute_control_flow_digests, compute_ine_digests):
         print(compute.__name__)
         for key, value in compute(net, built).items():
             print(f'    "{key}": "{value}",')

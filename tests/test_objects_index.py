@@ -13,14 +13,14 @@ class TestVertexLookups:
         for o in small_objects:
             placed.setdefault(o.position.vertex, []).append(o.oid)
         for v, oids in placed.items():
-            assert sorted(oi.objects_at_vertex(v)) == sorted(oids)
+            assert sorted(oi.vertex_objects.get(v, ())) == sorted(oids)
 
     def test_objects_at_empty_vertex(self, small_net, small_object_index):
-        with_objects = set(small_object_index.vertices_with_objects())
+        with_objects = set(small_object_index.vertex_objects)
         empty = next(
             v for v in range(small_net.num_vertices) if v not in with_objects
         )
-        assert small_object_index.objects_at_vertex(empty) == []
+        assert list(small_object_index.vertex_objects.get(empty, ())) == []
 
     def test_get(self, small_object_index, small_objects):
         for o in small_objects:

@@ -26,6 +26,7 @@ from repro.objects import EdgePosition, ExtentPosition, SpatialObject, VertexPos
 from repro.objects.model import position_point
 from repro.network import (
     EdgeNotFound,
+    IncrementalDijkstra,
     PathNotFound,
     SpatialNetwork,
     distance_matrix,
@@ -36,7 +37,7 @@ from repro.network import (
 from repro.oracle import PrunedLabellingOracle
 from repro.query.bestfirst import VARIANTS, best_first_knn
 from repro.query.distances import ObjectDistanceState
-from repro.query.location import resolve_location
+from repro.query.location import resolve_location, source_anchors
 from repro.shard import ShardGroup
 from repro.silc.refinement import RefinementCounter
 from repro.silc.sp_quadtree import SPQuadtreeBuilder, choose_grid_order
@@ -287,6 +288,51 @@ def test_edge_queries_and_extent_objects_match_dijkstra(kind, via):
     # one heap cycle per link for.
     if via != "ier":
         assert walked < stepped
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["oneway", "cut"])
+def test_ine_matches_dijkstra_on_directed_and_disconnected_networks(kind, seed):
+    """INE against the cut-edge Dijkstra truth, ranked by ``(distance,
+    oid)``, from vertices and from edge positions.  On the cut network
+    an object in the other component is never reported, so fewer than k
+    come back, none at ``inf``.  With vertex objects only the counted
+    ball is exact: INE settles every vertex no farther than its k-th
+    answer (every reachable vertex when it has fewer) and no other."""
+    net = cut_in_two(seed)[0] if kind == "cut" else KINDS[kind](seed)
+    embedding = GridEmbedding.for_points(net.xs, net.ys, order=8)
+    rng = np.random.default_rng([seed, len(kind)])
+    queries = [int(v) for v in rng.integers(net.num_vertices, size=4)]
+    queries += [_edge_position(net, rng) for _ in range(4)]
+    unreached = 0
+    for vertex_only, objects in (
+        (True, random_vertex_objects(net, count=15, seed=seed)),
+        (False, edge_and_extent_objects(net, rng, count=15)),
+    ):
+        oi = ObjectIndex(net, objects, embedding)
+        for query in queries:
+            position = resolve_location(net, query)
+            truth = true_distances(net, position, objects)
+            reachable = sorted(d for d in truth.values() if math.isfinite(d))
+            unreached += len(truth) - len(reachable)
+            expansion = IncrementalDijkstra(net, seeds=source_anchors(net, position))
+            while expansion.settle_next() is not None:
+                pass
+            for k in (1, 3, 8, 20):
+                result = ine_knn(oi, query, k)
+                got = [(n.distance, n.oid) for n in result.neighbors]
+                assert got == sorted(got)  # ties at a distance by oid
+                assert len(got) == min(k, len(reachable))
+                np.testing.assert_allclose(
+                    [d for d, _ in got], reachable[: len(got)], rtol=1e-9
+                )
+                for d, oid in got:
+                    np.testing.assert_allclose(d, truth[oid], rtol=1e-9)
+                if vertex_only:
+                    kth = got[-1][0] if len(got) == k else math.inf
+                    ball = sum(d <= kth for d in expansion.dist if d < math.inf)
+                    assert result.stats.settled == ball, (query, k)
+    assert unreached if kind == "cut" else not unreached
 
 
 def test_knn_m_lets_no_tie_at_the_bound_crowd_out_a_closer_object():

@@ -1,9 +1,13 @@
 """Correctness tests for the INE and IER baselines."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.datasets import random_edge_objects, random_vertex_objects
+from repro.geometry.grid import GridEmbedding
+from repro.network import grid_network
 from repro.objects import EdgePosition, ObjectIndex
 from repro.query import ier_knn, ine_knn
 from repro.storage import NetworkStorageModel
@@ -94,6 +98,22 @@ class TestINE:
         result = ine_knn(small_object_index, 0, 5, storage=storage)
         assert result.stats.io_accesses == result.stats.settled
         assert result.stats.io_time >= 0
+
+    def test_memory_is_sized_by_the_ball_not_the_network(self):
+        """One query on a 20 000-vertex lattice allocates a few KiB: three
+        per-vertex lists alone would be about 480 KB."""
+        net = grid_network(100, 200)
+        objects = random_vertex_objects(net, count=2000, seed=3)
+        oi = ObjectIndex(net, objects, GridEmbedding.for_points(net.xs, net.ys, order=10))
+        ine_knn(oi, 10_100, 4)  # first-call costs (imports, caches) outside the count
+        tracemalloc.start()
+        try:
+            result = ine_knn(oi, 10_100, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result) == 4 and result.stats.settled < 1000
+        assert peak < 64 * 1024, peak
 
 
 class TestIER:

@@ -10,6 +10,11 @@ counting every Python frame entered.  Beside the frames, each kNN row
 carries the counted ops its answers' ``stats`` record, per request:
 links walked (``refinements`` + the exact pass's ``post_refinements``),
 queue pushes and simulated page misses; ``-`` for path and distance.
+A second table prices INE, the backend ``--oracle auto`` sends small-k
+kNN to: ``engine.knn(q, k, oracle="ine")`` at k in {1, 4}, with its
+settled vertices and relaxed edges per request.  Those calls are kept
+out of the seeded mix, so the mix's rows (and ``check_memory.py``,
+which replays it) do not depend on them.
 Run it before and after a change to the path and quote both tables.
 
 Usage: count_calls.py NETWORK INDEX
@@ -17,13 +22,16 @@ Usage: count_calls.py NETWORK INDEX
 
 from __future__ import annotations
 
+import random
 import sys
 
-from serving_mix import seeded_mix, serving_engine
+from serving_mix import SEED, seeded_mix, serving_engine
 
 
 #: Counted ops per kNN row, summed from each answer's stats.
 OPS = ("links", "pushes", "io_misses")
+#: INE rows: k values and queries per k.
+INE_KS, INE_QUERIES = (1, 4), 40
 
 
 def frames_entered(call) -> tuple[int, object]:
@@ -57,8 +65,20 @@ def counted_ops(result) -> tuple[int, ...] | None:
     )
 
 
+def ine_calls(engine) -> list[tuple[str, object]]:
+    """``(row label, call)`` pairs forcing the INE backend, seeded."""
+    rng = random.Random(SEED)
+    n = engine.index.network.num_vertices
+    return [
+        (f"ine        k={k}", lambda q=rng.randrange(n), k=k: engine.knn(q, k, oracle="ine"))
+        for k in INE_KS
+        for _ in range(INE_QUERIES)
+    ]
+
+
 def main(network_path: str, index_path: str) -> int:
-    mix = seeded_mix(serving_engine(network_path, index_path))
+    engine = serving_engine(network_path, index_path)
+    mix = seeded_mix(engine)
     for _, call in mix:
         call()
     rows: dict[str, list[tuple[int, tuple[int, ...] | None]]] = {}
@@ -80,6 +100,26 @@ def main(network_path: str, index_path: str) -> int:
         print(f"{label:<18}{len(row):>9}{frames:>10}{frames / len(row):>16.1f}" + "".join(cells))
     total = sum(f for row in rows.values() for f, _ in row)
     print(f"{'all':<18}{len(mix):>9}{total:>10}{total / len(mix):>16.1f}")
+
+    ine = ine_calls(engine)
+    for _, call in ine:
+        call()
+    ine_rows: dict[str, list[tuple[int, object]]] = {}
+    for label, call in ine:
+        ine_rows.setdefault(label, []).append(frames_entered(call))
+    print()
+    print(
+        f"{'request':<18}{'requests':>9}{'frames':>10}{'frames/request':>16}"
+        f"{'settled/request':>20}{'relaxed/request':>20}"
+    )
+    for label, row in ine_rows.items():
+        frames = sum(f for f, _ in row)
+        settled = sum(r.stats.settled for _, r in row) / len(row)
+        relaxed = sum(r.stats.relaxed for _, r in row) / len(row)
+        print(
+            f"{label:<18}{len(row):>9}{frames:>10}{frames / len(row):>16.1f}"
+            f"{settled:>20.1f}{relaxed:>20.1f}"
+        )
     return 0
 
 
