@@ -5,13 +5,13 @@ executes on every push:
 
 * **Exactness under faults** -- a 4-shard workload with two injected
   kills of the worker serving it must return answers *identical* to
-  the unfaulted unsharded baseline (the supervisor respawns, backs
+  the unfaulted unsharded baseline (the shard group respawns, backs
   off, and replays the in-flight request; the caller never sees the
   crash).
 * **Self-healing** -- after the workload every shard answers pings
   again, with no operator action.
 * **Observability** -- the crashes, respawns and retries are counted
-  in the supervisor's metrics registry under ``fault_events_total``.
+  in the shard group's metrics registry under ``fault_events_total``.
 * **Crash-safe storage** -- a truncated index column fails the load
   with :class:`~repro.errors.CorruptIndexError` naming the column,
   before any query can run on garbage.
@@ -58,10 +58,7 @@ def ranked(result):
 def test_fault_recovery(benchmark, capsys, setup):
     net, _, engine = setup
     injector = FaultInjector()
-    group = ShardGroup.from_engine(
-        engine, NUM_SHARDS, on_failure="respawn", max_retries=2,
-        fault_injector=injector,
-    )
+    group = ShardGroup.from_engine(engine, NUM_SHARDS, fault_injector=injector)
     try:
         assert sorted(group.workers) == list(range(NUM_SHARDS))
         step = net.num_vertices // NUM_QUERIES
@@ -92,9 +89,9 @@ def test_fault_recovery(benchmark, capsys, setup):
         health = group.health_check()
         assert all(health.values()), f"unhealed shards: {health}"
 
-        # The whole recovery story is counted in the supervisor's registry.
+        # The whole recovery story is counted in the group's registry.
         crashes, respawns, retries, failovers = (
-            group.supervisor.registry.counter_value(
+            group.registry.counter_value(
                 "fault_events_total", stage="shard", event=event
             )
             for event in ("worker_crash", "respawn", "retry", "failover")

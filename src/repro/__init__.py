@@ -40,7 +40,6 @@ from repro.engine import BatchResult, QueryEngine
 from repro.errors import (
     CorruptIndexError,
     DeadlineExceeded,
-    ShardUnavailable,
     WorkerDied,
 )
 from repro.faults import FaultInjector
@@ -137,7 +136,6 @@ __all__ = [
     "CorruptIndexError",
     "DeadlineExceeded",
     "WorkerDied",
-    "ShardUnavailable",
     "FaultInjector",
     "__version__",
 ]

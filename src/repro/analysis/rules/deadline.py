@@ -2,11 +2,10 @@
 
 End-to-end deadlines only work if every hop forwards the remaining
 budget: ``Request.deadline`` -> server budget -> ``time_cap`` ->
-``time_budget`` down through engine, shard group, router, supervisor,
-worker and kernel.  One hop that calls a deadline-aware callee
-*without* the budget silently converts a bounded query into an
-unbounded one -- the tail latency bug that fault-tolerant serving
-exists to prevent.
+``time_budget`` down through engine, shard group, worker and kernel.
+One hop that calls a deadline-aware callee *without* the budget
+silently converts a bounded query into an unbounded one -- the tail
+latency bug that fault-tolerant serving exists to prevent.
 
 The rule runs in two passes over the whole file set:
 

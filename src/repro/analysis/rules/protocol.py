@@ -53,7 +53,7 @@ class Channel:
 CHANNELS = (
     Channel(
         "shard-pipe-requests",
-        senders=("shard/worker.py::ShardWorker", "shard/supervisor.py"),
+        senders=("shard/worker.py::ShardWorker", "shard/worker.py::ShardGroup"),
         handlers=("shard/worker.py::_shard_worker_main",),
     ),
     Channel(

@@ -312,10 +312,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def run() -> int:
         async with AsyncEngine(
-            engine, shards=args.shards,
-            on_shard_failure=args.on_shard_failure,
-            max_retries=args.max_retries,
-            fault_injector=fault_injector,
+            engine, shards=args.shards, fault_injector=fault_injector,
         ) as async_engine:
             server = SILCServer(
                 async_engine,
@@ -327,10 +324,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 ),
                 tracer=tracer,
             )
-            # A stream of its own, never sys.stdin: failover's background
-            # respawn forks from another thread, and the child closing its
-            # sys.stdin would wait forever on a lock held by a read in
-            # progress.  Binary: a pipe and a file share one UTF-8 decoder.
+            # Binary: a pipe and a file share one UTF-8 decoder.
             with open(args.input or sys.stdin.fileno(), "rb", closefd=bool(args.input)) as in_stream:
                 snapshot = await serve_jsonl(server, in_stream, sys.stdout)
         print(snapshot.format(), file=sys.stderr)
@@ -516,17 +510,6 @@ def make_parser() -> argparse.ArgumentParser:
                    "each query goes to one idle worker, so N buys N "
                    "queries in flight, not a partition (1 = in-process; "
                    "the shard tier serves the silc backend only)")
-    p.add_argument("--on-shard-failure",
-                   choices=["respawn", "failover", "error"],
-                   default="respawn",
-                   help="policy when a shard worker dies: respawn "
-                   "(backoff, respawn, replay the request), failover "
-                   "(answer on the unsharded engine while the worker "
-                   "respawns in the background), or error (surface the "
-                   "failure)")
-    p.add_argument("--max-retries", type=int, default=2,
-                   help="respawn+replay attempts per request before "
-                   "the shard is declared unavailable")
     p.add_argument("--inject-kill", action="append", default=[],
                    metavar="SHARD:N",
                    help="fault injection (repeatable): kill the given "

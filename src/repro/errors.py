@@ -47,22 +47,10 @@ class WorkerDied(RuntimeError):
     Raised by the parent-side :class:`~repro.shard.worker.ShardWorker`
     handle when the process is found dead, the pipe breaks on send,
     or the receive poll hits EOF/liveness failure.  The
-    :class:`~repro.shard.supervisor.ShardSupervisor` catches it and
-    applies the configured recovery policy; it subclasses
-    ``RuntimeError`` so un-supervised callers keep their historical
-    failure type.
-    """
-
-    def __init__(self, message: str, shard: int | None = None) -> None:
-        super().__init__(message)
-        self.shard = shard
-
-
-class ShardUnavailable(RuntimeError):
-    """A shard stayed down after the supervision policy was exhausted.
-
-    Raised to the router, which then acts per policy: fail over to the
-    unsharded engine, or surface the error.
+    :class:`~repro.shard.worker.ShardGroup` catches it, respawns the
+    worker and replays the request; it subclasses ``RuntimeError`` so
+    direct callers of a worker handle keep their historical failure
+    type.
     """
 
     def __init__(self, message: str, shard: int | None = None) -> None:

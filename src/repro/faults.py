@@ -6,7 +6,7 @@ three failures the stack defends against *reproducible*:
 
 * **Worker crashes** -- :meth:`kill_worker_at` hard-kills a shard
   worker process immediately before its Nth request is sent, so the
-  supervisor's crash-detection/respawn/replay path is exercised at a
+  shard group's crash-detection/respawn/replay path is exercised at a
   deterministic point of the workload;
 * **Slow pipes** -- :meth:`delay_pipe` sleeps before each request to a
   shard, simulating a slow host without changing any answer;
@@ -16,10 +16,10 @@ three failures the stack defends against *reproducible*:
   verification path.
 
 The injector hooks the *parent* side of the worker pipe (the
-:class:`~repro.shard.supervisor.ShardSupervisor` calls
-:meth:`before_request` under the worker's request lock), so no fault
-code ships into worker processes and the kill point is exact: the
-request counter is the supervisor's own send order.  Every injected
+:class:`~repro.shard.worker.ShardGroup` calls :meth:`before_request`
+right before a worker's request), so no fault code ships into worker
+processes and the kill point is exact: the request counter is the
+group's own send order.  Every injected
 fault is appended to :attr:`events` for assertions.
 """
 
@@ -57,7 +57,7 @@ class FaultInjector:
 
         The ordinal counts *sends to that shard*, including replays
         after a respawn -- so ``kill_worker_at(0, 3)`` fires exactly
-        once, on the third message the supervisor tries to deliver.
+        once, on the third message the shard group tries to deliver.
         Returns ``self`` for chaining.
         """
         if nth_request < 1:
@@ -75,7 +75,7 @@ class FaultInjector:
         return self
 
     # ------------------------------------------------------------------
-    # Hook (called by the supervisor before each pipe send)
+    # Hook (called by the shard group before each pipe send)
     # ------------------------------------------------------------------
     def before_request(self, shard: int, worker) -> None:
         """Fire any fault scheduled for this shard's next request.

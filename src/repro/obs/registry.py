@@ -4,8 +4,8 @@ Every component that counts owns a :class:`MetricsRegistry` and counts
 into it when the event happens: the server (its tracer's registry:
 request outcomes, latency, span timings), the
 :class:`~repro.oracle.planner.QueryPlanner` (per-backend decisions) and
-the :class:`~repro.shard.supervisor.ShardSupervisor` (fault events, and
-the shard group's worker visits).  Every reading is a *sample* -- a
+the :class:`~repro.shard.worker.ShardGroup` (fault events and worker
+visits).  Every reading is a *sample* -- a
 metric name plus a small label set (``{"stage": ..., "oracle": ...,
 "event": ...}``) -- and :meth:`MetricsRegistry.snapshot` renders one
 JSON-serializable dict, with the counters of any other registries

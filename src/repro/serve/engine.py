@@ -59,15 +59,11 @@ class AsyncEngine:
         (default: the directory a mapped index was loaded from, served
         in place; for an index in memory, a private temporary
         directory removed on :meth:`close`).
-    on_shard_failure / max_retries / fault_injector:
-        Shard-tier fault handling, forwarded to
-        :meth:`~repro.shard.ShardGroup.from_engine`:
-        ``on_shard_failure`` picks the supervision policy (``respawn``
-        / ``failover`` / ``error``), ``max_retries``
-        bounds respawn+replay attempts per request, and
-        ``fault_injector`` plugs a deterministic
-        :class:`~repro.faults.FaultInjector` into the worker request
-        path for chaos tests.  All ignored when ``shards == 1``.
+    fault_injector:
+        A deterministic :class:`~repro.faults.FaultInjector` plugged
+        into the worker request path for chaos tests, forwarded to
+        :meth:`~repro.shard.ShardGroup.from_engine`; ignored when
+        ``shards == 1``.
     """
 
     def __init__(
@@ -75,8 +71,6 @@ class AsyncEngine:
         engine: QueryEngine,
         shards: int = 1,
         shard_dir=None,
-        on_shard_failure: str = "respawn",
-        max_retries: int = 2,
         fault_injector=None,
     ) -> None:
         if shards < 1:
@@ -87,9 +81,7 @@ class AsyncEngine:
             from repro.shard import ShardGroup
 
             self.shard_group = ShardGroup.from_engine(
-                engine, shards, directory=shard_dir,
-                on_failure=on_shard_failure, max_retries=max_retries,
-                fault_injector=fault_injector,
+                engine, shards, directory=shard_dir, fault_injector=fault_injector,
             )
         self._closed = False
 

@@ -265,7 +265,7 @@ class SILCServer:
 
         Counters are summed by key across the server's registry
         (request outcomes, latency, traced spans), the planner's (when
-        a planner exists) and the shard supervisor's (fault events and
+        a planner exists) and the shard group's (fault events and
         worker visits, when sharded), plus the engine work of every
         completed request as ``engine_ops_total``.  Gauges are set at
         poll time: in-flight work, queue depths, the index's column
@@ -291,7 +291,7 @@ class SILCServer:
             others.append(planner.registry)
         shard_group = getattr(self.engine, "shard_group", None)
         if shard_group is not None:
-            others.append(shard_group.supervisor.registry)
+            others.append(shard_group.registry)
             for shard, worker in shard_group.workers.items():
                 processes[f"shard-{shard}"] = worker.process.pid
         for process, pid in processes.items():

@@ -29,8 +29,16 @@ forever on a dead process -- a receive waits on the pipe and the
 process sentinel together, so a crash surfaces as
 :class:`~repro.errors.WorkerDied` the moment it happens, and ``stop()``
 escalates join -> terminate -> kill.
-Respawn, backoff and replay live in
-:class:`~repro.shard.supervisor.ShardSupervisor`.
+
+**Recovery** (one path, no knob): :class:`ShardGroup` respawns a worker
+found dead after a backoff (:func:`backoff`), pings it and replays the
+request with what is left of its deadline, up to :data:`MAX_RETRIES`
+times; a slot still down after that answers on the unsharded engine.
+Either way the caller gets the identical exact answer, only later (a
+replacement refuses a directory whose manifest changed).  Every fault
+event is counted in the group's registry as
+``fault_events_total{stage=shard,event=...}`` and, traced, a respawn
+is a ``respawn`` span under the shard's span.
 
 **Dispatch**: :class:`ShardGroup` lends each kNN query one idle worker
 slot from a LIFO stack and takes it back once the reply is in.  The
@@ -65,16 +73,16 @@ from queue import LifoQueue
 from collections.abc import Iterable
 
 from repro.engine import BatchResult, run_batch
-from repro.errors import CorruptIndexError, DeadlineExceeded, ShardUnavailable, WorkerDied
+from repro.errors import CorruptIndexError, DeadlineExceeded, WorkerDied
 from repro.integrity import MANIFEST_NAME, verify_manifest
 from repro.objects.index import ObjectIndex
 from repro.objects.model import ObjectSet
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACE, Tracer
 from repro.query.bestfirst import VARIANTS
 from repro.query.location import resolve_location
 from repro.query.results import KNNResult, Neighbor
 from repro.shard.partitioner import ShardMap
-from repro.shard.supervisor import ShardSupervisor, SupervisionPolicy
 from repro.silc.intervals import DistanceInterval
 
 #: Fork keeps the already-parsed network and object payloads shared
@@ -84,6 +92,26 @@ _START_METHOD = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 #: A worker's ``(oid, distance)`` pairs, ranked as every tier ranks.
 _by_distance_then_oid = itemgetter(1, 0)
+
+#: Respawn+replay attempts per request before a slot answers on the
+#: unsharded engine.
+MAX_RETRIES = 2
+
+#: Respawn backoff: attempt ``n`` sleeps ``min(BACKOFF_CAP, BACKOFF_BASE
+#: * 2**(n-1))`` seconds, stretched by up to a ``BACKOFF_JITTER``
+#: fraction derived *deterministically* from ``(shard, attempt)``:
+#: chaos tests replay identically while concurrent respawns de-sync.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
+BACKOFF_JITTER = 0.25
+
+
+def backoff(attempt: int, shard: int) -> float:
+    """Seconds to wait before respawn ``attempt`` (1-based) of ``shard``."""
+    base = min(BACKOFF_CAP, BACKOFF_BASE * 2 ** (attempt - 1))
+    # Deterministic jitter: a hash of (shard, attempt) in [0, 1).
+    frac = ((shard * 2654435761 + attempt * 40503) % 9973) / 9973.0
+    return base * (1.0 + BACKOFF_JITTER * frac)
 
 
 def _remaining(t_start: float, time_cap: float | None) -> float | None:
@@ -333,7 +361,7 @@ class _IdleSlots(LifoQueue):
 
 
 class ShardGroup:
-    """The sharded serving tier: verify, spawn, dispatch, supervise.
+    """The sharded serving tier: verify, spawn, dispatch, recover.
 
     Build one with :meth:`from_engine`; :meth:`knn` and
     :meth:`knn_batch` then answer exactly as the unsharded engine's
@@ -341,34 +369,42 @@ class ShardGroup:
     Always close it (or use it as a context manager): the workers are
     real processes.  ``shard_map`` is kept only for bench/'s layer
     ladder (see :class:`~repro.shard.partitioner.ShardMap`).
+    ``registry`` counts fault events and worker visits; a
+    :class:`~repro.faults.FaultInjector` given as ``fault_injector`` is
+    called before every pipe send.
     """
 
     def __init__(
         self,
         engine,
         shard_map: ShardMap,
-        supervisor: ShardSupervisor,
+        spec: WorkerSpec,
+        workers: dict[int, ShardWorker],
         directory: Path,
         owns_directory: bool,
+        fault_injector=None,
     ) -> None:
         #: The unsharded engine: queries resolve against its network,
-        #: and a failover answers on it.
+        #: and a slot that stays down answers on it.
         self.engine = engine
         self.shard_map = shard_map
-        self.supervisor = supervisor
+        #: What a respawn starts (with the slot's ``shard_id``).
+        self.spec = spec
+        #: The live worker handles; a respawn swaps an entry in place.
+        self.workers = workers
         self.directory = directory
+        self.fault_injector = fault_injector
+        self.registry = MetricsRegistry()
         self._owns_directory = owns_directory
+        #: Held to swap in a replacement and to mark the group closed,
+        #: so a respawn never brings back a slot close() has stopped.
+        self._lock = _thread.allocate_lock()
         self._closed = False
         #: Slot 0 is lent first.  Respawns swap the handle behind a
         #: slot, never the slots.
         self._idle = _IdleSlots()
-        for shard in sorted(supervisor.workers, reverse=True):
+        for shard in sorted(workers, reverse=True):
             self._idle.put((shard, False))
-
-    @property
-    def workers(self) -> dict[int, ShardWorker]:
-        """The live worker handles (respawns swap entries in place)."""
-        return self.supervisor.workers
 
     @classmethod
     def from_engine(
@@ -377,8 +413,6 @@ class ShardGroup:
         num_shards: int,
         directory: str | Path | None = None,
         worker_storage: dict | None = None,
-        on_failure: str = "respawn",
-        max_retries: int = 2,
         fault_injector=None,
     ) -> ShardGroup:
         """Serve ``engine``'s index and objects from ``num_shards``
@@ -393,9 +427,7 @@ class ShardGroup:
         temporary directory, removed on :meth:`close`.
 
         ``worker_storage`` (:meth:`~repro.silc.SILCIndex.make_storage`
-        keywords) gives every worker its own storage simulator.
-        ``on_failure`` / ``max_retries`` set the
-        :class:`~repro.shard.supervisor.SupervisionPolicy`, and
+        keywords) gives every worker its own storage simulator, and
         ``fault_injector`` plugs a :class:`~repro.faults.FaultInjector`
         into the request path.
         """
@@ -430,16 +462,10 @@ class ShardGroup:
             if owns_directory:
                 shutil.rmtree(directory, ignore_errors=True)
             raise
-        supervisor = ShardSupervisor(
-            spawner=lambda shard: spawn_worker(replace(spec, shard_id=shard)),
-            workers=workers,
-            policy=SupervisionPolicy(
-                on_failure=on_failure, max_retries=max_retries
-            ),
-            fault_injector=fault_injector,
-        )
         shard_map = ShardMap.from_index(index, num_shards)
-        return cls(engine, shard_map, supervisor, directory, owns_directory)
+        return cls(
+            engine, shard_map, spec, workers, directory, owns_directory, fault_injector
+        )
 
     # ------------------------------------------------------------------
     # Dispatch: one kNN query, one worker slot
@@ -459,12 +485,12 @@ class ShardGroup:
         exact distances).  The result is sorted by ``(distance, oid)``.
         ``trace`` records one ``shard:<id>`` span with the worker's own
         spans grafted underneath; it never changes the worker chosen.
-        What is left of ``time_cap`` (seconds) once a worker is in hand
-        goes down the pipe, so the worker's search stops at the deadline
-        with :class:`~repro.errors.DeadlineExceeded`, never a late
-        result.  A worker that stays down past the policy's retries
-        fails over to the unsharded engine (``respawn``, ``failover``)
-        or raises :class:`ShardUnavailable` (``error``).
+        What is left of ``time_cap`` (seconds) goes down the pipe with
+        every attempt, a replay after a respawn included, so the search
+        stops at the deadline with
+        :class:`~repro.errors.DeadlineExceeded`, never a late result.  A
+        slot still down after :data:`MAX_RETRIES` respawns answers on
+        the unsharded engine.
         """
         # The kernel's own checks and texts, made before anything is
         # sent: a bad request fails the same way sharded or local.
@@ -476,25 +502,22 @@ class ShardGroup:
             trace = NULL_TRACE
         t_start = time.perf_counter()
         position = resolve_location(self.engine.index.network, query)
-        pairs = None
         down = False
         shard = self._idle.get()  # waits while every slot is lent
         try:
-            budget = _remaining(t_start, time_cap=time_cap)
             with trace.span(f"shard:{shard}", shard=shard) as span:
-                pairs, stats, spans = self.supervisor.knn(
-                    shard, position, k, variant, trace=trace, time_cap=budget,
+                reply = self._visit(
+                    shard, position, k, variant, trace, t_start, time_cap=time_cap,
                 )
-                if spans is not None:
-                    trace.adopt(spans, parent=span)
-                span.add_stats(stats)
-        except ShardUnavailable:
-            down = True
-            if self.supervisor.policy.on_failure == "error":
-                raise
+                down = reply is None
+                if not down:
+                    pairs, stats, spans = reply
+                    if spans is not None:
+                        trace.adopt(spans, parent=span)
+                    span.add_stats(stats)
         finally:
             self._idle.put((shard, down))
-        if pairs is None:
+        if down:
             return self._failover(
                 query, k, variant, trace, time_cap=_remaining(t_start, time_cap=time_cap)
             )
@@ -502,27 +525,82 @@ class ShardGroup:
         neighbors = [
             Neighbor(oid, DistanceInterval.exact(d), distance=d) for oid, d in pairs
         ]
-        registry = self.supervisor.registry
-        registry.inc("router_queries_total", stage="route")
-        registry.inc("router_shards_total", stage="route", event="visited")
-        registry.inc("router_candidates_total", len(neighbors), stage="route")
+        self.registry.inc("router_queries_total", stage="route")
+        self.registry.inc("router_shards_total", stage="route", event="visited")
+        self.registry.inc("router_candidates_total", len(neighbors), stage="route")
         return KNNResult(neighbors=neighbors, stats=stats, ordered=True)
+
+    def _visit(
+        self, shard: int, position, k: int, variant: str, trace, t_start: float,
+        time_cap: float | None,
+    ):
+        """Ask ``shard``'s worker: ``(pairs, stats, spans_or_None)``, or
+        ``None`` when the slot is still down after :data:`MAX_RETRIES`
+        respawns.  A dead worker is respawned and the identical request
+        replayed with what is left of ``time_cap`` since ``t_start``."""
+        attempt = 0
+        while True:
+            budget = _remaining(t_start, time_cap=time_cap)
+            worker = self.workers[shard]
+            if worker.alive:
+                if self.fault_injector is not None:
+                    self.fault_injector.before_request(shard, worker)
+                try:
+                    return worker.knn(position, k, variant, trace=trace.enabled, time_cap=budget)
+                except WorkerDied:
+                    pass
+            self._count_fault("worker_crash")
+            attempt += 1
+            if attempt > MAX_RETRIES or self._closed:
+                return None
+            with trace.span("respawn", shard=shard) as span:
+                if not self._respawn(shard, attempt):
+                    continue
+                span.count(respawn_attempt=attempt)
+            self._count_fault("retry")
+
+    def _respawn(self, shard: int, attempt: int) -> bool:
+        """Replace ``shard``'s dead worker after the backoff; ``False``
+        when the replacement did not start or the group closed."""
+        # The old process is fully gone before its replacement maps the
+        # same files.
+        self.workers[shard].kill()
+        time.sleep(backoff(attempt, shard))
+        try:
+            replacement = spawn_worker(replace(self.spec, shard_id=shard))
+            replacement.ping()
+        except (OSError, EOFError, RuntimeError, ValueError):
+            # Spawn or ping failed (WorkerDied is a RuntimeError); the
+            # caller retries.  A bug of any other type propagates.
+            self._count_fault("respawn_failure")
+            return False
+        with self._lock:
+            swapped = not self._closed
+            if swapped:
+                self.workers[shard] = replacement
+        if not swapped:
+            replacement.stop()
+            return False
+        self._count_fault("respawn")
+        return True
 
     def _failover(
         self, query, k: int, variant: str, trace, time_cap: float | None
     ) -> KNNResult:
         """Answer on the unsharded engine: the identical exact search
         over the same objects, so only latency moves."""
-        self.supervisor.count_fault("failover")
+        self._count_fault("failover")
         with trace.span("failover", oracle="silc"):
             result = self.engine.knn(
                 query, k, variant=variant, exact=True, trace=trace, time_cap=time_cap,
             )
         result.stats.extras["failover"] = True
-        registry = self.supervisor.registry
-        registry.inc("router_queries_total", stage="route")
-        registry.inc("router_candidates_total", len(result.neighbors), stage="route")
+        self.registry.inc("router_queries_total", stage="route")
+        self.registry.inc("router_candidates_total", len(result.neighbors), stage="route")
         return result
+
+    def _count_fault(self, event: str) -> None:
+        self.registry.inc("fault_events_total", stage="shard", event=event)
 
     def knn_batch(
         self,
@@ -545,18 +623,27 @@ class ShardGroup:
         )
 
     def health_check(self) -> dict[int, bool]:
-        """Per-shard liveness, via the supervisor (never raises)."""
-        return self.supervisor.health_check()
+        """Ping every worker: ``{shard: alive-and-answering}`` (never
+        raises)."""
+        out: dict[int, bool] = {}
+        for shard, worker in self.workers.items():
+            try:
+                out[shard] = worker.ping() == shard
+            except RuntimeError:  # WorkerDied included
+                out[shard] = False
+        return out
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Stop every worker process and clean up the owned directory."""
-        if self._closed:
-            return
-        self._closed = True
-        self.supervisor.close()
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+        for worker in self.workers.values():
+            worker.stop()
         if self._owns_directory:
             shutil.rmtree(self.directory, ignore_errors=True)
 

@@ -128,12 +128,13 @@ class TestLockDiscipline:
 
 
 class TestProtocolExhaustiveness:
-    # The shard-pipe channel: the supervisor sends, the worker's main
-    # loop handles.
+    # The shard-pipe channel: the shard group sends, the worker's main
+    # loop handles (both in shard/worker.py).
     CLIENT = """
-        def call(conn):
-            conn.send(("knn", 1, 2))
-            conn.send(("ping",))
+        class ShardGroup:
+            def call(self, conn):
+                conn.send(("knn", 1, 2))
+                conn.send(("ping",))
         """
     SERVER = """
         def _shard_worker_main(msg):
@@ -144,7 +145,7 @@ class TestProtocolExhaustiveness:
         """
 
     def files(self, client):
-        return {"shard/supervisor.py": client, "shard/worker.py": self.SERVER}
+        return {"shard/worker.py": textwrap.dedent(client) + textwrap.dedent(self.SERVER)}
 
     def test_passes_when_every_tag_has_an_arm(self, tmp_path):
         assert run_rules(
@@ -152,7 +153,7 @@ class TestProtocolExhaustiveness:
         ) == []
 
     def test_flags_sent_tag_without_handler(self, tmp_path):
-        client = self.CLIENT + '    conn.send(("stop",))\n'
+        client = self.CLIENT + '        conn.send(("stop",))\n'
         findings = run_rules(
             tmp_path, self.files(client), ProtocolExhaustivenessRule
         )
@@ -452,8 +453,8 @@ class TestRulesOnTheShardTier:
     ):
         found = findings_after(
             pristine, tmp_path, "shard/worker.py",
-            "shard, position, k, variant, trace=trace, time_cap=budget,",
-            "shard, position, k, variant, trace=trace,",
+            "trace=trace.enabled, time_cap=budget)",
+            "trace=trace.enabled)",
         )
         assert len(found) == 1 and found[0][0] == "RPR007", found
         assert "knn" in found[0][1]

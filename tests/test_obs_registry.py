@@ -149,7 +149,7 @@ class TestAbsorption:
 
     def test_absorb_planner_and_router(self, small_index, small_object_index):
         """Planned picks (the planner's registry) and worker visits (the
-        shard supervisor's, which the dispatcher counts into) in one
+        shard group's) in one
         snapshot: SILC requests go to a shard worker, ``auto`` ones to
         the planner, whose preloaded model always picks ``ine``."""
         engine = QueryEngine(small_index, small_object_index)
@@ -186,10 +186,11 @@ class TestAbsorption:
 
 class TestStatsWire:
     def test_every_layer_counts_into_the_stats_reply(self, small_index, small_object_index):
-        """Two shard workers under ``failover``, the serving one killed
-        before its first request, SILC and planned requests: the reply
-        carries what each layer counted, exactly."""
-        injector = FaultInjector().kill_worker_at(0, 1)
+        """Two shard workers, the serving one killed before its first
+        request and before both replays, so that query answers on the
+        unsharded engine; SILC and planned requests: the reply carries
+        what each layer counted, exactly."""
+        injector = FaultInjector().kill_worker_at(0, 1).kill_worker_at(0, 2).kill_worker_at(0, 3)
         requests = [
             Request(id=1, client="web", kind="knn", queries=(0,), k=3, oracle="silc"),
             Request(id=2, client="web", kind="knn", queries=(17,), k=3, oracle="silc"),
@@ -202,7 +203,7 @@ class TestStatsWire:
         async def go():
             engine = AsyncEngine(
                 QueryEngine(small_index, small_object_index), shards=2,
-                on_shard_failure="failover", fault_injector=injector,
+                fault_injector=injector,
             )
             async with engine, SILCServer(engine) as server:
                 replies = [await server.submit(r) for r in requests]
@@ -221,12 +222,15 @@ class TestStatsWire:
 
         assert counted("requests_total", stage="serve", outcome="completed") == 5
         # Five SILC queries reach the dispatcher: the first meets the
-        # killed worker and fails over, the other four are one visit each.
+        # killed worker three times and fails over, its slot goes to the
+        # bottom of the stack, and the other four are one visit each.
         assert counted("router_queries_total", stage="route") == 5
         assert counted("router_shards_total", stage="route", event="visited") == 4
         assert counted("router_candidates_total", stage="route") == 3 + 3 + 3 * 2
-        assert counted("fault_events_total", stage="shard", event="worker_crash") == 1
-        assert counted("fault_events_total", stage="shard", event="failover") == 1
+        assert [
+            counted("fault_events_total", stage="shard", event=event)
+            for event in ("worker_crash", "respawn", "retry", "failover")
+        ] == [3, 2, 2, 1]
         planned = sum(v for (name, _), v in got.items() if name == "planner_decisions_total")
         assert planned == 1 + 2
         [latency] = [h for h in metrics["histograms"] if h["name"] == "latency_seconds"]

@@ -6,7 +6,8 @@ reliable in a unit test, counts do.  Three things are pinned here:
 * **hops** -- one ``AsyncEngine`` hand-off per ``knn`` / ``distance`` /
   ``path`` request and one per ``knn_batch`` chunk, three event-loop
   turns and no task per closed-loop request, and no serving thread at
-  all: no executor, reader or worker thread while serving or after EOF;
+  all: no executor, reader, worker or respawn thread while serving or
+  after EOF, a shard worker's respawn included;
 * **``SILCIndex.route``** -- bitwise ``(path(), distance())`` from one
   walk, with the checks of both kept;
 * **INE** -- golden digests of answers and every counted operation,
@@ -19,6 +20,8 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+import io
+import json
 import threading
 
 import numpy as np
@@ -27,12 +30,13 @@ import test_kernel_parity as kernel_parity
 
 from repro.datasets import random_edge_objects, random_vertex_objects
 from repro.engine import QueryEngine
+from repro.faults import FaultInjector
 from repro.network import VertexNotFound, road_like_network
 from repro.objects import EdgePosition, ObjectIndex, ObjectSet
 from repro.objects.model import position_parts
 from repro.query.ine import ine_knn
 from repro.query.location import same_edge_direct
-from repro.serve import AsyncEngine, FairScheduler
+from repro.serve import AsyncEngine, FairScheduler, SILCServer, serve_jsonl
 from repro.silc import SILCIndex
 from repro.storage import NetworkStorageModel
 
@@ -112,6 +116,47 @@ def test_one_executor_trip_per_request_and_per_batch_chunk(
     assert not [n for n in names if n.startswith("repro-serve")]
     piped.close()
     assert not [t.name for t in threading.enumerate() if t.name.startswith("repro-serve")]
+
+
+def test_no_serving_thread_across_a_respawn(small_index, small_object_index):
+    """Two shard workers, the serving one killed before its first
+    request: the respawn and the replay run inline on the loop thread,
+    so no thread starts -- sampled right after every shard visit, and
+    after EOF."""
+    before = set(threading.enumerate())
+    injector = FaultInjector().kill_worker_at(0, 1)
+    lines = "".join(
+        json.dumps({"id": i, "kind": "knn", "query": q, "k": 3}) + "\n"
+        for i, q in enumerate((7, 17, 42), start=1)
+    )
+    started = []
+
+    async def serve() -> str:
+        async with AsyncEngine(
+            QueryEngine(small_index, small_object_index), shards=2, fault_injector=injector
+        ) as async_engine:
+            group = async_engine.shard_group
+            visit = group.knn
+
+            def sampled(*args, **kwargs):
+                try:
+                    return visit(*args, **kwargs)
+                finally:
+                    started.append(set(threading.enumerate()) - before)
+
+            group.knn = sampled
+            out = io.StringIO()
+            await serve_jsonl(SILCServer(async_engine), io.BytesIO(lines.encode()), out)
+            assert group.registry.counter_value(
+                "fault_events_total", stage="shard", event="respawn"
+            ) == 1
+        return out.getvalue()
+
+    replies = [json.loads(line) for line in asyncio.run(serve()).splitlines()]
+    assert [r["status"] for r in replies] == ["ok"] * 3
+    assert injector.fired("worker_kill") == 1
+    assert started == [set()] * 3
+    assert set(threading.enumerate()) - before == set()
 
 
 # ----------------------------------------------------------------------

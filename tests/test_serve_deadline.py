@@ -214,6 +214,28 @@ class TestShardTierDeadline:
         finally:
             group.close()
 
+    def test_a_replay_past_the_deadline_is_expired_not_late(self, engine):
+        """The serving worker killed before its first request, under a
+        deadline shorter than the respawn backoff: the replay finds the
+        budget spent, so the client gets ``Expired`` with
+        ``aborted=True``, not a late ``ok``."""
+        from repro.faults import FaultInjector
+        from repro.shard.worker import backoff
+
+        injector = FaultInjector().kill_worker_at(0, 1)
+        request = Request(id=1, client="web", kind="knn", queries=(0,), k=3, deadline=0.03)
+        assert backoff(1, 0) > request.deadline
+
+        async def go():
+            async with AsyncEngine(engine, shards=2, fault_injector=injector) as ae:
+                async with SILCServer(ae) as server:
+                    return await server.submit(request)
+
+        response = asyncio.run(go())
+        assert isinstance(response, Expired)
+        assert response.aborted is True
+        assert injector.fired("worker_kill") == 1
+
     @staticmethod
     def expire_in_batch(monkeypatch, target) -> str:
         """Run a 5-query batch under a 100 s cap on a clock that jumps

@@ -129,7 +129,7 @@ class TestShardedEqualsUnsharded:
             assert ranked(result) == ranked(engine.knn(q, 3, exact=True))
 
     def test_stats_accounting_consistent(self, groups):
-        counted = groups[4].supervisor.registry.counter_value
+        counted = groups[4].registry.counter_value
         queries = counted("router_queries_total", stage="route")
         assert queries > 0
         # One worker visit per query: none of them failed over.
@@ -139,6 +139,21 @@ class TestShardedEqualsUnsharded:
 
 def shard_spans(trace):
     return [span.name for span in trace.spans if span.name.startswith("shard:")]
+
+
+def lent_at_once(traces):
+    """Per slot, the most ``shard:<id>`` spans open at one time: the span
+    opens after the slot is lent and closes before it is returned."""
+    edges = sorted(
+        (t, opens, span.name)
+        for trace in traces for span in trace.spans if span.name.startswith("shard:")
+        for t, opens in ((span.start, 1), (span.end, -1))
+    )
+    lent, most = Counter(), Counter()
+    for _, opens, name in edges:
+        lent[name] += opens
+        most[name] = max(most[name], lent[name])
+    return most
 
 
 class TestDispatch:
@@ -164,20 +179,6 @@ class TestDispatch:
         for shard in range(4):
             injector.delay_pipe(shard, 0.3)
         with ShardGroup.from_engine(engine, 4, fault_injector=injector) as group:
-            lent, most, guard = Counter(), Counter(), threading.Lock()
-            supervised = group.supervisor.knn
-
-            def watched(shard, *args, **kwargs):
-                with guard:
-                    lent[shard] += 1
-                    most[shard] = max(most[shard], lent[shard])
-                try:
-                    return supervised(shard, *args, **kwargs)
-                finally:
-                    with guard:
-                        lent[shard] -= 1
-
-            group.supervisor.knn = watched
             queries = [3, 59, 101, 140]
             tracer = Tracer()
             ready = threading.Barrier(len(queries), timeout=30)
@@ -185,14 +186,15 @@ class TestDispatch:
             def call(query):
                 trace = tracer.start_trace()
                 ready.wait()
-                return group.knn(query, 3, trace=trace), shard_spans(trace)
+                return group.knn(query, 3, trace=trace), trace
 
             with ThreadPoolExecutor(len(queries)) as pool:
                 outcomes = list(pool.map(call, queries))
         for query, (result, _) in zip(queries, outcomes):
             assert ranked(result) == ranked(engine.knn(query, 3, exact=True))
-        assert set(most.values()) == {1}
-        assert sorted(name for _, names in outcomes for name in names) == [
+        traces = [trace for _, trace in outcomes]
+        assert set(lent_at_once(traces).values()) == {1}
+        assert sorted(name for trace in traces for name in shard_spans(trace)) == [
             f"shard:{shard}" for shard in range(4)
         ]
 
@@ -204,25 +206,14 @@ class TestDispatch:
         queries = [3, 59, 101, 140, 7, 88, 120, 33]
         expected = {q: ranked(engine.knn(q, 3, exact=True)) for q in queries}
         with ShardGroup.from_engine(engine, 2) as group:
-            lent, most, guard = Counter(), Counter(), threading.Lock()
-            supervised = group.supervisor.knn
-
-            def watched(shard, *args, **kwargs):
-                with guard:
-                    lent[shard] += 1
-                    most[shard] = max(most[shard], lent[shard])
-                try:
-                    return supervised(shard, *args, **kwargs)
-                finally:
-                    with guard:
-                        lent[shard] -= 1
-
-            group.supervisor.knn = watched
-            wrong = []
+            tracer = Tracer()
+            traces, wrong = [], []
 
             def client(offset):
                 for q in queries[offset:] + queries[:offset]:
-                    if ranked(group.knn(q, 3)) != expected[q]:
+                    trace = tracer.start_trace()
+                    traces.append(trace)
+                    if ranked(group.knn(q, 3, trace=trace)) != expected[q]:
                         wrong.append(q)
 
             interval = sys.getswitchinterval()
@@ -237,8 +228,8 @@ class TestDispatch:
                 sys.setswitchinterval(interval)
             assert not any(thread.is_alive() for thread in threads)
             assert wrong == []
-            assert set(most.values()) == {1}
-            visited = group.supervisor.registry.counter_value(
+            assert set(lent_at_once(traces).values()) == {1}
+            visited = group.registry.counter_value(
                 "router_shards_total", stage="route", event="visited"
             )
             assert visited == 8 * len(queries)

@@ -1,13 +1,15 @@
-"""Shard worker supervision: crash detection, respawn, replay, policies.
+"""Shard worker supervision: crash detection, respawn, replay, failover.
 
 The acceptance bar (docs/ARCHITECTURE.md invariant): fault handling
-never changes answers, only availability and latency.  A worker killed
-mid-workload must yield, per policy, either the identical exact answer
-(``respawn``/``failover``) or a typed error (``error``) -- never a
-hang, never a partial or silently wrong result.
+never changes answers, only latency.  A worker killed mid-workload must
+yield the identical exact answer -- replayed on a respawned worker, or
+answered on the unsharded engine once the slot stays down -- never a
+hang, never a partial or silently wrong result, never a result past
+its deadline.
 """
 
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -15,10 +17,11 @@ from repro import ObjectIndex, SILCIndex, road_like_network
 from repro.cli import main
 from repro.datasets import random_vertex_objects
 from repro.engine import QueryEngine
-from repro.errors import ShardUnavailable, WorkerDied
+from repro.errors import DeadlineExceeded, WorkerDied
 from repro.faults import FaultInjector
-from repro.shard import ShardGroup, SupervisionPolicy
-from repro.shard.supervisor import BACKOFF_BASE, BACKOFF_CAP, BACKOFF_JITTER
+from repro.obs import Tracer
+from repro.shard import ShardGroup
+from repro.shard.worker import BACKOFF_BASE, BACKOFF_CAP, BACKOFF_JITTER, backoff, spawn_worker
 
 NUM_SHARDS = 4
 K = 3
@@ -34,8 +37,8 @@ def ranked(result):
 
 
 def faults(group, event):
-    """``fault_events_total{event}`` as the supervisor's registry counted it."""
-    return group.supervisor.registry.counter_value(
+    """``fault_events_total{event}`` as the group's registry counted it."""
+    return group.registry.counter_value(
         "fault_events_total", stage="shard", event=event
     )
 
@@ -50,18 +53,15 @@ def setup():
     return net, engine
 
 
-def make_group(engine, policy, injector=None, max_retries=2):
-    return ShardGroup.from_engine(
-        engine, NUM_SHARDS, on_failure=policy, max_retries=max_retries,
-        fault_injector=injector,
-    )
+def make_group(engine, injector=None):
+    return ShardGroup.from_engine(engine, NUM_SHARDS, fault_injector=injector)
 
 
 class TestRespawnPolicy:
     def test_kill_mid_workload_recovers_identical_answers(self, setup):
         _, engine = setup
         injector = FaultInjector()
-        group = make_group(engine, "respawn", injector)
+        group = make_group(engine, injector)
         try:
             shard = SERVING
             injector.kill_worker_at(shard, 2)
@@ -80,7 +80,7 @@ class TestRespawnPolicy:
 
     def test_externally_killed_worker_heals_on_next_query(self, setup):
         _, engine = setup
-        group = make_group(engine, "respawn")
+        group = make_group(engine)
         try:
             shard = SERVING
             group.workers[shard].process.kill()
@@ -98,19 +98,20 @@ class TestRespawnPolicy:
         router still answers -- exactly -- on the fallback engine."""
         _, engine = setup
         injector = FaultInjector()
-        group = make_group(engine, "respawn", injector, max_retries=1)
+        group = make_group(engine, injector)
         try:
             shard = SERVING
-            # Kill the original send AND the post-respawn replay.
-            injector.kill_worker_at(shard, 1).kill_worker_at(shard, 2)
+            # Kill the original send AND both post-respawn replays.
+            injector.kill_worker_at(shard, 1).kill_worker_at(shard, 2).kill_worker_at(shard, 3)
             query = QUERIES[0]
             result = group.knn(query, K)
             assert ranked(result) == ranked(engine.knn(query, K, exact=True))
             assert result.stats.extras.get("failover") is True
-            assert faults(group, "failover") == 1
+            assert [faults(group, event) for event in ("worker_crash", "respawn", "failover")] == [
+                3, 2, 1
+            ]
         finally:
             group.close()
-
 
     def test_respawn_refuses_a_directory_published_under_the_tier(
         self, setup, tmp_path
@@ -123,7 +124,7 @@ class TestRespawnPolicy:
         mapped = QueryEngine(
             SILCIndex.load(tmp_path / "index", net, mmap=True), engine.object_index
         )
-        group = ShardGroup.from_engine(mapped, 2, max_retries=1)
+        group = ShardGroup.from_engine(mapped, 2)
         try:
             assert group.directory == tmp_path / "index"
             other = road_like_network(net.num_vertices, seed=6)
@@ -140,7 +141,7 @@ class TestRespawnPolicy:
             assert [r.stats.extras.get("failover") for r in results] == [True, None, None]
             assert faults(group, "respawn_failure") >= 1
             assert faults(group, "respawn") == 0
-            replacement = group.supervisor.spawner(shard)
+            replacement = spawn_worker(replace(group.spec, shard_id=shard))
             with pytest.raises(RuntimeError, match="failed to start: CorruptIndexError: "
                                "index directory changed since the shard tier started"):
                 replacement.ping()
@@ -150,46 +151,29 @@ class TestRespawnPolicy:
 
 
 class TestFailoverPolicy:
-    def test_immediate_failover_identical_answers(self, setup):
-        _, engine = setup
-        injector = FaultInjector()
-        group = make_group(engine, "failover", injector)
-        try:
-            shard = SERVING
-            injector.kill_worker_at(shard, 1)
-            query = QUERIES[0]
-            result = group.knn(query, K)
-            assert ranked(result) == ranked(engine.knn(query, K, exact=True))
-            assert result.stats.extras.get("failover") is True
-            assert faults(group, "failover") == 1
-        finally:
-            group.close()
-
     def test_a_dead_slot_goes_to_the_bottom_of_the_stack(self, setup):
-        """One kill is one crash and one failover: the queries after it
-        take a healthy slot instead of meeting the dead worker again
-        while it respawns in the background."""
+        """A slot still down after its retries answers on the unsharded
+        engine once: the queries after it take a healthy slot instead of
+        meeting the dead worker again."""
         _, engine = setup
         injector = FaultInjector()
-        group = make_group(engine, "failover", injector)
+        group = make_group(engine, injector)
         try:
-            injector.kill_worker_at(SERVING, 1)
-            visited = []
-            supervised = group.supervisor.knn
-
-            def watched(shard, *args, **kwargs):
-                visited.append(shard)
-                return supervised(shard, *args, **kwargs)
-
-            group.supervisor.knn = watched
-            results = [group.knn(query, K) for query in QUERIES]
+            injector.kill_worker_at(SERVING, 1).kill_worker_at(SERVING, 2).kill_worker_at(SERVING, 3)
+            tracer = Tracer()
+            traces = [tracer.start_trace() for _ in QUERIES]
+            results = [group.knn(query, K, trace=trace) for query, trace in zip(QUERIES, traces)]
             assert [ranked(r) for r in results] == [
                 ranked(engine.knn(query, K, exact=True)) for query in QUERIES
             ]
             later = len(QUERIES) - 1
             assert [r.stats.extras.get("failover") for r in results] == [True] + [None] * later
-            assert visited == [SERVING] + [1] * later
-            assert (faults(group, "worker_crash"), faults(group, "failover")) == (1, 1)
+            visited = [
+                span.name for trace in traces for span in trace.spans
+                if span.name.startswith("shard:")
+            ]
+            assert visited == [f"shard:{SERVING}"] + ["shard:1"] * later
+            assert (faults(group, "worker_crash"), faults(group, "failover")) == (3, 1)
         finally:
             group.close()
 
@@ -197,34 +181,42 @@ class TestFailoverPolicy:
 class TestDegradePolicy:
     def test_serve_refuses_the_retired_degrade_policy(self, capsys):
         """A live worker holds every object, so there is no partial
-        answer left to serve: ``degrade`` is not a policy any more."""
-        with pytest.raises(SystemExit) as exited:
-            main(["serve", "net.txt", "index", "--on-shard-failure", "degrade"])
-        assert exited.value.code == 2
-        assert "invalid choice: 'degrade'" in capsys.readouterr().err
-        with pytest.raises(ValueError, match="on_failure"):
-            SupervisionPolicy(on_failure="degrade")
+        answer left to serve: ``degrade`` is not a policy any more, and
+        with one recovery path there is no policy, nor a retry count,
+        to choose."""
+        for knob in (["--on-shard-failure", "degrade"], ["--on-shard-failure", "failover"],
+                     ["--max-retries", "2"]):
+            with pytest.raises(SystemExit) as exited:
+                main(["serve", "net.txt", "index", *knob])
+            assert exited.value.code == 2
+            assert f"unrecognized arguments: {' '.join(knob)}" in capsys.readouterr().err
 
 
-class TestErrorPolicy:
-    def test_error_policy_surfaces_shard_unavailable(self, setup):
+class TestReplayDeadline:
+    def test_a_replay_after_a_respawn_gets_what_is_left_of_the_budget(self, setup):
+        """The kill costs a backoff (50 ms for slot 0's first respawn)
+        longer than the whole budget: the replay finds the budget spent
+        and raises, where sending the original budget again answered
+        late.  The respawned slot then serves as before."""
         _, engine = setup
-        injector = FaultInjector()
-        group = make_group(engine, "error", injector)
-        try:
-            shard = SERVING
-            injector.kill_worker_at(shard, 1)
-            query = QUERIES[0]
-            with pytest.raises(ShardUnavailable):
-                group.knn(query, K)
-        finally:
-            group.close()
+        injector = FaultInjector().kill_worker_at(SERVING, 1)
+        with ShardGroup.from_engine(engine, 2, fault_injector=injector) as group:
+            assert backoff(1, SERVING) > 0.03
+            t0 = time.perf_counter()
+            with pytest.raises(DeadlineExceeded):
+                group.knn(QUERIES[0], K, time_cap=0.03)
+            assert time.perf_counter() - t0 >= backoff(1, SERVING)
+            assert injector.fired("worker_kill") == 1
+            assert (faults(group, "worker_crash"), faults(group, "respawn")) == (1, 1)
+            assert ranked(group.knn(QUERIES[0], K)) == ranked(
+                engine.knn(QUERIES[0], K, exact=True)
+            )
 
 
 class TestHangProofing:
     def test_dead_worker_raises_promptly_instead_of_hanging(self, setup):
         _, engine = setup
-        group = make_group(engine, "error")
+        group = make_group(engine)
         try:
             shard = SERVING
             worker = group.workers[shard]
@@ -239,7 +231,7 @@ class TestHangProofing:
 
     def test_close_with_dead_workers_does_not_hang(self, setup):
         _, engine = setup
-        group = make_group(engine, "respawn")
+        group = make_group(engine)
         for worker in group.workers.values():
             worker.process.kill()
         t0 = time.monotonic()
@@ -249,7 +241,7 @@ class TestHangProofing:
 
     def test_stop_on_dead_worker_is_quiet(self, setup):
         _, engine = setup
-        group = make_group(engine, "respawn")
+        group = make_group(engine)
         try:
             worker = next(iter(group.workers.values()))
             worker.kill()
@@ -259,23 +251,14 @@ class TestHangProofing:
 
 
 class TestSupervisionPolicy:
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="on_failure"):
-            SupervisionPolicy(on_failure="panic")
-
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            SupervisionPolicy(max_retries=-1)
-
     def test_backoff_is_deterministic_exponential_and_capped(self):
         assert (BACKOFF_BASE, BACKOFF_CAP, BACKOFF_JITTER) == (0.05, 2.0, 0.25)
-        policy = SupervisionPolicy()
-        assert policy.backoff(1, 0) == policy.backoff(1, 0)
+        assert backoff(1, 0) == backoff(1, 0)
         for shard in range(4):
-            delays = [policy.backoff(n, shard) for n in range(1, 10)]
+            delays = [backoff(n, shard) for n in range(1, 10)]
             # Grows until the cap, never past cap * (1 + jitter).
             assert all(d <= 2.0 * 1.25 + 1e-12 for d in delays)
             assert delays[1] > delays[0]
             assert 2.0 <= delays[-1]  # 0.05 * 2**8 is past the cap
         # Jitter de-syncs concurrent respawns of different shards.
-        assert policy.backoff(1, 0) != policy.backoff(1, 1)
+        assert backoff(1, 0) != backoff(1, 1)
