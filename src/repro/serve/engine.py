@@ -2,11 +2,11 @@
 
 ``AsyncEngine`` gives the serving layer the synchronous engine behind
 one hand-off: a call runs inline on the event loop's thread and its
-outcome goes to ``done(value, exc)`` with ``loop.call_soon``, a turn
-later, so a completion callback that starts the next call never
-recurses.  :class:`~repro.serve.SILCServer` passes its completion
-callback as ``done``; without one a query method returns a future
-resolved by that same path, so ``await engine.knn(...)`` works.
+outcome goes to ``done(value, exc)`` before the call returns.
+:class:`~repro.serve.SILCServer` passes its completion callback as
+``done`` (which schedules the next chunk, so nothing recurses); without
+one a query method returns a future resolved by that same path, so
+``await engine.knn(...)`` works.
 
 There is no thread: the search is GIL-bound, the engine's
 :class:`~repro.storage.StorageSimulator` is one LRU that must not be
@@ -22,22 +22,11 @@ from __future__ import annotations
 
 import asyncio
 from collections.abc import Callable, Iterable
-from functools import partial
 
 from repro.engine import QueryEngine
 
 #: ``done(value, exc)``: how a call's outcome reaches the caller.
 Done = Callable[[object, Exception | None], None]
-
-
-def _resolve(future: asyncio.Future, value, exc: Exception | None) -> None:
-    """The ``done`` of a caller that awaits instead of passing its own."""
-    if future.done():
-        return  # the awaiting caller was cancelled meanwhile
-    if exc is None:
-        future.set_result(value)
-    else:
-        future.set_exception(exc)
 
 
 class AsyncEngine:
@@ -87,21 +76,24 @@ class AsyncEngine:
 
     def _run(self, done: Done | None, fn, *args, **kwargs) -> asyncio.Future | None:
         """Run ``fn(*args, **kwargs)`` here; its outcome goes to
-        ``done(value, exc)`` one loop turn later (``None``: to the
-        future this returns)."""
+        ``done(value, exc)`` (``None``: to the future this returns).
+        Raises only if nothing ran: ``done``'s own errors are reported."""
         if self._closed:
             raise RuntimeError("AsyncEngine is closed")
         loop = asyncio.get_running_loop()
-        future = None
+        try:
+            value, exc = fn(*args, **kwargs), None
+        except Exception as error:  # noqa: BLE001 - raised again by whoever reads `done`
+            value, exc = None, error
         if done is None:
             future = loop.create_future()
-            done = partial(_resolve, future)
+            future.set_result(value) if exc is None else future.set_exception(exc)
+            return future
         try:
-            outcome = fn(*args, **kwargs), None
-        except Exception as exc:  # noqa: BLE001 - raised again by whoever reads `done`
-            outcome = None, exc
-        loop.call_soon(done, *outcome)
-        return future
+            done(value, exc)
+        except Exception as error:  # noqa: BLE001 - the caller's callback, not the call
+            loop.call_exception_handler({"message": "done failed", "exception": error})
+        return None
 
     def _knn_target(self, exact: bool, oracle: str | None):
         """Where a kNN request runs, and the keywords only that target takes.

@@ -201,13 +201,16 @@ def request_from_dict(obj: dict) -> Request:
     if kind not in KINDS:
         raise ValueError(f"unknown request kind {kind!r}; expected one of {KINDS}")
     if kind in ("path", "distance"):
-        queries = (obj["source"], obj["target"])
+        vertices = {"source": obj["source"], "target": obj["target"]}
     elif kind == "knn_batch":
-        queries = tuple(obj["queries"])
+        vertices = {f"queries[{i}]": q for i, q in enumerate(obj["queries"])}
     elif kind == "stats":
-        queries = ()
+        vertices = {}
     else:
-        queries = (obj["query"],)
+        vertices = {"query": obj["query"]}
+    for name, vertex in vertices.items():  # whether the network has it, the engine says
+        if type(vertex) is not int:
+            raise ValueError(f"{name} must be an integer vertex id, got {vertex!r}")
     k = obj.get("k", 1)
     if isinstance(k, float) and k.is_integer():
         k = int(k)
@@ -220,7 +223,7 @@ def request_from_dict(obj: dict) -> Request:
         id=obj.get("id", 0),
         client=str(obj.get("client", "default")),
         kind=kind,
-        queries=queries,
+        queries=tuple(vertices.values()),
         k=k,
         variant=obj.get("variant", "knn"),
         exact=bool(obj.get("exact", True)),

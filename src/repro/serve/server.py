@@ -13,18 +13,17 @@ request submitted with :meth:`SILCServer.submit` flows through
    bulk client cannot starve interactive ones;
 3. the pump, which takes chunks in fair order while none is in
    flight, honours per-request deadlines
-   (:class:`~repro.serve.protocol.Expired`), and starts each on the
-   :class:`~repro.serve.engine.AsyncEngine`, whose completion callback
-   settles the chunk and pumps again.
+   (:class:`~repro.serve.protocol.Expired`), and runs each on the
+   :class:`~repro.serve.engine.AsyncEngine`, which settles it inline.
 
-All of it is plain callbacks on the loop thread (no dispatcher task, no
-task per request, no thread): :meth:`SILCServer.submit_nowait` takes the
-callback the response is handed to once every chunk of the request has
-run (or it was shed/expired/failed), and ``await server.submit(request)``
-is a future over that same path.  :func:`serve_jsonl` wraps a server in
-the stdin/stdout JSON-lines loop behind the ``repro serve`` CLI
-subcommand; it reads its input on the loop thread too, so a ``stats``
-line or a new request waits for at most the chunk that is running.
+All of it is plain callbacks on the loop thread (no task, no thread):
+:meth:`SILCServer.submit_nowait` takes the callback the response is
+handed to once every chunk of the request has run (or it was
+shed/expired/failed), and ``await server.submit(request)`` is a future
+over that same path.  :func:`serve_jsonl`, the JSON-lines loop behind
+``repro serve``, reads its input on the loop thread and pumps at the end
+of each read: a closed-loop request is read, run and answered in one
+loop turn, and a ``stats`` line waits for at most the running chunk.
 """
 
 from __future__ import annotations
@@ -149,9 +148,9 @@ class SILCServer:
         # ``engine_ops_total`` only when polled: counting it per event
         # would take a dozen locked increments per request.
         self._ops = QueryStats()
-        # None while stopped; else clear while a pump is scheduled or a
-        # chunk is in flight.  Everything that touches the scheduler
-        # runs on the loop thread, so there is no lock to take.
+        # None while stopped; else clear while a pump is due or a chunk
+        # is in flight.  Everything that touches the scheduler runs on
+        # the loop thread, so there is no lock to take.
         self._idle: asyncio.Event | None = None
         # id(request) -> _Pending, for chunks to find their assembly state.
         self._pending_by_request: dict = {}
@@ -214,9 +213,8 @@ class SILCServer:
         self.scheduler.submit(request)
         self._pending_by_request[id(request)] = pending
         if self._idle.is_set():
-            # Dispatch at the next loop turn, not in this one: requests
-            # that arrive together (a burst of lines, gathered submits)
-            # are all queued before the scheduler picks among them.
+            # A turn later: what arrives together (gathered submits) is
+            # all queued before the scheduler picks among it.
             self._idle.clear()
             asyncio.get_running_loop().call_soon(self._pump)
         return pending
@@ -313,9 +311,9 @@ class SILCServer:
     def _pump(self) -> None:
         """Start the next chunk that still has a request to serve.
 
-        Runs one loop turn after a submission that found the server
-        idle, and one turn after a chunk completion that left chunks
-        queued; one chunk is in flight at a time.  A loop, not
+        Runs at the end of a read, a turn after a submission that found
+        the server idle, and a turn after a chunk completion that left
+        chunks queued; one chunk is in flight at a time.  A loop, not
         recursion: chunks of expired, cancelled and failed requests are
         passed over without a hand-off.
         """
@@ -370,8 +368,8 @@ class SILCServer:
                     # kind added there without an arm here fails loudly
                     # (and repro check RPR002 catches it statically).
                     raise ValueError(f"unhandled request kind {request.kind!r}")
-            except Exception as exc:  # noqa: BLE001 - nothing was handed off: Failed, a turn later
-                asyncio.get_running_loop().call_soon(done, None, exc)
+            except Exception as exc:  # noqa: BLE001 - raised before the hand-off: Failed
+                done(None, exc)
             return
         self._idle.set()
 
@@ -411,19 +409,21 @@ class SILCServer:
                     return  # more chunks of this batch still queued
                 result = {"ids": pending.ids, "distances": pending.distances}
             latency = self.clock() - pending.submitted
-            sched_delay = self.scheduler.sched_delay(request)
+            self._finish(pending, Completed(
+                request.id, request.client, result=result,
+                latency=latency, sched_delay=self.scheduler.sched_delay(request),
+            ))
+            # Counted after the hand-over, off the client's wait (only
+            # `deliver` itself runs before them).
             self._count("completed")
             self.tracer.registry.observe("latency_seconds", latency, stage="serve")
             for chunk_stats in pending.stats:
                 self._ops.add(chunk_stats)
-            self._finish(pending, Completed(
-                request.id, request.client, result=result,
-                latency=latency, sched_delay=sched_delay,
-            ))
         finally:
             if self.scheduler:
-                # A turn later, so lines read in this turn are admitted first.
-                asyncio.get_running_loop().call_soon(self._pump)
+                # A turn later, after that turn's reads (a call_soon would
+                # run before them): lines that came in meanwhile go first.
+                asyncio.get_running_loop().call_later(0, self._pump)
             else:
                 self._idle.set()
 
@@ -438,17 +438,17 @@ class SILCServer:
         # so a long-lived server's bookkeeping stays flat.
         self.scheduler.sched_delays.pop(id(request), None)
         self.admission.release(request)
-        pending.trace.finish(response.status if response is not None else "cancelled")
-        if response is not None:
-            try:
+        try:
+            pending.trace.finish(response.status if response is not None else "cancelled")
+            if response is not None:
                 pending.deliver(response)
-            except Exception as exc:  # noqa: BLE001 - the caller's callback, not the request
-                # Reported like any failing loop callback (logged by
-                # default, raised by serve_jsonl); the pump goes on.
-                asyncio.get_running_loop().call_exception_handler({
-                    "message": f"delivering the response to request {request.id!r} failed",
-                    "exception": exc,
-                })
+        except Exception as exc:  # noqa: BLE001 - the trace sink or the caller's callback
+            # Reported like any failing loop callback (logged by
+            # default, raised by serve_jsonl); the pump goes on.
+            asyncio.get_running_loop().call_exception_handler({
+                "message": f"finishing request {request.id!r} failed",
+                "exception": exc,
+            })
 
 
 # ----------------------------------------------------------------------
@@ -463,10 +463,10 @@ _READ_BLOCK = 64 * 1024
 class _Lines(asyncio.Protocol):
     """Request lines out of ``serve_jsonl``'s input bytes, decoded
     incrementally (a UTF-8 character split across reads is joined), split
-    at newlines and stripped; blanks and ``#`` comments are dropped, the
-    rest go to ``accept``, and the last line needs no newline."""
+    at newlines and stripped; blanks and ``#`` comments are dropped, a
+    read's other lines go to ``accept`` as one list; the last needs no newline."""
 
-    def __init__(self, accept: Callable[[str], None], finish) -> None:
+    def __init__(self, accept: Callable[[list[str]], None], finish) -> None:
         self._accept = accept
         self._finish = finish
         self._decode = codecs.getincrementaldecoder("utf-8")().decode
@@ -474,10 +474,7 @@ class _Lines(asyncio.Protocol):
 
     def data_received(self, data: bytes, final: bool = False) -> None:
         *lines, self._tail = (self._tail + self._decode(data, final)).split("\n")
-        for line in lines:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                self._accept(line)
+        self._accept([s for s in map(str.strip, lines) if s and not s.startswith("#")])
 
     def eof_received(self) -> None:
         self.data_received(b"\n", final=True)
@@ -497,11 +494,10 @@ async def serve_jsonl(
     request ``id``.  All on the loop thread: a pipe, FIFO, socket or
     terminal is read with ``loop.connect_read_pipe`` as data arrives, a
     regular file (which epoll refuses) or an in-memory stream one block
-    per loop turn; each line is decoded and submitted in the turn that
-    read it, and the reply written from the request's completion
-    callback.  Returns the final metrics snapshot at EOF; a failure of
-    the input or inside a loop callback (a closed ``out_stream``, say)
-    is raised when it happens, not at EOF.
+    per loop turn; the lines of a read are decoded and submitted, and
+    the pump run, in the turn that read them.  Returns the final metrics
+    snapshot at EOF; a failure of the input or inside a loop callback (a
+    closed ``out_stream``, say) is raised when it happens, not at EOF.
     """
     loop = asyncio.get_running_loop()
     ended = loop.create_future()  # resolved at EOF, and by the first failure
@@ -517,21 +513,30 @@ async def serve_jsonl(
         out_stream.write(json.dumps(record) + "\n")
         out_stream.flush()
 
-    def accept(line: str) -> None:
-        obj = None
+    def accept(lines: list[str]) -> None:
+        # A read's lines are all queued before the pump picks among them,
+        # in this turn; meanwhile a clear `_idle` says a pump is due.
+        dispatch = server._idle.is_set()  # no chunk in flight, no pump due
+        server._idle.clear()
         try:
-            obj = json.loads(line)
-            request = request_from_dict(obj)
-        except Exception as exc:  # noqa: BLE001 - whatever the line made them raise is the client's error
-            # A closed-loop client waits on its id: echo what
-            # correlates the reply whenever the line carried it.
-            echo = (
-                {key: obj[key] for key in ("id", "client") if key in obj}
-                if isinstance(obj, dict) else {}
-            )
-            emit({**echo, "status": "error", "error": f"bad request: {exc}"})
-            return
-        server.submit_nowait(request, lambda response: emit(response_to_dict(response)))
+            for line in lines:
+                obj = None
+                try:
+                    obj = json.loads(line)
+                    request = request_from_dict(obj)
+                except Exception as exc:  # noqa: BLE001 - whatever the line made them raise is the client's error
+                    # A closed-loop client waits on its id: echo what
+                    # correlates the reply whenever the line carried it.
+                    echo = (
+                        {key: obj[key] for key in ("id", "client") if key in obj}
+                        if isinstance(obj, dict) else {}
+                    )
+                    emit({**echo, "status": "error", "error": f"bad request: {exc}"})
+                    continue
+                server.submit_nowait(request, lambda response: emit(response_to_dict(response)))
+        finally:
+            if dispatch:
+                server._pump()
 
     lines = _Lines(accept, finish)
 

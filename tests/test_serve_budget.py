@@ -4,10 +4,12 @@ Sibling of ``tests/test_kernel_budget.py``: wall-clock says nothing
 reliable in a unit test, counts do.  Three things are pinned here:
 
 * **hops** -- one ``AsyncEngine`` hand-off per ``knn`` / ``distance`` /
-  ``path`` request and one per ``knn_batch`` chunk, three event-loop
-  turns and no task per closed-loop request, and no serving thread at
-  all: no executor, reader, worker or respawn thread while serving or
-  after EOF, a shard worker's respawn included;
+  ``path`` request and one per ``knn_batch`` chunk, one event-loop turn
+  per closed-loop request (the turn that reads its line) and one per
+  batch chunk, no task per request, and no serving thread at all: no
+  executor, reader, worker or respawn thread while serving or after
+  EOF, a shard worker's respawn included; a reply that fails on its way
+  out is reported once and settled once;
 * **``SILCIndex.route``** -- bitwise ``(path(), distance())`` from one
   walk, with the checks of both kept;
 * **INE** -- golden digests of answers and every counted operation,
@@ -34,9 +36,10 @@ from repro.faults import FaultInjector
 from repro.network import VertexNotFound, road_like_network
 from repro.objects import EdgePosition, ObjectIndex, ObjectSet
 from repro.objects.model import position_parts
+from repro.obs import Tracer
 from repro.query.ine import ine_knn
 from repro.query.location import same_edge_direct
-from repro.serve import AsyncEngine, FairScheduler, SILCServer, serve_jsonl
+from repro.serve import AsyncEngine, FairScheduler, Request, SILCServer, serve_jsonl
 from repro.silc import SILCIndex
 from repro.storage import NetworkStorageModel
 
@@ -94,19 +97,21 @@ def test_one_executor_trip_per_request_and_per_batch_chunk(
         before = len(handed)
         assert piped.ask(request)["status"] == "ok"
         assert len(handed) - before == trips, request["kind"]
-    # Loop turns per closed-loop request: the line comes in, the pump
-    # dispatches, the reply goes out (3.0 measured; 6.9 with a task per
-    # request and a dispatcher task).  The loop may or may not have
+    # Loop turns per closed-loop request: the turn that reads the line
+    # admits it, runs it and writes the reply (1.0 measured; 3.0 with
+    # the pump and the reply each a turn later, 6.9 with a task per
+    # request and a dispatcher task).  A batch of c chunks takes c: each
+    # chunk after the first waits a turn.  The loop may or may not have
     # entered the next turn's select() when a reply is read, hence a
     # mean over a run and not a count per request.
     turns = _count_calls(monkeypatch, "_run_once")
     tasks = _count_calls(monkeypatch, "create_task")
     rounds = 20
-    for request, _ in requests[:3]:
+    for request, trips in requests[:4]:
         before = len(turns)
         for _ in range(rounds):
             assert piped.ask(request)["status"] == "ok"
-        assert (len(turns) - before) / rounds < 3.5, request["kind"]
+        assert (len(turns) - before) / rounds < trips + 0.5, request["kind"]
     assert not tasks  # no task per request (nor a dispatcher's)
     # The loop reads, queries and writes on its own thread: there is no
     # reader or worker thread, and nothing went through an executor (the
@@ -116,6 +121,69 @@ def test_one_executor_trip_per_request_and_per_batch_chunk(
     assert not [n for n in names if n.startswith("repro-serve")]
     piped.close()
     assert not [t.name for t in threading.enumerate() if t.name.startswith("repro-serve")]
+
+
+class _RaisingSink:
+    """A trace sink whose every write fails, as a full disk would."""
+
+    def write(self, record):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("failing", ["deliver", "trace-sink"])
+def test_a_reply_that_fails_on_the_way_out_is_reported_once_and_settled_once(
+    small_index, small_object_index, failing
+):
+    """The reply is handed over inside the call that ran the query, so
+    what raises on its way out -- the caller's callback, or before it
+    the trace sink -- is reported once through the loop's exception
+    handler and is not taken for a failed dispatch: admission is
+    released once per request, the request is counted, and the next
+    one is served.  The last is answered ``Expired`` by the pump
+    itself, which must not be cut short either."""
+    reported, released = [], []
+
+    def broken(response):
+        raise LookupError(f"cannot deliver {response.id}")
+
+    requests = [
+        Request(id=1, client="web", kind="knn", queries=(7,), k=3),
+        Request(id=2, client="web", kind="distance", queries=(0, 140)),
+        Request(id=3, client="web", kind="path", queries=(0, 140)),
+        Request(id=4, client="bulk", kind="knn_batch", queries=tuple(range(2 * CHUNK)), k=2),
+        Request(id=5, client="web", kind="knn", queries=(9,), deadline=1e-9),
+    ]
+
+    async def go():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _, context: reported.append(context["exception"])
+        )
+        tracer = Tracer(sink=_RaisingSink()) if failing == "trace-sink" else None
+        engine = QueryEngine(small_index, small_object_index)
+        async with AsyncEngine(engine) as ae:
+            server = SILCServer(ae, scheduler=FairScheduler(chunk_size=CHUNK), tracer=tracer)
+            await server.start()  # and stop() only once the pump is seen to go on
+            release = server.admission.release
+            server.admission.release = lambda r: (released.append(r.id), release(r))[1]
+            for request in requests:
+                server.submit_nowait(request, broken if failing == "deliver" else print)
+            for _ in range(100):  # a wedged pump fails the test, it does not hang it
+                await asyncio.sleep(0)
+            assert sorted(released) == [1, 2, 3, 4, 5]
+            server.tracer.sink = None
+            last = await asyncio.wait_for(
+                server.submit(Request(id=6, client="web", kind="knn", queries=(5,))), 30
+            )
+            await server.stop()
+            return last, server.snapshot()
+
+    last, snapshot = asyncio.run(go())
+    assert last.status == "ok"
+    assert [type(e) for e in reported] == [
+        LookupError if failing == "deliver" else OSError
+    ] * len(requests)
+    assert released[-1] == 6
+    assert (snapshot.served, snapshot.expired, snapshot.failed, snapshot.in_flight) == (5, 1, 0, 0)
 
 
 def test_no_serving_thread_across_a_respawn(small_index, small_object_index):

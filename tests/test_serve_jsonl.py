@@ -13,12 +13,18 @@ import itertools
 import json
 import random
 import sys
+import threading
 import time
 from functools import partial
 
 import pytest
 
+from test_properties import one_way
+
+from repro.datasets import random_vertex_objects
 from repro.engine import QueryEngine
+from repro.network import distance_matrix
+from repro.objects import ObjectIndex
 from repro.obs import Tracer
 from repro.serve import (
     AdmissionController,
@@ -30,6 +36,7 @@ from repro.serve import (
     response_to_dict,
     serve_jsonl,
 )
+from repro.silc import SILCIndex
 
 CHUNK = 4
 TIMEOUT = 30.0  # every wait in this file is bounded
@@ -165,6 +172,36 @@ class TestLines:
         assert piped.ask(knn(3, 0))["status"] == "ok"  # ... and the loop carried on
         snapshot = piped.close()
         assert (snapshot.served, snapshot.failed) == (1, 0)
+
+    @pytest.mark.parametrize("shards", [1, 2], ids=["unsharded", "shards-2"])
+    def test_a_vertex_id_that_is_no_integer_is_a_bad_request(
+        self, engine, piped_serve, shards
+    ):
+        """Vertex ids are validated like ``k``, on both tiers alike: a
+        bool is not read as 0 or 1, nor a float or a string handed to
+        the engine to fail with an internal ``TypeError`` counted as a
+        failed request.  An integer the network lacks is the engine's
+        ``VertexNotFound``."""
+        piped = piped_serve(AsyncEngine(engine, shards=shards))
+        for rid, (record, name, shown) in enumerate([
+            ({"kind": "distance", "source": True, "target": 5}, "source", "True"),
+            ({"kind": "knn_batch", "queries": [1, False], "k": 2}, "queries[1]", "False"),
+            ({"kind": "distance", "source": 2.0, "target": 5}, "source", "2.0"),
+            ({"kind": "path", "source": "3", "target": 5}, "source", "'3'"),
+            ({"kind": "path", "source": 3, "target": None}, "target", "None"),
+            ({"kind": "knn", "query": 4.5, "k": 2}, "query", "4.5"),
+            ({"kind": "knn", "query": [0, 1, 0.5], "k": 2}, "query", "[0, 1, 0.5]"),
+        ]):
+            assert piped.ask({"id": rid, "client": "web", **record}) == {
+                "id": rid, "client": "web", "status": "error",
+                "error": f"bad request: {name} must be an integer vertex id, got {shown}",
+            }
+        missing = piped.ask(batch(9, [1, 10_000]))
+        assert missing["status"] == "error"
+        assert missing["error"].startswith("VertexNotFound")
+        assert piped.ask(knn(10, 1))["status"] == "ok"
+        snapshot = piped.close()
+        assert (snapshot.served, snapshot.failed) == (1, 1)
 
     def test_four_kinds_closed_loop_equal_a_request_file(
         self, engine, piped_serve, tmp_path
@@ -325,6 +362,39 @@ class TestPolicies:
         assert [r["sched_delay"] for r in order[:3]] == [
             (i + 1) * CHUNK + i for i in range(3)
         ]
+        piped.close()
+
+
+    def test_a_stats_line_waits_for_at_most_the_chunk_that_is_running(
+        self, engine, piped_serve
+    ):
+        """The stats line arrives while the first chunk of a three-chunk
+        batch runs (the engine call holds the loop until it is written):
+        it is read and answered before the next chunk is picked, with
+        two chunks still queued."""
+        async_engine = AsyncEngine(engine)
+        running, written = threading.Event(), threading.Event()
+        run = async_engine._run
+
+        def first_call_waits(done, fn, *args, **kwargs):
+            if not running.is_set():
+                running.set()
+                assert written.wait(TIMEOUT)
+            return run(done, fn, *args, **kwargs)
+
+        async_engine._run = first_call_waits
+        piped = piped_serve(async_engine, scheduler=FairScheduler(chunk_size=CHUNK))
+        piped.send(batch(1, range(3 * CHUNK)))
+        assert running.wait(TIMEOUT)
+        piped.send({"id": 2, "client": "ops", "kind": "stats"})
+        written.set()
+        stats, answered = piped.recv(), piped.recv()
+        assert (stats["id"], answered["id"], answered["status"]) == (2, 1, "ok")
+        depths = {
+            g["labels"]["client"]: g["value"]
+            for g in stats["metrics"]["gauges"] if g["name"] == "queue_depth"
+        }
+        assert depths == {"bulk": 2 * CHUNK}
         piped.close()
 
 
@@ -606,12 +676,13 @@ def assert_dijkstra(net, dist, objects, request, reply):
             )
 
 
-@pytest.mark.parametrize("shards", [1, 2], ids=["unsharded", "shards-2"])
-@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
-def test_submit_and_serve_jsonl_are_one_path(
-    engine, piped_serve, small_net, small_dist, small_objects, shards, traced
-):
-    bursts = generated_bursts(21, small_net.num_vertices)
+def assert_one_path(piped_serve, engine, dist, shards, traced):
+    """The generated bursts through both entry points: equal replies and
+    equal counted ``sched_delay`` by id, and every ``ok`` reply is the
+    answer Dijkstra gives on the engine's network."""
+    net = engine.index.network
+    objects = engine.object_index.objects
+    bursts = generated_bursts(21, net.num_vertices)
     awaited = through_submit(engine, shards, traced, bursts)
     piped = through_pipes(piped_serve, engine, shards, traced, bursts)
     assert awaited.keys() == piped.keys() and len(awaited) == 200 + len(bursts)
@@ -621,10 +692,40 @@ def test_submit_and_serve_jsonl_are_one_path(
     requests = {r["id"]: r for burst in bursts for r in burst}
     for rid, request in requests.items():
         if piped[rid]["status"] == "ok":
-            assert_dijkstra(small_net, small_dist, small_objects, request, piped[rid])
+            assert_dijkstra(net, dist, objects, request, piped[rid])
     # the planted cases met their fate, and the rest was answered
     statuses = [piped[rid]["status"] for rid in requests]
     assert statuses.count("expired") == 1 and "error" not in statuses
     assert "request_too_large" in {r.get("reason") for r in piped.values()}
     assert statuses.count("ok") >= 190
     assert len({piped[rid]["sched_delay"] for rid in requests if "sched_delay" in piped[rid]}) > 3
+
+
+@pytest.mark.parametrize("shards", [1, 2], ids=["unsharded", "shards-2"])
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_submit_and_serve_jsonl_are_one_path(engine, piped_serve, small_dist, shards, traced):
+    assert_one_path(piped_serve, engine, small_dist, shards, traced)
+
+
+@pytest.fixture(scope="module")
+def one_way_serving(small_net):
+    """``small_net`` with a seeded quarter of its streets one-way, its
+    index and objects, and its all-pairs (directed) Dijkstra truth."""
+    net = one_way(small_net, seed=9)
+    index = SILCIndex.build(net)
+    objects = ObjectIndex(net, random_vertex_objects(net, count=20, seed=4), index.embedding)
+    return QueryEngine(index, objects, cache_fraction=0.05), distance_matrix(net)
+
+
+@pytest.mark.parametrize("shards", [1, 2], ids=["unsharded", "shards-2"])
+def test_submit_and_serve_jsonl_are_one_path_on_a_directed_network(
+    one_way_serving, piped_serve, small_net, shards
+):
+    """The same bursts on a network where d(u, v) != d(v, u): a reply
+    that swapped source and target, or searched the reverse graph,
+    fails the directed Dijkstra check.  (Disconnected networks are out
+    of scope: ``SILCIndex.build``, and so ``repro build``, refuses a
+    network that is not strongly connected.)"""
+    engine, dist = one_way_serving
+    assert engine.index.network.num_edges < small_net.num_edges and (dist != dist.T).any()
+    assert_one_path(piped_serve, engine, dist, shards, traced=False)

@@ -105,6 +105,28 @@ class TestAsyncEngine:
 
         assert asyncio.run(go()).ids() == engine.knn(0, 3).ids()
 
+    def test_a_done_that_raises_is_reported_once_and_the_call_returns(self, engine):
+        """``done`` runs before the call returns; what it raises goes to
+        the loop's exception handler, once, as it did when ``done`` was a
+        loop callback -- the call neither raises it (a caller would take
+        that for a call that never ran) nor runs ``done`` again."""
+        reported, outcomes = [], []
+
+        def done(value, exc):
+            outcomes.append((value.ids(), exc))
+            raise LookupError("cannot take it")
+
+        async def go():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: reported.append(context["exception"])
+            )
+            async with AsyncEngine(engine) as ae:
+                assert ae.knn(0, 3, done=done) is None
+
+        asyncio.run(go())
+        assert outcomes == [(engine.knn(0, 3).ids(), None)]
+        assert [str(e) for e in reported] == ["cannot take it"]
+
     def test_a_result_for_a_loop_that_closed_is_dropped(self, engine):
         """A call made on a loop that closes without reading its outcome
         reports nothing there, and the engine goes on serving other

@@ -15,23 +15,39 @@ kNN to: ``engine.knn(q, k, oracle="ine")`` at k in {1, 4}, with its
 settled vertices and relaxed edges per request.  Those calls are kept
 out of the seeded mix, so the mix's rows (and ``check_memory.py``,
 which replays it) do not depend on them.
-Run it before and after a change to the path and quote both tables.
+A third table prices the front end around the query: ``serve_jsonl``
+on a loop thread of its own, fed over a real pipe by a closed-loop
+client (the next line once the reply is in, and once the loop is parked
+in ``select()`` again), with Python frames and event-loop turns
+(``BaseEventLoop._run_once`` calls) counted on the loop thread per
+request -- the query's own frames included, so set it beside the first
+table.  Its batch row is 2 chunks, as in bench's ``batch-bulk``.
+Run it before and after a change to the path and quote the tables.
 
 Usage: count_calls.py NETWORK INDEX
 """
 
 from __future__ import annotations
 
+import asyncio
+import json
+import os
 import random
+import selectors
 import sys
+import threading
+import time
 
-from serving_mix import SEED, seeded_mix, serving_engine
+from serving_mix import BATCH, SEED, seeded_mix, serving_engine
 
 
 #: Counted ops per kNN row, summed from each answer's stats.
 OPS = ("links", "pushes", "io_misses")
 #: INE rows: k values and queries per k.
 INE_KS, INE_QUERIES = (1, 4), 40
+#: Closed-loop rows: requests per row, and the chunk size that cuts a
+#: batch of ``BATCH`` queries in two.
+SERVE_REQUESTS, SERVE_CHUNK = 40, BATCH // 2
 
 
 def frames_entered(call) -> tuple[int, object]:
@@ -74,6 +90,78 @@ def ine_calls(engine) -> list[tuple[str, object]]:
         for k in INE_KS
         for _ in range(INE_QUERIES)
     ]
+
+
+def serve_requests(engine) -> list[tuple[str, dict]]:
+    """``(row label, request record)`` pairs for the closed-loop table, seeded."""
+    rng = random.Random(SEED)
+    n = engine.index.network.num_vertices
+    requests = []
+    for _ in range(SERVE_REQUESTS):
+        requests += [
+            ("knn        k=1", {"kind": "knn", "query": rng.randrange(n), "k": 1}),
+            ("knn        k=4", {"kind": "knn", "query": rng.randrange(n), "k": 4}),
+            *((kind, {"kind": kind, "source": rng.randrange(n), "target": rng.randrange(n)})
+              for kind in ("distance", "path")),
+            ("knn_batch  2 chunks",
+             {"kind": "knn_batch", "queries": [rng.randrange(n) for _ in range(BATCH)], "k": 4}),
+        ]
+    return requests
+
+
+def closed_loop_counts(engine, requests) -> list[tuple[int, int]]:
+    """``(frames, loop turns)`` per request, each sent once its
+    predecessor's reply is read and the loop thread has gone quiet."""
+    from repro.serve import AsyncEngine, FairScheduler, SILCServer, serve_jsonl
+
+    counted = [0, 0]  # frames entered, loop turns, on the loop thread
+    run_once = asyncio.BaseEventLoop._run_once.__code__
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            counted[0] += 1
+            counted[1] += frame.f_code is run_once
+
+    in_r, in_w = os.pipe()
+    out_r, out_w = os.pipe()
+
+    async def serve() -> None:
+        async with AsyncEngine(engine) as async_engine:
+            server = SILCServer(async_engine, scheduler=FairScheduler(chunk_size=SERVE_CHUNK))
+            with open(in_r, "rb", buffering=0) as source, open(out_w, "w") as sink:
+                await serve_jsonl(server, source, sink)
+
+    def loop_thread() -> None:
+        sys.setprofile(profiler)
+        try:
+            asyncio.run(serve())
+        finally:
+            sys.setprofile(None)
+
+    def quiet() -> tuple[int, int]:
+        while True:  # parked: in the selector's select() and nothing moves
+            before = tuple(counted)
+            time.sleep(0.001)
+            frame = sys._current_frames().get(thread.ident)
+            parked = frame is not None and frame.f_code.co_filename == selectors.__file__
+            if parked and tuple(counted) == before:
+                return before
+
+    thread = threading.Thread(target=loop_thread)
+    thread.start()
+    counts = []
+    with open(in_w, "w") as out, open(out_r, "rb") as replies:
+        start = quiet()
+        for rid, (_, record) in enumerate(requests):
+            out.write(json.dumps({"id": rid, **record}) + "\n")
+            out.flush()
+            if b'"ok"' not in replies.readline():
+                raise RuntimeError(f"request {rid} was not answered ok")
+            end = quiet()
+            counts.append((end[0] - start[0], end[1] - start[1]))
+            start = end
+    thread.join()
+    return counts
 
 
 def main(network_path: str, index_path: str) -> int:
@@ -119,6 +207,19 @@ def main(network_path: str, index_path: str) -> int:
         print(
             f"{label:<18}{len(row):>9}{frames:>10}{frames / len(row):>16.1f}"
             f"{settled:>20.1f}{relaxed:>20.1f}"
+        )
+
+    requests = serve_requests(engine)
+    counts = closed_loop_counts(engine, requests + requests)[len(requests):]
+    serve_rows: dict[str, list[tuple[int, int]]] = {}
+    for (label, _), count in zip(requests, counts):
+        serve_rows.setdefault(label, []).append(count)
+    print()
+    print(f"{'serve_jsonl':<20}{'requests':>9}{'frames/request':>16}{'turns/request':>16}")
+    for label, row in serve_rows.items():
+        print(
+            f"{label:<20}{len(row):>9}{sum(f for f, _ in row) / len(row):>16.1f}"
+            f"{sum(t for _, t in row) / len(row):>16.2f}"
         )
     return 0
 
