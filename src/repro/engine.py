@@ -26,7 +26,6 @@ Example::
 from __future__ import annotations
 
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import reduce
 from time import perf_counter
@@ -35,7 +34,6 @@ from collections.abc import Iterable, Iterator
 from repro.errors import DeadlineExceeded
 from repro.objects.index import ObjectIndex
 from repro.objects.model import NetworkPosition
-from repro.obs.trace import NULL_TRACE
 from repro.oracle.base import ORACLE_CHOICES
 from repro.oracle.labelling import PrunedLabellingOracle
 from repro.oracle.planner import QueryPlanner
@@ -227,9 +225,8 @@ class QueryEngine:
         the simulated I/O each backend would actually pay.
         """
         if self.planner is None:
-            with self._attached():
-                planner = QueryPlanner(self.oracles, storage=self.storage)
-                planner.calibrate()
+            planner = QueryPlanner(self.oracles, storage=self.storage)
+            self._attached(planner.calibrate)
             self.planner = planner
         return self.planner
 
@@ -240,7 +237,8 @@ class QueryEngine:
                 f"unknown oracle {backend!r}; expected one of {ORACLE_CHOICES}"
             )
         if backend == "auto":
-            backend = self.ensure_planner().choose(position, k)
+            planner = self.planner if self.planner is not None else self.ensure_planner()
+            backend = planner.choose(position, k)
         if backend not in self.oracles:
             raise ValueError(
                 f"oracle {backend!r} is not loaded on this engine "
@@ -282,25 +280,30 @@ class QueryEngine:
             raise DeadlineExceeded(
                 f"query dispatched with no remaining budget ({time_cap:.4f}s)"
             )
-        with self._attached():
-            return self._answer(
-                query, k, variant, exact, oracle, trace,
-                epsilon=0.0, time_budget=time_cap,
-            )
+        return self._attached(
+            self._answer, query, k, variant, exact, oracle, trace, 0.0, time_cap
+        )
 
     def _answer(
         self, query, k: int, variant: str, exact: bool, oracle: str | None,
-        trace, *, epsilon: float, time_budget: float | None,
+        trace, epsilon: float, time_budget: float | None,
     ) -> KNNResult:
         """One query, the body :meth:`knn` and :meth:`knn_batch` share:
-        resolve, then plan and dispatch, each under its span.
+        resolve, then plan and dispatch, each under its span (``trace``
+        None: no span at all).
 
         Every backend takes the same keywords; the non-SILC ones ignore
         the SILC knobs (see their ``knn``).
         """
-        if trace is None:
-            trace = NULL_TRACE
         position = self.resolve(query)
+        if trace is None:
+            if epsilon > 0:
+                return approximate_knn(
+                    self.index, self.object_index, position, k, epsilon=epsilon
+                )
+            return self.oracles[self._resolve_backend(oracle, position, k)].knn(
+                position, k, variant=variant, exact=exact, time_budget=time_budget,
+            )
         if epsilon > 0:  # SILC-only (checked by knn_batch): nothing to plan
             with trace.span(
                 "oracle:silc", oracle="silc", epsilon=epsilon
@@ -367,22 +370,20 @@ class QueryEngine:
             raise ValueError(
                 "epsilon-approximate search runs on the SILC backend only"
             )
-        with self._attached():
-            return run_batch(
-                queries,
-                lambda query, budget: self._answer(
-                    query, k, variant, exact, oracle, trace,
-                    epsilon=epsilon, time_budget=budget,
-                ),
-                time_cap=time_cap,
-            )
+        return self._attached(
+            run_batch,
+            queries,
+            lambda query, budget: self._answer(
+                query, k, variant, exact, oracle, trace, epsilon, time_budget=budget
+            ),
+            time_cap,
+        )
 
     # ------------------------------------------------------------------
     # Storage plumbing
     # ------------------------------------------------------------------
-    @contextmanager
-    def _attached(self) -> Iterator[None]:
-        """Attach the engine's simulator to the index for the block.
+    def _attached(self, call, *args):
+        """``call(*args)`` with the engine's simulator attached to the index.
 
         A plain swap of ``index.storage``: the constructor matched the
         simulator to the index, so no query pays for that again.  A
@@ -392,10 +393,9 @@ class QueryEngine:
         index = self.index
         previous = index.storage
         if self.storage is None or previous is self.storage:
-            yield
-            return
+            return call(*args)
         index.storage = self.storage
         try:
-            yield
+            return call(*args)
         finally:
             index.storage = previous

@@ -92,14 +92,11 @@ def process_memory(pid: int | str = "self") -> dict[str, int]:
 
 
 @lru_cache(maxsize=1024)
-def _key_of(name: str, items: tuple) -> tuple:
+def _key(name: str, items: tuple) -> tuple:
+    """A sample's address from ``(name, tuple(labels.items()))``.
+    Memoised: requests count into the same few label sets over and
+    over, and a hit enters no Python frame."""
     return (name, tuple(sorted((str(k), str(v)) for k, v in items)))
-
-
-def _key(name: str, labels: dict) -> tuple:
-    """A sample's address.  Memoised: requests count into the same few
-    label sets over and over, and this runs on every one of them."""
-    return _key_of(name, tuple(labels.items()))
 
 
 def _summary(window: Sequence[float], count: int) -> dict:
@@ -137,17 +134,17 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def inc(self, name: str, value: float = 1, **labels: Any) -> None:
         """Add ``value`` to a counter sample."""
-        key = _key(name, labels)
+        key = _key(name, tuple(labels.items()))
         with self._lock:
             self._counters[key] = self._counters.get(key, 0) + value
 
     def set_gauge(self, name: str, value: float, **labels: Any) -> None:
         with self._lock:
-            self._gauges[_key(name, labels)] = value
+            self._gauges[_key(name, tuple(labels.items()))] = value
 
     def observe(self, name: str, value: float, **labels: Any) -> None:
         """Record one histogram observation."""
-        key = _key(name, labels)
+        key = _key(name, tuple(labels.items()))
         with self._lock:
             window = self._hists.get(key)
             if window is None:
@@ -160,12 +157,12 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def counter_value(self, name: str, **labels: Any) -> float:
         with self._lock:
-            return self._counters.get(_key(name, labels), 0)
+            return self._counters.get(_key(name, tuple(labels.items())), 0)
 
     def histogram(self, name: str, **labels: Any) -> dict:
         """One histogram's reading, as :meth:`snapshot` renders it
         (zeros before its first observation)."""
-        key = _key(name, labels)
+        key = _key(name, tuple(labels.items()))
         with self._lock:
             return _summary(list(self._hists.get(key, ())), self._hist_counts.get(key, 0))
 

@@ -1,8 +1,8 @@
 """Aggregate a JSON-lines trace file into a per-stage breakdown.
 
 ``repro trace-report`` answers *where does the time go* for a serving
-run: per span stage (``admission``, ``sched_wait``, ``plan``,
-``oracle``, ``shard``, ``execute``, ``worker``) it renders count,
+run: per span stage (``read``, ``admission``, ``sched_wait``, ``plan``,
+``oracle``, ``shard``, ``execute``, ``worker``, ``reply``) it renders count,
 total/mean time and latency percentiles, plus the counted operations
 accumulated on those spans -- the same units the paper's figures and
 the repo's benchmarks use.  Whether a change moved serving latency is

@@ -13,11 +13,11 @@ oracle work vs the shard worker's round trip.
 Two invariants the serving layer asserts on:
 
 * **Zero overhead when off.**  The default tracer is
-  :class:`NullTracer`; it hands out the shared :data:`NULL_TRACE`
-  whose every method is a no-op returning the shared
-  :data:`NULL_SPAN`.  Instrumented code calls
-  ``with trace.span("plan"): ...`` unconditionally and pays a few
-  attribute lookups, no allocation, no branching on config.
+  :class:`NullTracer` (``enabled`` False): the server then makes no
+  tracing call for a request and hands the engine ``trace=None``,
+  which runs span-free.  Code that traces unconditionally (the shard
+  tier) gets the shared :data:`NULL_TRACE`, whose every method is a
+  no-op returning the shared :data:`NULL_SPAN`.
 * **Tracing never changes answers.**  Spans only *observe*; no query
   code path reads trace state.  The test suite runs identical
   workloads traced and untraced and asserts counted-op and answer
@@ -154,6 +154,7 @@ class Trace:
         self.t_start = self.clock()
         self.t_end: float | None = None
         self.status = "open"
+        self.sealed = False
         self.spans: list[Span] = []
         self._stack: list[Span] = []
         self._sids = itertools.count(0)
@@ -192,6 +193,15 @@ class Trace:
         self.spans.append(span)
         return span
 
+    def prepend(self, name: str, start: float) -> None:
+        """Record a stage that ran from ``start``, before this trace was
+        started, until now (``read``: the request's line came in then),
+        and move the trace's start back to it."""
+        span = Span(self, next(self._sids), self.spans[0].sid, name, start, {})
+        span.end = self.clock()
+        self.spans.append(span)
+        self.t_start = self.spans[0].start = min(start, self.t_start)
+
     def _close(self, span: Span) -> None:
         if span.end is None:
             span.end = self.clock()
@@ -221,17 +231,28 @@ class Trace:
     # ------------------------------------------------------------------
     # Lifecycle / serialization
     # ------------------------------------------------------------------
+    def end(self, status: str = "ok") -> None:
+        """End the request (the root span) now, with ``status``
+        (idempotent); spans still open run on until :meth:`finish`."""
+        if self.t_end is None:
+            self.t_end = self.spans[0].end = self.clock()
+            self.status = status
+
     def finish(self, status: str = "ok") -> None:
-        """Seal the trace (idempotent) and hand it to the tracer."""
-        if self.t_end is not None:
+        """Seal the trace (idempotent) and hand it to the tracer; ends
+        the request first unless :meth:`end` already did."""
+        if self.sealed:
             return
-        now = self.clock()
+        if self.t_end is None:
+            self.end(status)
+            now = self.t_end
+        else:
+            now = self.clock()
         for span in self.spans:
             if span.end is None:
                 span.end = now
         self._stack.clear()
-        self.status = status
-        self.t_end = now
+        self.sealed = True
         self.tracer._finished(self)
 
     @property

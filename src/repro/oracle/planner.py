@@ -200,6 +200,10 @@ class QueryPlanner:
         self.storage = storage
         self.registry = MetricsRegistry()
         self._calibration_queries = calibration_queries
+        #: Per-k picks at a cache no colder than calibration saw, and
+        #: the constants they were priced with.
+        self._warm_picks: dict[int, str] = {}
+        self._warm_for: CostConstants | None = None
 
     # ------------------------------------------------------------------
     # Calibration
@@ -295,8 +299,18 @@ class QueryPlanner:
         if self.force is not None:
             self.registry.inc("planner_forced_total", stage="plan")
             return self.force
-        costs = self.predicted_costs(k)
-        best = min(costs, key=lambda b: (costs[b], PLANNABLE.index(b)))
+        if self.constants is None:
+            self.calibrate()
+        if self._miss_rate() > self.constants.miss_rate:
+            best = _cheapest(self.predicted_costs(k))  # colder: SILC re-priced
+        else:
+            # No colder than at calibration: the costs depend on k
+            # alone, so the pick for this k is the one made last time.
+            if self._warm_for is not self.constants:
+                self._warm_picks, self._warm_for = {}, self.constants
+            best = self._warm_picks.get(k)
+            if best is None:
+                best = self._warm_picks[k] = _cheapest(self.predicted_costs(k))
         self.registry.inc("planner_decisions_total", stage="plan", oracle=best)
         return best
 
@@ -306,5 +320,9 @@ class QueryPlanner:
         parts = ", ".join(
             f"{b}={c * 1e6:.1f}us" for b, c in sorted(costs.items())
         )
-        winner = min(costs, key=lambda b: (costs[b], PLANNABLE.index(b)))
-        return f"k={k}: {parts} -> {winner}"
+        return f"k={k}: {parts} -> {_cheapest(costs)}"
+
+
+def _cheapest(costs: dict[str, float]) -> str:
+    """The lowest predicted cost, ties to the earlier in :data:`PLANNABLE`."""
+    return min(costs, key=lambda b: (costs[b], PLANNABLE.index(b)))

@@ -64,7 +64,7 @@ class KNNResult:
 
     def distances(self) -> list[float]:
         """Best-estimate distances, in reported order."""
-        return [n.best_estimate for n in self.neighbors]
+        return [n.best_estimate if n.distance is None else n.distance for n in self.neighbors]
 
 
 def exact_result(

@@ -94,7 +94,9 @@ class QueryStats:
     def add(self, other: QueryStats) -> QueryStats:
         """Sum ``other``'s counters into this one, in place; returns self."""
         for name in _SUMMED:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+            value = getattr(other, name)
+            if value:  # most counters of one query are 0
+                setattr(self, name, getattr(self, name) + value)
         return self
 
     def merge(self, other: QueryStats) -> QueryStats:

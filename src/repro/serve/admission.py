@@ -10,10 +10,8 @@ Two independent gates, both checked at submit time:
   clients show up.
 
 A request that fails either gate is *rejected now* with a computed
-``retry_after`` rather than parked in an unbounded queue -- the
-backpressure contract the ISSUE asks for.  Time is injected (any
-``clock`` callable) so tests and benchmarks can drive the bucket
-deterministically.
+``retry_after`` rather than parked in an unbounded queue.  Time is
+injected (any ``clock`` callable) so tests can drive the bucket.
 """
 
 from __future__ import annotations
@@ -99,14 +97,6 @@ class AdmissionController:
         self.in_flight = 0
         self.shed_count = 0
 
-    def _bucket(self, client: str) -> TokenBucket | None:
-        if self._rate is None:
-            return None
-        bucket = self._buckets.get(client)
-        if bucket is None:
-            bucket = self._buckets[client] = TokenBucket(self._rate, self._burst, self.clock)
-        return bucket
-
     # ------------------------------------------------------------------
     # The gate
     # ------------------------------------------------------------------
@@ -123,7 +113,10 @@ class AdmissionController:
         0: retrying cannot help, the client must split the batch.
         """
         cost = request.cost
-        bucket = self._bucket(request.client)
+        bucket = None
+        if self._rate is not None:  # one bucket per client seen
+            bucket = self._buckets.get(request.client) or self._buckets.setdefault(
+                request.client, TokenBucket(self._rate, self._burst, self.clock))
         too_large_for_cap = self.max_in_flight is not None and cost > self.max_in_flight
         if too_large_for_cap or (bucket is not None and cost > bucket.burst):
             self.shed_count += 1

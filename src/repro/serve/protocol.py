@@ -16,34 +16,19 @@ Every type round-trips through plain dicts (:func:`request_from_dict`
 / :func:`response_to_dict`), which is what the ``repro serve``
 JSON-lines loop ships over stdin/stdout.
 
-Client-side retry contract
---------------------------
-A :class:`Rejected` response is an explicit backpressure signal, not
-an error: the server *names the earliest useful resubmission time* in
-``retry_after`` (seconds).  Well-behaved clients
-
-1. wait at least ``retry_after`` before resubmitting (resubmitting
-   sooner is guaranteed to be shed again and only adds load);
-2. on repeated rejections, back off exponentially from that base --
-   ``retry_after * 2**(attempt-1)`` capped at a few seconds -- so a
-   fleet of rejected clients de-synchronizes instead of stampeding;
-3. give up after a bounded number of attempts and surface the
-   rejection.
-
-:class:`Expired` responses are terminal for that request: the
-deadline was the client's own budget, so resubmission only makes
-sense with a fresh (larger) deadline.  ``aborted=True`` means the
-budget ran out *mid-execution* (the engine stopped the search; no
-partial result is returned); ``aborted=False`` means it ran out while
-the request was still queued.  :class:`Failed` responses are not
-retried -- the query itself raised and will raise again.
-``examples/serve_demo.py`` implements this contract.
+A :class:`Rejected` response is backpressure, not an error: the
+client-side retry contract (wait ``retry_after``, back off, give up) is
+in docs/OPERATIONS.md, "Shedding and client retries", and
+``examples/serve_demo.py`` implements it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any
+
+from repro.oracle.base import ORACLE_CHOICES
+from repro.query.bestfirst import VARIANTS
 
 #: The request kinds the server understands (four query kinds plus
 #: the ``stats`` monitoring probe).
@@ -68,9 +53,8 @@ class Request:
         ``distance``.
     k / variant / exact:
         Passed through to the kNN engine (ignored by path/distance).
-        ``exact`` defaults to True on both the dataclass and the wire
-        -- a serving client reading ``distances`` off the response
-        expects real network distances, not interval midpoints.
+        ``exact`` defaults to True on the dataclass and the wire: a
+        client reading ``distances`` expects network distances.
     oracle:
         Optional per-request backend override
         (``auto``/``silc``/``labels``/``ine``); ``None`` defers to
@@ -90,35 +74,30 @@ class Request:
     exact: bool = True
     oracle: str | None = None
     deadline: float | None = None
+    #: Admission/scheduling cost: the number of engine queries (0 for
+    #: ``stats``: monitoring probes never consume query budget).
+    cost: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown request kind {self.kind!r}; expected one of {KINDS}")
-        if self.oracle is not None:
-            from repro.oracle.base import ORACLE_CHOICES
+        object.__setattr__(self, "cost", _checked(self.kind, self.queries, self.oracle, self.deadline))
 
-            if self.oracle not in ORACLE_CHOICES:
-                raise ValueError(
-                    f"unknown oracle {self.oracle!r}; "
-                    f"expected one of {ORACLE_CHOICES}"
-                )
-        if self.kind in ("path", "distance") and len(self.queries) != 2:
-            raise ValueError(f"{self.kind} requests need (source, target), got {self.queries!r}")
-        if self.kind in ("knn", "knn_batch") and not self.queries:
-            raise ValueError(f"{self.kind} requests need at least one query location")
-        # ``not >`` rather than ``<=``: NaN compares false both ways and
-        # would otherwise run with no deadline at all.
-        if self.deadline is not None and not self.deadline > 0:
-            raise ValueError("deadline must be a positive budget in seconds")
 
-    @property
-    def cost(self) -> int:
-        """Admission/scheduling cost: the number of engine queries."""
-        if self.kind == "stats":
-            return 0  # monitoring probes never consume query budget
-        if self.kind == "knn_batch":
-            return len(self.queries)
-        return 1
+def _checked(kind: str, queries: tuple, oracle, deadline) -> int:
+    """The checks every :class:`Request` passes, however it was built;
+    returns its cost."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown request kind {kind!r}; expected one of {KINDS}")
+    if oracle is not None and oracle not in ORACLE_CHOICES:
+        raise ValueError(f"unknown oracle {oracle!r}; expected one of {ORACLE_CHOICES}")
+    if kind in ("path", "distance") and len(queries) != 2:
+        raise ValueError(f"{kind} requests need (source, target), got {queries!r}")
+    if kind in ("knn", "knn_batch") and not queries:
+        raise ValueError(f"{kind} requests need at least one query location")
+    # ``not >`` rather than ``<=``: NaN compares false both ways and
+    # would otherwise run with no deadline at all.
+    if deadline is not None and not deadline > 0:
+        raise ValueError("deadline must be a positive budget in seconds")
+    return len(queries) if kind == "knn_batch" else 0 if kind == "stats" else 1
 
 
 @dataclass(frozen=True)
@@ -193,7 +172,10 @@ class Failed(Response):
 def request_from_dict(obj: dict) -> Request:
     """Build a :class:`Request` from one decoded JSON-lines record.
 
-    Numbers are validated, not coerced (and ``true`` is a ``bool``).
+    One pass: the wire's types and every check :class:`Request` makes.
+    Numbers are validated, not coerced (and ``true`` is a ``bool``);
+    ``exact`` must be a bool, ``variant`` (of a kNN kind) one of
+    :data:`~repro.query.bestfirst.VARIANTS`, ``oracle`` a string.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"request must be an object, got {type(obj).__name__}")
@@ -219,17 +201,24 @@ def request_from_dict(obj: dict) -> Request:
     deadline = obj.get("deadline")
     if deadline is not None and type(deadline) not in (int, float):
         raise ValueError("deadline must be a positive budget in seconds")
-    return Request(
-        id=obj.get("id", 0),
-        client=str(obj.get("client", "default")),
-        kind=kind,
-        queries=tuple(vertices.values()),
-        k=k,
-        variant=obj.get("variant", "knn"),
-        exact=bool(obj.get("exact", True)),
-        oracle=obj.get("oracle"),
-        deadline=deadline,
+    exact = obj.get("exact", True)
+    if type(exact) is not bool:
+        raise ValueError(f"exact must be true or false, got {exact!r}")
+    variant = obj.get("variant", "knn")
+    if kind in ("knn", "knn_batch") and variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    oracle = obj.get("oracle")
+    if oracle is not None and type(oracle) is not str:
+        raise ValueError(f"oracle must be a string, got {oracle!r}")
+    queries = tuple(vertices.values())
+    # Every check is made: fill the frozen fields without running them again.
+    request = object.__new__(Request)
+    request.__dict__.update(
+        id=obj.get("id", 0), client=str(obj.get("client", "default")), kind=kind,
+        queries=queries, k=k, variant=variant, exact=exact, oracle=oracle,
+        deadline=deadline, cost=_checked(kind, queries, oracle, deadline),
     )
+    return request
 
 
 def response_to_dict(response: Response) -> dict:

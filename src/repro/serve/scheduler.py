@@ -3,17 +3,14 @@
 A synchronous queue discipline (the asyncio server wraps it): each
 client gets one FIFO *lane*, and :meth:`FairScheduler.next_chunk`
 sweeps the lanes round-robin, one chunk per occupied lane per sweep.
-Large batch requests are transparently split into
-scheduler-sized :class:`Chunk`\\ s on submit, so a 10k-query batch
-occupies its lane one chunk at a time instead of monopolizing the
-server -- the head-of-line-blocking fix the ROADMAP asks for.
+A batch is split into :class:`Chunk`\\ s on submit, so a 10k-query
+batch occupies its lane one chunk at a time instead of monopolizing
+the server.
 
-Progress is measured in *counted operations*, not wall-clock: the
-scheduler keeps a monotone serial of engine queries dispatched, and
-every request records the serial at submit and at first dispatch.
-The difference -- how many queries from other requests ran while this
-one waited -- is the scheduling delay the fairness benchmark asserts
-on (wall-clock-free, per the repo's flakiness lessons).
+Progress is counted, not timed: the scheduler keeps a serial of engine
+queries dispatched, and a request's scheduling delay is how many
+queries of other requests ran between its submit and its first
+dispatch -- what the fairness benchmark asserts on.
 """
 
 from __future__ import annotations
@@ -31,30 +28,20 @@ DEFAULT_CHUNK_SIZE = 32
 
 @dataclass
 class Chunk:
-    """A scheduler-sized slice of one request's queries."""
+    """A scheduler-sized slice of one request's queries.
+
+    ``cost`` is its engine queries (must agree with Request.cost): a
+    path/distance chunk carries ``(source, target)`` but is one engine
+    query, not two -- counting it as two would inflate the dispatch
+    serial, queue depths, and every sched_delay derived from them, and
+    disagree with admission's in-flight accounting.
+    """
 
     request: Request
     queries: tuple
     offset: int
     last: bool
-
-    @property
-    def cost(self) -> int:
-        """Engine queries in this chunk (must agree with Request.cost).
-
-        A path/distance chunk carries ``(source, target)`` but is one
-        engine query, not two -- counting it as two would inflate the
-        dispatch serial, queue depths, and every sched_delay derived
-        from them, and disagree with admission's in-flight accounting.
-        """
-        if self.request.kind in ("path", "distance"):
-            return 1
-        return len(self.queries)
-
-
-def _depth(lane: deque) -> int:
-    """Pending engine queries in a lane (counted, not chunks)."""
-    return sum(c.cost for c in lane)
+    cost: int
 
 
 class FairScheduler:
@@ -74,6 +61,8 @@ class FairScheduler:
         #: One FIFO of pending chunks per client, in first-seen order.
         self._lanes: OrderedDict[str, deque] = OrderedDict()
         self._cursor: int = 0
+        #: Chunks waiting across every lane.
+        self.queued: int = 0
         #: Monotone count of engine queries handed out by next_chunk().
         self.dispatched: int = 0
         #: Serial at which each pending request was submitted.
@@ -86,14 +75,14 @@ class FairScheduler:
     # ------------------------------------------------------------------
     def depths(self) -> dict[str, int]:
         """Pending engine queries per lane (the metrics queue depth)."""
-        return {c: _depth(lane) for c, lane in self._lanes.items() if lane}
+        return {c: sum(ch.cost for ch in lane) for c, lane in self._lanes.items() if lane}
 
     def pending(self) -> int:
         """Total engine queries waiting across every lane."""
-        return sum(_depth(lane) for lane in self._lanes.values())
+        return sum(self.depths().values())
 
     def __len__(self) -> int:
-        return sum(len(lane) for lane in self._lanes.values())
+        return self.queued
 
     # ------------------------------------------------------------------
     # Submit / dispatch
@@ -104,22 +93,19 @@ class FairScheduler:
         if lane is None:
             lane = self._lanes[request.client] = deque()
         queries = request.queries
-        if request.kind in ("path", "distance"):
-            pieces = [queries]  # (source, target) is one unit of work
+        unit = request.kind in ("path", "distance")  # (source, target) is one unit of work
+        if unit or 0 < len(queries) <= self.chunk_size:
+            pieces = [queries]
         else:
             pieces = [
                 queries[i : i + self.chunk_size]
                 for i in range(0, len(queries), self.chunk_size)
             ]
         for i, piece in enumerate(pieces):
-            lane.append(
-                Chunk(
-                    request=request,
-                    queries=piece,
-                    offset=i * self.chunk_size,
-                    last=(i == len(pieces) - 1),
-                )
-            )
+            lane.append(Chunk(
+                request, piece, i * self.chunk_size, i == len(pieces) - 1, 1 if unit else len(piece)
+            ))
+        self.queued += len(pieces)
         self._submit_serial[id(request)] = self.dispatched
         return len(pieces)
 
@@ -129,13 +115,14 @@ class FairScheduler:
         The cursor indexes the occupied lanes and moves on after every
         chunk, so one sweep serves each waiting client one chunk.
         """
-        lanes = [lane for lane in self._lanes.values() if lane]
-        if not lanes:
+        if not self.queued:
             self._cursor = 0
             return None
+        lanes = list(filter(None, self._lanes.values()))  # the occupied ones
         self._cursor %= len(lanes)
         chunk = lanes[self._cursor].popleft()
         self._cursor = (self._cursor + 1) % len(lanes)
+        self.queued -= 1
         self.dispatched += chunk.cost
         key = id(chunk.request)
         if key in self._submit_serial:
@@ -147,11 +134,7 @@ class FairScheduler:
 
     def drain(self) -> Iterator[Chunk]:
         """Dispatch until empty (the synchronous/benchmark driver)."""
-        while True:
-            chunk = self.next_chunk()
-            if chunk is None:
-                return
-            yield chunk
+        return iter(self.next_chunk, None)
 
     def sched_delay(self, request: Request) -> int:
         """Counted scheduling delay of a dispatched request's first chunk."""

@@ -1,29 +1,20 @@
 """The serving front end: admission -> fair scheduling -> execution.
 
-:class:`SILCServer` is the asyncio orchestrator that turns the
-synchronous :class:`~repro.engine.QueryEngine` into a service.  A
-request submitted with :meth:`SILCServer.submit` flows through
+:class:`SILCServer` turns the synchronous :class:`~repro.engine.QueryEngine`
+into a service.  A request is admitted or shed at once
+(:class:`~repro.serve.admission.AdmissionController`, answering
+``Rejected``), queued in its client's lane of the
+:class:`~repro.serve.scheduler.FairScheduler` (batches split into chunks,
+lanes served round-robin) and run by the pump -- one chunk in flight,
+deadlines honoured (``Expired``) -- on the
+:class:`~repro.serve.engine.AsyncEngine`, which settles it inline.
 
-1. the :class:`~repro.serve.admission.AdmissionController` -- over the
-   in-flight cap or the client's token bucket it is *shed now* with
-   :class:`~repro.serve.protocol.Rejected` (bounded queues, explicit
-   backpressure);
-2. the :class:`~repro.serve.scheduler.FairScheduler` -- batches are
-   split into chunks and lanes are served round-robin, so a
-   bulk client cannot starve interactive ones;
-3. the pump, which takes chunks in fair order while none is in
-   flight, honours per-request deadlines
-   (:class:`~repro.serve.protocol.Expired`), and runs each on the
-   :class:`~repro.serve.engine.AsyncEngine`, which settles it inline.
-
-All of it is plain callbacks on the loop thread (no task, no thread):
-:meth:`SILCServer.submit_nowait` takes the callback the response is
-handed to once every chunk of the request has run (or it was
-shed/expired/failed), and ``await server.submit(request)`` is a future
-over that same path.  :func:`serve_jsonl`, the JSON-lines loop behind
-``repro serve``, reads its input on the loop thread and pumps at the end
-of each read: a closed-loop request is read, run and answered in one
-loop turn, and a ``stats`` line waits for at most the running chunk.
+All of it is callbacks on the loop thread (no task, no thread):
+:meth:`SILCServer.submit_nowait` is the one way in, ``await
+server.submit(request)`` a future over it.  :func:`serve_jsonl`, the
+JSON-lines loop behind ``repro serve``, pumps at the end of each read:
+a closed-loop request is read, run and answered in one loop turn, and a
+``stats`` line waits for at most the running chunk.
 """
 
 from __future__ import annotations
@@ -35,6 +26,7 @@ import os
 import stat
 import time
 from dataclasses import dataclass, field, replace
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from collections.abc import Callable
 from functools import partial
 from typing import BinaryIO, TextIO
@@ -65,13 +57,10 @@ class _Pending:
     request: Request
     submitted: float
     deliver: Callable[[Response], None]  # called once, on the loop thread
+    trace: object = None  # None when tracing is off
+    span: object = None  # traced: sched_wait until first dispatch, then reply
     done: bool = False  # set by _finish, whatever ended the request
-    ids: list = field(default_factory=list)
-    distances: list = field(default_factory=list)
-    stats: list = field(default_factory=list)
-    # Tracing state (no-op objects when tracing is off).
-    trace: object = None
-    wait_span: object = None
+    answers: list = field(default_factory=list)  # each chunk's, in order
 
 
 @dataclass(frozen=True)
@@ -124,8 +113,8 @@ class SILCServer:
         rate limit.
     tracer:
         A :class:`~repro.obs.trace.Tracer` to produce per-request span
-        traces; the default :class:`~repro.obs.trace.NullTracer` makes
-        every tracing call a no-op.  Either way the server counts its
+        traces; with the default :class:`~repro.obs.trace.NullTracer` a
+        request makes no tracing call.  Either way the server counts its
         requests into the tracer's registry as they end.
     clock:
         Time source for deadlines and latency (injectable for tests).
@@ -148,10 +137,11 @@ class SILCServer:
         # ``engine_ops_total`` only when polled: counting it per event
         # would take a dozen locked increments per request.
         self._ops = QueryStats()
-        # None while stopped; else clear while a pump is due or a chunk
-        # is in flight.  Everything that touches the scheduler runs on
-        # the loop thread, so there is no lock to take.
-        self._idle: asyncio.Event | None = None
+        # None while stopped, else whether a pump is due or a chunk in
+        # flight (all on the loop thread: no lock to take).
+        self._busy: bool | None = None
+        self._drained: asyncio.Event | None = None  # what stop() waits on
+        self._read_at: float | None = None  # traced: when serve_jsonl read its lines
         # id(request) -> _Pending, for chunks to find their assembly state.
         self._pending_by_request: dict = {}
 
@@ -159,17 +149,23 @@ class SILCServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        if self._idle is not None:
+        if self._busy is not None:
             raise RuntimeError("server already started")
-        self._idle = asyncio.Event()
-        self._idle.set()
+        self._busy = False
 
     async def stop(self) -> None:
         """Wait until every admitted request is answered, then stop."""
-        if self._idle is not None:
-            while not self._idle.is_set():
-                await self._idle.wait()
-            self._idle = None
+        while self._busy:
+            self._drained = self._drained or asyncio.Event()
+            await self._drained.wait()
+            self._drained = None
+        self._busy = None
+
+    def _rest(self) -> None:
+        """No chunk in flight and no pump due."""
+        self._busy = False
+        if self._drained is not None:
+            self._drained.set()
 
     async def __aenter__(self) -> SILCServer:
         await self.start()
@@ -191,7 +187,7 @@ class SILCServer:
         last chunk has run or the request expired or failed.  What
         comes back then is what ``_finish(pending, None)`` abandons.
         """
-        if self._idle is None:
+        if self._busy is None:
             raise RuntimeError("server not started (use `async with server:`)")
         if request.kind == "stats":
             # Monitoring must answer even (especially) when the server
@@ -199,23 +195,30 @@ class SILCServer:
             metrics = {"metrics": self.registry_snapshot()}
             deliver(Completed(id=request.id, client=request.client, result=metrics))
             return None
-        trace = self.tracer.trace_request(request)
-        with trace.span("admission"):
-            admitted, retry_after, reason = self.admission.admit(request)
+        trace = None
+        if self.tracer.enabled:  # untraced, a request makes no tracing call
+            trace = self.tracer.trace_request(request)
+            if self._read_at is not None:
+                trace.prepend("read", self._read_at)
+            admission = trace.span("admission")
+        admitted, retry_after, reason = self.admission.admit(request)
+        if trace is not None:
+            admission.close()
         if not admitted:
             self._count("shed")
-            trace.finish("rejected")
+            if trace is not None:
+                trace.finish("rejected")
             deliver(Rejected(request.id, request.client, retry_after=retry_after, reason=reason))
             return None
-        pending = _Pending(
-            request, self.clock(), deliver, trace=trace, wait_span=trace.begin("sched_wait")
-        )
+        pending = _Pending(request, self.clock(), deliver, trace)
+        if trace is not None:
+            pending.span = trace.begin("sched_wait")
         self.scheduler.submit(request)
         self._pending_by_request[id(request)] = pending
-        if self._idle.is_set():
+        if not self._busy:
             # A turn later: what arrives together (gathered submits) is
             # all queued before the scheduler picks among it.
-            self._idle.clear()
+            self._busy = True
             asyncio.get_running_loop().call_soon(self._pump)
         return pending
 
@@ -243,15 +246,9 @@ class SILCServer:
         )
         latency = registry.histogram("latency_seconds", stage="serve")
         return MetricsSnapshot(
-            served=served,
-            shed=shed,
-            expired=expired,
-            failed=failed,
-            p50=latency["p50"],
-            p95=latency["p95"],
-            p99=latency["p99"],
-            queue_depths=self.scheduler.depths(),
-            in_flight=self.admission.in_flight,
+            served=served, shed=shed, expired=expired, failed=failed,
+            p50=latency["p50"], p95=latency["p95"], p99=latency["p99"],
+            queue_depths=self.scheduler.depths(), in_flight=self.admission.in_flight,
             stats=replace(self._ops),  # the server keeps counting
             deadline_aborts=int(registry.counter_value(
                 "fault_events_total", stage="serve", event="deadline_abort"
@@ -327,26 +324,29 @@ class SILCServer:
                 if chunk.last:
                     self.scheduler.sched_delays.pop(id(request), None)
                 continue
-            waited = self.clock() - pending.submitted
-            if pending.wait_span is not None:
-                # First dispatch of this request: the queueing stage ends
-                # here (later chunks of a batch re-enter the scheduler but
-                # the fairness contract is counted, not timed).
-                pending.wait_span.count(sched_delay=self.scheduler.sched_delay(request))
-                pending.wait_span.close()
-                pending.wait_span = None
-            if request.deadline is not None and waited > request.deadline:
-                self._finish(pending, Expired(request.id, request.client, waited=waited))
-                self._count("expired")
-                continue
+            if pending.span is not None:
+                # Traced, first dispatch: the queueing stage ends here
+                # (later chunks of a batch re-enter the scheduler but the
+                # fairness contract is counted, not timed).
+                pending.span.count(sched_delay=self.scheduler.sched_delay(request))
+                pending.span.close()
+                pending.span = None
             # What is left of the deadline after queueing becomes the
             # execution-time cap: it rides through AsyncEngine into the
             # engine/router/worker search loops, so a request that expires
             # mid-execution is aborted instead of finishing late.
-            budget = None if request.deadline is None else request.deadline - waited
+            budget = None
+            if request.deadline is not None:
+                waited = self.clock() - pending.submitted
+                if waited > request.deadline:
+                    self._finish(pending, Expired(request.id, request.client, waited=waited))
+                    self._count("expired")
+                    continue
+                budget = request.deadline - waited
+            trace = pending.trace
             # Open across the hand-off, so the spans the query opens
             # parent under it; _settle closes it.
-            span = pending.trace.span("execute", kind=request.kind)
+            span = None if trace is None else trace.span("execute", kind=request.kind)
             done = partial(self._settle, pending, chunk, span)
             try:
                 if request.kind == "path":
@@ -356,12 +356,12 @@ class SILCServer:
                 elif request.kind == "knn":
                     self.engine.knn(
                         chunk.queries[0], request.k, variant=request.variant, exact=request.exact,
-                        oracle=request.oracle, trace=pending.trace, time_cap=budget, done=done,
+                        oracle=request.oracle, trace=trace, time_cap=budget, done=done,
                     )
                 elif request.kind == "knn_batch":
                     self.engine.knn_batch(
                         chunk.queries, request.k, variant=request.variant, exact=request.exact,
-                        oracle=request.oracle, trace=pending.trace, time_cap=budget, done=done,
+                        oracle=request.oracle, trace=trace, time_cap=budget, done=done,
                     )
                 else:
                     # Request validation keeps kind within KINDS; a
@@ -371,17 +371,21 @@ class SILCServer:
             except Exception as exc:  # noqa: BLE001 - raised before the hand-off: Failed
                 done(None, exc)
             return
-        self._idle.set()
+        self._rest()
 
     def _settle(self, pending: _Pending, chunk: Chunk, span, value, exc) -> None:
         """The engine's ``done``: the chunk in flight came back."""
         try:
-            if exc is not None:
-                span.annotate(error=type(exc).__name__)
-            span.close()
-            request = pending.request
+            if span is not None:
+                if exc is not None:
+                    span.annotate(error=type(exc).__name__)
+                span.close()
             if pending.done:
                 return  # cancelled while the chunk ran
+            if span is not None and (chunk.last or exc is not None):
+                # The reply stage: from here until the reply is flushed.
+                pending.span = pending.trace.begin("reply")
+            request = pending.request
             if isinstance(exc, DeadlineExceeded):
                 waited = self.clock() - pending.submitted
                 self._count("expired")
@@ -399,33 +403,34 @@ class SILCServer:
             elif request.kind == "distance":
                 result = {"distance": value}
             elif request.kind == "knn":
-                pending.stats.append(value.stats)
+                pending.answers.append(value)
                 result = {"ids": value.ids(), "distances": value.distances()}
             else:
-                pending.ids.extend(value.ids())
-                pending.distances.extend(r.distances() for r in value.results)
-                pending.stats.append(value.stats)
+                pending.answers.append(value)
                 if not chunk.last:
                     return  # more chunks of this batch still queued
-                result = {"ids": pending.ids, "distances": pending.distances}
+                answers = [r for batch in pending.answers for r in batch.results]
+                result = {"ids": [r.ids() for r in answers],
+                          "distances": [r.distances() for r in answers]}
             latency = self.clock() - pending.submitted
             self._finish(pending, Completed(
-                request.id, request.client, result=result,
-                latency=latency, sched_delay=self.scheduler.sched_delay(request),
+                request.id, request.client, result=result, latency=latency,
+                sched_delay=self.scheduler.sched_delays.get(id(request), 0),
             ))
             # Counted after the hand-over, off the client's wait (only
             # `deliver` itself runs before them).
-            self._count("completed")
-            self.tracer.registry.observe("latency_seconds", latency, stage="serve")
-            for chunk_stats in pending.stats:
-                self._ops.add(chunk_stats)
+            registry = self.tracer.registry
+            registry.inc("requests_total", stage="serve", outcome="completed")
+            registry.observe("latency_seconds", latency, stage="serve")
+            for answer in pending.answers:
+                self._ops.add(answer.stats)
         finally:
-            if self.scheduler:
+            if self.scheduler.queued:
                 # A turn later, after that turn's reads (a call_soon would
                 # run before them): lines that came in meanwhile go first.
                 asyncio.get_running_loop().call_later(0, self._pump)
             else:
-                self._idle.set()
+                self._rest()
 
     def _finish(self, pending: _Pending, response: Response | None) -> None:
         """Seal a request once, whatever ended it (None: its caller left)."""
@@ -438,10 +443,16 @@ class SILCServer:
         # so a long-lived server's bookkeeping stays flat.
         self.scheduler.sched_delays.pop(id(request), None)
         self.admission.release(request)
+        trace = pending.trace
         try:
-            pending.trace.finish(response.status if response is not None else "cancelled")
-            if response is not None:
-                pending.deliver(response)
+            if trace is not None:  # the request ends here, as it always did
+                trace.end(response.status if response is not None else "cancelled")
+            try:
+                if response is not None:
+                    pending.deliver(response)
+            finally:
+                if trace is not None:
+                    trace.finish()  # to the sink once the reply is out
         except Exception as exc:  # noqa: BLE001 - the trace sink or the caller's callback
             # Reported like any failing loop callback (logged by
             # default, raised by serve_jsonl); the pump goes on.
@@ -459,22 +470,33 @@ class SILCServer:
 #: 256 KiB default maps a fresh buffer per read, 17 us against 1.4 us here.
 _READ_BLOCK = 64 * 1024
 
+#: ``json.dumps(record)``, in pieces: the C encoder it builds per call, built once.
+_encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                         None, ": ", ", ", False, False, True)
+#: ``json.loads``'s C scanner: ``(value, end)`` of the JSON text at an index.
+_scan = json.JSONDecoder().scan_once
+
 
 class _Lines(asyncio.Protocol):
     """Request lines out of ``serve_jsonl``'s input bytes, decoded
-    incrementally (a UTF-8 character split across reads is joined), split
-    at newlines and stripped; blanks and ``#`` comments are dropped, a
-    read's other lines go to ``accept`` as one list; the last needs no newline."""
+    incrementally (a UTF-8 character split across reads is joined) and
+    split at newlines; a read's lines go to ``accept`` as one list, with
+    ``clock()`` at the read (None without a clock); the last needs no newline."""
 
-    def __init__(self, accept: Callable[[list[str]], None], finish) -> None:
+    def __init__(self, accept: Callable[[list[str], float | None], None], finish, clock) -> None:
         self._accept = accept
         self._finish = finish
-        self._decode = codecs.getincrementaldecoder("utf-8")().decode
+        self._clock = clock
+        self._undecoded = b""  # a character the next read completes
         self._tail = ""
 
     def data_received(self, data: bytes, final: bool = False) -> None:
-        *lines, self._tail = (self._tail + self._decode(data, final)).split("\n")
-        self._accept([s for s in map(str.strip, lines) if s and not s.startswith("#")])
+        started = None if self._clock is None else self._clock()
+        data = self._undecoded + data
+        text, used = codecs.utf_8_decode(data, "strict", final)
+        self._undecoded = data[used:]
+        *lines, self._tail = (self._tail + text).split("\n")
+        self._accept(lines, started)
 
     def eof_received(self) -> None:
         self.data_received(b"\n", final=True)
@@ -488,16 +510,15 @@ async def serve_jsonl(
 ) -> MetricsSnapshot:
     """Read request records line by line, write responses as they finish.
 
-    One JSON object per input line (see
-    :func:`~repro.serve.protocol.request_from_dict` for the shape);
-    responses are written in *completion* order, each echoing the
-    request ``id``.  All on the loop thread: a pipe, FIFO, socket or
-    terminal is read with ``loop.connect_read_pipe`` as data arrives, a
-    regular file (which epoll refuses) or an in-memory stream one block
-    per loop turn; the lines of a read are decoded and submitted, and
-    the pump run, in the turn that read them.  Returns the final metrics
-    snapshot at EOF; a failure of the input or inside a loop callback (a
-    closed ``out_stream``, say) is raised when it happens, not at EOF.
+    One JSON object per input line (see :func:`request_from_dict`; blank
+    lines and ``#`` comments are skipped); responses are written in
+    *completion* order, each echoing the request ``id``.  A pipe, FIFO,
+    socket or terminal is read with ``loop.connect_read_pipe`` as data
+    arrives, a regular file (which epoll refuses) or an in-memory stream
+    one block per loop turn; a read's lines are submitted, and the pump
+    run, in the turn that read them.  Returns the final metrics snapshot
+    at EOF; a failure of the input or inside a loop callback (a closed
+    ``out_stream``, say) is raised when it happens, not at EOF.
     """
     loop = asyncio.get_running_loop()
     ended = loop.create_future()  # resolved at EOF, and by the first failure
@@ -509,20 +530,33 @@ async def serve_jsonl(
         if not ended.done():
             ended.set_result(None)
 
-    def emit(record: dict) -> None:
-        out_stream.write(json.dumps(record) + "\n")
+    def write(record: dict) -> None:
+        out_stream.write("".join(_encode(record, 0)) + "\n")
         out_stream.flush()
 
-    def accept(lines: list[str]) -> None:
+    def emit(response: Response) -> None:
+        write(response_to_dict(response))
+
+    def accept(lines: list[str], started: float | None) -> None:
         # A read's lines are all queued before the pump picks among them,
-        # in this turn; meanwhile a clear `_idle` says a pump is due.
-        dispatch = server._idle.is_set()  # no chunk in flight, no pump due
-        server._idle.clear()
+        # in this turn; meanwhile `_busy` says a pump is due.
+        dispatch = server._busy is False  # no chunk in flight, no pump due
+        server._busy = True
+        server._read_at = started
         try:
             for line in lines:
+                line = line.strip()
+                if not line or line[0] == "#":
+                    continue
                 obj = None
                 try:
-                    obj = json.loads(line)
+                    try:
+                        obj, end = _scan(line, 0)
+                        if end != len(line):
+                            raise ValueError
+                    except (StopIteration, ValueError):
+                        obj = None
+                        obj = json.loads(line)  # raises what is wrong with the line
                     request = request_from_dict(obj)
                 except Exception as exc:  # noqa: BLE001 - whatever the line made them raise is the client's error
                     # A closed-loop client waits on its id: echo what
@@ -531,14 +565,15 @@ async def serve_jsonl(
                         {key: obj[key] for key in ("id", "client") if key in obj}
                         if isinstance(obj, dict) else {}
                     )
-                    emit({**echo, "status": "error", "error": f"bad request: {exc}"})
+                    write({**echo, "status": "error", "error": f"bad request: {exc}"})
                     continue
-                server.submit_nowait(request, lambda response: emit(response_to_dict(response)))
+                server.submit_nowait(request, emit)
         finally:
+            server._read_at = None
             if dispatch:
                 server._pump()
 
-    lines = _Lines(accept, finish)
+    lines = _Lines(accept, finish, server.tracer.clock if server.tracer.enabled else None)
 
     def feed() -> None:
         if ended.done():

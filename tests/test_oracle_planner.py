@@ -8,6 +8,9 @@ performance decision, never a correctness one.
 from __future__ import annotations
 
 import json
+import random
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,6 +26,7 @@ from repro.oracle import (
     counted_ops,
 )
 from repro.query.stats import QueryStats
+from repro.storage.lru import CacheStats
 
 
 def decisions(planner):
@@ -192,6 +196,54 @@ class TestCostModel:
         planner = engine.ensure_planner()
         line = planner.explain(4)
         assert "k=4" in line and "->" in line
+
+
+class TestWarmPickReuse:
+    """While the page cache is no colder than at calibration, ``choose``
+    reuses its pick for a ``k``; colder, it prices every backend again.
+    Either way it picks and counts what pricing every call would."""
+
+    #: silc wins the middle ks, ine the small ones (k = 2 ties silc,
+    #: which PLANNABLE breaks), labels the large ones; a colder cache
+    #: scales silc up and hands its ks to the others.
+    CONSTANTS = CostConstants(
+        op_model={"silc": (2.0, 0.5), "labels": (5.0, 0.1), "ine": (1.0, 1.0)},
+        op_seconds={"silc": 1e-6, "labels": 1e-6, "ine": 1e-6},
+        miss_rate=0.25,
+    )
+
+    def test_reused_pick_is_the_priced_one_at_every_k_and_miss_rate(self):
+        storage = SimpleNamespace(stats=CacheStats())
+        planner = QueryPlanner(
+            {"silc": None, "labels": None, "ine": None},
+            constants=self.CONSTANTS, storage=storage,
+        )
+        rng = random.Random(36)
+        expected = Counter()
+        warm = cold = 0
+        for step in range(2000):
+            # Miss rates below, at and above calibration's, in a seeded order.
+            misses = rng.choice((0, 100, 250, 251, 400, 900))
+            storage.stats = CacheStats(accesses=1000, hits=1000 - misses, misses=misses)
+            k = rng.randint(1, 64)
+            costs = planner.predicted_costs(k)  # priced afresh, never reused
+            want = min(costs, key=lambda b: (costs[b], PLANNABLE.index(b)))
+            assert planner.choose(step, k) == want, (k, misses)
+            expected[want] += 1
+            warm += misses <= 250
+            cold += misses > 250
+        assert warm > 500 and cold > 500
+        assert len(expected) == 3  # every backend won somewhere
+        assert decisions(planner) == dict(expected)
+
+    def test_new_constants_are_priced_afresh(self):
+        planner = QueryPlanner({"silc": None, "ine": None}, constants=self.CONSTANTS)
+        assert planner.choose(0, 1) == "ine"
+        planner.constants = CostConstants(
+            op_model={"silc": (0.0, 0.0), "ine": (1.0, 1.0)},
+            op_seconds={"silc": 1e-6, "ine": 1e-6},
+        )
+        assert planner.choose(0, 1) == "silc"
 
 
 class TestEpsilonParity:

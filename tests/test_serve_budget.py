@@ -24,7 +24,10 @@ import asyncio
 import hashlib
 import io
 import json
+import selectors
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -36,7 +39,9 @@ from repro.faults import FaultInjector
 from repro.network import VertexNotFound, road_like_network
 from repro.objects import EdgePosition, ObjectIndex, ObjectSet
 from repro.objects.model import position_parts
-from repro.obs import Tracer
+from repro.obs import JsonlTraceSink, Tracer, aggregate_stages, format_trace_report, load_trace_file
+from repro.oracle import CostConstants, PrunedLabellingOracle, QueryPlanner
+from repro.oracle.silc import INEOracle, SILCOracle
 from repro.query.ine import ine_knn
 from repro.query.location import same_edge_direct
 from repro.serve import AsyncEngine, FairScheduler, Request, SILCServer, serve_jsonl
@@ -225,6 +230,183 @@ def test_no_serving_thread_across_a_respawn(small_index, small_object_index):
     assert injector.fired("worker_kill") == 1
     assert started == [set()] * 3
     assert set(threading.enumerate()) - before == set()
+
+
+# ----------------------------------------------------------------------
+# Frames per closed-loop request outside the query
+# ----------------------------------------------------------------------
+
+#: Frames a closed-loop request enters on the loop thread outside its
+#: query (the oracle's ``knn``, the index's ``distance`` / ``route`` and
+#: all below them), untraced: at most these, event loop included ...
+FRAME_BUDGETS = {"distance": 40, "path": 40, "knn k=1 silc": 50, "knn k=2 auto": 60}
+#: ... and exactly these outside the event loop's own modules, counting
+#: no comprehension (Python 3.12 inlines them).  Reading, decoding and
+#: validating the line is 4 frames, admission and scheduling 7, the
+#: engine 2 (``distance`` / ``route``) or 8 (``knn``; +7 with the
+#: planner's reused pick, 5 of them reading the page cache's miss rate),
+#: the reply 6 (+2 building a kNN answer),
+#: counting after it 2 (+1 summing a kNN's ops).  Before the cut,
+#: ``distance`` entered 67 frames outside its query and ``knn`` at k = 2
+#: under ``--oracle auto`` about 120.
+FRAMES_OUTSIDE_THE_LOOP = {"distance": 23, "path": 23, "knn k=1 silc": 32, "knn k=2 auto": 39}
+
+_LOOP_FILES = (asyncio.__file__.rsplit("/", 1)[0], selectors.__file__)
+_COMPREHENSIONS = ("<listcomp>", "<dictcomp>", "<setcomp>")
+
+
+def _query_entries() -> set:
+    return {f.__code__ for f in (
+        SILCOracle.knn, INEOracle.knn, PrunedLabellingOracle.knn, SILCIndex.distance, SILCIndex.route,
+    )}
+
+
+def _frames_outside_the_query(piped_serve, async_engine, requests) -> list[tuple[int, int]]:
+    """``(frames, frames outside the loop's modules)`` outside the query,
+    per closed-loop request over a real pipe, each request counted from
+    the loop parked in ``select()`` to the loop parked again."""
+    queries, counted = _query_entries(), [0, 0]
+
+    def profiler(frame, event, arg):
+        if event != "call":
+            return
+        code, above = frame.f_code, frame
+        while above is not None:
+            if above.f_code in queries:
+                return
+            above = above.f_back
+        counted[0] += 1
+        counted[1] += not (
+            code.co_filename.startswith(_LOOP_FILES) or code.co_name in _COMPREHENSIONS
+        )
+
+    threading.setprofile(profiler)  # the loop thread starts under it
+    try:
+        piped = piped_serve(async_engine)
+    finally:
+        threading.setprofile(None)
+
+    def parked() -> tuple[int, int]:
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            before = tuple(counted)
+            time.sleep(0.002)
+            frame = sys._current_frames().get(piped.thread.ident)
+            if frame is not None and frame.f_code.co_filename == selectors.__file__:
+                if tuple(counted) == before:
+                    return before
+        raise AssertionError("the loop thread never went quiet")
+
+    counts = []
+    try:
+        for record in requests + requests:  # the first pass warms caches and the planner
+            start = parked()
+            assert piped.ask(record)["status"] == "ok", record
+            end = parked()
+            counts.append((end[0] - start[0], end[1] - start[1]))
+    finally:
+        piped.close()
+    return counts[len(requests):]
+
+
+def test_frames_outside_the_query_are_within_budget(
+    small_net, small_index, small_object_index, piped_serve
+):
+    """The fixed cost of a served request, in frames: untraced, a request
+    makes no tracing call, the planner reuses its pick for a ``k`` while
+    the page cache is no colder than at calibration, the reply is one C
+    encoder call and the stats are summed after it."""
+    silc = QueryEngine(small_index, small_object_index, cache_fraction=0.05)
+    auto = QueryEngine(
+        small_index, small_object_index, cache_fraction=0.05,
+        labelling=PrunedLabellingOracle.build(small_net), oracle="auto",
+    )
+    # A fixed model (INE cheapest) instead of a wall-clock calibration.
+    auto.planner = QueryPlanner(auto.oracles, storage=auto.storage, constants=CostConstants(
+        op_model={"silc": (50.0, 5.0), "labels": (50.0, 5.0), "ine": (1.0, 1.0)},
+        op_seconds={"silc": 1e-6, "labels": 1e-6, "ine": 1e-6},
+    ))
+    rows = {
+        "distance": (silc, {"id": 1, "kind": "distance", "source": 0, "target": 140}),
+        "path": (silc, {"id": 2, "kind": "path", "source": 3, "target": 97}),
+        "knn k=1 silc": (silc, {"id": 3, "kind": "knn", "query": 7, "k": 1}),
+        "knn k=2 auto": (auto, {"id": 4, "kind": "knn", "query": 11, "k": 2}),
+    }
+    for row, (engine, record) in rows.items():
+        counts = _frames_outside_the_query(piped_serve, AsyncEngine(engine), [record] * 3)
+        assert len(set(counts)) == 1, (row, counts)  # it repeats exactly
+        frames, outside_the_loop = counts[0]
+        assert frames <= FRAME_BUDGETS[row], (row, frames)
+        assert outside_the_loop == FRAMES_OUTSIDE_THE_LOOP[row], (row, outside_the_loop)
+    assert auto.planner.registry.counter_value(
+        "planner_decisions_total", stage="plan", oracle="ine") == 6
+
+
+class _ReplyFirstSink:
+    """A trace sink that notes which replies were out when each trace came in."""
+
+    def __init__(self, out: io.StringIO) -> None:
+        self.out = out
+        self.seen = []
+
+    def write(self, record):
+        replied = {json.loads(line)["id"] for line in self.out.getvalue().splitlines()}
+        self.seen.append((record["id"], record["id"] in replied))
+
+
+def test_a_traced_reply_is_written_before_its_trace_reaches_the_sink(
+    small_index, small_object_index
+):
+    lines = "".join(json.dumps(r) + "\n" for r in (
+        {"id": 1, "kind": "knn", "query": 7, "k": 3},
+        {"id": 2, "kind": "distance", "source": 0, "target": 140},
+        {"id": 3, "kind": "knn_batch", "queries": list(range(2 * CHUNK)), "k": 2},
+        {"id": 4, "kind": "knn", "query": 9, "deadline": 1e-9},
+    ))
+    out = io.StringIO()
+    sink = _ReplyFirstSink(out)
+
+    async def serve():
+        async with AsyncEngine(QueryEngine(small_index, small_object_index)) as ae:
+            server = SILCServer(ae, scheduler=FairScheduler(chunk_size=CHUNK), tracer=Tracer(sink=sink))
+            return await serve_jsonl(server, io.BytesIO(lines.encode()), out)
+
+    snapshot = asyncio.run(serve())
+    assert (snapshot.served, snapshot.expired) == (3, 1)
+    assert sorted(sink.seen) == [(1, True), (2, True), (3, True), (4, True)]
+
+
+def test_read_and_reply_spans_cover_the_request_and_reach_the_report(
+    small_index, small_object_index, tmp_path, piped_serve
+):
+    """A traced request's ``read`` span runs from the read that brought
+    its line in to its admission, its ``reply`` span from the chunk's
+    return to the flushed reply; ``repro trace-report`` aggregates both."""
+    path = tmp_path / "traces.jsonl"
+    tracer = Tracer(sink=JsonlTraceSink(path))
+    piped = piped_serve(AsyncEngine(QueryEngine(small_index, small_object_index)), tracer=tracer)
+    requests = [
+        {"id": 1, "kind": "knn", "query": 7, "k": 3},
+        {"id": 2, "kind": "distance", "source": 0, "target": 140},
+        {"id": 3, "kind": "path", "source": 3, "target": 97},
+    ]
+    for record in requests:
+        assert piped.ask(record)["status"] == "ok"
+    piped.close()
+    tracer.sink.close()
+    traces = load_trace_file(path)
+    assert [t["id"] for t in traces] == [1, 2, 3]
+    for trace in traces:
+        spans = {span["name"]: span for span in trace["spans"]}
+        root, read, reply = spans["request"], spans["read"], spans["reply"]
+        assert read["start"] == root["start"] == 0.0  # the request starts with its read
+        assert read["end"] <= spans["admission"]["start"]
+        assert spans["execute"]["end"] <= reply["start"] <= root["end"] <= reply["end"]
+        assert read["parent"] == reply["parent"] == root["sid"]
+    stages = aggregate_stages(traces)
+    assert stages["read"]["count"] == stages["reply"]["count"] == len(requests)
+    report = format_trace_report(traces)
+    assert "\nread " in report and "\nreply " in report
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,8 @@ from repro.engine import QueryEngine
 from repro.network import distance_matrix
 from repro.objects import ObjectIndex
 from repro.obs import Tracer
+from repro.oracle import CostConstants, QueryPlanner
+from repro.query.bestfirst import VARIANTS
 from repro.serve import (
     AdmissionController,
     AsyncEngine,
@@ -202,6 +204,42 @@ class TestLines:
         assert piped.ask(knn(10, 1))["status"] == "ok"
         snapshot = piped.close()
         assert (snapshot.served, snapshot.failed) == (1, 1)
+
+    @pytest.mark.parametrize("oracle", ["auto", "silc"])
+    def test_a_bad_exact_variant_or_oracle_is_a_bad_request(
+        self, small_index, small_object_index, piped_serve, oracle
+    ):
+        """``exact``, ``variant`` and ``oracle`` are checked on the wire,
+        whatever backend would run the query: under ``--oracle auto`` the
+        planner's pick (INE here) ignores the variant, and ``"exact":
+        "no"`` used to be read as true."""
+        engine = QueryEngine(small_index, small_object_index, oracle=oracle)
+        engine.planner = QueryPlanner(engine.oracles, constants=CostConstants(
+            op_model={"silc": (100.0, 1.0), "ine": (1.0, 1.0)},
+            op_seconds={"silc": 1e-6, "ine": 1e-6},
+        ))
+        piped = piped_serve(AsyncEngine(engine))
+        for rid, (field, value, error) in enumerate([
+            ("exact", "no", "exact must be true or false, got 'no'"),
+            ("exact", 1, "exact must be true or false, got 1"),
+            ("variant", "bogus", "variant must be one of %s, got 'bogus'" % (VARIANTS,)),
+            ("variant", 7, "variant must be one of %s, got 7" % (VARIANTS,)),
+            ("oracle", 7, "oracle must be a string, got 7"),
+        ]):
+            for record in (knn(rid, 5, **{field: value}), {**batch(rid, [1, 2]), field: value}):
+                assert piped.ask(record) == {
+                    "id": rid, "client": record["client"], "status": "error",
+                    "error": f"bad request: {error}",
+                }
+        # path and distance take no variant; exact true / false is served
+        assert piped.ask({**FOUR_KINDS[3], "variant": "bogus"})["status"] == "ok"
+        for rid, exact in ((20, True), (21, False)):
+            assert piped.ask(knn(rid, 5, exact=exact, variant="knn_m"))["status"] == "ok"
+        snapshot = piped.close()
+        assert (snapshot.served, snapshot.failed) == (3, 0)
+        if oracle == "auto":
+            assert engine.planner.registry.counter_value(
+                "planner_decisions_total", stage="plan", oracle="ine") == 2
 
     def test_four_kinds_closed_loop_equal_a_request_file(
         self, engine, piped_serve, tmp_path

@@ -22,6 +22,17 @@ in ``select()`` again), with Python frames and event-loop turns
 (``BaseEventLoop._run_once`` calls) counted on the loop thread per
 request -- the query's own frames included, so set it beside the first
 table.  Its batch row is 2 chunks, as in bench's ``batch-bulk``.
+A fourth table takes the query's own frames out of those: frames per
+closed-loop request outside the query (below the oracle's ``knn`` or the
+index's ``distance`` / ``route``), by stage -- read + parse + validate
+(the loop turn, framing, JSON, ``request_from_dict``), admit + schedule
+(admission, scheduler, pump), engine plumbing + plan (``AsyncEngine``,
+``QueryEngine``, the planner), reply encode + write (``_settle`` to the
+flush) and after-reply counting (the registry and ``QueryStats.add``
+once the reply is out).  A frame belongs to the stage of the nearest
+function above it that names one.  Its ``knn k=2`` row runs
+``--oracle auto`` with labels built in process, as bench's
+``point-shallow`` serves.
 Run it before and after a change to the path and quote the tables.
 
 Usage: count_calls.py NETWORK INDEX
@@ -109,18 +120,85 @@ def serve_requests(engine) -> list[tuple[str, dict]]:
     return requests
 
 
-def closed_loop_counts(engine, requests) -> list[tuple[int, int]]:
-    """``(frames, loop turns)`` per request, each sent once its
-    predecessor's reply is read and the loop thread has gone quiet."""
+#: The fourth table's stages, in the order a request crosses them.
+STAGES = (
+    "read + parse + validate", "admit + schedule", "engine plumbing + plan",
+    "reply encode + write", "after-reply counting",
+)
+READ, ADMIT, ENGINE, REPLY, COUNT = STAGES
+
+
+class Stages:
+    """The stage of a frame outside the query: that of the nearest
+    function above it (itself included) that names one, ``READ`` when
+    none does (the loop's own frames); None for the query's own frames,
+    those at or below a query entry point.  The registry,
+    ``QueryStats.add`` and ``SILCServer._count`` count as ``COUNT`` when
+    the reply stage called them, else as whoever did (the planner)."""
+
+    def __init__(self) -> None:
+        from repro import engine
+        from repro.obs import registry
+        from repro.oracle import labelling, planner
+        from repro.oracle.silc import INEOracle, SILCOracle
+        from repro.query import stats
+        from repro.serve import admission, protocol, scheduler, server
+        from repro.serve import engine as serve_engine
+        from repro.silc.index import SILCIndex
+
+        self.query = {f.__code__ for f in (
+            SILCOracle.knn, INEOracle.knn, labelling.PrunedLabellingOracle.knn,
+            SILCIndex.distance, SILCIndex.route,
+        )}
+        self.files = {
+            serve_engine.__file__: ENGINE, engine.__file__: ENGINE, planner.__file__: ENGINE,
+            admission.__file__: ADMIT, scheduler.__file__: ADMIT, asyncio.locks.__file__: ADMIT,
+            registry.__file__: COUNT,
+        }
+        names = {
+            server.__file__: {
+                "data_received": READ, "eof_received": READ, "accept": READ,
+                "submit_nowait": ADMIT, "_pump": ADMIT, "_rest": ADMIT,
+                "_settle": REPLY, "_finish": REPLY, "emit": REPLY, "write": REPLY,
+                "<lambda>": REPLY, "_count": COUNT,
+            },
+            protocol.__file__: {"request_from_dict": READ, "response_to_dict": REPLY},
+            stats.__file__: {"add": COUNT},
+        }
+        self.names = {(f, name): stage for f, table in names.items() for name, stage in table.items()}
+
+    def of(self, frame) -> str | None:
+        counting = False
+        while frame is not None:
+            code = frame.f_code
+            if code in self.query:
+                return None
+            stage = self.names.get((code.co_filename, code.co_name)) or self.files.get(code.co_filename)
+            if stage is COUNT:
+                counting = True
+            elif stage is not None:
+                return COUNT if counting and stage is REPLY else stage
+            frame = frame.f_back
+        return READ
+
+
+def closed_loop_counts(engine, requests) -> list[tuple[int, int, dict[str, int]]]:
+    """``(frames, loop turns, frames outside the query by stage)`` per
+    request, each sent once its predecessor's reply is read and the loop
+    thread has gone quiet."""
     from repro.serve import AsyncEngine, FairScheduler, SILCServer, serve_jsonl
 
-    counted = [0, 0]  # frames entered, loop turns, on the loop thread
+    counted = [0, 0, dict.fromkeys(STAGES, 0)]  # on the loop thread
     run_once = asyncio.BaseEventLoop._run_once.__code__
+    stages = Stages()
 
     def profiler(frame, event, arg):
         if event == "call":
             counted[0] += 1
             counted[1] += frame.f_code is run_once
+            stage = stages.of(frame)
+            if stage is not None:
+                counted[2][stage] += 1
 
     in_r, in_w = os.pipe()
     out_r, out_w = os.pipe()
@@ -138,14 +216,14 @@ def closed_loop_counts(engine, requests) -> list[tuple[int, int]]:
         finally:
             sys.setprofile(None)
 
-    def quiet() -> tuple[int, int]:
+    def quiet() -> tuple[int, int, dict[str, int]]:
         while True:  # parked: in the selector's select() and nothing moves
-            before = tuple(counted)
+            before = counted[0]
             time.sleep(0.001)
             frame = sys._current_frames().get(thread.ident)
             parked = frame is not None and frame.f_code.co_filename == selectors.__file__
-            if parked and tuple(counted) == before:
-                return before
+            if parked and counted[0] == before:
+                return counted[0], counted[1], dict(counted[2])
 
     thread = threading.Thread(target=loop_thread)
     thread.start()
@@ -158,7 +236,10 @@ def closed_loop_counts(engine, requests) -> list[tuple[int, int]]:
             if b'"ok"' not in replies.readline():
                 raise RuntimeError(f"request {rid} was not answered ok")
             end = quiet()
-            counts.append((end[0] - start[0], end[1] - start[1]))
+            counts.append((
+                end[0] - start[0], end[1] - start[1],
+                {stage: end[2][stage] - start[2][stage] for stage in STAGES},
+            ))
             start = end
     thread.join()
     return counts
@@ -211,17 +292,50 @@ def main(network_path: str, index_path: str) -> int:
 
     requests = serve_requests(engine)
     counts = closed_loop_counts(engine, requests + requests)[len(requests):]
-    serve_rows: dict[str, list[tuple[int, int]]] = {}
+    serve_rows: dict[str, list[tuple[int, int, dict[str, int]]]] = {}
     for (label, _), count in zip(requests, counts):
         serve_rows.setdefault(label, []).append(count)
     print()
     print(f"{'serve_jsonl':<20}{'requests':>9}{'frames/request':>16}{'turns/request':>16}")
     for label, row in serve_rows.items():
         print(
-            f"{label:<20}{len(row):>9}{sum(f for f, _ in row) / len(row):>16.1f}"
-            f"{sum(t for _, t in row) / len(row):>16.2f}"
+            f"{label:<20}{len(row):>9}{sum(c[0] for c in row) / len(row):>16.1f}"
+            f"{sum(c[1] for c in row) / len(row):>16.2f}"
         )
+
+    auto = auto_requests(engine)
+    auto_counts = closed_loop_counts(labelled_auto_engine(engine), auto + auto)[len(auto):]
+    outside = {label: serve_rows[label] for label in ("distance", "path")}
+    outside["knn k=1 (silc)"] = serve_rows["knn        k=1"]
+    outside["knn k=2 (auto)"] = auto_counts
+    print()
+    print(f"{'outside the query':<20}{'requests':>9}" + "".join(f"{s:>24}" for s in STAGES)
+          + f"{'frames/request':>16}")
+    for label, row in outside.items():
+        per_stage = [sum(c[2][stage] for c in row) / len(row) for stage in STAGES]
+        print(f"{label:<20}{len(row):>9}" + "".join(f"{v:>24.1f}" for v in per_stage)
+              + f"{sum(per_stage):>16.1f}")
     return 0
+
+
+def auto_requests(engine) -> list[tuple[str, dict]]:
+    """``knn`` at k = 2 from seeded vertices, for the ``--oracle auto`` row."""
+    rng = random.Random(SEED)
+    n = engine.index.network.num_vertices
+    return [("knn k=2", {"kind": "knn", "query": rng.randrange(n), "k": 2})
+            for _ in range(SERVE_REQUESTS)]
+
+
+def labelled_auto_engine(engine):
+    """``engine``'s index and objects under ``--oracle auto``, with labels
+    built here and its own page simulator, as ``repro serve`` runs it."""
+    from repro.engine import QueryEngine
+    from repro.oracle import PrunedLabellingOracle
+
+    return QueryEngine(
+        engine.index, engine.object_index, cache_fraction=0.05,
+        labelling=PrunedLabellingOracle.build(engine.index.network), oracle="auto",
+    )
 
 
 if __name__ == "__main__":
