@@ -38,7 +38,7 @@ from repro.analysis.core import (
 )
 
 #: Call names that move a message across a channel.
-SEND_CALLS = {"send", "request", "submit"}
+SEND_CALLS = {"send", "request", "submit", "_send_frame"}
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,10 @@ There is no thread: the search is GIL-bound, the engine's
 :class:`~repro.storage.StorageSimulator` is one LRU that must not be
 interleaved, and the server keeps one chunk in flight, so a worker
 thread would overlap nothing and cost two context switches per
-request.  Parallelism is processes: with ``shards > 1`` kNN queries
-run on :class:`~repro.shard.ShardGroup` (always exact there), and the
-loop thread waits on the worker's pipe, so callers that ``gather``
-sharded queries get them one after another.
+request.  Parallelism is processes: with ``shards > 1`` SILC kNN
+queries run on :class:`~repro.shard.ShardGroup` (the same answer as
+in process), and the loop thread waits on the worker's pipe, so
+callers that ``gather`` sharded queries get them one after another.
 """
 
 from __future__ import annotations
@@ -95,21 +95,19 @@ class AsyncEngine:
             loop.call_exception_handler({"message": "done failed", "exception": error})
         return None
 
-    def _knn_target(self, exact: bool, oracle: str | None):
+    def _knn_target(self, oracle: str | None):
         """Where a kNN request runs, and the keywords only that target takes.
 
-        ``oracle=None`` falls back to the engine's default, so a
-        shard-tier deployment started with ``--oracle labels`` does not
-        silently route unlabelled requests back to SILC shards.
+        The shard tier's workers run the SILC search, so a request for
+        another oracle runs on the local engine.  ``oracle=None`` falls
+        back to the engine's default, so a shard-tier deployment started
+        with ``--oracle labels`` does not silently route unlabelled
+        requests back to SILC shards.
         """
         effective = oracle if oracle is not None else getattr(self.engine, "oracle", "silc")
         if self.shard_group is not None and effective == "silc":
-            # The sharded tier always refines to exact distances, so
-            # `exact` is subsumed rather than forwarded.  Its workers
-            # run the SILC search, so a non-SILC oracle request bypasses
-            # the shard tier and runs on the local engine instead.
             return self.shard_group, {}
-        return self.engine, {"exact": exact, "oracle": oracle}
+        return self.engine, {"oracle": oracle}
 
     # ------------------------------------------------------------------
     # Queries (mirror QueryEngine's surface)
@@ -119,9 +117,9 @@ class AsyncEngine:
         oracle: str | None = None, trace=None, time_cap: float | None = None,
         done: Done | None = None,
     ) -> asyncio.Future | None:
-        target, only = self._knn_target(exact, oracle)
+        target, only = self._knn_target(oracle)
         return self._run(
-            done, target.knn, query, k, variant=variant, trace=trace,
+            done, target.knn, query, k, variant=variant, exact=exact, trace=trace,
             time_cap=time_cap, **only,
         )
 
@@ -130,9 +128,9 @@ class AsyncEngine:
         oracle: str | None = None, trace=None, time_cap: float | None = None,
         done: Done | None = None,
     ) -> asyncio.Future | None:
-        target, only = self._knn_target(exact, oracle)
+        target, only = self._knn_target(oracle)
         return self._run(
-            done, target.knn_batch, queries, k, variant=variant, trace=trace,
+            done, target.knn_batch, queries, k, variant=variant, exact=exact, trace=trace,
             time_cap=time_cap, **only,
         )
 

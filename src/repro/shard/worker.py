@@ -1,60 +1,58 @@
 """Long-lived shard worker processes and the group that runs them.
 
-Each slot is served by one worker *process* -- its own interpreter, so
-the pure-Python searches of different workers genuinely overlap
-(threads share one GIL).  A worker maps the index directory the group
-serves from with ``SILCIndex.load(directory, network, mmap=True)`` --
-the load ``repro serve --mmap`` performs, every check included -- so
-the OS page cache holds the index once; it indexes *every* object, so
-it answers any kNN query alone, always with exact distances.
+Each slot is one worker *process* (its own interpreter, so searches
+overlap; threads share one GIL).  It maps the group's index directory
+with ``SILCIndex.load(directory, network, mmap=True)`` -- every check
+of ``repro serve --mmap``; the page cache holds the index once -- and
+indexes *every* object, so it answers any kNN query alone with the
+``QueryEngine.knn`` call the unsharded engine makes.
 
-Pipe protocol (one pickled tuple per message, strictly
-request/response; each kind has exactly one shape)::
+Pipe protocol, strictly request/response, one shape per kind.  A
+message is one frame on the pipe's descriptor -- its body's length (8
+bytes, little-endian), then ``pickle.dumps(msg, 5)`` -- moved with
+``os.write`` / ``os.read``::
 
     ("ping",)                           -> ("pong", shard_id)
-    ("knn", position, k, variant, want_trace, time_budget)
-        -> ("ok", [(oid, distance), ...], QueryStats, spans_or_None)
+    ("knn", query, k, variant, want_trace, time_budget, exact)
+        -> ("ok", [(oid, lo, hi), ...], stats_values, spans_or_None)
         or ("expired", message) when the budget runs out
     ("stop",)                           -> worker exits (no response)
     any failure                         -> ("error", "ExcType: message")
 
-``want_trace`` has the worker trace the query and ship its spans back
-(absolute ``perf_counter`` times, the clock the parent reads) for
-:meth:`~repro.obs.trace.Trace.adopt`.  ``time_budget`` is the query's
-remaining deadline budget in seconds (``None``: unbounded), passed to
-the engine as its time cap.
+A ``knn`` reply is flat: the neighbours' bounds in the engine's order
+and the :class:`~repro.query.stats.QueryStats` values in field order,
+from which the parent rebuilds the unsharded engine's very result.
+``want_trace`` ships the worker's spans back (absolute ``perf_counter``
+times) for :meth:`~repro.obs.trace.Trace.adopt`; untraced, the worker
+passes ``trace=None``.  ``time_budget`` is what is left of the deadline
+(seconds, ``None``: unbounded), the engine's time cap.
 
-**Crash safety**: the parent-side :class:`ShardWorker` never blocks
-forever on a dead process -- a receive waits on the pipe and the
-process sentinel together, so a crash surfaces as
-:class:`~repro.errors.WorkerDied` the moment it happens, and ``stop()``
-escalates join -> terminate -> kill.
+**Crash safety**: :class:`ShardWorker` polls the pipe and the process
+sentinel (one ``select.poll``, registered at spawn) before every read,
+so a worker that dies -- before its reply or between a frame's header
+and body -- or stays silent past a timeout raises
+:class:`~repro.errors.WorkerDied`; ``stop()`` escalates join ->
+terminate -> kill.
 
-**Recovery** (one path, no knob): :class:`ShardGroup` respawns a worker
-found dead after a backoff (:func:`backoff`), pings it and replays the
+**Recovery** (one path, no knob): :class:`ShardGroup` respawns a dead
+worker after a backoff (:func:`backoff`), pings it and replays the
 request with what is left of its deadline, up to :data:`MAX_RETRIES`
-times; a slot still down after that answers on the unsharded engine.
-Either way the caller gets the identical exact answer, only later (a
-replacement refuses a directory whose manifest changed).  Every fault
-event is counted in the group's registry as
-``fault_events_total{stage=shard,event=...}`` and, traced, a respawn
-is a ``respawn`` span under the shard's span.
+times; a slot still down answers on the unsharded engine.  Either way
+the answer is identical, only later.  Each fault event is counted as
+``fault_events_total{stage=shard,event=...}``; traced, a respawn is a
+``respawn`` span under the shard's span.
 
-**Dispatch**: :class:`ShardGroup` lends each kNN query one idle worker
-slot from a LIFO stack and takes it back once the reply is in.  The
-slot returned last goes out first, so a single client always lands on
-the same worker: dispatch is deterministic (counted metrics repeat
-round after round) and that worker's caches stay warm.  Concurrent
-callers each get a slot of their own, waiting when all are lent; none
-is ever lent twice at once.  A slot whose worker is down goes back to
-the *bottom* of the stack, so the next query takes a healthy worker
-while that one heals.
+**Dispatch**: each kNN query borrows one idle slot from a LIFO stack,
+so a single client always lands on the same (warm) worker and counted
+metrics repeat; concurrent callers each get their own slot, waiting
+when all are lent.  A slot whose worker is down goes back to the
+*bottom*, so the next query takes a healthy worker.
 
 **Integrity**: a mapped load checks sizes, dtypes and shapes, not
 checksums, so :meth:`ShardGroup.from_engine` deep-verifies the
-directory once before any worker exists, and every :class:`WorkerSpec`
-carries the manifest bytes that passed.  A worker (first spawn or
-respawn) that finds another manifest there refuses to start.
+directory before any worker exists, and a worker (spawn or respawn)
+that finds another ``MANIFEST.json`` than the one that passed refuses
+to start.
 """
 
 from __future__ import annotations
@@ -62,15 +60,18 @@ from __future__ import annotations
 import _thread
 import contextlib
 import multiprocessing as mp
+import os
+import pickle
+import select
 import shutil
+import struct
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
-from multiprocessing.connection import wait
-from operator import itemgetter
-from pathlib import Path
-from queue import LifoQueue
 from collections.abc import Iterable
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
+from pathlib import Path
+from queue import SimpleQueue
 
 from repro.engine import BatchResult, run_batch
 from repro.errors import CorruptIndexError, DeadlineExceeded, WorkerDied
@@ -82,6 +83,7 @@ from repro.obs.trace import NULL_TRACE, Tracer
 from repro.query.bestfirst import VARIANTS
 from repro.query.location import resolve_location
 from repro.query.results import KNNResult, Neighbor
+from repro.query.stats import QueryStats
 from repro.shard.partitioner import ShardMap
 from repro.silc.intervals import DistanceInterval
 
@@ -90,8 +92,12 @@ from repro.silc.intervals import DistanceInterval
 #: are plain dataclasses).
 _START_METHOD = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
-#: A worker's ``(oid, distance)`` pairs, ranked as every tier ranks.
-_by_distance_then_oid = itemgetter(1, 0)
+#: A frame's header: the length of the pickled body that follows.
+_HEADER = struct.Struct("<Q")
+
+#: A ``knn`` reply's counted ops: every :class:`QueryStats` field, in
+#: field order, so ``QueryStats(*values)`` rebuilds them.
+_stats_values = attrgetter(*(f.name for f in fields(QueryStats)))
 
 #: Respawn+replay attempts per request before a slot answers on the
 #: unsharded engine.
@@ -121,10 +127,39 @@ def _remaining(t_start: float, time_cap: float | None) -> float | None:
     left = time_cap - (time.perf_counter() - t_start)
     if left <= 0:
         raise DeadlineExceeded(
-            f"query exceeded its {time_cap:.3f}s execution budget "
-            "before a shard worker answered"
+            f"query exceeded its {time_cap:.3f}s execution budget before a shard worker answered"
         )
     return left
+
+
+def _send_frame(fd: int, message: tuple) -> None:
+    """Write ``message`` to ``fd`` as one frame (``OSError`` when the
+    pipe is closed or broken)."""
+    body = pickle.dumps(message, 5)
+    frame = memoryview(_HEADER.pack(len(body)) + body)
+    while frame:
+        frame = frame[os.write(fd, frame):]
+
+
+def _recv_frame(fd: int, wait=None):
+    """The next message on ``fd``, or ``None`` when the other end closed
+    (or reset) the pipe first, mid-frame included.  ``wait()``, when
+    given, runs before every read and raises rather than block."""
+    need, header, chunks = _HEADER.size, True, []
+    while need:
+        if wait is not None:
+            wait()
+        try:
+            chunk = os.read(fd, need)
+        except OSError:
+            return None
+        if not chunk:
+            return None
+        chunks.append(chunk)
+        need -= len(chunk)
+        if header and not need:
+            (need,), header, chunks = _HEADER.unpack(b"".join(chunks)), False, []
+    return pickle.loads(b"".join(chunks))
 
 
 def _shard_worker_main(conn, spec: WorkerSpec) -> None:
@@ -133,40 +168,35 @@ def _shard_worker_main(conn, spec: WorkerSpec) -> None:
     from repro.silc.index import SILCIndex
 
     shard_id = spec.shard_id
+    fd = conn.fileno()
     try:
         index = SILCIndex.load(spec.directory, spec.network, mmap=True)
         # Read after the columns are mapped: a directory published
         # while they were being opened shows its own manifest here.
         if (Path(spec.directory) / MANIFEST_NAME).read_bytes() != spec.manifest:
-            raise CorruptIndexError(
-                "index directory changed since the shard tier started"
-            )
-        object_index = ObjectIndex(
-            spec.network, ObjectSet(spec.objects), index.embedding
-        )
+            raise CorruptIndexError("index directory changed since the shard tier started")
+        object_index = ObjectIndex(spec.network, ObjectSet(spec.objects), index.embedding)
         options = spec.storage_options
         storage = index.make_storage(**options) if options else None
         engine = QueryEngine(index, object_index, storage=storage)
     except Exception as exc:  # noqa: BLE001 - surfaced to the parent
         try:
-            conn.send(("error", f"shard {shard_id} failed to start: {type(exc).__name__}: {exc}"))
+            _send_frame(fd, ("error", f"shard {shard_id} failed to start: "
+                                      f"{type(exc).__name__}: {exc}"))
         finally:
             conn.close()
         return
     while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
+        msg = _recv_frame(fd)
+        if msg is None or msg[0] == "stop":  # the parent went away, or asked
             break
         kind = msg[0]
-        if kind == "stop":
-            break
         try:
             if kind == "ping":
-                conn.send(("pong", shard_id))
+                reply = ("pong", shard_id)
             elif kind == "knn":
-                _, position, k, variant, want_trace, time_budget = msg
-                trace = NULL_TRACE
+                _, query, k, variant, want_trace, time_budget, exact = msg
+                trace = None
                 if want_trace:
                     trace = Tracer().start_trace(shard=shard_id)
                     # Rename the root so adopted spans read as
@@ -174,19 +204,21 @@ def _shard_worker_main(conn, spec: WorkerSpec) -> None:
                     trace.spans[0].name = "worker"
                     trace.spans[0].labels["shard"] = str(shard_id)
                 result = engine.knn(
-                    position, k, variant=variant, exact=True,
-                    trace=trace, time_cap=time_budget,
+                    query, k, variant=variant, exact=exact, trace=trace, time_cap=time_budget
                 )
-                trace.finish("ok")
-                pairs = [(n.oid, n.distance) for n in result.neighbors]
-                spans = trace.spans_absolute() if want_trace else None
-                conn.send(("ok", pairs, result.stats, spans))
+                spans = None
+                if trace is not None:
+                    trace.finish("ok")
+                    spans = trace.spans_absolute()
+                neighbors = [(n.oid, n.interval.lo, n.interval.hi) for n in result.neighbors]
+                reply = ("ok", neighbors, _stats_values(result.stats), spans)
             else:
-                conn.send(("error", f"unknown request kind: {kind!r}"))
+                reply = ("error", f"unknown request kind: {kind!r}")
         except DeadlineExceeded as exc:
-            conn.send(("expired", f"shard {shard_id}: {exc}"))
+            reply = ("expired", f"shard {shard_id}: {exc}")
         except Exception as exc:  # noqa: BLE001 - surfaced to the parent
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
+            reply = ("error", f"{type(exc).__name__}: {exc}")
+        _send_frame(fd, reply)
     conn.close()
 
 
@@ -213,9 +245,7 @@ def spawn_worker(spec: WorkerSpec) -> ShardWorker:
     ctx = mp.get_context(_START_METHOD)
     parent_conn, child_conn = ctx.Pipe()
     process = ctx.Process(
-        target=_shard_worker_main,
-        args=(child_conn, spec),
-        daemon=True,
+        target=_shard_worker_main, args=(child_conn, spec), daemon=True,
         name=f"repro-shard-{spec.shard_id}",
     )
     process.start()
@@ -227,22 +257,24 @@ class ShardWorker:
     """Parent-side handle of one shard worker process.
 
     A lock serializes the send/receive pair, so threads can share the
-    handle.  The receive side waits on the pipe and the process
-    sentinel at once, so a worker that dies mid-request raises
-    :class:`~repro.errors.WorkerDied` when it dies (a bare
-    ``conn.recv()`` hangs when the child end leaked into siblings).
+    handle.  Every read first polls the pipe and the process sentinel,
+    so a worker that dies mid-request raises
+    :class:`~repro.errors.WorkerDied` when it dies.  ``conn`` owns the
+    pipe; frames go through its descriptor.
     """
 
     def __init__(self, shard_id: int, process, conn) -> None:
         self.shard_id = shard_id
         self.process = process
         self.conn = conn
+        self._fd = conn.fileno()
+        # The pipe is registered first, so it leads whatever poll()
+        # returns whenever it is readable.
+        self._poll = select.poll()
+        self._poll.register(self._fd, select.POLLIN)
+        self._poll.register(process.sentinel, select.POLLIN)
+        self._deadline: float | None = None
         self._lock = _thread.allocate_lock()
-
-    @property
-    def alive(self) -> bool:
-        """Whether the worker process is currently running."""
-        return self.process.is_alive()
 
     def request(self, message: tuple, timeout: float | None = None):
         """One request/response round trip (thread-safe, hang-proof).
@@ -254,73 +286,57 @@ class ShardWorker:
         ``RuntimeError``.
         """
         with self._lock:
-            if not self.process.is_alive():
-                raise WorkerDied(
-                    f"shard worker {self.shard_id} is dead "
-                    f"(exitcode {self.process.exitcode})",
-                    shard=self.shard_id,
-                )
             try:
-                self.conn.send(message)
-            except (OSError, ValueError, BrokenPipeError) as exc:
-                raise WorkerDied(
-                    f"shard worker {self.shard_id} pipe broke on send: {exc}",
-                    shard=self.shard_id,
-                ) from exc
-            ready = wait([self.conn, self.process.sentinel], timeout)
-            if not ready:
-                raise WorkerDied(
-                    f"shard worker {self.shard_id} unresponsive for "
-                    f"{timeout:.3f}s",
-                    shard=self.shard_id,
-                )
-            response = None
-            if self.conn in ready:
-                try:
-                    response = self.conn.recv()
-                except (EOFError, OSError) as exc:
-                    raise WorkerDied(
-                        f"shard worker {self.shard_id} died mid-request",
-                        shard=self.shard_id,
-                    ) from exc
-            else:
-                # The process exited.  Drain any response that raced
-                # the exit (suppressed errors mean there was none).
-                with contextlib.suppress(EOFError, OSError):
-                    if self.conn.poll(0):
-                        response = self.conn.recv()
-                if response is None:
-                    raise WorkerDied(
-                        f"shard worker {self.shard_id} died mid-request "
-                        f"(exitcode {self.process.exitcode})",
-                        shard=self.shard_id,
-                    )
+                _send_frame(self._fd, message)
+            except OSError as exc:
+                raise self._died(f"pipe broke on send: {exc}") from exc
+            self._deadline = None if timeout is None else time.monotonic() + timeout
+            response = _recv_frame(self._fd, self._wait)
+            if response is None:
+                raise self._died("died mid-request")
         if response[0] == "expired":
             raise DeadlineExceeded(response[1])
         if response[0] == "error":
             raise RuntimeError(response[1])
         return response
 
+    def _wait(self) -> None:
+        """Return once the pipe is readable -- a reply that raced the
+        process's exit included; :class:`WorkerDied` when the process
+        exits first or the request's deadline passes."""
+        deadline = self._deadline
+        ready = self._poll.poll(
+            None if deadline is None else max(0.0, (deadline - time.monotonic()) * 1e3)
+        )
+        if not ready:
+            raise self._died("unresponsive past its timeout")
+        if ready[0][0] != self._fd:
+            raise self._died(f"died mid-request (exitcode {self.process.exitcode})")
+
+    def _died(self, what: str) -> WorkerDied:
+        return WorkerDied(f"shard worker {self.shard_id} {what}", shard=self.shard_id)
+
     def ping(self) -> int:
         """Round trip a ping; returns the worker's shard id."""
         return self.request(("ping",))[1]
 
     def knn(
-        self,
-        position,
-        k: int,
-        variant: str,
-        trace: bool = False,
-        time_cap: float | None = None,
+        self, query, k: int, variant: str, trace: bool = False,
+        time_cap: float | None = None, exact: bool = True,
     ):
-        """The k nearest objects: ``([(oid, distance), ...], QueryStats,
-        spans)``, exact distances; ``spans`` is ``None`` unless
+        """The k nearest objects: ``([(oid, lo, hi), ...], QueryStats,
+        spans)``, in the engine's order; ``spans`` is ``None`` unless
         ``trace``.  :class:`DeadlineExceeded` when ``time_cap`` (the
         remaining deadline budget, seconds) runs out in the worker.
         """
-        message = ("knn", position, k, variant, trace, time_cap)
-        _, pairs, stats, spans = self.request(message)
-        return pairs, stats, spans
+        _, bounds, stats, spans = self.request(("knn", query, k, variant, trace, time_cap, exact))
+        return bounds, QueryStats(*stats), spans
+
+    def _close(self) -> None:
+        # Nothing is written to the descriptor once it may be reused.
+        self._fd = -1
+        with contextlib.suppress(OSError):
+            self.conn.close()
 
     def kill(self) -> None:
         """SIGKILL, then reap: after this returns the process is gone and
@@ -328,17 +344,15 @@ class ShardWorker:
         with contextlib.suppress(OSError, ValueError, AttributeError):
             self.process.kill()
         self.process.join(5.0)
-        with contextlib.suppress(OSError):
-            self.conn.close()
+        self._close()
 
     def stop(self, timeout: float = 5.0) -> None:
         """Ask the process to exit; escalate join -> terminate -> kill,
         each stage a bounded join, so a wedged worker never hangs
         shutdown."""
-        with contextlib.suppress(OSError, ValueError), self._lock:
-            self.conn.send(("stop",))
-        with contextlib.suppress(OSError):
-            self.conn.close()
+        with contextlib.suppress(OSError), self._lock:
+            _send_frame(self._fd, ("stop",))
+        self._close()
         self.process.join(timeout)
         if self.process.is_alive():
             self.process.terminate()
@@ -348,41 +362,47 @@ class ShardWorker:
             self.process.join(timeout)
 
 
-class _IdleSlots(LifoQueue):
-    """Idle worker slots, lent from the top: ``put((slot, down))``
-    returns a slot on top, or at the bottom when its worker is down."""
+class _IdleSlots:
+    """Idle worker slots, lent from the top of ``queue``: ``put((slot,
+    down))`` returns a slot on top, or at the bottom when its worker is
+    down.  ``get`` waits while every slot is lent: it takes one of the
+    tokens ``put`` leaves, one per idle slot, before it pops one."""
 
-    def _put(self, item: tuple[int, bool]) -> None:
+    def __init__(self) -> None:
+        self.queue: list[int] = []
+        self._tokens: SimpleQueue = SimpleQueue()
+        self._lock = _thread.allocate_lock()
+
+    def get(self) -> int:
+        self._tokens.get()
+        with self._lock:
+            return self.queue.pop()
+
+    def put(self, item: tuple[int, bool]) -> None:
         shard, down = item
-        if down:
-            self.queue.insert(0, shard)
-        else:
-            self.queue.append(shard)
+        with self._lock:
+            if down:
+                self.queue.insert(0, shard)
+            else:
+                self.queue.append(shard)
+        self._tokens.put(None)
 
 
 class ShardGroup:
     """The sharded serving tier: verify, spawn, dispatch, recover.
 
     Build one with :meth:`from_engine`; :meth:`knn` and
-    :meth:`knn_batch` then answer exactly as the unsharded engine's
-    exact path does, and any number of threads may call them at once.
-    Always close it (or use it as a context manager): the workers are
-    real processes.  ``shard_map`` is kept only for bench/'s layer
-    ladder (see :class:`~repro.shard.partitioner.ShardMap`).
-    ``registry`` counts fault events and worker visits; a
-    :class:`~repro.faults.FaultInjector` given as ``fault_injector`` is
-    called before every pipe send.
+    :meth:`knn_batch` then answer as the unsharded engine's SILC path
+    does, from any number of threads at once.  Always close it (or use
+    it as a context manager): the workers are real processes.
+    ``shard_map`` is kept only for bench/'s layer ladder.  ``registry``
+    counts fault events and worker visits; a ``fault_injector``
+    (:class:`~repro.faults.FaultInjector`) is called before every send.
     """
 
     def __init__(
-        self,
-        engine,
-        shard_map: ShardMap,
-        spec: WorkerSpec,
-        workers: dict[int, ShardWorker],
-        directory: Path,
-        owns_directory: bool,
-        fault_injector=None,
+        self, engine, shard_map: ShardMap, spec: WorkerSpec, workers: dict[int, ShardWorker],
+        directory: Path, owns_directory: bool, fault_injector=None,
     ) -> None:
         #: The unsharded engine: queries resolve against its network,
         #: and a slot that stays down answers on it.
@@ -408,28 +428,20 @@ class ShardGroup:
 
     @classmethod
     def from_engine(
-        cls,
-        engine,
-        num_shards: int,
-        directory: str | Path | None = None,
-        worker_storage: dict | None = None,
-        fault_injector=None,
+        cls, engine, num_shards: int, directory: str | Path | None = None,
+        worker_storage: dict | None = None, fault_injector=None,
     ) -> ShardGroup:
         """Serve ``engine``'s index and objects from ``num_shards``
         worker processes, each holding every object.
 
-        Settles the directory the workers map, deep-verifies it once (a
+        Deep-verifies the directory the workers map (a
         :class:`~repro.errors.CorruptIndexError` names the bad column
-        before any worker exists) and spawns and pings every worker.  An
-        explicit ``directory`` gets ``index.save``; otherwise a mapped
-        index (``index.directory``) is served in place and nothing is
-        written; otherwise the in-memory index is saved to a private
-        temporary directory, removed on :meth:`close`.
-
+        before any worker exists), then spawns and pings every worker.
+        An explicit ``directory`` gets ``index.save``; a mapped index is
+        served in place (nothing written); an in-memory one is saved to
+        a private temporary directory, removed on :meth:`close`.
         ``worker_storage`` (:meth:`~repro.silc.SILCIndex.make_storage`
-        keywords) gives every worker its own storage simulator, and
-        ``fault_injector`` plugs a :class:`~repro.faults.FaultInjector`
-        into the request path.
+        keywords) gives every worker its own storage simulator.
         """
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
@@ -463,31 +475,24 @@ class ShardGroup:
                 shutil.rmtree(directory, ignore_errors=True)
             raise
         shard_map = ShardMap.from_index(index, num_shards)
-        return cls(
-            engine, shard_map, spec, workers, directory, owns_directory, fault_injector
-        )
+        return cls(engine, shard_map, spec, workers, directory, owns_directory, fault_injector)
 
     # ------------------------------------------------------------------
     # Dispatch: one kNN query, one worker slot
     # ------------------------------------------------------------------
     def knn(
-        self,
-        query,
-        k: int,
-        variant: str = "knn",
-        trace=None,
+        self, query, k: int, variant: str = "knn", exact: bool = True, trace=None,
         time_cap: float | None = None,
     ) -> KNNResult:
-        """One exact kNN query, answered by one idle shard worker.
+        """One kNN query, answered by one idle shard worker.
 
-        ``query`` takes the forms :meth:`repro.engine.QueryEngine.knn`
-        takes; ``variant`` never changes the answer (workers refine to
-        exact distances).  The result is sorted by ``(distance, oid)``.
-        ``trace`` records one ``shard:<id>`` span with the worker's own
-        spans grafted underneath; it never changes the worker chosen.
-        What is left of ``time_cap`` (seconds) goes down the pipe with
-        every attempt, a replay after a respawn included, so the search
-        stops at the deadline with
+        The worker makes the unsharded engine's SILC call with the same
+        ``query``, ``variant`` and ``exact``, so the result -- neighbours
+        in their order, ``ordered``, counted ops -- is that engine's.
+        ``trace`` records one ``shard:<id>`` span with the worker's spans
+        grafted underneath.  What is left of ``time_cap`` (seconds) goes
+        down the pipe with every attempt, a replay included, so the
+        search stops at the deadline with
         :class:`~repro.errors.DeadlineExceeded`, never a late result.  A
         slot still down after :data:`MAX_RETRIES` respawns answers on
         the unsharded engine.
@@ -498,43 +503,44 @@ class ShardGroup:
             raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
         if k < 1:
             raise ValueError("k must be at least 1")
-        if trace is None:
-            trace = NULL_TRACE
         t_start = time.perf_counter()
-        position = resolve_location(self.engine.index.network, query)
+        # Resolved here only to fail a bad location the engine's way;
+        # the worker is sent the query as given.
+        resolve_location(self.engine.index.network, query)
         down = False
         shard = self._idle.get()  # waits while every slot is lent
         try:
-            with trace.span(f"shard:{shard}", shard=shard) as span:
-                reply = self._visit(
-                    shard, position, k, variant, trace, t_start, time_cap=time_cap,
-                )
-                down = reply is None
-                if not down:
-                    pairs, stats, spans = reply
-                    if spans is not None:
-                        trace.adopt(spans, parent=span)
-                    span.add_stats(stats)
+            if trace is None:
+                reply = self._visit(shard, query, k, variant, exact, None, t_start,
+                                    time_cap=time_cap)
+            else:
+                with trace.span(f"shard:{shard}", shard=shard) as span:
+                    reply = self._visit(shard, query, k, variant, exact, trace, t_start,
+                                        time_cap=time_cap)
+                    if reply is not None:
+                        if reply[2] is not None:
+                            trace.adopt(reply[2], parent=span)
+                        span.add_stats(reply[1])
+            down = reply is None
         finally:
             self._idle.put((shard, down))
         if down:
             return self._failover(
-                query, k, variant, trace, time_cap=_remaining(t_start, time_cap=time_cap)
+                query, k, variant, exact, trace, time_cap=_remaining(t_start, time_cap=time_cap)
             )
-        pairs.sort(key=_by_distance_then_oid)
-        neighbors = [
-            Neighbor(oid, DistanceInterval.exact(d), distance=d) for oid, d in pairs
-        ]
+        bounds, stats, _ = reply
+        neighbors = [Neighbor(oid, DistanceInterval(lo, hi), lo if lo == hi else None)
+                     for oid, lo, hi in bounds]
         self.registry.inc("router_queries_total", stage="route")
         self.registry.inc("router_shards_total", stage="route", event="visited")
         self.registry.inc("router_candidates_total", len(neighbors), stage="route")
-        return KNNResult(neighbors=neighbors, stats=stats, ordered=True)
+        return KNNResult(neighbors=neighbors, stats=stats, ordered=variant != "knn_m")
 
     def _visit(
-        self, shard: int, position, k: int, variant: str, trace, t_start: float,
-        time_cap: float | None,
+        self, shard: int, query, k: int, variant: str, exact: bool, trace,
+        t_start: float, time_cap: float | None,
     ):
-        """Ask ``shard``'s worker: ``(pairs, stats, spans_or_None)``, or
+        """Ask ``shard``'s worker: ``(bounds, stats, spans_or_None)``, or
         ``None`` when the slot is still down after :data:`MAX_RETRIES`
         respawns.  A dead worker is respawned and the identical request
         replayed with what is left of ``time_cap`` since ``t_start``."""
@@ -542,18 +548,18 @@ class ShardGroup:
         while True:
             budget = _remaining(t_start, time_cap=time_cap)
             worker = self.workers[shard]
-            if worker.alive:
-                if self.fault_injector is not None:
-                    self.fault_injector.before_request(shard, worker)
-                try:
-                    return worker.knn(position, k, variant, trace=trace.enabled, time_cap=budget)
-                except WorkerDied:
-                    pass
+            if self.fault_injector is not None:
+                self.fault_injector.before_request(shard, worker)
+            try:
+                return worker.knn(query, k, variant,
+                                  trace=trace is not None, time_cap=budget, exact=exact)
+            except WorkerDied:
+                pass
             self._count_fault("worker_crash")
             attempt += 1
             if attempt > MAX_RETRIES or self._closed:
                 return None
-            with trace.span("respawn", shard=shard) as span:
+            with (trace or NULL_TRACE).span("respawn", shard=shard) as span:
                 if not self._respawn(shard, attempt):
                     continue
                 span.count(respawn_attempt=attempt)
@@ -585,15 +591,14 @@ class ShardGroup:
         return True
 
     def _failover(
-        self, query, k: int, variant: str, trace, time_cap: float | None
+        self, query, k: int, variant: str, exact: bool, trace, time_cap: float | None
     ) -> KNNResult:
-        """Answer on the unsharded engine: the identical exact search
-        over the same objects, so only latency moves."""
+        """Answer on the unsharded engine: the identical search over the
+        same objects, so only latency moves."""
         self._count_fault("failover")
-        with trace.span("failover", oracle="silc"):
-            result = self.engine.knn(
-                query, k, variant=variant, exact=True, trace=trace, time_cap=time_cap,
-            )
+        with (trace or NULL_TRACE).span("failover", oracle="silc"):
+            result = self.engine.knn(query, k, variant=variant, exact=exact, oracle="silc",
+                                     trace=trace, time_cap=time_cap)
         result.stats.extras["failover"] = True
         self.registry.inc("router_queries_total", stage="route")
         self.registry.inc("router_candidates_total", len(result.neighbors), stage="route")
@@ -603,24 +608,16 @@ class ShardGroup:
         self.registry.inc("fault_events_total", stage="shard", event=event)
 
     def knn_batch(
-        self,
-        queries: Iterable,
-        k: int,
-        variant: str = "knn",
-        trace=None,
+        self, queries: Iterable, k: int, variant: str = "knn", exact: bool = True, trace=None,
         time_cap: float | None = None,
     ) -> BatchResult:
         """A batch through :meth:`knn`, one query at a time (parallelism
         comes from concurrent callers, each on a thread of its own);
         ``time_cap`` bounds the whole batch (each query gets what
         remains when it starts)."""
-        return run_batch(
-            queries,
-            lambda query, budget: self.knn(
-                query, k, variant=variant, trace=trace, time_cap=budget
-            ),
-            time_cap=time_cap,
-        )
+        return run_batch(queries, lambda query, budget: self.knn(
+            query, k, variant=variant, exact=exact, trace=trace, time_cap=budget
+        ), time_cap=time_cap)
 
     def health_check(self) -> dict[int, bool]:
         """Ping every worker: ``{shard: alive-and-answering}`` (never

@@ -453,8 +453,8 @@ class TestRulesOnTheShardTier:
     ):
         found = findings_after(
             pristine, tmp_path, "shard/worker.py",
-            "trace=trace.enabled, time_cap=budget)",
-            "trace=trace.enabled)",
+            "trace=trace is not None, time_cap=budget, exact=exact",
+            "trace=trace is not None, exact=exact",
         )
         assert len(found) == 1 and found[0][0] == "RPR007", found
         assert "knn" in found[0][1]
@@ -463,7 +463,7 @@ class TestRulesOnTheShardTier:
         found = findings_after(
             pristine, tmp_path, "shard/worker.py",
             'if kind == "ping":\n'
-            '                conn.send(("pong", shard_id))\n'
+            '                reply = ("pong", shard_id)\n'
             '            elif kind == "knn":',
             'if kind == "knn":',
         )

@@ -45,6 +45,7 @@ from repro.oracle.silc import INEOracle, SILCOracle
 from repro.query.ine import ine_knn
 from repro.query.location import same_edge_direct
 from repro.serve import AsyncEngine, FairScheduler, Request, SILCServer, serve_jsonl
+from repro.shard import ShardGroup
 from repro.silc import SILCIndex
 from repro.storage import NetworkStorageModel
 
@@ -340,6 +341,38 @@ def test_frames_outside_the_query_are_within_budget(
         assert outside_the_loop == FRAMES_OUTSIDE_THE_LOOP[row], (row, outside_the_loop)
     assert auto.planner.registry.counter_value(
         "planner_decisions_total", stage="plan", oracle="ine") == 6
+
+
+#: Frames the parent enters per untraced k = 10 shard visit, its own
+#: included: the location check, the slot stack, one framed round trip
+#: and the answer rebuilt (3 frames per neighbour).  It was 119 while
+#: the pipe spoke ``multiprocessing.Connection``.
+SHARD_VISIT_BUDGET = 60
+
+
+def test_parent_frames_per_shard_visit_are_within_budget(small_index, small_object_index):
+    """A visit pickles one frame, polls the pipe and the process
+    sentinel registered at spawn (no selector built per call) and
+    rebuilds the reply from flat bounds and counter values."""
+    queries = (3, 17, 42, 88, 120)
+    with ShardGroup.from_engine(QueryEngine(small_index, small_object_index), 2) as group:
+        for q in queries:
+            group.knn(q, 10)
+        counts = []
+        for q in queries:
+            frames = [0]
+
+            def profiler(frame, event, arg):
+                frames[0] += event == "call"
+
+            sys.setprofile(profiler)
+            try:
+                group.knn(q, 10)
+            finally:
+                sys.setprofile(None)
+            counts.append(frames[0])
+    assert len(set(counts)) == 1, counts  # it repeats exactly
+    assert counts[0] <= SHARD_VISIT_BUDGET, counts
 
 
 class _ReplyFirstSink:

@@ -767,3 +767,32 @@ def test_submit_and_serve_jsonl_are_one_path_on_a_directed_network(
     engine, dist = one_way_serving
     assert engine.index.network.num_edges < small_net.num_edges and (dist != dist.T).any()
     assert_one_path(piped_serve, engine, dist, shards, traced=False)
+
+
+def test_a_reply_is_the_same_for_every_shard_count(engine):
+    """``exact: false`` (distances are bounds, not refined) and kNN-M's
+    confirmation order mean the same unsharded and on 2 shards: every
+    reply equal, byte for byte but ``latency``."""
+    rng = random.Random(37)
+    requests = [
+        {"id": rid, "kind": "knn", "query": rng.randrange(engine.index.network.num_vertices),
+         "k": rng.choice((5, 10, 25)), "variant": rng.choice(VARIANTS), "exact": rng.random() < 0.5}
+        for rid in range(80)
+    ]
+
+    async def replies(shards):
+        async with AsyncEngine(engine, shards=shards) as ae, SILCServer(ae) as server:
+            return [
+                answer(response_to_dict(await server.submit(request_from_dict(r))))
+                for r in requests
+            ]
+
+    unsharded, sharded = asyncio.run(replies(1)), asyncio.run(replies(2))
+    assert {r["status"] for r in unsharded} == {"ok"}
+    assert sharded == unsharded
+    refined = [
+        engine.knn(q["query"], q["k"], variant=q["variant"], exact=True).distances()
+        for q in requests if not q["exact"]
+    ]
+    bounds = [r["distances"] for r, q in zip(unsharded, requests) if not q["exact"]]
+    assert sum(b != d for b, d in zip(bounds, refined)) > len(bounds) // 2

@@ -30,6 +30,7 @@ from repro.objects.model import (
     position_point,
 )
 from repro.obs import Tracer
+from repro.query.bestfirst import VARIANTS
 from repro.shard import ShardGroup
 
 
@@ -236,6 +237,33 @@ class TestDispatch:
             assert sorted(group._idle.queue) == [0, 1]
 
 
+def counted(stats):
+    """A result's stats without its wall clock."""
+    return dataclasses.replace(stats, elapsed=0.0)
+
+
+class TestOneAnswerForEveryShardCount:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_the_engines_own_answer_order_and_counted_ops(self, setup, groups, variant):
+        """Unsharded, on 1 and on 2 shards, the same call gets the same
+        result: neighbours with their bounds, in the engine's own order
+        (kNN-M reports in confirmation order, which a re-sort by
+        distance used to change), ``ordered`` and every counted op --
+        for ``exact`` true and false (lower bounds in, lower bounds
+        out)."""
+        net, _, engine = setup
+        rng = np.random.default_rng(23)
+        for q in rng.choice(net.num_vertices, size=10, replace=False):
+            for k in (5, 10, 25):
+                for exact in (True, False):
+                    want = engine.knn(int(q), k, variant=variant, exact=exact)
+                    for shards in (1, 2):
+                        got = groups[shards].knn(int(q), k, variant=variant, exact=exact)
+                        assert got.neighbors == want.neighbors, (q, k, exact, shards)
+                        assert got.ordered == want.ordered
+                        assert counted(got.stats) == counted(want.stats)
+
+
 class TestPipeShape:
     def test_one_request_arity_and_one_reply_arity(self, groups, monkeypatch):
         """Untraced, traced and deadline-carrying queries cross the pipe
@@ -260,7 +288,8 @@ class TestPipeShape:
         ]
         assert answers[0] == answers[1] == answers[2]
         assert len(crossed) >= 3 and all(m[0] == "knn" for m, _ in crossed)
-        assert {len(message) for message, _ in crossed} == {6}
+        assert {len(message) for message, _ in crossed} == {7}
+        assert {m[6] for m, _ in crossed} == {True}  # `exact` rides the frame
         assert {len(response) for _, response in crossed} == {4}
         for message, response in crossed:
             want_trace = message[4]

@@ -8,6 +8,10 @@ hang, never a partial or silently wrong result, never a result past
 its deadline.
 """
 
+import os
+import pickle
+import signal
+import socket
 import time
 from dataclasses import replace
 
@@ -262,3 +266,93 @@ class TestSupervisionPolicy:
             assert 2.0 <= delays[-1]  # 0.05 * 2**8 is past the cap
         # Jitter de-syncs concurrent respawns of different shards.
         assert backoff(1, 0) != backoff(1, 1)
+
+
+class TestFraming:
+    """A message is one length-prefixed frame on the pipe's descriptor:
+    a worker that dies or stalls between a frame's header and its body
+    is found dead or silent, never waited on, and a frame larger than
+    the pipe holds arrives whole."""
+
+    @staticmethod
+    def header_then(monkeypatch, act, marker=None):
+        """Make a worker write its next ``ok`` reply's header, then
+        ``act()`` before the body; with ``marker``, only the first
+        worker to get there (a respawned one answers normally)."""
+        from repro.shard import worker as worker_module
+
+        parent, real = os.getpid(), worker_module._send_frame
+
+        def send(fd, message):
+            if os.getpid() != parent and message[0] == "ok" and not (marker and marker.exists()):
+                if marker:
+                    marker.touch()
+                body = pickle.dumps(message, 5)
+                os.write(fd, worker_module._HEADER.pack(len(body)))
+                act()
+            real(fd, message)
+
+        monkeypatch.setattr(worker_module, "_send_frame", send)
+
+    def test_a_worker_dead_between_header_and_body_is_respawned_and_replayed(
+        self, setup, monkeypatch, tmp_path
+    ):
+        _, engine = setup
+        self.header_then(monkeypatch, lambda: os._exit(3), marker=tmp_path / "died")
+        group = make_group(engine)
+        try:
+            for query in QUERIES:
+                assert ranked(group.knn(query, K)) == ranked(engine.knn(query, K, exact=True))
+            assert (tmp_path / "died").exists()
+            assert (faults(group, "worker_crash"), faults(group, "respawn")) == (1, 1)
+            assert faults(group, "failover") == 0
+        finally:
+            group.close()
+
+    def test_a_worker_silent_before_or_inside_a_frame_times_out(self, setup, monkeypatch):
+        _, engine = setup
+        self.header_then(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGSTOP))
+        group = make_group(engine)
+        before, inside = group.workers[0], group.workers[1]
+        try:
+            os.kill(before.process.pid, signal.SIGSTOP)  # silent before the reply
+            for worker, message in ((before, ("ping",)), (inside, ("knn", 0, K, "knn", False, None, True))):
+                t0 = time.monotonic()
+                with pytest.raises(WorkerDied, match="unresponsive"):
+                    worker.request(message, timeout=0.2)
+                assert 0.2 <= time.monotonic() - t0 < 5.0
+                assert worker.process.is_alive()
+        finally:
+            for worker in (before, inside):
+                worker.kill()  # a stopped process takes SIGKILL only
+            group.close()
+
+    def test_a_frame_larger_than_the_pipe_arrives_whole(self, setup, monkeypatch):
+        """A 4 MB request kind comes back inside the worker's error reply:
+        a frame many times the socket's buffers, both ways."""
+        from repro.shard import worker as worker_module
+
+        _, engine = setup
+        group = make_group(engine)
+        sent, real = [], worker_module._send_frame
+        monkeypatch.setattr(
+            worker_module, "_send_frame",
+            lambda fd, message: (sent.append(len(pickle.dumps(message, 5))), real(fd, message))[1],
+        )
+        try:
+            worker = group.workers[0]
+            with socket.socket(fileno=os.dup(worker.conn.fileno())) as pipe:
+                buffers = pipe.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF) + pipe.getsockopt(
+                    socket.SOL_SOCKET, socket.SO_RCVBUF
+                )
+            kind = "x" * (4 << 20)
+            assert len(kind) > 4 * buffers
+            with pytest.raises(RuntimeError) as raised:
+                worker.request((kind,))
+            assert str(raised.value) == f"unknown request kind: {kind!r}"
+            assert sent[0] > 4 * buffers
+            assert worker.ping() == 0
+            k = len(engine.object_index.objects)
+            assert ranked(group.knn(0, k)) == ranked(engine.knn(0, k, exact=True))
+        finally:
+            group.close()

@@ -33,6 +33,12 @@ once the reply is out).  A frame belongs to the stage of the nearest
 function above it that names one.  Its ``knn k=2`` row runs
 ``--oracle auto`` with labels built in process, as bench's
 ``point-shallow`` serves.
+A fifth table prices a ``--shards 2`` kNN visit at k = 10: the frames
+the parent enters per ``ShardGroup.knn`` (the location check, the slot
+stack, the pipe round trip, rebuilding the answer), and the worker's
+frames per request outside the kernel (below the oracle's ``knn``),
+counted on a worker loop run on a thread of this process, from one
+entry into its frame reader to the next.
 Run it before and after a change to the path and quote the tables.
 
 Usage: count_calls.py NETWORK INDEX
@@ -59,6 +65,8 @@ INE_KS, INE_QUERIES = (1, 4), 40
 #: Closed-loop rows: requests per row, and the chunk size that cuts a
 #: batch of ``BATCH`` queries in two.
 SERVE_REQUESTS, SERVE_CHUNK = 40, BATCH // 2
+#: Shard-visit rows: requests, and their k (bench's ``scatter-sharded``).
+SHARD_VISITS, SHARD_K = 40, 10
 
 
 def frames_entered(call) -> tuple[int, object]:
@@ -315,7 +323,68 @@ def main(network_path: str, index_path: str) -> int:
         per_stage = [sum(c[2][stage] for c in row) / len(row) for stage in STAGES]
         print(f"{label:<20}{len(row):>9}" + "".join(f"{v:>24.1f}" for v in per_stage)
               + f"{sum(per_stage):>16.1f}")
+
+    visits = shard_visit_counts(engine)
+    print()
+    print(f"{'shard visit':<20}{'requests':>9}{'parent frames/request':>24}"
+          f"{'worker frames outside the kernel/request':>44}")
+    parent, worker = visits
+    print(f"{'knn        k=' + str(SHARD_K):<20}{len(parent):>9}{sum(parent) / len(parent):>24.1f}"
+          f"{sum(worker) / len(worker):>44.1f}")
     return 0
+
+
+def shard_visit_counts(engine) -> tuple[list[int], list[int]]:
+    """Parent frames per ``ShardGroup.knn`` at ``SHARD_K`` over two worker
+    processes, and worker frames per request outside the kernel, from
+    seeded vertices; each query runs once unobserved first."""
+    import multiprocessing as mp
+    from dataclasses import replace
+
+    from repro.oracle.silc import SILCOracle
+    from repro.shard import ShardGroup
+    from repro.shard import worker as shard_worker
+
+    rng = random.Random(SEED)
+    queries = [rng.randrange(engine.index.network.num_vertices) for _ in range(SHARD_VISITS)]
+    with ShardGroup.from_engine(engine, 2) as group:
+        for q in queries:
+            group.knn(q, SHARD_K)
+        parent = [frames_entered(lambda q=q: group.knn(q, SHARD_K))[0] for q in queries]
+        spec = replace(group.spec, shard_id=0)
+
+    kernel, reader = SILCOracle.knn.__code__, shard_worker._recv_frame.__code__
+    counted, entries = [0], []
+
+    def profiler(frame, event, arg):
+        if event != "call":
+            return
+        if frame.f_code is reader:
+            entries.append(counted[0])
+        above = frame
+        while above is not None:
+            if above.f_code is kernel:
+                return
+            above = above.f_back
+        counted[0] += 1
+
+    ours, theirs = mp.Pipe()
+    threading.setprofile(profiler)
+    try:
+        thread = threading.Thread(target=shard_worker._shard_worker_main, args=(theirs, spec))
+        thread.start()
+    finally:
+        threading.setprofile(None)
+    fd = ours.fileno()
+    for q in queries + queries:
+        shard_worker._send_frame(fd, ("knn", q, SHARD_K, "knn", False, None, True))
+        if shard_worker._recv_frame(fd)[0] != "ok":
+            raise RuntimeError(f"shard visit from {q} was not answered ok")
+    shard_worker._send_frame(fd, ("stop",))
+    thread.join()
+    ours.close()
+    worker = [b - a for a, b in zip(entries, entries[1:])][len(queries):]
+    return parent, worker
 
 
 def auto_requests(engine) -> list[tuple[str, dict]]:
