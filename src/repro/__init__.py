@@ -36,106 +36,32 @@ Quick start::
     print(len(batch), "queries,", batch.stats.refinements, "refinements")
 """
 
-from repro.engine import BatchResult, QueryEngine
-from repro.errors import (
-    CorruptIndexError,
-    DeadlineExceeded,
-    WorkerDied,
-)
-from repro.faults import FaultInjector
-from repro.geometry import GridEmbedding, Point, Rect
-from repro.network import (
-    SpatialNetwork,
-    astar_path,
-    grid_network,
-    network_distance,
-    random_planar_network,
-    road_like_network,
-    shortest_path,
-    shortest_path_tree,
-)
-from repro.objects import (
-    EdgePosition,
-    ObjectIndex,
-    ObjectSet,
-    SpatialObject,
-    VertexPosition,
-)
+from repro.engine import QueryEngine
+from repro.network import road_like_network
+from repro.objects import ObjectIndex
 from repro.query import (
-    KNNResult,
-    Neighbor,
-    QueryStats,
     aggregate_nn,
     approximate_knn,
     browse,
     distance_join,
-    ier_knn,
-    ine_knn,
-    inn,
     knn,
-    knn_i,
-    knn_m,
     range_query,
 )
-from repro.silc import (
-    BeyondHorizonError,
-    DistanceInterval,
-    ProximalSILCIndex,
-    RefinableDistance,
-    SILCIndex,
-    shortest_path_map,
-    update_index,
-)
-from repro.storage import LRUCache, PageLayout, StorageSimulator
+from repro.silc import SILCIndex, update_index
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "Point",
-    "Rect",
-    "GridEmbedding",
-    "SpatialNetwork",
-    "grid_network",
-    "random_planar_network",
     "road_like_network",
-    "shortest_path",
-    "shortest_path_tree",
-    "astar_path",
-    "network_distance",
     "SILCIndex",
-    "DistanceInterval",
-    "RefinableDistance",
-    "shortest_path_map",
-    "ObjectSet",
     "ObjectIndex",
-    "SpatialObject",
-    "VertexPosition",
-    "EdgePosition",
     "knn",
-    "inn",
-    "knn_i",
-    "knn_m",
-    "ine_knn",
-    "ier_knn",
     "browse",
     "range_query",
     "approximate_knn",
     "aggregate_nn",
     "distance_join",
-    "ProximalSILCIndex",
-    "BeyondHorizonError",
     "update_index",
-    "KNNResult",
-    "Neighbor",
     "QueryEngine",
-    "BatchResult",
-    "QueryStats",
-    "StorageSimulator",
-    "LRUCache",
-    "PageLayout",
-    "CorruptIndexError",
-    "DeadlineExceeded",
-    "WorkerDied",
-    "FaultInjector",
     "__version__",
 ]

@@ -33,15 +33,3 @@ finding can be silenced -- it is fixed in the code or in the rule.
 The CLI surface is ``repro check [--json]``.
 """
 
-from repro.analysis.core import Analyzer, Finding, Module, Rule
-from repro.analysis.rules import ALL_RULES
-from repro.analysis.runner import run_check
-
-__all__ = [
-    "ALL_RULES",
-    "Analyzer",
-    "Finding",
-    "Module",
-    "Rule",
-    "run_check",
-]

@@ -21,13 +21,4 @@ ALL_RULES: tuple[type[Rule], ...] = (
     DeadlinePropagationRule,
 )
 
-__all__ = [
-    "ALL_RULES",
-    "AtomicWriteRule",
-    "CountedOpPurityRule",
-    "DeadlinePropagationRule",
-    "ExceptionDisciplineRule",
-    "LockDisciplineRule",
-    "ProtocolExhaustivenessRule",
-    "TracingNoOpRule",
-]
+__all__ = ["ALL_RULES"]

@@ -44,6 +44,7 @@ from pathlib import Path
 
 from repro.datasets import random_vertex_objects
 from repro.engine import QueryEngine
+from repro.errors import CorruptIndexError
 from repro.network import (
     grid_network,
     load_text,
@@ -51,6 +52,7 @@ from repro.network import (
     road_like_network,
     save_text,
 )
+from repro.network.errors import NetworkError
 from repro.objects import ObjectIndex
 from repro.oracle import (
     LABELS_SUBDIR,
@@ -561,8 +563,22 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; an operator error is one stderr line and exit 2.
+
+    A bad value (``ValueError``), a vertex or path the network does not
+    have (:class:`~repro.network.errors.NetworkError`) and an index that
+    fails its checks (:class:`~repro.errors.CorruptIndexError`) print
+    ``repro <command>: error: <message>``, the way argparse reports a
+    bad flag.  Anything else is a bug and keeps its traceback.
+    """
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, NetworkError, CorruptIndexError) as exc:
+        # A KeyError subclass (VertexNotFound) would print its message quoted.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"repro {args.command}: error: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -1,11 +1,5 @@
 """Workload generation for experiments and examples."""
 
-from repro.datasets.objects import random_edge_objects, random_vertex_objects
-from repro.datasets.workloads import Workload, knn_workload
+from repro.datasets.objects import random_vertex_objects
 
-__all__ = [
-    "random_vertex_objects",
-    "random_edge_objects",
-    "Workload",
-    "knn_workload",
-]
+__all__ = ["random_vertex_objects"]

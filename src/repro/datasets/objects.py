@@ -37,17 +37,3 @@ def random_vertex_objects(
     vertices = rng.choice(n, size=count, replace=False)
     return ObjectSet.at_vertices(network, [int(v) for v in vertices])
 
-
-def random_edge_objects(
-    network: SpatialNetwork, count: int, seed: int = 0
-) -> ObjectSet:
-    """Objects placed at random fractions along random edges."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    rng = np.random.default_rng(seed)
-    edges = list(network.iter_edges())
-    placements = []
-    for _ in range(count):
-        a, b, _ = edges[int(rng.integers(len(edges)))]
-        placements.append((a, b, float(rng.uniform(0.05, 0.95))))
-    return ObjectSet.on_edges(network, placements)

@@ -8,8 +8,9 @@ three failures the stack defends against *reproducible*:
   worker process immediately before its Nth request is sent, so the
   shard group's crash-detection/respawn/replay path is exercised at a
   deterministic point of the workload;
-* **Slow pipes** -- :meth:`delay_pipe` sleeps before each request to a
-  shard, simulating a slow host without changing any answer;
+* **Slow pipes** -- a delay set per shard in :attr:`_delay` sleeps
+  before each request to that shard, simulating a slow host without
+  changing any answer (the tests' ``delay_pipe`` sets it);
 * **Corrupt files** -- :func:`truncate_file` / :func:`corrupt_file`
   damage persisted index columns the way a crashed save or a bad disk
   would, driving the :class:`~repro.errors.CorruptIndexError`
@@ -64,14 +65,6 @@ class FaultInjector:
             raise ValueError("nth_request is 1-based and must be >= 1")
         with self._lock:
             self._kill_at.setdefault(shard, set()).add(nth_request)
-        return self
-
-    def delay_pipe(self, shard: int, seconds: float) -> FaultInjector:
-        """Add ``seconds`` of latency before every request to ``shard``."""
-        if seconds < 0:
-            raise ValueError("delay must be non-negative")
-        with self._lock:
-            self._delay[shard] = seconds
         return self
 
     # ------------------------------------------------------------------

@@ -14,33 +14,6 @@ index) is expressed in terms of the primitives defined here:
   world coordinates and the ``2^q x 2^q`` quadtree grid.
 """
 
-from repro.geometry.point import Point, euclidean
-from repro.geometry.rect import Rect
-from repro.geometry.morton import (
-    MAX_ORDER,
-    morton_decode,
-    morton_encode,
-    block_cells,
-    block_contains,
-    block_rect,
-    blocks_overlap,
-    child_blocks,
-    parent_block,
-)
-from repro.geometry.grid import GridEmbedding
+from repro.geometry.point import Point
 
-__all__ = [
-    "Point",
-    "euclidean",
-    "Rect",
-    "MAX_ORDER",
-    "morton_encode",
-    "morton_decode",
-    "block_cells",
-    "block_contains",
-    "block_rect",
-    "blocks_overlap",
-    "child_blocks",
-    "parent_block",
-    "GridEmbedding",
-]
+__all__ = ["Point"]

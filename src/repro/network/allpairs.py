@@ -103,19 +103,6 @@ def materialize_sources(
     return out
 
 
-def single_source_row(
-    network: SpatialNetwork, source: int, limit: float = np.inf
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distance and first-hop arrays for one source vertex.
-
-    ``limit`` truncates the expansion at a network-distance horizon
-    (the proximal-index strategy of the paper's p.27): vertices beyond
-    it report distance ``inf`` and first hop ``-1``.
-    """
-    ((_, dist, first),) = all_pairs_chunks(network, 1, [source], limit)
-    return dist[0], first[0]
-
-
 def all_pairs_chunks(
     network: SpatialNetwork,
     chunk_size: int = 128,
@@ -127,7 +114,9 @@ def all_pairs_chunks(
     One SciPy Dijkstra call per ``chunk_size`` sources; row ``i`` of
     the two ``(len(sources), n)`` matrices belongs to ``sources[i]``.
     Memory stays at ``O(chunk_size * n)`` whatever the network size.
-    ``limit`` bounds the horizon as in :func:`single_source_row`.
+    ``limit`` truncates the expansion at a network-distance horizon
+    (the proximal-index strategy of the paper's p.27): vertices beyond
+    it report distance ``inf`` and first hop ``-1``.
     """
     from scipy.sparse import csgraph
 

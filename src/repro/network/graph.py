@@ -111,48 +111,6 @@ class SpatialNetwork:
         self._csr_cache: sparse.csr_matrix | None = None
         self._ratio_cache: float | None = None
 
-    @classmethod
-    def from_csr(
-        cls,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        csr: sparse.csr_matrix,
-    ) -> SpatialNetwork:
-        """Trusted reconstruction from a CSR adjacency matrix.
-
-        The inverse of :meth:`to_csr` for matrices that *came from*
-        :meth:`to_csr` (canonical CSR: per-row sorted unique columns,
-        positive finite weights).  Skips per-edge validation and the
-        dict-based dedup pass of ``__init__``, so a parallel-build
-        worker can rebuild the network from shared-memory CSR buffers
-        in O(E) cheap operations instead of re-pickling the object
-        graph.  The resulting adjacency is identical to the original
-        network's (same order, same weights).
-        """
-        self = object.__new__(cls)
-        self.xs = np.asarray(xs, dtype=np.float64)
-        self.ys = np.asarray(ys, dtype=np.float64)
-        n = self.xs.size
-        indptr = csr.indptr
-        targets = csr.indices.tolist()
-        weights = csr.data.tolist()
-        bounds = indptr.tolist()
-        adj: list[tuple[tuple[int, float], ...]] = []
-        radj_lists: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for u in range(n):
-            lo, hi = bounds[u], bounds[u + 1]
-            row = tuple(zip(targets[lo:hi], weights[lo:hi], strict=True))
-            adj.append(row)
-            for v, w in row:
-                radj_lists[v].append((u, w))
-        self._adj = adj
-        self.out_weights = [dict(row) for row in adj]
-        self._radj = [tuple(sorted(r)) for r in radj_lists]
-        self._edge_count = len(targets)
-        self._csr_cache = csr
-        self._ratio_cache = None
-        return self
-
     # ------------------------------------------------------------------
     # Sizes and iteration
     # ------------------------------------------------------------------

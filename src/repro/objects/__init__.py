@@ -1,25 +1,5 @@
 """The decoupled object domain: positions, object sets, and their index."""
 
-from repro.objects.model import (
-    EdgePosition,
-    ExtentPosition,
-    NetworkPosition,
-    ObjectSet,
-    SpatialObject,
-    VertexPosition,
-    position_parts,
-    position_point,
-)
 from repro.objects.index import ObjectIndex
 
-__all__ = [
-    "VertexPosition",
-    "EdgePosition",
-    "ExtentPosition",
-    "NetworkPosition",
-    "SpatialObject",
-    "ObjectSet",
-    "ObjectIndex",
-    "position_point",
-    "position_parts",
-]
+__all__ = ["ObjectIndex"]

@@ -182,37 +182,3 @@ class ObjectSet:
             for i, v in enumerate(vertices)
         ]
         return ObjectSet(objects)
-
-    @staticmethod
-    def on_edges(
-        network: SpatialNetwork,
-        placements: Sequence[tuple[int, int, float]],
-    ) -> ObjectSet:
-        """Objects placed at ``(a, b, fraction)`` edge positions."""
-        objects = []
-        for i, (a, b, fraction) in enumerate(placements):
-            network.edge_weight(a, b)  # validates the edge exists
-            pos = EdgePosition(a, b, fraction)
-            objects.append(
-                SpatialObject(oid=i, position=pos, point=position_point(network, pos))
-            )
-        return ObjectSet(objects)
-
-    @staticmethod
-    def with_extents(
-        network: SpatialNetwork,
-        extents: Sequence[Sequence[VertexPosition | EdgePosition]],
-    ) -> ObjectSet:
-        """Objects each occupying several vertex/edge positions."""
-        objects = []
-        for i, parts in enumerate(extents):
-            for part in parts:
-                if isinstance(part, EdgePosition):
-                    network.edge_weight(part.a, part.b)
-                else:
-                    network.check_vertex(part.vertex)
-            pos = ExtentPosition(tuple(parts))
-            objects.append(
-                SpatialObject(oid=i, position=pos, point=position_point(network, pos))
-            )
-        return ObjectSet(objects)

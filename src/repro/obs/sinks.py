@@ -5,17 +5,16 @@ Two destinations, composable:
 * :class:`JsonlTraceSink` -- append every finished trace as one JSON
   line (the ``repro serve --trace-file`` target and the input format
   of ``repro trace-report``);
-* :class:`SlowQueryLog` -- keep the *full span trees* of the slowest
-  recent requests in a bounded ring, optionally tee-ing them to their
-  own JSON-lines file (``repro serve --slow-log``), so a latency spike
-  leaves behind exactly the traces an operator needs to triage it.
+* :class:`SlowQueryLog` -- tee the *full span trees* of the requests
+  over a latency line to their own JSON-lines file (``repro serve
+  --slow-log``), so a latency spike leaves behind exactly the traces
+  an operator needs to triage it.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from collections import deque
 
 
 class JsonlTraceSink:
@@ -58,24 +57,20 @@ class JsonlTraceSink:
 
 
 class SlowQueryLog:
-    """Bounded ring of the trace records that crossed a latency line.
+    """The trace records that crossed a latency line.
 
     ``offer`` is called with every finished trace record; records whose
-    ``duration`` is at or over ``threshold`` seconds are kept (newest
-    ``capacity`` of them) and, when a ``sink`` is attached, also
-    written through to it.  ``captured`` counts every crossing, so the
-    registry can expose slow-query volume even after the ring rotates.
+    ``duration`` is at or over ``threshold`` seconds are written
+    through to ``sink`` when one is attached.  ``captured`` counts
+    every crossing, so the registry can expose slow-query volume.
     """
 
-    def __init__(self, threshold: float, capacity: int = 32, sink=None) -> None:
+    def __init__(self, threshold: float, sink=None) -> None:
         if threshold < 0:
             raise ValueError("threshold must be non-negative seconds")
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1 record")
         self.threshold = threshold
         self.sink = sink
         self.captured = 0
-        self._ring: deque = deque(maxlen=capacity)
         self._lock = threading.Lock()
 
     def offer(self, record: dict) -> bool:
@@ -83,13 +78,7 @@ class SlowQueryLog:
         if record.get("duration", 0.0) < self.threshold:
             return False
         with self._lock:
-            self._ring.append(record)
             self.captured += 1
         if self.sink is not None:
             self.sink.write(record)
         return True
-
-    def records(self) -> list[dict]:
-        """The captured records, oldest first."""
-        with self._lock:
-            return list(self._ring)

@@ -19,40 +19,15 @@ hard-wired choice into a per-query decision:
   registry.
 """
 
-from repro.oracle.base import (
-    ORACLE_CHOICES,
-    DijkstraOracle,
-    DistanceOracle,
-    OracleInfo,
-)
-from repro.oracle.labelling import (
-    LABEL_COLUMNS,
-    LABELS_SUBDIR,
-    LabellingBuildStats,
-    PrunedLabellingOracle,
-)
-from repro.oracle.planner import (
-    COST_MODEL_FILE,
-    PLANNABLE,
-    CostConstants,
-    QueryPlanner,
-    counted_ops,
-)
-from repro.oracle.silc import INEOracle, SILCOracle
+from repro.oracle.base import ORACLE_CHOICES
+from repro.oracle.labelling import LABELS_SUBDIR, PrunedLabellingOracle
+from repro.oracle.planner import PLANNABLE, CostConstants, QueryPlanner, counted_ops
 
 __all__ = [
     "ORACLE_CHOICES",
     "PLANNABLE",
-    "LABEL_COLUMNS",
     "LABELS_SUBDIR",
-    "COST_MODEL_FILE",
-    "DistanceOracle",
-    "OracleInfo",
-    "DijkstraOracle",
-    "SILCOracle",
-    "INEOracle",
     "PrunedLabellingOracle",
-    "LabellingBuildStats",
     "QueryPlanner",
     "CostConstants",
     "counted_ops",

@@ -80,10 +80,6 @@ class MortonBlock:
     def cells(self) -> int:
         return block_cells(self.level)
 
-    @property
-    def code_end(self) -> int:
-        return self.code + self.cells
-
 
 def compute_ends(codes: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Exclusive end code of each block: ``code + 4**level``."""
@@ -152,7 +148,7 @@ class BlockTable:
         store's ``memoryview`` slices, or arrays) and skips coercion
         and the sortedness/disjointness checks -- they must already
         hold (the columns come out of
-        :func:`repro.quadtree.region.build_region_blocks` or a
+        :func:`repro.quadtree.region.region_block_columns` or a
         round-tripped save).  No page of a mapped column is touched.
         """
         self = object.__new__(cls)
@@ -190,23 +186,9 @@ class BlockTable:
         """Decode row ``index`` into a :class:`MortonBlock`."""
         return MortonBlock(*(column[index] for column in self.columns))
 
-    def iter_blocks(self):
-        """Yield every row as a :class:`MortonBlock`."""
-        for i in range(len(self)):
-            yield self.block(i)
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def locate(self, cell_code: int) -> int:
-        """Index of the block containing ``cell_code``, or ``-1``.
-
-        Binary search over the sorted starts; the disjointness
-        invariant makes the candidate unique.
-        """
-        hit = self.lookup(cell_code)
-        return -1 if hit is None else hit[3]
-
     def overlapping(self, lo: int, hi: int) -> range:
         """Row indices of blocks intersecting the code range ``[lo, hi)``.
 
@@ -221,10 +203,6 @@ class BlockTable:
             start += 1
         end = bisect_left(codes, hi)
         return range(start, end)
-
-    def total_cells(self) -> int:
-        """Grid cells covered by all blocks (coverage diagnostics)."""
-        return int((self.ends - self.codes).sum())
 
     def storage_bytes(self, record_bytes: int = RECORD_BYTES) -> int:
         """Simulated on-disk footprint of the table."""

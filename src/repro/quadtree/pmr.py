@@ -112,18 +112,7 @@ class PMRQuadtree:
             if node.children is not None:
                 stack.extend(node.children)
 
-    def num_nodes(self) -> int:
-        return sum(1 for _ in self.iter_nodes())
-
     def depth(self) -> int:
         """Maximum split depth below the root."""
         root_level = self.root.level
         return max(root_level - n.level for n in self.iter_nodes())
-
-    def all_entries(self) -> list[tuple[int, int, Point]]:
-        """Every stored ``(oid, cell, point)`` triple."""
-        out: list[tuple[int, int, Point]] = []
-        for node in self.iter_nodes():
-            if node.is_leaf:
-                out.extend(node.entries)
-        return out

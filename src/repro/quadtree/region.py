@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.morton import MAX_ORDER, block_cells
-from repro.quadtree.blocks import BlockTable, narrow_lambda
+from repro.quadtree.blocks import narrow_lambda
 
 #: Segment keys are ``segment * _KEY + level``: levels (at most
 #: ``MAX_ORDER + 1``) stay below it, int32 keys hold 2**26 segments.
@@ -87,8 +87,10 @@ def region_block_columns(
     one row per source, C-contiguous or copied.  Returns ``(sizes, columns)``:
     blocks per row, and the five block columns (canonical dtypes, the
     lambdas rounded outward by :func:`narrow_lambda`) of all rows back
-    to back -- the :class:`~repro.silc.store.FlatStore` layout.  Row ``i``'s blocks are ``build_region_blocks`` of row
-    ``i``: disjoint, sorted, covering every point, and *maximal*.
+    to back -- the :class:`~repro.silc.store.FlatStore` layout.  Row ``i``'s blocks are the maximal single-color
+    blocks of row ``i``: disjoint, sorted, covering every point, and
+    *maximal* (the four children of any coarser aligned block would mix
+    colors, or the block is the root).
 
     Peak memory beyond inputs and output is ``8 * m * n`` bytes: one
     int32 key matrix at a time (segments fit int32), two int8 level
@@ -128,44 +130,3 @@ def region_block_columns(
         "lam_max": lam_max,
     }
 
-
-def build_region_blocks(
-    sorted_codes: np.ndarray,
-    colors: np.ndarray,
-    values: np.ndarray,
-    grid_order: int,
-) -> BlockTable:
-    """Build the maximal single-color Morton blocks of one coloring.
-
-    The ``m = 1`` case of :func:`region_block_columns`.
-
-    Parameters
-    ----------
-    sorted_codes:
-        Morton codes of the points, **strictly increasing**.
-    colors:
-        Integer color per point, aligned with ``sorted_codes``.
-    values:
-        Float value per point; each block records the min and max over
-        its points (the lambda interval).
-    grid_order:
-        The grid spans ``4**grid_order`` cells: the root block.
-
-    Returns
-    -------
-    A :class:`BlockTable` whose blocks are disjoint, cover every input
-    point, and are *maximal*: the four children of any coarser aligned
-    block would mix colors (or the block is the root).
-    """
-    codes = np.asarray(sorted_codes, dtype=np.int64)
-    colors = np.asarray(colors)
-    values = np.asarray(values, dtype=np.float64)
-    if colors.size != codes.size or values.size != codes.size:
-        raise ValueError("codes, colors and values must be aligned")
-    _, columns = region_block_columns(
-        codes,
-        split_levels(codes, grid_order),
-        colors.reshape(1, -1),
-        values.reshape(1, -1),
-    )
-    return BlockTable(**columns)

@@ -10,8 +10,7 @@ Public entry points (all return a :class:`KNNResult`):
 * :func:`ier_knn` -- Incremental Euclidean Restriction baseline.
 """
 
-from repro.objects.model import target_anchors
-from repro.query.bestfirst import VARIANTS, best_first_knn
+from repro.query.bestfirst import best_first_knn
 from repro.query.browsing import (
     aggregate_nn,
     approximate_knn,
@@ -19,16 +18,8 @@ from repro.query.browsing import (
     distance_join,
     range_query,
 )
-from repro.query.distances import ObjectDistanceState, QueryHandle
 from repro.query.ier import ier_knn
 from repro.query.ine import ine_knn
-from repro.query.location import (
-    resolve_location,
-    same_edge_direct,
-    source_anchors,
-)
-from repro.query.results import KNNResult, Neighbor
-from repro.query.stats import QueryStats
 
 
 def knn(index, object_index, query, k, exact=False):
@@ -70,21 +61,10 @@ __all__ = [
     "knn_m",
     "ine_knn",
     "ier_knn",
-    "best_first_knn",
     "browse",
     "range_query",
     "approximate_knn",
     "aggregate_nn",
     "distance_join",
-    "VARIANTS",
     "SILC_ALGORITHMS",
-    "KNNResult",
-    "Neighbor",
-    "QueryStats",
-    "QueryHandle",
-    "ObjectDistanceState",
-    "resolve_location",
-    "source_anchors",
-    "target_anchors",
-    "same_edge_direct",
 ]

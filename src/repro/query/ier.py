@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 
-from repro.network.astar import astar_path
 from repro.objects.index import ObjectIndex
 from repro.objects.model import position_point, target_anchors
 from repro.query.location import resolve_location, same_edge_direct, source_anchors
@@ -38,34 +37,18 @@ def _network_distance(
     position,
     obj_position,
     stats: QueryStats,
-    engine: str,
-    storage=None,
-    oracle=None,
+    storage,
+    oracle,
 ) -> float:
-    """Exact network distance from the query to one object.
-
-    Routed through ``oracle.anchored_distance`` -- the shared
-    :class:`~repro.oracle.DistanceOracle` surface -- except for the
-    A* engine, whose goal-directed point-to-point search has no
-    anchored batch form.
-    """
+    """Exact network distance from the query to one object, through
+    ``oracle.anchored_distance`` -- the shared
+    :class:`~repro.oracle.DistanceOracle` surface."""
     best = math.inf
     direct = same_edge_direct(network, position, obj_position)
     if direct is not None:
         best = direct
     t_anchors = target_anchors(network, obj_position)
     stats.nd_computations += 1
-    if engine == "astar" and len(src_anchors) == 1 and src_anchors[0][1] == 0.0:
-        source = src_anchors[0][0]
-        for tv, t_off in t_anchors:
-            if source == tv:
-                best = min(best, t_off)
-                continue
-            _, dist, search_stats = astar_path(network, source, tv)
-            stats.settled += search_stats.settled
-            stats.relaxed += search_stats.relaxed
-            best = min(best, dist + t_off)
-        return best
     return oracle.anchored_distance(
         src_anchors, t_anchors, best=best, stats=stats, storage=storage
     )
@@ -75,16 +58,14 @@ def ier_knn(
     object_index: ObjectIndex,
     query,
     k: int,
-    engine: str = "dijkstra",
     storage=None,
     oracle=None,
 ) -> KNNResult:
     """The k nearest objects by incremental Euclidean restriction.
 
-    ``engine`` selects the point-to-point solver for the refinement
-    stage: ``"dijkstra"`` (the paper's choice) or ``"astar"``.  The
-    ``storage`` page model, when given, charges each settled vertex a
-    page access (dijkstra engine only).  ``oracle`` overrides the
+    Each candidate's exact distance comes from a multi-seed Dijkstra
+    (the paper's choice).  The ``storage`` page model, when given,
+    charges each settled vertex a page access.  ``oracle`` overrides the
     refinement backend with any :class:`~repro.oracle.DistanceOracle`
     -- pass a loaded :class:`~repro.oracle.PrunedLabellingOracle` and
     every candidate's exact distance costs a label merge instead of a
@@ -92,14 +73,10 @@ def ier_knn(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if engine not in ("dijkstra", "astar"):
-        raise ValueError(f"unknown engine {engine!r}")
     if oracle is None:
         from repro.oracle.base import DijkstraOracle
 
         oracle = DijkstraOracle(object_index.network)
-    else:
-        engine = "oracle"
     t_start = counted_clock()
     stats = QueryStats()
     network = object_index.network
@@ -127,8 +104,7 @@ def ier_knn(
         seen.add(oid)
         obj = object_index.get(oid)
         dist = _network_distance(
-            network, src_anchors, position, obj.position, stats, engine,
-            storage, oracle,
+            network, src_anchors, position, obj.position, stats, storage, oracle
         )
         results.append((dist, oid))
         results.sort()

@@ -99,10 +99,6 @@ class QueryStats:
                 setattr(self, name, getattr(self, name) + value)
         return self
 
-    def merge(self, other: QueryStats) -> QueryStats:
-        """Sum counters across queries (for workload averages)."""
-        return QueryStats().add(self).add(other)
-
 
 #: The fields :meth:`QueryStats.add` sums: every plain counter and time
 #: (estimator values and extras describe one query and have no sum).

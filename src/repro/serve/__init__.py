@@ -8,38 +8,19 @@ engine facade, and latency/shed metrics.  See
 ``repro serve`` CLI subcommand for the JSON-lines front end.
 """
 
-from repro.serve.admission import AdmissionController, TokenBucket
+from repro.serve.admission import AdmissionController
 from repro.serve.engine import AsyncEngine
-from repro.serve.protocol import (
-    KINDS,
-    Completed,
-    Expired,
-    Failed,
-    Rejected,
-    Request,
-    Response,
-    request_from_dict,
-    response_to_dict,
-)
-from repro.serve.scheduler import Chunk, FairScheduler
-from repro.serve.server import MetricsSnapshot, SILCServer, serve_jsonl
+from repro.serve.protocol import Request, request_from_dict, response_to_dict
+from repro.serve.scheduler import FairScheduler
+from repro.serve.server import SILCServer, serve_jsonl
 
 __all__ = [
-    "KINDS",
     "Request",
-    "Response",
-    "Completed",
-    "Rejected",
-    "Expired",
-    "Failed",
     "request_from_dict",
     "response_to_dict",
     "FairScheduler",
-    "Chunk",
     "AdmissionController",
-    "TokenBucket",
     "AsyncEngine",
-    "MetricsSnapshot",
     "SILCServer",
     "serve_jsonl",
 ]

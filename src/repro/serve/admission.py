@@ -42,11 +42,6 @@ class TokenBucket:
         self._tokens = min(self.burst, self._tokens + (now - self._stamp) * self.rate)
         self._stamp = now
 
-    @property
-    def tokens(self) -> float:
-        self._refill()
-        return self._tokens
-
     def try_acquire(self, n: float = 1.0) -> tuple[bool, float]:
         """Take ``n`` tokens if available; else ``(False, retry_after)``."""
         self._refill()

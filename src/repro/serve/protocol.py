@@ -182,14 +182,20 @@ def request_from_dict(obj: dict) -> Request:
     kind = obj.get("kind")
     if kind not in KINDS:
         raise ValueError(f"unknown request kind {kind!r}; expected one of {KINDS}")
-    if kind in ("path", "distance"):
-        vertices = {"source": obj["source"], "target": obj["target"]}
-    elif kind == "knn_batch":
-        vertices = {f"queries[{i}]": q for i, q in enumerate(obj["queries"])}
-    elif kind == "stats":
-        vertices = {}
-    else:
-        vertices = {"query": obj["query"]}
+    try:
+        if kind in ("path", "distance"):
+            vertices = {"source": obj["source"], "target": obj["target"]}
+        elif kind == "knn_batch":
+            queries = obj["queries"]
+            if type(queries) is not list:
+                raise ValueError("queries must be a list of vertex ids")
+            vertices = {f"queries[{i}]": q for i, q in enumerate(queries)}
+        elif kind == "stats":
+            vertices = {}
+        else:
+            vertices = {"query": obj["query"]}
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc.args[0]!r}") from None
     for name, vertex in vertices.items():  # whether the network has it, the engine says
         if type(vertex) is not int:
             raise ValueError(f"{name} must be an integer vertex id, got {vertex!r}")

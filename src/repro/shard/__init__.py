@@ -16,6 +16,6 @@ N in flight.  One query never visits more than one worker.
 """
 
 from repro.shard.partitioner import ShardMap
-from repro.shard.worker import ShardGroup, ShardWorker
+from repro.shard.worker import ShardGroup
 
-__all__ = ["ShardGroup", "ShardMap", "ShardWorker"]
+__all__ = ["ShardGroup", "ShardMap"]

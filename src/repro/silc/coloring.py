@@ -14,41 +14,12 @@ distance intervals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Iterator, Sequence
 
 import numpy as np
 
 from repro.network.allpairs import all_pairs_chunks
 from repro.network.graph import SpatialNetwork
-
-
-@dataclass(frozen=True)
-class ShortestPathMap:
-    """The coloring of all vertices from one source.
-
-    Attributes
-    ----------
-    source:
-        The source vertex ``u``.
-    colors:
-        ``colors[v]`` is the first hop of the shortest path ``u -> v``
-        (a neighbor of ``u``); ``colors[u] == u`` by convention and
-        ``colors[v] == -1`` for unreachable vertices.
-    ratios:
-        ``ratios[v] = d_G(u, v) / d_E(u, v)``; 1.0 at the source.
-    dist:
-        Network distances ``d_G(u, v)``.
-    """
-
-    source: int
-    colors: np.ndarray
-    ratios: np.ndarray
-    dist: np.ndarray
-
-    def num_regions(self) -> int:
-        """Number of distinct colors (= out-degree used, plus self)."""
-        return int(np.unique(self.colors[self.colors >= 0]).size)
 
 
 def coloring_chunks(
@@ -82,19 +53,3 @@ def coloring_chunks(
             ratios = np.where(np.isfinite(dist), ratios, 1.0)
         yield chunk, first, ratios, dist
 
-
-def shortest_path_maps(
-    network: SpatialNetwork,
-    sources: Sequence[int] | None = None,
-    chunk_size: int = 128,
-    limit: float = np.inf,
-) -> Iterator[ShortestPathMap]:
-    """:func:`coloring_chunks`, one :class:`ShortestPathMap` at a time."""
-    for chunk in coloring_chunks(network, sources, chunk_size, limit):
-        for spm in zip(*chunk, strict=True):
-            yield ShortestPathMap(*spm)
-
-
-def shortest_path_map(network: SpatialNetwork, source: int) -> ShortestPathMap:
-    """Compute the shortest-path map of a single source vertex."""
-    return next(shortest_path_maps(network, [source]))

@@ -9,8 +9,8 @@ precompute); querying it answers, in far less than a Dijkstra search:
 * ``path(u, v)``            -- the whole path in size-of-path steps,
 * ``distance(u, v)``        -- exact network distance,
 * ``route(u, v)``           -- both of the above from one walk,
-* ``interval_from(u, v)``   -- a ``[lambda_min*d_E, lambda_max*d_E]``
-  distance interval without touching the path,
+* ``hop_and_interval(u, v)`` -- the next hop and a
+  ``[lambda_min*d_E, lambda_max*d_E]`` distance interval (one probe),
 * ``refinable(u, v)``       -- a progressively refinable distance,
 * ``block_lower_bound``     -- network-distance lower bound from a
   vertex to an object-index block (for best-first kNN).
@@ -39,7 +39,7 @@ from repro.network.errors import PathNotFound
 from repro.network.graph import SpatialNetwork
 from repro.quadtree.blocks import RECORD_BYTES
 from repro.silc.parallel import parallel_block_columns, resolve_workers
-from repro.silc.intervals import REL_PAD as _REL_PAD, DistanceInterval
+from repro.silc.intervals import REL_PAD as _REL_PAD
 from repro.silc.refinement import RefinableDistance, RefinementCounter, next_hop_cycle
 from repro.silc.sp_quadtree import SPQuadtreeBuilder, choose_grid_order
 from repro.silc.store import COLUMNS, Chunk, FlatStore
@@ -116,7 +116,7 @@ class SILCIndex:
         self.directory: Path | None = None
         self.storage: StorageSimulator | None = None
         # Native-type mirrors for the query hot path: indexing numpy
-        # scalars costs ~10x a list lookup, and interval_from runs once
+        # scalars costs ~10x a list lookup, and hop_and_interval runs once
         # per refinement step.
         self._xf: list[float] = network.xs.tolist()
         self._yf: list[float] = network.ys.tolist()
@@ -220,11 +220,6 @@ class SILCIndex:
             lam_min[row] * d_e * (1.0 - _REL_PAD),
             lam_max[row] * d_e * (1.0 + _REL_PAD),
         )
-
-    def interval_from(self, source: int, target: int) -> DistanceInterval:
-        """Distance interval from the lambda annotations (one probe)."""
-        _, lo, hi = self.hop_and_interval(source, target)
-        return DistanceInterval(lo, hi)
 
     def refinable(
         self,

@@ -95,33 +95,3 @@ class ProximalSILCIndex(SILCIndex):
             if hit is not None and hit[0] == BEYOND:
                 raise BeyondHorizonError(source, target, self.radius)
         return super().hop_and_interval(source, target)
-
-    def within_horizon(self, source: int, target: int) -> bool:
-        """Whether a direct probe from ``source`` can answer ``target``."""
-        self.network.check_vertex(source)
-        self.network.check_vertex(target)
-        if source == target:
-            return True
-        hit = self.tables[source].lookup(self._vcodes[target])
-        return hit is not None and hit[0] != BEYOND
-
-    def horizon_fraction(self) -> float:
-        """Mean fraction of vertices each source can answer directly.
-
-        1.0 means the horizon covers everything (equivalent to the
-        full index); small radii give proportionally smaller coverage
-        and storage.
-        """
-        n = self.network.num_vertices
-        if n <= 1:
-            return 1.0
-        covered = 0
-        for source in range(n):
-            table = self.tables[source]
-            for v in range(n):
-                if v == source:
-                    continue
-                hit = table.lookup(self._vcodes[v])
-                if hit is not None and hit[0] != BEYOND:
-                    covered += 1
-        return covered / (n * (n - 1))

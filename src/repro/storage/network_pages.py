@@ -75,9 +75,3 @@ class NetworkStorageModel:
     @property
     def stats(self) -> CacheStats:
         return self.cache.stats
-
-    def io_time_since(self, earlier: CacheStats) -> float:
-        return self.stats.delta_since(earlier).io_time(self.miss_latency)
-
-    def warm_up(self) -> None:
-        self.cache.clear()

@@ -62,18 +62,3 @@ class StorageLayout:
     @property
     def total_pages(self) -> int:
         return self.page_offsets[-1]
-
-    @property
-    def total_bytes(self) -> int:
-        return self.total_pages * self.layout.page_size
-
-    def page_of(self, table: int, record: int) -> int:
-        """Global page id holding ``record`` of ``table``."""
-        if not (0 <= table < len(self.table_sizes)):
-            raise IndexError(f"table {table} out of range")
-        if not (0 <= record < max(self.table_sizes[table], 1)):
-            raise IndexError(
-                f"record {record} out of range for table {table} "
-                f"(size {self.table_sizes[table]})"
-            )
-        return self.page_offsets[table] + record // self.records_per_page

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.baselines import ExplicitPathStorage, NextHopMatrix
-from repro.network import PathNotFound, SpatialNetwork, grid_network
+from repro.network.errors import PathNotFound
+from repro.network import SpatialNetwork, grid_network
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +42,7 @@ class TestNextHopMatrix:
 
     def test_requires_connectivity(self):
         net = SpatialNetwork([0.0, 1.0], [0.0, 0.0], [(0, 1, 1.0)])
-        from repro.network import DisconnectedNetwork
+        from repro.network.errors import DisconnectedNetwork
 
         with pytest.raises(DisconnectedNetwork):
             NextHopMatrix.build(net)

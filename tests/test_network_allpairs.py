@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network import (
-    all_pairs_rows,
-    distance_matrix,
-    first_hops_from_predecessors,
-    grid_network,
-    road_like_network,
-    shortest_path_tree,
-    single_source_row,
-)
+from repro.network.allpairs import all_pairs_rows, first_hops_from_predecessors, all_pairs_chunks
+from repro.network import distance_matrix, grid_network, road_like_network
+from repro.network.dijkstra import shortest_path_tree
+
+
+def single_source_row(network, source):
+    """The build's ``(dist, first_hop)`` rows for one source."""
+    [(_, dist, first)] = all_pairs_chunks(network, 1, [source])
+    return dist[0], first[0]
 
 
 class TestFirstHops:

@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.network import (
-    PathNotFound,
-    SpatialNetwork,
-    astar_path,
-    network_distance,
-    shortest_path,
-)
+from repro.network.errors import PathNotFound
+from repro.network import SpatialNetwork, astar_path, shortest_path
+from repro.network.astar import network_distance
 
 
 class TestAStarCorrectness:

@@ -5,14 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.network import (
-    IncrementalDijkstra,
-    PathNotFound,
-    SpatialNetwork,
-    distance_matrix,
-    shortest_path,
-    shortest_path_tree,
-)
+from repro.network.dijkstra import IncrementalDijkstra, shortest_path_tree
+from repro.network.errors import PathNotFound
+from repro.network import SpatialNetwork, distance_matrix, shortest_path
 
 
 def line_net(n=5):

@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.network import (
-    GraphConstructionError,
-    grid_network,
-    random_planar_network,
-    road_like_network,
-)
+from repro.network.errors import GraphConstructionError
+from repro.network import grid_network, random_planar_network, road_like_network
 
 
 class TestGridNetwork:

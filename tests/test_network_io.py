@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.network import (
-    GraphConstructionError,
-    load_text,
-    road_like_network,
-    save_text,
-)
+from repro.network.errors import GraphConstructionError
+from repro.network import load_text, road_like_network, save_text
 
 
 def assert_networks_equal(a, b):

@@ -3,17 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.objects import (
+from repro.objects.model import (
     EdgePosition,
     ExtentPosition,
-    ObjectIndex,
     ObjectSet,
     VertexPosition,
     position_parts,
     position_point,
 )
-from repro.query import ier_knn, ine_knn, knn, browse, resolve_location
+from repro.objects import ObjectIndex
+from repro.query import ier_knn, ine_knn, knn, browse
+from repro.query.location import resolve_location
 from repro.query.distances import QueryHandle
+from reference import objects_with_extents
 
 
 def make_extent_set(net, rng, count=8, parts_per=3):
@@ -29,7 +31,7 @@ def make_extent_set(net, rng, count=8, parts_per=3):
                 v, _ = net.neighbors(u)[0]
                 parts.append(EdgePosition(u, v, float(rng.uniform(0.1, 0.9))))
         extents.append(parts)
-    return ObjectSet.with_extents(net, extents)
+    return objects_with_extents(net, extents)
 
 
 def part_distance(net, D, q, part):
@@ -76,20 +78,20 @@ class TestModel:
         assert p == a.midpoint(b)
 
     def test_with_extents_validates_parts(self, small_net):
-        from repro.network import VertexNotFound
+        from repro.network.errors import VertexNotFound
 
         with pytest.raises(VertexNotFound):
-            ObjectSet.with_extents(small_net, [[VertexPosition(10_000)]])
+            objects_with_extents(small_net, [[VertexPosition(10_000)]])
 
     def test_extent_set_flags_edge_parts(self, small_net):
         u, (v, _) = 0, small_net.neighbors(0)[0]
-        objs = ObjectSet.with_extents(
+        objs = objects_with_extents(
             small_net, [[VertexPosition(3), EdgePosition(u, v, 0.5)]]
         )
         assert objs.has_edge_objects()
 
     def test_query_location_cannot_be_extent(self, small_net):
-        from repro.query import source_anchors
+        from repro.query.location import source_anchors
 
         with pytest.raises(TypeError):
             source_anchors(small_net, ExtentPosition((VertexPosition(0),)))

@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from repro.datasets import random_edge_objects, random_vertex_objects
+from repro.datasets import random_vertex_objects
 from repro.objects import ObjectIndex
+from reference import random_edge_objects
 
 
 class TestVertexLookups:

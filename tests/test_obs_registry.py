@@ -7,7 +7,7 @@ import pytest
 
 from repro.engine import QueryEngine
 from repro.faults import FaultInjector
-from repro.obs import WINDOW, MetricsRegistry, percentiles
+from repro.obs.registry import WINDOW, MetricsRegistry, percentiles
 from repro.oracle import CostConstants, QueryPlanner
 from repro.serve import AdmissionController, AsyncEngine, Request, SILCServer
 

@@ -4,15 +4,8 @@ import json
 
 import pytest
 
-from repro.obs import (
-    JsonlTraceSink,
-    Tracer,
-    aggregate_stages,
-    format_trace_report,
-    load_trace_file,
-    request_percentiles,
-    stage_of,
-)
+from repro.obs import JsonlTraceSink, Tracer, format_trace_report, load_trace_file
+from repro.obs.report import aggregate_stages, request_percentiles, stage_of
 
 
 def write_lines(path, records):

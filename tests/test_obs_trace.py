@@ -5,15 +5,9 @@ import json
 
 import pytest
 
-from repro.obs import (
-    NULL_SPAN,
-    NULL_TRACE,
-    JsonlTraceSink,
-    MetricsRegistry,
-    NullTracer,
-    SlowQueryLog,
-    Tracer,
-)
+from repro.obs.trace import NULL_SPAN, NULL_TRACE, NullTracer
+from repro.obs import JsonlTraceSink, SlowQueryLog, Tracer
+from repro.obs.registry import MetricsRegistry
 from repro.query.stats import QueryStats
 
 
@@ -195,13 +189,14 @@ class TestSinks:
         assert len(path.read_text().splitlines()) == 2
 
     def test_slow_log_keeps_only_crossers(self):
-        log = SlowQueryLog(threshold=0.5, capacity=2)
+        stream = io.StringIO()
+        log = SlowQueryLog(threshold=0.5, sink=JsonlTraceSink(stream))
         assert log.offer({"trace": "fast", "duration": 0.1}) is False
         assert log.offer({"trace": "slow1", "duration": 0.6}) is True
         log.offer({"trace": "slow2", "duration": 0.7})
-        log.offer({"trace": "slow3", "duration": 0.8})
-        assert [r["trace"] for r in log.records()] == ["slow2", "slow3"]
-        assert log.captured == 3  # lifetime count outlives the ring
+        written = [json.loads(x)["trace"] for x in stream.getvalue().splitlines()]
+        assert written == ["slow1", "slow2"]
+        assert log.captured == 2
 
     def test_slow_log_tees_to_sink(self):
         stream = io.StringIO()
@@ -212,8 +207,6 @@ class TestSinks:
     def test_slow_log_validates_arguments(self):
         with pytest.raises(ValueError):
             SlowQueryLog(threshold=-1.0)
-        with pytest.raises(ValueError):
-            SlowQueryLog(threshold=0.1, capacity=0)
 
     def test_tracer_routes_finished_traces_to_sink_and_slow_log(self):
         stream = io.StringIO()

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from repro.network import SpatialNetwork, road_like_network
-from repro.oracle import DijkstraOracle, PrunedLabellingOracle
+from repro.oracle.base import DijkstraOracle
+from repro.oracle import PrunedLabellingOracle
 from repro.query.ier import ier_knn
 from repro.query.stats import QueryStats
 

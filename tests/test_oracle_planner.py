@@ -17,14 +17,8 @@ import pytest
 from repro.engine import QueryEngine
 from repro.errors import CorruptIndexError
 from repro.faults import truncate_file
-from repro.oracle import (
-    COST_MODEL_FILE,
-    PLANNABLE,
-    CostConstants,
-    PrunedLabellingOracle,
-    QueryPlanner,
-    counted_ops,
-)
+from repro.oracle.planner import COST_MODEL_FILE
+from repro.oracle import PLANNABLE, CostConstants, PrunedLabellingOracle, QueryPlanner, counted_ops
 from repro.query.stats import QueryStats
 from repro.storage.lru import CacheStats
 

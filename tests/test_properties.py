@@ -18,16 +18,22 @@ from hypothesis import strategies as st
 
 import repro.quadtree.region as region
 import repro.silc.index as silc_index
-from repro import ObjectIndex, ObjectSet, QueryEngine, SILCIndex, ier_knn, ine_knn, knn, knn_m
+from repro import ObjectIndex, QueryEngine, SILCIndex, knn
+from repro.objects.model import (
+    ObjectSet,
+    EdgePosition,
+    ExtentPosition,
+    SpatialObject,
+    VertexPosition,
+    position_point,
+)
+from repro.query import ier_knn, ine_knn, knn_m
 from repro.datasets import random_vertex_objects
 from repro.geometry.grid import GridEmbedding
 from repro.geometry.rect import Rect
-from repro.objects import EdgePosition, ExtentPosition, SpatialObject, VertexPosition
-from repro.objects.model import position_point
+from repro.network.errors import EdgeNotFound, PathNotFound
+from repro.network.dijkstra import IncrementalDijkstra
 from repro.network import (
-    EdgeNotFound,
-    IncrementalDijkstra,
-    PathNotFound,
     SpatialNetwork,
     distance_matrix,
     grid_network,
@@ -477,7 +483,7 @@ def test_interval_refinement_invariants(seed, u, v):
 def test_quadtree_encodes_true_first_hops(seed, source):
     """Every vertex lookup in every shortest-path quadtree is correct."""
     net, index, D = setup(seed)
-    from repro.network import shortest_path_tree
+    from repro.network.dijkstra import shortest_path_tree
 
     tree = shortest_path_tree(net, source)
     for v in range(net.num_vertices):

@@ -6,8 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.geometry.morton import MAX_ORDER, block_cells
-from repro.quadtree import BlockTable
-from repro.quadtree.blocks import COLUMN_DTYPES, COLUMNS, narrow_lambda
+from repro.quadtree.blocks import BlockTable, COLUMN_DTYPES, COLUMNS, narrow_lambda
 
 
 def make_table():
@@ -62,7 +61,7 @@ class TestConstruction:
             np.empty(0), np.empty(0), np.empty(0), np.empty(0), np.empty(0)
         )
         assert len(t) == 0
-        assert t.locate(5) == -1
+        assert t.lookup(5) is None
 
     def test_columns_take_the_canonical_dtypes(self):
         table = make_table()
@@ -135,16 +134,13 @@ class TestNarrowLambda:
 class TestLocate:
     def test_hit_inside_block(self):
         t = make_table()
-        assert t.locate(0) == 0
-        assert t.locate(3) == 0
-        assert t.locate(4) == 1
-        assert t.locate(9) == 2
+        assert [t.lookup(cell)[3] for cell in (0, 3, 4, 9)] == [0, 0, 1, 2]
 
     def test_miss_in_gap(self):
-        assert make_table().locate(6) == -1
+        assert make_table().lookup(6) is None
 
     def test_miss_past_end(self):
-        assert make_table().locate(12) == -1
+        assert make_table().lookup(12) is None
 
     def test_lookup_returns_scalars(self):
         t = make_table()
@@ -180,13 +176,14 @@ class TestInspection:
         b = make_table().block(0)
         assert (b.code, b.level, b.color) == (0, 1, 10)
         assert b.cells == 4
-        assert b.code_end == 4
 
     def test_iter_blocks(self):
-        assert [b.color for b in make_table().iter_blocks()] == [10, 20, 30]
+        t = make_table()
+        assert [t.block(i).color for i in range(len(t))] == [10, 20, 30]
 
     def test_total_cells(self):
-        assert make_table().total_cells() == 4 + 1 + 4
+        t = make_table()
+        assert int((t.ends - t.codes).sum()) == 4 + 1 + 4
 
     def test_storage_bytes(self):
         assert make_table().storage_bytes(record_bytes=16) == 48
@@ -203,7 +200,7 @@ class TestColumnsAreRead:
             assert hit == (30, 1.25, 1.875, 2)
             assert [type(x) for x in hit] == [int, float, float, int]
             block = table.block(1)
-            assert (block.code, block.level, block.code_end) == (4, 0, 5)
+            assert (block.code, block.level, block.cells) == (4, 0, 1)
             assert type(block.code) is int and type(block.lam_min) is float
             assert table.ends.tolist() == [4, 5, 12]
 

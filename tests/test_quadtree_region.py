@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.morton import MAX_ORDER, block_cells, morton_encode
-from repro.quadtree import BlockTable, build_region_blocks
-from repro.quadtree.blocks import narrow_lambda
+from repro.quadtree.blocks import BlockTable, narrow_lambda
 from repro.quadtree.region import region_block_columns, split_levels
-from repro.silc import ProximalSILCIndex, SILCIndex, shortest_path_maps
+from repro.silc.proximal import ProximalSILCIndex
+from repro.silc import SILCIndex
+from repro.silc.coloring import coloring_chunks
+from reference import build_region_blocks
 
 
 def build_from_cells(cells, colors, values, order=3):
@@ -54,9 +56,7 @@ class TestBuilder:
         colors = [int(c) for c in rng.integers(0, 3, len(cells))]
         t = build_from_cells(cells, colors, [1.0] * len(cells), order=4)
         for (x, y), color in zip(cells, colors):
-            row = t.locate(morton_encode(x, y))
-            assert row >= 0
-            assert t.colors[row] == color
+            assert t.lookup(morton_encode(x, y))[0] == color
 
     def test_lambda_annotations_are_slice_extrema(self):
         cells = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -137,16 +137,15 @@ class TestBuilderProperties:
         # every point is covered by a block of its color, with its
         # value inside the lambda interval
         for (x, y), color, value in zip(cells, colors, values):
-            row = table.locate(morton_encode(x, y))
-            assert row >= 0
+            row = table.lookup(morton_encode(x, y))[3]
             assert table.colors[row] == color
             assert table.lam_min[row] <= value <= table.lam_max[row]
         # blocks are disjoint and sorted (enforced by BlockTable) and
         # every block contains at least one point (no empty blocks)
         covered = 0
         code_set = set(codes.tolist())
-        for b in table.iter_blocks():
-            assert any(b.code <= c < b.code_end for c in code_set)
+        for code, end in zip(table.codes.tolist(), table.ends.tolist()):
+            assert any(code <= c < end for c in code_set)
             covered += 1
         assert covered == len(table)
 
@@ -352,12 +351,13 @@ class TestIndexParity:
         else:
             index = SILCIndex.build(small_net, chunk_size=40, workers=workers)
         order = np.argsort(index.vertex_codes)
-        for spm in shortest_path_maps(small_net, limit=radius):
-            assert column_bytes(index.tables[spm.source]) == column_bytes(
-                stack_walk_blocks(
-                    index.vertex_codes[order],
-                    spm.colors[order],
-                    spm.ratios[order],
-                    index.embedding.order,
+        for chunk, colors, ratios, _ in coloring_chunks(small_net, limit=radius):
+            for source, row_colors, row_ratios in zip(chunk, colors, ratios):
+                assert column_bytes(index.tables[source]) == column_bytes(
+                    stack_walk_blocks(
+                        index.vertex_codes[order],
+                        row_colors[order],
+                        row_ratios[order],
+                        index.embedding.order,
+                    )
                 )
-            )

@@ -5,12 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.datasets import random_edge_objects, random_vertex_objects
+from repro.datasets import random_vertex_objects
 from repro.geometry.grid import GridEmbedding
 from repro.network import grid_network
-from repro.objects import EdgePosition, ObjectIndex
+from repro.objects.model import EdgePosition
+from repro.objects import ObjectIndex
+from repro.oracle import PrunedLabellingOracle
 from repro.query import ier_knn, ine_knn
 from repro.storage import NetworkStorageModel
+from reference import random_edge_objects
 
 
 def truth(dist_matrix, objects, q):
@@ -117,14 +120,15 @@ class TestINE:
 
 
 class TestIER:
-    @pytest.mark.parametrize("engine", ["dijkstra", "astar"])
+    @pytest.mark.parametrize("backend", ["dijkstra", "labels"])
     @pytest.mark.parametrize("k", [1, 5])
     def test_matches_brute_force(
-        self, engine, k, small_net, small_index, small_objects, small_dist
+        self, backend, k, small_net, small_index, small_objects, small_dist
     ):
         oi = ObjectIndex(small_net, small_objects, small_index.embedding)
         expected = truth(small_dist, small_objects, 31)[:k]
-        result = ier_knn(oi, 31, k, engine=engine)
+        oracle = PrunedLabellingOracle.build(small_net) if backend == "labels" else None
+        result = ier_knn(oi, 31, k, oracle=oracle)
         np.testing.assert_allclose(
             [n.distance for n in result.neighbors],
             [d for d, _ in expected],
@@ -135,10 +139,6 @@ class TestIER:
         result = ier_knn(small_object_index, 0, 3)
         assert result.stats.nd_computations >= 3
         assert result.stats.settled > 0
-
-    def test_engine_validation(self, small_object_index):
-        with pytest.raises(ValueError):
-            ier_knn(small_object_index, 0, 3, engine="bfs")
 
     def test_k_validation(self, small_object_index):
         with pytest.raises(ValueError):

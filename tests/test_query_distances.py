@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.datasets import random_edge_objects, random_vertex_objects
-from repro.objects import EdgePosition, ObjectIndex, VertexPosition
+from repro.datasets import random_vertex_objects
+from repro.objects.model import EdgePosition, VertexPosition
+from repro.objects import ObjectIndex
 from repro.query.distances import QueryHandle
 from repro.query.location import resolve_location
+from reference import random_edge_objects
 
 
 def truth_to_edge_object(net, D, q, pos):
@@ -127,5 +129,5 @@ class TestBlockBounds:
 
         code = morton_encode(top, top)
         node = PMRNode(code=code, level=0)
-        if idx.tables[0].locate(code) == -1:
+        if idx.tables[0].lookup(code) is None:
             assert math.isinf(handle.block_bound(node))

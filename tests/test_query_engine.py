@@ -6,7 +6,8 @@ import pytest
 
 from repro import QueryEngine
 from repro.geometry import Point
-from repro.query import VARIANTS, best_first_knn
+from repro.query.bestfirst import VARIANTS
+from repro.query import best_first_knn
 from repro.query.stats import QueryStats
 
 

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.datasets import random_edge_objects, random_vertex_objects
-from repro.objects import EdgePosition, ObjectIndex
+from repro.datasets import random_vertex_objects
+from repro.objects.model import EdgePosition
+from repro.objects import ObjectIndex
 from repro.query import SILC_ALGORITHMS, inn, knn, knn_i, knn_m
 from repro.network import road_like_network
 from repro.query.bestfirst import best_first_knn
 from repro.silc import SILCIndex
+from reference import random_edge_objects
 
 ALGORITHMS = list(SILC_ALGORITHMS.items())
 

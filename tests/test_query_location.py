@@ -3,8 +3,8 @@
 import pytest
 
 from repro.geometry import Point
-from repro.objects import EdgePosition, VertexPosition
-from repro.query import resolve_location, same_edge_direct, source_anchors, target_anchors
+from repro.objects.model import EdgePosition, VertexPosition, target_anchors
+from repro.query.location import resolve_location, same_edge_direct, source_anchors
 
 
 def first_edge(net, u=0):
@@ -27,7 +27,7 @@ class TestResolveLocation:
         assert resolve_location(small_net, 5) == VertexPosition(5)
 
     def test_int_bounds_checked(self, small_net):
-        from repro.network import VertexNotFound
+        from repro.network.errors import VertexNotFound
 
         with pytest.raises(VertexNotFound):
             resolve_location(small_net, 10_000)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.serve import AdmissionController, Request, TokenBucket
+from repro.serve import AdmissionController, Request
+from repro.serve.admission import TokenBucket
 
 
 class FakeClock:
@@ -39,8 +40,9 @@ class TestTokenBucket:
         clock = FakeClock()
         bucket = TokenBucket(rate=10.0, burst=5.0, clock=clock)
         bucket.try_acquire(5)
-        clock.advance(0.25)
-        assert bucket.tokens == pytest.approx(2.5)
+        clock.advance(0.25)  # 2.5 tokens back: 3 are 0.05 s away
+        ok, retry_after = bucket.try_acquire(3)
+        assert not ok and retry_after == pytest.approx(0.05)
         ok, _ = bucket.try_acquire(2)
         assert ok
 
@@ -48,7 +50,9 @@ class TestTokenBucket:
         clock = FakeClock()
         bucket = TokenBucket(rate=100.0, burst=4.0, clock=clock)
         clock.advance(60.0)
-        assert bucket.tokens == pytest.approx(4.0)
+        ok, retry_after = bucket.try_acquire(5)
+        assert not ok and retry_after == pytest.approx(0.01)
+        assert bucket.try_acquire(4) == (True, 0.0)
 
     def test_validates_parameters(self):
         with pytest.raises(ValueError):

@@ -33,13 +33,15 @@ import numpy as np
 import pytest
 import test_kernel_parity as kernel_parity
 
-from repro.datasets import random_edge_objects, random_vertex_objects
+from repro.datasets import random_vertex_objects
 from repro.engine import QueryEngine
 from repro.faults import FaultInjector
-from repro.network import VertexNotFound, road_like_network
-from repro.objects import EdgePosition, ObjectIndex, ObjectSet
-from repro.objects.model import position_parts
-from repro.obs import JsonlTraceSink, Tracer, aggregate_stages, format_trace_report, load_trace_file
+from repro.network.errors import VertexNotFound
+from repro.network import road_like_network
+from repro.objects.model import EdgePosition, ObjectSet, position_parts
+from repro.objects import ObjectIndex
+from repro.obs import JsonlTraceSink, Tracer, format_trace_report, load_trace_file
+from repro.obs.report import aggregate_stages
 from repro.oracle import CostConstants, PrunedLabellingOracle, QueryPlanner
 from repro.oracle.silc import INEOracle, SILCOracle
 from repro.query.ine import ine_knn
@@ -48,6 +50,7 @@ from repro.serve import AsyncEngine, FairScheduler, Request, SILCServer, serve_j
 from repro.shard import ShardGroup
 from repro.silc import SILCIndex
 from repro.storage import NetworkStorageModel
+from reference import objects_on_edges, random_edge_objects
 
 # ----------------------------------------------------------------------
 # Hops per request
@@ -565,7 +568,7 @@ def _scenarios(net):
     return {
         "vertex": (vertex_objects, vertices + object_vertices, elsewhere),
         "edge": (
-            ObjectSet.on_edges(net, placements),
+            objects_on_edges(net, placements),
             vertices + [placements[0][0], placements[1][1]],
             [q for p in placements[:3] for q in around(*p)] + elsewhere,
         ),

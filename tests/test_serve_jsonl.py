@@ -23,6 +23,7 @@ from test_properties import one_way
 
 from repro.datasets import random_vertex_objects
 from repro.engine import QueryEngine
+from repro.faults import FaultInjector
 from repro.network import distance_matrix
 from repro.objects import ObjectIndex
 from repro.obs import Tracer
@@ -137,10 +138,16 @@ class TestLines:
         waiting on that id gets its reply (NaN is what ``json`` reads
         ``NaN`` as; it is no budget)."""
         piped = piped_serve(AsyncEngine(engine))
-        assert piped.ask({"id": 7, "client": "web", "kind": "knn"}) == {
-            "id": 7, "client": "web", "status": "error",
-            "error": "bad request: 'query'",
-        }
+        for rid, (record, error) in enumerate([
+            ({"kind": "knn"}, "missing field 'query'"),
+            ({"kind": "path", "source": 0}, "missing field 'target'"),
+            ({"kind": "knn_batch", "queries": 5}, "queries must be a list of vertex ids"),
+            ({"kind": "knn_batch", "queries": {"0": 1}}, "queries must be a list of vertex ids"),
+        ], start=7):
+            assert piped.ask({"id": rid, "client": "web", **record}) == {
+                "id": rid, "client": "web", "status": "error",
+                "error": f"bad request: {error}",
+            }
         assert piped.ask('{"id": "x-9", "kind": "knn", "query": 0, "deadline": NaN}') == {
             "id": "x-9", "status": "error",
             "error": "bad request: deadline must be a positive budget in seconds",
@@ -771,7 +778,8 @@ def test_submit_and_serve_jsonl_are_one_path_on_a_directed_network(
 
 def test_a_reply_is_the_same_for_every_shard_count(engine):
     """``exact: false`` (distances are bounds, not refined) and kNN-M's
-    confirmation order mean the same unsharded and on 2 shards: every
+    confirmation order mean the same unsharded, on 2 shards and on 4
+    shards whose serving workers are killed on a seeded schedule: every
     reply equal, byte for byte but ``latency``."""
     rng = random.Random(37)
     requests = [
@@ -779,17 +787,26 @@ def test_a_reply_is_the_same_for_every_shard_count(engine):
          "k": rng.choice((5, 10, 25)), "variant": rng.choice(VARIANTS), "exact": rng.random() < 0.5}
         for rid in range(80)
     ]
+    # One client is served by slot 0 until its slot fails over; the
+    # ordinals count sends, replays included.
+    injector = FaultInjector()
+    for nth in sorted(rng.sample(range(1, 80), 3)):
+        injector.kill_worker_at(0, nth)
 
-    async def replies(shards):
-        async with AsyncEngine(engine, shards=shards) as ae, SILCServer(ae) as server:
+    async def replies(shards, fault_injector=None):
+        async with AsyncEngine(
+            engine, shards=shards, fault_injector=fault_injector
+        ) as ae, SILCServer(ae) as server:
             return [
                 answer(response_to_dict(await server.submit(request_from_dict(r))))
                 for r in requests
             ]
 
-    unsharded, sharded = asyncio.run(replies(1)), asyncio.run(replies(2))
+    unsharded = asyncio.run(replies(1))
     assert {r["status"] for r in unsharded} == {"ok"}
-    assert sharded == unsharded
+    assert asyncio.run(replies(2)) == unsharded
+    assert asyncio.run(replies(4, injector)) == unsharded
+    assert injector.fired("worker_kill") == 3
     refined = [
         engine.knn(q["query"], q["k"], variant=q["variant"], exact=True).distances()
         for q in requests if not q["exact"]

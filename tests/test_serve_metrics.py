@@ -6,7 +6,7 @@ import asyncio
 import pytest
 
 from repro.engine import QueryEngine
-from repro.obs import WINDOW, percentiles
+from repro.obs.registry import WINDOW, percentiles
 from repro.serve import AdmissionController, AsyncEngine, Request, SILCServer
 
 

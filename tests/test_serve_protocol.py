@@ -2,16 +2,8 @@
 
 import pytest
 
-from repro.serve import (
-    KINDS,
-    Completed,
-    Expired,
-    Failed,
-    Rejected,
-    Request,
-    request_from_dict,
-    response_to_dict,
-)
+from repro.serve.protocol import KINDS, Completed, Expired, Failed, Rejected
+from repro.serve import Request, request_from_dict, response_to_dict
 
 
 class TestRequestValidation:

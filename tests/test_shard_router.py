@@ -17,9 +17,8 @@ import numpy as np
 import pytest
 
 from repro import ObjectIndex, SILCIndex, road_like_network
-from repro.datasets import random_edge_objects, random_vertex_objects
+from repro.datasets import random_vertex_objects
 from repro.engine import QueryEngine
-from repro.faults import FaultInjector
 from repro.geometry.point import Point
 from repro.objects.model import (
     EdgePosition,
@@ -32,6 +31,8 @@ from repro.objects.model import (
 from repro.obs import Tracer
 from repro.query.bestfirst import VARIANTS
 from repro.shard import ShardGroup
+from reference import delay_pipe, random_edge_objects
+from repro.faults import FaultInjector
 
 
 def ranked(result):
@@ -178,7 +179,7 @@ class TestDispatch:
         _, _, engine = setup
         injector = FaultInjector()
         for shard in range(4):
-            injector.delay_pipe(shard, 0.3)
+            delay_pipe(injector, shard, 0.3)
         with ShardGroup.from_engine(engine, 4, fault_injector=injector) as group:
             queries = [3, 59, 101, 140]
             tracer = Tracer()

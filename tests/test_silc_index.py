@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from repro.geometry.morton import block_cells, morton_encode
-from repro.network import DisconnectedNetwork, SpatialNetwork, VertexNotFound
-from repro.silc import FlatStore, SILCIndex
+from repro.network.errors import DisconnectedNetwork, VertexNotFound
+from repro.network import SpatialNetwork
+from repro.silc.store import FlatStore
+from repro.silc import SILCIndex
 
 
 class TestBuild:
@@ -46,7 +48,7 @@ class TestBuild:
 
 class TestNextHopAndPaths:
     def test_next_hop_matches_dijkstra(self, small_net, small_index, small_dist):
-        from repro.network import shortest_path_tree
+        from repro.network.dijkstra import shortest_path_tree
 
         tree = shortest_path_tree(small_net, 0)
         for v in range(1, small_net.num_vertices):
@@ -87,12 +89,12 @@ class TestIntervals:
         n = small_dist.shape[0]
         for _ in range(100):
             u, v = map(int, rng.integers(0, n, 2))
-            iv = small_index.interval_from(u, v)
-            assert iv.lo <= small_dist[u, v] <= iv.hi
+            _, lo, hi = small_index.hop_and_interval(u, v)
+            assert lo <= small_dist[u, v] <= hi
 
     def test_interval_to_self_is_zero(self, small_index):
-        iv = small_index.interval_from(8, 8)
-        assert iv.is_exact and iv.lo == 0.0
+        _, lo, hi = small_index.hop_and_interval(8, 8)
+        assert lo == hi == 0.0
 
     def test_interval_lower_bound_at_least_euclidean(
         self, small_net, small_index, rng
@@ -103,8 +105,8 @@ class TestIntervals:
             u, v = map(int, rng.integers(0, n, 2))
             if u == v:
                 continue
-            iv = small_index.interval_from(u, v)
-            assert iv.hi >= small_net.euclidean(u, v) * (1 - 1e-9)
+            _, _, hi = small_index.hop_and_interval(u, v)
+            assert hi >= small_net.euclidean(u, v) * (1 - 1e-9)
 
 
 class TestBlockBounds:
@@ -130,7 +132,7 @@ class TestBlockBounds:
         code = morton_encode(top, top)
         bound = small_index.block_lower_bound(0, code, 0)
         # either inf (empty) or a real bound if a vertex occupies it
-        if small_index.tables[0].locate(code) == -1:
+        if small_index.tables[0].lookup(code) is None:
             assert math.isinf(bound)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.silc import DistanceInterval
+from repro.silc.intervals import DistanceInterval
 
 bound = st.floats(min_value=0, max_value=1e9, allow_nan=False)
 

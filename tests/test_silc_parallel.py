@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from repro.network import road_like_network
-from repro.silc import (
-    ProximalSILCIndex,
-    SILCIndex,
-    available_workers,
-    resolve_workers,
-)
+from repro.silc.proximal import ProximalSILCIndex
+from repro.silc import SILCIndex, available_workers
+from repro.silc.parallel import resolve_workers
 
 TABLE_COLUMNS = ("codes", "levels", "colors", "lam_min", "lam_max")
 

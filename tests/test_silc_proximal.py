@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.network import PathNotFound, distance_matrix, road_like_network
+from repro.network.errors import PathNotFound
+from repro.network import distance_matrix, road_like_network
 from repro.silc import SILCIndex
 from repro.silc.proximal import BeyondHorizonError, ProximalSILCIndex
 
@@ -14,6 +15,15 @@ def proximal_setup():
     D = distance_matrix(net)
     radius = float(np.quantile(D[np.isfinite(D)], 0.3))  # cover ~30% of pairs
     return net, D, radius, ProximalSILCIndex.build(net, radius=radius)
+
+
+def within_horizon(prox, source, target):
+    """Whether the direct probe from ``source`` answers ``target``."""
+    try:
+        prox.hop_and_interval(source, target)
+    except BeyondHorizonError:
+        return False
+    return True
 
 
 class TestBuild:
@@ -39,7 +49,11 @@ class TestBuild:
 
     def test_horizon_fraction_tracks_radius(self, proximal_setup):
         net, D, radius, prox = proximal_setup
-        frac = prox.horizon_fraction()
+        n = net.num_vertices
+        answered = sum(
+            within_horizon(prox, u, v) for u in range(n) for v in range(n) if u != v
+        )
+        frac = answered / (n * (n - 1))
         finite = D[np.isfinite(D) & (D > 0)]
         expected = float(np.mean(finite <= radius))
         assert frac == pytest.approx(expected, abs=0.02)
@@ -54,8 +68,8 @@ class TestQueries:
                 if u == v or D[u, v] > radius:
                     continue
                 assert prox.next_hop(u, v) >= 0
-                iv = prox.interval_from(u, v)
-                assert iv.lo - 1e-9 <= D[u, v] <= iv.hi + 1e-9
+                _, lo, hi = prox.hop_and_interval(u, v)
+                assert lo - 1e-9 <= D[u, v] <= hi + 1e-9
                 checked += 1
         assert checked > 20
 
@@ -67,7 +81,7 @@ class TestQueries:
         with pytest.raises(BeyondHorizonError):
             prox.next_hop(u, v)
         with pytest.raises(BeyondHorizonError):
-            prox.interval_from(u, v)
+            prox.hop_and_interval(u, v)
 
     def test_beyond_horizon_probe_counts_no_page_access(self, proximal_setup):
         """Only answered probes are accounted; one that raises is not."""
@@ -91,12 +105,12 @@ class TestQueries:
         for u in range(0, net.num_vertices, 13):
             for v in range(0, net.num_vertices, 17):
                 if u == v:
-                    assert prox.within_horizon(u, v)
+                    assert within_horizon(prox, u, v)
                     continue
                 expected = D[u, v] <= radius
                 # allow float slack right at the horizon
                 if abs(D[u, v] - radius) > 1e-6:
-                    assert prox.within_horizon(u, v) == expected
+                    assert within_horizon(prox, u, v) == expected
 
     def test_multi_hop_operations_raise_beyond_horizon(self, proximal_setup):
         """path()/distance() fail fast when the target is out of range."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.silc import RefinementCounter
+from repro.silc.refinement import RefinementCounter
 
 
 class TestRefinableDistance:

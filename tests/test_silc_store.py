@@ -10,8 +10,10 @@ import pytest
 from repro import road_like_network
 from repro.errors import CorruptIndexError
 from repro.network.errors import PathNotFound
-from repro.quadtree import BlockTable
-from repro.silc import FlatStore, ProximalSILCIndex, SILCIndex, update_index
+from repro.quadtree.blocks import BlockTable
+from repro.silc.store import FlatStore
+from repro.silc.proximal import ProximalSILCIndex
+from repro.silc import SILCIndex, update_index
 from repro.silc.index import _REL_PAD
 
 TABLE_COLUMNS = ("codes", "levels", "colors", "lam_min", "lam_max")
@@ -78,7 +80,7 @@ class TestFlatStore:
         )
         for code in table.codes[:10]:
             assert table.lookup(int(code)) == owned.lookup(int(code))
-        assert table.total_cells() == owned.total_cells()
+        assert table.ends.tolist() == owned.ends.tolist()
 
 
 class TestPooledBuild:
@@ -250,7 +252,7 @@ class TestColumnsAreTheProbeStructure:
             # Before the first block, past the last one, an empty table.
             first, last = index.tables[0].block(0), index.tables[0].block(-1)
             assert any(c < first.code for c in cells)
-            assert any(c >= last.code_end for c in cells)
+            assert any(c >= last.code + last.cells for c in cells)
             assert len(index.tables[1]) == 0
             assert misses >= 2 + (net.num_vertices - 1)
         else:
@@ -273,9 +275,9 @@ class TestColumnsAreTheProbeStructure:
         index = SILCIndex.load(tmp_path / "index", small_net)  # eager, private
         source, target = 3, 120
         before = index.hop_and_interval(source, target)
-        row = int(index.store.offsets[source]) + index.tables[source].locate(
+        row = int(index.store.offsets[source]) + index.tables[source].lookup(
             int(index.vertex_codes[target])
-        )
+        )[3]
         array = getattr(index.store, column)
         array.setflags(write=True)
         array[row] = value

@@ -5,12 +5,7 @@ import pytest
 
 from repro.network import distance_matrix, road_like_network
 from repro.silc import SILCIndex
-from repro.silc.updates import (
-    affected_sources,
-    diff_edges,
-    sources_using_edge,
-    update_index,
-)
+from repro.silc.updates import affected_sources, diff_edges, sources_using_edge, update_index
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +57,7 @@ class TestDiffEdges:
     def test_vertex_change_rejected(self, update_setup):
         net, _ = update_setup
         other = road_like_network(120, seed=78)
-        from repro.network import GraphConstructionError
+        from repro.network.errors import GraphConstructionError
 
         with pytest.raises(GraphConstructionError):
             diff_edges(net, other)

@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datasets import random_edge_objects, random_vertex_objects
-from repro.objects import EdgePosition, ObjectIndex
+from repro.datasets import random_vertex_objects
+from repro.objects.model import EdgePosition
+from repro.objects import ObjectIndex
 from repro.query.bestfirst import VARIANTS, best_first_knn
-from repro.storage import CacheStats, LRUCache
+from repro.storage.lru import CacheStats, LRUCache
+from reference import random_edge_objects
 
 
 def _counts(cache: LRUCache) -> tuple[int, int, int, int, int]:
@@ -75,8 +77,7 @@ class TestLRUBehaviour:
             LRUCache(capacity=0)
 
     def test_clear_keeps_stats(self):
-        """``clear`` drops residency only: ``NetworkStorageModel.warm_up``
-        relies on the counters running on across it."""
+        """``clear`` drops residency only: the counters run on across it."""
         c = LRUCache(capacity=2)
         c.access(1)
         c.access(2)

@@ -42,12 +42,12 @@ class TestNetworkStorageModel:
         snap = model.stats
         for v in range(small_net.num_vertices):
             model.touch_vertex(v)
-        assert model.io_time_since(snap) > 0
+        assert model.stats.delta_since(snap).io_time(model.miss_latency) > 0
 
     def test_warm_up_resets_residency(self, small_net):
         model = NetworkStorageModel(small_net)
         model.touch_vertex(0)
-        model.warm_up()
+        model.cache.clear()
         misses = model.stats.misses
         model.touch_vertex(0)
         assert model.stats.misses == misses + 1

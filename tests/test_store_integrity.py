@@ -236,17 +236,20 @@ def test_an_index_in_the_old_layout_is_refused_by_name(old_layout, small_net, mm
     assert_refused_for_a_rebuild(exc)
 
 
-def test_a_sharded_mapped_server_refuses_the_old_layout(old_layout, monkeypatch):
+def test_a_sharded_mapped_server_refuses_the_old_layout(old_layout, monkeypatch, capsys):
+    """The CLI reports the refusal as one line and exits 2."""
     def spawned(spec):
         raise AssertionError(f"a worker was spawned on {spec.directory}")
 
     monkeypatch.setattr("repro.shard.worker.spawn_worker", spawned)
-    with pytest.raises(CorruptIndexError) as exc:
-        main([
-            "serve", str(old_layout.parent / "net.txt"), str(old_layout),
-            "--shards", "2", "--mmap", "--input", os.devnull,
-        ])
-    assert_refused_for_a_rebuild(exc)
+    assert main([
+        "serve", str(old_layout.parent / "net.txt"), str(old_layout),
+        "--shards", "2", "--mmap", "--input", os.devnull,
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro serve: error: corrupt index") and err.count("\n") == 1
+    assert "column 'codes' holds <i8 items, expected <u4" in err
+    assert "rebuild it with `repro build`" in err
 
 
 class TestIndexLoadRejectsCorruption:
