@@ -55,13 +55,12 @@ async def submit_with_retry(server, request, *, max_attempts=5, cap=2.0):
 
 
 async def main() -> None:
-    # 1. One built index + engine, exactly as in examples/quickstart.py.
+    # 1. One built index + engine, as `repro serve` builds it: no page
+    #    simulator (examples/quickstart.py shows the paper's 5 % one).
     net = road_like_network(400, seed=7)
     index = SILCIndex.build(net)
     objects = random_vertex_objects(net, count=60, seed=11)
-    engine = QueryEngine(
-        index, ObjectIndex(net, objects, index.embedding), cache_fraction=0.05
-    )
+    engine = QueryEngine(index, ObjectIndex(net, objects, index.embedding))
     print(f"serving a {net.num_vertices}-vertex network, {len(objects)} objects")
 
     # 2. The serving stack: awaitable engine facade, chunked fair

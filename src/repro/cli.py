@@ -158,9 +158,7 @@ def _make_engine(args, net, labelling=None, **engine_options) -> QueryEngine:
         index, object_index, labelling=labelling, **engine_options
     )
     if constants is not None:
-        engine.planner = QueryPlanner(
-            engine.oracles, constants=constants, storage=engine.storage
-        )
+        engine.planner = QueryPlanner(engine.oracles, constants=constants)
     return engine
 
 
@@ -187,9 +185,7 @@ def _cmd_build_labels(args: argparse.Namespace) -> int:
     )
     if args.skip_calibration:
         return 0
-    engine = _make_engine(
-        args, net, labelling, cache_fraction=args.cache_fraction
-    )
+    engine = _make_engine(args, net, labelling)
     planner = engine.ensure_planner()
     planner.constants.save(labels_dir)
     print(f"calibrated planner cost model -> {labels_dir}")
@@ -265,7 +261,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     net = load_text(args.network)
     engine = _make_engine(
         args, net,
-        cache_fraction=args.cache_fraction,
         max_locations=args.max_locations,
         oracle=args.oracle,
     )
@@ -423,9 +418,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--objects", type=int, default=25,
                    help="random vertex objects calibration queries run over")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cache-fraction", type=float, default=0.05,
-                   help="page-cache fraction the calibration runs under "
-                   "(match the serving configuration)")
     p.add_argument("--mmap", action="store_true",
                    help="memory-map the index during calibration")
     p.set_defaults(func=_cmd_build_labels)
@@ -488,8 +480,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--objects", type=int, default=25,
                    help="random vertex objects to serve kNN over")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cache-fraction", type=float, default=0.05,
-                   help="warm LRU page cache as a fraction of index pages")
     p.add_argument("--max-locations", type=int,
                    default=QueryEngine.DEFAULT_MAX_LOCATIONS,
                    help="bound on the resolved-location LRU cache")
@@ -575,7 +565,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, NetworkError, CorruptIndexError) as exc:
-        # A KeyError subclass (VertexNotFound) would print its message quoted.
+        # A KeyError subclass (EdgeNotFound) would print its message quoted.
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"repro {args.command}: error: {message}", file=sys.stderr)
         return 2

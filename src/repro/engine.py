@@ -9,16 +9,17 @@ that serving state:
 * resolved query locations are cached, so repeated queries from the
   same vertex/position skip :func:`~repro.query.location.resolve_location`
   (for free-point queries that is an O(N) nearest-vertex scan);
-* one :class:`~repro.storage.StorageSimulator` is attached for the
-  whole lifetime of the engine, so the LRU buffer stays warm across
-  queries -- the server-cache regime, as opposed to the per-query cold
-  caches of the benchmark protocol;
+* optionally, one :class:`~repro.storage.StorageSimulator` is
+  attached for the whole lifetime of the engine, so the paper's
+  simulated LRU buffer stays warm across queries and counts page
+  misses (the library model behind the paper's figures; ``repro
+  serve`` runs without it, on the OS page cache of a mapped index);
 * per-query :class:`~repro.query.stats.QueryStats` are aggregated into
   a single batch-level stats object.
 
 Example::
 
-    engine = QueryEngine(index, object_index, cache_fraction=0.05)
+    engine = QueryEngine(index, object_index)
     batch = engine.knn_batch(range(100), k=5, variant="knn_m")
     print(len(batch), "queries,", batch.stats.refinements, "refinements")
 """

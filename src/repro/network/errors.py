@@ -19,6 +19,9 @@ class GraphConstructionError(NetworkError):
 class VertexNotFound(NetworkError, KeyError):
     """A vertex id outside ``[0, num_vertices)`` was referenced."""
 
+    # The message as the CLI and the wire show it, not KeyError's quoted repr.
+    __str__ = Exception.__str__
+
     def __init__(self, vertex: int, num_vertices: int) -> None:
         super().__init__(f"vertex {vertex} not in [0, {num_vertices})")
         self.vertex = vertex

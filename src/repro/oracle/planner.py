@@ -9,14 +9,15 @@ split (a database optimizer in miniature):
   vertex) plus a fixed per-query term (set-up, block bounds, result
   assembly -- what a two-refinement k=1 search mostly pays for),
   fitted by :meth:`QueryPlanner.calibrate` from real sample queries
-  against the live index, object set and storage simulator,
+  against the live index, object set and storage simulator (if any),
   persistable as JSON alongside the labelling columns.
 * **Analytical query-shape terms** -- a per-backend linear counted-op
   model ``ops(k) = base + per_k * k`` fitted at calibration time.
   Object density enters through the fit (calibration runs against the
   serving object index, so the constants absorb the density the
   backend actually faces); ``k`` enters per query.
-* **Cache state** -- when the engine's storage simulator is attached,
+* **Cache state** -- when the engine's storage simulator is attached
+  (a library caller's ``storage=``; ``repro serve`` runs without one),
   SILC's predicted cost is scaled by the excess of the current miss
   rate over the calibration-time miss rate, so a cold page cache
   pushes the planner toward the backends that never touch index pages.

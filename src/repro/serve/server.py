@@ -91,8 +91,7 @@ class MetricsSnapshot:
             f"in-flight {self.in_flight}",
             f"latency p50 {self.p50 * 1e3:.2f} ms  p95 {self.p95 * 1e3:.2f} ms  "
             f"p99 {self.p99 * 1e3:.2f} ms",
-            f"engine work: {self.stats.refinements} refinements, "
-            f"{self.stats.io_misses} page faults",
+            f"engine work: {self.stats.refinements} refinements",
         ]
         if self.queue_depths:
             depths = "  ".join(f"{c}={d}" for c, d in sorted(self.queue_depths.items()))
@@ -264,16 +263,19 @@ class SILCServer:
         worker visits, when sharded), plus the engine work of every
         completed request as ``engine_ops_total``.  Gauges are set at
         poll time: in-flight work, queue depths, the index's column
-        bytes and, read from ``/proc``, the resident set and its peak
+        bytes and, for a mapped index, how many of them the page cache
+        holds, and, read from ``/proc``, the resident set and its peak
         of the server and of each shard worker's current pid.
         """
         registry = self.tracer.registry
         registry.set_gauge("in_flight", self.admission.in_flight, stage="serve")
         for client, depth in self.scheduler.depths().items():
             registry.set_gauge("queue_depth", depth, stage="sched", client=client)
-        registry.set_gauge(
-            "index_mapped_bytes", self.engine.engine.index.store.nbytes(), stage="serve"
-        )
+        store = self.engine.engine.index.store
+        registry.set_gauge("index_mapped_bytes", store.nbytes(), stage="serve")
+        resident = store.resident_bytes()
+        if resident is not None:  # a mapped index, and mincore to ask
+            registry.set_gauge("index_resident_bytes", resident, stage="serve")
         ops = MetricsRegistry()
         for op in ENGINE_OPS:
             value = getattr(self._ops, op, 0)

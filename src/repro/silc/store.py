@@ -171,6 +171,34 @@ class FlatStore:
         """Resident bytes of the columns (excludes the offset array)."""
         return sum(getattr(self, name).nbytes for name in COLUMNS)
 
+    def resident_bytes(self) -> int | None:
+        """Column bytes whose pages the OS page cache holds, read with
+        ``mincore(2)``.  A resident page counts only its overlap with its
+        own column, so this never exceeds :meth:`nbytes`.  ``None`` when
+        the columns are in memory rather than mapped, or without ``mincore``.
+        """
+        import ctypes
+        import mmap
+
+        columns = self.column_arrays().values()
+        if not all(isinstance(col, np.memmap) for col in columns):
+            return None
+        try:
+            mincore = ctypes.CDLL(None).mincore
+        except (OSError, AttributeError):
+            return None
+        page, total = mmap.PAGESIZE, 0
+        for col in columns:
+            start = col.ctypes.data
+            end = start + col.nbytes
+            base = start - start % page  # where the column's mapping begins
+            flags = (ctypes.c_ubyte * -((base - end) // page))()
+            if mincore(ctypes.c_void_p(base), ctypes.c_size_t(end - base), flags):
+                return None
+            total += sum(min(end, base + (i + 1) * page) - max(start, base + i * page)
+                         for i, flag in enumerate(flags) if flag & 1)
+        return total
+
     @property
     def ends(self) -> np.ndarray:
         """Concatenated exclusive end codes, for :meth:`validate`."""

@@ -385,6 +385,43 @@ class TestServeOverStdin:
         }
         assert events["worker_crash"] == events["respawn"] == 2
 
+    def test_one_deployment_counts_one_set_of_engine_ops(self, built, tmp_path):
+        """``repro serve`` builds one engine, without a page simulator,
+        whether it answers in process or on two shard workers: the same
+        closed-loop requests count the same ``engine_ops_total``, read by
+        a stats line sent after their replies, and no simulated
+        ``io_accesses`` / ``io_misses`` among them.  The stats say how
+        much of the mapped index the OS page cache holds instead."""
+        net_path, idx_path = built
+        infile = tmp_path / "requests.jsonl"
+        infile.write_text("\n".join(json.dumps(r) for r in [
+            *({"id": i, "kind": "knn", "query": q, "k": 4, "variant": v}
+              for i, (q, v) in enumerate(zip((0, 17, 42, 88), ("knn", "inn", "knn_i", "knn_m")))),
+            {"id": 4, "kind": "knn_batch", "queries": [5, 9, 23], "k": 3},
+            {"id": 5, "kind": "stats"},
+        ]) + "\n")
+        ops = {}
+        for shards in ("1", "2"):
+            out = tmp_path / f"shards-{shards}.out"
+            done = subprocess.run(
+                [sys.executable, str(TOOLS / "serve_closed_loop.py"), str(infile), str(out),
+                 "--", str(net_path), str(idx_path), "--objects", "20", "--mmap",
+                 "--shards", shards],
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stdout + done.stderr
+            replies = [json.loads(line) for line in out.read_text().splitlines()]
+            assert [r["status"] for r in replies] == ["ok"] * 6
+            metrics = replies[-1]["metrics"]
+            ops[shards] = {c["labels"]["op"]: c["value"] for c in metrics["counters"]
+                           if c["name"] == "engine_ops_total"}
+            gauges = {g["name"]: g["value"] for g in metrics["gauges"]}
+            assert 0 < gauges.get("index_resident_bytes", 1) <= gauges["index_mapped_bytes"]
+        assert ops["1"] == ops["2"]
+        assert ops["1"]["refinements"] > 0
+        assert not {"io_accesses", "io_misses"} & set(ops["1"])
+
 
     def test_a_broken_reply_pipe_ends_the_server_with_stdin_still_open(self, built):
         """The client reads one reply, closes its end of the reply pipe
@@ -509,6 +546,7 @@ class TestParser:
         ("serve", ["--chunk-size", "0"], "chunk_size must be at least 1"),
         ("knn", ["--query", "0", "--k", "0"], "k must be at least 1"),
         ("path", ["3", "9999"], "vertex 9999 not in [0, 120)"),
+        ("serve", ["--max-locations", "0"], "max_locations must be at least 1 (or None)"),
     ])
     def test_an_operator_error_is_one_line_and_exit_2(self, built, command, args, message):
         """A bad value or vertex is reported the way argparse reports a

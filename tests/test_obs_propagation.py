@@ -253,6 +253,8 @@ class TestMemoryGauges:
             assert by_process["server"] > 0
         [mapped] = [g for g in metrics["gauges"] if g["name"] == "index_mapped_bytes"]
         assert mapped["value"] == engine.index.store.nbytes() > 0
+        # An index in memory, not mapped: no page-cache residency to read.
+        assert not any(g["name"] == "index_resident_bytes" for g in metrics["gauges"])
         assert not any("rss" in c["name"] or "mapped" in c["name"]
                        for c in metrics["counters"])
 

@@ -212,6 +212,25 @@ class TestLines:
         snapshot = piped.close()
         assert (snapshot.served, snapshot.failed) == (1, 1)
 
+    @pytest.mark.parametrize("shards", [1, 2], ids=["unsharded", "shards-2"])
+    def test_a_vertex_the_network_lacks_is_named_unquoted(
+        self, engine, piped_serve, small_net, shards
+    ):
+        """``VertexNotFound`` is a ``KeyError``, whose ``str`` quotes its
+        message; the wire carries the message as the CLI prints it, from
+        the server's own engine and from a shard worker alike."""
+        n = small_net.num_vertices
+        piped = piped_serve(AsyncEngine(engine, shards=shards))
+        for rid, (record, vertex) in enumerate([
+            ({"kind": "knn", "query": -1, "k": 2}, -1),
+            ({"kind": "path", "source": 0, "target": n}, n),
+        ]):
+            assert piped.ask({"id": rid, "client": "web", **record}) == {
+                "id": rid, "client": "web", "status": "error",
+                "error": f"VertexNotFound: vertex {vertex} not in [0, {n})",
+            }
+        piped.close()
+
     @pytest.mark.parametrize("oracle", ["auto", "silc"])
     def test_a_bad_exact_variant_or_oracle_is_a_bad_request(
         self, small_index, small_object_index, piped_serve, oracle

@@ -132,6 +132,22 @@ class TestPersistenceLayouts:
         finally:
             loaded.detach_storage()
 
+    def test_resident_bytes_count_each_page_within_its_column(
+        self, tmp_path, small_net, small_index
+    ):
+        """``mincore(2)`` answers per page, and a column neither starts
+        nor ends on a page boundary: a mapped index whose every page was
+        just read counts exactly its column bytes, not the page-rounded
+        span around them.  An index in memory has no reading."""
+        small_index.save(tmp_path / "idx")
+        store = SILCIndex.load(tmp_path / "idx", small_net, mmap=True).store
+        if store.resident_bytes() is None:
+            pytest.skip("no mincore(2) on this platform")
+        for column in store.column_arrays().values():
+            np.asarray(column).sum()  # faults every page of the column in
+        assert store.resident_bytes() == store.nbytes()
+        assert small_index.store.resident_bytes() is None
+
     def test_corrupt_file_rejected_at_load(self, tmp_path, small_net, small_index):
         """A scrambled column must fail loudly.  The checksum manifest
         now catches it before the per-table validating constructors

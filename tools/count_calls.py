@@ -8,8 +8,8 @@ once unobserved (the resolved-location cache and the first read of each
 mapped page are first-touch costs), then once under ``sys.setprofile``
 counting every Python frame entered.  Beside the frames, each kNN row
 carries the counted ops its answers' ``stats`` record, per request:
-links walked (``refinements`` + the exact pass's ``post_refinements``),
-queue pushes and simulated page misses; ``-`` for path and distance.
+links walked (``refinements`` + the exact pass's ``post_refinements``)
+and queue pushes; ``-`` for path and distance.
 A second table prices INE, the backend ``--oracle auto`` sends small-k
 kNN to: ``engine.knn(q, k, oracle="ine")`` at k in {1, 4}, with its
 settled vertices and relaxed edges per request.  Those calls are kept
@@ -59,7 +59,7 @@ from serving_mix import BATCH, SEED, seeded_mix, serving_engine
 
 
 #: Counted ops per kNN row, summed from each answer's stats.
-OPS = ("links", "pushes", "io_misses")
+OPS = ("links", "pushes")
 #: INE rows: k values and queries per k.
 INE_KS, INE_QUERIES = (1, 4), 40
 #: Closed-loop rows: requests per row, and the chunk size that cuts a
@@ -96,7 +96,6 @@ def counted_ops(result) -> tuple[int, ...] | None:
     return (
         sum(s.refinements + s.extras.get("post_refinements", 0) for s in stats),
         sum(s.queue_pushes for s in stats),
-        sum(s.io_misses for s in stats),
     )
 
 
@@ -397,12 +396,12 @@ def auto_requests(engine) -> list[tuple[str, dict]]:
 
 def labelled_auto_engine(engine):
     """``engine``'s index and objects under ``--oracle auto``, with labels
-    built here and its own page simulator, as ``repro serve`` runs it."""
+    built here, as ``repro serve`` runs it."""
     from repro.engine import QueryEngine
     from repro.oracle import PrunedLabellingOracle
 
     return QueryEngine(
-        engine.index, engine.object_index, cache_fraction=0.05,
+        engine.index, engine.object_index,
         labelling=PrunedLabellingOracle.build(engine.index.network), oracle="auto",
     )
 

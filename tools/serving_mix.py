@@ -1,7 +1,7 @@
 """A serving process without the server, and the seeded mix tools replay on it.
 
 ``serving_engine`` maps the index and builds the engine ``repro serve``
-builds (100 seeded vertex objects, the 5 % page simulator);
+builds (100 seeded vertex objects, no page simulator);
 ``seeded_mix`` is one shuffled list of the calls the server's loop
 thread makes -- the four request kinds (``QueryEngine.knn`` / ``knn_batch``,
 ``SILCIndex.route`` for ``path``, ``SILCIndex.distance``), the four kNN
@@ -32,9 +32,7 @@ def serving_engine(network_path: str, index_path: str):
     net = load_text(network_path)
     index = SILCIndex.load(index_path, net, mmap=True)
     objects = random_vertex_objects(net, count=min(100, net.num_vertices // 2), seed=SEED)
-    return QueryEngine(
-        index, ObjectIndex(net, objects, index.embedding), cache_fraction=0.05
-    )
+    return QueryEngine(index, ObjectIndex(net, objects, index.embedding))
 
 
 def seeded_mix(engine, seed: int = SEED) -> list[tuple[str, Callable[[], object]]]:
