@@ -3,9 +3,36 @@
 import numpy as np
 import pytest
 
-from repro.baselines import ExplicitPathStorage, NextHopMatrix
+from baselines import ExplicitPathStorage, NextHopMatrix
 from repro.network.errors import PathNotFound
-from repro.network import SpatialNetwork, grid_network
+from repro.network import SpatialNetwork, distance_matrix, grid_network, road_like_network
+from repro.silc import SILCIndex
+
+
+@pytest.fixture(scope="module")
+def grid_net():
+    """An 8x8 jittered grid network."""
+    return grid_network(8, 8, jitter=0.2, weight_noise=0.2, seed=3)
+
+
+@pytest.fixture(scope="module")
+def grid_index(grid_net):
+    return SILCIndex.build(grid_net)
+
+
+@pytest.fixture(scope="module")
+def grid_dist(grid_net):
+    return distance_matrix(grid_net)
+
+
+@pytest.fixture
+def rng():
+    return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="module")
+def small_net():
+    return road_like_network(150, seed=9)
 
 
 @pytest.fixture(scope="module")

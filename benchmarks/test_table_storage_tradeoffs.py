@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from bench_lib import SeriesRecorder, cached_network
-from repro.baselines import ExplicitPathStorage, NextHopMatrix
+from baselines import ExplicitPathStorage, NextHopMatrix
 from repro.network import shortest_path
 from repro.silc import SILCIndex
 

@@ -3,12 +3,24 @@
 import numpy as np
 import pytest
 
-from repro.viz import (
+from repro.network import road_like_network
+from repro.silc import SILCIndex
+from viz import (
     region_summary,
     render_ascii,
     render_ppm,
     shortest_path_map_grid,
 )
+
+
+@pytest.fixture(scope="module")
+def small_net():
+    return road_like_network(150, seed=9)
+
+
+@pytest.fixture(scope="module")
+def small_index(small_net):
+    return SILCIndex.build(small_net)
 
 
 class TestGrid:

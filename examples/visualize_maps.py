@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from repro import SILCIndex, road_like_network
-from repro.viz import (
+from viz import (
     region_summary,
     render_ascii,
     render_ppm,

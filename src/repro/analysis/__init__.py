@@ -18,9 +18,9 @@ RPR004    counted-op purity: no wall clock inside counted kernels
           except the sanctioned ``repro.query.stats`` hooks
 RPR005    exception discipline: no bare/silent broad excepts; pipe
           errors are types from ``repro.errors``
-RPR006    tracing no-op safety: every trace/span call site works with
-          ``NULL_TRACE``/``NULL_SPAN``; no ``repro.obs`` import in
-          inner-loop modules
+RPR006    tracing surface: every trace/span call site names a method
+          of ``Trace``/``Span``; no ``repro.obs`` import in inner-loop
+          modules
 RPR007    deadline propagation: deadline-accepting functions forward
           the budget to deadline-accepting callees
 ========  ==========================================================

@@ -1,24 +1,23 @@
-"""RPR006: tracing must stay a no-op when disabled.
+"""RPR006: every trace and span call site uses the real surface.
 
-Invariant 4 (ARCHITECTURE.md): tracing never changes answers.  The
-mechanism is structural -- every function that accepts a ``trace``
-takes either a real :class:`~repro.obs.trace.Trace` or the shared
-``NULL_TRACE``, and span handles are either real ``Span`` objects or
-``NULL_SPAN``.  The invariant therefore reduces to two checkable
-facts:
+Invariant 4 (ARCHITECTURE.md): tracing never changes answers.  Off is
+``None``: an untraced request carries ``trace=None`` and every call
+site checks for it, so traced runs are the only ones that touch a
+trace at all.  The invariant therefore reduces to two checkable facts:
 
 * any method invoked on a ``trace`` parameter (or on a span bound
-  from ``trace.span(...)`` / ``trace.begin(...)``) must exist on the
-  null classes -- otherwise the first untraced request raises
-  ``AttributeError`` in production while every traced test passes;
+  from ``trace.span(...)`` / ``trace.begin(...)``) must exist on
+  :class:`~repro.obs.trace.Trace` (or ``Span``) -- otherwise the first
+  traced request raises ``AttributeError`` in production, a path the
+  untraced tests never take;
 * the inner-loop modules (:data:`~repro.analysis.core.KERNELS`) must
   not import ``repro.obs`` at all -- the hot path's observability
   rides on the stats objects, keeping the kernels import-light and
-  the no-op cost literally zero.
+  tracing's cost when off literally zero.
 
-The null API is parsed from ``repro/obs/trace.py`` itself (methods
-plus class-level attributes of ``NullTrace``/``NullSpan``), so the
-rule tracks the real surface instead of a hand-copied list.
+The API is parsed from ``repro/obs/trace.py`` itself (methods plus
+class-level attributes of ``Trace``/``Span``), so the rule tracks the
+real surface instead of a hand-copied list.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from repro.analysis.core import (
     path_matches,
 )
 
-#: The module defining ``NullTrace`` / ``NullSpan``.
+#: The module defining ``Trace`` / ``Span``.
 TRACE_MODULE = "obs/trace.py"
 
 #: The observability package, by import name and by path.
@@ -73,9 +72,9 @@ class TracingNoOpRule(Rule):
                 continue
             for node in module.tree.body:
                 if isinstance(node, ast.ClassDef):
-                    if node.name == "NullTrace":
-                        trace_api = _class_api(node) | {"enabled"}
-                    elif node.name == "NullSpan":
+                    if node.name == "Trace":
+                        trace_api = _class_api(node)
+                    elif node.name == "Span":
                         span_api = _class_api(node)
         findings: list[Finding] = []
         for module in modules:
@@ -125,17 +124,17 @@ class TracingNoOpRule(Rule):
                     yield self.finding(
                         module,
                         node.lineno,
-                        f"trace.{node.attr} is not part of the NullTrace "
-                        "surface; an untraced request (NULL_TRACE) would "
-                        "raise AttributeError here",
+                        f"trace.{node.attr} is not part of the Trace "
+                        "surface; a traced request would raise "
+                        "AttributeError here",
                     )
                 elif base in span_vars and node.attr not in span_api:
                     yield self.finding(
                         module,
                         node.lineno,
-                        f"{base}.{node.attr} is not part of the NullSpan "
-                        "surface; an untraced request (NULL_SPAN) would "
-                        "raise AttributeError here",
+                        f"{base}.{node.attr} is not part of the Span "
+                        "surface; a traced request would raise "
+                        "AttributeError here",
                     )
 
     @staticmethod

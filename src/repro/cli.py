@@ -270,17 +270,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.trace_file or args.slow_log:
         from repro.obs import JsonlTraceSink, SlowQueryLog, Tracer
 
+        slow_log = None
+        if args.slow_log:  # a bad threshold fails before any file is opened
+            slow_log = SlowQueryLog(args.slow_threshold_ms / 1000.0)
+            slow_log.sink = JsonlTraceSink(args.slow_log)
+            sinks.append(slow_log.sink)
         trace_sink = None
         if args.trace_file:
             trace_sink = JsonlTraceSink(args.trace_file)
             sinks.append(trace_sink)
-        slow_log = None
-        if args.slow_log:
-            slow_sink = JsonlTraceSink(args.slow_log)
-            sinks.append(slow_sink)
-            slow_log = SlowQueryLog(
-                args.slow_threshold_ms / 1000.0, sink=slow_sink
-            )
         tracer = Tracer(sink=trace_sink, slow_log=slow_log)
 
     fault_injector = None
@@ -493,7 +491,7 @@ def make_parser() -> argparse.ArgumentParser:
                    "omit for unlimited)")
     p.add_argument("--burst", type=float, default=None,
                    help="per-client token-bucket burst (defaults to --rate, "
-                   "and to at least 1)")
+                   "and to at least 1; needs --rate)")
     p.add_argument("--input", default=None,
                    help="read requests from a file instead of stdin")
     p.add_argument("--shards", type=int, default=1,

@@ -71,10 +71,6 @@ class BatchResult:
     def __getitem__(self, i: int) -> KNNResult:
         return self.results[i]
 
-    def ids(self) -> list[list[int]]:
-        """Per-query neighbor oids, in query order."""
-        return [r.ids() for r in self.results]
-
 
 def run_batch(queries: Iterable, answer, time_cap: float | None = None) -> BatchResult:
     """Answer ``queries`` one at a time inside one whole-batch budget.

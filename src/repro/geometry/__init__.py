@@ -7,9 +7,9 @@ index) is expressed in terms of the primitives defined here:
 * :class:`~repro.geometry.point.Point` -- immutable 2-D points with the
   Euclidean metric,
 * :class:`~repro.geometry.rect.Rect` -- axis-aligned rectangles with
-  min/max point-to-rectangle distances,
+  the MINDIST point-to-rectangle bound,
 * :mod:`~repro.geometry.morton` -- Morton (Z-order) codes and the
-  Morton-block algebra used by shortest-path quadtrees,
+  Morton blocks of shortest-path quadtrees,
 * :class:`~repro.geometry.grid.GridEmbedding` -- the mapping between
   world coordinates and the ``2^q x 2^q`` quadtree grid.
 """

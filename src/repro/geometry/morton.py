@@ -1,4 +1,4 @@
-"""Morton (Z-order) codes and the Morton-block algebra.
+"""Morton (Z-order) codes and Morton blocks.
 
 The shortest-path quadtree of the paper is stored not as a pointer tree
 but as a flat, sorted collection of *Morton blocks*: aligned square
@@ -125,7 +125,7 @@ def morton_decode_array(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ----------------------------------------------------------------------
-# Block algebra.  A block is the pair (code, level): the aligned square
+# Blocks.  A block is the pair (code, level): the aligned square
 # of side 2**level cells whose lower-left cell has Z-order code ``code``.
 # Alignment means code % 4**level == 0, and the block covers the code
 # range [code, code + 4**level).
@@ -139,43 +139,6 @@ def block_cells(level: int) -> int:
     return 1 << (2 * level)
 
 
-def is_aligned(code: int, level: int) -> bool:
-    """Whether ``code`` can start a block of ``level`` (alignment check)."""
-    return code % block_cells(level) == 0
-
-
-def block_contains(code: int, level: int, cell_code: int) -> bool:
-    """Whether the block ``(code, level)`` contains the grid cell."""
-    return code <= cell_code < code + block_cells(level)
-
-
-def blocks_overlap(code_a: int, level_a: int, code_b: int, level_b: int) -> bool:
-    """Whether two aligned blocks overlap.
-
-    Aligned quadtree blocks either nest or are disjoint, so overlap
-    reduces to containment of the smaller range in the larger.
-    """
-    end_a = code_a + block_cells(level_a)
-    end_b = code_b + block_cells(level_b)
-    return code_a < end_b and code_b < end_a
-
-
-def parent_block(code: int, level: int) -> tuple[int, int]:
-    """The enclosing block one level up."""
-    if level >= MAX_ORDER:
-        raise ValueError("block already spans the whole grid")
-    cells = block_cells(level + 1)
-    return (code - (code % cells), level + 1)
-
-
-def child_blocks(code: int, level: int) -> tuple[tuple[int, int], ...]:
-    """The four children of a block, in Z order (SW, SE, NW, NE)."""
-    if level <= 0:
-        raise ValueError("cannot split a single-cell block")
-    step = block_cells(level - 1)
-    return tuple((code + i * step, level - 1) for i in range(4))
-
-
 def block_rect(code: int, level: int) -> Rect:
     """The grid-coordinate rectangle covered by a block.
 
@@ -187,19 +150,3 @@ def block_rect(code: int, level: int) -> Rect:
     x, y = morton_decode(code)
     side = 1 << level
     return Rect(float(x), float(y), float(x + side), float(y + side))
-
-
-def common_block(code_a: int, code_b: int) -> tuple[int, int]:
-    """The smallest aligned block containing both cells.
-
-    Used when constructing compressed quadtrees: the split level of two
-    Z-order runs is the level of their lowest common block.
-    """
-    level = 0
-    cells = 1
-    while code_a - (code_a % cells) != code_b - (code_b % cells):
-        level += 1
-        cells <<= 2
-        if level > MAX_ORDER:
-            raise ValueError("cells do not share a grid")
-    return (code_a - (code_a % cells), level)

@@ -27,14 +27,6 @@ class Point:
         """Euclidean distance to ``other``."""
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def manhattan_to(self, other: Point) -> float:
-        """L1 distance to ``other`` (used by grid-network generators)."""
-        return abs(self.x - other.x) + abs(self.y - other.y)
-
-    def midpoint(self, other: Point) -> Point:
-        """The point halfway between ``self`` and ``other``."""
-        return Point((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
-
     def lerp(self, other: Point, t: float) -> Point:
         """Linear interpolation: ``self`` at ``t=0``, ``other`` at ``t=1``.
 
@@ -42,14 +34,6 @@ class Point:
         a road segment.
         """
         return Point(self.x + (other.x - self.x) * t, self.y + (other.y - self.y) * t)
-
-    def translated(self, dx: float, dy: float) -> Point:
-        """A copy of the point shifted by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
-
-    def as_tuple(self) -> tuple[float, float]:
-        """The ``(x, y)`` pair, for numpy interop and serialization."""
-        return (self.x, self.y)
 
 
 def euclidean(ax: float, ay: float, bx: float, by: float) -> float:

@@ -44,65 +44,6 @@ class Rect:
     def height(self) -> float:
         return self.ymax - self.ymin
 
-    @property
-    def center(self) -> Point:
-        return Point((self.xmin + self.xmax) / 2.0, (self.ymin + self.ymax) / 2.0)
-
-    def corners(self) -> tuple[Point, Point, Point, Point]:
-        """The four corner points in counter-clockwise order."""
-        return (
-            Point(self.xmin, self.ymin),
-            Point(self.xmax, self.ymin),
-            Point(self.xmax, self.ymax),
-            Point(self.xmin, self.ymax),
-        )
-
-    # ------------------------------------------------------------------
-    # Containment and intersection
-    # ------------------------------------------------------------------
-    def contains_point(self, p: Point) -> bool:
-        return self.xmin <= p.x <= self.xmax and self.ymin <= p.y <= self.ymax
-
-    def contains_xy(self, x: float, y: float) -> bool:
-        return self.xmin <= x <= self.xmax and self.ymin <= y <= self.ymax
-
-    def contains_rect(self, other: Rect) -> bool:
-        return (
-            self.xmin <= other.xmin
-            and self.ymin <= other.ymin
-            and self.xmax >= other.xmax
-            and self.ymax >= other.ymax
-        )
-
-    def intersects(self, other: Rect) -> bool:
-        """Closed-interval overlap test (shared edges count as overlap)."""
-        return not (
-            self.xmax < other.xmin
-            or other.xmax < self.xmin
-            or self.ymax < other.ymin
-            or other.ymax < self.ymin
-        )
-
-    def intersection(self, other: Rect) -> Rect | None:
-        """The overlapping rectangle, or ``None`` when disjoint."""
-        if not self.intersects(other):
-            return None
-        return Rect(
-            max(self.xmin, other.xmin),
-            max(self.ymin, other.ymin),
-            min(self.xmax, other.xmax),
-            min(self.ymax, other.ymax),
-        )
-
-    def union(self, other: Rect) -> Rect:
-        """The smallest rectangle enclosing both operands."""
-        return Rect(
-            min(self.xmin, other.xmin),
-            min(self.ymin, other.ymin),
-            max(self.xmax, other.xmax),
-            max(self.ymax, other.ymax),
-        )
-
     # ------------------------------------------------------------------
     # Distances
     # ------------------------------------------------------------------
@@ -123,32 +64,3 @@ class Rect:
         dx = max(self.xmin - x, 0.0, x - self.xmax)
         dy = max(self.ymin - y, 0.0, y - self.ymax)
         return math.hypot(dx, dy)
-
-    def max_distance_to_point(self, p: Point) -> float:
-        """Maximum Euclidean distance from ``p`` to any point of the rect.
-
-        Attained at the corner farthest from ``p`` (MAXDIST bound).
-        """
-        dx = max(p.x - self.xmin, self.xmax - p.x)
-        dy = max(p.y - self.ymin, self.ymax - p.y)
-        return math.hypot(dx, dy)
-
-    def min_distance_to_rect(self, other: Rect) -> float:
-        """Minimum Euclidean distance between two rectangles."""
-        dx = max(other.xmin - self.xmax, self.xmin - other.xmax, 0.0)
-        dy = max(other.ymin - self.ymax, self.ymin - other.ymax, 0.0)
-        return math.hypot(dx, dy)
-
-    # ------------------------------------------------------------------
-    # Quadrant decomposition (region-quadtree splitting)
-    # ------------------------------------------------------------------
-    def quadrants(self) -> tuple["Rect", "Rect", "Rect", "Rect"]:
-        """The four quadrants in quadtree order SW, SE, NW, NE."""
-        cx = (self.xmin + self.xmax) / 2.0
-        cy = (self.ymin + self.ymax) / 2.0
-        return (
-            Rect(self.xmin, self.ymin, cx, cy),
-            Rect(cx, self.ymin, self.xmax, cy),
-            Rect(self.xmin, cy, cx, self.ymax),
-            Rect(cx, cy, self.xmax, self.ymax),
-        )

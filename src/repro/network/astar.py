@@ -86,11 +86,3 @@ def astar_path(
                 stats.pushes += 1
 
     raise PathNotFound(source, target)
-
-
-def network_distance(network: SpatialNetwork, source: int, target: int) -> float:
-    """Exact network distance between two vertices (A* under the hood)."""
-    if source == target:
-        return 0.0
-    _, dist, _ = astar_path(network, source, target)
-    return dist

@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 from repro.network.errors import PathNotFound
 from repro.network.graph import SpatialNetwork
@@ -161,10 +161,10 @@ class Reached:
 class IncrementalDijkstra:
     """Resumable Dijkstra expansion in increasing distance order.
 
-    ``expand_until(limit)`` settles vertices until the next candidate
-    lies beyond ``limit``; calling it again with a larger limit resumes
-    where the previous call stopped.  IER refinement uses it to grow a
-    ball just far enough to settle its targets.  Its state is sized by
+    Each ``settle_next()`` settles one more vertex, resuming where the
+    previous call stopped, so a caller grows a ball just far enough to
+    settle its targets (the Dijkstra oracle's anchored distance does).
+    Its state is sized by
     that ball: ``dist`` / ``pred`` read ``inf`` / ``-1`` for a vertex
     not reached, and constructing one costs O(seeds).
     """
@@ -204,15 +204,6 @@ class IncrementalDijkstra:
         """True when every reachable vertex has been settled."""
         return not self._heap
 
-    def next_frontier_distance(self) -> float:
-        """Distance of the nearest unsettled vertex (``inf`` if none).
-
-        Skips stale heap entries without settling anything.
-        """
-        while self._heap and self._heap[0][1] in self._done:
-            heapq.heappop(self._heap)
-        return self._heap[0][0] if self._heap else math.inf
-
     def settle_next(self) -> tuple[int, float] | None:
         """Settle and return the next nearest vertex, or ``None``."""
         dist, pred, done = self.dist.values, self.pred.values, self._done
@@ -232,14 +223,3 @@ class IncrementalDijkstra:
                     self.stats.pushes += 1
             return (u, d)
         return None
-
-    def expand_until(self, limit: float) -> Iterator[tuple[int, float]]:
-        """Yield settled ``(vertex, distance)`` pairs with distance <= limit."""
-        while self.next_frontier_distance() <= limit:
-            settled = self.settle_next()
-            if settled is None:
-                return
-            yield settled
-
-    def is_settled(self, u: int) -> bool:
-        return u in self._done

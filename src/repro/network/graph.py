@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.geometry.point import Point
-from repro.geometry.rect import Rect
 from repro.network.errors import (
     DisconnectedNetwork,
     EdgeNotFound,
@@ -209,14 +208,6 @@ class SpatialNetwork:
                 shape=(self.num_vertices, self.num_vertices),
             )
         return self._csr_cache
-
-    def bounding_box(self) -> Rect:
-        return Rect(
-            float(self.xs.min()),
-            float(self.ys.min()),
-            float(self.xs.max()),
-            float(self.ys.max()),
-        )
 
     # ------------------------------------------------------------------
     # Validation

@@ -110,9 +110,6 @@ class ObjectIndex:
 
         walk(self.tree.root)
 
-    def has_edge_objects(self, node: PMRNode) -> bool:
-        return self.node_info[(node.code, node.level)][1]
-
     def node_rect(self, node: PMRNode) -> Rect:
         return self.node_info[(node.code, node.level)][0]
 

@@ -157,13 +157,6 @@ class ObjectSet:
     def ids(self) -> list[int]:
         return [o.oid for o in self._objects]
 
-    def has_edge_objects(self) -> bool:
-        return any(
-            isinstance(part, EdgePosition)
-            for o in self._objects
-            for part in position_parts(o.position)
-        )
-
     @staticmethod
     def at_vertices(
         network: SpatialNetwork, vertices: Sequence[int]

@@ -66,7 +66,7 @@ class SlowQueryLog:
     """
 
     def __init__(self, threshold: float, sink=None) -> None:
-        if threshold < 0:
+        if not threshold >= 0:  # NaN fails too
             raise ValueError("threshold must be non-negative seconds")
         self.threshold = threshold
         self.sink = sink

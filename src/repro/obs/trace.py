@@ -12,12 +12,10 @@ oracle work vs the shard worker's round trip.
 
 Two invariants the serving layer asserts on:
 
-* **Zero overhead when off.**  The default tracer is
-  :class:`NullTracer` (``enabled`` False): the server then makes no
-  tracing call for a request and hands the engine ``trace=None``,
-  which runs span-free.  Code that traces unconditionally (the shard
-  tier) gets the shared :data:`NULL_TRACE`, whose every method is a
-  no-op returning the shared :data:`NULL_SPAN`.
+* **Zero overhead when off.**  Off is ``None``: a server without a
+  tracer (``tracer=None``) makes no tracing call for a request and
+  hands the engine ``trace=None``, which runs span-free; every call
+  site that takes a ``trace`` checks it for ``None`` first.
 * **Tracing never changes answers.**  Spans only *observe*; no query
   code path reads trace state.  The test suite runs identical
   workloads traced and untraced and asserts counted-op and answer
@@ -143,8 +141,6 @@ class Trace:
     span bookkeeping needs no lock; the :class:`Tracer` locks where
     traces converge (registry, sink).
     """
-
-    enabled = True
 
     def __init__(self, tracer: Tracer, trace_id: str, labels: dict) -> None:
         self.tracer = tracer
@@ -308,8 +304,6 @@ class Tracer:
         cross-process spans share an axis).
     """
 
-    enabled = True
-
     def __init__(
         self,
         sink=None,
@@ -358,81 +352,3 @@ class Tracer:
             self.slow_log.offer(record)
         with self._lock:
             self.finished += 1
-
-
-# ----------------------------------------------------------------------
-# The zero-overhead default: every operation is a shared no-op
-# ----------------------------------------------------------------------
-
-class NullSpan:
-    """The do-nothing span; one shared instance serves every call site."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> NullSpan:
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-    def close(self) -> None:
-        pass
-
-    def count(self, **counters) -> None:
-        pass
-
-    def add_stats(self, stats) -> None:
-        pass
-
-    def annotate(self, **labels) -> None:
-        pass
-
-
-NULL_SPAN = NullSpan()
-
-
-class NullTrace:
-    """The do-nothing trace handed out when tracing is off."""
-
-    enabled = False
-
-    __slots__ = ()
-
-    def span(self, name, **labels) -> NullSpan:
-        return NULL_SPAN
-
-    def begin(self, name, **labels) -> NullSpan:
-        return NULL_SPAN
-
-    def adopt(self, span_dicts, parent) -> None:
-        pass
-
-    def finish(self, status: str = "ok") -> None:
-        pass
-
-
-NULL_TRACE = NullTrace()
-
-
-class NullTracer:
-    """Default tracer: no traces, but still a live registry.
-
-    The ``stats`` request kind returns the registry snapshot whether or
-    not tracing is on, so the null tracer owns the registry the server
-    counts its requests into; it just never receives span-sourced
-    samples.
-    """
-
-    enabled = False
-
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.sink = None
-        self.slow_log = None
-        self.finished = 0
-
-    def start_trace(self, **labels) -> NullTrace:
-        return NULL_TRACE
-
-    def trace_request(self, request) -> NullTrace:
-        return NULL_TRACE

@@ -14,7 +14,6 @@ Python object overhead per block would dwarf the actual data.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,21 +63,6 @@ def narrow_lambda(
     up = hi32 < hi
     hi32[up] = np.nextafter(hi32[up], np.float32(np.inf))
     return lo32, hi32
-
-
-@dataclass(frozen=True, slots=True)
-class MortonBlock:
-    """One decoded block row, for inspection and tests."""
-
-    code: int
-    level: int
-    color: int
-    lam_min: float
-    lam_max: float
-
-    @property
-    def cells(self) -> int:
-        return block_cells(self.level)
 
 
 def compute_ends(codes: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -181,10 +165,6 @@ class BlockTable:
 
     def __len__(self) -> int:
         return len(self.columns[0])
-
-    def block(self, index: int) -> MortonBlock:
-        """Decode row ``index`` into a :class:`MortonBlock`."""
-        return MortonBlock(*(column[index] for column in self.columns))
 
     # ------------------------------------------------------------------
     # Queries

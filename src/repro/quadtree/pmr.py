@@ -15,7 +15,6 @@ tolerated -- the PMR analogue of its bounded-splitting rule).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Iterator
 
 from repro.geometry.grid import GridEmbedding
 from repro.geometry.morton import block_cells, morton_encode
@@ -103,16 +102,3 @@ class PMRQuadtree:
         """World-space rectangle of a node's block."""
         return self.embedding.block_world_rect(node.code, node.level)
 
-    def iter_nodes(self) -> Iterator[PMRNode]:
-        """Depth-first iteration over every node."""
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            if node.children is not None:
-                stack.extend(node.children)
-
-    def depth(self) -> int:
-        """Maximum split depth below the root."""
-        root_level = self.root.level
-        return max(root_level - n.level for n in self.iter_nodes())

@@ -32,7 +32,7 @@ class TokenBucket:
     clock: Callable[[], float] = time.monotonic
 
     def __post_init__(self) -> None:
-        if self.rate <= 0 or self.burst <= 0:
+        if not (self.rate > 0 and self.burst > 0):  # NaN fails too
             raise ValueError("rate and burst must be positive")
         self._tokens = float(self.burst)
         self._stamp = self.clock()
@@ -63,7 +63,8 @@ class AdmissionController:
         Per-client token bucket (one token per engine query); ``burst``
         defaults to ``max(rate, 1)``, so a rate below one query per
         second still admits single queries.  ``rate=None`` disables
-        rate limiting and keeps no per-client state.
+        rate limiting and keeps no per-client state; a ``burst``
+        without a ``rate`` is refused.
     clock:
         Injected time source shared by every bucket.
     """
@@ -79,10 +80,13 @@ class AdmissionController:
             raise ValueError("max_in_flight must be at least 1 (or None)")
         # Validate eagerly: a bad rate must fail at construction, not
         # blow up inside admit() on the first request of some client.
-        if rate is not None and rate <= 0:
+        # ``not >`` rather than ``<=``: NaN compares false both ways.
+        if rate is not None and not rate > 0:
             raise ValueError("rate must be positive (or None for unlimited)")
-        if burst is not None and burst <= 0:
+        if burst is not None and not burst > 0:
             raise ValueError("burst must be positive (or None to default to max(rate, 1))")
+        if burst is not None and rate is None:
+            raise ValueError("burst needs a rate (without one there is no token bucket)")
         self.max_in_flight = max_in_flight
         self._rate = rate
         self._burst = burst if burst is not None else (max(rate, 1.0) if rate else None)

@@ -33,7 +33,7 @@ from typing import BinaryIO, TextIO
 
 from repro.errors import DeadlineExceeded
 from repro.obs.registry import ENGINE_OPS, MetricsRegistry, process_memory
-from repro.obs.trace import NullTracer
+from repro.obs.trace import Tracer
 from repro.query.stats import QueryStats
 from repro.serve.admission import AdmissionController
 from repro.serve.engine import AsyncEngine
@@ -112,9 +112,9 @@ class SILCServer:
         rate limit.
     tracer:
         A :class:`~repro.obs.trace.Tracer` to produce per-request span
-        traces; with the default :class:`~repro.obs.trace.NullTracer` a
-        request makes no tracing call.  Either way the server counts its
-        requests into the tracer's registry as they end.
+        traces; with the default ``None`` a request makes no tracing
+        call.  The server counts its requests into :attr:`registry` as
+        they end: the tracer's registry when there is one, else its own.
     clock:
         Time source for deadlines and latency (injectable for tests).
     """
@@ -124,13 +124,14 @@ class SILCServer:
         engine: AsyncEngine,
         scheduler: FairScheduler | None = None,
         admission: AdmissionController | None = None,
-        tracer=None,
+        tracer: Tracer | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.engine = engine
         self.scheduler = scheduler if scheduler is not None else FairScheduler()
         self.admission = admission if admission is not None else AdmissionController()
-        self.tracer = tracer if tracer is not None else NullTracer()
+        self.tracer = tracer
+        self.registry = tracer.registry if tracer is not None else MetricsRegistry()
         self.clock = clock
         # Counted engine work of every completed request, rendered as
         # ``engine_ops_total`` only when polled: counting it per event
@@ -195,7 +196,7 @@ class SILCServer:
             deliver(Completed(id=request.id, client=request.client, result=metrics))
             return None
         trace = None
-        if self.tracer.enabled:  # untraced, a request makes no tracing call
+        if self.tracer is not None:  # untraced, a request makes no tracing call
             trace = self.tracer.trace_request(request)
             if self._read_at is not None:
                 trace.prepend("read", self._read_at)
@@ -238,7 +239,7 @@ class SILCServer:
 
     def snapshot(self) -> MetricsSnapshot:
         """The server's typed reading of its registry."""
-        registry = self.tracer.registry
+        registry = self.registry
         served, shed, expired, failed = (
             int(registry.counter_value("requests_total", stage="serve", outcome=outcome))
             for outcome in ("completed", "shed", "expired", "failed")
@@ -267,7 +268,7 @@ class SILCServer:
         holds, and, read from ``/proc``, the resident set and its peak
         of the server and of each shard worker's current pid.
         """
-        registry = self.tracer.registry
+        registry = self.registry
         registry.set_gauge("in_flight", self.admission.in_flight, stage="serve")
         for client, depth in self.scheduler.depths().items():
             registry.set_gauge("queue_depth", depth, stage="sched", client=client)
@@ -296,13 +297,13 @@ class SILCServer:
             if "VmRSS" in memory:  # not without /proc, nor for a dead worker
                 registry.set_gauge("process_rss_bytes", memory["VmRSS"], process=process)
                 registry.set_gauge("process_peak_rss_bytes", memory["VmHWM"], process=process)
-        slow_log = getattr(self.tracer, "slow_log", None)
+        slow_log = self.tracer.slow_log if self.tracer is not None else None
         if slow_log is not None:
             registry.set_gauge("slow_queries_captured", slow_log.captured, stage="serve")
         return registry.snapshot(*others)
 
     def _count(self, outcome: str) -> None:
-        self.tracer.registry.inc("requests_total", stage="serve", outcome=outcome)
+        self.registry.inc("requests_total", stage="serve", outcome=outcome)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -391,7 +392,7 @@ class SILCServer:
             if isinstance(exc, DeadlineExceeded):
                 waited = self.clock() - pending.submitted
                 self._count("expired")
-                self.tracer.registry.inc(
+                self.registry.inc(
                     "fault_events_total", stage="serve", event="deadline_abort"
                 )
                 expired = Expired(request.id, request.client, waited=waited, aborted=True)
@@ -421,7 +422,7 @@ class SILCServer:
             ))
             # Counted after the hand-over, off the client's wait (only
             # `deliver` itself runs before them).
-            registry = self.tracer.registry
+            registry = self.registry
             registry.inc("requests_total", stage="serve", outcome="completed")
             registry.observe("latency_seconds", latency, stage="serve")
             for answer in pending.answers:
@@ -575,7 +576,7 @@ async def serve_jsonl(
             if dispatch:
                 server._pump()
 
-    lines = _Lines(accept, finish, server.tracer.clock if server.tracer.enabled else None)
+    lines = _Lines(accept, finish, server.tracer.clock if server.tracer is not None else None)
 
     def feed() -> None:
         if ended.done():

@@ -79,7 +79,7 @@ from repro.integrity import MANIFEST_NAME, verify_manifest
 from repro.objects.index import ObjectIndex
 from repro.objects.model import ObjectSet
 from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import NULL_TRACE, Tracer
+from repro.obs.trace import Tracer
 from repro.query.bestfirst import VARIANTS
 from repro.query.location import resolve_location
 from repro.query.results import KNNResult, Neighbor
@@ -559,11 +559,15 @@ class ShardGroup:
             attempt += 1
             if attempt > MAX_RETRIES or self._closed:
                 return None
-            with (trace or NULL_TRACE).span("respawn", shard=shard) as span:
-                if not self._respawn(shard, attempt):
-                    continue
-                span.count(respawn_attempt=attempt)
-            self._count_fault("retry")
+            if trace is None:
+                respawned = self._respawn(shard, attempt)
+            else:
+                with trace.span("respawn", shard=shard) as span:
+                    respawned = self._respawn(shard, attempt)
+                    if respawned:
+                        span.count(respawn_attempt=attempt)
+            if respawned:
+                self._count_fault("retry")
 
     def _respawn(self, shard: int, attempt: int) -> bool:
         """Replace ``shard``'s dead worker after the backoff; ``False``
@@ -596,7 +600,8 @@ class ShardGroup:
         """Answer on the unsharded engine: the identical search over the
         same objects, so only latency moves."""
         self._count_fault("failover")
-        with (trace or NULL_TRACE).span("failover", oracle="silc"):
+        span = trace.span("failover", oracle="silc") if trace is not None else None
+        with span or contextlib.nullcontext():
             result = self.engine.knn(query, k, variant=variant, exact=exact, oracle="silc",
                                      trace=trace, time_cap=time_cap)
         result.stats.extras["failover"] = True

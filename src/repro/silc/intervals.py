@@ -42,7 +42,8 @@ def checked_bounds(
     lo: float, hi: float, prev_lo: float = 0.0, prev_hi: float = math.inf
 ) -> tuple[float, float]:
     """Validate fresh scalar bounds and, unless exact, clamp them to the
-    previous ones (:meth:`DistanceInterval.intersection` on floats).
+    previous ones: both contain the true distance, so their overlap
+    does too.
 
     Disjoint by rounding, they collapse to the midpoint; by more, one
     of them excluded the true distance: ``ValueError``.  For the
@@ -72,69 +73,10 @@ class DistanceInterval:
         if not (0.0 <= self.lo <= self.hi):
             raise invalid_bounds(self.lo, self.hi)
 
-    # ------------------------------------------------------------------
-    # Predicates
-    # ------------------------------------------------------------------
-    @property
-    def is_exact(self) -> bool:
-        return self.lo == self.hi
-
     @property
     def width(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, value: float) -> bool:
-        return self.lo <= value <= self.hi
-
     def intersects(self, other: DistanceInterval) -> bool:
         """The paper's *collision* test between two intervals."""
         return self.lo <= other.hi and other.lo <= self.hi
-
-    def strictly_before(self, other: DistanceInterval) -> bool:
-        """Whether every value here is <= every value of ``other``.
-
-        When true, the ordering between the two underlying distances
-        is already decided and no refinement is needed.
-        """
-        return self.hi <= other.lo
-
-    # ------------------------------------------------------------------
-    # Arithmetic
-    # ------------------------------------------------------------------
-    def shifted(self, offset: float) -> DistanceInterval:
-        """The interval of ``offset + d`` for ``d`` in this interval."""
-        if offset < 0 and self.lo + offset < 0:
-            return DistanceInterval(0.0, max(self.hi + offset, 0.0))
-        return DistanceInterval(self.lo + offset, self.hi + offset)
-
-    def intersection(self, other: DistanceInterval) -> DistanceInterval:
-        """Tightest interval consistent with both operands.
-
-        Both operands must contain the true distance, so their overlap
-        does too; refinement uses this to enforce monotonicity in the
-        presence of floating-point jitter.
-        """
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            # Disjoint inputs can only arise from accumulated float
-            # error; collapse to the midpoint of the gap.
-            mid = (lo + hi) / 2.0
-            return DistanceInterval(mid, mid)
-        return DistanceInterval(lo, hi)
-
-    def union_min(self, other: DistanceInterval) -> DistanceInterval:
-        """Interval of ``min(a, b)`` for ``a`` here and ``b`` in other.
-
-        Needed for objects reachable through either endpoint of an
-        edge: the true distance is the minimum over the alternatives.
-        """
-        return DistanceInterval(min(self.lo, other.lo), min(self.hi, other.hi))
-
-    @staticmethod
-    def exact(value: float) -> DistanceInterval:
-        return DistanceInterval(value, value)
-
-    @staticmethod
-    def unbounded(lo: float = 0.0) -> DistanceInterval:
-        return DistanceInterval(lo, math.inf)

@@ -130,10 +130,6 @@ class RefinableDistance:
     def interval(self) -> DistanceInterval:
         return DistanceInterval(self.lo, self.hi)
 
-    @property
-    def is_exact(self) -> bool:
-        return self.via == self.target
-
     # ------------------------------------------------------------------
     # Refinement
     # ------------------------------------------------------------------

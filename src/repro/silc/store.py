@@ -147,10 +147,6 @@ class FlatStore:
             },
         )
 
-    @classmethod
-    def empty(cls, num_vertices: int) -> FlatStore:
-        return cls(np.zeros(num_vertices + 1, dtype=np.int64), **empty_columns())
-
     # ------------------------------------------------------------------
     # Shape
     # ------------------------------------------------------------------
@@ -238,12 +234,6 @@ class FlatStore:
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
-    def table(self, v: int) -> BlockTable:
-        """A zero-copy :class:`BlockTable` view of vertex ``v``'s rows."""
-        lo = int(self.offsets[v])
-        hi = int(self.offsets[v + 1])
-        return BlockTable.view(*[view[lo:hi] for view in self._views])
-
     def views(self) -> list[BlockTable]:
         """Per-vertex view tables; O(num_vertices), no column page read."""
         codes, levels, colors, lam_min, lam_max = self._views

@@ -49,25 +49,13 @@ class LRUCache:
             raise ValueError("cache capacity must be at least one page")
         self.capacity = capacity
         self.access = functools.lru_cache(maxsize=capacity)(int)
-        self._cleared = CacheStats()  # what clear() dropped had counted
 
     @property
     def stats(self) -> CacheStats:
         """The counters so far, as a fresh value: every access hit or
         missed, and every page a miss inserted is resident or evicted."""
         hits, misses, _, resident = self.access.cache_info()
-        done = self._cleared
-        return CacheStats(
-            done.accesses + hits + misses,
-            done.hits + hits,
-            done.misses + misses,
-            done.evictions + misses - resident,
-        )
+        return CacheStats(hits + misses, hits, misses, misses - resident)
 
     def __len__(self) -> int:
         return self.access.cache_info().currsize
-
-    def clear(self) -> None:
-        """Drop residency but keep the accumulated statistics."""
-        self._cleared = self.stats
-        self.access.cache_clear()

@@ -5,6 +5,7 @@ keeps such code out of ``src/repro``), but tests rely on them:
 
 * generators of test inputs -- objects on edges and with extents,
   kNN workloads, a delay on a shard's pipe;
+* :func:`iter_nodes`, a walk over every node of a PMR quadtree;
 * :func:`build_region_blocks`, the one-coloring region build that the
   chunked :func:`~repro.quadtree.region.region_block_columns` is held
   to, row for row.
@@ -12,7 +13,7 @@ keeps such code out of ``src/repro``), but tests rely on them:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.objects.model import (
     position_point,
 )
 from repro.quadtree.blocks import BlockTable
+from repro.quadtree.pmr import PMRNode, PMRQuadtree
 from repro.quadtree.region import region_block_columns, split_levels
 
 
@@ -143,6 +145,16 @@ def delay_pipe(injector: FaultInjector, shard: int, seconds: float) -> FaultInje
 # ----------------------------------------------------------------------
 # Reference builds
 # ----------------------------------------------------------------------
+
+def iter_nodes(tree: PMRQuadtree) -> Iterator[PMRNode]:
+    """Depth-first iteration over every node of ``tree``."""
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if node.children is not None:
+            stack.extend(node.children)
+
 
 def build_region_blocks(
     sorted_codes: np.ndarray,

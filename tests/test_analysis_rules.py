@@ -334,7 +334,7 @@ class TestTracingNoOp:
         assert run_rules(tmp_path, files, TracingNoOpRule) == []
 
     def test_flags_obs_import_in_inner_loop(self, tmp_path):
-        source = "from repro.obs.trace import NULL_TRACE\n"
+        source = "from repro.obs.trace import Tracer\n"
         findings = run_rules(
             tmp_path, {"query/bestfirst.py": source}, TracingNoOpRule
         )
@@ -342,14 +342,14 @@ class TestTracingNoOp:
         assert "inner-loop" in findings[0].message
 
     def test_api_parsed_from_trace_module(self, tmp_path):
-        # A NullSpan that really has .explode() makes the call legal.
+        # A Span that really has .explode() makes the call legal.
         files = {
             "obs/trace.py": (
-                "class NullTrace:\n"
+                "class Trace:\n"
                 "    def span(self, name, **labels):\n"
-                "        return NullSpan()\n"
+                "        return Span()\n"
                 "\n"
-                "class NullSpan:\n"
+                "class Span:\n"
                 "    def explode(self):\n"
                 "        pass\n"
             ),

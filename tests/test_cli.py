@@ -547,6 +547,12 @@ class TestParser:
         ("knn", ["--query", "0", "--k", "0"], "k must be at least 1"),
         ("path", ["3", "9999"], "vertex 9999 not in [0, 120)"),
         ("serve", ["--max-locations", "0"], "max_locations must be at least 1 (or None)"),
+        ("serve", ["--rate", "nan"], "rate must be positive (or None for unlimited)"),
+        ("serve", ["--rate", "2", "--burst", "nan"],
+         "burst must be positive (or None to default to max(rate, 1))"),
+        ("serve", ["--burst", "4"], "burst needs a rate (without one there is no token bucket)"),
+        ("serve", ["--slow-log", os.devnull, "--slow-threshold-ms", "nan"],
+         "threshold must be non-negative seconds"),
     ])
     def test_an_operator_error_is_one_line_and_exit_2(self, built, command, args, message):
         """A bad value or vertex is reported the way argparse reports a

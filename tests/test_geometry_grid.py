@@ -27,7 +27,7 @@ class TestEmbeddingConstruction:
         ys = np.array([0.0, 3.0, 7.0])
         emb = GridEmbedding.for_points(xs, ys, order=6)
         for x, y in zip(xs, ys):
-            assert emb.bounds.contains_xy(x, y)
+            assert emb.bounds.min_distance_to_point_xy(x, y) == 0.0  # inside
 
     def test_for_points_needs_points(self):
         with pytest.raises(ValueError):
@@ -87,7 +87,7 @@ class TestBlockRects:
         emb = GridEmbedding(Rect(0, 0, 8, 8), 3)
         p = Point(cx + 0.5, cy + 0.5)
         code = morton_encode(*emb.cell_of(p))
-        assert emb.block_world_rect(code, 0).contains_point(p)
+        assert emb.block_world_rect(code, 0).min_distance_to_point(p) == 0.0  # inside
 
     def test_bounds_array_is_the_scalar_rect_bit_for_bit(self):
         """Aligned blocks at every level of a full-order grid over

@@ -10,16 +10,10 @@ from hypothesis import strategies as st
 from repro.geometry.morton import (
     MAX_ORDER,
     block_cells,
-    block_contains,
     block_rect,
-    blocks_overlap,
-    child_blocks,
     morton_decode,
     morton_encode,
-    parent_block,
     _decode_table,
-    common_block,
-    is_aligned,
     morton_decode_array,
     morton_encode_array,
 )
@@ -131,41 +125,6 @@ class TestBlockAlgebra:
         with pytest.raises(ValueError):
             block_cells(MAX_ORDER + 1)
 
-    def test_alignment(self):
-        assert is_aligned(0, 2)
-        assert is_aligned(16, 2)
-        assert not is_aligned(4, 2)
-
-    def test_containment(self):
-        # Block (0, 1) covers codes 0..3.
-        assert block_contains(0, 1, 3)
-        assert not block_contains(0, 1, 4)
-
-    def test_parent_child_round_trip(self):
-        children = child_blocks(16, 2)
-        assert len(children) == 4
-        for code, level in children:
-            assert parent_block(code, level) == (16, 2)
-
-    def test_children_partition_parent(self):
-        total = sum(block_cells(lv) for _, lv in child_blocks(0, 3))
-        assert total == block_cells(3)
-
-    def test_parent_of_root_rejected(self):
-        with pytest.raises(ValueError):
-            parent_block(0, MAX_ORDER)
-
-    def test_split_of_cell_rejected(self):
-        with pytest.raises(ValueError):
-            child_blocks(0, 0)
-
-    def test_overlap_nested(self):
-        assert blocks_overlap(0, 2, 4, 1)
-        assert blocks_overlap(4, 1, 0, 2)
-
-    def test_overlap_disjoint(self):
-        assert not blocks_overlap(0, 1, 4, 1)
-
     def test_block_rect_of_cell(self):
         r = block_rect(morton_encode(3, 5), 0)
         assert (r.xmin, r.ymin, r.xmax, r.ymax) == (3.0, 5.0, 4.0, 6.0)
@@ -174,33 +133,8 @@ class TestBlockAlgebra:
         r = block_rect(0, 2)
         assert (r.xmin, r.ymin, r.xmax, r.ymax) == (0.0, 0.0, 4.0, 4.0)
 
-    def test_common_block_of_identical(self):
-        assert common_block(7, 7) == (7, 0)
-
-    def test_common_block_of_siblings(self):
-        assert common_block(0, 3) == (0, 1)
-
-    @given(coords, coords)
-    def test_common_block_contains_both(self, x, y):
-        a = morton_encode(x, y)
-        b = morton_encode(y % (1 << MAX_ORDER), x % (1 << MAX_ORDER))
-        code, level = common_block(a, b)
-        assert block_contains(code, level, a)
-        assert block_contains(code, level, b)
-
     @given(st.integers(0, (1 << (2 * MAX_ORDER)) - 1), levels)
     def test_block_rect_is_square_with_level_side(self, code, level):
         aligned = code - (code % block_cells(level))
         r = block_rect(aligned, level)
         assert r.width == r.height == (1 << level)
-
-    @given(st.integers(0, (1 << (2 * MAX_ORDER)) - 1), st.integers(1, MAX_ORDER))
-    def test_children_tile_in_z_order(self, code, level):
-        aligned = code - (code % block_cells(level))
-        children = child_blocks(aligned, level)
-        starts = [c for c, _ in children]
-        assert starts == sorted(starts)
-        assert starts[0] == aligned
-        # contiguous: each child starts where the previous ends
-        for (c1, l1), (c2, _) in zip(children, children[1:]):
-            assert c1 + block_cells(l1) == c2

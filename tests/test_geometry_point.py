@@ -22,13 +22,6 @@ class TestPointBasics:
     def test_distance_is_euclidean(self):
         assert Point(0, 0).distance_to(Point(3, 4)) == pytest.approx(5.0)
 
-    def test_manhattan(self):
-        assert Point(0, 0).manhattan_to(Point(3, 4)) == pytest.approx(7.0)
-
-    def test_midpoint(self):
-        m = Point(0, 0).midpoint(Point(2, 6))
-        assert (m.x, m.y) == (1.0, 3.0)
-
     def test_lerp_endpoints(self):
         a, b = Point(1, 1), Point(5, 9)
         assert a.lerp(b, 0.0) == a
@@ -36,13 +29,7 @@ class TestPointBasics:
 
     def test_lerp_midpoint_matches_midpoint(self):
         a, b = Point(1, 1), Point(5, 9)
-        assert a.lerp(b, 0.5) == a.midpoint(b)
-
-    def test_translated(self):
-        assert Point(1, 2).translated(3, -1) == Point(4, 1)
-
-    def test_as_tuple(self):
-        assert Point(1.5, -2.5).as_tuple() == (1.5, -2.5)
+        assert a.lerp(b, 0.5) == Point(3, 5)
 
     def test_points_are_hashable_and_equal_by_value(self):
         assert len({Point(1, 2), Point(1, 2), Point(2, 1)}) == 2
@@ -66,11 +53,6 @@ class TestPointProperties:
     def test_triangle_inequality(self, ax, ay, bx, by, cx, cy):
         a, b, c = Point(ax, ay), Point(bx, by), Point(cx, cy)
         assert a.distance_to(c) <= a.distance_to(b) + b.distance_to(c) + 1e-6
-
-    @given(finite, finite, finite, finite)
-    def test_manhattan_dominates_euclidean(self, ax, ay, bx, by):
-        a, b = Point(ax, ay), Point(bx, by)
-        assert a.manhattan_to(b) >= a.distance_to(b) - 1e-9
 
     @given(finite, finite, finite, finite, st.floats(0, 1))
     def test_lerp_stays_on_segment(self, ax, ay, bx, by, t):

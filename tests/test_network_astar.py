@@ -5,7 +5,6 @@ import pytest
 
 from repro.network.errors import PathNotFound
 from repro.network import SpatialNetwork, astar_path, shortest_path
-from repro.network.astar import network_distance
 
 
 class TestAStarCorrectness:
@@ -55,9 +54,3 @@ class TestAStarEfficiency:
                 worse += 1
         # A* occasionally ties but should essentially never settle more.
         assert worse <= 1
-
-    def test_network_distance_helper(self, small_net, small_dist):
-        assert network_distance(small_net, 3, 77) == pytest.approx(
-            small_dist[3, 77], rel=1e-9
-        )
-        assert network_distance(small_net, 3, 3) == 0.0

@@ -1,7 +1,5 @@
 """Unit tests for repro.network.dijkstra."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -93,29 +91,11 @@ class TestIncremental:
             assert nxt[1] >= prev
             prev = nxt[1]
 
-    def test_expand_until_bounded(self, small_net, small_dist):
-        inc = IncrementalDijkstra(small_net, 0)
-        limit = float(np.median(small_dist[0]))
-        settled = dict(inc.expand_until(limit))
-        for v, d in settled.items():
-            assert d <= limit
-            assert d == pytest.approx(small_dist[0, v])
-        # resuming with a larger limit continues, not restarts
-        more = dict(inc.expand_until(limit * 2))
-        assert not (set(settled) & set(more))
-
     def test_matches_full_dijkstra(self, small_net, small_dist):
         inc = IncrementalDijkstra(small_net, 3)
         while inc.settle_next() is not None:
             pass
         np.testing.assert_allclose(inc.dist, small_dist[3], rtol=1e-12)
-
-    def test_frontier_distance_is_next_settle(self, small_net):
-        inc = IncrementalDijkstra(small_net, 0)
-        inc.settle_next()
-        f = inc.next_frontier_distance()
-        v, d = inc.settle_next()
-        assert d == pytest.approx(f)
 
     def test_exhausted(self):
         inc = IncrementalDijkstra(line_net(3), 0)
@@ -124,7 +104,6 @@ class TestIncremental:
             count += 1
         assert count == 3
         assert inc.exhausted
-        assert inc.next_frontier_distance() == math.inf
 
     def test_seeds_multi_source(self):
         net = line_net(7)
@@ -150,9 +129,3 @@ class TestIncremental:
             IncrementalDijkstra(line_net(3), 0, seeds=[(0, 0.0)])
         with pytest.raises(ValueError):
             IncrementalDijkstra(line_net(3))
-
-    def test_is_settled(self, small_net):
-        inc = IncrementalDijkstra(small_net, 0)
-        v, _ = inc.settle_next()
-        assert inc.is_settled(v)
-        assert not inc.exhausted

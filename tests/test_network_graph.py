@@ -142,10 +142,6 @@ class TestViews:
         net = triangle()
         assert net.to_csr() is net.to_csr()
 
-    def test_bounding_box(self):
-        bb = triangle().bounding_box()
-        assert (bb.xmin, bb.ymin, bb.xmax, bb.ymax) == (0.0, 0.0, 1.0, 1.0)
-
     def test_min_euclidean_ratio(self):
         # edge 0->1 has length 1 and weight 1 -> ratio 1 is the minimum
         assert triangle().min_euclidean_ratio() == pytest.approx(1.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.geometry import Point
 from repro.objects.model import (
     EdgePosition,
     ExtentPosition,
@@ -75,7 +76,7 @@ class TestModel:
         ext = ExtentPosition((VertexPosition(0), VertexPosition(1)))
         p = position_point(small_net, ext)
         a, b = small_net.vertex_point(0), small_net.vertex_point(1)
-        assert p == a.midpoint(b)
+        assert p == Point((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
 
     def test_with_extents_validates_parts(self, small_net):
         from repro.network.errors import VertexNotFound
@@ -83,12 +84,14 @@ class TestModel:
         with pytest.raises(VertexNotFound):
             objects_with_extents(small_net, [[VertexPosition(10_000)]])
 
-    def test_extent_set_flags_edge_parts(self, small_net):
+    def test_extent_set_flags_edge_parts(self, small_net, small_index):
+        """An extent's edge part flags its object-index block."""
         u, (v, _) = 0, small_net.neighbors(0)[0]
         objs = objects_with_extents(
             small_net, [[VertexPosition(3), EdgePosition(u, v, 0.5)]]
         )
-        assert objs.has_edge_objects()
+        oi = ObjectIndex(small_net, objs, small_index.embedding)
+        assert oi.node_info[oi.root.code, oi.root.level][1]
 
     def test_query_location_cannot_be_extent(self, small_net):
         from repro.query.location import source_anchors

@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.datasets import random_vertex_objects
 from repro.objects import ObjectIndex
-from reference import random_edge_objects
+from reference import iter_nodes, random_edge_objects
 
 
 class TestVertexLookups:
@@ -30,13 +30,13 @@ class TestVertexLookups:
 
 class TestEdgeFlags:
     def test_vertex_only_tree_has_no_edge_flags(self, small_object_index):
-        for node in small_object_index.tree.iter_nodes():
-            assert not small_object_index.has_edge_objects(node)
+        for node in iter_nodes(small_object_index.tree):
+            assert not small_object_index.node_info[node.code, node.level][1]
 
     def test_edge_objects_flagged_up_to_root(self, small_net, small_index):
         objs = random_edge_objects(small_net, count=5, seed=1)
         oi = ObjectIndex(small_net, objs, small_index.embedding)
-        assert oi.has_edge_objects(oi.root)
+        assert oi.node_info[oi.root.code, oi.root.level][1]
 
 
 class TestEuclideanScan:

@@ -42,13 +42,12 @@ class TestObjectSet:
         assert len(objs) == 3
         assert objs[0].position.vertex == 3
         assert objs[2].position.vertex == 3  # duplicates allowed
-        assert not objs.has_edge_objects()
 
     def test_on_edges(self, small_net):
         u, (v, _) = 0, small_net.neighbors(0)[0]
         objs = objects_on_edges(small_net, [(u, v, 0.5)])
         assert len(objs) == 1
-        assert objs.has_edge_objects()
+        assert isinstance(objs[0].position, EdgePosition)
 
     def test_on_edges_validates_edge_exists(self, small_net):
         # find a non-edge

@@ -59,7 +59,7 @@ class TestPlannerParity:
         # compare bounds against exact distances.
         auto = engine.knn_batch(queries, k, exact=True, oracle="auto")
         silc = engine.knn_batch(queries, k, exact=True, oracle="silc")
-        assert auto.ids() == silc.ids()
+        assert [r.ids() for r in auto] == [r.ids() for r in silc]
         for a, s in zip(auto.results, silc.results):
             assert a.distances() == pytest.approx(s.distances(), rel=1e-9)
 
@@ -246,7 +246,7 @@ class TestEpsilonParity:
         base = engine.knn_batch(queries, 5, exact=True, oracle="silc")
         eps = engine.knn_batch(queries, 5, exact=True, epsilon=0.0,
                                oracle="silc")
-        assert eps.ids() == base.ids()
+        assert [r.ids() for r in eps] == [r.ids() for r in base]
         for a, b in zip(eps.results, base.results):
             assert a.distances() == pytest.approx(b.distances(), rel=1e-12)
 

@@ -7,6 +7,7 @@ evidence in the suite.
 
 import dataclasses
 import heapq
+import itertools
 import math
 import tempfile
 from collections import defaultdict
@@ -27,7 +28,16 @@ from repro.objects.model import (
     VertexPosition,
     position_point,
 )
-from repro.query import ier_knn, ine_knn, knn_m
+from repro.query import (
+    aggregate_nn,
+    approximate_knn,
+    browse,
+    distance_join,
+    ier_knn,
+    ine_knn,
+    knn_m,
+    range_query,
+)
 from repro.datasets import random_vertex_objects
 from repro.geometry.grid import GridEmbedding
 from repro.geometry.rect import Rect
@@ -294,6 +304,86 @@ def test_edge_queries_and_extent_objects_match_dijkstra(kind, via):
     # one heap cycle per link for.
     if via != "ier":
         assert walked < stepped
+
+
+def holds_truth(neighbors, truth) -> None:
+    """Every reported interval contains the object's true distance."""
+    for n in neighbors:
+        d, slack = truth[n.oid], 1e-9 * max(truth[n.oid], 1.0)
+        assert n.interval.lo - slack <= d <= n.interval.hi + slack, n
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_the_paper_library_matches_dijkstra(kind, seed):
+    """``browse``, ``range_query``, ``approximate_knn`` at epsilon 0,
+    ``aggregate_nn`` and ``distance_join`` on the seeded draws, each held
+    to its own contract against plain Dijkstra ranked by ``(distance,
+    oid)``: vertex objects, then edge objects and extents, queried from
+    an object's vertex and from an edge position."""
+    net, index, _ = setup(seed, kind)
+    rng = np.random.default_rng([seed, len(kind), 2])
+    vertex_objects = random_vertex_objects(net, count=12, seed=seed)
+    mixed = edge_and_extent_objects(net, rng, count=12)
+    # The vertex query holds an object: radius 0 must find it.
+    queries = [vertex_objects[0].position.vertex, _edge_position(net, rng)]
+    for objects in (vertex_objects, mixed):
+        oi = ObjectIndex(net, objects, index.embedding)
+        truths = [true_distances(net, resolve_location(net, q), objects) for q in queries]
+        for query, truth in zip(queries, truths):
+            ranked = sorted((d, oid) for oid, d in truth.items())
+            want = [d for d, _ in ranked]
+
+            emitted = list(browse(index, oi, query))  # every object, nearest first
+            assert sorted(n.oid for n in emitted) == sorted(truth)
+            holds_truth(emitted, truth)
+            np.testing.assert_allclose([truth[n.oid] for n in emitted], want, rtol=1e-9)
+
+            for k in (1, 5, len(objects)):  # epsilon 0 is exact kNN
+                result = approximate_knn(index, oi, query, k, epsilon=0.0)
+                holds_truth(result.neighbors, truth)
+                np.testing.assert_allclose(
+                    [truth[n.oid] for n in result.neighbors], want[:k], rtol=1e-9
+                )
+
+            # Radii between distinct distances, plus none and all.
+            gaps = [(a + b) / 2 for a, b in itertools.pairwise(sorted(set(want)))
+                    if b - a > 1e-6 * b]
+            for radius in [0.0, 1e9, *gaps[::3]]:
+                result = range_query(index, oi, query, radius)
+                assert sorted(result.ids()) == sorted(oid for d, oid in ranked if d <= radius)
+                holds_truth(result.neighbors, truth)
+                los = [n.interval.lo for n in result.neighbors]
+                assert los == sorted(los)
+
+        for agg, fold in (("sum", sum), ("max", max)):  # both queries at once
+            folded = {oid: fold(t[oid] for t in truths) for oid in truths[0]}
+            result = aggregate_nn(index, oi, queries, 4, agg=agg)
+            for n in result.neighbors:
+                np.testing.assert_allclose(n.distance, folded[n.oid], rtol=1e-9)
+            np.testing.assert_allclose(
+                [folded[n.oid] for n in result.neighbors], sorted(folded.values())[:4],
+                rtol=1e-9,
+            )
+
+    # Left objects on vertices (the join's requirement), right ones mixed.
+    left = random_vertex_objects(net, count=5, seed=seed + 10)
+    pairs = {
+        (a.oid, b): d
+        for a in left
+        for b, d in true_distances(net, a.position, mixed).items()
+    }
+    for k in (7, len(pairs) + 3):  # past the pair count: every pair
+        got = distance_join(
+            index, ObjectIndex(net, left, index.embedding),
+            ObjectIndex(net, mixed, index.embedding), k,
+        )
+        assert len({(a, b) for a, b, _ in got}) == len(got) == min(k, len(pairs))
+        for a, b, d in got:
+            np.testing.assert_allclose(d, pairs[a, b], rtol=1e-9)
+        np.testing.assert_allclose(
+            [d for _, _, d in got], sorted(pairs.values())[:k], rtol=1e-9
+        )
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -173,13 +173,13 @@ class TestOverlapping:
 
 class TestInspection:
     def test_block_decode(self):
-        b = make_table().block(0)
-        assert (b.code, b.level, b.color) == (0, 1, 10)
-        assert b.cells == 4
+        t = make_table()
+        assert (t.codes[0], t.levels[0], t.colors[0]) == (0, 1, 10)
+        assert t.ends[0] - t.codes[0] == 4
 
     def test_iter_blocks(self):
         t = make_table()
-        assert [t.block(i).color for i in range(len(t))] == [10, 20, 30]
+        assert list(t.colors) == [10, 20, 30]
 
     def test_total_cells(self):
         t = make_table()
@@ -199,9 +199,6 @@ class TestColumnsAreRead:
             hit = table.lookup(9)
             assert hit == (30, 1.25, 1.875, 2)
             assert [type(x) for x in hit] == [int, float, float, int]
-            block = table.block(1)
-            assert (block.code, block.level, block.cells) == (4, 0, 1)
-            assert type(block.code) is int and type(block.lam_min) is float
             assert table.ends.tolist() == [4, 5, 12]
 
     def test_column_arrays_share_the_views_memory(self):

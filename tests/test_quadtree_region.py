@@ -30,16 +30,16 @@ class TestBuilder:
     def test_single_point_gives_root_block(self):
         t = build_from_cells([(3, 3)], [1], [1.5], order=3)
         assert len(t) == 1
-        b = t.block(0)
-        assert b.level == 3 and b.code == 0 and b.color == 1
-        assert b.lam_min == b.lam_max == 1.5
+        code, level, color, lam_min, lam_max = (column[0] for column in t.columns)
+        assert level == 3 and code == 0 and color == 1
+        assert lam_min == lam_max == 1.5
 
     def test_uniform_colors_collapse_to_root(self):
         cells = [(x, y) for x in range(4) for y in range(4)]
         t = build_from_cells(cells, [9] * 16, list(range(16)), order=2)
         assert len(t) == 1
-        assert t.block(0).lam_min == 0.0
-        assert t.block(0).lam_max == 15.0
+        assert t.lam_min[0] == 0.0
+        assert t.lam_max[0] == 15.0
 
     def test_quadrant_colors_split_once(self):
         # Color by quadrant of a 4x4 grid -> exactly 4 level-1 blocks.
@@ -62,8 +62,8 @@ class TestBuilder:
         cells = [(0, 0), (1, 0), (0, 1), (1, 1)]
         t = build_from_cells(cells, [5, 5, 5, 5], [3.0, 1.0, 4.0, 2.0], order=1)
         assert len(t) == 1
-        assert t.block(0).lam_min == 1.0
-        assert t.block(0).lam_max == 4.0
+        assert t.lam_min[0] == 1.0
+        assert t.lam_max[0] == 4.0
 
     def test_rejects_duplicate_codes(self):
         codes = np.array([3, 3])

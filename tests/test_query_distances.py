@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from repro.datasets import random_vertex_objects
+from repro.geometry.morton import block_cells
 from repro.objects.model import EdgePosition, VertexPosition
 from repro.objects import ObjectIndex
 from repro.query.distances import QueryHandle
 from repro.query.location import resolve_location
-from reference import random_edge_objects
+from reference import iter_nodes, random_edge_objects
 
 
 def truth_to_edge_object(net, D, q, pos):
@@ -92,15 +93,13 @@ class TestBlockBounds:
     def test_bounds_sound_for_vertex_objects(self, handle_setup, small_dist):
         net, idx, oi = handle_setup
         handle = QueryHandle(idx, oi, resolve_location(net, 11))
-        for node in oi.tree.iter_nodes():
+        for node in iter_nodes(oi.tree):
             if node.is_leaf and not node.entries:
                 continue
             bound = handle.block_bound(node)
             for obj in oi.objects:
-                cell = idx.vertex_codes[obj.position.vertex]
-                from repro.geometry.morton import block_contains
-
-                if block_contains(node.code, node.level, int(cell)):
+                cell = int(idx.vertex_codes[obj.position.vertex])
+                if node.code <= cell < node.code + block_cells(node.level):
                     truth = small_dist[11, obj.position.vertex]
                     assert bound <= truth + 1e-9
 
@@ -108,9 +107,7 @@ class TestBlockBounds:
         objs = random_edge_objects(small_net, count=15, seed=9)
         oi = ObjectIndex(small_net, objs, small_index.embedding)
         handle = QueryHandle(small_index, oi, resolve_location(small_net, 2))
-        from repro.geometry.morton import block_contains
-
-        for node in oi.tree.iter_nodes():
+        for node in iter_nodes(oi.tree):
             bound = handle.block_bound(node)
             for oid, cell, _ in node.entries:
                 truth = truth_to_edge_object(

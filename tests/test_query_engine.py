@@ -62,7 +62,7 @@ class TestKnnBatch:
         batch = engine.knn_batch([], k=3)
         assert len(batch) == 0
         assert batch.stats.refinements == 0
-        assert batch.ids() == []
+        assert batch.results == []
 
     def test_unknown_variant_rejected(self, engine):
         with pytest.raises(ValueError):
@@ -70,8 +70,8 @@ class TestKnnBatch:
 
     def test_batch_result_sequence_protocol(self, engine):
         batch = engine.knn_batch(QUERIES[:2], k=2)
-        assert batch[0].ids() == batch.ids()[0]
-        assert [r.ids() for r in batch] == batch.ids()
+        assert batch[0] is batch.results[0]
+        assert list(batch) == batch.results
 
 
 class RecordingOracle:
@@ -130,7 +130,7 @@ class TestGeneratorQueries:
         from_list = engine.knn_batch(QUERIES, k=3)
         from_gen = engine.knn_batch((q for q in QUERIES), k=3)
         assert len(from_gen) == len(QUERIES)
-        assert from_gen.ids() == from_list.ids()
+        assert [r.ids() for r in from_gen] == [r.ids() for r in from_list]
 
     def test_queries_iterated_exactly_once(self, engine):
         pulls = []
@@ -229,7 +229,7 @@ class TestStorageReuse:
         no_io = QueryEngine(small_index, small_object_index).knn_batch(
             QUERIES, k=4
         )
-        assert batch1.ids() == no_io.ids()
+        assert [r.ids() for r in batch1] == [r.ids() for r in no_io]
 
     def test_detaches_after_batch(self, small_index, small_object_index):
         engine = QueryEngine(

@@ -125,6 +125,18 @@ class TestInFlightCap:
             AdmissionController(rate=-1.0)
         with pytest.raises(ValueError, match="burst"):
             AdmissionController(rate=1.0, burst=0.0)
+        # NaN passes a ``<= 0`` check, and a server started with it
+        # answers every request ``retry_after: NaN``; a burst without a
+        # rate has no bucket to size.
+        nan = float("nan")
+        with pytest.raises(ValueError, match="rate must be positive"):
+            AdmissionController(rate=nan)
+        with pytest.raises(ValueError, match="burst must be positive"):
+            AdmissionController(rate=1.0, burst=nan)
+        with pytest.raises(ValueError, match="burst needs a rate"):
+            AdmissionController(burst=4.0)
+        with pytest.raises(ValueError):
+            TokenBucket(rate=nan, burst=1.0)
 
 
 class TestPerClientRate:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.engine import QueryEngine
 from repro.obs.registry import WINDOW, percentiles
+from repro.obs.trace import Tracer
 from repro.serve import AdmissionController, AsyncEngine, Request, SILCServer
 
 
@@ -64,11 +65,21 @@ class TestServerMetrics:
         assert (snap.queue_depths, snap.in_flight) == ({}, 0)
         assert "latency p50" in snap.format()
 
+    def test_untraced_is_no_tracer_and_a_registry_of_its_own(self):
+        """Tracing off is ``tracer=None``, and the server still counts
+        into a registry; a traced server counts into the tracer's."""
+        untraced = SILCServer(engine=None)
+        assert untraced.tracer is None
+        untraced.registry.inc("requests_total", stage="serve", outcome="completed")
+        assert untraced.snapshot().served == 1
+        tracer = Tracer()
+        assert SILCServer(engine=None, tracer=tracer).registry is tracer.registry
+
     def test_sample_windows_are_bounded(self):
         """Flat memory over a long-lived server's lifetime: latency
         percentiles read the last WINDOW requests, the count stays exact."""
         server = SILCServer(engine=None)  # the typed reading needs no engine
-        registry = server.tracer.registry
+        registry = server.registry
         for i in range(WINDOW + 1000):
             registry.inc("requests_total", stage="serve", outcome="completed")
             registry.observe("latency_seconds", float(i), stage="serve")
@@ -82,7 +93,7 @@ class TestServerMetrics:
         server = SILCServer(engine=None)
         latencies = [float((i * 7) % 17) for i in range(17)]
         for latency in latencies:
-            server.tracer.registry.observe("latency_seconds", latency, stage="serve")
+            server.registry.observe("latency_seconds", latency, stage="serve")
         snap = server.snapshot()
         for got, q in ((snap.p50, 50), (snap.p95, 95), (snap.p99, 99)):
             assert [got] == pytest.approx(percentiles(latencies, (q,)))

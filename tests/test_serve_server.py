@@ -57,9 +57,9 @@ class TestAsyncEngine:
         result, batch, path, dist = asyncio.run(go())
         expected = best_first_knn(small_index, small_object_index, 0, 4)
         assert result.ids() == expected.ids()
-        assert batch.ids() == QueryEngine(
+        assert [r.ids() for r in batch] == [r.ids() for r in QueryEngine(
             small_index, small_object_index
-        ).knn_batch([5, 9, 13], 2).ids()
+        ).knn_batch([5, 9, 13], 2)]
         assert path == small_index.path(0, 140)
         assert dist == pytest.approx(small_index.distance(0, 140))
 
@@ -212,7 +212,7 @@ class TestSILCServer:
         )
         assert resp.status == "ok"
         expected = QueryEngine(small_index, small_object_index).knn_batch(queries, 2)
-        assert resp.result["ids"] == expected.ids()
+        assert resp.result["ids"] == [r.ids() for r in expected]
         assert len(resp.result["distances"]) == len(queries)
         assert snapshot.served == 1
         assert snapshot.stats.refinements == expected.stats.refinements

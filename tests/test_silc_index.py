@@ -8,7 +8,7 @@ import pytest
 from repro.geometry.morton import block_cells, morton_encode
 from repro.network.errors import DisconnectedNetwork, VertexNotFound
 from repro.network import SpatialNetwork
-from repro.silc.store import FlatStore
+from repro.silc.store import FlatStore, empty_columns
 from repro.silc import SILCIndex
 
 
@@ -42,7 +42,7 @@ class TestBuild:
                 small_net,
                 small_index.embedding,
                 small_index.vertex_codes,
-                FlatStore.empty(small_net.num_vertices - 1),
+                FlatStore(np.zeros(small_net.num_vertices, dtype=np.int64), **empty_columns()),
             )
 
 

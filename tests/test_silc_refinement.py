@@ -34,12 +34,12 @@ class TestRefinableDistance:
             u, v = map(int, rng.integers(0, n, 2))
             r = small_index.refinable(u, v)
             d = r.refine_fully()
-            assert r.is_exact
+            assert r.via == r.target
             assert d == pytest.approx(small_dist[u, v], rel=1e-9, abs=1e-12)
 
     def test_refine_on_exact_is_noop(self, small_index):
         r = small_index.refinable(3, 3)
-        assert r.is_exact
+        assert r.via == r.target
         assert not r.refine()
 
     def test_steps_equal_path_length(self, small_index):

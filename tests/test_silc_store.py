@@ -11,7 +11,7 @@ from repro import road_like_network
 from repro.errors import CorruptIndexError
 from repro.network.errors import PathNotFound
 from repro.quadtree.blocks import BlockTable
-from repro.silc.store import FlatStore
+from repro.silc.store import FlatStore, empty_columns
 from repro.silc.proximal import ProximalSILCIndex
 from repro.silc import SILCIndex, update_index
 from repro.silc.index import _REL_PAD
@@ -47,7 +47,7 @@ class TestFlatStore:
         assert store.num_tables == small_index.network.num_vertices
 
     def test_empty_store(self):
-        store = FlatStore.empty(5)
+        store = FlatStore(np.zeros(6, dtype=np.int64), **empty_columns())
         assert store.num_tables == 5
         assert store.total_blocks == 0
         assert all(len(t) == 0 for t in store.views())
@@ -266,9 +266,9 @@ class TestColumnsAreTheProbeStructure:
                 )
         if kind == "trimmed":
             # Before the first block, past the last one, an empty table.
-            first, last = index.tables[0].block(0), index.tables[0].block(-1)
-            assert any(c < first.code for c in cells)
-            assert any(c >= last.code + last.cells for c in cells)
+            table = index.tables[0]
+            assert any(c < table.codes[0] for c in cells)
+            assert any(c >= table.codes[-1] + 4 ** int(table.levels[-1]) for c in cells)
             assert len(index.tables[1]) == 0
             assert misses >= 2 + (net.num_vertices - 1)
         else:

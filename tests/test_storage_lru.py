@@ -76,19 +76,6 @@ class TestLRUBehaviour:
         with pytest.raises(ValueError):
             LRUCache(capacity=0)
 
-    def test_clear_keeps_stats(self):
-        """``clear`` drops residency only: the counters run on across it."""
-        c = LRUCache(capacity=2)
-        c.access(1)
-        c.access(2)
-        c.access(3)
-        c.clear()
-        assert len(c) == 0
-        assert _counts(c) == (3, 0, 3, 1, 0)
-        c.access(1)  # cold again
-        c.access(1)
-        assert _counts(c) == (5, 1, 4, 1, 1)
-
     def test_eviction_counter(self):
         c = LRUCache(capacity=1)
         c.access(1)
@@ -128,17 +115,13 @@ class TestAgainstReferenceModel:
     @given(
         st.integers(1, 6),
         st.lists(st.integers(0, 12), min_size=1, max_size=120),
-        st.sets(st.integers(0, 119)),
     )
-    def test_matches_naive_lru_simulation(self, capacity, accesses, clears):
+    def test_matches_naive_lru_simulation(self, capacity, accesses):
         """Hits, misses, evictions and residency match a list model at
-        every step, across ``clear`` too."""
+        every step."""
         cache = LRUCache(capacity=capacity)
         reference = ListLRU(capacity)
         for step, page in enumerate(accesses):
-            if step in clears:
-                cache.clear()
-                reference.pages.clear()
             cache.access(page)
             reference.access(page)
             assert _counts(cache) == (

@@ -44,14 +44,6 @@ class TestNetworkStorageModel:
             model.touch_vertex(v)
         assert model.stats.delta_since(snap).io_time(model.miss_latency) > 0
 
-    def test_warm_up_resets_residency(self, small_net):
-        model = NetworkStorageModel(small_net)
-        model.touch_vertex(0)
-        model.cache.clear()
-        misses = model.stats.misses
-        model.touch_vertex(0)
-        assert model.stats.misses == misses + 1
-
     def test_parameter_validation(self, small_net):
         with pytest.raises(ValueError):
             NetworkStorageModel(small_net, page_size=0)

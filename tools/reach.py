@@ -27,9 +27,7 @@ does not mention it.  So a function that ``src/`` calls is never
 flagged: error constructors on paths the probe does not provoke, and
 entry points of child processes (shard workers, the build pool), which
 the tracer cannot see.  Dunder methods are exempt: the interpreter
-calls them by protocol, not by name.  So are the functions listed in
-:data:`RETIRING` until their unit tests go, and no longer: a listed
-function that is not flagged fails the check too.
+calls them by protocol, not by name.
 
     python tools/reach.py                       # the CLI only
     python tools/reach.py --examples --check    # the CI gate
@@ -59,46 +57,7 @@ SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
 #: Trees whose reads keep a function (``tests/`` is the one left out).
 READERS = ("src", "bench", "benchmarks", "examples", "tools")
-CI_FILE = ROOT / ".github" / "workflows" / "ci.yml"
-
-#: Tests-only functions that were in the library when the gate came in
-#: and whose own unit tests still hold them, as ``module:qualname``.
-#: The set only shrinks: an entry leaves together with the tests that
-#: check nothing else, and ``--check`` fails on an entry that is no
-#: longer flagged (deleted, or now reached), so it cannot linger.
-RETIRING = frozenset({
-    "repro.geometry.morton:is_aligned",
-    "repro.geometry.morton:block_contains",
-    "repro.geometry.morton:blocks_overlap",
-    "repro.geometry.morton:parent_block",
-    "repro.geometry.morton:child_blocks",
-    "repro.geometry.morton:common_block",
-    "repro.geometry.point:Point.manhattan_to",
-    "repro.geometry.point:Point.midpoint",
-    "repro.geometry.point:Point.translated",
-    "repro.geometry.point:Point.as_tuple",
-    "repro.geometry.rect:Rect.center",
-    "repro.geometry.rect:Rect.corners",
-    "repro.geometry.rect:Rect.contains_point",
-    "repro.geometry.rect:Rect.contains_xy",
-    "repro.geometry.rect:Rect.contains_rect",
-    "repro.geometry.rect:Rect.intersection",
-    "repro.geometry.rect:Rect.union",
-    "repro.geometry.rect:Rect.max_distance_to_point",
-    "repro.geometry.rect:Rect.min_distance_to_rect",
-    "repro.geometry.rect:Rect.quadrants",
-    "repro.network.astar:network_distance",
-    "repro.network.dijkstra:IncrementalDijkstra.next_frontier_distance",
-    "repro.network.dijkstra:IncrementalDijkstra.expand_until",
-    "repro.network.dijkstra:IncrementalDijkstra.is_settled",
-    "repro.network.graph:SpatialNetwork.bounding_box",
-    "repro.silc.intervals:DistanceInterval.contains",
-    "repro.silc.intervals:DistanceInterval.strictly_before",
-    "repro.silc.intervals:DistanceInterval.shifted",
-    "repro.silc.intervals:DistanceInterval.intersection",
-    "repro.silc.intervals:DistanceInterval.union_min",
-    "repro.silc.intervals:DistanceInterval.unbounded",
-})
+CI_FILE = Path(".github", "workflows", "ci.yml")
 
 
 # ----------------------------------------------------------------------
@@ -232,16 +191,20 @@ def run_cli(work: Path) -> None:
 
 
 def run_examples(work: Path) -> None:
-    cwd, argv = os.getcwd(), sys.argv
+    examples = ROOT / "examples"
+    cwd, argv, path = os.getcwd(), sys.argv, list(sys.path)
     try:
         os.chdir(work)  # examples write relative to the working directory
-        for example in sorted((ROOT / "examples").glob("*.py")):
+        sys.path.insert(0, str(examples))  # as `python examples/x.py` has it
+        for example in sorted(examples.glob("*.py")):
+            if example.name.startswith("test_"):
+                continue  # a test of an example's helper, not an example
             sys.argv = [str(example)]
             with contextlib.redirect_stdout(io.StringIO()):
                 runpy.run_path(str(example), run_name="__main__")
     finally:
         os.chdir(cwd)
-        sys.argv = argv
+        sys.argv, sys.path[:] = argv, path
 
 
 def run_benchmarks(work: Path) -> None:
@@ -280,15 +243,11 @@ class Function:
     def module(self) -> str:
         return ".".join(self.path.relative_to(SRC).with_suffix("").parts)
 
-    @property
-    def key(self) -> str:
-        return f"{self.module}:{self.qualname}"
-
     def contains(self, path: Path, line: int) -> bool:
         return path == self.path and self.first <= line <= self.end
 
 
-def library_functions() -> list[Function]:
+def library_functions(package: Path = PACKAGE) -> list[Function]:
     found: list[Function] = []
 
     def visit(node: ast.AST, path: Path, prefix: str, outer: Function | None) -> None:
@@ -304,7 +263,7 @@ def library_functions() -> list[Function]:
             else:
                 visit(child, path, prefix, outer)
 
-    for path in sorted(PACKAGE.rglob("*.py")):
+    for path in sorted(package.rglob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), path, "", None)
     return found
 
@@ -320,11 +279,11 @@ def _all_strings(tree: ast.AST) -> set[int]:
     return ids
 
 
-def name_reads() -> dict[str, list[tuple[Path, int]]]:
+def name_reads(root: Path = ROOT) -> dict[str, list[tuple[Path, int]]]:
     """Every read of a name in the reader trees: name -> [(file, line)]."""
     reads: dict[str, list[tuple[Path, int]]] = {}
     for tree_name in READERS:
-        for path in sorted((ROOT / tree_name).rglob("*.py")):
+        for path in sorted((root / tree_name).rglob("*.py")):
             if path == Path(__file__).resolve():
                 continue
             tree = ast.parse(path.read_text(), filename=str(path))
@@ -348,14 +307,15 @@ def name_reads() -> dict[str, list[tuple[Path, int]]]:
     return reads
 
 
-def flagged(unreached: list[Function]) -> list[Function]:
-    """The unreached functions nothing outside ``tests/`` names.
+def flagged(unreached: list[Function], root: Path = ROOT) -> list[Function]:
+    """The unreached functions nothing outside ``tests/`` of ``root`` names.
 
     A fixpoint: a read inside a flagged function does not keep what it
     reads, so a helper only dead code calls is flagged with it.
     """
-    reads = name_reads()
-    ci = CI_FILE.read_text() if CI_FILE.exists() else ""
+    reads = name_reads(root)
+    ci_file = root / CI_FILE
+    ci = ci_file.read_text() if ci_file.exists() else ""
     candidates = [
         fn for fn in unreached
         if not (fn.name.startswith("__") and fn.name.endswith("__"))
@@ -476,19 +436,12 @@ def main(argv: list[str] | None = None) -> int:
     if not args.check:
         return 0
     only_tests = flagged(unreached)
-    new = [fn for fn in only_tests if fn.key not in RETIRING]
-    stale = sorted(RETIRING - {fn.key for fn in only_tests})
-    retiring = [fn for fn in only_tests if fn.key in RETIRING]
-    print(f"check: {len(retiring)} retiring function(s), "
-          f"{sum(fn.lines for fn in retiring)} lines, still held by their tests")
-    if new:
-        print(f"check: {len(new)} function(s), {sum(fn.lines for fn in new)} lines, "
-              "only tests/ reach:")
-        for fn in new:
+    if only_tests:
+        print(f"check: {len(only_tests)} function(s), "
+              f"{sum(fn.lines for fn in only_tests)} lines, only tests/ reach:")
+        for fn in only_tests:
             print(f"  {fn.module}:{fn.first} {fn.qualname} ({fn.lines})")
-    for key in stale:
-        print(f"check: {key} is no longer flagged: drop it from RETIRING")
-    return 1 if new or stale else 0
+    return 1 if only_tests else 0
 
 
 if __name__ == "__main__":
