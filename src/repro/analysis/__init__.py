@@ -10,20 +10,19 @@ with a stable ``RPRxxx`` identifier:
 ========  ==========================================================
 RPR001    lock discipline: attributes guarded by ``with self._lock``
           somewhere must never be mutated without it elsewhere
-RPR002    protocol exhaustiveness: every message tag sent across the
-          shard pipe / serve protocol has a matching handler arm
 RPR003    atomic writes: index/label/shard persistence goes through
           ``repro.integrity`` staging, never bare ``open``/``np.save``
 RPR004    counted-op purity: no wall clock inside counted kernels
-          except the sanctioned ``repro.query.stats`` hooks
+          except the sanctioned ``repro.query.stats`` hooks, and no
+          ``repro.obs`` import there
 RPR005    exception discipline: no bare/silent broad excepts; pipe
           errors are types from ``repro.errors``
-RPR006    tracing surface: every trace/span call site names a method
-          of ``Trace``/``Span``; no ``repro.obs`` import in inner-loop
-          modules
-RPR007    deadline propagation: deadline-accepting functions forward
-          the budget to deadline-accepting callees
 ========  ==========================================================
+
+A rule exists only where no test can reach the hazard.  The ids
+RPR002 (protocol exhaustiveness), RPR006 (tracing surface) and RPR007
+(deadline propagation) are retired: behavioural tests hold those
+invariants (the mapping is ARCHITECTURE.md's "Enforced invariants").
 
 The rule set is code, not configuration: each rule's scope is a
 constant in the rule (the counted kernels are the one

@@ -6,8 +6,8 @@ Three pieces:
   stable rule id, JSON-serializable for the ``--json`` surface;
 * :class:`Rule` -- the plugin base class: per-module AST checks via
   :meth:`Rule.check_module` plus a cross-module :meth:`Rule.finalize`
-  pass for rules that relate *files to each other* (protocol
-  exhaustiveness, deadline propagation);
+  pass for rules that relate *files to each other* (exception
+  discipline reads the pipe's error types from ``errors.py``);
 * :class:`Analyzer` -- parses every file of the package once and runs
   the rules over it.
 
@@ -22,12 +22,12 @@ without third-party lint tooling.
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-#: The counted search kernels: no wall clock (RPR004) and no
-#: ``repro.obs`` import (RPR006).  A new kernel module is added here.
+#: The counted search kernels: no wall clock and no ``repro.obs``
+#: import (RPR004).  A new kernel module is added here.
 KERNELS = (
     "query/bestfirst.py",
     "query/ine.py",
@@ -103,38 +103,6 @@ def path_matches(rel: str, patterns: Iterable[str]) -> bool:
     return False
 
 
-def scope_nodes(
-    module: Module, qualprefix: str | None
-) -> list[ast.AST]:
-    """AST nodes of one ``path::qualname`` selector.
-
-    ``qualprefix`` of ``None`` (or ``""``) selects the whole module;
-    otherwise every function/class whose dotted qualname equals the
-    prefix or starts with ``prefix.`` is returned (so ``ShardWorker``
-    selects the class and everything inside it).
-    """
-    if not qualprefix:
-        return [module.tree]
-    selected: list[ast.AST] = []
-
-    def visit(node: ast.AST, qual: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child,
-                (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
-            ):
-                childqual = f"{qual}.{child.name}" if qual else child.name
-                if childqual == qualprefix:
-                    selected.append(child)
-                else:
-                    visit(child, childqual)
-            else:
-                visit(child, qual)
-
-    visit(module.tree, "")
-    return selected
-
-
 class Rule:
     """Base class every ``RPRxxx`` rule subclasses.
 
@@ -200,26 +168,6 @@ class Analyzer:
             findings.extend(rule.finalize(applicable))
         findings.sort(key=lambda f: (f.path, f.line, f.rule))
         return len(files), findings
-
-
-def iter_functions(
-    tree: ast.AST,
-) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
-def arg_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
-    args = node.args
-    return [
-        a.arg
-        for a in (
-            *args.posonlyargs, *args.args, *args.kwonlyargs,
-            *((args.vararg,) if args.vararg else ()),
-            *((args.kwarg,) if args.kwarg else ()),
-        )
-    ]
 
 
 def terminal_name(func: ast.expr) -> str | None:

@@ -12,7 +12,11 @@ rule flags any import of ``time`` / ``datetime`` and any use of their
 members.  Kernels that legitimately need a clock (deadline checks, the
 ``elapsed`` stat) import the sanctioned alias --
 ``repro.query.stats.counted_clock`` -- whose single definition site
-keeps the exception auditable.
+keeps the exception auditable.  It flags any import of ``repro.obs``
+too: the kernels' observability rides on the stats objects, which
+keeps them import-light and tracing's cost when off zero.  (That
+tracing call sites use the real ``Trace`` / ``Span`` surface is held
+by the traced tests, which take every one of them.)
 """
 
 from __future__ import annotations
@@ -22,7 +26,15 @@ from collections.abc import Iterable
 
 from repro.analysis.core import KERNELS, Finding, Module, Rule
 
-BANNED_MODULES = {"time", "datetime"}
+#: Wall-clock modules a kernel must not import.
+CLOCK_MODULES = ("time", "datetime")
+
+#: The observability package, which a kernel must not import either.
+OBS_PACKAGE = "repro.obs"
+
+
+def _within(name: str, package: str) -> bool:
+    return name == package or name.startswith(package + ".")
 
 
 class CountedOpPurityRule(Rule):
@@ -33,35 +45,33 @@ class CountedOpPurityRule(Rule):
         findings: list[Finding] = []
         clock_names: set[str] = set()
         for node in ast.walk(module.tree):
+            # (dotted name, name as written, name it binds) per alias.
             if isinstance(node, ast.Import):
-                for alias in node.names:
-                    root = alias.name.split(".")[0]
-                    if root in BANNED_MODULES:
-                        findings.append(
-                            self.finding(
-                                module,
-                                node.lineno,
-                                f"wall-clock module {alias.name!r} imported "
-                                "in a counted kernel; use "
-                                "repro.query.stats.counted_clock",
-                            )
-                        )
-                        clock_names.add(alias.asname or root)
-            elif isinstance(node, ast.ImportFrom) and (
-                (node.module or "").split(".")[0] in BANNED_MODULES
-            ):
-                for alias in node.names:
-                    name = alias.asname or alias.name
-                    findings.append(
-                        self.finding(
-                            module,
-                            node.lineno,
-                            f"wall-clock symbol {alias.name!r} imported "
-                            "in a counted kernel; use "
-                            "repro.query.stats.counted_clock",
-                        )
+                what = "module"
+                imported = [(a.name, a.name, a.asname or a.name.split(".")[0])
+                            for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                what = "symbol"
+                imported = [(f"{node.module}.{a.name}", a.name, a.asname or a.name)
+                            for a in node.names]
+            else:
+                continue
+            for dotted, written, bound in imported:
+                if _within(dotted, OBS_PACKAGE):
+                    message = (
+                        f"{dotted} imported in a counted kernel; the hot path "
+                        "must not depend on the observability layer (stats "
+                        "objects carry its counters out)"
                     )
-                    clock_names.add(name)
+                elif any(_within(dotted, clock) for clock in CLOCK_MODULES):
+                    message = (
+                        f"wall-clock {what} {written!r} imported in a counted "
+                        "kernel; use repro.query.stats.counted_clock"
+                    )
+                    clock_names.add(bound)
+                else:
+                    continue
+                findings.append(self.finding(module, node.lineno, message))
         if not clock_names:
             return findings
         import_lines = {f.line for f in findings}

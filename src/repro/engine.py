@@ -53,7 +53,7 @@ class BatchResult:
     """The answers to one batch of k-nearest-neighbor queries.
 
     ``results`` is in query order; ``stats`` is the sum of every
-    per-query counter (see :meth:`QueryStats.merge`); ``elapsed`` is
+    per-query counter (see :meth:`QueryStats.add`); ``elapsed`` is
     the wall-clock time of the whole batch including location
     resolution.
     """
@@ -264,8 +264,8 @@ class QueryEngine:
         non-SILC backends always answer exact sorted distances, and
         ``variant`` applies to the SILC path only).
         ``trace`` is a :class:`~repro.obs.trace.Trace` to record
-        ``plan`` / ``oracle:<backend>`` spans on; the default no-op
-        trace keeps the query path observation-free.
+        ``plan`` / ``oracle:<backend>`` spans on; with the default
+        ``None`` the query makes no tracing call.
         ``time_cap`` is the query's remaining deadline budget in
         seconds: the SILC search aborts with
         :class:`~repro.errors.DeadlineExceeded` when it runs out, so

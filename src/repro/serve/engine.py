@@ -8,14 +8,13 @@ outcome goes to ``done(value, exc)`` before the call returns.
 one a query method returns a future resolved by that same path, so
 ``await engine.knn(...)`` works.
 
-There is no thread: the search is GIL-bound, the engine's
-:class:`~repro.storage.StorageSimulator` is one LRU that must not be
-interleaved, and the server keeps one chunk in flight, so a worker
-thread would overlap nothing and cost two context switches per
-request.  Parallelism is processes: with ``shards > 1`` SILC kNN
-queries run on :class:`~repro.shard.ShardGroup` (the same answer as
-in process), and the loop thread waits on the worker's pipe, so
-callers that ``gather`` sharded queries get them one after another.
+There is no thread: the search is GIL-bound and the server keeps one
+chunk in flight, so a worker thread would overlap nothing and cost two
+context switches per request.  Parallelism is processes: with
+``shards > 1`` SILC kNN queries run on :class:`~repro.shard.ShardGroup`
+(the same answer as in process), and the loop thread waits on the
+worker's pipe, so callers that ``gather`` sharded queries get them one
+after another.
 """
 
 from __future__ import annotations

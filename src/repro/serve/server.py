@@ -369,7 +369,7 @@ class SILCServer:
                 else:
                     # Request validation keeps kind within KINDS; a
                     # kind added there without an arm here fails loudly
-                    # (and repro check RPR002 catches it statically).
+                    # (test_serve_server.py::TestEveryKindIsServed).
                     raise ValueError(f"unhandled request kind {request.kind!r}")
             except Exception as exc:  # noqa: BLE001 - raised before the hand-off: Failed
                 done(None, exc)

@@ -129,6 +129,9 @@ class TestBuildBudget:
     def test_frames_per_source_do_not_grow_with_blocks(self, network):
         net = network()
         net.to_csr()  # cached; a per-edge loop, not the build's
+        # One untimed build first: the first in a process imports SciPy,
+        # and those frames are not the build's.
+        SILCIndex.build(net)
         calls = []
         index, frames = _frames_during(
             lambda: SILCIndex.build(net, progress=lambda d, t: calls.append(d))

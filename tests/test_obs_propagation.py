@@ -131,6 +131,31 @@ class TestParity:
             assert a.result["ids"] == b.result["ids"]
         assert counted_ops(plain_snap.stats) == counted_ops(traced_snap.stats)
 
+    def test_an_approximate_batch_traces_the_same_answers(
+        self, small_index, small_object_index
+    ):
+        """``epsilon > 0`` has a traced branch of its own: one
+        ``oracle:silc`` span per query, labelled with its epsilon, over
+        the untraced batch's answers and counted ops."""
+        queries = (0, 7, 21)
+        plain = QueryEngine(small_index, small_object_index).knn_batch(
+            queries, 3, epsilon=0.2
+        )
+        sink = ListSink()
+        trace = Tracer(sink=sink).start_trace()
+        batch = QueryEngine(small_index, small_object_index).knn_batch(
+            queries, 3, epsilon=0.2, trace=trace
+        )
+        trace.finish()
+        assert [r.ids() for r in batch] == [r.ids() for r in plain]
+        assert counted_ops(batch.stats) == counted_ops(plain.stats)
+        [record] = sink.records
+        oracle = [s for s in record["spans"] if s["name"] == "oracle:silc"]
+        assert [s["labels"]["epsilon"] for s in oracle] == ["0.2"] * len(queries)
+        assert [s["counters"]["refinements"] for s in oracle] == [
+            r.stats.refinements for r in plain
+        ]
+
     def test_sharded_parity_with_tracing_on(self, small_index, small_object_index):
         requests = [knn_req(q, rid=i) for i, q in enumerate((5, 40))]
         plain, plain_snap = serve(

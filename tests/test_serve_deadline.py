@@ -10,13 +10,16 @@ raise :class:`~repro.errors.DeadlineExceeded` the moment it runs out
 """
 
 import asyncio
+import itertools
 import time
 
 import pytest
 
 from repro.engine import QueryEngine
 from repro.errors import DeadlineExceeded
-from repro.query import best_first_knn
+from repro.faults import FaultInjector
+from repro.obs.trace import Tracer
+from repro.query import best_first_knn, bestfirst
 from repro.serve import AsyncEngine, FairScheduler, Request, SILCServer
 from repro.serve.protocol import (
     Completed,
@@ -175,6 +178,47 @@ class TestServerDeadline:
             assert isinstance(response, Failed)
             assert response.error == f"{type(raised.value).__name__}: {raised.value}"
             assert (snapshot.failed, snapshot.in_flight) == (1, 0)
+
+
+class TestTheBudgetReachesTheSearch:
+    """A deadline that runs out inside the search, wherever the search
+    runs: in process, in a shard worker, and on the unsharded engine a
+    slot fails over to once its worker stays down.
+
+    ``counted_clock`` steps 1000 s per reading, patched before any
+    worker forks, so the search's first deadline check finds a 100 s
+    budget spent -- if every hop from the server to the kernel forwarded
+    it.  A hop that drops it lets the search finish: ``ok``, not
+    ``Expired(aborted=True)``."""
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("kind", ["knn", "knn_batch"])
+    @pytest.mark.parametrize("tier", ["local", "shards", "failover"])
+    def test_expires_inside_the_search(self, engine, monkeypatch, tier, kind, traced):
+        from repro.shard.worker import MAX_RETRIES
+
+        readings = itertools.count(0.0, 1000.0)
+        monkeypatch.setattr(bestfirst, "counted_clock", lambda: next(readings))
+        injector = None
+        if tier == "failover":  # slot 0 dies on every attempt
+            injector = FaultInjector()
+            for nth in range(1, MAX_RETRIES + 2):
+                injector.kill_worker_at(0, nth)
+        queries = (7, 11) if kind == "knn_batch" else (7,)
+        request = Request(id=1, client="web", kind=kind, queries=queries, k=3, deadline=100.0)
+
+        async def go():
+            shards = 1 if tier == "local" else 2
+            async with AsyncEngine(engine, shards=shards, fault_injector=injector) as ae:
+                server = SILCServer(ae, tracer=Tracer() if traced else None)
+                await server.start()
+                # No stop(): after a failing pump it would wait for ever.
+                return await asyncio.wait_for(server.submit(request), 30.0)
+
+        response = asyncio.run(go())
+        assert isinstance(response, Expired) and response.aborted, response
+        if injector is not None:
+            assert injector.fired("worker_kill") == MAX_RETRIES + 1
 
 
 class TestProtocolFlags:

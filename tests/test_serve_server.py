@@ -21,6 +21,7 @@ from repro.serve import (
     SILCServer,
     serve_jsonl,
 )
+from repro.serve.protocol import KINDS, Completed, request_from_dict
 
 
 TIMEOUT = 30.0  # every wait in this file is bounded
@@ -364,6 +365,38 @@ class TestSILCServer:
                     await server.submit(knn_req(0))
 
         asyncio.run(go())
+
+
+#: One wire record that every kind accepts: each reads the fields it needs.
+EVERY_FIELD = {"client": "web", "query": 7, "queries": [7, 11], "source": 0, "target": 99, "k": 2}
+
+
+@pytest.fixture(scope="class", params=[1, 2], ids=["local", "2-shards"])
+def served_engine(request, small_index, small_object_index):
+    async_engine = AsyncEngine(QueryEngine(small_index, small_object_index), shards=request.param)
+    yield async_engine
+    async_engine.close()
+
+
+class TestEveryKindIsServed:
+    """One request of each kind in ``KINDS``, locally and on two shard
+    workers, comes back ``Completed``: a kind added there without an arm
+    in the server's dispatch (``_pump``) or reply assembly (``_settle``)
+    fails here, as does an arm deleted from either."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_is_answered(self, served_engine, kind):
+        request = request_from_dict({**EVERY_FIELD, "id": kind, "kind": kind})
+
+        async def go():
+            server = SILCServer(served_engine)
+            await server.start()
+            # No stop(): after a failing pump it would wait for ever.
+            return await asyncio.wait_for(server.submit(request), TIMEOUT)
+
+        response = asyncio.run(go())
+        assert isinstance(response, Completed), response
+        assert response.id == kind
 
 
 class TestBadRequestParity:

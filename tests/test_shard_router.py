@@ -309,6 +309,9 @@ class TestWorkerLifecycle:
         group.close()
         for worker in group.workers.values():
             assert not worker.process.is_alive()
+        # Each left its loop on ("stop",): status 0, not the terminate
+        # stop() escalates to when a worker outlives its timeout.
+        assert [w.process.exitcode for w in group.workers.values()] == [0, 0]
         assert not group.directory.exists()
 
     def test_worker_error_is_raised_in_parent(self, setup):
