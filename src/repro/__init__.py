@@ -28,12 +28,17 @@ Quick start::
     for neighbor in result.neighbors:
         print(neighbor.oid, neighbor.distance)
 
-    # Serving many queries: QueryEngine caches resolved locations,
-    # keeps one (warm) storage simulator attached, and aggregates the
-    # per-query stats into one batch-level QueryStats.
-    engine = QueryEngine(index, object_index, cache_fraction=0.05)
+    # Many queries: QueryEngine caches resolved locations and
+    # aggregates the per-query stats into one batch-level QueryStats
+    # (what `repro serve` runs, with no page simulator).
+    engine = QueryEngine(index, object_index)
     batch = engine.knn_batch(range(100), k=5, variant="knn_m")
     print(len(batch), "queries,", batch.stats.refinements, "refinements")
+
+    # The paper's I/O cost model: an LRU holding 5 % of the index pages,
+    # counted per query (io_accesses / io_misses) -- for experiments.
+    paged = QueryEngine(index, object_index, cache_fraction=0.05)
+    print(paged.knn(0, k=5).stats.io_misses, "page misses")
 """
 
 from repro.engine import QueryEngine

@@ -23,6 +23,10 @@ from repro.geometry.morton import (
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 
+#: ``1 << level`` for every block level: a block's side in cells.
+_SIDES = np.left_shift(1, np.arange(MAX_ORDER + 1), dtype=np.int64)
+_SIDES.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class GridEmbedding:
@@ -59,6 +63,20 @@ class GridEmbedding:
     @cached_property
     def cell_height(self) -> float:
         return self.bounds.height / self.cells_per_side
+
+    @cached_property
+    def cell_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """World ``x`` and ``y`` of every cell edge ``0 .. cells_per_side``,
+        as :meth:`block_world_rect` computes them (``min + i * size``):
+        a block's bounds are four lookups in these."""
+        cells = np.arange(self.cells_per_side + 1, dtype=np.float64)
+        edges = (
+            self.bounds.xmin + cells * self.cell_width,
+            self.bounds.ymin + cells * self.cell_height,
+        )
+        for edge in edges:  # shared by every bound column: read-only
+            edge.flags.writeable = False
+        return edges
 
     # ------------------------------------------------------------------
     # Point -> cell
@@ -104,22 +122,14 @@ class GridEmbedding:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized :meth:`block_world_rect` over many blocks.
 
-        Returns ``(xmin, ymin, xmax, ymax)`` float arrays, computed
-        with the same arithmetic (and therefore bit-identical bounds)
-        as the scalar path.
+        Returns ``(xmin, ymin, xmax, ymax)`` float arrays: lookups in
+        :attr:`cell_edges`, which hold the scalar path's arithmetic (and
+        therefore bit-identical bounds).
         """
-        cx, cy = morton_decode_array(codes)
-        side = np.int64(1) << np.asarray(levels, dtype=np.int64)
-        cw = self.cell_width
-        ch = self.cell_height
-        x0 = self.bounds.xmin
-        y0 = self.bounds.ymin
-        return (
-            x0 + cx.astype(np.float64) * cw,
-            y0 + cy.astype(np.float64) * ch,
-            x0 + (cx + side).astype(np.float64) * cw,
-            y0 + (cy + side).astype(np.float64) * ch,
-        )
+        cx, cy = morton_decode_array(codes, self.order)
+        side = _SIDES[np.asarray(levels, dtype=np.intp)]
+        xe, ye = self.cell_edges
+        return xe[cx], ye[cy], xe[cx + side], ye[cy + side]
 
     # ------------------------------------------------------------------
     # Construction helpers

@@ -58,8 +58,9 @@ class Rect:
     def min_distance_to_point_xy(self, x: float, y: float) -> float:
         """:meth:`min_distance_to_point` without the Point allocation.
 
-        The block-bound hot path calls this once per object-index
-        block probed.
+        ``SILCIndex.block_lower_bound`` calls it for a block inside one
+        table block; ``QueryHandle.block_bounds`` writes the same value
+        out inline.
         """
         dx = max(self.xmin - x, 0.0, x - self.xmax)
         dy = max(self.ymin - y, 0.0, y - self.ymax)

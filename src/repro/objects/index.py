@@ -61,6 +61,10 @@ class ObjectIndex:
         #: holds an edge object)``: the query-independent half of a
         #: block bound.
         self.node_info: dict[tuple[int, int], tuple[Rect, bool]] = {}
+        #: ``(code, level)`` of every non-leaf node -> its children that
+        #: hold an object, in order: what expanding it bounds (an empty
+        #: leaf is never bounded).
+        self.live_children: dict[tuple[int, int], list[PMRNode]] = {}
         #: oid -> ``(vertex, offset)`` anchors every path into the
         #: object passes through.  Vertex ids and edges are checked here
         #: (``position_point`` / ``edge_weight`` raise on a bad one), so
@@ -83,14 +87,15 @@ class ObjectIndex:
                     self.edge_objects.append(obj)
                 for vertex, remaining in part_anchors:
                     self.edge_candidates[vertex].append((obj.oid, remaining))
+        self.root: PMRNode = self.tree.root
         self._compute_node_info()
 
     # ------------------------------------------------------------------
     # Structure metadata
     # ------------------------------------------------------------------
     def _compute_node_info(self) -> None:
-        """Record every node's rectangle and whether its subtree
-        contains an edge object.
+        """Record every node's rectangle, whether its subtree contains
+        an edge object and, per non-leaf node, its non-empty children.
 
         Block-level lambda bounds are only sound for vertex objects;
         nodes flagged here additionally take the (weaker but sound)
@@ -105,17 +110,16 @@ class ObjectIndex:
                 # Evaluate all children: every node needs its flag.
                 flags = [walk(child) for child in node.children]
                 flag = any(flags)
-            self.node_info[(node.code, node.level)] = (self.tree.node_rect(node), flag)
+                self.live_children[node.code, node.level] = [
+                    child for child in node.children if not child.is_leaf or child.entries
+                ]
+            self.node_info[node.code, node.level] = (self.tree.node_rect(node), flag)
             return flag
 
         walk(self.tree.root)
 
     def node_rect(self, node: PMRNode) -> Rect:
-        return self.node_info[(node.code, node.level)][0]
-
-    @property
-    def root(self) -> PMRNode:
-        return self.tree.root
+        return self.node_info[node.code, node.level][0]
 
     # ------------------------------------------------------------------
     # Lookups

@@ -41,15 +41,18 @@ from repro.query.location import resolve_location
 from repro.query.results import KNNResult, Neighbor
 from repro.query.stats import QueryStats, counted_clock
 from repro.silc.index import SILCIndex
-from repro.silc.refinement import RefinementCounter
+from repro.silc.intervals import DistanceInterval
+from repro.silc.refinement import RefinableDistance, RefinementCounter
 
 _NODE = 0
 _OBJECT = 1
 
 VARIANTS = ("knn", "inn", "knn_i", "knn_m")
 
-#: Sort key of the fill and the exact pass: C, so no frame per state.
+#: Sort keys of the fill, the exact pass and ``dk_final``: C, so no
+#: frame per state.
 _by_lo = attrgetter("lo")
+_by_hi = attrgetter("hi")
 
 
 class _KMinDistTracker:
@@ -184,6 +187,11 @@ def best_first_knn(
     counter = RefinementCounter()
     position: NetworkPosition = resolve_location(index.network, query)
     handle = QueryHandle(index, object_index, position, counter)
+    # A vertex query builds a one-anchor object's state here, as
+    # ``handle.object_state`` would: one frame per object.
+    vertex_anchor = handle.vertex_anchor
+    target_anchors = object_index.target_anchors
+    live_children = object_index.live_children
     io_before = index.storage.stats if index.storage is not None else None
 
     use_dk = variant == "knn"
@@ -214,7 +222,7 @@ def best_first_knn(
     seq = max_queue = collisions = 0
     root = object_index.root
     if root.children is not None or root.entries:
-        lo = handle.block_bound(root)
+        lo = handle.block_bounds((root,))[0]
         heap.append((lo, 1, _NODE, root))
         seq = max_queue = 1
         if kmin_tracker is not None:
@@ -259,7 +267,12 @@ def best_first_knn(
                         # Extent objects are indexed once per part;
                         # only the first encounter creates a state.
                         continue
-                    state = handle.object_state(oid)
+                    targets = target_anchors[oid]
+                    if vertex_anchor is not None and len(targets) == 1:
+                        (sv, s_off), (tv, t_off) = vertex_anchor, targets[0]
+                        state = RefinableDistance(index, sv, tv, counter, s_off + t_off, oid)
+                    else:
+                        state = handle.object_state(oid)
                     states[oid] = state
                     fresh.append(state)
                     if use_d0k and len(first_k_his) < k:
@@ -289,10 +302,8 @@ def best_first_knn(
                         heappush(heap, (state.lo, seq, _OBJECT, state))
             else:
                 stats.nonleaf_expansions += 1
-                for child in node.children:
-                    if child.children is None and not child.entries:
-                        continue  # an empty leaf
-                    child_bound = handle.block_bound(child)
+                children = live_children[node.code, node.level]
+                for child, child_bound in zip(children, handle.block_bounds(children)):
                     if child_bound < popped_bound:
                         seq += 1
                         heappush(heap, (child_bound, seq, _NODE, child))
@@ -386,10 +397,14 @@ def best_first_knn(
         if variant != "knn_m":
             result_states.sort(key=_by_lo)
 
-    neighbors = [Neighbor.from_state(s) for s in result_states]
+    # Neighbor.from_state, inline: one frame less per neighbour.
+    neighbors = [
+        Neighbor(s.oid, DistanceInterval(s.lo, s.hi), s.lo if s.lo == s.hi else None)
+        for s in result_states
+    ]
 
     if neighbors:
-        his = sorted(n.interval.hi for n in neighbors)
+        his = sorted(map(_by_hi, result_states))
         stats.dk_final = his[min(k, len(his)) - 1]
     if kmin_tracker is not None:
         stats.kmindist_final = kmin_tracker.value()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 
 from repro.objects.index import ObjectIndex
 from repro.objects.model import NetworkPosition, VertexPosition, position_point
@@ -131,16 +132,30 @@ class QueryHandle:
         self.counter = counter if counter is not None else RefinementCounter()
         network = index.network
         self.network = network
-        self.anchors = source_anchors(network, position)
-        # From a vertex the only same-edge segment is the 0.0 to an
-        # object on that vertex, which the anchor pair gives exactly.
-        self._at_vertex = isinstance(position, VertexPosition)
-        self.point = position_point(network, position)
         # Global lower-bound slope for the Euclidean fallback bound:
         # any network path is at least this multiple of straight-line
         # distance (see SpatialNetwork.min_euclidean_ratio).
         self._euclid_slope = network.min_euclidean_ratio()
-        self._anchor_columns: list[tuple[int, float, list[float]]] | None = None
+        #: The query's one anchor ``(vertex, 0.0)`` when it is a vertex,
+        #: else None.  From a vertex the only same-edge segment is the
+        #: 0.0 to an object on that vertex, which the anchor pair gives
+        #: exactly, so a one-anchor object is one ``RefinableDistance``.
+        self.vertex_anchor: tuple[int, float] | None = None
+        if isinstance(position, VertexPosition):
+            # source_anchors and position_point for a vertex, inline:
+            # the query point is the vertex's own coordinates.
+            vertex = position.vertex
+            xf = index._xf
+            if not 0 <= vertex < len(xf):
+                network.check_vertex(vertex)  # raises, naming the vertex
+            self.vertex_anchor = (vertex, 0.0)
+            self.anchors = [self.vertex_anchor]
+            self.px, self.py = xf[vertex], index._yf[vertex]
+        else:
+            self.anchors = source_anchors(network, position)
+            point = position_point(network, position)
+            self.px, self.py = point.x, point.y
+        self._anchor_rows: list[tuple] | None = None
 
     # ------------------------------------------------------------------
     # Distances
@@ -153,19 +168,19 @@ class QueryHandle:
         query's when it was resolved and reduced to anchors, the
         object's when the object index was built.  The object itself is
         read only for a same-edge segment, which a vertex query has not.
+        ``best_first_knn`` builds the one-anchor case of a vertex query
+        itself, with these arguments.
         """
         index = self.index
         counter = self.counter
         anchors = self.anchors
         targets = self.object_index.target_anchors[oid]
-        direct = None if self._at_vertex else same_edge_direct(
+        direct = None if self.vertex_anchor is not None else same_edge_direct(
             self.network, self.position, self.object_index.objects[oid].position
         )
         if direct is None and len(targets) == 1 and len(anchors) == 1:
             (sv, s_off), (tv, t_off) = anchors[0], targets[0]
-            state = RefinableDistance(index, sv, tv, counter, s_off + t_off)
-            state.oid = oid
-            return state
+            return RefinableDistance(index, sv, tv, counter, s_off + t_off, oid)
         components = []
         for sv, s_off in anchors:
             for tv, t_off in targets:
@@ -178,50 +193,84 @@ class QueryHandle:
     # Block bounds
     # ------------------------------------------------------------------
     def block_bound(self, node: PMRNode) -> float:
-        """Sound lower bound on the distance to any object under ``node``.
+        """Sound lower bound on the distance to any object under ``node``."""
+        return self.block_bounds((node,))[0]
+
+    def block_bounds(self, nodes: Sequence[PMRNode]) -> list[float]:
+        """:meth:`block_bound` of each node, in one frame: the search
+        bounds the root, then every live child of a node it expands.
 
         Vertex objects get the tight lambda bound through the SILC
         quadtrees; subtrees containing edge objects fall back to the
         global-slope Euclidean bound, and pure-vertex subtrees use the
-        better of the two.  Per anchor, :meth:`SILCIndex.block_lower_bound`
-        inline (a node bounded is this frame and its MINDIST), with the
-        node's own rectangle as the query block's.
+        better of the two.  Per node and anchor,
+        :meth:`SILCIndex.block_lower_bound` inline -- row run, pages
+        (in node order, then anchor order), the minimum over the run's
+        bound column or, when one table block contains the node, that
+        block's ``lam_min`` times the anchor's MINDIST to the node.
+        MINDIST is ``Rect.min_distance_to_point_xy`` on the node
+        rectangles ``ObjectIndex`` keeps, read as four floats, its two
+        ``max(lo - p, 0.0, p - hi)`` written as comparisons: the same
+        value (the zero's sign aside, which ``hypot`` ignores) without a
+        call.
         """
-        code = node.code
-        rect, has_edge_objects = self.object_index.node_info[code, node.level]
-        point = self.point
-        euclid = self._euclid_slope * rect.min_distance_to_point_xy(point.x, point.y)
         index = self.index
-        if self._anchor_columns is None:
+        rows = self._anchor_rows
+        if rows is None:
             # One bound column per anchor, shared by every node bounded.
-            self._anchor_columns = [
-                (av, off, index.bound_column(av)) for av, off in self.anchors
-            ]
-        end = code + (1 << 2 * node.level)
+            xf, yf, tables = index._xf, index._yf, index.tables
+            rows = self._anchor_rows = []
+            for av, a_off in self.anchors:
+                codes, levels, _, lam_min, _ = tables[av].columns
+                rows.append((
+                    av, a_off, index.bound_column(av), codes, levels, lam_min,
+                    xf[av], yf[av],
+                ))
+        node_info = self.object_index.node_info
+        px, py, slope = self.px, self.py, self._euclid_slope
         storage = index.storage
-        lam = math.inf
-        for av, a_off, column in self._anchor_columns:
-            codes, levels, _, lam_min, _ = index.tables[av].columns
-            start = bisect_right(codes, code) - 1
-            if start < 0 or codes[start] + (1 << 2 * levels[start]) <= code:
-                start += 1
-            stop = bisect_left(codes, end)
-            if start >= stop:
-                continue  # no network vertex of the node in this table
-            if storage is not None:
-                layout = storage.layout
-                base, per_page = layout.page_offsets[av], layout.records_per_page
-                for page in range(start // per_page, (stop - 1) // per_page + 1):
-                    storage.access(base + page)
-            if codes[start] >= code and codes[stop - 1] + (1 << 2 * levels[stop - 1]) <= end:
-                best = min(column[start:stop])
-            else:  # one table block contains the node
-                best = lam_min[start] * rect.min_distance_to_point_xy(index._xf[av], index._yf[av])
-            lam = min(lam, a_off + best * (1.0 - REL_PAD))
-        if has_edge_objects:
-            return min(lam, euclid)
-        if math.isinf(lam):
-            # No network vertex in the block: with only vertex objects
-            # allowed here, the subtree must be empty of objects too.
-            return math.inf
-        return max(lam, euclid)
+        inf = math.inf
+        bounds = []
+        for node in nodes:
+            code = node.code
+            level = node.level
+            rect, has_edge_objects = node_info[code, level]
+            xmin, ymin, xmax, ymax = rect.xmin, rect.ymin, rect.xmax, rect.ymax
+            euclid = slope * math.hypot(
+                xmin - px if px < xmin else px - xmax if px > xmax else 0.0,
+                ymin - py if py < ymin else py - ymax if py > ymax else 0.0,
+            )
+            end = code + (1 << 2 * level)
+            lam = inf
+            for av, a_off, column, codes, levels, lam_min, ax, ay in rows:
+                start = bisect_right(codes, code) - 1
+                if start < 0 or codes[start] + (1 << 2 * levels[start]) <= code:
+                    start += 1
+                stop = bisect_left(codes, end)
+                if start >= stop:
+                    continue  # no network vertex of the node in this table
+                if storage is not None:
+                    layout = storage.layout
+                    base, per_page = layout.page_offsets[av], layout.records_per_page
+                    for page in range(start // per_page, (stop - 1) // per_page + 1):
+                        storage.access(base + page)
+                if codes[start] >= code and codes[stop - 1] + (1 << 2 * levels[stop - 1]) <= end:
+                    best = min(column[start:stop])
+                else:  # one table block contains the node
+                    best = lam_min[start] * math.hypot(
+                        xmin - ax if ax < xmin else ax - xmax if ax > xmax else 0.0,
+                        ymin - ay if ay < ymin else ay - ymax if ay > ymax else 0.0,
+                    )
+                best = a_off + best * (1.0 - REL_PAD)
+                if best < lam:
+                    lam = best
+            if has_edge_objects:
+                bounds.append(min(lam, euclid))
+            elif lam == inf:
+                # No network vertex in the block: with only vertex
+                # objects allowed here, the subtree must be empty of
+                # objects too.
+                bounds.append(inf)
+            else:
+                bounds.append(max(lam, euclid))
+        return bounds

@@ -315,42 +315,61 @@ class SILCServer:
         the server idle, and a turn after a chunk completion that left
         chunks queued; one chunk is in flight at a time.  A loop, not
         recursion: chunks of expired, cancelled and failed requests are
-        passed over without a hand-off.
+        passed over without a hand-off.  Should its own bookkeeping
+        raise, the request it was preparing is answered ``Failed`` and
+        the pump goes on; what raises before a request is known leaves
+        the server at rest (``stop()`` can still drain) and is raised.
         """
-        while (chunk := self.scheduler.next_chunk()) is not None:
-            request = chunk.request
-            pending = self._pending_by_request.get(id(request))
-            if pending is None:
-                # Request already expired/failed/cancelled: drop its tail,
-                # and with the final chunk drop its delay record too (it
-                # was written at first dispatch and has no reader left).
-                if chunk.last:
-                    self.scheduler.sched_delays.pop(id(request), None)
-                continue
-            if pending.span is not None:
-                # Traced, first dispatch: the queueing stage ends here
-                # (later chunks of a batch re-enter the scheduler but the
-                # fairness contract is counted, not timed).
-                pending.span.count(sched_delay=self.scheduler.sched_delay(request))
-                pending.span.close()
-                pending.span = None
-            # What is left of the deadline after queueing becomes the
-            # execution-time cap: it rides through AsyncEngine into the
-            # engine/router/worker search loops, so a request that expires
-            # mid-execution is aborted instead of finishing late.
-            budget = None
-            if request.deadline is not None:
-                waited = self.clock() - pending.submitted
-                if waited > request.deadline:
-                    self._finish(pending, Expired(request.id, request.client, waited=waited))
-                    self._count("expired")
+        pending = None
+        while True:
+            try:
+                chunk = self.scheduler.next_chunk()
+                if chunk is None:
+                    break
+                request = chunk.request
+                pending = self._pending_by_request.get(id(request))
+                if pending is None:
+                    # Request already expired/failed/cancelled: drop its
+                    # tail, and with the final chunk drop its delay record
+                    # too (it was written at first dispatch and has no
+                    # reader left).
+                    if chunk.last:
+                        self.scheduler.sched_delays.pop(id(request), None)
                     continue
-                budget = request.deadline - waited
-            trace = pending.trace
-            # Open across the hand-off, so the spans the query opens
-            # parent under it; _settle closes it.
-            span = None if trace is None else trace.span("execute", kind=request.kind)
-            done = partial(self._settle, pending, chunk, span)
+                if pending.span is not None:
+                    # Traced, first dispatch: the queueing stage ends here
+                    # (later chunks of a batch re-enter the scheduler but
+                    # the fairness contract is counted, not timed).
+                    pending.span.count(sched_delay=self.scheduler.sched_delay(request))
+                    pending.span.close()
+                    pending.span = None
+                # What is left of the deadline after queueing becomes the
+                # execution-time cap: it rides through AsyncEngine into the
+                # engine/router/worker search loops, so a request that
+                # expires mid-execution is aborted instead of finishing late.
+                budget = None
+                if request.deadline is not None:
+                    waited = self.clock() - pending.submitted
+                    if waited > request.deadline:
+                        self._finish(pending, Expired(request.id, request.client, waited=waited))
+                        self._count("expired")
+                        continue
+                    budget = request.deadline - waited
+                trace = pending.trace
+                # Open across the hand-off, so the spans the query opens
+                # parent under it; _settle closes it.
+                span = None if trace is None else trace.span("execute", kind=request.kind)
+                done = partial(self._settle, pending, chunk, span)
+            except Exception as exc:  # noqa: BLE001 - the pump's own bookkeeping
+                if pending is None or pending.done:
+                    self._rest()  # nothing is in flight
+                    raise
+                self._count("failed")
+                self._finish(pending, Failed(
+                    pending.request.id, pending.request.client,
+                    error=f"{type(exc).__name__}: {exc}",
+                ))
+                continue
             try:
                 if request.kind == "path":
                     self.engine.route(*chunk.queries, done=done)

@@ -32,7 +32,9 @@ sentinel (one ``select.poll``, registered at spawn) before every read,
 so a worker that dies -- before its reply or between a frame's header
 and body -- or stays silent past a timeout raises
 :class:`~repro.errors.WorkerDied`; ``stop()`` escalates join ->
-terminate -> kill.
+terminate -> kill.  The other way round, a worker reads EOF and exits
+when its parent dies without ``stop()``: it closes the parent's ends of
+the pipes it inherited at the fork first thing.
 
 **Recovery** (one path, no knob): :class:`ShardGroup` respawns a dead
 worker after a backoff (:func:`backoff`), pings it and replays the
@@ -67,6 +69,7 @@ import shutil
 import struct
 import tempfile
 import time
+import weakref
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
@@ -91,6 +94,13 @@ from repro.silc.intervals import DistanceInterval
 #: with the parent; spawn re-pickles them (both work -- the payloads
 #: are plain dataclasses).
 _START_METHOD = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+
+#: The parent's end of every shard pipe this process has open.  A
+#: forked worker inherits each of them, its own pipe's included, and
+#: closes them first thing: otherwise a parent that dies without
+#: ``stop()`` leaves its workers waiting on pipes that never read EOF
+#: (each holds the write end of its own, and of its elder siblings').
+_PARENT_ENDS: weakref.WeakSet = weakref.WeakSet()
 
 #: A frame's header: the length of the pickled body that follows.
 _HEADER = struct.Struct("<Q")
@@ -167,6 +177,8 @@ def _shard_worker_main(conn, spec: WorkerSpec) -> None:
     from repro.engine import QueryEngine
     from repro.silc.index import SILCIndex
 
+    for end in list(_PARENT_ENDS):  # empty under spawn: nothing inherited
+        end.close()
     shard_id = spec.shard_id
     fd = conn.fileno()
     try:
@@ -244,6 +256,7 @@ def spawn_worker(spec: WorkerSpec) -> ShardWorker:
     """Start one worker process from its spec; does not ping it."""
     ctx = mp.get_context(_START_METHOD)
     parent_conn, child_conn = ctx.Pipe()
+    _PARENT_ENDS.add(parent_conn)
     process = ctx.Process(
         target=_shard_worker_main, args=(child_conn, spec), daemon=True,
         name=f"repro-shard-{spec.shard_id}",

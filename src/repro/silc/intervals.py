@@ -62,16 +62,21 @@ def checked_bounds(
     return lo, hi
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DistanceInterval:
     """A closed interval certain to contain a network distance."""
 
     lo: float
     hi: float
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.lo <= self.hi):
-            raise invalid_bounds(self.lo, self.hi)
+    def __init__(self, lo: float, hi: float) -> None:
+        # The check and the fields in one frame (a generated __init__
+        # would call a __post_init__ for the check: one frame more per
+        # reported neighbour).
+        if not (0.0 <= lo <= hi):
+            raise invalid_bounds(lo, hi)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def width(self) -> float:

@@ -56,7 +56,7 @@ class RefinableDistance:
     never decreases, the upper bound never increases.
 
     A query with this one way to an object queues the instance itself,
-    and ``oid`` then names the object.
+    and ``oid`` then names the object (``None`` otherwise).
 
     ``__init__`` and :meth:`refine` each carry the lines of
     :meth:`SILCIndex.hop_and_interval` (same arithmetic, same order:
@@ -85,6 +85,7 @@ class RefinableDistance:
         target: int,
         counter: RefinementCounter | None = None,
         offset: float = 0.0,
+        oid: int | None = None,
     ) -> None:
         if offset < 0:
             raise ValueError("offset must be non-negative")
@@ -93,7 +94,7 @@ class RefinableDistance:
         self.target = target
         self.via = source
         self.acc = offset
-        self.oid: int | None = None
+        self.oid = oid
         self._counter = counter
         cell = self._cell = index._vcodes[target]
         if source == target:

@@ -25,7 +25,6 @@ import sys
 import pytest
 
 from repro.datasets import random_vertex_objects
-from repro.geometry.morton import block_cells
 from repro.objects import ObjectIndex
 from repro.query.bestfirst import best_first_knn
 from repro.query.distances import QueryHandle
@@ -44,68 +43,50 @@ FRAMES_PER_FINISH_LINK = 0
 #: pop loop itself enters no frame, and neither does a change to ``L``
 #: or a page access; everything else is per
 #:
-#: * object seen: ``object_state`` and the state's ``__init__`` (which
-#:   probes);
-#: * node bounded: ``block_bound`` (row run, pages and minimum inline per
-#:   anchor) and the query point's MINDIST to the node; an anchor whose
-#:   run is one table block containing the node adds that anchor's
-#:   MINDIST to the node's rectangle;
-#: * neighbor reported: ``refine_fully``, ``from_state``, the
-#:   ``Neighbor`` and ``DistanceInterval`` constructors and
-#:   ``__post_init__``, one ``dk_final`` generator step (the sort keys
-#:   are ``attrgetter``: no frame);
+#: * object seen: the ``RefinableDistance`` constructor (which probes),
+#:   called by the loop itself for a vertex query's one-anchor object;
+#: * bounding call: ``block_bounds``, once for the root and once per
+#:   non-leaf expansion for all of its live children -- per node and
+#:   anchor the row run, pages, minimum and MINDISTs are inline, so a
+#:   node bounded costs no frame of its own;
+#: * neighbor reported: ``refine_fully`` and the ``Neighbor`` and
+#:   ``DistanceInterval`` constructors (the interval checks its bounds in
+#:   its own ``__init__``; the sort keys and ``dk_final``'s are
+#:   ``attrgetter``: no frame);
 #: * fallback fill, when the search ends short of k (an exact ``knn``
 #:   whose k-th candidate was walked to ``lo == Dk`` ends that way): its
 #:   two comprehensions, and one ``refine_fully`` per state it fills;
-#: * query: set-up (location, anchors, one bound column), the I/O
-#:   snapshot and delta, result assembly.
+#: * query: set-up (stats, counter, location, handle, the Euclidean
+#:   slope, one bound column per anchor with its check and geometry),
+#:   the I/O snapshot and delta, result assembly.
 #:
 #: There is no slack left: a step or link that reaches its target costs
-#: what any other does.
-#:
-#: A search bounds the root and at most four children per non-leaf
-#: expansion, which ties ``nodes_bounded`` to the reported counters.
-FRAMES_PER_OBJECT = 2
-FRAMES_PER_NODE_BOUNDED = 2
-FRAMES_PER_NODE_INSIDE_ONE_BLOCK = 1
-FRAMES_PER_NEIGHBOR = 6
+#: what any other does, and every case below meets its budget exactly.
+FRAMES_PER_OBJECT = 1
+FRAMES_PER_BOUNDING_CALL = 1
+FRAMES_PER_NEIGHBOR = 3
 FRAMES_PER_FALLBACK_FILL = 2
-FRAMES_PER_QUERY = 34
-
-
-def _anchors_inside_one_block(handle, node) -> int:
-    """Anchors of ``handle`` whose table has one block containing, and
-    larger than, ``node``'s (counted from the tables, not the kernel)."""
-    end = node.code + block_cells(node.level)
-    inside = 0
-    for anchor, _ in handle.anchors:
-        table = handle.index.tables[anchor]
-        rows = table.overlapping(node.code, end)
-        inside += len(rows) == 1 and (
-            table.codes[rows.start] < node.code or table.ends[rows.start] > end
-        )
-    return inside
+FRAMES_PER_QUERY = 25
 
 
 def _count_calls(index, object_index, fn):
     """Run ``fn`` counting Python calls: all of them, those at or under
     a queued state's ``refine``, those under its ``refine_fully``, and
-    calls of the two functions in ``named`` -- plus, per node bounded,
-    the anchors whose table block contains the node."""
+    calls of the functions in ``named`` -- plus the nodes each bounding
+    call bounds."""
     state = QueryHandle(
         index, object_index, resolve_location(index.network, 0)
     ).object_state(0)
     refine_code = type(state).refine.__code__
     finish_code = type(state).refine_fully.__code__
     named = {
-        QueryHandle.block_bound.__code__: "nodes_bounded",
-        DistanceInterval.__post_init__.__code__: "intervals",
+        QueryHandle.block_bounds.__code__: "bounding_calls",
+        DistanceInterval.__init__.__code__: "intervals",
         refine_code: "refines",
         finish_code: "finishes",
     }
     counts = dict.fromkeys(named.values(), 0) | {
-        "frames": -1, "under_refine": 0, "under_finish": 0,
-        "nodes_inside_one_block": 0,
+        "frames": -1, "under_refine": 0, "under_finish": 0, "nodes_bounded": 0,
     }
     stack = []  # what each frame under a refine / refine_fully counts as
 
@@ -122,10 +103,8 @@ def _count_calls(index, object_index, fn):
                 stack.append("under_finish")  # the walk's own frame: per neighbor
             if frame.f_code in named:
                 counts[named[frame.f_code]] += 1
-            if frame.f_code is QueryHandle.block_bound.__code__:
-                counts["nodes_inside_one_block"] += _anchors_inside_one_block(
-                    frame.f_locals["self"], frame.f_locals["node"]
-                )
+            if frame.f_code is QueryHandle.block_bounds.__code__:
+                counts["nodes_bounded"] += len(frame.f_locals["nodes"])
         elif event == "return" and stack:
             stack.pop()
 
@@ -199,21 +178,22 @@ def test_whole_query_frames_within_budget(small_net, small_index, variant):
             run()  # first touch: the resolved-location cache
             result, counts = _count_calls(small_index, object_index, run)
             s = result.stats
+            # The root, then one call per non-leaf expansion.
+            assert counts["bounding_calls"] == 1 + s.nonleaf_expansions
             # A collision is one frame, a step or a walk; the links a
             # walk takes cost nothing more (FRAMES_PER_FINISH_LINK).
             budget = (
                 FRAMES_PER_REFINEMENT * s.collisions
                 + FRAMES_PER_FINISH_LINK * s.extras["post_refinements"]
                 + FRAMES_PER_OBJECT * s.objects_seen
-                + FRAMES_PER_NODE_BOUNDED * counts["nodes_bounded"]
-                + FRAMES_PER_NODE_INSIDE_ONE_BLOCK * counts["nodes_inside_one_block"]
+                + FRAMES_PER_BOUNDING_CALL * counts["bounding_calls"]
                 + FRAMES_PER_NEIGHBOR * len(result.neighbors)
                 + FRAMES_PER_QUERY
             )
             filled = s.extras.get("fallback_fill")
             if filled is not None:
                 budget += FRAMES_PER_FALLBACK_FILL + filled
-            assert counts["frames"] <= budget, (query, k, counts, s)
+            assert counts["frames"] == budget, (query, k, counts, s)
             assert s.nonleaf_expansions >= 1
             assert counts["nodes_bounded"] <= 1 + 4 * s.nonleaf_expansions
     finally:

@@ -890,9 +890,7 @@ def _reference_block_bound(handle, node) -> float:
     """``QueryHandle.block_bound`` as composed before it went inline."""
     index = handle.index
     rect, has_edge_objects = handle.object_index.node_info[node.code, node.level]
-    euclid = handle._euclid_slope * rect.min_distance_to_point_xy(
-        handle.point.x, handle.point.y
-    )
+    euclid = handle._euclid_slope * rect.min_distance_to_point_xy(handle.px, handle.py)
     lam = math.inf
     for av, a_off in handle.anchors:
         bound = index.block_lower_bound(

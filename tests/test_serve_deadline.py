@@ -210,12 +210,10 @@ class TestTheBudgetReachesTheSearch:
         async def go():
             shards = 1 if tier == "local" else 2
             async with AsyncEngine(engine, shards=shards, fault_injector=injector) as ae:
-                server = SILCServer(ae, tracer=Tracer() if traced else None)
-                await server.start()
-                # No stop(): after a failing pump it would wait for ever.
-                return await asyncio.wait_for(server.submit(request), 30.0)
+                async with SILCServer(ae, tracer=Tracer() if traced else None) as server:
+                    return await server.submit(request)
 
-        response = asyncio.run(go())
+        response = asyncio.run(asyncio.wait_for(go(), 30.0))
         assert isinstance(response, Expired) and response.aborted, response
         if injector is not None:
             assert injector.fired("worker_kill") == MAX_RETRIES + 1

@@ -64,7 +64,14 @@ class Gate:
     at the hand-off, so a test decides what queues up behind the chunk
     the server has in flight.  :meth:`open` runs what was parked on the
     loop's thread, whichever thread opens.  (The server always passes
-    ``done``: a parked call returns no future.)"""
+    ``done``: a parked call returns no future.)
+
+    A hand-off is counted as it begins.  A call that runs writes its
+    reply before it returns, so a count taken on return would let a
+    client thread read the reply, snapshot ``handed`` and then see it
+    rise for that finished call -- not for the one it waits to see
+    parked -- and send what should queue behind a parked call while
+    that call is still unread in the pipe."""
 
     def __init__(self, async_engine):
         self.handed = 0
@@ -74,13 +81,11 @@ class Gate:
         run = async_engine._run
 
         def gated(done, fn, *args, **kwargs):
-            try:
-                if not self.closed:
-                    return run(done, fn, *args, **kwargs)
-                self._loop = asyncio.get_running_loop()
-                self._parked.append(partial(run, done, fn, *args, **kwargs))
-            finally:
-                self.handed += 1  # counted once the call is run or parked
+            self.handed += 1
+            if not self.closed:
+                return run(done, fn, *args, **kwargs)
+            self._loop = asyncio.get_running_loop()
+            self._parked.append(partial(run, done, fn, *args, **kwargs))
 
         async_engine._run = gated
 

@@ -21,7 +21,7 @@ from repro.serve import (
     SILCServer,
     serve_jsonl,
 )
-from repro.serve.protocol import KINDS, Completed, request_from_dict
+from repro.serve.protocol import KINDS, Completed, Failed, request_from_dict
 
 
 TIMEOUT = 30.0  # every wait in this file is bounded
@@ -389,14 +389,51 @@ class TestEveryKindIsServed:
         request = request_from_dict({**EVERY_FIELD, "id": kind, "kind": kind})
 
         async def go():
-            server = SILCServer(served_engine)
-            await server.start()
-            # No stop(): after a failing pump it would wait for ever.
-            return await asyncio.wait_for(server.submit(request), TIMEOUT)
+            async with SILCServer(served_engine) as server:
+                return await server.submit(request)
 
-        response = asyncio.run(go())
+        response = asyncio.run(asyncio.wait_for(go(), TIMEOUT))
         assert isinstance(response, Completed), response
         assert response.id == kind
+
+
+class TestAFailingPump:
+    """A step of the pump's own bookkeeping that raises -- here the
+    server's clock, read for the queueing time of a request with a
+    deadline -- answers the request it was preparing ``failed``; the
+    next request is served and the server drains and stops."""
+
+    def test_answers_failed_and_stops(self, engine):
+        readings = iter(range(1000))
+
+        def clock():
+            reading = next(readings)
+            if reading == 1:  # the first request's first dispatch
+                raise RuntimeError("the clock broke")
+            return float(reading)
+
+        async def go():
+            # Each wait bounded on its own: a stop() cancelled from
+            # outside the `async with` would wait on after the cancel.
+            async with AsyncEngine(engine) as ae:
+                server = SILCServer(ae, clock=clock)
+                await server.start()
+                try:
+                    first = await asyncio.wait_for(
+                        server.submit(knn_req(0, rid=1, deadline=1e6)), 5.0
+                    )
+                    second = await asyncio.wait_for(
+                        server.submit(knn_req(5, rid=2, deadline=1e6)), 5.0
+                    )
+                finally:
+                    await asyncio.wait_for(server.stop(), 5.0)
+                return first, second, server.snapshot()
+
+        first, second, snapshot = asyncio.run(go())
+        assert isinstance(first, Failed) and first.id == 1, first
+        assert first.error == "RuntimeError: the clock broke"
+        assert isinstance(second, Completed) and second.id == 2, second
+        assert (snapshot.failed, snapshot.served, snapshot.in_flight) == (1, 1, 0)
 
 
 class TestBadRequestParity:

@@ -8,10 +8,14 @@ hang, never a partial or silently wrong result, never a result past
 its deadline.
 """
 
+import contextlib
 import os
 import pickle
+import select
 import signal
 import socket
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -356,3 +360,63 @@ class TestFraming:
             assert ranked(group.knn(0, k)) == ranked(engine.knn(0, k, exact=True))
         finally:
             group.close()
+
+
+#: A parent that starts a 2-shard group, prints its workers' pids and
+#: SIGKILLs itself: no ``close()``, no ``stop()``.
+_ORPHANING_PARENT = """
+import os, signal, sys
+from repro import ObjectIndex, SILCIndex, road_like_network
+from repro.datasets import random_vertex_objects
+from repro.engine import QueryEngine
+from repro.shard import ShardGroup
+
+net = road_like_network(60, seed=1)
+SILCIndex.build(net).save(sys.argv[1])
+index = SILCIndex.load(sys.argv[1], net, mmap=True)  # served in place
+objects = ObjectIndex(net, random_vertex_objects(net, count=10, seed=1), index.embedding)
+group = ShardGroup.from_engine(QueryEngine(index, objects), 2)
+print(*(worker.process.pid for worker in group.workers.values()), flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (an unreaped zombie has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_workers_exit_when_their_parent_is_killed(tmp_path):
+    """A parent killed without stopping its group: both workers exit
+    within 10 s, and the parent's stdout, which they inherited, reaches
+    EOF (a command waiting on it returns)."""
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _ORPHANING_PARENT, str(tmp_path / "index")],
+        stdout=subprocess.PIPE, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    pids: list[int] = []
+    try:
+        pids = [int(pid) for pid in parent.stdout.readline().split()]
+        assert len(pids) == 2
+        assert parent.wait(timeout=30) == -signal.SIGKILL
+        deadline = time.monotonic() + 10.0
+        while True:  # EOF once no worker holds the pipe
+            ready, _, _ = select.select([parent.stdout], [], [], max(0.0, deadline - time.monotonic()))
+            assert ready, "a worker still holds the stdout"
+            if not parent.stdout.read1(4096):
+                break
+        while any(_running(pid) for pid in pids):
+            assert time.monotonic() < deadline, "a worker outlived its parent by 10 s"
+            time.sleep(0.05)
+    finally:
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        parent.kill()
+        parent.wait()
+        parent.stdout.close()
