@@ -52,7 +52,8 @@ class SpatialNetwork:
     """
 
     __slots__ = (
-        "xs", "ys", "_adj", "_radj", "out_weights", "_edge_count", "_csr_cache", "_ratio_cache",
+        "xs", "ys", "_adj", "_radj", "out_weights", "symmetric", "_edge_count", "_csr_cache",
+        "_ratio_cache",
     )
 
     def __init__(
@@ -99,6 +100,12 @@ class SpatialNetwork:
         #: (read-only): the O(1) form of :meth:`edge_weight` that the
         #: refinement step reads directly.
         self.out_weights: list[dict[int, float]] = best
+        #: Every edge's reverse exists with the same weight (true of
+        #: every generated network): a shortest path read backwards is
+        #: one, so a walk may run from either end.
+        self.symmetric: bool = all(
+            best[v].get(u) == w for u, d in enumerate(best) for v, w in d.items()
+        )
         radj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
         for u, d in enumerate(best):
             for v, w in d.items():

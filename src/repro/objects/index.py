@@ -87,6 +87,12 @@ class ObjectIndex:
                     self.edge_objects.append(obj)
                 for vertex, remaining in part_anchors:
                     self.edge_candidates[vertex].append((obj.oid, remaining))
+        #: Objects whose one anchor is a vertex at offset 0.0: a vertex
+        #: query's distance to one is a plain vertex-to-vertex distance.
+        self.vertex_anchored: frozenset[int] = frozenset(
+            oid for oid, anchors in self.target_anchors.items()
+            if len(anchors) == 1 and anchors[0][1] == 0.0
+        )
         self.root: PMRNode = self.tree.root
         self._compute_node_info()
 

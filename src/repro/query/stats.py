@@ -34,7 +34,16 @@ class QueryStats:
         inside ``Dk`` instead of stepping it.  The exact pass after the
         search is not in here: its links are
         ``extras["post_refinements"]``, so the two together are every
-        link a query walked.
+        link a query walked.  Where every edge's reverse exists with
+        the same weight (``network.symmetric``), a vertex query for
+        ``HOME_MIN_K`` (10) or more neighbours walks a vertex object
+        *home*, from the object toward the query, and stops at the
+        first vertex an earlier walk of the query passed
+        (``RefinableDistance.walk_home``): a link counts once, when its
+        far end first gets its distance, so the walks of one query
+        count the union of the answers' shortest paths, not the sum.
+        Elsewhere a walk runs forward from the query and counts every
+        link it takes.
     max_queue:
         Peak size of the main priority queue ``Q`` (fig p.34's unit).
     l_ops:
@@ -92,11 +101,15 @@ class QueryStats:
     extras: dict = field(default_factory=dict)
 
     def add(self, other: QueryStats) -> QueryStats:
-        """Sum ``other``'s counters into this one, in place; returns self."""
+        """Sum ``other``'s counters into this one, in place; returns self.
+
+        The two instance dicts are read and written directly: a
+        subscript where ``getattr`` / ``setattr`` are calls."""
+        mine, theirs = self.__dict__, other.__dict__
         for name in _SUMMED:
-            value = getattr(other, name)
+            value = theirs[name]
             if value:  # most counters of one query are 0
-                setattr(self, name, getattr(self, name) + value)
+                mine[name] += value
         return self
 
 

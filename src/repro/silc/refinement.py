@@ -7,7 +7,10 @@ path, replacing the estimate with ``exact prefix + interval from the
 intermediate vertex``.  After at most path-length refinements the
 interval collapses to the exact network distance; queries stop as soon
 as their comparison is decided, and what they report exactly is then a
-plain walk of the rest of the path (``refine_fully``), no intervals.
+plain walk of the rest of the path (``refine_fully``), no intervals --
+or, where every edge has a reverse of the same weight, a walk from the
+target back toward the source that stops where an earlier walk of the
+same query passed (``walk_home``).
 
 The quality claim the paper leans on (p.30): at every stage the
 estimate is "exact network distance from source to some intermediate
@@ -41,6 +44,21 @@ def next_hop_cycle(source: int, target: int, limit: int) -> RuntimeError:
     """The error for a walk that did not reach ``target`` in ``limit`` links."""
     return RuntimeError(
         f"refinement of {source}->{target} exceeded {limit} steps; "
+        "the index next-hop data is inconsistent"
+    )
+
+
+#: Where a walk may land around the bounds it started from: both hold
+#: the true distance, so they miss each other only by round-off.
+_BELOW, _ABOVE = 1.0 - MAX_REL_GAP, 1.0 + MAX_REL_GAP
+
+
+def landed_outside(distance: float, lo: float, hi: float) -> ValueError:
+    """The error for a walk whose distance misses the bounds it started
+    from by more than :data:`MAX_REL_GAP`: some next hop led off the
+    shortest path."""
+    return ValueError(
+        f"walked distance {distance} lies outside its bounds [{lo}, {hi}]; "
         "the index next-hop data is inconsistent"
     )
 
@@ -207,7 +225,9 @@ class RefinableDistance:
         this one frame: per link one edge weight and, short of the
         target, one probe that keeps :meth:`refine`'s checks (block
         containment, a valid lambda row, the page access) and computes
-        no interval.  ``trail`` collects the vertices reached.
+        no interval.  ``trail`` collects the vertices reached.  The
+        distance it lands on must lie inside the bounds it started from
+        (within :data:`MAX_REL_GAP`), else ``ValueError``.
 
         ``max_steps`` guards against corrupted indexes; it defaults to
         the number of network vertices (no simple path is longer).
@@ -249,8 +269,93 @@ class RefinableDistance:
                 nxt = index.hop_and_interval(via, target)[0]
             elif storage is not None:
                 access(page_offsets[via] + row // per_page)
+        if not (self.lo * _BELOW <= acc <= self.hi * _ABOVE):
+            raise landed_outside(acc, self.lo, self.hi)
         if self._counter is not None:
             self._counter.count += steps
         self.via = via
+        self.acc = self.lo = self.hi = acc
+        return acc
+
+    def walk_home(self, known: dict[int, float]) -> float:
+        """:meth:`refine_fully`'s distance, walked from the target back
+        toward the source.
+
+        Only for a zero-offset distance over a network whose every edge
+        has a reverse of the same weight (``network.symmetric``): there
+        the path the tables give from the target toward the source,
+        read backwards, is a shortest path from the source.  ``known``
+        maps vertices to their exact distance from the source, the
+        source itself at 0.0; this state's ``via`` and the next hop its
+        last probe cached go in first.  Per link one probe of the
+        vertex's table with the *source's* cell, keeping
+        :meth:`refine_fully`'s checks (block containment, a valid lambda
+        row, the page access, the edge, the cycle guard); the walk stops
+        at the first vertex in ``known`` and adds the weights it
+        collected forward from there -- the float fold a forward walk
+        makes along that path -- entering every vertex it passed into
+        ``known``.  The walks of one query then cost the union of their
+        paths, not the sum: a link counts when its far end enters
+        ``known``.
+        """
+        index = self._index
+        network = index.network
+        out_weights = network.out_weights  # one dict per vertex
+        source, target, via, acc = self.source, self.target, self.via, self.acc
+        if via == target:
+            return acc
+        # The forward walk's first link is free of a probe: the hop is cached.
+        hop = self._next_hop
+        weight = out_weights[via].get(hop)
+        if weight is None:  # corrupt next hop: edge_weight names the failure
+            weight = network.edge_weight(via, hop)
+        known.setdefault(via, acc)
+        steps = 0
+        if hop not in known:
+            known[hop] = acc + weight
+            steps = 1
+        tables = index.tables
+        cell = index._vcodes[source]
+        storage = index.storage
+        if storage is not None:
+            access = storage.access
+            page_offsets = storage.layout.page_offsets
+            per_page = storage.layout.records_per_page
+        limit = len(out_weights)  # no simple path is longer
+        passed: list[int] = []
+        weights: list[float] = []
+        u = target
+        while u not in known:
+            if len(passed) >= limit:
+                raise next_hop_cycle(target, source, limit)
+            codes, levels, colors, lam_min, lam_max = tables[u].columns
+            row = bisect_right(codes, cell) - 1
+            if row < 0 or cell >= codes[row] + (1 << 2 * levels[row]):
+                raise PathNotFound(u, source)
+            if not (0.0 <= lam_min[row] <= lam_max[row]):
+                raise invalid_bounds(lam_min[row], lam_max[row])
+            nxt = colors[row]
+            if nxt < 0:  # no vertex: the index's own probe says what it means
+                nxt = index.hop_and_interval(u, source)[0]
+            elif storage is not None:
+                access(page_offsets[u] + row // per_page)
+            weight = out_weights[u].get(nxt)
+            if weight is None:
+                weight = network.edge_weight(u, nxt)
+            passed.append(u)
+            weights.append(weight)
+            u = nxt
+        acc = known[u]
+        i = len(passed)
+        steps += i
+        while i:
+            i -= 1
+            acc += weights[i]
+            known[passed[i]] = acc
+        if not (self.lo * _BELOW <= acc <= self.hi * _ABOVE):
+            raise landed_outside(acc, self.lo, self.hi)
+        if self._counter is not None:
+            self._counter.count += steps
+        self.via = target
         self.acc = self.lo = self.hi = acc
         return acc

@@ -8,13 +8,19 @@ keeps such code out of ``src/repro``), but tests rely on them:
 * :func:`iter_nodes`, a walk over every node of a PMR quadtree;
 * :func:`build_region_blocks`, the one-coloring region build that the
   chunked :func:`~repro.quadtree.region.region_block_columns` is held
-  to, row for row.
+  to, row for row;
+* :class:`KMinDistTracker` and :func:`reference_knn_m`, the kNN-M
+  search with its KMINDIST bookkeeping as an object of its own, which
+  the kernel's inline lists are held to, decision for decision.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, insort
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -32,6 +38,8 @@ from repro.objects.model import (
 from repro.quadtree.blocks import BlockTable
 from repro.quadtree.pmr import PMRNode, PMRQuadtree
 from repro.quadtree.region import region_block_columns, split_levels
+from repro.query.distances import QueryHandle
+from repro.query.location import resolve_location
 
 
 # ----------------------------------------------------------------------
@@ -196,3 +204,140 @@ def build_region_blocks(
         values.reshape(1, -1),
     )
     return BlockTable(**columns)
+
+
+# ----------------------------------------------------------------------
+# kNN-M with its KMINDIST bookkeeping as an object
+# ----------------------------------------------------------------------
+
+class KMinDistTracker:
+    """Sound lower bound on the k-th neighbor distance (kNN-M).
+
+    Every object is either *seen* (its interval lower bound is in
+    ``lows``) or hidden under an unexpanded block of the queue (its
+    distance is at least that block's bound, hence at least
+    ``min_block``).  The k-th neighbor distance therefore never falls
+    below ``min(k-th smallest seen bound, smallest queued block
+    bound)`` -- and any object whose *upper* bound is below that value
+    is certainly one of the k nearest.
+    """
+
+    def __init__(self, k: int) -> None:
+        self.lows: list[float] = []
+        self.blocks: list[float] = []
+        self.k = k
+
+    def add(self, lo: float) -> None:
+        insort(self.lows, lo)
+
+    def replace(self, old: float, new: float) -> None:
+        i = bisect_left(self.lows, old)
+        if i < len(self.lows) and self.lows[i] == old:
+            del self.lows[i]
+        insort(self.lows, new)
+
+    def block_pushed(self, bound: float) -> None:
+        insort(self.blocks, bound)
+
+    def block_popped(self, bound: float) -> None:
+        i = bisect_left(self.blocks, bound)
+        if i < len(self.blocks) and self.blocks[i] == bound:
+            del self.blocks[i]
+
+    def value(self) -> float:
+        min_block = self.blocks[0] if self.blocks else math.inf
+        if len(self.lows) < self.k:
+            return min_block
+        return min(self.lows[self.k - 1], min_block)
+
+    def certain(self, state, confirmed: list) -> bool:
+        """Whether ``state`` is certainly one of the k nearest: below the
+        bound nothing can displace it; at the bound it counts only while
+        there is a slot for it beside every object that may still be
+        closer and every one accepted at or past it."""
+        bound = self.value()
+        if state.hi != bound:
+            return state.hi < bound
+        closer = bisect_left(self.lows, bound) - (state.lo < bound)
+        return closer + len([s for s in confirmed if s.lo >= bound]) < self.k
+
+
+def reference_knn_m(index, object_index, query, k: int) -> dict:
+    """kNN-M (bounds only) as the paper states it: one queue, every
+    refined object pushed back, a :class:`KMinDistTracker` told of every
+    object and block, and the bounds from ``QueryHandle.block_bound`` /
+    ``object_state``.  Returns the answer and the counts the kernel
+    reports for it."""
+    handle = QueryHandle(index, object_index, resolve_location(index.network, query))
+    tracker = KMinDistTracker(k)
+    heap: list = []
+    states: dict = {}
+    confirmed: list = []
+    first_k: list[float] = []
+    bound = math.inf
+    seq = accepts = collisions = 0
+    root = object_index.root
+    if root.children is not None or root.entries:
+        lo = handle.block_bound(root)
+        seq = 1
+        heap.append((lo, seq, 0, root))
+        tracker.block_pushed(lo)
+    while heap and len(confirmed) < k:
+        lo, _, kind, payload = heappop(heap)
+        if kind == 0:
+            tracker.block_popped(lo)
+        if lo >= bound:
+            break
+        if kind == 0:
+            popped = bound
+            if payload.children is None:
+                fresh = []
+                for oid, _, _ in payload.entries:
+                    if oid in states:
+                        continue
+                    state = states[oid] = handle.object_state(oid)
+                    fresh.append(state)
+                    if len(first_k) < k:
+                        first_k.append(state.hi)
+                        if len(first_k) == k:
+                            bound = max(first_k)
+                    tracker.add(state.lo)
+                for state in fresh:
+                    if len(confirmed) < k and tracker.certain(state, confirmed):
+                        accepts += 1
+                        confirmed.append(state)
+                    elif state.lo < popped:
+                        seq += 1
+                        heappush(heap, (state.lo, seq, 1, state))
+            else:
+                for child in object_index.live_children[payload.code, payload.level]:
+                    child_bound = handle.block_bound(child)
+                    if child_bound < popped:
+                        seq += 1
+                        heappush(heap, (child_bound, seq, 0, child))
+                        tracker.block_pushed(child_bound)
+            continue
+        state = payload
+        if state.hi <= (heap[0][0] if heap else math.inf):
+            confirmed.append(state)
+            continue
+        collisions += 1
+        if tracker.certain(state, confirmed):
+            accepts += 1
+            confirmed.append(state)
+            continue
+        old_lo = state.lo
+        state.refine()
+        tracker.replace(old_lo, state.lo)
+        if state.lo <= bound:
+            seq += 1
+            heappush(heap, (state.lo, seq, 1, state))
+    return {
+        "ids": [s.oid for s in confirmed[:k]],
+        "kmindist_accepts": accepts,
+        "kmindist_final": tracker.value(),
+        "collisions": collisions,
+        "queue_pushes": seq,
+        "refinements": handle.counter.count,
+        "objects_seen": len(states),
+    }

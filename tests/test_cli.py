@@ -324,6 +324,33 @@ class TestServe:
         assert record["retry_after"] == 0
 
 
+def test_every_variant_serves_the_answers_of_dijkstras_ball(built, tmp_path, capsys):
+    """CI's walk smoke: exact k = 25 requests of all four variants served
+    on the SILC walk and on INE, compared by the tool CI uses (kNN-M's
+    unranked replies as sets)."""
+    net_path, idx_path = built
+    infile = tmp_path / "requests.jsonl"
+    infile.write_text("\n".join(
+        json.dumps({"id": i, "kind": "knn", "query": q, "k": 25, "variant": v})
+        for i, (v, q) in enumerate(
+            ((v, q) for v in ("knn", "inn", "knn_i", "knn_m") for q in (0, 17, 42, 99)), 1
+        )
+    ) + "\n")
+    for oracle in ("silc", "ine"):
+        assert main([
+            "serve", str(net_path), str(idx_path), "--objects", "40",
+            "--oracle", oracle, "--input", str(infile),
+        ]) == 0
+        (tmp_path / f"{oracle}.out").write_text(capsys.readouterr().out)
+    done = subprocess.run(
+        [sys.executable, str(TOOLS / "compare_serve_outputs.py"),
+         str(tmp_path / "silc.out"), str(tmp_path / "ine.out"),
+         "--expect", "16", "--requests", str(infile)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
 class TestServeOverStdin:
     def test_closed_loop_over_the_stdin_pipe_matches_the_input_file(
         self, built, tmp_path, capsys

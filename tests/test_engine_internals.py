@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.query import bestfirst
-from repro.query.bestfirst import _KMinDistTracker, best_first_knn
+from repro.query.bestfirst import best_first_knn
 from repro.query.stats import QueryStats
 from repro.silc.refinement import RefinableDistance
+from reference import KMinDistTracker
 
 
 @pytest.fixture()
@@ -126,8 +127,11 @@ class TestResultQueue:
 
 
 class TestKMinDistTracker:
+    """The KMINDIST rule as its reference object (``tests/reference.py``);
+    ``test_kernel_differential`` holds the kernel's inline lists to it."""
+
     def test_needs_k_candidates_or_blocks(self):
-        t = _KMinDistTracker(2)
+        t = KMinDistTracker(2)
         assert t.value() == math.inf
         t.add(3.0)
         assert t.value() == math.inf  # only one candidate, no blocks
@@ -135,7 +139,7 @@ class TestKMinDistTracker:
         assert t.value() == 5.0
 
     def test_block_bounds_cap_the_estimate(self):
-        t = _KMinDistTracker(2)
+        t = KMinDistTracker(2)
         t.add(3.0)
         t.add(5.0)
         t.block_pushed(4.0)
@@ -144,13 +148,13 @@ class TestKMinDistTracker:
         assert t.value() == 5.0
 
     def test_fewer_candidates_than_k_uses_block_floor(self):
-        t = _KMinDistTracker(3)
+        t = KMinDistTracker(3)
         t.add(1.0)
         t.block_pushed(2.0)
         assert t.value() == 2.0
 
     def test_replace_tracks_refinement(self):
-        t = _KMinDistTracker(2)
+        t = KMinDistTracker(2)
         t.add(3.0)
         t.add(5.0)
         t.replace(3.0, 4.5)
@@ -159,7 +163,7 @@ class TestKMinDistTracker:
         assert t.value() == 6.0
 
     def test_duplicate_bounds_handled(self):
-        t = _KMinDistTracker(1)
+        t = KMinDistTracker(1)
         t.block_pushed(2.0)
         t.block_pushed(2.0)
         t.block_popped(2.0)
@@ -172,7 +176,7 @@ class TestKMinDistTracker:
         st.integers(1, 6),
     )
     def test_value_matches_reference_model(self, lows, blocks, k):
-        t = _KMinDistTracker(k)
+        t = KMinDistTracker(k)
         for lo in lows:
             t.add(lo)
         for b in blocks:

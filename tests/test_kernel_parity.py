@@ -48,6 +48,17 @@ Re-recorded since:
    here has more than 68 rows, so every row keeps its page.  On the
    1000-vertex benchmark network, where tables reach past 240 rows,
    only ``io_accesses`` / ``io_misses`` move.
+6. On a network whose every edge has a reverse of the same weight, a
+   vertex query for ``HOME_MIN_K`` (10) or more neighbours walks a
+   vertex object to exact from the object back toward the query,
+   stopping at the first vertex an earlier walk of the query passed.
+   The eight ``vertex/*/exact`` digests (their k = 25 queries) and the
+   twelve control-flow cells moved, in ``refinements`` (exact ``knn``
+   only), ``extras["post_refinements"]`` and the simulated pages alone:
+   every answer (ids, intervals, distance bits), queue push, collision,
+   confirmation, ``L`` operation and peak queue held, on the tie grid
+   too.  The ``edge`` and ``extent`` cells (edge-position queries,
+   objects reached more than one way) walk forward and held.
 """
 
 from __future__ import annotations
@@ -82,21 +93,21 @@ from reference import objects_with_extents, random_edge_objects
 KS = (1, 5, 25)
 
 GOLDEN: dict[str, str] = {
-    "vertex/attached/knn/exact": "55718396dcaf1bed",
+    "vertex/attached/knn/exact": "8e09f165abc24390",
     "vertex/attached/knn/bounds": "449e8049cbae628f",
-    "vertex/attached/inn/exact": "c8eda3fe002ab375",
+    "vertex/attached/inn/exact": "0ac07e5ca89bb0ca",
     "vertex/attached/inn/bounds": "6c6196850a4a8486",
-    "vertex/attached/knn_i/exact": "2b0463dabe67e5f6",
+    "vertex/attached/knn_i/exact": "7636957e7feb7927",
     "vertex/attached/knn_i/bounds": "b661a167ef645208",
-    "vertex/attached/knn_m/exact": "38451d7bb14a737e",
+    "vertex/attached/knn_m/exact": "b284ca67010c1f4a",
     "vertex/attached/knn_m/bounds": "9530e176f986f868",
-    "vertex/detached/knn/exact": "294149334595c965",
+    "vertex/detached/knn/exact": "bca8684fd8e56e18",
     "vertex/detached/knn/bounds": "1834a3b0bbed8b5b",
-    "vertex/detached/inn/exact": "819f40ce34bb7f06",
+    "vertex/detached/inn/exact": "5077b1d0bd38b848",
     "vertex/detached/inn/bounds": "451bf3f9d571329d",
-    "vertex/detached/knn_i/exact": "9ef52e8f27a515ea",
+    "vertex/detached/knn_i/exact": "8d120dde54c28d0d",
     "vertex/detached/knn_i/bounds": "20e9b8478b87b192",
-    "vertex/detached/knn_m/exact": "6f77d9462c87260c",
+    "vertex/detached/knn_m/exact": "06e6ab8b082408f3",
     "vertex/detached/knn_m/bounds": "6ada63a703331c27",
     "edge/attached/knn/exact": "7dcd3e7b0d5de160",
     "edge/attached/knn/bounds": "dbb489f9a52c6989",
@@ -249,20 +260,20 @@ def test_generous_time_budget_changes_nothing(parity_net, parity_index):
 #: in hand instead of re-inserting and re-popping it: same record
 #: format, one digest per (scenario, variant), storage attached.  The
 #: four ``knn`` cells were re-recorded with the walk and the unmoved-``L``
-#: skip (see the module docstring).
+#: skip, and all twelve with the walk home (see the module docstring).
 GOLDEN_CONTROL_FLOW: dict[str, str] = {
-    "k_ge_s/knn": "c7ba3731d64618e3",
-    "ties/knn": "8707150ee32096db",
-    "proximal/knn": "8a8660b0a47ea0ce",
-    "k_ge_s/inn": "6272e4ea9bf754a2",
-    "ties/inn": "890cd12ac2641d92",
-    "proximal/inn": "753a66d7fcc28458",
-    "k_ge_s/knn_i": "6272e4ea9bf754a2",
-    "ties/knn_i": "0f1ea1f788801379",
-    "proximal/knn_i": "eb1b038bbc80b8af",
-    "k_ge_s/knn_m": "2cab457c72cbd509",
-    "ties/knn_m": "b7a6bc6b62299972",
-    "proximal/knn_m": "c6616fcb5bc535b3",
+    "k_ge_s/knn": "7adff7d638b9b053",
+    "ties/knn": "72883e6426343d47",
+    "proximal/knn": "b7ded0ab8095d28a",
+    "k_ge_s/inn": "73d554ba579d695c",
+    "ties/inn": "35e15b384d71e6e5",
+    "proximal/inn": "12f80a006d68bcaf",
+    "k_ge_s/knn_i": "73d554ba579d695c",
+    "ties/knn_i": "aabdfb87008e37c9",
+    "proximal/knn_i": "d934a85b8e9df6e2",
+    "k_ge_s/knn_m": "790701777c4658ac",
+    "ties/knn_m": "14422c9557787942",
+    "proximal/knn_m": "0766f472cae7c75a",
 }
 
 
@@ -531,11 +542,11 @@ def test_an_exact_tie_with_the_queue_head_goes_through_the_heap(loop_events):
 #: of equal reports), and the same 67 links now all fall inside the
 #: search -- the exact pass has nothing left to walk.
 GOLDEN_DEADLINE_REPORTS: dict[str, str] = {
-    "knn": "0,0,0,1,1,1,1,1,1,1,1,1,1,1,2,2,2,2,4,4,4,4,4,6,6,6,6,6,6,6,6,6,"
-    "6,6,6,6,6,6,6,6,6,6,6,6,6,6,6,7,7,7,7,7,7,7,7,9,9,9,9,9,9,9,9,9,9,9,9",
+    "knn": "0,0,0,1,1,1,1,1,2,2,4,6,6,6,6,6,6,6,6,6,6,6,6,6,6,6,7,7,7,7,7,7,"
+    "7,7,9,9,9,9,9,9",
     "inn": "0,0,1,1,1,2,2,2,4,4,6,6,6,6,6,6,6,6,6,6,7,7,7,7,7,7,7,7,7,7,7,8,8,"
     "8,8,9,9,9,9,9,9,9,9,9,9,9,10,10,10,10,10,10,10,10,10,10,10,10,10,10,10,"
-    "10,10,10,10,10,-",
+    "10,-",
 }
 
 
@@ -609,7 +620,7 @@ def test_a_walked_state_above_the_queue_head_is_pushed_not_confirmed(
     not below the queue head goes back on the heap and is confirmed only
     when it pops with nothing queued below it."""
     events: list[tuple] = []
-    real_walk, real_push = RefinableDistance.refine_fully, bestfirst.heappush
+    real_walk, real_push = RefinableDistance.walk_home, bestfirst.heappush
 
     def walk(self, *args, **kwargs):
         events.append(("walk", self.oid))
@@ -620,7 +631,7 @@ def test_a_walked_state_above_the_queue_head_is_pushed_not_confirmed(
             events.append(("push", entry[3].oid, entry[0], heap[0][0]))
         real_push(heap, entry)
 
-    monkeypatch.setattr(RefinableDistance, "refine_fully", walk)
+    monkeypatch.setattr(RefinableDistance, "walk_home", walk)
     monkeypatch.setattr(bestfirst, "heappush", heappush)
     objects, queries = _scenarios(parity_net)["vertex"]
     object_index = ObjectIndex(parity_net, objects, parity_index.embedding)
@@ -972,8 +983,11 @@ class TestChecksKept:
     def test_bad_lam_min_raises_before_any_neighbor(self, grid_net, index, bad):
         source, hop, target = self._far_pair(index)
         # The first probe (source's table) is clean; the one after the
-        # first refinement step reads the corrupted row.
+        # first refinement step reads the corrupted row -- and a walk
+        # home from the target first reads its table's row for the
+        # source.
         self._corrupt(index, hop, target, "lam_min", bad)
+        self._corrupt(index, target, source, "lam_min", bad)
         state = index.refinable(source, target)
         with pytest.raises(ValueError):
             state.refine()
@@ -1051,10 +1065,13 @@ class TestChecksKept:
         return net, SILCIndex.build(net)
 
     def _cycle(self, index, source, target):
-        """Point the first hop's row for ``target`` back at ``source``."""
-        hop = index.path(source, target)[1]
-        assert index.network.has_edge(hop, source)
-        self._corrupt(index, hop, target, "colors", source)
+        """Point the first hop's row for ``target`` back at ``source``, and
+        the walk home's first hop's row for ``source`` back at
+        ``target``."""
+        for a, b in ((source, target), (target, source)):
+            hop = index.path(a, b)[1]
+            assert index.network.has_edge(hop, a)
+            self._corrupt(index, hop, b, "colors", a)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_next_hop_cycle_is_not_served_as_an_exact_distance(

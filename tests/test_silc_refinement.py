@@ -1,7 +1,10 @@
 """Unit tests for progressive refinement."""
 
+import bisect
+
 import pytest
 
+from repro.silc import SILCIndex
 from repro.silc.refinement import RefinementCounter
 
 
@@ -92,3 +95,78 @@ class TestRefinableDistance:
         r = small_index.refinable(0, 100)
         with pytest.raises(RuntimeError):
             r.refine_fully(max_steps=1)
+
+
+class TestWalkHome:
+    """``walk_home`` on a network whose every edge has an equal-weight
+    reverse: from the target back toward the source, stopping at the
+    first vertex whose distance is known."""
+
+    def test_lands_on_the_forward_walks_bits_and_links(self, small_index, rng):
+        assert small_index.network.symmetric
+        n = small_index.network.num_vertices
+        for _ in range(40):
+            u, v = map(int, rng.integers(0, n, 2))
+            forward, home = RefinementCounter(), RefinementCounter()
+            d = small_index.refinable(u, v, forward).refine_fully()
+            state = small_index.refinable(u, v, home)
+            assert state.walk_home({u: 0.0}) == d  # the same float fold
+            assert (state.via, state.lo, state.hi) == (v, d, d)
+            assert home.count == forward.count
+
+    def test_a_walk_stops_where_an_earlier_one_passed(self, small_index):
+        path, far = small_index.route(3, 120)
+        assert len(path) > 4
+        known = {3: 0.0}
+        counter = RefinementCounter()
+        small_index.refinable(3, 120, counter).walk_home(known)
+        assert set(path) <= set(known)
+        assert known[120] == far
+        # A vertex on that path costs nothing more; a second walk pays
+        # only for the links it did not share.
+        near = path[len(path) // 2]
+        before = counter.count
+        state = small_index.refinable(3, near, counter)
+        assert state.walk_home(known) == small_index.distance(3, near)
+        assert counter.count == before
+
+    @staticmethod
+    def _detour(index, source, target, toward):
+        """``(vertex, row, wrong)``: a vertex inside the path from
+        ``source`` to ``target``, its table row for ``toward``'s cell (the
+        walk's probe) and an existing neighbour other than the row's
+        colour, whose own path to ``toward`` avoids the vertex and which
+        lands the walk outside the state's first bounds -- or None."""
+        hi = index.refinable(source, target).hi
+        path = index.route(source, target)[0]
+        start = target if toward == source else source
+        for vertex in path[1:-1]:
+            codes, _, colors, _, _ = index.tables[vertex].columns
+            row = bisect.bisect_right(codes, index._vcodes[toward]) - 1
+            for wrong, weight in sorted(index.network.out_weights[vertex].items()):
+                rest, far = index.route(wrong, toward)
+                if wrong == colors[row] or vertex in rest:
+                    continue
+                if index.distance(start, vertex) + weight + far > hi * (1 + 1e-6):
+                    return vertex, row, wrong
+        return None
+
+    @pytest.mark.parametrize("direction", ["forward", "home"])
+    def test_a_walk_sent_through_a_wrong_neighbour_is_refused(self, small_net, direction):
+        index = SILCIndex.build(small_net)  # a colour is flipped in place
+        n = small_net.num_vertices
+        for source, target in ((s, (s * 37 + 11) % n) for s in range(0, n, 7)):
+            toward = target if direction == "forward" else source
+            found = self._detour(index, source, target, toward)
+            if found is not None:
+                break
+        else:
+            pytest.fail("no detour leaves the bounds on this network")
+        vertex, row, wrong = found
+        index.tables[vertex].columns[2][row] = wrong
+        state = index.refinable(source, target)
+        with pytest.raises(ValueError, match="outside its bounds"):
+            if direction == "forward":
+                state.refine_fully()
+            else:
+                state.walk_home({source: 0.0})
