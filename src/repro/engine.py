@@ -35,9 +35,8 @@ from collections.abc import Iterable, Iterator
 from repro.errors import DeadlineExceeded
 from repro.objects.index import ObjectIndex
 from repro.objects.model import NetworkPosition
-from repro.oracle.base import ORACLE_CHOICES
 from repro.oracle.labelling import PrunedLabellingOracle
-from repro.oracle.planner import QueryPlanner
+from repro.oracle.planner import ORACLE_CHOICES, QueryPlanner
 from repro.oracle.silc import INEOracle, SILCOracle
 from repro.query.bestfirst import VARIANTS
 from repro.query.browsing import approximate_knn
@@ -131,11 +130,11 @@ class QueryEngine:
         ``"silc"`` (the historical path, unchanged), ``"labels"``
         (labelling-backed IER), ``"ine"`` (incremental network
         expansion) or ``"auto"`` (per-query cost-based planning).
-    planner:
-        An explicit :class:`~repro.oracle.QueryPlanner` (e.g. with a
-        forced backend or preloaded calibration constants).  Built
-        lazily from the engine's backends when omitted and ``auto``
-        is requested.
+
+    ``planner`` starts as ``None``: the first ``auto`` query builds and
+    calibrates a :class:`~repro.oracle.QueryPlanner` over the engine's
+    backends (:meth:`ensure_planner`).  A caller holding calibrated
+    constants assigns ``engine.planner`` itself.
     """
 
     #: Default bound on cached resolved locations.
@@ -150,7 +149,6 @@ class QueryEngine:
         max_locations: int | None = DEFAULT_MAX_LOCATIONS,
         labelling: PrunedLabellingOracle | None = None,
         oracle: str = "silc",
-        planner: QueryPlanner | None = None,
     ) -> None:
         if storage is not None and cache_fraction is not None:
             raise ValueError("pass either storage or cache_fraction, not both")
@@ -185,7 +183,7 @@ class QueryEngine:
         }
         if self.labelling is not None:
             self.oracles["labels"] = self.labelling
-        self.planner = planner
+        self.planner: QueryPlanner | None = None
         self._positions: OrderedDict = OrderedDict()
 
     # ------------------------------------------------------------------

@@ -163,7 +163,7 @@ class IncrementalDijkstra:
 
     Each ``settle_next()`` settles one more vertex, resuming where the
     previous call stopped, so a caller grows a ball just far enough to
-    settle its targets (the Dijkstra oracle's anchored distance does).
+    settle its targets (IER's ``dijkstra_anchored_distance`` does).
     Its state is sized by
     that ball: ``dist`` / ``pred`` read ``inf`` / ``-1`` for a vertex
     not reached, and constructing one costs O(seeds).
@@ -198,11 +198,6 @@ class IncrementalDijkstra:
                 dist[v] = d
                 heapq.heappush(self._heap, (d, v))
                 self.stats.pushes += 1
-
-    @property
-    def exhausted(self) -> bool:
-        """True when every reachable vertex has been settled."""
-        return not self._heap
 
     def settle_next(self) -> tuple[int, float] | None:
         """Settle and return the next nearest vertex, or ``None``."""

@@ -1,27 +1,30 @@
-"""Multi-backend distance oracles and the cost-based query planner.
+"""Distance-oracle backends and the cost-based query planner.
 
 The package turns "which algorithm answers this query" from a
-hard-wired choice into a per-query decision:
+hard-wired choice into a per-query decision.  A backend is an object
+with ``knn(query, k, **kwargs)``, reached by name
+(``engine.oracles[name]``, one of :data:`PLANNABLE`):
 
-* :class:`DistanceOracle` -- the interface every backend implements
-  (``distance``, ``anchored_distance``, ``knn``, capability info,
-  ``save``/``load``);
-* :class:`SILCOracle` -- the paper's browsing path (shortest-path
-  quadtrees + best-first refinement), extracted behavior-preserving;
-* :class:`PrunedLabellingOracle` -- 2-hop pruned landmark labels:
-  microsecond exact point-to-point distances, higher build cost;
-* :class:`INEOracle` -- incremental network expansion, no precompute;
-* :class:`DijkstraOracle` -- the reference backend property tests
-  compare against, and the default engine of IER refinement;
-* :class:`QueryPlanner` -- routes each query to the backend the
-  calibrated cost model expects to answer cheapest, with a
-  forced-backend override and its decisions counted in a metrics
-  registry.
+* :class:`SILCOracle` (``silc``) -- the paper's browsing path
+  (shortest-path quadtrees + best-first refinement);
+* :class:`PrunedLabellingOracle` (``labels``) -- 2-hop pruned landmark
+  labels: microsecond exact point-to-point distances, higher build cost;
+* :class:`INEOracle` (``ine``) -- incremental network expansion, no
+  precompute;
+* :class:`QueryPlanner` -- routes each ``auto`` query to the backend the
+  calibrated cost model expects to answer cheapest, with its decisions
+  counted in a metrics registry.  A caller forces a backend by naming
+  it (``oracle=``), which bypasses the planner.
 """
 
-from repro.oracle.base import ORACLE_CHOICES
 from repro.oracle.labelling import LABELS_SUBDIR, PrunedLabellingOracle
-from repro.oracle.planner import PLANNABLE, CostConstants, QueryPlanner, counted_ops
+from repro.oracle.planner import (
+    ORACLE_CHOICES,
+    PLANNABLE,
+    CostConstants,
+    QueryPlanner,
+    counted_ops,
+)
 
 __all__ = [
     "ORACLE_CHOICES",

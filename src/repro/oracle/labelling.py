@@ -44,7 +44,6 @@ from repro.integrity import (
     verify_manifest,
 )
 from repro.network.graph import SpatialNetwork
-from repro.oracle.base import DistanceOracle, OracleInfo
 from repro.query.results import KNNResult
 from repro.query.stats import QueryStats, counted_clock
 
@@ -79,8 +78,8 @@ class LabellingBuildStats:
     build_seconds: float
 
 
-class PrunedLabellingOracle(DistanceOracle):
-    """Exact 2-hop labelling distances behind :class:`DistanceOracle`.
+class PrunedLabellingOracle:
+    """Exact 2-hop labelling distances: the ``labels`` backend.
 
     Construct with :meth:`build` (pruned Dijkstra from degree-ordered
     hubs) or :meth:`load` (flat columns off disk, optionally
@@ -90,14 +89,6 @@ class PrunedLabellingOracle(DistanceOracle):
     search -- the oracle must be bound to an object index first
     (:meth:`bind_objects`, done automatically by ``QueryEngine``).
     """
-
-    info = OracleInfo(
-        name="labels",
-        exact=True,
-        op_unit="label_scans",
-        incremental=False,
-        precomputed=True,
-    )
 
     def __init__(
         self,

@@ -23,9 +23,11 @@ split (a database optimizer in miniature):
   pushes the planner toward the backends that never touch index pages.
 
 Every decision is counted in the planner's
-:class:`~repro.obs.registry.MetricsRegistry` (per-backend picks, forced
-overrides, calibration cost), the same counted-first methodology as
-the rest of the benchmark suite.
+:class:`~repro.obs.registry.MetricsRegistry` (per-backend picks,
+calibration cost), the same counted-first methodology as the rest of
+the benchmark suite.  A backend is forced per query, not here: the
+engine's ``oracle=`` (``--oracle``, a request's ``oracle``) names one
+and never reaches the planner.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from time import perf_counter
 from repro.errors import CorruptIndexError
 from repro.integrity import atomic_write_text
 from repro.obs.registry import MetricsRegistry
-from repro.oracle.base import DistanceOracle
 from repro.query.stats import QueryStats
 
 #: File name the calibrated constants persist under (inside the
@@ -49,8 +50,20 @@ COST_MODEL_FILE = "cost_model.json"
 #: Deterministic tie-break / iteration order of plannable backends.
 PLANNABLE = ("silc", "labels", "ine")
 
+#: Backend names accepted everywhere a caller selects an oracle
+#: (engine ctor, ``Request.oracle``, the ``--oracle`` CLI flag).
+#: ``auto`` routes each query through the cost-based planner.
+ORACLE_CHOICES = ("auto", *PLANNABLE)
+
 #: Calibration k values the linear ops(k) model is fitted through.
 CALIBRATION_KS = (1, 8)
+
+#: Sample query vertices calibration spreads over the network.
+CALIBRATION_SAMPLES = 4
+
+#: Most distinct k whose warm pick is kept: ``k`` is any client
+#: integer, so the cache drops its oldest entry past this.
+WARM_PICKS = 64
 
 
 def counted_ops(backend: str, stats: QueryStats) -> int:
@@ -159,30 +172,22 @@ class QueryPlanner:
     Parameters
     ----------
     oracles:
-        Backend name -> bound :class:`DistanceOracle`.  Only names in
+        Backend name -> bound backend (anything with ``knn(query, k,
+        exact=True)`` and an ``object_index``).  Only names in
         :data:`PLANNABLE` participate; at least one is required.
     constants:
         A previously calibrated :class:`CostConstants` (e.g. loaded
         from the labelling directory).  When omitted, the planner
         calibrates itself lazily on the first ``choose`` call.
-    force:
-        Forced-backend override: every ``choose`` returns this name
-        and counts ``planner_forced_total`` only.  The operational
-        escape hatch when the model misjudges a workload.
     storage:
         The engine's storage simulator, read for the cache-state term.
-    calibration_queries:
-        Sample query vertices for lazy calibration (defaults to a
-        deterministic spread of the network's vertices).
     """
 
     def __init__(
         self,
-        oracles: dict[str, DistanceOracle],
+        oracles: dict,
         constants: CostConstants | None = None,
-        force: str | None = None,
         storage=None,
-        calibration_queries=None,
     ) -> None:
         self.oracles = {
             name: oracles[name] for name in PLANNABLE if name in oracles
@@ -191,55 +196,41 @@ class QueryPlanner:
             raise ValueError(
                 f"no plannable backend given; expected one of {PLANNABLE}"
             )
-        if force is not None and force not in self.oracles:
-            raise ValueError(
-                f"cannot force unavailable backend {force!r}; "
-                f"have {tuple(self.oracles)}"
-            )
         self.constants = constants
-        self.force = force
         self.storage = storage
         self.registry = MetricsRegistry()
-        self._calibration_queries = calibration_queries
-        #: Per-k picks at a cache no colder than calibration saw, and
-        #: the constants they were priced with.
+        #: Per-k picks at a cache no colder than calibration saw (at
+        #: most ``WARM_PICKS``, oldest dropped first), and the constants
+        #: they were priced with.
         self._warm_picks: dict[int, str] = {}
         self._warm_for: CostConstants | None = None
 
     # ------------------------------------------------------------------
     # Calibration
     # ------------------------------------------------------------------
-    def _default_queries(self, samples: int = 4) -> list[int]:
-        some = next(iter(self.oracles.values()))
-        network = getattr(some, "network", None)
-        if network is None:
-            network = some.object_index.network
-        n = network.num_vertices
-        step = max(1, n // samples)
-        return [(i * step + step // 3) % n for i in range(samples)]
-
-    def calibrate(self, queries=None, ks=CALIBRATION_KS) -> CostConstants:
+    def calibrate(self) -> CostConstants:
         """Measure per-op constants and fit the ops(k) model.
 
-        Runs ``len(queries) * len(ks)`` real queries per backend, twice
-        each, against the live index/object set (exact answers, so every
-        backend does comparable work) and fits, per backend, one
+        Runs ``CALIBRATION_SAMPLES`` query vertices (a deterministic
+        spread of the network) at each of ``CALIBRATION_KS`` per backend,
+        twice each, against the live index/object set (exact answers, so
+        every backend does comparable work) and fits, per backend, one
         :func:`fit_line` through the (k, counted ops) samples and one
         through the (counted ops, seconds) samples.  The calibration
         queries warm the storage simulator exactly as real traffic
         would; the observed miss rate is recorded for the cache-state
         term.
         """
-        if queries is None:
-            queries = self._calibration_queries or self._default_queries()
-        queries = list(queries)
+        n = next(iter(self.oracles.values())).object_index.network.num_vertices
+        step = max(1, n // CALIBRATION_SAMPLES)
+        queries = [(i * step + step // 3) % n for i in range(CALIBRATION_SAMPLES)]
         op_model: dict[str, tuple[float, float]] = {}
         op_seconds: dict[str, float] = {}
         query_seconds: dict[str, float] = {}
         for backend, oracle in self.oracles.items():
             ops_at_k: list[tuple[float, float]] = []
             seconds_at_ops: list[tuple[float, float]] = []
-            for k in ks:
+            for k in CALIBRATION_KS:
                 for q in queries:
                     # Best of two: the first run pays one-off warm-up
                     # (cold pages, the location cache) steady traffic won't.
@@ -263,7 +254,7 @@ class QueryPlanner:
         self.registry.inc("planner_calibrations_total", stage="plan")
         self.registry.inc(
             "planner_calibration_queries_total",
-            2 * len(queries) * len(ks) * len(self.oracles),
+            2 * len(queries) * len(CALIBRATION_KS) * len(self.oracles),
             stage="plan",
         )
         return self.constants
@@ -297,9 +288,6 @@ class QueryPlanner:
 
     def choose(self, query, k: int) -> str:
         """The backend name this query should run on."""
-        if self.force is not None:
-            self.registry.inc("planner_forced_total", stage="plan")
-            return self.force
         if self.constants is None:
             self.calibrate()
         if self._miss_rate() > self.constants.miss_rate:
@@ -311,6 +299,8 @@ class QueryPlanner:
                 self._warm_picks, self._warm_for = {}, self.constants
             best = self._warm_picks.get(k)
             if best is None:
+                if len(self._warm_picks) >= WARM_PICKS:
+                    del self._warm_picks[next(iter(self._warm_picks))]
                 best = self._warm_picks[k] = _cheapest(self.predicted_costs(k))
         self.registry.inc("planner_decisions_total", stage="plan", oracle=best)
         return best

@@ -76,8 +76,10 @@ from repro.network import SpatialNetwork, grid_network, road_like_network
 from repro.errors import DeadlineExceeded
 from repro.objects.model import EdgePosition, ObjectSet, VertexPosition
 from repro.objects import ObjectIndex
+from repro.oracle import PrunedLabellingOracle
 from repro.query import bestfirst
 from repro.query.bestfirst import VARIANTS, best_first_knn
+from repro.query.ier import ier_knn
 from repro.query.ine import ine_knn
 from repro.query.distances import QueryHandle
 from repro.query.location import resolve_location
@@ -452,6 +454,87 @@ def compute_ine_digests(net, index) -> dict[str, str]:
 
 def test_ine_answers_and_counted_ops_match_golden(parity_net, parity_index):
     assert compute_ine_digests(parity_net, parity_index) == GOLDEN_INE
+
+
+# ----------------------------------------------------------------------
+# IER: the Euclidean scan and its two refinements
+# ----------------------------------------------------------------------
+#: Recorded at the commit before IER's Dijkstra refinement moved out of
+#: an oracle class into ``query/ier.py``.  One digest per (cell,
+#: refinement, storage) over INE's cells: ``dijkstra`` is the default
+#: multi-seed Dijkstra, ``labels`` a labelling built over the cell's
+#: network; ``network`` runs against a fresh ``NetworkStorageModel``
+#: (which the labelling refinement never touches: its ``network`` cells
+#: equal its ``none`` ones).
+GOLDEN_IER: dict[str, str] = {
+    "vertex/dijkstra/none": "cf92dbec5c1fa923",
+    "vertex/dijkstra/network": "cb725c6f363833c4",
+    "vertex/labels/none": "6f00b0fcec8036f6",
+    "vertex/labels/network": "6f00b0fcec8036f6",
+    "edge/dijkstra/none": "162c88c633a22da5",
+    "edge/dijkstra/network": "4b61cfe0ccda3ff8",
+    "edge/labels/none": "33bd2e7f426966aa",
+    "edge/labels/network": "33bd2e7f426966aa",
+    "extent/dijkstra/none": "bc6ed6c5525675e0",
+    "extent/dijkstra/network": "1f5bf1a993734dbc",
+    "extent/labels/none": "f84257915794e6da",
+    "extent/labels/network": "f84257915794e6da",
+    "vertex_from_edges/dijkstra/none": "d4a2fcd22d770eab",
+    "vertex_from_edges/dijkstra/network": "d43568f5588e5d81",
+    "vertex_from_edges/labels/none": "0d6e087088b3012a",
+    "vertex_from_edges/labels/network": "0d6e087088b3012a",
+    "extent_from_edges/dijkstra/none": "963174b5d13cb717",
+    "extent_from_edges/dijkstra/network": "c10fb2f16b69ac3c",
+    "extent_from_edges/labels/none": "64f610bd90675fd5",
+    "extent_from_edges/labels/network": "64f610bd90675fd5",
+    "ties/dijkstra/none": "8ee6d4c08cb0364e",
+    "ties/dijkstra/network": "f08b9e1332f8580a",
+    "ties/labels/none": "ddf3374a634ee189",
+    "ties/labels/network": "ddf3374a634ee189",
+    "k_ge_s/vertex/dijkstra/none": "c8ff780950532903",
+    "k_ge_s/vertex/dijkstra/network": "ca7798d6e7929967",
+    "k_ge_s/vertex/labels/none": "55ad254699de892a",
+    "k_ge_s/vertex/labels/network": "55ad254699de892a",
+    "k_ge_s/edge/dijkstra/none": "c68004080cc73a74",
+    "k_ge_s/edge/dijkstra/network": "24d4de45bc7644f8",
+    "k_ge_s/edge/labels/none": "92bcd291ba0a2a7e",
+    "k_ge_s/edge/labels/network": "92bcd291ba0a2a7e",
+}
+
+
+def _ier_record(result) -> tuple:
+    s = result.stats
+    return (
+        tuple(n.oid for n in result.neighbors),
+        tuple(n.distance.hex() for n in result.neighbors),
+        s.settled,
+        s.relaxed,
+        s.nd_computations,
+        s.label_scans,
+        s.io_accesses,
+        s.io_misses,
+    )
+
+
+def compute_ier_digests(net, index) -> dict[str, str]:
+    digests = {}
+    labellings = {}
+    for name, (object_index, calls) in _ine_cells(net, index.embedding).items():
+        network = object_index.network
+        if id(network) not in labellings:
+            labellings[id(network)] = PrunedLabellingOracle.build(network)
+        for refine, oracle in (("dijkstra", None), ("labels", labellings[id(network)])):
+            for storage in ("none", "network"):
+                model = NetworkStorageModel(network) if storage == "network" else None
+                digests[f"{name}/{refine}/{storage}"] = _digest([
+                    _ier_record(ier_knn(object_index, q, k, storage=model, oracle=oracle))
+                    for q, k in calls
+                ])
+    return digests
+
+
+def test_ier_answers_and_counted_ops_match_golden(parity_net, parity_index):
+    assert compute_ier_digests(parity_net, parity_index) == GOLDEN_IER
 
 
 # ----------------------------------------------------------------------
@@ -1107,7 +1190,10 @@ class TestChecksKept:
 if __name__ == "__main__":
     net = road_like_network(150, seed=9)
     built = SILCIndex.build(net)
-    for compute in (compute_digests, compute_control_flow_digests, compute_ine_digests):
+    for compute in (
+        compute_digests, compute_control_flow_digests, compute_ine_digests,
+        compute_ier_digests,
+    ):
         print(compute.__name__)
         for key, value in compute(net, built).items():
             print(f'    "{key}": "{value}",')

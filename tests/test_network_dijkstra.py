@@ -98,12 +98,14 @@ class TestIncremental:
         np.testing.assert_allclose(inc.dist, small_dist[3], rtol=1e-12)
 
     def test_exhausted(self):
+        """Every reachable vertex settles once; then ``settle_next``
+        keeps answering ``None``."""
         inc = IncrementalDijkstra(line_net(3), 0)
         count = 0
         while inc.settle_next() is not None:
             count += 1
         assert count == 3
-        assert inc.exhausted
+        assert inc.settle_next() is None
 
     def test_seeds_multi_source(self):
         net = line_net(7)

@@ -16,10 +16,14 @@ import numpy as np
 import pytest
 
 from repro.network import SpatialNetwork, road_like_network
-from repro.oracle.base import DijkstraOracle
 from repro.oracle import PrunedLabellingOracle
-from repro.query.ier import ier_knn
+from repro.query.ier import dijkstra_anchored_distance, ier_knn
 from repro.query.stats import QueryStats
+
+
+def dijkstra_distance(net, u, v):
+    """Vertex-to-vertex distance by IER's Dijkstra refinement."""
+    return dijkstra_anchored_distance(net, [(u, 0.0)], [(v, 0.0)])
 
 
 @pytest.fixture(scope="module")
@@ -53,11 +57,10 @@ class TestExactness:
     def test_matches_dijkstra_random_networks(self, seed):
         net = road_like_network(80, seed=seed)
         labels = PrunedLabellingOracle.build(net)
-        dijkstra = DijkstraOracle(net)
         rng = np.random.default_rng(seed)
         for u, v in rng.integers(0, net.num_vertices, size=(120, 2)):
             assert labels.distance(int(u), int(v)) == pytest.approx(
-                dijkstra.distance(int(u), int(v)), rel=1e-9
+                dijkstra_distance(net, int(u), int(v)), rel=1e-9
             )
 
     def test_self_distance_zero(self, small_labelling):
@@ -103,7 +106,6 @@ class TestDisconnectedAndDirected:
              (3, 4, 2.0), (4, 5, 2.0), (5, 3, 2.0)],
         )
         labels = PrunedLabellingOracle.build(net)
-        dijkstra = DijkstraOracle(net)
         for u in range(3):
             for v in range(3, 6):
                 assert math.isinf(labels.distance(u, v))
@@ -111,7 +113,7 @@ class TestDisconnectedAndDirected:
         for u in range(6):
             for v in range(6):
                 assert labels.distance(u, v) == pytest.approx(
-                    dijkstra.distance(u, v), rel=1e-9
+                    dijkstra_distance(net, u, v), rel=1e-9
                 )
 
     def test_directed_asymmetry(self):
@@ -129,7 +131,6 @@ class TestDisconnectedAndDirected:
 class TestAnchoredAndKNN:
     def test_anchored_distance_matches_dijkstra(self, small_net,
                                                 small_labelling, rng):
-        dijkstra = DijkstraOracle(small_net)
         n = small_net.num_vertices
         for _ in range(40):
             s = [(int(rng.integers(n)), float(rng.uniform(0, 2)))
@@ -138,7 +139,7 @@ class TestAnchoredAndKNN:
                  for _ in range(2)]
             stats = QueryStats()
             got = small_labelling.anchored_distance(s, t, stats=stats)
-            want = dijkstra.anchored_distance(s, t, stats=QueryStats())
+            want = dijkstra_anchored_distance(small_net, s, t, stats=QueryStats())
             assert got == pytest.approx(want, rel=1e-9)
             assert stats.label_scans > 0
 

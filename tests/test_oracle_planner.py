@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -17,7 +18,7 @@ import pytest
 from repro.engine import QueryEngine
 from repro.errors import CorruptIndexError
 from repro.faults import truncate_file
-from repro.oracle.planner import COST_MODEL_FILE
+from repro.oracle.planner import COST_MODEL_FILE, WARM_PICKS, _cheapest
 from repro.oracle import PLANNABLE, CostConstants, PrunedLabellingOracle, QueryPlanner, counted_ops
 from repro.query.stats import QueryStats
 from repro.storage.lru import CacheStats
@@ -82,22 +83,24 @@ class TestPlannerParity:
 
 
 class TestForcedBackend:
+    """A backend is forced by naming it (``oracle=``, ``--oracle``, a
+    request's ``oracle``): the planner is never consulted."""
+
     def test_force_overrides_cost_model(self, small_index, small_object_index,
                                         labelling):
         engine = QueryEngine(
             small_index, small_object_index, labelling=labelling, oracle="auto"
         )
-        engine.planner = QueryPlanner(engine.oracles, force="labels")
-        result = engine.knn(23, 5, oracle="auto")
+        result = engine.knn(23, 5, oracle="labels")
         assert result.stats.label_scans > 0
-        assert counted(engine.planner, "planner_forced_total") == 1
-        assert decisions(engine.planner) == {}
+        assert engine.planner is None  # never built, never calibrated
 
     def test_force_unavailable_backend_rejected(self, small_index,
                                                 small_object_index):
-        engine = QueryEngine(small_index, small_object_index)
-        with pytest.raises(ValueError, match="force"):
-            QueryPlanner(engine.oracles, force="labels")
+        engine = QueryEngine(small_index, small_object_index, oracle="auto")
+        with pytest.raises(ValueError, match="not loaded"):
+            engine.knn(0, 3, oracle="labels")
+        assert engine.planner is None
 
 
 class TestBackendValidation:
@@ -229,6 +232,35 @@ class TestWarmPickReuse:
         assert warm > 500 and cold > 500
         assert len(expected) == 3  # every backend won somewhere
         assert decisions(planner) == dict(expected)
+
+    def test_picks_for_any_number_of_distinct_ks_keep_memory_flat(self):
+        """``k`` is any client integer: after 200 000 distinct ones the
+        planner keeps at most ``WARM_PICKS`` picks, 20 000 more grow its
+        traced memory by under 16 KB (an entry per k grows it ~640 KB
+        over them), and every pick is still the priced one."""
+        planner = QueryPlanner(
+            {"silc": None, "labels": None, "ine": None}, constants=self.CONSTANTS
+        )
+        picked = Counter()
+
+        def run(ks):
+            for k in ks:
+                got = planner.choose(k, k)
+                assert got == _cheapest(planner.predicted_costs(k)), k
+                picked[got] += 1
+
+        run(range(1, 200_001))
+        assert len(planner._warm_picks) <= WARM_PICKS
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run(range(200_001, 220_001))
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 16 * 1024, grown
+        assert set(picked) == {"silc", "labels", "ine"}
+        assert decisions(planner) == dict(picked)
 
     def test_new_constants_are_priced_afresh(self):
         planner = QueryPlanner({"silc": None, "ine": None}, constants=self.CONSTANTS)

@@ -106,7 +106,7 @@ def _untrace_child() -> None:
 # ----------------------------------------------------------------------
 
 def _serve_lines() -> list[dict]:
-    from repro.oracle.base import ORACLE_CHOICES
+    from repro.oracle.planner import ORACLE_CHOICES
     from repro.query.bestfirst import VARIANTS
 
     lines: list[dict] = []
@@ -141,7 +141,7 @@ def _serve_lines() -> list[dict]:
 
 def cli_commands(work: Path) -> list[list[str]]:
     """Every command line the probe runs, in order."""
-    from repro.oracle.base import ORACLE_CHOICES
+    from repro.oracle.planner import ORACLE_CHOICES
 
     net, idx = str(work / "road.txt"), str(work / "idx")
     requests = work / "requests.jsonl"
