@@ -50,12 +50,14 @@ _OBJECT = 1
 VARIANTS = ("knn", "inn", "knn_i", "knn_m")
 
 #: The fewest neighbours a query must ask for before its walks to exact
-#: go home (``RefinableDistance.walk_home``).  A walk home probes the
+#: go home (``RefinableDistance.walk_home``) and an exact search walks
+#: every colliding vertex object at once.  A walk home probes the
 #: object's own table, which a forward walk never reads, and saves the
 #: links its path shares with earlier walks -- few when few answers are
-#: walked: on the 1 000-vertex benchmark network an exact k = 5 ``knn``
-#: walked 21 % fewer links home and ran 2-3 % slower, k = 10 broke even
-#: and k = 25 ran 7 % faster.
+#: walked: on the 1 000-vertex benchmark network, over all four
+#: variants, an exact k = 5 search walked 16 % fewer links home with
+#: 55 % more simulated page misses and no faster, and k = 10 walked
+#: 33 % fewer and ran even to 6 % faster.
 HOME_MIN_K = 10
 
 #: Sort keys of the fill, the exact pass and ``dk_final``: C, so no
@@ -118,10 +120,14 @@ def best_first_knn(
         When True, fully refine the reported neighbors so that
         ``Neighbor.distance`` is the exact network distance.  The
         extra refinements are recorded separately in
-        ``stats.extras['post_refinements']``.  An exact ``knn`` also
-        walks a colliding object whose upper bound is within ``Dk`` to
-        exact inside the search (reporting still waits for Theorem 1);
-        those links count in ``stats.refinements``.
+        ``stats.extras['post_refinements']``.  An exact search also
+        walks some colliding objects to exact inside the search, in one
+        call, instead of stepping them (reporting still waits for
+        Theorem 1): on a ``network.symmetric`` network a vertex query
+        for ``HOME_MIN_K`` or more neighbours walks every colliding
+        vertex object home, in every variant; elsewhere an exact
+        ``knn`` walks one whose upper bound is within ``Dk`` forward.
+        Those links count in ``stats.refinements``.
     time_budget:
         Remaining wall-clock budget in seconds for this search.  When
         it runs out -- in the main loop, the exact-refinement pass, or
@@ -158,9 +164,6 @@ def best_first_knn(
     io_before = index.storage.stats if index.storage is not None else None
 
     use_dk = variant == "knn"
-    # An exact ``knn`` walks a colliding object already inside ``Dk`` to
-    # exact in one call; every other search steps (see ARCHITECTURE.md).
-    walk = use_dk and exact
     use_d0k = variant in ("knn_i", "knn_m")
     # On a network whose every edge has a reverse of the same weight, a
     # vertex query for HOME_MIN_K or more neighbours walks an object on a
@@ -173,6 +176,13 @@ def best_first_knn(
         known = {vertex_anchor[0]: 0.0}
     else:
         home, known = frozenset(), {}
+    # An exact search walks every colliding object of ``home`` to exact
+    # at once, whatever the variant: the walk costs only the links no
+    # earlier walk passed.  Elsewhere an exact ``knn`` walks a colliding
+    # object already inside ``Dk`` forward, and every other search
+    # steps (see ARCHITECTURE.md, "Walk once sure").
+    walks_home = home if exact else frozenset()
+    walk = use_dk and exact
 
     # KMINDIST (``knn_m`` only), a sound lower bound on the k-th
     # neighbor distance: every object is either *seen* (its current
@@ -326,13 +336,12 @@ def best_first_knn(
                 stats.kmindist_accepts += 1
                 confirmed.append(state)
                 continue
-        if walk and old_hi <= bound:
+        if state.oid in walks_home:
+            state.walk_home(known)
+        elif walk and old_hi <= bound:
             # Inside Dk: most such objects are answers the exact pass
             # walks anyway, so walk it now, not one heap cycle per link.
-            if state.oid in home:
-                state.walk_home(known)
-            else:
-                state.refine_fully()
+            state.refine_fully()
         else:
             state.refine()
         lo = state.lo
@@ -385,10 +394,17 @@ def best_first_knn(
         for s in fill:
             if deadline is not None and counted_clock() > deadline:
                 raise _deadline_exceeded(time_budget, len(result_states), k)
-            if s.oid not in home:
+            # A ``RefinableDistance`` at its target is exact (every
+            # method that reaches it sets ``lo == hi == acc``) and costs
+            # no call; for an ``ObjectDistanceState`` ``lo == hi`` is no
+            # proof, so it always gets one.
+            if type(s) is not RefinableDistance:
                 s.refine_fully()
             elif s.via != s.target:
-                s.walk_home(known)
+                if s.oid in home:
+                    s.walk_home(known)
+                else:
+                    s.refine_fully()
         fill.sort(key=_by_lo)
         result_states.extend(fill)
         stats.extras["fallback_fill"] = len(fill)
@@ -399,10 +415,13 @@ def best_first_knn(
         for s in result_states:
             if deadline is not None and counted_clock() > deadline:
                 raise _deadline_exceeded(time_budget, len(result_states), k)
-            if s.oid not in home:
+            if type(s) is not RefinableDistance:
                 s.refine_fully()
             elif s.via != s.target:
-                s.walk_home(known)
+                if s.oid in home:
+                    s.walk_home(known)
+                else:
+                    s.refine_fully()
         post_refinements = counter.count - before
         stats.extras["post_refinements"] = post_refinements
         stats.refinements = counter.count - post_refinements

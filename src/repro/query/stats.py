@@ -30,22 +30,28 @@ class QueryStats:
     refinements:
         Links advanced inside the search (fig p.35's unit): one per
         progressive-refinement step, and one per link of a walk to
-        exact -- an exact ``knn`` walks a colliding object already
-        inside ``Dk`` instead of stepping it.  The exact pass after the
-        search is not in here: its links are
-        ``extras["post_refinements"]``, so the two together are every
-        link a query walked.  Where every edge's reverse exists with
-        the same weight (``network.symmetric``), a vertex query for
-        ``HOME_MIN_K`` (10) or more neighbours walks a vertex object
-        *home*, from the object toward the query, and stops at the
-        first vertex an earlier walk of the query passed
+        exact.  The exact pass after the search is not in here: its
+        links are ``extras["post_refinements"]``, so the two together
+        are every link a query walked.  Where every edge's reverse
+        exists with the same weight (``network.symmetric``), a vertex
+        query for ``HOME_MIN_K`` (10) or more neighbours walks a vertex
+        object *home*, from the object toward the query, and stops at
+        the first vertex an earlier walk of the query passed
         (``RefinableDistance.walk_home``): a link counts once, when its
         far end first gets its distance, so the walks of one query
         count the union of the answers' shortest paths, not the sum.
-        Elsewhere a walk runs forward from the query and counts every
-        link it takes.
+        There an exact search of any variant walks every colliding
+        vertex object home instead of stepping it.  Elsewhere a walk
+        runs forward from the query and counts every link it takes,
+        and only an exact ``knn`` walks inside the search: a colliding
+        object already inside ``Dk``.
     max_queue:
         Peak size of the main priority queue ``Q`` (fig p.34's unit).
+    collisions:
+        Objects popped whose upper bound was above the head of ``Q``,
+        so Theorem 1 could not confirm them yet: kNN-M may accept one
+        against KMINDIST; every other gets one refinement step or one
+        walk to exact.
     l_ops:
         Operations on the result queue ``L`` -- every insertion, every
         update and every read of ``Dk``: the paper's "kNN-PQ" series

@@ -6,8 +6,9 @@ count (a) the Python frames entered per refinement step of the search
 -- from the queued state's ``refine`` down through the probe and the
 page accounting --, (b) the frames entered per link walked, below the
 state's ``refine_fully`` or ``walk_home``: in the exact finish, and
-inside an exact ``knn`` search, which walks a colliding object already
-inside ``Dk`` instead of stepping it, (c) ``DistanceInterval``
+inside an exact search, which walks a colliding vertex object home
+instead of stepping it when k >= ``HOME_MIN_K`` (and an exact ``knn``
+walks one already inside ``Dk`` forward below that), (c) ``DistanceInterval``
 constructions, which belong to the output boundary only, and (d) every
 frame of the whole query against a budget in the query's own counted
 operations.  Before the kernel was flattened the first query cost 29
@@ -61,8 +62,8 @@ FRAMES_PER_FINISH_LINK = 0
 #:   ``__init__``; the sort keys and ``dk_final``'s are ``attrgetter``:
 #:   no frame);
 #: * walk after the search: one ``walk_home`` or ``refine_fully`` per
-#:   reported or filled state (a state that would walk home and is
-#:   already exact is not called);
+#:   reported or filled state (a ``RefinableDistance`` already exact is
+#:   not called);
 #: * fallback fill, when the search ends short of k (an exact ``knn``
 #:   whose k-th candidate was walked to ``lo == Dk`` ends that way): its
 #:   two comprehensions;
@@ -152,38 +153,42 @@ def test_frames_per_refinement_and_no_interval_allocations(
     # The shared index is only read; the simulator is detached again.
     small_index.attach_storage(small_index.make_storage())
     try:
-        for variant in ("inn", "knn"):
+        # An exact search for HOME_MIN_K or more walks every colliding
+        # vertex object home, so ``refine`` is priced below that k.
+        for variant, k in (("inn", bestfirst.HOME_MIN_K - 1), ("knn", 10), ("inn", 10)):
             # Once unobserved: the resolved-location cache is a
             # first-touch cost, not a per-refinement one.
             def run():
                 return best_first_knn(
-                    small_index, small_object_index, 31, 10,
+                    small_index, small_object_index, 31, k,
                     variant=variant, exact=True,
                 )
             run()
             result, counts = _count_calls(small_index, small_object_index, run)
             s = result.stats
             steps = counts["refines"]
-            # ``inn`` steps every collision and leaves the rest of the
-            # walk to the exact pass; ``knn`` walks a colliding object
-            # inside ``Dk`` in one ``walk_home`` call.  Either way one
-            # collision is one call.
+            # Below HOME_MIN_K ``inn`` steps every collision and leaves
+            # the rest of the walk to the exact pass; from it every
+            # variant walks each colliding vertex object home in one
+            # ``walk_home`` call.  Either way one collision is one call.
             walks = counts["search_walks"]
             assert steps + walks == s.collisions
             # The exact pass calls no walk for a neighbour already exact.
-            assert 0 < counts["post_walks"] <= len(result.neighbors)
-            if variant == "inn":
+            assert counts["post_walks"] <= len(result.neighbors)
+            if k < bestfirst.HOME_MIN_K:
                 assert walks == 0 and steps == s.refinements > 50
                 assert s.extras["post_refinements"] > 10
+                assert counts["post_walks"] > 0
             else:
-                assert walks > 5 and s.refinements - steps > 20  # links walked
+                assert steps == 0 and walks == s.collisions > 5
+                assert s.refinements > 20  # links walked
                 assert counts["post_walks"] < len(result.neighbors)
             links = s.refinements - steps + s.extras["post_refinements"]
             assert counts["under_refine"] <= FRAMES_PER_REFINEMENT * steps
             assert counts["under_finish"] <= FRAMES_PER_FINISH_LINK * links
             # One interval per reported neighbor, built at the output
             # boundary; none inside the search loop.
-            assert counts["intervals"] == len(result.neighbors) == 10
+            assert counts["intervals"] == len(result.neighbors) == k
     finally:
         small_index.detach_storage()
 

@@ -59,6 +59,24 @@ Re-recorded since:
    confirmation, ``L`` operation and peak queue held, on the tie grid
    too.  The ``edge`` and ``extent`` cells (edge-position queries,
    objects reached more than one way) walk forward and held.
+7. Where item 6 applies and the search is exact, every variant walks a
+   colliding vertex object home in one call instead of stepping it
+   (``knn`` walked only one already inside ``Dk``).  The eight
+   ``vertex/*/exact`` digests (their k = 25 queries) and ten
+   control-flow cells moved: ``proximal/knn``, and the ``k_ge_s``,
+   ``ties`` and ``proximal`` cells of ``inn`` / ``knn_i`` / ``knn_m``
+   (their exact k >= 10 queries).  Field by field against the parent
+   only ``refinements``, ``post_refinements``, ``queue_pushes``,
+   ``collisions``, ``l_ops`` (``knn``), simulated pages and, in one
+   ``knn`` query (both storages), one confirmation that became a
+   fallback-fill entry moved; every ``bounds`` digest, every ``edge``
+   / ``extent`` digest and every k < 10 record held, and so did every
+   answer's ids and distance bits -- except kNN-M's unordered answers, which come in
+   another order (same set), and on the tie grid, where at k = |S| = 16
+   the order among exactly equal distances moved (the same distance
+   lists, bit for bit).  Two ``k_ge_s/knn_m`` records at
+   ``exact=False`` moved in ``io_misses`` alone: the cell's one
+   simulator carries the LRU state the exact queries before them left.
 """
 
 from __future__ import annotations
@@ -95,21 +113,21 @@ from reference import objects_with_extents, random_edge_objects
 KS = (1, 5, 25)
 
 GOLDEN: dict[str, str] = {
-    "vertex/attached/knn/exact": "8e09f165abc24390",
+    "vertex/attached/knn/exact": "639aeed7ac3a15c2",
     "vertex/attached/knn/bounds": "449e8049cbae628f",
-    "vertex/attached/inn/exact": "0ac07e5ca89bb0ca",
+    "vertex/attached/inn/exact": "3548a4b3fa92c40a",
     "vertex/attached/inn/bounds": "6c6196850a4a8486",
-    "vertex/attached/knn_i/exact": "7636957e7feb7927",
+    "vertex/attached/knn_i/exact": "0fc0ff0e7ddbee9f",
     "vertex/attached/knn_i/bounds": "b661a167ef645208",
-    "vertex/attached/knn_m/exact": "b284ca67010c1f4a",
+    "vertex/attached/knn_m/exact": "24a0a58ce12fe2b0",
     "vertex/attached/knn_m/bounds": "9530e176f986f868",
-    "vertex/detached/knn/exact": "bca8684fd8e56e18",
+    "vertex/detached/knn/exact": "1d82c0e4766b152d",
     "vertex/detached/knn/bounds": "1834a3b0bbed8b5b",
-    "vertex/detached/inn/exact": "5077b1d0bd38b848",
+    "vertex/detached/inn/exact": "bf475e86f4ed3d37",
     "vertex/detached/inn/bounds": "451bf3f9d571329d",
-    "vertex/detached/knn_i/exact": "8d120dde54c28d0d",
+    "vertex/detached/knn_i/exact": "40798dd9798ed756",
     "vertex/detached/knn_i/bounds": "20e9b8478b87b192",
-    "vertex/detached/knn_m/exact": "06e6ab8b082408f3",
+    "vertex/detached/knn_m/exact": "cbd54fe0d119a696",
     "vertex/detached/knn_m/bounds": "6ada63a703331c27",
     "edge/attached/knn/exact": "7dcd3e7b0d5de160",
     "edge/attached/knn/bounds": "dbb489f9a52c6989",
@@ -262,20 +280,21 @@ def test_generous_time_budget_changes_nothing(parity_net, parity_index):
 #: in hand instead of re-inserting and re-popping it: same record
 #: format, one digest per (scenario, variant), storage attached.  The
 #: four ``knn`` cells were re-recorded with the walk and the unmoved-``L``
-#: skip, and all twelve with the walk home (see the module docstring).
+#: skip, all twelve with the walk home, and ten when every exact
+#: collision began walking home (see the module docstring).
 GOLDEN_CONTROL_FLOW: dict[str, str] = {
     "k_ge_s/knn": "7adff7d638b9b053",
     "ties/knn": "72883e6426343d47",
-    "proximal/knn": "b7ded0ab8095d28a",
-    "k_ge_s/inn": "73d554ba579d695c",
-    "ties/inn": "35e15b384d71e6e5",
-    "proximal/inn": "12f80a006d68bcaf",
-    "k_ge_s/knn_i": "73d554ba579d695c",
-    "ties/knn_i": "aabdfb87008e37c9",
-    "proximal/knn_i": "d934a85b8e9df6e2",
-    "k_ge_s/knn_m": "790701777c4658ac",
-    "ties/knn_m": "14422c9557787942",
-    "proximal/knn_m": "0766f472cae7c75a",
+    "proximal/knn": "2997f6efbb0f091d",
+    "k_ge_s/inn": "863a82ea1d38d117",
+    "ties/inn": "300691dad6caec32",
+    "proximal/inn": "adf718b9b400e945",
+    "k_ge_s/knn_i": "863a82ea1d38d117",
+    "ties/knn_i": "bf654c0ef3c197dd",
+    "proximal/knn_i": "d84597c15104784a",
+    "k_ge_s/knn_m": "081ffa271f4d987b",
+    "ties/knn_m": "113d12ac356259b4",
+    "proximal/knn_m": "3445548bb0fac1bb",
 }
 
 
@@ -614,22 +633,21 @@ def test_an_exact_tie_with_the_queue_head_goes_through_the_heap(loop_events):
 #: commit before head runs: the confirmed count each DeadlineExceeded
 #: names when the clock jumps right after the R-th refinement,
 #: R = 1, 2, ... ("-": the search finished without another check).
-#: The run of 10s is the exact pass: the deadline is read between
+#: Then a run of 10s was the exact pass: the deadline is read between
 #: neighbours there, and a neighbour's finish is one walk that bumps the
 #: counter once, so a jump "inside" a walk is seen before the next
-#: neighbour -- which is when the stepwise finish saw it too (the last
-#: neighbour is one link from exact: a single "-").  ``inn`` is not
-#: re-recorded.  ``knn`` agreed with it until an exact ``knn`` began
-#: walking a colliding object inside ``Dk``: a walk inside the search is
-#: one call too, so a jump inside it is seen at the next pop (the runs
-#: of equal reports), and the same 67 links now all fall inside the
-#: search -- the exact pass has nothing left to walk.
+#: neighbour.  Since every exact search for HOME_MIN_K or more walks a
+#: colliding vertex object home in one call, in every variant, a jump
+#: inside a walk is seen at the next pop (the runs of equal reports),
+#: and the links all fall inside the search -- the exact pass has
+#: nothing left to walk.  Both variants now walk the same 41 links in
+#: the same order of reports (``knn`` walked 40 before, ``inn`` stepped
+#: 63).
 GOLDEN_DEADLINE_REPORTS: dict[str, str] = {
-    "knn": "0,0,0,1,1,1,1,1,2,2,4,6,6,6,6,6,6,6,6,6,6,6,6,6,6,6,7,7,7,7,7,7,"
-    "7,7,9,9,9,9,9,9",
-    "inn": "0,0,1,1,1,2,2,2,4,4,6,6,6,6,6,6,6,6,6,6,7,7,7,7,7,7,7,7,7,7,7,8,8,"
-    "8,8,9,9,9,9,9,9,9,9,9,9,9,10,10,10,10,10,10,10,10,10,10,10,10,10,10,10,"
-    "10,-",
+    "knn": "0,0,0,1,1,1,1,1,2,2,4,6,6,6,6,6,6,6,6,6,6,6,6,6,6,7,7,7,7,7,7,"
+    "9,9,9,9,9,9,9,9,9,9",
+    "inn": "0,0,0,1,1,1,1,1,2,2,4,6,6,6,6,6,6,6,6,6,6,6,6,6,6,7,7,7,7,7,7,"
+    "9,9,9,9,9,9,9,9,9,9",
 }
 
 
@@ -730,10 +748,13 @@ def test_a_walked_state_above_the_queue_head_is_pushed_not_confirmed(
     for _, oid, lo, head in pushed:
         assert lo > head
         assert distances[oid] == lo  # reported later, at its exact distance
-    # ... and the answer is the one a stepping search gives.
+    # ... and the answer is the one a stepping search gives (on a
+    # network not known to be symmetric, ``inn`` steps every collision).
+    monkeypatch.setattr(parity_index.network, "symmetric", False)
     stepped = best_first_knn(
         parity_index, object_index, queries[1], 10, variant="inn", exact=True
     )
+    assert stepped.stats.refinements == stepped.stats.collisions
     assert result.distances() == stepped.distances()
 
 

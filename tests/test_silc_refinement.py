@@ -4,8 +4,11 @@ import bisect
 
 import pytest
 
+from repro.datasets import random_vertex_objects
+from repro.objects import ObjectIndex
+from repro.query.bestfirst import HOME_MIN_K, best_first_knn
 from repro.silc import SILCIndex
-from repro.silc.refinement import RefinementCounter
+from repro.silc.refinement import RefinableDistance, RefinementCounter
 
 
 class TestRefinableDistance:
@@ -132,15 +135,18 @@ class TestWalkHome:
 
     @staticmethod
     def _detour(index, source, target, toward):
-        """``(vertex, row, wrong)``: a vertex inside the path from
-        ``source`` to ``target``, its table row for ``toward``'s cell (the
-        walk's probe) and an existing neighbour other than the row's
-        colour, whose own path to ``toward`` avoids the vertex and which
-        lands the walk outside the state's first bounds -- or None."""
+        """``(vertex, row, wrong)``: a vertex the walk toward ``toward``
+        probes on the path from ``source`` to ``target``, its table row
+        for ``toward``'s cell and an existing neighbour other than the
+        row's colour, whose own path to ``toward`` avoids the vertex and
+        which lands the walk outside the state's first bounds -- or
+        None.  A forward walk probes the path's inner vertices; a walk
+        home probes from the target down to the vertex after the
+        source's first hop, which it knows from the state."""
         hi = index.refinable(source, target).hi
         path = index.route(source, target)[0]
         start = target if toward == source else source
-        for vertex in path[1:-1]:
+        for vertex in path[2:] if toward == source else path[1:-1]:
             codes, _, colors, _, _ = index.tables[vertex].columns
             row = bisect.bisect_right(codes, index._vcodes[toward]) - 1
             for wrong, weight in sorted(index.network.out_weights[vertex].items()):
@@ -170,3 +176,40 @@ class TestWalkHome:
                 state.refine_fully()
             else:
                 state.walk_home({source: 0.0})
+
+    def test_a_search_refuses_a_first_walk_home_that_leaves_its_first_bounds(
+        self, small_net, monkeypatch
+    ):
+        """An exact search for HOME_MIN_K or more walks a colliding
+        vertex object home before any step has tightened it, so the walk
+        is checked against the state's first, loose bounds: a colour
+        flipped on its path to a detour that leaves them must raise, not
+        be served.  A detour that stays inside those bounds still passes
+        as an exact distance; that is the mapped-index integrity gap
+        (ROADMAP item 2(d)), not a case this check can see."""
+        index = SILCIndex.build(small_net)  # a colour is flipped in place
+        object_index = ObjectIndex(
+            small_net, random_vertex_objects(small_net, count=20, seed=4), index.embedding
+        )
+        real_walk = RefinableDistance.walk_home
+        first_walks = []  # (source, target, unrefined) of each search's first walk
+
+        def walk(state, known):
+            if len(first_walks) == searches:
+                first_walks.append((state.source, state.target, state.via == state.source))
+            return real_walk(state, known)
+
+        monkeypatch.setattr(RefinableDistance, "walk_home", walk)
+        for searches, query in enumerate(range(0, small_net.num_vertices, 7)):
+            best_first_knn(index, object_index, query, HOME_MIN_K, variant="inn", exact=True)
+            source, target, unrefined = first_walks[-1]
+            assert source == query and unrefined
+            found = self._detour(index, source, target, source)
+            if found is not None:
+                break
+        else:
+            pytest.fail("no first walk can be sent out of its bounds on this network")
+        vertex, row, wrong = found
+        index.tables[vertex].columns[2][row] = wrong
+        with pytest.raises(ValueError, match="outside its bounds"):
+            best_first_knn(index, object_index, query, HOME_MIN_K, variant="inn", exact=True)

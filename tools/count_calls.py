@@ -8,8 +8,9 @@ once unobserved (the resolved-location cache and the first read of each
 mapped page are first-touch costs), then once under ``sys.setprofile``
 counting every Python frame entered.  Beside the frames, each kNN row
 carries the counted ops its answers' ``stats`` record, per request:
-links walked (``refinements`` + the exact pass's ``post_refinements``)
-and queue pushes; ``-`` for path and distance.
+links walked (``refinements`` + the exact pass's ``post_refinements``),
+collisions (objects popped that Theorem 1 could not confirm yet) and
+queue pushes; ``-`` for path and distance.
 A second table prices INE, the backend ``--oracle auto`` sends small-k
 kNN to: ``engine.knn(q, k, oracle="ine")`` at k in {1, 4}, with its
 settled vertices and relaxed edges per request.  Those calls are kept
@@ -59,7 +60,7 @@ from serving_mix import BATCH, SEED, seeded_mix, serving_engine
 
 
 #: Counted ops per kNN row, summed from each answer's stats.
-OPS = ("links", "pushes")
+OPS = ("links", "collisions", "pushes")
 #: INE rows: k values and queries per k.
 INE_KS, INE_QUERIES = (1, 4), 40
 #: Closed-loop rows: requests per row, and the chunk size that cuts a
@@ -95,6 +96,7 @@ def counted_ops(result) -> tuple[int, ...] | None:
         return None
     return (
         sum(s.refinements + s.extras.get("post_refinements", 0) for s in stats),
+        sum(s.collisions for s in stats),
         sum(s.queue_pushes for s in stats),
     )
 
