@@ -13,14 +13,12 @@ Python object overhead per block would dwarf the actual data.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 
 import numpy as np
 
-from repro.geometry.morton import MAX_ORDER, block_cells
-
 #: Column names in canonical order, shared by the build kernel's
-#: chunks, :class:`BlockTable` and save/load.
+#: chunks, the store and save/load.
 COLUMNS = ("codes", "levels", "colors", "lam_min", "lam_max")
 
 #: Canonical dtype per column.  ``MAX_ORDER`` 16 keeps every code below
@@ -71,70 +69,29 @@ def compute_ends(codes: np.ndarray, levels: np.ndarray) -> np.ndarray:
 
 
 class BlockTable:
-    """Immutable sorted collection of disjoint Morton blocks.
+    """One vertex's sorted, disjoint Morton blocks: five ``memoryview``
+    slices, :attr:`columns`, of a :class:`~repro.silc.store.FlatStore`'s
+    columns.
 
-    Supports the two operations the SILC framework performs at query
-    time: point location of a vertex's grid cell (binary search) and
-    retrieval of every block overlapping a code range (for bounding
-    object-index blocks).
-
-    A table is five ``memoryview``s, :attr:`columns`, over arrays it
-    owns (the validating constructor) or over slices of a shared,
-    possibly mapped, columnar store (:meth:`view`, what
-    :class:`repro.silc.store.FlatStore` hands out).  The validating
-    constructor coerces to :data:`COLUMN_DTYPES`, the lambdas through
-    :func:`narrow_lambda`.  The views *are*
-    the probe structure: C ``bisect`` and indexing on a ``memoryview``
-    return native ``int`` / ``float`` without copying a row, so there
-    is no per-block Python object, nothing is built on first touch and
-    a write to a column is what the next probe reads.  A block's end
-    code is ``codes[row] + (1 << 2 * levels[row])``, taken at the one
-    or two rows a probe inspects.
+    Nothing on a load or query path builds one: a probe bisects the
+    store's own columns between the vertex's two offsets.  ``store[v]``
+    (``index.tables[v]``) builds this view on demand, over the row
+    range, for the code that inspects one table -- the maps in
+    ``examples/`` and tests -- and keeps nothing; a load that built one
+    per vertex kept ~1 160 B of heap per vertex (18.6 MB and ~100 ms at
+    16 000 vertices).  Indexing a ``memoryview`` returns native ``int`` /
+    ``float`` without copying a row, and a write to a column is what the
+    next read sees.  A block's end code is
+    ``codes[row] + (1 << 2 * levels[row])``.
     """
 
     __slots__ = ("columns",)
 
-    def __init__(
-        self,
-        codes: np.ndarray,
-        levels: np.ndarray,
-        colors: np.ndarray,
-        lam_min: np.ndarray,
-        lam_max: np.ndarray,
-    ) -> None:
-        codes = np.asarray(codes, dtype=np.int64)
-        levels = np.asarray(levels, dtype=np.int8)
-        if codes.size and not (0 <= codes.min() and codes.max() < block_cells(MAX_ORDER)):
-            raise ValueError("block codes must lie inside the largest grid")
-        arrays = tuple(
-            np.asarray(column, dtype=COLUMN_DTYPES[name])
-            for name, column in zip(
-                COLUMNS, (codes, levels, colors, *narrow_lambda(lam_min, lam_max)), strict=True
-            )
-        )
-        if any(a.shape != codes.shape for a in arrays):
-            raise ValueError("block table columns must have equal length")
-        # Order and disjointness are checked on the int64 codes: a
-        # uint32 difference would wrap instead of going negative.
-        if codes.size > 1:
-            if not np.all(np.diff(codes) > 0):
-                raise ValueError("block codes must be strictly increasing")
-            if not np.all(compute_ends(codes, levels)[:-1] <= codes[1:]):
-                raise ValueError("blocks must be disjoint")
-        #: ``(codes, levels, colors, lam_min, lam_max)`` as memoryviews.
-        self.columns = tuple(map(memoryview, arrays))
-
     @classmethod
     def view(cls, codes, levels, colors, lam_min, lam_max) -> BlockTable:
-        """Trusted zero-copy construction over pre-validated columns.
-
-        Takes the columns as buffers of the canonical item types (a
-        store's ``memoryview`` slices, or arrays) and skips coercion
-        and the sortedness/disjointness checks -- they must already
-        hold (the columns come out of
-        :func:`repro.quadtree.region.region_block_columns` or a
-        round-tripped save).  No page of a mapped column is touched.
-        """
+        """Zero-copy construction over columns already sorted and
+        disjoint, as buffers of the canonical item types.  No check is
+        made and no page of a mapped column is touched."""
         self = object.__new__(cls)
         self.columns = tuple(map(memoryview, (codes, levels, colors, lam_min, lam_max)))
         return self
@@ -145,11 +102,6 @@ class BlockTable:
     colors = property(lambda self: np.asarray(self.columns[2]))
     lam_min = property(lambda self: np.asarray(self.columns[3]))
     lam_max = property(lambda self: np.asarray(self.columns[4]))
-
-    @property
-    def ends(self) -> np.ndarray:
-        """Exclusive end codes (derived on every call; probes do not use it)."""
-        return compute_ends(self.codes, self.levels)
 
     def lookup(self, cell_code: int) -> tuple[int, float, float, int] | None:
         """Fused point location: ``(color, lam_min, lam_max, row)``.
@@ -165,25 +117,3 @@ class BlockTable:
 
     def __len__(self) -> int:
         return len(self.columns[0])
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def overlapping(self, lo: int, hi: int) -> range:
-        """Row indices of blocks intersecting the code range ``[lo, hi)``.
-
-        Disjoint sorted blocks intersecting an interval form a
-        contiguous run, so the result is a :class:`range`.
-        """
-        if hi <= lo:
-            return range(0)
-        codes, levels = self.columns[:2]
-        start = bisect_right(codes, lo) - 1
-        if start < 0 or codes[start] + (1 << 2 * levels[start]) <= lo:
-            start += 1
-        end = bisect_left(codes, hi)
-        return range(start, end)
-
-    def storage_bytes(self, record_bytes: int = RECORD_BYTES) -> int:
-        """Simulated on-disk footprint of the table."""
-        return len(self) * record_bytes

@@ -218,14 +218,14 @@ class QueryHandle:
         rows = self._anchor_rows
         if rows is None:
             # One bound column per anchor, shared by every node bounded.
-            xf, yf, tables = index._xf, index._yf, index.tables
+            xf, yf, offsets = index._xf, index._yf, index._offsets
             rows = self._anchor_rows = []
             for av, a_off in self.anchors:
-                codes, levels, _, lam_min, _ = tables[av].columns
                 rows.append((
-                    av, a_off, index.bound_column(av), codes, levels, lam_min,
+                    av, a_off, index.bound_column(av), offsets[av], offsets[av + 1],
                     xf[av], yf[av],
                 ))
+        codes, levels, _, lam_min, _ = index._columns
         node_info = self.object_index.node_info
         px, py, slope = self.px, self.py, self._euclid_slope
         storage = index.storage
@@ -242,20 +242,20 @@ class QueryHandle:
             )
             end = code + (1 << 2 * level)
             lam = inf
-            for av, a_off, column, codes, levels, lam_min, ax, ay in rows:
-                start = bisect_right(codes, code) - 1
-                if start < 0 or codes[start] + (1 << 2 * levels[start]) <= code:
+            for av, a_off, column, a, b, ax, ay in rows:
+                start = bisect_right(codes, code, a, b) - 1
+                if start < a or codes[start] + (1 << 2 * levels[start]) <= code:
                     start += 1
-                stop = bisect_left(codes, end)
+                stop = bisect_left(codes, end, a, b)
                 if start >= stop:
                     continue  # no network vertex of the node in this table
                 if storage is not None:
                     layout = storage.layout
                     base, per_page = layout.page_offsets[av], layout.records_per_page
-                    for page in range(start // per_page, (stop - 1) // per_page + 1):
+                    for page in range((start - a) // per_page, (stop - 1 - a) // per_page + 1):
                         storage.access(base + page)
                 if codes[start] >= code and codes[stop - 1] + (1 << 2 * levels[stop - 1]) <= end:
-                    best = min(column[start:stop])
+                    best = min(column[start - a : stop - a])
                 else:  # one table block contains the node
                     best = lam_min[start] * math.hypot(
                         xmin - ax if ax < xmin else ax - xmax if ax > xmax else 0.0,

@@ -23,7 +23,7 @@ through the simulated LRU buffer -- the paper's I/O cost model.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from pathlib import Path
 from collections.abc import Callable, Iterator, Sequence
 
@@ -105,11 +105,9 @@ class SILCIndex:
         self.network = network
         self.embedding = embedding
         self.vertex_codes = np.asarray(vertex_codes, dtype=np.int64)
-        #: The flat columnar store all per-vertex tables are views of.
+        #: The flat columnar store: vertex ``v``'s table is rows
+        #: ``offsets[v]:offsets[v + 1]`` of its columns.
         self.store = store
-        #: Per-vertex zero-copy views over ``store`` (the historical
-        #: query interface; no column data is duplicated).
-        self.tables = store.views()
         #: The saved directory whose files ``store`` maps, set by
         #: ``load(..., mmap=True)``; ``None`` for a built or eagerly
         #: loaded index, which is a copy in memory, not a view of files.
@@ -117,10 +115,19 @@ class SILCIndex:
         self.storage: StorageSimulator | None = None
         # Native-type mirrors for the query hot path: indexing numpy
         # scalars costs ~10x a list lookup, and hop_and_interval runs once
-        # per refinement step.
+        # per refinement step.  A probe bisects ``_columns`` between two
+        # ``_offsets``.
         self._xf: list[float] = network.xs.tolist()
         self._yf: list[float] = network.ys.tolist()
         self._vcodes: list[int] = self.vertex_codes.tolist()
+        self._columns = store.columns
+        self._offsets: list[int] = store.offsets.tolist()
+
+    @property
+    def tables(self) -> FlatStore:
+        """The store, read-only: ``tables[v]`` is vertex ``v``'s
+        :class:`~repro.quadtree.blocks.BlockTable`, built on demand."""
+        return self.store
 
     # ------------------------------------------------------------------
     # Construction
@@ -189,9 +196,9 @@ class SILCIndex:
     ) -> tuple[int, float, float]:
         """One probe returning the next hop and the raw interval bounds.
 
-        The reference probe: one C ``bisect`` over the source table's
-        ``codes`` -- a view of the store's own, possibly mapped, column:
-        nothing is copied or kept -- yields the first hop and the
+        The reference probe: one C ``bisect`` over the source's row range
+        of the store's own, possibly mapped, ``codes`` column -- nothing
+        is copied or kept -- yields the first hop and the
         ``[lo, hi]`` distance bounds, and the probed row is accounted as
         a page access when storage is attached.  A search's refinement
         states carry these lines inline (:class:`RefinableDistance`);
@@ -201,17 +208,20 @@ class SILCIndex:
         self.network.check_vertex(target)
         if source == target:
             return source, 0.0, 0.0
-        codes, levels, colors, lam_min, lam_max = self.tables[source].columns
+        codes, levels, colors, lam_min, lam_max = self._columns
+        start = self._offsets[source]
         cell = self._vcodes[target]
-        row = bisect_right(codes, cell) - 1
-        if row < 0 or cell >= codes[row] + (1 << 2 * levels[row]):
+        row = bisect_right(codes, cell, start, self._offsets[source + 1]) - 1
+        if row < start or cell >= codes[row] + (1 << 2 * levels[row]):
             raise PathNotFound(source, target)
         storage = self.storage
         if storage is not None:
             # attach_storage matched the layout to these tables and
             # ``row`` was just located in one: nothing is left to check.
             layout = storage.layout
-            storage.access(layout.page_offsets[source] + row // layout.records_per_page)
+            storage.access(
+                layout.page_offsets[source] + (row - start) // layout.records_per_page
+            )
         d_e = math.hypot(
             self._xf[source] - self._xf[target], self._yf[source] - self._yf[target]
         )
@@ -274,15 +284,16 @@ class SILCIndex:
         :meth:`block_lower_bound` call it makes for that anchor.
         """
         self.network.check_vertex(source)
-        codes, levels, _, lam_min, _ = self.tables[source].columns
+        codes, levels, _, lam_min, _ = self._columns
+        rows = slice(self._offsets[source], self._offsets[source + 1])
         px = self._xf[source]
         py = self._yf[source]
         xmin, ymin, xmax, ymax = self.embedding.block_world_bounds_array(
-            np.asarray(codes), np.asarray(levels)
+            np.asarray(codes[rows]), np.asarray(levels[rows])
         )
         dx = np.maximum(np.maximum(xmin - px, 0.0), px - xmax)
         dy = np.maximum(np.maximum(ymin - py, 0.0), py - ymax)
-        return (np.asarray(lam_min) * np.hypot(dx, dy)).tolist()
+        return (np.asarray(lam_min[rows]) * np.hypot(dx, dy)).tolist()
 
     def block_lower_bound(
         self,
@@ -309,34 +320,38 @@ class SILCIndex:
         touch the simulator (one LRU, unsafe to interleave).
         """
         self.network.check_vertex(source)
-        table = self.tables[source]
-        lo_code = code
+        codes, levels, _, lam_min, _ = self._columns
+        start, end = self._offsets[source], self._offsets[source + 1]
         hi_code = code + block_cells(level)
-        rows = table.overlapping(lo_code, hi_code)
-        if len(rows) == 0:
+        # The run of rows overlapping [code, hi_code): sorted disjoint
+        # blocks meeting an interval are contiguous.
+        first = bisect_right(codes, code, start, end) - 1
+        if first < start or codes[first] + (1 << 2 * levels[first]) <= code:
+            first += 1
+        stop = bisect_left(codes, hi_code, start, end)
+        if stop <= first:
             return float("inf")
         if self.storage is not None and account:
-            # ``rows`` is a non-empty run of a table check_vertex just
+            # The run is non-empty and in a table check_vertex just
             # admitted: its pages need no range check.
             layout = self.storage.layout
             base, per_page = layout.page_offsets[source], layout.records_per_page
-            for page in range(rows.start // per_page, (rows.stop - 1) // per_page + 1):
+            for page in range((first - start) // per_page, (stop - 1 - start) // per_page + 1):
                 self.storage.access(base + page)
-        codes, levels, _, lam_min, _ = table.columns
         # Aligned Morton blocks either nest or are disjoint, so the
         # intersection of each overlapping block with the query block
         # is simply the smaller of the two.  Rows are sorted and
         # disjoint, so the whole run is nested in the query range when
         # its two ends are (each row's column entry applies); otherwise
         # the run is the one table block that contains the query block.
-        last = rows.stop - 1
+        last = stop - 1
         last_end = codes[last] + (1 << 2 * levels[last])
-        if codes[rows.start] >= lo_code and last_end <= hi_code:
+        if codes[first] >= code and last_end <= hi_code:
             if column is None:
                 column = self.bound_column(source)
-            best = min(column[rows.start : rows.stop])
+            best = min(column[first - start : stop - start])
         else:
-            best = lam_min[rows.start] * self.embedding.block_world_rect(
+            best = lam_min[first] * self.embedding.block_world_rect(
                 code, level
             ).min_distance_to_point_xy(self._xf[source], self._yf[source])
         return best * (1.0 - _REL_PAD)

@@ -17,6 +17,7 @@ fast as the full index.  The ablation benchmark
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Callable
 
 from repro.network.errors import NetworkError
@@ -91,7 +92,14 @@ class ProximalSILCIndex(SILCIndex):
         self.network.check_vertex(source)
         self.network.check_vertex(target)
         if source != target:
-            hit = self.tables[source].lookup(self._vcodes[target])
-            if hit is not None and hit[0] == BEYOND:
+            codes, levels, colors, _, _ = self._columns
+            start = self._offsets[source]
+            cell = self._vcodes[target]
+            row = bisect_right(codes, cell, start, self._offsets[source + 1]) - 1
+            if (
+                row >= start
+                and cell < codes[row] + (1 << 2 * levels[row])
+                and colors[row] == BEYOND
+            ):
                 raise BeyondHorizonError(source, target, self.radius)
         return super().hop_and_interval(source, target)

@@ -118,9 +118,10 @@ class RefinableDistance:
         if source == target:
             hop, lo, hi = source, 0.0, 0.0
         else:
-            codes, levels, colors, lam_min, lam_max = index.tables[source].columns
-            row = bisect_right(codes, cell) - 1
-            if row < 0 or cell >= codes[row] + (1 << 2 * levels[row]):
+            codes, levels, colors, lam_min, lam_max = index._columns
+            start = index._offsets[source]
+            row = bisect_right(codes, cell, start, index._offsets[source + 1]) - 1
+            if row < start or cell >= codes[row] + (1 << 2 * levels[row]):
                 raise PathNotFound(source, target)
             hop = colors[row]
             if hop < 0:
@@ -129,7 +130,9 @@ class RefinableDistance:
                 storage = index.storage
                 if storage is not None:
                     layout = storage.layout
-                    storage.access(layout.page_offsets[source] + row // layout.records_per_page)
+                    storage.access(
+                        layout.page_offsets[source] + (row - start) // layout.records_per_page
+                    )
                 xf, yf = index._xf, index._yf
                 d_e = math.hypot(xf[source] - xf[target], yf[source] - yf[target])
                 lo = lam_min[row] * d_e * (1.0 - REL_PAD)
@@ -181,10 +184,11 @@ class RefinableDistance:
         if nxt == target:
             lo = hi = acc
         else:
-            codes, levels, colors, lam_min, lam_max = index.tables[nxt].columns
+            codes, levels, colors, lam_min, lam_max = index._columns
+            start = index._offsets[nxt]
             cell = self._cell
-            row = bisect_right(codes, cell) - 1
-            if row < 0 or cell >= codes[row] + (1 << 2 * levels[row]):
+            row = bisect_right(codes, cell, start, index._offsets[nxt + 1]) - 1
+            if row < start or cell >= codes[row] + (1 << 2 * levels[row]):
                 raise PathNotFound(nxt, target)
             hop = colors[row]
             if hop < 0:
@@ -193,7 +197,9 @@ class RefinableDistance:
                 storage = index.storage
                 if storage is not None:
                     layout = storage.layout
-                    storage.access(layout.page_offsets[nxt] + row // layout.records_per_page)
+                    storage.access(
+                        layout.page_offsets[nxt] + (row - start) // layout.records_per_page
+                    )
                 xf, yf = index._xf, index._yf
                 d_e = math.hypot(xf[nxt] - xf[target], yf[nxt] - yf[target])
                 lo = lam_min[row] * d_e * (1.0 - REL_PAD)
@@ -237,7 +243,8 @@ class RefinableDistance:
         out_weights = network.out_weights  # one dict per vertex
         limit = max_steps if max_steps is not None else len(out_weights)
         target, via, acc, nxt = self.target, self.via, self.acc, self._next_hop
-        tables = index.tables
+        codes, levels, colors, lam_min, lam_max = index._columns
+        offsets = index._offsets
         cell = self._cell
         storage = index.storage
         if storage is not None:
@@ -258,9 +265,9 @@ class RefinableDistance:
                 trail.append(via)
             if via == target:
                 break
-            codes, levels, colors, lam_min, lam_max = tables[via].columns
-            row = bisect_right(codes, cell) - 1
-            if row < 0 or cell >= codes[row] + (1 << 2 * levels[row]):
+            start = offsets[via]
+            row = bisect_right(codes, cell, start, offsets[via + 1]) - 1
+            if row < start or cell >= codes[row] + (1 << 2 * levels[row]):
                 raise PathNotFound(via, target)
             if not (0.0 <= lam_min[row] <= lam_max[row]):
                 raise invalid_bounds(lam_min[row], lam_max[row])
@@ -268,7 +275,7 @@ class RefinableDistance:
             if nxt < 0:  # no vertex: the index's own probe says what it means
                 nxt = index.hop_and_interval(via, target)[0]
             elif storage is not None:
-                access(page_offsets[via] + row // per_page)
+                access(page_offsets[via] + (row - start) // per_page)
         if not (self.lo * _BELOW <= acc <= self.hi * _ABOVE):
             raise landed_outside(acc, self.lo, self.hi)
         if self._counter is not None:
@@ -314,7 +321,8 @@ class RefinableDistance:
         if hop not in known:
             known[hop] = acc + weight
             steps = 1
-        tables = index.tables
+        codes, levels, colors, lam_min, lam_max = index._columns
+        offsets = index._offsets
         cell = index._vcodes[source]
         storage = index.storage
         if storage is not None:
@@ -328,9 +336,9 @@ class RefinableDistance:
         while u not in known:
             if len(passed) >= limit:
                 raise next_hop_cycle(target, source, limit)
-            codes, levels, colors, lam_min, lam_max = tables[u].columns
-            row = bisect_right(codes, cell) - 1
-            if row < 0 or cell >= codes[row] + (1 << 2 * levels[row]):
+            start = offsets[u]
+            row = bisect_right(codes, cell, start, offsets[u + 1]) - 1
+            if row < start or cell >= codes[row] + (1 << 2 * levels[row]):
                 raise PathNotFound(u, source)
             if not (0.0 <= lam_min[row] <= lam_max[row]):
                 raise invalid_bounds(lam_min[row], lam_max[row])
@@ -338,7 +346,7 @@ class RefinableDistance:
             if nxt < 0:  # no vertex: the index's own probe says what it means
                 nxt = index.hop_and_interval(u, source)[0]
             elif storage is not None:
-                access(page_offsets[u] + row // per_page)
+                access(page_offsets[u] + (row - start) // per_page)
             weight = out_weights[u].get(nxt)
             if weight is None:
                 weight = network.edge_weight(u, nxt)

@@ -1,34 +1,38 @@
 """The flat columnar SILC store.
 
 A SILC index holds one Morton-block table per network vertex -- tens
-of thousands of tables.  Materializing each as five small numpy arrays
-(the pre-flat layout) costs an allocation, a validation pass and a
-Python object per vertex, and forces every load to reassemble all of
-them.  :class:`FlatStore` keeps the whole index in **one** set of
-concatenated ``codes/levels/colors/lam_min/lam_max`` columns plus a
-per-vertex offset array -- exactly the layout ``SILCIndex.save`` has
-always written to disk -- and hands out per-vertex
-:class:`~repro.quadtree.blocks.BlockTable` *views* over slices of the
-shared columns.
+of thousands of tables.  :class:`FlatStore` keeps the whole index in
+**one** set of concatenated ``codes/levels/colors/lam_min/lam_max``
+columns plus a per-vertex offset array -- exactly the layout
+``SILCIndex.save`` writes to disk -- and a table is nothing but a row
+range of those columns: vertex ``v``'s blocks are rows
+``offsets[v]:offsets[v + 1]``.
 
 The layout is what makes the rest of the zero-copy pipeline possible:
 
 * a build (serial or pooled) hands over whole chunks of columns and
   the store assembles them with one gather per column;
 * ``save`` is a plain dump of the columns, one ``.npy`` file each,
-  which ``load`` can open with ``mmap_mode="r"`` so cold start touches
-  O(1) bytes instead of O(total blocks) -- the one layout on disk: a
-  shard tier is N more processes mapping these same files, so the OS
-  page cache holds the index once however many serve it;
-* every view is backed by the same memory, so the resident footprint
-  is the column bytes, once -- and stays that: a probe bisects and
-  indexes a ``memoryview`` of the column itself, so querying keeps no
-  Python object per block.
+  which ``load`` can open with ``mmap_mode="r"`` -- the one layout on
+  disk: a shard tier is N more processes mapping these same files, so
+  the OS page cache holds the index once however many serve it;
+* a probe bisects the store's own column ``memoryview``s between a
+  vertex's two offsets, so neither a load nor a query keeps a Python
+  object per block or a table object per vertex.  A mapped load of a
+  1 000-vertex road index takes 2.5-2.9 ms and keeps 0.16 MB of heap,
+  a 16 000-vertex one 3.9-4.6 ms and 2.44 MB; building a five-view
+  table per vertex took that to 5.3-6.0 ms / 1.17 MB and 102-106 ms /
+  18.6 MB.  What stays O(N) is the offsets, the vertex codes and
+  coordinates the index mirrors as lists, and the network.
+
+``store[v]`` builds vertex ``v``'s
+:class:`~repro.quadtree.blocks.BlockTable` view on demand for code
+that inspects one table (the maps in ``examples/``, tests); it is not
+kept, and no load or query path calls it.
 """
 
 from __future__ import annotations
 
-from itertools import pairwise
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -66,10 +70,10 @@ class FlatStore:
         memory-mapped); a non-canonical dtype is a
         :class:`~repro.errors.CorruptIndexError` naming the column.
 
-    The store keeps one ``memoryview`` per column (O(1), read-only over
-    a mapped file) and every table it hands out is five slices of
-    those.  Views do not pickle and nothing pickles a store: the build
-    pool ships numpy chunks and shard workers map the index directory.
+    :attr:`columns` holds one ``memoryview`` per column (O(1),
+    read-only over a mapped file): what every probe reads.  Views do
+    not pickle and nothing pickles a store: the build pool ships numpy
+    chunks and shard workers map the index directory.
     """
 
     __slots__ = (
@@ -79,7 +83,7 @@ class FlatStore:
         "colors",
         "lam_min",
         "lam_max",
-        "_views",
+        "columns",
     )
 
     def __init__(
@@ -107,7 +111,8 @@ class FlatStore:
                     f"column {name!r} has shape {col.shape}, expected ({total},)"
                 )
         check_dtypes(columns, COLUMN_DTYPES, rebuild="repro build")
-        self._views = tuple(map(memoryview, columns.values()))
+        #: ``(codes, levels, colors, lam_min, lam_max)`` as memoryviews.
+        self.columns = tuple(map(memoryview, columns.values()))
 
     # ------------------------------------------------------------------
     # Construction
@@ -207,9 +212,8 @@ class FlatStore:
         """Check every table's invariants in one vectorized pass.
 
         Within each table the codes must be strictly increasing and
-        the blocks disjoint -- exactly what the validating
-        :class:`BlockTable` constructor checks per table, amortized
-        over the whole store so loads of untrusted files stay fast.
+        the blocks disjoint, in one pass over the whole store so loads
+        of untrusted files stay fast.
         Returns ``self`` for chaining; raises ``ValueError`` on a
         corrupt store.
         """
@@ -232,16 +236,18 @@ class FlatStore:
         return self
 
     # ------------------------------------------------------------------
-    # Views
+    # One table, on demand
     # ------------------------------------------------------------------
-    def views(self) -> list[BlockTable]:
-        """Per-vertex view tables; O(num_vertices), no column page read."""
-        codes, levels, colors, lam_min, lam_max = self._views
-        view = BlockTable.view
-        return [
-            view(codes[a:b], levels[a:b], colors[a:b], lam_min[a:b], lam_max[a:b])
-            for a, b in pairwise(self.offsets.tolist())
-        ]
+    def __len__(self) -> int:
+        return self.num_tables
+
+    def __getitem__(self, v: int) -> BlockTable:
+        """Vertex ``v``'s table: a view over its row range, built on
+        each call and not kept."""
+        v = range(len(self))[v]  # IndexError past the end ends iteration
+        a, b = int(self.offsets[v]), int(self.offsets[v + 1])
+        codes, levels, colors, lam_min, lam_max = self.columns
+        return BlockTable.view(codes[a:b], levels[a:b], colors[a:b], lam_min[a:b], lam_max[a:b])
 
     # ------------------------------------------------------------------
     # Serialization payload

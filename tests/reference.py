@@ -6,6 +6,10 @@ keeps such code out of ``src/repro``), but tests rely on them:
 * generators of test inputs -- objects on edges and with extents,
   kNN workloads, a delay on a shard's pipe;
 * :func:`iter_nodes`, a walk over every node of a PMR quadtree;
+* :class:`BlockTable`, the library's one-vertex view with the
+  validating constructor, :meth:`~BlockTable.overlapping`,
+  :attr:`~BlockTable.ends` and :meth:`~BlockTable.storage_bytes`, and
+  :func:`table_of`, a vertex's table of an index as one;
 * :func:`build_region_blocks`, the one-coloring region build that the
   chunked :func:`~repro.quadtree.region.region_block_columns` is held
   to, row for row;
@@ -17,7 +21,7 @@ keeps such code out of ``src/repro``), but tests rely on them:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -26,6 +30,7 @@ import numpy as np
 
 from repro.datasets import random_vertex_objects
 from repro.faults import FaultInjector
+from repro.geometry.morton import MAX_ORDER, block_cells
 from repro.network.graph import SpatialNetwork
 from repro.objects.model import (
     EdgePosition,
@@ -35,7 +40,8 @@ from repro.objects.model import (
     VertexPosition,
     position_point,
 )
-from repro.quadtree.blocks import BlockTable
+from repro.quadtree import blocks
+from repro.quadtree.blocks import COLUMN_DTYPES, COLUMNS, RECORD_BYTES, compute_ends, narrow_lambda
 from repro.quadtree.pmr import PMRNode, PMRQuadtree
 from repro.quadtree.region import region_block_columns, split_levels
 from repro.query.distances import QueryHandle
@@ -148,6 +154,75 @@ def delay_pipe(injector: FaultInjector, shard: int, seconds: float) -> FaultInje
     with injector._lock:
         injector._delay[shard] = seconds
     return injector
+
+
+# ----------------------------------------------------------------------
+# Block tables
+# ----------------------------------------------------------------------
+
+class BlockTable(blocks.BlockTable):
+    """The library's one-vertex view, plus what only tests use.
+
+    The constructor owns its columns: it coerces them to
+    :data:`~repro.quadtree.blocks.COLUMN_DTYPES` (the lambdas through
+    :func:`~repro.quadtree.blocks.narrow_lambda`) and refuses codes
+    outside the largest grid, unsorted codes and overlapping blocks.
+    :meth:`view` skips all of that, as the library's does.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, codes, levels, colors, lam_min, lam_max) -> None:
+        codes = np.asarray(codes, dtype=np.int64)
+        levels = np.asarray(levels, dtype=np.int8)
+        if codes.size and not (0 <= codes.min() and codes.max() < block_cells(MAX_ORDER)):
+            raise ValueError("block codes must lie inside the largest grid")
+        arrays = tuple(
+            np.asarray(column, dtype=COLUMN_DTYPES[name])
+            for name, column in zip(
+                COLUMNS, (codes, levels, colors, *narrow_lambda(lam_min, lam_max)), strict=True
+            )
+        )
+        if any(a.shape != codes.shape for a in arrays):
+            raise ValueError("block table columns must have equal length")
+        # Order and disjointness are checked on the int64 codes: a
+        # uint32 difference would wrap instead of going negative.
+        if codes.size > 1:
+            if not np.all(np.diff(codes) > 0):
+                raise ValueError("block codes must be strictly increasing")
+            if not np.all(compute_ends(codes, levels)[:-1] <= codes[1:]):
+                raise ValueError("blocks must be disjoint")
+        self.columns = tuple(map(memoryview, arrays))
+
+    @property
+    def ends(self) -> np.ndarray:
+        """Exclusive end codes."""
+        return compute_ends(self.codes, self.levels)
+
+    def overlapping(self, lo: int, hi: int) -> range:
+        """Row indices of blocks intersecting the code range ``[lo, hi)``.
+
+        Disjoint sorted blocks intersecting an interval form a
+        contiguous run, so the result is a :class:`range`.
+        """
+        if hi <= lo:
+            return range(0)
+        codes, levels = self.columns[:2]
+        start = bisect_right(codes, lo) - 1
+        if start < 0 or codes[start] + (1 << 2 * levels[start]) <= lo:
+            start += 1
+        end = bisect_left(codes, hi)
+        return range(start, end)
+
+    def storage_bytes(self, record_bytes: int = RECORD_BYTES) -> int:
+        """Simulated on-disk footprint of the table."""
+        return len(self) * record_bytes
+
+
+def table_of(index, v: int) -> BlockTable:
+    """Vertex ``v``'s table of ``index`` as a :class:`BlockTable`:
+    the same memory as ``index.tables[v]``."""
+    return BlockTable.view(*index.tables[v].columns)
 
 
 # ----------------------------------------------------------------------

@@ -108,7 +108,7 @@ from repro.silc.intervals import checked_bounds
 from repro.silc.refinement import RefinableDistance, RefinementCounter
 from repro.storage import NetworkStorageModel
 from test_properties import one_way
-from reference import objects_with_extents, random_edge_objects
+from reference import objects_with_extents, random_edge_objects, table_of
 
 KS = (1, 5, 25)
 
@@ -795,7 +795,7 @@ def test_a_deadline_passing_during_a_walk_raises(parity_net, parity_index):
 
 def _reference_block_lower_bound(index, source, code, level) -> float:
     """The per-call numpy formula the bound column replaced, verbatim."""
-    table = index.tables[source]
+    table = table_of(index, source)
     lo_code = code
     hi_code = code + block_cells(level)
     rows = table.overlapping(lo_code, hi_code)
@@ -849,7 +849,7 @@ def test_column_block_bound_is_bit_equal_to_reference(parity_net, parity_index):
     try:
         for source in range(parity_net.num_vertices):
             column = index.bound_column(source)
-            table = index.tables[source]
+            table = table_of(index, source)
             for code, level in blocks:
                 want = _reference_block_lower_bound(index, source, code, level)
                 before = index.storage.stats.accesses
@@ -1049,7 +1049,7 @@ def test_block_bound_is_block_lower_bound_plus_euclid(parity_net, parity_index):
                     assert pages[mark + len(fused):] == fused
                     assert got.hex() == want.hex(), (query, node.code, node.level)
                     for av, _ in handle.anchors:
-                        table = index.tables[av]
+                        table = table_of(index, av)
                         end = node.code + block_cells(node.level)
                         rows = table.overlapping(node.code, end)
                         straddled += len(rows) == 1 and table.ends[rows.start] > end

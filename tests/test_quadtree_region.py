@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.morton import MAX_ORDER, block_cells, morton_encode
-from repro.quadtree.blocks import BlockTable, narrow_lambda
+from repro.quadtree.blocks import narrow_lambda
 from repro.quadtree.region import region_block_columns, split_levels
 from repro.silc.proximal import ProximalSILCIndex
 from repro.silc import SILCIndex
 from repro.silc.coloring import coloring_chunks
-from reference import build_region_blocks
+from reference import BlockTable, build_region_blocks
 
 
 def build_from_cells(cells, colors, values, order=3):

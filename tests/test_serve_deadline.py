@@ -256,21 +256,39 @@ class TestShardTierDeadline:
         finally:
             group.close()
 
-    def test_a_replay_past_the_deadline_is_expired_not_late(self, engine):
+    def test_a_replay_past_the_deadline_is_expired_not_late(self, engine, monkeypatch):
         """The serving worker killed before its first request, under a
         deadline shorter than the respawn backoff: the replay finds the
         budget spent, so the client gets ``Expired`` with
-        ``aborted=True``, not a late ``ok``."""
+        ``aborted=True``, not a late ``ok``.
+
+        The clocks move only by the backoff's sleep, whatever the host's
+        speed: the server's reads 0.0 (no time queued), and the shard
+        tier's ``perf_counter`` advances by exactly what ``sleep`` is
+        asked for.  So the request always reaches the worker with its
+        whole budget, and the replay always finds it spent."""
+        import types
+
         from repro.faults import FaultInjector
+        from repro.shard import worker
         from repro.shard.worker import backoff
 
+        slept = [0.0]
+
+        def sleep(seconds):
+            slept[0] += seconds
+            time.sleep(seconds)
+
+        monkeypatch.setattr(worker, "time", types.SimpleNamespace(
+            perf_counter=lambda: slept[0], sleep=sleep, monotonic=time.monotonic,
+        ))
         injector = FaultInjector().kill_worker_at(0, 1)
         request = Request(id=1, client="web", kind="knn", queries=(0,), k=3, deadline=0.03)
         assert backoff(1, 0) > request.deadline
 
         async def go():
             async with AsyncEngine(engine, shards=2, fault_injector=injector) as ae:
-                async with SILCServer(ae) as server:
+                async with SILCServer(ae, clock=lambda: 0.0) as server:
                     return await server.submit(request)
 
         response = asyncio.run(go())

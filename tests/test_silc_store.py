@@ -8,13 +8,17 @@ import numpy as np
 import pytest
 
 from repro import road_like_network
+from repro.datasets import random_vertex_objects
 from repro.errors import CorruptIndexError
 from repro.network.errors import PathNotFound
-from repro.quadtree.blocks import BlockTable
+from repro.objects import ObjectIndex
+from repro.query.distances import QueryHandle
+from repro.objects.model import VertexPosition
 from repro.silc.store import FlatStore, empty_columns
-from repro.silc.proximal import ProximalSILCIndex
+from repro.silc.proximal import BEYOND, ProximalSILCIndex
 from repro.silc import SILCIndex, update_index
 from repro.silc.index import _REL_PAD
+from reference import BlockTable, iter_nodes, table_of
 
 TABLE_COLUMNS = ("codes", "levels", "colors", "lam_min", "lam_max")
 
@@ -50,7 +54,8 @@ class TestFlatStore:
         store = FlatStore(np.zeros(6, dtype=np.int64), **empty_columns())
         assert store.num_tables == 5
         assert store.total_blocks == 0
-        assert all(len(t) == 0 for t in store.views())
+        assert len(store) == 5
+        assert all(len(t) == 0 for t in store)
 
     def test_scattered_chunks_gather_into_vertex_order(self, small_index):
         """Tables dealt out by interleaved vertex sets, handed back last
@@ -73,7 +78,7 @@ class TestFlatStore:
             assert np.array_equal(column, columns[name])
 
     def test_view_tables_answer_like_owned_tables(self, small_index):
-        table = small_index.tables[3]
+        table = table_of(small_index, 3)
         owned = BlockTable(
             table.codes.copy(), table.levels.copy(), table.colors.copy(),
             table.lam_min.copy(), table.lam_max.copy(),
@@ -244,6 +249,12 @@ class TestColumnsAreTheProbeStructure:
         cells = index.vertex_codes.tolist()
         xs, ys = net.xs.tolist(), net.ys.tolist()
         misses = 0
+        # ``hop_and_interval`` probes the flat columns between two
+        # offsets; the page it touches names the row it found.
+        index.attach_storage(index.make_storage())
+        layout = index.storage.layout
+        pages = []
+        index.storage.access = pages.append
         for s in range(net.num_vertices):
             table = index.tables[s]
             for t in range(net.num_vertices):
@@ -259,11 +270,15 @@ class TestColumnsAreTheProbeStructure:
                     continue
                 assert all(type(x) is y for x, y in zip(hit, (int, float, float, int)))
                 d_e = math.hypot(xs[s] - xs[t], ys[s] - ys[t])
+                del pages[:]
                 assert index.hop_and_interval(s, t) == (
                     expected[0],
                     expected[1] * d_e * (1.0 - _REL_PAD),
                     expected[2] * d_e * (1.0 + _REL_PAD),
                 )
+                page = layout.page_offsets[s] + expected[3] // layout.records_per_page
+                assert pages == ([] if expected[0] < 0 else [page])
+        index.detach_storage()
         if kind == "trimmed":
             # Before the first block, past the last one, an empty table.
             table = index.tables[0]
@@ -321,6 +336,10 @@ class TestColumnsAreTheProbeStructure:
             SILCIndex.build(net).save(path)
             index = SILCIndex.load(path, net, mmap=True)
             n = net.num_vertices
+            # One bound pays the process's one-off caches (the Morton
+            # decode tables of this grid order, the grid's cell edges),
+            # which would otherwise read as a cost per table.
+            index.block_lower_bound(0, 0, index.embedding.order)
             gc.collect()
             tracemalloc.start()
             try:
@@ -339,3 +358,143 @@ class TestColumnsAreTheProbeStructure:
         # Row lists kept per probed vertex read ~170 B per block: 3.6
         # and 8.5 KB per table here.  What is left is one-off, ~3 KB.
         assert small <= 256 and large <= 256, per_table
+
+    def test_a_mapped_load_keeps_no_object_per_vertex(self, tmp_path):
+        """The heap a mapped load retains is a few list entries per
+        vertex, not a table object: the offsets (a list, what a probe
+        reads), the vertex codes ``_vcodes`` and coordinates ``_xf`` /
+        ``_yf`` the index mirrors as lists for the hot path, and their
+        int64 arrays -- ~150 B per vertex.  The network is the caller's
+        and is built before the load.  A ``BlockTable`` of five
+        ``memoryview`` slices per vertex read ~1 160 B per vertex."""
+        net = road_like_network(300, seed=5)
+        SILCIndex.build(net).save(tmp_path / "index")
+        SILCIndex.load(tmp_path / "index", net, mmap=True)  # one-off imports
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            index = SILCIndex.load(tmp_path / "index", net, mmap=True)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert index.total_blocks() > 0
+        assert held / net.num_vertices <= 400, held
+
+
+# ----------------------------------------------------------------------
+# A table is a row range: an empty one never reads its neighbour's rows.
+# ----------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def empty_after_full(small_net, small_index):
+    """``(index, u, w, node, object_index)``: an index built from
+    every source but ``u``, so ``u``'s row range is empty and ends where
+    ``u - 1``'s last block does; ``w``'s cell lies in that block and
+    ``w``'s first hop toward ``u`` is not ``u``; ``node`` is a PMR node
+    of ``object_index`` (an object on every vertex) inside that block."""
+    n = small_net.num_vertices
+    object_index = ObjectIndex(
+        small_net, random_vertex_objects(small_net, count=n, seed=1),
+        small_index.embedding, bucket_capacity=1,
+    )
+    nodes = list(iter_nodes(object_index.tree))
+    offsets = small_index.store.offsets.tolist()
+    codes, levels = small_index.store.codes.tolist(), small_index.store.levels.tolist()
+    cells = small_index.vertex_codes.tolist()
+    for u in range(1, n):
+        last = offsets[u] - 1
+        lo, hi = codes[last], codes[last] + 4 ** levels[last]
+        ws = [
+            w for w in range(n)
+            if w not in (u, u - 1) and lo <= cells[w] < hi and small_index.next_hop(w, u) != u
+        ]
+        inside = [nd for nd in nodes if lo <= nd.code and nd.code + 4 ** nd.level <= hi]
+        if ws and inside:
+            break
+    else:
+        pytest.fail("no table's last block holds a vertex and a node")
+    index = SILCIndex.build(small_net, sources=[v for v in range(n) if v != u])
+    assert len(index.tables[u]) == 0 and len(index.tables[u - 1]) > 0
+    return index, u, ws[0], inside[0], object_index
+
+
+class TestAnEmptyTableIsEmpty:
+    """Every reader, probing vertex ``u``'s empty row range for a cell
+    that ``u - 1``'s last row contains: ``PathNotFound``, or no bound,
+    never ``u - 1``'s row."""
+
+    def test_hop_and_interval(self, empty_after_full):
+        index, u, w, _, _ = empty_after_full
+        with pytest.raises(PathNotFound):
+            index.hop_and_interval(u, w)
+
+    def test_a_new_state(self, empty_after_full):
+        index, u, w, _, _ = empty_after_full
+        with pytest.raises(PathNotFound):
+            index.refinable(u, w)
+
+    @pytest.mark.parametrize("walk", ["refine", "refine_fully"])
+    def test_a_step_into_it(self, small_net, empty_after_full, walk):
+        """A neighbour of ``u`` whose colour toward ``w`` is flipped to
+        ``u`` (in a copy): its first step lands on ``u``."""
+        index, u, w, _, _ = empty_after_full
+        s = next(v for v, _ in small_net.neighbors(u) if v != w)
+        index = SILCIndex(
+            index.network, index.embedding, index.vertex_codes,
+            FlatStore(index.store.offsets, **{
+                name: col.copy() for name, col in index.store.column_arrays().items()
+            }),
+        )
+        row = index.store.offsets[s] + index.tables[s].lookup(index._vcodes[w])[3]
+        index.store.colors[row] = u
+        state = index.refinable(s, w)
+        with pytest.raises(PathNotFound):
+            getattr(state, walk)()
+
+    def test_walk_home(self, empty_after_full):
+        index, u, w, _, _ = empty_after_full
+        state = index.refinable(w, u)
+        with pytest.raises(PathNotFound):
+            state.walk_home({w: 0.0})
+
+    def test_bounds(self, empty_after_full):
+        index, u, _, node, object_index = empty_after_full
+        assert index.bound_column(u) == []
+        assert index.block_lower_bound(u, node.code, node.level) == math.inf
+        handle = QueryHandle(index, object_index, VertexPosition(u))
+        assert handle.block_bounds([node]) == [math.inf]
+
+    def test_a_proximal_horizon_check(self, small_net):
+        """The horizon check's own probe: ``u - 1``'s last row is beyond
+        the horizon, ``u``'s table is empty -- ``PathNotFound``, not
+        ``BeyondHorizonError``."""
+        index = ProximalSILCIndex.build(small_net, radius=4.0)
+        store = index.store
+        offsets, colors = store.offsets.tolist(), store.colors.tolist()
+        codes, levels = store.codes.tolist(), store.levels.tolist()
+        cells = index.vertex_codes.tolist()
+        for u in range(1, small_net.num_vertices):
+            last = offsets[u] - 1
+            if colors[last] != BEYOND:
+                continue
+            lo, hi = codes[last], codes[last] + 4 ** levels[last]
+            ws = [w for w, c in enumerate(cells) if w != u and lo <= c < hi]
+            if ws:
+                break
+        else:
+            pytest.fail("no table's last block is beyond the horizon")
+        sizes = store.sizes.copy()
+        keep = np.ones(store.total_blocks, dtype=bool)
+        keep[offsets[u] : offsets[u + 1]] = False
+        sizes[u] = 0
+        emptied = ProximalSILCIndex(
+            small_net, index.embedding, index.vertex_codes,
+            FlatStore.from_columns(
+                sizes, {name: col[keep] for name, col in store.column_arrays().items()}
+            ),
+            index.radius,
+        )
+        with pytest.raises(PathNotFound):
+            emptied.hop_and_interval(u, ws[0])

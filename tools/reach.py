@@ -6,7 +6,8 @@ line tracer (``coverage`` is not a dependency): ``generate`` for each
 network kind; a serial and a ``--workers 2`` ``build``, then
 ``build-labels``; ``stats``, ``path`` and ``knn`` under every oracle,
 each with and without ``--mmap``; ``knn --epsilon``; ``serve`` over
-every kind x variant x ``exact`` x oracle plus malformed lines -- once
+every kind x variant x ``exact`` x oracle at k = 3, exact ``knn`` and
+``knn_batch`` at k = 10 (the walk home) and malformed lines -- once
 traced with the slow log, once with ``--mmap --rate``, once with
 ``--shards 2 --inject-kill``; then ``trace-report`` and ``check``.
 ``--examples`` also runs every ``examples/*.py``; ``--benchmarks``
@@ -117,6 +118,13 @@ def _serve_lines() -> list[dict]:
                           "exact": exact, "oracle": oracle}
                 lines.append({"kind": "knn", "query": len(lines) % 50, **common})
                 lines.append({"kind": "knn_batch", "queries": [1, 7, 30], **common})
+    # Exact vertex kNN at k = 10 on the symmetric road network: the
+    # search walks colliding objects home (RefinableDistance.walk_home).
+    lines += [
+        {"kind": "knn", "client": "deep", "query": 9, "k": 10, "exact": True, "oracle": "silc"},
+        {"kind": "knn_batch", "client": "deep", "queries": [2, 40], "k": 10, "exact": True,
+         "oracle": "silc"},
+    ]
     lines += [
         {"kind": "path", "source": 0, "target": 100},
         {"kind": "distance", "source": 3, "target": 90},
