@@ -11,7 +11,6 @@ Run:  python examples/quickstart.py
 
 from repro import ObjectIndex, QueryEngine, SILCIndex, knn, road_like_network
 from repro.datasets import random_vertex_objects
-from repro.quadtree.blocks import RECORD_BYTES
 
 
 def main() -> None:
@@ -29,7 +28,7 @@ def main() -> None:
     print(
         f"SILC index: {blocks} Morton blocks "
         f"({blocks / net.num_vertices:.1f} per vertex, "
-        f"{index.storage_bytes() / 1024:.0f} KiB at {RECORD_BYTES} B/block)"
+        f"{index.storage_bytes() / 1024:.0f} KiB at {index.record_bytes} B/block)"
     )
 
     # 3. A decoupled object set: 40 restaurants on random corners.

@@ -61,7 +61,6 @@ from repro.oracle import (
     PrunedLabellingOracle,
     QueryPlanner,
 )
-from repro.quadtree.blocks import RECORD_BYTES
 from repro.silc import SILCIndex
 
 
@@ -203,7 +202,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(f"morton blocks:   {index.total_blocks()}")
     print(f"blocks/vertex:   {per_vertex.mean():.1f} "
           f"(min {per_vertex.min()}, max {per_vertex.max()})")
-    print(f"storage ({RECORD_BYTES} B):  {index.storage_bytes() / 1024:.0f} KiB")
+    print(f"storage ({index.record_bytes} B):  {index.storage_bytes() / 1024:.0f} KiB")
     print(f"grid order:      {index.embedding.order}")
     n = net.num_vertices
     print(f"blocks/N^1.5:    {index.total_blocks() / n**1.5:.2f}")

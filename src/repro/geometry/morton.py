@@ -111,19 +111,15 @@ _DECODE_Y = _decode_table(1)
 
 
 @lru_cache(maxsize=None)
-def _int_decode_tables(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(x_low, y_low, x_high, y_high)`` as ``int64``, sized to the
-    codes of a ``2**order`` grid: the cell coordinates of a code's low
-    16 bits and, shifted into place, of the bits above.  An ``int64``
-    lookup and ``|`` are single passes where ``uint8`` tables cost a
-    cast each; at order 7 the four tables are 256 KiB."""
-    low = 1 << min(16, 2 * order)
+def _high_decode_tables(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(x_high, y_high)`` as ``uint16``, sized to the bits above the
+    low 16 of a ``2**order`` grid's codes and shifted into place (one
+    zero row at order <= 8, at most 2 x 128 KiB at order 16).  The low
+    half goes through the module's uint8 tables in place."""
     high = 1 << max(0, 2 * order - 16)
     tables = (
-        _DECODE_X[:low].astype(np.int64),
-        _DECODE_Y[:low].astype(np.int64),
-        _DECODE_X[:high].astype(np.int64) << 8,
-        _DECODE_Y[:high].astype(np.int64) << 8,
+        _DECODE_X[:high].astype(np.uint16) << 8,
+        _DECODE_Y[:high].astype(np.uint16) << 8,
     )
     for table in tables:  # shared by every caller: read-only
         table.flags.writeable = False
@@ -141,10 +137,13 @@ def morton_decode_array(
     column decodes every row of an anchor's table at once through this.
     """
     v = np.asarray(codes, dtype=np.int64)
-    x_low, y_low, x_high, y_high = _int_decode_tables(order)
+    x_high, y_high = _high_decode_tables(order)
     low = v & 0xFFFF
     high = v >> 16
-    return x_high[high] | x_low[low], y_high[high] | y_low[low]
+    return (
+        (x_high[high] | _DECODE_X[low]).astype(np.int64),
+        (y_high[high] | _DECODE_Y[low]).astype(np.int64),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -37,6 +37,22 @@ class EdgeNotFound(NetworkError, KeyError):
         self.target = target
 
 
+class OutEdgeNotFound(EdgeNotFound):
+    """A vertex has no out-edge at the given position of its out-edge
+    list: a SILC colour that names no first edge.  ``rank`` is the
+    position; there is no ``target`` to name (it is ``None``)."""
+
+    def __init__(self, source: int, rank: int, degree: int) -> None:
+        NetworkError.__init__(
+            self,
+            f"vertex {source} has no out-edge {rank} (out-degree {degree}); "
+            "the index next-hop data is inconsistent",
+        )
+        self.source = source
+        self.target = None
+        self.rank = rank
+
+
 class DisconnectedNetwork(NetworkError):
     """An operation requiring strong connectivity saw a disconnected graph.
 

@@ -14,6 +14,7 @@ reproduction needs:
 
 from __future__ import annotations
 
+import zlib
 from collections.abc import Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING
 
@@ -52,7 +53,7 @@ class SpatialNetwork:
     """
 
     __slots__ = (
-        "xs", "ys", "_adj", "_radj", "out_weights", "symmetric", "_edge_count", "_csr_cache",
+        "xs", "ys", "out_edges", "_radj", "out_weights", "symmetric", "_edge_count", "_csr_cache",
         "_ratio_cache",
     )
 
@@ -93,12 +94,16 @@ class SpatialNetwork:
             if prev is None or wf < prev:
                 best[u][v] = wf
 
-        self._adj: list[tuple[tuple[int, float], ...]] = [
+        #: Per vertex, its outgoing ``(target, weight)`` pairs sorted by
+        #: target (read-only): a SILC block's colour is a position in
+        #: this list, so a refinement step reads its next hop and the
+        #: link's weight with one index.
+        self.out_edges: list[tuple[tuple[int, float], ...]] = [
             tuple(sorted(d.items())) for d in best
         ]
         #: Per vertex, ``{target: weight}`` over its outgoing edges
-        #: (read-only): the O(1) form of :meth:`edge_weight` that the
-        #: refinement step reads directly.
+        #: (read-only): :meth:`edge_weight`'s O(1) lookup only -- the
+        #: refinement walk reads :attr:`out_edges` by rank instead.
         self.out_weights: list[dict[int, float]] = best
         #: Every edge's reverse exists with the same weight (true of
         #: every generated network): a shortest path read backwards is
@@ -133,7 +138,7 @@ class SpatialNetwork:
 
     def iter_edges(self) -> Iterator[tuple[int, int, float]]:
         """Yield every directed edge as ``(source, target, weight)``."""
-        for u, nbrs in enumerate(self._adj):
+        for u, nbrs in enumerate(self.out_edges):
             for v, w in nbrs:
                 yield (u, v, w)
 
@@ -141,7 +146,7 @@ class SpatialNetwork:
     # Vertex / edge access
     # ------------------------------------------------------------------
     def check_vertex(self, u: int) -> int:
-        if not (0 <= u < len(self._adj)):
+        if not (0 <= u < len(self.out_edges)):
             raise VertexNotFound(u, self.num_vertices)
         return u
 
@@ -152,7 +157,7 @@ class SpatialNetwork:
     def neighbors(self, u: int) -> tuple[tuple[int, float], ...]:
         """Outgoing ``(target, weight)`` pairs of ``u``, sorted by target."""
         self.check_vertex(u)
-        return self._adj[u]
+        return self.out_edges[u]
 
     def in_neighbors(self, u: int) -> tuple[tuple[int, float], ...]:
         """Incoming ``(source, weight)`` pairs of ``u``, sorted by source."""
@@ -161,6 +166,31 @@ class SpatialNetwork:
 
     def out_degree(self, u: int) -> int:
         return len(self.neighbors(u))
+
+    def out_degrees(self) -> np.ndarray:
+        """Every vertex's out-degree, as an int64 array."""
+        return np.fromiter(map(len, self.out_edges), dtype=np.int64, count=len(self.out_edges))
+
+    @property
+    def max_out_degree(self) -> int:
+        """The largest out-degree: what decides the width of a SILC
+        index's colour column."""
+        return max(map(len, self.out_edges))
+
+    def out_edge_digest(self) -> int:
+        """A CRC-32 of every vertex's out-degree and out-edge targets, in
+        :attr:`out_edges` order: a SILC index's colours are positions in
+        those lists, so an index saved with one network is refused at
+        load by another whose digest differs.  Weights are left out.
+        (``zlib``, not ``hashlib``: importing OpenSSL raised a bare
+        index load's peak RSS by ~4 MB.)"""
+        degrees = self.out_degrees()
+        targets = np.fromiter(
+            (v for edges in self.out_edges for v, _ in edges),
+            dtype=np.int64,
+            count=int(degrees.sum()),
+        )
+        return zlib.crc32(targets.astype("<i8"), zlib.crc32(degrees.astype("<i8")))
 
     def edge_weight(self, u: int, v: int) -> float:
         """Weight of the directed edge ``u -> v``.

@@ -1,10 +1,11 @@
 """Sorted Morton-block tables.
 
 A shortest-path quadtree is stored as a flat table of disjoint Morton
-blocks sorted by code.  Each block carries the *color* (the first-hop
-vertex shared by every vertex in the block) and the ``[lambda_min,
-lambda_max]`` interval of network/Euclidean distance ratios the paper
-attaches to every block for progressive refinement.
+blocks sorted by code.  Each block carries the *color* (the first edge
+of the shortest path to every vertex in the block, as its rank in the
+table vertex's out-edge list) and the ``[lambda_min, lambda_max]``
+interval of network/Euclidean distance ratios the paper attaches to
+every block for progressive refinement.
 
 The table is columnar (five parallel buffers) because a SILC index
 holds one table per vertex -- tens of thousands of tables -- and
@@ -21,19 +22,41 @@ import numpy as np
 #: chunks, the store and save/load.
 COLUMNS = ("codes", "levels", "colors", "lam_min", "lam_max")
 
+#: Colour of a block past a proximal horizon: no shortest path is stored.
+BEYOND = -1
+#: Colour of the block holding the table's own vertex (it has no first edge).
+OWN_VERTEX = -2
+
 #: Canonical dtype per column.  ``MAX_ORDER`` 16 keeps every code below
-#: 2**32, and the lambdas are float32 rounded outward by
-#: :func:`narrow_lambda`.
+#: 2**32, the lambdas are float32 rounded outward by
+#: :func:`narrow_lambda`, and a colour is the rank of an out-edge of
+#: the table's vertex: int8 while no vertex has more than 127 out-edges
+#: (:func:`column_dtypes` widens it for a network that has one).
 COLUMN_DTYPES = {
     "codes": np.uint32,
     "levels": np.int8,
-    "colors": np.int32,
+    "colors": np.int8,
     "lam_min": np.float32,
     "lam_max": np.float32,
 }
 
-#: Bytes of one Morton block, 17: what the columns take on disk and what
-#: the page simulator packs into a page.
+
+def column_dtypes(max_out_degree: int) -> dict[str, type]:
+    """The column dtypes of an index over a network whose largest
+    out-degree is ``max_out_degree``: :data:`COLUMN_DTYPES`, with int16
+    colours when some rank does not fit int8."""
+    if max_out_degree <= np.iinfo(np.int8).max:
+        return COLUMN_DTYPES
+    if max_out_degree > np.iinfo(np.int16).max:
+        raise ValueError(
+            f"a vertex has {max_out_degree} out-edges; a colour holds at most "
+            f"{np.iinfo(np.int16).max}"
+        )
+    return {**COLUMN_DTYPES, "colors": np.int16}
+
+
+#: Bytes of one Morton block, 14 (15 with int16 colours): what the
+#: columns take on disk and what the page simulator packs into a page.
 RECORD_BYTES = sum(np.dtype(dtype).itemsize for dtype in COLUMN_DTYPES.values())
 
 
@@ -104,7 +127,8 @@ class BlockTable:
     lam_max = property(lambda self: np.asarray(self.columns[4]))
 
     def lookup(self, cell_code: int) -> tuple[int, float, float, int] | None:
-        """Fused point location: ``(color, lam_min, lam_max, row)``.
+        """Fused point location: ``(color, lam_min, lam_max, row)``, the
+        colour as stored (an out-edge rank, or negative).
 
         Returns plain Python scalars, or ``None`` when no block
         contains the cell.

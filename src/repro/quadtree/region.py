@@ -86,7 +86,8 @@ def region_block_columns(
     the ``n`` points; ``colors`` and ``values`` (float64) are ``(m, n)``,
     one row per source, C-contiguous or copied.  Returns ``(sizes, columns)``:
     blocks per row, and the five block columns (canonical dtypes, the
-    lambdas rounded outward by :func:`narrow_lambda`) of all rows back
+    colours in the dtype they arrive in, the lambdas rounded outward by
+    :func:`narrow_lambda`) of all rows back
     to back -- the :class:`~repro.silc.store.FlatStore` layout.  Row ``i``'s blocks are the maximal single-color
     blocks of row ``i``: disjoint, sorted, covering every point, and
     *maximal* (the four children of any coarser aligned block would mix
@@ -125,7 +126,7 @@ def region_block_columns(
     return np.count_nonzero(opens, axis=1), {
         "codes": (codes >> shift << shift).astype(np.uint32),
         "levels": levels,
-        "colors": colors.ravel()[first].astype(np.int32, copy=False),
+        "colors": colors.ravel()[first],
         "lam_min": lam_min,
         "lam_max": lam_max,
     }

@@ -42,7 +42,7 @@ def ine_knn(object_index: ObjectIndex, query, k: int, storage=None) -> KNNResult
     position = resolve_location(network, query)
     io_before = storage.stats if storage is not None else None
     touch = storage.touch_vertex if storage is not None else None
-    adj, inf = network._adj, math.inf
+    adj, inf = network.out_edges, math.inf
     # Read at each settled vertex: the objects on it, and the edge(-part)
     # objects reached through it.
     vertex_objects, edge_candidates = object_index.vertex_objects, object_index.edge_candidates

@@ -35,14 +35,15 @@ from repro.geometry.morton import block_cells
 from repro.geometry.rect import Rect
 from repro.integrity import atomic_directory, checked_load, verify_manifest
 from repro.network.allpairs import materialize_sources
-from repro.network.errors import PathNotFound
+from repro.network.errors import OutEdgeNotFound, PathNotFound
 from repro.network.graph import SpatialNetwork
-from repro.quadtree.blocks import RECORD_BYTES
+from repro.quadtree.blocks import BEYOND, column_dtypes
 from repro.silc.parallel import parallel_block_columns, resolve_workers
 from repro.silc.intervals import REL_PAD as _REL_PAD
 from repro.silc.refinement import RefinableDistance, RefinementCounter, next_hop_cycle
 from repro.silc.sp_quadtree import SPQuadtreeBuilder, choose_grid_order
 from repro.silc.store import COLUMNS, Chunk, FlatStore
+from repro.storage.pages import PageLayout
 from repro.storage.simulator import StorageSimulator
 
 
@@ -62,6 +63,7 @@ def build_store(
     is called once per source, after its chunk has arrived.
     """
     network.require_strongly_connected()
+    dtypes = column_dtypes(network.max_out_degree)
     embedding, codes = choose_grid_order(network)
     source_list = materialize_sources(network, sources)
     total = network.num_vertices if source_list is None else len(source_list)
@@ -84,8 +86,8 @@ def build_store(
                     done += 1
                     progress(done, total)
 
-    store = FlatStore.from_chunks(network.num_vertices, ticking()).validate()
-    return embedding, codes, store
+    store = FlatStore.from_chunks(network.num_vertices, ticking(), dtypes)
+    return embedding, codes, store.validate(network.out_degrees())
 
 
 class SILCIndex:
@@ -178,10 +180,14 @@ class SILCIndex:
         cache_fraction: float = 0.05,
         miss_latency: float | None = None,
     ) -> StorageSimulator:
-        """A simulator sized for this index (paper default: 5% cache)."""
+        """A simulator sized for this index (paper default: 5% cache),
+        its pages packed with this index's own records."""
         kwargs = {} if miss_latency is None else {"miss_latency": miss_latency}
         return StorageSimulator.for_table_sizes(
-            self.store.sizes.tolist(), cache_fraction=cache_fraction, **kwargs
+            self.store.sizes.tolist(),
+            cache_fraction=cache_fraction,
+            page_layout=PageLayout(record_bytes=self.record_bytes),
+            **kwargs,
         )
 
     # ------------------------------------------------------------------
@@ -198,11 +204,13 @@ class SILCIndex:
 
         The reference probe: one C ``bisect`` over the source's row range
         of the store's own, possibly mapped, ``codes`` column -- nothing
-        is copied or kept -- yields the first hop and the
-        ``[lo, hi]`` distance bounds, and the probed row is accounted as
-        a page access when storage is attached.  A search's refinement
-        states carry these lines inline (:class:`RefinableDistance`);
-        they come here only for a colour that names no vertex.
+        is copied or kept -- yields the colour, the rank of the first
+        edge in ``network.out_edges[source]``, whose target is the next
+        hop, and the ``[lo, hi]`` distance bounds; the probed row is
+        accounted as a page access when storage is attached.  A colour
+        that names no out-edge raises :meth:`missing_hop`'s error before
+        any page is counted.  A search's refinement states carry these
+        lines inline (:class:`RefinableDistance`).
         """
         self.network.check_vertex(source)
         self.network.check_vertex(target)
@@ -214,6 +222,13 @@ class SILCIndex:
         row = bisect_right(codes, cell, start, self._offsets[source + 1]) - 1
         if row < start or cell >= codes[row] + (1 << 2 * levels[row]):
             raise PathNotFound(source, target)
+        rank = colors[row]
+        if rank < 0:
+            raise self.missing_hop(source, target, rank)
+        try:
+            hop = self.network.out_edges[source][rank][0]
+        except IndexError:
+            raise self.missing_hop(source, target, rank) from None
         storage = self.storage
         if storage is not None:
             # attach_storage matched the layout to these tables and
@@ -226,10 +241,20 @@ class SILCIndex:
             self._xf[source] - self._xf[target], self._yf[source] - self._yf[target]
         )
         return (
-            colors[row],
+            hop,
             lam_min[row] * d_e * (1.0 - _REL_PAD),
             lam_max[row] * d_e * (1.0 + _REL_PAD),
         )
+
+    def missing_hop(self, source: int, target: int, rank: int) -> Exception:
+        """The error for a probe of ``source``'s table toward ``target``
+        whose colour ``rank`` names none of ``source``'s out-edges:
+        :class:`PathNotFound` for ``BEYOND`` (no path was stored: the
+        target is unreachable), :class:`OutEdgeNotFound` for the block
+        of the table's own vertex or a corrupt row."""
+        if rank == BEYOND:
+            return PathNotFound(source, target)
+        return OutEdgeNotFound(source, rank, len(self.network.out_edges[source]))
 
     def refinable(
         self,
@@ -366,7 +391,15 @@ class SILCIndex:
     def blocks_per_vertex(self) -> np.ndarray:
         return self.store.sizes
 
-    def storage_bytes(self, record_bytes: int = RECORD_BYTES) -> int:
+    @property
+    def record_bytes(self) -> int:
+        """Bytes of one of this index's blocks: 14, 15 with int16 colours."""
+        return sum(column.itemsize for column in self.store.column_arrays().values())
+
+    def storage_bytes(self, record_bytes: int | None = None) -> int:
+        """Block bytes at ``record_bytes`` a block (default: the index's own)."""
+        if record_bytes is None:
+            record_bytes = self.record_bytes
         return self.total_blocks() * record_bytes
 
     def save(self, path) -> None:
@@ -388,6 +421,7 @@ class SILCIndex:
                 [bounds.xmin, bounds.ymin, bounds.xmax, bounds.ymax]
             ),
             embedding_order=np.array([self.embedding.order]),
+            out_edges_digest=np.array([self.network.out_edge_digest()], dtype=np.uint32),
             **self.store.column_arrays(),
         )
         with atomic_directory(path) as tmp:
@@ -422,6 +456,11 @@ class SILCIndex:
         checksums too on eager loads -- and a missing manifest or any
         missing/truncated/unparseable column raises
         :class:`~repro.errors.CorruptIndexError` naming the column.
+        A colour is a rank in its vertex's out-edge list, so the
+        network must be the one the index was built for: the
+        ``out_edges_digest`` saved with it is compared with
+        ``network.out_edge_digest()`` on both paths, and a network with
+        an edge added, removed or re-targeted is refused the same way.
         A ``path`` that is not there at all is a ``FileNotFoundError``.
         """
         directory = Path(path)
@@ -441,9 +480,17 @@ class SILCIndex:
         store = FlatStore.from_columns(
             np.asarray(get("sizes"), dtype=np.int64),
             {name: get(name) for name in COLUMNS},
+            column_dtypes(network.max_out_degree),
         )
+        if int(get("out_edges_digest")[0]) != network.out_edge_digest():
+            raise CorruptIndexError(
+                f"corrupt index {directory}: column 'out_edges_digest' does "
+                "not match the network's out-edge lists: the index was built "
+                "for a different network (rebuild it with `repro build`)",
+                column="out_edges_digest",
+            )
         if not mmap:
-            store.validate()
+            store.validate(network.out_degrees())
         b = get("embedding_bounds")
         embedding = GridEmbedding(
             Rect(float(b[0]), float(b[1]), float(b[2]), float(b[3])),

@@ -17,16 +17,13 @@ fast as the full index.  The ablation benchmark
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Callable
 
 from repro.network.errors import NetworkError
 from repro.network.graph import SpatialNetwork
+from repro.quadtree.blocks import BEYOND
 from repro.silc.index import SILCIndex, build_store
 from repro.silc.store import FlatStore
-
-#: Sentinel color for destinations beyond the horizon.
-BEYOND = -1
 
 
 class BeyondHorizonError(NetworkError):
@@ -84,22 +81,10 @@ class ProximalSILCIndex(SILCIndex):
         parts = build_store(network, None, radius, chunk_size, progress, workers)
         return cls(network, *parts, radius)
 
-    def hop_and_interval(
-        self, source: int, target: int
-    ) -> tuple[int, float, float]:
-        # Horizon check first, on an unaccounted lookup: a probe that
-        # raises BeyondHorizonError counts no page access.
-        self.network.check_vertex(source)
-        self.network.check_vertex(target)
-        if source != target:
-            codes, levels, colors, _, _ = self._columns
-            start = self._offsets[source]
-            cell = self._vcodes[target]
-            row = bisect_right(codes, cell, start, self._offsets[source + 1]) - 1
-            if (
-                row >= start
-                and cell < codes[row] + (1 << 2 * levels[row])
-                and colors[row] == BEYOND
-            ):
-                raise BeyondHorizonError(source, target, self.radius)
-        return super().hop_and_interval(source, target)
+    def missing_hop(self, source: int, target: int, rank: int) -> Exception:
+        """Past the horizon, :class:`BeyondHorizonError`; raised by the
+        one probe of ``hop_and_interval`` and of every refinement step
+        before it counts a page."""
+        if rank == BEYOND:
+            return BeyondHorizonError(source, target, self.radius)
+        return super().missing_hop(source, target, rank)

@@ -78,8 +78,10 @@ class RefinableDistance:
 
     ``__init__`` and :meth:`refine` each carry the lines of
     :meth:`SILCIndex.hop_and_interval` (same arithmetic, same order:
-    bit-identical bounds), so a state built or refined is one frame; a
-    negative colour goes to ``index.hop_and_interval`` for its meaning.
+    bit-identical bounds), so a state built or refined is one frame.  A
+    probe reads the next hop and the weight of the link to it with one
+    index, ``network.out_edges[u][colour]``, and the state keeps both; a
+    colour that names no out-edge raises ``index.missing_hop``'s error.
     """
 
     __slots__ = (
@@ -93,6 +95,7 @@ class RefinableDistance:
         "oid",
         "_counter",
         "_next_hop",
+        "_weight",
         "_cell",
     )
 
@@ -116,28 +119,32 @@ class RefinableDistance:
         self._counter = counter
         cell = self._cell = index._vcodes[target]
         if source == target:
-            hop, lo, hi = source, 0.0, 0.0
+            hop, weight, lo, hi = source, 0.0, 0.0, 0.0
         else:
             codes, levels, colors, lam_min, lam_max = index._columns
             start = index._offsets[source]
             row = bisect_right(codes, cell, start, index._offsets[source + 1]) - 1
             if row < start or cell >= codes[row] + (1 << 2 * levels[row]):
                 raise PathNotFound(source, target)
-            hop = colors[row]
-            if hop < 0:
-                hop, lo, hi = index.hop_and_interval(source, target)
-            else:
-                storage = index.storage
-                if storage is not None:
-                    layout = storage.layout
-                    storage.access(
-                        layout.page_offsets[source] + (row - start) // layout.records_per_page
-                    )
-                xf, yf = index._xf, index._yf
-                d_e = math.hypot(xf[source] - xf[target], yf[source] - yf[target])
-                lo = lam_min[row] * d_e * (1.0 - REL_PAD)
-                hi = lam_max[row] * d_e * (1.0 + REL_PAD)
+            rank = colors[row]
+            if rank < 0:
+                raise index.missing_hop(source, target, rank)
+            try:
+                hop, weight = index.network.out_edges[source][rank]
+            except IndexError:
+                raise index.missing_hop(source, target, rank) from None
+            storage = index.storage
+            if storage is not None:
+                layout = storage.layout
+                storage.access(
+                    layout.page_offsets[source] + (row - start) // layout.records_per_page
+                )
+            xf, yf = index._xf, index._yf
+            d_e = math.hypot(xf[source] - xf[target], yf[source] - yf[target])
+            lo = lam_min[row] * d_e * (1.0 - REL_PAD)
+            hi = lam_max[row] * d_e * (1.0 + REL_PAD)
         self._next_hop = hop
+        self._weight = weight
         lo += offset
         hi += offset
         if not (0.0 <= lo <= hi):
@@ -172,11 +179,7 @@ class RefinableDistance:
             return False
         index = self._index
         nxt = self._next_hop
-        network = index.network
-        weight = network.out_weights[via].get(nxt)
-        if weight is None:  # corrupt next hop: edge_weight names the failure
-            weight = network.edge_weight(via, nxt)
-        acc = self.acc + weight
+        acc = self.acc + self._weight
         self.acc = acc
         self.via = nxt
         if self._counter is not None:
@@ -190,21 +193,23 @@ class RefinableDistance:
             row = bisect_right(codes, cell, start, index._offsets[nxt + 1]) - 1
             if row < start or cell >= codes[row] + (1 << 2 * levels[row]):
                 raise PathNotFound(nxt, target)
-            hop = colors[row]
-            if hop < 0:
-                hop, lo, hi = index.hop_and_interval(nxt, target)
-            else:
-                storage = index.storage
-                if storage is not None:
-                    layout = storage.layout
-                    storage.access(
-                        layout.page_offsets[nxt] + (row - start) // layout.records_per_page
-                    )
-                xf, yf = index._xf, index._yf
-                d_e = math.hypot(xf[nxt] - xf[target], yf[nxt] - yf[target])
-                lo = lam_min[row] * d_e * (1.0 - REL_PAD)
-                hi = lam_max[row] * d_e * (1.0 + REL_PAD)
-            self._next_hop = hop
+            rank = colors[row]
+            if rank < 0:
+                raise index.missing_hop(nxt, target, rank)
+            try:
+                self._next_hop, self._weight = index.network.out_edges[nxt][rank]
+            except IndexError:
+                raise index.missing_hop(nxt, target, rank) from None
+            storage = index.storage
+            if storage is not None:
+                layout = storage.layout
+                storage.access(
+                    layout.page_offsets[nxt] + (row - start) // layout.records_per_page
+                )
+            xf, yf = index._xf, index._yf
+            d_e = math.hypot(xf[nxt] - xf[target], yf[nxt] - yf[target])
+            lo = lam_min[row] * d_e * (1.0 - REL_PAD)
+            hi = lam_max[row] * d_e * (1.0 + REL_PAD)
             lo += acc
             hi += acc
         if not (0.0 <= lo <= hi):
@@ -228,21 +233,22 @@ class RefinableDistance:
         """Walk the rest of the path and return the exact distance.
 
         The paper's path retrieval "in size-of-path steps" (p.17), in
-        this one frame: per link one edge weight and, short of the
-        target, one probe that keeps :meth:`refine`'s checks (block
-        containment, a valid lambda row, the page access) and computes
-        no interval.  ``trail`` collects the vertices reached.  The
-        distance it lands on must lie inside the bounds it started from
-        (within :data:`MAX_REL_GAP`), else ``ValueError``.
+        this one frame: per link, short of the target, one probe that
+        keeps :meth:`refine`'s checks (block containment, a valid lambda
+        row, a colour naming an out-edge, the page access), reads the
+        next hop and the link's weight, and computes no interval.
+        ``trail`` collects the vertices reached.  The distance it lands
+        on must lie inside the bounds it started from (within
+        :data:`MAX_REL_GAP`), else ``ValueError``.
 
         ``max_steps`` guards against corrupted indexes; it defaults to
         the number of network vertices (no simple path is longer).
         """
         index = self._index
-        network = index.network
-        out_weights = network.out_weights  # one dict per vertex
-        limit = max_steps if max_steps is not None else len(out_weights)
-        target, via, acc, nxt = self.target, self.via, self.acc, self._next_hop
+        out_edges = index.network.out_edges
+        limit = max_steps if max_steps is not None else len(out_edges)
+        target, via, acc = self.target, self.via, self.acc
+        nxt, weight = self._next_hop, self._weight
         codes, levels, colors, lam_min, lam_max = index._columns
         offsets = index._offsets
         cell = self._cell
@@ -253,9 +259,6 @@ class RefinableDistance:
             per_page = storage.layout.records_per_page
         steps = 0
         while via != target:
-            weight = out_weights[via].get(nxt)
-            if weight is None:  # corrupt next hop: edge_weight names the failure
-                weight = network.edge_weight(via, nxt)
             acc += weight
             via = nxt
             steps += 1
@@ -271,10 +274,14 @@ class RefinableDistance:
                 raise PathNotFound(via, target)
             if not (0.0 <= lam_min[row] <= lam_max[row]):
                 raise invalid_bounds(lam_min[row], lam_max[row])
-            nxt = colors[row]
-            if nxt < 0:  # no vertex: the index's own probe says what it means
-                nxt = index.hop_and_interval(via, target)[0]
-            elif storage is not None:
+            rank = colors[row]
+            if rank < 0:
+                raise index.missing_hop(via, target, rank)
+            try:
+                nxt, weight = out_edges[via][rank]
+            except IndexError:
+                raise index.missing_hop(via, target, rank) from None
+            if storage is not None:
                 access(page_offsets[via] + (row - start) // per_page)
         if not (self.lo * _BELOW <= acc <= self.hi * _ABOVE):
             raise landed_outside(acc, self.lo, self.hi)
@@ -297,29 +304,25 @@ class RefinableDistance:
         last probe cached go in first.  Per link one probe of the
         vertex's table with the *source's* cell, keeping
         :meth:`refine_fully`'s checks (block containment, a valid lambda
-        row, the page access, the edge, the cycle guard); the walk stops
-        at the first vertex in ``known`` and adds the weights it
-        collected forward from there -- the float fold a forward walk
-        makes along that path -- entering every vertex it passed into
-        ``known``.  The walks of one query then cost the union of their
-        paths, not the sum: a link counts when its far end enters
-        ``known``.
+        row, a colour naming an out-edge, the page access, the cycle
+        guard); the walk stops at the first vertex in ``known`` and adds
+        the weights it collected forward from there -- the float fold a
+        forward walk makes along that path -- entering every vertex it
+        passed into ``known``.  The walks of one query then cost the
+        union of their paths, not the sum: a link counts when its far
+        end enters ``known``.
         """
         index = self._index
-        network = index.network
-        out_weights = network.out_weights  # one dict per vertex
+        out_edges = index.network.out_edges
         source, target, via, acc = self.source, self.target, self.via, self.acc
         if via == target:
             return acc
-        # The forward walk's first link is free of a probe: the hop is cached.
+        # The forward walk's first link is free of a probe: it is cached.
         hop = self._next_hop
-        weight = out_weights[via].get(hop)
-        if weight is None:  # corrupt next hop: edge_weight names the failure
-            weight = network.edge_weight(via, hop)
         known.setdefault(via, acc)
         steps = 0
         if hop not in known:
-            known[hop] = acc + weight
+            known[hop] = acc + self._weight
             steps = 1
         codes, levels, colors, lam_min, lam_max = index._columns
         offsets = index._offsets
@@ -329,7 +332,7 @@ class RefinableDistance:
             access = storage.access
             page_offsets = storage.layout.page_offsets
             per_page = storage.layout.records_per_page
-        limit = len(out_weights)  # no simple path is longer
+        limit = len(out_edges)  # no simple path is longer
         passed: list[int] = []
         weights: list[float] = []
         u = target
@@ -342,14 +345,15 @@ class RefinableDistance:
                 raise PathNotFound(u, source)
             if not (0.0 <= lam_min[row] <= lam_max[row]):
                 raise invalid_bounds(lam_min[row], lam_max[row])
-            nxt = colors[row]
-            if nxt < 0:  # no vertex: the index's own probe says what it means
-                nxt = index.hop_and_interval(u, source)[0]
-            elif storage is not None:
+            rank = colors[row]
+            if rank < 0:
+                raise index.missing_hop(u, source, rank)
+            try:
+                nxt, weight = out_edges[u][rank]
+            except IndexError:
+                raise index.missing_hop(u, source, rank) from None
+            if storage is not None:
                 access(page_offsets[u] + (row - start) // per_page)
-            weight = out_weights[u].get(nxt)
-            if weight is None:
-                weight = network.edge_weight(u, nxt)
             passed.append(u)
             weights.append(weight)
             u = nxt

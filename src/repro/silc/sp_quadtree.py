@@ -2,10 +2,11 @@
 
 Couples the coloring of :mod:`repro.silc.coloring` to the region
 builder of :mod:`repro.quadtree.region`: for each chunk of sources,
-sort the per-vertex colors/ratios into Morton order (the permutation
-and the split levels are shared across all sources, so they are
-computed once per network) and emit the maximal single-color Morton
-blocks with their lambda intervals.
+turn each first hop into its rank in the source's out-edge list, sort
+the per-vertex colors/ratios into Morton order (the permutation and
+the split levels are shared across all sources, so they are computed
+once per network) and emit the maximal single-color Morton blocks with
+their lambda intervals.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from repro.geometry.grid import GridEmbedding
 from repro.geometry.morton import MAX_ORDER
 from repro.network.errors import GraphConstructionError
 from repro.network.graph import SpatialNetwork
+from repro.quadtree.blocks import OWN_VERTEX, column_dtypes
 from repro.quadtree.region import region_block_columns, split_levels
 from repro.silc.coloring import coloring_chunks
-from repro.silc.store import Chunk
+from repro.silc.store import Chunk, table_rows
 
 
 def choose_grid_order(network: SpatialNetwork, minimum: int = 4) -> tuple[GridEmbedding, np.ndarray]:
@@ -49,8 +51,9 @@ def choose_grid_order(network: SpatialNetwork, minimum: int = 4) -> tuple[GridEm
 
 
 class SPQuadtreeBuilder:
-    """Per-network build state (Morton sort, split levels); :meth:`chunks`
-    compresses each Dijkstra chunk's colorings in a few array passes."""
+    """Per-network build state (Morton sort, split levels, out-edge
+    lists as arrays); :meth:`chunks` compresses each Dijkstra chunk's
+    colorings in a few array passes."""
 
     def __init__(
         self,
@@ -64,6 +67,38 @@ class SPQuadtreeBuilder:
         self.order = np.argsort(self.codes)
         self.sorted_codes = self.codes[self.order]
         self.splits = split_levels(self.sorted_codes, embedding.order)
+        self.color_dtype = column_dtypes(network.max_out_degree)["colors"]
+        #: Vertex ``u``'s out-edge targets, in ``network.out_edges``
+        #: order, are ``targets[first_edge[u]:first_edge[u] + degrees[u]]``:
+        #: the network's cached CSR, whose rows sorted by target are in
+        #: that order (``out_edges`` is sorted by target too).
+        csr = network.to_csr()
+        csr.sort_indices()
+        indptr = csr.indptr.astype(np.int64)
+        self.first_edge = indptr[:-1]
+        self.degrees = np.diff(indptr)
+        self.targets = csr.indices.astype(np.int64)
+
+    def ranks(self, sources: Sequence[int], first: np.ndarray) -> np.ndarray:
+        """The colours of ``first`` -- ``(m, n)`` first-hop vertex ids,
+        one row per source -- as out-edge ranks of the row's source:
+        :data:`OWN_VERTEX` for the source itself, ``-1`` (beyond a
+        horizon) kept.
+
+        One flat gather: row ``i`` of an ``(m, n + 1)`` lookup holds the
+        rank of every out-neighbour ``v`` of ``sources[i]`` at column
+        ``v + 1``, ``OWN_VERTEX`` at its own, and ``-1`` in column 0,
+        where a ``-1`` hop lands.
+        """
+        src = np.asarray(sources, dtype=np.int64)
+        m, n = first.shape
+        lookup = np.full((m, n + 1), -1, dtype=self.color_dtype)
+        degrees = self.degrees[src]
+        edges = table_rows(self.first_edge[src], degrees)
+        rows = np.repeat(np.arange(m), degrees)
+        lookup[rows, self.targets[edges] + 1] = edges - np.repeat(self.first_edge[src], degrees)
+        lookup[np.arange(m), src + 1] = OWN_VERTEX
+        return lookup.ravel()[first + (np.arange(m) * (n + 1) + 1)[:, np.newaxis]]
 
     def chunks(
         self,
@@ -72,13 +107,13 @@ class SPQuadtreeBuilder:
         limit: float = np.inf,
     ) -> Iterator[Chunk]:
         """The shortest-path quadtrees of ``sources``, a chunk at a time."""
-        for chunk, colors, ratios, _ in coloring_chunks(
+        for chunk, first, ratios, _ in coloring_chunks(
             self.network, sources, chunk_size, limit
         ):
             sizes, columns = region_block_columns(
                 self.sorted_codes,
                 self.splits,
-                np.take(colors, self.order, axis=1),
+                np.take(self.ranks(chunk, first), self.order, axis=1),
                 np.take(ratios, self.order, axis=1),
             )
             yield chunk, sizes, columns

@@ -38,7 +38,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.integrity import check_dtypes
-from repro.quadtree.blocks import COLUMN_DTYPES, COLUMNS, BlockTable, compute_ends
+from repro.quadtree.blocks import COLUMN_DTYPES, COLUMNS, OWN_VERTEX, BlockTable, compute_ends
 
 
 #: A batch of finished tables: their vertices, their block counts, and
@@ -67,8 +67,12 @@ class FlatStore:
         in rows ``offsets[v]:offsets[v + 1]`` of every column.
     codes, levels, colors, lam_min, lam_max:
         The concatenated columns.  Arrays are taken as-is (they may be
-        memory-mapped); a non-canonical dtype is a
-        :class:`~repro.errors.CorruptIndexError` naming the column.
+        memory-mapped); a dtype other than the one ``dtypes`` names is
+        a :class:`~repro.errors.CorruptIndexError` naming the column.
+    dtypes:
+        The column dtypes, :func:`~repro.quadtree.blocks.column_dtypes`
+        of the network's largest out-degree (the colour width depends
+        on it).  Required: no width is right for every network.
 
     :attr:`columns` holds one ``memoryview`` per column (O(1),
     read-only over a mapped file): what every probe reads.  Views do
@@ -94,6 +98,7 @@ class FlatStore:
         colors: np.ndarray,
         lam_min: np.ndarray,
         lam_max: np.ndarray,
+        dtypes: dict[str, type],
     ) -> None:
         self.offsets = np.asarray(offsets, dtype=np.int64)
         if self.offsets.ndim != 1 or self.offsets.size < 1:
@@ -110,7 +115,7 @@ class FlatStore:
                 raise ValueError(
                     f"column {name!r} has shape {col.shape}, expected ({total},)"
                 )
-        check_dtypes(columns, COLUMN_DTYPES, rebuild="repro build")
+        check_dtypes(columns, dtypes, rebuild="repro build")
         #: ``(codes, levels, colors, lam_min, lam_max)`` as memoryviews.
         self.columns = tuple(map(memoryview, columns.values()))
 
@@ -119,21 +124,30 @@ class FlatStore:
     # ------------------------------------------------------------------
     @classmethod
     def from_columns(
-        cls, sizes: np.ndarray, columns: dict[str, np.ndarray]
+        cls,
+        sizes: np.ndarray,
+        columns: dict[str, np.ndarray],
+        dtypes: dict[str, type],
     ) -> FlatStore:
         """Build from per-vertex sizes plus already-concatenated columns."""
         offsets = np.concatenate([[0], np.cumsum(np.asarray(sizes, dtype=np.int64))])
-        return cls(offsets.astype(np.int64), **{n: columns[n] for n in COLUMNS})
+        return cls(offsets.astype(np.int64), **{n: columns[n] for n in COLUMNS}, dtypes=dtypes)
 
     @classmethod
-    def from_chunks(cls, num_tables: int, chunks: Iterable[Chunk]) -> FlatStore:
+    def from_chunks(
+        cls,
+        num_tables: int,
+        chunks: Iterable[Chunk],
+        dtypes: dict[str, type],
+    ) -> FlatStore:
         """Assemble ``(vertices, sizes, columns)`` chunks arriving in any order.
 
         Each chunk carries the tables of ``vertices`` back to back (the
         build kernel's output).  A vertex no chunk names gets an empty
         table; one named twice keeps its last table, so a localized
         update passes the old store first and the rebuilt chunks after.
-        One gather per column puts the rows in vertex order.
+        One gather per column puts the rows in vertex order, in
+        ``dtypes`` (an update may change the colour width).
         """
         none = np.empty(0, dtype=np.int64)
         parts = [(none, none, empty_columns()), *chunks]
@@ -148,8 +162,10 @@ class FlatStore:
             size_of,
             {
                 name: np.concatenate([columns[name] for _, _, columns in parts])[rows]
+                .astype(dtypes[name], copy=False)
                 for name in COLUMNS
             },
+            dtypes,
         )
 
     # ------------------------------------------------------------------
@@ -208,15 +224,28 @@ class FlatStore:
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
-    def validate(self) -> FlatStore:
+    def validate(self, degrees: np.ndarray) -> FlatStore:
         """Check every table's invariants in one vectorized pass.
 
         Within each table the codes must be strictly increasing and
-        the blocks disjoint, in one pass over the whole store so loads
-        of untrusted files stay fast.
+        the blocks disjoint, and every colour must be an out-edge rank
+        of the table's vertex -- below ``degrees[v]``, its out-degree --
+        or one of the two negative colours, in one pass over the whole
+        store so loads of untrusted files stay fast.
         Returns ``self`` for chaining; raises ``ValueError`` on a
         corrupt store.
         """
+        colors = np.asarray(self.colors)
+        widest = np.iinfo(np.int16).max  # no colour column is wider
+        limit = np.repeat(np.minimum(degrees, widest).astype(np.int16), self.sizes)
+        bad = (colors >= limit) | (colors < OWN_VERTEX)
+        if bad.any():
+            row = int(np.flatnonzero(bad)[0])
+            table = int(np.searchsorted(self.offsets, row, side="right")) - 1
+            raise ValueError(
+                f"corrupt block store: row {row} (table {table}) has colour "
+                f"{colors[row]}, which names none of its {degrees[table]} out-edges"
+            )
         codes = np.asarray(self.codes, dtype=np.int64)
         if codes.size > 1:
             ends = self.ends

@@ -18,6 +18,9 @@ implements that strategy exactly:
 
    The result is a conservative superset of the affected sources
    (ties are included), so rebuilding exactly those tables is safe.
+   A block's colour is a rank in its vertex's out-edge list, so the
+   tail ``a`` of an inserted or removed edge is affected too, even
+   when no shortest path changes: its ranks shift.
 
 2. **Partial rebuild** -- only the affected sources' quadtrees are
    recomputed (on the unchanged grid embedding); every other table's
@@ -34,6 +37,7 @@ import numpy as np
 
 from repro.network.errors import GraphConstructionError
 from repro.network.graph import SpatialNetwork
+from repro.quadtree.blocks import column_dtypes
 from repro.silc.index import SILCIndex
 from repro.silc.sp_quadtree import SPQuadtreeBuilder
 from repro.silc.store import FlatStore
@@ -98,7 +102,9 @@ def sources_using_edge(network: SpatialNetwork, a: int, b: int) -> set[int]:
 def affected_sources(
     old: SpatialNetwork, new: SpatialNetwork
 ) -> tuple[set[int], list[tuple[int, int, float | None, float | None]]]:
-    """Sources whose shortest-path quadtrees the change may invalidate.
+    """Sources whose shortest-path quadtrees the change may invalidate:
+    those whose paths may change, and the tail of every inserted or
+    removed edge (its out-edge ranks shift).
 
     Returns ``(sources, edge_changes)``.
     """
@@ -111,6 +117,8 @@ def affected_sources(
         if nw is not None and (ow is None or nw < ow):
             # insertion or speedup: whoever starts using it on the new
             affected |= sources_using_edge(new, a, b)
+        if ow is None or nw is None:
+            affected.add(a)
     return affected, changes
 
 
@@ -150,7 +158,8 @@ def update_index(
             (range(old.num_tables), old.sizes, old.column_arrays()),
             *builder.chunks(sorted(affected)),
         ],
-    ).validate()
+        column_dtypes(new_network.max_out_degree),
+    ).validate(new_network.out_degrees())
     return (
         SILCIndex(new_network, index.embedding, index.vertex_codes, store),
         affected,

@@ -22,8 +22,9 @@ class PageLayout:
 
     ``record_bytes`` is the serialized size of one Morton block (code +
     level + color + two lambdas): by default the bytes the saved columns
-    take per block, 17, so simulated pages and mapped bytes describe one
-    record.  The paper quotes 8 bytes for the code-only layout, 16 with
+    take per block, 14 (``SILCIndex.make_storage`` passes its index's
+    own, 15 over int16 colours), so simulated pages and mapped bytes
+    describe one record.  The paper quotes 8 bytes for the code-only layout, 16 with
     the lambda annotations.
     """
 

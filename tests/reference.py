@@ -6,6 +6,8 @@ keeps such code out of ``src/repro``), but tests rely on them:
 * generators of test inputs -- objects on edges and with extents,
   kNN workloads, a delay on a shard's pipe;
 * :func:`iter_nodes`, a walk over every node of a PMR quadtree;
+* :func:`out_rank` and :func:`ranked`, the colours an index stores, one
+  vertex at a time;
 * :class:`BlockTable`, the library's one-vertex view with the
   validating constructor, :meth:`~BlockTable.overlapping`,
   :attr:`~BlockTable.ends` and :meth:`~BlockTable.storage_bytes`, and
@@ -219,6 +221,23 @@ class BlockTable(blocks.BlockTable):
         return len(self) * record_bytes
 
 
+def out_rank(network: SpatialNetwork, u: int, v: int) -> int:
+    """The colour naming edge ``u -> v``: its position in ``u``'s
+    out-edge list (``ValueError`` when there is no such edge)."""
+    return [w for w, _ in network.neighbors(u)].index(v)
+
+
+def ranked(network: SpatialNetwork, source: int, first_hops: np.ndarray) -> np.ndarray:
+    """A shortest-path map of ``source`` -- first-hop vertex ids -- as
+    the colours an index stores, one vertex at a time: the rank of the
+    first edge, ``OWN_VERTEX`` for ``source`` itself, ``-1`` kept."""
+    colors = [
+        blocks.OWN_VERTEX if v == source else -1 if v < 0 else out_rank(network, source, v)
+        for v in first_hops.tolist()
+    ]
+    return np.array(colors, dtype=blocks.column_dtypes(network.max_out_degree)["colors"])
+
+
 def table_of(index, v: int) -> BlockTable:
     """Vertex ``v``'s table of ``index`` as a :class:`BlockTable`:
     the same memory as ``index.tables[v]``."""
@@ -278,7 +297,7 @@ def build_region_blocks(
         colors.reshape(1, -1),
         values.reshape(1, -1),
     )
-    return BlockTable(**columns)
+    return BlockTable.view(*(columns[name] for name in COLUMNS))
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ from repro.objects import ObjectIndex
 from repro.objects.model import ObjectSet
 from repro.query import SILC_ALGORITHMS, browse, ine_knn, knn
 from repro.silc import SILCIndex
+from reference import out_rank
 
 
 class TestDegenerateObjectSets:
@@ -79,10 +80,11 @@ class TestFailureInjection:
         nbr = small_net.neighbors(0)[0][0]
         back = small_net.neighbors(nbr)[0][0]
         if back == 0:
-            colors[:] = nbr  # everything claims 'via nbr'
+            # everything claims 'via nbr' (a colour is an out-edge rank)
+            colors[:] = out_rank(small_net, 0, nbr)
             # and nbr's table claims 'via 0' for everything
             nbr_colors = index.tables[nbr].colors.copy()
-            nbr_colors[:] = 0
+            nbr_colors[:] = out_rank(small_net, nbr, 0)
             index.tables[nbr].colors.setflags(write=True)
             index.tables[nbr].colors[:] = nbr_colors
             table.colors.setflags(write=True)

@@ -89,7 +89,7 @@ import pytest
 
 from repro.datasets import random_vertex_objects
 from repro.geometry.morton import block_cells
-from repro.network.errors import EdgeNotFound, VertexNotFound
+from repro.network.errors import EdgeNotFound, OutEdgeNotFound, PathNotFound, VertexNotFound
 from repro.network import SpatialNetwork, grid_network, road_like_network
 from repro.errors import DeadlineExceeded
 from repro.objects.model import EdgePosition, ObjectSet, VertexPosition
@@ -102,13 +102,14 @@ from repro.query.ine import ine_knn
 from repro.query.distances import QueryHandle
 from repro.query.location import resolve_location
 from repro.silc.proximal import ProximalSILCIndex, BEYOND, BeyondHorizonError
+from repro.quadtree.blocks import OWN_VERTEX
 from repro.silc import SILCIndex
 from repro.silc.index import _REL_PAD
 from repro.silc.intervals import checked_bounds
 from repro.silc.refinement import RefinableDistance, RefinementCounter
 from repro.storage import NetworkStorageModel
 from test_properties import one_way
-from reference import objects_with_extents, random_edge_objects, table_of
+from reference import objects_with_extents, out_rank, random_edge_objects, table_of
 
 KS = (1, 5, 25)
 
@@ -986,19 +987,30 @@ def test_fused_probe_hands_a_missing_vertex_to_the_index(parity_net):
         state.refine()
     assert len(pages) == mark
 
-    # A full index with the same corrupt colour: the state takes the
-    # index's answer and fails at the next link, as the composition does.
+    # A full index with a colour on the path that names no out-edge --
+    # no path stored (-1), the table's own vertex, one past the last
+    # out-edge: the step that probes it raises what the index's own
+    # probe raises, and so does the exact walk, before either counts a
+    # page.
     index = SILCIndex.build(parity_net)
-    TestChecksKept._corrupt(index, hop, target, "colors", -1)
-    state = index.refinable(source, target)
-    state.refine()
-    assert state._next_hop == index.hop_and_interval(hop, target)[0] == -1
-    with pytest.raises(EdgeNotFound) as reference:
-        parity_net.edge_weight(hop, -1)
-    for fail in (state.refine, index.refinable(source, target).refine_fully):
-        with pytest.raises(EdgeNotFound) as fused:
-            fail()
-        assert str(fused.value) == str(reference.value)
+    pages = _recording_storage(index)
+    for bad, error in (
+        (-1, PathNotFound),
+        (OWN_VERTEX, OutEdgeNotFound),
+        (parity_net.out_degree(hop), OutEdgeNotFound),
+    ):
+        TestChecksKept._corrupt(index, hop, target, "colors", bad)
+        mark = len(pages)
+        with pytest.raises(error) as reference:
+            index.hop_and_interval(hop, target)
+        assert len(pages) == mark
+        for walk in ("refine", "refine_fully"):
+            state = index.refinable(source, target)
+            mark = len(pages)
+            with pytest.raises(error) as fused:
+                getattr(state, walk)()
+            assert str(fused.value) == str(reference.value)
+            assert len(pages) == mark
 
 
 def _reference_block_bound(handle, node) -> float:
@@ -1110,31 +1122,35 @@ class TestChecksKept:
             index.refinable(source, target)
 
     def test_corrupted_color_raises_edge_or_vertex_not_found(self, index):
+        """A rank one past the last out-edge fails the probe that reads
+        it -- a new state's, the path's first -- as an ``EdgeNotFound``
+        naming the vertex and the rank, never a bare ``IndexError``."""
         source, _, target = self._far_pair(index)
-        self._corrupt(index, source, target, "colors", 10_000)
-        with pytest.raises(EdgeNotFound):
-            index.refinable(source, target).refine()
-        with pytest.raises(VertexNotFound):
-            index.path(source, target)
+        bad = index.network.out_degree(source)
+        self._corrupt(index, source, target, "colors", bad)
+        for probe in (index.refinable, index.path, index.hop_and_interval):
+            with pytest.raises(EdgeNotFound, match=f"vertex {source} has no out-edge {bad} "):
+                probe(source, target)
 
     def test_corrupted_color_inside_a_head_run_raises_edge_not_found(
         self, grid_net, index, loop_events
     ):
         """Vertex 4 is four links from vertex 0 and, with the only other
         object on vertex 12, is refined all the way in one head run; a
-        bad next hop read by its first step fails its second."""
+        bad colour read by its first step fails that step."""
         object_index = ObjectIndex(
             grid_net, ObjectSet.at_vertices(grid_net, [4, 12]), index.embedding
         )
         run = [("push", 0, False), ("push", 1, False), ("refine", 0), ("refine", 0)]
         best_first_knn(index, object_index, 0, 1, variant="inn")
         assert loop_events[:4] == run
-        self._corrupt(index, index.path(0, 4)[1], 4, "colors", 10_000)
+        hop = index.path(0, 4)[1]
+        self._corrupt(index, hop, 4, "colors", grid_net.out_degree(hop))
         for variant in VARIANTS:
             del loop_events[:]
             with pytest.raises(EdgeNotFound):
                 best_first_knn(index, object_index, 0, 1, variant=variant)
-            # the second step raised before it counted
+            # the first step counted, then its probe raised
             assert loop_events == run[:3]
 
     def test_a_negative_vertex_id_is_refused(self, grid_net, index):
@@ -1154,7 +1170,7 @@ class TestChecksKept:
     def test_refine_fully_guard_trips_on_next_hop_cycle(self, grid_net, index):
         source, hop, target = self._far_pair(index)
         assert grid_net.has_edge(hop, source)
-        self._corrupt(index, hop, target, "colors", source)  # source<->hop
+        self._corrupt(index, hop, target, "colors", out_rank(grid_net, hop, source))  # source<->hop
         with pytest.raises(RuntimeError, match="inconsistent"):
             index.refinable(source, target).refine_fully()
 
@@ -1175,7 +1191,7 @@ class TestChecksKept:
         for a, b in ((source, target), (target, source)):
             hop = index.path(a, b)[1]
             assert index.network.has_edge(hop, a)
-            self._corrupt(index, hop, b, "colors", a)
+            self._corrupt(index, hop, b, "colors", out_rank(index.network, hop, a))
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_next_hop_cycle_is_not_served_as_an_exact_distance(

@@ -41,7 +41,7 @@ from repro.query import (
 from repro.datasets import random_vertex_objects
 from repro.geometry.grid import GridEmbedding
 from repro.geometry.rect import Rect
-from repro.network.errors import EdgeNotFound, PathNotFound
+from repro.network.errors import PathNotFound
 from repro.network.dijkstra import IncrementalDijkstra
 from repro.network import (
     SpatialNetwork,
@@ -57,6 +57,7 @@ from repro.query.location import resolve_location, source_anchors
 from repro.shard import ShardGroup
 from repro.silc.refinement import RefinementCounter
 from repro.silc.sp_quadtree import SPQuadtreeBuilder, choose_grid_order
+from repro.quadtree.blocks import column_dtypes
 from repro.silc.store import FlatStore
 
 
@@ -609,9 +610,11 @@ def assembled(net, embedding, codes) -> SILCIndex:
     ``SILCIndex.build`` does, minus its choice of grid and its refusal
     of a network that is not strongly connected."""
     store = FlatStore.from_chunks(
-        net.num_vertices, SPQuadtreeBuilder(net, embedding, codes).chunks()
+        net.num_vertices,
+        SPQuadtreeBuilder(net, embedding, codes).chunks(),
+        column_dtypes(net.max_out_degree),
     )
-    return SILCIndex(net, embedding, codes, store.validate())
+    return SILCIndex(net, embedding, codes, store.validate(net.out_degrees()))
 
 
 def cut_in_two(seed: int):
@@ -663,13 +666,14 @@ def walked(index, s, t, prefix):
 def test_exact_finish_from_any_prefix_is_the_stepwise_refinement(kind, seed, s, t):
     net, index, D = cut_in_two(seed) if kind == "cut" else setup(seed, kind)
     if np.isinf(D[s, t]):
-        # The other component: the first hop is -1, and the walk names
-        # the failure exactly as a refinement step does.
-        with pytest.raises(EdgeNotFound) as stepwise:
-            index.refinable(s, t).refine()
-        with pytest.raises(EdgeNotFound) as walk:
-            index.refinable(s, t).refine_fully()
-        assert str(walk.value) == str(stepwise.value) == f"'no edge {s} -> -1'"
+        # The other component: the colour is -1 (no path stored), and
+        # the state's first probe names the failure exactly as the
+        # index's own probe does.
+        with pytest.raises(PathNotFound) as state:
+            index.refinable(s, t)
+        with pytest.raises(PathNotFound) as probe:
+            index.hop_and_interval(s, t)
+        assert str(state.value) == str(probe.value) == f"no path from {s} to {t}"
         return
     links = len(index.path(s, t)) - 1
     stepwise = walked(index, s, t, links)  # refine_fully has nothing left

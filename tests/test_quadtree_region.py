@@ -11,7 +11,7 @@ from repro.quadtree.region import region_block_columns, split_levels
 from repro.silc.proximal import ProximalSILCIndex
 from repro.silc import SILCIndex
 from repro.silc.coloring import coloring_chunks
-from reference import BlockTable, build_region_blocks
+from reference import BlockTable, build_region_blocks, ranked
 
 
 def build_from_cells(cells, colors, values, order=3):
@@ -87,10 +87,11 @@ class TestBuilder:
             build_region_blocks(np.array([0]), np.array([1]), np.array([1.0]), order)
 
     def test_empty_input(self):
-        t = build_region_blocks(np.empty(0), np.empty(0), np.empty(0), 3)
+        colors = np.empty(0, dtype=np.int8)  # a stored colour's dtype
+        t = build_region_blocks(np.empty(0), colors, np.empty(0), 3)
         assert len(t) == 0
         assert column_bytes(t) == column_bytes(
-            stack_walk_blocks(np.empty(0), np.empty(0), np.empty(0), 3)
+            stack_walk_blocks(np.empty(0), colors, np.empty(0), 3)
         )
 
 
@@ -220,12 +221,13 @@ def stack_walk_blocks(sorted_codes, colors, values, grid_order):
         stack.append((code + step, level - 1, cut1, cut2))
         stack.append((code, level - 1, lo, cut1))
 
-    # The one change since: the lambdas go through the same outward
-    # narrowing as the kernel's, and the codes are stored as uint32.
+    # The changes since: the lambdas go through the same outward
+    # narrowing as the kernel's, the codes are stored as uint32, and the
+    # colours keep the dtype they came in.
     return BlockTable.view(
         np.array(out_codes, dtype=np.uint32),
         np.array(out_levels, dtype=np.int8),
-        np.array(out_colors, dtype=np.int32),
+        np.array(out_colors, dtype=colors.dtype),
         *narrow_lambda(np.array(out_lmin), np.array(out_lmax)),
     )
 
@@ -356,7 +358,7 @@ class TestIndexParity:
                 assert column_bytes(index.tables[source]) == column_bytes(
                     stack_walk_blocks(
                         index.vertex_codes[order],
-                        row_colors[order],
+                        ranked(small_net, source, row_colors)[order],
                         row_ratios[order],
                         index.embedding.order,
                     )

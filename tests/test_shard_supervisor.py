@@ -27,6 +27,7 @@ from repro.datasets import random_vertex_objects
 from repro.engine import QueryEngine
 from repro.errors import DeadlineExceeded, WorkerDied
 from repro.faults import FaultInjector
+from repro.network import SpatialNetwork
 from repro.obs import Tracer
 from repro.shard import ShardGroup
 from repro.shard.worker import BACKOFF_BASE, BACKOFF_CAP, BACKOFF_JITTER, backoff, spawn_worker
@@ -125,8 +126,11 @@ class TestRespawnPolicy:
         self, setup, tmp_path
     ):
         """Workers map the directory the server mapped; another
-        network's index published there (same vertex count, so every
-        shape check passes) must not be served by a replacement."""
+        network's index published there must not be served by a
+        replacement.  One with the same out-edge lists and other
+        weights passes every shape and digest check and is refused by
+        the manifest the tier started with; one with other edges is
+        refused by its out-edge digest before that."""
         net, engine = setup
         engine.index.save(tmp_path / "index")
         mapped = QueryEngine(
@@ -135,7 +139,9 @@ class TestRespawnPolicy:
         group = ShardGroup.from_engine(mapped, 2)
         try:
             assert group.directory == tmp_path / "index"
-            other = road_like_network(net.num_vertices, seed=6)
+            other = SpatialNetwork(
+                net.xs, net.ys, [(u, v, 1.5 * w) for u, v, w in net.iter_edges()]
+            )
             SILCIndex.build(other).save(tmp_path / "index")
             shard = SERVING
             group.workers[shard].kill()
@@ -152,6 +158,12 @@ class TestRespawnPolicy:
             replacement = spawn_worker(replace(group.spec, shard_id=shard))
             with pytest.raises(RuntimeError, match="failed to start: CorruptIndexError: "
                                "index directory changed since the shard tier started"):
+                replacement.ping()
+            replacement.stop()
+            SILCIndex.build(road_like_network(net.num_vertices, seed=6)).save(tmp_path / "index")
+            replacement = spawn_worker(replace(group.spec, shard_id=shard))
+            with pytest.raises(RuntimeError, match="failed to start: CorruptIndexError: "
+                               ".*column 'out_edges_digest' does not match"):
                 replacement.ping()
             replacement.stop()
         finally:

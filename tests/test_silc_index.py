@@ -8,6 +8,7 @@ import pytest
 from repro.geometry.morton import block_cells, morton_encode
 from repro.network.errors import DisconnectedNetwork, VertexNotFound
 from repro.network import SpatialNetwork
+from repro.quadtree.blocks import COLUMN_DTYPES
 from repro.silc.store import FlatStore, empty_columns
 from repro.silc import SILCIndex
 
@@ -42,7 +43,11 @@ class TestBuild:
                 small_net,
                 small_index.embedding,
                 small_index.vertex_codes,
-                FlatStore(np.zeros(small_net.num_vertices, dtype=np.int64), **empty_columns()),
+                FlatStore(
+                    np.zeros(small_net.num_vertices, dtype=np.int64),
+                    **empty_columns(),
+                    dtypes=COLUMN_DTYPES,
+                ),
             )
 
 
@@ -147,9 +152,10 @@ class TestStorageStats:
         assert small_index.storage_bytes(16) == small_index.total_blocks() * 16
 
     def test_storage_bytes_are_the_column_bytes(self, small_index):
-        """One record size: the default is what the columns hold, 17 B."""
+        """One record size: the default is what the columns hold, 14 B."""
         assert small_index.storage_bytes() == small_index.store.nbytes()
-        assert small_index.store.nbytes() == 17 * small_index.total_blocks()
+        assert small_index.store.nbytes() == 14 * small_index.total_blocks()
+        assert small_index.record_bytes == 14
 
     def test_attach_storage_validates_layout(self, small_index, grid_index):
         sim = grid_index.make_storage()
@@ -195,3 +201,65 @@ class TestPersistence:
         loaded = SILCIndex.load(path, small_net)
         assert loaded.embedding.order == small_index.embedding.order
         assert loaded.embedding.bounds == small_index.embedding.bounds
+
+
+class TestAWideHub:
+    """A hub with 200 out-edges: its ranks do not fit int8, so the
+    network gives the index int16 colours (15-byte blocks)."""
+
+    @pytest.fixture(scope="class")
+    def hub(self):
+        spokes = 200
+        angles = np.linspace(0.0, 2.0 * np.pi, spokes, endpoint=False)
+        xs = np.concatenate([[0.0], 10.0 * np.cos(angles)])
+        ys = np.concatenate([[0.0], 10.0 * np.sin(angles)])
+        edges = []
+        for i in range(1, spokes + 1):
+            j = i % spokes + 1  # the next vertex round the rim
+            rim = math.hypot(xs[i] - xs[j], ys[i] - ys[j])
+            spoke = 10.0 * (1.0 + 0.01 * (i % 7))  # no two spokes tie
+            edges += [(0, i, spoke), (i, 0, spoke), (i, j, rim), (j, i, rim)]
+        net = SpatialNetwork(xs, ys, edges)
+        assert net.max_out_degree == spokes
+        return net, SILCIndex.build(net)
+
+    def test_int16_colours_and_15_byte_blocks(self, hub):
+        net, index = hub
+        assert index.store.colors.dtype == np.int16
+        assert index.store.colors.max() == net.max_out_degree - 1  # the hub's last spoke
+        assert index.record_bytes == 15
+        assert index.storage_bytes() == index.store.nbytes() == 15 * index.total_blocks()
+        assert index.make_storage().layout.records_per_page == 4096 // 15
+
+    def test_every_distance_and_path_is_dijkstra(self, hub):
+        from repro.network import distance_matrix
+
+        net, index = hub
+        D = distance_matrix(net)
+        for s in net.vertices():
+            for t in range(0, net.num_vertices, 3):
+                path, d = index.route(s, t)
+                assert d == pytest.approx(D[s, t], rel=1e-12)
+                assert path[0] == s and path[-1] == t
+                assert sum(net.edge_weight(u, v) for u, v in zip(path, path[1:])) == (
+                    pytest.approx(d, rel=1e-12)
+                )
+
+    @pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+    def test_a_saved_hub_index_loads_and_a_narrowed_one_is_refused(
+        self, hub, tmp_path, mmap
+    ):
+        from repro.errors import CorruptIndexError
+        from repro.integrity import write_manifest
+
+        net, index = hub
+        index.save(tmp_path / "index")
+        loaded = SILCIndex.load(tmp_path / "index", net, mmap=mmap)
+        assert loaded.distance(1, 101) == index.distance(1, 101)
+        colors = tmp_path / "index" / "colors.npy"
+        np.save(colors, np.load(colors).astype(np.int8))
+        write_manifest(tmp_path / "index")
+        with pytest.raises(CorruptIndexError) as exc:
+            SILCIndex.load(tmp_path / "index", net, mmap=mmap)
+        assert exc.value.column == "colors"
+        assert "column 'colors' holds |i1 items, expected <i2" in str(exc.value)

@@ -5,6 +5,9 @@ import pytest
 
 from repro.network.errors import PathNotFound
 from repro.network import distance_matrix, road_like_network
+import repro.silc.index as silc_index
+import repro.silc.proximal as proximal
+import repro.silc.refinement as refinement
 from repro.silc import SILCIndex
 from repro.silc.proximal import BeyondHorizonError, ProximalSILCIndex
 
@@ -99,6 +102,37 @@ class TestQueries:
             assert storage.stats.accesses == 1
         finally:
             prox.detach_storage()
+
+    def test_a_probe_bisects_once(self, proximal_setup, monkeypatch):
+        """``hop_and_interval`` locates its row once, answered or beyond
+        the horizon, and a refinement state's probe does too: the
+        horizon is the colour of the row it found."""
+        net, _, _, prox = proximal_setup
+        bisects = []
+        real = silc_index.bisect_right
+
+        def counting(*args):
+            bisects.append(args)
+            return real(*args)
+
+        # Every module a proximal probe runs in (proximal.py has no
+        # bisect of its own: one it grew would be counted too).
+        for module in (silc_index, refinement, proximal):
+            monkeypatch.setattr(module, "bisect_right", counting, raising=False)
+        answered = beyond = 0
+        for source in range(0, net.num_vertices, 5):
+            for target in range(net.num_vertices):
+                if target == source:
+                    continue
+                for probe in (prox.hop_and_interval, prox.refinable):
+                    del bisects[:]
+                    try:
+                        probe(source, target)
+                        answered += 1
+                    except BeyondHorizonError:
+                        beyond += 1
+                    assert len(bisects) == 1, (probe, source, target)
+        assert answered > 100 and beyond > 100
 
     def test_within_horizon_predicate(self, proximal_setup):
         net, D, radius, prox = proximal_setup

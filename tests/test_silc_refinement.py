@@ -137,10 +137,10 @@ class TestWalkHome:
     def _detour(index, source, target, toward):
         """``(vertex, row, wrong)``: a vertex the walk toward ``toward``
         probes on the path from ``source`` to ``target``, its table row
-        for ``toward``'s cell and an existing neighbour other than the
-        row's colour, whose own path to ``toward`` avoids the vertex and
-        which lands the walk outside the state's first bounds -- or
-        None.  A forward walk probes the path's inner vertices; a walk
+        for ``toward``'s cell and the rank of an out-edge other than the
+        row's colour, whose target's own path to ``toward`` avoids the
+        vertex and which lands the walk outside the state's first bounds
+        -- or None.  A forward walk probes the path's inner vertices; a walk
         home probes from the target down to the vertex after the
         source's first hop, which it knows from the state."""
         hi = index.refinable(source, target).hi
@@ -149,8 +149,8 @@ class TestWalkHome:
         for vertex in path[2:] if toward == source else path[1:-1]:
             codes, _, colors, _, _ = index.tables[vertex].columns
             row = bisect.bisect_right(codes, index._vcodes[toward]) - 1
-            for wrong, weight in sorted(index.network.out_weights[vertex].items()):
-                rest, far = index.route(wrong, toward)
+            for wrong, (neighbour, weight) in enumerate(index.network.out_edges[vertex]):
+                rest, far = index.route(neighbour, toward)
                 if wrong == colors[row] or vertex in rest:
                     continue
                 if index.distance(start, vertex) + weight + far > hi * (1 + 1e-6):

@@ -14,11 +14,12 @@ from repro.network.errors import PathNotFound
 from repro.objects import ObjectIndex
 from repro.query.distances import QueryHandle
 from repro.objects.model import VertexPosition
+from repro.quadtree.blocks import COLUMN_DTYPES, column_dtypes
 from repro.silc.store import FlatStore, empty_columns
 from repro.silc.proximal import BEYOND, ProximalSILCIndex
 from repro.silc import SILCIndex, update_index
 from repro.silc.index import _REL_PAD
-from reference import BlockTable, iter_nodes, table_of
+from reference import BlockTable, iter_nodes, out_rank, table_of
 
 TABLE_COLUMNS = ("codes", "levels", "colors", "lam_min", "lam_max")
 
@@ -44,6 +45,27 @@ class TestFlatStore:
             assert np.shares_memory(table.codes, store.codes)
             assert table.codes[0] == store.codes[lo]
 
+    @pytest.mark.parametrize("bad", ["out-degree", "-3"])
+    def test_validate_refuses_a_colour_naming_no_out_edge(
+        self, small_net, small_index, tmp_path, bad
+    ):
+        """A rank at its vertex's out-degree, or below ``OWN_VERTEX``:
+        refused by the store's one pass, and so by an eager load."""
+        store, v = small_index.store, 7
+        degrees = small_net.out_degrees()
+        assert store.validate(degrees) is store  # ranks up to out-degree - 1 pass
+        columns = {name: col.copy() for name, col in store.column_arrays().items()}
+        row = int(store.offsets[v]) + 2
+        columns["colors"][row] = degrees[v] if bad == "out-degree" else int(bad)
+        corrupt = FlatStore.from_columns(store.sizes, columns, COLUMN_DTYPES)
+        with pytest.raises(ValueError, match=rf"row {row} \(table {v}\) has colour"):
+            corrupt.validate(degrees)
+        SILCIndex(small_net, small_index.embedding, small_index.vertex_codes, corrupt).save(
+            tmp_path / "index"
+        )
+        with pytest.raises(ValueError, match=rf"row {row} \(table {v}\) has colour"):
+            SILCIndex.load(tmp_path / "index", small_net)
+
     def test_sizes_match_tables(self, small_index):
         store = small_index.store
         assert store.sizes.tolist() == [len(t) for t in small_index.tables]
@@ -51,7 +73,7 @@ class TestFlatStore:
         assert store.num_tables == small_index.network.num_vertices
 
     def test_empty_store(self):
-        store = FlatStore(np.zeros(6, dtype=np.int64), **empty_columns())
+        store = FlatStore(np.zeros(6, dtype=np.int64), **empty_columns(), dtypes=COLUMN_DTYPES)
         assert store.num_tables == 5
         assert store.total_blocks == 0
         assert len(store) == 5
@@ -71,7 +93,9 @@ class TestFlatStore:
             chunks.append(
                 (vertices, store.sizes[vertices], {n: c[rows] for n, c in columns.items()})
             )
-        gathered = FlatStore.from_chunks(store.num_tables, chunks).validate()
+        gathered = FlatStore.from_chunks(store.num_tables, chunks, COLUMN_DTYPES).validate(
+            small_index.network.out_degrees()
+        )
         assert np.array_equal(gathered.offsets, store.offsets)
         for name, column in gathered.column_arrays().items():
             assert column.dtype == columns[name].dtype
@@ -211,7 +235,7 @@ def trimmed(index):
     columns = {name: col[keep] for name, col in store.column_arrays().items()}
     return SILCIndex(
         index.network, index.embedding, index.vertex_codes,
-        FlatStore.from_columns(sizes, columns),
+        FlatStore.from_columns(sizes, columns, column_dtypes(index.network.max_out_degree)),
     )
 
 
@@ -271,13 +295,14 @@ class TestColumnsAreTheProbeStructure:
                 assert all(type(x) is y for x, y in zip(hit, (int, float, float, int)))
                 d_e = math.hypot(xs[s] - xs[t], ys[s] - ys[t])
                 del pages[:]
+                assert expected[0] >= 0  # a rank: the probe names its edge's target
                 assert index.hop_and_interval(s, t) == (
-                    expected[0],
+                    net.out_edges[s][expected[0]][0],
                     expected[1] * d_e * (1.0 - _REL_PAD),
                     expected[2] * d_e * (1.0 + _REL_PAD),
                 )
                 page = layout.page_offsets[s] + expected[3] // layout.records_per_page
-                assert pages == ([] if expected[0] < 0 else [page])
+                assert pages == [page]
         index.detach_storage()
         if kind == "trimmed":
             # Before the first block, past the last one, an empty table.
@@ -298,7 +323,7 @@ class TestColumnsAreTheProbeStructure:
             assert view.obj is getattr(loaded.store, name)
             assert view.readonly
 
-    @pytest.mark.parametrize("column, value", [("colors", 123456), ("lam_min", 0.03125)])
+    @pytest.mark.parametrize("column, value", [("colors", 1), ("lam_min", 0.03125)])
     def test_a_written_row_is_what_the_next_probe_reads(
         self, tmp_path, small_net, small_index, column, value
     ):
@@ -317,8 +342,9 @@ class TestColumnsAreTheProbeStructure:
             small_net.xs[source] - small_net.xs[target],
             small_net.ys[source] - small_net.ys[target],
         )
-        if column == "colors":
-            assert after == (value, *before[1:])
+        if column == "colors":  # out-edge 1 of vertex 3, not its out-edge 3
+            assert before[0] != small_net.out_edges[source][value][0]
+            assert after == (small_net.out_edges[source][value][0], *before[1:])
         else:
             assert after == (before[0], value * d_e * (1.0 - _REL_PAD), before[2])
         assert index.tables[source].lookup(int(index.vertex_codes[target]))[
@@ -438,17 +464,17 @@ class TestAnEmptyTableIsEmpty:
     @pytest.mark.parametrize("walk", ["refine", "refine_fully"])
     def test_a_step_into_it(self, small_net, empty_after_full, walk):
         """A neighbour of ``u`` whose colour toward ``w`` is flipped to
-        ``u`` (in a copy): its first step lands on ``u``."""
+        its edge to ``u`` (in a copy): its first step lands on ``u``."""
         index, u, w, _, _ = empty_after_full
         s = next(v for v, _ in small_net.neighbors(u) if v != w)
         index = SILCIndex(
             index.network, index.embedding, index.vertex_codes,
             FlatStore(index.store.offsets, **{
                 name: col.copy() for name, col in index.store.column_arrays().items()
-            }),
+            }, dtypes=column_dtypes(small_net.max_out_degree)),
         )
         row = index.store.offsets[s] + index.tables[s].lookup(index._vcodes[w])[3]
-        index.store.colors[row] = u
+        index.store.colors[row] = out_rank(small_net, s, u)
         state = index.refinable(s, w)
         with pytest.raises(PathNotFound):
             getattr(state, walk)()
@@ -492,7 +518,9 @@ class TestAnEmptyTableIsEmpty:
         emptied = ProximalSILCIndex(
             small_net, index.embedding, index.vertex_codes,
             FlatStore.from_columns(
-                sizes, {name: col[keep] for name, col in store.column_arrays().items()}
+                sizes,
+                {name: col[keep] for name, col in store.column_arrays().items()},
+                column_dtypes(small_net.max_out_degree),
             ),
             index.radius,
         )

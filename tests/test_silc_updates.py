@@ -157,6 +157,30 @@ class TestUpdateIndex:
                 D[s, t], rel=1e-9, abs=1e-12
             )
 
+    def test_an_unused_shortcut_and_its_removal_match_full_rebuilds(self, update_setup):
+        """A colour is a rank in its vertex's out-edge list: a shortcut
+        ``a -> b`` slower than the road it skips is on no shortest path,
+        yet it shifts the ranks of ``a``'s later out-edges, so ``a``'s
+        table is rebuilt -- and rebuilt again when the shortcut goes.
+        Either way every probe of every pair answers as a full build."""
+        net, index = update_setup
+        D = distance_matrix(net)
+        a = 60
+        last = net.neighbors(a)[-1][0]
+        # Below ``a``'s last out-neighbour: that edge's rank shifts.
+        b = next(v for v in range(last) if v != a and not net.has_edge(a, v))
+        shortcut = net.with_edges([(a, b, 2.0 * D[a, b])])
+        assert not sources_using_edge(shortcut, a, b), "on no shortest path"
+        for old_index, new in ((index, shortcut), (SILCIndex.build(shortcut), net)):
+            patched, rebuilt = update_index(old_index, new)
+            assert a in rebuilt
+            full = SILCIndex.build(new)
+            for name, column in full.store.column_arrays().items():
+                assert np.array_equal(getattr(patched.store, name), column), name
+            for s in new.vertices():
+                for t in new.vertices():
+                    assert patched.hop_and_interval(s, t) == full.hop_and_interval(s, t)
+
     def test_rebuild_cost_is_local(self, update_setup):
         """Most sources survive a single local closure untouched."""
         net, index = update_setup

@@ -35,10 +35,12 @@ from repro.integrity import (
     verify_manifest,
     write_manifest,
 )
+from repro.network.graph import SpatialNetwork
 from repro.network.io import save_text
 from repro.oracle.labelling import LABEL_COLUMNS, PrunedLabellingOracle
 from repro.shard import ShardGroup
 from repro.silc import SILCIndex
+from repro.quadtree.blocks import OWN_VERTEX
 from repro.silc.store import COLUMNS
 
 
@@ -109,7 +111,9 @@ class TestAtomicDirectory:
 # every file in it x every kind of damage x both load modes.
 # ----------------------------------------------------------------------
 
-INDEX_META = ("sizes", "vertex_codes", "embedding_bounds", "embedding_order")
+INDEX_META = (
+    "sizes", "vertex_codes", "embedding_bounds", "embedding_order", "out_edges_digest",
+)
 
 #: Verified directory (by its name under ``pristine``) -> its files.
 LAYOUTS = {
@@ -155,8 +159,12 @@ def damage_cases():
         for column in (*columns, "MANIFEST"):
             for damage in DAMAGE:
                 for mode in ("eager", "mmap"):
+                    # The digest is compared with the network on every
+                    # load, so a flipped byte in it is caught mapped too.
                     served = (
-                        mode == "mmap" and damage == "flip" and column != "MANIFEST"
+                        mode == "mmap"
+                        and damage == "flip"
+                        and column not in ("MANIFEST", "out_edges_digest")
                     )
                     yield pytest.param(
                         layout, column, damage, mode == "mmap",
@@ -208,15 +216,27 @@ def test_wrong_dtype_fails_load(pristine, tmp_path, small_net, layout, mmap):
     assert np.dtype(dtype).str in str(exc.value)
 
 
+def save_vertex_id_colours(path, network) -> None:
+    """Re-save ``path``'s colours as the layouts before the 14-byte one
+    held them: the int32 id of each block's first hop (the table's own
+    vertex for its own block)."""
+    ranks = np.load(path / file_name("colors")).tolist()
+    owners = np.repeat(network.vertices(), np.load(path / file_name("sizes"))).tolist()
+    ids = [u if r == OWN_VERTEX else network.out_edges[u][r][0] for u, r in zip(owners, ranks)]
+    np.save(path / file_name("colors"), np.array(ids, dtype="<i4"))
+
+
 @pytest.fixture()
 def old_layout(pristine, tmp_path, small_net):
     """The index re-saved in the 29-byte layout the 17-byte one replaced
-    (int64 codes, float64 lambdas) with a manifest that matches it: every
-    size and checksum agrees, so only the dtype check can refuse it."""
+    (int64 codes, int32 vertex-id colours, float64 lambdas) with a
+    manifest that matches it: every size and checksum agrees, so only
+    the dtype check can refuse it."""
     path = tmp_path / "index"
     shutil.copytree(pristine / "index", path)
     for column, dtype in (("codes", "<i8"), ("lam_min", "<f8"), ("lam_max", "<f8")):
         np.save(path / file_name(column), np.load(path / file_name(column)).astype(dtype))
+    save_vertex_id_colours(path, small_net)
     write_manifest(path)
     verify_manifest(path, deep=True)
     save_text(small_net, tmp_path / "net.txt")
@@ -250,6 +270,82 @@ def test_a_sharded_mapped_server_refuses_the_old_layout(old_layout, monkeypatch,
     assert err.startswith("repro serve: error: corrupt index") and err.count("\n") == 1
     assert "column 'codes' holds <i8 items, expected <u4" in err
     assert "rebuild it with `repro build`" in err
+
+
+@pytest.fixture()
+def vertex_id_colours(pristine, tmp_path, small_net):
+    """The index re-saved in the 17-byte layout the 14-byte one replaced
+    (int32 vertex-id colours) with a manifest that matches it."""
+    path = tmp_path / "index"
+    shutil.copytree(pristine / "index", path)
+    save_vertex_id_colours(path, small_net)
+    write_manifest(path)
+    verify_manifest(path, deep=True)
+    save_text(small_net, tmp_path / "net.txt")
+    return path
+
+
+@pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+def test_an_index_with_vertex_id_colours_is_refused_by_name(
+    vertex_id_colours, small_net, mmap
+):
+    with pytest.raises(CorruptIndexError) as exc:
+        SILCIndex.load(vertex_id_colours, small_net, mmap=mmap)
+    assert exc.value.column == "colors"
+    assert "column 'colors' holds <i4 items, expected |i1" in str(exc.value)
+    assert "rebuild it with `repro build`" in str(exc.value)
+
+
+def test_a_sharded_mapped_server_refuses_vertex_id_colours(
+    vertex_id_colours, monkeypatch, capsys
+):
+    """The CLI reports the refusal as one line and exits 2."""
+    def spawned(spec):
+        raise AssertionError(f"a worker was spawned on {spec.directory}")
+
+    monkeypatch.setattr("repro.shard.worker.spawn_worker", spawned)
+    assert main([
+        "serve", str(vertex_id_colours.parent / "net.txt"), str(vertex_id_colours),
+        "--shards", "2", "--mmap", "--input", os.devnull,
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro serve: error: corrupt index") and err.count("\n") == 1
+    assert "column 'colors' holds <i4 items, expected |i1" in err
+    assert "rebuild it with `repro build`" in err
+
+
+def edited(network, edit: str) -> SpatialNetwork:
+    """``network`` with one edge added at vertex 0, removed from it, or
+    re-pointed (the out-degrees unchanged, one target different)."""
+    edges = list(network.iter_edges())
+    (u, v, w), *_ = edges
+    stranger = next(x for x in network.vertices() if x != u and x not in network.out_weights[u])
+    if edit == "added":
+        edges.append((u, stranger, w))
+    elif edit == "removed":
+        edges.remove((u, v, w))
+    else:
+        edges[edges.index((u, v, w))] = (u, stranger, w)
+    return SpatialNetwork(network.xs, network.ys, edges)
+
+
+@pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+@pytest.mark.parametrize("edit", ["added", "removed", "retargeted"])
+def test_an_index_loaded_with_an_edited_network_is_refused(
+    pristine, small_net, tmp_path, edit, mmap
+):
+    """A colour is a rank in its vertex's out-edge list: under a network
+    whose lists differ, every rank after the changed slot would name
+    another real edge, so the load refuses it before any query."""
+    other = edited(small_net, edit)
+    assert other.num_vertices == small_net.num_vertices
+    with pytest.raises(CorruptIndexError) as exc:
+        SILCIndex.load(pristine / "index", other, mmap=mmap)
+    assert exc.value.column == "out_edges_digest"
+    assert "built for a different network" in str(exc.value)
+    assert "rebuild it with `repro build`" in str(exc.value)
+    save_text(other, tmp_path / "net.txt")
+    assert main(["knn", str(tmp_path / "net.txt"), str(pristine / "index"), "--query", "0"]) == 2
 
 
 class TestIndexLoadRejectsCorruption:

@@ -10,10 +10,15 @@ set after the load and after each round, split into anonymous memory
 among them).  It fails when the heap has grown by more than
 ``GROWTH_LIMIT`` x the index's column bytes since the load -- row lists
 kept per probed vertex read 7 x; probing the columns in place reads
-0.45 x at 1000 vertices and 1.3 x at 400 (fixed first-touch costs over a
-smaller index; 17-byte blocks halved the divisor, from 0.26 x and
-0.65 x at 29 bytes), nearly all of it in round 1 -- or when it still
-grows by more than ``DRIFT_LIMIT`` from round 2 to the last round.
+0.47 x at 1000 vertices and 1.3-1.6 x at 400 (0.30 MB of 14-byte
+blocks: fixed first-touch costs over a smaller index), nearly all of
+it in round 1 -- or when it still grows by more than ``DRIFT_LIMIT``
+from round 2 to the last round.  Each narrower block shrank the
+divisor under the same heap (0.26 x and 0.65 x at 29 bytes, 1.7 x at
+400 vertices with 17); at 14 bytes the first query's int64 copies of
+the Morton decode tables (256 KiB at grid order 7) read 2.0 x on their
+own, so the decode reads a code's low 16 bits through the uint8 tables
+in place.
 
 It then starts the 2-shard tier on that engine and sends it 40 kNN
 queries: the workers must map the very files this process
