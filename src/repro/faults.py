@@ -128,7 +128,7 @@ def corrupt_file(path: str | Path, offset: int = -1, flip: int = 0xFF) -> None:
 
     ``offset`` indexes from the end when negative (the default hits
     the last byte -- past the numpy header, inside the data).  Size
-    checks cannot catch this; only the deep checksum verification can.
+    checks cannot catch this; the checksum every load verifies does.
     """
     path = Path(path)
     size = path.stat().st_size

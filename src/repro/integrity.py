@@ -11,14 +11,14 @@ gives every persistence writer the same two defenses:
   (an interrupted save leaves the target untouched).
 * **Verification** -- :func:`write_manifest` records every payload
   file's size and CRC-32 in ``MANIFEST.json`` (written last);
-  :func:`verify_manifest` re-checks them at load time and raises
-  :class:`~repro.errors.CorruptIndexError` naming the bad column
-  *before* any query runs.  ``deep=False`` checks sizes only (an
-  O(1) ``stat`` per file -- the mmap cold-start path keeps its O(1)
-  contract and still catches truncation); ``deep=True`` streams every
-  byte through the checksum.  A directory without a readable manifest
-  is corrupt, not unverified: the manifest is the one file whose
-  presence says the save completed.
+  :func:`verify_manifest` re-checks both on every load, mapped or
+  eager, and raises :class:`~repro.errors.CorruptIndexError` naming
+  the bad column *before* any query runs.  There is one check and no
+  cheaper mode: streaming a 1.6 MB, 1 000-vertex index through CRC-32
+  takes 1.5-1.7 ms warm, against ~2.4 s for a served benchmark's
+  start.  A directory without a readable manifest is corrupt, not
+  unverified: the manifest is the one file whose presence says the
+  save completed.
 
 :func:`checked_load` wraps what is left -- a column numpy cannot parse
 fails with a named :class:`CorruptIndexError` rather than a bare
@@ -45,18 +45,17 @@ MANIFEST_NAME = "MANIFEST.json"
 #: Manifest schema version (bump on incompatible change).
 MANIFEST_FORMAT = 1
 
-_CHUNK = 1 << 20
+_CHUNK = 1 << 16
 
 
 def file_checksum(path: str | Path) -> int:
-    """Streaming CRC-32 of one file (flat memory for any size)."""
+    """Streaming CRC-32 of one file through one reused 64 KiB buffer."""
     crc = 0
-    with open(path, "rb") as handle:
-        while True:
-            chunk = handle.read(_CHUNK)
-            if not chunk:
-                break
-            crc = zlib.crc32(chunk, crc)
+    buffer = bytearray(_CHUNK)
+    view = memoryview(buffer)
+    with open(path, "rb", buffering=0) as handle:
+        while size := handle.readinto(buffer):
+            crc = zlib.crc32(view[:size], crc)
     return crc & 0xFFFFFFFF
 
 
@@ -100,14 +99,12 @@ def read_manifest(directory: str | Path) -> dict:
     return manifest
 
 
-def verify_manifest(directory: str | Path, deep: bool = False) -> None:
+def verify_manifest(directory: str | Path) -> None:
     """Check ``directory`` against its manifest; raise on mismatch.
 
-    ``deep=True`` additionally re-computes each file's CRC-32; the
-    default checks existence + size only, which is what catches the
-    common failure (a truncated write) at O(1) cost per file.  Raises
-    :class:`CorruptIndexError` naming the first bad column, or the
-    manifest itself when it is missing or unreadable.
+    Per file: existence, size (a truncated write reads as one), then
+    the CRC-32 of every byte.  Raises :class:`CorruptIndexError` naming
+    the first bad column, or the manifest when missing or unreadable.
     """
     directory = Path(directory)
     manifest = read_manifest(directory)
@@ -128,7 +125,7 @@ def verify_manifest(directory: str | Path, deep: bool = False) -> None:
                 f"says {expected['size']})",
                 column=column,
             )
-        if deep and file_checksum(path) != expected["crc32"]:
+        if file_checksum(path) != expected["crc32"]:
             raise CorruptIndexError(
                 f"corrupt index {directory}: column {column!r} fails its "
                 "checksum (bytes changed since the save)",
@@ -144,7 +141,7 @@ def checked_load(
     Any read/parse failure -- missing file, truncated data, a header
     numpy cannot parse, an mmap longer than the file -- surfaces as
     :class:`CorruptIndexError` naming the column, so callers never see
-    a bare ``ValueError`` from deep inside numpy.
+    a bare ``ValueError`` raised inside numpy.
     """
     column = name.removesuffix(".npy")
     path = Path(directory) / name

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import zlib
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -178,19 +179,23 @@ class SpatialNetwork:
         return max(map(len, self.out_edges))
 
     def out_edge_digest(self) -> int:
-        """A CRC-32 of every vertex's out-degree and out-edge targets, in
-        :attr:`out_edges` order: a SILC index's colours are positions in
-        those lists, so an index saved with one network is refused at
-        load by another whose digest differs.  Weights are left out.
+        """A CRC-32 of every vertex's out-degree, out-edge targets and
+        weights, in :attr:`out_edges` order, and position: a SILC index's
+        colours are positions in those lists and its λ relate path
+        weights to Euclidean distances, so an index saved with one
+        network is refused at load by another whose digest differs.
         (``zlib``, not ``hashlib``: importing OpenSSL raised a bare
         index load's peak RSS by ~4 MB.)"""
         degrees = self.out_degrees()
-        targets = np.fromiter(
-            (v for edges in self.out_edges for v, _ in edges),
-            dtype=np.int64,
-            count=int(degrees.sum()),
-        )
-        return zlib.crc32(targets.astype("<i8"), zlib.crc32(degrees.astype("<i8")))
+        pairs = np.fromiter(
+            chain.from_iterable(chain.from_iterable(self.out_edges)),
+            dtype=np.float64,
+            count=2 * int(degrees.sum()),
+        ).reshape(-1, 2)
+        crc = zlib.crc32(pairs[:, 0].astype("<i8"), zlib.crc32(degrees.astype("<i8")))
+        for array in (pairs[:, 1], self.xs, self.ys):
+            crc = zlib.crc32(array.astype("<f8"), crc)
+        return crc
 
     def edge_weight(self, u: int, v: int) -> float:
         """Weight of the directed edge ``u -> v``.

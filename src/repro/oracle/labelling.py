@@ -23,8 +23,8 @@ O(N) of full landmark tables).
 
 Storage follows the PR-4 :class:`~repro.silc.store.FlatStore` idiom:
 six flat numpy columns (per-side offsets + concatenated hub/dist
-arrays), saved as one ``.npy`` each so ``load(..., mmap=True)`` is an
-O(1) cold start off the same directory layout as the SILC index.
+arrays), saved as one ``.npy`` each so ``load(..., mmap=True)`` maps
+them off the same directory layout as the SILC index.
 """
 
 from __future__ import annotations
@@ -346,19 +346,18 @@ class PrunedLabellingOracle:
     ) -> PrunedLabellingOracle:
         """Restore a saved labelling for the same network.
 
-        ``mmap=True`` memory-maps the hub/dist columns so cold start
-        touches O(num_vertices) offset bytes and label pages fault in
-        on first scan -- the same contract as
+        ``mmap=True`` memory-maps the hub/dist columns, so label pages
+        fault into the process on first scan -- the same contract as
         :meth:`SILCIndex.load(mmap=True) <repro.silc.SILCIndex.load>`.
 
-        The saved manifest is verified first (sizes always, checksums
-        on eager loads); a truncated or corrupted column raises
+        The saved manifest is verified first, every byte on both
+        paths; a truncated or corrupted column raises
         :class:`~repro.errors.CorruptIndexError` naming it before any
         query can run.
         """
         directory = Path(path)
         mode = "r" if mmap else None
-        verify_manifest(directory, deep=not mmap)
+        verify_manifest(directory)
         columns = {
             name: checked_load(directory, f"{name}.npy", mmap_mode=mode)
             for name in LABEL_COLUMNS

@@ -38,8 +38,8 @@ class AsyncEngine:
     shards:
         Shard worker *processes* for kNN execution.  ``1`` (the
         default) keeps everything in-process; with more, construction
-        deep-verifies the index directory once and spawns ``shards``
-        worker processes that each map it and hold every object (see
+        spawns ``shards`` worker processes that each map the index and
+        hold every object (see
         :class:`~repro.shard.ShardGroup`).  A sharded query runs on
         the loop thread, which waits on its worker's pipe.
     shard_dir:

@@ -3,8 +3,8 @@
 The pure-Python search is GIL-bound, so threads cannot overlap it; this
 package is the system's one form of query parallelism, worker
 *processes*.  :mod:`repro.shard.worker` runs them: every worker maps
-the one saved index directory (deep-verified once before the first
-starts, so the OS page cache holds the index once) and holds every
+the one saved index directory (every load verifies every byte of it;
+the OS page cache holds the index once) and holds every
 object.  Its :class:`~repro.shard.worker.ShardGroup` is the pool behind
 ``knn`` / ``knn_batch``: each kNN query goes to one idle worker, taken
 from a LIFO stack, and a worker that dies is respawned and the query

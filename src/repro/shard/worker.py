@@ -50,11 +50,12 @@ metrics repeat; concurrent callers each get their own slot, waiting
 when all are lent.  A slot whose worker is down goes back to the
 *bottom*, so the next query takes a healthy worker.
 
-**Integrity**: a mapped load checks sizes, dtypes and shapes, not
-checksums, so :meth:`ShardGroup.from_engine` deep-verifies the
-directory before any worker exists, and a worker (spawn or respawn)
-that finds another ``MANIFEST.json`` than the one that passed refuses
-to start.
+**Integrity**: every load checks every byte, so a directory served in
+place was verified by the load that mapped it, and
+:meth:`ShardGroup.from_engine` verifies a copy it wrote before any
+worker exists.  A worker's own load (spawn or respawn) refuses bytes
+flipped since, and one that finds another ``MANIFEST.json`` than the
+one the tier started with refuses to start.
 """
 
 from __future__ import annotations
@@ -241,7 +242,7 @@ class WorkerSpec:
     A crashed worker is rebuilt identically -- same directory, network,
     objects and storage simulation -- which is what makes a replay
     answer-preserving, so it is checked: ``manifest`` is the directory's
-    ``MANIFEST.json`` as the parent read it after its deep verify.
+    ``MANIFEST.json`` as the parent read it when the tier started.
     """
 
     directory: str
@@ -302,11 +303,14 @@ class ShardWorker:
             try:
                 _send_frame(self._fd, message)
             except OSError as exc:
-                raise self._died(f"pipe broke on send: {exc}") from exc
-            self._deadline = None if timeout is None else time.monotonic() + timeout
-            response = _recv_frame(self._fd, self._wait)
-            if response is None:
-                raise self._died("died mid-request")
+                # The other end is closed, so this read cannot block: a
+                # worker that failed to start left its reason in the pipe.
+                if (response := _recv_frame(self._fd)) is None:
+                    raise self._died(f"pipe broke on send: {exc}") from exc
+            else:
+                self._deadline = None if timeout is None else time.monotonic() + timeout
+                if (response := _recv_frame(self._fd, self._wait)) is None:
+                    raise self._died("died mid-request")
         if response[0] == "expired":
             raise DeadlineExceeded(response[1])
         if response[0] == "error":
@@ -447,12 +451,12 @@ class ShardGroup:
         """Serve ``engine``'s index and objects from ``num_shards``
         worker processes, each holding every object.
 
-        Deep-verifies the directory the workers map (a
-        :class:`~repro.errors.CorruptIndexError` names the bad column
-        before any worker exists), then spawns and pings every worker.
         An explicit ``directory`` gets ``index.save``; a mapped index is
         served in place (nothing written); an in-memory one is saved to
-        a private temporary directory, removed on :meth:`close`.
+        a private temporary directory, removed on :meth:`close`.  A copy
+        it saved is verified (a :class:`~repro.errors.CorruptIndexError`
+        names the bad column before any worker exists), then every
+        worker is spawned and pinged.
         ``worker_storage`` (:meth:`~repro.silc.SILCIndex.make_storage`
         keywords) gives every worker its own storage simulator.
         """
@@ -469,7 +473,7 @@ class ShardGroup:
             else:
                 directory = Path(directory)
                 index.save(directory)
-            verify_manifest(directory, deep=True)
+                verify_manifest(directory)  # the bytes it wrote, not the ones it meant to
             spec = WorkerSpec(
                 directory=str(directory),
                 manifest=(directory / MANIFEST_NAME).read_bytes(),

@@ -171,22 +171,19 @@ class RefinableDistance:
         clamped to the previous ones (collapsing to the midpoint if
         float error made them disjoint; disjoint by more than that is
         a ``ValueError``), so they are monotone even under
-        floating-point jitter.
+        floating-point jitter.  A probe that raises leaves the state
+        and the counter as they were.
         """
-        via = self.via
         target = self.target
-        if via == target:
+        if self.via == target:
             return False
-        index = self._index
         nxt = self._next_hop
         acc = self.acc + self._weight
-        self.acc = acc
-        self.via = nxt
-        if self._counter is not None:
-            self._counter.count += 1
         if nxt == target:
+            hop, weight = nxt, 0.0
             lo = hi = acc
         else:
+            index = self._index
             codes, levels, colors, lam_min, lam_max = index._columns
             start = index._offsets[nxt]
             cell = self._cell
@@ -197,7 +194,7 @@ class RefinableDistance:
             if rank < 0:
                 raise index.missing_hop(nxt, target, rank)
             try:
-                self._next_hop, self._weight = index.network.out_edges[nxt][rank]
+                hop, weight = index.network.out_edges[nxt][rank]
             except IndexError:
                 raise index.missing_hop(nxt, target, rank) from None
             storage = index.storage
@@ -223,8 +220,14 @@ class RefinableDistance:
                 if lo - hi > MAX_REL_GAP * lo:
                     raise invalid_bounds(lo, hi)
                 lo = hi = (lo + hi) / 2.0
+        self.via = nxt
+        self.acc = acc
+        self._next_hop = hop
+        self._weight = weight
         self.lo = lo
         self.hi = hi
+        if self._counter is not None:
+            self._counter.count += 1
         return True
 
     def refine_fully(
@@ -234,12 +237,13 @@ class RefinableDistance:
 
         The paper's path retrieval "in size-of-path steps" (p.17), in
         this one frame: per link, short of the target, one probe that
-        keeps :meth:`refine`'s checks (block containment, a valid lambda
-        row, a colour naming an out-edge, the page access), reads the
-        next hop and the link's weight, and computes no interval.
-        ``trail`` collects the vertices reached.  The distance it lands
-        on must lie inside the bounds it started from (within
-        :data:`MAX_REL_GAP`), else ``ValueError``.
+        keeps :meth:`refine`'s checks on the row it reads (block
+        containment, a colour naming an out-edge, the page access),
+        reads the next hop and the link's weight, and reads no λ: the
+        distance is the sum of the weights.  ``trail`` collects the
+        vertices reached.  The distance it lands on must lie inside the
+        bounds it started from (within :data:`MAX_REL_GAP`), else
+        ``ValueError``.
 
         ``max_steps`` guards against corrupted indexes; it defaults to
         the number of network vertices (no simple path is longer).
@@ -249,7 +253,7 @@ class RefinableDistance:
         limit = max_steps if max_steps is not None else len(out_edges)
         target, via, acc = self.target, self.via, self.acc
         nxt, weight = self._next_hop, self._weight
-        codes, levels, colors, lam_min, lam_max = index._columns
+        codes, levels, colors, _, _ = index._columns
         offsets = index._offsets
         cell = self._cell
         storage = index.storage
@@ -272,8 +276,6 @@ class RefinableDistance:
             row = bisect_right(codes, cell, start, offsets[via + 1]) - 1
             if row < start or cell >= codes[row] + (1 << 2 * levels[row]):
                 raise PathNotFound(via, target)
-            if not (0.0 <= lam_min[row] <= lam_max[row]):
-                raise invalid_bounds(lam_min[row], lam_max[row])
             rank = colors[row]
             if rank < 0:
                 raise index.missing_hop(via, target, rank)
@@ -303,9 +305,9 @@ class RefinableDistance:
         source itself at 0.0; this state's ``via`` and the next hop its
         last probe cached go in first.  Per link one probe of the
         vertex's table with the *source's* cell, keeping
-        :meth:`refine_fully`'s checks (block containment, a valid lambda
-        row, a colour naming an out-edge, the page access, the cycle
-        guard); the walk stops at the first vertex in ``known`` and adds
+        :meth:`refine_fully`'s checks (block containment, a colour
+        naming an out-edge, the page access, the cycle guard); the walk
+        stops at the first vertex in ``known`` and adds
         the weights it collected forward from there -- the float fold a
         forward walk makes along that path -- entering every vertex it
         passed into ``known``.  The walks of one query then cost the
@@ -324,7 +326,7 @@ class RefinableDistance:
         if hop not in known:
             known[hop] = acc + self._weight
             steps = 1
-        codes, levels, colors, lam_min, lam_max = index._columns
+        codes, levels, colors, _, _ = index._columns
         offsets = index._offsets
         cell = index._vcodes[source]
         storage = index.storage
@@ -343,8 +345,6 @@ class RefinableDistance:
             row = bisect_right(codes, cell, start, offsets[u + 1]) - 1
             if row < start or cell >= codes[row] + (1 << 2 * levels[row]):
                 raise PathNotFound(u, source)
-            if not (0.0 <= lam_min[row] <= lam_max[row]):
-                raise invalid_bounds(lam_min[row], lam_max[row])
             rank = colors[row]
             if rank < 0:
                 raise index.missing_hop(u, source, rank)

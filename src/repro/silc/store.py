@@ -19,11 +19,12 @@ The layout is what makes the rest of the zero-copy pipeline possible:
 * a probe bisects the store's own column ``memoryview``s between a
   vertex's two offsets, so neither a load nor a query keeps a Python
   object per block or a table object per vertex.  A mapped load of a
-  1 000-vertex road index takes 2.5-2.9 ms and keeps 0.16 MB of heap,
-  a 16 000-vertex one 3.9-4.6 ms and 2.44 MB; building a five-view
-  table per vertex took that to 5.3-6.0 ms / 1.17 MB and 102-106 ms /
-  18.6 MB.  What stays O(N) is the offsets, the vertex codes and
-  coordinates the index mirrors as lists, and the network.
+  1 000-vertex road index keeps 0.15 MB of heap, a 16 000-vertex one
+  2.33 MB (1.17 MB and 18.6 MB while it built a five-view table per
+  vertex); it takes 4.2-4.5 ms and 71-81 ms warm, most of it the CRC-32
+  of every byte (2.2-3.2 ms and 8-13 ms when it checked sizes only).
+  What stays O(N) is the offsets, the vertex codes and coordinates the
+  index mirrors as lists, and the network.
 
 ``store[v]`` builds vertex ``v``'s
 :class:`~repro.quadtree.blocks.BlockTable` view on demand for code

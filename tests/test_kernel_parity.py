@@ -1096,8 +1096,12 @@ class TestChecksKept:
         array[table.lookup(int(index.vertex_codes[target]))[3]] = value
 
     @pytest.mark.parametrize("bad", [float("nan"), -1e9])
-    def test_bad_lam_min_raises_before_any_neighbor(self, grid_net, index, bad):
+    def test_bad_lam_min_fails_a_step_and_no_walk_reads_it(self, grid_net, index, bad):
+        """A step's bounds come from λ, so a bad one fails the step; the
+        exact walks sum weights and read no λ, so the same rows leave
+        their distance exact (every saved byte is checked at load)."""
         source, hop, target = self._far_pair(index)
+        exact = index.distance(source, target)
         # The first probe (source's table) is clean; the one after the
         # first refinement step reads the corrupted row -- and a walk
         # home from the target first reads its table's row for the
@@ -1110,10 +1114,8 @@ class TestChecksKept:
         objects = ObjectSet.at_vertices(grid_net, [target])
         object_index = ObjectIndex(grid_net, objects, index.embedding)
         for variant in VARIANTS:
-            with pytest.raises(ValueError):
-                best_first_knn(
-                    index, object_index, source, 1, variant=variant, exact=True
-                )
+            result = best_first_knn(index, object_index, source, 1, variant=variant, exact=True)
+            assert [n.distance for n in result.neighbors] == [exact]
 
     def test_bad_lam_min_rejected_at_the_first_probe(self, index):
         source, _, target = self._far_pair(index)
@@ -1150,8 +1152,8 @@ class TestChecksKept:
             del loop_events[:]
             with pytest.raises(EdgeNotFound):
                 best_first_knn(index, object_index, 0, 1, variant=variant)
-            # the first step counted, then its probe raised
-            assert loop_events == run[:3]
+            # the first step's probe raised, so the step was not counted
+            assert loop_events == run[:2]
 
     def test_a_negative_vertex_id_is_refused(self, grid_net, index):
         """A negative id used to index from the end: a probe from -1 was

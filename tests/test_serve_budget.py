@@ -484,8 +484,10 @@ class TestRouteChecksKept:
 
     @pytest.mark.parametrize("bad", [float("nan"), -1e9])
     def test_bad_lam_min_raises_distances_error(self, index, bad):
-        source, hop, target = _far_pair(index)
-        _corrupt(index, hop, target, "lam_min", bad)
+        """The walk itself reads no λ: the one it refuses is the first
+        probe's, which builds the state's bounds."""
+        source, _, target = _far_pair(index)
+        _corrupt(index, source, target, "lam_min", bad)
         with pytest.raises(ValueError) as from_distance:
             index.distance(source, target)
         with pytest.raises(ValueError) as from_route:

@@ -26,7 +26,7 @@ from repro.cli import main
 from repro.datasets import random_vertex_objects
 from repro.engine import QueryEngine
 from repro.errors import DeadlineExceeded, WorkerDied
-from repro.faults import FaultInjector
+from repro.faults import FaultInjector, corrupt_file
 from repro.network import SpatialNetwork
 from repro.obs import Tracer
 from repro.shard import ShardGroup
@@ -125,12 +125,14 @@ class TestRespawnPolicy:
     def test_respawn_refuses_a_directory_published_under_the_tier(
         self, setup, tmp_path
     ):
-        """Workers map the directory the server mapped; another
-        network's index published there must not be served by a
-        replacement.  One with the same out-edge lists and other
-        weights passes every shape and digest check and is refused by
-        the manifest the tier started with; one with other edges is
-        refused by its out-edge digest before that."""
+        """Workers map the directory the server mapped; another index
+        published there must not be served by a replacement.  One of
+        the same network built for fewer sources passes every load
+        check and is refused by the manifest the tier started with; one
+        of the same out-edge lists with other weights is refused by its
+        digest before that; and the original bytes published again with
+        one flipped in place are refused by the replacement's own load,
+        although their manifest is the one the tier started with."""
         net, engine = setup
         engine.index.save(tmp_path / "index")
         mapped = QueryEngine(
@@ -139,15 +141,12 @@ class TestRespawnPolicy:
         group = ShardGroup.from_engine(mapped, 2)
         try:
             assert group.directory == tmp_path / "index"
-            other = SpatialNetwork(
-                net.xs, net.ys, [(u, v, 1.5 * w) for u, v, w in net.iter_edges()]
-            )
-            SILCIndex.build(other).save(tmp_path / "index")
+            SILCIndex.build(net, sources=range(10)).save(tmp_path / "index")
             shard = SERVING
             group.workers[shard].kill()
             results = [group.knn(query, K) for query in QUERIES[:3]]
             # The parent and slot 1 still map the files they loaded:
-            # every answer is the original network's.
+            # every answer is the original index's.
             for query, result in zip(QUERIES[:3], results):
                 assert ranked(result) == ranked(engine.knn(query, K, exact=True))
             # Only the first query met the dead slot, which then went to
@@ -155,17 +154,23 @@ class TestRespawnPolicy:
             assert [r.stats.extras.get("failover") for r in results] == [True, None, None]
             assert faults(group, "respawn_failure") >= 1
             assert faults(group, "respawn") == 0
-            replacement = spawn_worker(replace(group.spec, shard_id=shard))
-            with pytest.raises(RuntimeError, match="failed to start: CorruptIndexError: "
-                               "index directory changed since the shard tier started"):
-                replacement.ping()
-            replacement.stop()
-            SILCIndex.build(road_like_network(net.num_vertices, seed=6)).save(tmp_path / "index")
-            replacement = spawn_worker(replace(group.spec, shard_id=shard))
-            with pytest.raises(RuntimeError, match="failed to start: CorruptIndexError: "
-                               ".*column 'out_edges_digest' does not match"):
-                replacement.ping()
-            replacement.stop()
+
+            def refused(match):
+                replacement = spawn_worker(replace(group.spec, shard_id=shard))
+                with pytest.raises(RuntimeError, match="failed to start: CorruptIndexError: " + match):
+                    replacement.ping()
+                replacement.stop()
+
+            refused("index directory changed since the shard tier started")
+            other = SpatialNetwork(
+                net.xs, net.ys, [(u, v, 1.5 * w) for u, v, w in net.iter_edges()]
+            )
+            SILCIndex.build(other).save(tmp_path / "index")
+            refused(".*column 'out_edges_digest' does not match")
+            engine.index.save(tmp_path / "index")
+            assert (tmp_path / "index" / "MANIFEST.json").read_bytes() == group.spec.manifest
+            corrupt_file(tmp_path / "index" / "lam_min.npy")
+            refused(".*column 'lam_min' fails its checksum")
         finally:
             group.close()
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.network.errors import PathNotFound
 from repro.network import distance_matrix, road_like_network
+from repro.quadtree.blocks import BEYOND
 import repro.silc.index as silc_index
 import repro.silc.proximal as proximal
 import repro.silc.refinement as refinement
@@ -133,6 +134,32 @@ class TestQueries:
                         beyond += 1
                     assert len(bisects) == 1, (probe, source, target)
         assert answered > 100 and beyond > 100
+
+    def test_a_step_that_raises_leaves_the_state_as_it_was(self, proximal_setup):
+        """A refinement step whose probe finds the target past the next
+        vertex's horizon raises and moves nothing: ``via``, ``acc``, the
+        bounds and the query's counter are what they were before it, and
+        the same step raises again."""
+        net, D, radius, _ = proximal_setup
+        prox = ProximalSILCIndex.build(net, radius=radius)  # private: the test edits it
+        source = 0
+        target = next(
+            int(v) for v in np.argsort(D[source])
+            if D[source, v] <= radius and len(prox.path(source, int(v))) >= 4
+        )
+        hop = prox.path(source, target)[1]
+        # The hop's table now says the target lies past its horizon.
+        table = prox.tables[hop]
+        table.colors.setflags(write=True)
+        table.colors[table.lookup(int(prox.vertex_codes[target]))[3]] = BEYOND
+        counter = refinement.RefinementCounter()
+        state = prox.refinable(source, target, counter=counter)
+        before = (state.via, state.acc, state.lo, state.hi)
+        for _ in range(2):
+            with pytest.raises(BeyondHorizonError):
+                state.refine()
+            assert (state.via, state.acc, state.lo, state.hi) == before
+            assert counter.count == 0
 
     def test_within_horizon_predicate(self, proximal_setup):
         net, D, radius, prox = proximal_setup

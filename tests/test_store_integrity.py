@@ -8,11 +8,10 @@ docs/OPERATIONS.md "Failure modes"):
   previous state untouched -- never a half-written index;
 * a deleted, truncated or byte-flipped file -- ``MANIFEST.json``
   included -- fails the *load* with
-  :class:`~repro.errors.CorruptIndexError`, before any query can run
-  on garbage.  One gap, pinned below as 15 strict xfails (9 index
-  files + 6 label files): an mmap load checks sizes, not checksums, so
-  a flipped byte is served.  The shard tier closes it for what it
-  serves (the last class here): one deep pass before a worker exists.
+  :class:`~repro.errors.CorruptIndexError`, mapped or eager, before
+  any query can run on garbage: every load checks every byte;
+* the shard tier serves what that load verified, and verifies a copy
+  it wrote itself before any worker exists (the last class here).
 """
 
 import json
@@ -55,7 +54,6 @@ class TestManifest:
     def test_save_writes_a_verifiable_manifest(self, saved):
         assert (saved / MANIFEST_NAME).exists()
         verify_manifest(saved)
-        verify_manifest(saved, deep=True)
         manifest = read_manifest(saved)
         assert "codes.npy" in manifest["files"]
         assert MANIFEST_NAME not in manifest["files"]
@@ -71,11 +69,11 @@ class TestManifest:
         with pytest.raises(CorruptIndexError, match="levels"):
             verify_manifest(saved)
 
-    def test_byte_flip_caught_only_by_deep_check(self, saved):
-        corrupt_file(saved / "colors.npy")
-        verify_manifest(saved)  # size is unchanged
-        with pytest.raises(CorruptIndexError, match="colors"):
-            verify_manifest(saved, deep=True)
+    def test_byte_flip_caught_by_the_checksum(self, saved):
+        corrupt_file(saved / "colors.npy")  # the size is unchanged
+        with pytest.raises(CorruptIndexError, match="'colors' fails its checksum") as exc:
+            verify_manifest(saved)
+        assert exc.value.column == "colors"
 
 
 class TestAtomicDirectory:
@@ -91,7 +89,7 @@ class TestAtomicDirectory:
                 raise RuntimeError("boom")
 
         assert sorted(p.name for p in path.iterdir()) == before
-        verify_manifest(path, deep=True)
+        verify_manifest(path)
         # No staging litter left behind.
         assert [p for p in tmp_path.iterdir() if p.name != "data"] == []
 
@@ -103,7 +101,7 @@ class TestAtomicDirectory:
             np.save(tmp / "new.npy", np.arange(8))
         assert not (path / "old.npy").exists()
         assert (path / "new.npy").exists()
-        verify_manifest(path, deep=True)
+        verify_manifest(path)
 
 
 # ----------------------------------------------------------------------
@@ -159,23 +157,9 @@ def damage_cases():
         for column in (*columns, "MANIFEST"):
             for damage in DAMAGE:
                 for mode in ("eager", "mmap"):
-                    # The digest is compared with the network on every
-                    # load, so a flipped byte in it is caught mapped too.
-                    served = (
-                        mode == "mmap"
-                        and damage == "flip"
-                        and column not in ("MANIFEST", "out_edges_digest")
-                    )
                     yield pytest.param(
                         layout, column, damage, mode == "mmap",
                         id=f"{layout}-{column}-{damage}-{mode}",
-                        marks=[pytest.mark.xfail(
-                            strict=True,
-                            reason="ROADMAP item 1: mmap loads verify sizes, "
-                            "not checksums (deep=not mmap), so a flipped byte "
-                            "is served; whoever adds verify-on-first-touch "
-                            "flips this",
-                        )] if served else [],
                     )
 
 
@@ -209,7 +193,7 @@ def test_wrong_dtype_fails_load(pristine, tmp_path, small_net, layout, mmap):
     np.save(path, good.astype(dtype))
     assert path.stat().st_size == (pristine / layout / file_name(column)).stat().st_size
     write_manifest(path.parent)
-    verify_manifest(path.parent, deep=True)
+    verify_manifest(path.parent)
     with pytest.raises(CorruptIndexError, match=column) as exc:
         load(layout, tmp_path / layout, small_net, mmap)
     assert exc.value.column == column
@@ -238,7 +222,7 @@ def old_layout(pristine, tmp_path, small_net):
         np.save(path / file_name(column), np.load(path / file_name(column)).astype(dtype))
     save_vertex_id_colours(path, small_net)
     write_manifest(path)
-    verify_manifest(path, deep=True)
+    verify_manifest(path)
     save_text(small_net, tmp_path / "net.txt")
     return path
 
@@ -280,7 +264,7 @@ def vertex_id_colours(pristine, tmp_path, small_net):
     shutil.copytree(pristine / "index", path)
     save_vertex_id_colours(path, small_net)
     write_manifest(path)
-    verify_manifest(path, deep=True)
+    verify_manifest(path)
     save_text(small_net, tmp_path / "net.txt")
     return path
 
@@ -315,28 +299,37 @@ def test_a_sharded_mapped_server_refuses_vertex_id_colours(
 
 
 def edited(network, edit: str) -> SpatialNetwork:
-    """``network`` with one edge added at vertex 0, removed from it, or
-    re-pointed (the out-degrees unchanged, one target different)."""
+    """``network`` with one edge added at vertex 0, removed from it,
+    re-pointed (the out-degrees unchanged, one target different) or
+    re-weighted (the out-edge lists unchanged, one weight different),
+    or with vertex 0 moved (the edges unchanged)."""
     edges = list(network.iter_edges())
     (u, v, w), *_ = edges
     stranger = next(x for x in network.vertices() if x != u and x not in network.out_weights[u])
+    xs = network.xs.copy()
     if edit == "added":
         edges.append((u, stranger, w))
     elif edit == "removed":
         edges.remove((u, v, w))
-    else:
+    elif edit == "retargeted":
         edges[edges.index((u, v, w))] = (u, stranger, w)
-    return SpatialNetwork(network.xs, network.ys, edges)
+    elif edit == "reweighted":
+        edges[edges.index((u, v, w))] = (u, v, 1.5 * w)
+    else:
+        xs[u] += 0.5 * w
+    return SpatialNetwork(xs, network.ys, edges)
 
 
 @pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
-@pytest.mark.parametrize("edit", ["added", "removed", "retargeted"])
+@pytest.mark.parametrize("edit", ["added", "removed", "retargeted", "reweighted", "moved"])
 def test_an_index_loaded_with_an_edited_network_is_refused(
     pristine, small_net, tmp_path, edit, mmap
 ):
-    """A colour is a rank in its vertex's out-edge list: under a network
-    whose lists differ, every rank after the changed slot would name
-    another real edge, so the load refuses it before any query."""
+    """A colour is a rank in its vertex's out-edge list and λ a ratio
+    of a path's weight to a Euclidean distance: under a network whose
+    lists, weights or positions differ, a rank after the changed slot
+    would name another real edge and a bound could miss the distance,
+    so the load refuses it before any query."""
     other = edited(small_net, edit)
     assert other.num_vertices == small_net.num_vertices
     with pytest.raises(CorruptIndexError) as exc:
@@ -356,7 +349,7 @@ class TestIndexLoadRejectsCorruption:
 
 class TestLabellingPersistence:
     def test_labelling_save_verified_on_load(self, pristine, small_net, small_index):
-        verify_manifest(pristine / "labels", deep=True)
+        verify_manifest(pristine / "labels")
         loaded = load("labels", pristine / "labels", small_net, mmap=False)
         assert loaded.distance(0, 40) == pytest.approx(small_index.distance(0, 40))
 
@@ -370,13 +363,13 @@ class TestManifestFormat:
 
     def test_write_manifest_is_rerunnable(self, saved):
         write_manifest(saved)
-        verify_manifest(saved, deep=True)
+        verify_manifest(saved)
 
 
 class TestTheShardTierVerifiesWhatItServes:
-    """A mapped load trusts the bytes (the xfails above) and N workers
-    would map them too, so ``ShardGroup.from_engine`` streams the
-    directory through its checksums once, in the parent, first."""
+    """The workers map what the parent's load verified, or a copy the
+    tier wrote and verified itself: either way a bad byte is refused
+    before any worker exists."""
 
     @pytest.fixture(autouse=True)
     def no_worker_may_start(self, monkeypatch, tmp_path):
@@ -389,16 +382,26 @@ class TestTheShardTierVerifiesWhatItServes:
 
     @pytest.mark.parametrize("column", COLUMNS)
     def test_a_flipped_byte_in_the_mapped_directory(
-        self, pristine, tmp_path, small_net, small_object_index, column
+        self, pristine, tmp_path, small_net, capsys, column
     ):
-        shutil.copytree(pristine / "index", tmp_path / "index")
-        corrupt_file(tmp_path / "index" / file_name(column))
-        index = SILCIndex.load(tmp_path / "index", small_net, mmap=True)  # the gap
-        with pytest.raises(CorruptIndexError, match=column) as exc:
-            ShardGroup.from_engine(QueryEngine(index, small_object_index), 2)
+        """The mapped load refuses it, so ``serve --shards 2 --mmap``
+        reports it as one line and exits 2 with no worker started."""
+        path = tmp_path / "index"
+        shutil.copytree(pristine / "index", path)
+        corrupt_file(path / file_name(column))
+        with pytest.raises(CorruptIndexError, match=f"'{column}' fails its checksum") as exc:
+            SILCIndex.load(path, small_net, mmap=True)
         assert exc.value.column == column
-        assert str(tmp_path / "index") in str(exc.value)
-        assert list((tmp_path / "tmp").iterdir()) == []  # served in place
+        assert str(path) in str(exc.value)
+        save_text(small_net, tmp_path / "net.txt")
+        assert main([
+            "serve", str(tmp_path / "net.txt"), str(path),
+            "--shards", "2", "--mmap", "--input", os.devnull,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro serve: error: corrupt index") and err.count("\n") == 1
+        assert f"column '{column}' fails its checksum" in err
+        assert list((tmp_path / "tmp").iterdir()) == []  # nothing written
 
     @pytest.mark.parametrize("explicit", [False, True], ids=["temp-copy", "shard-dir"])
     def test_a_copy_that_landed_wrong(
