@@ -41,18 +41,22 @@ Quick start::
     print(paged.knn(0, k=5).stats.io_misses, "page misses")
 """
 
-from repro.engine import QueryEngine
-from repro.network import road_like_network
-from repro.objects import ObjectIndex
-from repro.query import (
-    aggregate_nn,
-    approximate_knn,
-    browse,
-    distance_join,
-    knn,
-    range_query,
-)
-from repro.silc import SILCIndex, update_index
+import importlib
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from repro.engine import QueryEngine
+    from repro.network import road_like_network
+    from repro.objects import ObjectIndex
+    from repro.query import (
+        aggregate_nn,
+        approximate_knn,
+        browse,
+        distance_join,
+        knn,
+        range_query,
+    )
+    from repro.silc import SILCIndex, update_index
 
 __version__ = "1.0.0"
 
@@ -70,3 +74,30 @@ __all__ = [
     "QueryEngine",
     "__version__",
 ]
+
+#: The module each public name is defined in.  ``import repro`` loads
+#: none of them: a name's module is imported on its first use, so a
+#: process that only generates or builds never loads the query engine,
+#: the oracles or the serving stack.
+_HOMES = {
+    "road_like_network": "repro.network",
+    "SILCIndex": "repro.silc",
+    "update_index": "repro.silc",
+    "ObjectIndex": "repro.objects",
+    "knn": "repro.query",
+    "browse": "repro.query",
+    "range_query": "repro.query",
+    "approximate_knn": "repro.query",
+    "aggregate_nn": "repro.query",
+    "distance_join": "repro.query",
+    "QueryEngine": "repro.engine",
+}
+
+
+def __getattr__(name: str) -> Any:
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(home), name)
+    globals()[name] = value
+    return value

@@ -37,34 +37,32 @@ An index is a *directory* of raw ``.npy`` columns with a checksum
 from __future__ import annotations
 
 import argparse
-import asyncio
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.datasets import random_vertex_objects
-from repro.engine import QueryEngine
 from repro.errors import CorruptIndexError
-from repro.network import (
-    grid_network,
-    load_text,
-    random_planar_network,
-    road_like_network,
-    save_text,
-)
+from repro.network import load_text
 from repro.network.errors import NetworkError
-from repro.objects import ObjectIndex
-from repro.oracle import (
-    LABELS_SUBDIR,
-    ORACLE_CHOICES,
-    CostConstants,
-    PrunedLabellingOracle,
-    QueryPlanner,
-)
-from repro.silc import SILCIndex
+from repro.options import DEFAULT_MAX_LOCATIONS, ORACLE_CHOICES
+
+if TYPE_CHECKING:
+    from repro.engine import QueryEngine
+
+# Each command imports what it runs inside its own function: ``generate``
+# and ``build`` never load the engine, the oracles, the serving stack or
+# asyncio, and only ``build`` loads SciPy.
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.network import (
+        grid_network,
+        random_planar_network,
+        road_like_network,
+        save_text,
+    )
+
     if args.kind == "road":
         net = road_like_network(args.size, seed=args.seed)
     elif args.kind == "grid":
@@ -94,6 +92,8 @@ def _progress_printer(unit: str):
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    from repro.silc import SILCIndex
+
     net = load_text(args.network)
     t0 = time.perf_counter()
     index = SILCIndex.build(
@@ -125,6 +125,8 @@ def _load_labelling(args, net):
     * otherwise -> nothing to load; ``auto`` without a labelling
       plans over the remaining backends.
     """
+    from repro.oracle import LABELS_SUBDIR, CostConstants, PrunedLabellingOracle
+
     labels_dir = Path(args.index) / LABELS_SUBDIR
     if PrunedLabellingOracle.saved_at(labels_dir):
         labelling = PrunedLabellingOracle.load(labels_dir, net, mmap=args.mmap)
@@ -147,6 +149,12 @@ def _make_engine(args, net, labelling=None, **engine_options) -> QueryEngine:
     :func:`_load_labelling` and persisted cost constants, if any,
     become the planner.
     """
+    from repro.datasets import random_vertex_objects
+    from repro.engine import QueryEngine
+    from repro.objects import ObjectIndex
+    from repro.oracle import QueryPlanner
+    from repro.silc import SILCIndex
+
     index = SILCIndex.load(args.index, net, mmap=args.mmap)
     objects = random_vertex_objects(net, count=args.objects, seed=args.seed)
     object_index = ObjectIndex(net, objects, index.embedding)
@@ -162,6 +170,8 @@ def _make_engine(args, net, labelling=None, **engine_options) -> QueryEngine:
 
 
 def _cmd_build_labels(args: argparse.Namespace) -> int:
+    from repro.oracle import LABELS_SUBDIR, PrunedLabellingOracle
+
     net = load_text(args.network)
     index_dir = Path(args.index)
     if not index_dir.is_dir():
@@ -194,6 +204,8 @@ def _cmd_build_labels(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from repro.silc import SILCIndex
+
     net = load_text(args.network)
     index = SILCIndex.load(args.index, net, mmap=args.mmap)
     per_vertex = index.blocks_per_vertex()
@@ -210,6 +222,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_path(args: argparse.Namespace) -> int:
+    from repro.silc import SILCIndex
+
     net = load_text(args.network)
     index = SILCIndex.load(args.index, net, mmap=args.mmap)
     path = index.path(args.source, args.target)
@@ -249,6 +263,8 @@ def _cmd_knn(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import asyncio
+
     from repro.serve import (
         AdmissionController,
         AsyncEngine,
@@ -478,7 +494,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="random vertex objects to serve kNN over")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-locations", type=int,
-                   default=QueryEngine.DEFAULT_MAX_LOCATIONS,
+                   default=DEFAULT_MAX_LOCATIONS,
                    help="bound on the resolved-location LRU cache")
     p.add_argument("--chunk-size", type=int, default=32,
                    help="queries per fair-scheduler chunk (batch split size)")

@@ -36,7 +36,8 @@ from repro.errors import DeadlineExceeded
 from repro.objects.index import ObjectIndex
 from repro.objects.model import NetworkPosition
 from repro.oracle.labelling import PrunedLabellingOracle
-from repro.oracle.planner import ORACLE_CHOICES, QueryPlanner
+from repro.options import DEFAULT_MAX_LOCATIONS, ORACLE_CHOICES
+from repro.oracle.planner import QueryPlanner
 from repro.oracle.silc import INEOracle, SILCOracle
 from repro.query.bestfirst import VARIANTS
 from repro.query.browsing import approximate_knn
@@ -136,9 +137,6 @@ class QueryEngine:
     backends (:meth:`ensure_planner`).  A caller holding calibrated
     constants assigns ``engine.planner`` itself.
     """
-
-    #: Default bound on cached resolved locations.
-    DEFAULT_MAX_LOCATIONS = 4096
 
     def __init__(
         self,

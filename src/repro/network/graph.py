@@ -54,8 +54,8 @@ class SpatialNetwork:
     """
 
     __slots__ = (
-        "xs", "ys", "out_edges", "_radj", "out_weights", "symmetric", "_edge_count", "_csr_cache",
-        "_ratio_cache",
+        "xs", "ys", "out_edges", "in_edges", "out_weights", "symmetric", "_edge_count",
+        "_csr_cache", "_ratio_cache", "_digest_cache",
     )
 
     def __init__(
@@ -116,12 +116,16 @@ class SpatialNetwork:
         for u, d in enumerate(best):
             for v, w in d.items():
                 radj[v].append((u, w))
-        self._radj: list[tuple[tuple[int, float], ...]] = [
+        #: Per vertex, its incoming ``(source, weight)`` pairs sorted by
+        #: source (read-only): the backward searches of the labelling
+        #: build read it directly.
+        self.in_edges: list[tuple[tuple[int, float], ...]] = [
             tuple(sorted(r)) for r in radj
         ]
         self._edge_count = sum(len(d) for d in best)
         self._csr_cache: sparse.csr_matrix | None = None
         self._ratio_cache: float | None = None
+        self._digest_cache: int | None = None
 
     # ------------------------------------------------------------------
     # Sizes and iteration
@@ -160,11 +164,6 @@ class SpatialNetwork:
         self.check_vertex(u)
         return self.out_edges[u]
 
-    def in_neighbors(self, u: int) -> tuple[tuple[int, float], ...]:
-        """Incoming ``(source, weight)`` pairs of ``u``, sorted by source."""
-        self.check_vertex(u)
-        return self._radj[u]
-
     def out_degree(self, u: int) -> int:
         return len(self.neighbors(u))
 
@@ -185,7 +184,11 @@ class SpatialNetwork:
         weights to Euclidean distances, so an index saved with one
         network is refused at load by another whose digest differs.
         (``zlib``, not ``hashlib``: importing OpenSSL raised a bare
-        index load's peak RSS by ~4 MB.)"""
+        index load's peak RSS by ~4 MB.)  Cached: the network is
+        immutable, so a build's save, a load and every shard worker
+        forked after either reuse one computation."""
+        if self._digest_cache is not None:
+            return self._digest_cache
         degrees = self.out_degrees()
         pairs = np.fromiter(
             chain.from_iterable(chain.from_iterable(self.out_edges)),
@@ -195,6 +198,7 @@ class SpatialNetwork:
         crc = zlib.crc32(pairs[:, 0].astype("<i8"), zlib.crc32(degrees.astype("<i8")))
         for array in (pairs[:, 1], self.xs, self.ys):
             crc = zlib.crc32(array.astype("<f8"), crc)
+        self._digest_cache = crc
         return crc
 
     def edge_weight(self, u: int, v: int) -> float:

@@ -18,16 +18,10 @@ with ``knn(query, k, **kwargs)``, reached by name
 """
 
 from repro.oracle.labelling import LABELS_SUBDIR, PrunedLabellingOracle
-from repro.oracle.planner import (
-    ORACLE_CHOICES,
-    PLANNABLE,
-    CostConstants,
-    QueryPlanner,
-    counted_ops,
-)
+from repro.oracle.planner import CostConstants, QueryPlanner, counted_ops
+from repro.options import PLANNABLE
 
 __all__ = [
-    "ORACLE_CHOICES",
     "PLANNABLE",
     "LABELS_SUBDIR",
     "PrunedLabellingOracle",

@@ -141,12 +141,9 @@ class PrunedLabellingOracle:
         """
         t0 = counted_clock()
         n = network.num_vertices
+        out_edges, in_edges = network.out_edges, network.in_edges
         order = sorted(
-            range(n),
-            key=lambda v: (
-                -(len(network.neighbors(v)) + len(network.in_neighbors(v))),
-                v,
-            ),
+            range(n), key=lambda v: (-(len(out_edges[v]) + len(in_edges[v])), v)
         )
         # Per-vertex labels as parallel rank/dist lists; ranks are
         # appended in increasing order (hub i is processed before hub
@@ -159,16 +156,19 @@ class PrunedLabellingOracle:
         # labels, for O(|label|) prune tests.
         tmp = [math.inf] * n
 
+        heappop, heappush = heapq.heappop, heapq.heappush
+
         def pruned_sssp(hub_rank, hub, hub_label_r, hub_label_d,
-                        settle_r, settle_d, neighbors):
-            """One pruned Dijkstra; adds (hub_rank, d) to settle_* labels."""
+                        settle_r, settle_d, edges):
+            """One pruned Dijkstra over ``edges`` (out- or in-edge lists);
+            adds (hub_rank, d) to settle_* labels."""
             for r, d in zip(hub_label_r, hub_label_d, strict=True):
                 tmp[r] = d
             dist = {hub: 0.0}
             done = set()
             heap = [(0.0, hub)]
             while heap:
-                d, u = heapq.heappop(heap)
+                d, u = heappop(heap)
                 if u in done:
                     continue
                 done.add(u)
@@ -181,11 +181,11 @@ class PrunedLabellingOracle:
                     continue
                 settle_r[u].append(hub_rank)
                 settle_d[u].append(d)
-                for v, w in neighbors(u):
+                for v, w in edges[u]:
                     nd = d + w
                     if nd < dist.get(v, math.inf):
                         dist[v] = nd
-                        heapq.heappush(heap, (nd, v))
+                        heappush(heap, (nd, v))
             for r in hub_label_r:
                 tmp[r] = math.inf
 
@@ -193,10 +193,10 @@ class PrunedLabellingOracle:
             # Forward run: d(h -> u) lands in label_in[u]; the prune
             # test asks whether out[h] /\ in[u] already covers it.
             pruned_sssp(i, h, out_rank[h], out_dist[h],
-                        in_rank, in_dist, network.neighbors)
+                        in_rank, in_dist, out_edges)
             # Backward run: d(u -> h) lands in label_out[u].
             pruned_sssp(i, h, in_rank[h], in_dist[h],
-                        out_rank, out_dist, network.in_neighbors)
+                        out_rank, out_dist, in_edges)
             if progress is not None:
                 progress(i + 1, n)
 

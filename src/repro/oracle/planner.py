@@ -41,19 +41,12 @@ from time import perf_counter
 from repro.errors import CorruptIndexError
 from repro.integrity import atomic_write_text
 from repro.obs.registry import MetricsRegistry
+from repro.options import PLANNABLE
 from repro.query.stats import QueryStats
 
 #: File name the calibrated constants persist under (inside the
 #: ``labels/`` subdirectory of an index).
 COST_MODEL_FILE = "cost_model.json"
-
-#: Deterministic tie-break / iteration order of plannable backends.
-PLANNABLE = ("silc", "labels", "ine")
-
-#: Backend names accepted everywhere a caller selects an oracle
-#: (engine ctor, ``Request.oracle``, the ``--oracle`` CLI flag).
-#: ``auto`` routes each query through the cost-based planner.
-ORACLE_CHOICES = ("auto", *PLANNABLE)
 
 #: Calibration k values the linear ops(k) model is fitted through.
 CALIBRATION_KS = (1, 8)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.oracle.planner import ORACLE_CHOICES
+from repro.options import ORACLE_CHOICES
 from repro.query.bestfirst import VARIANTS
 
 #: The request kinds the server understands (four query kinds plus

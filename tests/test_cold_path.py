@@ -3,8 +3,12 @@ many Python frames the build spends per source.
 
 Neither reads a clock.  (a) A process that serves a built index --
 ``repro serve`` and its shard workers, ``knn``, ``path``, ``stats`` --
-must not load SciPy: the build needs it, a serving process pays ~0.5 s
-and ~45 MB per process for nothing.  (b) ``SILCIndex.build`` compresses
+must not load SciPy: only ``build`` needs it, a serving process pays
+~0.5 s and ~45 MB per process for nothing.  ``generate`` loads neither
+SciPy (the generators triangulate in Python) nor the serving stack
+(asyncio, the engine, the oracles, the query kernels), and ``build``
+does not load the serving stack: each is a cold process of the
+deployment the benchmark times as ``setup_s``.  (b) ``SILCIndex.build`` compresses
 a whole Dijkstra chunk in array passes, so the Python frames it enters
 per source are a small constant -- the stack walk it replaced entered
 several per *block*.
@@ -29,13 +33,24 @@ TOOLS = Path(__file__).resolve().parent.parent / "tools"
 #: numpy wrappers: ~130 frames) amortized over a chunk of 128.
 FRAMES_PER_SOURCE = 4
 
+#: What a process that only serves a built index must not load
+#: (``decimal`` comes with ``fractions``, which only the generators'
+#: exact geometric predicates need: ~0.5 MB of peak RSS per process).
+SERVING_FORBIDDEN = ("scipy", "networkx", "matplotlib", "decimal")
+
+#: The serving stack: what a process that only generates or builds
+#: must not load.
+SERVING_STACK = ("asyncio", "repro.serve", "repro.oracle", "repro.engine", "repro.query")
+
+#: Runs ``repro.cli.main(argv[2:])`` and prints which of the
+#: comma-separated modules in ``argv[1]`` it left in ``sys.modules``.
 _RUN_CLI = """
 import sys
 from repro.cli import main
-rc = main(sys.argv[1:])
-bad = sorted({m.split(".")[0] for m in sys.modules} & {"scipy", "networkx", "matplotlib"})
-print("LOADED", bad, file=sys.stderr)
-sys.exit(rc or bool(bad))
+rc = main(sys.argv[2:])
+watched = sys.argv[1].split(",")
+print("LOADED", [m for m in watched if m in sys.modules], file=sys.stderr)
+sys.exit(rc)
 """
 
 
@@ -52,6 +67,10 @@ def _run(argv):
     return subprocess.run(
         [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def _run_cli(watched, argv):
+    return _run(["-c", _RUN_CLI, ",".join(watched), *argv])
 
 
 class TestImportHygiene:
@@ -72,15 +91,28 @@ class TestImportHygiene:
     )
     def test_query_commands_load_no_scipy(self, built, command):
         net, index = built
-        done = _run(["-c", _RUN_CLI, command[0], net, index, *command[1:]])
+        done = _run_cli(SERVING_FORBIDDEN, [command[0], net, index, *command[1:]])
         assert done.returncode == 0, done.stdout + done.stderr
         assert "LOADED []" in done.stderr
 
     def test_build_still_loads_it_when_first_needed(self, built, tmp_path):
         # The check above is not vacuous: the same probe sees SciPy in
         # a process that builds.
-        done = _run(["-c", _RUN_CLI, "build", built[0], str(tmp_path / "again.silc")])
+        done = _run_cli(SERVING_FORBIDDEN, ["build", built[0], str(tmp_path / "again.silc")])
         assert "LOADED ['scipy']" in done.stderr
+
+    @pytest.mark.parametrize("kind", ["road", "planar", "grid"])
+    def test_generate_loads_no_scipy_and_no_serving_stack(self, tmp_path, kind):
+        # The triangulation is the generator's own: SciPy is for the build.
+        argv = ["generate", str(tmp_path / "net.txt"), "--kind", kind, "--size", "300"]
+        done = _run_cli(("scipy", *SERVING_STACK), argv)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert "LOADED []" in done.stderr
+
+    def test_build_loads_no_serving_stack(self, built, tmp_path):
+        done = _run_cli(SERVING_STACK, ["build", built[0], str(tmp_path / "again.silc")])
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert "LOADED []" in done.stderr
 
     def test_no_unused_imports_under_src(self, tmp_path):
         """ruff's F401 gate, runnable where ruff is not installed -- and

@@ -1,10 +1,14 @@
 """Unit tests for repro.network.generators."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from repro.network.errors import GraphConstructionError
 from repro.network import grid_network, random_planar_network, road_like_network
+from repro.network.generators import _delaunay_edges, _in_circle, _kruskal, _orient
 
 
 class TestGridNetwork:
@@ -122,3 +126,158 @@ class TestRoadLikeNetwork:
         net = road_like_network(500, seed=9)
         coords = set(zip(net.xs.tolist(), net.ys.tolist()))
         assert len(coords) == 500
+
+
+def _orient_det(ax, ay, bx, by, cx, cy):
+    return (ax - cx) * (by - cy) - (ay - cy) * (bx - cx)
+
+
+def _in_circle_det(ax, ay, bx, by, cx, cy, dx, dy):
+    adx, ady, bdx, bdy, cdx, cdy = ax - dx, ay - dy, bx - dx, by - dy, cx - dx, cy - dy
+    return (
+        (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
+        + (bdx * bdx + bdy * bdy) * (cdx * ady - adx * cdy)
+        + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
+    )
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+class TestPredicates:
+    """Near-degenerate inputs, where the plain float determinant gets
+    the sign wrong: the filtered predicates agree with rationals."""
+
+    def test_orient_on_points_a_few_ulps_off_a_line(self):
+        ulp = 2.0**-53
+        float_wrong = 0
+        for i in range(64):
+            for j in range(64):
+                args = (0.5 + i * ulp, 0.5 + j * ulp, 12.0, 12.0, 24.0, 24.0)
+                exact = _sign(_orient_det(*map(Fraction, args)))
+                assert _orient(*args) == exact, args
+                float_wrong += _sign(_orient_det(*args)) != exact
+        assert float_wrong  # the inputs reach the rational fallback
+
+    def test_in_circle_on_points_a_few_ulps_off_a_circle(self):
+        cx, cy, radius = 0.3, 0.7, 1.1
+        on = [(cx + radius * math.cos(t), cy + radius * math.sin(t)) for t in (0.1, 2.0, 4.0, 5.0)]
+        (ax, ay), (bx, by), (qx, qy), (dx, dy) = on
+        float_wrong = 0
+        for i in range(-32, 32):
+            for j in range(-32, 32):
+                args = (ax, ay, bx, by, qx, qy, dx + i * 2.0**-52, dy + j * 2.0**-52)
+                exact = _in_circle_det(*map(Fraction, args)) > 0
+                assert _in_circle(*args) == exact, args
+                float_wrong += (_in_circle_det(*args) > 0) != exact
+        assert float_wrong
+
+
+def _jittered_grid(n, seed):
+    """The points :func:`road_like_network` triangulates."""
+    rng = np.random.default_rng(seed)
+    side = int(np.ceil(np.sqrt(n)))
+    gy, gx = np.mgrid[0:side, 0:side]
+    xs = gx.ravel().astype(float)[:n] + rng.uniform(-0.35, 0.35, n)
+    ys = gy.ravel().astype(float)[:n] + rng.uniform(-0.35, 0.35, n)
+    return xs, ys
+
+
+def _uniform(n, seed):
+    """The points :func:`random_planar_network` triangulates."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, 100.0, n), rng.uniform(0.0, 100.0, n)
+
+
+def _edge_set(pairs):
+    """``{(min, max)}`` of an array of vertex pairs."""
+    return set(map(tuple, np.sort(pairs, axis=1).tolist()))
+
+
+def _scipy_delaunay_edges(xs, ys):
+    from scipy.spatial import Delaunay
+
+    simplices = Delaunay(np.column_stack([xs, ys])).simplices
+    return _edge_set(np.concatenate([simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [0, 2]]]))
+
+
+def _scipy_mst(n, edges, lengths):
+    from scipy import sparse
+    from scipy.sparse import csgraph
+
+    ends = np.array(edges)
+    graph = sparse.csr_matrix((lengths, (ends[:, 0], ends[:, 1])), shape=(n, n))
+    tree = csgraph.minimum_spanning_tree(graph).tocoo()
+    return _edge_set(np.column_stack([tree.row, tree.col]))
+
+
+class TestTriangulationAgainstScipy:
+    """The generators' Bowyer-Watson triangulation and Kruskal tree
+    against ``scipy.spatial.Delaunay`` and ``csgraph.minimum_spanning_tree``
+    (SciPy is imported only here: generating a network never loads it)."""
+
+    @pytest.mark.parametrize("family", [_jittered_grid, _uniform], ids=["jittered-grid", "uniform"])
+    @pytest.mark.parametrize("n", [3, 4, 5, 10, 50, 200, 1000, 2000])
+    def test_edge_sets_and_spanning_trees_equal_scipy(self, family, n):
+        for seed in range(30):
+            xs, ys = family(n, seed)
+            edges = _delaunay_edges(xs, ys)
+            assert edges == _scipy_delaunay_edges(xs, ys), (n, seed)
+            ordered = sorted(edges)
+            ends = np.array(ordered)
+            lengths = np.hypot(xs[ends[:, 0]] - xs[ends[:, 1]], ys[ends[:, 0]] - ys[ends[:, 1]])
+            assert _kruskal(n, ordered, lengths) == _scipy_mst(n, ordered, lengths), (n, seed)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            # The first points along the curve are collinear: the
+            # triangle that starts the insertion waits for the off-line one.
+            [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (2.5, 1)],
+            # A point lands inside a hull edge, which it splits.
+            [(3, 0), (2, 1), (3, 3), (3, 2)],
+            [(2, 0), (1, 4), (0, 3), (4, 2), (3, 1)],
+        ],
+        ids=["collinear-start", "on-a-hull-edge", "on-a-hull-edge-2"],
+    )
+    def test_points_on_a_line_match_scipy(self, points):
+        xs, ys = np.array(points, dtype=float).T
+        assert _delaunay_edges(xs, ys) == _scipy_delaunay_edges(xs, ys)
+
+    def test_a_duplicate_point_joins_nothing(self):
+        xs, ys = _uniform(50, 1)
+        xs, ys = np.append(xs, xs[[7, 30]]), np.append(ys, ys[[7, 30]])
+        edges = _delaunay_edges(xs, ys)
+        assert edges == _scipy_delaunay_edges(xs, ys)
+        assert not {50, 51} & {v for edge in edges for v in edge}
+
+    def test_cocircular_lattice_is_triangulated_exactly(self):
+        # Every unit square is four cocircular points and every hull
+        # side a run of collinear ones: only exact predicates decide.
+        side = 10
+        gy, gx = np.mgrid[0:side, 0:side]
+        xs, ys = gx.ravel().astype(float), gy.ravel().astype(float)
+        edges = _delaunay_edges(xs, ys)
+        n, hull = side * side, 4 * (side - 1)
+        assert len(edges) == 3 * n - 3 - hull
+        lattice = {(v, v + 1) for v in range(n) if (v + 1) % side} | {
+            (v, v + side) for v in range(n - side)
+        }
+        assert lattice <= edges
+        diagonals = edges - lattice
+        assert len(diagonals) == (side - 1) ** 2
+        assert all(abs(xs[u] - xs[v]) == 1.0 == abs(ys[u] - ys[v]) for u, v in diagonals)
+
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [
+            ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 2.0, 4.0, 6.0, 8.0]),
+            ([1.5, 1.5, 1.5], [2.0, 2.0, 2.0]),
+            ([0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0]),
+        ],
+        ids=["collinear", "coincident", "coincident-pairs-on-a-line"],
+    )
+    def test_no_three_points_off_one_line_is_refused(self, xs, ys):
+        with pytest.raises(GraphConstructionError, match="collinear"):
+            _delaunay_edges(np.array(xs), np.array(ys))

@@ -87,7 +87,7 @@ class TestAccess:
 
     def test_in_neighbors(self):
         net = triangle()
-        assert net.in_neighbors(0) == ((2, 3.0),)
+        assert net.in_edges[0] == ((2, 3.0),)
 
     def test_missing_edge_raises(self):
         with pytest.raises(EdgeNotFound):
@@ -141,6 +141,14 @@ class TestViews:
     def test_csr_cached(self):
         net = triangle()
         assert net.to_csr() is net.to_csr()
+
+    def test_out_edge_digest_cached(self, monkeypatch):
+        # Every index load compares it: the network is immutable, so
+        # one pass over the out-edges serves them all.
+        net = triangle()
+        digest = net.out_edge_digest()
+        monkeypatch.setattr(SpatialNetwork, "out_degrees", lambda self: pytest.fail("recomputed"))
+        assert net.out_edge_digest() == digest
 
     def test_min_euclidean_ratio(self):
         # edge 0->1 has length 1 and weight 1 -> ratio 1 is the minimum

@@ -13,7 +13,8 @@ nothing edits, runs
 
 on both, refuses a run that is not ``correct`` or has failed requests,
 and writes the workload's section of ``BENCH_<pr>.json``: every run,
-medians, quartiles, pairs won, host.  One invocation measures one
+medians, quartiles, pairs won, host, and the quartiles of each set-up
+phase ``setup_s`` sums (``generate``, ``build``, ...).  One invocation measures one
 workload; the file accumulates them.  ``--traced`` adds the one traced
 pair (``--seed 7 --trace 1``, all workloads) and what ``run.py
 --compare`` says about it.  Options this script does not know
@@ -82,8 +83,11 @@ def run(side: Path, *args: str) -> subprocess.CompletedProcess:
 
 
 def measure(side: Path, workload: str, seed: int, passthrough: list[str]) -> dict:
-    """One untraced run: ``{metric: value}``, or exit if it cannot be used."""
-    done = run(side, "--workload", workload, "--seed", str(seed), "--trace", "0", *passthrough)
+    """One untraced run: ``{metric: value}`` and ``{"phase.<name>": seconds}``
+    for each set-up phase ``setup_s`` sums, or exit if it cannot be used."""
+    out = side.parent / f"{side.name}-run.json"
+    done = run(side, "--workload", workload, "--seed", str(seed), "--trace", "0",
+               "--out", str(out), *passthrough)
     if done.returncode:
         raise SystemExit(f"{side.name} seed {seed}: run.py exited {done.returncode}\n{done.stderr}")
     line = json.loads(done.stdout.strip().splitlines()[-1])
@@ -92,7 +96,11 @@ def measure(side: Path, workload: str, seed: int, passthrough: list[str]) -> dic
             f"{side.name} seed {seed}: correct={line['correct']} failed={line['failed']} "
             f"of {line['attempted']}; not recording it\n{done.stdout}"
         )
-    return {name: m["value"] for name, m in line["metrics"].items()}
+    phases = json.loads(out.read_text())["workloads"][workload]["phases_s"]
+    return {
+        **{name: m["value"] for name, m in line["metrics"].items()},
+        **{f"phase.{name}": seconds for name, seconds in phases.items()},
+    }
 
 
 def quartiles(runs: list[float]) -> dict[str, float]:
@@ -129,8 +137,14 @@ def pairs(sides: dict[str, Path], workload: str, count: int, first_seed: int,
             "pairs_won_by_change": won, "pairs_won_by_parent": lost,
             "parent_runs": parent, "change_runs": change,
         }
+    phases = {
+        key.removeprefix("phase."): {
+            side: quartiles([r[key] for r in runs[side]]) for side in ("parent", "change")
+        }
+        for key in runs["parent"][0] if key.startswith("phase.")
+    }
     return {"seeds": seeds, "ran_first": order, "pairs": count,
-            "all_correct": True, "failed": 0, "metrics": metrics}
+            "all_correct": True, "failed": 0, "metrics": metrics, "phases_s": phases}
 
 
 def traced_pair(sides: dict[str, Path], scratch: Path, passthrough: list[str]) -> dict:
@@ -216,6 +230,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name:16s} {metric:16s} {m['parent']['median']:10.4g} -> "
                   f"{m['change']['median']:10.4g} ({m['change_vs_parent_median']:+.1%}, "
                   f"change won {m['pairs_won_by_change']}/{section['pairs']})")
+        for phase, q in section.get("phases_s", {}).items():
+            print(f"{name:16s} {'phase ' + phase:16s} {q['parent']['median']:10.4g} -> "
+                  f"{q['change']['median']:10.4g} s (medians)")
     return 0
 
 

@@ -1,8 +1,9 @@
 """Assert that querying a built index never loads SciPy (or worse).
 
-SciPy is the build's dependency: ``generate`` triangulates with it and
-``build`` runs its Dijkstra.  A process that *serves* -- ``repro
-serve``, its shard workers, ``knn``, ``path``, ``stats`` -- reads
+SciPy is the build's dependency: ``build`` runs its Dijkstra
+(``generate`` triangulates in Python and loads none of it).  A process
+that *serves* -- ``repro serve``, its shard workers, ``knn``, ``path``,
+``stats`` -- reads
 columns and walks them in plain Python; importing SciPy there costs
 every such process ~0.5 s and ~45 MB for nothing.  This script is that
 serving process: it maps the index, answers every request kind on

@@ -107,7 +107,7 @@ def _untrace_child() -> None:
 # ----------------------------------------------------------------------
 
 def _serve_lines() -> list[dict]:
-    from repro.oracle.planner import ORACLE_CHOICES
+    from repro.options import ORACLE_CHOICES
     from repro.query.bestfirst import VARIANTS
 
     lines: list[dict] = []
@@ -149,7 +149,7 @@ def _serve_lines() -> list[dict]:
 
 def cli_commands(work: Path) -> list[list[str]]:
     """Every command line the probe runs, in order."""
-    from repro.oracle.planner import ORACLE_CHOICES
+    from repro.options import ORACLE_CHOICES
 
     net, idx = str(work / "road.txt"), str(work / "idx")
     requests = work / "requests.jsonl"
