@@ -10,7 +10,7 @@ SILC needs (exactly path length - 1).
 import numpy as np
 
 from bench_lib import SeriesRecorder
-from repro.network import astar_path, shortest_path
+from repro.network import shortest_path
 
 
 def test_dijkstra_motivation(benchmark, capsys, bench_net, bench_index):
@@ -33,7 +33,7 @@ def test_dijkstra_motivation(benchmark, capsys, bench_net, bench_index):
         out = []
         for u, v in pairs:
             path, _, dij = shortest_path(bench_net, u, v)
-            _, _, ast = astar_path(bench_net, u, v)
+            _, _, ast = shortest_path(bench_net, u, v, heuristic_scale=1.0)
             out.append((u, v, len(path) - 1, dij.settled, ast.settled))
         return out
 

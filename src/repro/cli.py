@@ -226,8 +226,7 @@ def _cmd_path(args: argparse.Namespace) -> int:
 
     net = load_text(args.network)
     index = SILCIndex.load(args.index, net, mmap=args.mmap)
-    path = index.path(args.source, args.target)
-    dist = index.distance(args.source, args.target)
+    path, dist = index.route(args.source, args.target)
     print(" -> ".join(map(str, path)))
     print(f"network distance: {dist:.6g} ({len(path) - 1} links)")
     return 0

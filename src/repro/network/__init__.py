@@ -2,8 +2,8 @@
 
 * :mod:`~repro.network.graph` -- :class:`SpatialNetwork`, the graph
   container everything runs on,
-* :mod:`~repro.network.dijkstra` -- instrumented Dijkstra,
-* :mod:`~repro.network.astar` -- exact point-to-point A*,
+* :mod:`~repro.network.dijkstra` -- the instrumented search:
+  Dijkstra, and A* through ``shortest_path(heuristic_scale=)``,
 * :mod:`~repro.network.allpairs` -- the chunked all-pairs driver
   feeding the SILC precompute,
 * the three generators and file I/O helpers.
@@ -14,7 +14,6 @@ imports from the package root.
 
 from repro.network.graph import SpatialNetwork
 from repro.network.dijkstra import shortest_path
-from repro.network.astar import astar_path
 from repro.network.allpairs import distance_matrix
 from repro.network.generators import (
     grid_network,
@@ -26,7 +25,6 @@ from repro.network.io import load_text, save_text
 __all__ = [
     "SpatialNetwork",
     "shortest_path",
-    "astar_path",
     "distance_matrix",
     "grid_network",
     "random_planar_network",

@@ -1,27 +1,29 @@
-"""Instrumented pure-Python Dijkstra.
+"""One instrumented pure-Python search: Dijkstra and A*.
 
-The paper's central motivation is that Dijkstra's algorithm "visits too
-many vertices" (3191 of 4233 in their example) and therefore cannot
-serve real-time queries.  To reproduce that argument we need a Dijkstra
-that *counts what it touches*: settled vertices, relaxed edges and
-priority-queue traffic.
+The paper's motivation is that Dijkstra "visits too many vertices"
+(3191 of 4233 in its example); reproducing that takes a search that
+*counts what it touches*: settled vertices, relaxed edges and heap
+pushes.  :func:`expand` is that search.  It runs under
+:func:`shortest_path` (Dijkstra, or A* with the Euclidean heuristic,
+Goldberg & Harrelson's single-pair state of the art) and under IER's
+per-candidate refinement, ``dijkstra_anchored_distance``.
 
-Three entry points:
+Three shortest-path loops stay separate, each for its own reason:
 
-* :func:`shortest_path_tree` -- classic single-source run with optional
-  early-exit target set, returning distances + predecessors + counters,
-* :func:`shortest_path` -- point-to-point convenience wrapper,
-* :class:`IncrementalDijkstra` -- a resumable expansion that yields
-  vertices in increasing distance order, with state sized by the
-  ball it has grown (IER refinement runs one per candidate).
+* INE's (:mod:`repro.query.ine`) is the served path; a generator
+  resume per settled vertex would add a frame to each vertex it settles.
+* The labelling build's (:mod:`repro.oracle.labelling`) prunes at each
+  settled vertex: a different algorithm, tuned as its own build loop.
+* SciPy's ``csgraph.dijkstra`` does the bulk work in C: the SILC build,
+  its updates and the reference matrices.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator, MutableSequence
+from dataclasses import dataclass
 
 from repro.network.errors import PathNotFound
 from repro.network.graph import SpatialNetwork
@@ -29,192 +31,107 @@ from repro.network.graph import SpatialNetwork
 
 @dataclass
 class DijkstraStats:
-    """Work counters for one Dijkstra run.
-
-    ``settled`` is the paper's "visited vertices" number; ``relaxed``
-    counts edge relaxations; ``pushes`` counts heap insertions
-    (including the stale entries lazy deletion leaves behind).
-    """
+    """Work counters for one search: ``settled`` is the paper's
+    "visited vertices"; ``pushes`` includes the stale entries lazy
+    deletion leaves behind."""
 
     settled: int = 0
     relaxed: int = 0
     pushes: int = 0
 
 
-@dataclass
-class ShortestPathTree:
-    """Result of a single-source Dijkstra run.
+class Ball(dict):
+    """Ball-sized search state: a vertex never reached reads ``inf``."""
 
-    ``dist[v]`` is ``math.inf`` and ``pred[v]`` is ``-1`` for vertices
-    that were not reached (either unreachable or cut off by early
-    exit).
-    """
-
-    source: int
-    dist: list[float]
-    pred: list[int]
-    stats: DijkstraStats = field(default_factory=DijkstraStats)
-
-    def path_to(self, target: int) -> list[int]:
-        """The vertex sequence from the source to ``target``.
-
-        Raises :class:`PathNotFound` when the target was not reached.
-        """
-        if not math.isfinite(self.dist[target]):
-            raise PathNotFound(self.source, target)
-        path = [target]
-        while path[-1] != self.source:
-            path.append(self.pred[path[-1]])
-        path.reverse()
-        return path
+    def __missing__(self, v: int) -> float:
+        return math.inf
 
 
-def shortest_path_tree(
+def expand(
     network: SpatialNetwork,
-    source: int,
-    targets: Iterable[int] | None = None,
-) -> ShortestPathTree:
-    """Single-source shortest paths with optional early exit.
+    seeds: Iterable[tuple[int, float]],
+    dist: MutableSequence[float] | Ball,
+    pred: MutableSequence[int] | dict[int, int],
+    stats: DijkstraStats,
+    h: Callable[[int], float] | None = None,
+) -> Iterator[tuple[int, float]]:
+    """Yield ``(vertex, distance)`` as each vertex settles, nearest
+    first from ``seeds``: ``(vertex, initial distance)`` pairs, such as
+    the anchors of a query partway along an edge.
 
-    Parameters
-    ----------
-    network:
-        The spatial network to search.
-    source:
-        Start vertex.
-    targets:
-        If given, the search stops as soon as every target has been
-        settled; distances of unsettled vertices remain ``inf``.
+    A vertex's out-edges are relaxed only when the next vertex is asked
+    for, so a caller that stops at its target relaxes nothing past it.
+    The caller sizes the state: ``dist`` reads ``inf`` for a vertex not
+    reached -- ``[inf] * n`` for a whole-network run, a :class:`Ball`
+    for one whose state grows with the ball -- and ``pred`` takes each
+    reached vertex's predecessor.  With a heuristic ``h`` the heap is
+    ordered by ``dist[v] + h(v)``: A*.
     """
-    network.check_vertex(source)
-    n = network.num_vertices
-    remaining = None
-    if targets is not None:
-        remaining = {network.check_vertex(t) for t in targets}
-
-    dist = [math.inf] * n
-    pred = [-1] * n
-    done = [False] * n
-    stats = DijkstraStats()
-
-    dist[source] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    stats.pushes += 1
-
+    heap: list[tuple[float, int]] = []
+    heappop, heappush = heapq.heappop, heapq.heappush
+    for v, d in seeds:
+        network.check_vertex(v)
+        if d < 0:
+            raise ValueError("seed distances must be non-negative")
+        if d < dist[v]:
+            dist[v] = d
+            heappush(heap, (d if h is None else d + h(v), v))
+            stats.pushes += 1
+    out_edges = network.out_edges
+    done: set[int] = set()
     while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
+        u = heappop(heap)[1]
+        if u in done:
             continue
-        done[u] = True
+        done.add(u)
         stats.settled += 1
-        if remaining is not None:
-            remaining.discard(u)
-            if not remaining:
-                break
-        for v, w in network.neighbors(u):
-            stats.relaxed += 1
-            nd = d + w
+        du = dist[u]
+        yield u, du
+        nbrs = out_edges[u]
+        before = len(heap)
+        for v, w in nbrs:
+            nd = du + w
             if nd < dist[v]:
                 dist[v] = nd
                 pred[v] = u
-                heapq.heappush(heap, (nd, v))
-                stats.pushes += 1
-
-    return ShortestPathTree(source=source, dist=dist, pred=pred, stats=stats)
+                heappush(heap, (nd if h is None else nd + h(v), v))
+        stats.relaxed += len(nbrs)
+        stats.pushes += len(heap) - before
 
 
 def shortest_path(
-    network: SpatialNetwork, source: int, target: int
+    network: SpatialNetwork,
+    source: int,
+    target: int,
+    heuristic_scale: float = 0.0,
 ) -> tuple[list[int], float, DijkstraStats]:
-    """Point-to-point shortest path via early-exit Dijkstra.
-
-    Returns ``(path, distance, stats)``.  Raises
-    :class:`PathNotFound` when the target is unreachable.
+    """``(path, distance, stats)`` by Dijkstra, or by A* when
+    ``heuristic_scale`` times the Euclidean distance to ``target`` is
+    positive.  A* is exact while the scale is at most
+    :meth:`SpatialNetwork.min_euclidean_ratio` (1.0 is always safe for
+    generated networks).  Both stop when the target settles, so their
+    ``stats`` compare; an unreachable target raises :class:`PathNotFound`.
     """
-    tree = shortest_path_tree(network, source, targets=[target])
-    path = tree.path_to(target)
-    return path, tree.dist[target], tree.stats
+    network.check_vertex(source)
+    network.check_vertex(target)
+    if heuristic_scale < 0:
+        raise ValueError("heuristic_scale must be non-negative")
+    h = None
+    if heuristic_scale > 0:
+        xs, ys = network.xs, network.ys
+        tx, ty = float(xs[target]), float(ys[target])
 
+        def h(u: int) -> float:
+            return heuristic_scale * math.hypot(float(xs[u]) - tx, float(ys[u]) - ty)
 
-class Reached:
-    """A length-``n`` sequence over the vertices a search has reached:
-    ``view[v]`` is ``values[v]``, and ``unreached`` for every other
-    vertex, so the state behind it grows with the search, not with
-    the network."""
-
-    __slots__ = ("values", "unreached", "_n")
-
-    def __init__(self, n: int, unreached) -> None:
-        self.values: dict = {}
-        self.unreached = unreached
-        self._n = n
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, v: int):
-        if not 0 <= v < self._n:
-            raise IndexError(v)
-        return self.values.get(v, self.unreached)
-
-
-class IncrementalDijkstra:
-    """Resumable Dijkstra expansion in increasing distance order.
-
-    Each ``settle_next()`` settles one more vertex, resuming where the
-    previous call stopped, so a caller grows a ball just far enough to
-    settle its targets (IER's ``dijkstra_anchored_distance`` does).
-    Its state is sized by
-    that ball: ``dist`` / ``pred`` read ``inf`` / ``-1`` for a vertex
-    not reached, and constructing one costs O(seeds).
-    """
-
-    def __init__(
-        self,
-        network: SpatialNetwork,
-        source: int | None = None,
-        seeds: Iterable[tuple[int, float]] | None = None,
-    ) -> None:
-        """Start an expansion from a vertex or from weighted seeds.
-
-        ``seeds`` generalizes the source to several start vertices with
-        initial distances -- the anchor decomposition of a query
-        located partway along an edge.
-        """
-        if (source is None) == (seeds is None):
-            raise ValueError("provide exactly one of source or seeds")
-        self._network = network
-        self.dist = Reached(network.num_vertices, math.inf)
-        self.pred = Reached(network.num_vertices, -1)
-        self._done: set[int] = set()
-        self._heap: list[tuple[float, int]] = []
-        self.stats = DijkstraStats()
-        dist = self.dist.values
-        for v, d in [(source, 0.0)] if seeds is None else seeds:
-            network.check_vertex(v)
-            if d < 0:
-                raise ValueError("seed distances must be non-negative")
-            if d < dist.get(v, math.inf):
-                dist[v] = d
-                heapq.heappush(self._heap, (d, v))
-                self.stats.pushes += 1
-
-    def settle_next(self) -> tuple[int, float] | None:
-        """Settle and return the next nearest vertex, or ``None``."""
-        dist, pred, done = self.dist.values, self.pred.values, self._done
-        while self._heap:
-            d, u = heapq.heappop(self._heap)
-            if u in done:
-                continue
-            done.add(u)
-            self.stats.settled += 1
-            for v, w in self._network.neighbors(u):
-                self.stats.relaxed += 1
-                nd = d + w
-                if nd < dist.get(v, math.inf):
-                    dist[v] = nd
-                    pred[v] = u
-                    heapq.heappush(self._heap, (nd, v))
-                    self.stats.pushes += 1
-            return (u, d)
-        return None
+    n = network.num_vertices
+    pred = [-1] * n
+    stats = DijkstraStats()
+    for u, d in expand(network, [(source, 0.0)], [math.inf] * n, pred, stats, h):
+        if u == target:
+            path = [target]
+            while path[-1] != source:
+                path.append(pred[path[-1]])
+            path.reverse()
+            return path, d, stats
+    raise PathNotFound(source, target)

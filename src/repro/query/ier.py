@@ -26,7 +26,7 @@ from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.geometry.point import Point
-from repro.network.dijkstra import IncrementalDijkstra
+from repro.network.dijkstra import Ball, DijkstraStats, expand
 from repro.network.graph import SpatialNetwork
 from repro.objects.index import ObjectIndex
 from repro.objects.model import NetworkPosition, position_point, target_anchors
@@ -59,21 +59,23 @@ def dijkstra_anchored_distance(
     charges each settled vertex a page access; ``stats`` receives the
     expansion's ``settled``/``relaxed`` counts.  Unreachable: ``best``.
     """
-    expansion = IncrementalDijkstra(network, seeds=src_anchors)
+    dist = Ball()
+    counts = DijkstraStats()
     remaining = {tv for tv, _ in t_anchors}
-    while remaining:
-        settled = expansion.settle_next()
-        if settled is None:
-            break
+    for u, _ in expand(network, src_anchors, dist, {}, counts):
         if storage is not None:
-            storage.touch_vertex(settled[0])
-        remaining.discard(settled[0])
+            storage.touch_vertex(u)
+        remaining.discard(u)
+        if not remaining:
+            # IER counts the out-edges of every vertex it settles, this one too
+            counts.relaxed += len(network.out_edges[u])
+            break
     if stats is not None:
-        stats.settled += expansion.stats.settled
-        stats.relaxed += expansion.stats.relaxed
+        stats.settled += counts.settled
+        stats.relaxed += counts.relaxed
     for tv, t_off in t_anchors:
-        if math.isfinite(expansion.dist[tv]):
-            best = min(best, expansion.dist[tv] + t_off)
+        if tv in dist:
+            best = min(best, dist[tv] + t_off)
     return best
 
 

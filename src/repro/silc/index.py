@@ -40,7 +40,7 @@ from repro.network.graph import SpatialNetwork
 from repro.quadtree.blocks import BEYOND, column_dtypes
 from repro.silc.parallel import parallel_block_columns, resolve_workers
 from repro.silc.intervals import REL_PAD as _REL_PAD
-from repro.silc.refinement import RefinableDistance, RefinementCounter, next_hop_cycle
+from repro.silc.refinement import RefinableDistance, RefinementCounter
 from repro.silc.sp_quadtree import SPQuadtreeBuilder, choose_grid_order
 from repro.silc.store import COLUMNS, Chunk, FlatStore
 from repro.storage.pages import PageLayout
@@ -272,16 +272,8 @@ class SILCIndex:
     # Paths and exact distances
     # ------------------------------------------------------------------
     def path(self, source: int, target: int) -> list[int]:
-        """The shortest path, retrieved in size-of-path steps (p.17)."""
-        self.network.check_vertex(source)
-        self.network.check_vertex(target)
-        path = [source]
-        guard = self.network.num_vertices
-        while path[-1] != target:
-            path.append(self.next_hop(path[-1], target))
-            if len(path) > guard:
-                raise next_hop_cycle(source, target, guard)
-        return path
+        """The shortest path in size-of-path steps (p.17): :meth:`route`'s."""
+        return self.route(source, target)[0]
 
     def distance(self, source: int, target: int) -> float:
         """Exact network distance (one walk of the path)."""
@@ -292,7 +284,8 @@ class SILCIndex:
 
         The vias :meth:`~RefinableDistance.refine_fully` passes through
         *are* the path, so :meth:`distance`'s walk yields both, bit for
-        bit, at half the probes -- and raises what it raises.
+        bit -- and raises what it raises: a walk whose next hops leave
+        the shortest path lands outside its first probe's bounds.
         """
         path = [source]
         return path, self.refinable(source, target).refine_fully(trail=path)

@@ -46,7 +46,8 @@ class ProximalSILCIndex(SILCIndex):
     within the source's horizon; beyond it, every probe (including the
     first step of ``path``/``distance``) raises
     :class:`BeyondHorizonError` so the caller can fall back to a
-    point-to-point search such as :func:`repro.network.astar_path`.
+    point-to-point search such as A*, ``repro.network.shortest_path(...,
+    heuristic_scale=1.0)``.
 
     Storage behaviour, measured in ``test_ablation_proximal``: the
     horizon *boundary* itself costs blocks (it is one more color

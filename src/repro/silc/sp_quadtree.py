@@ -1,12 +1,13 @@
 """Shortest-path quadtree construction.
 
-Couples the coloring of :mod:`repro.silc.coloring` to the region
-builder of :mod:`repro.quadtree.region`: for each chunk of sources,
-turn each first hop into its rank in the source's out-edge list, sort
-the per-vertex colors/ratios into Morton order (the permutation and
-the split levels are shared across all sources, so they are computed
-once per network) and emit the maximal single-color Morton blocks with
-their lambda intervals.
+Couples the chunked all-pairs rows of :mod:`repro.network.allpairs`
+to the region builder of :mod:`repro.quadtree.region`: for each chunk
+of sources, colour each vertex with the rank of its first hop in the
+source's out-edge list (the shortest-path map, p.12), compute its
+network / Euclidean distance ratio, sort both into Morton order (the
+permutation and the split levels are shared across all sources, so
+they are computed once per network) and emit the maximal single-colour
+Morton blocks with their lambda intervals.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ import numpy as np
 
 from repro.geometry.grid import GridEmbedding
 from repro.geometry.morton import MAX_ORDER
+from repro.network.allpairs import all_pairs_chunks
 from repro.network.errors import GraphConstructionError
 from repro.network.graph import SpatialNetwork
 from repro.quadtree.blocks import OWN_VERTEX, column_dtypes
 from repro.quadtree.region import region_block_columns, split_levels
-from repro.silc.coloring import coloring_chunks
 from repro.silc.store import Chunk, table_rows
 
 
@@ -100,20 +101,36 @@ class SPQuadtreeBuilder:
         lookup[np.arange(m), src + 1] = OWN_VERTEX
         return lookup.ravel()[first + (np.arange(m) * (n + 1) + 1)[:, np.newaxis]]
 
+    def ratios(self, sources: Sequence[int], dist: np.ndarray, limit: float) -> np.ndarray:
+        """``dist`` -- ``(m, n)``, one row per source -- over Euclidean
+        distance: 1.0 at the source itself and, with a finite ``limit``
+        (the proximal horizon, p.27), at every vertex left unreached."""
+        src = np.asarray(sources, dtype=np.int64)
+        xs, ys = self.network.xs, self.network.ys
+        d_e = np.hypot(xs - xs[src, np.newaxis], ys - ys[src, np.newaxis])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = dist / d_e
+        ratios[np.arange(src.size), src] = 1.0
+        if np.isfinite(limit):
+            ratios = np.where(np.isfinite(dist), ratios, 1.0)
+        return ratios
+
     def chunks(
         self,
         sources: Sequence[int] | None = None,
         chunk_size: int = 128,
         limit: float = np.inf,
     ) -> Iterator[Chunk]:
-        """The shortest-path quadtrees of ``sources``, a chunk at a time."""
-        for chunk, first, ratios, _ in coloring_chunks(
-            self.network, sources, chunk_size, limit
+        """The shortest-path quadtrees of ``sources``, a chunk at a time:
+        past a finite ``limit`` a vertex keeps colour ``BEYOND``, so the
+        quadtree encodes the horizon boundary explicitly."""
+        for chunk, dist, first in all_pairs_chunks(
+            self.network, chunk_size=chunk_size, sources=sources, limit=limit
         ):
             sizes, columns = region_block_columns(
                 self.sorted_codes,
                 self.splits,
                 np.take(self.ranks(chunk, first), self.order, axis=1),
-                np.take(ratios, self.order, axis=1),
+                np.take(self.ratios(chunk, dist, limit), self.order, axis=1),
             )
             yield chunk, sizes, columns

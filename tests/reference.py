@@ -15,6 +15,9 @@ keeps such code out of ``src/repro``), but tests rely on them:
 * :func:`build_region_blocks`, the one-coloring region build that the
   chunked :func:`~repro.quadtree.region.region_block_columns` is held
   to, row for row;
+* :func:`shortest_path_tree`, a whole or early-exit single-source
+  Dijkstra tree over the library's one counted search,
+  :func:`~repro.network.dijkstra.expand`;
 * :class:`KMinDistTracker` and :func:`reference_knn_m`, the kNN-M
   search with its KMINDIST bookkeeping as an object of its own, which
   the kernel's inline lists are held to, decision for decision.
@@ -24,8 +27,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 import numpy as np
@@ -33,6 +36,8 @@ import numpy as np
 from repro.datasets import random_vertex_objects
 from repro.faults import FaultInjector
 from repro.geometry.morton import MAX_ORDER, block_cells
+from repro.network.dijkstra import DijkstraStats, expand
+from repro.network.errors import PathNotFound
 from repro.network.graph import SpatialNetwork
 from repro.objects.model import (
     EdgePosition,
@@ -156,6 +161,58 @@ def delay_pipe(injector: FaultInjector, shard: int, seconds: float) -> FaultInje
     with injector._lock:
         injector._delay[shard] = seconds
     return injector
+
+
+# ----------------------------------------------------------------------
+# Shortest-path trees
+# ----------------------------------------------------------------------
+
+@dataclass
+class ShortestPathTree:
+    """Result of a single-source Dijkstra run.
+
+    ``dist[v]`` is ``math.inf`` and ``pred[v]`` is ``-1`` for vertices
+    that were not reached (either unreachable or cut off by early
+    exit).
+    """
+
+    source: int
+    dist: list[float]
+    pred: list[int]
+    stats: DijkstraStats = field(default_factory=DijkstraStats)
+
+    def path_to(self, target: int) -> list[int]:
+        """The vertex sequence from the source to ``target``.
+
+        Raises :class:`PathNotFound` when the target was not reached.
+        """
+        if not math.isfinite(self.dist[target]):
+            raise PathNotFound(self.source, target)
+        path = [target]
+        while path[-1] != self.source:
+            path.append(self.pred[path[-1]])
+        path.reverse()
+        return path
+
+
+def shortest_path_tree(
+    network: SpatialNetwork,
+    source: int,
+    targets: Iterable[int] | None = None,
+) -> ShortestPathTree:
+    """Single-source shortest paths; with ``targets``, the search stops
+    as soon as every target has settled (the distances of vertices it
+    did not settle may stay ``inf``)."""
+    network.check_vertex(source)
+    remaining = None if targets is None else {network.check_vertex(t) for t in targets}
+    n = network.num_vertices
+    tree = ShortestPathTree(source, [math.inf] * n, [-1] * n)
+    for u, _ in expand(network, [(source, 0.0)], tree.dist, tree.pred, tree.stats):
+        if remaining is not None:
+            remaining.discard(u)
+            if not remaining:
+                break
+    return tree
 
 
 # ----------------------------------------------------------------------

@@ -390,7 +390,7 @@ def test_control_flow_digests_match_golden(parity_net, parity_index):
 # INE: answers and counted ops of the Dijkstra-ball baseline
 # ----------------------------------------------------------------------
 #: Recorded at the commit before INE became one frame per query over
-#: ball-sized state (it ran on ``IncrementalDijkstra`` then).  One
+#: ball-sized state (it ran on a resumable Dijkstra class then).  One
 #: digest per (cell, storage) over ``KS`` and the cell's queries:
 #: ``none`` runs without a simulator, ``network`` against a fresh
 #: ``NetworkStorageModel`` per cell.

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.network.allpairs import all_pairs_rows, first_hops_from_predecessors, all_pairs_chunks
 from repro.network import distance_matrix, grid_network, road_like_network
-from repro.network.dijkstra import shortest_path_tree
+from reference import shortest_path_tree
 
 
 def single_source_row(network, source):

@@ -42,7 +42,7 @@ from repro.datasets import random_vertex_objects
 from repro.geometry.grid import GridEmbedding
 from repro.geometry.rect import Rect
 from repro.network.errors import PathNotFound
-from repro.network.dijkstra import IncrementalDijkstra
+from repro.network.dijkstra import Ball, DijkstraStats, expand
 from repro.network import (
     SpatialNetwork,
     distance_matrix,
@@ -412,8 +412,8 @@ def test_ine_matches_dijkstra_on_directed_and_disconnected_networks(kind, seed):
             truth = true_distances(net, position, objects)
             reachable = sorted(d for d in truth.values() if math.isfinite(d))
             unreached += len(truth) - len(reachable)
-            expansion = IncrementalDijkstra(net, seeds=source_anchors(net, position))
-            while expansion.settle_next() is not None:
+            reached = Ball()
+            for _ in expand(net, source_anchors(net, position), reached, {}, DijkstraStats()):
                 pass
             for k in (1, 3, 8, 20):
                 result = ine_knn(oi, query, k)
@@ -427,7 +427,7 @@ def test_ine_matches_dijkstra_on_directed_and_disconnected_networks(kind, seed):
                     np.testing.assert_allclose(d, truth[oid], rtol=1e-9)
                 if vertex_only:
                     kth = got[-1][0] if len(got) == k else math.inf
-                    ball = sum(d <= kth for d in expansion.dist if d < math.inf)
+                    ball = sum(d <= kth for d in reached.values())
                     assert result.stats.settled == ball, (query, k)
     assert unreached if kind == "cut" else not unreached
 
@@ -574,7 +574,7 @@ def test_interval_refinement_invariants(seed, u, v):
 def test_quadtree_encodes_true_first_hops(seed, source):
     """Every vertex lookup in every shortest-path quadtree is correct."""
     net, index, D = setup(seed)
-    from repro.network.dijkstra import shortest_path_tree
+    from reference import shortest_path_tree
 
     tree = shortest_path_tree(net, source)
     for v in range(net.num_vertices):

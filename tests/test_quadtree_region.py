@@ -10,7 +10,8 @@ from repro.quadtree.blocks import narrow_lambda
 from repro.quadtree.region import region_block_columns, split_levels
 from repro.silc.proximal import ProximalSILCIndex
 from repro.silc import SILCIndex
-from repro.silc.coloring import coloring_chunks
+from repro.network.allpairs import all_pairs_chunks
+from repro.silc.sp_quadtree import SPQuadtreeBuilder
 from reference import BlockTable, build_region_blocks, ranked
 
 
@@ -353,7 +354,9 @@ class TestIndexParity:
         else:
             index = SILCIndex.build(small_net, chunk_size=40, workers=workers)
         order = np.argsort(index.vertex_codes)
-        for chunk, colors, ratios, _ in coloring_chunks(small_net, limit=radius):
+        builder = SPQuadtreeBuilder(small_net, index.embedding, index.vertex_codes)
+        for chunk, dist, colors in all_pairs_chunks(small_net, limit=radius):
+            ratios = builder.ratios(chunk, dist, radius)
             for source, row_colors, row_ratios in zip(chunk, colors, ratios):
                 assert column_bytes(index.tables[source]) == column_bytes(
                     stack_walk_blocks(

@@ -37,7 +37,7 @@ from repro.datasets import random_vertex_objects
 from repro.engine import QueryEngine
 from repro.faults import FaultInjector
 from repro.network.errors import VertexNotFound
-from repro.network import road_like_network
+from repro.network import grid_network, road_like_network, shortest_path
 from repro.objects.model import EdgePosition, ObjectSet, position_parts
 from repro.objects import ObjectIndex
 from repro.obs import JsonlTraceSink, Tracer, format_trace_report, load_trace_file
@@ -50,7 +50,7 @@ from repro.serve import AsyncEngine, FairScheduler, Request, SILCServer, serve_j
 from repro.shard import ShardGroup
 from repro.silc import SILCIndex
 from repro.storage import NetworkStorageModel
-from reference import objects_on_edges, random_edge_objects
+from reference import objects_on_edges, out_rank, random_edge_objects
 
 # ----------------------------------------------------------------------
 # Hops per request
@@ -497,6 +497,40 @@ class TestRouteChecksKept:
     def test_unknown_vertex_rejected(self, index):
         with pytest.raises(VertexNotFound):
             index.route(0, 10_000)
+
+    def test_path_pages_are_the_hop_by_hop_walks(self, grid_net, index):
+        """``path`` is ``route``'s walk: under a simulator it probes the
+        rows, and pages, that a walk of ``hop_and_interval`` from the
+        source through each intermediate vertex probes -- one per link."""
+        storage = index.make_storage()
+        index.attach_storage(storage)
+        pages: list[int] = []
+        storage.access = pages.append
+        for source, target in ((0, 63), (9, 54), (27, 27), (5, 6)):
+            path = index.path(source, target)
+            walked, pages[:] = pages[:], []
+            for v in path[:-1]:
+                index.hop_and_interval(v, target)
+            assert walked == pages and len(walked) == len(path) - 1
+            pages.clear()
+
+    def test_a_detour_lands_outside_the_first_bounds(self):
+        """A next hop off every shortest path is refused: ``path`` used
+        to return the detour, it now raises what ``route`` raises."""
+        net = grid_network(7, 7)  # unit lattice: every distance an integer
+        index = SILCIndex.build(net)
+        target = 48
+        source, detour = next(
+            (u, v)
+            for u in net.vertices()
+            for v, w in net.out_edges[u]
+            if w + shortest_path(net, v, target)[1] > shortest_path(net, u, target)[1]
+            and u not in index.path(v, target)  # the detour reaches the target
+        )
+        _corrupt(index, source, target, "colors", out_rank(net, source, detour))
+        for walk in (index.path, index.route, index.distance):
+            with pytest.raises(ValueError, match="lies outside its bounds"):
+                walk(source, target)
 
 
 # ----------------------------------------------------------------------

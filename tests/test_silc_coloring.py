@@ -1,15 +1,24 @@
-"""Unit tests for repro.silc.coloring (shortest-path maps)."""
+"""Unit tests for shortest-path maps: the first hops of
+``all_pairs_chunks`` and the distance ratios of ``SPQuadtreeBuilder``,
+the rows the SILC build compresses."""
 
 import numpy as np
 import pytest
 
-from repro.network.dijkstra import shortest_path_tree
-from repro.silc.coloring import coloring_chunks
+from repro.network.allpairs import all_pairs_chunks
+from repro.silc.sp_quadtree import SPQuadtreeBuilder, choose_grid_order
+from reference import shortest_path_tree
+
+
+def builder_of(network):
+    return SPQuadtreeBuilder(network, *choose_grid_order(network))
 
 
 def shortest_path_map(network, source):
-    """The build's row for ``source``: its ``colors``, ``ratios`` and ``dist``."""
-    [(_, colors, ratios, dist)] = coloring_chunks(network, [source])
+    """The build's row for ``source``: its ``colors`` (first hops),
+    ``ratios`` and ``dist``."""
+    [(chunk, dist, colors)] = all_pairs_chunks(network, sources=[source])
+    ratios = builder_of(network).ratios(chunk, dist, np.inf)
     return colors[0], ratios[0], dist[0]
 
 
@@ -57,19 +66,20 @@ class TestShortestPathMap:
 
 class TestStreaming:
     def test_streams_all_sources(self, small_net):
-        chunks = list(coloring_chunks(small_net, chunk_size=32))
+        chunks = list(all_pairs_chunks(small_net, chunk_size=32))
         sources = [s for chunk, *_ in chunks for s in chunk]
         assert sources == list(range(small_net.num_vertices))
         assert all(colors.shape == (len(chunk), small_net.num_vertices)
-                   for chunk, colors, _, _ in chunks)
+                   for chunk, _, colors in chunks)
 
     def test_subset_of_sources(self, small_net):
-        [(chunk, colors, _, _)] = coloring_chunks(small_net, sources=[4, 8])
+        [(chunk, _, colors)] = all_pairs_chunks(small_net, sources=[4, 8])
         assert chunk == [4, 8]
         assert colors[0][4] == 4 and colors[1][8] == 8
 
     def test_streamed_equals_single(self, small_net):
-        [(_, colors, ratios, _)] = coloring_chunks(small_net, sources=[2, 6], chunk_size=2)
+        [(chunk, dist, colors)] = all_pairs_chunks(small_net, sources=[2, 6], chunk_size=2)
+        ratios = builder_of(small_net).ratios(chunk, dist, np.inf)
         single_colors, single_ratios, _ = shortest_path_map(small_net, 6)
         np.testing.assert_array_equal(colors[1], single_colors)
         np.testing.assert_allclose(ratios[1], single_ratios)

@@ -53,7 +53,7 @@ class TestBuild:
 
 class TestNextHopAndPaths:
     def test_next_hop_matches_dijkstra(self, small_net, small_index, small_dist):
-        from repro.network.dijkstra import shortest_path_tree
+        from reference import shortest_path_tree
 
         tree = shortest_path_tree(small_net, 0)
         for v in range(1, small_net.num_vertices):

@@ -186,7 +186,7 @@ class TestQueries:
 
     def test_fallback_recipe(self, proximal_setup):
         """The documented fallback (A*) covers beyond-horizon targets."""
-        from repro.network import astar_path
+        from repro.network import shortest_path
 
         net, D, radius, prox = proximal_setup
         u = 0
@@ -194,7 +194,7 @@ class TestQueries:
         try:
             d = prox.distance(u, v)
         except BeyondHorizonError:
-            _, d, _ = astar_path(net, u, v)
+            _, d, _ = shortest_path(net, u, v, heuristic_scale=1.0)
         assert d == pytest.approx(D[u, v], rel=1e-9)
 
     def test_exact_distance_within_horizon(self, proximal_setup, rng):
