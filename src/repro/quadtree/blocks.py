@@ -76,13 +76,14 @@ def narrow_lambda(
     """
     lo = np.asarray(lam_min, dtype=np.float64)
     hi = np.asarray(lam_max, dtype=np.float64)
+    # Past float32's range both the cast and the step overflow, on purpose.
     with np.errstate(over="ignore"):
         lo32 = lo.astype(np.float32)
         hi32 = hi.astype(np.float32)
-    down = lo32 > lo
-    lo32[down] = np.nextafter(lo32[down], np.float32(-np.inf))
-    up = hi32 < hi
-    hi32[up] = np.nextafter(hi32[up], np.float32(np.inf))
+        down = lo32 > lo
+        lo32[down] = np.nextafter(lo32[down], np.float32(-np.inf))
+        up = hi32 < hi
+        hi32[up] = np.nextafter(hi32[up], np.float32(np.inf))
     return lo32, hi32
 
 

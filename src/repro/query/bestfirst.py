@@ -24,12 +24,18 @@ an object popped from ``Q`` whose distance interval does not collide
 with the head of ``Q`` can be reported, because interval lower bounds
 are monotone under refinement, so nothing still queued can ever beat
 it.
+
+The search loop is one generator, :func:`cursor`, yielding each state
+as it is confirmed.  :func:`best_first_knn` drains it to k; with no k it
+is ``inn`` run open-ended, the distance browsing of the paper's title,
+and every operator of :mod:`repro.query.browsing` runs on it.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
+from collections.abc import Collection, Generator
 from heapq import heappop, heappush
 from operator import attrgetter
 
@@ -143,8 +149,6 @@ def best_first_knn(
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if k < 1:
         raise ValueError("k must be at least 1")
-    inf = math.inf
-
     t_start = counted_clock()
     deadline = None if time_budget is None else t_start + time_budget
     if time_budget is not None and time_budget <= 0:
@@ -156,229 +160,23 @@ def best_first_knn(
     counter = RefinementCounter()
     position: NetworkPosition = resolve_location(index.network, query)
     handle = QueryHandle(index, object_index, position, counter)
-    # A vertex query builds a one-anchor object's state here, as
-    # ``handle.object_state`` would: one frame per object.
-    vertex_anchor = handle.vertex_anchor
-    target_anchors = object_index.target_anchors
-    live_children = object_index.live_children
     io_before = index.storage.stats if index.storage is not None else None
 
-    use_dk = variant == "knn"
-    use_d0k = variant in ("knn_i", "knn_m")
     # On a network whose every edge has a reverse of the same weight, a
     # vertex query for HOME_MIN_K or more neighbours walks an object on a
     # vertex home: from the object toward the query, stopping at the
     # first vertex of ``known`` (the query, and every vertex an earlier
     # walk passed), so its walks cost the union of their paths
     # (``RefinableDistance.walk_home``).
-    if vertex_anchor is not None and index.network.symmetric and k >= HOME_MIN_K:
+    if handle.vertex_anchor is not None and index.network.symmetric and k >= HOME_MIN_K:
         home = object_index.vertex_anchored
-        known = {vertex_anchor[0]: 0.0}
+        known = {handle.vertex_anchor[0]: 0.0}
     else:
         home, known = frozenset(), {}
-    # An exact search walks every colliding object of ``home`` to exact
-    # at once, whatever the variant: the walk costs only the links no
-    # earlier walk passed.  Elsewhere an exact ``knn`` walks a colliding
-    # object already inside ``Dk`` forward, and every other search
-    # steps (see ARCHITECTURE.md, "Walk once sure").
-    walks_home = home if exact else frozenset()
-    walk = use_dk and exact
-
-    # KMINDIST (``knn_m`` only), a sound lower bound on the k-th
-    # neighbor distance: every object is either *seen* (its current
-    # lower bound is in the sorted ``kmin_lows``) or hidden under a
-    # queued block (at least that block's bound, and ``kmin_blocks``
-    # holds the queued blocks' bounds, sorted).  The k-th neighbor
-    # distance never falls below ``min(k-th seen bound, smallest block
-    # bound)``, and an object whose *upper* bound is below that is
-    # certainly one of the k nearest.
-    kmin_lows: list[float] | None = [] if variant == "knn_m" else None
-    kmin_blocks: list[float] = []
-
-    # The pruning distance: ``Dk`` for ``knn`` -- the k-th smallest
-    # upper bound in L, re-read (and counted as an L operation) at every
-    # use --, and ``D0k`` once the first k objects are in for ``knn_i`` /
-    # ``knn_m``.
-    bound = inf
-    # The paper's ``L`` (``knn`` only): candidates ``(hi, seq, oid)`` sorted
-    # by upper bound, and each object's current entry.  ``l_seq`` numbers
-    # the writes, so ``l_ops`` (fig p.38's kNN-PQ) is that plus the Dk reads.
-    l_entries: list[tuple[float, int, int]] = []
-    l_where: dict[int, tuple[float, int, int]] = {}
-    l_seq = dk_reads = 0
-    first_k_his: list[float] = []
     states: dict[int, DistanceState] = {}
-    confirmed: list[DistanceState] = []
-
-    # Q holds ``(lo, seq, kind, payload)``; ``seq`` counts pushes, so it
-    # breaks ties first-in-first-out and is ``queue_pushes`` at the end.
-    heap: list[tuple[float, int, int, object]] = []
-    seq = max_queue = collisions = 0
-    root = object_index.root
-    if root.children is not None or root.entries:
-        lo = handle.block_bounds((root,))[0]
-        heap.append((lo, 1, _NODE, root))
-        seq = max_queue = 1
-        if kmin_lows is not None:
-            kmin_blocks.append(lo)
-
-    # A refined object whose new lower bound is still strictly below
-    # everything queued would be pushed and popped straight back (a tie
-    # would not: the new sequence number is the largest).  ``held``
-    # keeps it in hand for the next iteration instead, which makes every
-    # per-pop check on it exactly as the round trip would.
-    held: DistanceState | None = None
-    while held is not None or (heap and len(confirmed) < k):
-        if deadline is not None and counted_clock() > deadline:
-            raise _deadline_exceeded(time_budget, len(confirmed), k)
-        if held is None:
-            lo, _, kind, payload = heappop(heap)
-            if kind == _NODE and kmin_lows is not None:
-                # A popped node holds the smallest bound queued: the
-                # first of the sorted block bounds.
-                del kmin_blocks[0]
-        else:
-            lo, kind, payload, held = held.lo, _OBJECT, held, None
-        if use_dk:
-            dk_reads += 1
-            bound = l_entries[k - 1][0] if len(l_entries) >= k else inf
-        if lo >= bound:
-            break  # nothing remaining can enter the k nearest
-        if kind == _NODE:
-            node = payload
-            if use_dk:
-                dk_reads += 1  # the expansion reads Dk too; L has not moved
-            # Objects and children are tested against the bound as it
-            # stood when the node was popped.
-            popped_bound = bound
-            if node.children is None:
-                stats.leaf_expansions += 1
-                # First pass: register every object of the leaf, so the
-                # KMINDIST tracker sees all siblings before any accept
-                # decision (accepting against a partially registered
-                # leaf would overestimate the k-th neighbor bound).
-                fresh: list[DistanceState] = []
-                for oid, _, _ in node.entries:
-                    if oid in states:
-                        # Extent objects are indexed once per part;
-                        # only the first encounter creates a state.
-                        continue
-                    targets = target_anchors[oid]
-                    if vertex_anchor is not None and len(targets) == 1:
-                        (sv, s_off), (tv, t_off) = vertex_anchor, targets[0]
-                        state = RefinableDistance(index, sv, tv, counter, s_off + t_off, oid)
-                    else:
-                        state = handle.object_state(oid)
-                    states[oid] = state
-                    fresh.append(state)
-                    if use_d0k and len(first_k_his) < k:
-                        first_k_his.append(state.hi)
-                        if len(first_k_his) == k:
-                            stats.d0k = max(first_k_his)
-                            bound = stats.d0k
-                    if use_dk:
-                        entry = l_where[oid] = (state.hi, l_seq, oid)
-                        insort(l_entries, entry)
-                        l_seq += 1
-                    if kmin_lows is not None:
-                        insort(kmin_lows, state.lo)
-                stats.objects_seen += len(fresh)
-                if kmin_lows is not None:
-                    # KMINDIST: nothing moves it in the second pass.
-                    kmin = kmin_blocks[0] if kmin_blocks else inf
-                    if len(kmin_lows) >= k and kmin_lows[k - 1] < kmin:
-                        kmin = kmin_lows[k - 1]
-                # Second pass: accept certain members outright (kNN-M)
-                # or enqueue survivors of the pruning bound.
-                for state in fresh:
-                    if (
-                        kmin_lows is not None
-                        and len(confirmed) < k
-                        and (
-                            state.hi < kmin
-                            or state.hi == kmin
-                            and _tie_fits(state.lo, kmin, kmin_lows, confirmed, k)
-                        )
-                    ):
-                        stats.kmindist_accepts += 1
-                        confirmed.append(state)
-                    elif state.lo < popped_bound:
-                        seq += 1
-                        heappush(heap, (state.lo, seq, _OBJECT, state))
-            else:
-                stats.nonleaf_expansions += 1
-                children = live_children[node.code, node.level]
-                for child, child_bound in zip(children, handle.block_bounds(children)):
-                    if child_bound < popped_bound:
-                        seq += 1
-                        heappush(heap, (child_bound, seq, _NODE, child))
-                        if kmin_lows is not None:
-                            insort(kmin_blocks, child_bound)
-            if len(heap) > max_queue:
-                max_queue = len(heap)
-            continue
-
-        state: DistanceState = payload
-        if state.hi <= (heap[0][0] if heap else inf):
-            # No collision: reporting is safe (Theorem 1).
-            confirmed.append(state)
-            continue
-        collisions += 1
-        old_lo, old_hi = state.lo, state.hi
-        if kmin_lows is not None:
-            kmin = kmin_blocks[0] if kmin_blocks else inf
-            if len(kmin_lows) >= k and kmin_lows[k - 1] < kmin:
-                kmin = kmin_lows[k - 1]
-            if old_hi < kmin or old_hi == kmin and _tie_fits(
-                old_lo, kmin, kmin_lows, confirmed, k
-            ):
-                # Certain member of the k nearest: accept unrefined.
-                stats.kmindist_accepts += 1
-                confirmed.append(state)
-                continue
-        if state.oid in walks_home:
-            state.walk_home(known)
-        elif walk and old_hi <= bound:
-            # Inside Dk: most such objects are answers the exact pass
-            # walks anyway, so walk it now, not one heap cycle per link.
-            state.refine_fully()
-        else:
-            state.refine()
-        lo = state.lo
-        if use_dk and state.hi != old_hi:
-            # L is keyed on ``hi``: an unmoved one leaves L and Dk as
-            # they are.  Entries are unique tuples: bisect lands on the
-            # stale one.
-            oid = state.oid
-            del l_entries[bisect_left(l_entries, l_where[oid])]
-            entry = l_where[oid] = (state.hi, l_seq, oid)
-            insort(l_entries, entry)
-            l_seq += 1
-            dk_reads += 1
-            bound = l_entries[k - 1][0] if len(l_entries) >= k else inf
-        if kmin_lows is not None and lo != old_lo:
-            # Every seen object's current lower bound is in the list.
-            del kmin_lows[bisect_left(kmin_lows, old_lo)]
-            insort(kmin_lows, lo)
-        # ``<=``: an object that is itself the k-th entry of L and just
-        # became exact has lo == Dk; dropping it confirms a farther one.
-        if lo <= bound:
-            seq += 1
-            if heap and lo >= heap[0][0]:
-                heappush(heap, (lo, seq, _OBJECT, state))
-                if len(heap) > max_queue:
-                    max_queue = len(heap)
-            else:
-                held = state
-                if len(heap) >= max_queue:
-                    max_queue = len(heap) + 1
-
-    stats.refinements = counter.count
-    stats.queue_pushes = seq
-    stats.max_queue = max_queue
-    stats.collisions = collisions
-    stats.confirmations = len(confirmed)
-    stats.l_ops = l_seq + dk_reads
+    confirmed = list(cursor(
+        handle, stats, states, k, variant, exact, home, known, deadline, time_budget
+    ))
 
     # ------------------------------------------------------------------
     # Assembly
@@ -437,12 +235,6 @@ def best_first_knn(
     if neighbors:
         his = sorted(map(_by_hi, result_states))
         stats.dk_final = his[min(k, len(his)) - 1]
-    if kmin_lows is not None:
-        kmin = kmin_blocks[0] if kmin_blocks else inf
-        if len(kmin_lows) >= k:
-            kmin = min(kmin_lows[k - 1], kmin)
-        stats.kmindist_final = kmin
-
     if io_before is not None and index.storage is not None:
         # One simulator, one query at a time: what it counted since
         # io_before is this query's I/O.
@@ -455,3 +247,247 @@ def best_first_knn(
     return KNNResult(
         neighbors=neighbors, stats=stats, ordered=(variant != "knn_m")
     )
+
+
+def cursor(
+    handle: QueryHandle, stats: QueryStats, states: dict[int, DistanceState],
+    k: int | None = None, variant: str = "inn", exact: bool = False,
+    home: Collection[int] = frozenset(), known: dict[int, float] | None = None,
+    deadline: float | None = None, time_budget: float | None = None, slack: float = 1.0,
+) -> Generator[DistanceState, None, None]:
+    """The best-first loop of p.23 as a resumable cursor: yield each
+    object state the moment Theorem 1 (or, for ``knn_m``, KMINDIST)
+    confirms it, refining only as far as the next confirmation needs.
+
+    ``k=None`` (``inn`` only) sets no limit: distance browsing.  With a
+    k it stops after k confirmations, or when the pruning bound ends the
+    search.  ``slack`` confirms a state whose upper bound is within that
+    factor of the queue head (``approximate_knn``'s ``1 + epsilon``); at
+    ``1.0`` it is Theorem 1's test.  ``states`` collects every state
+    built, by object id; ``exact``, ``home``, ``known`` and the deadline
+    are ``best_first_knn``'s.  The loop's counts go into ``stats`` when
+    the cursor ends: drained, closed, or collected unfinished.
+    """
+    index = handle.index
+    object_index = handle.object_index
+    counter = handle.counter
+    inf = math.inf
+    limit = inf if k is None else k
+    # A vertex query builds a one-anchor object's state here, as
+    # ``handle.object_state`` would: one frame per object.
+    vertex_anchor = handle.vertex_anchor
+    target_anchors = object_index.target_anchors
+    live_children = object_index.live_children
+    use_dk = variant == "knn"
+    use_d0k = variant in ("knn_i", "knn_m")
+    # An exact search walks every colliding object of ``home`` to exact
+    # at once, whatever the variant: the walk costs only the links no
+    # earlier walk passed.  Elsewhere an exact ``knn`` walks a colliding
+    # object already inside ``Dk`` forward, and every other search
+    # steps (see ARCHITECTURE.md, "Walk once sure").
+    walks_home = home if exact else frozenset()
+    walk = use_dk and exact
+
+    # KMINDIST (``knn_m`` only), a sound lower bound on the k-th
+    # neighbor distance: every object is either *seen* (its current
+    # lower bound is in the sorted ``kmin_lows``) or hidden under a
+    # queued block (at least that block's bound, and ``kmin_blocks``
+    # holds the queued blocks' bounds, sorted).  The k-th neighbor
+    # distance never falls below ``min(k-th seen bound, smallest block
+    # bound)``, and an object whose *upper* bound is below that is
+    # certainly one of the k nearest.
+    kmin_lows: list[float] | None = [] if variant == "knn_m" else None
+    kmin_blocks: list[float] = []
+
+    # The pruning distance: ``Dk`` for ``knn`` -- the k-th smallest
+    # upper bound in L, re-read (and counted as an L operation) at every
+    # use --, and ``D0k`` once the first k objects are in for ``knn_i`` /
+    # ``knn_m``.
+    bound = inf
+    # The paper's ``L`` (``knn`` only): candidates ``(hi, seq, oid)`` sorted
+    # by upper bound, and each object's current entry.  ``l_seq`` numbers
+    # the writes, so ``l_ops`` (fig p.38's kNN-PQ) is that plus the Dk reads.
+    l_entries: list[tuple[float, int, int]] = []
+    l_where: dict[int, tuple[float, int, int]] = {}
+    l_seq = dk_reads = 0
+    first_k_his: list[float] = []
+    confirmed: list[DistanceState] = []
+
+    # Q holds ``(lo, seq, kind, payload)``; ``seq`` counts pushes, so it
+    # breaks ties first-in-first-out and is ``queue_pushes`` at the end.
+    heap: list[tuple[float, int, int, object]] = []
+    seq = max_queue = collisions = 0
+    root = object_index.root
+    if root.children is not None or root.entries:
+        lo = handle.block_bounds((root,))[0]
+        heap.append((lo, 1, _NODE, root))
+        seq = max_queue = 1
+        if kmin_lows is not None:
+            kmin_blocks.append(lo)
+
+    # A refined object whose new lower bound is still strictly below
+    # everything queued would be pushed and popped straight back (a tie
+    # would not: the new sequence number is the largest).  ``held``
+    # keeps it in hand for the next iteration instead, which makes every
+    # per-pop check on it exactly as the round trip would.
+    held: DistanceState | None = None
+    try:
+        while held is not None or (heap and len(confirmed) < limit):
+            if deadline is not None and counted_clock() > deadline:
+                raise _deadline_exceeded(time_budget, len(confirmed), k)
+            if held is None:
+                lo, _, kind, payload = heappop(heap)
+                if kind == _NODE and kmin_lows is not None:
+                    # A popped node holds the smallest bound queued: the
+                    # first of the sorted block bounds.
+                    del kmin_blocks[0]
+            else:
+                lo, kind, payload, held = held.lo, _OBJECT, held, None
+            if use_dk:
+                dk_reads += 1
+                bound = l_entries[k - 1][0] if len(l_entries) >= k else inf
+            if lo >= bound:
+                break  # nothing remaining can enter the k nearest
+            if kind == _NODE:
+                node = payload
+                if use_dk:
+                    dk_reads += 1  # the expansion reads Dk too; L has not moved
+                # Objects and children are tested against the bound as it
+                # stood when the node was popped.
+                popped_bound = bound
+                if node.children is None:
+                    stats.leaf_expansions += 1
+                    # First pass: register every object of the leaf, so the
+                    # KMINDIST tracker sees all siblings before any accept
+                    # decision (accepting against a partially registered
+                    # leaf would overestimate the k-th neighbor bound).
+                    fresh: list[DistanceState] = []
+                    for oid, _, _ in node.entries:
+                        if oid in states:
+                            # Extent objects are indexed once per part;
+                            # only the first encounter creates a state.
+                            continue
+                        targets = target_anchors[oid]
+                        if vertex_anchor is not None and len(targets) == 1:
+                            (sv, s_off), (tv, t_off) = vertex_anchor, targets[0]
+                            state = RefinableDistance(index, sv, tv, counter, s_off + t_off, oid)
+                        else:
+                            state = handle.object_state(oid)
+                        states[oid] = state
+                        fresh.append(state)
+                        if use_d0k and len(first_k_his) < k:
+                            first_k_his.append(state.hi)
+                            if len(first_k_his) == k:
+                                stats.d0k = max(first_k_his)
+                                bound = stats.d0k
+                        if use_dk:
+                            entry = l_where[oid] = (state.hi, l_seq, oid)
+                            insort(l_entries, entry)
+                            l_seq += 1
+                        if kmin_lows is not None:
+                            insort(kmin_lows, state.lo)
+                    stats.objects_seen += len(fresh)
+                    if kmin_lows is not None:
+                        # KMINDIST: nothing moves it in the second pass.
+                        kmin = kmin_blocks[0] if kmin_blocks else inf
+                        if len(kmin_lows) >= k and kmin_lows[k - 1] < kmin:
+                            kmin = kmin_lows[k - 1]
+                    # Second pass: accept certain members outright (kNN-M)
+                    # or enqueue survivors of the pruning bound.
+                    for state in fresh:
+                        if (
+                            kmin_lows is not None
+                            and len(confirmed) < k
+                            and (
+                                state.hi < kmin
+                                or state.hi == kmin
+                                and _tie_fits(state.lo, kmin, kmin_lows, confirmed, k)
+                            )
+                        ):
+                            stats.kmindist_accepts += 1
+                            confirmed.append(state)
+                            yield state
+                        elif state.lo < popped_bound:
+                            seq += 1
+                            heappush(heap, (state.lo, seq, _OBJECT, state))
+                else:
+                    stats.nonleaf_expansions += 1
+                    children = live_children[node.code, node.level]
+                    for child, child_bound in zip(children, handle.block_bounds(children)):
+                        if child_bound < popped_bound:
+                            seq += 1
+                            heappush(heap, (child_bound, seq, _NODE, child))
+                            if kmin_lows is not None:
+                                insort(kmin_blocks, child_bound)
+                if len(heap) > max_queue:
+                    max_queue = len(heap)
+                continue
+
+            state: DistanceState = payload
+            if state.hi <= (heap[0][0] * slack if heap else inf):
+                # No collision: reporting is safe (Theorem 1).
+                confirmed.append(state)
+                yield state
+                continue
+            collisions += 1
+            old_lo, old_hi = state.lo, state.hi
+            if kmin_lows is not None:
+                kmin = kmin_blocks[0] if kmin_blocks else inf
+                if len(kmin_lows) >= k and kmin_lows[k - 1] < kmin:
+                    kmin = kmin_lows[k - 1]
+                if old_hi < kmin or old_hi == kmin and _tie_fits(
+                    old_lo, kmin, kmin_lows, confirmed, k
+                ):
+                    # Certain member of the k nearest: accept unrefined.
+                    stats.kmindist_accepts += 1
+                    confirmed.append(state)
+                    yield state
+                    continue
+            if state.oid in walks_home:
+                state.walk_home(known)
+            elif walk and old_hi <= bound:
+                # Inside Dk: most such objects are answers the exact pass
+                # walks anyway, so walk it now, not one heap cycle per link.
+                state.refine_fully()
+            else:
+                state.refine()
+            lo = state.lo
+            if use_dk and state.hi != old_hi:
+                # L is keyed on ``hi``: an unmoved one leaves L and Dk as
+                # they are.  Entries are unique tuples: bisect lands on the
+                # stale one.
+                oid = state.oid
+                del l_entries[bisect_left(l_entries, l_where[oid])]
+                entry = l_where[oid] = (state.hi, l_seq, oid)
+                insort(l_entries, entry)
+                l_seq += 1
+                dk_reads += 1
+                bound = l_entries[k - 1][0] if len(l_entries) >= k else inf
+            if kmin_lows is not None and lo != old_lo:
+                # Every seen object's current lower bound is in the list.
+                del kmin_lows[bisect_left(kmin_lows, old_lo)]
+                insort(kmin_lows, lo)
+            # ``<=``: an object that is itself the k-th entry of L and just
+            # became exact has lo == Dk; dropping it confirms a farther one.
+            if lo <= bound:
+                seq += 1
+                if heap and lo >= heap[0][0]:
+                    heappush(heap, (lo, seq, _OBJECT, state))
+                    if len(heap) > max_queue:
+                        max_queue = len(heap)
+                else:
+                    held = state
+                    if len(heap) >= max_queue:
+                        max_queue = len(heap) + 1
+    finally:
+        stats.refinements = counter.count
+        stats.queue_pushes = seq
+        stats.max_queue = max_queue
+        stats.collisions = collisions
+        stats.confirmations = len(confirmed)
+        stats.l_ops = l_seq + dk_reads
+        if kmin_lows is not None:
+            kmin = kmin_blocks[0] if kmin_blocks else inf
+            if len(kmin_lows) >= k:
+                kmin = min(kmin_lows[k - 1], kmin)
+            stats.kmindist_final = kmin

@@ -19,7 +19,7 @@ from repro.objects.model import NetworkPosition, VertexPosition, position_point
 from repro.query.location import same_edge_direct, source_anchors
 from repro.quadtree.pmr import PMRNode
 from repro.silc.index import SILCIndex
-from repro.silc.intervals import MAX_REL_GAP, DistanceInterval, checked_bounds, invalid_bounds
+from repro.silc.intervals import MAX_REL_GAP, DistanceInterval, invalid_bounds
 from repro.silc.intervals import REL_PAD
 from repro.silc.refinement import RefinableDistance, RefinementCounter
 
@@ -56,7 +56,9 @@ class ObjectDistanceState:
                 lo = comp.lo
             if comp.hi < hi:
                 hi = comp.hi
-        self.lo, self.hi = checked_bounds(lo, hi)
+        if not (0.0 <= lo <= hi):
+            raise invalid_bounds(lo, hi)
+        self.lo, self.hi = lo, hi
 
     @property
     def interval(self) -> DistanceInterval:
@@ -192,13 +194,10 @@ class QueryHandle:
     # ------------------------------------------------------------------
     # Block bounds
     # ------------------------------------------------------------------
-    def block_bound(self, node: PMRNode) -> float:
-        """Sound lower bound on the distance to any object under ``node``."""
-        return self.block_bounds((node,))[0]
-
     def block_bounds(self, nodes: Sequence[PMRNode]) -> list[float]:
-        """:meth:`block_bound` of each node, in one frame: the search
-        bounds the root, then every live child of a node it expands.
+        """A sound lower bound on the distance to any object under each
+        node, in one frame: the search bounds the root, then every live
+        child of a node it expands.
 
         Vertex objects get the tight lambda bound through the SILC
         quadtrees; subtrees containing edge objects fall back to the

@@ -38,30 +38,6 @@ def invalid_bounds(lo: float, hi: float) -> ValueError:
     return ValueError(f"negative distance bound {lo}")
 
 
-def checked_bounds(
-    lo: float, hi: float, prev_lo: float = 0.0, prev_hi: float = math.inf
-) -> tuple[float, float]:
-    """Validate fresh scalar bounds and, unless exact, clamp them to the
-    previous ones: both contain the true distance, so their overlap
-    does too.
-
-    Disjoint by rounding, they collapse to the midpoint; by more, one
-    of them excluded the true distance: ``ValueError``.  For the
-    once-per-object paths; the two per-step ``refine`` methods carry
-    the same lines inline to stay within the frame budget.
-    """
-    if not (0.0 <= lo <= hi):
-        raise invalid_bounds(lo, hi)
-    if lo != hi:
-        lo = max(lo, prev_lo)
-        hi = min(hi, prev_hi)
-        if lo > hi:
-            if lo - hi > MAX_REL_GAP * lo:
-                raise invalid_bounds(lo, hi)
-            lo = hi = (lo + hi) / 2.0
-    return lo, hi
-
-
 @dataclass(frozen=True, slots=True, init=False)
 class DistanceInterval:
     """A closed interval certain to contain a network distance."""

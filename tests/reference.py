@@ -20,7 +20,10 @@ keeps such code out of ``src/repro``), but tests rely on them:
   :func:`~repro.network.dijkstra.expand`;
 * :class:`KMinDistTracker` and :func:`reference_knn_m`, the kNN-M
   search with its KMINDIST bookkeeping as an object of its own, which
-  the kernel's inline lists are held to, decision for decision.
+  the kernel's inline lists are held to, decision for decision;
+* :func:`checked_bounds`, the validate-and-clamp the two per-step
+  ``refine`` methods carry inline, as a function their bounds are held
+  to bit for bit.
 """
 
 from __future__ import annotations
@@ -53,6 +56,29 @@ from repro.quadtree.pmr import PMRNode, PMRQuadtree
 from repro.quadtree.region import region_block_columns, split_levels
 from repro.query.distances import QueryHandle
 from repro.query.location import resolve_location
+from repro.silc.intervals import MAX_REL_GAP, invalid_bounds
+
+
+def checked_bounds(
+    lo: float, hi: float, prev_lo: float = 0.0, prev_hi: float = math.inf
+) -> tuple[float, float]:
+    """Validate fresh scalar bounds and, unless exact, clamp them to the
+    previous ones: both contain the true distance, so their overlap
+    does too.
+
+    Disjoint by rounding, they collapse to the midpoint; by more, one
+    of them excluded the true distance: ``ValueError``.
+    """
+    if not (0.0 <= lo <= hi):
+        raise invalid_bounds(lo, hi)
+    if lo != hi:
+        lo = max(lo, prev_lo)
+        hi = min(hi, prev_hi)
+        if lo > hi:
+            if lo - hi > MAX_REL_GAP * lo:
+                raise invalid_bounds(lo, hi)
+            lo = hi = (lo + hi) / 2.0
+    return lo, hi
 
 
 # ----------------------------------------------------------------------
@@ -416,7 +442,7 @@ class KMinDistTracker:
 def reference_knn_m(index, object_index, query, k: int) -> dict:
     """kNN-M (bounds only) as the paper states it: one queue, every
     refined object pushed back, a :class:`KMinDistTracker` told of every
-    object and block, and the bounds from ``QueryHandle.block_bound`` /
+    object and block, and the bounds from ``QueryHandle.block_bounds`` /
     ``object_state``.  Returns the answer and the counts the kernel
     reports for it."""
     handle = QueryHandle(index, object_index, resolve_location(index.network, query))
@@ -429,7 +455,7 @@ def reference_knn_m(index, object_index, query, k: int) -> dict:
     seq = accepts = collisions = 0
     root = object_index.root
     if root.children is not None or root.entries:
-        lo = handle.block_bound(root)
+        lo = handle.block_bounds((root,))[0]
         seq = 1
         heap.append((lo, seq, 0, root))
         tracker.block_pushed(lo)
@@ -462,7 +488,7 @@ def reference_knn_m(index, object_index, query, k: int) -> dict:
                         heappush(heap, (state.lo, seq, 1, state))
             else:
                 for child in object_index.live_children[payload.code, payload.level]:
-                    child_bound = handle.block_bound(child)
+                    child_bound = handle.block_bounds((child,))[0]
                     if child_bound < popped:
                         seq += 1
                         heappush(heap, (child_bound, seq, 0, child))

@@ -22,11 +22,8 @@ objects home (``walk_home``); one for fewer walks them forward.
 
 from __future__ import annotations
 
-import ast
 import gc
-import inspect
 import sys
-import textwrap
 
 import pytest
 
@@ -57,6 +54,9 @@ FRAMES_PER_FINISH_LINK = 0
 #:   non-leaf expansion for all of its live children -- per node and
 #:   anchor the row run, pages, minimum and MINDISTs are inline, so a
 #:   node bounded costs no frame of its own;
+#: * object confirmed: the search loop is a generator (``cursor``), and
+#:   ``best_first_knn`` resumes it once per state it yields, and once
+#:   more to find it ended (in the per-query count);
 #: * neighbor reported: the ``Neighbor`` and ``DistanceInterval``
 #:   constructors (the interval checks its bounds in its own
 #:   ``__init__``; the sort keys and ``dk_final``'s are ``attrgetter``:
@@ -69,25 +69,18 @@ FRAMES_PER_FINISH_LINK = 0
 #:   two comprehensions;
 #: * query: set-up (stats, counter, location, handle, the Euclidean
 #:   slope, one bound column per anchor with its check and geometry),
-#:   the I/O snapshot and delta, result assembly.
+#:   the cursor's first resume, the I/O snapshot and delta, result
+#:   assembly.
 #:
 #: There is no slack left: a step or link that reaches its target costs
 #: what any other does, and every case below meets its budget exactly.
 FRAMES_PER_OBJECT = 1
+FRAMES_PER_CONFIRMATION = 1
 FRAMES_PER_BOUNDING_CALL = 1
 FRAMES_PER_NEIGHBOR = 2
 FRAMES_PER_WALK = 1
 FRAMES_PER_FALLBACK_FILL = 2
-FRAMES_PER_QUERY = 25
-
-
-def _lines_after_the_search() -> range:
-    """Lines of ``best_first_knn`` after its search loop: a walk called
-    from one of them is the exact pass's or the fallback fill's."""
-    lines, first = inspect.getsourcelines(bestfirst.best_first_knn)
-    tree = ast.parse(textwrap.dedent("".join(lines)))
-    loop = next(node for node in ast.walk(tree) if isinstance(node, ast.While))
-    return range(first + loop.end_lineno, first + len(lines))
+FRAMES_PER_QUERY = 26
 
 
 def _count_calls(index, object_index, fn):
@@ -101,7 +94,9 @@ def _count_calls(index, object_index, fn):
     ).object_state(0)
     refine_code = type(state).refine.__code__
     walk_codes = {type(state).refine_fully.__code__, type(state).walk_home.__code__}
-    after_search = _lines_after_the_search()
+    # The search loop is the cursor's; ``best_first_knn`` itself walks
+    # only in the exact pass and the fallback fill.
+    after_search = bestfirst.best_first_knn.__code__
     named = {
         QueryHandle.block_bounds.__code__: "bounding_calls",
         DistanceInterval.__init__.__code__: "intervals",
@@ -124,7 +119,7 @@ def _count_calls(index, object_index, fn):
                 counts["under_refine"] += 1
             elif frame.f_code in walk_codes:
                 stack.append("under_finish")  # the walk's own frame: per call
-                after = frame.f_back.f_lineno in after_search
+                after = frame.f_back.f_code is after_search
                 counts["post_walks" if after else "search_walks"] += 1
             if frame.f_code in named:
                 counts[named[frame.f_code]] += 1
@@ -220,6 +215,7 @@ def test_whole_query_frames_within_budget(small_net, small_index, variant):
                 FRAMES_PER_REFINEMENT * s.collisions
                 + FRAMES_PER_FINISH_LINK * s.extras["post_refinements"]
                 + FRAMES_PER_OBJECT * s.objects_seen
+                + FRAMES_PER_CONFIRMATION * s.confirmations
                 + FRAMES_PER_BOUNDING_CALL * counts["bounding_calls"]
                 + FRAMES_PER_NEIGHBOR * len(result.neighbors)
                 + FRAMES_PER_WALK * post_walks

