@@ -42,8 +42,11 @@ from repro.errors import CorruptIndexError
 #: Manifest file name inside every verified directory save.
 MANIFEST_NAME = "MANIFEST.json"
 
-#: Manifest schema version (bump on incompatible change).
-MANIFEST_FORMAT = 1
+#: Manifest schema version, bumped on an incompatible change to what a
+#: directory holds (2: float16 lambdas, a 10-byte block).  It is a
+#: record, not the check: a load refuses an older layout by its column
+#: dtypes (:func:`check_dtypes`), naming the column and the rebuild.
+MANIFEST_FORMAT = 2
 
 _CHUNK = 1 << 16
 

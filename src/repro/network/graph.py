@@ -54,8 +54,8 @@ class SpatialNetwork:
     """
 
     __slots__ = (
-        "xs", "ys", "out_edges", "in_edges", "out_weights", "symmetric", "_edge_count",
-        "_csr_cache", "_ratio_cache", "_digest_cache",
+        "xs", "ys", "out_edges", "out_weights", "symmetric", "_edge_count",
+        "_in_edges", "_csr_cache", "_ratio_cache", "_digest_cache",
     )
 
     def __init__(
@@ -112,17 +112,8 @@ class SpatialNetwork:
         self.symmetric: bool = all(
             best[v].get(u) == w for u, d in enumerate(best) for v, w in d.items()
         )
-        radj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for u, d in enumerate(best):
-            for v, w in d.items():
-                radj[v].append((u, w))
-        #: Per vertex, its incoming ``(source, weight)`` pairs sorted by
-        #: source (read-only): the backward searches of the labelling
-        #: build read it directly.
-        self.in_edges: list[tuple[tuple[int, float], ...]] = [
-            tuple(sorted(r)) for r in radj
-        ]
         self._edge_count = sum(len(d) for d in best)
+        self._in_edges: list[tuple[tuple[int, float], ...]] | None = None
         self._csr_cache: sparse.csr_matrix | None = None
         self._ratio_cache: float | None = None
         self._digest_cache: int | None = None
@@ -137,6 +128,20 @@ class SpatialNetwork:
     @property
     def num_edges(self) -> int:
         return self._edge_count
+
+    @property
+    def in_edges(self) -> list[tuple[tuple[int, float], ...]]:
+        """Per vertex, its incoming ``(source, weight)`` pairs sorted by
+        source (read-only), built on first read: only the backward
+        searches of a labelling build over a network that is not
+        :attr:`symmetric` read it."""
+        if self._in_edges is None:
+            radj: list[list[tuple[int, float]]] = [[] for _ in self.out_edges]
+            for u, pairs in enumerate(self.out_edges):
+                for v, w in pairs:
+                    radj[v].append((u, w))
+            self._in_edges = [tuple(sorted(r)) for r in radj]
+        return self._in_edges
 
     def vertices(self) -> range:
         return range(self.num_vertices)

@@ -135,13 +135,20 @@ class PrunedLabellingOracle:
         """Run the pruned-landmark precompute.
 
         One forward and one backward pruned Dijkstra per vertex, in
-        descending degree order.  Unlike the SILC build this does NOT
-        require strong connectivity: unreachable pairs simply share no
-        hub and answer ``inf``.
+        descending degree order.  On a :attr:`~SpatialNetwork.symmetric`
+        network every in-edge list equals the out-edge list, so hub
+        *i*'s backward search would repeat its forward one step for step
+        (by induction over the hubs, the in- and out-labels it prunes
+        with are equal too): the forward search runs alone and the
+        in-labels are the out-labels.  Unlike the SILC build this does
+        NOT require strong connectivity: unreachable pairs simply share
+        no hub and answer ``inf``.
         """
         t0 = counted_clock()
         n = network.num_vertices
-        out_edges, in_edges = network.out_edges, network.in_edges
+        out_edges = network.out_edges
+        symmetric = network.symmetric
+        in_edges = out_edges if symmetric else network.in_edges
         order = sorted(
             range(n), key=lambda v: (-(len(out_edges[v]) + len(in_edges[v])), v)
         )
@@ -150,8 +157,11 @@ class PrunedLabellingOracle:
         # i+1), so every list stays sorted by construction.
         out_rank: list[list[int]] = [[] for _ in range(n)]
         out_dist: list[list[float]] = [[] for _ in range(n)]
-        in_rank: list[list[int]] = [[] for _ in range(n)]
-        in_dist: list[list[float]] = [[] for _ in range(n)]
+        if symmetric:
+            in_rank, in_dist = out_rank, out_dist
+        else:
+            in_rank = [[] for _ in range(n)]
+            in_dist = [[] for _ in range(n)]
         # Scratch: hub-rank -> distance table of the current hub's own
         # labels, for O(|label|) prune tests.
         tmp = [math.inf] * n
@@ -195,8 +205,9 @@ class PrunedLabellingOracle:
             pruned_sssp(i, h, out_rank[h], out_dist[h],
                         in_rank, in_dist, out_edges)
             # Backward run: d(u -> h) lands in label_out[u].
-            pruned_sssp(i, h, in_rank[h], in_dist[h],
-                        out_rank, out_dist, in_edges)
+            if not symmetric:
+                pruned_sssp(i, h, in_rank[h], in_dist[h],
+                            out_rank, out_dist, in_edges)
             if progress is not None:
                 progress(i + 1, n)
 

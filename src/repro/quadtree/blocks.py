@@ -28,7 +28,7 @@ BEYOND = -1
 OWN_VERTEX = -2
 
 #: Canonical dtype per column.  ``MAX_ORDER`` 16 keeps every code below
-#: 2**32, the lambdas are float32 rounded outward by
+#: 2**32, the lambdas are float16 rounded outward by
 #: :func:`narrow_lambda`, and a colour is the rank of an out-edge of
 #: the table's vertex: int8 while no vertex has more than 127 out-edges
 #: (:func:`column_dtypes` widens it for a network that has one).
@@ -36,8 +36,8 @@ COLUMN_DTYPES = {
     "codes": np.uint32,
     "levels": np.int8,
     "colors": np.int8,
-    "lam_min": np.float32,
-    "lam_max": np.float32,
+    "lam_min": np.float16,
+    "lam_max": np.float16,
 }
 
 
@@ -55,7 +55,7 @@ def column_dtypes(max_out_degree: int) -> dict[str, type]:
     return {**COLUMN_DTYPES, "colors": np.int16}
 
 
-#: Bytes of one Morton block, 14 (15 with int16 colours): what the
+#: Bytes of one Morton block, 10 (11 with int16 colours): what the
 #: columns take on disk and what the page simulator packs into a page.
 RECORD_BYTES = sum(np.dtype(dtype).itemsize for dtype in COLUMN_DTYPES.values())
 
@@ -63,28 +63,50 @@ RECORD_BYTES = sum(np.dtype(dtype).itemsize for dtype in COLUMN_DTYPES.values())
 def narrow_lambda(
     lam_min: np.ndarray, lam_max: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """float32 copies of lambda bounds: ``lam_min`` rounded toward -inf,
+    """float16 copies of lambda bounds: ``lam_min`` rounded toward -inf,
     ``lam_max`` toward +inf.
 
     The cast rounds to nearest; every element it rounded the wrong way
-    steps back one float32 ulp with ``nextafter``.  The stored interval
-    therefore contains the float64 one, at most one ulp (2**-23
+    steps back one float16 ulp with ``nextafter``.  The stored interval
+    therefore contains the float64 one, at most one ulp (2**-10
     relative) wider on each side, so every bound drawn from it stays
-    sound.  A value exact in float32 comes back unchanged; one beyond
-    float32's range becomes ``inf`` on the outer side and the largest
-    finite float32 on the inner side.
+    sound.  A value exact in float16 comes back unchanged; one beyond
+    float16's range (65504) becomes ``inf`` on the outer side and 65504
+    on the inner side, and one below half the smallest subnormal
+    becomes 0 on the inner side.
     """
     lo = np.asarray(lam_min, dtype=np.float64)
     hi = np.asarray(lam_max, dtype=np.float64)
-    # Past float32's range both the cast and the step overflow, on purpose.
+    # Past float16's range both the cast and the step overflow, on purpose.
     with np.errstate(over="ignore"):
-        lo32 = lo.astype(np.float32)
-        hi32 = hi.astype(np.float32)
-        down = lo32 > lo
-        lo32[down] = np.nextafter(lo32[down], np.float32(-np.inf))
-        up = hi32 < hi
-        hi32[up] = np.nextafter(hi32[up], np.float32(np.inf))
-    return lo32, hi32
+        lo16 = lo.astype(np.float16)
+        hi16 = hi.astype(np.float16)
+        down = lo16 > lo
+        lo16[down] = np.nextafter(lo16[down], np.float16(-np.inf))
+        up = hi16 < hi
+        hi16[up] = np.nextafter(hi16[up], np.float16(np.inf))
+    return lo16, hi16
+
+
+def lambda_ladder(*columns) -> list[float | None]:
+    """The decode ladder of float16 lambda columns: ``ladder[bits]`` is
+    the float64 value of the bit pattern ``bits``.
+
+    It holds one float per pattern from the smallest to the largest
+    one the columns hold (on the 1 000-vertex benchmark index, 4 269
+    values, 1.0 to 18.6875) and ``None`` below, so a probe reads
+    ``ladder[bits[row]]``: one list index, without the subtraction an
+    offset ladder would add to every read.  A value written into a
+    column after the ladder was made is read through it only when its
+    bits lie in that range.
+    """
+    bits = [np.asarray(column).view(np.uint16) for column in columns if len(column)]
+    if not bits:
+        return []
+    lo = min(int(b.min()) for b in bits)
+    hi = max(int(b.max()) for b in bits)
+    values = np.arange(lo, hi + 1, dtype=np.uint16).view(np.float16)
+    return [None] * lo + values.astype(np.float64).tolist()
 
 
 def compute_ends(codes: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -95,7 +117,9 @@ def compute_ends(codes: np.ndarray, levels: np.ndarray) -> np.ndarray:
 class BlockTable:
     """One vertex's sorted, disjoint Morton blocks: five ``memoryview``
     slices, :attr:`columns`, of a :class:`~repro.silc.store.FlatStore`'s
-    columns.
+    columns (the lambdas as their uint16 bit patterns: a ``memoryview``
+    of float16 items, format ``e``, cannot be indexed), and the store's
+    decode :attr:`ladder`.
 
     Nothing on a load or query path builds one: a probe bisects the
     store's own columns between the vertex's two offsets.  ``store[v]``
@@ -103,29 +127,33 @@ class BlockTable:
     range, for the code that inspects one table -- the maps in
     ``examples/`` and tests -- and keeps nothing; a load that built one
     per vertex kept ~1 160 B of heap per vertex (18.6 MB and ~100 ms at
-    16 000 vertices).  Indexing a ``memoryview`` returns native ``int`` /
-    ``float`` without copying a row, and a write to a column is what the
-    next read sees.  A block's end code is
-    ``codes[row] + (1 << 2 * levels[row])``.
+    16 000 vertices).  Indexing a ``memoryview`` returns native ``int``
+    without copying a row, a lambda's float is ``ladder[bits]``, and a
+    write to a column is what the next read sees.  A block's end code
+    is ``codes[row] + (1 << 2 * levels[row])``.
     """
 
-    __slots__ = ("columns",)
+    __slots__ = ("columns", "ladder")
 
     @classmethod
-    def view(cls, codes, levels, colors, lam_min, lam_max) -> BlockTable:
+    def view(cls, codes, levels, colors, lam_min, lam_max, ladder=None) -> BlockTable:
         """Zero-copy construction over columns already sorted and
-        disjoint, as buffers of the canonical item types.  No check is
-        made and no page of a mapped column is touched."""
+        disjoint, as buffers of the canonical item types, the lambdas as
+        their uint16 bits (a float16 array's ``.view(np.uint16)``).  No
+        check is made and no page of a mapped column is touched, when
+        ``ladder`` -- the store's -- is given; without it one is made
+        from the lambda columns."""
         self = object.__new__(cls)
         self.columns = tuple(map(memoryview, (codes, levels, colors, lam_min, lam_max)))
+        self.ladder = lambda_ladder(lam_min, lam_max) if ladder is None else ladder
         return self
 
     # The columns as numpy arrays over the same memory (no copy).
     codes = property(lambda self: np.asarray(self.columns[0]))
     levels = property(lambda self: np.asarray(self.columns[1]))
     colors = property(lambda self: np.asarray(self.columns[2]))
-    lam_min = property(lambda self: np.asarray(self.columns[3]))
-    lam_max = property(lambda self: np.asarray(self.columns[4]))
+    lam_min = property(lambda self: np.asarray(self.columns[3]).view(np.float16))
+    lam_max = property(lambda self: np.asarray(self.columns[4]).view(np.float16))
 
     def lookup(self, cell_code: int) -> tuple[int, float, float, int] | None:
         """Fused point location: ``(color, lam_min, lam_max, row)``, the
@@ -137,7 +165,8 @@ class BlockTable:
         codes, levels, colors, lam_min, lam_max = self.columns
         i = bisect_right(codes, cell_code) - 1
         if i >= 0 and cell_code < codes[i] + (1 << 2 * levels[i]):
-            return colors[i], lam_min[i], lam_max[i], i
+            ladder = self.ladder
+            return colors[i], ladder[lam_min[i]], ladder[lam_max[i]], i
         return None
 
     def __len__(self) -> int:

@@ -26,9 +26,10 @@ are monotone under refinement, so nothing still queued can ever beat
 it.
 
 The search loop is one generator, :func:`cursor`, yielding each state
-as it is confirmed.  :func:`best_first_knn` drains it to k; with no k it
-is ``inn`` run open-ended, the distance browsing of the paper's title,
-and every operator of :mod:`repro.query.browsing` runs on it.
+as it is confirmed.  :func:`best_first_knn` runs it to k in one resume;
+with no k it is ``inn`` run open-ended, the distance browsing of the
+paper's title, and every operator of :mod:`repro.query.browsing` runs
+on it.
 """
 
 from __future__ import annotations
@@ -174,9 +175,13 @@ def best_first_knn(
     else:
         home, known = frozenset(), {}
     states: dict[int, DistanceState] = {}
-    confirmed = list(cursor(
-        handle, stats, states, k, variant, exact, home, known, deadline, time_budget
-    ))
+    confirmed: list[DistanceState] = []
+    # Given ``into``, the cursor yields nothing: one resume runs the search.
+    for _ in cursor(
+        handle, stats, states, k, variant, exact, home, known, deadline, time_budget,
+        into=confirmed,
+    ):
+        pass
 
     # ------------------------------------------------------------------
     # Assembly
@@ -254,6 +259,7 @@ def cursor(
     k: int | None = None, variant: str = "inn", exact: bool = False,
     home: Collection[int] = frozenset(), known: dict[int, float] | None = None,
     deadline: float | None = None, time_budget: float | None = None, slack: float = 1.0,
+    radius: float | None = None, into: list[DistanceState] | None = None,
 ) -> Generator[DistanceState, None, None]:
     """The best-first loop of p.23 as a resumable cursor: yield each
     object state the moment Theorem 1 (or, for ``knn_m``, KMINDIST)
@@ -263,10 +269,16 @@ def cursor(
     k it stops after k confirmations, or when the pruning bound ends the
     search.  ``slack`` confirms a state whose upper bound is within that
     factor of the queue head (``approximate_knn``'s ``1 + epsilon``); at
-    ``1.0`` it is Theorem 1's test.  ``states`` collects every state
-    built, by object id; ``exact``, ``home``, ``known`` and the deadline
-    are ``best_first_knn``'s.  The loop's counts go into ``stats`` when
-    the cursor ends: drained, closed, or collected unfinished.
+    ``1.0`` it is Theorem 1's test.  ``radius`` (``inn`` only) decides
+    membership instead of order: a popped state whose upper bound is
+    within it is confirmed at once, one that straddles it is refined,
+    and the search ends when the queue head's lower bound passes it
+    (``range_query``).  ``states`` collects every state built, by object
+    id; ``exact``, ``home``, ``known`` and the deadline are
+    ``best_first_knn``'s.  Given ``into``, each confirmed state is
+    appended to it and not yielded, so one resume runs the whole search.
+    The loop's counts go into ``stats`` when the cursor ends: drained,
+    closed, or collected unfinished.
     """
     index = handle.index
     object_index = handle.object_index
@@ -311,7 +323,11 @@ def cursor(
     l_where: dict[int, tuple[float, int, int]] = {}
     l_seq = dk_reads = 0
     first_k_his: list[float] = []
-    confirmed: list[DistanceState] = []
+    confirmed: list[DistanceState] = [] if into is None else into
+    each = into is None
+    if radius is not None:
+        # Nothing whose lower bound passes the radius is queued or kept.
+        bound = math.nextafter(radius, inf)
 
     # Q holds ``(lo, seq, kind, payload)``; ``seq`` counts pushes, so it
     # breaks ties first-in-first-out and is ``queue_pushes`` at the end.
@@ -406,7 +422,8 @@ def cursor(
                         ):
                             stats.kmindist_accepts += 1
                             confirmed.append(state)
-                            yield state
+                            if each:
+                                yield state
                         elif state.lo < popped_bound:
                             seq += 1
                             heappush(heap, (state.lo, seq, _OBJECT, state))
@@ -424,10 +441,14 @@ def cursor(
                 continue
 
             state: DistanceState = payload
-            if state.hi <= (heap[0][0] * slack if heap else inf):
-                # No collision: reporting is safe (Theorem 1).
+            if state.hi <= (
+                radius if radius is not None else heap[0][0] * slack if heap else inf
+            ):
+                # No collision: reporting is safe (Theorem 1), or the
+                # state is inside the radius.
                 confirmed.append(state)
-                yield state
+                if each:
+                    yield state
                 continue
             collisions += 1
             old_lo, old_hi = state.lo, state.hi
@@ -441,7 +462,8 @@ def cursor(
                     # Certain member of the k nearest: accept unrefined.
                     stats.kmindist_accepts += 1
                     confirmed.append(state)
-                    yield state
+                    if each:
+                        yield state
                     continue
             if state.oid in walks_home:
                 state.walk_home(known)

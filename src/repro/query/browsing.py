@@ -66,25 +66,18 @@ def range_query(
 ) -> KNNResult:
     """All objects within network distance ``radius`` of the query.
 
-    Browses until a confirmed object's upper bound passes the radius:
-    everything after it lies at or beyond that bound (Theorem 1), so it
-    is the last one to decide, and only it -- when its interval
-    straddles the radius -- is walked to exact.  Results come in
-    browsing order, which is increasing lower bound.
+    Decides membership by bounds, not order: the browse confirms a
+    popped object whose upper bound is within the radius at once, steps
+    one whose interval straddles it until it falls on one side, and
+    ends once the queue head's lower bound passes the radius -- nothing
+    is refined only to be ordered.  Results come in the order they were
+    popped, which is increasing lower bound.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
     t_start = counted_clock()
     stats = QueryStats()
-    states = cursor(_handle(index, object_index, query), stats, {})
-    hits: list[DistanceState] = []
-    for state in states:
-        if state.hi > radius:
-            if state.lo <= radius and state.refine_fully() <= radius:
-                hits.append(state)
-            break
-        hits.append(state)
-    states.close()  # writes the cursor's counts into ``stats``
+    hits = list(cursor(_handle(index, object_index, query), stats, {}, radius=radius))
     return _result(hits, stats, t_start)
 
 

@@ -225,6 +225,7 @@ class QueryHandle:
                     xf[av], yf[av],
                 ))
         codes, levels, _, lam_min, _ = index._columns
+        ladder = index._ladder
         node_info = self.object_index.node_info
         px, py, slope = self.px, self.py, self._euclid_slope
         storage = index.storage
@@ -256,7 +257,7 @@ class QueryHandle:
                 if codes[start] >= code and codes[stop - 1] + (1 << 2 * levels[stop - 1]) <= end:
                     best = min(column[start - a : stop - a])
                 else:  # one table block contains the node
-                    best = lam_min[start] * math.hypot(
+                    best = ladder[lam_min[start]] * math.hypot(
                         xmin - ax if ax < xmin else ax - xmax if ax > xmax else 0.0,
                         ymin - ay if ay < ymin else ay - ymax if ay > ymax else 0.0,
                     )

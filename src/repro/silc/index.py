@@ -118,11 +118,12 @@ class SILCIndex:
         # Native-type mirrors for the query hot path: indexing numpy
         # scalars costs ~10x a list lookup, and hop_and_interval runs once
         # per refinement step.  A probe bisects ``_columns`` between two
-        # ``_offsets``.
+        # ``_offsets`` and reads a lambda as ``_ladder[bits]``.
         self._xf: list[float] = network.xs.tolist()
         self._yf: list[float] = network.ys.tolist()
         self._vcodes: list[int] = self.vertex_codes.tolist()
         self._columns = store.columns
+        self._ladder = store.ladder
         self._offsets: list[int] = store.offsets.tolist()
 
     @property
@@ -240,10 +241,11 @@ class SILCIndex:
         d_e = math.hypot(
             self._xf[source] - self._xf[target], self._yf[source] - self._yf[target]
         )
+        ladder = self._ladder
         return (
             hop,
-            lam_min[row] * d_e * (1.0 - _REL_PAD),
-            lam_max[row] * d_e * (1.0 + _REL_PAD),
+            ladder[lam_min[row]] * d_e * (1.0 - _REL_PAD),
+            ladder[lam_max[row]] * d_e * (1.0 + _REL_PAD),
         )
 
     def missing_hop(self, source: int, target: int, rank: int) -> Exception:
@@ -299,7 +301,8 @@ class SILCIndex:
         :meth:`block_lower_bound`, computed in one vectorised pass.
 
         A query computes it once per anchor and hands it to every
-        :meth:`block_lower_bound` call it makes for that anchor.
+        :meth:`block_lower_bound` call it makes for that anchor.  The
+        float16 lambdas widen to float64 in numpy: the ladder's values.
         """
         self.network.check_vertex(source)
         codes, levels, _, lam_min, _ = self._columns
@@ -311,7 +314,8 @@ class SILCIndex:
         )
         dx = np.maximum(np.maximum(xmin - px, 0.0), px - xmax)
         dy = np.maximum(np.maximum(ymin - py, 0.0), py - ymax)
-        return (np.asarray(lam_min[rows]) * np.hypot(dx, dy)).tolist()
+        lam = np.asarray(lam_min[rows]).view(np.float16).astype(np.float64)
+        return (lam * np.hypot(dx, dy)).tolist()
 
     def block_lower_bound(
         self,
@@ -369,7 +373,7 @@ class SILCIndex:
                 column = self.bound_column(source)
             best = min(column[first - start : stop - start])
         else:
-            best = lam_min[first] * self.embedding.block_world_rect(
+            best = self._ladder[lam_min[first]] * self.embedding.block_world_rect(
                 code, level
             ).min_distance_to_point_xy(self._xf[source], self._yf[source])
         return best * (1.0 - _REL_PAD)
@@ -386,7 +390,7 @@ class SILCIndex:
 
     @property
     def record_bytes(self) -> int:
-        """Bytes of one of this index's blocks: 14, 15 with int16 colours."""
+        """Bytes of one of this index's blocks: 10, 11 with int16 colours."""
         return sum(column.itemsize for column in self.store.column_arrays().values())
 
     def storage_bytes(self, record_bytes: int | None = None) -> int:

@@ -141,8 +141,9 @@ class RefinableDistance:
                 )
             xf, yf = index._xf, index._yf
             d_e = math.hypot(xf[source] - xf[target], yf[source] - yf[target])
-            lo = lam_min[row] * d_e * (1.0 - REL_PAD)
-            hi = lam_max[row] * d_e * (1.0 + REL_PAD)
+            ladder = index._ladder
+            lo = ladder[lam_min[row]] * d_e * (1.0 - REL_PAD)
+            hi = ladder[lam_max[row]] * d_e * (1.0 + REL_PAD)
         self._next_hop = hop
         self._weight = weight
         lo += offset
@@ -205,8 +206,9 @@ class RefinableDistance:
                 )
             xf, yf = index._xf, index._yf
             d_e = math.hypot(xf[nxt] - xf[target], yf[nxt] - yf[target])
-            lo = lam_min[row] * d_e * (1.0 - REL_PAD)
-            hi = lam_max[row] * d_e * (1.0 + REL_PAD)
+            ladder = index._ladder
+            lo = ladder[lam_min[row]] * d_e * (1.0 - REL_PAD)
+            hi = ladder[lam_max[row]] * d_e * (1.0 + REL_PAD)
             lo += acc
             hi += acc
         if not (0.0 <= lo <= hi):

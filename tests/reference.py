@@ -51,7 +51,14 @@ from repro.objects.model import (
     position_point,
 )
 from repro.quadtree import blocks
-from repro.quadtree.blocks import COLUMN_DTYPES, COLUMNS, RECORD_BYTES, compute_ends, narrow_lambda
+from repro.quadtree.blocks import (
+    COLUMN_DTYPES,
+    COLUMNS,
+    RECORD_BYTES,
+    compute_ends,
+    lambda_ladder,
+    narrow_lambda,
+)
 from repro.quadtree.pmr import PMRNode, PMRQuadtree
 from repro.quadtree.region import region_block_columns, split_levels
 from repro.query.distances import QueryHandle
@@ -277,7 +284,9 @@ class BlockTable(blocks.BlockTable):
                 raise ValueError("block codes must be strictly increasing")
             if not np.all(compute_ends(codes, levels)[:-1] <= codes[1:]):
                 raise ValueError("blocks must be disjoint")
-        self.columns = tuple(map(memoryview, arrays))
+        bits = [lam.view(np.uint16) for lam in arrays[3:]]
+        self.columns = tuple(map(memoryview, (*arrays[:3], *bits)))
+        self.ladder = lambda_ladder(*bits)
 
     @property
     def ends(self) -> np.ndarray:
@@ -380,7 +389,15 @@ def build_region_blocks(
         colors.reshape(1, -1),
         values.reshape(1, -1),
     )
-    return BlockTable.view(*(columns[name] for name in COLUMNS))
+    return table_view(*(columns[name] for name in COLUMNS))
+
+
+def table_view(codes, levels, colors, lam_min, lam_max) -> BlockTable:
+    """``BlockTable.view`` over columns whose lambdas are float16, as
+    the region kernel writes them: the view takes their uint16 bits."""
+    return BlockTable.view(
+        codes, levels, colors, lam_min.view(np.uint16), lam_max.view(np.uint16)
+    )
 
 
 # ----------------------------------------------------------------------

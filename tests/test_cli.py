@@ -54,7 +54,7 @@ class TestBuildAndStats:
         out = capsys.readouterr().out
         assert "morton blocks" in out
         assert "blocks/vertex" in out
-        assert "storage (14 B):" in out
+        assert "storage (10 B):" in out
 
     def test_index_file_exists(self, built):
         _, idx_path = built

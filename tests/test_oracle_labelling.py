@@ -15,10 +15,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.network import SpatialNetwork, road_like_network
+from repro.network import SpatialNetwork, grid_network, random_planar_network, road_like_network
 from repro.oracle import PrunedLabellingOracle
 from repro.query.ier import dijkstra_anchored_distance, ier_knn
+from repro.oracle.labelling import LABEL_COLUMNS
 from repro.query.stats import QueryStats
+from test_properties import one_way
 
 
 def dijkstra_distance(net, u, v):
@@ -126,6 +128,46 @@ class TestDisconnectedAndDirected:
         labels = PrunedLabellingOracle.build(net)
         assert labels.distance(0, 2) == pytest.approx(4.0)
         assert math.isinf(labels.distance(2, 0))
+
+
+def label_columns(oracle) -> dict[str, np.ndarray]:
+    return {name: getattr(oracle, name) for name in LABEL_COLUMNS}
+
+
+class TestOnePassOnASymmetricNetwork:
+    """Where every edge's reverse has the same weight, the backward
+    search of each hub repeats its forward one: the build runs the
+    forward search alone and never builds ``in_edges``."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: road_like_network(90, seed=4),
+        lambda: random_planar_network(90, seed=4),
+        lambda: grid_network(8, 9),  # unit weights: exact ties
+    ], ids=["road", "planar", "grid"])
+    def test_one_pass_equals_both_passes(self, make, monkeypatch):
+        net = make()
+        assert net.symmetric
+        one_pass = PrunedLabellingOracle.build(net)
+        assert net._in_edges is None  # read by no one
+        with monkeypatch.context() as patch:
+            patch.setattr(net, "symmetric", False)
+            both = PrunedLabellingOracle.build(net)
+        for name, column in label_columns(one_pass).items():
+            other = label_columns(both)[name]
+            assert column.dtype == other.dtype, name
+            assert column.tobytes() == other.tobytes(), name
+
+    def test_a_one_way_network_runs_both_passes(self):
+        net = one_way(road_like_network(70, seed=5), 5)
+        assert not net.symmetric
+        labels = PrunedLabellingOracle.build(net)
+        assert net._in_edges is not None
+        assert labels.in_hubs.tobytes() != labels.out_hubs.tobytes()
+        for u in range(0, net.num_vertices, 7):
+            for v in range(0, net.num_vertices, 5):
+                assert labels.distance(u, v) == pytest.approx(
+                    dijkstra_distance(net, u, v), rel=1e-9
+                )
 
 
 class TestAnchoredAndKNN:

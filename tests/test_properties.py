@@ -767,9 +767,9 @@ def expelled(index) -> tuple[int, int]:
     return intervals, blocks
 
 
-def test_outward_rounding_is_what_keeps_float32_lambdas_sound(monkeypatch):
+def test_outward_rounding_is_what_keeps_float16_lambdas_sound(monkeypatch):
     """On the 9 x 9 unit lattice the lambdas cast to the *nearest*
-    float32 put ``lambda * d_E`` up to half an ulp of float32 on the
+    float16 put ``lambda * d_E`` up to half an ulp of float16 on the
     wrong side of the integer distance: far more than the pad covers.
     Rounding ``lam_min`` down and ``lam_max`` up keeps every interval
     and block bound sound with the pad as it is."""
@@ -777,7 +777,7 @@ def test_outward_rounding_is_what_keeps_float32_lambdas_sound(monkeypatch):
     assert expelled(aligned_index(net)) == (0, 0)
     monkeypatch.setattr(
         region, "narrow_lambda",
-        lambda lo, hi: (np.asarray(lo).astype(np.float32), np.asarray(hi).astype(np.float32)),
+        lambda lo, hi: (np.asarray(lo).astype(np.float16), np.asarray(hi).astype(np.float16)),
     )
     intervals, blocks = expelled(aligned_index(net))
     assert intervals > 0 and blocks > 0
@@ -785,7 +785,7 @@ def test_outward_rounding_is_what_keeps_float32_lambdas_sound(monkeypatch):
 
 def test_rel_pad_is_what_keeps_the_truth_inside(monkeypatch):
     """One street from (0, 0) to (1, 3) whose length makes its ratio to
-    the Euclidean distance exactly 1.25 in float64 -- exact in float32,
+    the Euclidean distance exactly 1.25 in float64 -- exact in float16,
     so narrowing leaves it alone -- while ``1.25 * d_E`` rounds one ulp
     above the length: only the pad keeps the interval and the block
     bound, both ways along the street, sound."""

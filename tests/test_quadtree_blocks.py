@@ -9,14 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.geometry.morton import MAX_ORDER, block_cells
-from repro.quadtree.blocks import COLUMN_DTYPES, COLUMNS, narrow_lambda
+from repro.quadtree.blocks import COLUMN_DTYPES, COLUMNS, lambda_ladder, narrow_lambda
 from reference import BlockTable
 
 
 def make_table():
     """Blocks: [0,4) level1, [4,5) level0, [8,12) level1 -- gap at [5,8).
 
-    The lambdas are exact in float32, so they come back as written."""
+    The lambdas are exact in float16, so they come back as written."""
     return BlockTable(
         codes=np.array([0, 4, 8]),
         levels=np.array([1, 0, 1]),
@@ -73,13 +73,13 @@ class TestConstruction:
             c: np.dtype(dt) for c, dt in COLUMN_DTYPES.items()
         }
 
-    def test_lambdas_not_exact_in_float32_are_rounded_outward(self):
+    def test_lambdas_not_exact_in_float16_are_rounded_outward(self):
         t = BlockTable(
             np.array([0]), np.array([0]), np.array([1]), np.array([1.2]), np.array([1.2])
         )
         _, lam_lo, lam_hi, _ = t.lookup(0)
         assert lam_lo < 1.2 < lam_hi
-        assert np.nextafter(np.float32(lam_lo), np.float32(2)) == np.float32(lam_hi)
+        assert np.nextafter(np.float16(lam_lo), np.float16(2)) == np.float16(lam_hi)
 
     @pytest.mark.parametrize("code", [-4, block_cells(MAX_ORDER)])
     def test_codes_outside_the_largest_grid_rejected(self, code):
@@ -99,19 +99,21 @@ class TestConstruction:
             )
 
 
-F32_MAX = float(np.finfo(np.float32).max)
-F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
+F16 = np.finfo(np.float16)
+F16_MAX = float(F16.max)  # 65504
+F16_TINY = float(F16.smallest_subnormal)  # 2**-24
 
-#: What lambdas look like at the edges of float32: zero, float64 values
-#: below float32's subnormals and among them, values exact in float32,
-#: ordinary ratios, values beyond float32's range, and infinity.
+#: What lambdas look like at the edges of float16: zero, float64 values
+#: below float16's subnormals and among them, every float16 value
+#: (subnormal, normal, the largest), ordinary ratios, values past
+#: float16's range, and infinity.
 lambdas = st.one_of(
     st.just(0.0),
-    st.floats(0.0, 1e-300),
-    st.floats(0.0, 1e3 * F32_TINY),
-    st.floats(width=32, min_value=0.0, allow_infinity=False),
+    st.floats(0.0, F16_TINY / 2, exclude_max=True),
+    st.floats(0.0, 1e3 * F16_TINY),
+    st.floats(width=16, min_value=0.0, allow_infinity=False),
     st.floats(0.5, 100.0),
-    st.floats(F32_MAX, 1e300),
+    st.floats(F16_MAX, 1e300),
     st.just(float("inf")),
 )
 
@@ -120,13 +122,15 @@ class TestNarrowLambda:
     @given(st.lists(lambdas, min_size=1, max_size=8), st.booleans())
     def test_outward_within_one_ulp_and_exact_when_representable(self, xs, negate):
         x = -np.array(xs) if negate else np.array(xs)
-        lo, hi = narrow_lambda(x, x)
-        assert lo.dtype == hi.dtype == np.float32
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning, past the range too
+            lo, hi = narrow_lambda(x, x)
+        assert lo.dtype == hi.dtype == np.float16
         assert (lo.astype(float) <= x).all() and (x <= hi.astype(float)).all()
-        with np.errstate(over="ignore"):  # finite past float32's range -> inf
-            exact = x.astype(np.float32).astype(float) == x
-            # Not exact: lo and hi are neighbours, one float32 ulp apart.
-            neighbours = np.nextafter(lo[~exact], np.float32(np.inf)) == hi[~exact]
+        with np.errstate(over="ignore"):  # finite past float16's range -> inf
+            exact = x.astype(np.float16).astype(float) == x
+            # Not exact: lo and hi are neighbours, one float16 ulp apart.
+            neighbours = np.nextafter(lo[~exact], np.float16(np.inf)) == hi[~exact]
         assert (lo[exact] == x[exact]).all() and (hi[exact] == x[exact]).all()
         assert neighbours.all()
 
@@ -134,19 +138,56 @@ class TestNarrowLambda:
         lo, hi = narrow_lambda(np.array([np.nan]), np.array([np.nan]))
         assert np.isnan(lo).all() and np.isnan(hi).all()
 
-    @pytest.mark.parametrize("side", ["lam_min", "lam_max"])
-    def test_just_past_float32_range_steps_out_without_a_warning(self, side):
-        # Rounds to float32's largest finite value, the wrong way for an
-        # outward bound: the step out of it is to infinity.
-        edge = np.nextafter(float(np.finfo(np.float32).max), np.inf)
-        x = np.array([-edge if side == "lam_min" else edge])
+    @pytest.mark.parametrize("x", [np.nextafter(F16_MAX, np.inf), 65520.0, 70000.0, 1e300])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_past_float16_range_is_inf_outside_and_the_largest_inside(self, x, sign):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lo, hi = narrow_lambda(x, x)
-        if side == "lam_min":
-            assert lo[0] == -np.inf and hi[0] == -np.finfo(np.float32).max
-        else:
-            assert hi[0] == np.inf and lo[0] == np.finfo(np.float32).max
+            lo, hi = narrow_lambda(np.array([sign * x]), np.array([sign * x]))
+        outside, inside = (hi[0], lo[0]) if sign > 0 else (lo[0], hi[0])
+        assert outside == sign * np.inf
+        assert inside == sign * F16_MAX
+
+    @pytest.mark.parametrize("x", [F16_TINY / 2, F16_TINY / 3, 1e-300])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_below_the_smallest_subnormal_is_zero_inside(self, x, sign):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, hi = narrow_lambda(np.array([sign * x]), np.array([sign * x]))
+        outside, inside = (hi[0], lo[0]) if sign > 0 else (lo[0], hi[0])
+        assert inside == 0.0
+        assert outside == sign * F16_TINY
+
+
+class TestLambdaLadder:
+    def test_decodes_every_pattern_it_covers_as_numpy_does(self):
+        """Every non-negative float16 -- zero, subnormals, normals, the
+        largest, infinity -- and the NaNs past it, between the
+        smallest and the largest pattern given."""
+        bits = np.arange(0, 0x8000, dtype=np.uint16)
+        values = bits.view(np.float16)
+        ladder = lambda_ladder(values[:1], values[-1:])
+        assert len(ladder) == 0x8000
+        want = values.astype(np.float64).tolist()
+        for b, got in enumerate(ladder):
+            assert got == want[b] or got != got and want[b] != want[b], b
+            assert type(got) is float
+
+    def test_covers_only_the_range_the_columns_hold(self):
+        lo = np.array([1.0, 1.5], dtype=np.float16)
+        hi = np.array([2.0, 18.68], dtype=np.float16)
+        ladder = lambda_ladder(lo, hi)
+        first, last = int(lo.view(np.uint16)[0]), int(hi.view(np.uint16)[1])
+        assert len(ladder) == last + 1
+        assert ladder[:first] == [None] * first
+        assert ladder[first] == 1.0 and ladder[last] == float(np.float16(18.68))
+        assert lambda_ladder(np.empty(0, np.float16), np.empty(0, np.float16)) == []
+
+    def test_negative_patterns_are_covered_too(self):
+        """A sign bit puts a pattern past every positive one."""
+        col = np.array([1.0, -2.0], dtype=np.float16)
+        ladder = lambda_ladder(col, col)
+        assert ladder[int(col.view(np.uint16)[1])] == -2.0
 
 
 class TestLocate:
@@ -212,7 +253,7 @@ class TestColumnsAreRead:
 
     def test_probes_return_native_scalars_from_any_buffer(self):
         owned = make_table()
-        viewed = BlockTable.view(*(getattr(owned, c).copy() for c in COLUMNS))
+        viewed = BlockTable.view(*(np.asarray(column).copy() for column in owned.columns))
         for table in (owned, viewed):
             hit = table.lookup(9)
             assert hit == (30, 1.25, 1.875, 2)
@@ -228,8 +269,10 @@ class TestColumnsAreRead:
         table = make_table()
         assert table.lookup(9) == (30, 1.25, 1.875, 2)  # probed once already
         table.colors[2] = 77
-        table.lam_min[2] = 0.5
-        assert table.lookup(9) == (77, 0.5, 1.875, 2)
+        # Inside the ladder's range, 1.0 .. 2.0: a lambda outside the
+        # patterns the table held when made decodes to None.
+        table.lam_min[2] = 1.5
+        assert table.lookup(9) == (77, 1.5, 1.875, 2)
         # Shrinking a block moves its end code with it.
         table.levels[2] = 0
         assert table.lookup(9) is None

@@ -12,7 +12,7 @@ from repro.silc.proximal import ProximalSILCIndex
 from repro.silc import SILCIndex
 from repro.network.allpairs import all_pairs_chunks
 from repro.silc.sp_quadtree import SPQuadtreeBuilder
-from reference import BlockTable, build_region_blocks, ranked
+from reference import BlockTable, build_region_blocks, ranked, table_view
 
 
 def build_from_cells(cells, colors, values, order=3):
@@ -31,9 +31,9 @@ class TestBuilder:
     def test_single_point_gives_root_block(self):
         t = build_from_cells([(3, 3)], [1], [1.5], order=3)
         assert len(t) == 1
-        code, level, color, lam_min, lam_max = (column[0] for column in t.columns)
+        code, level, color = (column[0] for column in t.columns[:3])
         assert level == 3 and code == 0 and color == 1
-        assert lam_min == lam_max == 1.5
+        assert t.lookup(0)[1:3] == (1.5, 1.5)
 
     def test_uniform_colors_collapse_to_root(self):
         cells = [(x, y) for x in range(4) for y in range(4)]
@@ -225,7 +225,7 @@ def stack_walk_blocks(sorted_codes, colors, values, grid_order):
     # The changes since: the lambdas go through the same outward
     # narrowing as the kernel's, the codes are stored as uint32, and the
     # colours keep the dtype they came in.
-    return BlockTable.view(
+    return table_view(
         np.array(out_codes, dtype=np.uint32),
         np.array(out_levels, dtype=np.int8),
         np.array(out_colors, dtype=colors.dtype),
@@ -323,7 +323,7 @@ class TestKernelParity:
         offsets = np.concatenate([[0], np.cumsum(sizes)])
         for i in range(m):
             single = build_region_blocks(codes, colors[i], values[i], order)
-            chunk_row = BlockTable.view(
+            chunk_row = table_view(
                 *(columns[c][offsets[i] : offsets[i + 1]] for c in COLUMNS)
             )
             assert column_bytes(chunk_row) == column_bytes(single)

@@ -152,10 +152,10 @@ class TestStorageStats:
         assert small_index.storage_bytes(16) == small_index.total_blocks() * 16
 
     def test_storage_bytes_are_the_column_bytes(self, small_index):
-        """One record size: the default is what the columns hold, 14 B."""
+        """One record size: the default is what the columns hold, 10 B."""
         assert small_index.storage_bytes() == small_index.store.nbytes()
-        assert small_index.store.nbytes() == 14 * small_index.total_blocks()
-        assert small_index.record_bytes == 14
+        assert small_index.store.nbytes() == 10 * small_index.total_blocks()
+        assert small_index.record_bytes == 10
 
     def test_attach_storage_validates_layout(self, small_index, grid_index):
         sim = grid_index.make_storage()
@@ -223,13 +223,13 @@ class TestAWideHub:
         assert net.max_out_degree == spokes
         return net, SILCIndex.build(net)
 
-    def test_int16_colours_and_15_byte_blocks(self, hub):
+    def test_int16_colours_and_11_byte_blocks(self, hub):
         net, index = hub
         assert index.store.colors.dtype == np.int16
         assert index.store.colors.max() == net.max_out_degree - 1  # the hub's last spoke
-        assert index.record_bytes == 15
-        assert index.storage_bytes() == index.store.nbytes() == 15 * index.total_blocks()
-        assert index.make_storage().layout.records_per_page == 4096 // 15
+        assert index.record_bytes == 11
+        assert index.storage_bytes() == index.store.nbytes() == 11 * index.total_blocks()
+        assert index.make_storage().layout.records_per_page == 4096 // 11
 
     def test_every_distance_and_path_is_dijkstra(self, hub):
         from repro.network import distance_matrix

@@ -11,9 +11,9 @@ class TestPageLayout:
         assert PageLayout(page_size=4096, record_bytes=16).records_per_page == 256
 
     def test_the_default_record_is_the_saved_block(self):
-        """Simulated pages hold the 14 bytes a block takes in the columns."""
-        assert PageLayout().record_bytes == RECORD_BYTES == 14
-        assert PageLayout().records_per_page == 292
+        """Simulated pages hold the 10 bytes a block takes in the columns."""
+        assert PageLayout().record_bytes == RECORD_BYTES == 10
+        assert PageLayout().records_per_page == 409
 
     def test_validation(self):
         with pytest.raises(ValueError):

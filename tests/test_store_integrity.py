@@ -178,7 +178,7 @@ def test_damage_fails_load(pristine, tmp_path, small_net, layout, column, damage
 #: item size, manifest rewritten to match: sizes and checksums agree,
 #: so only the dtype check stands between the bytes and a query.
 WRONG_DTYPES = {
-    "index": ("lam_min", ">f4"),
+    "index": ("lam_min", ">f2"),
     "labels": ("out_hubs", "<u4"),
 }
 
@@ -198,6 +198,13 @@ def test_wrong_dtype_fails_load(pristine, tmp_path, small_net, layout, mmap):
         load(layout, tmp_path / layout, small_net, mmap)
     assert exc.value.column == column
     assert np.dtype(dtype).str in str(exc.value)
+
+
+def save_float32_lambdas(path) -> None:
+    """Re-save ``path``'s lambdas as the layouts before the 10-byte one
+    held them: float32 (every float16 widens exactly)."""
+    for column in ("lam_min", "lam_max"):
+        np.save(path / file_name(column), np.load(path / file_name(column)).astype("<f4"))
 
 
 def save_vertex_id_colours(path, network) -> None:
@@ -263,10 +270,32 @@ def vertex_id_colours(pristine, tmp_path, small_net):
     path = tmp_path / "index"
     shutil.copytree(pristine / "index", path)
     save_vertex_id_colours(path, small_net)
+    save_float32_lambdas(path)
     write_manifest(path)
     verify_manifest(path)
     save_text(small_net, tmp_path / "net.txt")
     return path
+
+
+@pytest.fixture()
+def float32_lambdas(pristine, tmp_path):
+    """The index re-saved in the 14-byte layout the 10-byte one replaced
+    (float32 lambdas) with a manifest that matches it."""
+    path = tmp_path / "index"
+    shutil.copytree(pristine / "index", path)
+    save_float32_lambdas(path)
+    write_manifest(path)
+    verify_manifest(path)
+    return path
+
+
+@pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+def test_an_index_with_float32_lambdas_is_refused_by_name(float32_lambdas, small_net, mmap):
+    with pytest.raises(CorruptIndexError) as exc:
+        SILCIndex.load(float32_lambdas, small_net, mmap=mmap)
+    assert exc.value.column == "lam_min"
+    assert "column 'lam_min' holds <f4 items, expected <f2" in str(exc.value)
+    assert "rebuild it with `repro build`" in str(exc.value)
 
 
 @pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
