@@ -88,25 +88,19 @@ def narrow_lambda(
     return lo16, hi16
 
 
-def lambda_ladder(*columns) -> list[float | None]:
-    """The decode ladder of float16 lambda columns: ``ladder[bits]`` is
-    the float64 value of the bit pattern ``bits``.
-
-    It holds one float per pattern from the smallest to the largest
-    one the columns hold (on the 1 000-vertex benchmark index, 4 269
-    values, 1.0 to 18.6875) and ``None`` below, so a probe reads
-    ``ladder[bits[row]]``: one list index, without the subtraction an
-    offset ladder would add to every read.  A value written into a
-    column after the ladder was made is read through it only when its
-    bits lie in that range.
-    """
-    bits = [np.asarray(column).view(np.uint16) for column in columns if len(column)]
-    if not bits:
-        return []
-    lo = min(int(b.min()) for b in bits)
-    hi = max(int(b.max()) for b in bits)
-    values = np.arange(lo, hi + 1, dtype=np.uint16).view(np.float16)
-    return [None] * lo + values.astype(np.float64).tolist()
+#: The float16 decode ladder: ``LAMBDA_LADDER[bits]`` is the float
+#: value of the float16 bit pattern ``bits``, for every one of the
+#: 65 536 patterns -- negatives, infinities and NaNs included, so a
+#: corrupt lambda decodes to what it is and the typed bound checks
+#: refuse it.  A ``memoryview`` of float16 items (format ``e``) cannot
+#: be indexed, so a probe reads a lambda column's uint16 bits and then
+#: ``LAMBDA_LADDER[bits[row]]``.  It is a read-only ``memoryview`` of
+#: float32 (float16 widens to it exactly): 256 KiB, made once per
+#: process, where a list of Python floats would hold 2 MiB in every
+#: serving process and shard worker.
+LAMBDA_LADDER = memoryview(
+    np.arange(1 << 16, dtype=np.uint16).view(np.float16).astype(np.float32)
+).toreadonly()
 
 
 def compute_ends(codes: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -117,9 +111,8 @@ def compute_ends(codes: np.ndarray, levels: np.ndarray) -> np.ndarray:
 class BlockTable:
     """One vertex's sorted, disjoint Morton blocks: five ``memoryview``
     slices, :attr:`columns`, of a :class:`~repro.silc.store.FlatStore`'s
-    columns (the lambdas as their uint16 bit patterns: a ``memoryview``
-    of float16 items, format ``e``, cannot be indexed), and the store's
-    decode :attr:`ladder`.
+    columns (the lambdas as their uint16 bit patterns, decoded through
+    :data:`LAMBDA_LADDER`).
 
     Nothing on a load or query path builds one: a probe bisects the
     store's own columns between the vertex's two offsets.  ``store[v]``
@@ -128,24 +121,21 @@ class BlockTable:
     ``examples/`` and tests -- and keeps nothing; a load that built one
     per vertex kept ~1 160 B of heap per vertex (18.6 MB and ~100 ms at
     16 000 vertices).  Indexing a ``memoryview`` returns native ``int``
-    without copying a row, a lambda's float is ``ladder[bits]``, and a
-    write to a column is what the next read sees.  A block's end code
+    without copying a row, a lambda's float is ``LAMBDA_LADDER[bits]``,
+    and a write to a column is what the next read sees.  A block's end code
     is ``codes[row] + (1 << 2 * levels[row])``.
     """
 
-    __slots__ = ("columns", "ladder")
+    __slots__ = ("columns",)
 
     @classmethod
-    def view(cls, codes, levels, colors, lam_min, lam_max, ladder=None) -> BlockTable:
+    def view(cls, codes, levels, colors, lam_min, lam_max) -> BlockTable:
         """Zero-copy construction over columns already sorted and
         disjoint, as buffers of the canonical item types, the lambdas as
         their uint16 bits (a float16 array's ``.view(np.uint16)``).  No
-        check is made and no page of a mapped column is touched, when
-        ``ladder`` -- the store's -- is given; without it one is made
-        from the lambda columns."""
+        check is made and no page of a mapped column is touched."""
         self = object.__new__(cls)
         self.columns = tuple(map(memoryview, (codes, levels, colors, lam_min, lam_max)))
-        self.ladder = lambda_ladder(lam_min, lam_max) if ladder is None else ladder
         return self
 
     # The columns as numpy arrays over the same memory (no copy).
@@ -165,8 +155,7 @@ class BlockTable:
         codes, levels, colors, lam_min, lam_max = self.columns
         i = bisect_right(codes, cell_code) - 1
         if i >= 0 and cell_code < codes[i] + (1 << 2 * levels[i]):
-            ladder = self.ladder
-            return colors[i], ladder[lam_min[i]], ladder[lam_max[i]], i
+            return colors[i], LAMBDA_LADDER[lam_min[i]], LAMBDA_LADDER[lam_max[i]], i
         return None
 
     def __len__(self) -> int:

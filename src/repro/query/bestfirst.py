@@ -26,10 +26,9 @@ are monotone under refinement, so nothing still queued can ever beat
 it.
 
 The search loop is one generator, :func:`cursor`, yielding each state
-as it is confirmed.  :func:`best_first_knn` runs it to k in one resume;
-with no k it is ``inn`` run open-ended, the distance browsing of the
-paper's title, and every operator of :mod:`repro.query.browsing` runs
-on it.
+as it is confirmed.  :func:`best_first_knn` drains it to k; with no k it
+is ``inn`` run open-ended, the distance browsing of the paper's title,
+and every operator of :mod:`repro.query.browsing` runs on it.
 """
 
 from __future__ import annotations
@@ -175,13 +174,9 @@ def best_first_knn(
     else:
         home, known = frozenset(), {}
     states: dict[int, DistanceState] = {}
-    confirmed: list[DistanceState] = []
-    # Given ``into``, the cursor yields nothing: one resume runs the search.
-    for _ in cursor(
-        handle, stats, states, k, variant, exact, home, known, deadline, time_budget,
-        into=confirmed,
-    ):
-        pass
+    confirmed = list(cursor(
+        handle, stats, states, k, variant, exact, home, known, deadline, time_budget
+    ))
 
     # ------------------------------------------------------------------
     # Assembly
@@ -259,7 +254,7 @@ def cursor(
     k: int | None = None, variant: str = "inn", exact: bool = False,
     home: Collection[int] = frozenset(), known: dict[int, float] | None = None,
     deadline: float | None = None, time_budget: float | None = None, slack: float = 1.0,
-    radius: float | None = None, into: list[DistanceState] | None = None,
+    radius: float | None = None,
 ) -> Generator[DistanceState, None, None]:
     """The best-first loop of p.23 as a resumable cursor: yield each
     object state the moment Theorem 1 (or, for ``knn_m``, KMINDIST)
@@ -275,10 +270,8 @@ def cursor(
     and the search ends when the queue head's lower bound passes it
     (``range_query``).  ``states`` collects every state built, by object
     id; ``exact``, ``home``, ``known`` and the deadline are
-    ``best_first_knn``'s.  Given ``into``, each confirmed state is
-    appended to it and not yielded, so one resume runs the whole search.
-    The loop's counts go into ``stats`` when the cursor ends: drained,
-    closed, or collected unfinished.
+    ``best_first_knn``'s.  The loop's counts go into ``stats`` when the
+    cursor ends: drained, closed, or collected unfinished.
     """
     index = handle.index
     object_index = handle.object_index
@@ -323,8 +316,7 @@ def cursor(
     l_where: dict[int, tuple[float, int, int]] = {}
     l_seq = dk_reads = 0
     first_k_his: list[float] = []
-    confirmed: list[DistanceState] = [] if into is None else into
-    each = into is None
+    confirmed: list[DistanceState] = []
     if radius is not None:
         # Nothing whose lower bound passes the radius is queued or kept.
         bound = math.nextafter(radius, inf)
@@ -422,8 +414,7 @@ def cursor(
                         ):
                             stats.kmindist_accepts += 1
                             confirmed.append(state)
-                            if each:
-                                yield state
+                            yield state
                         elif state.lo < popped_bound:
                             seq += 1
                             heappush(heap, (state.lo, seq, _OBJECT, state))
@@ -447,8 +438,7 @@ def cursor(
                 # No collision: reporting is safe (Theorem 1), or the
                 # state is inside the radius.
                 confirmed.append(state)
-                if each:
-                    yield state
+                yield state
                 continue
             collisions += 1
             old_lo, old_hi = state.lo, state.hi
@@ -462,8 +452,7 @@ def cursor(
                     # Certain member of the k nearest: accept unrefined.
                     stats.kmindist_accepts += 1
                     confirmed.append(state)
-                    if each:
-                        yield state
+                    yield state
                     continue
             if state.oid in walks_home:
                 state.walk_home(known)

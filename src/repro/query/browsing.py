@@ -41,10 +41,12 @@ def _handle(index: SILCIndex, object_index: ObjectIndex, query, counter=None) ->
     return QueryHandle(index, object_index, resolve_location(index.network, query), counter)
 
 
-def _result(states: list[DistanceState], stats: QueryStats, t_start: float) -> KNNResult:
+def _result(
+    states: list[DistanceState], stats: QueryStats, t_start: float, ordered: bool = True
+) -> KNNResult:
     stats.elapsed = counted_clock() - t_start
     return KNNResult(
-        neighbors=[Neighbor.from_state(s) for s in states], stats=stats, ordered=True
+        neighbors=[Neighbor.from_state(s) for s in states], stats=stats, ordered=ordered
     )
 
 
@@ -71,14 +73,15 @@ def range_query(
     one whose interval straddles it until it falls on one side, and
     ends once the queue head's lower bound passes the radius -- nothing
     is refined only to be ordered.  Results come in the order they were
-    popped, which is increasing lower bound.
+    popped, which is increasing lower bound, not distance: two hits'
+    intervals may overlap, so the result is ``ordered=False``.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
     t_start = counted_clock()
     stats = QueryStats()
     hits = list(cursor(_handle(index, object_index, query), stats, {}, radius=radius))
-    return _result(hits, stats, t_start)
+    return _result(hits, stats, t_start, ordered=False)
 
 
 def approximate_knn(

@@ -17,6 +17,7 @@ from collections.abc import Sequence
 from repro.objects.index import ObjectIndex
 from repro.objects.model import NetworkPosition, VertexPosition, position_point
 from repro.query.location import same_edge_direct, source_anchors
+from repro.quadtree.blocks import LAMBDA_LADDER
 from repro.quadtree.pmr import PMRNode
 from repro.silc.index import SILCIndex
 from repro.silc.intervals import MAX_REL_GAP, DistanceInterval, invalid_bounds
@@ -225,7 +226,6 @@ class QueryHandle:
                     xf[av], yf[av],
                 ))
         codes, levels, _, lam_min, _ = index._columns
-        ladder = index._ladder
         node_info = self.object_index.node_info
         px, py, slope = self.px, self.py, self._euclid_slope
         storage = index.storage
@@ -257,7 +257,7 @@ class QueryHandle:
                 if codes[start] >= code and codes[stop - 1] + (1 << 2 * levels[stop - 1]) <= end:
                     best = min(column[start - a : stop - a])
                 else:  # one table block contains the node
-                    best = ladder[lam_min[start]] * math.hypot(
+                    best = LAMBDA_LADDER[lam_min[start]] * math.hypot(
                         xmin - ax if ax < xmin else ax - xmax if ax > xmax else 0.0,
                         ymin - ay if ay < ymin else ay - ymax if ay > ymax else 0.0,
                     )

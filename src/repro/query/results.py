@@ -48,8 +48,10 @@ class Neighbor:
 class KNNResult:
     """The answer to one k-nearest-neighbor query.
 
-    ``ordered`` is False for kNN-M, whose KMINDIST fast path trades
-    the sortedness of the output for fewer refinements (p.36).
+    ``ordered`` promises the neighbours come in increasing distance.  It
+    is False for kNN-M, whose KMINDIST fast path trades the sortedness
+    of the output for fewer refinements (p.36), and for ``range_query``,
+    which decides membership by bounds and refines no hit to order it.
     """
 
     neighbors: list[Neighbor]

@@ -37,7 +37,7 @@ from repro.integrity import atomic_directory, checked_load, verify_manifest
 from repro.network.allpairs import materialize_sources
 from repro.network.errors import OutEdgeNotFound, PathNotFound
 from repro.network.graph import SpatialNetwork
-from repro.quadtree.blocks import BEYOND, column_dtypes
+from repro.quadtree.blocks import BEYOND, LAMBDA_LADDER, column_dtypes
 from repro.silc.parallel import parallel_block_columns, resolve_workers
 from repro.silc.intervals import REL_PAD as _REL_PAD
 from repro.silc.refinement import RefinableDistance, RefinementCounter
@@ -118,12 +118,11 @@ class SILCIndex:
         # Native-type mirrors for the query hot path: indexing numpy
         # scalars costs ~10x a list lookup, and hop_and_interval runs once
         # per refinement step.  A probe bisects ``_columns`` between two
-        # ``_offsets`` and reads a lambda as ``_ladder[bits]``.
+        # ``_offsets`` and reads a lambda as ``LAMBDA_LADDER[bits]``.
         self._xf: list[float] = network.xs.tolist()
         self._yf: list[float] = network.ys.tolist()
         self._vcodes: list[int] = self.vertex_codes.tolist()
         self._columns = store.columns
-        self._ladder = store.ladder
         self._offsets: list[int] = store.offsets.tolist()
 
     @property
@@ -241,11 +240,10 @@ class SILCIndex:
         d_e = math.hypot(
             self._xf[source] - self._xf[target], self._yf[source] - self._yf[target]
         )
-        ladder = self._ladder
         return (
             hop,
-            ladder[lam_min[row]] * d_e * (1.0 - _REL_PAD),
-            ladder[lam_max[row]] * d_e * (1.0 + _REL_PAD),
+            LAMBDA_LADDER[lam_min[row]] * d_e * (1.0 - _REL_PAD),
+            LAMBDA_LADDER[lam_max[row]] * d_e * (1.0 + _REL_PAD),
         )
 
     def missing_hop(self, source: int, target: int, rank: int) -> Exception:
@@ -373,7 +371,7 @@ class SILCIndex:
                 column = self.bound_column(source)
             best = min(column[first - start : stop - start])
         else:
-            best = self._ladder[lam_min[first]] * self.embedding.block_world_rect(
+            best = LAMBDA_LADDER[lam_min[first]] * self.embedding.block_world_rect(
                 code, level
             ).min_distance_to_point_xy(self._xf[source], self._yf[source])
         return best * (1.0 - _REL_PAD)

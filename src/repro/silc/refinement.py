@@ -25,6 +25,7 @@ from bisect import bisect_right
 from typing import TYPE_CHECKING
 
 from repro.network.errors import PathNotFound
+from repro.quadtree.blocks import LAMBDA_LADDER
 from repro.silc.intervals import MAX_REL_GAP, REL_PAD, DistanceInterval, invalid_bounds
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -141,9 +142,8 @@ class RefinableDistance:
                 )
             xf, yf = index._xf, index._yf
             d_e = math.hypot(xf[source] - xf[target], yf[source] - yf[target])
-            ladder = index._ladder
-            lo = ladder[lam_min[row]] * d_e * (1.0 - REL_PAD)
-            hi = ladder[lam_max[row]] * d_e * (1.0 + REL_PAD)
+            lo = LAMBDA_LADDER[lam_min[row]] * d_e * (1.0 - REL_PAD)
+            hi = LAMBDA_LADDER[lam_max[row]] * d_e * (1.0 + REL_PAD)
         self._next_hop = hop
         self._weight = weight
         lo += offset
@@ -206,9 +206,8 @@ class RefinableDistance:
                 )
             xf, yf = index._xf, index._yf
             d_e = math.hypot(xf[nxt] - xf[target], yf[nxt] - yf[target])
-            ladder = index._ladder
-            lo = ladder[lam_min[row]] * d_e * (1.0 - REL_PAD)
-            hi = ladder[lam_max[row]] * d_e * (1.0 + REL_PAD)
+            lo = LAMBDA_LADDER[lam_min[row]] * d_e * (1.0 - REL_PAD)
+            hi = LAMBDA_LADDER[lam_max[row]] * d_e * (1.0 + REL_PAD)
             lo += acc
             hi += acc
         if not (0.0 <= lo <= hi):

@@ -39,14 +39,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.integrity import check_dtypes
-from repro.quadtree.blocks import (
-    COLUMN_DTYPES,
-    COLUMNS,
-    OWN_VERTEX,
-    BlockTable,
-    compute_ends,
-    lambda_ladder,
-)
+from repro.quadtree.blocks import COLUMN_DTYPES, COLUMNS, OWN_VERTEX, BlockTable, compute_ends
 
 
 #: A batch of finished tables: their vertices, their block counts, and
@@ -86,9 +79,9 @@ class FlatStore:
     read-only over a mapped file): what every probe reads.  The two
     float16 lambda columns are viewed as their uint16 bits (a
     ``memoryview`` of float16 items cannot be indexed) and a probe
-    reads a lambda as ``ladder[bits[row]]``: :attr:`ladder` is
-    :func:`~repro.quadtree.blocks.lambda_ladder` of the columns, made
-    once here.  Views do not pickle and nothing pickles a store: the
+    reads a lambda as ``LAMBDA_LADDER[bits[row]]``
+    (:data:`~repro.quadtree.blocks.LAMBDA_LADDER`, one per process).
+    Views do not pickle and nothing pickles a store: the
     build pool ships numpy chunks and shard workers map the index
     directory.
     """
@@ -101,7 +94,6 @@ class FlatStore:
         "lam_min",
         "lam_max",
         "columns",
-        "ladder",
     )
 
     def __init__(
@@ -134,8 +126,6 @@ class FlatStore:
         #: the lambdas as their bits.
         bits = (lam_min.view(np.uint16), lam_max.view(np.uint16))
         self.columns = tuple(map(memoryview, (codes, levels, colors, *bits)))
-        #: ``ladder[bits]`` is the float64 lambda of the bit pattern ``bits``.
-        self.ladder = lambda_ladder(lam_min, lam_max)
 
     # ------------------------------------------------------------------
     # Construction
@@ -294,9 +284,7 @@ class FlatStore:
         v = range(len(self))[v]  # IndexError past the end ends iteration
         a, b = int(self.offsets[v]), int(self.offsets[v + 1])
         codes, levels, colors, lam_min, lam_max = self.columns
-        return BlockTable.view(
-            codes[a:b], levels[a:b], colors[a:b], lam_min[a:b], lam_max[a:b], self.ladder
-        )
+        return BlockTable.view(codes[a:b], levels[a:b], colors[a:b], lam_min[a:b], lam_max[a:b])
 
     # ------------------------------------------------------------------
     # Serialization payload

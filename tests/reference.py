@@ -51,14 +51,7 @@ from repro.objects.model import (
     position_point,
 )
 from repro.quadtree import blocks
-from repro.quadtree.blocks import (
-    COLUMN_DTYPES,
-    COLUMNS,
-    RECORD_BYTES,
-    compute_ends,
-    lambda_ladder,
-    narrow_lambda,
-)
+from repro.quadtree.blocks import COLUMN_DTYPES, COLUMNS, RECORD_BYTES, compute_ends, narrow_lambda
 from repro.quadtree.pmr import PMRNode, PMRQuadtree
 from repro.quadtree.region import region_block_columns, split_levels
 from repro.query.distances import QueryHandle
@@ -286,7 +279,6 @@ class BlockTable(blocks.BlockTable):
                 raise ValueError("blocks must be disjoint")
         bits = [lam.view(np.uint16) for lam in arrays[3:]]
         self.columns = tuple(map(memoryview, (*arrays[:3], *bits)))
-        self.ladder = lambda_ladder(*bits)
 
     @property
     def ends(self) -> np.ndarray:

@@ -54,10 +54,9 @@ FRAMES_PER_FINISH_LINK = 0
 #:   non-leaf expansion for all of its live children -- per node and
 #:   anchor the row run, pages, minimum and MINDISTs are inline, so a
 #:   node bounded costs no frame of its own;
-#: * object confirmed: nothing -- the search loop is a generator
-#:   (``cursor``) that appends each confirmed state to
-#:   ``best_first_knn``'s list instead of yielding it, so the one resume
-#:   that runs the search is in the per-query count;
+#: * object confirmed: the search loop is a generator (``cursor``), and
+#:   ``best_first_knn`` resumes it once per state it yields, and once
+#:   more to find it ended (in the per-query count);
 #: * neighbor reported: the ``Neighbor`` and ``DistanceInterval``
 #:   constructors (the interval checks its bounds in its own
 #:   ``__init__``; the sort keys and ``dk_final``'s are ``attrgetter``:
@@ -70,13 +69,13 @@ FRAMES_PER_FINISH_LINK = 0
 #:   two comprehensions;
 #: * query: set-up (stats, counter, location, handle, the Euclidean
 #:   slope, one bound column per anchor with its check and geometry),
-#:   the cursor's one resume, the I/O snapshot and delta, result
+#:   the cursor's first resume, the I/O snapshot and delta, result
 #:   assembly.
 #:
 #: There is no slack left: a step or link that reaches its target costs
 #: what any other does, and every case below meets its budget exactly.
 FRAMES_PER_OBJECT = 1
-FRAMES_PER_CONFIRMATION = 0
+FRAMES_PER_CONFIRMATION = 1
 FRAMES_PER_BOUNDING_CALL = 1
 FRAMES_PER_NEIGHBOR = 2
 FRAMES_PER_WALK = 1

@@ -122,7 +122,7 @@ from repro.query.ine import ine_knn
 from repro.query.distances import QueryHandle
 from repro.query.location import resolve_location
 from repro.silc.proximal import ProximalSILCIndex, BEYOND, BeyondHorizonError
-from repro.quadtree.blocks import OWN_VERTEX, lambda_ladder
+from repro.quadtree.blocks import OWN_VERTEX
 from repro.silc import SILCIndex
 from repro.silc.index import _REL_PAD
 from repro.silc.refinement import RefinableDistance, RefinementCounter
@@ -1109,14 +1109,11 @@ class TestChecksKept:
     @staticmethod
     def _corrupt(index, source, target, column, value):
         """Overwrite ``column`` of the row of ``source``'s table that
-        answers probes for ``target``, then widen the store's lambda
-        ladder in place to cover what was written."""
+        answers probes for ``target``."""
         table = index.tables[source]
         array = getattr(table, column)
         array.setflags(write=True)
         array[table.lookup(int(index.vertex_codes[target]))[3]] = value
-        store = index.store
-        store.ladder[:] = lambda_ladder(store.lam_min, store.lam_max)
 
     @pytest.mark.parametrize("bad", [float("nan"), -1e4])
     def test_bad_lam_min_fails_a_step_and_no_walk_reads_it(self, grid_net, index, bad):

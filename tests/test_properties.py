@@ -356,6 +356,8 @@ def test_the_paper_library_matches_dijkstra(kind, seed):
                 holds_truth(result.neighbors, truth)
                 los = [n.interval.lo for n in result.neighbors]
                 assert los == sorted(los)
+                got = [truth[n.oid] for n in result.neighbors]
+                assert not result.ordered or got == sorted(got)
 
         for agg, fold in (("sum", sum), ("max", max)):  # both queries at once
             folded = {oid: fold(t[oid] for t in truths) for oid in truths[0]}

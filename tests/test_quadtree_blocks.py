@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.geometry.morton import MAX_ORDER, block_cells
-from repro.quadtree.blocks import COLUMN_DTYPES, COLUMNS, lambda_ladder, narrow_lambda
+from repro.quadtree.blocks import COLUMN_DTYPES, COLUMNS, LAMBDA_LADDER, narrow_lambda
 from reference import BlockTable
 
 
@@ -160,34 +160,22 @@ class TestNarrowLambda:
 
 
 class TestLambdaLadder:
-    def test_decodes_every_pattern_it_covers_as_numpy_does(self):
-        """Every non-negative float16 -- zero, subnormals, normals, the
-        largest, infinity -- and the NaNs past it, between the
-        smallest and the largest pattern given."""
-        bits = np.arange(0, 0x8000, dtype=np.uint16)
-        values = bits.view(np.float16)
-        ladder = lambda_ladder(values[:1], values[-1:])
-        assert len(ladder) == 0x8000
-        want = values.astype(np.float64).tolist()
-        for b, got in enumerate(ladder):
-            assert got == want[b] or got != got and want[b] != want[b], b
-            assert type(got) is float
+    def test_decodes_every_pattern_as_numpy_does(self):
+        """All 65 536 float16 patterns -- zero and minus zero,
+        subnormals, normals, the largest, both infinities, the NaNs --
+        decode to numpy's float16 -> float64 value, as a native float."""
+        want = np.arange(1 << 16, dtype=np.uint16).view(np.float16).astype(np.float64)
+        assert len(LAMBDA_LADDER) == 1 << 16
+        got = np.array(LAMBDA_LADDER.tolist())
+        nan = np.isnan(want)
+        assert np.isnan(got[nan]).all()
+        assert (got[~nan] == want[~nan]).all()
+        assert (np.signbit(got) == np.signbit(want)).all()
+        assert all(type(LAMBDA_LADDER[b]) is float for b in (0, 0x3C00, 0x7C00, 0xFFFF))
 
-    def test_covers_only_the_range_the_columns_hold(self):
-        lo = np.array([1.0, 1.5], dtype=np.float16)
-        hi = np.array([2.0, 18.68], dtype=np.float16)
-        ladder = lambda_ladder(lo, hi)
-        first, last = int(lo.view(np.uint16)[0]), int(hi.view(np.uint16)[1])
-        assert len(ladder) == last + 1
-        assert ladder[:first] == [None] * first
-        assert ladder[first] == 1.0 and ladder[last] == float(np.float16(18.68))
-        assert lambda_ladder(np.empty(0, np.float16), np.empty(0, np.float16)) == []
-
-    def test_negative_patterns_are_covered_too(self):
-        """A sign bit puts a pattern past every positive one."""
-        col = np.array([1.0, -2.0], dtype=np.float16)
-        ladder = lambda_ladder(col, col)
-        assert ladder[int(col.view(np.uint16)[1])] == -2.0
+    def test_is_read_only(self):
+        with pytest.raises(TypeError):
+            LAMBDA_LADDER[0x3C00] = 2.0
 
 
 class TestLocate:
@@ -269,10 +257,8 @@ class TestColumnsAreRead:
         table = make_table()
         assert table.lookup(9) == (30, 1.25, 1.875, 2)  # probed once already
         table.colors[2] = 77
-        # Inside the ladder's range, 1.0 .. 2.0: a lambda outside the
-        # patterns the table held when made decodes to None.
-        table.lam_min[2] = 1.5
-        assert table.lookup(9) == (77, 1.5, 1.875, 2)
+        table.lam_min[2] = 0.5
+        assert table.lookup(9) == (77, 0.5, 1.875, 2)
         # Shrinking a block moves its end code with it.
         table.levels[2] = 0
         assert table.lookup(9) is None

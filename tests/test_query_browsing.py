@@ -123,6 +123,18 @@ class TestRangeQuery:
         los = [n.interval.lo for n in result.neighbors]
         assert los == sorted(los)
 
+    def test_hits_are_not_promised_in_distance_order(
+        self, small_net, small_index, small_objects, small_dist
+    ):
+        """Membership is decided by bounds: a hit whose whole interval
+        lies inside the radius is confirmed as it is popped, by lower
+        bound, so the answer is not in distance order and says so."""
+        oi = ObjectIndex(small_net, small_objects, small_index.embedding)
+        result = range_query(small_index, oi, 0, 30.0)
+        d = [float(small_dist[0, small_objects[n.oid].position.vertex]) for n in result.neighbors]
+        assert d != sorted(d)
+        assert result.ordered is False
+
     def test_negative_radius_rejected(self, small_index, small_object_index):
         with pytest.raises(ValueError):
             range_query(small_index, small_object_index, 0, -1.0)

@@ -2,7 +2,6 @@
 
 import gc
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -325,9 +324,7 @@ class TestColumnsAreTheProbeStructure:
             assert np.shares_memory(np.asarray(view), getattr(loaded.store, name))
             assert view.readonly
 
-    # A lambda written must lie inside the range the store's ladder
-    # decodes (1.0 .. 12.78 on this index); 1.03125 is exact in float16.
-    @pytest.mark.parametrize("column, value", [("colors", 1), ("lam_min", 1.03125)])
+    @pytest.mark.parametrize("column, value", [("colors", 1), ("lam_min", 0.03125)])
     def test_a_written_row_is_what_the_next_probe_reads(
         self, tmp_path, small_net, small_index, column, value
     ):
@@ -396,9 +393,7 @@ class TestColumnsAreTheProbeStructure:
         ``_yf`` the index mirrors as lists for the hot path, and their
         int64 arrays -- ~150 B per vertex.  The network is the caller's
         and is built before the load.  A ``BlockTable`` of five
-        ``memoryview`` slices per vertex read ~1 160 B per vertex.  The
-        store's lambda ladder is one list whatever the vertex count (at
-        most one entry per float16 bit pattern) and is counted apart."""
+        ``memoryview`` slices per vertex read ~1 160 B per vertex."""
         net = road_like_network(300, seed=5)
         SILCIndex.build(net).save(tmp_path / "index")
         SILCIndex.load(tmp_path / "index", net, mmap=True)  # one-off imports
@@ -412,12 +407,7 @@ class TestColumnsAreTheProbeStructure:
         finally:
             tracemalloc.stop()
         assert index.total_blocks() > 0
-        ladder = index.store.ladder
-        assert len(ladder) <= 1 << 16
-        ladder_bytes = sys.getsizeof(ladder) + sum(
-            sys.getsizeof(value) for value in ladder if value is not None
-        )
-        assert (held - ladder_bytes) / net.num_vertices <= 400, (held, ladder_bytes)
+        assert held / net.num_vertices <= 400, held
 
 
 # ----------------------------------------------------------------------

@@ -18,9 +18,9 @@ divisor under the same heap (0.26 x and 0.65 x at 29 bytes, 1.7 x at
 400 vertices with 17); at 14 bytes the first query's int64 copies of
 the Morton decode tables (256 KiB at grid order 7) read 2.0 x on their
 own, so the decode reads a code's low 16 bits through the uint8 tables
-in place.  At 10 bytes (float16 lambdas) the same heap reads 0.54 x at
-1000 vertices (1.10 MB of columns) and 1.42 x at 400 (0.22 MB), against
-0.41 x and 1.08 x for the 14-byte index in one session on one host.
+in place.  At 10 bytes (float16 lambdas) the same heap reads 0.57 x at
+1000 vertices (1.10 MB of columns) and 1.39 x at 400 (0.22 MB), against
+0.44 x and 1.24 x for the 14-byte index in one session on one host.
 
 It then starts the 2-shard tier on that engine and sends it 40 kNN
 queries: the workers must map the very files this process
