@@ -187,9 +187,10 @@ def _cmd_build_labels(args: argparse.Namespace) -> int:
     )
     labelling.save(labels_dir)
     bs = labelling.build_stats
+    stored = bs.entries_out + (0 if net.symmetric else bs.entries_in)
     print(
         f"built pruned-landmark labelling in {bs.build_seconds:.1f}s: "
-        f"{bs.entries_out + bs.entries_in} entries "
+        f"{stored} entries stored "
         f"({labelling.mean_label_size():.1f}/vertex out+in) -> {labels_dir}"
     )
     if args.skip_calibration:
@@ -374,6 +375,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return run_check(as_json=args.as_json)
 
 
+def _index_command(sub, name: str, help: str) -> argparse.ArgumentParser:
+    """A command over a network file and a built index directory."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("network")
+    p.add_argument("index")
+    p.add_argument("--mmap", action="store_true", help="memory-map the index columns")
+    return p
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -434,25 +444,15 @@ def make_parser() -> argparse.ArgumentParser:
                    help="memory-map the index during calibration")
     p.set_defaults(func=_cmd_build_labels)
 
-    p = sub.add_parser("stats", help="report index statistics")
-    p.add_argument("network")
-    p.add_argument("index")
-    p.add_argument("--mmap", action="store_true",
-                   help="memory-map the index columns")
+    p = _index_command(sub, "stats", "report index statistics")
     p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("path", help="retrieve a shortest path")
-    p.add_argument("network")
-    p.add_argument("index")
+    p = _index_command(sub, "path", "retrieve a shortest path")
     p.add_argument("source", type=int)
     p.add_argument("target", type=int)
-    p.add_argument("--mmap", action="store_true",
-                   help="memory-map the index columns")
     p.set_defaults(func=_cmd_path)
 
-    p = sub.add_parser("knn", help="k nearest random objects to a vertex")
-    p.add_argument("network")
-    p.add_argument("index")
+    p = _index_command(sub, "knn", "k nearest random objects to a vertex")
     p.add_argument(
         "--query",
         type=int,
@@ -479,16 +479,9 @@ def make_parser() -> argparse.ArgumentParser:
         help="(1+epsilon)-approximate search on the SILC backend "
         "(0 = exact, the default)",
     )
-    p.add_argument("--mmap", action="store_true",
-                   help="memory-map the index columns")
     p.set_defaults(func=_cmd_knn)
 
-    p = sub.add_parser(
-        "serve",
-        help="answer JSON-lines requests through the async serving layer",
-    )
-    p.add_argument("network")
-    p.add_argument("index")
+    p = _index_command(sub, "serve", "answer JSON-lines requests through the async serving layer")
     p.add_argument("--objects", type=int, default=25,
                    help="random vertex objects to serve kNN over")
     p.add_argument("--seed", type=int, default=0)
@@ -527,8 +520,6 @@ def make_parser() -> argparse.ArgumentParser:
         help="default kNN backend for requests that do not name one "
         "(a request's own \"oracle\" field overrides per query)",
     )
-    p.add_argument("--mmap", action="store_true",
-                   help="memory-map the index columns")
     p.add_argument("--trace-file", default=None,
                    help="append one JSON-lines trace per request "
                    "(timed spans: admission, sched_wait, plan, "

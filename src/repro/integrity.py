@@ -42,10 +42,10 @@ from repro.errors import CorruptIndexError
 #: Manifest file name inside every verified directory save.
 MANIFEST_NAME = "MANIFEST.json"
 
-#: Manifest schema version, bumped on an incompatible change to what a
-#: directory holds (2: float16 lambdas, a 10-byte block).  It is a
-#: record, not the check: a load refuses an older layout by its column
-#: dtypes (:func:`check_dtypes`), naming the column and the rebuild.
+#: Manifest schema version of an index directory (2: float16 lambdas, a
+#: 10-byte block; a labelling records its own ``LABELS_FORMAT``).  It is
+#: a record, not the check: a load refuses an older layout by its column
+#: dtypes (:func:`check_dtypes`) or its file list, naming the rebuild.
 MANIFEST_FORMAT = 2
 
 _CHUNK = 1 << 16
@@ -62,7 +62,7 @@ def file_checksum(path: str | Path) -> int:
     return crc & 0xFFFFFFFF
 
 
-def write_manifest(directory: str | Path) -> Path:
+def write_manifest(directory: str | Path, manifest_format: int = MANIFEST_FORMAT) -> Path:
     """Record size + CRC-32 of every payload file under ``directory``.
 
     Covers regular files in the directory itself (not subdirectories:
@@ -80,7 +80,7 @@ def write_manifest(directory: str | Path) -> Path:
             "size": path.stat().st_size,
             "crc32": file_checksum(path),
         }
-    manifest = {"format": MANIFEST_FORMAT, "files": files}
+    manifest = {"format": manifest_format, "files": files}
     target = directory / MANIFEST_NAME
     tmp = directory / (MANIFEST_NAME + ".tmp")
     tmp.write_text(json.dumps(manifest, indent=0, sort_keys=True))
@@ -102,8 +102,8 @@ def read_manifest(directory: str | Path) -> dict:
     return manifest
 
 
-def verify_manifest(directory: str | Path) -> None:
-    """Check ``directory`` against its manifest; raise on mismatch.
+def verify_manifest(directory: str | Path) -> dict:
+    """Check ``directory`` against its manifest; return the manifest.
 
     Per file: existence, size (a truncated write reads as one), then
     the CRC-32 of every byte.  Raises :class:`CorruptIndexError` naming
@@ -134,6 +134,7 @@ def verify_manifest(directory: str | Path) -> None:
                 "checksum (bytes changed since the save)",
                 column=column,
             )
+    return manifest
 
 
 def checked_load(
@@ -187,15 +188,15 @@ def check_dtypes(
 
 
 @contextmanager
-def atomic_directory(path: str | Path) -> Iterator[Path]:
+def atomic_directory(path: str | Path, manifest_format: int = MANIFEST_FORMAT) -> Iterator[Path]:
     """Stage a directory write, then publish it atomically.
 
     Yields a temporary sibling directory for the caller to fill.  On
-    clean exit, a manifest is written into it and it is renamed over
-    ``path`` (an existing target is renamed aside first, then
-    removed).  On exception the staging directory is deleted and the
-    target is left exactly as it was -- an interrupted save can never
-    leave a half-written index in place.
+    clean exit, a manifest recording ``manifest_format`` is written
+    into it and it is renamed over ``path`` (an existing target is
+    renamed aside first, then removed).  On exception the staging
+    directory is deleted and the target is left exactly as it was -- an
+    interrupted save can never leave a half-written index in place.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -208,7 +209,7 @@ def atomic_directory(path: str | Path) -> Iterator[Path]:
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
-    write_manifest(tmp)
+    write_manifest(tmp, manifest_format)
     if path.exists():
         old = path.with_name(f".{path.name}.old-{os.getpid()}")
         if old.exists():

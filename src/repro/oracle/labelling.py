@@ -21,10 +21,12 @@ certify the distance -- the pruning that keeps labels small (a few
 dozen entries per vertex on road-like networks, against the naive
 O(N) of full landmark tables).
 
-Storage follows the PR-4 :class:`~repro.silc.store.FlatStore` idiom:
-six flat numpy columns (per-side offsets + concatenated hub/dist
-arrays), saved as one ``.npy`` each so ``load(..., mmap=True)`` maps
-them off the same directory layout as the SILC index.
+Storage follows the :class:`~repro.silc.store.FlatStore` idiom: flat
+numpy columns (per-side offsets + concatenated hub/dist arrays), saved
+as one ``.npy`` each so ``load(..., mmap=True)`` maps them off the
+same directory layout as the SILC index: six columns on a directed
+network, the three ``out_*`` ones on a symmetric network, whose
+in-labels are its out-labels (:func:`stored_columns`).
 """
 
 from __future__ import annotations
@@ -32,11 +34,13 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from collections.abc import Callable, Sequence
 
 import numpy as np
 
+from repro.errors import CorruptIndexError
 from repro.integrity import (
     atomic_directory,
     check_dtypes,
@@ -47,24 +51,26 @@ from repro.network.graph import SpatialNetwork
 from repro.query.results import KNNResult
 from repro.query.stats import QueryStats, counted_clock
 
-#: Column files of one saved labelling, in canonical order.
-LABEL_COLUMNS = (
-    "out_offsets", "out_hubs", "out_dists",
-    "in_offsets", "in_hubs", "in_dists",
-)
-
 LABEL_DTYPES = {
-    "out_offsets": np.int64,
-    "out_hubs": np.int32,
-    "out_dists": np.float64,
-    "in_offsets": np.int64,
-    "in_hubs": np.int32,
-    "in_dists": np.float64,
+    f"{side}_{field}": dtype
+    for side in ("out", "in")
+    for field, dtype in (("offsets", np.int64), ("hubs", np.int32), ("dists", np.float64))
 }
+#: Label columns, in canonical order: the out-side three, then the in-side.
+LABEL_COLUMNS = tuple(LABEL_DTYPES)
 
 #: Subdirectory name the labelling columns live in when persisted
 #: alongside a directory-layout SILC index.
 LABELS_SUBDIR = "labels"
+
+#: The format a labelling's manifest records (3: a symmetric network's
+#: in-labels are not stored); a load checks the file list, not this.
+LABELS_FORMAT = 3
+
+
+def stored_columns(network: SpatialNetwork) -> tuple[str, ...]:
+    """The columns a labelling of ``network`` saves and loads."""
+    return LABEL_COLUMNS[:3] if network.symmetric else LABEL_COLUMNS
 
 
 @dataclass(frozen=True)
@@ -98,9 +104,11 @@ class PrunedLabellingOracle:
         build_stats: LabellingBuildStats | None = None,
     ) -> None:
         n = network.num_vertices
-        for name in LABEL_COLUMNS:
+        for name in stored_columns(network):
             if name not in columns:
                 raise ValueError(f"missing labelling column {name!r}")
+        if network.symmetric:  # the in-side reads the out-side's arrays
+            columns = {name: columns[name.replace("in_", "out_")] for name in LABEL_COLUMNS}
         if columns["out_offsets"].shape != (n + 1,) or columns[
             "in_offsets"
         ].shape != (n + 1,):
@@ -110,12 +118,8 @@ class PrunedLabellingOracle:
             )
         check_dtypes(columns, LABEL_DTYPES, rebuild="repro build-labels")
         self.network = network
-        self.out_offsets = columns["out_offsets"]
-        self.out_hubs = columns["out_hubs"]
-        self.out_dists = columns["out_dists"]
-        self.in_offsets = columns["in_offsets"]
-        self.in_hubs = columns["in_hubs"]
-        self.in_dists = columns["in_dists"]
+        (self.out_offsets, self.out_hubs, self.out_dists,
+         self.in_offsets, self.in_hubs, self.in_dists) = (columns[name] for name in LABEL_COLUMNS)
         #: The columns as memoryviews, in ``LABEL_COLUMNS`` order: what
         #: ``_merge`` reads (native scalars per entry, nothing copied).
         self._views = tuple(memoryview(columns[name]) for name in LABEL_COLUMNS)
@@ -182,20 +186,17 @@ class PrunedLabellingOracle:
                 if u in done:
                     continue
                 done.add(u)
-                pruned = False
                 for r, dr in zip(settle_r[u], settle_d[u], strict=True):
                     if tmp[r] + dr <= d:
-                        pruned = True
-                        break
-                if pruned:
-                    continue
-                settle_r[u].append(hub_rank)
-                settle_d[u].append(d)
-                for v, w in edges[u]:
-                    nd = d + w
-                    if nd < dist.get(v, math.inf):
-                        dist[v] = nd
-                        heappush(heap, (nd, v))
+                        break  # pruned: an earlier hub already covers d
+                else:
+                    settle_r[u].append(hub_rank)
+                    settle_d[u].append(d)
+                    for v, w in edges[u]:
+                        nd = d + w
+                        if nd < dist.get(v, math.inf):
+                            dist[v] = nd
+                            heappush(heap, (nd, v))
             for r in hub_label_r:
                 tmp[r] = math.inf
 
@@ -213,34 +214,20 @@ class PrunedLabellingOracle:
 
         def flatten(ranks, dists, prefix):
             sizes = np.array([len(r) for r in ranks], dtype=np.int64)
-            offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-            hubs = np.fromiter(
-                (r for rs in ranks for r in rs),
-                dtype=LABEL_DTYPES[f"{prefix}_hubs"],
-                count=int(sizes.sum()),
-            )
-            flat = np.fromiter(
-                (d for ds in dists for d in ds),
-                dtype=np.float64,
-                count=int(sizes.sum()),
-            )
+            total = int(sizes.sum())
             return {
-                f"{prefix}_offsets": offsets,
-                f"{prefix}_hubs": hubs,
-                f"{prefix}_dists": flat,
+                f"{prefix}_offsets": np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
+                f"{prefix}_hubs": np.fromiter(chain.from_iterable(ranks), np.int32, total),
+                f"{prefix}_dists": np.fromiter(chain.from_iterable(dists), np.float64, total),
             }
 
         columns = flatten(out_rank, out_dist, "out")
-        columns.update(flatten(in_rank, in_dist, "in"))
+        if not symmetric:
+            columns.update(flatten(in_rank, in_dist, "in"))
         e_out = int(columns["out_hubs"].size)
-        e_in = int(columns["in_hubs"].size)
-        stats = LabellingBuildStats(
-            entries_out=e_out,
-            entries_in=e_in,
-            mean_out=e_out / n,
-            mean_in=e_in / n,
-            build_seconds=counted_clock() - t0,
-        )
+        e_in = e_out if symmetric else int(columns["in_hubs"].size)
+        stats = LabellingBuildStats(entries_out=e_out, entries_in=e_in, mean_out=e_out / n,
+                                    mean_in=e_in / n, build_seconds=counted_clock() - t0)
         return cls(network, columns, object_index=object_index, build_stats=stats)
 
     def bind_objects(self, object_index) -> PrunedLabellingOracle:
@@ -329,13 +316,15 @@ class PrunedLabellingOracle:
         return float(self.out_hubs.size + self.in_hubs.size) / n
 
     def column_arrays(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in LABEL_COLUMNS}
+        """The columns this labelling stores (:func:`stored_columns`)."""
+        return {name: getattr(self, name) for name in stored_columns(self.network)}
 
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
     def save(self, path) -> None:
-        """Write the label columns as one ``.npy`` per column.
+        """Write the stored label columns as one ``.npy`` per column:
+        three on a symmetric network, six on a directed one.
 
         ``path`` is a directory (created if missing) -- conventionally
         the ``labels/`` subdirectory of a directory-layout SILC index,
@@ -347,7 +336,7 @@ class PrunedLabellingOracle:
         interrupted ``repro build-labels`` leaves the previous
         labelling (or nothing), never a half-written one.
         """
-        with atomic_directory(path) as tmp:
+        with atomic_directory(path, manifest_format=LABELS_FORMAT) as tmp:
             for name, array in self.column_arrays().items():
                 np.save(tmp / f"{name}.npy", array)
 
@@ -364,21 +353,35 @@ class PrunedLabellingOracle:
         The saved manifest is verified first, every byte on both
         paths; a truncated or corrupted column raises
         :class:`~repro.errors.CorruptIndexError` naming it before any
-        query can run.
+        query can run; so does a manifest that lists other columns than
+        :func:`stored_columns` (a symmetric network's saved with its
+        in-labels, or either kind loaded with the other).
         """
         directory = Path(path)
         mode = "r" if mmap else None
-        verify_manifest(directory)
+        listed = {
+            name.removesuffix(".npy") for name in verify_manifest(directory)["files"]
+        }
+        stored = stored_columns(network)
+        odd = next((c for c in (*LABEL_COLUMNS, *sorted(listed))
+                    if (c in listed) != (c in stored)), None)
+        if odd is not None:
+            kind = "symmetric" if network.symmetric else "directed"
+            found = "is not stored by" if odd in listed else "is missing from"
+            raise CorruptIndexError(
+                f"corrupt labelling {directory}: column {odd!r} {found} "
+                f"a {kind} network's labelling ({', '.join(stored)}); "
+                "rebuild it with `repro build-labels`",
+                column=odd,
+            )
         columns = {
             name: checked_load(directory, f"{name}.npy", mmap_mode=mode)
-            for name in LABEL_COLUMNS
+            for name in stored
         }
         return cls(network, columns)
 
     @staticmethod
     def saved_at(path) -> bool:
-        """True when ``path`` holds a complete saved labelling."""
-        directory = Path(path)
-        return all(
-            (directory / f"{name}.npy").exists() for name in LABEL_COLUMNS
-        )
+        """True when the directory ``path`` exists: a save publishes it
+        whole, so a damaged one fails :meth:`load` by the bad file."""
+        return Path(path).is_dir()

@@ -3,6 +3,7 @@
 import filecmp
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -143,11 +144,15 @@ class TestOracles:
         out = capsys.readouterr().out
         assert "pruned-landmark labelling" in out
         assert "calibrated planner cost model" in out
+        # one label set on a symmetric network: 2 x 1905 / 120 vertices = 31.75
+        assert "1905 entries stored (31.8/vertex out+in)" in out
         labels_dir = idx_path / "labels"
         from repro.oracle import PrunedLabellingOracle
 
         assert PrunedLabellingOracle.saved_at(labels_dir)
-        assert (labels_dir / "cost_model.json").exists()
+        assert {p.name for p in labels_dir.iterdir()} == {
+            "MANIFEST.json", "cost_model.json", "out_offsets.npy", "out_hubs.npy", "out_dists.npy",
+        }
 
     def test_build_labels_needs_an_index_directory(self, built, tmp_path, capsys):
         net_path, _ = built
@@ -179,6 +184,69 @@ class TestOracles:
         captured = capsys.readouterr()
         assert "label scans" in captured.out
         assert "build-labels" in captured.err  # the persist hint
+
+    @pytest.mark.parametrize("file, damage", [
+        ("out_hubs.npy", "delete"), ("out_hubs.npy", "truncate"), ("MANIFEST.json", "delete"),
+    ])
+    @pytest.mark.parametrize("oracle", ["labels", "auto"])
+    def test_a_damaged_labelling_fails_the_load(self, built, capsys, oracle, file, damage):
+        """A labelling with a column gone or cut short, or its manifest
+        gone, is refused naming the file, not read as no labelling
+        (built in memory, or planned without)."""
+        from repro.faults import truncate_file
+
+        net_path, idx_path = built
+        main(["build-labels", str(net_path), str(idx_path), "--skip-calibration"])
+        path = idx_path / "labels" / file
+        path.unlink() if damage == "delete" else truncate_file(path)
+        capsys.readouterr()
+        rc = main(["knn", str(net_path), str(idx_path), "--query", "5", "--k", "3",
+                   "--oracle", oracle])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro knn: error:") and err.count("\n") == 1
+        assert ("'out_hubs'" if file == "out_hubs.npy" else "MANIFEST.json") in err
+        assert "building in memory" not in err
+
+    @pytest.mark.parametrize("layout, served", [
+        ("stale-in-columns", "symmetric"),
+        ("three-columns", "directed"),
+        ("six-columns", "symmetric"),
+    ])
+    def test_a_labelling_of_the_wrong_layout_fails_the_load(self, built, capsys, layout, served):
+        """A symmetric labelling saved with its in-labels (the layout
+        before one label set), and the labellings of a network and of its
+        one-way twin swapped, are refused naming the rebuild."""
+        from repro.integrity import write_manifest
+        from repro.network import load_text
+        from repro.network.io import save_text
+        from test_properties import one_way
+
+        net_path, idx_path = built
+        one_way_net = net_path.with_name("one-way.txt")
+        save_text(one_way(load_text(net_path), 3), one_way_net)
+        assert main(["build", str(one_way_net), str(net_path.with_name("one-way.silc"))]) == 0
+        runs = {"symmetric": (net_path, idx_path),
+                "directed": (one_way_net, net_path.with_name("one-way.silc"))}
+        for net, idx in runs.values():
+            main(["build-labels", str(net), str(idx), "--skip-calibration"])
+        labels = {kind: idx / "labels" for kind, (_, idx) in runs.items()}
+        if layout == "stale-in-columns":
+            for column in ("offsets", "hubs", "dists"):
+                shutil.copyfile(labels["symmetric"] / f"out_{column}.npy",
+                                labels["symmetric"] / f"in_{column}.npy")
+            write_manifest(labels["symmetric"], manifest_format=2)
+        else:
+            aside = net_path.with_name("aside")
+            os.replace(labels["symmetric"], aside)
+            os.replace(labels["directed"], labels["symmetric"])
+            os.replace(aside, labels["directed"])
+        capsys.readouterr()
+        rc = main(["knn", *map(str, runs[served]), "--query", "5", "--k", "3", "--oracle", "auto"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro knn: error: corrupt labelling") and "'in_offsets'" in err
+        assert "rebuild it with `repro build-labels`" in err
 
     def test_epsilon_relaxation(self, built, capsys):
         net_path, idx_path = built

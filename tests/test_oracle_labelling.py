@@ -9,6 +9,7 @@ byte-identically, memory-mapped or not.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -26,6 +27,19 @@ from test_properties import one_way
 def dijkstra_distance(net, u, v):
     """Vertex-to-vertex distance by IER's Dijkstra refinement."""
     return dijkstra_anchored_distance(net, [(u, 0.0)], [(v, 0.0)])
+
+
+def label_columns(oracle) -> dict[str, np.ndarray]:
+    """All six columns, the ones a symmetric labelling aliases included."""
+    return {name: getattr(oracle, name) for name in LABEL_COLUMNS}
+
+
+def two_pass_build(net) -> PrunedLabellingOracle:
+    """``net``'s labelling built as if it were directed: both searches
+    per hub, six columns."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(net, "symmetric", False)
+        return PrunedLabellingOracle.build(net)
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +92,7 @@ class TestExactness:
         and a scan is still one step of the two-pointer walk."""
         small_labelling.save(tmp_path / "labels")
         labels = PrunedLabellingOracle.load(tmp_path / "labels", small_net, mmap=mmap)
-        cols = labels.column_arrays()
+        cols = label_columns(labels)
         for u, v in rng.integers(0, small_net.num_vertices, size=(200, 2)):
             u, v = int(u), int(v)
             out = slice(cols["out_offsets"][u], cols["out_offsets"][u + 1])
@@ -130,10 +144,6 @@ class TestDisconnectedAndDirected:
         assert math.isinf(labels.distance(2, 0))
 
 
-def label_columns(oracle) -> dict[str, np.ndarray]:
-    return {name: getattr(oracle, name) for name in LABEL_COLUMNS}
-
-
 class TestOnePassOnASymmetricNetwork:
     """Where every edge's reverse has the same weight, the backward
     search of each hub repeats its forward one: the build runs the
@@ -144,14 +154,12 @@ class TestOnePassOnASymmetricNetwork:
         lambda: random_planar_network(90, seed=4),
         lambda: grid_network(8, 9),  # unit weights: exact ties
     ], ids=["road", "planar", "grid"])
-    def test_one_pass_equals_both_passes(self, make, monkeypatch):
+    def test_one_pass_equals_both_passes(self, make):
         net = make()
         assert net.symmetric
         one_pass = PrunedLabellingOracle.build(net)
         assert net._in_edges is None  # read by no one
-        with monkeypatch.context() as patch:
-            patch.setattr(net, "symmetric", False)
-            both = PrunedLabellingOracle.build(net)
+        both = two_pass_build(net)
         for name, column in label_columns(one_pass).items():
             other = label_columns(both)[name]
             assert column.dtype == other.dtype, name
@@ -228,12 +236,92 @@ class TestPersistence:
                     small_labelling.distance(int(u), int(v)), rel=1e-12
                 )
 
+    def test_a_one_way_labelling_round_trips_six_columns(self, tmp_path, rng):
+        net = one_way(road_like_network(70, seed=5), 5)
+        labels = PrunedLabellingOracle.build(net)
+        labels.save(tmp_path / "labels")
+        assert {p.name for p in (tmp_path / "labels").iterdir()} == {
+            "MANIFEST.json", *(f"{name}.npy" for name in LABEL_COLUMNS)
+        }
+        for mmap in (False, True):
+            loaded = PrunedLabellingOracle.load(tmp_path / "labels", net, mmap=mmap)
+            for name, original in label_columns(labels).items():
+                restored = getattr(loaded, name)
+                assert restored.dtype == original.dtype
+                assert np.asarray(restored).tobytes() == original.tobytes(), name
+            for u, v in rng.integers(0, net.num_vertices, size=(25, 2)):
+                assert loaded.distance(int(u), int(v)) == labels.distance(int(u), int(v))
+
     def test_load_rejects_wrong_network(self, tmp_path, small_labelling,
                                         grid_net):
         directory = tmp_path / "labels"
         small_labelling.save(directory)
         with pytest.raises(ValueError, match="offsets"):
             PrunedLabellingOracle.load(directory, grid_net)
+
+
+class TestOneStoredLabelSet:
+    """A symmetric network's labelling stores its out-labels alone and
+    reads them from both sides: the saved bytes are the two-pass
+    build's out-columns, and every answer and count is the two-pass
+    build's, eager or mapped."""
+
+    @pytest.fixture(scope="class")
+    def both(self, small_net):
+        return two_pass_build(small_net)
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory, small_labelling):
+        directory = tmp_path_factory.mktemp("one-set") / "labels"
+        small_labelling.save(directory)
+        return directory
+
+    def test_the_out_columns_are_the_two_pass_bytes_and_no_in_column_is_saved(
+        self, tmp_path, small_net, both, saved
+    ):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(small_net, "symmetric", False)
+            both.save(tmp_path / "both")
+        assert {p.name for p in saved.iterdir()} == {
+            "MANIFEST.json", "out_offsets.npy", "out_hubs.npy", "out_dists.npy"
+        }
+        for name in LABEL_COLUMNS[:3]:
+            assert (saved / f"{name}.npy").read_bytes() == (
+                tmp_path / "both" / f"{name}.npy"
+            ).read_bytes(), name
+
+    @pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+    def test_answers_are_bit_identical_to_the_builds(
+        self, small_net, small_object_index, small_labelling, both, saved, rng, mmap
+    ):
+        loaded = PrunedLabellingOracle.load(saved, small_net, mmap=mmap)
+        assert loaded.in_hubs is loaded.out_hubs
+        oracles = (both, small_labelling, loaded)
+        n = small_net.num_vertices
+        for u, v in rng.integers(0, n, size=(200, 2)):
+            u, v = int(u), int(v)
+            assert len({o.distance(u, v) for o in oracles}) == 1
+            assert len({o._merge(u, v) for o in oracles}) == 1
+        for _ in range(20):
+            s = [(int(rng.integers(n)), float(rng.uniform(0, 2))) for _ in range(2)]
+            t = [(int(rng.integers(n)), float(rng.uniform(0, 2))) for _ in range(2)]
+            answers = set()
+            for oracle in oracles:
+                stats = QueryStats()
+                answers.add((oracle.anchored_distance(s, t, stats=stats), stats.label_scans))
+            assert len(answers) == 1
+        for q in (0, 23, 77, 140):
+            results = [o.bind_objects(small_object_index).knn(q, 6) for o in oracles]
+            assert len({(tuple(r.ids()), tuple(r.distances())) for r in results}) == 1
+            assert len({r.stats.label_scans for r in results}) == 1
+
+    def test_the_planner_reads_the_two_pass_sizes(self, small_labelling, both, saved, small_net):
+        loaded = PrunedLabellingOracle.load(saved, small_net)
+        assert small_labelling.mean_label_size() == both.mean_label_size()
+        assert loaded.mean_label_size() == both.mean_label_size()
+        assert dataclasses.replace(small_labelling.build_stats, build_seconds=0.0) == (
+            dataclasses.replace(both.build_stats, build_seconds=0.0)
+        )
 
 
 class TestBuildStats:

@@ -34,6 +34,7 @@ from repro.integrity import (
     verify_manifest,
     write_manifest,
 )
+from repro.network import road_like_network
 from repro.network.graph import SpatialNetwork
 from repro.network.io import save_text
 from repro.oracle.labelling import LABEL_COLUMNS, PrunedLabellingOracle
@@ -41,6 +42,7 @@ from repro.shard import ShardGroup
 from repro.silc import SILCIndex
 from repro.quadtree.blocks import OWN_VERTEX
 from repro.silc.store import COLUMNS
+from test_properties import one_way
 
 
 @pytest.fixture()
@@ -113,10 +115,13 @@ INDEX_META = (
     "sizes", "vertex_codes", "embedding_bounds", "embedding_order", "out_edges_digest",
 )
 
-#: Verified directory (by its name under ``pristine``) -> its files.
+#: Verified directory (by its name under ``pristine``) -> its files: a
+#: symmetric network's labelling stores its out-labels alone, a directed
+#: one's both sides.
 LAYOUTS = {
     "index": INDEX_META + COLUMNS,
-    "labels": LABEL_COLUMNS,
+    "labels": LABEL_COLUMNS[:3],
+    "labels-directed": LABEL_COLUMNS,
 }
 
 DAMAGE = {
@@ -130,12 +135,30 @@ def file_name(column: str) -> str:
     return MANIFEST_NAME if column == "MANIFEST" else f"{column}.npy"
 
 
+def two_way_net():
+    """The network ``directed_net`` makes one-way."""
+    return road_like_network(60, seed=5)
+
+
 @pytest.fixture(scope="module")
-def pristine(tmp_path_factory, small_net, small_index):
+def directed_net():
+    """A one-way network: its labelling stores both sides."""
+    return one_way(two_way_net(), 5)
+
+
+@pytest.fixture(scope="module")
+def networks(small_net, directed_net):
+    """Layout -> the network its directory was saved for."""
+    return {"index": small_net, "labels": small_net, "labels-directed": directed_net}
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory, small_net, small_index, directed_net):
     """One clean save of everything; each case damages a copy."""
     root = tmp_path_factory.mktemp("pristine")
     small_index.save(root / "index")
     PrunedLabellingOracle.build(small_net).save(root / "labels")
+    PrunedLabellingOracle.build(directed_net).save(root / "labels-directed")
     return root
 
 
@@ -164,11 +187,11 @@ def damage_cases():
 
 
 @pytest.mark.parametrize("layout, column, damage, mmap", damage_cases())
-def test_damage_fails_load(pristine, tmp_path, small_net, layout, column, damage, mmap):
+def test_damage_fails_load(pristine, tmp_path, networks, layout, column, damage, mmap):
     shutil.copytree(pristine / layout, tmp_path / layout)
     DAMAGE[damage](tmp_path / layout / file_name(column))
     with pytest.raises(CorruptIndexError) as exc:
-        load(layout, tmp_path / layout, small_net, mmap)
+        load(layout, tmp_path / layout, networks[layout], mmap)
     assert column in str(exc.value)  # the error names the file
     if column != "MANIFEST":
         assert exc.value.column == column
@@ -180,12 +203,13 @@ def test_damage_fails_load(pristine, tmp_path, small_net, layout, column, damage
 WRONG_DTYPES = {
     "index": ("lam_min", ">f2"),
     "labels": ("out_hubs", "<u4"),
+    "labels-directed": ("in_hubs", "<u4"),
 }
 
 
 @pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
 @pytest.mark.parametrize("layout", WRONG_DTYPES)
-def test_wrong_dtype_fails_load(pristine, tmp_path, small_net, layout, mmap):
+def test_wrong_dtype_fails_load(pristine, tmp_path, networks, layout, mmap):
     column, dtype = WRONG_DTYPES[layout]
     shutil.copytree(pristine / layout, tmp_path / layout)
     path = tmp_path / layout / file_name(column)
@@ -195,9 +219,57 @@ def test_wrong_dtype_fails_load(pristine, tmp_path, small_net, layout, mmap):
     write_manifest(path.parent)
     verify_manifest(path.parent)
     with pytest.raises(CorruptIndexError, match=column) as exc:
-        load(layout, tmp_path / layout, small_net, mmap)
+        load(layout, tmp_path / layout, networks[layout], mmap)
     assert exc.value.column == column
     assert np.dtype(dtype).str in str(exc.value)
+
+
+def save_in_labels(path) -> None:
+    """Re-save a symmetric labelling at ``path`` as the layout before
+    this one held it: the in-labels a second time, as ``in_*`` twins of
+    the ``out_*`` files, in a manifest that lists all six."""
+    for column in LABEL_COLUMNS[:3]:
+        shutil.copyfile(path / file_name(column), path / file_name(column.replace("out", "in", 1)))
+    write_manifest(path, manifest_format=2)
+    verify_manifest(path)
+
+
+def assert_refused_for_a_labels_rebuild(exc, found: str):
+    assert exc.value.column == "in_offsets"
+    assert f"column 'in_offsets' {found}" in str(exc.value)
+    assert "rebuild it with `repro build-labels`" in str(exc.value)
+
+
+@pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+def test_a_symmetric_labelling_with_stale_in_columns_is_refused(
+    pristine, tmp_path, small_net, mmap
+):
+    path = tmp_path / "labels"
+    shutil.copytree(pristine / "labels", path)
+    save_in_labels(path)
+    with pytest.raises(CorruptIndexError) as exc:
+        PrunedLabellingOracle.load(path, small_net, mmap=mmap)
+    assert_refused_for_a_labels_rebuild(exc, "is not stored by a symmetric network's labelling")
+
+
+@pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+@pytest.mark.parametrize("layout, found", [
+    ("labels", "is missing from a directed network's labelling"),
+    ("labels-directed", "is not stored by a symmetric network's labelling"),
+], ids=["three-columns-directed-network", "six-columns-symmetric-network"])
+def test_a_labelling_loaded_with_the_other_kind_of_network_is_refused(
+    pristine, networks, layout, found, mmap
+):
+    """Each directory is loaded with the other kind of network on the
+    same vertices (streets made one-way, or two-way again), so the
+    offsets fit and only the layout check can refuse it."""
+    saved_for = networks[layout]
+    other = one_way(saved_for, 9) if saved_for.symmetric else two_way_net()
+    assert other.num_vertices == saved_for.num_vertices
+    assert other.symmetric != saved_for.symmetric
+    with pytest.raises(CorruptIndexError) as exc:
+        PrunedLabellingOracle.load(pristine / layout, other, mmap=mmap)
+    assert_refused_for_a_labels_rebuild(exc, found)
 
 
 def save_float32_lambdas(path) -> None:
