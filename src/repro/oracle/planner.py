@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
@@ -113,6 +114,7 @@ class CostConstants:
             "query_seconds": self.query_seconds,
             "miss_rate": self.miss_rate,
         }
+        payload["crc32"] = _values_crc(payload)
         path = Path(directory) / COST_MODEL_FILE
         atomic_write_text(
             path, json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -123,15 +125,24 @@ class CostConstants:
         """The cost model :meth:`save` wrote there, or None without one.
 
         A file that exists but cannot be read back whole -- truncated,
-        not JSON, a key :meth:`save` writes missing -- raises
+        not JSON, a key :meth:`save` writes missing, or values that fail
+        the CRC-32 :meth:`save` stored beside them -- raises
         :class:`~repro.errors.CorruptIndexError` naming it, like every
         other persisted artifact (``repro build-labels`` rewrites it).
+        The checksum lives in the file, not in ``labels/MANIFEST.json``:
+        the cost model is written after the labelling is published, and
+        its values are timings of the host that calibrated it.
         """
         path = Path(directory) / COST_MODEL_FILE
         if not path.exists():
             return None
         try:
             payload = json.loads(path.read_text())
+            if payload.pop("crc32", None) != _values_crc(payload):
+                raise CorruptIndexError(
+                    f"corrupt cost model {path}: its values fail their checksum "
+                    "(changed since `repro build-labels` wrote them: rerun it)"
+                )
             return cls(
                 op_model={b: tuple(v) for b, v in payload["op_model"].items()},
                 op_seconds=dict(payload["op_seconds"]),
@@ -142,6 +153,13 @@ class CostConstants:
             raise CorruptIndexError(
                 f"corrupt cost model {path}: {exc!r}"
             ) from exc
+
+
+def _values_crc(payload: dict) -> int:
+    """CRC-32 of a cost model's values, over their canonical JSON (a
+    float's ``repr`` reads back as the same float, so a load recomputes
+    the saved text's checksum exactly)."""
+    return zlib.crc32(json.dumps(payload, sort_keys=True).encode())
 
 
 def fit_line(points: list[tuple[float, float]]) -> tuple[float, float]:

@@ -30,8 +30,10 @@ OWN_VERTEX = -2
 #: Canonical dtype per column.  ``MAX_ORDER`` 16 keeps every code below
 #: 2**32, the lambdas are float16 rounded outward by
 #: :func:`narrow_lambda`, and a colour is the rank of an out-edge of
-#: the table's vertex: int8 while no vertex has more than 127 out-edges
-#: (:func:`column_dtypes` widens it for a network that has one).
+#: the table's vertex.  An index's own columns are
+#: :func:`column_dtypes` of its network and grid: uint16 codes on a
+#: grid of order <= :data:`NARROW_CODE_ORDER` (every benchmark index)
+#: and int16 colours past 127 out-edges, so its block is 8 to 11 bytes.
 COLUMN_DTYPES = {
     "codes": np.uint32,
     "levels": np.int8,
@@ -40,23 +42,40 @@ COLUMN_DTYPES = {
     "lam_max": np.float16,
 }
 
+#: Largest grid order whose codes fit uint16: ``4**8 == 2**16`` cells.
+#: ``choose_grid_order`` starts past it only above 4 096 vertices.
+NARROW_CODE_ORDER = 8
 
-def column_dtypes(max_out_degree: int) -> dict[str, type]:
+
+def column_dtypes(max_out_degree: int, order: int) -> dict[str, type]:
     """The column dtypes of an index over a network whose largest
-    out-degree is ``max_out_degree``: :data:`COLUMN_DTYPES`, with int16
-    colours when some rank does not fit int8."""
-    if max_out_degree <= np.iinfo(np.int8).max:
-        return COLUMN_DTYPES
+    out-degree is ``max_out_degree``, on a grid of order ``order``:
+    :data:`COLUMN_DTYPES`, with uint16 codes when the grid's ``4**order``
+    cells fit them and int16 colours when some rank does not fit int8."""
+    dtypes = dict(COLUMN_DTYPES)
+    if order <= NARROW_CODE_ORDER:
+        dtypes["codes"] = np.uint16
     if max_out_degree > np.iinfo(np.int16).max:
         raise ValueError(
             f"a vertex has {max_out_degree} out-edges; a colour holds at most "
             f"{np.iinfo(np.int16).max}"
         )
-    return {**COLUMN_DTYPES, "colors": np.int16}
+    if max_out_degree > np.iinfo(np.int8).max:
+        dtypes["colors"] = np.int16
+    return dtypes
 
 
-#: Bytes of one Morton block, 10 (11 with int16 colours): what the
-#: columns take on disk and what the page simulator packs into a page.
+def vertex_code_dtype(order: int) -> type:
+    """The dtype ``vertex_codes.npy`` is saved in: the codes column's
+    uint16 up to :data:`NARROW_CODE_ORDER`, else the int64 every index
+    was saved with before codes narrowed, so an order >= 9 directory
+    keeps its bytes."""
+    return np.uint16 if order <= NARROW_CODE_ORDER else np.int64
+
+
+#: Bytes of one block in :data:`COLUMN_DTYPES`, 10: what the page
+#: simulator packs into a page unless given an index's own
+#: ``record_bytes`` (8 on a grid of order <= 8).
 RECORD_BYTES = sum(np.dtype(dtype).itemsize for dtype in COLUMN_DTYPES.values())
 
 

@@ -33,11 +33,11 @@ from repro.errors import CorruptIndexError
 from repro.geometry.grid import GridEmbedding
 from repro.geometry.morton import block_cells
 from repro.geometry.rect import Rect
-from repro.integrity import atomic_directory, checked_load, verify_manifest
+from repro.integrity import atomic_directory, check_dtypes, checked_load, verify_manifest
 from repro.network.allpairs import materialize_sources
 from repro.network.errors import OutEdgeNotFound, PathNotFound
 from repro.network.graph import SpatialNetwork
-from repro.quadtree.blocks import BEYOND, LAMBDA_LADDER, column_dtypes
+from repro.quadtree.blocks import BEYOND, LAMBDA_LADDER, column_dtypes, vertex_code_dtype
 from repro.silc.parallel import parallel_block_columns, resolve_workers
 from repro.silc.intervals import REL_PAD as _REL_PAD
 from repro.silc.refinement import RefinableDistance, RefinementCounter
@@ -63,8 +63,8 @@ def build_store(
     is called once per source, after its chunk has arrived.
     """
     network.require_strongly_connected()
-    dtypes = column_dtypes(network.max_out_degree)
     embedding, codes = choose_grid_order(network)
+    dtypes = column_dtypes(network.max_out_degree, embedding.order)
     source_list = materialize_sources(network, sources)
     total = network.num_vertices if source_list is None else len(source_list)
     n_workers = resolve_workers(workers)
@@ -388,7 +388,8 @@ class SILCIndex:
 
     @property
     def record_bytes(self) -> int:
-        """Bytes of one of this index's blocks: 10, 11 with int16 colours."""
+        """Bytes of one of this index's blocks, 8 to 11: 8 on a grid of
+        order <= 8 (uint16 codes), 10 past it, one more with int16 colours."""
         return sum(column.itemsize for column in self.store.column_arrays().values())
 
     def storage_bytes(self, record_bytes: int | None = None) -> int:
@@ -411,7 +412,7 @@ class SILCIndex:
         bounds = self.embedding.bounds
         payload = dict(
             sizes=self.store.sizes.astype(np.int64),
-            vertex_codes=self.vertex_codes,
+            vertex_codes=self.vertex_codes.astype(vertex_code_dtype(self.embedding.order)),
             embedding_bounds=np.array(
                 [bounds.xmin, bounds.ymin, bounds.xmax, bounds.ymax]
             ),
@@ -450,6 +451,9 @@ class SILCIndex:
         lists, weights and positions its colours and λ were computed
         from) must equal ``network.out_edge_digest()``, else the same
         error: an index serves only the network it was built for.
+        ``codes`` and ``vertex_codes`` must hold the width the saved
+        grid order gives them (uint16 up to order 8), so a directory
+        saved before codes narrowed is refused naming ``codes``.
         A ``path`` that is not there at all is a ``FileNotFoundError``.
         """
         directory = Path(path)
@@ -466,10 +470,17 @@ class SILCIndex:
         def get(name: str) -> np.ndarray:
             return checked_load(directory, f"{name}.npy", mmap_mode=mode)
 
+        order = int(get("embedding_order")[0])
         store = FlatStore.from_columns(
             np.asarray(get("sizes"), dtype=np.int64),
             {name: get(name) for name in COLUMNS},
-            column_dtypes(network.max_out_degree),
+            column_dtypes(network.max_out_degree, order),
+        )
+        vertex_codes = get("vertex_codes")
+        check_dtypes(
+            {"vertex_codes": vertex_codes},
+            {"vertex_codes": vertex_code_dtype(order)},
+            rebuild="repro build",
         )
         if int(get("out_edges_digest")[0]) != network.out_edge_digest():
             raise CorruptIndexError(
@@ -482,10 +493,9 @@ class SILCIndex:
             store.validate(network.out_degrees())
         b = get("embedding_bounds")
         embedding = GridEmbedding(
-            Rect(float(b[0]), float(b[1]), float(b[2]), float(b[3])),
-            int(get("embedding_order")[0]),
+            Rect(float(b[0]), float(b[1]), float(b[2]), float(b[3])), order
         )
-        index = cls(network, embedding, np.asarray(get("vertex_codes")), store)
+        index = cls(network, embedding, np.asarray(vertex_codes), store)
         if mmap:
             index.directory = directory
         return index

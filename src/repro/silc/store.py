@@ -72,8 +72,9 @@ class FlatStore:
         a :class:`~repro.errors.CorruptIndexError` naming the column.
     dtypes:
         The column dtypes, :func:`~repro.quadtree.blocks.column_dtypes`
-        of the network's largest out-degree (the colour width depends
-        on it).  Required: no width is right for every network.
+        of the network's largest out-degree and the grid's order (the
+        colour and code widths depend on them).  Required: no width is
+        right for every index.
 
     :attr:`columns` holds one ``memoryview`` per column (O(1),
     read-only over a mapped file): what every probe reads.  The two

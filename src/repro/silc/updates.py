@@ -158,7 +158,7 @@ def update_index(
             (range(old.num_tables), old.sizes, old.column_arrays()),
             *builder.chunks(sorted(affected)),
         ],
-        column_dtypes(new_network.max_out_degree),
+        column_dtypes(new_network.max_out_degree, index.embedding.order),
     ).validate(new_network.out_degrees())
     return (
         SILCIndex(new_network, index.embedding, index.vertex_codes, store),

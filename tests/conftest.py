@@ -34,6 +34,19 @@ def small_index(small_net):
 
 
 @pytest.fixture(scope="session")
+def wide_net():
+    """An 81-vertex road network on a grid of order 9: uint32 codes."""
+    from reference import crowded
+
+    return crowded(road_like_network(80, seed=5), 9)
+
+
+@pytest.fixture(scope="session")
+def wide_index(wide_net):
+    return SILCIndex.build(wide_net)
+
+
+@pytest.fixture(scope="session")
 def small_dist(small_net):
     """All-pairs ground-truth distances for ``small_net``."""
     return distance_matrix(small_net)

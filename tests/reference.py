@@ -57,6 +57,7 @@ from repro.quadtree.region import region_block_columns, split_levels
 from repro.query.distances import QueryHandle
 from repro.query.location import resolve_location
 from repro.silc.intervals import MAX_REL_GAP, invalid_bounds
+from repro.silc.sp_quadtree import choose_grid_order
 
 
 def checked_bounds(
@@ -79,6 +80,31 @@ def checked_bounds(
                 raise invalid_bounds(lo, hi)
             lo = hi = (lo + hi) / 2.0
     return lo, hi
+
+
+# ----------------------------------------------------------------------
+# Networks
+# ----------------------------------------------------------------------
+
+def crowded(network, order: int):
+    """``network`` plus one vertex three quarters of an order-``order``
+    grid cell to the right of one of its vertices, joined to it both
+    ways: the first vertex at which the smallest grid giving every
+    vertex its own cell (``choose_grid_order``) has exactly that order.
+    A small network on a large grid, e.g. past order 8, the largest
+    whose Morton codes fit uint16."""
+    bounds = choose_grid_order(network)[0].bounds
+    gap = 0.75 * (bounds.xmax - bounds.xmin) / 2**order
+    c = network.num_vertices
+    for a in network.vertices():
+        net = SpatialNetwork(
+            np.append(network.xs, network.xs[a] + gap),
+            np.append(network.ys, network.ys[a]),
+            [*network.iter_edges(), (a, c, gap), (c, a, gap)],
+        )
+        if choose_grid_order(net)[0].order == order:
+            return net
+    raise AssertionError(f"no vertex of the network gives a grid of order {order}")
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +345,7 @@ def ranked(network: SpatialNetwork, source: int, first_hops: np.ndarray) -> np.n
         blocks.OWN_VERTEX if v == source else -1 if v < 0 else out_rank(network, source, v)
         for v in first_hops.tolist()
     ]
-    return np.array(colors, dtype=blocks.column_dtypes(network.max_out_degree)["colors"])
+    return np.array(colors, dtype=blocks.column_dtypes(network.max_out_degree, MAX_ORDER)["colors"])
 
 
 def table_of(index, v: int) -> BlockTable:

@@ -55,7 +55,7 @@ class TestBuildAndStats:
         out = capsys.readouterr().out
         assert "morton blocks" in out
         assert "blocks/vertex" in out
-        assert "storage (10 B):" in out
+        assert "storage (8 B):" in out  # a grid of order <= 8: uint16 codes
 
     def test_index_file_exists(self, built):
         _, idx_path = built
@@ -207,6 +207,24 @@ class TestOracles:
         assert err.startswith("repro knn: error:") and err.count("\n") == 1
         assert ("'out_hubs'" if file == "out_hubs.npy" else "MANIFEST.json") in err
         assert "building in memory" not in err
+
+    def test_an_edited_cost_model_fails_the_load(self, built, capsys):
+        """One digit of a calibrated per-op time changed by hand: the
+        file's checksum refuses it, so ``--oracle auto`` never plans on it."""
+        net_path, idx_path = built
+        assert main(["build-labels", str(net_path), str(idx_path)]) == 0
+        path = idx_path / "labels" / "cost_model.json"
+        text = path.read_text()
+        old = repr(json.loads(text)["op_seconds"]["ine"])
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, ("8" if old[0] == "9" else "9") + old[1:]))
+        capsys.readouterr()
+        rc = main(["knn", str(net_path), str(idx_path), "--query", "5", "--k", "3",
+                   "--oracle", "auto"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro knn: error: corrupt cost model") and err.count("\n") == 1
+        assert str(path) in err and "fail their checksum" in err
 
     @pytest.mark.parametrize("layout, served", [
         ("stale-in-columns", "symmetric"),

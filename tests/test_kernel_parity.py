@@ -97,6 +97,12 @@ Re-recorded since:
    of two objects at an equal bound is queued first, so the order among
    exactly equal distances moved in 19 of its queries (the same sorted
    ``(distance, oid)`` lists, bit for bit).
+9. Not a re-record: the codes became uint16 on a grid of order <= 8,
+   every network here, so a block is 8 bytes and an index's
+   ``record_bytes`` 8 (512 records per page in place of 409).  No
+   digest moved and none should, as in item 5: no table here has more
+   than 68 rows, so every row keeps its page, and a probe reads the
+   same ints from a uint16 column as from a uint32 one.
 """
 
 from __future__ import annotations

@@ -138,7 +138,7 @@ class TestCostModel:
         assert CostConstants.load(tmp_path / "nope") is None
 
     @pytest.mark.parametrize(
-        "damage", ["truncated", "not_json", "missing_key", "wrong_shape"]
+        "damage", ["truncated", "not_json", "missing_key", "wrong_shape", "edited", "no_checksum"]
     )
     def test_damaged_cost_model_fails_typed(self, tmp_path, damage):
         """Outside input: like every other persisted artifact it fails
@@ -155,8 +155,12 @@ class TestCostModel:
             payload = json.loads(path.read_text())
             if damage == "missing_key":
                 del payload["query_seconds"]  # every key save writes is required
-            else:
+            elif damage == "wrong_shape":
                 payload["op_model"] = [1.0, 2.0]
+            elif damage == "edited":  # well-formed, but not the values saved
+                payload["op_seconds"]["silc"] = 9e-5
+            else:  # a file written before cost models carried a checksum
+                del payload["crc32"]
             path.write_text(json.dumps(payload))
         with pytest.raises(CorruptIndexError, match=COST_MODEL_FILE):
             CostConstants.load(tmp_path)

@@ -614,7 +614,7 @@ def assembled(net, embedding, codes) -> SILCIndex:
     store = FlatStore.from_chunks(
         net.num_vertices,
         SPQuadtreeBuilder(net, embedding, codes).chunks(),
-        column_dtypes(net.max_out_degree),
+        column_dtypes(net.max_out_degree, embedding.order),
     )
     return SILCIndex(net, embedding, codes, store.validate(net.out_degrees()))
 

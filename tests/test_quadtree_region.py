@@ -353,16 +353,21 @@ class TestIndexParity:
             assert (index.store.colors == -1).any()  # the horizon is in there
         else:
             index = SILCIndex.build(small_net, chunk_size=40, workers=workers)
+        # The walk writes uint32 codes; this grid's index stores uint16.
+        assert index.store.codes.dtype == np.uint16
         order = np.argsort(index.vertex_codes)
         builder = SPQuadtreeBuilder(small_net, index.embedding, index.vertex_codes)
         for chunk, dist, colors in all_pairs_chunks(small_net, limit=radius):
             ratios = builder.ratios(chunk, dist, radius)
             for source, row_colors, row_ratios in zip(chunk, colors, ratios):
+                walk = stack_walk_blocks(
+                    index.vertex_codes[order],
+                    ranked(small_net, source, row_colors)[order],
+                    row_ratios[order],
+                    index.embedding.order,
+                )
+                codes = walk.codes.astype(np.uint16)
+                assert np.array_equal(codes, walk.codes)
                 assert column_bytes(index.tables[source]) == column_bytes(
-                    stack_walk_blocks(
-                        index.vertex_codes[order],
-                        ranked(small_net, source, row_colors)[order],
-                        row_ratios[order],
-                        index.embedding.order,
-                    )
+                    table_view(codes, walk.levels, walk.colors, walk.lam_min, walk.lam_max)
                 )

@@ -24,6 +24,11 @@ from reference import BlockTable, iter_nodes, out_rank, table_of
 TABLE_COLUMNS = ("codes", "levels", "colors", "lam_min", "lam_max")
 
 
+def dtypes_of(index: SILCIndex) -> dict[str, type]:
+    """The column dtypes of ``index``'s network and grid."""
+    return column_dtypes(index.network.max_out_degree, index.embedding.order)
+
+
 def assert_identical(a: SILCIndex, b: SILCIndex) -> None:
     assert a.embedding.order == b.embedding.order
     assert a.embedding.bounds == b.embedding.bounds
@@ -57,7 +62,7 @@ class TestFlatStore:
         columns = {name: col.copy() for name, col in store.column_arrays().items()}
         row = int(store.offsets[v]) + 2
         columns["colors"][row] = degrees[v] if bad == "out-degree" else int(bad)
-        corrupt = FlatStore.from_columns(store.sizes, columns, COLUMN_DTYPES)
+        corrupt = FlatStore.from_columns(store.sizes, columns, dtypes_of(small_index))
         with pytest.raises(ValueError, match=rf"row {row} \(table {v}\) has colour"):
             corrupt.validate(degrees)
         SILCIndex(small_net, small_index.embedding, small_index.vertex_codes, corrupt).save(
@@ -93,7 +98,7 @@ class TestFlatStore:
             chunks.append(
                 (vertices, store.sizes[vertices], {n: c[rows] for n, c in columns.items()})
             )
-        gathered = FlatStore.from_chunks(store.num_tables, chunks, COLUMN_DTYPES).validate(
+        gathered = FlatStore.from_chunks(store.num_tables, chunks, dtypes_of(small_index)).validate(
             small_index.network.out_degrees()
         )
         assert np.array_equal(gathered.offsets, store.offsets)
@@ -235,7 +240,7 @@ def trimmed(index):
     columns = {name: col[keep] for name, col in store.column_arrays().items()}
     return SILCIndex(
         index.network, index.embedding, index.vertex_codes,
-        FlatStore.from_columns(sizes, columns, column_dtypes(index.network.max_out_degree)),
+        FlatStore.from_columns(sizes, columns, dtypes_of(index)),
     )
 
 
@@ -472,7 +477,7 @@ class TestAnEmptyTableIsEmpty:
             index.network, index.embedding, index.vertex_codes,
             FlatStore(index.store.offsets, **{
                 name: col.copy() for name, col in index.store.column_arrays().items()
-            }, dtypes=column_dtypes(small_net.max_out_degree)),
+            }, dtypes=dtypes_of(index)),
         )
         row = index.store.offsets[s] + index.tables[s].lookup(index._vcodes[w])[3]
         index.store.colors[row] = out_rank(small_net, s, u)
@@ -521,7 +526,7 @@ class TestAnEmptyTableIsEmpty:
             FlatStore.from_columns(
                 sizes,
                 {name: col[keep] for name, col in store.column_arrays().items()},
-                column_dtypes(small_net.max_out_degree),
+                dtypes_of(index),
             ),
             index.radius,
         )

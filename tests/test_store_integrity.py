@@ -115,11 +115,13 @@ INDEX_META = (
     "sizes", "vertex_codes", "embedding_bounds", "embedding_order", "out_edges_digest",
 )
 
-#: Verified directory (by its name under ``pristine``) -> its files: a
-#: symmetric network's labelling stores its out-labels alone, a directed
-#: one's both sides.
+#: Verified directory (by its name under ``pristine``) -> its files: an
+#: index on a grid of order <= 8 (uint16 codes) and one past it (uint32);
+#: a symmetric network's labelling stores its out-labels alone, a
+#: directed one's both sides.
 LAYOUTS = {
     "index": INDEX_META + COLUMNS,
+    "index-wide": INDEX_META + COLUMNS,
     "labels": LABEL_COLUMNS[:3],
     "labels-directed": LABEL_COLUMNS,
 }
@@ -147,23 +149,27 @@ def directed_net():
 
 
 @pytest.fixture(scope="module")
-def networks(small_net, directed_net):
+def networks(small_net, wide_net, directed_net):
     """Layout -> the network its directory was saved for."""
-    return {"index": small_net, "labels": small_net, "labels-directed": directed_net}
+    return {
+        "index": small_net, "index-wide": wide_net,
+        "labels": small_net, "labels-directed": directed_net,
+    }
 
 
 @pytest.fixture(scope="module")
-def pristine(tmp_path_factory, small_net, small_index, directed_net):
+def pristine(tmp_path_factory, small_net, small_index, wide_index, directed_net):
     """One clean save of everything; each case damages a copy."""
     root = tmp_path_factory.mktemp("pristine")
     small_index.save(root / "index")
+    wide_index.save(root / "index-wide")
     PrunedLabellingOracle.build(small_net).save(root / "labels")
     PrunedLabellingOracle.build(directed_net).save(root / "labels-directed")
     return root
 
 
 def load(save: str, path, network, mmap: bool):
-    if save == "index":
+    if save.startswith("index"):
         return SILCIndex.load(path, network, mmap=mmap)
     return PrunedLabellingOracle.load(path, network, mmap=mmap)
 
@@ -202,6 +208,7 @@ def test_damage_fails_load(pristine, tmp_path, networks, layout, column, damage,
 #: so only the dtype check stands between the bytes and a query.
 WRONG_DTYPES = {
     "index": ("lam_min", ">f2"),
+    "index-wide": ("codes", "<i4"),
     "labels": ("out_hubs", "<u4"),
     "labels-directed": ("in_hubs", "<u4"),
 }
@@ -308,7 +315,7 @@ def old_layout(pristine, tmp_path, small_net):
 
 def assert_refused_for_a_rebuild(exc):
     assert exc.value.column == "codes"
-    assert "column 'codes' holds <i8 items, expected <u4" in str(exc.value)
+    assert "column 'codes' holds <i8 items, expected <u2" in str(exc.value)
     assert "rebuild it with `repro build`" in str(exc.value)
 
 
@@ -331,7 +338,7 @@ def test_a_sharded_mapped_server_refuses_the_old_layout(old_layout, monkeypatch,
     ]) == 2
     err = capsys.readouterr().err
     assert err.startswith("repro serve: error: corrupt index") and err.count("\n") == 1
-    assert "column 'codes' holds <i8 items, expected <u4" in err
+    assert "column 'codes' holds <i8 items, expected <u2" in err
     assert "rebuild it with `repro build`" in err
 
 
@@ -397,6 +404,60 @@ def test_a_sharded_mapped_server_refuses_vertex_id_colours(
     assert err.startswith("repro serve: error: corrupt index") and err.count("\n") == 1
     assert "column 'colors' holds <i4 items, expected |i1" in err
     assert "rebuild it with `repro build`" in err
+
+
+@pytest.fixture()
+def ten_byte_blocks(pristine, tmp_path, small_net):
+    """The index re-saved in the 10-byte layout the 8-byte one replaced
+    on a grid of order <= 8 (uint32 codes, int64 vertex codes) with a
+    manifest that matches it."""
+    path = tmp_path / "index"
+    shutil.copytree(pristine / "index", path)
+    for column, dtype in (("codes", "<u4"), ("vertex_codes", "<i8")):
+        np.save(path / file_name(column), np.load(path / file_name(column)).astype(dtype))
+    write_manifest(path)
+    verify_manifest(path)
+    save_text(small_net, tmp_path / "net.txt")
+    return path
+
+
+@pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+def test_an_index_with_ten_byte_blocks_is_refused_by_name(ten_byte_blocks, small_net, mmap):
+    assert int(np.load(ten_byte_blocks / "embedding_order.npy")[0]) <= 8
+    with pytest.raises(CorruptIndexError) as exc:
+        SILCIndex.load(ten_byte_blocks, small_net, mmap=mmap)
+    assert exc.value.column == "codes"
+    assert "column 'codes' holds <u4 items, expected <u2" in str(exc.value)
+    assert "rebuild it with `repro build`" in str(exc.value)
+
+
+def test_the_cli_refuses_ten_byte_blocks(ten_byte_blocks, capsys):
+    net = ten_byte_blocks.parent / "net.txt"
+    assert main(["knn", str(net), str(ten_byte_blocks), "--query", "0", "--mmap"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro knn: error: corrupt index") and err.count("\n") == 1
+    assert "column 'codes' holds <u4 items, expected <u2" in err
+
+
+#: Per index layout, ``vertex_codes`` in the other grid's width: int64
+#: on a grid of order <= 8, uint16 past it.
+WRONG_VERTEX_CODES = {"index": ("<i8", "<u2"), "index-wide": ("<u2", "<i8")}
+
+
+@pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+@pytest.mark.parametrize("layout", WRONG_VERTEX_CODES)
+def test_vertex_codes_of_the_wrong_width_are_refused(pristine, tmp_path, networks, layout, mmap):
+    wrong, expected = WRONG_VERTEX_CODES[layout]
+    path = tmp_path / layout
+    shutil.copytree(pristine / layout, path)
+    vertex_codes = np.load(path / "vertex_codes.npy")
+    assert vertex_codes.dtype.str == expected
+    np.save(path / "vertex_codes.npy", vertex_codes.astype(wrong))
+    write_manifest(path)
+    with pytest.raises(CorruptIndexError) as exc:
+        load(layout, path, networks[layout], mmap)
+    assert exc.value.column == "vertex_codes"
+    assert f"column 'vertex_codes' holds {wrong} items, expected {expected}" in str(exc.value)
 
 
 def edited(network, edit: str) -> SpatialNetwork:
