@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.morton import MAX_ORDER, block_cells
-from repro.quadtree.blocks import COLUMN_DTYPES, narrow_lambda
+from repro.quadtree.blocks import narrow_lambda
 
 #: Segment keys are ``segment * _KEY + level``: levels (at most
 #: ``MAX_ORDER + 1``) stay below it, int32 keys hold 2**26 segments.
@@ -79,7 +79,6 @@ def region_block_columns(
     splits: np.ndarray,
     colors: np.ndarray,
     values: np.ndarray,
-    codes_dtype: type = COLUMN_DTYPES["codes"],
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """The maximal single-color Morton blocks of ``m`` colorings at once.
 
@@ -87,9 +86,8 @@ def region_block_columns(
     the ``n`` points; ``colors`` and ``values`` (float64) are ``(m, n)``,
     one row per source, C-contiguous or copied.  Returns ``(sizes, columns)``:
     blocks per row, and the five block columns (canonical dtypes, the
-    codes in ``codes_dtype`` -- uint32 holds any grid's, the build
-    passes its own grid's width -- the colours in the dtype they arrive
-    in, the lambdas rounded outward by :func:`narrow_lambda`) of all rows back
+    colours in the dtype they arrive in, the lambdas rounded outward by
+    :func:`narrow_lambda`) of all rows back
     to back -- the :class:`~repro.silc.store.FlatStore` layout.  Row ``i``'s blocks are the maximal single-color
     blocks of row ``i``: disjoint, sorted, covering every point, and
     *maximal* (the four children of any coarser aligned block would mix
@@ -126,7 +124,7 @@ def region_block_columns(
         np.maximum.reduceat(values.ravel(), first),
     )
     return np.count_nonzero(opens, axis=1), {
-        "codes": (codes >> shift << shift).astype(codes_dtype),
+        "codes": (codes >> shift << shift).astype(np.uint32),
         "levels": levels,
         "colors": colors.ravel()[first],
         "lam_min": lam_min,

@@ -68,7 +68,7 @@ class SPQuadtreeBuilder:
         self.order = np.argsort(self.codes)
         self.sorted_codes = self.codes[self.order]
         self.splits = split_levels(self.sorted_codes, embedding.order)
-        self.dtypes = column_dtypes(network.max_out_degree, embedding.order)
+        self.color_dtype = column_dtypes(network.max_out_degree, embedding.order)["colors"]
         #: Vertex ``u``'s out-edge targets, in ``network.out_edges``
         #: order, are ``targets[first_edge[u]:first_edge[u] + degrees[u]]``:
         #: the network's cached CSR, whose rows sorted by target are in
@@ -93,7 +93,7 @@ class SPQuadtreeBuilder:
         """
         src = np.asarray(sources, dtype=np.int64)
         m, n = first.shape
-        lookup = np.full((m, n + 1), -1, dtype=self.dtypes["colors"])
+        lookup = np.full((m, n + 1), -1, dtype=self.color_dtype)
         degrees = self.degrees[src]
         edges = table_rows(self.first_edge[src], degrees)
         rows = np.repeat(np.arange(m), degrees)
@@ -132,6 +132,5 @@ class SPQuadtreeBuilder:
                 self.splits,
                 np.take(self.ranks(chunk, first), self.order, axis=1),
                 np.take(self.ratios(chunk, dist, limit), self.order, axis=1),
-                self.dtypes["codes"],
             )
             yield chunk, sizes, columns

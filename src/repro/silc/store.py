@@ -156,7 +156,8 @@ class FlatStore:
         table; one named twice keeps its last table, so a localized
         update passes the old store first and the rebuilt chunks after.
         One gather per column puts the rows in vertex order, in
-        ``dtypes`` (an update may change the colour width).
+        ``dtypes``: the grid's code width (the kernel writes uint32
+        codes for any grid), and an update may change the colour width.
         """
         none = np.empty(0, dtype=np.int64)
         parts = [(none, none, empty_columns()), *chunks]

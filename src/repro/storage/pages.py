@@ -21,10 +21,10 @@ class PageLayout:
     """Physical parameters of the simulated disk layout.
 
     ``record_bytes`` is the serialized size of one Morton block (code +
-    level + color + two lambdas): by default the bytes the saved columns
-    take per block, 14 (``SILCIndex.make_storage`` passes its index's
-    own, 15 over int16 colours), so simulated pages and mapped bytes
-    describe one record.  The paper quotes 8 bytes for the code-only layout, 16 with
+    level + color + two lambdas): by default ``RECORD_BYTES``, 10.
+    ``SILCIndex.make_storage`` passes its index's own: 8 on a grid of
+    order <= 8 (uint16 codes), 10 past it, plus one with int16 colours,
+    so simulated pages and mapped bytes describe one record.  The paper quotes 8 bytes for the code-only layout, 16 with
     the lambda annotations.
     """
 

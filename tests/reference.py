@@ -337,15 +337,18 @@ def out_rank(network: SpatialNetwork, u: int, v: int) -> int:
     return [w for w, _ in network.neighbors(u)].index(v)
 
 
-def ranked(network: SpatialNetwork, source: int, first_hops: np.ndarray) -> np.ndarray:
+def ranked(
+    network: SpatialNetwork, source: int, first_hops: np.ndarray, dtype: np.dtype
+) -> np.ndarray:
     """A shortest-path map of ``source`` -- first-hop vertex ids -- as
     the colours an index stores, one vertex at a time: the rank of the
-    first edge, ``OWN_VERTEX`` for ``source`` itself, ``-1`` kept."""
+    first edge, ``OWN_VERTEX`` for ``source`` itself, ``-1`` kept, in
+    the index's colour ``dtype``."""
     colors = [
         blocks.OWN_VERTEX if v == source else -1 if v < 0 else out_rank(network, source, v)
         for v in first_hops.tolist()
     ]
-    return np.array(colors, dtype=blocks.column_dtypes(network.max_out_degree, MAX_ORDER)["colors"])
+    return np.array(colors, dtype=dtype)
 
 
 def table_of(index, v: int) -> BlockTable:

@@ -362,7 +362,7 @@ class TestIndexParity:
             for source, row_colors, row_ratios in zip(chunk, colors, ratios):
                 walk = stack_walk_blocks(
                     index.vertex_codes[order],
-                    ranked(small_net, source, row_colors)[order],
+                    ranked(small_net, source, row_colors, index.store.colors.dtype)[order],
                     row_ratios[order],
                     index.embedding.order,
                 )
