@@ -27,10 +27,11 @@ MB of growth over 0.22 MB), so the 8-byte block of a grid of order <= 8
 (uint16 codes, 0.17 MB) would have read up to 2.3 x with no leak.  The
 limit is therefore per block, at the value 2.0 x 10 bytes had: 20 B of
 heap growth per block (0.43 MB on the 400-vertex index's 22 710
-blocks), whatever a block's width.  The 8-byte index reads 13.9-14.1 B,
+blocks), whatever a block's width.  The 8-byte index reads 13.9-15.3 B,
 the 10-byte one 14.8-15.0 B (1.48-1.50 x), but the reading also moves
-with the source tree alone: a tree whose serving code was the same to
-the byte, differing only in build code and docstrings, read 19.3 B.
+with the source tree alone: trees whose serving code was the same to
+the byte, differing only in build code and docstrings, read 13.9, 15.3
+and 19.3 B.
 ``tracemalloc`` finds the same Python and numpy allocations over the
 10-byte and the 8-byte index -- ~12 kB live after six rounds, a
 ~120 kB peak per round -- so the rest is where pymalloc and glibc
